@@ -56,6 +56,16 @@ type App struct {
 	// stay deterministic per (Spec, seed).
 	edgeFaults map[Edge]EdgeFault
 	faultRng   *rand.Rand
+
+	// free recycles call frames (see frame.go). The pool belongs to the App
+	// and dies with it: nothing is shared between simulations.
+	free []*frame
+	// poison is set by tests only: released frames are then never reused,
+	// so any touch of a released frame trips its state check.
+	poison bool
+	// treeSize caches each endpoint root's call-tree size, the span-count
+	// hint handed to the coordinator.
+	treeSize map[*topology.Call]int
 }
 
 // RetryPolicy models client-side retries: a shed or dropped call is
@@ -98,13 +108,13 @@ func (a *App) SetEdgeFaults(faults map[Edge]EdgeFault, rng *rand.Rand) {
 	a.faultRng = rng
 }
 
-// reqCtx tracks one in-flight request across its workflow closures.
+// reqCtx tracks one in-flight request across its call frames.
 type reqCtx struct {
 	app         *App
 	id          trace.TraceID
 	typ         string
 	start       sim.Time
-	outstanding int  // spans not yet emitted (incl. background)
+	outstanding int  // calls not yet finished (incl. background and pending retries)
 	rootDone    bool // root call completed or dropped
 	dropped     bool
 	latency     sim.Time
@@ -117,7 +127,7 @@ type reqCtx struct {
 // deploy in sorted name order so container IDs and placement are
 // reproducible run to run.
 func Deploy(eng *sim.Engine, cl *cluster.Cluster, spec *topology.Spec, coord *trace.Coordinator) (*App, error) {
-	a := &App{Spec: spec, Coord: coord, eng: eng, cl: cl, SLO: spec.SLO}
+	a := &App{Spec: spec, Coord: coord, eng: eng, cl: cl, SLO: spec.SLO, treeSize: map[*topology.Call]int{}}
 	names := make([]string, 0, len(spec.Services))
 	for name := range spec.Services {
 		names = append(names, name)
@@ -149,20 +159,25 @@ func (a *App) Submit(endpoint string, onDone func(Result)) error {
 	}
 	ctx := &reqCtx{
 		app:    a,
-		id:     a.Coord.StartTrace(ep.Name),
+		id:     a.Coord.StartTrace(ep.Name, a.spanHint(ep.Root)),
 		typ:    ep.Name,
 		start:  a.eng.Now(),
 		onDone: onDone,
 	}
-	a.exec(ctx, 0, "client", ep.Root, false, func(ok bool) {
-		ctx.rootDone = true
-		ctx.latency = a.eng.Now() - ctx.start
-		if !ok {
-			ctx.dropped = true
-		}
-		ctx.maybeFinish()
-	})
+	a.call(ctx, nil, 0, "client", ep.Root, false)
 	return nil
+}
+
+// spanHint returns the size of the call tree under root — the number of
+// spans a request of that endpoint emits when nothing is shed or retried —
+// counting it on first use.
+func (a *App) spanHint(root *topology.Call) int {
+	n, ok := a.treeSize[root]
+	if !ok {
+		topology.Walk(root, func(*topology.Call) { n++ })
+		a.treeSize[root] = n
+	}
+	return n
 }
 
 // SubmitMix issues one request drawn from the endpoint mix using r,
@@ -179,149 +194,6 @@ func (a *App) SubmitMix(r *rand.Rand, onDone func(Result)) (string, error) {
 		}
 	}
 	return name, a.Submit(name, onDone)
-}
-
-// exec runs one workflow call: route to a replica, wait in its queue, do
-// local compute, then run child groups, then report. Span.Start is arrival
-// at the container (so spans include queueing, as real tracing does).
-func (a *App) exec(ctx *reqCtx, parent trace.SpanID, caller string, call *topology.Call, background bool, onDone func(ok bool)) {
-	a.execAttempt(ctx, parent, caller, call, background, 0, onDone)
-}
-
-// execAttempt is one attempt of a workflow call. When a RetryPolicy is
-// armed, a shed, partition-dropped, or queue-dropped attempt re-submits
-// after Backoff; ctx.outstanding stays held across the wait so a trace
-// cannot seal under a pending retry (including background stragglers).
-func (a *App) execAttempt(ctx *reqCtx, parent trace.SpanID, caller string, call *topology.Call, background bool, attempt int, onDone func(ok bool)) {
-	ctx.outstanding++
-	// fail ends this attempt: either hand the held outstanding slot to a
-	// scheduled re-attempt, or report failure. The trailing maybeFinish is
-	// a no-op on synchronous paths (the root is never done yet) but seals
-	// traces whose last pending work was a failed asynchronous retry.
-	fail := func() {
-		if a.retry != nil && attempt < a.retry.MaxRetries {
-			a.eng.Schedule(a.retry.Backoff, func() {
-				ctx.outstanding--
-				a.execAttempt(ctx, parent, caller, call, background, attempt+1, onDone)
-			})
-			return
-		}
-		ctx.outstanding--
-		onDone(false)
-		ctx.maybeFinish()
-	}
-	rs := a.cl.ReplicaSet(call.Service)
-	var target *cluster.Container
-	if rs != nil {
-		target = rs.Pick()
-	}
-	if target == nil { // no ready replica: request shed at routing
-		fail()
-		return
-	}
-	svc := a.Spec.Services[call.Service]
-	spanID := a.Coord.NewSpanID()
-	// Spans are client-observed (Dapper-style): they cover the full RPC
-	// boundary including both network hops, so a tc-delay anomaly on the
-	// callee shows up in the callee's span — which is what the paper's
-	// localization relies on.
-	dispatch := a.eng.Now()
-	hop := a.Spec.BaseRPCDelay + target.NetDelay()
-	if len(a.edgeFaults) > 0 {
-		if f, ok := a.edgeFaults[Edge{From: caller, To: call.Service}]; ok {
-			if f.Drop > 0 && a.faultRng != nil && a.faultRng.Float64() < f.Drop {
-				fail() // RPC lost in the partition before reaching the callee
-				return
-			}
-			hop += f.Delay
-		}
-	}
-
-	a.eng.Schedule(hop, func() {
-		var queued sim.Time
-		target.Submit(cluster.Work{
-			Base:   call.Compute,
-			Demand: svc.Demand,
-			OnDone: func(q, _ sim.Time) {
-				queued = q
-				a.runGroups(ctx, spanID, call.Service, call.Children, func(ok bool) {
-					// Response hop back to the caller, then seal the span.
-					a.eng.Schedule(hop, func() {
-						a.Coord.Emit(trace.Span{
-							Trace:      ctx.id,
-							ID:         spanID,
-							Parent:     parent,
-							Service:    call.Service,
-							Instance:   target.ID,
-							Start:      dispatch,
-							End:        a.eng.Now(),
-							Queued:     queued,
-							Background: background,
-						})
-						ctx.outstanding--
-						onDone(ok)
-						ctx.maybeFinish()
-					})
-				})
-			},
-			OnDrop: func() {
-				a.Coord.Emit(trace.Span{
-					Trace: ctx.id, ID: spanID, Parent: parent,
-					Service: call.Service, Instance: target.ID,
-					Start: dispatch, End: a.eng.Now(), Background: background,
-				})
-				fail()
-			},
-		})
-	})
-}
-
-// runGroups executes the children of a call honoring composition modes:
-// consecutive Par children form a concurrent group; Seq children are
-// barriers; Background children start when reached and are not awaited.
-func (a *App) runGroups(ctx *reqCtx, parent trace.SpanID, caller string, children []topology.Child, onDone func(ok bool)) {
-	// Partition into ordered groups.
-	type group struct {
-		calls []*topology.Call
-	}
-	var groups []group
-	for i := 0; i < len(children); i++ {
-		ch := children[i]
-		switch ch.Mode {
-		case topology.Background:
-			a.exec(ctx, parent, caller, ch.Call, true, func(bool) {})
-		case topology.Par:
-			g := group{calls: []*topology.Call{ch.Call}}
-			for i+1 < len(children) && children[i+1].Mode == topology.Par {
-				i++
-				g.calls = append(g.calls, children[i].Call)
-			}
-			groups = append(groups, g)
-		case topology.Seq:
-			groups = append(groups, group{calls: []*topology.Call{ch.Call}})
-		}
-	}
-	ok := true
-	var runGroup func(i int)
-	runGroup = func(i int) {
-		if i >= len(groups) {
-			onDone(ok)
-			return
-		}
-		remaining := len(groups[i].calls)
-		for _, c := range groups[i].calls {
-			a.exec(ctx, parent, caller, c, false, func(childOK bool) {
-				if !childOK {
-					ok = false
-				}
-				remaining--
-				if remaining == 0 {
-					runGroup(i + 1)
-				}
-			})
-		}
-	}
-	runGroup(0)
 }
 
 // maybeFinish seals the trace once the root has completed AND every span

@@ -1,0 +1,210 @@
+package app
+
+import (
+	"testing"
+
+	"firm/internal/cluster"
+	"firm/internal/sim"
+	"firm/internal/topology"
+	"firm/internal/trace"
+	"firm/internal/tracedb"
+)
+
+// fanSpec is client -> front -> {modes...} leaf services "leaf-0".."leaf-n",
+// one child per mode, plus a trailing Seq child "tail".
+func fanSpec(modes ...topology.Mode) *topology.Spec {
+	mk := func(name string) *topology.Service {
+		return &topology.Service{Name: name, Class: topology.Logic, Replicas: 1,
+			Demand: cluster.V(1, 150, 0.5, 5, 80),
+			Limits: cluster.V(2, 600, 2, 50, 300)}
+	}
+	spec := &topology.Spec{
+		Name:         "fan",
+		Services:     map[string]*topology.Service{"front": mk("front"), "tail": mk("tail")},
+		SLO:          500 * sim.Millisecond,
+		BaseRPCDelay: 300 * sim.Microsecond,
+	}
+	root := &topology.Call{Service: "front", Compute: sim.Millisecond}
+	for i, m := range modes {
+		name := "leaf-" + string(rune('0'+i))
+		spec.Services[name] = mk(name)
+		root.Children = append(root.Children, topology.Child{Mode: m,
+			Call: &topology.Call{Service: name, Compute: sim.Millisecond}})
+	}
+	root.Children = append(root.Children, topology.Child{Mode: topology.Seq,
+		Call: &topology.Call{Service: "tail", Compute: sim.Millisecond}})
+	spec.Endpoints = []topology.Endpoint{{Name: "get", Weight: 1, Root: root}}
+	return spec
+}
+
+func scaleToZero(a *App, service string) {
+	rs := a.Cluster().ReplicaSet(service)
+	for _, c := range append([]*cluster.Container(nil), rs.Containers()...) {
+		rs.RemoveReplica(c)
+	}
+}
+
+// TestParGroupShedReentrancy: children of a Par group shed inside the loop
+// that starts the group (no ready replica), so the parent frame hears from
+// them — and, when every child sheds, re-enters advance — from its own child
+// loop. The request must still finish exactly once; the Seq barrier after
+// the group must run once, and only after the group's one live child (if
+// any) has responded; and, with released frames poisoned instead of reused,
+// no frame may be touched after release or released twice.
+func TestParGroupShedReentrancy(t *testing.T) {
+	retry := &RetryPolicy{MaxRetries: 2, Backoff: sim.Millisecond}
+	for _, tc := range []struct {
+		name   string
+		shed   []string
+		policy *RetryPolicy
+	}{
+		{"all-shed", []string{"leaf-0", "leaf-1", "leaf-2"}, nil},
+		{"all-shed-retry", []string{"leaf-0", "leaf-1", "leaf-2"}, retry},
+		{"last-live", []string{"leaf-0", "leaf-1"}, nil},
+	} {
+		eng, a, db := harness(t, fanSpec(topology.Par, topology.Par, topology.Par), 1)
+		a.poison = true
+		a.SetRetryPolicy(tc.policy)
+		for _, svc := range tc.shed {
+			scaleToZero(a, svc)
+		}
+		results, hooks := 0, 0
+		a.SetResultHook(func(Result) { hooks++ })
+		var res Result
+		if err := a.Submit("get", func(r Result) { res = r; results++ }); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(10 * sim.Second)
+		if results != 1 || hooks != 1 {
+			t.Fatalf("%s: request finished %d times (hook %d), want once", tc.name, results, hooks)
+		}
+		if !res.Dropped || a.Dropped != 1 || a.Completed != 0 {
+			t.Fatalf("%s: a shed child must drop the request: %+v dropped=%d completed=%d",
+				tc.name, res, a.Dropped, a.Completed)
+		}
+		if n := a.Coord.PendingCount(); n != 0 {
+			t.Fatalf("%s: %d traces left pending", tc.name, n)
+		}
+		spans := map[string]trace.Span{}
+		for _, tr := range db.Select(tracedb.Query{IncludeDrop: true}) {
+			for _, sp := range tr.Spans {
+				if _, dup := spans[sp.Service]; dup {
+					t.Fatalf("%s: %s served twice", tc.name, sp.Service)
+				}
+				spans[sp.Service] = sp
+			}
+		}
+		if want := 5 - len(tc.shed); len(spans) != want {
+			t.Fatalf("%s: %d services served, want %d: %v", tc.name, len(spans), want, spans)
+		}
+		if live, ok := spans["leaf-2"]; ok && spans["tail"].Start < live.End {
+			t.Fatalf("%s: barrier started at %v, before the group's live child responded at %v",
+				tc.name, spans["tail"].Start, live.End)
+		}
+	}
+}
+
+// TestFramesRecycleWithoutLeak drives the digest scenarios' worst mix —
+// queue drops, retries, a replica set scaled to zero mid-burst — once with
+// released frames poisoned (any touch after release or double release
+// panics) and once pooled, where every frame must be back on the freelist,
+// each exactly once, when the engine drains.
+func TestFramesRecycleWithoutLeak(t *testing.T) {
+	run := func(poison bool) *App {
+		spec := topology.SocialNetwork()
+		eng := sim.NewEngine(3)
+		cfg := cluster.DefaultConfig()
+		cfg.QueueCap = 8
+		cl := cluster.New(eng, cfg)
+		for i := 0; i < 4; i++ {
+			cl.AddNode(cluster.XeonProfile)
+		}
+		a, err := Deploy(eng, cl, spec, trace.NewCoordinator(eng, tracedb.New(1000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.poison = poison
+		a.SetRetryPolicy(&RetryPolicy{MaxRetries: 2, Backoff: 3 * sim.Millisecond})
+		mix := sim.Stream(3, "mix")
+		for i := 0; i < 400; i++ {
+			eng.Schedule(sim.Time(i)*sim.Millisecond, func() { a.SubmitMix(mix, nil) })
+		}
+		eng.Schedule(150*sim.Millisecond, func() { scaleToZero(a, "text") })
+		eng.RunUntil(30 * sim.Second)
+		if a.Completed+a.Dropped != 400 || a.Dropped == 0 || a.Completed == 0 {
+			t.Fatalf("completed=%d dropped=%d, want a mix summing to 400", a.Completed, a.Dropped)
+		}
+		if eng.Pending() != 0 {
+			t.Fatalf("%d events still pending", eng.Pending())
+		}
+		return a
+	}
+	if a := run(true); len(a.free) != 0 {
+		t.Fatalf("poisoned run recycled %d frames", len(a.free))
+	}
+	a := run(false)
+	seen := map[*frame]bool{}
+	for _, f := range a.free {
+		if seen[f] {
+			t.Fatal("frame on the freelist twice")
+		}
+		seen[f] = true
+		if f.state != frameFree || f.ctx != nil || f.up != nil || f.target != nil {
+			t.Fatalf("freelist frame not cleared: %+v", f)
+		}
+	}
+	if len(a.free) == 0 || len(a.free) >= 400 {
+		t.Fatalf("freelist holds %d frames; want the peak concurrency, far below one per request", len(a.free))
+	}
+}
+
+// TestSteadyStateRequestAllocs: on a warm App a request allocates its
+// context, its Trace and the Trace's Spans — the same count for the spec's
+// smallest endpoint as for one several times its size.
+func TestSteadyStateRequestAllocs(t *testing.T) {
+	spec, err := topology.Generate(topology.Params{Services: 100, Endpoints: 4, MaxFanout: 3, Depth: 5}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine(1)
+	cl := cluster.New(eng, cluster.DefaultConfig())
+	for i := 0; i < 1+len(spec.Services)/8; i++ {
+		cl.AddNode(cluster.XeonProfile)
+	}
+	a, err := Deploy(eng, cl, spec, trace.NewCoordinator(eng, tracedb.New(1000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, large := "", ""
+	minCalls, maxCalls := 0, 0
+	for _, ep := range spec.Endpoints {
+		n := a.spanHint(ep.Root)
+		if small == "" || n < minCalls {
+			small, minCalls = ep.Name, n
+		}
+		if n > maxCalls {
+			large, maxCalls = ep.Name, n
+		}
+	}
+	if maxCalls < 4*minCalls {
+		t.Fatalf("endpoints span %d..%d calls; the comparison would be vacuous", minCalls, maxCalls)
+	}
+	allocs := func(endpoint string) float64 {
+		request := func() {
+			if err := a.Submit(endpoint, nil); err != nil {
+				t.Fatal(err)
+			}
+			eng.Drain(1 << 20)
+		}
+		request() // warm: frames, engine events, container records, queues
+		return testing.AllocsPerRun(20, request)
+	}
+	aSmall, aLarge := allocs(small), allocs(large)
+	if a.Dropped != 0 {
+		t.Fatalf("%d requests dropped", a.Dropped)
+	}
+	if aSmall != aLarge || aLarge > 3 {
+		t.Fatalf("allocs/request: %v at %d calls, %v at %d calls; want equal and <= 3",
+			aSmall, minCalls, aLarge, maxCalls)
+	}
+}

@@ -210,32 +210,51 @@ func (a *ShardedApp) call(from int, tr uint64, c *topology.Call, onResult func(o
 	})
 }
 
+// serving is one call being served on the callee's shard: the container
+// work handler for its local compute, carrying what the reply needs.
+type serving struct {
+	a         *ShardedApp
+	from, to  int
+	tr        uint64
+	idx       uint32
+	c         *topology.Call
+	hop       sim.Time
+	onResult  func(ok bool)
+	onDrained func()
+}
+
+// fail replies "failed and drained" after delay.
+func (s *serving) fail(delay sim.Time) {
+	s.a.se.Send(s.to, s.from, delay, mailKey(s.tr, s.idx, dirResult), func() {
+		s.onResult(false)
+		s.onDrained()
+	})
+}
+
+// WorkDone implements cluster.WorkHandler.
+func (s *serving) WorkDone(_, _ sim.Time) {
+	s.a.runChildren(s.from, s.to, s.tr, s.idx, s.c, s.hop, s.onResult, s.onDrained)
+}
+
+// WorkDropped implements cluster.WorkHandler.
+func (s *serving) WorkDropped() { s.fail(s.hop) }
+
 // serve runs on the callee's shard: pick a replica, pay the instance network
 // delay, occupy a worker for the compute, run child groups, reply.
 func (a *ShardedApp) serve(from, to int, tr uint64, idx uint32, c *topology.Call, onResult func(ok bool), onDrained func()) {
-	fail := func(delay sim.Time) {
-		a.se.Send(to, from, delay, mailKey(tr, idx, dirResult), func() {
-			onResult(false)
-			onDrained()
-		})
-	}
+	sv := &serving{a: a, from: from, to: to, tr: tr, idx: idx, c: c, onResult: onResult, onDrained: onDrained}
 	target := a.rsOf[c.Service].Pick()
 	if target == nil { // no ready replica: shed at routing
-		fail(a.delay)
+		sv.fail(a.delay)
 		return
 	}
-	svc := a.Spec.Services[c.Service]
 	nd := target.NetDelay()
-	hop := a.delay + nd
-	eng := a.se.Shard(to)
-	eng.Schedule(nd, func() {
+	sv.hop = a.delay + nd
+	a.se.Shard(to).Schedule(nd, func() {
 		target.Submit(cluster.Work{
-			Base:   c.Compute,
-			Demand: svc.Demand,
-			OnDone: func(_, _ sim.Time) {
-				a.runChildren(from, to, tr, idx, c, hop, onResult, onDrained)
-			},
-			OnDrop: func() { fail(hop) },
+			Base:    c.Compute,
+			Demand:  a.Spec.Services[c.Service].Demand,
+			Handler: sv,
 		})
 	})
 }

@@ -252,13 +252,7 @@ func (rs *ReplicaSet) RemoveReplica(c *Container) bool {
 		if cc == c {
 			rs.containers = append(rs.containers[:i], rs.containers[i+1:]...)
 			c.ready = false
-			for _, qw := range c.queue {
-				c.Dropped++
-				if qw.w.OnDrop != nil {
-					qw.w.OnDrop()
-				}
-			}
-			c.queue = nil
+			c.dropQueued()
 			c.node.detach(c)
 			return true
 		}

@@ -69,9 +69,9 @@ func TestDeployAndProcess(t *testing.T) {
 	var gotQ, gotP sim.Time
 	done := false
 	c.Submit(Work{
-		Base:   10 * sim.Millisecond,
-		Demand: V(1, 100, 0.5, 0, 0),
-		OnDone: func(q, p sim.Time) { gotQ, gotP, done = q, p, true },
+		Base:    10 * sim.Millisecond,
+		Demand:  V(1, 100, 0.5, 0, 0),
+		Handler: WorkFuncs{Done: func(q, p sim.Time) { gotQ, gotP, done = q, p, true }},
 	})
 	eng.RunUntil(sim.Second)
 	if !done {
@@ -95,9 +95,9 @@ func TestQueueingDelay(t *testing.T) {
 	var queued []sim.Time
 	for i := 0; i < 3; i++ {
 		c.Submit(Work{
-			Base:   10 * sim.Millisecond,
-			Demand: V(1, 0, 0, 0, 0),
-			OnDone: func(q, p sim.Time) { queued = append(queued, q) },
+			Base:    10 * sim.Millisecond,
+			Demand:  V(1, 0, 0, 0, 0),
+			Handler: WorkFuncs{Done: func(q, p sim.Time) { queued = append(queued, q) }},
 		})
 	}
 	eng.RunUntil(sim.Second)
@@ -119,9 +119,9 @@ func TestWorkerPoolConcurrency(t *testing.T) {
 	doneAt := make([]sim.Time, 0, 4)
 	for i := 0; i < 4; i++ {
 		c.Submit(Work{
-			Base:   10 * sim.Millisecond,
-			Demand: V(1, 0, 0, 0, 0),
-			OnDone: func(q, p sim.Time) { doneAt = append(doneAt, eng.Now()) },
+			Base:    10 * sim.Millisecond,
+			Demand:  V(1, 0, 0, 0, 0),
+			Handler: WorkFuncs{Done: func(q, p sim.Time) { doneAt = append(doneAt, eng.Now()) }},
 		})
 	}
 	eng.RunUntil(sim.Second)
@@ -148,9 +148,9 @@ func TestQueueOverflowDrops(t *testing.T) {
 	drops := 0
 	for i := 0; i < 5; i++ {
 		c.Submit(Work{
-			Base:   time10ms(),
-			Demand: V(1, 0, 0, 0, 0),
-			OnDrop: func() { drops++ },
+			Base:    time10ms(),
+			Demand:  V(1, 0, 0, 0, 0),
+			Handler: WorkFuncs{Drop: func() { drops++ }},
 		})
 	}
 	// 1 in flight + 2 queued; the remaining 2 dropped synchronously.
@@ -178,7 +178,7 @@ func TestNotReadyDrops(t *testing.T) {
 		t.Fatal("replica ready before start delay")
 	}
 	dropped := false
-	c2.Submit(Work{Base: sim.Millisecond, OnDrop: func() { dropped = true }})
+	c2.Submit(Work{Base: sim.Millisecond, Handler: WorkFuncs{Drop: func() { dropped = true }}})
 	if !dropped {
 		t.Fatal("submit to non-ready container must drop")
 	}
@@ -211,14 +211,14 @@ func TestContentionSlowdownNodeLevel(t *testing.T) {
 
 	var base sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 500, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { base = p }})
+		Handler: WorkFuncs{Done: func(q, p sim.Time) { base = p }}})
 	eng.RunUntil(sim.Second)
 
 	// Saturate node memory bandwidth 2x via injected anomaly.
 	node.SetInjectedLoad(V(0, 2*node.Capacity()[MemBW], 0, 0, 0))
 	var contended sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 500, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { contended = p }})
+		Handler: WorkFuncs{Done: func(q, p sim.Time) { contended = p }}})
 	eng.RunUntil(2 * sim.Second)
 
 	if contended <= base {
@@ -231,7 +231,7 @@ func TestContentionSlowdownNodeLevel(t *testing.T) {
 	node.SetInjectedLoad(Vector{})
 	var recovered sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 500, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { recovered = p }})
+		Handler: WorkFuncs{Done: func(q, p sim.Time) { recovered = p }}})
 	eng.RunUntil(3 * sim.Second)
 	if recovered != base {
 		t.Fatalf("after clearing anomaly, latency %v should return to %v", recovered, base)
@@ -244,13 +244,13 @@ func TestContainerTargetedCPUStressor(t *testing.T) {
 	c := rs.Pick()
 	var base sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 0, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { base = p }})
+		Handler: WorkFuncs{Done: func(q, p sim.Time) { base = p }}})
 	eng.RunUntil(sim.Second)
 
 	c.SetInjectedLoad(V(1, 0, 0, 0, 0)) // stressor eats a full core
 	var stressed sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 0, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { stressed = p }})
+		Handler: WorkFuncs{Done: func(q, p sim.Time) { stressed = p }}})
 	eng.RunUntil(2 * sim.Second)
 	if stressed <= base {
 		t.Fatalf("CPU stressor must slow container: base %v stressed %v", base, stressed)
@@ -270,13 +270,13 @@ func TestScaleUpMitigatesContention(t *testing.T) {
 	c := rs.Pick()
 	var before sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 600, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { before = p }})
+		Handler: WorkFuncs{Done: func(q, p sim.Time) { before = p }}})
 	eng.RunUntil(sim.Second)
 
 	c.SetLimits(V(2, 1000, 4, 100, 100))
 	var after sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 600, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { after = p }})
+		Handler: WorkFuncs{Done: func(q, p sim.Time) { after = p }}})
 	eng.RunUntil(2 * sim.Second)
 	if after >= before {
 		t.Fatalf("raising membw limit must reduce latency: before %v after %v", before, after)
@@ -422,7 +422,7 @@ func TestRemoveReplicaDropsQueuedWork(t *testing.T) {
 	drops := 0
 	for i := 0; i < 3; i++ {
 		c.Submit(Work{Base: 50 * sim.Millisecond, Demand: V(1, 0, 0, 0, 0),
-			OnDrop: func() { drops++ }})
+			Handler: WorkFuncs{Drop: func() { drops++ }}})
 	}
 	rs.RemoveReplica(c)
 	if drops != 2 { // 1 in flight, 2 queued -> dropped
@@ -450,7 +450,7 @@ func TestFractionalCPUInflatesServiceTime(t *testing.T) {
 	c := rs.Pick()
 	var p sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(0.4, 0, 0, 0, 0),
-		OnDone: func(q, pp sim.Time) { p = pp }})
+		Handler: WorkFuncs{Done: func(q, pp sim.Time) { p = pp }}})
 	eng.RunUntil(sim.Second)
 	if p < 19*sim.Millisecond {
 		t.Fatalf("0.5 CPU should roughly double 10ms work, got %v", p)
@@ -481,7 +481,7 @@ func TestPpc64ProfileSpeedFactor(t *testing.T) {
 	c := rs.Pick()
 	var p sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 0, 0, 0, 0),
-		OnDone: func(q, pp sim.Time) { p = pp }})
+		Handler: WorkFuncs{Done: func(q, pp sim.Time) { p = pp }}})
 	eng.RunUntil(sim.Second)
 	want := sim.Time(float64(10*sim.Millisecond) * PowerProfile.SpeedFactor)
 	if p != want {
@@ -548,8 +548,10 @@ func TestPropertyConservationOfRequests(t *testing.T) {
 			c.Submit(Work{
 				Base:   sim.Millisecond,
 				Demand: V(1, 0, 0, 0, 0),
-				OnDone: func(q, p sim.Time) { done++ },
-				OnDrop: func() { dropped++ },
+				Handler: WorkFuncs{
+					Done: func(q, p sim.Time) { done++ },
+					Drop: func() { dropped++ },
+				},
 			})
 		}
 		eng.RunUntil(sim.Hour)
@@ -558,5 +560,79 @@ func TestPropertyConservationOfRequests(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueueHeadIndexFIFO runs one worker behind a sliding backlog long
+// enough that the queue's consumed prefix is compacted and reset many times:
+// completions must come out in submission order, QueueLen and QueueCap must
+// count waiting items only (never the consumed prefix), and retiring the
+// replica must drop exactly the waiting items, oldest first.
+func TestQueueHeadIndexFIFO(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	cfg.QueueCap = 4
+	cfg.NoiseSD = 0
+	cl := New(eng, cfg)
+	cl.AddNode(XeonProfile)
+	rs, _ := cl.DeployService("svc", 1, V(1, 10000, 38, 1000, 1000))
+	c := rs.Pick()
+	var done, dropped []int
+	next := 0
+	submit := func() {
+		id := next
+		next++
+		c.Submit(Work{Base: sim.Millisecond, Demand: V(1, 0, 0, 0, 0), Handler: WorkFuncs{
+			Done: func(_, _ sim.Time) { done = append(done, id) },
+			Drop: func() { dropped = append(dropped, id) },
+		}})
+	}
+	// Fill: item 0 in flight, 1..4 waiting, 5 shed by QueueCap.
+	for i := 0; i < 6; i++ {
+		submit()
+	}
+	if c.QueueLen() != 4 || c.Busy() != 1 || len(dropped) != 1 || dropped[0] != 5 {
+		t.Fatalf("after fill: queue %d busy %d dropped %v", c.QueueLen(), c.Busy(), dropped)
+	}
+	// Slide: each completion frees one slot, which one new item takes and a
+	// second finds full again.
+	for round := 0; round < 200; round++ {
+		eng.RunFor(sim.Millisecond)
+		if c.QueueLen() != 3 {
+			t.Fatalf("round %d: queue %d after a completion, want 3", round, c.QueueLen())
+		}
+		submit()
+		submit()
+		if c.QueueLen() != 4 {
+			t.Fatalf("round %d: queue %d, want it back at QueueCap", round, c.QueueLen())
+		}
+	}
+	if len(done) != 200 || len(dropped) != 201 {
+		t.Fatalf("done %d dropped %d, want 200 and 201", len(done), len(dropped))
+	}
+	for i := 1; i < len(done); i++ {
+		if done[i] <= done[i-1] {
+			t.Fatalf("completions out of submission order: %v", done[:i+1])
+		}
+	}
+	if cap(c.queue) > 2*cfg.QueueCap {
+		t.Fatalf("queue grew to cap %d behind a backlog of %d", cap(c.queue), cfg.QueueCap)
+	}
+	// Retire: the in-flight item completes detached, the four waiting drop
+	// in FIFO order, and nothing already served is dropped again.
+	dropped = dropped[:0]
+	rs.RemoveReplica(c)
+	if len(dropped) != 4 || c.QueueLen() != 0 {
+		t.Fatalf("retire dropped %v (queue %d), want the 4 waiting items", dropped, c.QueueLen())
+	}
+	for i, id := range dropped {
+		if id <= done[len(done)-1] || (i > 0 && id <= dropped[i-1]) {
+			t.Fatalf("retire dropped %v after serving up to %d", dropped, done[len(done)-1])
+		}
+	}
+	served := len(done)
+	eng.RunUntil(eng.Now() + sim.Second)
+	if len(done) != served+1 || int(c.Completed) != served+1 {
+		t.Fatalf("in-flight item must complete after retirement: done %d completed %d", len(done), c.Completed)
 	}
 }

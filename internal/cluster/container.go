@@ -9,19 +9,61 @@ import (
 
 // Work is a unit of local computation submitted to a container: the base
 // (uncontended) service time and the resource-demand rates held while the
-// work occupies a worker. OnDone receives the realized processing time and
-// the time spent queued; OnDrop fires instead if the container's queue is
-// full (the request is shed, counted in Fig. 10(c)).
+// work occupies a worker. Handler, which may be nil, learns the outcome.
 type Work struct {
-	Base   sim.Time
-	Demand Vector
-	OnDone func(queued, processing sim.Time)
-	OnDrop func()
+	Base    sim.Time
+	Demand  Vector
+	Handler WorkHandler
+}
+
+// WorkHandler observes one Work item's outcome; exactly one of its methods
+// is called, once. WorkDone receives the time spent queued and the realized
+// processing time. WorkDropped fires instead if the work is shed — the
+// container is not ready, its queue is full, or it is retired with the work
+// still queued (counted in Fig. 10(c)). The request path submits its call
+// frame as the handler, so a work item costs no closure.
+type WorkHandler interface {
+	WorkDone(queued, processing sim.Time)
+	WorkDropped()
+}
+
+// WorkFuncs adapts plain callbacks to WorkHandler, for tests and other cold
+// callers; either field may be nil.
+type WorkFuncs struct {
+	Done func(queued, processing sim.Time)
+	Drop func()
+}
+
+// WorkDone implements WorkHandler.
+func (f WorkFuncs) WorkDone(queued, processing sim.Time) {
+	if f.Done != nil {
+		f.Done(queued, processing)
+	}
+}
+
+// WorkDropped implements WorkHandler.
+func (f WorkFuncs) WorkDropped() {
+	if f.Drop != nil {
+		f.Drop()
+	}
 }
 
 type queuedWork struct {
 	w        Work
 	enqueued sim.Time
+}
+
+// running is one in-flight work item: what its completion must give back to
+// the container and node, and the completion event itself (it is the
+// sim.Action scheduled at admission). Records cycle through the owning
+// container's freelist.
+type running struct {
+	c          *Container
+	w          Work
+	queued     sim.Time
+	dur        sim.Time
+	cpuCharge  float64
+	nodeDemand Vector
 }
 
 // Container is a deployed microservice instance: a FIFO request queue in
@@ -48,7 +90,14 @@ type Container struct {
 	limits Vector
 	ready  bool
 
-	queue   []queuedWork
+	// queue[head:] is the FIFO of waiting work. Popping advances head
+	// instead of reslicing from the front, which would shed capacity and
+	// reallocate on almost every Submit.
+	queue []queuedWork
+	head  int
+	// free recycles in-flight records; a container at steady state admits
+	// and completes work without allocating.
+	free    []*running
 	busy    int
 	busyCPU float64 // usage accounted to node/container for in-flight work
 
@@ -82,7 +131,7 @@ func (c *Container) Node() *Node { return c.node }
 func (c *Container) Ready() bool { return c.ready }
 
 // QueueLen returns the number of queued (not yet executing) work items.
-func (c *Container) QueueLen() int { return len(c.queue) }
+func (c *Container) QueueLen() int { return len(c.queue) - c.head }
 
 // Busy returns the number of in-flight work items.
 func (c *Container) Busy() int { return c.busy }
@@ -163,24 +212,51 @@ func (c *Container) Utilization() Vector { return c.Usage().Div(c.limits) }
 
 // Submit enqueues work on the container. Work on a non-ready container or a
 // full queue is dropped.
+//
+//firmvet:noalloc
 func (c *Container) Submit(w Work) {
-	if !c.ready || len(c.queue) >= c.cfg.QueueCap {
-		c.Dropped++
-		if w.OnDrop != nil {
-			w.OnDrop()
-		}
+	if !c.ready || c.QueueLen() >= c.cfg.QueueCap {
+		c.drop(w)
 		return
+	}
+	// Out of room behind a consumed prefix at least as long as the live
+	// tail: slide the tail down instead of growing (amortized O(1)).
+	if c.head > 0 && len(c.queue) == cap(c.queue) && 2*c.head >= len(c.queue) {
+		n := copy(c.queue, c.queue[c.head:])
+		clear(c.queue[n:])
+		c.queue, c.head = c.queue[:n], 0
 	}
 	c.queue = append(c.queue, queuedWork{w: w, enqueued: c.eng.Now()})
 	c.dispatch()
 }
 
+//firmvet:noalloc
 func (c *Container) dispatch() {
-	for c.busy < c.workers() && len(c.queue) > 0 {
-		qw := c.queue[0]
-		c.queue = c.queue[1:]
+	for c.busy < c.workers() && c.head < len(c.queue) {
+		qw := c.queue[c.head]
+		c.queue[c.head] = queuedWork{} // drop the handler reference
+		c.head++
+		if c.head == len(c.queue) {
+			c.queue, c.head = c.queue[:0], 0
+		}
 		c.start(qw)
 	}
+}
+
+// drop sheds one work item.
+func (c *Container) drop(w Work) {
+	c.Dropped++
+	if w.Handler != nil {
+		w.Handler.WorkDropped()
+	}
+}
+
+// dropQueued sheds every waiting work item (the container is being retired).
+func (c *Container) dropQueued() {
+	for _, qw := range c.queue[c.head:] {
+		c.drop(qw.w)
+	}
+	c.queue, c.head = nil, 0
 }
 
 // factors computes the service-time inflation at admission: total is the
@@ -209,6 +285,7 @@ func (c *Container) factors(extra Vector) (total, cpuOnly float64) {
 	return math.Pow(total, c.cfg.SlowdownExp), math.Pow(cpuOnly, c.cfg.SlowdownExp)
 }
 
+//firmvet:noalloc
 func (c *Container) start(qw queuedWork) {
 	now := c.eng.Now()
 	// Admission factors include this request's own demand (with a full
@@ -249,22 +326,44 @@ func (c *Container) start(qw queuedWork) {
 	if dur < 1 {
 		dur = 1
 	}
-	queued := now - qw.enqueued
-	c.eng.Schedule(dur, func() {
-		c.busy--
-		c.busyInt += float64(dur)
-		c.cpuActive -= cpuCharge
-		if c.cpuActive < 0 {
-			c.cpuActive = 0
-		}
-		c.curDemand = c.curDemand.Sub(qw.w.Demand).ClampNonNeg()
-		c.node.usage = c.node.usage.Sub(nodeDemand).ClampNonNeg()
-		c.Completed++
-		if qw.w.OnDone != nil {
-			qw.w.OnDone(queued, dur)
-		}
-		c.dispatch()
-	})
+	var r *running
+	if n := len(c.free); n > 0 {
+		r = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		//firmvet:allow noalloc -- freelist warm-up miss; a container allocates one record per concurrently busy worker, then recycles them
+		r = &running{c: c}
+	}
+	r.w, r.queued, r.dur = qw.w, now-qw.enqueued, dur
+	r.cpuCharge, r.nodeDemand = cpuCharge, nodeDemand
+	c.eng.ScheduleAction(dur, r)
+}
+
+// Fire completes the work item: the worker, its demand and its CPU charge
+// go back to the container and node, the handler hears the outcome, and the
+// freed worker takes the next queued item.
+//
+//firmvet:noalloc
+func (r *running) Fire() {
+	c := r.c
+	c.busy--
+	c.busyInt += float64(r.dur)
+	c.cpuActive -= r.cpuCharge
+	if c.cpuActive < 0 {
+		c.cpuActive = 0
+	}
+	c.curDemand = c.curDemand.Sub(r.w.Demand).ClampNonNeg()
+	c.node.usage = c.node.usage.Sub(r.nodeDemand).ClampNonNeg()
+	c.Completed++
+	// Recycle before notifying: the handler may submit more work here.
+	h, queued, dur := r.w.Handler, r.queued, r.dur
+	r.w.Handler = nil
+	c.free = append(c.free, r)
+	if h != nil {
+		h.WorkDone(queued, dur)
+	}
+	c.dispatch()
 }
 
 // effectiveNodeDemand converts per-request demand into node-level load,

@@ -309,12 +309,12 @@ func TestInjectionSlowsVictim(t *testing.T) {
 	eng, _, c, in := setup(t)
 	var clean sim.Time
 	c.Submit(cluster.Work{Base: 10 * sim.Millisecond, Demand: cluster.V(1, 500, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { clean = p }})
+		Handler: cluster.WorkFuncs{Done: func(q, p sim.Time) { clean = p }}})
 	eng.RunUntil(sim.Second)
 	in.Inject(Injection{Kind: MemBWStress, Target: c, Intensity: 1, Duration: 10 * sim.Second})
 	var stressed sim.Time
 	c.Submit(cluster.Work{Base: 10 * sim.Millisecond, Demand: cluster.V(1, 500, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { stressed = p }})
+		Handler: cluster.WorkFuncs{Done: func(q, p sim.Time) { stressed = p }}})
 	eng.RunUntil(2 * sim.Second)
 	if stressed <= clean {
 		t.Fatalf("membw anomaly must slow victim: %v vs %v", clean, stressed)

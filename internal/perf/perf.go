@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"testing"
 
+	"firm/internal/app"
+	"firm/internal/cluster"
 	"firm/internal/core"
 	"firm/internal/detect"
 	"firm/internal/harness"
@@ -61,6 +63,7 @@ func Benchmarks() []Benchmark {
 		{"workload-arrivals", "thinned arrival sampling: 10ms of a 2,600 rps spiked-diurnal bound", WorkloadArrivals},
 		{"shard-step", "one lookahead window of an 8-shard ring at steady state (mail routing + window barrier)", ShardStep},
 		{"scenario-step", "one armed fault-scenario tick: recompute and apply every active site's pressure", ScenarioStep},
+		{"app-request", "one traced request through a 63-call generated endpoint on a warm testbed", AppRequest},
 	}
 }
 
@@ -571,4 +574,51 @@ func ScenarioStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.StepNow()
 	}
+}
+
+// AppRequest measures the traced request path end to end: one op submits a
+// request of a 63-call generated endpoint and runs the engine until its
+// trace is stored — routing, both hops, container queueing and compute, the
+// child walk and span emission for every call. The testbed is bare (engine,
+// cluster, trace store, app; no telemetry or generator tickers) and warm, so
+// allocs/op is exactly what a request costs: its context, its Trace and the
+// Trace's Spans, whatever the endpoint's size — call frames, engine events
+// and container in-flight records all come from freelists. spans/op is the
+// endpoint's call count.
+func AppRequest(b *testing.B) {
+	spec, err := topology.Generate(topology.Params{Services: 100, Endpoints: 4, MaxFanout: 3, Depth: 5}, Seed)
+	if err != nil {
+		panic(fmt.Sprintf("perf: generate failed: %v", err))
+	}
+	eng := sim.NewEngine(Seed)
+	cl := cluster.New(eng, cluster.DefaultConfig())
+	for i := 0; i < 1+len(spec.Services)/8; i++ {
+		cl.AddNode(cluster.XeonProfile)
+	}
+	db := tracedb.New(64)
+	a, err := app.Deploy(eng, cl, spec, trace.NewCoordinator(eng, db))
+	if err != nil {
+		panic(fmt.Sprintf("perf: deploy failed: %v", err))
+	}
+	endpoint := spec.Endpoints[0].Name // the spec's largest call tree: 63 calls
+	request := func() {
+		if err := a.Submit(endpoint, nil); err != nil {
+			panic(fmt.Sprintf("perf: submit failed: %v", err))
+		}
+		eng.Drain(1 << 20)
+	}
+	for i := 0; i < 2*64; i++ { // fill the freelists and wrap the trace ring
+		request()
+	}
+	if a.Dropped != 0 {
+		panic(fmt.Sprintf("perf: %d warm-up requests dropped", a.Dropped))
+	}
+	spans0 := a.Coord.SpansSeen
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(a.Coord.SpansSeen-spans0)/float64(b.N), "spans/op")
 }

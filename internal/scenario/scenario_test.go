@@ -79,15 +79,15 @@ func TestCatalogKeysStableUniqueValid(t *testing.T) {
 
 func TestValidateRejects(t *testing.T) {
 	bad := []*Spec{
-		Mode(MemLeak, 0, 10*sim.Second),                        // zero intensity
-		Mode(MemLeak, 1.5, 10*sim.Second),                      // >1
-		Mode(Plateau, 0.5, 0),                                  // zero duration
-		Mode(Family(99), 0.5, sim.Second),                      // unknown family
-		Mode(Cascade, 0.5, sim.Second).WithProb(2),             // bad prob
-		Mode(Plateau, 0.5, sim.Second).On("a/b"),               // slash in target
-		Sequence(0),                                            // empty composition
-		Sequence(-sim.Second, Mode(Plateau, 0.5, sim.Second)),  // negative gap
-		Mode(Plateau, 0.5, sim.Second).After(-sim.Second),      // negative offset
+		Mode(MemLeak, 0, 10*sim.Second),                       // zero intensity
+		Mode(MemLeak, 1.5, 10*sim.Second),                     // >1
+		Mode(Plateau, 0.5, 0),                                 // zero duration
+		Mode(Family(99), 0.5, sim.Second),                     // unknown family
+		Mode(Cascade, 0.5, sim.Second).WithProb(2),            // bad prob
+		Mode(Plateau, 0.5, sim.Second).On("a/b"),              // slash in target
+		Sequence(0),                                           // empty composition
+		Sequence(-sim.Second, Mode(Plateau, 0.5, sim.Second)), // negative gap
+		Mode(Plateau, 0.5, sim.Second).After(-sim.Second),     // negative offset
 	}
 	for i, sc := range bad {
 		if err := sc.Validate(); err == nil {

@@ -51,14 +51,28 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 // fractional microseconds toward zero like FromSeconds.
 func FromMillis(ms float64) Time { return Time(ms * float64(Millisecond)) }
 
-// Event is a scheduled callback. Events with equal timestamps fire in
+// Action is what a scheduled event does when its time comes. Long-lived
+// model objects (a request's call frame, a container's in-flight record)
+// implement it directly, so scheduling them costs no closure.
+type Action interface {
+	Fire()
+}
+
+// Func adapts a plain callback to Action. Function values are
+// pointer-shaped, so the conversion to Action does not allocate.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// Event is a scheduled Action. Events with equal timestamps fire in
 // scheduling order (FIFO), which the seq field enforces. (at, seq) is a
 // strict total order — seq is unique per engine — so the pop sequence is
 // the same for any heap arrangement.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	act Action
 }
 
 // eventHeap is an inlined binary min-heap ordered by (at, seq). It replaces
@@ -167,6 +181,27 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: ScheduleAt with nil callback")
 	}
+	e.ScheduleActionAt(at, Func(fn))
+}
+
+// ScheduleAction fires act after delay; a negative delay is treated as zero,
+// as in Schedule.
+func (e *Engine) ScheduleAction(delay Time, act Action) {
+	if delay < 0 {
+		delay = 0
+	}
+	e.ScheduleActionAt(e.now+delay, act)
+}
+
+// ScheduleActionAt fires act at the absolute simulated time at, clamped to
+// "now". It is the one place events are created: Schedule and ScheduleAt
+// wrap their callback in Func and land here.
+//
+//firmvet:noalloc
+func (e *Engine) ScheduleActionAt(at Time, act Action) {
+	if act == nil {
+		panic("sim: ScheduleActionAt with nil action")
+	}
 	if at < e.now {
 		at = e.now
 	}
@@ -180,7 +215,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 		//firmvet:allow noalloc -- freelist warm-up miss; at steady state every pop feeds the freelist and this branch never runs
 		ev = &event{}
 	}
-	ev.at, ev.seq, ev.fn = at, e.seq, fn
+	ev.at, ev.seq, ev.act = at, e.seq, act
 	e.events.push(ev)
 }
 
@@ -195,12 +230,12 @@ func (e *Engine) Step() bool {
 	ev := e.events.pop()
 	e.now = ev.at
 	e.nSteps++
-	fn := ev.fn
-	// Recycle before running: fn may reschedule, and clearing the closure
+	act := ev.act
+	// Recycle before firing: the action may reschedule, and clearing the
 	// reference now keeps the freelist from pinning dead captures.
-	ev.fn = nil
+	ev.act = nil
 	e.free = append(e.free, ev)
-	fn()
+	act.Fire()
 	return true
 }
 

@@ -255,11 +255,20 @@ func Generate(p Params, seed int64) (*Spec, error) {
 		if reached[s.name] {
 			continue
 		}
-		var parents []*Call
+		// Draw over the shallower layers' vertices as if concatenated, then
+		// index into the owning layer: concatenating them per unreached
+		// service is quadratic at 10,000 services.
+		total := 0
 		for l := 0; l < s.layer; l++ {
-			parents = append(parents, vertices[l]...)
+			total += len(vertices[l])
 		}
-		parent := parents[rng.Intn(len(parents))]
+		k := rng.Intn(total)
+		l := 0
+		for k >= len(vertices[l]) {
+			k -= len(vertices[l])
+			l++
+		}
+		parent := vertices[l][k]
 		mode := Mode(drawIndex(rng, p.ModeMix[:]))
 		leaf := &Call{Service: s.name, Compute: s.compute}
 		vertices[s.layer] = append(vertices[s.layer], leaf)

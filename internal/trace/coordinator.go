@@ -27,10 +27,17 @@ func NewCoordinator(eng *sim.Engine, sink Sink) *Coordinator {
 }
 
 // StartTrace allocates a trace for a new user request of the given type.
-func (c *Coordinator) StartTrace(reqType string) TraceID {
+// spanHint is the number of spans the request is expected to emit (its
+// endpoint's call-tree size); Spans is allocated once at that capacity
+// instead of doubling its way there. A request that retries may exceed it.
+func (c *Coordinator) StartTrace(reqType string, spanHint int) TraceID {
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = &Trace{ID: id, Type: reqType, Start: c.eng.Now()}
+	t := &Trace{ID: id, Type: reqType, Start: c.eng.Now()}
+	if spanHint > 0 {
+		t.Spans = make([]Span, 0, spanHint)
+	}
+	c.pending[id] = t
 	return id
 }
 
@@ -42,6 +49,8 @@ func (c *Coordinator) NewSpanID() SpanID {
 
 // Emit records a span produced by a tracing agent. Spans for unknown (e.g.
 // already finished) traces are dropped, mirroring late-arriving agent data.
+//
+//firmvet:noalloc
 func (c *Coordinator) Emit(s Span) {
 	t, ok := c.pending[s.Trace]
 	if !ok {

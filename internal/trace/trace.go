@@ -7,7 +7,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"firm/internal/sim"
@@ -72,11 +74,13 @@ func (t *Trace) Children(parent SpanID) []Span {
 			out = append(out, s)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	// (Start, ID) is a total order within a trace — span IDs are unique —
+	// so the unstable sort has one possible output.
+	slices.SortFunc(out, func(a, b Span) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return out[i].ID < out[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return out
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"firm/internal/sim"
@@ -114,7 +115,7 @@ func TestCoordinator(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var got *Trace
 	c := NewCoordinator(eng, SinkFunc(func(tr *Trace) { got = tr }))
-	id := c.StartTrace("compose")
+	id := c.StartTrace("compose", 0)
 	if c.PendingCount() != 1 {
 		t.Fatal("pending")
 	}
@@ -148,5 +149,24 @@ func TestMultiSink(t *testing.T) {
 	s.Consume(&Trace{})
 	if n != 2 {
 		t.Fatal("fan-out")
+	}
+}
+
+// TestChildrenOrder: children sort by (Start, ID) whatever order the spans
+// were emitted in — Par siblings dispatched at one instant tie on Start.
+func TestChildrenOrder(t *testing.T) {
+	tr := &Trace{ID: 1, Spans: []Span{
+		span(5, 1, "e", 20, 30, false),
+		span(4, 1, "d", 10, 90, false),
+		span(1, 0, "root", 0, 100, false),
+		span(3, 1, "c", 10, 20, false),
+		span(2, 1, "b", 10, 50, true),
+	}}
+	var got []SpanID
+	for _, k := range tr.Children(1) {
+		got = append(got, k.ID)
+	}
+	if want := []SpanID{2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("children order %v, want %v", got, want)
 	}
 }
