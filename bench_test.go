@@ -14,9 +14,14 @@ import (
 
 	"firm/internal/experiments"
 	"firm/internal/perf"
+	"firm/internal/runner"
 )
 
 const benchSeed = 42
+
+// benchExec gives each experiment benchmark a GOMAXPROCS-sized pool of its
+// own.
+func benchExec() experiments.Exec { return experiments.Exec{Pool: runner.NewPool(0)} }
 
 // benchOnce runs fn exactly once per benchmark invocation (each experiment
 // is a complete multi-minute simulated campaign; b.N repetitions of the
@@ -38,7 +43,7 @@ func benchOnce(b *testing.B, fn func() error) {
 
 func BenchmarkFig1(b *testing.B) {
 	benchOnce(b, func() error {
-		r, err := experiments.Fig1(experiments.QuickScale(), benchSeed)
+		r, err := experiments.Fig1(benchExec(), experiments.QuickScale(), benchSeed)
 		if err != nil {
 			return err
 		}
@@ -49,7 +54,7 @@ func BenchmarkFig1(b *testing.B) {
 
 func BenchmarkTable1(b *testing.B) {
 	benchOnce(b, func() error {
-		r, err := experiments.Table1(experiments.QuickScale(), benchSeed)
+		r, err := experiments.Table1(benchExec(), experiments.QuickScale(), benchSeed)
 		if err != nil {
 			return err
 		}
@@ -60,7 +65,7 @@ func BenchmarkTable1(b *testing.B) {
 
 func BenchmarkFig3(b *testing.B) {
 	benchOnce(b, func() error {
-		r, err := experiments.Fig3(experiments.QuickScale(), benchSeed)
+		r, err := experiments.Fig3(benchExec(), experiments.QuickScale(), benchSeed)
 		if err != nil {
 			return err
 		}
@@ -75,7 +80,7 @@ func BenchmarkFig3(b *testing.B) {
 
 func BenchmarkFig4(b *testing.B) {
 	benchOnce(b, func() error {
-		r, err := experiments.Fig4(experiments.QuickScale(), benchSeed)
+		r, err := experiments.Fig4(benchExec(), experiments.QuickScale(), benchSeed)
 		if err != nil {
 			return err
 		}
@@ -86,7 +91,7 @@ func BenchmarkFig4(b *testing.B) {
 
 func BenchmarkFig5(b *testing.B) {
 	benchOnce(b, func() error {
-		r, err := experiments.Fig5(experiments.QuickScale(), benchSeed)
+		r, err := experiments.Fig5(benchExec(), experiments.QuickScale(), benchSeed)
 		if err != nil {
 			return err
 		}
@@ -104,7 +109,7 @@ func BenchmarkFig5(b *testing.B) {
 
 func BenchmarkFig9a(b *testing.B) {
 	benchOnce(b, func() error {
-		r, err := experiments.Fig9a(experiments.QuickScale(), benchSeed)
+		r, err := experiments.Fig9a(benchExec(), experiments.QuickScale(), benchSeed)
 		if err != nil {
 			return err
 		}
@@ -115,7 +120,7 @@ func BenchmarkFig9a(b *testing.B) {
 
 func BenchmarkFig9b(b *testing.B) {
 	benchOnce(b, func() error {
-		r, err := experiments.Fig9b(experiments.QuickScale(), benchSeed)
+		r, err := experiments.Fig9b(benchExec(), experiments.QuickScale(), benchSeed)
 		if err != nil {
 			return err
 		}
@@ -126,7 +131,7 @@ func BenchmarkFig9b(b *testing.B) {
 
 func BenchmarkFig10(b *testing.B) {
 	benchOnce(b, func() error {
-		r, err := experiments.Fig10(experiments.QuickScale(), benchSeed)
+		r, err := experiments.Fig10(benchExec(), experiments.QuickScale(), benchSeed)
 		if err != nil {
 			return err
 		}
@@ -138,7 +143,7 @@ func BenchmarkFig10(b *testing.B) {
 
 func BenchmarkFig11a(b *testing.B) {
 	benchOnce(b, func() error {
-		r, err := experiments.Fig11a(experiments.QuickScale(), benchSeed)
+		r, err := experiments.Fig11a(benchExec(), experiments.QuickScale(), benchSeed)
 		if err != nil {
 			return err
 		}
@@ -150,7 +155,7 @@ func BenchmarkFig11a(b *testing.B) {
 
 func BenchmarkFig11b(b *testing.B) {
 	benchOnce(b, func() error {
-		r, err := experiments.Fig11b(experiments.QuickScale(), benchSeed)
+		r, err := experiments.Fig11b(benchExec(), experiments.QuickScale(), benchSeed)
 		if err != nil {
 			return err
 		}
@@ -163,7 +168,7 @@ func BenchmarkFig11b(b *testing.B) {
 
 func BenchmarkTable6(b *testing.B) {
 	benchOnce(b, func() error {
-		r, err := experiments.Table6(experiments.QuickScale(), benchSeed)
+		r, err := experiments.Table6(benchExec(), experiments.QuickScale(), benchSeed)
 		if err != nil {
 			return err
 		}

@@ -245,9 +245,12 @@ func sortBenchPaths(paths []string) {
 // committed BENCH_*.json is one column, benchmarks are rows, cells are
 // "ns-op/allocs-op" — and, when current is non-nil (-bench -bench-trend),
 // appends the in-process run as the final column and gates it: a current
-// allocs/op above the best (minimum) recorded value for that benchmark is a
-// perf regression and fails the run. ns/op is shown for the trajectory but
-// never gated — it is machine-dependent; allocs/op is deterministic.
+// allocs/op more than 1% above the best (minimum) recorded value for that
+// benchmark is a perf regression and fails the run. The band absorbs
+// goroutine-scheduling jitter in the concurrent benchmarks
+// (rollout-round-overlap flaps 2,994↔2,997); for the steady-state
+// benchmarks, whose budgets are single digits, it is exact. ns/op is shown
+// for the trajectory but never gated — it is machine-dependent.
 func runBenchTrend(w io.Writer, paths []string, current []perf.Result) int {
 	if len(paths) == 0 {
 		var err error
@@ -335,8 +338,8 @@ func runBenchTrend(w io.Writer, paths []string, current []perf.Result) int {
 				}
 			}
 		}
-		if have && r.AllocsPerOp > best {
-			fmt.Fprintf(os.Stderr, "firmbench: PERF REGRESSION: %s allocs/op = %g exceeds the best recorded run (%g)\n",
+		if have && r.AllocsPerOp > best*1.01 {
+			fmt.Fprintf(os.Stderr, "firmbench: PERF REGRESSION: %s allocs/op = %g exceeds the best recorded run (%g) by more than 1%%\n",
 				r.Name, r.AllocsPerOp, best)
 			code = 1
 		}

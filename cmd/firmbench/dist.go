@@ -14,11 +14,11 @@ import (
 
 // runWorker serves the distributed-campaign worker until killed. The worker
 // executes any registered job set — whole experiments for the campaign
-// coordinator, fine-grained sweep cells for nested dispatch — sizing its
-// own simulation pools from this process's -parallel/-rollout flags (which,
-// like everything machine-local, never affect results).
-func runWorker(addr string) int {
-	if err := dist.Serve(addr); err != nil {
+// coordinator, fine-grained sweep cells for nested dispatch — under x, this
+// process's own -parallel/-shards settings (which, like everything
+// machine-local, never affect results).
+func runWorker(x experiments.Exec, addr string) int {
+	if err := dist.Serve(addr, experiments.JobSets(), x.RunJob); err != nil {
 		fmt.Fprintf(os.Stderr, "firmbench: -serve: %v\n", err)
 		return 1
 	}
@@ -35,9 +35,11 @@ func runWorker(addr string) int {
 // its individual sweep cells across the workers — the finer granularity is
 // worth it exactly when there is only one experiment to spread. Either
 // way stdout is byte-identical to a local run, and the -json file differs
-// only in per-report worker provenance, which -diff reports as a note.
-func runDistributed(hosts, selected []string, sc experiments.Scale, seed int64, jsonOut string, timeout time.Duration, quiet bool) int {
-	pool := dist.NewPool(hosts)
+// only in per-report worker provenance, which -diff reports as a note. x
+// sizes what runs in this process: the fine mode's setup and merge, and
+// the local fallback of both modes.
+func runDistributed(x experiments.Exec, hosts, selected []string, sc experiments.Scale, seed int64, jsonOut string, timeout time.Duration, quiet bool) int {
+	pool := dist.NewPool(hosts, x.RunJob)
 	pool.Timeout = timeout
 	if !quiet {
 		pool.Progress = func(format string, args ...any) {
@@ -45,7 +47,7 @@ func runDistributed(hosts, selected []string, sc experiments.Scale, seed int64, 
 		}
 	}
 	if len(selected) == 1 && experiments.HasJobSet(selected[0]) {
-		return runDistributedFine(pool, selected[0], sc, seed, jsonOut)
+		return runDistributedFine(x, pool, selected[0], sc, seed, jsonOut)
 	}
 
 	start := time.Now()
@@ -100,17 +102,15 @@ func runDistributed(hosts, selected []string, sc experiments.Scale, seed int64, 
 // and merge happen in-process, only the independent simulations travel.
 // The report merges with worker slot 0 — the record was assembled here —
 // matching the local file byte for byte.
-func runDistributedFine(pool *dist.Pool, id string, sc experiments.Scale, seed int64, jsonOut string) int {
-	experiments.SetDispatcher(pool)
-	defer experiments.SetDispatcher(nil)
-
+func runDistributedFine(x experiments.Exec, pool *dist.Pool, id string, sc experiments.Scale, seed int64, jsonOut string) int {
+	x.Remote = pool
 	start := time.Now()
 	textOut := io.Writer(os.Stdout)
 	if jsonOut == "-" {
 		textOut = os.Stderr
 	}
 	fn, _ := experiments.Get(id)
-	res, err := fn(sc, seed)
+	res, err := fn(x, sc, seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 		return 1

@@ -6,7 +6,7 @@
 //	firmbench -list
 //	firmbench -run fig3 -scale quick -seed 42
 //	firmbench -run all -scale full -parallel 8
-//	firmbench -run fig11b -scale tiny -rollout 4
+//	firmbench -run fig11b -scale tiny -parallel 4 -shards 2
 //	firmbench -run all -scale tiny -json results.json
 //	firmbench -bench -bench-trend -json BENCH_ci.json
 //	firmbench -bench-trend
@@ -22,8 +22,8 @@
 // converts into typed rows/series with named metrics and units, floats in
 // shortest round-trip form, keys in fixed order. The encoding carries no
 // machine-local configuration, so the file is byte-identical across
-// -parallel/-rollout worker counts, and diffable across machines. With
-// "-" the JSON goes to stdout and the text reports move to stderr.
+// -parallel/-shards settings, and diffable across machines. With "-" the
+// JSON goes to stdout and the text reports move to stderr.
 //
 // -diff compares two such files metric-by-metric and exits non-zero on
 // mismatches. -tol sets the default relative tolerance (0 = exact);
@@ -38,22 +38,18 @@
 // so the tables on stdout are byte-identical at any worker count; per-job
 // progress goes to stderr.
 //
-// RL training campaigns (fig10, fig11a, fig11b, headline) additionally
-// parallelize their episode rollouts on internal/rollout's actor-learner
-// engine. -rollout pins the per-campaign rollout worker count; the default
-// (0) lets rollouts borrow whatever the -parallel job pool leaves spare, so
-// inner and outer parallelism share one budget. Rollout worker count never
-// changes stdout either — only wall-clock. -rollout-overlap (default true)
-// double-buffers rollout rounds: the learner replays finished episodes in
-// episode order while later episodes of the round are still rolling out;
-// =false restores the strict end-of-round barrier. Both settings produce
-// byte-identical output — the switch exists for A/B measurement.
+// -parallel is the one execution budget. RL training campaigns (fig10,
+// fig11a, fig11b, headline) parallelize their episode rollouts on
+// internal/rollout's actor-learner engine, and sharded cells (-shards)
+// run their shard windows on worker goroutines; both borrow whatever the
+// job pool leaves spare and hand it back, so inner and outer parallelism
+// never oversubscribe. Neither setting changes stdout — only wall-clock.
 //
 // -bench-trend tabulates the repo's committed BENCH_*.json files (one
 // column per recorded run) so the allocs/op and ns/op trajectory across PRs
 // is visible at a glance; combined with -bench it appends the current run
-// and fails if any benchmark's allocs/op regresses past the best recorded
-// run.
+// and fails if any benchmark's allocs/op regresses more than 1% past the
+// best recorded run.
 //
 // -serve and -dist split one campaign across machines (internal/dist):
 // `firmbench -serve :port` runs a worker, `firmbench -dist host1,host2 -run
@@ -65,10 +61,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,7 +74,6 @@ import (
 
 	"firm/internal/experiments"
 	"firm/internal/report"
-	"firm/internal/rollout"
 	"firm/internal/runner"
 	"firm/internal/scenario"
 )
@@ -109,110 +106,153 @@ func (t tolMetricFlag) Set(s string) error {
 	return nil
 }
 
-// invocation is the parsed command line, validated as a whole before any
-// mode runs: contradictory or malformed invocations exit 2 with a usage
-// message instead of silently misbehaving (e.g. -diff ignoring -run, or a
-// negative -tol making every comparison fail).
-type invocation struct {
-	run, jsonOut, serve, dist string
-	list, diff, bench         bool
-	benchTrend                bool
-	tol                       float64
-	tolMetric                 tolMetricFlag
-	benchAllocs               tolMetricFlag
-	cpuprofile, memprofile    string
-	distTimeout               time.Duration
-	args                      []string
-	// explicit records which flags the user actually set, so modes can
-	// reject flags whose defaults are indistinguishable from intent
-	// (e.g. -scale with -bench).
-	explicit map[string]bool
+// Mode names, as error messages print them.
+const (
+	modeDiff       = "-diff"
+	modeBench      = "-bench"
+	modeBenchTrend = "-bench-trend"
+	modeServe      = "-serve"
+	modeDist       = "-dist"
+	modeList       = "-list"
+	modeScenarios  = "-scenarios"
+	modeCampaign   = "campaign (-run)"
+)
+
+// A mode is one way to invoke firmbench.
+type mode struct {
+	name string
+	// flags lists the flags the mode accepts; the first one selects it.
+	flags []string
+	// args is the positional-argument count the mode takes (-1 = any).
+	args int
 }
 
-func (inv invocation) validate() error {
-	if inv.tol < 0 || inv.tol != inv.tol {
-		return fmt.Errorf("-tol must be >= 0, got %g", inv.tol)
+// listMode prints the experiment ids; it is also what a bare `firmbench`
+// does.
+var listMode = mode{modeList, []string{"list"}, 0}
+
+// campaignFlags are what a campaign accepts, local or distributed.
+var campaignFlags = []string{"run", "scale", "seed", "parallel", "shards", "quiet", "json", "cpuprofile", "memprofile"}
+
+// modes is the whole command-line grammar: the first mode whose selector
+// flag was set is the invocation's mode (listMode when none is), and any
+// other explicitly set flag outside the mode's list is a contradiction —
+// exit 2 with a usage message rather than one flag silently winning over
+// another.
+var modes = []mode{
+	{modeDiff, []string{"diff", "tol", "tol-metric"}, 2},
+	{modeBench, []string{"bench", "bench-trend", "bench-allocs", "json", "cpuprofile", "memprofile"}, -1},
+	{modeBenchTrend, []string{"bench-trend"}, -1},
+	{modeServe, []string{"serve", "parallel", "shards", "quiet"}, 0},
+	{modeDist, append([]string{"dist", "dist-timeout"}, campaignFlags...), 0},
+	listMode,
+	{modeScenarios, []string{"scenarios"}, 0},
+	{modeCampaign, campaignFlags, 0},
+}
+
+// invocation is the parsed command line, validated as a whole before any
+// mode runs.
+type invocation struct {
+	mode string // one of the mode* names
+
+	run, scale, jsonOut, serve, dist string
+	seed                             int64
+	parallel, shards                 int
+	quiet, benchTrend                bool
+	tol                              float64
+	tolMetric, benchAllocs           tolMetricFlag
+	cpuprofile, memprofile           string
+	distTimeout                      time.Duration
+	args                             []string
+}
+
+// newFlagSet declares every firmbench flag, bound to the returned
+// invocation's fields. The mode selectors that carry no value of their own
+// are plain booleans.
+func newFlagSet() (*flag.FlagSet, *invocation) {
+	inv := &invocation{tolMetric: tolMetricFlag{}, benchAllocs: tolMetricFlag{}}
+	fs := flag.NewFlagSet("firmbench", flag.ContinueOnError)
+	fs.StringVar(&inv.run, "run", "", "experiment id to run, or 'all'")
+	fs.StringVar(&inv.scale, "scale", "quick", "tiny|quick|full")
+	fs.Int64Var(&inv.seed, "seed", 42, "random seed")
+	fs.Bool("list", false, "list experiment ids")
+	fs.Bool("scenarios", false, "list the composable fault-scenario catalog (the faultsweep experiment's cells)")
+	fs.IntVar(&inv.parallel, "parallel", 0, "worker budget shared by campaign jobs, RL rollout actors and shard workers (0 = GOMAXPROCS; results are byte-identical at any value)")
+	fs.IntVar(&inv.shards, "shards", 0, "engine shards for sharded cells such as gensweep's 10,000-service topology (0 = default 8; results are byte-identical at any shard count)")
+	fs.BoolVar(&inv.quiet, "quiet", false, "suppress per-job progress on stderr")
+	fs.StringVar(&inv.jsonOut, "json", "", "write campaign results as canonical JSON to this path ('-' = stdout, text reports to stderr)")
+	fs.Bool("diff", false, "compare two campaign JSON files: firmbench -diff [-tol x] a.json b.json")
+	fs.Float64Var(&inv.tol, "tol", 0, "default relative tolerance for -diff (0 = exact)")
+	fs.StringVar(&inv.serve, "serve", "", "run a distributed-campaign worker on this address (host:port)")
+	fs.StringVar(&inv.dist, "dist", "", "comma-separated worker addresses; run the campaign as their coordinator")
+	fs.DurationVar(&inv.distTimeout, "dist-timeout", 0, "per-job timeout for -dist before a worker counts as failed (0 = none)")
+	fs.Bool("bench", false, "run the microbenchmark suite (optionally name benchmarks as arguments) and report allocs/op, bytes/op, ns/op")
+	fs.BoolVar(&inv.benchTrend, "bench-trend", false, "tabulate recorded BENCH_*.json runs (optionally named as arguments) as a trend table; with -bench, also gate the current run's allocs/op against the best recorded run")
+	fs.StringVar(&inv.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the campaign or bench run to this file")
+	fs.StringVar(&inv.memprofile, "memprofile", "", "write a pprof heap profile at campaign or bench end to this file")
+	fs.Var(inv.tolMetric, "tol-metric", "per-metric tolerance override for -diff, name=x (repeatable; matches row metric names and full series names)")
+	fs.Var(inv.benchAllocs, "bench-allocs", "max allocs/op for a -bench benchmark, name=N (repeatable; exceeding it exits 1 — the CI perf-regression gate)")
+	return fs, inv
+}
+
+// parseArgs parses and validates a command line.
+func parseArgs(args []string) (*invocation, error) {
+	fs, inv := newFlagSet()
+	fs.SetOutput(io.Discard) // main prints the error and its own usage
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if (inv.cpuprofile != "" || inv.memprofile != "") && !inv.bench && inv.run == "" {
-		return fmt.Errorf("-cpuprofile/-memprofile need something to profile: add -run <id|all> or -bench")
+	inv.args = fs.Args()
+	// Only explicitly set flags count: a default is indistinguishable from
+	// intent otherwise (e.g. -scale with -bench).
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	m := listMode
+	for _, cand := range modes {
+		// A boolean selector spelled -bench=false selects nothing.
+		if sel := cand.flags[0]; set[sel] && fs.Lookup(sel).Value.String() != "false" {
+			m = cand
+			break
+		}
 	}
-	// -dist-timeout is validated up front: the -diff and -bench branches
-	// return early and must not silently accept it.
+	inv.mode = m.name
+	var stray []string
+	for f := range set {
+		if !slices.Contains(m.flags, f) {
+			stray = append(stray, "-"+f)
+		}
+	}
+	if len(stray) > 0 {
+		sort.Strings(stray)
+		return nil, fmt.Errorf("%s cannot be combined with %s (it accepts: -%s)",
+			strings.Join(stray, ", "), m.name, strings.Join(m.flags, " -"))
+	}
+	if m.args >= 0 && len(inv.args) != m.args {
+		return nil, fmt.Errorf("%s takes %d positional argument(s), got %q", m.name, m.args, inv.args)
+	}
+
+	if inv.tol < 0 || inv.tol != inv.tol { // tol != tol: NaN
+		return nil, fmt.Errorf("-tol must be >= 0, got %g", inv.tol)
+	}
 	if inv.distTimeout < 0 {
-		return fmt.Errorf("-dist-timeout must be >= 0, got %v (0 = no timeout)", inv.distTimeout)
+		return nil, fmt.Errorf("-dist-timeout must be >= 0, got %v (0 = no timeout)", inv.distTimeout)
 	}
-	if inv.distTimeout != 0 && inv.dist == "" {
-		return fmt.Errorf("-dist-timeout is only meaningful with -dist")
-	}
-	if inv.diff {
-		if inv.run != "" || inv.jsonOut != "" || inv.list || inv.serve != "" || inv.dist != "" || inv.bench || inv.benchTrend {
-			return fmt.Errorf("-diff compares two result files and cannot be combined with -run, -json, -list, -serve, -dist, -bench, or -bench-trend")
-		}
-		if len(inv.args) != 2 {
-			return fmt.Errorf("-diff takes exactly two file arguments, got %d", len(inv.args))
-		}
-		return nil
-	}
-	if inv.tol != 0 || len(inv.tolMetric) > 0 {
-		return fmt.Errorf("-tol and -tol-metric are only meaningful with -diff")
-	}
-	if inv.bench {
-		if inv.run != "" || inv.list || inv.serve != "" || inv.dist != "" {
-			return fmt.Errorf("-bench runs the microbenchmark suite and cannot be combined with -run, -list, -serve, or -dist")
-		}
-		for _, f := range []string{"scale", "seed", "parallel", "rollout", "rollout-overlap", "shards"} {
-			if inv.explicit[f] {
-				return fmt.Errorf("-%s is not meaningful with -bench (benchmarks pin their own scale and seed)", f)
-			}
-		}
-		// Positional args name benchmarks to run; resolved by the registry.
-		return nil
-	}
-	if len(inv.benchAllocs) > 0 {
-		return fmt.Errorf("-bench-allocs is only meaningful with -bench")
-	}
-	if inv.benchTrend {
-		// Standalone trend mode: tabulate recorded runs only. (Combined with
-		// -bench it additionally gates the in-process run; that returned
-		// above.)
-		if inv.run != "" || inv.list || inv.serve != "" || inv.dist != "" {
-			return fmt.Errorf("-bench-trend tabulates recorded BENCH_*.json files and cannot be combined with -run, -list, -serve, or -dist")
-		}
-		if inv.jsonOut != "" {
-			return fmt.Errorf("-json is only meaningful with -bench or a campaign, not standalone -bench-trend")
-		}
-		for _, f := range []string{"scale", "seed", "parallel", "rollout", "rollout-overlap", "shards"} {
-			if inv.explicit[f] {
-				return fmt.Errorf("-%s is not meaningful with -bench-trend", f)
-			}
-		}
-		// Positional args name the recorded files (default: ./BENCH_*.json).
-		return nil
-	}
-	if len(inv.args) > 0 {
-		return fmt.Errorf("unexpected arguments %q (file arguments are only valid with -diff and -bench-trend, benchmark names with -bench)", inv.args)
-	}
-	if inv.serve != "" {
-		if inv.run != "" || inv.jsonOut != "" || inv.list || inv.dist != "" {
-			return fmt.Errorf("-serve runs a worker and cannot be combined with -run, -json, -list, or -dist")
-		}
-		return nil
-	}
-	if inv.dist != "" {
-		if inv.run == "" || inv.list {
-			return fmt.Errorf("-dist needs a campaign: add -run <id|all> (and drop -list)")
+	if m.name == modeDist {
+		if inv.run == "" {
+			return nil, fmt.Errorf("-dist needs a campaign: add -run <id|all>")
 		}
 		for _, h := range splitHosts(inv.dist) {
 			if h == "" {
-				return fmt.Errorf("-dist has an empty host in %q", inv.dist)
+				return nil, fmt.Errorf("-dist has an empty host in %q", inv.dist)
 			}
 		}
 	}
-	return nil
+	return inv, nil
 }
 
 // splitHosts splits the -dist host list, trimming whitespace but keeping
-// empty entries so validate can reject them.
+// empty entries so parseArgs can reject them.
 func splitHosts(s string) []string {
 	parts := strings.Split(s, ",")
 	for i := range parts {
@@ -222,49 +262,16 @@ func splitHosts(s string) []string {
 }
 
 func main() {
-	tolMetric := tolMetricFlag{}
-	benchAllocs := tolMetricFlag{}
-	var (
-		run      = flag.String("run", "", "experiment id to run, or 'all'")
-		scale    = flag.String("scale", "quick", "tiny|quick|full")
-		seed     = flag.Int64("seed", 42, "random seed")
-		list     = flag.Bool("list", false, "list experiment ids")
-		listScen = flag.Bool("scenarios", false, "list the composable fault-scenario catalog (the faultsweep experiment's cells)")
-		parallel = flag.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		rollWk   = flag.Int("rollout", 0, "RL episode-rollout workers per training campaign (0 = share -parallel budget)")
-		rollOv   = flag.Bool("rollout-overlap", true, "double-buffer rollout rounds: learner replays finished episodes while later ones roll out (false = strict end-of-round barrier; results are byte-identical either way)")
-		shards   = flag.Int("shards", 0, "engine shards for sharded cells such as gensweep's 10,000-service topology (0 = default 8; results are byte-identical at any shard count)")
-		quiet    = flag.Bool("quiet", false, "suppress per-job progress on stderr")
-		jsonOut  = flag.String("json", "", "write campaign results as canonical JSON to this path ('-' = stdout, text reports to stderr)")
-		diffMode = flag.Bool("diff", false, "compare two campaign JSON files: firmbench -diff [-tol x] a.json b.json")
-		tol      = flag.Float64("tol", 0, "default relative tolerance for -diff (0 = exact)")
-		serve    = flag.String("serve", "", "run a distributed-campaign worker on this address (host:port)")
-		distTo   = flag.String("dist", "", "comma-separated worker addresses; run the campaign as their coordinator")
-		distWait = flag.Duration("dist-timeout", 0, "per-job timeout for -dist before a worker counts as failed (0 = none)")
-		bench    = flag.Bool("bench", false, "run the microbenchmark suite (optionally name benchmarks as arguments) and report allocs/op, bytes/op, ns/op")
-		benchTr  = flag.Bool("bench-trend", false, "tabulate recorded BENCH_*.json runs (optionally named as arguments) as a trend table; with -bench, also gate the current run's allocs/op against the best recorded run")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the campaign or bench run to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile at campaign or bench end to this file")
-	)
-	flag.Var(tolMetric, "tol-metric", "per-metric tolerance override for -diff, name=x (repeatable; matches row metric names and full series names)")
-	flag.Var(benchAllocs, "bench-allocs", "max allocs/op for a -bench benchmark, name=N (repeatable; exceeding it exits 1 — the CI perf-regression gate)")
-	flag.Parse()
-
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	inv := invocation{
-		run: *run, jsonOut: *jsonOut, serve: *serve, dist: *distTo,
-		list: *list, diff: *diffMode, bench: *bench, benchTrend: *benchTr,
-		tol: *tol, tolMetric: tolMetric, benchAllocs: benchAllocs,
-		cpuprofile: *cpuProf, memprofile: *memProf,
-		distTimeout: *distWait,
-		args:        flag.Args(),
-		explicit:    explicit,
+	inv, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		fs, _ := newFlagSet()
+		fs.PrintDefaults()
+		return
 	}
-	if err := inv.validate(); err != nil {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "firmbench: %v\n", err)
-		fmt.Fprintln(os.Stderr, "usage: firmbench -run <id|all> [-scale tiny|quick|full] [-seed N] [-json path] [-cpuprofile f] [-memprofile f] |")
+		fmt.Fprintln(os.Stderr, "usage: firmbench -run <id|all> [-scale tiny|quick|full] [-seed N] [-parallel N] [-shards N] [-json path] [-cpuprofile f] [-memprofile f] |")
+		fmt.Fprintln(os.Stderr, "       firmbench -list | firmbench -scenarios |")
 		fmt.Fprintln(os.Stderr, "       firmbench -diff [-tol x] [-tol-metric name=x] a.json b.json |")
 		fmt.Fprintln(os.Stderr, "       firmbench -bench [bench ...] [-json path] [-bench-allocs name=N] [-bench-trend] |")
 		fmt.Fprintln(os.Stderr, "       firmbench -bench-trend [BENCH_*.json ...] |")
@@ -272,41 +279,33 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *diffMode {
-		os.Exit(diffCampaigns(flag.Args(), report.Tolerances{Default: *tol, Metric: tolMetric}))
-	}
-
-	if *bench {
-		os.Exit(withProfiles(*cpuProf, *memProf, func() int {
-			return runBenchSuite(flag.Args(), *jsonOut, benchAllocs, *benchTr)
-		}))
-	}
-
-	if *benchTr {
-		os.Exit(runBenchTrend(os.Stdout, flag.Args(), nil))
-	}
-
-	runner.SetWorkers(*parallel)
-	rollout.SetWorkers(*rollWk)
-	rollout.SetOverlap(*rollOv)
-	experiments.SetShards(*shards)
-	if !*quiet {
+	// x is the process's one execution value: everything below main that
+	// runs simulations receives it (or its pool) as an argument.
+	x := experiments.Exec{Pool: runner.NewPool(inv.parallel), Shards: inv.shards}
+	if !inv.quiet {
 		// Progress goes to stderr: stdout must stay byte-identical across
 		// worker counts, and completion order is scheduling-dependent.
-		runner.SetProgress(func(ev runner.Event) {
+		x.Pool.Progress = func(ev runner.Event) {
 			status := "done"
 			if ev.Err != nil {
 				status = "FAILED: " + ev.Err.Error()
 			}
 			fmt.Fprintf(os.Stderr, "  [%d/%d] %s %s\n", ev.Done, ev.N, ev.Key, status)
-		})
+		}
 	}
 
-	if *serve != "" {
-		os.Exit(runWorker(*serve))
-	}
-
-	if *listScen {
+	switch inv.mode {
+	case modeDiff:
+		os.Exit(diffCampaigns(inv.args, report.Tolerances{Default: inv.tol, Metric: inv.tolMetric}))
+	case modeBench:
+		os.Exit(withProfiles(inv.cpuprofile, inv.memprofile, func() int {
+			return runBenchSuite(inv.args, inv.jsonOut, inv.benchAllocs, inv.benchTrend)
+		}))
+	case modeBenchTrend:
+		os.Exit(runBenchTrend(os.Stdout, inv.args, nil))
+	case modeServe:
+		os.Exit(runWorker(x, inv.serve))
+	case modeScenarios:
 		fmt.Println("fault scenarios (firmbench -run faultsweep runs each as one campaign cell;")
 		fmt.Println("compose your own with scenario.Mode/Sequence/Overlay):")
 		for _, line := range scenario.Describe() {
@@ -316,49 +315,42 @@ func main() {
 	}
 
 	ids := experiments.IDs()
-	if *list || *run == "" {
+	if inv.mode == modeList {
 		fmt.Println("experiments:")
 		for _, id := range ids {
 			fmt.Println("  " + id)
 		}
-		if *run == "" {
-			fmt.Println("\nrun with: firmbench -run <id> [-scale quick|full] [-seed N]")
-		}
+		fmt.Println("\nrun with: firmbench -run <id> [-scale quick|full] [-seed N]")
 		return
 	}
 
-	sc, err := experiments.ScaleByName(*scale)
+	sc, err := experiments.ScaleByName(inv.scale)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+		fmt.Fprintf(os.Stderr, "unknown scale %q\n", inv.scale)
 		os.Exit(2)
 	}
 
-	var selected []string
-	if *run == "all" {
-		selected = ids
-	} else {
-		if _, ok := experiments.Get(*run); !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *run)
+	selected := ids
+	if inv.run != "all" {
+		if _, ok := experiments.Get(inv.run); !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", inv.run)
 			os.Exit(2)
 		}
-		selected = []string{*run}
+		selected = []string{inv.run}
 	}
 
-	if *distTo != "" {
-		os.Exit(withProfiles(*cpuProf, *memProf, func() int {
-			return runDistributed(splitHosts(*distTo), selected, sc, *seed, *jsonOut, *distWait, *quiet)
-		}))
-	}
-
-	os.Exit(withProfiles(*cpuProf, *memProf, func() int {
-		return runCampaign(selected, sc, *seed, *jsonOut)
+	os.Exit(withProfiles(inv.cpuprofile, inv.memprofile, func() int {
+		if inv.mode == modeDist {
+			return runDistributed(x, splitHosts(inv.dist), selected, sc, inv.seed, inv.jsonOut, inv.distTimeout, inv.quiet)
+		}
+		return runCampaign(x, selected, sc, inv.seed, inv.jsonOut)
 	}))
 }
 
 // runCampaign executes the selected experiments locally and returns the
 // process exit code. (A function so -cpuprofile/-memprofile can wrap it:
 // profile writers must flush before exit.)
-func runCampaign(selected []string, sc experiments.Scale, seed int64, jsonOut string) int {
+func runCampaign(x experiments.Exec, selected []string, sc experiments.Scale, seed int64, jsonOut string) int {
 	// With -json to stdout the text reports move to stderr so the JSON
 	// document stays parseable.
 	textOut := io.Writer(os.Stdout)
@@ -370,7 +362,7 @@ func runCampaign(selected []string, sc experiments.Scale, seed int64, jsonOut st
 	for _, id := range selected {
 		start := time.Now()
 		fn, _ := experiments.Get(id)
-		res, err := fn(sc, seed)
+		res, err := fn(x, sc, seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			return 1

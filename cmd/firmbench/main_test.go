@@ -1,9 +1,10 @@
 package main
 
 import (
-	"math"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,82 +15,129 @@ import (
 )
 
 func TestValidateRejectsContradictoryInvocations(t *testing.T) {
-	bad := []struct {
-		name string
-		inv  invocation
-	}{
-		{"diff-one-arg", invocation{diff: true, args: []string{"a.json"}}},
-		{"diff-three-args", invocation{diff: true, args: []string{"a", "b", "c"}}},
-		{"diff-with-run", invocation{diff: true, run: "fig3", args: []string{"a", "b"}}},
-		{"diff-with-json", invocation{diff: true, jsonOut: "out.json", args: []string{"a", "b"}}},
-		{"diff-with-serve", invocation{diff: true, serve: ":8701", args: []string{"a", "b"}}},
-		{"diff-with-dist", invocation{diff: true, dist: "h:1", args: []string{"a", "b"}}},
-		{"negative-tol", invocation{diff: true, tol: -0.1, args: []string{"a", "b"}}},
-		{"nan-tol", invocation{diff: true, tol: math.NaN(), args: []string{"a", "b"}}},
-		{"tol-without-diff", invocation{run: "fig3", tol: 0.5}},
-		{"tol-metric-without-diff", invocation{run: "fig3", tolMetric: tolMetricFlag{"p99": 0.1}}},
-		{"stray-args", invocation{run: "fig3", args: []string{"a.json"}}},
-		{"serve-with-run", invocation{serve: ":8701", run: "fig3"}},
-		{"serve-with-json", invocation{serve: ":8701", jsonOut: "o.json"}},
-		{"serve-with-dist", invocation{serve: ":8701", dist: "h:1"}},
-		{"serve-with-list", invocation{serve: ":8701", list: true}},
-		{"dist-without-run", invocation{dist: "h1:1,h2:1"}},
-		{"dist-with-list", invocation{dist: "h1:1", run: "all", list: true}},
-		{"dist-empty-host", invocation{dist: "h1:1,,h2:1", run: "all"}},
-		{"negative-dist-timeout", invocation{dist: "h1:1", run: "all", distTimeout: -time.Second}},
-		{"dist-timeout-without-dist", invocation{run: "fig3", distTimeout: time.Minute}},
-		{"bench-with-run", invocation{bench: true, run: "fig3"}},
-		{"bench-with-list", invocation{bench: true, list: true}},
-		{"bench-with-serve", invocation{bench: true, serve: ":8701"}},
-		{"bench-with-dist", invocation{bench: true, dist: "h:1"}},
-		{"bench-with-diff", invocation{bench: true, diff: true, args: []string{"a", "b"}}},
-		{"bench-with-explicit-scale", invocation{bench: true, explicit: map[string]bool{"scale": true}}},
-		{"bench-with-explicit-seed", invocation{bench: true, explicit: map[string]bool{"seed": true}}},
-		{"bench-with-explicit-parallel", invocation{bench: true, explicit: map[string]bool{"parallel": true}}},
-		{"bench-allocs-without-bench", invocation{run: "fig3", benchAllocs: tolMetricFlag{"core-tick": 2}}},
-		{"bench-with-dist-timeout", invocation{bench: true, distTimeout: time.Minute}},
-		{"bench-with-negative-dist-timeout", invocation{bench: true, distTimeout: -time.Second}},
-		{"diff-with-dist-timeout", invocation{diff: true, distTimeout: time.Minute, args: []string{"a", "b"}}},
-		{"cpuprofile-without-target", invocation{cpuprofile: "cpu.pprof"}},
-		{"memprofile-without-target", invocation{memprofile: "mem.pprof"}},
-		{"cpuprofile-with-serve", invocation{serve: ":8701", cpuprofile: "cpu.pprof"}},
-		{"cpuprofile-with-diff", invocation{diff: true, cpuprofile: "cpu.pprof", args: []string{"a", "b"}}},
-		{"bench-trend-with-run", invocation{benchTrend: true, run: "fig3"}},
-		{"bench-trend-with-list", invocation{benchTrend: true, list: true}},
-		{"bench-trend-with-serve", invocation{benchTrend: true, serve: ":8701"}},
-		{"bench-trend-with-dist", invocation{benchTrend: true, dist: "h:1"}},
-		{"bench-trend-with-diff", invocation{benchTrend: true, diff: true, args: []string{"a", "b"}}},
-		{"bench-trend-with-json", invocation{benchTrend: true, jsonOut: "o.json"}},
-		{"bench-trend-with-explicit-rollout", invocation{benchTrend: true, explicit: map[string]bool{"rollout": true}}},
-		{"bench-with-explicit-rollout-overlap", invocation{bench: true, explicit: map[string]bool{"rollout-overlap": true}}},
+	bad := map[string]string{
+		"diff-one-arg":               "-diff a.json",
+		"diff-three-args":            "-diff a b c",
+		"diff-with-run":              "-diff -run fig3 a b",
+		"diff-with-json":             "-diff -json out.json a b",
+		"diff-with-serve":            "-diff -serve :8701 a b",
+		"diff-with-dist":             "-diff -dist h:1 a b",
+		"diff-with-scenarios":        "-diff -scenarios a b",
+		"negative-tol":               "-diff -tol -0.1 a b",
+		"nan-tol":                    "-diff -tol NaN a b",
+		"bad-tol-metric":             "-diff -tol-metric p99=-1 a b",
+		"tol-without-diff":           "-run fig3 -tol 0.5",
+		"tol-metric-without-diff":    "-run fig3 -tol-metric p99=0.1",
+		"stray-args":                 "-run fig3 a.json",
+		"serve-with-run":             "-serve :8701 -run fig3",
+		"serve-with-json":            "-serve :8701 -json o.json",
+		"serve-with-dist":            "-serve :8701 -dist h:1",
+		"serve-with-list":            "-serve :8701 -list",
+		"serve-with-scale":           "-serve :8701 -scale tiny",
+		"dist-without-run":           "-dist h1:1,h2:1",
+		"dist-with-list":             "-dist h1:1 -run all -list",
+		"dist-empty-host":            "-dist h1:1,,h2:1 -run all",
+		"negative-dist-timeout":      "-dist h1:1 -run all -dist-timeout -1s",
+		"dist-timeout-without-dist":  "-run fig3 -dist-timeout 1m",
+		"bench-with-run":             "-bench -run fig3",
+		"bench-with-list":            "-bench -list",
+		"bench-with-serve":           "-bench -serve :8701",
+		"bench-with-dist":            "-bench -dist h:1",
+		"bench-with-diff":            "-bench -diff a b",
+		"bench-with-scale":           "-bench -scale quick",
+		"bench-with-seed":            "-bench -seed 42",
+		"bench-with-parallel":        "-bench -parallel 2",
+		"bench-allocs-without-bench": "-run fig3 -bench-allocs core-tick=2",
+		"bench-with-dist-timeout":    "-bench -dist-timeout 1m",
+		"diff-with-dist-timeout":     "-diff -dist-timeout 1m a b",
+		"cpuprofile-without-target":  "-cpuprofile cpu.pprof",
+		"memprofile-without-target":  "-memprofile mem.pprof",
+		"cpuprofile-with-serve":      "-serve :8701 -cpuprofile cpu.pprof",
+		"cpuprofile-with-diff":       "-diff -cpuprofile cpu.pprof a b",
+		"bench-trend-with-run":       "-bench-trend -run fig3",
+		"bench-trend-with-list":      "-bench-trend -list",
+		"bench-trend-with-serve":     "-bench-trend -serve :8701",
+		"bench-trend-with-dist":      "-bench-trend -dist h:1",
+		"bench-trend-with-diff":      "-bench-trend -diff a b",
+		"bench-trend-with-json":      "-bench-trend -json o.json",
+		"bench-trend-with-shards":    "-bench-trend -shards 2",
+		"list-with-run":              "-list -run fig3",
+		"list-with-args":             "-list fig3",
+		"scale-without-run":          "-scale tiny",
+		// -scenarios used to be missing from every exclusion list, so these
+		// two silently ignored one of their flags.
+		"scenarios-with-run":  "-scenarios -run fig3",
+		"scenarios-with-diff": "-scenarios -diff a b",
+		"false-selector":      "-bench=false",
 	}
-	for _, tc := range bad {
-		if err := tc.inv.validate(); err == nil {
-			t.Errorf("%s: invocation accepted, want rejection", tc.name)
+	for name, line := range bad {
+		if inv, err := parseArgs(strings.Fields(line)); err == nil {
+			t.Errorf("%s: %q accepted as mode %s, want rejection", name, line, inv.mode)
 		}
 	}
-	good := []struct {
-		name string
-		inv  invocation
-	}{
-		{"plain-run", invocation{run: "fig3"}},
-		{"list", invocation{list: true}},
-		{"diff", invocation{diff: true, tol: 0.05, tolMetric: tolMetricFlag{"p99": 0.1}, args: []string{"a", "b"}}},
-		{"serve", invocation{serve: ":8701"}},
-		{"dist", invocation{dist: "h1:1, h2:1", run: "all", jsonOut: "o.json", distTimeout: time.Minute}},
-		{"bench", invocation{bench: true}},
-		{"bench-with-names-json-thresholds", invocation{bench: true, jsonOut: "BENCH.json",
-			benchAllocs: tolMetricFlag{"core-tick": 2}, args: []string{"core-tick"}}},
-		{"bench-with-profiles", invocation{bench: true, cpuprofile: "cpu.pprof", memprofile: "mem.pprof"}},
-		{"run-with-profiles", invocation{run: "fig3", cpuprofile: "cpu.pprof", memprofile: "mem.pprof"}},
-		{"dist-with-profiles", invocation{dist: "h1:1", run: "all", cpuprofile: "cpu.pprof"}},
-		{"bench-trend", invocation{benchTrend: true}},
-		{"bench-trend-with-files", invocation{benchTrend: true, args: []string{"BENCH_5.json", "BENCH_6.json"}}},
-		{"bench-with-trend-json", invocation{bench: true, benchTrend: true, jsonOut: "BENCH_ci.json"}},
+	good := map[string]string{ // command line -> mode
+		"":           modeList,
+		"-list":      modeList,
+		"-scenarios": modeScenarios,
+		"-run fig3":  modeCampaign,
+		"-run all -scale tiny -seed 7 -parallel 8 -shards 4 -quiet -json -": modeCampaign,
+		"-run fig3 -cpuprofile cpu.pprof -memprofile mem.pprof":             modeCampaign,
+		"-diff -tol 0.05 -tol-metric p99=0.1 a b":                           modeDiff,
+		"-serve :8701": modeServe,
+		"-serve :8701 -parallel 4 -shards 2 -quiet":                       modeServe,
+		"-dist h1:1,h2:1 -run all -json o.json -dist-timeout 1m":          modeDist,
+		"-dist h1:1 -run all -cpuprofile cpu.pprof -parallel 2 -shards 1": modeDist,
+		"-bench": modeBench,
+		"-bench -json BENCH.json -bench-allocs core-tick=2 core-tick": modeBench,
+		"-bench -cpuprofile cpu.pprof -memprofile mem.pprof":          modeBench,
+		"-bench -bench-trend -json BENCH_ci.json":                     modeBench,
+		"-bench-trend":                           modeBenchTrend,
+		"-bench-trend BENCH_5.json BENCH_6.json": modeBenchTrend,
 	}
-	for _, tc := range good {
-		if err := tc.inv.validate(); err != nil {
-			t.Errorf("%s: valid invocation rejected: %v", tc.name, err)
+	for line, want := range good {
+		inv, err := parseArgs(strings.Fields(line))
+		if err != nil {
+			t.Errorf("%q: valid invocation rejected: %v", line, err)
+		} else if inv.mode != want {
+			t.Errorf("%q: mode %s, want %s", line, inv.mode, want)
+		}
+	}
+	if inv, err := parseArgs(strings.Fields("-dist h1:1 -run all -dist-timeout 1m -parallel 3")); err != nil ||
+		inv.dist != "h1:1" || inv.run != "all" || inv.distTimeout != time.Minute || inv.parallel != 3 || inv.scale != "quick" || inv.seed != 42 {
+		t.Errorf("parsed values wrong: %+v, %v", inv, err)
+	}
+}
+
+// TestFlagCensus pins the set of command-line flags: adding, renaming or
+// removing one is an edit to this list, so a new knob is always a reviewed
+// decision (and must be placed in the modes table, which the second half
+// checks).
+func TestFlagCensus(t *testing.T) {
+	want := []string{
+		"bench", "bench-allocs", "bench-trend", "cpuprofile", "diff", "dist",
+		"dist-timeout", "json", "list", "memprofile", "parallel", "quiet", "run",
+		"scale", "scenarios", "seed", "serve", "shards", "tol", "tol-metric",
+	}
+	var got []string
+	fs, _ := newFlagSet()
+	fs.VisitAll(func(f *flag.Flag) {
+		got = append(got, f.Name) // VisitAll is lexicographic
+	})
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("registered flags changed:\n got: %v\nwant: %v", got, want)
+	}
+	accepted := map[string]bool{}
+	for _, m := range modes {
+		for _, f := range m.flags {
+			if !slices.Contains(want, f) {
+				t.Errorf("mode %s accepts unregistered flag -%s", m.name, f)
+			}
+			accepted[f] = true
+		}
+	}
+	for _, f := range want {
+		if !accepted[f] {
+			t.Errorf("flag -%s is accepted by no mode", f)
 		}
 	}
 }
@@ -198,6 +246,15 @@ func TestBenchTrendTableAndGate(t *testing.T) {
 	regress := []perf.Result{{Name: "core-tick", NsPerOp: 900, AllocsPerOp: 3}}
 	if code := runBenchTrend(&strings.Builder{}, []string{p2, p10}, regress); code != 1 {
 		t.Fatalf("allocs regression vs best recorded run: exit %d, want 1", code)
+	}
+	// Scheduling jitter within 1% of a large count passes; beyond it fails.
+	pbig := filepath.Join(dir, "BENCH_11.json")
+	writeBenchFile(t, pbig, map[string]float64{"rollout-round-overlap": 2994})
+	for allocs, want := range map[float64]int{2997: 0, 3100: 1} {
+		cur := []perf.Result{{Name: "rollout-round-overlap", NsPerOp: 1, AllocsPerOp: allocs}}
+		if code := runBenchTrend(&strings.Builder{}, []string{pbig}, cur); code != want {
+			t.Fatalf("rollout-round-overlap at %g allocs/op vs 2994 recorded: exit %d, want %d", allocs, code, want)
+		}
 	}
 	// A benchmark with no recorded history cannot regress.
 	fresh := []perf.Result{{Name: "brand-new", NsPerOp: 1, AllocsPerOp: 99}}

@@ -13,6 +13,7 @@ import (
 	"firm/internal/experiments"
 	"firm/internal/harness"
 	"firm/internal/injector"
+	"firm/internal/runner"
 	"firm/internal/sim"
 	"firm/internal/stats"
 	"firm/internal/topology"
@@ -71,6 +72,7 @@ func main() {
 	trained, err := experiments.Train(experiments.TrainOpts{
 		Seed: 7, Spec: topology.TrainTicket(), Episodes: 6,
 		Variant: experiments.OneForAll,
+		Pool:    runner.NewPool(0), // rollout actors on every core; results do not depend on it
 	})
 	if err != nil {
 		log.Fatal(err)

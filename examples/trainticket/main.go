@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"firm/internal/experiments"
+	"firm/internal/runner"
 	"firm/internal/topology"
 )
 
@@ -19,7 +20,9 @@ func main() {
 	fmt.Printf("training one-for-all DDPG agent on %s (%d services)...\n",
 		spec.Name, spec.NumServices())
 
+	pool := runner.NewPool(0) // rollout actors on every core; results do not depend on it
 	single, err := experiments.Train(experiments.TrainOpts{
+		Pool:            pool,
 		Seed:            11,
 		Spec:            spec,
 		Episodes:        24,
@@ -37,6 +40,7 @@ func main() {
 	fmt.Println("\ntransferring to per-service agents and fine-tuning...")
 	base := single.Provider.Agents()[0]
 	trans, err := experiments.Train(experiments.TrainOpts{
+		Pool:     pool,
 		Seed:     11,
 		Spec:     spec,
 		Episodes: 8,

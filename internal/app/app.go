@@ -180,19 +180,23 @@ func (a *App) spanHint(root *topology.Call) int {
 	return n
 }
 
+// pickEndpoint draws an endpoint name from the spec's weighted mix with one
+// r.Float64() draw (the last endpoint absorbs rounding).
+func pickEndpoint(spec *topology.Spec, r *rand.Rand) string {
+	x := r.Float64() * spec.TotalWeight()
+	for _, ep := range spec.Endpoints {
+		x -= ep.Weight
+		if x <= 0 {
+			return ep.Name
+		}
+	}
+	return spec.Endpoints[len(spec.Endpoints)-1].Name
+}
+
 // SubmitMix issues one request drawn from the endpoint mix using r,
 // returning the chosen endpoint name.
 func (a *App) SubmitMix(r *rand.Rand, onDone func(Result)) (string, error) {
-	total := a.Spec.TotalWeight()
-	x := r.Float64() * total
-	name := a.Spec.Endpoints[len(a.Spec.Endpoints)-1].Name
-	for _, ep := range a.Spec.Endpoints {
-		x -= ep.Weight
-		if x <= 0 {
-			name = ep.Name
-			break
-		}
-	}
+	name := pickEndpoint(a.Spec, r)
 	return name, a.Submit(name, onDone)
 }
 

@@ -163,16 +163,7 @@ func (a *ShardedApp) Submit(endpoint string, onDone func(Result)) error {
 // SubmitMix issues one request drawn from the endpoint mix using r,
 // returning the chosen endpoint name.
 func (a *ShardedApp) SubmitMix(r *rand.Rand, onDone func(Result)) (string, error) {
-	total := a.Spec.TotalWeight()
-	x := r.Float64() * total
-	name := a.Spec.Endpoints[len(a.Spec.Endpoints)-1].Name
-	for _, ep := range a.Spec.Endpoints {
-		x -= ep.Weight
-		if x <= 0 {
-			name = ep.Name
-			break
-		}
-	}
+	name := pickEndpoint(a.Spec, r)
 	return name, a.Submit(name, onDone)
 }
 

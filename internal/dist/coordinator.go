@@ -12,8 +12,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"firm/internal/runner"
 )
 
 // Result is one job's outcome with its provenance: Worker is the 1-based
@@ -44,9 +42,9 @@ type Pool struct {
 	// Progress, when non-nil, receives per-job completion lines (the
 	// distributed counterpart of runner's stderr progress feed).
 	Progress func(format string, args ...any)
-	// Local overrides the fallback executor (tests); nil uses the local
-	// job-set registry, i.e. exactly what a worker would have run.
-	Local func(set, scale string, seed int64, key string) ([]byte, error)
+	// Local is the fallback executor for jobs no worker is left to run —
+	// the same function a worker of this binary would serve.
+	Local RunFunc
 
 	mu      sync.Mutex
 	dead    []bool
@@ -67,9 +65,10 @@ func (p *Pool) client() *http.Client {
 	return p.httpClient
 }
 
-// NewPool builds a pool over the given hosts.
-func NewPool(hosts []string) *Pool {
-	return &Pool{Hosts: hosts}
+// NewPool builds a pool over the given hosts, falling back to local when
+// none of them is left.
+func NewPool(hosts []string, local RunFunc) *Pool {
+	return &Pool{Hosts: hosts, Local: local}
 }
 
 // Alive returns how many hosts are currently considered usable (all of
@@ -235,17 +234,6 @@ func (p *Pool) call(host int, req JobRequest) (data []byte, jobErr, transportErr
 	return jr.Result, nil, nil
 }
 
-func (p *Pool) local(set, scale string, seed int64, key string) ([]byte, error) {
-	if p.Local != nil {
-		return p.Local(set, scale, seed, key)
-	}
-	s, ok := runner.LookupSet(set)
-	if !ok {
-		return nil, fmt.Errorf("dist: unknown job set %q", set)
-	}
-	return s.Run(scale, seed, key)
-}
-
 func (p *Pool) progress(format string, args ...any) {
 	if p.Progress != nil {
 		p.Progress(format, args...)
@@ -343,7 +331,7 @@ func (p *Pool) Run(set, scale string, seed int64, keys []string) ([]Result, erro
 			log.Printf("dist: no workers left, running %d remaining job(s) locally", len(rest))
 		}
 		for _, idx := range rest {
-			data, err := p.local(set, scale, seed, keys[idx])
+			data, err := p.Local(set, scale, seed, keys[idx])
 			if err != nil {
 				fail(idx, err)
 				break

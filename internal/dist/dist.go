@@ -17,6 +17,8 @@
 //	  -> 200 {"key":..,"result":<JSON>}   job executed
 //	  -> 200 {"key":..,"error":"..."}     job executed and failed (aborts
 //	                                      the campaign, like a local failure)
+//	  -> 400 / 413                        malformed, unknown-field or
+//	                                      oversized (> 1 MiB) request body
 //	  transport error / non-200           worker failure (job is requeued)
 //	GET /healthz -> {"ok":true,"sets":[..]}
 //
@@ -33,17 +35,26 @@ package dist
 
 import (
 	"encoding/json"
-	"fmt"
+	"errors"
 	"log"
 	"net/http"
 	"time"
-
-	"firm/internal/runner"
 )
 
+// RunFunc executes one job on this machine: it resolves the (set, key)
+// reference against the process's job-set registry, rebuilds the job from
+// (scale, seed) and runs it under the process's own execution settings
+// (experiments.Exec.RunJob, in firmbench). A worker serves it over HTTP;
+// a coordinator falls back to it when no worker is left.
+type RunFunc func(set, scale string, seed int64, key string) ([]byte, error)
+
+// maxRequestBytes bounds a /run body. A JobRequest is four short fields;
+// anything near the limit is a confused or hostile peer.
+const maxRequestBytes = 1 << 20
+
 // JobRequest identifies one job of a campaign: a (set, key) reference into
-// internal/runner's job-set registry plus the campaign configuration the
-// executing machine rebuilds the job list from.
+// the executing process's job-set registry plus the campaign configuration
+// it rebuilds the job list from.
 type JobRequest struct {
 	Set   string `json:"set"`
 	Key   string `json:"key"`
@@ -67,40 +78,44 @@ type health struct {
 	Sets []string `json:"sets"`
 }
 
-// Handler returns the worker's HTTP handler: POST /run executes registered
-// jobs, GET /healthz answers readiness probes. `firmbench -serve` mounts it
-// on a plain http.Server; tests mount it on httptest servers.
-func Handler() http.Handler {
+// Handler returns the worker's HTTP handler: POST /run executes jobs with
+// run, GET /healthz answers readiness probes and names the job sets the
+// worker knows. `firmbench -serve` mounts it on a plain http.Server; tests
+// mount it on httptest servers.
+func Handler(sets []string, run RunFunc) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, health{OK: true, Sets: runner.SetNames()})
+		writeJSON(w, health{OK: true, Sets: sets})
 	})
 	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		dec.DisallowUnknownFields()
 		var req JobRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		if err := dec.Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "bad request: "+err.Error(), status)
 			return
 		}
-		writeJSON(w, runJob(req))
+		writeJSON(w, runJob(run, req))
 	})
 	return mux
 }
 
-// runJob executes one job against the local job-set registry. All failures
-// below the transport are job errors: an unknown set or key means the two
-// processes disagree about the campaign (mismatched binaries, say), which
-// retrying on another worker cannot fix.
-func runJob(req JobRequest) JobResponse {
-	set, ok := runner.LookupSet(req.Set)
-	if !ok {
-		return JobResponse{Key: req.Key, Error: fmt.Sprintf("dist: unknown job set %q (worker binary out of sync?)", req.Set)}
-	}
+// runJob executes one job. All failures below the transport are job
+// errors: an unknown set or key means the two processes disagree about the
+// campaign (mismatched binaries, say), which retrying on another worker
+// cannot fix.
+func runJob(run RunFunc, req JobRequest) JobResponse {
 	start := time.Now()
-	data, err := set.Run(req.Scale, req.Seed, req.Key)
+	data, err := run(req.Set, req.Scale, req.Seed, req.Key)
 	if err != nil {
 		log.Printf("dist: job %s/%s failed after %.1fs: %v", req.Set, req.Key, time.Since(start).Seconds(), err)
 		return JobResponse{Key: req.Key, Error: err.Error()}
@@ -119,7 +134,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // Serve runs a worker on addr (":8701" or "host:port") until the listener
 // fails. It logs the job sets it can execute so operators can eyeball
 // binary mismatches across the fleet.
-func Serve(addr string) error {
-	log.Printf("dist: worker listening on %s (job sets: %v)", addr, runner.SetNames())
-	return (&http.Server{Addr: addr, Handler: Handler()}).ListenAndServe()
+func Serve(addr string, sets []string, run RunFunc) error {
+	log.Printf("dist: worker listening on %s (job sets: %v)", addr, sets)
+	return (&http.Server{Addr: addr, Handler: Handler(sets, run)}).ListenAndServe()
 }

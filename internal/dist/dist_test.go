@@ -11,26 +11,27 @@ import (
 	"testing"
 	"time"
 
-	"firm/internal/runner"
 	"firm/internal/sim"
 )
 
-// registerArithSet installs a synthetic job set whose results are a pure
-// function of (seed, key) — the same contract real sets get from DeriveSeed
-// — with a touch of latency so loopback workers interleave.
-func registerArithSet(name string, keys []string, badKey string) {
-	runner.Register(name, runner.Set{
-		Keys: func(scale string, seed int64) ([]string, error) {
-			return append([]string(nil), keys...), nil
-		},
-		Run: func(scale string, seed int64, key string) ([]byte, error) {
-			if key == badKey {
-				return nil, fmt.Errorf("synthetic job failure at %s", key)
-			}
-			time.Sleep(2 * time.Millisecond)
-			return json.Marshal(fmt.Sprintf("%s/%s@%d", scale, key, sim.DeriveSeed(seed, key)))
-		},
-	})
+// arithSet is the one job set the synthetic executor knows.
+const arithSet = "dist-test/arith"
+
+// arithRun returns a synthetic executor whose results are a pure function
+// of (scale, seed, key) — the same contract real sets get from DeriveSeed —
+// with a touch of latency so loopback workers interleave. The job keyed
+// badKey fails.
+func arithRun(badKey string) RunFunc {
+	return func(set, scale string, seed int64, key string) ([]byte, error) {
+		if set != arithSet {
+			return nil, fmt.Errorf("unknown job set %q", set)
+		}
+		if key == badKey {
+			return nil, fmt.Errorf("synthetic job failure at %s", key)
+		}
+		time.Sleep(2 * time.Millisecond)
+		return json.Marshal(fmt.Sprintf("%s/%s@%d", scale, key, sim.DeriveSeed(seed, key)))
+	}
 }
 
 func keysN(prefix string, n int) []string {
@@ -42,16 +43,13 @@ func keysN(prefix string, n int) []string {
 }
 
 // localResults computes the reference results the way a single machine
-// would, straight from the registry.
-func localResults(t *testing.T, set, scale string, seed int64, keys []string) [][]byte {
+// would, straight from the executor.
+func localResults(t *testing.T, scale string, seed int64, keys []string) [][]byte {
 	t.Helper()
-	s, ok := runner.LookupSet(set)
-	if !ok {
-		t.Fatalf("set %q not registered", set)
-	}
+	run := arithRun("")
 	out := make([][]byte, len(keys))
 	for i, k := range keys {
-		data, err := s.Run(scale, seed, k)
+		data, err := run(arithSet, scale, seed, k)
 		if err != nil {
 			t.Fatalf("local %s: %v", k, err)
 		}
@@ -72,23 +70,25 @@ func assertSameBytes(t *testing.T, got []Result, want [][]byte) {
 	}
 }
 
+// handler is a worker handler over the synthetic executor.
+func handler() http.Handler { return Handler([]string{arithSet}, arithRun("")) }
+
 func newWorker(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
 
 func TestLoopbackByteIdenticalToLocal(t *testing.T) {
 	keys := keysN("k", 12)
-	registerArithSet("dist-test/loopback", keys, "")
 	w1, w2 := newWorker(t), newWorker(t)
-	p := NewPool([]string{w1.URL, w2.URL})
-	got, err := p.Run("dist-test/loopback", "tiny", 42, keys)
+	p := NewPool([]string{w1.URL, w2.URL}, arithRun(""))
+	got, err := p.Run(arithSet, "tiny", 42, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameBytes(t, got, localResults(t, "dist-test/loopback", "tiny", 42, keys))
+	assertSameBytes(t, got, localResults(t, "tiny", 42, keys))
 	seen := map[int]bool{}
 	for _, r := range got {
 		if r.Worker < 1 || r.Worker > 2 {
@@ -106,8 +106,7 @@ func TestLoopbackByteIdenticalToLocal(t *testing.T) {
 // result bytes must not change.
 func TestWorkerDeathRequeues(t *testing.T) {
 	keys := keysN("k", 10)
-	registerArithSet("dist-test/requeue", keys, "")
-	inner := Handler()
+	inner := handler()
 	var served atomic.Int32
 	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/run") && served.Add(1) > 2 {
@@ -118,12 +117,12 @@ func TestWorkerDeathRequeues(t *testing.T) {
 	defer dying.Close()
 	healthy := newWorker(t)
 
-	p := NewPool([]string{dying.URL, healthy.URL})
-	got, err := p.Run("dist-test/requeue", "tiny", 7, keys)
+	p := NewPool([]string{dying.URL, healthy.URL}, arithRun(""))
+	got, err := p.Run(arithSet, "tiny", 7, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameBytes(t, got, localResults(t, "dist-test/requeue", "tiny", 7, keys))
+	assertSameBytes(t, got, localResults(t, "tiny", 7, keys))
 	if p.Alive() != 1 {
 		t.Fatalf("dying worker should be dropped: alive=%d", p.Alive())
 	}
@@ -139,22 +138,21 @@ func TestWorkerDeathRequeues(t *testing.T) {
 // campaign itself, byte-identically.
 func TestAllWorkersDeadFallsBackLocally(t *testing.T) {
 	keys := keysN("k", 6)
-	registerArithSet("dist-test/fallback", keys, "")
 	abort := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/run") {
 			panic(http.ErrAbortHandler)
 		}
-		Handler().ServeHTTP(w, r) // healthz passes: death happens mid-campaign
+		handler().ServeHTTP(w, r) // healthz passes: death happens mid-campaign
 	})
 	w1, w2 := httptest.NewServer(abort), httptest.NewServer(abort)
 	defer w1.Close()
 	defer w2.Close()
-	p := NewPool([]string{w1.URL, w2.URL})
-	got, err := p.Run("dist-test/fallback", "tiny", 3, keys)
+	p := NewPool([]string{w1.URL, w2.URL}, arithRun(""))
+	got, err := p.Run(arithSet, "tiny", 3, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameBytes(t, got, localResults(t, "dist-test/fallback", "tiny", 3, keys))
+	assertSameBytes(t, got, localResults(t, "tiny", 3, keys))
 	for i, r := range got {
 		if r.Worker != 0 {
 			t.Fatalf("result %d claims worker %d after total pool death", i, r.Worker)
@@ -167,26 +165,24 @@ func TestAllWorkersDeadFallsBackLocally(t *testing.T) {
 
 func TestNoHostsRunsEverythingLocally(t *testing.T) {
 	keys := keysN("k", 4)
-	registerArithSet("dist-test/nohosts", keys, "")
-	p := NewPool(nil)
-	got, err := p.Run("dist-test/nohosts", "quick", 9, keys)
+	p := NewPool(nil, arithRun(""))
+	got, err := p.Run(arithSet, "quick", 9, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameBytes(t, got, localResults(t, "dist-test/nohosts", "quick", 9, keys))
+	assertSameBytes(t, got, localResults(t, "quick", 9, keys))
 }
 
 func TestUnreachableHostIsDroppedNotFatal(t *testing.T) {
 	keys := keysN("k", 4)
-	registerArithSet("dist-test/unreachable", keys, "")
 	healthy := newWorker(t)
-	p := NewPool([]string{"127.0.0.1:1", healthy.URL}) // port 1: nothing listens
+	p := NewPool([]string{"127.0.0.1:1", healthy.URL}, arithRun("")) // port 1: nothing listens
 	p.ReadyTimeout = 50 * time.Millisecond
-	got, err := p.Run("dist-test/unreachable", "tiny", 5, keys)
+	got, err := p.Run(arithSet, "tiny", 5, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameBytes(t, got, localResults(t, "dist-test/unreachable", "tiny", 5, keys))
+	assertSameBytes(t, got, localResults(t, "tiny", 5, keys))
 	for i, r := range got {
 		if r.Worker != 2 {
 			t.Fatalf("result %d produced by slot %d, want the healthy worker (2)", i, r.Worker)
@@ -199,10 +195,10 @@ func TestUnreachableHostIsDroppedNotFatal(t *testing.T) {
 // it would locally), not bounce between workers.
 func TestJobErrorAbortsCampaign(t *testing.T) {
 	keys := keysN("k", 6)
-	registerArithSet("dist-test/joberror", keys, "k3")
-	w := newWorker(t)
-	p := NewPool([]string{w.URL})
-	_, err := p.Run("dist-test/joberror", "tiny", 1, keys)
+	w := httptest.NewServer(Handler([]string{arithSet}, arithRun("k3")))
+	defer w.Close()
+	p := NewPool([]string{w.URL}, arithRun(""))
+	_, err := p.Run(arithSet, "tiny", 1, keys)
 	if err == nil || !strings.Contains(err.Error(), "synthetic job failure at k3") {
 		t.Fatalf("want the job's own error, got %v", err)
 	}
@@ -211,19 +207,9 @@ func TestJobErrorAbortsCampaign(t *testing.T) {
 	}
 }
 
-func TestWorkerRejectsUnknownSetAsJobError(t *testing.T) {
-	w := newWorker(t)
-	p := NewPool([]string{w.URL})
-	_, err := p.Run("dist-test/never-registered", "tiny", 1, []string{"x"})
-	if err == nil || !strings.Contains(err.Error(), "unknown job set") {
-		t.Fatalf("want unknown-set job error, got %v", err)
-	}
-}
-
 func TestTimeoutTreatedAsWorkerFailure(t *testing.T) {
 	keys := keysN("k", 3)
-	registerArithSet("dist-test/timeout", keys, "")
-	inner := Handler()
+	inner := handler()
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/run") {
 			time.Sleep(300 * time.Millisecond)
@@ -231,14 +217,14 @@ func TestTimeoutTreatedAsWorkerFailure(t *testing.T) {
 		inner.ServeHTTP(w, r)
 	}))
 	defer slow.Close()
-	p := NewPool([]string{slow.URL})
+	p := NewPool([]string{slow.URL}, arithRun(""))
 	p.Timeout = 50 * time.Millisecond
-	got, err := p.Run("dist-test/timeout", "tiny", 2, keys)
+	got, err := p.Run(arithSet, "tiny", 2, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The hung worker is dropped and the campaign completes via fallback.
-	assertSameBytes(t, got, localResults(t, "dist-test/timeout", "tiny", 2, keys))
+	assertSameBytes(t, got, localResults(t, "tiny", 2, keys))
 	if p.Alive() != 0 {
 		t.Fatal("timed-out worker should be dropped")
 	}
@@ -250,9 +236,8 @@ func TestTimeoutTreatedAsWorkerFailure(t *testing.T) {
 // http.Client construction defeated the transport's connection cache).
 func TestPoolReusesConnections(t *testing.T) {
 	keys := keysN("k", 16)
-	registerArithSet("dist-test/keepalive", keys, "")
 	var conns atomic.Int32
-	srv := httptest.NewUnstartedServer(Handler())
+	srv := httptest.NewUnstartedServer(handler())
 	srv.Config.ConnState = func(c net.Conn, st http.ConnState) {
 		if st == http.StateNew {
 			conns.Add(1)
@@ -260,12 +245,12 @@ func TestPoolReusesConnections(t *testing.T) {
 	}
 	srv.Start()
 	t.Cleanup(srv.Close)
-	p := NewPool([]string{srv.URL})
-	got, err := p.Run("dist-test/keepalive", "tiny", 42, keys)
+	p := NewPool([]string{srv.URL}, arithRun(""))
+	got, err := p.Run(arithSet, "tiny", 42, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameBytes(t, got, localResults(t, "dist-test/keepalive", "tiny", 42, keys))
+	assertSameBytes(t, got, localResults(t, "tiny", 42, keys))
 	// One connection serves the health check and all 16 sequential jobs;
 	// allow a little slack for transport races, but 17 separate
 	// connections (the per-call-client behaviour) must fail.
@@ -279,7 +264,6 @@ func TestPoolReusesConnections(t *testing.T) {
 // host must be declared dead at roughly the configured deadline, not after
 // a full probe's worth of extra waiting.
 func TestReadyTimeoutNotOvershotByProbe(t *testing.T) {
-	registerArithSet("dist-test/short-ready", keysN("k", 2), "")
 	// A listener that accepts and then stays silent, so the probe must wait
 	// out its timeout rather than fail fast with a connection refusal.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -296,10 +280,10 @@ func TestReadyTimeoutNotOvershotByProbe(t *testing.T) {
 			defer c.Close() // hold silently until the listener closes
 		}
 	}()
-	p := NewPool([]string{ln.Addr().String()})
+	p := NewPool([]string{ln.Addr().String()}, arithRun(""))
 	p.ReadyTimeout = 300 * time.Millisecond
 	start := time.Now()
-	got, err := p.Run("dist-test/short-ready", "tiny", 9, keysN("k", 2))
+	got, err := p.Run(arithSet, "tiny", 9, keysN("k", 2))
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -316,5 +300,46 @@ func TestReadyTimeoutNotOvershotByProbe(t *testing.T) {
 	// 2s probe.
 	if elapsed > 1500*time.Millisecond {
 		t.Fatalf("ready check took %v with a 300ms ReadyTimeout", elapsed)
+	}
+}
+
+// TestRunRejectsMalformedRequests pins the /run body checks: an oversized
+// body, truncated JSON and an unknown field are refused before any job
+// runs, with a status the coordinator treats as a worker failure.
+func TestRunRejectsMalformedRequests(t *testing.T) {
+	var ran atomic.Int32
+	srv := httptest.NewServer(Handler([]string{arithSet}, func(set, scale string, seed int64, key string) ([]byte, error) {
+		ran.Add(1)
+		return arithRun("")(set, scale, seed, key)
+	}))
+	defer srv.Close()
+	valid := `{"set":"` + arithSet + `","key":"k0","scale":"tiny","seed":1}`
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"valid", valid, http.StatusOK},
+		{"oversized", `{"set":"` + strings.Repeat("x", maxRequestBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"truncated", valid[:len(valid)-9], http.StatusBadRequest},
+		{"unknown-field", `{"set":"` + arithSet + `","key":"k0","scale":"tiny","seed":1,"shards":4}`, http.StatusBadRequest},
+		{"not-json", "set=a&key=b", http.StatusBadRequest},
+		{"empty", "", http.StatusBadRequest},
+	} {
+		before := ran.Load()
+		resp, err := http.Post(srv.URL+"/run", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: HTTP %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		wantRuns := int32(0)
+		if tc.want == http.StatusOK {
+			wantRuns = 1
+		}
+		if got := ran.Load() - before; got != wantRuns {
+			t.Errorf("%s: %d job(s) ran, want %d", tc.name, got, wantRuns)
+		}
 	}
 }

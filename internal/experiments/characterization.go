@@ -36,8 +36,8 @@ type Fig1Result struct {
 
 // Fig1 runs Social Network under constant load with a mem-BW anomaly
 // injected mid-run, once unmanaged and once under a trained FIRM agent.
-func Fig1(sc Scale, seed int64) (*Fig1Result, error) {
-	trained, err := Train(TrainOpts{Seed: seed, Spec: topology.TrainTicket(),
+func Fig1(x Exec, sc Scale, seed int64) (*Fig1Result, error) {
+	trained, err := Train(TrainOpts{Pool: x.Pool, Seed: seed, Spec: topology.TrainTicket(),
 		Episodes: sc.EpisodeCount / 2, Variant: OneForAll})
 	if err != nil {
 		return nil, err
@@ -90,7 +90,7 @@ func Fig1(sc Scale, seed int64) (*Fig1Result, error) {
 	// The two policy arms are paired on seed+1 (identical workload and
 	// anomaly realization; only the controller differs) and run as jobs.
 	type arm struct{ p99s, cpu, dram []float64 }
-	arms, err := runner.Map(seed, []runner.Job[arm]{
+	arms, err := runner.Map(x.Pool, seed, []runner.Job[arm]{
 		{Key: "fig1/no-firm", Run: func(int64) (arm, error) {
 			p, c, d, err := run(seed+1, false)
 			return arm{p, c, d}, err
@@ -191,7 +191,7 @@ type table1Row struct {
 // injected victim. Every victim keeps the experiment seed so the rows stay
 // paired on the same workload realization (the table compares cells across
 // rows).
-func table1Jobs(sc Scale, seed int64) ([]runner.Job[table1Row], error) {
+func table1Jobs(_ Exec, sc Scale, seed int64) ([]runner.Job[table1Row], error) {
 	dur := sc.dur(40 * sim.Second)
 	var jobs []runner.Job[table1Row]
 	for _, victim := range table1Victims {
@@ -206,12 +206,12 @@ func table1Jobs(sc Scale, seed int64) ([]runner.Job[table1Row], error) {
 
 // Table1 injects a CPU anomaly at video (V), user-tag (U) and text (T) in
 // turn and measures per-service and total latency of compose-post requests.
-func Table1(sc Scale, seed int64) (*Table1Result, error) {
-	jobs, err := table1Jobs(sc, seed)
+func Table1(x Exec, sc Scale, seed int64) (*Table1Result, error) {
+	jobs, err := table1Jobs(x, sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := mapJobs("table1", sc, seed, jobs)
+	rows, err := mapJobs(x, "table1", sc, seed, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +276,7 @@ func table1Run(victim string, seed int64, dur sim.Time) (table1Row, error) {
 
 // String renders Table 1.
 func (r *Table1Result) String() string {
-	t := &Table{
+	t := &report.Table{
 		Title:  "Table 1: CP changes under anomaly injection (mean latency, ms)",
 		Header: append(append([]string{"injected"}, r.Services...), "total"),
 	}
@@ -356,7 +356,7 @@ type Fig3Row struct {
 
 // fig3Jobs declares the Fig. 3 job list: one run per benchmark, each
 // grouping its traces by critical-path signature.
-func fig3Jobs(sc Scale, seed int64) ([]runner.Job[Fig3Row], error) {
+func fig3Jobs(_ Exec, sc Scale, seed int64) ([]runner.Job[Fig3Row], error) {
 	dur := sc.dur(60 * sim.Second)
 	var jobs []runner.Job[Fig3Row]
 	for i, spec := range topology.All() {
@@ -372,12 +372,12 @@ func fig3Jobs(sc Scale, seed int64) ([]runner.Job[Fig3Row], error) {
 // Fig3 drives each benchmark with its request mix under the randomized
 // anomaly campaign and groups traces by critical-path signature — one job
 // per benchmark, fanned across the worker pool.
-func Fig3(sc Scale, seed int64) (*Fig3Result, error) {
-	jobs, err := fig3Jobs(sc, seed)
+func Fig3(x Exec, sc Scale, seed int64) (*Fig3Result, error) {
+	jobs, err := fig3Jobs(x, sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := mapJobs("fig3", sc, seed, jobs)
+	rows, err := mapJobs(x, "fig3", sc, seed, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +435,7 @@ func fig3Run(spec *topology.Spec, seed int64, dur sim.Time) (Fig3Row, error) {
 
 // String renders the Fig. 3 report.
 func (r *Fig3Result) String() string {
-	t := &Table{
+	t := &report.Table{
 		Title:  "Fig 3: min/max critical-path latency distributions",
 		Header: []string{"benchmark", "CP groups", "min-CP p50", "max-CP p50", "p50 ratio", "min-CP p99", "max-CP p99", "p99 ratio"},
 	}
@@ -532,7 +532,7 @@ func fig4Arm(seed int64, dur sim.Time, scale string) (fig4ArmStats, error) {
 
 // fig4Jobs declares the Fig. 4 job list: the three arms are independent
 // simulations on the same seed (a paired comparison).
-func fig4Jobs(sc Scale, seed int64) ([]runner.Job[fig4ArmStats], error) {
+func fig4Jobs(_ Exec, sc Scale, seed int64) ([]runner.Job[fig4ArmStats], error) {
 	dur := sc.dur(40 * sim.Second)
 	arms := []struct{ key, scale string }{
 		{"fig4/before", ""},
@@ -552,12 +552,12 @@ func fig4Jobs(sc Scale, seed int64) ([]runner.Job[fig4ArmStats], error) {
 
 // Fig4 measures compose-post latency before scaling, after scaling text
 // (high variance), and after scaling composePost (high median).
-func Fig4(sc Scale, seed int64) (*Fig4Result, error) {
-	jobs, err := fig4Jobs(sc, seed)
+func Fig4(x Exec, sc Scale, seed int64) (*Fig4Result, error) {
+	jobs, err := fig4Jobs(x, sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	arms, err := mapJobs("fig4", sc, seed, jobs)
+	arms, err := mapJobs(x, "fig4", sc, seed, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -694,7 +694,7 @@ func fig5Plan(sc Scale, seed int64) ([]runner.Job[[]float64], []fig5Slot, []Fig5
 }
 
 // fig5Jobs is fig5Plan's job list alone (the registered job-set builder).
-func fig5Jobs(sc Scale, seed int64) ([]runner.Job[[]float64], error) {
+func fig5Jobs(_ Exec, sc Scale, seed int64) ([]runner.Job[[]float64], error) {
 	jobs, _, _, err := fig5Plan(sc, seed)
 	return jobs, err
 }
@@ -703,12 +703,12 @@ func fig5Jobs(sc Scale, seed int64) ([]runner.Job[[]float64], error) {
 // with scale-out (add one replica) under a matching resource anomaly. Each
 // (benchmark, resource, load, strategy, repetition) cell is an independent
 // simulation fanned across the worker pool.
-func Fig5(sc Scale, seed int64) (*Fig5Result, error) {
+func Fig5(x Exec, sc Scale, seed int64) (*Fig5Result, error) {
 	jobs, slots, rows, err := fig5Plan(sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	lats, err := mapJobs("fig5", sc, seed, jobs)
+	lats, err := mapJobs(x, "fig5", sc, seed, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -791,7 +791,7 @@ func fig5Arm(benchName, resource string, load float64, dur sim.Time, seed int64,
 
 // String renders the Fig. 5 report.
 func (r *Fig5Result) String() string {
-	t := &Table{
+	t := &report.Table{
 		Title:  "Fig 5: scale-up vs scale-out (median e2e ms, 95% CI)",
 		Header: []string{"benchmark", "resource", "load (rps)", "scale-up", "scale-out", "winner"},
 	}

@@ -128,8 +128,6 @@ type RunOpts struct {
 	Training bool
 	// Campaign enables the §4.1 randomized anomaly-injection campaign.
 	Campaign bool
-	// SLOMargin for calibration (default 1.6).
-	SLOMargin float64
 }
 
 // RunStats aggregates one run's observations.
@@ -201,13 +199,10 @@ func (m *violationMonitor) tick() {
 
 // Run executes one configured run and collects its statistics.
 func Run(opts RunOpts) (RunStats, error) {
-	if opts.SLOMargin <= 0 {
-		opts.SLOMargin = 1.6
-	}
 	b, err := harness.New(harness.Options{
 		Seed:      opts.Seed,
 		Spec:      opts.Spec,
-		SLOMargin: opts.SLOMargin,
+		SLOMargin: 1.6,
 	})
 	if err != nil {
 		return RunStats{}, err
@@ -287,10 +282,6 @@ func runOnBench(b *harness.Bench, opts RunOpts) (RunStats, error) {
 	}
 	return st, nil
 }
-
-// Table renders the experiments' stdout tables; it lives in
-// internal/report so the text and JSON renderers share one package.
-type Table = report.Table
 
 func f2(x float64) string  { return fmt.Sprintf("%.2f", x) }
 func f1(x float64) string  { return fmt.Sprintf("%.1f", x) }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"firm/internal/report"
 	"firm/internal/sim"
 	"firm/internal/topology"
 	"firm/internal/workload"
@@ -13,7 +14,7 @@ import (
 // exercised by bench_test.go at the repository root.
 
 func TestTable6Shape(t *testing.T) {
-	r, err := Table6(QuickScale(), 1)
+	r, err := Table6(Exec{}, QuickScale(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	r, err := Table1(QuickScale(), 42)
+	r, err := Table1(Exec{}, QuickScale(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	r, err := Fig3(QuickScale(), 1)
+	r, err := Fig3(Exec{}, QuickScale(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig9cDeterministic(t *testing.T) {
-	a, err := Fig9c(TinyScale(), 5)
+	a, err := Fig9c(Exec{}, TinyScale(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig9c(TinyScale(), 5)
+	b, err := Fig9c(Exec{}, TinyScale(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestPolicyNames(t *testing.T) {
 }
 
 func TestTableRender(t *testing.T) {
-	tb := &Table{Title: "T", Header: []string{"a", "bb"}}
+	tb := &report.Table{Title: "T", Header: []string{"a", "bb"}}
 	tb.Add("1", "2")
 	out := tb.String()
 	if !strings.Contains(out, "T\n") || !strings.Contains(out, "bb") {

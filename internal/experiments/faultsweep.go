@@ -359,12 +359,12 @@ func faultsweepCell(entry scenario.Entry, p topology.Params, dur sim.Time, seed 
 // cell's row is byte-identical at any shard count. Only families without
 // app hooks or replica churn run here (plateau + metastable overlay);
 // that restriction is what keeps placement shard-count-invariant.
-func faultsweepShardedCell(p topology.Params, dur sim.Time, seed int64, shards int) (FaultSweepRow, error) {
+func faultsweepShardedCell(x Exec, p topology.Params, dur sim.Time, seed int64) (FaultSweepRow, error) {
 	spec, err := topology.Generate(p, seed)
 	if err != nil {
 		return FaultSweepRow{}, err
 	}
-	b, err := harness.NewSharded(harness.ShardedOptions{Seed: seed, Spec: spec, Shards: shards})
+	b, err := harness.NewSharded(harness.ShardedOptions{Seed: seed, Spec: spec, Shards: x.shards()})
 	if err != nil {
 		return FaultSweepRow{}, fmt.Errorf("faultsweep sharded: %w", err)
 	}
@@ -395,7 +395,7 @@ func faultsweepShardedCell(p topology.Params, dur sim.Time, seed int64, shards i
 		}
 	})
 	b.AttachWorkload(workload.Constant{RPS: 120})
-	b.Run(faultsweepWarmup + player.Horizon() + 3*sim.Second)
+	b.Run(faultsweepWarmup+player.Horizon()+3*sim.Second, x.Pool)
 
 	row := FaultSweepRow{
 		Name:      "sharded-" + sc.Key(),
@@ -415,9 +415,10 @@ func faultsweepShardedCell(p topology.Params, dur sim.Time, seed int64, shards i
 
 // faultsweepJobs declares the sweep's job list: one job per catalog
 // scenario plus the sharded cell. Each derives its seed from (campaign
-// seed, key), so cells are placement-independent; the sharded cell reads
-// the -shards knob at run time because its row is shard-count-invariant.
-func faultsweepJobs(sc Scale, seed int64) ([]runner.Job[FaultSweepRow], error) {
+// seed, key), so cells are placement-independent; the sharded cell shards
+// as the executing machine's x says because its row is shard-count-
+// invariant.
+func faultsweepJobs(x Exec, sc Scale, seed int64) ([]runner.Job[FaultSweepRow], error) {
 	dur := sc.dur(30 * sim.Second)
 	p := faultsweepTopology
 	var jobs []runner.Job[FaultSweepRow]
@@ -434,7 +435,7 @@ func faultsweepJobs(sc Scale, seed int64) ([]runner.Job[FaultSweepRow], error) {
 	jobs = append(jobs, runner.Job[FaultSweepRow]{
 		Key: runner.Key("faultsweep", "sharded", ps.Key()),
 		Run: func(jobSeed int64) (FaultSweepRow, error) {
-			return faultsweepShardedCell(ps, dur, jobSeed, Shards())
+			return faultsweepShardedCell(x, ps, dur, jobSeed)
 		},
 	})
 	return jobs, nil
@@ -462,12 +463,12 @@ type FaultSweepResult struct {
 
 // FaultSweep runs the fault-scenario library sweep and clusters the
 // resulting violation feature vectors.
-func FaultSweep(sc Scale, seed int64) (*FaultSweepResult, error) {
-	jobs, err := faultsweepJobs(sc, seed)
+func FaultSweep(x Exec, sc Scale, seed int64) (*FaultSweepResult, error) {
+	jobs, err := faultsweepJobs(x, sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := mapJobs("faultsweep", sc, seed, jobs)
+	rows, err := mapJobs(x, "faultsweep", sc, seed, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -561,7 +562,7 @@ func fsPct(x float64) string {
 
 // String renders the sweep and characterization tables.
 func (r *FaultSweepResult) String() string {
-	tb := &Table{Header: []string{"scenario", "family", "detect ms", "loc acc", "windows", "viol base", "viol mit", "effect", "oom", "infect", "p99 ms"}}
+	tb := &report.Table{Header: []string{"scenario", "family", "detect ms", "loc acc", "windows", "viol base", "viol mit", "effect", "oom", "infect", "p99 ms"}}
 	for _, row := range r.Rows {
 		tb.Add(
 			row.Name,
@@ -579,7 +580,7 @@ func (r *FaultSweepResult) String() string {
 	}
 	out := "FaultSweep: scenario library vs detection/localization/mitigation\n" + tb.String()
 
-	ct := &Table{Header: []string{"family", "samples", "cluster", "purity", "confused with"}}
+	ct := &report.Table{Header: []string{"family", "samples", "cluster", "purity", "confused with"}}
 	for _, fc := range r.Clusters {
 		confused := "-"
 		if len(fc.ConfusedWith) > 0 {

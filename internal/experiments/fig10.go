@@ -36,10 +36,10 @@ type Fig10Result struct {
 // protocol), then evaluates all four policies on a DeathStarBench
 // application (validation benchmark, §4.4) under the randomized
 // anomaly-injection campaign.
-func Fig10(sc Scale, seed int64) (*Fig10Result, error) {
+func Fig10(x Exec, sc Scale, seed int64) (*Fig10Result, error) {
 	// Phase 1: train on Train-Ticket.
 	trained, err := Train(TrainOpts{
-		Seed: seed, Spec: topology.TrainTicket(),
+		Pool: x.Pool, Seed: seed, Spec: topology.TrainTicket(),
 		Episodes: sc.EpisodeCount, Variant: OneForAll,
 	})
 	if err != nil {
@@ -48,7 +48,7 @@ func Fig10(sc Scale, seed int64) (*Fig10Result, error) {
 	base := trained.Provider.Agents()[0]
 
 	multi, err := Train(TrainOpts{
-		Seed: seed + 1, Spec: topology.TrainTicket(),
+		Pool: x.Pool, Seed: seed + 1, Spec: topology.TrainTicket(),
 		Episodes: sc.EpisodeCount / 2, Variant: Transferred, Base: base,
 	})
 	if err != nil {
@@ -93,7 +93,7 @@ func Fig10(sc Scale, seed int64) (*Fig10Result, error) {
 			},
 		})
 	}
-	sts, err := runner.Map(seed, jobs)
+	sts, err := runner.Map(x.Pool, seed, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func cloneAgent(src *rl.Agent, seed int64) *rl.Agent {
 
 // String renders the Fig. 10 report.
 func (r *Fig10Result) String() string {
-	t := &Table{
+	t := &report.Table{
 		Title:  fmt.Sprintf("Fig 10: end-to-end comparison on %s (SLO %.1fms)", r.Benchmark, r.SLOms),
 		Header: []string{"policy", "p50 (ms)", "p99 (ms)", "SLO viol.", "drops", "mean CPU lim (%)"},
 	}

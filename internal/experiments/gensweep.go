@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"firm/internal/app"
 	"firm/internal/cluster"
@@ -40,26 +39,6 @@ var gensweepSizes = []topology.Params{
 // byte-identical at any shard count, so the shard setting — like worker
 // counts — is an execution knob, not part of the job key.
 var gensweep10k = topology.Params{Services: 10000, Endpoints: 12, MaxFanout: 2, Depth: 8}
-
-// numShards is the shard count for sharded cells (firmbench -shards).
-var numShards atomic.Int32
-
-// SetShards sets the shard count used by sharded cells; 0 (or below)
-// restores the default of 8.
-func SetShards(n int) {
-	if n < 0 {
-		n = 0
-	}
-	numShards.Store(int32(n))
-}
-
-// Shards returns the configured shard count (default 8).
-func Shards() int {
-	if n := numShards.Load(); n > 0 {
-		return int(n)
-	}
-	return 8
-}
 
 // gensweepNodes sizes the simulated cluster to the topology: placement is
 // by container CPU limits (2 cores each, one replica per service), so a
@@ -115,6 +94,31 @@ type GenSweepRow struct {
 	P99Ms     float64
 }
 
+// gensweepRow assembles a cell's row from what its run observed. Target is
+// the integrated intensity — the open-loop arrivals the thinning sampler is
+// accountable for realizing (±Poisson noise).
+func gensweepRow(p topology.Params, spec *topology.Spec, nodes int, pattern workload.Pattern,
+	dur sim.Time, submitted uint64, lats []float64) GenSweepRow {
+	var target float64
+	for at := sim.Time(0); at < dur; at += sim.Millisecond {
+		target += pattern.Rate(at+sim.Millisecond/2) * sim.Millisecond.Seconds()
+	}
+	row := GenSweepRow{
+		Params:    p,
+		Services:  spec.NumServices(),
+		Calls:     spec.NumCalls(),
+		Nodes:     nodes,
+		Target:    target,
+		Submitted: submitted,
+		Completed: len(lats),
+	}
+	if len(lats) > 0 {
+		row.P50Ms = stats.Percentile(lats, 50)
+		row.P99Ms = stats.Percentile(lats, 99)
+	}
+	return row
+}
+
 // gensweepCell runs one generated topology under the composite pattern.
 func gensweepCell(p topology.Params, dur sim.Time, seed int64) (GenSweepRow, error) {
 	spec, err := topology.Generate(p, seed)
@@ -132,35 +136,16 @@ func gensweepCell(p topology.Params, dur sim.Time, seed int64) (GenSweepRow, err
 	}
 	b.AttachWorkload(pattern)
 	b.Eng.RunFor(dur)
-
-	// Integrated intensity = the open-loop target the thinning sampler is
-	// accountable for realizing (±Poisson noise).
-	var target float64
-	for at := sim.Time(0); at < dur; at += sim.Millisecond {
-		target += pattern.Rate(at+sim.Millisecond/2) * sim.Millisecond.Seconds()
-	}
 	lats := b.DB.Latencies(tracedb.Query{})
-	row := GenSweepRow{
-		Params:    p,
-		Services:  spec.NumServices(),
-		Calls:     spec.NumCalls(),
-		Nodes:     len(nodes),
-		Target:    target,
-		Submitted: b.Gen.Submitted,
-		Completed: len(lats),
-	}
-	if len(lats) > 0 {
-		row.P50Ms = stats.Percentile(lats, 50)
-		row.P99Ms = stats.Percentile(lats, 99)
-	}
-	return row, nil
+	return gensweepRow(p, spec, len(nodes), pattern, dur, b.Gen.Submitted, lats), nil
 }
 
-// gensweepShardedCell runs one generated topology on the sharded engine.
-// Latencies flow through the result hook (the sharded path has no tracing
-// pipeline); hook order is event order on the home shard, which the
-// determinism contract makes shard-count invariant.
-func gensweepShardedCell(p topology.Params, dur sim.Time, seed int64, shards int) (GenSweepRow, error) {
+// gensweepShardedCell runs one generated topology on the sharded engine,
+// x.shards() ways with window workers borrowed from x.Pool. Latencies flow
+// through the result hook (the sharded path has no tracing pipeline); hook
+// order is event order on the home shard, which the determinism contract
+// makes shard-count invariant.
+func gensweepShardedCell(x Exec, p topology.Params, dur sim.Time, seed int64) (GenSweepRow, error) {
 	spec, err := topology.Generate(p, seed)
 	if err != nil {
 		return GenSweepRow{}, err
@@ -169,7 +154,7 @@ func gensweepShardedCell(p topology.Params, dur sim.Time, seed int64, shards int
 	if err != nil {
 		return GenSweepRow{}, err
 	}
-	b, err := harness.NewSharded(harness.ShardedOptions{Seed: seed, Spec: spec, Shards: shards})
+	b, err := harness.NewSharded(harness.ShardedOptions{Seed: seed, Spec: spec, Shards: x.shards()})
 	if err != nil {
 		return GenSweepRow{}, fmt.Errorf("gensweep %s: %w", p.Key(), err)
 	}
@@ -180,36 +165,18 @@ func gensweepShardedCell(p topology.Params, dur sim.Time, seed int64, shards int
 		}
 	})
 	b.AttachWorkload(pattern)
-	b.Run(dur)
-
-	var target float64
-	for at := sim.Time(0); at < dur; at += sim.Millisecond {
-		target += pattern.Rate(at+sim.Millisecond/2) * sim.Millisecond.Seconds()
-	}
-	row := GenSweepRow{
-		Params:    p,
-		Services:  spec.NumServices(),
-		Calls:     spec.NumCalls(),
-		Nodes:     b.NumNodes,
-		Target:    target,
-		Submitted: b.Gen.Submitted,
-		Completed: len(lats),
-	}
-	if len(lats) > 0 {
-		row.P50Ms = stats.Percentile(lats, 50)
-		row.P99Ms = stats.Percentile(lats, 99)
-	}
-	return row, nil
+	b.Run(dur, x.Pool)
+	return gensweepRow(p, spec, b.NumNodes, pattern, dur, b.Gen.Submitted, lats), nil
 }
 
 // gensweepJobs declares the sweep's job list: one independent simulation
 // per generated-topology size, keyed by the generator parameters. Each job
 // derives its own seed from (campaign seed, key), so results are identical
 // wherever the job runs. The 10,000-service cell runs on the sharded
-// engine; its shard count is read at run time (not captured at declaration)
-// so a dist worker applies its own -shards setting — legal because the row
-// is byte-identical at any shard count.
-func gensweepJobs(sc Scale, seed int64) ([]runner.Job[GenSweepRow], error) {
+// engine under the executing machine's x, so a dist worker applies its own
+// -shards setting — legal because the row is byte-identical at any shard
+// count.
+func gensweepJobs(x Exec, sc Scale, seed int64) ([]runner.Job[GenSweepRow], error) {
 	dur := sc.dur(30 * sim.Second)
 	var jobs []runner.Job[GenSweepRow]
 	for _, p := range gensweepSizes {
@@ -225,7 +192,7 @@ func gensweepJobs(sc Scale, seed int64) ([]runner.Job[GenSweepRow], error) {
 	jobs = append(jobs, runner.Job[GenSweepRow]{
 		Key: runner.Key("gensweep", p10k.Key()),
 		Run: func(jobSeed int64) (GenSweepRow, error) {
-			return gensweepShardedCell(p10k, dur, jobSeed, Shards())
+			return gensweepShardedCell(x, p10k, dur, jobSeed)
 		},
 	})
 	return jobs, nil
@@ -237,12 +204,12 @@ type GenSweepResult struct {
 }
 
 // GenSweep runs the generated-topology scale sweep.
-func GenSweep(sc Scale, seed int64) (*GenSweepResult, error) {
-	jobs, err := gensweepJobs(sc, seed)
+func GenSweep(x Exec, sc Scale, seed int64) (*GenSweepResult, error) {
+	jobs, err := gensweepJobs(x, sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := mapJobs("gensweep", sc, seed, jobs)
+	rows, err := mapJobs(x, "gensweep", sc, seed, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +218,7 @@ func GenSweep(sc Scale, seed int64) (*GenSweepResult, error) {
 
 // String renders the sweep table.
 func (r *GenSweepResult) String() string {
-	tb := &Table{Header: []string{"services", "calls", "nodes", "target", "submitted", "completed", "p50 ms", "p99 ms"}}
+	tb := &report.Table{Header: []string{"services", "calls", "nodes", "target", "submitted", "completed", "p50 ms", "p99 ms"}}
 	for _, row := range r.Rows {
 		tb.Add(
 			fmt.Sprintf("%d", row.Services),

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"firm/internal/report"
-	"firm/internal/rollout"
 	"firm/internal/runner"
 )
 
@@ -17,28 +16,20 @@ import (
 //	go test ./internal/experiments -run Golden -update
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// goldenConfigs is the worker matrix every golden experiment renders
-// under: rollout workers {1, 2, 8} with the runner pool pinned small, plus
-// -parallel {1, 4} on a middle rollout count. Both artifacts (stdout text
-// and canonical JSON) must be byte-identical across all of them — the
-// determinism contract of internal/runner and internal/rollout, pinned to
-// disk so a regression cannot slip in as "both runs changed the same way".
-var goldenConfigs = []struct{ roll, par int }{
-	{1, 2}, {2, 2}, {8, 2}, {2, 1}, {2, 4},
-}
+// goldenConfigs is the pool-size matrix every golden experiment renders
+// under: one worker (everything inline, one rollout actor), two, and eight
+// (more workers than jobs, so rollouts and shard windows borrow the spare
+// slots). Both artifacts (stdout text and canonical JSON) must be
+// byte-identical across all of them — the determinism contract of
+// internal/runner and internal/rollout, pinned to disk so a regression
+// cannot slip in as "both runs changed the same way".
+var goldenConfigs = []int{1, 2, 8}
 
-// renderAtWorkers renders an experiment artifact — the stdout text and the
-// canonical campaign JSON — with the rollout and runner worker counts
-// pinned.
-func renderAtWorkers(t *testing.T, rollWorkers, runWorkers int, fn func() (Reportable, error)) (text string, jsonOut []byte) {
+// render renders an experiment artifact — the stdout text and the canonical
+// campaign JSON — executed as x says.
+func render(t *testing.T, x Exec, fn Runner) (text string, jsonOut []byte) {
 	t.Helper()
-	origRoll := rollout.Workers()
-	rollout.SetWorkers(rollWorkers)
-	defer rollout.SetWorkers(origRoll)
-	origRun := runner.Workers()
-	runner.SetWorkers(runWorkers)
-	defer runner.SetWorkers(origRun)
-	r, err := fn()
+	r, err := fn(x, TinyScale(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,43 +46,48 @@ func renderAtWorkers(t *testing.T, rollWorkers, runWorkers int, fn func() (Repor
 	return r.String(), out
 }
 
-// goldenCheck asserts both artifacts are byte-identical to the committed
-// golden files (<name>.golden for stdout, <name>.json for the campaign
-// record) at every goldenConfigs worker combination.
-func goldenCheck(t *testing.T, name string, fn func() (Reportable, error)) {
+// assertGolden renders the experiment under x and compares both artifacts
+// with the committed ones (<name>.golden for stdout, <name>.json for the
+// campaign record).
+func assertGolden(t *testing.T, name string, x Exec, fn Runner) {
 	t.Helper()
-	textPath := filepath.Join("testdata", name+".golden")
-	jsonPath := filepath.Join("testdata", name+".json")
-	if *updateGolden {
-		text, jsonOut := renderAtWorkers(t, goldenConfigs[0].roll, goldenConfigs[0].par, fn)
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(textPath, []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(jsonPath, jsonOut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantText, err := os.ReadFile(textPath)
+	wantText, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
 	if err != nil {
 		t.Fatalf("missing golden file (regenerate with -update): %v", err)
 	}
-	wantJSON, err := os.ReadFile(jsonPath)
+	wantJSON, err := os.ReadFile(filepath.Join("testdata", name+".json"))
 	if err != nil {
 		t.Fatalf("missing golden JSON file (regenerate with -update): %v", err)
 	}
-	for _, cfg := range goldenConfigs {
-		text, jsonOut := renderAtWorkers(t, cfg.roll, cfg.par, fn)
-		if text != string(wantText) {
-			t.Errorf("%s at rollout=%d parallel=%d differs from golden:\n--- got ---\n%s\n--- want ---\n%s",
-				name, cfg.roll, cfg.par, text, wantText)
+	text, jsonOut := render(t, x, fn)
+	if text != string(wantText) {
+		t.Errorf("%s at parallel=%d shards=%d differs from golden:\n--- got ---\n%s\n--- want ---\n%s",
+			name, x.Pool.Workers(), x.shards(), text, wantText)
+	}
+	if string(jsonOut) != string(wantJSON) {
+		t.Errorf("%s JSON at parallel=%d shards=%d differs from golden:\n--- got ---\n%s\n--- want ---\n%s",
+			name, x.Pool.Workers(), x.shards(), jsonOut, wantJSON)
+	}
+}
+
+// goldenCheck asserts both artifacts are byte-identical to the committed
+// golden files at every goldenConfigs pool size.
+func goldenCheck(t *testing.T, name string, fn Runner) {
+	t.Helper()
+	if *updateGolden {
+		text, jsonOut := render(t, Exec{Pool: runner.NewPool(goldenConfigs[0])}, fn)
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
-		if string(jsonOut) != string(wantJSON) {
-			t.Errorf("%s JSON at rollout=%d parallel=%d differs from golden:\n--- got ---\n%s\n--- want ---\n%s",
-				name, cfg.roll, cfg.par, jsonOut, wantJSON)
+		if err := os.WriteFile(filepath.Join("testdata", name+".golden"), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(filepath.Join("testdata", name+".json"), jsonOut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range goldenConfigs {
+		assertGolden(t, name, Exec{Pool: runner.NewPool(workers)}, fn)
 	}
 }
 
@@ -99,27 +95,21 @@ func TestFig11bGoldenAcrossRolloutWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains RL agents; run without -short")
 	}
-	goldenCheck(t, "fig11b_tiny", func() (Reportable, error) {
-		return Fig11b(TinyScale(), 42)
-	})
+	goldenCheck(t, "fig11b_tiny", wrap(Fig11b))
 }
 
 func TestFig11aGoldenAcrossRolloutWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains RL agents; run without -short")
 	}
-	goldenCheck(t, "fig11a_tiny", func() (Reportable, error) {
-		return Fig11a(TinyScale(), 42)
-	})
+	goldenCheck(t, "fig11a_tiny", wrap(Fig11a))
 }
 
 func TestFig10GoldenAcrossRolloutWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains RL agents; run without -short")
 	}
-	goldenCheck(t, "fig10_tiny", func() (Reportable, error) {
-		return Fig10(TinyScale(), 42)
-	})
+	goldenCheck(t, "fig10_tiny", wrap(Fig10))
 }
 
 // TestGoldenJSONRoundTrips pins the canonicalization contract on real
@@ -191,41 +181,20 @@ func TestGenSweepGoldenAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 1,000-service topologies; run without -short")
 	}
-	goldenCheck(t, "gensweep_tiny", func() (Reportable, error) {
-		return GenSweep(TinyScale(), 42)
-	})
+	goldenCheck(t, "gensweep_tiny", wrap(GenSweep))
 }
 
 // TestGenSweepGoldenAcrossShards pins the sharded engine's contract against
 // the same goldens: the 10,000-service cell must render byte-identically at
-// shards 1 and 2 (the worker matrix above already covers the default 8).
-// Shard count, like worker count, is an execution knob — never a result
-// knob.
+// shards 1 and 2 (the pool matrix above already covers the default 8).
+// Shard count, like worker count, is an execution setting — never a result
+// setting.
 func TestGenSweepGoldenAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 10,000-service topologies; run without -short")
 	}
-	wantText, err := os.ReadFile(filepath.Join("testdata", "gensweep_tiny.golden"))
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	wantJSON, err := os.ReadFile(filepath.Join("testdata", "gensweep_tiny.json"))
-	if err != nil {
-		t.Fatalf("missing golden JSON file (regenerate with -update): %v", err)
-	}
-	defer SetShards(0)
 	for _, shards := range []int{1, 2} {
-		SetShards(shards)
-		text, jsonOut := renderAtWorkers(t, 2, 2, func() (Reportable, error) {
-			return GenSweep(TinyScale(), 42)
-		})
-		if text != string(wantText) {
-			t.Errorf("gensweep at shards=%d differs from golden:\n--- got ---\n%s\n--- want ---\n%s",
-				shards, text, wantText)
-		}
-		if string(jsonOut) != string(wantJSON) {
-			t.Errorf("gensweep JSON at shards=%d differs from golden", shards)
-		}
+		assertGolden(t, "gensweep_tiny", Exec{Pool: runner.NewPool(2), Shards: shards}, wrap(GenSweep))
 	}
 }
 
@@ -238,9 +207,7 @@ func TestFaultSweepGoldenAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the full scenario catalog; run without -short")
 	}
-	goldenCheck(t, "faultsweep_tiny", func() (Reportable, error) {
-		return FaultSweep(TinyScale(), 42)
-	})
+	goldenCheck(t, "faultsweep_tiny", wrap(FaultSweep))
 }
 
 // TestFaultSweepGoldenAcrossShards pins the sharded scenario contract
@@ -252,26 +219,28 @@ func TestFaultSweepGoldenAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the full scenario catalog; run without -short")
 	}
-	wantText, err := os.ReadFile(filepath.Join("testdata", "faultsweep_tiny.golden"))
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	wantJSON, err := os.ReadFile(filepath.Join("testdata", "faultsweep_tiny.json"))
-	if err != nil {
-		t.Fatalf("missing golden JSON file (regenerate with -update): %v", err)
-	}
-	defer SetShards(0)
 	for _, shards := range []int{1, 4} {
-		SetShards(shards)
-		text, jsonOut := renderAtWorkers(t, 2, 2, func() (Reportable, error) {
-			return FaultSweep(TinyScale(), 42)
+		assertGolden(t, "faultsweep_tiny", Exec{Pool: runner.NewPool(2), Shards: shards}, wrap(FaultSweep))
+	}
+}
+
+// TestConcurrentCampaignsUnderDifferentExec runs two campaigns at once in
+// one process, each under its own Exec — the serial extreme and a wide pool
+// with a different shard count — and holds both to the committed goldens.
+// Execution settings are values owned by their campaign, so neither can
+// see the other's; with process-wide settings this test could not be
+// written.
+func TestConcurrentCampaignsUnderDifferentExec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 10,000-service topologies; run without -short")
+	}
+	for _, x := range []Exec{
+		{Pool: runner.NewPool(1), Shards: 1},
+		{Pool: runner.NewPool(8), Shards: 4},
+	} {
+		t.Run(fmt.Sprintf("parallel%d-shards%d", x.Pool.Workers(), x.Shards), func(t *testing.T) {
+			t.Parallel()
+			assertGolden(t, "gensweep_tiny", x, wrap(GenSweep))
 		})
-		if text != string(wantText) {
-			t.Errorf("faultsweep at shards=%d differs from golden:\n--- got ---\n%s\n--- want ---\n%s",
-				shards, text, wantText)
-		}
-		if string(jsonOut) != string(wantJSON) {
-			t.Errorf("faultsweep JSON at shards=%d differs from golden", shards)
-		}
 	}
 }

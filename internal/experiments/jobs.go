@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"firm/internal/runner"
 	"firm/internal/sim"
@@ -22,33 +21,57 @@ import (
 // closures local and distribute at whole-experiment granularity instead
 // (registry.go's ExperimentSet).
 
-// Dispatcher executes a registered job set's jobs somewhere else — the
-// distributed coordinator installs internal/dist's worker pool here. RunJobs
+// Exec says how a campaign executes — never what it computes: every field
+// may differ between two runs, or between the machines of one run, without
+// changing a byte of output. cmd/firmbench builds one from its flags and it
+// is handed down through every experiment, job builder and training
+// campaign. The zero Exec runs everything on the calling goroutine, shards
+// sharded cells 8 ways and dispatches nothing.
+type Exec struct {
+	// Pool is the worker budget shared by campaign jobs, episode-rollout
+	// actors and sharded-engine window workers; nil means one worker.
+	Pool *runner.Pool
+	// Shards is the engine shard count for sharded cells such as gensweep's
+	// 10,000-service topology; <= 0 means 8.
+	Shards int
+	// Remote, when non-nil, executes registered job sets' jobs somewhere
+	// else (the distributed coordinator puts internal/dist's worker pool
+	// here); nil runs them on Pool.
+	Remote Dispatcher
+}
+
+func (x Exec) shards() int {
+	if x.Shards > 0 {
+		return x.Shards
+	}
+	return 8
+}
+
+// Dispatcher executes a registered job set's jobs somewhere else. RunJobs
 // must return one JSON result per key, in key order, each produced by the
-// set's registered Run (same seed derivation as the local path).
+// set's registered Run (same seed derivation as the local path), so using
+// one never changes results — only where the work happens.
 type Dispatcher interface {
 	RunJobs(set, scale string, seed int64, keys []string) ([][]byte, error)
 }
 
-var (
-	dispatchMu sync.Mutex
-	dispatch   Dispatcher
-)
+// jobSets holds every named job set of this package: the fine-grained
+// sweeps registered below and registry.go's whole-experiment set.
+var jobSets runner.Registry[Exec]
 
-// SetDispatcher installs the remote executor consulted by every registered
-// job set (nil restores local execution). Installing a dispatcher never
-// changes results — job seeds derive from the campaign seed and job key on
-// whichever machine runs them — only where the work happens.
-func SetDispatcher(d Dispatcher) {
-	dispatchMu.Lock()
-	dispatch = d
-	dispatchMu.Unlock()
-}
+// JobSets returns the names of the registered job sets, sorted.
+func JobSets() []string { return jobSets.Names() }
 
-func currentDispatcher() Dispatcher {
-	dispatchMu.Lock()
-	defer dispatchMu.Unlock()
-	return dispatch
+// RunJob executes one job of a registered set under x — what a distributed
+// worker serves, and what the coordinator falls back to when no worker is
+// left. An unknown set means the two processes disagree about the campaign
+// (mismatched binaries, say).
+func (x Exec) RunJob(set, scale string, seed int64, key string) ([]byte, error) {
+	s, ok := jobSets.Lookup(set)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown job set %q (binaries out of sync?)", set)
+	}
+	return s.Run(x, scale, seed, key)
 }
 
 // fineSets names the registered fine-grained job sets (they share the
@@ -87,11 +110,11 @@ func wireDecode[T any](raw []byte, out *T) error {
 // The runner.Set adapter gives remote workers enumeration and execution; T
 // must survive a gob round-trip (exported fields), which keeps remote
 // results byte-identical to local ones.
-func registerJobs[T any](name string, build func(Scale, int64) ([]runner.Job[T], error)) {
+func registerJobs[T any](name string, build func(Exec, Scale, int64) ([]runner.Job[T], error)) {
 	fineSets[name] = true
-	runner.Register(name, runner.Set{
+	jobSets.Register(name, runner.Set[Exec]{
 		Keys: func(scale string, seed int64) ([]string, error) {
-			jobs, err := buildNamed(name, build, scale, seed)
+			jobs, err := buildNamed(Exec{}, name, build, scale, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -101,8 +124,8 @@ func registerJobs[T any](name string, build func(Scale, int64) ([]runner.Job[T],
 			}
 			return keys, nil
 		},
-		Run: func(scale string, seed int64, key string) ([]byte, error) {
-			jobs, err := buildNamed(name, build, scale, seed)
+		Run: func(x Exec, scale string, seed int64, key string) ([]byte, error) {
+			jobs, err := buildNamed(x, name, build, scale, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -120,12 +143,12 @@ func registerJobs[T any](name string, build func(Scale, int64) ([]runner.Job[T],
 	})
 }
 
-func buildNamed[T any](name string, build func(Scale, int64) ([]runner.Job[T], error), scale string, seed int64) ([]runner.Job[T], error) {
+func buildNamed[T any](x Exec, name string, build func(Exec, Scale, int64) ([]runner.Job[T], error), scale string, seed int64) ([]runner.Job[T], error) {
 	sc, err := ScaleByName(scale)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: job set %q: %w", name, err)
 	}
-	return build(sc, seed)
+	return build(x, sc, seed)
 }
 
 func init() {
@@ -139,15 +162,15 @@ func init() {
 	registerJobs("faultsweep", faultsweepJobs)
 }
 
-// mapJobs runs a registered set's job list: remotely when a dispatcher is
-// installed (and the scale is a named one a remote machine can rebuild),
-// locally on runner.Map otherwise. jobs must be the set's own builder
-// output for (sc, seed) — callers that also need plan metadata build once
+// mapJobs runs a registered set's job list: remotely when x names a
+// dispatcher (and the scale is a named one a remote machine can rebuild),
+// on x's pool otherwise. jobs must be the set's own builder output for
+// (x, sc, seed) — callers that also need plan metadata build once
 // and pass the list through, rather than having mapJobs re-enumerate it.
 // Results come back in declaration order either way, and are byte-identical
 // either way.
-func mapJobs[T any](name string, sc Scale, seed int64, jobs []runner.Job[T]) ([]T, error) {
-	if d := currentDispatcher(); d != nil {
+func mapJobs[T any](x Exec, name string, sc Scale, seed int64, jobs []runner.Job[T]) ([]T, error) {
+	if d := x.Remote; d != nil {
 		// Remote dispatch requires a scale a remote process can expand from
 		// its name; ad-hoc Scale values (tests) always run locally.
 		if _, err := ScaleByName(sc.Name); err == nil {
@@ -171,5 +194,5 @@ func mapJobs[T any](name string, sc Scale, seed int64, jobs []runner.Job[T]) ([]
 			return out, nil
 		}
 	}
-	return runner.Map(seed, jobs)
+	return runner.Map(x.Pool, seed, jobs)
 }

@@ -148,7 +148,7 @@ func fig9aEvents(sc Scale) int {
 // independent (each trains its own extractor on its own campaigns) and fan
 // out as one job per anomaly kind, seeded from the campaign seed and the
 // kind's name.
-func fig9aJobs(sc Scale, seed int64) ([]runner.Job[fig9aKind], error) {
+func fig9aJobs(_ Exec, sc Scale, seed int64) ([]runner.Job[fig9aKind], error) {
 	spec := topology.SocialNetwork()
 	events := fig9aEvents(sc)
 	var jobs []runner.Job[fig9aKind]
@@ -167,12 +167,12 @@ func fig9aJobs(sc Scale, seed int64) ([]runner.Job[fig9aKind], error) {
 // Fig9a runs the single-anomaly localization study per anomaly type
 // (network delay, CPU, LLC, memory bandwidth, I/O, network bandwidth) and
 // sweeps the SVM decision threshold to trace each ROC curve.
-func Fig9a(sc Scale, seed int64) (*Fig9aResult, error) {
-	jobs, err := fig9aJobs(sc, seed)
+func Fig9a(x Exec, sc Scale, seed int64) (*Fig9aResult, error) {
+	jobs, err := fig9aJobs(x, sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	studies, err := mapJobs("fig9a", sc, seed, jobs)
+	studies, err := mapJobs(x, "fig9a", sc, seed, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +267,7 @@ func tprAt(fpr, tpr []float64, limit float64) float64 {
 
 // String renders the Fig. 9(a) report.
 func (r *Fig9aResult) String() string {
-	t := &Table{
+	t := &report.Table{
 		Title:  "Fig 9(a): single-anomaly localization ROC",
 		Header: []string{"anomaly", "AUC", "TPR @ FPR<=0.15"},
 	}
@@ -347,7 +347,7 @@ func fig9bPlan(sc Scale, seed int64) ([]runner.Job[float64], []fig9bSlot) {
 }
 
 // fig9bJobs is fig9bPlan's job list alone (the registered job-set builder).
-func fig9bJobs(sc Scale, seed int64) ([]runner.Job[float64], error) {
+func fig9bJobs(_ Exec, sc Scale, seed int64) ([]runner.Job[float64], error) {
 	jobs, _ := fig9bPlan(sc, seed)
 	return jobs, nil
 }
@@ -355,12 +355,12 @@ func fig9bJobs(sc Scale, seed int64) ([]runner.Job[float64], error) {
 // Fig9b runs the Fig. 9(c) campaign — consecutive 10s windows with per-type
 // random intensities — on x86-only and ppc64-only clusters and scores
 // instance-level localization accuracy.
-func Fig9b(sc Scale, seed int64) (*Fig9bResult, error) {
+func Fig9b(x Exec, sc Scale, seed int64) (*Fig9bResult, error) {
 	res := &Fig9bResult{Accuracy: map[string]map[string]float64{
 		"x86": {}, "ppc64": {},
 	}}
 	jobs, slots := fig9bPlan(sc, seed)
-	accs, err := mapJobs("fig9b", sc, seed, jobs)
+	accs, err := mapJobs(x, "fig9b", sc, seed, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -478,7 +478,7 @@ func fig9bRun(spec *topology.Spec, seed int64, nodes []cluster.HardwareProfile, 
 
 // String renders the Fig. 9(b) report.
 func (r *Fig9bResult) String() string {
-	t := &Table{
+	t := &report.Table{
 		Title:  "Fig 9(b): multi-anomaly localization accuracy",
 		Header: []string{"benchmark", "x86", "ppc64"},
 	}
@@ -514,7 +514,7 @@ type Fig9cResult struct {
 // tests like every other experiment; the schedule itself is
 // scale-independent (it mirrors fig9bRun's drawing protocol over a fixed
 // 12-window horizon, Fig. 9(c)'s x-axis).
-func Fig9c(_ Scale, seed int64) (*Fig9cResult, error) {
+func Fig9c(_ Exec, _ Scale, seed int64) (*Fig9cResult, error) {
 	spec := topology.All()[0]
 	targets := fig9bTargetCount(spec)
 	r := sim.Stream(fig9bPairSeed(seed, spec.Name), "fig9b")
@@ -544,7 +544,7 @@ func Fig9c(_ Scale, seed int64) (*Fig9cResult, error) {
 
 // String renders the Fig. 9(c) schedule.
 func (r *Fig9cResult) String() string {
-	t := &Table{
+	t := &report.Table{
 		Title:  "Fig 9(c): multi-anomaly injection schedule (intensity per 10s window)",
 		Header: append([]string{"anomaly"}, intStrings(r.Windows)...),
 	}

@@ -10,14 +10,11 @@ import (
 	"firm/internal/topology"
 )
 
-// renderWithWorkers runs fn under an explicit pool size and returns the
+// renderWithWorkers runs fn on a pool of the given size and returns the
 // rendered artifact.
-func renderWithWorkers(t *testing.T, workers int, fn func() (interface{ String() string }, error)) string {
+func renderWithWorkers(t *testing.T, workers int, fn Runner, sc Scale, seed int64) string {
 	t.Helper()
-	orig := runner.Workers()
-	runner.SetWorkers(workers)
-	defer runner.SetWorkers(orig)
-	r, err := fn()
+	r, err := fn(Exec{Pool: runner.NewPool(workers)}, sc, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +39,8 @@ func TestFig5ParallelDeterminism(t *testing.T) {
 		t.Skip("fig5 sweep is expensive; run without -short")
 	}
 	sc := Scale{Name: "tiny", DurationMul: 0.05, EpisodeCount: 1, CheckpointEvery: 1, Reps: 1}
-	seq := renderWithWorkers(t, 1, func() (interface{ String() string }, error) { return Fig5(sc, 42) })
-	par := renderWithWorkers(t, parallelWorkers(), func() (interface{ String() string }, error) { return Fig5(sc, 42) })
+	seq := renderWithWorkers(t, 1, wrap(Fig5), sc, 42)
+	par := renderWithWorkers(t, parallelWorkers(), wrap(Fig5), sc, 42)
 	if seq != par {
 		t.Fatalf("fig5 output depends on worker count:\n--- 1 worker ---\n%s\n--- %d workers ---\n%s",
 			seq, parallelWorkers(), par)
@@ -51,8 +48,8 @@ func TestFig5ParallelDeterminism(t *testing.T) {
 }
 
 func TestTable1ParallelDeterminism(t *testing.T) {
-	seq := renderWithWorkers(t, 1, func() (interface{ String() string }, error) { return Table1(QuickScale(), 42) })
-	par := renderWithWorkers(t, parallelWorkers(), func() (interface{ String() string }, error) { return Table1(QuickScale(), 42) })
+	seq := renderWithWorkers(t, 1, wrap(Table1), QuickScale(), 42)
+	par := renderWithWorkers(t, parallelWorkers(), wrap(Table1), QuickScale(), 42)
 	if seq != par {
 		t.Fatalf("table1 output depends on worker count:\n--- 1 worker ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
@@ -70,8 +67,8 @@ func TestFig10TinyParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains RL agents; run without -short")
 	}
-	seq := renderWithWorkers(t, 1, func() (interface{ String() string }, error) { return Fig10(tinyScale(), 7) })
-	par := renderWithWorkers(t, parallelWorkers(), func() (interface{ String() string }, error) { return Fig10(tinyScale(), 7) })
+	seq := renderWithWorkers(t, 1, wrap(Fig10), tinyScale(), 7)
+	par := renderWithWorkers(t, parallelWorkers(), wrap(Fig10), tinyScale(), 7)
 	if seq != par {
 		t.Fatalf("fig10 output depends on worker count:\n%s\nvs\n%s", seq, par)
 	}
@@ -81,8 +78,8 @@ func TestFig11aTinyParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains RL agents; run without -short")
 	}
-	seq := renderWithWorkers(t, 1, func() (interface{ String() string }, error) { return Fig11a(tinyScale(), 7) })
-	par := renderWithWorkers(t, parallelWorkers(), func() (interface{ String() string }, error) { return Fig11a(tinyScale(), 7) })
+	seq := renderWithWorkers(t, 1, wrap(Fig11a), tinyScale(), 7)
+	par := renderWithWorkers(t, parallelWorkers(), wrap(Fig11a), tinyScale(), 7)
 	if seq != par {
 		t.Fatalf("fig11a output depends on worker count:\n%s\nvs\n%s", seq, par)
 	}
@@ -95,7 +92,7 @@ func TestFig9cReplaysFig9bSchedule(t *testing.T) {
 	// the protocol (Fig9c's loop vs fig9bRun's runWindow) is caught.
 	seed := int64(9)
 	spec := topology.All()[0]
-	res, err := Fig9c(TinyScale(), seed)
+	res, err := Fig9c(Exec{}, TinyScale(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}

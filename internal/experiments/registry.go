@@ -8,16 +8,17 @@ import (
 	"firm/internal/runner"
 )
 
-// A Runner regenerates one paper artifact at the given scale and seed. The
+// A Runner regenerates one paper artifact at the given scale and seed,
+// executing as x says. The
 // registry below is the single authoritative table of experiment ids: the
 // CLI's -run/-list, the distributed coordinator's campaign job list, and
 // the -serve worker's experiment execution all read it, so every machine in
 // a campaign agrees on what an id means.
-type Runner func(sc Scale, seed int64) (Reportable, error)
+type Runner func(x Exec, sc Scale, seed int64) (Reportable, error)
 
 // wrap adapts a concrete experiment constructor to the Runner signature.
-func wrap[T Reportable](fn func(Scale, int64) (T, error)) Runner {
-	return func(sc Scale, seed int64) (Reportable, error) { return fn(sc, seed) }
+func wrap[T Reportable](fn func(Exec, Scale, int64) (T, error)) Runner {
+	return func(x Exec, sc Scale, seed int64) (Reportable, error) { return fn(x, sc, seed) }
 }
 
 var registry = map[string]Runner{
@@ -75,11 +76,11 @@ type ExperimentPayload struct {
 }
 
 func init() {
-	runner.Register(ExperimentSet, runner.Set{
+	jobSets.Register(ExperimentSet, runner.Set[Exec]{
 		Keys: func(scale string, seed int64) ([]string, error) {
 			return IDs(), nil
 		},
-		Run: func(scale string, seed int64, id string) ([]byte, error) {
+		Run: func(x Exec, scale string, seed int64, id string) ([]byte, error) {
 			sc, err := ScaleByName(scale)
 			if err != nil {
 				return nil, err
@@ -88,7 +89,7 @@ func init() {
 			if !ok {
 				return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 			}
-			res, err := fn(sc, seed)
+			res, err := fn(x, sc, seed)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", id, err)
 			}

@@ -31,7 +31,7 @@ type Table6Result struct {
 
 // Table6 exercises the deployment module: repeated partition changes per
 // resource plus warm and cold container starts.
-func Table6(sc Scale, seed int64) (*Table6Result, error) {
+func Table6(_ Exec, sc Scale, seed int64) (*Table6Result, error) {
 	b, err := harness.New(harness.Options{
 		Seed: seed, Spec: topology.HotelReservation(),
 	})
@@ -94,7 +94,7 @@ func (r *Table6Result) String() string {
 		"io": {2.3, 0.4}, "net": {12.3, 1.1},
 		"warm-start": {45.7, 6.9}, "cold-start": {2050.8, 291.4},
 	}
-	t := &Table{
+	t := &report.Table{
 		Title:  "Table 6: resource-management operation latency (ms)",
 		Header: []string{"operation", "mean", "sd", "paper mean", "paper sd"},
 	}
@@ -129,12 +129,12 @@ type HeadlineResult struct {
 }
 
 // Headline runs Fig. 10 and Fig. 11(b) and derives the abstract's ratios.
-func Headline(sc Scale, seed int64) (*HeadlineResult, error) {
-	f10, err := Fig10(sc, seed)
+func Headline(x Exec, sc Scale, seed int64) (*HeadlineResult, error) {
+	f10, err := Fig10(x, sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	f11b, err := Fig11b(sc, seed+1000)
+	f11b, err := Fig11b(x, sc, seed+1000)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +148,7 @@ func Headline(sc Scale, seed int64) (*HeadlineResult, error) {
 
 // String renders the headline comparison against the paper's claims.
 func (r *HeadlineResult) String() string {
-	t := &Table{
+	t := &report.Table{
 		Title:  "Headline results vs paper claims",
 		Header: []string{"claim", "measured", "paper (up to)"},
 	}

@@ -71,9 +71,12 @@ type TrainOpts struct {
 	// CheckpointEvery snapshots the (shared) agent for Fig. 11(b); 0 = off.
 	CheckpointEvery int
 	// RolloutWorkers pins the episode-rollout worker count (> 0); <= 0
-	// defers to internal/rollout's knob and the shared -parallel budget.
-	// Worker count never changes the trained weights.
+	// borrows actors from Pool. Worker count never changes the trained
+	// weights.
 	RolloutWorkers int
+	// Pool is the campaign's worker budget (Exec.Pool); nil leaves an
+	// unpinned campaign with one actor.
+	Pool *runner.Pool
 	// SyncEvery is the rollout round width (episodes per weight sync); 0
 	// uses rollout.DefaultSyncEvery. Unlike RolloutWorkers it shapes the
 	// trained weights.
@@ -167,6 +170,7 @@ func Train(opts TrainOpts) (*TrainResult, error) {
 	_, err := rollout.Run(rollout.Options{
 		Episodes:   opts.Episodes,
 		Workers:    opts.RolloutWorkers,
+		Pool:       opts.Pool,
 		SyncEvery:  opts.SyncEvery,
 		Seed:       opts.Seed,
 		Key:        "rollout/" + opts.Variant.String(),
@@ -239,17 +243,17 @@ type Fig11aResult struct {
 // One-for-All and One-for-Each run as parallel jobs; Transferred must wait
 // for One-for-All's trained base. Within a variant, episode rollouts
 // parallelize on internal/rollout's actor-learner engine, drawing workers
-// from the same -parallel budget as the job pool. All variants share the
+// from the same pool as the jobs. All variants share the
 // experiment seed on purpose — §4.3 trains every model "subjected to the
 // same sequence of performance anomaly injections".
-func Fig11a(sc Scale, seed int64) (*Fig11aResult, error) {
+func Fig11a(x Exec, sc Scale, seed int64) (*Fig11aResult, error) {
 	spec := topology.TrainTicket()
-	firstTwo, err := runner.Map(seed, []runner.Job[*TrainResult]{
+	firstTwo, err := runner.Map(x.Pool, seed, []runner.Job[*TrainResult]{
 		{Key: "fig11a/one-for-all", Run: func(int64) (*TrainResult, error) {
-			return Train(TrainOpts{Seed: seed, Spec: spec, Episodes: sc.EpisodeCount, Variant: OneForAll})
+			return Train(TrainOpts{Pool: x.Pool, Seed: seed, Spec: spec, Episodes: sc.EpisodeCount, Variant: OneForAll})
 		}},
 		{Key: "fig11a/one-for-each", Run: func(int64) (*TrainResult, error) {
-			return Train(TrainOpts{Seed: seed, Spec: spec, Episodes: sc.EpisodeCount, Variant: OneForEach})
+			return Train(TrainOpts{Pool: x.Pool, Seed: seed, Spec: spec, Episodes: sc.EpisodeCount, Variant: OneForEach})
 		}},
 	})
 	if err != nil {
@@ -257,7 +261,7 @@ func Fig11a(sc Scale, seed int64) (*Fig11aResult, error) {
 	}
 	all, each := firstTwo[0], firstTwo[1]
 	base := all.Provider.Agents()[0]
-	trans, err := Train(TrainOpts{Seed: seed, Spec: spec, Episodes: sc.EpisodeCount, Variant: Transferred, Base: base})
+	trans, err := Train(TrainOpts{Pool: x.Pool, Seed: seed, Spec: spec, Episodes: sc.EpisodeCount, Variant: Transferred, Base: base})
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +298,7 @@ func convergedAt(smoothed []float64, frac float64) int {
 
 // String renders the Fig. 11(a) report.
 func (r *Fig11aResult) String() string {
-	t := &Table{
+	t := &report.Table{
 		Title:  "Fig 11(a): RL training reward (Train-Ticket)",
 		Header: []string{"variant", "final reward (avg)", "converged @ episode", "reward curve (every 1/8)"},
 	}
@@ -345,10 +349,10 @@ type Fig11bResult struct {
 // Fig11b evaluates checkpointed agents: every checkpoint is loaded into a
 // fresh controller and subjected to a one-minute continuous injection
 // campaign; mitigation time is measured as in §4.3.
-func Fig11b(sc Scale, seed int64) (*Fig11bResult, error) {
+func Fig11b(x Exec, sc Scale, seed int64) (*Fig11bResult, error) {
 	spec := topology.TrainTicket()
 	single, err := Train(TrainOpts{
-		Seed: seed, Spec: spec, Episodes: sc.EpisodeCount,
+		Pool: x.Pool, Seed: seed, Spec: spec, Episodes: sc.EpisodeCount,
 		Variant: OneForAll, CheckpointEvery: sc.CheckpointEvery,
 	})
 	if err != nil {
@@ -397,7 +401,7 @@ func Fig11b(sc Scale, seed int64) (*Fig11bResult, error) {
 					return 0, err
 				}
 			}
-			multi, err := Train(TrainOpts{Seed: seed, Spec: spec, Episodes: sc.EpisodeCount / 2,
+			multi, err := Train(TrainOpts{Pool: x.Pool, Seed: seed, Spec: spec, Episodes: sc.EpisodeCount / 2,
 				Variant: Transferred, Base: base})
 			if err != nil {
 				return 0, err
@@ -415,7 +419,7 @@ func Fig11b(sc Scale, seed int64) (*Fig11bResult, error) {
 			return evalBaselineMitigation(spec, seed+500, PolicyAIMD, events)
 		},
 	})
-	mts, err := runner.Map(seed, jobs)
+	mts, err := runner.Map(x.Pool, seed, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -573,7 +577,7 @@ func evalBaselineMitigation(spec *topology.Spec, seed int64, p Policy, events in
 
 // String renders the Fig. 11(b) report.
 func (r *Fig11bResult) String() string {
-	t := &Table{
+	t := &report.Table{
 		Title:  "Fig 11(b): SLO mitigation time vs training (seconds)",
 		Header: []string{"episode", "FIRM (Single-RL)", "FIRM (Multi-RL, final)"},
 	}

@@ -33,19 +33,19 @@ type Options struct {
 	// Nodes lists hardware profiles; nil selects the paper's 15-node
 	// cluster: nine Intel Xeon class and six IBM Power class machines.
 	Nodes []cluster.HardwareProfile
-	// ClusterConfig overrides cluster defaults when non-nil.
-	ClusterConfig *cluster.Config
-	// TraceCap bounds the trace store (default 200k).
-	TraceCap int
-	// TelemetryInterval for the collector (default 250ms).
-	TelemetryInterval sim.Time
-	// MeterWindow for the workload meter (default 1s).
-	MeterWindow sim.Time
 	// SLOMargin calibrates SLO = uncontended P99 × margin when positive.
 	SLOMargin float64
 	// CalibrationN requests per endpoint during SLO calibration.
 	CalibrationN int
 }
+
+// Fixed testbed parameters: the trace store's capacity, the telemetry
+// collector's sampling interval and the workload meter's window.
+const (
+	traceCap          = 200000
+	telemetryInterval = 250 * sim.Millisecond
+	meterWindow       = sim.Second
+)
 
 // PaperNodes returns the §4.1 testbed: 15 two-socket servers, nine x86 and
 // six ppc64.
@@ -88,25 +88,12 @@ func New(opts Options) (*Bench, error) {
 	if opts.Nodes == nil {
 		opts.Nodes = PaperNodes()
 	}
-	if opts.TraceCap <= 0 {
-		opts.TraceCap = 200000
-	}
-	if opts.TelemetryInterval <= 0 {
-		opts.TelemetryInterval = 250 * sim.Millisecond
-	}
-	if opts.MeterWindow <= 0 {
-		opts.MeterWindow = sim.Second
-	}
 	eng := sim.NewEngine(opts.Seed)
-	ccfg := cluster.DefaultConfig()
-	if opts.ClusterConfig != nil {
-		ccfg = *opts.ClusterConfig
-	}
-	cl := cluster.New(eng, ccfg)
+	cl := cluster.New(eng, cluster.DefaultConfig())
 	for _, prof := range opts.Nodes {
 		cl.AddNode(prof)
 	}
-	db := tracedb.New(opts.TraceCap)
+	db := tracedb.New(traceCap)
 	coord := trace.NewCoordinator(eng, db)
 	a, err := app.Deploy(eng, cl, opts.Spec, coord)
 	if err != nil {
@@ -123,8 +110,8 @@ func New(opts Options) (*Bench, error) {
 		DB:       db,
 		Coord:    coord,
 		App:      a,
-		Col:      telemetry.NewCollector(eng, cl, opts.TelemetryInterval, 2000),
-		Meter:    telemetry.NewMeter(eng, opts.MeterWindow, types),
+		Col:      telemetry.NewCollector(eng, cl, telemetryInterval, 2000),
+		Meter:    telemetry.NewMeter(eng, meterWindow, types),
 		Deploy:   deploy.New(eng, cl),
 		Injector: injector.New(eng, opts.Seed),
 	}

@@ -18,9 +18,6 @@ type ShardedOptions struct {
 	Spec *topology.Spec
 	// Shards is the partition count (default 1).
 	Shards int
-	// ClusterConfig overrides cluster defaults when non-nil; PerInstanceNoise
-	// is forced on regardless (shard-count invariance requires it).
-	ClusterConfig *cluster.Config
 }
 
 // ShardedBench is a testbed whose cluster and application are partitioned
@@ -101,10 +98,7 @@ func NewSharded(opts ShardedOptions) (*ShardedBench, error) {
 
 	se := sim.NewShardedEngine(opts.Seed, opts.Shards, spec.BaseRPCDelay)
 	ccfg := cluster.DefaultConfig()
-	if opts.ClusterConfig != nil {
-		ccfg = *opts.ClusterConfig
-	}
-	ccfg.PerInstanceNoise = true
+	ccfg.PerInstanceNoise = true // shard-count invariance requires it
 	ccfg.NoiseSeed = opts.Seed
 
 	// Contiguous node blocks: node n belongs to shard n*S/numNodes. The
@@ -155,10 +149,11 @@ func (b *ShardedBench) AttachWorkload(p workload.Pattern) *workload.Generator {
 // Run advances the sharded clock by d. Shard workers occupy runner slots:
 // the run borrows up to shards-1 idle slots from the campaign pool for its
 // window workers and returns them when done, so a -parallel campaign and a
-// sharded cell share one CPU budget instead of oversubscribing.
-func (b *ShardedBench) Run(d sim.Time) {
-	extra := runner.AcquireUpTo(b.Eng.Shards() - 1)
-	defer runner.ReleaseSlots(extra)
+// sharded cell share one CPU budget instead of oversubscribing. A nil pool
+// runs the windows on the calling goroutine alone.
+func (b *ShardedBench) Run(d sim.Time, pool *runner.Pool) {
+	extra := pool.AcquireUpTo(b.Eng.Shards() - 1)
+	defer pool.ReleaseSlots(extra)
 	b.Eng.SetWorkers(1 + extra)
 	b.Eng.RunFor(d)
 }

@@ -374,7 +374,7 @@ func DetectFeatures(b *testing.B) {
 
 // RolloutRoundOverlap measures one double-buffered rollout campaign — two
 // rounds of four synthetic episodes on two actor replicas with the learner
-// replaying completed episodes concurrently (rollout's default mode). It
+// replaying completed episodes concurrently. It
 // exercises snapshot publication, replica sync, streaming replay, and the
 // batched TrainStep together: the end-to-end training inner loop.
 func RolloutRoundOverlap(b *testing.B) {

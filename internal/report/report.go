@@ -61,7 +61,7 @@ type Report struct {
 	// Workers is provenance for distributed campaigns: the logical worker
 	// slot that produced this report when a campaign is split across
 	// machines. Local runs leave it 0 — results are independent of
-	// `-parallel`/`-rollout` counts by construction, so no machine-local
+	// `-parallel`/`-shards` settings by construction, so no machine-local
 	// worker configuration belongs in the record (JSON output must stay
 	// byte-identical across worker counts).
 	Workers int      `json:"workers,omitempty"`

@@ -14,27 +14,25 @@
 // controller would have. Trained weights — and therefore firmbench stdout —
 // are byte-identical at any worker count; only wall-clock changes.
 //
-// Rounds are double-buffered: by default the learner replays episode i as
-// soon as it completes, concurrently with actors still rolling out later
-// episodes of the same round. This is sound because actors act on private
-// replicas of the round snapshot — learner weight updates cannot leak into
-// in-flight trajectories — and the replay itself stays strictly sequential
-// in episode order. The only barrier left is snapshot publication: round
-// r+1's snapshot is not taken until every episode of round r has been
-// replayed, so policy staleness (and every trained byte) is identical to
-// the strict end-of-round barrier it replaces. SetOverlap/Options.NoOverlap
-// restore the strict barrier for A/B measurement.
+// Rounds are double-buffered: the learner replays episode i as soon as it
+// completes, concurrently with actors still rolling out later episodes of
+// the same round. This is sound because actors act on private replicas of
+// the round snapshot — learner weight updates cannot leak into in-flight
+// trajectories — and the replay itself stays strictly sequential in
+// episode order. The only barrier is snapshot publication: round r+1's
+// snapshot is not taken until every episode of round r has been replayed,
+// so policy staleness (and every trained byte) is what a strict
+// end-of-round barrier would produce.
 //
 // The semantic difference from fully-online training is the classic A3C
 // trade: within a round, actors follow a policy up to SyncEvery-1 episodes
 // stale. Determinism is preserved because staleness depends only on episode
 // index, never on scheduling.
 //
-// Worker budget: an explicit Workers count is honored as-is (tests pin 1,
-// 2, 8 against each other); Workers <= 0 consults the package default
-// (SetWorkers, the CLI's -rollout flag) and, when that is also 0, borrows
-// spare slots from internal/runner's -parallel budget so outer job
-// parallelism and inner rollout parallelism share one pool.
+// Worker budget: an explicit Workers count is honored as-is (tests and
+// benchmarks pin 1, 2, 8 against each other); Workers <= 0 borrows spare
+// slots from Options.Pool, the campaign's runner.Pool, so outer job
+// parallelism and inner rollout parallelism share one budget.
 package rollout
 
 import (
@@ -53,58 +51,18 @@ import (
 // count or machine shape.
 const DefaultSyncEvery = 8
 
-var (
-	mu             sync.Mutex
-	defaultWorkers int  // 0 = borrow from the runner budget
-	overlapOff     bool // true = strict end-of-round barrier everywhere
-)
-
-// SetWorkers sets the package-default actor worker count used when
-// Options.Workers <= 0. n <= 0 restores budget-sharing with internal/runner
-// (the default). cmd/firmbench wires its -rollout flag here.
-func SetWorkers(n int) {
-	mu.Lock()
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers = n
-	mu.Unlock()
-}
-
-// Workers returns the package-default actor worker count (0 = share the
-// runner budget).
-func Workers() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return defaultWorkers
-}
-
-// SetOverlap sets the package default for double-buffered rounds (on by
-// default). Overlap never changes results — only whether learner replay
-// runs concurrently with the round's remaining rollouts. cmd/firmbench
-// wires its -rollout-overlap flag here.
-func SetOverlap(on bool) {
-	mu.Lock()
-	overlapOff = !on
-	mu.Unlock()
-}
-
-// Overlap reports whether double-buffered rounds are enabled by default.
-func Overlap() bool {
-	mu.Lock()
-	defer mu.Unlock()
-	return !overlapOff
-}
-
 // Options configures one rollout campaign.
 type Options struct {
 	// Episodes is the total episode count.
 	Episodes int
 	// Workers is the actor worker count. > 0 is honored exactly (capped at
-	// the round width, beyond which workers would idle); <= 0 resolves via
-	// SetWorkers and then the shared runner budget. Worker count NEVER
-	// affects results.
+	// the round width, beyond which workers would idle); <= 0 borrows from
+	// Pool. Worker count NEVER affects results.
 	Workers int
+	// Pool is the budget unpinned campaigns borrow actors from: each round
+	// claims its spare slots and returns them at the round's end. With a
+	// nil pool (and no pin) the campaign runs one actor.
+	Pool *runner.Pool
 	// SyncEvery is the round width: how many episodes run against one
 	// learner snapshot before the gradient barrier. <= 0 uses
 	// DefaultSyncEvery. Unlike Workers, SyncEvery DOES shape the trained
@@ -129,10 +87,6 @@ type Options struct {
 	// episode ep's transitions have been applied — strictly in episode
 	// order (checkpointing, reward bookkeeping).
 	AfterEpisode func(ep int, reward float64) error
-	// NoOverlap forces the strict end-of-round barrier for this campaign,
-	// disabling the double-buffered learner. Results are byte-identical
-	// either way; the switch exists for A/B benchmarking and debugging.
-	NoOverlap bool
 }
 
 // obs is one collected transition, tagged with its emitting service.
@@ -167,16 +121,6 @@ func Run(opts Options) ([]float64, error) {
 		syncEvery = DefaultSyncEvery
 	}
 
-	// Pinned worker count (explicit option or package knob); 0 = budget
-	// mode, where each round borrows spare runner slots and returns them at
-	// its barrier, so the sequential learner phase never hoards the pool.
-	pinned := opts.Workers
-	if pinned <= 0 {
-		pinned = Workers()
-	}
-
-	overlap := !opts.NoOverlap && Overlap()
-
 	// Persistent replicas, one per worker slot, grown to the widest round
 	// and synced at round boundaries.
 	var replicas []core.ReplicaProvider
@@ -189,12 +133,13 @@ func Run(opts Options) ([]float64, error) {
 		if rest := opts.Episodes - r0; n > rest {
 			n = rest
 		}
-		nw := pinned
+		nw := opts.Workers
 		borrowed := 0
 		if nw <= 0 {
-			// The calling goroutine is one actor for free; extra actors run
-			// only on slots the job pool leaves spare right now.
-			borrowed = runner.AcquireUpTo(n - 1)
+			// Budget mode: the calling goroutine is one actor for free;
+			// extra actors run only on slots the job pool leaves spare
+			// right now, returned when the round ends.
+			borrowed = opts.Pool.AcquireUpTo(n - 1)
 			nw = 1 + borrowed
 		}
 		if nw > n {
@@ -205,12 +150,12 @@ func Run(opts Options) ([]float64, error) {
 		}
 		snaps, err := opts.Learner.SnapshotPolicies()
 		if err != nil {
-			runner.ReleaseSlots(borrowed)
+			opts.Pool.ReleaseSlots(borrowed)
 			return nil, fmt.Errorf("rollout: snapshot before episode %d: %w", r0, err)
 		}
 		for i := 0; i < nw; i++ {
 			if err := replicas[i].SyncPolicies(snaps); err != nil {
-				runner.ReleaseSlots(borrowed)
+				opts.Pool.ReleaseSlots(borrowed)
 				return nil, fmt.Errorf("rollout: sync before episode %d: %w", r0, err)
 			}
 		}
@@ -246,41 +191,6 @@ func Run(opts Options) ([]float64, error) {
 				}
 			}
 			return nil
-		}
-
-		if !overlap {
-			// Strict barrier mode: finish every rollout, then replay.
-			if nw <= 1 {
-				for i := 0; i < n; i++ {
-					runOne(replicas[0], i)
-				}
-			} else {
-				idx := make(chan int)
-				var wg sync.WaitGroup
-				for w := 0; w < nw; w++ {
-					wg.Add(1)
-					go func(rep core.ReplicaProvider) {
-						defer wg.Done()
-						for i := range idx {
-							runOne(rep, i)
-						}
-					}(replicas[w])
-				}
-				for i := 0; i < n; i++ {
-					idx <- i
-				}
-				close(idx)
-				wg.Wait() // round barrier: no episode of round r+1 sees stale weights
-			}
-			// The learner phase is single-goroutine: give borrowed slots back
-			// before it starts so sibling campaigns can use them meanwhile.
-			runner.ReleaseSlots(borrowed)
-			for i := 0; i < n; i++ {
-				if err := apply(i); err != nil {
-					return nil, err
-				}
-			}
-			continue
 		}
 
 		// Double-buffered round: actors stream per-episode completions and
@@ -329,7 +239,7 @@ func Run(opts Options) ([]float64, error) {
 				next++
 			}
 		}
-		runner.ReleaseSlots(borrowed)
+		opts.Pool.ReleaseSlots(borrowed)
 		if firstErr != nil {
 			return nil, firstErr
 		}

@@ -201,32 +201,24 @@ func TestEpisodeErrorIsDeterministic(t *testing.T) {
 }
 
 func TestBudgetSharingWithRunner(t *testing.T) {
-	origW := runner.Workers()
-	defer runner.SetWorkers(origW)
-	origR := Workers()
-	defer SetWorkers(origR)
-	SetWorkers(0) // budget mode
-	runner.SetWorkers(5)
-
-	claimed := runner.AcquireUpTo(3) // simulate three busy campaign jobs
+	pool := runner.NewPool(5)
+	claimed := pool.AcquireUpTo(3) // simulate three busy campaign jobs
 	if claimed != 3 {
 		t.Fatalf("setup: claimed %d", claimed)
 	}
-	// Run a rollout in budget mode: it may borrow at most the 2 spare slots
-	// (and must release them afterwards).
+	// Run an unpinned rollout: it may borrow at most the 2 spare slots (and
+	// must release them afterwards).
 	_, err := Run(Options{
-		Episodes: 4, SyncEvery: 4, Seed: 3, Key: "budget",
+		Episodes: 4, SyncEvery: 4, Seed: 3, Key: "budget", Pool: pool,
 		Learner:    core.SharedAgent{A: rl.New(smallCfg(8))},
 		RunEpisode: syntheticEpisode(func(int, int) string { return "svc" }),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runner.AcquireUpTo(5); got != 2 {
+	if got := pool.AcquireUpTo(5); got != 2 {
 		t.Fatalf("rollout leaked budget slots: %d spare, want 2", got)
 	}
-	runner.ReleaseSlots(2)
-	runner.ReleaseSlots(claimed)
 }
 
 func TestExplicitWorkersAreCappedAtRoundWidth(t *testing.T) {
@@ -263,58 +255,6 @@ func TestSyncEveryShapesTraining(t *testing.T) {
 	}
 	if sameVec(train(1), train(4)) {
 		t.Fatal("SyncEvery must alter training dynamics once the actor updates")
-	}
-}
-
-func TestOverlapMatchesStrictBarrier(t *testing.T) {
-	// Double-buffered replay must be invisible in the results: same rewards,
-	// same trained weights as the strict end-of-round barrier, at one worker
-	// (pure producer/consumer pipelining) and at many.
-	train := func(workers int, noOverlap bool) ([]float64, []float64) {
-		learner := core.SharedAgent{A: rl.New(smallCfg(14))}
-		rewards, err := Run(Options{
-			Episodes: 10, Workers: workers, SyncEvery: 4, Seed: 6, Key: "overlap",
-			Learner:    learner,
-			RunEpisode: syntheticEpisode(func(int, int) string { return "svc" }),
-			NoOverlap:  noOverlap,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		probe := []float64{0.3, -0.2, 0.8, 0.1, -0.6, 0.4, 0.9, -0.3}
-		return rewards, learner.A.Act(probe)
-	}
-	refRewards, refAct := train(1, true)
-	for _, w := range []int{1, 2, 8} {
-		rewards, act := train(w, false)
-		if !sameVec(refRewards, rewards) {
-			t.Fatalf("workers=%d overlap: rewards differ\nstrict:  %v\noverlap: %v", w, refRewards, rewards)
-		}
-		if !sameVec(refAct, act) {
-			t.Fatalf("workers=%d overlap: trained policy differs", w)
-		}
-	}
-}
-
-func TestOverlapPackageKnob(t *testing.T) {
-	defer SetOverlap(true)
-	SetOverlap(false)
-	if Overlap() {
-		t.Fatal("SetOverlap(false) not reflected")
-	}
-	// With the knob off, campaigns run the strict path and still match.
-	learner := core.SharedAgent{A: rl.New(smallCfg(15))}
-	rewards, err := Run(Options{
-		Episodes: 5, Workers: 2, SyncEvery: 2, Seed: 8, Key: "knob",
-		Learner:    learner,
-		RunEpisode: syntheticEpisode(func(int, int) string { return "svc" }),
-	})
-	if err != nil || len(rewards) != 5 {
-		t.Fatalf("strict-path campaign: %v rewards, err %v", len(rewards), err)
-	}
-	SetOverlap(true)
-	if !Overlap() {
-		t.Fatal("SetOverlap(true) not reflected")
 	}
 }
 

@@ -44,59 +44,69 @@ type Event struct {
 	Err  error
 }
 
-var (
-	mu      sync.Mutex
-	workers = runtime.GOMAXPROCS(0)
+// Pool is a campaign's execution budget: how many simulations may run at
+// once, shared between campaign jobs (Map) and the inner parallelism those
+// jobs borrow for — episode-rollout actors (internal/rollout) and sharded-
+// engine window workers (internal/harness). It is a value its owner builds
+// and hands down, so two campaigns in one process never see each other's
+// settings. A nil *Pool is valid everywhere and means one worker with
+// nothing to lend. Pool size never affects results — every parallelized
+// unit is byte-deterministic at any worker count.
+type Pool struct {
+	// Progress, when non-nil, is invoked (serialized, in completion order)
+	// as jobs finish. Progress order is scheduling-dependent; anything that
+	// must be deterministic belongs in Map's results. Set it before the
+	// pool is used.
+	Progress func(Event)
+
+	workers int
+
 	// Execution slots in use are accounted in two separate ledgers: slots
 	// occupied by running Map jobs and slots loaned out via AcquireUpTo.
 	// Keeping them apart means a buggy over-release of loans can never eat
 	// into the accounting of jobs that are still running (which would let
 	// AcquireUpTo oversubscribe the pool).
-	running  int
-	loaned   int
-	progress func(Event)
-)
+	mu      sync.Mutex
+	running int
+	loaned  int
+}
 
-// SetWorkers sets the pool size used by Map. n <= 0 resets to GOMAXPROCS.
-// cmd/firmbench wires its -parallel flag here.
-func SetWorkers(n int) {
+// NewPool returns a pool of n workers; n <= 0 means GOMAXPROCS.
+// cmd/firmbench builds one from its -parallel flag.
+func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	mu.Lock()
-	workers = n
-	mu.Unlock()
+	return &Pool{workers: n}
 }
 
-// Workers returns the current pool size.
-func Workers() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return workers
+// Workers returns the pool size (1 for a nil pool).
+func (p *Pool) Workers() int {
+	if p == nil {
+		return 1
+	}
+	return p.workers
 }
 
-// AcquireUpTo claims up to n spare execution slots from the -parallel
-// budget and returns how many were claimed (possibly 0; never blocks). The
-// budget is shared between campaign jobs (Map) and inner episode-rollout
-// workers (internal/rollout): a rollout running while the job pool is
-// saturated degrades to its caller's goroutine alone, and a lone heavy job
-// gets the whole pool for its rollouts. Claims must be returned with
-// ReleaseSlots. Slot accounting never affects results — every parallelized
-// unit is byte-deterministic at any worker count.
-func AcquireUpTo(n int) int {
-	if n <= 0 {
+// AcquireUpTo claims up to n spare execution slots and returns how many
+// were claimed (possibly 0; never blocks): a rollout running while the job
+// pool is saturated degrades to its caller's goroutine alone, and a lone
+// heavy job gets the whole pool for its rollouts. Claims must be returned
+// with ReleaseSlots.
+func (p *Pool) AcquireUpTo(n int) int {
+	if p == nil || n <= 0 {
 		return 0
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	spare := workers - running - loaned
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	spare := p.workers - p.running - p.loaned
 	if n > spare {
 		n = spare
 	}
 	if n < 0 {
 		n = 0
 	}
-	loaned += n
+	p.loaned += n
 	return n
 }
 
@@ -104,53 +114,42 @@ func AcquireUpTo(n int) int {
 // is currently on loan returns only the outstanding loans: the job ledger
 // is untouched, so a double release cannot inflate the spare budget while
 // jobs are still running.
-func ReleaseSlots(n int) {
-	if n <= 0 {
+func (p *Pool) ReleaseSlots(n int) {
+	if p == nil || n <= 0 {
 		return
 	}
-	mu.Lock()
-	if n > loaned {
-		n = loaned
+	p.mu.Lock()
+	if n > p.loaned {
+		n = p.loaned
 	}
-	loaned -= n
-	mu.Unlock()
+	p.loaned -= n
+	p.mu.Unlock()
 }
 
-// jobRunning accounts one executing job in the shared slot budget.
-func jobRunning(delta int) {
-	mu.Lock()
-	running += delta
-	if running < 0 {
-		running = 0
+// jobRunning accounts one executing job in the slot budget.
+func (p *Pool) jobRunning(delta int) {
+	if p == nil {
+		return
 	}
-	mu.Unlock()
+	p.mu.Lock()
+	p.running += delta
+	p.mu.Unlock()
 }
 
-// SetProgress installs a hook invoked (serialized, in completion order) as
-// jobs finish. nil disables reporting. Progress order is scheduling-
-// dependent; anything that must be deterministic belongs in Map's results.
-func SetProgress(fn func(Event)) {
-	mu.Lock()
-	progress = fn
-	mu.Unlock()
+func (p *Pool) report(ev Event) {
+	if p != nil && p.Progress != nil {
+		p.Progress(ev)
+	}
 }
 
-// Map runs every job on the current worker pool and returns their results
-// in job order. Each job's seed is sim.DeriveSeed(campaignSeed, job.Key),
-// so results do not depend on worker count or completion order. After the
+// Map runs every job on the pool's workers and returns their results in
+// job order. Each job's seed is sim.DeriveSeed(campaignSeed, job.Key), so
+// results do not depend on worker count or completion order. After the
 // first failure, not-yet-started jobs are skipped (already-running ones
 // finish); the error returned is the first in job order among the jobs
 // that ran. Results are only meaningful when the error is nil.
-func Map[T any](campaignSeed int64, jobs []Job[T]) ([]T, error) {
-	return MapN(Workers(), campaignSeed, jobs)
-}
-
-// MapN is Map with an explicit worker count (tests pit 1 against
-// GOMAXPROCS to assert byte-identical output).
-func MapN[T any](nWorkers int, campaignSeed int64, jobs []Job[T]) ([]T, error) {
-	if nWorkers <= 0 {
-		nWorkers = runtime.GOMAXPROCS(0)
-	}
+func Map[T any](p *Pool, campaignSeed int64, jobs []Job[T]) ([]T, error) {
+	nWorkers := p.Workers()
 	if nWorkers > len(jobs) {
 		nWorkers = len(jobs)
 	}
@@ -171,8 +170,8 @@ func MapN[T any](nWorkers int, campaignSeed int64, jobs []Job[T]) ([]T, error) {
 	// means a job that fails (or panics clear through Map) can never leak
 	// its execution slot and starve later campaigns of budget.
 	runJob := func(i int) {
-		jobRunning(1)
-		defer jobRunning(-1)
+		p.jobRunning(1)
+		defer p.jobRunning(-1)
 		results[i], errs[i] = jobs[i].Run(sim.DeriveSeed(campaignSeed, jobs[i].Key))
 	}
 
@@ -182,7 +181,7 @@ func MapN[T any](nWorkers int, campaignSeed int64, jobs []Job[T]) ([]T, error) {
 		// Inline fast path: no goroutines, same semantics.
 		for i, j := range jobs {
 			runJob(i)
-			report(Event{Key: j.Key, Done: i + 1, N: len(jobs), Err: errs[i]})
+			p.report(Event{Key: j.Key, Done: i + 1, N: len(jobs), Err: errs[i]})
 			if errs[i] != nil {
 				break
 			}
@@ -209,7 +208,7 @@ func MapN[T any](nWorkers int, campaignSeed int64, jobs []Job[T]) ([]T, error) {
 				}
 				doneMu.Lock()
 				done++
-				report(Event{Key: j.Key, Done: done, N: len(jobs), Err: errs[i]})
+				p.report(Event{Key: j.Key, Done: done, N: len(jobs), Err: errs[i]})
 				doneMu.Unlock()
 			}
 		}()
@@ -229,15 +228,6 @@ func firstErr(errs []error) error {
 		}
 	}
 	return nil
-}
-
-func report(ev Event) {
-	mu.Lock()
-	fn := progress
-	mu.Unlock()
-	if fn != nil {
-		fn(ev)
-	}
 }
 
 // Key builds a stable job key from path segments ("fig5", bench, "cpu",

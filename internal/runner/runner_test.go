@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,12 +29,12 @@ func jitteryJobs(n int) []Job[string] {
 
 func TestMapNResultsIndependentOfWorkerCount(t *testing.T) {
 	jobs := jitteryJobs(24)
-	ref, err := MapN(1, 42, jobs)
+	ref, err := Map(NewPool(1), 42, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8, 100} {
-		got, err := MapN(workers, 42, jobs)
+		got, err := Map(NewPool(workers), 42, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func TestMapNResultsIndependentOfWorkerCount(t *testing.T) {
 
 func TestMapNResultOrderMatchesJobOrder(t *testing.T) {
 	jobs := jitteryJobs(16)
-	got, err := MapN(4, 7, jobs)
+	got, err := Map(NewPool(4), 7, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestMapNSeedsDifferPerKey(t *testing.T) {
 			return 0, nil
 		}}
 	}
-	if _, err := MapN(4, 1, jobs); err != nil {
+	if _, err := Map(NewPool(4), 1, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if len(seeds) != len(jobs) {
@@ -93,7 +94,7 @@ func TestMapNErrorReporting(t *testing.T) {
 	// Sequential: jobs after the first failure are skipped, and the error
 	// is deterministic (first in job order).
 	ran.Store(0)
-	if _, err := MapN(1, 0, jobs); !errors.Is(err, errA) {
+	if _, err := Map(NewPool(1), 0, jobs); !errors.Is(err, errA) {
 		t.Fatalf("workers=1: want %v, got %v", errA, err)
 	}
 	if got := ran.Load(); got != 2 {
@@ -101,7 +102,7 @@ func TestMapNErrorReporting(t *testing.T) {
 	}
 	// Parallel: some failing job's error is returned (which one depends on
 	// completion order — errors abort the campaign either way).
-	if _, err := MapN(3, 0, jobs); !errors.Is(err, errA) && !errors.Is(err, errB) {
+	if _, err := Map(NewPool(3), 0, jobs); !errors.Is(err, errA) && !errors.Is(err, errB) {
 		t.Fatalf("workers=3: want a job error, got %v", err)
 	}
 }
@@ -111,7 +112,7 @@ func TestMapNRejectsDuplicateKeys(t *testing.T) {
 		{Key: "x", Run: func(int64) (int, error) { return 0, nil }},
 		{Key: "x", Run: func(int64) (int, error) { return 0, nil }},
 	}
-	if _, err := MapN(2, 0, jobs); err == nil {
+	if _, err := Map(NewPool(2), 0, jobs); err == nil {
 		t.Fatal("duplicate keys must be rejected: they would share a seed")
 	}
 }
@@ -119,14 +120,14 @@ func TestMapNRejectsDuplicateKeys(t *testing.T) {
 func TestProgressReportsEveryJob(t *testing.T) {
 	var mu sync.Mutex
 	var events []Event
-	SetProgress(func(ev Event) {
+	pool := NewPool(4)
+	pool.Progress = func(ev Event) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
-	})
-	defer SetProgress(nil)
+	}
 	jobs := jitteryJobs(10)
-	if _, err := MapN(4, 3, jobs); err != nil {
+	if _, err := Map(pool, 3, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != len(jobs) {
@@ -139,56 +140,80 @@ func TestProgressReportsEveryJob(t *testing.T) {
 	}
 }
 
-func TestSetWorkersClampsAndRestores(t *testing.T) {
-	orig := Workers()
-	defer SetWorkers(orig)
-	SetWorkers(3)
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d", Workers())
+func TestNewPoolClampsWorkers(t *testing.T) {
+	if got := NewPool(3).Workers(); got != 3 {
+		t.Fatalf("NewPool(3).Workers() = %d", got)
 	}
-	SetWorkers(0)
-	if Workers() <= 0 {
-		t.Fatal("SetWorkers(0) must reset to GOMAXPROCS")
+	for _, n := range []int{0, -2} {
+		if got := NewPool(n).Workers(); got != runtime.GOMAXPROCS(0) {
+			t.Fatalf("NewPool(%d).Workers() = %d, want GOMAXPROCS", n, got)
+		}
+	}
+}
+
+// TestNilPoolIsOneWorkerWithNothingToLend pins the zero configuration every
+// library caller gets: Map runs inline, in order, and inner parallelism
+// finds no slots to borrow.
+func TestNilPoolIsOneWorkerWithNothingToLend(t *testing.T) {
+	var p *Pool
+	if p.Workers() != 1 {
+		t.Fatalf("nil pool Workers() = %d", p.Workers())
+	}
+	if got := p.AcquireUpTo(4); got != 0 {
+		t.Fatalf("nil pool lent %d slots", got)
+	}
+	p.ReleaseSlots(4)
+	var order []string
+	jobs := make([]Job[int], 4)
+	for i := range jobs {
+		key := Key("j", i)
+		jobs[i] = Job[int]{Key: key, Run: func(int64) (int, error) {
+			order = append(order, key) // unsynchronized on purpose: -race proves inline execution
+			return p.AcquireUpTo(1), nil
+		}}
+	}
+	got, err := Map(p, 1, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(order) != "[j/0 j/1 j/2 j/3]" || fmt.Sprint(got) != "[0 0 0 0]" {
+		t.Fatalf("nil-pool Map: order %v, loans %v", order, got)
 	}
 }
 
 func TestAcquireUpToRespectsBudget(t *testing.T) {
-	orig := Workers()
-	defer SetWorkers(orig)
-	SetWorkers(4)
-	if got := AcquireUpTo(10); got != 4 {
+	p := NewPool(4)
+	if got := p.AcquireUpTo(10); got != 4 {
 		t.Fatalf("AcquireUpTo(10) with budget 4 = %d", got)
 	}
-	if got := AcquireUpTo(1); got != 0 {
+	if got := p.AcquireUpTo(1); got != 0 {
 		t.Fatalf("exhausted budget must lend 0, got %d", got)
 	}
-	ReleaseSlots(4)
-	if got := AcquireUpTo(2); got != 2 {
+	p.ReleaseSlots(4)
+	if got := p.AcquireUpTo(2); got != 2 {
 		t.Fatalf("after release: AcquireUpTo(2) = %d", got)
 	}
-	ReleaseSlots(2)
-	if got := AcquireUpTo(0); got != 0 {
+	p.ReleaseSlots(2)
+	if got := p.AcquireUpTo(0); got != 0 {
 		t.Fatalf("AcquireUpTo(0) = %d", got)
 	}
-	if got := AcquireUpTo(-3); got != 0 {
+	if got := p.AcquireUpTo(-3); got != 0 {
 		t.Fatalf("AcquireUpTo(-3) = %d", got)
 	}
 }
 
 func TestMapJobsOccupyBudgetSlots(t *testing.T) {
-	orig := Workers()
-	defer SetWorkers(orig)
-	SetWorkers(3)
+	p := NewPool(3)
 	// While a job runs it holds one slot, so an inner rollout asking for the
 	// whole pool can only borrow what the job pool left spare.
 	var spareSeen int
 	jobs := []Job[int]{{Key: "probe", Run: func(int64) (int, error) {
-		n := AcquireUpTo(10)
+		n := p.AcquireUpTo(10)
 		spareSeen = n
-		ReleaseSlots(n)
+		p.ReleaseSlots(n)
 		return 0, nil
 	}}}
-	if _, err := MapN(1, 0, jobs); err != nil {
+	if _, err := Map(p, 0, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if spareSeen != 2 {
@@ -196,48 +221,61 @@ func TestMapJobsOccupyBudgetSlots(t *testing.T) {
 	}
 }
 
-// slotLedger reads the shared slot accounting under the package lock.
-func slotLedger() (run, loan int) {
-	mu.Lock()
-	defer mu.Unlock()
-	return running, loaned
+// slotLedger reads the pool's slot accounting under its lock.
+func slotLedger(p *Pool) (run, loan int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.running, p.loaned
 }
 
 // TestMapFailureLeavesNoSlotDebt is the regression test for slot accounting
-// on the error path: a mid-campaign job failure — including one that borrows
-// and returns rollout slots itself — must leave the budget exactly as it
-// found it, at any worker count and under -race.
+// on the failure paths: a mid-campaign job failure — including one that
+// borrows and returns rollout slots itself, which on the 1-slot pool is a
+// loan request while saturated — or a job that panics clear through Map
+// must leave the budget exactly as it found it, at any worker count and
+// under -race.
 func TestMapFailureLeavesNoSlotDebt(t *testing.T) {
-	orig := Workers()
-	defer SetWorkers(orig)
-	SetWorkers(4)
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
+		p := NewPool(workers)
 		jobs := make([]Job[int], 8)
 		for i := range jobs {
 			i := i
 			jobs[i] = Job[int]{Key: Key("j", i), Run: func(int64) (int, error) {
 				// Borrow like an inner rollout round would, then fail
 				// mid-campaign with the loan already returned.
-				n := AcquireUpTo(2)
+				n := p.AcquireUpTo(2)
 				time.Sleep(time.Millisecond)
-				ReleaseSlots(n)
+				p.ReleaseSlots(n)
 				if i == 3 {
 					return 0, boom
 				}
 				return i, nil
 			}}
 		}
-		if _, err := MapN(workers, 1, jobs); !errors.Is(err, boom) {
+		if _, err := Map(p, 1, jobs); !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: want boom, got %v", workers, err)
 		}
-		if run, loan := slotLedger(); run != 0 || loan != 0 {
+		if run, loan := slotLedger(p); run != 0 || loan != 0 {
 			t.Fatalf("workers=%d: slot debt after failed campaign: running=%d loaned=%d", workers, run, loan)
 		}
-		if got := AcquireUpTo(4); got != 4 {
+		if got := p.AcquireUpTo(workers); got != workers {
 			t.Fatalf("workers=%d: budget shrunk to %d after failed campaign", workers, got)
 		}
-		ReleaseSlots(4)
+		p.ReleaseSlots(workers)
+	}
+
+	p := NewPool(2)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("job panic must propagate through Map")
+			}
+		}()
+		Map(p, 1, []Job[int]{{Key: "panics", Run: func(int64) (int, error) { panic("job bug") }}})
+	}()
+	if run, loan := slotLedger(p); run != 0 || loan != 0 {
+		t.Fatalf("slot debt after a panicking job: running=%d loaned=%d", run, loan)
 	}
 }
 
@@ -245,23 +283,21 @@ func TestMapFailureLeavesNoSlotDebt(t *testing.T) {
 // a job occupies its slot, over-releasing loans must not free the running
 // job's slot for lending (which would oversubscribe the pool).
 func TestReleaseSlotsCannotEatRunningJobs(t *testing.T) {
-	orig := Workers()
-	defer SetWorkers(orig)
-	SetWorkers(2)
+	p := NewPool(2)
 	var spareSeen int
 	jobs := []Job[int]{{Key: "overrelease", Run: func(int64) (int, error) {
-		ReleaseSlots(10) // buggy caller: nothing is on loan
-		spareSeen = AcquireUpTo(10)
-		ReleaseSlots(spareSeen)
+		p.ReleaseSlots(10) // buggy caller: nothing is on loan
+		spareSeen = p.AcquireUpTo(10)
+		p.ReleaseSlots(spareSeen)
 		return 0, nil
 	}}}
-	if _, err := MapN(1, 0, jobs); err != nil {
+	if _, err := Map(p, 0, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if spareSeen != 1 {
 		t.Fatalf("over-release freed a running job's slot: spare=%d, want 1 of a 2-slot budget", spareSeen)
 	}
-	if run, loan := slotLedger(); run != 0 || loan != 0 {
+	if run, loan := slotLedger(p); run != 0 || loan != 0 {
 		t.Fatalf("ledger left dirty: running=%d loaned=%d", run, loan)
 	}
 }

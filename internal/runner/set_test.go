@@ -8,25 +8,30 @@ import (
 	"firm/internal/sim"
 )
 
-// testSet registers a tiny arithmetic job set under a unique name and
-// returns the name. Results depend only on (seed, key), mirroring the
-// determinism contract real sets inherit from DeriveSeed.
-func testSet(t *testing.T, name string, keys []string) string {
+// testSet registers a tiny arithmetic job set and returns its name.
+// Results depend only on (seed, key), mirroring the determinism contract
+// real sets inherit from DeriveSeed; the execution value (an offset here)
+// is handed through to Run untouched.
+func testSet(t *testing.T, reg *Registry[int64], name string, keys []string) string {
 	t.Helper()
-	Register(name, Set{
+	reg.Register(name, Set[int64]{
 		Keys: func(scale string, seed int64) ([]string, error) {
 			return append([]string(nil), keys...), nil
 		},
-		Run: func(scale string, seed int64, key string) ([]byte, error) {
-			return json.Marshal(sim.DeriveSeed(seed, key) % 1000)
+		Run: func(off int64, scale string, seed int64, key string) ([]byte, error) {
+			return json.Marshal(off + sim.DeriveSeed(seed, key)%1000)
 		},
 	})
 	return name
 }
 
 func TestSetRegistryLookup(t *testing.T) {
-	name := testSet(t, "set-test/lookup", []string{"a", "b"})
-	s, ok := LookupSet(name)
+	var reg Registry[int64]
+	if _, ok := reg.Lookup("set-test/lookup"); ok || len(reg.Names()) != 0 {
+		t.Fatal("zero registry must be empty")
+	}
+	name := testSet(t, &reg, "set-test/lookup", []string{"a", "b"})
+	s, ok := reg.Lookup(name)
 	if !ok {
 		t.Fatalf("registered set %q not found", name)
 	}
@@ -37,39 +42,36 @@ func TestSetRegistryLookup(t *testing.T) {
 	if fmt.Sprint(keys) != "[a b]" {
 		t.Fatalf("keys = %v", keys)
 	}
-	if _, ok := LookupSet("set-test/missing"); ok {
+	if _, ok := reg.Lookup("set-test/missing"); ok {
 		t.Fatal("lookup of unregistered set succeeded")
 	}
-	found := false
-	for _, n := range SetNames() {
-		if n == name {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("SetNames() misses %q", name)
+	testSet(t, &reg, "set-test/a-first", nil)
+	if got := fmt.Sprint(reg.Names()); got != "[set-test/a-first set-test/lookup]" {
+		t.Fatalf("Names() = %s, want both sets sorted", got)
 	}
 }
 
 func TestSetRunMatchesDeriveSeed(t *testing.T) {
-	name := testSet(t, "set-test/derive", []string{"k0", "k1"})
-	s, _ := LookupSet(name)
-	got, err := s.Run("tiny", 7, "k1")
+	var reg Registry[int64]
+	name := testSet(t, &reg, "set-test/derive", []string{"k0", "k1"})
+	s, _ := reg.Lookup(name)
+	got, err := s.Run(5000, "tiny", 7, "k1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := json.Marshal(sim.DeriveSeed(7, "k1") % 1000)
+	want, _ := json.Marshal(5000 + sim.DeriveSeed(7, "k1")%1000)
 	if string(got) != string(want) {
 		t.Fatalf("Run = %s, want %s", got, want)
 	}
 }
 
 func TestRegisterRejectsDuplicatesAndNil(t *testing.T) {
-	name := testSet(t, "set-test/dup", []string{"a"})
+	var reg Registry[int64]
+	name := testSet(t, &reg, "set-test/dup", []string{"a"})
 	for _, bad := range []func(){
-		func() { testSet(t, name, []string{"a"}) },
-		func() { Register("", Set{}) },
-		func() { Register("set-test/nil", Set{}) },
+		func() { testSet(t, &reg, name, []string{"a"}) },
+		func() { reg.Register("", Set[int64]{}) },
+		func() { reg.Register("set-test/nil", Set[int64]{}) },
 	} {
 		func() {
 			defer func() {

@@ -15,7 +15,7 @@ import (
 // can execute a window concurrently without ever seeing each other's
 // mid-window state.
 //
-// The determinism contract mirrors -parallel/-rollout: for a fixed shard
+// The determinism contract mirrors -parallel: for a fixed shard
 // count, output is byte-identical at any worker count (each shard's window
 // is a sequential run over private state; workers only choose which OS
 // thread executes it). Byte-identical output across *shard counts* is a

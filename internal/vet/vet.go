@@ -2,7 +2,7 @@
 // alloc-discipline static-analysis suite.
 //
 // Every invariant the reproduction lives by — byte-identical output at any
-// -parallel × -rollout × -shards configuration, 0 allocs/op on the
+// -parallel × -shards configuration, 0 allocs/op on the
 // steady-state tick and shard-step paths — is otherwise enforced only after
 // the fact, by golden tests and bench gates. firmvet checks the contract at
 // the source level, before nondeterminism or allocation churn can ship:
