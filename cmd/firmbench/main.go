@@ -8,8 +8,6 @@
 //	firmbench -run all -scale full -parallel 8
 //	firmbench -run fig11b -scale tiny -parallel 4 -shards 2
 //	firmbench -run all -scale tiny -json results.json
-//	firmbench -bench -bench-trend -json BENCH_ci.json
-//	firmbench -bench-trend
 //	firmbench -diff [-tol 0.05] [-tol-metric p99=0.1] a.json b.json
 //	firmbench -serve :8701
 //	firmbench -dist host1:8701,host2:8701 -run all -scale full
@@ -44,12 +42,6 @@
 // run their shard windows on worker goroutines; both borrow whatever the
 // job pool leaves spare and hand it back, so inner and outer parallelism
 // never oversubscribe. Neither setting changes stdout — only wall-clock.
-//
-// -bench-trend tabulates the repo's committed BENCH_*.json files (one
-// column per recorded run) so the allocs/op and ns/op trajectory across PRs
-// is visible at a glance; combined with -bench it appends the current run
-// and fails if any benchmark's allocs/op regresses more than 1% past the
-// best recorded run.
 //
 // -serve and -dist split one campaign across machines (internal/dist):
 // `firmbench -serve :port` runs a worker, `firmbench -dist host1,host2 -run
@@ -108,14 +100,12 @@ func (t tolMetricFlag) Set(s string) error {
 
 // Mode names, as error messages print them.
 const (
-	modeDiff       = "-diff"
-	modeBench      = "-bench"
-	modeBenchTrend = "-bench-trend"
-	modeServe      = "-serve"
-	modeDist       = "-dist"
-	modeList       = "-list"
-	modeScenarios  = "-scenarios"
-	modeCampaign   = "campaign (-run)"
+	modeDiff      = "-diff"
+	modeServe     = "-serve"
+	modeDist      = "-dist"
+	modeList      = "-list"
+	modeScenarios = "-scenarios"
+	modeCampaign  = "campaign (-run)"
 )
 
 // A mode is one way to invoke firmbench.
@@ -123,7 +113,7 @@ type mode struct {
 	name string
 	// flags lists the flags the mode accepts; the first one selects it.
 	flags []string
-	// args is the positional-argument count the mode takes (-1 = any).
+	// args is the positional-argument count the mode takes.
 	args int
 }
 
@@ -141,8 +131,6 @@ var campaignFlags = []string{"run", "scale", "seed", "parallel", "shards", "quie
 // another.
 var modes = []mode{
 	{modeDiff, []string{"diff", "tol", "tol-metric"}, 2},
-	{modeBench, []string{"bench", "bench-trend", "bench-allocs", "json", "cpuprofile", "memprofile"}, -1},
-	{modeBenchTrend, []string{"bench-trend"}, -1},
 	{modeServe, []string{"serve", "parallel", "shards", "quiet"}, 0},
 	{modeDist, append([]string{"dist", "dist-timeout"}, campaignFlags...), 0},
 	listMode,
@@ -158,9 +146,9 @@ type invocation struct {
 	run, scale, jsonOut, serve, dist string
 	seed                             int64
 	parallel, shards                 int
-	quiet, benchTrend                bool
+	quiet                            bool
 	tol                              float64
-	tolMetric, benchAllocs           tolMetricFlag
+	tolMetric                        tolMetricFlag
 	cpuprofile, memprofile           string
 	distTimeout                      time.Duration
 	args                             []string
@@ -170,7 +158,7 @@ type invocation struct {
 // invocation's fields. The mode selectors that carry no value of their own
 // are plain booleans.
 func newFlagSet() (*flag.FlagSet, *invocation) {
-	inv := &invocation{tolMetric: tolMetricFlag{}, benchAllocs: tolMetricFlag{}}
+	inv := &invocation{tolMetric: tolMetricFlag{}}
 	fs := flag.NewFlagSet("firmbench", flag.ContinueOnError)
 	fs.StringVar(&inv.run, "run", "", "experiment id to run, or 'all'")
 	fs.StringVar(&inv.scale, "scale", "quick", "tiny|quick|full")
@@ -186,12 +174,9 @@ func newFlagSet() (*flag.FlagSet, *invocation) {
 	fs.StringVar(&inv.serve, "serve", "", "run a distributed-campaign worker on this address (host:port)")
 	fs.StringVar(&inv.dist, "dist", "", "comma-separated worker addresses; run the campaign as their coordinator")
 	fs.DurationVar(&inv.distTimeout, "dist-timeout", 0, "per-job timeout for -dist before a worker counts as failed (0 = none)")
-	fs.Bool("bench", false, "run the microbenchmark suite (optionally name benchmarks as arguments) and report allocs/op, bytes/op, ns/op")
-	fs.BoolVar(&inv.benchTrend, "bench-trend", false, "tabulate recorded BENCH_*.json runs (optionally named as arguments) as a trend table; with -bench, also gate the current run's allocs/op against the best recorded run")
-	fs.StringVar(&inv.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the campaign or bench run to this file")
-	fs.StringVar(&inv.memprofile, "memprofile", "", "write a pprof heap profile at campaign or bench end to this file")
+	fs.StringVar(&inv.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
+	fs.StringVar(&inv.memprofile, "memprofile", "", "write a pprof heap profile at campaign end to this file")
 	fs.Var(inv.tolMetric, "tol-metric", "per-metric tolerance override for -diff, name=x (repeatable; matches row metric names and full series names)")
-	fs.Var(inv.benchAllocs, "bench-allocs", "max allocs/op for a -bench benchmark, name=N (repeatable; exceeding it exits 1 — the CI perf-regression gate)")
 	return fs, inv
 }
 
@@ -204,13 +189,13 @@ func parseArgs(args []string) (*invocation, error) {
 	}
 	inv.args = fs.Args()
 	// Only explicitly set flags count: a default is indistinguishable from
-	// intent otherwise (e.g. -scale with -bench).
+	// intent otherwise (e.g. -scale with -serve).
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	m := listMode
 	for _, cand := range modes {
-		// A boolean selector spelled -bench=false selects nothing.
+		// A boolean selector spelled -diff=false selects nothing.
 		if sel := cand.flags[0]; set[sel] && fs.Lookup(sel).Value.String() != "false" {
 			m = cand
 			break
@@ -228,7 +213,7 @@ func parseArgs(args []string) (*invocation, error) {
 		return nil, fmt.Errorf("%s cannot be combined with %s (it accepts: -%s)",
 			strings.Join(stray, ", "), m.name, strings.Join(m.flags, " -"))
 	}
-	if m.args >= 0 && len(inv.args) != m.args {
+	if len(inv.args) != m.args {
 		return nil, fmt.Errorf("%s takes %d positional argument(s), got %q", m.name, m.args, inv.args)
 	}
 
@@ -273,8 +258,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: firmbench -run <id|all> [-scale tiny|quick|full] [-seed N] [-parallel N] [-shards N] [-json path] [-cpuprofile f] [-memprofile f] |")
 		fmt.Fprintln(os.Stderr, "       firmbench -list | firmbench -scenarios |")
 		fmt.Fprintln(os.Stderr, "       firmbench -diff [-tol x] [-tol-metric name=x] a.json b.json |")
-		fmt.Fprintln(os.Stderr, "       firmbench -bench [bench ...] [-json path] [-bench-allocs name=N] [-bench-trend] |")
-		fmt.Fprintln(os.Stderr, "       firmbench -bench-trend [BENCH_*.json ...] |")
 		fmt.Fprintln(os.Stderr, "       firmbench -serve host:port | firmbench -dist host1,host2 -run <id|all>")
 		os.Exit(2)
 	}
@@ -297,12 +280,6 @@ func main() {
 	switch inv.mode {
 	case modeDiff:
 		os.Exit(diffCampaigns(inv.args, report.Tolerances{Default: inv.tol, Metric: inv.tolMetric}))
-	case modeBench:
-		os.Exit(withProfiles(inv.cpuprofile, inv.memprofile, func() int {
-			return runBenchSuite(inv.args, inv.jsonOut, inv.benchAllocs, inv.benchTrend)
-		}))
-	case modeBenchTrend:
-		os.Exit(runBenchTrend(os.Stdout, inv.args, nil))
 	case modeServe:
 		os.Exit(runWorker(x, inv.serve))
 	case modeScenarios:

@@ -169,9 +169,3 @@ func utilScore(u float64) float64 {
 		return 0
 	}
 }
-
-// MaxReward is the reward upper bound given alpha (useful for normalizing
-// learning curves in Fig. 11a).
-func MaxReward(alpha float64) float64 {
-	return alpha*float64(cluster.NumResources) + (1-alpha)*float64(cluster.NumResources)
-}

@@ -178,8 +178,10 @@ func TestStateVector(t *testing.T) {
 
 func TestReward(t *testing.T) {
 	full := Reward(1, cluster.V(1, 1, 1, 1, 1), 0.6)
-	if math.Abs(full-MaxReward(0.6)) > 1e-9 {
-		t.Fatalf("perfect reward %v != max %v", full, MaxReward(0.6))
+	// No violation at full utilization earns one point per resource,
+	// whatever alpha is.
+	if want := float64(cluster.NumResources); math.Abs(full-want) > 1e-9 {
+		t.Fatalf("perfect reward %v != max %v", full, want)
 	}
 	// Violations reduce reward.
 	bad := Reward(0.2, cluster.V(1, 1, 1, 1, 1), 0.6)

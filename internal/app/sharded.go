@@ -122,9 +122,6 @@ func DeploySharded(se *sim.ShardedEngine, spec *topology.Spec, home int, assign 
 	return a, nil
 }
 
-// Home returns the admission shard's index.
-func (a *ShardedApp) Home() int { return a.home }
-
 // Engine returns the home shard's engine (the workload.Target clock).
 func (a *ShardedApp) Engine() *sim.Engine { return a.se.Shard(a.home) }
 

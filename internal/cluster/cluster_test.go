@@ -46,7 +46,7 @@ func TestVectorOps(t *testing.T) {
 
 func TestResourceNames(t *testing.T) {
 	want := []string{"cpu", "membw", "llc", "iobw", "netbw"}
-	for i, r := range Resources() {
+	for i, r := range []Resource{CPU, MemBW, LLC, IOBW, NetBW} {
 		if r.String() != want[i] {
 			t.Fatalf("resource %d name %q", i, r.String())
 		}

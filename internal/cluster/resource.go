@@ -37,11 +37,6 @@ func (r Resource) String() string {
 	return resourceNames[r]
 }
 
-// Resources lists all controlled resource types.
-func Resources() []Resource {
-	return []Resource{CPU, MemBW, LLC, IOBW, NetBW}
-}
-
 // Vector holds one value per resource type. Units are model units: CPU in
 // cores, MemBW in MB/s, LLC in MB, IOBW in MB/s, NetBW in Mbps.
 type Vector [NumResources]float64

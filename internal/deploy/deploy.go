@@ -52,11 +52,6 @@ var opLatency = [NumOps][2]float64{
 	OpColdStart: {2050.8, 291.4},
 }
 
-// LatencyParams returns the configured (mean, sd) in ms for an operation.
-func LatencyParams(o Op) (mean, sd float64) {
-	return opLatency[o][0], opLatency[o][1]
-}
-
 // Module actuates resource-management actions.
 type Module struct {
 	eng *sim.Engine

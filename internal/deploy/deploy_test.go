@@ -182,7 +182,7 @@ func TestLatencyParamsTable6(t *testing.T) {
 		{OpWarmStart, 45.7}, {OpColdStart, 2050.8},
 	}
 	for _, c := range cases {
-		mean, sd := LatencyParams(c.op)
+		mean, sd := opLatency[c.op][0], opLatency[c.op][1]
 		if mean != c.mean || sd <= 0 {
 			t.Fatalf("%v: (%v, %v)", c.op, mean, sd)
 		}

@@ -193,15 +193,6 @@ func (e *Extractor) Candidates(traces []*trace.Trace) []Candidate {
 	return cands
 }
 
-// CandidatesAt applies a custom decision threshold (ROC sweeps).
-func (e *Extractor) CandidatesAt(traces []*trace.Trace, threshold float64) []Candidate {
-	cands := e.Candidates(traces)
-	for i := range cands {
-		cands[i].Critical = cands[i].Score > threshold
-	}
-	return cands
-}
-
 // Train applies one online SVM update for a candidate with ground-truth
 // label (true = the instance was under injected contention). This is how
 // injection campaigns generate training data (§3.6).

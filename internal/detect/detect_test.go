@@ -132,8 +132,8 @@ func TestThresholdSweepMonotone(t *testing.T) {
 	e := newExtractor(t)
 	countAt := func(th float64) int {
 		n := 0
-		for _, c := range e.CandidatesAt(traces, th) {
-			if c.Critical {
+		for _, c := range e.Candidates(traces) {
+			if c.Score > th {
 				n++
 			}
 		}

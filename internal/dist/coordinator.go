@@ -71,23 +71,6 @@ func NewPool(hosts []string, local RunFunc) *Pool {
 	return &Pool{Hosts: hosts, Local: local}
 }
 
-// Alive returns how many hosts are currently considered usable (all of
-// them before the first Run's health check).
-func (p *Pool) Alive() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.dead == nil {
-		return len(p.Hosts)
-	}
-	n := 0
-	for _, d := range p.dead {
-		if !d {
-			n++
-		}
-	}
-	return n
-}
-
 // hostURL normalizes a host entry to a base URL.
 func hostURL(h string) string {
 	if strings.HasPrefix(h, "http://") || strings.HasPrefix(h, "https://") {

@@ -30,7 +30,7 @@ func TestWorkerRejectsUnknownSetAsJobError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown job set") {
 		t.Fatalf("want unknown-set job error, got %v", err)
 	}
-	if p.Alive() != 1 {
+	if alive(p) != 1 {
 		t.Fatal("a job error must not kill the worker that reported it")
 	}
 }

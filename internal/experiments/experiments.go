@@ -46,7 +46,7 @@ type Scale struct {
 	Reps int
 }
 
-// QuickScale is used by `go test -bench` and CI.
+// QuickScale is firmbench's default scale and the one CI's smokes run.
 func QuickScale() Scale {
 	return Scale{Name: "quick", DurationMul: 0.25, EpisodeCount: 40, CheckpointEvery: 8, Reps: 3}
 }

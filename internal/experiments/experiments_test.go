@@ -11,7 +11,7 @@ import (
 )
 
 // The fast experiments run end-to-end in tests; the RL-heavy ones are
-// exercised by bench_test.go at the repository root.
+// exercised by CI's `firmbench -run all -scale quick` smoke.
 
 func TestTable6Shape(t *testing.T) {
 	r, err := Table6(Exec{}, QuickScale(), 1)

@@ -5,16 +5,17 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"firm/internal/runner"
 	"firm/internal/sim"
 )
 
 // This file turns the experiments' fan-out job lists from closure-only
-// values into named, enumerable, serializable job sets. Each self-contained
-// sweep — one whose job list is a pure, cheap function of (scale, seed) —
-// registers a builder here; the builder is the single source of truth for
-// the list, so the machine that schedules a job and the machine that
+// values into named, serializable job sets. Each self-contained sweep — one
+// whose job list is a pure, cheap function of (scale, seed) — enters its
+// builder in the jobSets table; the builder is the single source of truth
+// for the list, so the machine that schedules a job and the machine that
 // executes it reconstruct identical jobs from nothing but (set, scale,
 // seed, key). Experiments whose jobs capture expensive setup (trained
 // agents, checkpoint snapshots: fig1, fig10, fig11a, fig11b) keep their
@@ -34,7 +35,7 @@ type Exec struct {
 	// Shards is the engine shard count for sharded cells such as gensweep's
 	// 10,000-service topology; <= 0 means 8.
 	Shards int
-	// Remote, when non-nil, executes registered job sets' jobs somewhere
+	// Remote, when non-nil, executes named job sets' jobs somewhere
 	// else (the distributed coordinator puts internal/dist's worker pool
 	// here); nil runs them on Pool.
 	Remote Dispatcher
@@ -47,42 +48,63 @@ func (x Exec) shards() int {
 	return 8
 }
 
-// Dispatcher executes a registered job set's jobs somewhere else. RunJobs
+// Dispatcher executes a named job set's jobs somewhere else. RunJobs
 // must return one JSON result per key, in key order, each produced by the
-// set's registered Run (same seed derivation as the local path), so using
+// set's jobFunc (same seed derivation as the local path), so using
 // one never changes results — only where the work happens.
 type Dispatcher interface {
 	RunJobs(set, scale string, seed int64, keys []string) ([][]byte, error)
 }
 
-// jobSets holds every named job set of this package: the fine-grained
-// sweeps registered below and registry.go's whole-experiment set.
-var jobSets runner.Registry[Exec]
+// A jobFunc executes one job of a named job set under x and returns its
+// result in wire form: it rebuilds the set's job list from (scale, seed),
+// finds key, and runs it on the seed the local path would derive — so where
+// a job runs can never change its result.
+type jobFunc func(x Exec, scale string, seed int64, key string) ([]byte, error)
 
-// JobSets returns the names of the registered job sets, sorted.
-func JobSets() []string { return jobSets.Names() }
+// jobSets is the one table of named job sets: registry.go's
+// whole-experiment set, and one fine-grained set per self-contained sweep,
+// named after the owning experiment's id (which is what lets the
+// coordinator pick cell-level dispatch for a single-experiment campaign).
+// It is a literal, so a duplicate name does not compile.
+var jobSets = map[string]jobFunc{
+	ExperimentSet: runExperiment,
+	"table1":      fineJobs("table1", table1Jobs),
+	"fig3":        fineJobs("fig3", fig3Jobs),
+	"fig4":        fineJobs("fig4", fig4Jobs),
+	"fig5":        fineJobs("fig5", fig5Jobs),
+	"fig9a":       fineJobs("fig9a", fig9aJobs),
+	"fig9b":       fineJobs("fig9b", fig9bJobs),
+	"gensweep":    fineJobs("gensweep", gensweepJobs),
+	"faultsweep":  fineJobs("faultsweep", faultsweepJobs),
+}
 
-// RunJob executes one job of a registered set under x — what a distributed
+// JobSets returns the names of the job sets, sorted.
+func JobSets() []string {
+	out := make([]string, 0, len(jobSets))
+	for name := range jobSets {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// RunJob executes one job of a named set under x — what a distributed
 // worker serves, and what the coordinator falls back to when no worker is
 // left. An unknown set means the two processes disagree about the campaign
 // (mismatched binaries, say).
 func (x Exec) RunJob(set, scale string, seed int64, key string) ([]byte, error) {
-	s, ok := jobSets.Lookup(set)
+	run, ok := jobSets[set]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown job set %q (binaries out of sync?)", set)
 	}
-	return s.Run(x, scale, seed, key)
+	return run(x, scale, seed, key)
 }
 
-// fineSets names the registered fine-grained job sets (they share the
-// owning experiment's id, which is what lets the coordinator pick
-// cell-level dispatch for a single-experiment campaign).
-var fineSets = map[string]bool{}
-
-// HasJobSet reports whether the experiment id has a registered
-// fine-grained job set, i.e. whether its fan-out can be dispatched cell by
-// cell rather than as one whole-experiment job.
-func HasJobSet(id string) bool { return fineSets[id] }
+// HasJobSet reports whether the experiment id has a fine-grained job set,
+// i.e. whether its fan-out can be dispatched cell by cell rather than as
+// one whole-experiment job.
+func HasJobSet(id string) bool { return id != ExperimentSet && jobSets[id] != nil }
 
 // wireEncode serializes a fine-grained job result for the wire: gob for
 // the value — bit-exact float64s including NaN and ±Inf, which plain
@@ -106,63 +128,33 @@ func wireDecode[T any](raw []byte, out *T) error {
 	return gob.NewDecoder(bytes.NewReader(blob)).Decode(out)
 }
 
-// registerJobs installs a fan-out job-list builder as a named runner set.
-// The runner.Set adapter gives remote workers enumeration and execution; T
-// must survive a gob round-trip (exported fields), which keeps remote
-// results byte-identical to local ones.
-func registerJobs[T any](name string, build func(Exec, Scale, int64) ([]runner.Job[T], error)) {
-	fineSets[name] = true
-	jobSets.Register(name, runner.Set[Exec]{
-		Keys: func(scale string, seed int64) ([]string, error) {
-			jobs, err := buildNamed(Exec{}, name, build, scale, seed)
-			if err != nil {
-				return nil, err
-			}
-			keys := make([]string, len(jobs))
-			for i, j := range jobs {
-				keys[i] = j.Key
-			}
-			return keys, nil
-		},
-		Run: func(x Exec, scale string, seed int64, key string) ([]byte, error) {
-			jobs, err := buildNamed(x, name, build, scale, seed)
-			if err != nil {
-				return nil, err
-			}
-			for _, j := range jobs {
-				if j.Key == key {
-					res, err := j.Run(sim.DeriveSeed(seed, key))
-					if err != nil {
-						return nil, err
-					}
-					return wireEncode(res)
+// fineJobs adapts a fan-out job-list builder to a jobFunc. T must survive
+// a gob round-trip (exported fields), which keeps remote results
+// byte-identical to local ones.
+func fineJobs[T any](name string, build func(Exec, Scale, int64) ([]runner.Job[T], error)) jobFunc {
+	return func(x Exec, scale string, seed int64, key string) ([]byte, error) {
+		sc, err := ScaleByName(scale)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: job set %q: %w", name, err)
+		}
+		jobs, err := build(x, sc, seed)
+		if err != nil {
+			return nil, err
+		}
+		for _, j := range jobs {
+			if j.Key == key {
+				res, err := j.Run(sim.DeriveSeed(seed, key))
+				if err != nil {
+					return nil, err
 				}
+				return wireEncode(res)
 			}
-			return nil, fmt.Errorf("experiments: job set %q has no job %q", name, key)
-		},
-	})
-}
-
-func buildNamed[T any](x Exec, name string, build func(Exec, Scale, int64) ([]runner.Job[T], error), scale string, seed int64) ([]runner.Job[T], error) {
-	sc, err := ScaleByName(scale)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: job set %q: %w", name, err)
+		}
+		return nil, fmt.Errorf("experiments: job set %q has no job %q", name, key)
 	}
-	return build(x, sc, seed)
 }
 
-func init() {
-	registerJobs("table1", table1Jobs)
-	registerJobs("fig3", fig3Jobs)
-	registerJobs("fig4", fig4Jobs)
-	registerJobs("fig5", fig5Jobs)
-	registerJobs("fig9a", fig9aJobs)
-	registerJobs("fig9b", fig9bJobs)
-	registerJobs("gensweep", gensweepJobs)
-	registerJobs("faultsweep", faultsweepJobs)
-}
-
-// mapJobs runs a registered set's job list: remotely when x names a
+// mapJobs runs a named set's job list: remotely when x names a
 // dispatcher (and the scale is a named one a remote machine can rebuild),
 // on x's pool otherwise. jobs must be the set's own builder output for
 // (x, sc, seed) — callers that also need plan metadata build once

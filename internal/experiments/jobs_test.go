@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -83,5 +85,25 @@ func TestHasJobSet(t *testing.T) {
 		if HasJobSet(id) {
 			t.Errorf("HasJobSet(%q) = true", id)
 		}
+	}
+}
+
+// TestJobSetTable pins the one job-set table: every fine-grained set plus
+// the whole-experiment set, listed sorted; an unknown set is an error
+// (mismatched binaries), not a panic. Duplicate names cannot be tested —
+// the table is a map literal, so they do not compile.
+func TestJobSetTable(t *testing.T) {
+	want := "[experiment faultsweep fig3 fig4 fig5 fig9a fig9b gensweep table1]"
+	if got := fmt.Sprint(JobSets()); got != want {
+		t.Fatalf("JobSets() = %s, want %s", got, want)
+	}
+	if _, err := (Exec{}).RunJob("no-such-set", "tiny", 42, "k"); err == nil || !strings.Contains(err.Error(), "unknown job set") {
+		t.Fatalf("unknown set: err = %v", err)
+	}
+	if _, err := (Exec{}).RunJob("table1", "tiny", 42, "no-such-key"); err == nil || !strings.Contains(err.Error(), "has no job") {
+		t.Fatalf("unknown key: err = %v", err)
+	}
+	if _, err := (Exec{}).RunJob("table1", "no-such-scale", 42, "k"); err == nil {
+		t.Fatal("unknown scale accepted")
 	}
 }

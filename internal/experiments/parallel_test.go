@@ -32,9 +32,9 @@ func parallelWorkers() int {
 }
 
 func TestFig5ParallelDeterminism(t *testing.T) {
-	// The full quick-scale sweep (72 jobs) is exercised by bench_test.go
-	// and the CI smoke run; one repetition of the trimmed sweep is enough
-	// to pit 1 worker against a full pool on every axis of the campaign.
+	// The full quick-scale sweep (72 jobs) is exercised by the CI smoke
+	// run; one repetition of the trimmed sweep is enough to pit 1 worker
+	// against a full pool on every axis of the campaign.
 	if testing.Short() {
 		t.Skip("fig5 sweep is expensive; run without -short")
 	}

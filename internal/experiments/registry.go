@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"firm/internal/runner"
 )
 
 // A Runner regenerates one paper artifact at the given scale and seed,
@@ -57,7 +55,7 @@ func IDs() []string {
 	return out
 }
 
-// ExperimentSet is the runner job set that executes whole experiments: its
+// ExperimentSet is the job set that executes whole experiments: its
 // keys are the registry ids and its payload carries both render targets of
 // a result. It is the coarse granularity the distributed campaign
 // dispatches at — one experiment, training phases included, per job — while
@@ -75,32 +73,26 @@ type ExperimentPayload struct {
 	Report json.RawMessage `json:"report"`
 }
 
-func init() {
-	jobSets.Register(ExperimentSet, runner.Set[Exec]{
-		Keys: func(scale string, seed int64) ([]string, error) {
-			return IDs(), nil
-		},
-		Run: func(x Exec, scale string, seed int64, id string) ([]byte, error) {
-			sc, err := ScaleByName(scale)
-			if err != nil {
-				return nil, err
-			}
-			fn, ok := Get(id)
-			if !ok {
-				return nil, fmt.Errorf("experiments: unknown experiment %q", id)
-			}
-			res, err := fn(x, sc, seed)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", id, err)
-			}
-			rep := res.Report()
-			rep.Scale = sc.Name
-			rep.Seed = seed
-			rj, err := json.Marshal(rep)
-			if err != nil {
-				return nil, fmt.Errorf("%s: encode report: %w", id, err)
-			}
-			return json.Marshal(ExperimentPayload{Text: res.String(), Report: rj})
-		},
-	})
+// runExperiment is ExperimentSet's jobFunc.
+func runExperiment(x Exec, scale string, seed int64, id string) ([]byte, error) {
+	sc, err := ScaleByName(scale)
+	if err != nil {
+		return nil, err
+	}
+	fn, ok := Get(id)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+	}
+	res, err := fn(x, sc, seed)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", id, err)
+	}
+	rep := res.Report()
+	rep.Scale = sc.Name
+	rep.Seed = seed
+	rj, err := json.Marshal(rep)
+	if err != nil {
+		return nil, fmt.Errorf("%s: encode report: %w", id, err)
+	}
+	return json.Marshal(ExperimentPayload{Text: res.String(), Report: rj})
 }

@@ -18,7 +18,6 @@ package injector
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"firm/internal/cluster"
 	"firm/internal/sim"
@@ -244,44 +243,10 @@ func (in *Injector) apply(inj Injection) func() {
 	}
 }
 
-// ActiveAt returns the services under non-workload injection at time ts
-// (ground truth for SVM training labels and localization accuracy).
-func (in *Injector) ActiveAt(ts sim.Time) map[string]Kind {
-	out := map[string]Kind{}
-	for _, rec := range in.history {
-		if rec.Target == nil {
-			continue
-		}
-		if rec.Start <= ts && ts < rec.End {
-			out[rec.Target.Service] = rec.Kind
-		}
-	}
-	return out
-}
-
-// ActiveInstancesAt returns the container instances under injection at ts.
-func (in *Injector) ActiveInstancesAt(ts sim.Time) map[string]Kind {
-	out := map[string]Kind{}
-	for _, rec := range in.history {
-		if rec.Target == nil {
-			continue
-		}
-		if rec.Start <= ts && ts < rec.End {
-			out[rec.Target.ID] = rec.Kind
-		}
-	}
-	return out
-}
-
-// ActiveDuring returns instances whose injection interval overlaps [lo, hi).
-func (in *Injector) ActiveDuring(lo, hi sim.Time) map[string]Kind {
-	return in.ActiveDuringOverlap(lo, hi, 0)
-}
-
-// ActiveDuringOverlap returns instances whose injection overlaps [lo, hi)
-// by at least minOverlap — the labeling used when scoring localization
-// windows, so that an anomaly grazing a window edge does not count as the
-// window's ground truth.
+// ActiveDuringOverlap returns instances whose non-workload injection
+// overlaps [lo, hi) by more than minOverlap — the ground-truth labeling used
+// when scoring localization windows, so that an anomaly grazing a window
+// edge does not count as the window's ground truth.
 func (in *Injector) ActiveDuringOverlap(lo, hi, minOverlap sim.Time) map[string]Kind {
 	out := map[string]Kind{}
 	for _, rec := range in.history {
@@ -304,9 +269,6 @@ func (in *Injector) ActiveDuringOverlap(lo, hi, minOverlap sim.Time) map[string]
 
 // History returns all injection records so far.
 func (in *Injector) History() []Record { return append([]Record(nil), in.history...) }
-
-// ActiveCount returns the number of currently active injections.
-func (in *Injector) ActiveCount() int { return len(in.active) }
 
 // Campaign drives randomized injections: the §4.1 setup uses exponential
 // inter-arrival (λ=0.33 s⁻¹ → mean 3.03 s) with anomaly type and intensity
@@ -377,11 +339,4 @@ func (c *Campaign) fire() {
 	dur := c.MinDuration + sim.Time(in.rng.Float64()*float64(c.MaxDuration-c.MinDuration))
 	intensity := c.MinIntensity + in.rng.Float64()*(c.MaxIntensity-c.MinIntensity)
 	in.Inject(Injection{Kind: k, Target: t, Intensity: intensity, Duration: dur})
-}
-
-// SortedKindNames lists anomaly names in display order (Fig. 9 legends).
-func SortedKindNames() []string {
-	out := append([]string(nil), kindNames[:]...)
-	sort.Strings(out)
-	return out
 }

@@ -37,9 +37,6 @@ func TestKindNames(t *testing.T) {
 	if Kind(99).String() != "kind(99)" {
 		t.Fatal("out-of-range name")
 	}
-	if len(SortedKindNames()) != 7 {
-		t.Fatal("sorted names")
-	}
 }
 
 func TestResourceStressAppliesAndExpires(t *testing.T) {
@@ -48,14 +45,14 @@ func TestResourceStressAppliesAndExpires(t *testing.T) {
 	if got := c.InjectedLoad()[cluster.MemBW]; got != 2.5*1000 {
 		t.Fatalf("injected membw = %v, want 2500 (2.5x limit)", got)
 	}
-	if in.ActiveCount() != 1 {
+	if len(in.active) != 1 {
 		t.Fatal("injection not active")
 	}
 	eng.RunUntil(2 * sim.Second)
 	if got := c.InjectedLoad()[cluster.MemBW]; got != 0 {
 		t.Fatalf("injection did not expire: %v", got)
 	}
-	if in.ActiveCount() != 0 {
+	if len(in.active) != 0 {
 		t.Fatal("active count not cleared")
 	}
 }
@@ -169,21 +166,23 @@ func TestGroundTruthQueries(t *testing.T) {
 	eng, _, c, in := setup(t)
 	in.Inject(Injection{Kind: LLCStress, Target: c, Intensity: 1, Duration: 10 * sim.Second})
 	eng.RunUntil(5 * sim.Second)
-	if k, ok := in.ActiveAt(5 * sim.Second)["victim"]; !ok || k != LLCStress {
-		t.Fatalf("ActiveAt missing victim: %v", in.ActiveAt(5*sim.Second))
+	if k, ok := activeAt(in, 5*sim.Second)[c.ID]; !ok || k != LLCStress {
+		t.Fatalf("instant query missing container: %v", activeAt(in, 5*sim.Second))
 	}
-	if _, ok := in.ActiveInstancesAt(5 * sim.Second)[c.ID]; !ok {
-		t.Fatal("ActiveInstancesAt missing container")
-	}
-	if len(in.ActiveAt(20*sim.Second)) != 0 {
+	if len(activeAt(in, 20*sim.Second)) != 0 {
 		t.Fatal("expired injection still reported")
 	}
-	if len(in.ActiveDuring(0, sim.Second)) != 1 {
+	if len(in.ActiveDuringOverlap(0, sim.Second, 0)) != 1 {
 		t.Fatal("overlap query start")
 	}
-	if len(in.ActiveDuring(11*sim.Second, 12*sim.Second)) != 0 {
+	if len(in.ActiveDuringOverlap(11*sim.Second, 12*sim.Second, 0)) != 0 {
 		t.Fatal("overlap query after end")
 	}
+}
+
+// activeAt is the instances under injection at the instant ts.
+func activeAt(in *Injector, ts sim.Time) map[string]Kind {
+	return in.ActiveDuringOverlap(ts, ts+1, 0)
 }
 
 func TestConcurrentInjectionsCompose(t *testing.T) {
@@ -228,9 +227,9 @@ func TestOverlappingInjectionsGroundTruth(t *testing.T) {
 
 	// During the overlap both kinds are active on the instance; the
 	// per-service map keeps one kind per service (later record wins).
-	inst := in.ActiveInstancesAt(3 * sim.Second)
+	inst := activeAt(in, 3*sim.Second)
 	if inst[c.ID] != LLCStress {
-		t.Fatalf("ActiveInstancesAt in overlap = %v", inst)
+		t.Fatalf("active at 3s, in the overlap = %v", inst)
 	}
 	if got := in.ActiveDuringOverlap(2*sim.Second, 6*sim.Second, sim.Second); got[c.ID] != LLCStress {
 		t.Fatalf("ActiveDuringOverlap = %v", got)
@@ -261,7 +260,7 @@ func TestOverlappingInjectionsGroundTruth(t *testing.T) {
 	if got := c.InjectedLoad(); got != (cluster.Vector{}) {
 		t.Fatalf("load after both ended: %v", got)
 	}
-	if len(in.ActiveInstancesAt(8*sim.Second)) != 0 {
+	if len(activeAt(in, 8*sim.Second)) != 0 {
 		t.Fatal("clamped record still reported active")
 	}
 }

@@ -502,15 +502,6 @@ func (n *Net) Params() (params, grads [][]float64) {
 	return params, grads
 }
 
-// NumParams counts scalar parameters.
-func (n *Net) NumParams() int {
-	total := 0
-	for _, l := range n.layers {
-		total += len(l.W) + len(l.B)
-	}
-	return total
-}
-
 // Clone returns a deep copy (same architecture and weights, zero grads).
 func (n *Net) Clone() *Net {
 	c := &Net{}

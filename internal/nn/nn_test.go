@@ -22,8 +22,13 @@ func TestForwardShapes(t *testing.T) {
 			t.Fatalf("tanh output %v out of range", y)
 		}
 	}
-	if n.NumParams() != 8*40+40+40*40+40+40*5+5 {
-		t.Fatalf("NumParams = %d", n.NumParams())
+	total := 0
+	params, _ := n.Params()
+	for _, p := range params {
+		total += len(p)
+	}
+	if total != 8*40+40+40*40+40+40*5+5 {
+		t.Fatalf("%d scalar parameters", total)
 	}
 }
 

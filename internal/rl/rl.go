@@ -416,9 +416,9 @@ func (a *Agent) TrainStep() (criticLoss float64, ok bool) {
 }
 
 // TrainStepSequential is the pre-batching per-sample reference update,
-// retained verbatim so equivalence tests (and the rl-train-step-seq
-// benchmark) can pin the batched path against it bit for bit. It consumes
-// the identical RNG stream as TrainStep and must produce identical weights.
+// retained verbatim so equivalence tests can pin the batched path against
+// it bit for bit. It consumes the identical RNG stream as TrainStep and
+// must produce identical weights.
 func (a *Agent) TrainStepSequential() (criticLoss float64, ok bool) {
 	if a.buf.Len() < a.cfg.BatchSize {
 		return 0, false

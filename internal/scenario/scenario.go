@@ -63,15 +63,6 @@ func (f Family) String() string {
 	return familyNames[f]
 }
 
-// Families lists all scenario families.
-func Families() []Family {
-	out := make([]Family, NumFamilies)
-	for i := range out {
-		out[i] = Family(i)
-	}
-	return out
-}
-
 // Op classifies a Spec node: a leaf degradation mode or a composition.
 type Op int
 

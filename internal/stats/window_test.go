@@ -117,7 +117,7 @@ func TestWindowBoundaries(t *testing.T) {
 
 // TestWindowSteadyStateAllocFree: once the node pool has grown to the
 // working-set size, insert/evict/percentile cycles allocate nothing — the
-// property the per-tick budget in BENCH_*.json is built on.
+// property internal/perf's tick-path alloc budgets are built on.
 func TestWindowSteadyStateAllocFree(t *testing.T) {
 	w := NewWindow(0)
 	for i := 0; i < 512; i++ {

@@ -107,9 +107,6 @@ func New(cfg Config) *SVM {
 	return s
 }
 
-// Seen returns the number of training updates applied.
-func (s *SVM) Seen() uint64 { return s.seen }
-
 func (s *SVM) features(x []float64) []float64 {
 	if s.rff != nil {
 		return s.rff.Map(x)

@@ -100,8 +100,8 @@ func TestIncrementalLearning(t *testing.T) {
 	if acc < 0.9 {
 		t.Fatalf("online accuracy = %v", acc)
 	}
-	if s.Seen() != uint64(len(xs)) {
-		t.Fatalf("seen = %d", s.Seen())
+	if s.seen != uint64(len(xs)) {
+		t.Fatalf("seen = %d", s.seen)
 	}
 }
 

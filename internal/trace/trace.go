@@ -135,16 +135,6 @@ func (t *Trace) SelfDuration(s Span) sim.Time {
 	return self
 }
 
-// SpanByID returns the span with the given id and whether it exists.
-func (t *Trace) SpanByID(id SpanID) (Span, bool) {
-	for _, s := range t.Spans {
-		if s.ID == id {
-			return s, true
-		}
-	}
-	return Span{}, false
-}
-
 // Services returns the distinct service names touched by the trace.
 func (t *Trace) Services() []string {
 	set := map[string]struct{}{}

@@ -33,12 +33,6 @@ func TestTraceAccessors(t *testing.T) {
 	if len(kids) != 3 || kids[0].Service != "a" || kids[2].Service != "w" {
 		t.Fatalf("children order: %v", kids)
 	}
-	if _, ok := tr.SpanByID(3); !ok {
-		t.Fatal("SpanByID")
-	}
-	if _, ok := tr.SpanByID(99); ok {
-		t.Fatal("missing span found")
-	}
 	svcs := tr.Services()
 	if len(svcs) != 4 || svcs[0] != "a" {
 		t.Fatalf("services: %v", svcs)
@@ -88,8 +82,7 @@ func TestSelfDuration(t *testing.T) {
 		t.Fatalf("self = %v, want 40", got)
 	}
 	// Leaf span: self = full duration.
-	a, _ := tr.SpanByID(2)
-	if got := tr.SelfDuration(a); got != 30 {
+	if got := tr.SelfDuration(tr.Spans[1]); got != 30 { // span 2, "a"
 		t.Fatalf("leaf self = %v", got)
 	}
 	// Disjoint children.

@@ -34,8 +34,7 @@ type Store struct {
 	filled bool
 	obs    []Observer
 
-	total   uint64
-	dropped uint64
+	total uint64
 }
 
 // New creates a store holding at most cap traces (oldest evicted first).
@@ -59,9 +58,6 @@ func (s *Store) Consume(t *trace.Trace) {
 		s.filled = true
 	}
 	s.total++
-	if t.Dropped {
-		s.dropped++
-	}
 	for _, o := range s.obs {
 		o.TraceStored(t)
 	}
@@ -87,9 +83,6 @@ func (s *Store) Len() int {
 
 // Total returns the number of traces ever consumed.
 func (s *Store) Total() uint64 { return s.total }
-
-// DroppedTotal returns the number of dropped-request traces ever consumed.
-func (s *Store) DroppedTotal() uint64 { return s.dropped }
 
 // all returns stored traces oldest-first.
 func (s *Store) all() []*trace.Trace {
@@ -189,17 +182,6 @@ func (s *Store) ServiceLatencies(q Query) map[string][]float64 {
 	for _, t := range s.Select(q) {
 		for _, sp := range t.Spans {
 			out[sp.Service] = append(out[sp.Service], sp.Duration().Millis())
-		}
-	}
-	return out
-}
-
-// InstanceLatencies is ServiceLatencies keyed by container instance.
-func (s *Store) InstanceLatencies(q Query) map[string][]float64 {
-	out := map[string][]float64{}
-	for _, t := range s.Select(q) {
-		for _, sp := range t.Spans {
-			out[sp.Instance] = append(out[sp.Instance], sp.Duration().Millis())
 		}
 	}
 	return out

@@ -213,11 +213,6 @@ func NewSessions(users Pattern, perUserRPS float64, sessionLen, horizon sim.Time
 	return s, nil
 }
 
-// ActiveSessions returns how many sessions are active at time at.
-func (s *Sessions) ActiveSessions(at sim.Time) int {
-	return int(math.Round(s.Rate(at) / s.PerUserRPS))
-}
-
 // Rate implements Pattern.
 func (s *Sessions) Rate(at sim.Time) float64 {
 	// Last step with step.at <= at.

