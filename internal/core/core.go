@@ -128,19 +128,29 @@ type PerServiceAgents struct {
 	Init func(*rl.Agent)
 	m    map[string]*rl.Agent
 
-	// freshMu guards fresh: rollout workers race the learner for the first
-	// touch of a service. Everything else in the struct stays
-	// single-goroutine (the learner side of a rollout, or a lone
-	// controller).
+	// freshMu guards the fresh map — not the weights in it: rollout workers
+	// race the learner for the first touch of a service. Everything else in
+	// the struct stays single-goroutine (the learner side of a rollout, or a
+	// lone controller).
 	freshMu sync.Mutex
-	fresh   map[string]rl.Snapshot
+	fresh   map[string]*freshEntry
+}
+
+// freshEntry memoizes one service's post-Init weights. once makes the
+// first toucher compute them while later touchers of the same service wait
+// on it alone — never on another service's Init.
+type freshEntry struct {
+	once sync.Once
+	snap rl.Snapshot
 }
 
 // freshPolicy returns the deterministic post-Init weights for service —
 // weight init from the service-derived seed, then Init (e.g. behaviour
-// cloning) — computing them at most once per service. Init can be orders
+// cloning) — computing them exactly once per service. Init can be orders
 // of magnitude more expensive than a weight copy, so the learner and every
-// rollout replica share this memo instead of re-deriving the same weights.
+// rollout replica share this memo instead of re-deriving the same weights;
+// the mutex covers only the map lookup, so Init (caller-supplied code) runs
+// outside it and different services initialize concurrently.
 // The Save/Load round-trip is exact here: Init leaves targets equal to the
 // online nets (New clones them; PretrainActor re-syncs the actor target),
 // which is precisely what Load reconstructs. Base transfer is NOT memoized
@@ -148,22 +158,26 @@ type PerServiceAgents struct {
 // would silently drop Base's target networks.
 func (p *PerServiceAgents) freshPolicy(service string, cfg rl.Config) rl.Snapshot {
 	p.freshMu.Lock()
-	defer p.freshMu.Unlock()
-	if snap, ok := p.fresh[service]; ok {
-		return snap
+	e := p.fresh[service]
+	if e == nil {
+		if p.fresh == nil {
+			p.fresh = make(map[string]*freshEntry)
+		}
+		e = &freshEntry{}
+		p.fresh[service] = e
 	}
-	cfg.BufferCap = 1 // scratch agent: only its weights survive
-	a := rl.New(cfg)
-	p.Init(a)
-	snap, err := a.Save()
-	if err != nil {
-		panic(err) // in-memory marshal of a well-formed net cannot fail
-	}
-	if p.fresh == nil {
-		p.fresh = make(map[string]rl.Snapshot)
-	}
-	p.fresh[service] = snap
-	return snap
+	p.freshMu.Unlock()
+	e.once.Do(func() {
+		cfg.BufferCap = 1 // scratch agent: only its weights survive
+		a := rl.New(cfg)
+		p.Init(a)
+		snap, err := a.Save()
+		if err != nil {
+			panic(err) // in-memory marshal of a well-formed net cannot fail
+		}
+		e.snap = snap
+	})
+	return e.snap
 }
 
 // warmStart applies the provider's deterministic fresh-construction rule to

@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"firm/internal/cluster"
 	"firm/internal/core"
@@ -302,4 +305,95 @@ func TestMitigationTimeEmptyMeanIsZero(t *testing.T) {
 	if ctl.MeanMitigationTime() != 0 {
 		t.Fatal("no mitigations → mean 0")
 	}
+}
+
+// TestFreshPolicyOncePerService races N replicas over M unseen services:
+// Init must run exactly once per service (the memo), every replica must end
+// up with the same weights, and — run under -race — nothing but the memo's
+// own lock may order them.
+func TestFreshPolicyOncePerService(t *testing.T) {
+	const replicas, services = 8, 6
+	cfg := rl.DefaultConfig()
+	cfg.Seed = 12
+	var mu sync.Mutex
+	inits := map[int64]int{} // by the agent's service-derived seed
+	learner := &core.PerServiceAgents{Cfg: cfg, Init: func(a *rl.Agent) {
+		mu.Lock()
+		inits[a.Config().Seed]++
+		mu.Unlock()
+		s := [][]float64{{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}, {0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1}}
+		if err := a.PretrainActor(s, [][]float64{{1, 0, 0, 0, 1}, {0, 1, 1, 0, 0}}, 3, 1e-2, 1); err != nil {
+			t.Error(err)
+		}
+	}}
+	probe := []float64{0.4, -0.1, 0.9, 0.2, -0.7, 0.5, 0.3, 0.8}
+	acts := make([][][]float64, replicas)
+	var wg sync.WaitGroup
+	for r := 0; r < replicas; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep := learner.NewReplica()
+			rep.BeginEpisode(7)
+			acts[r] = make([][]float64, services)
+			for s := 0; s < services; s++ {
+				// Staggered starts, so first touches of a service collide.
+				svc := (s + r) % services
+				acts[r][svc] = rep.AgentFor(fmt.Sprintf("svc-%d", svc)).Act(probe)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(inits) != services {
+		t.Fatalf("Init ran for %d distinct services, want %d", len(inits), services)
+	}
+	for seed, n := range inits {
+		if n != 1 {
+			t.Errorf("Init ran %d times for the service seeded %d, want 1", n, seed)
+		}
+	}
+	for r := 1; r < replicas; r++ {
+		for s := 0; s < services; s++ {
+			if !sameVec(acts[0][s], acts[r][s]) {
+				t.Fatalf("replica %d's svc-%d weights differ from replica 0's", r, s)
+			}
+		}
+	}
+	for s := 0; s < services; s++ {
+		if !sameVec(acts[0][s], learner.AgentFor(fmt.Sprintf("svc-%d", s)).Act(probe)) {
+			t.Fatalf("learner's svc-%d weights differ from the replicas'", s)
+		}
+	}
+}
+
+// TestFreshPolicyServicesInitConcurrently pins that one service's Init does
+// not hold up another's: each of two Inits waits for the other to have
+// started, which deadlocks if a lock is held across the call.
+func TestFreshPolicyServicesInitConcurrently(t *testing.T) {
+	cfg := rl.DefaultConfig()
+	cfg.Seed = 12
+	started := make(chan struct{}, 2)
+	both := make(chan struct{})
+	go func() {
+		<-started
+		<-started
+		close(both)
+	}()
+	learner := &core.PerServiceAgents{Cfg: cfg, Init: func(*rl.Agent) {
+		started <- struct{}{}
+		select {
+		case <-both:
+		case <-time.After(10 * time.Second):
+			t.Error("a second service's Init never started while the first was running")
+		}
+	}}
+	var wg sync.WaitGroup
+	for _, svc := range []string{"svc-a", "svc-b"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			learner.NewReplica().AgentFor(svc)
+		}()
+	}
+	wg.Wait()
 }

@@ -66,81 +66,111 @@ func (p Path) ServiceLatency(service string) sim.Time {
 // CP as its sequential predecessor; children overlapping the last-returned
 // child are parallel and strictly shorter, so they are excluded.
 func Extract(t *trace.Trace) Path {
-	root := t.Root()
-	if root.ID == 0 && root.End == 0 {
+	var e Extractor
+	return e.Extract(t)
+}
+
+// Extractor is Extract with its per-trace working set kept between calls:
+// a consumer walking a window of traces indexes each one once and allocates
+// nothing once warm. The zero value is ready to use.
+type Extractor struct {
+	// Kids is the child index of the trace last extracted, for the
+	// per-span questions (SelfDuration) callers ask about that same trace.
+	Kids  trace.ChildIndex
+	spans []trace.Span
+	stack []int32 // pending happens-before chains, one run per open visit
+}
+
+// Extract is the package-level Extract; the returned Path's Spans alias the
+// extractor's buffer and are valid until its next Extract.
+func (e *Extractor) Extract(t *trace.Trace) Path {
+	e.Kids.Reset(t)
+	root := -1
+	for i, s := range t.Spans {
+		if s.Parent == 0 {
+			root = i
+			break
+		}
+	}
+	if root < 0 || (t.Spans[root].ID == 0 && t.Spans[root].End == 0) {
 		return Path{}
 	}
-	var spans []trace.Span
-	var visit func(s trace.Span)
-	visit = func(s trace.Span) {
-		spans = append(spans, s)
-		kids := nonBackground(t.Children(s.ID))
-		if len(kids) == 0 {
-			return
+	e.spans = e.spans[:0]
+	e.visit(int32(root))
+	return Path{Spans: e.spans, Latency: t.Spans[root].Duration()}
+}
+
+func (e *Extractor) visit(si int32) {
+	spans := e.Kids.Trace().Spans
+	e.spans = append(e.spans, spans[si])
+	kids := e.Kids.Of(spans[si].ID) // background children are skipped below
+	// lastReturnedChild: maximal End (ties broken by later start, then
+	// id, for determinism).
+	lrc := int32(-1)
+	for _, ki := range kids {
+		k := &spans[ki]
+		if k.Background {
+			continue
 		}
-		// lastReturnedChild: maximal End (ties broken by later start, then
-		// id, for determinism).
-		lrc := kids[0]
-		for _, k := range kids[1:] {
-			if k.End > lrc.End || (k.End == lrc.End && k.Start > lrc.Start) ||
-				(k.End == lrc.End && k.Start == lrc.Start && k.ID > lrc.ID) {
-				lrc = k
-			}
+		if lrc < 0 {
+			lrc = ki
+			continue
 		}
-		// Chain happens-before predecessors: repeatedly take the latest-
-		// ending child that completes before the head of the chain starts.
-		chain := []trace.Span{lrc}
-		head := lrc
-		for {
-			var best trace.Span
-			found := false
-			for _, k := range kids {
-				if k.ID == head.ID || !happensBefore(k, head) {
-					continue
-				}
-				if !found || k.End > best.End ||
-					(k.End == best.End && k.ID > best.ID) {
-					best, found = k, true
-				}
-			}
-			if !found {
-				break
-			}
-			chain = append([]trace.Span{best}, chain...)
-			head = best
-		}
-		for _, c := range chain {
-			visit(c)
+		l := &spans[lrc]
+		if k.End > l.End || (k.End == l.End && k.Start > l.Start) ||
+			(k.End == l.End && k.Start == l.Start && k.ID > l.ID) {
+			lrc = ki
 		}
 	}
-	visit(root)
-	return Path{Spans: spans, Latency: root.Duration()}
+	if lrc < 0 {
+		return
+	}
+	// Chain happens-before predecessors: repeatedly take the latest-
+	// ending child that completes before the head of the chain starts.
+	// The chain is found back to front, so it is stacked and then visited
+	// from the top down; nested visits stack above it and unwind first.
+	base := len(e.stack)
+	e.stack = append(e.stack, lrc)
+	head := &spans[lrc]
+	for {
+		best := int32(-1)
+		for _, ki := range kids {
+			k := &spans[ki]
+			if k.Background || k.ID == head.ID || !happensBefore(*k, *head) {
+				continue
+			}
+			if best < 0 || k.End > spans[best].End ||
+				(k.End == spans[best].End && k.ID > spans[best].ID) {
+				best = ki
+			}
+		}
+		if best < 0 {
+			break
+		}
+		e.stack = append(e.stack, best)
+		head = &spans[best]
+	}
+	for i := len(e.stack) - 1; i >= base; i-- {
+		e.visit(e.stack[i])
+	}
+	e.stack = e.stack[:base]
 }
 
 // happensBefore reports the paper's sequential-workflow condition: i
 // completes and returns before j starts (§3.2: t(r,i→p) ≤ t(s,p→j)).
 func happensBefore(i, j trace.Span) bool { return i.End <= j.Start }
 
-func nonBackground(spans []trace.Span) []trace.Span {
-	out := spans[:0:0]
-	for _, s := range spans {
-		if !s.Background {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Group clusters traces by CP signature. It returns, per signature, the
 // end-to-end latencies (ms) of the traces whose CP matched it. Fig. 3 plots
 // the min- and max-latency groups.
 func Group(traces []*trace.Trace) map[string][]float64 {
 	out := map[string][]float64{}
+	var e Extractor
 	for _, t := range traces {
 		if t.Dropped {
 			continue
 		}
-		p := Extract(t)
+		p := e.Extract(t)
 		if len(p.Spans) == 0 {
 			continue
 		}

@@ -1,0 +1,113 @@
+package cpath
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"firm/internal/sim"
+	"firm/internal/trace"
+)
+
+// scanExtract is Alg. 1 as it was written before the Extractor: a fresh
+// children scan and two fresh slices per span. Kept as the oracle.
+func scanExtract(t *trace.Trace) Path {
+	root := t.Root()
+	if root.ID == 0 && root.End == 0 {
+		return Path{}
+	}
+	var spans []trace.Span
+	var visit func(s trace.Span)
+	visit = func(s trace.Span) {
+		spans = append(spans, s)
+		var kids []trace.Span
+		for _, k := range t.Children(s.ID) {
+			if !k.Background {
+				kids = append(kids, k)
+			}
+		}
+		if len(kids) == 0 {
+			return
+		}
+		lrc := kids[0]
+		for _, k := range kids[1:] {
+			if k.End > lrc.End || (k.End == lrc.End && k.Start > lrc.Start) ||
+				(k.End == lrc.End && k.Start == lrc.Start && k.ID > lrc.ID) {
+				lrc = k
+			}
+		}
+		chain := []trace.Span{lrc}
+		head := lrc
+		for {
+			var best trace.Span
+			found := false
+			for _, k := range kids {
+				if k.ID == head.ID || !happensBefore(k, head) {
+					continue
+				}
+				if !found || k.End > best.End || (k.End == best.End && k.ID > best.ID) {
+					best, found = k, true
+				}
+			}
+			if !found {
+				break
+			}
+			chain = append([]trace.Span{best}, chain...)
+			head = best
+		}
+		for _, c := range chain {
+			visit(c)
+		}
+	}
+	visit(root)
+	return Path{Spans: spans, Latency: root.Duration()}
+}
+
+// TestExtractorMatchesScanOnRandomTraces reuses one Extractor across
+// randomised span trees — coarse clocks (ties everywhere), background
+// children, shuffled span order, a root-less trace now and then — and holds
+// every path to the per-span-scan oracle. (Spans last at least one tick:
+// Alg. 1's happens-before chain does not terminate on two zero-length
+// siblings at the same instant, before or after this change.)
+func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	var e Extractor
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(30)
+		tr := &trace.Trace{ID: 1}
+		for i := 0; i < n; i++ {
+			s := sp(trace.SpanID(i+1), 0, "s", 0, 0, false)
+			if i > 0 {
+				s.Parent = trace.SpanID(1 + r.Intn(i))
+				s.Background = r.Intn(5) == 0
+			} else if trial%25 == 24 {
+				s.Parent = 99 // no root at all
+			}
+			// Children start after their parent does (ids grow down the
+			// tree), so chains are long enough to matter; time is coarse.
+			s.Start = sim.Time(i/3 + r.Intn(4))
+			s.End = s.Start + sim.Time(1+r.Intn(6))
+			tr.Spans = append(tr.Spans, s)
+		}
+		r.Shuffle(n, func(i, j int) { tr.Spans[i], tr.Spans[j] = tr.Spans[j], tr.Spans[i] })
+		want := scanExtract(tr)
+		got := e.Extract(tr)
+		if got.Latency != want.Latency || !slices.Equal(got.Spans, want.Spans) {
+			t.Fatalf("trial %d: extractor path %v (%v), scan path %v (%v)", trial, got.Spans, got.Latency, want.Spans, want.Latency)
+		}
+		if pkg := Extract(tr); !slices.Equal(pkg.Spans, want.Spans) {
+			t.Fatalf("trial %d: package-level Extract diverges from the scan", trial)
+		}
+	}
+}
+
+// TestExtractorWarmAllocFree: a reused Extractor allocates nothing per trace
+// once its buffers have grown.
+func TestExtractorWarmAllocFree(t *testing.T) {
+	tr := fig2Trace(100, 120, 90)
+	var e Extractor
+	e.Extract(tr)
+	if allocs := testing.AllocsPerRun(50, func() { e.Extract(tr) }); allocs != 0 {
+		t.Fatalf("warm Extractor allocates %v per trace, want 0", allocs)
+	}
+}

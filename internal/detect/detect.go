@@ -117,22 +117,23 @@ func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
 		return st
 	}
 
+	var cp cpath.Extractor // one child index per trace, storage reused across the window
 	for _, t := range traces {
 		if t.Dropped {
 			continue
 		}
-		p := cpath.Extract(t)
+		p := cp.Extract(t)
 		// Per-instance latencies are exclusive (self) times: a parent span
 		// waiting on a slow child must not inherit the child's anomaly
 		// signature (cf. Table 1's per-service "individual latency").
 		onCP := map[string]sim.Time{}
 		for _, s := range p.Spans {
-			onCP[s.Instance] += t.SelfDuration(s)
+			onCP[s.Instance] += cp.Kids.SelfDuration(s)
 		}
 		e2e := t.Latency().Millis()
 		for _, s := range t.Spans {
 			st := get(s.Instance, s.Service, s.Background)
-			st.durations = append(st.durations, t.SelfDuration(s).Millis())
+			st.durations = append(st.durations, cp.Kids.SelfDuration(s).Millis())
 		}
 		for inst, d := range onCP {
 			st := table[inst]
@@ -143,7 +144,7 @@ func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
 		for _, s := range t.Spans {
 			if s.Background {
 				st := table[s.Instance]
-				st.perTrace = append(st.perTrace, t.SelfDuration(s).Millis())
+				st.perTrace = append(st.perTrace, cp.Kids.SelfDuration(s).Millis())
 				st.cpLats = append(st.cpLats, e2e)
 			}
 		}

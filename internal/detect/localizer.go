@@ -52,6 +52,7 @@ type Localizer struct {
 
 	// Per-trace processing scratch, reused across traces.
 	onCP    map[string]sim.Time
+	cp      cpath.Extractor // per-trace child index and path scratch
 	touched []*locInst
 	seq     uint64
 
@@ -207,15 +208,15 @@ func (l *Localizer) process(e *locEntry) {
 	l.seq++
 	l.touched = l.touched[:0]
 
-	p := cpath.Extract(t)
+	p := l.cp.Extract(t)
 	clear(l.onCP)
 	for _, s := range p.Spans {
-		l.onCP[s.Instance] += t.SelfDuration(s)
+		l.onCP[s.Instance] += l.cp.Kids.SelfDuration(s)
 	}
 	e2e := t.Latency().Millis()
 	for _, s := range t.Spans {
 		st := l.touch(l.inst(s.Instance, s.Service))
-		d := t.SelfDuration(s).Millis()
+		d := l.cp.Kids.SelfDuration(s).Millis()
 		st.durVals.push(d)
 		st.durWin.Add(d)
 		st.pendDur++
@@ -233,7 +234,7 @@ func (l *Localizer) process(e *locEntry) {
 	for _, s := range t.Spans {
 		if s.Background {
 			st := l.insts[s.Instance]
-			st.px.push(t.SelfDuration(s).Millis())
+			st.px.push(l.cp.Kids.SelfDuration(s).Millis())
 			st.py.push(e2e)
 			st.pendPair++
 		}

@@ -250,15 +250,15 @@ func table1Run(victim string, seed int64, dur sim.Time) (table1Row, error) {
 	perSvc := map[string][]float64{}
 	var totals []float64
 	sigCount := map[string]int{}
+	var cp cpath.Extractor
 	for _, tr := range b.DB.Select(tracedb.Query{Type: "compose-post", Since: t0}) {
 		totals = append(totals, tr.Latency().Millis())
+		sigCount[cp.Extract(tr).Signature()]++
 		for _, sp := range tr.Spans {
 			if col, ok := table1Cols[sp.Service]; ok {
-				perSvc[col] = append(perSvc[col], tr.SelfDuration(sp).Millis())
+				perSvc[col] = append(perSvc[col], cp.Kids.SelfDuration(sp).Millis())
 			}
 		}
-		p := cpath.Extract(tr)
-		sigCount[p.Signature()]++
 	}
 	out := table1Row{Row: map[string]float64{}, Total: stats.Mean(totals)}
 	for col, lats := range perSvc {

@@ -148,7 +148,9 @@ func TestGoldenJSONRoundTrips(t *testing.T) {
 }
 
 // TestTrainRewardsIndependentOfWorkers pins the engine's contract at the
-// Train level: rollout worker count must not change a single reward.
+// Train level: the worker budget — pinned at 1, 2 or 4, or borrowed from a
+// pool — sets the width of both the behaviour-cloning epochs and the episode
+// rollouts, and must not change a single reward or trained byte.
 // (SyncEvery, by contrast, legitimately shapes training — but at this
 // episode count the actor sits inside its ActorDelay warm-up, so that
 // effect is asserted in internal/rollout's unit tests with a fast config
@@ -157,19 +159,38 @@ func TestTrainRewardsIndependentOfWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains RL agents; run without -short")
 	}
-	train := func(workers int) []float64 {
+	train := func(workers int, pool *runner.Pool) string {
 		res, err := Train(TrainOpts{
 			Seed: 11, Episodes: 4, Variant: OneForAll,
-			RolloutWorkers: workers, SyncEvery: 2,
+			RolloutWorkers: workers, Pool: pool, SyncEvery: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Rewards
+		snap, err := res.Provider.Agents()[0].Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%v\nactor %x\ncritic %x", res.Rewards, snap.Actor, snap.Critic)
 	}
-	ref := train(1)
-	if got := train(4); fmt.Sprint(got) != fmt.Sprint(ref) {
-		t.Fatalf("worker count changed rewards:\n%v\n%v", ref, got)
+	ref := train(1, nil)
+	for _, tc := range []struct {
+		name    string
+		workers int
+		pool    *runner.Pool
+	}{
+		{"2 pinned", 2, nil},
+		{"4 pinned", 4, nil},
+		{"borrowed from a pool of 3", 0, runner.NewPool(3)},
+	} {
+		if got := train(tc.workers, tc.pool); got != ref {
+			t.Fatalf("%s workers changed rewards or weights:\n%.200s\n%.200s", tc.name, ref, got)
+		}
+		if tc.pool != nil {
+			if spare := tc.pool.AcquireUpTo(3); spare != 3 {
+				t.Fatalf("Train returned with %d of the pool's 3 slots still claimed", 3-spare)
+			}
+		}
 	}
 }
 

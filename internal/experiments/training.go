@@ -102,8 +102,18 @@ func Train(opts TrainOpts) (*TrainResult, error) {
 	// Every fresh agent is behaviour-cloned from the guided mitigation rule
 	// before DDPG refinement: the paper's from-scratch exploration spans
 	// ~15000 episodes, which this reproduction compresses (see the
-	// "Scales and determinism" section of the README).
-	bc := func(ag *rl.Agent) { pretrainGuided(ag, opts.Seed) }
+	// "Scales and determinism" section of the README). The clone runs on
+	// the campaign's own worker budget: the rollout pin, else whatever the
+	// pool has spare for the length of the call.
+	bc := func(ag *rl.Agent) {
+		width := opts.RolloutWorkers
+		if width <= 0 {
+			spare := opts.Pool.AcquireUpTo(opts.Pool.Workers() - 1)
+			defer opts.Pool.ReleaseSlots(spare)
+			width = 1 + spare
+		}
+		pretrainGuided(ag, opts.Seed, width)
+	}
 	var prov core.ReplicableProvider
 	switch opts.Variant {
 	case OneForAll:
@@ -200,8 +210,9 @@ func Train(opts TrainOpts) (*TrainResult, error) {
 
 // pretrainGuided behaviour-clones the guided mitigation rule into the
 // actor: raise to maximum every resource whose utilization feature reports
-// oversubscription (≥1.2), hold everything else at the reference.
-func pretrainGuided(ag *rl.Agent, seed int64) {
+// oversubscription (≥1.2), hold everything else at the reference. width is
+// the worker count of the clone; it never changes the weights.
+func pretrainGuided(ag *rl.Agent, seed int64, width int) {
 	r := sim.Stream(seed, "bc-pretrain")
 	const n = 3000
 	states := make([][]float64, n)
@@ -222,7 +233,7 @@ func pretrainGuided(ag *rl.Agent, seed int64) {
 		states[i] = st
 		actions[i] = act
 	}
-	if err := ag.PretrainActor(states, actions, 200, 3e-3); err != nil {
+	if err := ag.PretrainActor(states, actions, 200, 3e-3, width); err != nil {
 		panic(err) // synthetic data cannot mismatch
 	}
 }

@@ -1,127 +1,23 @@
 package nn
 
-// useAVX gates the assembly forward kernel: AVX must be present AND the OS
-// must save ymm state (checked via XGETBV). When false — or on other
-// architectures — forwardBatch runs the pure-Go blocked loop, which produces
-// bit-identical outputs; the kernel is a throughput upgrade, never a
-// semantic one.
+// useAVX gates the assembly kernels: AVX must be present AND the OS must
+// save ymm state (checked via XGETBV). When false — or on other
+// architectures — the batch path runs the pure-Go twins in kernels.go, which
+// produce bit-identical outputs; the kernels are a throughput upgrade, never
+// a semantic one. Set once at init; only the equivalence tests flip it.
 var useAVX = hasAVXAsm()
 
 // hasAVXAsm reports CPUID AVX + OSXSAVE with ymm state enabled in XCR0.
 func hasAVXAsm() bool
 
-// forwardRowAVX computes y[o] = b[o] + Σ_i x[i]*wt[i*out+o] for o < out4
-// (a multiple of 4), with wt the input-major transpose of the layer's
-// weights. Each output is one VMULPD/VADDPD accumulator chain in ascending
-// input order — bit-identical to the scalar path. Implemented in
-// kernels_amd64.s.
-//
+// The three kernels, implemented in kernels_amd64.s; kernels.go documents
+// the contract and holds the dispatching wrappers.
+
 //go:noescape
-func forwardRowAVX(x, wt, b, y *float64, in, out, out4 int)
+func chainWideAVX(dst, seed, a, m *float64, rows, k, dstStride, seedStride, aStride, mStride, relu int)
 
-// forwardBatchMatmul fills yb (nb×out, pre-activation) from xb (nb×in)
-// using the AVX kernel for the vectorizable output prefix and the scalar
-// loop for the remainder. The weight transpose is rebuilt on every call —
-// weights move between calls under the optimizer — into layer-owned scratch;
-// at batch size 64 the O(in·out) transpose is amortized over 64 row kernels.
-func (l *layer) forwardBatchMatmul(xb, yb []float64, nb int) {
-	in, out := l.In, l.Out
-	if cap(l.wt) < in*out {
-		l.wt = make([]float64, in*out)
-	}
-	wt := l.wt[:in*out]
-	for o := 0; o < out; o++ {
-		row := l.W[o*in : o*in+in][:in]
-		for i, w := range row {
-			wt[i*out+o] = w
-		}
-	}
-	out4 := out &^ 3
-	for b := 0; b < nb; b++ {
-		x := xb[b*in : b*in+in][:in]
-		yrow := yb[b*out : b*out+out]
-		forwardRowAVX(&x[0], &wt[0], &l.B[0], &yrow[0], in, out, out4)
-		for o := out4; o < out; o++ {
-			row := l.W[o*in : o*in+in][:in]
-			z := l.B[o]
-			for i := 0; i < in; i++ {
-				z += row[i] * x[i]
-			}
-			yrow[o] = z
-		}
-	}
-}
+//go:noescape
+func chainNarrowAVX(dst, seed, a, m *float64, rows, k, cols, dstStride, seedStride, aStride, mStride, relu int)
 
-// backwardBatchAVX is the AVX body of backwardBatch. Both gradient products
-// are the same "seeded dot-product chains" shape as the forward kernel, so
-// forwardRowAVX serves all three:
-//
-//   - input gradients: gx[b][i] = Σ_o gz[b][o]·W[o][i], one chain per (b,i)
-//     in ascending o — exactly forwardRowAVX with the sample's gz row as the
-//     input vector, W (already o-major, i-contiguous) as the matrix, and the
-//     pre-zeroed gx row as both seed and destination.
-//   - weight gradients: GW[o][i] += Σ_b gz[b][o]·x[b][i], one chain per
-//     (o,i) in ascending b — forwardRowAVX with gz transposed to
-//     output-major (so column o is contiguous), xb as the matrix, and the
-//     live GW row as seed and destination (seeding keeps cross-chunk
-//     accumulation, e.g. PretrainActor, exact).
-//
-// Every chain is seeded and ordered exactly as in the scalar blocked loop,
-// so the accumulated bits are identical.
-func (l *layer) backwardBatchAVX(gyb, gxb []float64, nb int, needGrow, needGx bool) {
-	in, out := l.In, l.Out
-	if cap(l.gz) < nb*out {
-		l.gz = make([]float64, nb*out)
-	}
-	gz := l.gz[:nb*out]
-	for b := 0; b < nb; b++ {
-		base := b * out
-		for o := 0; o < out; o++ {
-			gz[base+o] = gyb[base+o] * l.Act.deriv(l.yb[base+o])
-		}
-	}
-	in4 := in &^ 3
-	if needGrow {
-		if cap(l.gzT) < nb*out {
-			l.gzT = make([]float64, nb*out)
-		}
-		gzT := l.gzT[:nb*out]
-		for b := 0; b < nb; b++ {
-			base := b * out
-			for o := 0; o < out; o++ {
-				gzT[o*nb+b] = gz[base+o]
-			}
-		}
-		for o := 0; o < out; o++ {
-			col := gzT[o*nb : o*nb+nb][:nb]
-			grow := l.GW[o*in : o*in+in][:in]
-			forwardRowAVX(&col[0], &l.xb[0], &grow[0], &grow[0], nb, in, in4)
-			for i := in4; i < in; i++ {
-				g := grow[i]
-				for b := 0; b < nb; b++ {
-					g += col[b] * l.xb[b*in+i]
-				}
-				grow[i] = g
-			}
-			gb := l.GB[o]
-			for _, v := range col {
-				gb += v
-			}
-			l.GB[o] = gb
-		}
-	}
-	if needGx {
-		for b := 0; b < nb; b++ {
-			row := gz[b*out : b*out+out][:out]
-			gx := gxb[b*in : b*in+in][:in]
-			forwardRowAVX(&row[0], &l.W[0], &gx[0], &gx[0], out, in, in4)
-			for i := in4; i < in; i++ {
-				v := gx[i]
-				for o := 0; o < out; o++ {
-					v += row[o] * l.W[o*in+i]
-				}
-				gx[i] = v
-			}
-		}
-	}
-}
+//go:noescape
+func gzAVX(gy, y, gz, gzT *float64, rows, cols, stride, tStride, mode int)

@@ -2,14 +2,18 @@
 
 package nn
 
-// Non-amd64 builds always take the pure-Go blocked loop in forwardBatch;
-// the constant lets the compiler drop the kernel branch entirely.
+// Non-amd64 builds always run the pure-Go kernels; the constant lets the
+// compiler drop the assembly branches entirely.
 const useAVX = false
 
-func (l *layer) forwardBatchMatmul(xb, yb []float64, nb int) {
+func chainWideAVX(dst, seed, a, m *float64, rows, k, dstStride, seedStride, aStride, mStride, relu int) {
 	panic("nn: AVX kernel unavailable on this architecture")
 }
 
-func (l *layer) backwardBatchAVX(gyb, gxb []float64, nb int, needGrow, needGx bool) {
+func chainNarrowAVX(dst, seed, a, m *float64, rows, k, cols, dstStride, seedStride, aStride, mStride, relu int) {
+	panic("nn: AVX kernel unavailable on this architecture")
+}
+
+func gzAVX(gy, y, gz, gzT *float64, rows, cols, stride, tStride, mode int) {
 	panic("nn: AVX kernel unavailable on this architecture")
 }

@@ -84,8 +84,7 @@ func TestBackwardBatchBitIdentical(t *testing.T) {
 // bit-identical GW/GB (including accumulation on top of nonzero gradients,
 // the PretrainActor chunking case), and BackwardBatchInputGrad returns
 // bit-identical input gradients while leaving the parameter gradients
-// completely untouched. Shapes cover both the AVX kernels (dims >= 4) and
-// the scalar fallback (dims < 4).
+// completely untouched. Shapes cover full and lane-masked kernel tiles.
 func TestBackwardBatchVariantsBitIdentical(t *testing.T) {
 	shapes := [][]int{{7, 11, 9, 4}, {3, 2, 5, 1}}
 	for _, sizes := range shapes {
@@ -143,6 +142,52 @@ func TestBackwardBatchVariantsBitIdentical(t *testing.T) {
 					if g[j] != sentinel {
 						t.Fatalf("sizes=%v nb=%d: InputGrad touched grad view %d idx %d", sizes, nb, li, j)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestEpochWidthInvariant pins Epoch.Accumulate against the interleaved
+// per-sample Forward/Backward loop at every worker width (more workers than
+// row blocks included), over a ragged row count and two passes without
+// ZeroGrad: the accumulated GW/GB must not depend on how many workers there
+// were or which of them claimed what.
+func TestEpochWidthInvariant(t *testing.T) {
+	const rows = 5*blockRows + 17
+	r := rand.New(rand.NewSource(41))
+	in, out := randNet(6).InputDim(), randNet(6).OutputDim()
+	xb, target := randBatch(r, rows, in), randBatch(r, rows, out)
+
+	ref := randNet(6)
+	gy := make([]float64, out)
+	for pass := 0; pass < 2; pass++ {
+		for b := 0; b < rows; b++ {
+			y := ref.Forward(xb[b*in : (b+1)*in])
+			for j := range gy {
+				gy[j] = y[j] - target[b*out+j]
+			}
+			ref.Backward(gy)
+		}
+	}
+	_, want := ref.Params()
+
+	for _, width := range []int{1, 2, 3, 8, 100} {
+		net := randNet(6)
+		ep := net.NewEpoch(rows, width)
+		copy(ep.Input(), xb)
+		for pass := 0; pass < 2; pass++ {
+			ep.Accumulate(func(lo, hi int, y, gy []float64) {
+				for i := range gy {
+					gy[i] = y[i] - target[lo*out+i]
+				}
+			})
+		}
+		_, got := net.Params()
+		for li := range want {
+			for j := range want[li] {
+				if got[li][j] != want[li][j] {
+					t.Fatalf("width %d grad view %d idx %d: epoch %v != per-sample %v", width, li, j, got[li][j], want[li][j])
 				}
 			}
 		}

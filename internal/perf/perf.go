@@ -1,9 +1,10 @@
 // Package perf is the repo's microbenchmark registry: deterministic
 // benchmarks of the hot paths the campaign loop multiplies — the
 // controller tick, the sliding tail-latency window, trace-window
-// selection, telemetry sampling, the batched DDPG train step, the
-// incremental localization features, a double-buffered rollout round, the
-// sharded engine's window and the traced request path. It is the micro
+// selection, telemetry sampling, the batched DDPG train step, a
+// behaviour-cloning call, the incremental localization features, a
+// double-buffered rollout round, the sharded engine's window and the traced
+// request path. It is the micro
 // measurement surface: `go test -bench . ./internal/perf` runs the registry
 // as ordinary sub-benchmarks (benchstat-able), and benchmark/ — the macro
 // surface — takes its per-call probes from it through Run.
@@ -16,6 +17,7 @@ package perf
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"firm/internal/app"
@@ -45,8 +47,8 @@ type Benchmark struct {
 	Fn   func(b *testing.B)
 	// MaxAllocs is the entry's allocs/op ceiling — the committed
 	// perf-regression budget TestAllocBudgets enforces. The steady-state
-	// entries are budgeted at (near) zero; the four that allocate by design
-	// sit 1% above their best recorded run (2,994 / 4,762 / 47,623 / 60),
+	// entries are budgeted at (near) zero; the five that allocate by design
+	// sit 1% above their best recorded run (84 / 2,994 / 4,762 / 47,623 / 60),
 	// rounded up, which absorbs the concurrent rollout round's scheduling
 	// jitter and first-iteration growth amortised over a short run.
 	MaxAllocs int64
@@ -61,6 +63,7 @@ func Benchmarks() []Benchmark {
 		{"telemetry-add", "telemetry ring add at full retention", TelemetryAdd, 2},
 		{"nn-forward-batch", "one batched actor forward (batch 64, Table 4 shape)", NNForwardBatch, 2},
 		{"rl-train-step-batched", "one DDPG TrainStep on the matrix minibatch path (batch 64, Table 4 nets)", RLTrainStepBatched, 2},
+		{"rl-pretrain", "one behaviour-cloning call: 3,000 demonstrations × 4 epochs through the Table 4 actor, min(GOMAXPROCS, 2) workers", RLPretrain, 85},
 		{"detect-features", "incremental localizer rescore at steady state (the violated-tick path)", DetectFeatures, 2},
 		{"rollout-round-overlap", "one double-buffered rollout campaign: 2 actors + streaming learner", RolloutRoundOverlap, 3024},
 		{"topology-generate", "procedural generation + validation of a 1,000-service spec", TopologyGenerate, 4810},
@@ -272,6 +275,46 @@ func RLTrainStepBatched(b *testing.B) {
 			panic("perf: TrainStep skipped: buffer underfilled")
 		}
 	}
+}
+
+// RLPretrain measures one rl.Agent.PretrainActor call shaped like the clone
+// every experiments.Train starts with — 3,000 demonstrations of the guided
+// rule through the Table 4 actor — at 4 epochs instead of 200, on
+// min(GOMAXPROCS, 2) workers: `-cpu 1,2` separates the kernels from the
+// ownership split, and 2 is what benchmark/'s rl-train pins. It allocates
+// by design: the epoch's dataset-sized matrices live for the call, not the
+// agent.
+func RLPretrain(b *testing.B) {
+	const rows, epochs = 3000, 4
+	cfg := rl.DefaultConfig()
+	cfg.Seed = Seed
+	cfg.BufferCap = 1
+	ag := rl.New(cfg)
+	r := sim.Stream(Seed, "perf-rl-pretrain")
+	states := make([][]float64, rows)
+	actions := make([][]float64, rows)
+	for i := range states {
+		states[i] = make([]float64, cfg.StateDim)
+		for j := range states[i] {
+			states[i][j] = 2 * r.Float64()
+		}
+		actions[i] = make([]float64, cfg.ActionDim)
+		for j := range actions[i] {
+			if states[i][3+j] >= 1.2 {
+				actions[i][j] = 1
+			}
+		}
+	}
+	width := min(runtime.GOMAXPROCS(0), 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ag.PretrainActor(states, actions, epochs, 3e-3, width); err != nil {
+			panic(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(rows*epochs, "rows/op")
 }
 
 // NNForwardBatch measures one batched forward through the paper's actor

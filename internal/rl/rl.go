@@ -503,7 +503,11 @@ func (a *Agent) TrainStepSequential() (criticLoss float64, ok bool) {
 // scratch over thousands of episodes; a reproduction running orders of
 // magnitude fewer episodes seeds the actor this way and lets DDPG refine
 // it online. The target actor is synchronized afterwards.
-func (a *Agent) PretrainActor(states, actions [][]float64, epochs int, lr float64) error {
+//
+// Each epoch is one nn.Epoch pass over the shuffled set, split across width
+// workers by ownership (see nn.Epoch); the trained weights and the agent's
+// RNG state are byte-identical at any width, and to the per-sample loop.
+func (a *Agent) PretrainActor(states, actions [][]float64, epochs int, lr float64, width int) error {
 	if len(states) != len(actions) || len(states) == 0 {
 		return errors.New("rl: bad demonstration set")
 	}
@@ -513,35 +517,25 @@ func (a *Agent) PretrainActor(states, actions [][]float64, epochs int, lr float6
 		idx[i] = i
 	}
 	n := float64(len(states))
-	// Chunk the shuffled demonstration set through the nn batch path. The
-	// global sample order is the shuffled order either way and gradients
-	// accumulate across chunks without zeroing, so each epoch's accumulated
-	// gradient — and therefore the trained weights — is bit-identical to
-	// the per-sample loop this replaces.
-	const chunk = 64
 	in, out := a.actor.InputDim(), a.actor.OutputDim()
-	xb := make([]float64, chunk*in)
-	gy := make([]float64, chunk*out)
+	ep := a.actor.NewEpoch(len(states), width)
+	xb := ep.Input()
+	mse := func(lo, hi int, y, gy []float64) {
+		for k := lo; k < hi; k++ {
+			act := actions[idx[k]][:out]
+			row := (k - lo) * out
+			for j, t := range act {
+				gy[row+j] = 2 * (y[row+j] - t) / n
+			}
+		}
+	}
 	for e := 0; e < epochs; e++ {
 		a.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		a.actor.ZeroGrad()
-		for off := 0; off < len(idx); off += chunk {
-			m := len(idx) - off
-			if m > chunk {
-				m = chunk
-			}
-			for k := 0; k < m; k++ {
-				gatherRow(xb, k*in, states[idx[off+k]], in, "demo state")
-			}
-			outB := a.actor.ForwardBatch(xb[:m*in], m)
-			for k := 0; k < m; k++ {
-				act := actions[idx[off+k]]
-				for j := 0; j < out; j++ {
-					gy[k*out+j] = 2 * (outB[k*out+j] - act[j]) / n
-				}
-			}
-			a.actor.BackwardBatchParams(gy[:m*out], m)
+		for k, i := range idx {
+			gatherRow(xb, k*in, states[i], in, "demo state")
 		}
+		a.actor.ZeroGrad()
+		ep.Accumulate(mse)
 		opt.Step()
 	}
 	return a.actorT.CopyFrom(a.actor)

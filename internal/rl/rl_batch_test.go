@@ -116,63 +116,78 @@ func TestTrainStepSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestPretrainActorChunkedMatchesPerSample pins the chunked behaviour
-// cloning against an inline per-sample replica of the pre-batching loop:
-// same RNG consumption, same epoch gradient, byte-identical weights.
+// TestPretrainActorChunkedMatchesPerSample pins the epoch-driven behaviour
+// cloning against an inline per-sample replica of the pre-batching loop at
+// every worker width — more workers than the 600 rows have blocks included:
+// same RNG consumption, same epoch gradient, byte-identical weights and
+// post-call RNG state. Run under -race it is also the data-race check of the
+// ownership split.
 func TestPretrainActorChunkedMatchesPerSample(t *testing.T) {
-	const samples, epochs, lr = 100, 4, 1e-2
-	mk := func() (*Agent, [][]float64, [][]float64) {
-		ag := New(tinyCfg(31))
-		r := rand.New(rand.NewSource(77))
-		states := make([][]float64, samples)
-		actions := make([][]float64, samples)
-		for i := range states {
-			states[i] = make([]float64, ag.Config().StateDim)
-			actions[i] = make([]float64, ag.Config().ActionDim)
-			for j := range states[i] {
-				states[i][j] = r.NormFloat64()
+	const samples, epochs, lr = 600, 4, 1e-2
+	paper := DefaultConfig()
+	paper.Seed = 31
+	for _, cfg := range []Config{tinyCfg(31), paper} {
+		mk := func() (*Agent, [][]float64, [][]float64) {
+			ag := New(cfg)
+			r := rand.New(rand.NewSource(77))
+			states := make([][]float64, samples)
+			actions := make([][]float64, samples)
+			for i := range states {
+				states[i] = make([]float64, cfg.StateDim)
+				actions[i] = make([]float64, cfg.ActionDim)
+				for j := range states[i] {
+					states[i][j] = r.NormFloat64()
+				}
+				for j := range actions[i] {
+					actions[i][j] = 2*r.Float64() - 1
+				}
 			}
-			for j := range actions[i] {
-				actions[i][j] = 2*r.Float64() - 1
+			return ag, states, actions
+		}
+
+		// Per-sample reference: the exact loop PretrainActor ran before the
+		// batch path, driven against agent internals.
+		ref, rstates, ractions := mk()
+		opt := nn.NewAdam(ref.actor, lr)
+		idx := make([]int, len(rstates))
+		for i := range idx {
+			idx[i] = i
+		}
+		n := float64(len(rstates))
+		grad := make([]float64, ref.actor.OutputDim())
+		for e := 0; e < epochs; e++ {
+			ref.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+			ref.actor.ZeroGrad()
+			for _, i := range idx {
+				out := ref.actor.Forward(rstates[i])
+				for j := range out {
+					grad[j] = 2 * (out[j] - ractions[i][j]) / n
+				}
+				ref.actor.Backward(grad)
+			}
+			opt.Step()
+		}
+		if err := ref.actorT.CopyFrom(ref.actor); err != nil {
+			t.Fatal(err)
+		}
+		sr, rngNext := mustSave(t, ref), ref.rng.Int63()
+
+		for _, width := range []int{1, 2, 3, 8, 64} {
+			ag, states, actions := mk()
+			if err := ag.PretrainActor(states, actions, epochs, lr, width); err != nil {
+				t.Fatal(err)
+			}
+			if sg := mustSave(t, ag); !bytes.Equal(sg.Actor, sr.Actor) {
+				t.Fatalf("hidden %d width %d: PretrainActor diverges from per-sample reference", cfg.Hidden, width)
+			}
+			if got := ag.rng.Int63(); got != rngNext {
+				t.Fatalf("hidden %d width %d: RNG state after PretrainActor diverges from per-sample reference", cfg.Hidden, width)
+			}
+			probe := make([]float64, cfg.StateDim)
+			if a, b := ag.actorT.Forward(probe), ag.actor.Forward(probe); a[0] != b[0] {
+				t.Fatalf("hidden %d width %d: target actor not synchronized", cfg.Hidden, width)
 			}
 		}
-		return ag, states, actions
-	}
-
-	ag, states, actions := mk()
-	if err := ag.PretrainActor(states, actions, epochs, lr); err != nil {
-		t.Fatal(err)
-	}
-
-	// Per-sample reference: the exact loop PretrainActor ran before the
-	// batch path, driven against agent internals.
-	ref, rstates, ractions := mk()
-	opt := nn.NewAdam(ref.actor, lr)
-	idx := make([]int, len(rstates))
-	for i := range idx {
-		idx[i] = i
-	}
-	n := float64(len(rstates))
-	grad := make([]float64, ref.actor.OutputDim())
-	for e := 0; e < epochs; e++ {
-		ref.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		ref.actor.ZeroGrad()
-		for _, i := range idx {
-			out := ref.actor.Forward(rstates[i])
-			for j := range out {
-				grad[j] = 2 * (out[j] - ractions[i][j]) / n
-			}
-			ref.actor.Backward(grad)
-		}
-		opt.Step()
-	}
-	if err := ref.actorT.CopyFrom(ref.actor); err != nil {
-		t.Fatal(err)
-	}
-
-	sg, sr := mustSave(t, ag), mustSave(t, ref)
-	if !bytes.Equal(sg.Actor, sr.Actor) {
-		t.Fatal("chunked PretrainActor diverges from per-sample reference")
 	}
 }
 

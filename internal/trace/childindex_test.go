@@ -1,0 +1,149 @@
+package trace
+
+import (
+	"cmp"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"firm/internal/sim"
+)
+
+// scanChildren and scanSelfDuration are the per-call implementations
+// ChildIndex replaced — a scan, a copy and a sort per question — kept here as
+// the oracle the index is pinned against.
+func scanChildren(t *Trace, parent SpanID) []Span {
+	var out []Span
+	for _, s := range t.Spans {
+		if s.Parent == parent && s.ID != parent {
+			out = append(out, s)
+		}
+	}
+	slices.SortFunc(out, func(a, b Span) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	return out
+}
+
+func scanSelfDuration(t *Trace, s Span) sim.Time {
+	var covered sim.Time
+	curLo, curHi := sim.Time(0), sim.Time(0)
+	started := false
+	flush := func() {
+		if started && curHi > curLo {
+			covered += curHi - curLo
+		}
+	}
+	for _, k := range scanChildren(t, s.ID) {
+		if k.Background {
+			continue
+		}
+		lo, hi := k.Start, k.End
+		if lo < s.Start {
+			lo = s.Start
+		}
+		if hi > s.End {
+			hi = s.End
+		}
+		if hi <= lo {
+			continue
+		}
+		if !started {
+			curLo, curHi, started = lo, hi, true
+			continue
+		}
+		if lo <= curHi {
+			if hi > curHi {
+				curHi = hi
+			}
+		} else {
+			flush()
+			curLo, curHi = lo, hi
+		}
+	}
+	flush()
+	self := s.Duration() - covered
+	if self < 0 {
+		self = 0
+	}
+	return self
+}
+
+// randomTrace grows a span tree with the shapes the index must not get
+// wrong: coarse timestamps (many ties on Start), background spans, children
+// sticking out of their parents, shuffled span order, and — every other
+// trace — a root that names itself as its parent.
+func randomTrace(r *rand.Rand, selfParentedRoot bool) *Trace {
+	n := 1 + r.Intn(40)
+	t := &Trace{ID: 1}
+	for i := 0; i < n; i++ {
+		s := Span{Trace: 1, ID: SpanID(i + 1), Service: "s", Instance: "i"}
+		if i > 0 {
+			s.Parent = SpanID(1 + r.Intn(i))
+			s.Background = r.Intn(4) == 0
+		} else if selfParentedRoot {
+			s.Parent = s.ID
+		}
+		s.Start = sim.Time(r.Intn(12))
+		s.End = s.Start + sim.Time(r.Intn(10))
+		t.Spans = append(t.Spans, s)
+	}
+	r.Shuffle(len(t.Spans), func(i, j int) { t.Spans[i], t.Spans[j] = t.Spans[j], t.Spans[i] })
+	return t
+}
+
+// TestChildIndexMatchesScan pins the index — and the Trace methods now built
+// on it — against the per-call scan on randomised traces, reusing one index
+// across all of them the way its consumers do.
+func TestChildIndexMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	var x ChildIndex
+	for trial := 0; trial < 400; trial++ {
+		tr := randomTrace(r, trial%2 == 1)
+		x.Reset(tr)
+		parents := []SpanID{0, SpanID(len(tr.Spans) + 5)} // the root's parent; nobody's
+		for _, s := range tr.Spans {
+			parents = append(parents, s.ID)
+		}
+		for _, p := range parents {
+			want := scanChildren(tr, p)
+			var got []Span
+			for _, i := range x.Of(p) {
+				got = append(got, tr.Spans[i])
+			}
+			if !slices.Equal(got, want) || !slices.Equal(tr.Children(p), want) {
+				t.Fatalf("trial %d: children of %d:\nindex %v\nmethod %v\nscan  %v", trial, p, got, tr.Children(p), want)
+			}
+		}
+		for _, s := range tr.Spans {
+			want := scanSelfDuration(tr, s)
+			if got := x.SelfDuration(s); got != want || tr.SelfDuration(s) != want {
+				t.Fatalf("trial %d: self time of span %d: index %v, method %v, scan %v", trial, s.ID, got, tr.SelfDuration(s), want)
+			}
+		}
+	}
+}
+
+// TestChildIndexReuseAllocFree: once grown, re-pointing the index at another
+// trace and querying it allocates nothing.
+func TestChildIndexReuseAllocFree(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	a, b := randomTrace(r, false), randomTrace(r, true)
+	var x ChildIndex
+	x.Reset(a)
+	x.Reset(b)
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, tr := range []*Trace{a, b} {
+			x.Reset(tr)
+			for _, s := range tr.Spans {
+				x.SelfDuration(s)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm ChildIndex allocates %v per run, want 0", allocs)
+	}
+}

@@ -65,24 +65,63 @@ func (t *Trace) Root() Span {
 	return Span{}
 }
 
-// Children returns the child spans of parent, ordered by start time. This is
-// the adjacency view used by the critical-path extractor (Alg. 1).
-func (t *Trace) Children(parent SpanID) []Span {
-	var out []Span
-	for _, s := range t.Spans {
-		if s.Parent == parent && s.ID != parent {
-			out = append(out, s)
+// ChildIndex is a trace's parent→children adjacency, built once per trace
+// into storage its owner reuses from trace to trace: consumers that ask for
+// every span's children (the critical-path extractor, per-span self times)
+// pay one sort per trace instead of a scan, a copy and a sort per span.
+// Nothing is stored on the Trace, so retained traces stay as small as they
+// were. The zero value is ready for Reset.
+type ChildIndex struct {
+	t *Trace
+	// order holds the index (into t.Spans) of every span that is somebody's
+	// child, sorted by (Parent, Start, ID): each parent's children are one
+	// contiguous run, already in the order Children returns them.
+	order []int32
+}
+
+// Reset points the index at t and rebuilds it in place.
+func (x *ChildIndex) Reset(t *Trace) {
+	x.t = t
+	x.order = x.order[:0]
+	for i := range t.Spans {
+		if s := &t.Spans[i]; s.Parent != s.ID { // a self-parented span is nobody's child
+			x.order = append(x.order, int32(i))
 		}
 	}
-	// (Start, ID) is a total order within a trace — span IDs are unique —
-	// so the unstable sort has one possible output.
-	slices.SortFunc(out, func(a, b Span) int {
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+	spans := t.Spans
+	// (Parent, Start, ID) is a total order within a trace — span IDs are
+	// unique — so the unstable sort has one possible output.
+	slices.SortFunc(x.order, func(a, b int32) int {
+		sa, sb := &spans[a], &spans[b]
+		if c := cmp.Compare(sa.Parent, sb.Parent); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.ID, b.ID)
+		if c := cmp.Compare(sa.Start, sb.Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(sa.ID, sb.ID)
 	})
-	return out
+}
+
+// Trace returns the trace the index was last Reset to.
+func (x *ChildIndex) Trace() *Trace { return x.t }
+
+// Of returns the positions in Trace().Spans of parent's children, ordered
+// by (Start, ID). The slice aliases index storage: valid until the next
+// Reset, and not to be modified.
+func (x *ChildIndex) Of(parent SpanID) []int32 {
+	spans := x.t.Spans
+	lo, _ := slices.BinarySearchFunc(x.order, parent, func(i int32, p SpanID) int {
+		if spans[i].Parent < p {
+			return -1
+		}
+		return 1 // first position whose parent is >= p
+	})
+	hi := lo
+	for hi < len(x.order) && spans[x.order[hi]].Parent == parent {
+		hi++
+	}
+	return x.order[lo:hi]
 }
 
 // SelfDuration returns the span's exclusive time: its duration minus the
@@ -90,49 +129,53 @@ func (t *Trace) Children(parent SpanID) []Span {
 // This is the "individual latency" of the paper's Table 1 — a parent
 // waiting on a slow child is not itself slow, which is what culprit
 // localization must distinguish.
-func (t *Trace) SelfDuration(s Span) sim.Time {
-	kids := t.Children(s.ID) // sorted by start time
+func (x *ChildIndex) SelfDuration(s Span) sim.Time {
 	var covered sim.Time
 	curLo, curHi := sim.Time(0), sim.Time(0)
 	started := false
-	flush := func() {
-		if started && curHi > curLo {
-			covered += curHi - curLo
-		}
-	}
-	for _, k := range kids {
+	for _, ki := range x.Of(s.ID) { // sorted by start time
+		k := &x.t.Spans[ki]
 		if k.Background {
 			continue
 		}
-		lo, hi := k.Start, k.End
-		if lo < s.Start {
-			lo = s.Start
-		}
-		if hi > s.End {
-			hi = s.End
-		}
+		lo, hi := max(k.Start, s.Start), min(k.End, s.End)
 		if hi <= lo {
 			continue
 		}
-		if !started {
-			curLo, curHi, started = lo, hi, true
+		if started && lo <= curHi { // overlapping or adjacent: extend
+			curHi = max(curHi, hi)
 			continue
 		}
-		if lo <= curHi { // overlapping or adjacent: extend
-			if hi > curHi {
-				curHi = hi
-			}
-		} else {
-			flush()
-			curLo, curHi = lo, hi
+		if started {
+			covered += curHi - curLo
 		}
+		curLo, curHi, started = lo, hi, true
 	}
-	flush()
-	self := s.Duration() - covered
-	if self < 0 {
-		self = 0
+	if started {
+		covered += curHi - curLo
 	}
-	return self
+	return max(s.Duration()-covered, 0)
+}
+
+// Children returns the child spans of parent, ordered by start time. This is
+// the adjacency view used by the critical-path extractor (Alg. 1). It
+// indexes the whole trace per call; code that asks about many spans of one
+// trace keeps a ChildIndex.
+func (t *Trace) Children(parent SpanID) []Span {
+	var x ChildIndex
+	x.Reset(t)
+	var out []Span
+	for _, i := range x.Of(parent) {
+		out = append(out, t.Spans[i])
+	}
+	return out
+}
+
+// SelfDuration is ChildIndex.SelfDuration for a one-off question.
+func (t *Trace) SelfDuration(s Span) sim.Time {
+	var x ChildIndex
+	x.Reset(t)
+	return x.SelfDuration(s)
 }
 
 // Services returns the distinct service names touched by the trace.
