@@ -51,7 +51,7 @@ func main() {
 
 		window := b.DB.Select(tracedb.Query{Since: t0 - 2*sim.Second, IncludeDrop: true})
 		if !detect.Violated(window, b.App.SLO) {
-			fmt.Printf("  %-10s on %-28s absorbed (no SLO violation)\n", kind, victim.ID)
+			fmt.Printf("  %-10s on %-28s absorbed (no SLO violation)\n", kind, victim.Name)
 			b.Eng.RunFor(3 * sim.Second)
 			continue
 		}
@@ -62,7 +62,7 @@ func main() {
 			// Keep the extractor learning online from ground truth.
 			_ = ext.Train(c, c.Instance == victim.ID)
 			if c.Critical {
-				flagged = append(flagged, c.Instance)
+				flagged = append(flagged, b.Cluster.InstanceName(c.Instance))
 				if c.Instance == victim.ID {
 					hit = true
 				}
@@ -71,7 +71,7 @@ func main() {
 		if hit {
 			hits++
 		}
-		fmt.Printf("  %-10s on %-28s flagged %v hit=%v\n", kind, victim.ID, flagged, hit)
+		fmt.Printf("  %-10s on %-28s flagged %v hit=%v\n", kind, victim.Name, flagged, hit)
 		b.Eng.RunFor(3 * sim.Second)
 	}
 	if events > 0 {

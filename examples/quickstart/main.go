@@ -46,7 +46,7 @@ func main() {
 	// service's memcached tier (an iBench-style stressor in the container).
 	b.Eng.RunFor(10 * sim.Second)
 	victim := b.Cluster.ReplicaSet("rate-memcached").Containers()[0]
-	fmt.Printf("injecting mem-BW anomaly into %s for 20s...\n", victim.ID)
+	fmt.Printf("injecting mem-BW anomaly into %s for 20s...\n", victim.Name)
 	b.Injector.Inject(injector.Injection{
 		Kind:      injector.MemBWStress,
 		Target:    victim,

@@ -120,7 +120,7 @@ func (b *StateBuilder) SV(currentP99 sim.Time, culprit bool) float64 {
 
 // State builds the 8-dimensional state vector for an instance:
 // [SV, WC, RC, RU_cpu, RU_membw, RU_llc, RU_io, RU_net].
-func (b *StateBuilder) State(instance string, currentP99 sim.Time, culprit bool) []float64 {
+func (b *StateBuilder) State(instance uint32, currentP99 sim.Time, culprit bool) []float64 {
 	s := make([]float64, StateDim)
 	s[0] = b.SV(currentP99, culprit)
 	wc := b.Meter.WorkloadChange()

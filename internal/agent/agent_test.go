@@ -168,7 +168,7 @@ func TestStateVector(t *testing.T) {
 		t.Fatalf("RU membw = %v", s[4])
 	}
 	// Unknown instance: utilization features zero.
-	s2 := sb.State("nope", 200*sim.Millisecond, true)
+	s2 := sb.State(c.ID+1000, 200*sim.Millisecond, true)
 	for r := 3; r < StateDim; r++ {
 		if s2[r] != 0 {
 			t.Fatalf("unknown instance util %v", s2)

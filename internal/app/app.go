@@ -3,6 +3,13 @@
 // requests through endpoint workflow trees (sequential, parallel, and
 // background composition), and emits spans to the tracing coordinator —
 // producing the execution history graphs FIRM's Extractor consumes.
+//
+// Names stay at the edges. An endpoint's workflow tree is resolved against
+// the cluster once, on its first request, into nodes that hold the serving
+// replica set and demand vector; from there a call is routed, charged and
+// traced by pointer and by the cluster's integer IDs (ReplicaSet.ID,
+// Container.ID), which is what the emitted spans carry. Service names are
+// read again only to key an armed edge fault.
 package app
 
 import (
@@ -63,9 +70,47 @@ type App struct {
 	// poison is set by tests only: released frames are then never reused,
 	// so any touch of a released frame trips its state check.
 	poison bool
-	// treeSize caches each endpoint root's call-tree size, the span-count
-	// hint handed to the coordinator.
-	treeSize map[*topology.Call]int
+	// roots holds each endpoint's resolved call tree, by position in
+	// Spec.Endpoints; nil until the endpoint's first request.
+	roots []*node
+}
+
+// node is one topology.Call resolved against this App's cluster: what begin
+// and Fire need of the call without a lookup by service name. The trees are
+// the App's own — the Spec may be shared by concurrent deployments and is
+// never written.
+type node struct {
+	call   *topology.Call
+	rs     *cluster.ReplicaSet // nil if the service is not deployed: calls shed at routing
+	demand cluster.Vector
+	kids   []*node // parallel to call.Children
+	// size is the number of calls in the subtree — for an endpoint root, the
+	// spans a request emits when nothing is shed or retried.
+	size int
+}
+
+// resolve builds the call tree under root, in two slabs: a tree is walked
+// parent to child on every request, and its nodes should sit together.
+func (a *App) resolve(root *topology.Call) *node {
+	calls := 0
+	topology.Walk(root, func(*topology.Call) { calls++ })
+	nodes, kids := make([]node, calls), make([]*node, calls)
+	var build func(c *topology.Call) *node
+	build = func(c *topology.Call) *node {
+		n := &nodes[0]
+		nodes = nodes[1:]
+		*n = node{call: c, rs: a.cl.ReplicaSet(c.Service), kids: kids[:len(c.Children):len(c.Children)], size: 1}
+		kids = kids[len(c.Children):]
+		if svc := a.Spec.Services[c.Service]; svc != nil {
+			n.demand = svc.Demand
+		}
+		for i, ch := range c.Children {
+			n.kids[i] = build(ch.Call)
+			n.size += n.kids[i].size
+		}
+		return n
+	}
+	return build(root)
 }
 
 // RetryPolicy models client-side retries: a shed or dropped call is
@@ -111,8 +156,7 @@ func (a *App) SetEdgeFaults(faults map[Edge]EdgeFault, rng *rand.Rand) {
 // reqCtx tracks one in-flight request across its call frames.
 type reqCtx struct {
 	app         *App
-	id          trace.TraceID
-	typ         string
+	trace       *trace.Trace // pending until maybeFinish seals it
 	start       sim.Time
 	outstanding int  // calls not yet finished (incl. background and pending retries)
 	rootDone    bool // root call completed or dropped
@@ -127,7 +171,7 @@ type reqCtx struct {
 // deploy in sorted name order so container IDs and placement are
 // reproducible run to run.
 func Deploy(eng *sim.Engine, cl *cluster.Cluster, spec *topology.Spec, coord *trace.Coordinator) (*App, error) {
-	a := &App{Spec: spec, Coord: coord, eng: eng, cl: cl, SLO: spec.SLO, treeSize: map[*topology.Call]int{}}
+	a := &App{Spec: spec, Coord: coord, eng: eng, cl: cl, SLO: spec.SLO, roots: make([]*node, len(spec.Endpoints))}
 	names := make([]string, 0, len(spec.Services))
 	for name := range spec.Services {
 		names = append(names, name)
@@ -153,31 +197,25 @@ func (a *App) SetResultHook(fn func(Result)) { a.onResult = fn }
 
 // Submit issues one request of the named endpoint type. onDone may be nil.
 func (a *App) Submit(endpoint string, onDone func(Result)) error {
-	ep := a.Spec.EndpointByName(endpoint)
-	if ep == nil {
+	eps := a.Spec.Endpoints
+	i := 0
+	for i < len(eps) && eps[i].Name != endpoint {
+		i++
+	}
+	if i == len(eps) {
 		return fmt.Errorf("app %s: unknown endpoint %q", a.Spec.Name, endpoint)
+	}
+	if a.roots[i] == nil {
+		a.roots[i] = a.resolve(eps[i].Root)
 	}
 	ctx := &reqCtx{
 		app:    a,
-		id:     a.Coord.StartTrace(ep.Name, a.spanHint(ep.Root)),
-		typ:    ep.Name,
+		trace:  a.Coord.StartTrace(endpoint, a.roots[i].size),
 		start:  a.eng.Now(),
 		onDone: onDone,
 	}
-	a.call(ctx, nil, 0, "client", ep.Root, false)
+	a.call(ctx, nil, 0, "client", a.roots[i], false)
 	return nil
-}
-
-// spanHint returns the size of the call tree under root — the number of
-// spans a request of that endpoint emits when nothing is shed or retried —
-// counting it on first use.
-func (a *App) spanHint(root *topology.Call) int {
-	n, ok := a.treeSize[root]
-	if !ok {
-		topology.Walk(root, func(*topology.Call) { n++ })
-		a.treeSize[root] = n
-	}
-	return n
 }
 
 // pickEndpoint draws an endpoint name from the spec's weighted mix with one
@@ -208,8 +246,8 @@ func (ctx *reqCtx) maybeFinish() {
 	}
 	ctx.finished = true
 	a := ctx.app
-	a.Coord.Finish(ctx.id, ctx.dropped)
-	res := Result{Trace: ctx.id, Type: ctx.typ, Latency: ctx.latency, Dropped: ctx.dropped}
+	a.Coord.Finish(ctx.trace, ctx.dropped)
+	res := Result{Trace: ctx.trace.ID, Type: ctx.trace.Type, Latency: ctx.latency, Dropped: ctx.dropped}
 	if ctx.dropped {
 		a.Dropped++
 	} else {

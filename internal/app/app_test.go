@@ -1,10 +1,14 @@
 package app
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"firm/internal/cluster"
+	"firm/internal/cpath"
 	"firm/internal/sim"
 	"firm/internal/topology"
 	"firm/internal/trace"
@@ -23,13 +27,16 @@ func harness(t *testing.T, spec *topology.Spec, seed int64) (*sim.Engine, *App, 
 		cl.AddNode(cluster.XeonProfile)
 	}
 	db := tracedb.New(10000)
-	coord := trace.NewCoordinator(eng, db)
+	coord := trace.NewCoordinator(eng, db, cl)
 	a, err := Deploy(eng, cl, spec, coord)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng, a, db
 }
+
+// service names the service a span of tr ran on.
+func service(tr *trace.Trace, sp trace.Span) string { return tr.Names.ServiceName(sp.Service) }
 
 func TestDeployCreatesAllServices(t *testing.T) {
 	_, a, _ := harness(t, topology.SocialNetwork(), 1)
@@ -72,11 +79,11 @@ func TestSubmitCompletesWithTrace(t *testing.T) {
 		"compose-post", "write-timeline"}
 	seen := map[string]bool{}
 	for _, sp := range tr.Spans {
-		seen[sp.Service] = true
+		seen[service(tr, sp)] = true
 	}
 	for _, s := range want {
 		if !seen[s] {
-			t.Fatalf("missing span for %s in %v", s, tr.Services())
+			t.Fatalf("missing span for %s in %v", s, seen)
 		}
 	}
 }
@@ -88,13 +95,13 @@ func TestBackgroundSpansMarked(t *testing.T) {
 	tr := db.Select(tracedb.Query{})[0]
 	foundBg := false
 	for _, sp := range tr.Spans {
-		if sp.Service == "write-timeline" {
+		if service(tr, sp) == "write-timeline" {
 			if !sp.Background {
 				t.Fatal("write-timeline span must be background")
 			}
 			foundBg = true
 		}
-		if sp.Service == "nginx" && sp.Background {
+		if service(tr, sp) == "nginx" && sp.Background {
 			t.Fatal("root must not be background")
 		}
 	}
@@ -110,7 +117,7 @@ func TestParallelChildrenOverlap(t *testing.T) {
 	tr := db.Select(tracedb.Query{})[0]
 	spanOf := func(svc string) trace.Span {
 		for _, sp := range tr.Spans {
-			if sp.Service == svc {
+			if service(tr, sp) == svc {
 				return sp
 			}
 		}
@@ -144,7 +151,7 @@ func TestSequentialHappensBefore(t *testing.T) {
 	tr := db.Select(tracedb.Query{})[0]
 	var travel, seat trace.Span
 	for _, sp := range tr.Spans {
-		switch sp.Service {
+		switch service(tr, sp) {
 		case "ts-travel":
 			travel = sp
 		case "ts-seat":
@@ -261,8 +268,8 @@ func TestTraceLatencyMatchesResult(t *testing.T) {
 	eng.RunUntil(10 * sim.Second)
 	tr := db.Select(tracedb.Query{})[0]
 	root := tr.Root()
-	if root.Service != "nginx" {
-		t.Fatalf("root service %s", root.Service)
+	if service(tr, root) != "nginx" {
+		t.Fatalf("root service %s", service(tr, root))
 	}
 	// Root span excludes only the client<->nginx hops; result latency must
 	// be >= root span duration and close to it.
@@ -369,6 +376,115 @@ func TestRetryRecoversShedCall(t *testing.T) {
 	}
 }
 
+// TestRetriedRootKeepsOneRoot: a root shed at its container's queue leaves a
+// span for the shed attempt and, once a retry is served, one for that — two
+// Parent == 0 spans. The trace's root, and the critical path's, must be the
+// served attempt, and the trace must validate.
+func TestRetriedRootKeepsOneRoot(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := cluster.DefaultConfig()
+	cfg.NoiseSD = 0
+	cfg.QueueCap = 1 // svc-a: two workers and one queue slot, so a burst of six sheds three
+	cl := cluster.New(eng, cfg)
+	cl.AddNode(cluster.XeonProfile)
+	db := tracedb.New(100)
+	a, err := Deploy(eng, cl, twoTierSpec(), trace.NewCoordinator(eng, db, cl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetRetryPolicy(&RetryPolicy{MaxRetries: 8, Backoff: 5 * sim.Millisecond})
+	for i := 0; i < 6; i++ {
+		if err := a.Submit("get", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(5 * sim.Second)
+	if a.Completed != 6 {
+		t.Fatalf("completed %d of 6 (dropped %d): retries must recover every request", a.Completed, a.Dropped)
+	}
+	retried := 0
+	for _, tr := range db.Select(tracedb.Query{}) {
+		roots := 0
+		for _, sp := range tr.Spans {
+			if sp.Parent == 0 {
+				roots++
+			}
+		}
+		if roots < 2 {
+			continue
+		}
+		retried++
+		if err := tr.Validate(); err != nil {
+			t.Errorf("retried trace: %v", err)
+		}
+		root := tr.Root()
+		if root.End != tr.End { // the served root's response hop is the request's last event
+			t.Errorf("root span ends at %v, trace at %v: root is not the served attempt", root.End, tr.End)
+		}
+		if p := cpath.Extract(tr); p.Signature() != "svc-a→svc-b" || p.Latency != root.Duration() {
+			t.Errorf("critical path %q (%v), want svc-a→svc-b (%v)", p.Signature(), p.Latency, root.Duration())
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no request had its root retried; the test exercises nothing")
+	}
+}
+
+// TestDeploySharedSpecConcurrently: rollout workers deploy one *topology.Spec
+// from many goroutines at once, so Deploy and the request path may read the
+// spec but never write it — resolved call trees and IDs live in the App and
+// the cluster. Every goroutine must see the same simulation; -race checks
+// the rest.
+func TestDeploySharedSpecConcurrently(t *testing.T) {
+	spec, err := topology.Generate(topology.Params{Services: 60, Endpoints: 3, MaxFanout: 3, Depth: 4}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 6
+	digests := make([]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng := sim.NewEngine(9)
+			cl := cluster.New(eng, cluster.DefaultConfig())
+			for i := 0; i < 1+len(spec.Services)/8; i++ {
+				cl.AddNode(cluster.XeonProfile)
+			}
+			h := fnv.New64a()
+			sink := trace.SinkFunc(func(tr *trace.Trace) {
+				fmt.Fprint(h, tr.ID, tr.Start, tr.End, tr.Dropped)
+				for _, s := range tr.Spans {
+					fmt.Fprint(h, s.ID, s.Parent, tr.Names.ServiceName(s.Service), tr.Names.InstanceName(s.Instance), s.Start, s.End, s.Queued, s.Background)
+				}
+			})
+			a, err := Deploy(eng, cl, spec, trace.NewCoordinator(eng, sink, cl))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mix := sim.Stream(9, "shared-spec")
+			for i := 0; i < 60; i++ {
+				eng.Schedule(sim.Time(i)*sim.Millisecond, func() {
+					if _, err := a.SubmitMix(mix, nil); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			eng.RunUntil(10 * sim.Second)
+			fmt.Fprint(h, eng.Steps(), a.Completed, a.Dropped)
+			digests[w] = h.Sum64()
+		}()
+	}
+	wg.Wait()
+	for w, d := range digests {
+		if d != digests[0] || d == 0 {
+			t.Fatalf("worker %d digest %016x, worker 0 %016x: deployments of a shared spec diverged", w, d, digests[0])
+		}
+	}
+}
+
 func TestEdgeFaultDelayAddsToHops(t *testing.T) {
 	run := func(faults map[Edge]EdgeFault) Result {
 		eng, a, _ := harness(t, twoTierSpec(), 1)
@@ -409,7 +525,7 @@ func TestEdgeFaultDropLosesRPC(t *testing.T) {
 	}
 	for _, tr := range db.Select(tracedb.Query{}) {
 		for _, sp := range tr.Spans {
-			if sp.Service == "svc-b" {
+			if service(tr, sp) == "svc-b" {
 				t.Fatal("dropped RPC must not reach svc-b")
 			}
 		}

@@ -76,19 +76,21 @@ func requestDigest(t *testing.T, specName, variant string, seed int64) (digest u
 		put(bit(tr.Dropped))
 		put(uint64(len(tr.Spans)))
 		spans += len(tr.Spans)
+		// The digests were recorded while every span repeated its trace's ID
+		// and carried its service and instance as strings; hash the same bytes.
 		for _, s := range tr.Spans {
-			put(uint64(s.Trace))
+			put(uint64(tr.ID))
 			put(uint64(s.ID))
 			put(uint64(s.Parent))
-			h.Write([]byte(s.Service))
-			h.Write([]byte(s.Instance))
+			h.Write([]byte(tr.Names.ServiceName(s.Service)))
+			h.Write([]byte(tr.Names.InstanceName(s.Instance)))
 			put(uint64(s.Start))
 			put(uint64(s.End))
 			put(uint64(s.Queued))
 			put(bit(s.Background))
 		}
 	})
-	a, err := Deploy(eng, cl, spec, trace.NewCoordinator(eng, sink))
+	a, err := Deploy(eng, cl, spec, trace.NewCoordinator(eng, sink, cl))
 	if err != nil {
 		t.Fatal(err)
 	}

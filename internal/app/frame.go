@@ -17,7 +17,7 @@ import (
 //
 // Lifecycle: begin routes the call (routing) and schedules the request hop
 // (arriving); on arrival the frame is submitted to the picked replica
-// (queued); when the work completes it walks call.Children (children); when
+// (queued); when the work completes it walks the call's children (children); when
 // the last awaited group has reported it schedules the response hop
 // (responding), and on that hop emits its span, reports to its parent and is
 // released. A shed, lost or queue-dropped attempt either waits out a backoff
@@ -31,7 +31,7 @@ type frame struct {
 	// root (which reports to ctx) and for a background call (which reports
 	// to no one — a released parent is never reachable from a straggler).
 	up         *frame
-	call       *topology.Call
+	node       *node        // the call, resolved
 	caller     string       // calling service, "client" for a root: the edge-fault key
 	parent     trace.SpanID // calling span, 0 for a root
 	background bool
@@ -70,7 +70,7 @@ const (
 // wait in its queue, do local compute, run the child groups, respond.
 //
 //firmvet:noalloc
-func (a *App) call(ctx *reqCtx, up *frame, parent trace.SpanID, caller string, c *topology.Call, background bool) {
+func (a *App) call(ctx *reqCtx, up *frame, parent trace.SpanID, caller string, n *node, background bool) {
 	var f *frame
 	if n := len(a.free); n > 0 {
 		f = a.free[n-1]
@@ -80,7 +80,7 @@ func (a *App) call(ctx *reqCtx, up *frame, parent trace.SpanID, caller string, c
 		//firmvet:allow noalloc -- freelist warm-up miss; an App allocates one frame per concurrently in-flight call, then recycles them
 		f = &frame{}
 	}
-	f.ctx, f.up, f.parent, f.caller, f.call, f.background = ctx, up, parent, caller, c, background
+	f.ctx, f.up, f.parent, f.caller, f.node, f.background = ctx, up, parent, caller, n, background
 	f.begin()
 }
 
@@ -105,11 +105,11 @@ func (a *App) release(f *frame) {
 //
 //firmvet:noalloc
 func (f *frame) begin() {
-	a, call := f.ctx.app, f.call
+	a := f.ctx.app
 	f.state = frameRouting
 	f.ctx.outstanding++
 	var target *cluster.Container
-	if rs := a.cl.ReplicaSet(call.Service); rs != nil {
+	if rs := f.node.rs; rs != nil {
 		target = rs.Pick()
 	}
 	if target == nil { // no ready replica: request shed at routing
@@ -125,7 +125,7 @@ func (f *frame) begin() {
 	f.dispatch = a.eng.Now()
 	f.hop = a.Spec.BaseRPCDelay + target.NetDelay()
 	if len(a.edgeFaults) > 0 {
-		if ef, ok := a.edgeFaults[Edge{From: f.caller, To: call.Service}]; ok {
+		if ef, ok := a.edgeFaults[Edge{From: f.caller, To: f.node.call.Service}]; ok {
 			if ef.Drop > 0 && a.faultRng != nil && a.faultRng.Float64() < ef.Drop {
 				f.fail() // RPC lost in the partition before reaching the callee
 				return
@@ -146,8 +146,8 @@ func (f *frame) Fire() {
 	case frameArriving:
 		f.state = frameQueued
 		f.target.Submit(cluster.Work{
-			Base:    f.call.Compute,
-			Demand:  f.ctx.app.Spec.Services[f.call.Service].Demand,
+			Base:    f.node.call.Compute,
+			Demand:  f.node.demand,
 			Handler: f,
 		})
 	case frameResponding:
@@ -173,10 +173,10 @@ func (f *frame) WorkDone(queued, _ sim.Time) {
 		f.misuse("completed")
 	}
 	f.state, f.queued, f.ok, f.next = frameChildren, queued, true, 0
-	ctx, span, service := f.ctx, f.span, f.call.Service
-	for _, ch := range f.call.Children {
+	ctx, span, service := f.ctx, f.span, f.node.call.Service
+	for i, ch := range f.node.call.Children {
 		if ch.Mode == topology.Background {
-			ctx.app.call(ctx, nil, span, service, ch.Call, true)
+			ctx.app.call(ctx, nil, span, service, f.node.kids[i], true)
 		}
 	}
 	f.advance()
@@ -200,11 +200,10 @@ func (f *frame) WorkDropped() {
 //firmvet:noalloc
 func (f *frame) emit(queued sim.Time) {
 	a := f.ctx.app
-	a.Coord.Emit(trace.Span{
-		Trace:      f.ctx.id,
+	a.Coord.Emit(f.ctx.trace, trace.Span{
 		ID:         f.span,
 		Parent:     f.parent,
-		Service:    f.call.Service,
+		Service:    f.node.rs.ID,
 		Instance:   f.target.ID,
 		Start:      f.dispatch,
 		End:        a.eng.Now(),
@@ -225,7 +224,7 @@ func (f *frame) emit(queued sim.Time) {
 //
 //firmvet:noalloc
 func (f *frame) advance() {
-	children := f.call.Children
+	children := f.node.call.Children
 	i := f.next
 	for i < len(children) && children[i].Mode == topology.Background {
 		i++
@@ -242,9 +241,9 @@ func (f *frame) advance() {
 		}
 	}
 	f.next, f.remaining = j, j-i
-	ctx, span, service := f.ctx, f.span, f.call.Service
-	for _, ch := range children[i:j] {
-		ctx.app.call(ctx, f, span, service, ch.Call, false)
+	ctx, span, service := f.ctx, f.span, f.node.call.Service
+	for _, kid := range f.node.kids[i:j] {
+		ctx.app.call(ctx, f, span, service, kid, false)
 	}
 }
 

@@ -88,10 +88,10 @@ func TestParGroupShedReentrancy(t *testing.T) {
 		spans := map[string]trace.Span{}
 		for _, tr := range db.Select(tracedb.Query{IncludeDrop: true}) {
 			for _, sp := range tr.Spans {
-				if _, dup := spans[sp.Service]; dup {
-					t.Fatalf("%s: %s served twice", tc.name, sp.Service)
+				if _, dup := spans[service(tr, sp)]; dup {
+					t.Fatalf("%s: %s served twice", tc.name, service(tr, sp))
 				}
-				spans[sp.Service] = sp
+				spans[service(tr, sp)] = sp
 			}
 		}
 		if want := 5 - len(tc.shed); len(spans) != want {
@@ -119,7 +119,7 @@ func TestFramesRecycleWithoutLeak(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			cl.AddNode(cluster.XeonProfile)
 		}
-		a, err := Deploy(eng, cl, spec, trace.NewCoordinator(eng, tracedb.New(1000)))
+		a, err := Deploy(eng, cl, spec, trace.NewCoordinator(eng, tracedb.New(1000), cl))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,14 +171,14 @@ func TestSteadyStateRequestAllocs(t *testing.T) {
 	for i := 0; i < 1+len(spec.Services)/8; i++ {
 		cl.AddNode(cluster.XeonProfile)
 	}
-	a, err := Deploy(eng, cl, spec, trace.NewCoordinator(eng, tracedb.New(1000)))
+	a, err := Deploy(eng, cl, spec, trace.NewCoordinator(eng, tracedb.New(1000), cl))
 	if err != nil {
 		t.Fatal(err)
 	}
 	small, large := "", ""
 	minCalls, maxCalls := 0, 0
 	for _, ep := range spec.Endpoints {
-		n := a.spanHint(ep.Root)
+		n := a.resolve(ep.Root).size
 		if small == "" || n < minCalls {
 			small, minCalls = ep.Name, n
 		}

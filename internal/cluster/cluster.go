@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"firm/internal/sim"
 )
@@ -54,7 +55,13 @@ type Cluster struct {
 	cfg    Config
 	nodes  []*Node
 	sets   map[string]*ReplicaSet
-	nextID int
+	nextID uint32
+	// byID holds every replica set in deploy order (index = ReplicaSet.ID);
+	// placed holds every container ever placed, retired ones included
+	// (index = Container.ID - 1). Together they are the testbed's name
+	// table — see ServiceName and InstanceName.
+	byID   []*ReplicaSet
+	placed []*Container
 
 	// setsSorted caches the sorted ReplicaSets view; services are only
 	// ever added (DeployService rejects duplicates, nothing deletes), so a
@@ -109,17 +116,30 @@ func (cl *Cluster) ReplicaSets() []*ReplicaSet {
 	return cl.setsSorted
 }
 
-// FindContainer locates a container by instance ID across all replica sets.
-func (cl *Cluster) FindContainer(id string) *Container {
-	for _, rs := range cl.sets {
-		for _, c := range rs.containers {
-			if c.ID == id {
-				return c
-			}
-		}
+// Container returns the live container with the given instance ID, or nil
+// if there is none or it has been retired.
+//
+//firmvet:noalloc
+func (cl *Cluster) Container(id uint32) *Container {
+	if id-1 < uint32(len(cl.placed)) && !cl.placed[id-1].retired {
+		return cl.placed[id-1]
 	}
 	return nil
 }
+
+// ServiceName resolves a ReplicaSet.ID — the service ID spans carry — to the
+// service name. With InstanceName it makes the cluster a trace.Names: IDs
+// are minted here, so names resolve here, and only where a string leaves
+// the system.
+//
+//firmvet:noalloc
+func (cl *Cluster) ServiceName(id uint32) string { return cl.byID[id].Service }
+
+// InstanceName resolves a Container.ID to the container's name. Retired
+// containers keep theirs: spans that name them outlive them.
+//
+//firmvet:noalloc
+func (cl *Cluster) InstanceName(id uint32) string { return cl.placed[id-1].Name }
 
 // TotalRequestedCPU sums CPU limits over all ready containers; expressed in
 // cores (multiply by 100 for the "%CPU" axis of Fig. 10(b)). The sum runs
@@ -161,22 +181,35 @@ type ReplicaSet struct {
 	cl         *Cluster
 	containers []*Container
 	rr         int
+	// ID is the service's dense identity: its rank in deploy order, which
+	// for an app.Deploy'ed spec is its rank in sorted name order.
+	ID uint32
 }
 
 // DeployService creates a replica set with `replicas` containers, each with
 // the given limits. Containers start warm (the initial deployment is part of
 // experiment setup, not a measured action).
 func (cl *Cluster) DeployService(service string, replicas int, limits Vector) (*ReplicaSet, error) {
-	if _, dup := cl.sets[service]; dup {
-		return nil, fmt.Errorf("cluster: service %s already deployed", service)
+	rs, err := cl.newSet(service)
+	if err != nil {
+		return nil, err
 	}
-	rs := &ReplicaSet{Service: service, cl: cl}
-	cl.sets[service] = rs
 	for i := 0; i < replicas; i++ {
 		if _, err := rs.AddReplica(limits, false, true); err != nil {
 			return nil, err
 		}
 	}
+	return rs, nil
+}
+
+// newSet registers an empty replica set under the next service ID.
+func (cl *Cluster) newSet(service string) (*ReplicaSet, error) {
+	if _, dup := cl.sets[service]; dup {
+		return nil, fmt.Errorf("cluster: service %s already deployed", service)
+	}
+	rs := &ReplicaSet{Service: service, ID: uint32(len(cl.byID)), cl: cl}
+	cl.sets[service] = rs
+	cl.byID = append(cl.byID, rs)
 	return rs, nil
 }
 
@@ -196,13 +229,15 @@ func (rs *ReplicaSet) AddReplica(limits Vector, cold, instant bool) (*Container,
 func (rs *ReplicaSet) place(node *Node, limits Vector, cold, instant bool) (*Container, error) {
 	rs.cl.nextID++
 	c := &Container{
-		ID:      fmt.Sprintf("%s-%d", rs.Service, rs.cl.nextID),
+		ID:      rs.cl.nextID,
+		Name:    rs.Service + "-" + strconv.FormatUint(uint64(rs.cl.nextID), 10),
 		Service: rs.Service,
 		eng:     rs.cl.eng,
 		cfg:     rs.cl.cfg,
 		node:    node,
 		limits:  limits.Min(node.Prof.Capacity),
 	}
+	rs.cl.placed = append(rs.cl.placed, c)
 	if rs.cl.cfg.PerInstanceNoise {
 		// Only the seed is derived here; the ~5KB rand source is built on
 		// first draw. A 10,000-service deployment places containers that may
@@ -232,11 +267,10 @@ func (rs *ReplicaSet) place(node *Node, limits Vector, cold, instant bool) (*Con
 // computed globally (so the node→shard mapping, not free-CPU order at deploy
 // time, decides where every replica lives).
 func (cl *Cluster) DeployServiceOn(node *Node, service string, replicas int, limits Vector) (*ReplicaSet, error) {
-	if _, dup := cl.sets[service]; dup {
-		return nil, fmt.Errorf("cluster: service %s already deployed", service)
+	rs, err := cl.newSet(service)
+	if err != nil {
+		return nil, err
 	}
-	rs := &ReplicaSet{Service: service, cl: cl}
-	cl.sets[service] = rs
 	for i := 0; i < replicas; i++ {
 		if _, err := rs.place(node, limits, false, true); err != nil {
 			return nil, err
@@ -251,7 +285,7 @@ func (rs *ReplicaSet) RemoveReplica(c *Container) bool {
 	for i, cc := range rs.containers {
 		if cc == c {
 			rs.containers = append(rs.containers[:i], rs.containers[i+1:]...)
-			c.ready = false
+			c.ready, c.retired = false, true
 			c.dropQueued()
 			c.node.detach(c)
 			return true

@@ -353,7 +353,7 @@ func TestRoundRobinPick(t *testing.T) {
 	rs, _ := cl.DeployService("svc", 3, V(1, 1000, 4, 100, 100))
 	seen := map[string]int{}
 	for i := 0; i < 9; i++ {
-		seen[rs.Pick().ID]++
+		seen[rs.Pick().Name]++
 	}
 	if len(seen) != 3 {
 		t.Fatalf("round robin hit %d containers, want 3", len(seen))

@@ -73,7 +73,7 @@ type running struct {
 // node scope (shared-resource interference) — the mechanism behind the
 // paper's Fig. 1 latency spikes.
 type Container struct {
-	ID      string
+	Name    string // "<service>-<ID>", for output
 	Service string
 
 	eng  *sim.Engine
@@ -87,8 +87,14 @@ type Container struct {
 	noiseSeed int64
 	noise     *rand.Rand
 
-	limits Vector
-	ready  bool
+	limits  Vector
+	ready   bool
+	retired bool // removed from its replica set; never comes back
+	// ID is the instance's dense identity — the cluster's container ordinal,
+	// starting at 1 and never reused — and what spans, telemetry series and
+	// localizer state are keyed by. (It sits here, in what was padding, so
+	// the fields the request path touches keep their offsets.)
+	ID uint32
 
 	// queue[head:] is the FIFO of waiting work. Popping advances head
 	// instead of reslicing from the front, which would shed capacity and

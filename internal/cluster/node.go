@@ -16,12 +16,12 @@ type Node struct {
 	usage      Vector // demand from in-flight container work
 	inject     Vector // injector-generated background contention
 	cpuAlloc   float64
-	containers map[string]*Container
+	containers map[uint32]*Container
 }
 
 // NewNode creates a node with the given hardware profile.
 func NewNode(id string, prof HardwareProfile) *Node {
-	return &Node{ID: id, Prof: prof, containers: make(map[string]*Container)}
+	return &Node{ID: id, Prof: prof, containers: make(map[uint32]*Container)}
 }
 
 // Capacity returns the node's total resource capacities.
@@ -50,13 +50,13 @@ func (n *Node) CPUAllocated() float64 { return n.cpuAlloc }
 // FreeCPU returns unallocated CPU capacity.
 func (n *Node) FreeCPU() float64 { return n.Prof.Capacity[CPU] - n.cpuAlloc }
 
-// Containers returns the hosted containers sorted by ID (deterministic).
+// Containers returns the hosted containers sorted by name (deterministic).
 func (n *Node) Containers() []*Container {
 	out := make([]*Container, 0, len(n.containers))
 	for _, c := range n.containers {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -91,7 +91,7 @@ func (n *Node) PerCoreDRAMAccess() float64 {
 
 func (n *Node) attach(c *Container) error {
 	if _, dup := n.containers[c.ID]; dup {
-		return fmt.Errorf("cluster: container %s already on node %s", c.ID, n.ID)
+		return fmt.Errorf("cluster: container %s already on node %s", c.Name, n.ID)
 	}
 	n.containers[c.ID] = c
 	n.cpuAlloc += c.limits[CPU]

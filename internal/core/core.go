@@ -373,7 +373,7 @@ func DefaultConfig() Config {
 // pendingAction is a state-action pair awaiting its next-tick reward.
 type pendingAction struct {
 	service  string
-	instance string
+	instance uint32
 	state    []float64
 	action   []float64
 }
@@ -650,15 +650,15 @@ func (c *Controller) tick() {
 		if !cand.Critical {
 			continue
 		}
-		ct := c.app.Cluster().FindContainer(cand.Instance)
+		ct := c.app.Cluster().Container(cand.Instance)
 		if ct == nil || !ct.Ready() {
 			continue
 		}
-		svc := c.app.Spec.Services[cand.Service]
+		svc := c.app.Spec.Services[ct.Service]
 		if svc == nil {
 			continue
 		}
-		ag := c.prov.AgentFor(cand.Service)
+		ag := c.prov.AgentFor(ct.Service)
 		st := c.sb.State(cand.Instance, p99, true)
 		var act []float64
 		switch {
@@ -675,7 +675,7 @@ func (c *Controller) tick() {
 		c.Actions++
 		acted++
 		c.pending = append(c.pending, pendingAction{
-			service: cand.Service, instance: cand.Instance, state: st, action: act,
+			service: ct.Service, instance: cand.Instance, state: st, action: act,
 		})
 	}
 }

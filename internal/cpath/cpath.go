@@ -10,6 +10,7 @@
 package cpath
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -23,13 +24,14 @@ type Path struct {
 	Spans []trace.Span
 	// Latency is the end-to-end duration bounded by the CP (root span).
 	Latency sim.Time
+	names   trace.Names // the extracted trace's, for Services
 }
 
 // Services returns the CP's service names in order.
 func (p Path) Services() []string {
 	out := make([]string, len(p.Spans))
 	for i, s := range p.Spans {
-		out[i] = s.Service
+		out[i] = p.names.ServiceName(s.Service)
 	}
 	return out
 }
@@ -40,24 +42,7 @@ func (p Path) Signature() string { return strings.Join(p.Services(), "→") }
 
 // Contains reports whether the service appears on the CP.
 func (p Path) Contains(service string) bool {
-	for _, s := range p.Spans {
-		if s.Service == service {
-			return true
-		}
-	}
-	return false
-}
-
-// ServiceLatency returns the total span duration attributed to the service
-// along the CP (a service may appear in multiple CP spans).
-func (p Path) ServiceLatency(service string) sim.Time {
-	var d sim.Time
-	for _, s := range p.Spans {
-		if s.Service == service {
-			d += s.Duration()
-		}
-	}
-	return d
+	return slices.Contains(p.Services(), service)
 }
 
 // Extract computes the critical path of a trace per Alg. 1. For each span,
@@ -85,19 +70,13 @@ type Extractor struct {
 // extractor's buffer and are valid until its next Extract.
 func (e *Extractor) Extract(t *trace.Trace) Path {
 	e.Kids.Reset(t)
-	root := -1
-	for i, s := range t.Spans {
-		if s.Parent == 0 {
-			root = i
-			break
-		}
-	}
+	root := t.RootIndex()
 	if root < 0 || (t.Spans[root].ID == 0 && t.Spans[root].End == 0) {
 		return Path{}
 	}
 	e.spans = e.spans[:0]
 	e.visit(int32(root))
-	return Path{Spans: e.spans, Latency: t.Spans[root].Duration()}
+	return Path{Spans: e.spans, Latency: t.Spans[root].Duration(), names: t.Names}
 }
 
 func (e *Extractor) visit(si int32) {

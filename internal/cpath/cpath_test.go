@@ -1,15 +1,26 @@
 package cpath
 
 import (
+	"slices"
 	"testing"
 
 	"firm/internal/sim"
 	"firm/internal/trace"
 )
 
+// nameList is a trace.Names for hand-built traces: a service's ID is its
+// position in the list, and its one instance has the same ID and the name
+// + "-1". sp interns into testNames.
+type nameList []string
+
+func (n *nameList) ServiceName(id uint32) string  { return (*n)[id] }
+func (n *nameList) InstanceName(id uint32) string { return (*n)[id] + "-1" }
+
+var testNames = &nameList{}
+
 // mkTrace builds a trace from (id, parent, service, start, end, background).
 func mkTrace(spans ...trace.Span) *trace.Trace {
-	t := &trace.Trace{ID: 1, Type: "t"}
+	t := &trace.Trace{ID: 1, Type: "t", Names: testNames}
 	t.Spans = spans
 	if len(spans) > 0 {
 		t.Start = spans[0].Start
@@ -19,8 +30,13 @@ func mkTrace(spans ...trace.Span) *trace.Trace {
 }
 
 func sp(id, parent trace.SpanID, svc string, start, end sim.Time, bg bool) trace.Span {
-	return trace.Span{Trace: 1, ID: id, Parent: parent, Service: svc,
-		Instance: svc + "-1", Start: start, End: end, Background: bg}
+	i := slices.Index(*testNames, svc)
+	if i < 0 {
+		i = len(*testNames)
+		*testNames = append(*testNames, svc)
+	}
+	return trace.Span{ID: id, Parent: parent, Service: uint32(i), Instance: uint32(i),
+		Start: start, End: end, Background: bg}
 }
 
 // Fig. 2(b)-shaped trace: N with parallel V,U,T; I sequential after U; C
@@ -138,7 +154,7 @@ func TestCPAllBackgroundChildren(t *testing.T) {
 		sp(2, 1, "bg", 5, 200, true),
 	)
 	p := Extract(tr)
-	if len(p.Spans) != 1 || p.Spans[0].Service != "root" {
+	if len(p.Spans) != 1 || p.Signature() != "root" {
 		t.Fatalf("CP = %v, background must be excluded", p.Services())
 	}
 }
@@ -152,10 +168,19 @@ func TestSignatureAndServiceLatency(t *testing.T) {
 	if p.Signature() != "root→a" {
 		t.Fatalf("signature %q", p.Signature())
 	}
-	if p.ServiceLatency("a") != 90 {
-		t.Fatalf("service latency = %v", p.ServiceLatency("a"))
+	// A service's latency along the CP is the sum of its CP spans.
+	serviceLatency := func(service string) (d sim.Time) {
+		for i, name := range p.Services() {
+			if name == service {
+				d += p.Spans[i].Duration()
+			}
+		}
+		return d
 	}
-	if p.ServiceLatency("zzz") != 0 {
+	if serviceLatency("a") != 90 {
+		t.Fatalf("service latency = %v", serviceLatency("a"))
+	}
+	if serviceLatency("zzz") != 0 || p.Contains("zzz") {
 		t.Fatal("absent service latency must be 0")
 	}
 }

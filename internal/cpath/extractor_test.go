@@ -1,13 +1,29 @@
 package cpath
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"firm/internal/sim"
 	"firm/internal/trace"
 )
+
+// scanChildren is parent's children by a scan, a copy and a sort.
+func scanChildren(t *trace.Trace, parent trace.SpanID) []trace.Span {
+	var out []trace.Span
+	for _, s := range t.Spans {
+		if s.Parent == parent && s.ID != parent {
+			out = append(out, s)
+		}
+	}
+	slices.SortFunc(out, func(a, b trace.Span) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
+	})
+	return out
+}
 
 // scanExtract is Alg. 1 as it was written before the Extractor: a fresh
 // children scan and two fresh slices per span. Kept as the oracle.
@@ -21,7 +37,7 @@ func scanExtract(t *trace.Trace) Path {
 	visit = func(s trace.Span) {
 		spans = append(spans, s)
 		var kids []trace.Span
-		for _, k := range t.Children(s.ID) {
+		for _, k := range scanChildren(t, s.ID) {
 			if !k.Background {
 				kids = append(kids, k)
 			}
@@ -66,17 +82,23 @@ func scanExtract(t *trace.Trace) Path {
 // TestExtractorMatchesScanOnRandomTraces reuses one Extractor across
 // randomised span trees — coarse clocks (ties everywhere), background
 // children, shuffled span order, a root-less trace now and then — and holds
-// every path to the per-span-scan oracle. (Spans last at least one tick:
-// Alg. 1's happens-before chain does not terminate on two zero-length
-// siblings at the same instant, before or after this change.)
+// every path to the per-span-scan oracle, and every ID-resolved signature to
+// one joined from the service-name strings the spans were drawn with. (Spans
+// last at least one tick: Alg. 1's happens-before chain does not terminate
+// on two zero-length siblings at the same instant, before or after this
+// change.)
 func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	var e Extractor
+	services := []string{"gw", "auth", "cart", "db", "cache"}
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + r.Intn(30)
-		tr := &trace.Trace{ID: 1}
+		tr := &trace.Trace{ID: 1, Names: testNames}
+		service := map[trace.SpanID]string{} // the string-keyed side
 		for i := 0; i < n; i++ {
-			s := sp(trace.SpanID(i+1), 0, "s", 0, 0, false)
+			name := services[r.Intn(len(services))]
+			s := sp(trace.SpanID(i+1), 0, name, 0, 0, false)
+			service[s.ID] = name
 			if i > 0 {
 				s.Parent = trace.SpanID(1 + r.Intn(i))
 				s.Background = r.Intn(5) == 0
@@ -97,6 +119,13 @@ func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
 		}
 		if pkg := Extract(tr); !slices.Equal(pkg.Spans, want.Spans) {
 			t.Fatalf("trial %d: package-level Extract diverges from the scan", trial)
+		}
+		var sig []string
+		for _, s := range want.Spans {
+			sig = append(sig, service[s.ID])
+		}
+		if got, want := got.Signature(), strings.Join(sig, "→"); got != want {
+			t.Fatalf("trial %d: signature %q, string-keyed oracle %q", trial, got, want)
 		}
 	}
 }

@@ -43,10 +43,12 @@ func DefaultConfig() Config {
 	return Config{MinSamples: 8, CIScale: 5, IncludeBackground: true}
 }
 
-// Candidate is one scored microservice instance.
+// Candidate is one scored microservice instance, named by the IDs its spans
+// carried (cluster.Container.ID, cluster.ReplicaSet.ID). Candidate lists are
+// ordered by instance name.
 type Candidate struct {
-	Instance string
-	Service  string
+	Instance uint32
+	Service  uint32
 	RI       float64 // relative importance (PCC with CP latency)
 	CI       float64 // congestion intensity (T99/T50)
 	Score    float64 // SVM margin; >0 → critical
@@ -92,7 +94,7 @@ func Violated(traces []*trace.Trace, slo sim.Time) bool {
 
 // instanceStats accumulates per-instance observations across the window.
 type instanceStats struct {
-	service   string
+	service   uint32
 	durations []float64 // all span durations (ms) in the window
 	perTrace  []float64 // CP-aligned: duration in traces where on CP
 	cpLats    []float64 // matching end-to-end latencies
@@ -104,8 +106,9 @@ type instanceStats struct {
 // IncludeBackground, instances observed only in background spans are scored
 // too (their RI uses end-to-end latency of their traces).
 func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
-	table := map[string]*instanceStats{}
-	get := func(inst, svc string, bg bool) *instanceStats {
+	table := map[uint32]*instanceStats{}
+	var names trace.Names
+	get := func(inst, svc uint32, bg bool) *instanceStats {
 		st, ok := table[inst]
 		if !ok {
 			st = &instanceStats{service: svc, bgOnly: true}
@@ -122,11 +125,12 @@ func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
 		if t.Dropped {
 			continue
 		}
+		names = t.Names
 		p := cp.Extract(t)
 		// Per-instance latencies are exclusive (self) times: a parent span
 		// waiting on a slow child must not inherit the child's anomaly
 		// signature (cf. Table 1's per-service "individual latency").
-		onCP := map[string]sim.Time{}
+		onCP := map[uint32]sim.Time{}
 		for _, s := range p.Spans {
 			onCP[s.Instance] += cp.Kids.SelfDuration(s)
 		}
@@ -170,7 +174,9 @@ func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
 		}
 		out = append(out, Candidate{Instance: inst, Service: st.service, RI: ri, CI: ci})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Instance < out[j].Instance })
+	sort.Slice(out, func(i, j int) bool {
+		return names.InstanceName(out[i].Instance) < names.InstanceName(out[j].Instance)
+	})
 	return out
 }
 

@@ -1,13 +1,39 @@
 package detect
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"firm/internal/sim"
 	"firm/internal/svm"
 	"firm/internal/trace"
 )
+
+// nameTable is the trace.Names of the hand-built traces below: an ID is a
+// position in the table. Instance IDs are deliberately out of name order —
+// "A-1" has a larger ID than "A-2" — so ordering candidates by ID cannot
+// pass for ordering them by name.
+type nameTable struct{ svc, inst []string }
+
+func (n nameTable) ServiceName(id uint32) string  { return n.svc[id] }
+func (n nameTable) InstanceName(id uint32) string { return n.inst[id] }
+
+var testNames = nameTable{
+	svc:  []string{"root", "A", "B", "gc", "W"},
+	inst: []string{1: "root-1", 2: "B-1", 3: "A-2", 4: "gc-1", 5: "A-1", 6: "W-1"},
+}
+
+// on returns a span's identity fields: the service's ID and the ID of its
+// instance "<service>-<replica>".
+func on(service string, replica int) (svc, inst uint32) {
+	return uint32(slices.Index(testNames.svc, service)),
+		uint32(slices.Index(testNames.inst, fmt.Sprintf("%s-%d", service, replica)))
+}
+
+// serviceOf names a candidate's service.
+func serviceOf(c Candidate) string { return testNames.ServiceName(c.Service) }
 
 // window synthesizes n traces: root → A → B sequential chain where A's
 // latency is bimodal/congested (culprit signature) and B's is constant.
@@ -25,14 +51,17 @@ func window(n int, congested bool, r *rand.Rand) []*trace.Trace {
 		bEnd := bStart + bDur
 		rootEnd := bEnd + sim.FromMillis(1)
 		tr := &trace.Trace{
-			ID: trace.TraceID(i + 1), Type: "req",
+			ID: trace.TraceID(i + 1), Type: "req", Names: testNames,
 			Start: 0, End: rootEnd,
 			Spans: []trace.Span{
-				{Trace: trace.TraceID(i + 1), ID: 1, Parent: 0, Service: "root", Instance: "root-1", Start: 0, End: rootEnd},
-				{Trace: trace.TraceID(i + 1), ID: 2, Parent: 1, Service: "A", Instance: "A-1", Start: aStart, End: aEnd},
-				{Trace: trace.TraceID(i + 1), ID: 3, Parent: 1, Service: "B", Instance: "B-1", Start: bStart, End: bEnd},
+				{ID: 1, Parent: 0, Start: 0, End: rootEnd},
+				{ID: 2, Parent: 1, Start: aStart, End: aEnd},
+				{ID: 3, Parent: 1, Start: bStart, End: bEnd},
 			},
 		}
+		tr.Spans[0].Service, tr.Spans[0].Instance = on("root", 1)
+		tr.Spans[1].Service, tr.Spans[1].Instance = on("A", 1)
+		tr.Spans[2].Service, tr.Spans[2].Instance = on("B", 1)
 		out = append(out, tr)
 	}
 	return out
@@ -73,7 +102,7 @@ func TestFeaturesSeparateCulpritFromSteady(t *testing.T) {
 	cands := e.Features(traces)
 	var a, b *Candidate
 	for i := range cands {
-		switch cands[i].Service {
+		switch serviceOf(cands[i]) {
 		case "A":
 			a = &cands[i]
 		case "B":
@@ -104,7 +133,7 @@ func TestCandidatesFlagOnlyCulprit(t *testing.T) {
 	cands := e.Candidates(traces)
 	crit := map[string]bool{}
 	for _, c := range cands {
-		crit[c.Service] = c.Critical
+		crit[serviceOf(c)] = c.Critical
 	}
 	if !crit["A"] {
 		t.Fatalf("culprit A not flagged: %+v", cands)
@@ -121,7 +150,7 @@ func TestQuietWindowNoCandidates(t *testing.T) {
 	for _, c := range e.Candidates(traces) {
 		if c.Critical {
 			t.Fatalf("quiet window flagged %s (RI=%v CI=%v score=%v)",
-				c.Service, c.RI, c.CI, c.Score)
+				serviceOf(c), c.RI, c.CI, c.Score)
 		}
 	}
 }
@@ -168,16 +197,15 @@ func TestBackgroundInstancesScored(t *testing.T) {
 		if r.Float64() < 0.25 {
 			dur = sim.FromMillis(100)
 		}
-		tr.Spans = append(tr.Spans, trace.Span{
-			Trace: tr.ID, ID: 4, Parent: 1, Service: "W", Instance: "W-1",
-			Start: sim.FromMillis(2), End: sim.FromMillis(2) + dur, Background: true,
-		})
+		w := trace.Span{ID: 4, Parent: 1, Start: sim.FromMillis(2), End: sim.FromMillis(2) + dur, Background: true}
+		w.Service, w.Instance = on("W", 1)
+		tr.Spans = append(tr.Spans, w)
 		_ = i
 	}
 	e := newExtractor(t)
 	found := false
 	for _, c := range e.Features(base) {
-		if c.Service == "W" {
+		if serviceOf(c) == "W" {
 			found = true
 			if c.CI < 3 {
 				t.Fatalf("background W should show high CI, got %v", c.CI)
@@ -192,7 +220,7 @@ func TestBackgroundInstancesScored(t *testing.T) {
 	cfg.IncludeBackground = false
 	e2 := New(cfg, svm.New(svm.DefaultConfig()))
 	for _, c := range e2.Features(base) {
-		if c.Service == "W" {
+		if serviceOf(c) == "W" {
 			t.Fatal("background scored despite IncludeBackground=false")
 		}
 	}

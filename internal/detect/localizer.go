@@ -48,10 +48,12 @@ type Localizer struct {
 	head, n int
 	proc    int
 
-	insts map[string]*locInst
+	// insts is indexed by instance ID (cluster.Container.ID); nil where the
+	// instance has not appeared in a trace.
+	insts []*locInst
 
 	// Per-trace processing scratch, reused across traces.
-	onCP    map[string]sim.Time
+	onCP    []*locInst      // instances on the current trace's CP, first-seen order
 	cp      cpath.Extractor // per-trace child index and path scratch
 	touched []*locInst
 	seq     uint64
@@ -81,9 +83,10 @@ type locContrib struct {
 
 // locInst is one instance's windowed feature state.
 type locInst struct {
-	instance string
-	service  string
-	nonBg    int // non-background span appearances in window
+	instance uint32
+	service  uint32
+	name     string // instance name: Candidates' sort key
+	nonBg    int    // non-background span appearances in window
 
 	durWin  *stats.Window // span self-durations, order statistics
 	durVals floatRing     // same values in arrival order (for eviction)
@@ -92,6 +95,8 @@ type locInst struct {
 	// Per-trace scratch owned by the processing loop.
 	touchSeq                     uint64
 	pendDur, pendPair, pendNonBg int32
+	cpSeq                        uint64   // == Localizer.seq once on the current trace's CP
+	cpSelf                       sim.Time // summed self time on that CP
 }
 
 // NewLocalizer builds an incremental localizer sharing e's configuration
@@ -104,8 +109,6 @@ func NewLocalizer(e *Extractor, capHint int) *Localizer {
 		cfg:     e.cfg,
 		scorer:  e.svm.NewScorer(),
 		entries: make([]locEntry, capHint),
-		insts:   map[string]*locInst{},
-		onCP:    map[string]sim.Time{},
 	}
 }
 
@@ -178,11 +181,17 @@ func (l *Localizer) pop() {
 	l.n--
 }
 
-func (l *Localizer) inst(name, service string) *locInst {
-	st, ok := l.insts[name]
-	if !ok {
-		st = &locInst{instance: name, service: service, durWin: stats.NewWindow(64)}
-		l.insts[name] = st
+// inst returns the state of an instance seen in a span of t, creating it
+// (and resolving its name, once) on first sight.
+func (l *Localizer) inst(t *trace.Trace, instance, service uint32) *locInst {
+	for int(instance) >= len(l.insts) {
+		l.insts = append(l.insts, nil)
+	}
+	st := l.insts[instance]
+	if st == nil {
+		st = &locInst{instance: instance, service: service,
+			name: t.Names.InstanceName(instance), durWin: stats.NewWindow(64)}
+		l.insts[instance] = st
 	}
 	return st
 }
@@ -209,13 +218,9 @@ func (l *Localizer) process(e *locEntry) {
 	l.touched = l.touched[:0]
 
 	p := l.cp.Extract(t)
-	clear(l.onCP)
-	for _, s := range p.Spans {
-		l.onCP[s.Instance] += l.cp.Kids.SelfDuration(s)
-	}
 	e2e := t.Latency().Millis()
 	for _, s := range t.Spans {
-		st := l.touch(l.inst(s.Instance, s.Service))
+		st := l.touch(l.inst(t, s.Instance, s.Service))
 		d := l.cp.Kids.SelfDuration(s).Millis()
 		st.durVals.push(d)
 		st.durWin.Add(d)
@@ -225,9 +230,17 @@ func (l *Localizer) process(e *locEntry) {
 			st.pendNonBg++
 		}
 	}
-	for inst, d := range l.onCP {
-		st := l.insts[inst]
-		st.px.push(d.Millis())
+	l.onCP = l.onCP[:0]
+	for _, s := range p.Spans {
+		st := l.insts[s.Instance]
+		if st.cpSeq != l.seq {
+			st.cpSeq, st.cpSelf = l.seq, 0
+			l.onCP = append(l.onCP, st)
+		}
+		st.cpSelf += l.cp.Kids.SelfDuration(s)
+	}
+	for _, st := range l.onCP {
+		st.px.push(st.cpSelf.Millis())
 		st.py.push(e2e)
 		st.pendPair++
 	}
@@ -259,7 +272,7 @@ func (l *Localizer) Candidates() []Candidate {
 
 	l.out = l.out[:0]
 	for _, st := range l.insts {
-		if st.durVals.len() < l.cfg.MinSamples || st.px.len() < l.cfg.MinSamples {
+		if st == nil || st.durVals.len() < l.cfg.MinSamples || st.px.len() < l.cfg.MinSamples {
 			continue
 		}
 		if st.nonBg == 0 && !l.cfg.IncludeBackground {
@@ -274,9 +287,12 @@ func (l *Localizer) Candidates() []Candidate {
 		}
 		l.out = append(l.out, Candidate{Instance: st.instance, Service: st.service, RI: ri, CI: ci})
 	}
-	// Instance keys are unique, so the unstable sort is total — same order
+	// Instance names are unique, so the unstable sort is total — same order
 	// as the batch path's sort.
-	slices.SortFunc(l.out, func(a, b Candidate) int { return strings.Compare(a.Instance, b.Instance) })
+	insts := l.insts
+	slices.SortFunc(l.out, func(a, b Candidate) int {
+		return strings.Compare(insts[a.Instance].name, insts[b.Instance].name)
+	})
 
 	nb := len(l.out)
 	if cap(l.featB) < 2*nb {

@@ -3,9 +3,12 @@ package detect
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"firm/internal/cpath"
 	"firm/internal/sim"
+	"firm/internal/stats"
 	"firm/internal/trace"
 	"firm/internal/tracedb"
 )
@@ -25,28 +28,144 @@ func streamTrace(i int, now sim.Time, r *rand.Rand) *trace.Trace {
 	aEnd := aStart + aDur
 	bStart := aEnd + sim.FromMillis(0.2)
 	bEnd := bStart + bDur
-	aInst := "A-1"
+	aReplica := 1
 	if r.Intn(3) == 0 {
-		aInst = "A-2"
+		aReplica = 2
 	}
 	tr := &trace.Trace{
-		ID: id, Type: "req",
+		ID: id, Type: "req", Names: testNames,
 		Start: start, End: now,
 		Dropped: r.Intn(15) == 0,
 		Spans: []trace.Span{
-			{Trace: id, ID: 1, Parent: 0, Service: "root", Instance: "root-1", Start: start, End: now},
-			{Trace: id, ID: 2, Parent: 1, Service: "A", Instance: aInst, Start: aStart, End: aEnd},
-			{Trace: id, ID: 3, Parent: 1, Service: "B", Instance: "B-1", Start: bStart, End: bEnd},
+			{ID: 1, Parent: 0, Start: start, End: now},
+			{ID: 2, Parent: 1, Start: aStart, End: aEnd},
+			{ID: 3, Parent: 1, Start: bStart, End: bEnd},
 		},
 	}
+	tr.Spans[0].Service, tr.Spans[0].Instance = on("root", 1)
+	tr.Spans[1].Service, tr.Spans[1].Instance = on("A", aReplica)
+	tr.Spans[2].Service, tr.Spans[2].Instance = on("B", 1)
 	if r.Intn(4) == 0 {
-		tr.Spans = append(tr.Spans, trace.Span{
-			Trace: id, ID: 4, Parent: 1, Service: "gc", Instance: "gc-1",
+		gc := trace.Span{
+			ID: 4, Parent: 1,
 			Start: aStart, End: aStart + sim.FromMillis(3+r.Float64()*aDur.Millis()),
 			Background: true,
-		})
+		}
+		gc.Service, gc.Instance = on("gc", 1)
+		tr.Spans = append(tr.Spans, gc)
 	}
 	return tr
+}
+
+// namedCand is a Candidate as the string-keyed localizer reported it.
+type namedCand struct {
+	instance, service string
+	ri, ci            float64
+}
+
+// stringKeyedFeatures is Extractor.Features as it stood while spans carried
+// their service and instance as strings — maps keyed by instance name, the
+// result sorted by that name. It is the oracle that ID-keyed state (slices
+// by instance ID, names resolved for the sort alone) is held to.
+func stringKeyedFeatures(cfg Config, traces []*trace.Trace) []namedCand {
+	type instanceStats struct {
+		service                     string
+		durations, perTrace, cpLats []float64
+		bgOnly                      bool
+	}
+	table := map[string]*instanceStats{}
+	for _, t := range traces {
+		if t.Dropped {
+			continue
+		}
+		var cp cpath.Extractor
+		p := cp.Extract(t)
+		inst := func(s trace.Span) string { return t.Names.InstanceName(s.Instance) }
+		onCP := map[string]sim.Time{}
+		for _, s := range p.Spans {
+			onCP[inst(s)] += cp.Kids.SelfDuration(s)
+		}
+		e2e := t.Latency().Millis()
+		for _, s := range t.Spans {
+			st, ok := table[inst(s)]
+			if !ok {
+				st = &instanceStats{service: t.Names.ServiceName(s.Service), bgOnly: true}
+				table[inst(s)] = st
+			}
+			if !s.Background {
+				st.bgOnly = false
+			}
+			st.durations = append(st.durations, cp.Kids.SelfDuration(s).Millis())
+		}
+		for name, d := range onCP {
+			st := table[name]
+			st.perTrace = append(st.perTrace, d.Millis())
+			st.cpLats = append(st.cpLats, e2e)
+		}
+		for _, s := range t.Spans {
+			if s.Background {
+				st := table[inst(s)]
+				st.perTrace = append(st.perTrace, cp.Kids.SelfDuration(s).Millis())
+				st.cpLats = append(st.cpLats, e2e)
+			}
+		}
+	}
+	var out []namedCand
+	for name, st := range table {
+		if len(st.durations) < cfg.MinSamples || len(st.perTrace) < cfg.MinSamples || (st.bgOnly && !cfg.IncludeBackground) {
+			continue
+		}
+		ri, err := stats.Pearson(st.perTrace, st.cpLats)
+		if err != nil {
+			continue
+		}
+		ci := 1.0
+		if t50 := stats.Percentile(st.durations, 50); t50 > 0 {
+			ci = stats.Percentile(st.durations, 99) / t50
+		}
+		out = append(out, namedCand{instance: name, service: st.service, ri: ri, ci: ci})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].instance < out[j].instance })
+	return out
+}
+
+// TestIDKeyedCandidatesMatchStringKeyedOracle: over seeded random windows,
+// the incremental localizer and the batch extractor — both keyed by instance
+// ID — name the same instances, in the same (name) order, with bit-equal
+// features, as the string-keyed oracle.
+func TestIDKeyedCandidatesMatchStringKeyedOracle(t *testing.T) {
+	e := newExtractor(t)
+	for seed := int64(1); seed <= 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		db := tracedb.New(64)
+		loc := NewLocalizer(e, 4)
+		db.Observe(loc)
+		now := sim.Time(0)
+		for i := 0; i < 150; i++ {
+			now += sim.Time(5+r.Intn(40)) * sim.Millisecond
+			db.Consume(streamTrace(i, now, r))
+			if i%10 != 9 {
+				continue
+			}
+			since := now - 2*sim.Second
+			loc.Advance(since)
+			window := db.Select(tracedb.Query{Since: since, IncludeDrop: true})
+			want := stringKeyedFeatures(e.cfg, window)
+			for which, got := range [][]Candidate{loc.Candidates(), e.Features(window)} {
+				if len(got) != len(want) {
+					t.Fatalf("seed %d step %d path %d: %d candidates, oracle %d", seed, i, which, len(got), len(want))
+				}
+				for j, c := range got {
+					named := namedCand{testNames.InstanceName(c.Instance), testNames.ServiceName(c.Service), c.RI, c.CI}
+					if named.instance != want[j].instance || named.service != want[j].service ||
+						math.Float64bits(named.ri) != math.Float64bits(want[j].ri) ||
+						math.Float64bits(named.ci) != math.Float64bits(want[j].ci) {
+						t.Fatalf("seed %d step %d path %d candidate %d: %+v, oracle %+v", seed, i, which, j, named, want[j])
+					}
+				}
+			}
+		}
+	}
 }
 
 func sameCand(a, b Candidate) bool {

@@ -229,7 +229,7 @@ func faultsweepArm(entry scenario.Entry, p topology.Params, dur sim.Time, seed i
 		if best < 0 {
 			return
 		}
-		svcName := cands[best].Service
+		svcName := b.Cluster.ServiceName(cands[best].Service)
 		if until, cooling := cooldown[svcName]; cooling && now < until {
 			return
 		}

@@ -94,7 +94,7 @@ func New(opts Options) (*Bench, error) {
 		cl.AddNode(prof)
 	}
 	db := tracedb.New(traceCap)
-	coord := trace.NewCoordinator(eng, db)
+	coord := trace.NewCoordinator(eng, db, cl)
 	a, err := app.Deploy(eng, cl, opts.Spec, coord)
 	if err != nil {
 		return nil, err

@@ -243,12 +243,12 @@ func (in *Injector) apply(inj Injection) func() {
 	}
 }
 
-// ActiveDuringOverlap returns instances whose non-workload injection
-// overlaps [lo, hi) by more than minOverlap — the ground-truth labeling used
-// when scoring localization windows, so that an anomaly grazing a window
-// edge does not count as the window's ground truth.
-func (in *Injector) ActiveDuringOverlap(lo, hi, minOverlap sim.Time) map[string]Kind {
-	out := map[string]Kind{}
+// ActiveDuringOverlap returns the instances (by Container.ID) whose
+// non-workload injection overlaps [lo, hi) by more than minOverlap — the
+// ground-truth labeling used when scoring localization windows, so that an
+// anomaly grazing a window edge does not count as the window's ground truth.
+func (in *Injector) ActiveDuringOverlap(lo, hi, minOverlap sim.Time) map[uint32]Kind {
+	out := map[uint32]Kind{}
 	for _, rec := range in.history {
 		if rec.Target == nil {
 			continue

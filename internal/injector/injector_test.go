@@ -181,7 +181,7 @@ func TestGroundTruthQueries(t *testing.T) {
 }
 
 // activeAt is the instances under injection at the instant ts.
-func activeAt(in *Injector, ts sim.Time) map[string]Kind {
+func activeAt(in *Injector, ts sim.Time) map[uint32]Kind {
 	return in.ActiveDuringOverlap(ts, ts+1, 0)
 }
 

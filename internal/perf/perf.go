@@ -31,6 +31,7 @@ import (
 	"firm/internal/scenario"
 	"firm/internal/sim"
 	"firm/internal/stats"
+	"firm/internal/telemetry"
 	"firm/internal/topology"
 	"firm/internal/trace"
 	"firm/internal/tracedb"
@@ -61,6 +62,7 @@ func Benchmarks() []Benchmark {
 		{"stats-window", "stats.Window insert+evict+P99 at W=1024", StatsWindow, 2},
 		{"tracedb-select", "tracedb.SelectAppend of a 2s window from a 200k-capacity ring", TracedbSelect, 2},
 		{"telemetry-add", "telemetry ring add at full retention", TelemetryAdd, 2},
+		{"telemetry-sample", "one sampling pass over a warm 1,000-container cluster", TelemetrySample, 0},
 		{"nn-forward-batch", "one batched actor forward (batch 64, Table 4 shape)", NNForwardBatch, 2},
 		{"rl-train-step-batched", "one DDPG TrainStep on the matrix minibatch path (batch 64, Table 4 nets)", RLTrainStepBatched, 2},
 		{"rl-pretrain", "one behaviour-cloning call: 3,000 demonstrations × 4 epochs through the Table 4 actor, min(GOMAXPROCS, 2) workers", RLPretrain, 85},
@@ -236,6 +238,35 @@ func TelemetryAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		col.SampleNow()
 	}
+}
+
+// TelemetrySample measures one sampling pass at the scale of the mesh-1k
+// workload: 1,000 single-replica services, every series reached by container
+// ID. The cluster is bare (no app, no traffic) and warm — every ring exists
+// and is full — so a pass must not allocate at all.
+func TelemetrySample(b *testing.B) {
+	const services, keep = 1000, 8
+	eng := sim.NewEngine(Seed)
+	cl := cluster.New(eng, cluster.DefaultConfig())
+	for i := 0; i < services/8; i++ {
+		cl.AddNode(cluster.XeonProfile)
+	}
+	for i := 0; i < services; i++ {
+		if _, err := cl.DeployService(fmt.Sprintf("svc-%04d", i), 1, cluster.V(2, 800, 3, 60, 150)); err != nil {
+			panic(fmt.Sprintf("perf: deploy failed: %v", err))
+		}
+	}
+	col := telemetry.NewCollector(eng, cl, sim.Second, keep)
+	for i := 0; i <= keep; i++ {
+		col.SampleNow()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		col.SampleNow()
+	}
+	b.StopTimer()
+	b.ReportMetric(services, "containers")
 }
 
 // newTrainAgent builds the Table-4 agent with a filled replay buffer.
@@ -591,7 +622,7 @@ func AppRequest(b *testing.B) {
 		cl.AddNode(cluster.XeonProfile)
 	}
 	db := tracedb.New(64)
-	a, err := app.Deploy(eng, cl, spec, trace.NewCoordinator(eng, db))
+	a, err := app.Deploy(eng, cl, spec, trace.NewCoordinator(eng, db, cl))
 	if err != nil {
 		panic(fmt.Sprintf("perf: deploy failed: %v", err))
 	}

@@ -48,7 +48,7 @@ func testEnv(t *testing.T, spec *topology.Spec, seed int64) Env {
 		cl.AddNode(cluster.XeonProfile)
 	}
 	db := tracedb.New(10000)
-	coord := trace.NewCoordinator(eng, db)
+	coord := trace.NewCoordinator(eng, db, cl)
 	a, err := app.Deploy(eng, cl, spec, coord)
 	if err != nil {
 		t.Fatal(err)

@@ -74,10 +74,6 @@ func (r *ring[T]) at(i int) T {
 	return r.buf[(r.head+i)%r.max]
 }
 
-type series struct {
-	samples ring[Sample]
-}
-
 // Collector samples container and node telemetry on a fixed interval.
 type Collector struct {
 	eng      *sim.Engine
@@ -85,7 +81,9 @@ type Collector struct {
 	interval sim.Time
 	capPer   int
 
-	containers map[string]*series
+	// containers is indexed by cluster.Container.ID; a ring is built the
+	// first time its container is sampled.
+	containers []*ring[Sample]
 	nodes      map[string]*ring[NodeSample]
 	ticker     *sim.Ticker
 }
@@ -101,8 +99,7 @@ func NewCollector(eng *sim.Engine, cl *cluster.Cluster, interval sim.Time, keep 
 	}
 	c := &Collector{
 		eng: eng, cl: cl, interval: interval, capPer: keep,
-		containers: make(map[string]*series),
-		nodes:      make(map[string]*ring[NodeSample]),
+		nodes: make(map[string]*ring[NodeSample]),
 	}
 	c.ticker = sim.NewTicker(eng, interval, c.sample)
 	return c
@@ -126,12 +123,7 @@ func (c *Collector) sample() {
 	now := c.eng.Now()
 	for _, rs := range c.cl.ReplicaSets() {
 		for _, ct := range rs.Containers() {
-			s, ok := c.containers[ct.ID]
-			if !ok {
-				s = &series{samples: ring[Sample]{max: c.capPer}}
-				c.containers[ct.ID] = s
-			}
-			s.samples.add(Sample{
+			c.series(ct.ID).add(Sample{
 				At:       now,
 				Util:     ct.Utilization(),
 				Usage:    ct.Usage(),
@@ -156,13 +148,38 @@ func (c *Collector) sample() {
 	}
 }
 
+// sampled returns the ring of the container with the given ID, or nil if it
+// has never been sampled.
+//
+//firmvet:noalloc
+func (c *Collector) sampled(id uint32) *ring[Sample] {
+	if int(id) < len(c.containers) {
+		return c.containers[id]
+	}
+	return nil
+}
+
+// series is sampled, building the ring on the container's first sample.
+func (c *Collector) series(id uint32) *ring[Sample] {
+	if s := c.sampled(id); s != nil {
+		return s
+	}
+	for int(id) >= len(c.containers) {
+		c.containers = append(c.containers, nil)
+	}
+	c.containers[id] = &ring[Sample]{max: c.capPer}
+	return c.containers[id]
+}
+
 // Latest returns the most recent sample for a container instance.
-func (c *Collector) Latest(instance string) (Sample, bool) {
-	s, ok := c.containers[instance]
-	if !ok || s.samples.len() == 0 {
+//
+//firmvet:noalloc
+func (c *Collector) Latest(instance uint32) (Sample, bool) {
+	s := c.sampled(instance)
+	if s == nil {
 		return Sample{}, false
 	}
-	return s.samples.at(s.samples.len() - 1), true
+	return s.at(s.len() - 1), true
 }
 
 // sinceIdx binary-searches a time-ordered ring for the first index with
@@ -172,37 +189,18 @@ func sinceIdx(n int, at func(int) sim.Time, since sim.Time) int {
 }
 
 // Window returns a copy of the samples for instance with At >= since.
-func (c *Collector) Window(instance string, since sim.Time) []Sample {
-	s, ok := c.containers[instance]
-	if !ok {
+func (c *Collector) Window(instance uint32, since sim.Time) []Sample {
+	s := c.sampled(instance)
+	if s == nil {
 		return nil
 	}
-	n := s.samples.len()
-	idx := sinceIdx(n, func(i int) sim.Time { return s.samples.at(i).At }, since)
+	n := s.len()
+	idx := sinceIdx(n, func(i int) sim.Time { return s.at(i).At }, since)
 	out := make([]Sample, 0, n-idx)
 	for i := idx; i < n; i++ {
-		out = append(out, s.samples.at(i))
+		out = append(out, s.at(i))
 	}
 	return out
-}
-
-// MeanUtil averages utilization across a window for instance. It iterates
-// the ring in place — no per-call window copy.
-func (c *Collector) MeanUtil(instance string, since sim.Time) (cluster.Vector, bool) {
-	s, ok := c.containers[instance]
-	if !ok {
-		return cluster.Vector{}, false
-	}
-	n := s.samples.len()
-	idx := sinceIdx(n, func(i int) sim.Time { return s.samples.at(i).At }, since)
-	if idx == n {
-		return cluster.Vector{}, false
-	}
-	var sum cluster.Vector
-	for i := idx; i < n; i++ {
-		sum = sum.Add(s.samples.at(i).Util)
-	}
-	return sum.Scale(1 / float64(n-idx)), true
 }
 
 // NodeWindow returns a copy of the node samples with At >= since.

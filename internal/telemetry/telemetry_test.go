@@ -54,24 +54,6 @@ func TestCollectorSamples(t *testing.T) {
 	}
 }
 
-func TestMeanUtil(t *testing.T) {
-	eng, cl, c := setup(t)
-	col := NewCollector(eng, cl, 100*sim.Millisecond, 100)
-	col.Start()
-	c.Submit(cluster.Work{Base: sim.Second, Demand: cluster.V(1, 500, 0, 0, 0)})
-	eng.RunUntil(sim.FromMillis(450))
-	mu, ok := col.MeanUtil(c.ID, 0)
-	if !ok {
-		t.Fatal("no mean")
-	}
-	if math.Abs(mu[cluster.MemBW]-0.5) > 1e-9 {
-		t.Fatalf("mean membw util = %v", mu[cluster.MemBW])
-	}
-	if _, ok := col.MeanUtil("nope", 0); ok {
-		t.Fatal("unknown instance must report no data")
-	}
-}
-
 func TestNodeSamples(t *testing.T) {
 	eng, cl, c := setup(t)
 	col := NewCollector(eng, cl, 100*sim.Millisecond, 100)
@@ -203,23 +185,23 @@ func TestPanicsOnBadParams(t *testing.T) {
 // time order across wraps, and add in place once full.
 func TestSeriesCapacityBounded(t *testing.T) {
 	const keep = 16
-	s := &series{samples: ring[Sample]{max: keep}}
+	s := &ring[Sample]{max: keep}
 	for i := 0; i < 40*keep; i++ {
-		s.samples.add(Sample{At: sim.Time(i), Busy: i})
+		s.add(Sample{At: sim.Time(i), Busy: i})
 	}
-	if got := cap(s.samples.buf); got > keep {
+	if got := cap(s.buf); got > keep {
 		t.Fatalf("backing array capacity %d exceeds retention cap %d", got, keep)
 	}
-	if got := s.samples.len(); got != keep {
+	if got := s.len(); got != keep {
 		t.Fatalf("len = %d, want %d", got, keep)
 	}
 	for i := 0; i < keep; i++ {
 		want := 40*keep - keep + i
-		if got := s.samples.at(i); int(got.At) != want || got.Busy != want {
+		if got := s.at(i); int(got.At) != want || got.Busy != want {
 			t.Fatalf("at(%d) = {At:%v Busy:%d}, want %d (oldest-first after wrap)", i, got.At, got.Busy, want)
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { s.samples.add(Sample{}) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { s.add(Sample{}) }); allocs != 0 {
 		t.Fatalf("full-ring add allocates %v/op, want 0", allocs)
 	}
 }
@@ -245,8 +227,7 @@ func TestCollectorWindowAcrossWrap(t *testing.T) {
 	if got := col.Window(c.ID, since); len(got) != 2 || got[0].At != since {
 		t.Fatalf("since-filtered window = %d samples starting %v, want 2 starting %v", len(got), got[0].At, since)
 	}
-	mu, ok := col.MeanUtil(c.ID, w[4].At+1)
-	if ok {
-		t.Fatalf("MeanUtil past the newest sample = %v, want no data", mu)
+	if got := col.Window(c.ID, w[4].At+1); len(got) != 0 {
+		t.Fatalf("window past the newest sample = %v, want no data", got)
 	}
 }

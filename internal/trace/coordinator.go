@@ -12,7 +12,8 @@ import "firm/internal/sim"
 type Coordinator struct {
 	eng      *sim.Engine
 	sink     Sink
-	pending  map[TraceID]*Trace
+	names    Names
+	pending  int
 	nextID   TraceID
 	nextSpan SpanID
 
@@ -22,23 +23,24 @@ type Coordinator struct {
 }
 
 // NewCoordinator creates a coordinator forwarding completed traces to sink.
-func NewCoordinator(eng *sim.Engine, sink Sink) *Coordinator {
-	return &Coordinator{eng: eng, sink: sink, pending: make(map[TraceID]*Trace)}
+// names — the testbed's cluster — is stamped on every trace.
+func NewCoordinator(eng *sim.Engine, sink Sink, names Names) *Coordinator {
+	return &Coordinator{eng: eng, sink: sink, names: names}
 }
 
-// StartTrace allocates a trace for a new user request of the given type.
+// StartTrace allocates a trace for a new user request of the given type;
+// the caller holds it until Finish and emits the request's spans into it.
 // spanHint is the number of spans the request is expected to emit (its
 // endpoint's call-tree size); Spans is allocated once at that capacity
 // instead of doubling its way there. A request that retries may exceed it.
-func (c *Coordinator) StartTrace(reqType string, spanHint int) TraceID {
+func (c *Coordinator) StartTrace(reqType string, spanHint int) *Trace {
 	c.nextID++
-	id := c.nextID
-	t := &Trace{ID: id, Type: reqType, Start: c.eng.Now()}
+	c.pending++
+	t := &Trace{ID: c.nextID, Type: reqType, Names: c.names, Start: c.eng.Now()}
 	if spanHint > 0 {
 		t.Spans = make([]Span, 0, spanHint)
 	}
-	c.pending[id] = t
-	return id
+	return t
 }
 
 // NewSpanID allocates a process-wide unique span id.
@@ -47,28 +49,19 @@ func (c *Coordinator) NewSpanID() SpanID {
 	return c.nextSpan
 }
 
-// Emit records a span produced by a tracing agent. Spans for unknown (e.g.
-// already finished) traces are dropped, mirroring late-arriving agent data.
+// Emit records a span produced by a tracing agent into its pending trace.
 //
 //firmvet:noalloc
-func (c *Coordinator) Emit(s Span) {
-	t, ok := c.pending[s.Trace]
-	if !ok {
-		return
-	}
+func (c *Coordinator) Emit(t *Trace, s Span) {
 	c.SpansSeen++
 	t.Spans = append(t.Spans, s)
 }
 
 // Finish seals the trace: the request completed (or was dropped) and every
 // agent has reported. The assembled execution history graph is pushed to the
-// sink and the trace leaves the pending table.
-func (c *Coordinator) Finish(id TraceID, dropped bool) {
-	t, ok := c.pending[id]
-	if !ok {
-		return
-	}
-	delete(c.pending, id)
+// sink and the trace stops counting as pending. Each trace is finished once.
+func (c *Coordinator) Finish(t *Trace, dropped bool) {
+	c.pending--
 	t.End = c.eng.Now()
 	t.Dropped = dropped
 	c.Collected++
@@ -78,4 +71,4 @@ func (c *Coordinator) Finish(id TraceID, dropped bool) {
 }
 
 // PendingCount reports how many traces are still being assembled.
-func (c *Coordinator) PendingCount() int { return len(c.pending) }
+func (c *Coordinator) PendingCount() int { return c.pending }

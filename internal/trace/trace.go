@@ -4,16 +4,28 @@
 // Dapper/Jaeger: a span is the basic unit of work done by one microservice
 // instance for one request; parent-child span relationships encode RPC
 // caller/callee edges.
+//
+// Spans name their service and instance by dense integer ID — the cluster's
+// ReplicaSet.ID and Container.ID — so a Span holds no pointer and a trace's
+// span array is never scanned by the collector. Every Trace carries its
+// testbed's Names; a name is resolved only where a string leaves the system
+// (a CP signature, a candidate ordering, a report row).
 package trace
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"firm/internal/sim"
 )
+
+// Names resolves the IDs spans carry. A testbed has exactly one — its
+// cluster.Cluster, which mints the IDs.
+type Names interface {
+	ServiceName(id uint32) string
+	InstanceName(id uint32) string
+}
 
 // TraceID identifies one end-to-end user request.
 type TraceID uint64
@@ -25,11 +37,10 @@ type SpanID uint64
 // request: arrival (Start, includes queueing), response (End), queueing
 // delay, and the identity of the serving container.
 type Span struct {
-	Trace    TraceID
 	ID       SpanID
 	Parent   SpanID // 0 for the root span
-	Service  string
-	Instance string // container ID
+	Service  uint32 // service ID
+	Instance uint32 // container ID
 	Start    sim.Time
 	End      sim.Time
 	Queued   sim.Time // time spent waiting in the container queue
@@ -46,6 +57,7 @@ func (s Span) Duration() sim.Time { return s.End - s.Start }
 type Trace struct {
 	ID      TraceID
 	Type    string // request type, e.g. "compose-post"
+	Names   Names  // resolves the spans' Service and Instance IDs
 	Spans   []Span
 	Start   sim.Time
 	End     sim.Time
@@ -55,12 +67,33 @@ type Trace struct {
 // Latency returns the end-to-end latency of the request.
 func (t *Trace) Latency() sim.Time { return t.End - t.Start }
 
+// RootIndex returns the position in Spans of the root span, or -1 if there
+// is none. A retried endpoint root leaves one Parent == 0 span per attempt
+// that reached a container — the shed ones, then the served one; the root
+// is the attempt that ended last (ties: the larger ID).
+//
+//firmvet:noalloc
+func (t *Trace) RootIndex() int {
+	root := -1
+	for i := range t.Spans {
+		s := &t.Spans[i]
+		if s.Parent != 0 {
+			continue
+		}
+		if root >= 0 {
+			if r := &t.Spans[root]; s.End < r.End || (s.End == r.End && s.ID < r.ID) {
+				continue
+			}
+		}
+		root = i
+	}
+	return root
+}
+
 // Root returns the root span, or a zero Span if absent.
 func (t *Trace) Root() Span {
-	for _, s := range t.Spans {
-		if s.Parent == 0 {
-			return s
-		}
+	if i := t.RootIndex(); i >= 0 {
+		return t.Spans[i]
 	}
 	return Span{}
 }
@@ -157,51 +190,13 @@ func (x *ChildIndex) SelfDuration(s Span) sim.Time {
 	return max(s.Duration()-covered, 0)
 }
 
-// Children returns the child spans of parent, ordered by start time. This is
-// the adjacency view used by the critical-path extractor (Alg. 1). It
-// indexes the whole trace per call; code that asks about many spans of one
-// trace keeps a ChildIndex.
-func (t *Trace) Children(parent SpanID) []Span {
-	var x ChildIndex
-	x.Reset(t)
-	var out []Span
-	for _, i := range x.Of(parent) {
-		out = append(out, t.Spans[i])
-	}
-	return out
-}
-
-// SelfDuration is ChildIndex.SelfDuration for a one-off question.
-func (t *Trace) SelfDuration(s Span) sim.Time {
-	var x ChildIndex
-	x.Reset(t)
-	return x.SelfDuration(s)
-}
-
-// Services returns the distinct service names touched by the trace.
-func (t *Trace) Services() []string {
-	set := map[string]struct{}{}
-	for _, s := range t.Spans {
-		set[s.Service] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Validate performs structural checks: exactly one root, all parents exist,
-// child intervals inside parent intervals (up to RPC delays children may end
-// after the parent for background work only).
+// Validate performs structural checks: a root exists, any other Parent == 0
+// span is a shed attempt of a retried root (childless, over before the root
+// starts), all parents exist, child intervals inside parent intervals (up to
+// RPC delays children may end after the parent for background work only).
 func (t *Trace) Validate() error {
-	roots := 0
 	ids := map[SpanID]Span{}
 	for _, s := range t.Spans {
-		if s.Parent == 0 {
-			roots++
-		}
 		if _, dup := ids[s.ID]; dup {
 			return fmt.Errorf("trace %d: duplicate span id %d", t.ID, s.ID)
 		}
@@ -210,16 +205,24 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace %d: span %d ends before it starts", t.ID, s.ID)
 		}
 	}
-	if roots != 1 {
-		return fmt.Errorf("trace %d: %d roots, want 1", t.ID, roots)
+	ri := t.RootIndex()
+	if ri < 0 {
+		return fmt.Errorf("trace %d: no root span", t.ID)
 	}
+	root := t.Spans[ri]
 	for _, s := range t.Spans {
 		if s.Parent == 0 {
+			if s.ID != root.ID && s.End > root.Start {
+				return fmt.Errorf("trace %d: second root %d overlaps root %d", t.ID, s.ID, root.ID)
+			}
 			continue
 		}
 		p, ok := ids[s.Parent]
 		if !ok {
 			return fmt.Errorf("trace %d: span %d has unknown parent %d", t.ID, s.ID, s.Parent)
+		}
+		if p.Parent == 0 && p.ID != root.ID {
+			return fmt.Errorf("trace %d: span %d is a child of shed root attempt %d", t.ID, s.ID, p.ID)
 		}
 		if s.Start < p.Start {
 			return fmt.Errorf("trace %d: span %d starts before parent", t.ID, s.ID)
@@ -242,12 +245,3 @@ type SinkFunc func(*Trace)
 
 // Consume implements Sink.
 func (f SinkFunc) Consume(t *Trace) { f(t) }
-
-// MultiSink fans a trace out to several sinks.
-func MultiSink(sinks ...Sink) Sink {
-	return SinkFunc(func(t *Trace) {
-		for _, s := range sinks {
-			s.Consume(t)
-		}
-	})
-}

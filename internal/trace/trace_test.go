@@ -1,19 +1,47 @@
 package trace
 
 import (
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"firm/internal/sim"
 )
 
+// nameList is a Names for hand-built traces: a service's ID is its position
+// in the list, and its one instance has the same ID and the name + "-1".
+type nameList []string
+
+func (n nameList) ServiceName(id uint32) string  { return n[id] }
+func (n nameList) InstanceName(id uint32) string { return n[id] + "-1" }
+
+var testNames = nameList{"root", "a", "b", "c", "d", "e", "w"}
+
 func span(id, parent SpanID, svc string, start, end sim.Time, bg bool) Span {
-	return Span{Trace: 1, ID: id, Parent: parent, Service: svc,
-		Instance: svc + "-1", Start: start, End: end, Background: bg}
+	sid := uint32(slices.Index(testNames, svc))
+	return Span{ID: id, Parent: parent, Service: sid, Instance: sid, Start: start, End: end, Background: bg}
+}
+
+// children returns parent's child spans in index order.
+func children(t *Trace, parent SpanID) []Span {
+	var x ChildIndex
+	x.Reset(t)
+	var out []Span
+	for _, i := range x.Of(parent) {
+		out = append(out, t.Spans[i])
+	}
+	return out
+}
+
+func selfDuration(t *Trace, s Span) sim.Time {
+	var x ChildIndex
+	x.Reset(t)
+	return x.SelfDuration(s)
 }
 
 func testTrace() *Trace {
-	return &Trace{ID: 1, Type: "t", Start: 0, End: 100, Spans: []Span{
+	return &Trace{ID: 1, Type: "t", Names: testNames, Start: 0, End: 100, Spans: []Span{
 		span(1, 0, "root", 0, 100, false),
 		span(2, 1, "a", 10, 40, false),
 		span(3, 1, "b", 30, 70, false),
@@ -26,19 +54,75 @@ func TestTraceAccessors(t *testing.T) {
 	if tr.Latency() != 100 {
 		t.Fatalf("latency %v", tr.Latency())
 	}
-	if tr.Root().Service != "root" {
+	name := func(s Span) string { return tr.Names.ServiceName(s.Service) }
+	if name(tr.Root()) != "root" || tr.Names.InstanceName(tr.Root().Instance) != "root-1" {
 		t.Fatal("root")
 	}
-	kids := tr.Children(1)
-	if len(kids) != 3 || kids[0].Service != "a" || kids[2].Service != "w" {
+	kids := children(tr, 1)
+	if len(kids) != 3 || name(kids[0]) != "a" || name(kids[2]) != "w" {
 		t.Fatalf("children order: %v", kids)
 	}
-	svcs := tr.Services()
-	if len(svcs) != 4 || svcs[0] != "a" {
-		t.Fatalf("services: %v", svcs)
-	}
-	if (&Trace{}).Root() != (Span{}) {
+	if (&Trace{}).Root() != (Span{}) || (&Trace{}).RootIndex() != -1 {
 		t.Fatal("empty root")
+	}
+}
+
+// TestSpanLayout pins what makes retained traces cheap: a Span is at most 56
+// bytes and holds nothing the garbage collector has to follow, so span
+// arrays are allocated noscan.
+func TestSpanLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(Span{}); sz > 56 {
+		t.Fatalf("Span is %d bytes, want <= 56", sz)
+	}
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		default:
+			t.Errorf("%s is a %s: pointer-bearing", path, ty.Kind())
+		}
+	}
+	walk(reflect.TypeOf(Span{}), "Span")
+}
+
+// TestRootOfRetriedTrace: a retried endpoint root leaves one Parent == 0 span
+// per attempt that reached a container. The root is the last-ending one (the
+// larger ID on a tie), and Validate accepts the shed attempts before it —
+// but not a second root that overlaps the served one or has children.
+func TestRootOfRetriedTrace(t *testing.T) {
+	tr := &Trace{ID: 1, Names: testNames, Spans: []Span{
+		span(1, 0, "root", 0, 5, false),  // shed
+		span(2, 0, "root", 8, 13, false), // shed
+		span(3, 0, "root", 16, 100, false),
+		span(4, 3, "a", 20, 60, false),
+	}}
+	if got := tr.Root().ID; got != 3 {
+		t.Fatalf("root is span %d, want the served attempt 3", got)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("shed root attempts must validate: %v", err)
+	}
+	tie := &Trace{ID: 2, Spans: []Span{span(7, 0, "root", 0, 10, false), span(9, 0, "root", 10, 10, false), span(8, 0, "root", 5, 10, false)}}
+	if got := tie.Root().ID; got != 9 {
+		t.Fatalf("tie on End: root is span %d, want the larger ID 9", got)
+	}
+	overlap := &Trace{ID: 3, Spans: []Span{span(1, 0, "root", 0, 20, false), span(2, 0, "root", 16, 100, false)}}
+	if overlap.Validate() == nil {
+		t.Fatal("a second root overlapping the root must fail")
+	}
+	parented := &Trace{ID: 4, Spans: []Span{
+		span(1, 0, "root", 0, 5, false), span(2, 0, "root", 8, 100, false), span(3, 1, "a", 1, 4, false),
+	}}
+	if parented.Validate() == nil {
+		t.Fatal("a child of a shed root attempt must fail")
 	}
 }
 
@@ -52,7 +136,7 @@ func TestValidate(t *testing.T) {
 		t.Fatal("unknown parent must fail")
 	}
 	bad = testTrace()
-	bad.Spans = append(bad.Spans, span(5, 0, "second-root", 0, 10, false))
+	bad.Spans = append(bad.Spans, span(5, 0, "root", 0, 10, false))
 	if bad.Validate() == nil {
 		t.Fatal("two roots must fail")
 	}
@@ -78,11 +162,11 @@ func TestSelfDuration(t *testing.T) {
 	root := tr.Root()
 	// Children a[10,40] and b[30,70] overlap → union [10,70] = 60; the
 	// background child w is excluded. Self = 100 - 60 = 40.
-	if got := tr.SelfDuration(root); got != 40 {
+	if got := selfDuration(tr, root); got != 40 {
 		t.Fatalf("self = %v, want 40", got)
 	}
 	// Leaf span: self = full duration.
-	if got := tr.SelfDuration(tr.Spans[1]); got != 30 { // span 2, "a"
+	if got := selfDuration(tr, tr.Spans[1]); got != 30 { // span 2, "a"
 		t.Fatalf("leaf self = %v", got)
 	}
 	// Disjoint children.
@@ -91,7 +175,7 @@ func TestSelfDuration(t *testing.T) {
 		span(2, 1, "a", 10, 20, false),
 		span(3, 1, "b", 50, 80, false),
 	}}
-	if got := tr2.SelfDuration(tr2.Root()); got != 60 {
+	if got := selfDuration(tr2, tr2.Root()); got != 60 {
 		t.Fatalf("disjoint self = %v, want 60", got)
 	}
 	// Child clipped to parent interval.
@@ -99,7 +183,7 @@ func TestSelfDuration(t *testing.T) {
 		span(1, 0, "root", 0, 100, false),
 		span(2, 1, "a", 90, 100, false),
 	}}
-	if got := tr3.SelfDuration(tr3.Root()); got != 90 {
+	if got := selfDuration(tr3, tr3.Root()); got != 90 {
 		t.Fatalf("clipped self = %v", got)
 	}
 }
@@ -107,9 +191,9 @@ func TestSelfDuration(t *testing.T) {
 func TestCoordinator(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var got *Trace
-	c := NewCoordinator(eng, SinkFunc(func(tr *Trace) { got = tr }))
-	id := c.StartTrace("compose", 0)
-	if c.PendingCount() != 1 {
+	c := NewCoordinator(eng, SinkFunc(func(tr *Trace) { got = tr }), testNames)
+	tr := c.StartTrace("compose", 0)
+	if c.PendingCount() != 1 || tr.Names == nil {
 		t.Fatal("pending")
 	}
 	s1 := c.NewSpanID()
@@ -117,11 +201,10 @@ func TestCoordinator(t *testing.T) {
 	if s1 == s2 {
 		t.Fatal("span ids must be unique")
 	}
-	c.Emit(Span{Trace: id, ID: s1, Service: "root"})
-	c.Emit(Span{Trace: 999, ID: s2}) // unknown trace: dropped
-	eng.Schedule(50, func() { c.Finish(id, false) })
+	c.Emit(tr, Span{ID: s1})
+	eng.Schedule(50, func() { c.Finish(tr, false) })
 	eng.RunUntil(100)
-	if got == nil || got.Type != "compose" || len(got.Spans) != 1 {
+	if got != tr || got.Type != "compose" || len(got.Spans) != 1 {
 		t.Fatalf("finished trace: %+v", got)
 	}
 	if got.End != 50 {
@@ -129,19 +212,6 @@ func TestCoordinator(t *testing.T) {
 	}
 	if c.PendingCount() != 0 || c.Collected != 1 || c.SpansSeen != 1 {
 		t.Fatal("counters")
-	}
-	c.Finish(id, false) // double finish is a no-op
-	if c.Collected != 1 {
-		t.Fatal("double finish")
-	}
-}
-
-func TestMultiSink(t *testing.T) {
-	n := 0
-	s := MultiSink(SinkFunc(func(*Trace) { n++ }), SinkFunc(func(*Trace) { n++ }))
-	s.Consume(&Trace{})
-	if n != 2 {
-		t.Fatal("fan-out")
 	}
 }
 
@@ -156,7 +226,7 @@ func TestChildrenOrder(t *testing.T) {
 		span(2, 1, "b", 10, 50, true),
 	}}
 	var got []SpanID
-	for _, k := range tr.Children(1) {
+	for _, k := range children(tr, 1) {
 		got = append(got, k.ID)
 	}
 	if want := []SpanID{2, 3, 4, 5}; !slices.Equal(got, want) {

@@ -84,16 +84,6 @@ func (s *Store) Len() int {
 // Total returns the number of traces ever consumed.
 func (s *Store) Total() uint64 { return s.total }
 
-// all returns stored traces oldest-first.
-func (s *Store) all() []*trace.Trace {
-	out := make([]*trace.Trace, 0, s.Len())
-	if s.filled {
-		out = append(out, s.buf[s.head:]...)
-	}
-	out = append(out, s.buf[:s.head]...)
-	return out
-}
-
 // at returns the i-th stored trace oldest-first, 0 <= i < Len().
 func (s *Store) at(i int) *trace.Trace {
 	if s.filled {
@@ -148,22 +138,6 @@ func (s *Store) SelectAppend(dst []*trace.Trace, q Query) []*trace.Trace {
 	return dst
 }
 
-// Types returns the distinct request types in the window, sorted.
-func (s *Store) Types() []string {
-	set := map[string]struct{}{}
-	for _, t := range s.all() {
-		if t != nil {
-			set[t.Type] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Latencies returns end-to-end latencies (ms) of matching traces.
 func (s *Store) Latencies(q Query) []float64 {
 	ts := s.Select(q)
@@ -181,7 +155,8 @@ func (s *Store) ServiceLatencies(q Query) map[string][]float64 {
 	out := map[string][]float64{}
 	for _, t := range s.Select(q) {
 		for _, sp := range t.Spans {
-			out[sp.Service] = append(out[sp.Service], sp.Duration().Millis())
+			name := t.Names.ServiceName(sp.Service)
+			out[name] = append(out[name], sp.Duration().Millis())
 		}
 	}
 	return out

@@ -23,7 +23,7 @@ func newApp(t *testing.T) (*sim.Engine, *app.App) {
 		cl.AddNode(cluster.XeonProfile)
 	}
 	db := tracedb.New(50000)
-	coord := trace.NewCoordinator(eng, db)
+	coord := trace.NewCoordinator(eng, db, cl)
 	a, err := app.Deploy(eng, cl, topology.HotelReservation(), coord)
 	if err != nil {
 		t.Fatal(err)
