@@ -10,6 +10,16 @@
 // traced by pointer and by the cluster's integer IDs (ReplicaSet.ID,
 // Container.ID), which is what the emitted spans carry. Service names are
 // read again only to key an armed edge fault.
+//
+// There is one request path: a workflow call is a pooled frame (frame.go)
+// that is its own engine event, container work handler and the caller its
+// children report to and drain into. Deploy runs the frames on one engine;
+// DeploySharded runs the same frames across the shards of a
+// sim.ShardedEngine, where a frame is also the mail — it belongs to one
+// shard at a time and changes owner only by being sent. The one semantic
+// difference is where a call is routed: a caller may not touch another
+// shard's round-robin cursor, so there the frame travels to the callee's
+// shard first and picks its replica on arrival.
 package app
 
 import (
@@ -33,11 +43,20 @@ type Result struct {
 
 // App is a deployed application instance.
 type App struct {
-	Spec  *topology.Spec
+	Spec *topology.Spec
+	// Coord collects the spans; nil emits none. It is a single-engine
+	// structure, so a sharded deployment has none.
 	Coord *trace.Coordinator
 
-	eng *sim.Engine
-	cl  *cluster.Cluster
+	// eng is where requests are admitted: the only engine, or that of the
+	// home shard of a sharded deployment — whose engine is se (nil
+	// otherwise). nextTrace numbers requests where no Coordinator does.
+	// shards is per-shard state, one entry on one engine.
+	eng       *sim.Engine
+	se        *sim.ShardedEngine
+	home      int32
+	nextTrace trace.TraceID
+	shards    []shard
 
 	// SLO is the end-to-end latency objective; Calibrate sets it from the
 	// uncontended latency profile.
@@ -64,9 +83,6 @@ type App struct {
 	edgeFaults map[Edge]EdgeFault
 	faultRng   *rand.Rand
 
-	// free recycles call frames (see frame.go). The pool belongs to the App
-	// and dies with it: nothing is shared between simulations.
-	free []*frame
 	// poison is set by tests only: released frames are then never reused,
 	// so any touch of a released frame trips its state check.
 	poison bool
@@ -75,7 +91,18 @@ type App struct {
 	roots []*node
 }
 
-// node is one topology.Call resolved against this App's cluster: what begin
+// shard is one engine shard as the request path sees it: the clock its
+// calls schedule on, the cluster serving them, and the freelist their frames
+// cycle through. The pool belongs to the App and dies with it: nothing is
+// shared between simulations.
+type shard struct {
+	eng  *sim.Engine
+	cl   *cluster.Cluster
+	free []*frame
+	_    [24]byte // shards push and pop concurrently: one cache line each
+}
+
+// node is one topology.Call resolved against this App's cluster: what route
 // and Fire need of the call without a lookup by service name. The trees are
 // the App's own — the Spec may be shared by concurrent deployments and is
 // never written.
@@ -87,11 +114,18 @@ type node struct {
 	// size is the number of calls in the subtree — for an endpoint root, the
 	// spans a request emits when nothing is shed or retried.
 	size int
+	// shard hosts the callee's replica set; idx numbers the call by DFS in
+	// endpoint order — a pure function of the spec, so the mail keys built
+	// from it are the same at every shard count. Both unread on one engine.
+	shard int32
+	idx   uint32
 }
 
 // resolve builds the call tree under root, in two slabs: a tree is walked
 // parent to child on every request, and its nodes should sit together.
-func (a *App) resolve(root *topology.Call) *node {
+// assign maps a service to its shard (nil on a single engine: everything is
+// on shard 0) and first is the root's DFS number.
+func (a *App) resolve(root *topology.Call, assign map[string]int, first uint32) *node {
 	calls := 0
 	topology.Walk(root, func(*topology.Call) { calls++ })
 	nodes, kids := make([]node, calls), make([]*node, calls)
@@ -99,7 +133,10 @@ func (a *App) resolve(root *topology.Call) *node {
 	build = func(c *topology.Call) *node {
 		n := &nodes[0]
 		nodes = nodes[1:]
-		*n = node{call: c, rs: a.cl.ReplicaSet(c.Service), kids: kids[:len(c.Children):len(c.Children)], size: 1}
+		sh := assign[c.Service]
+		*n = node{call: c, rs: a.shards[sh].cl.ReplicaSet(c.Service), kids: kids[:len(c.Children):len(c.Children)], size: 1,
+			shard: int32(sh), idx: first}
+		first++
 		kids = kids[len(c.Children):]
 		if svc := a.Spec.Services[c.Service]; svc != nil {
 			n.demand = svc.Demand
@@ -147,23 +184,32 @@ func (a *App) RetryPolicy() *RetryPolicy { return a.retry }
 // and must be seeded via sim.DeriveSeed by the caller; a nil map (or nil
 // rng with any Drop > 0) restores fault-free behavior. No RNG is consumed
 // on edges without faults, so arming faults on edge X does not perturb
-// traffic elsewhere.
+// traffic elsewhere. A sharded deployment routes calls on every shard at
+// once, which one loss stream cannot serve: it takes Delay faults only.
 func (a *App) SetEdgeFaults(faults map[Edge]EdgeFault, rng *rand.Rand) {
+	if a.se != nil {
+		for _, ef := range faults {
+			if ef.Drop > 0 {
+				panic("app: a sharded deployment takes edge-fault Delay only: loss needs a stream per shard")
+			}
+		}
+	}
 	a.edgeFaults = faults
 	a.faultRng = rng
 }
 
-// reqCtx tracks one in-flight request across its call frames.
+// reqCtx is one in-flight request. It is written only where the request was
+// admitted: its root frame reports the outcome there, and finishes it once
+// the whole call tree has drained.
 type reqCtx struct {
-	app         *App
-	trace       *trace.Trace // pending until maybeFinish seals it
-	start       sim.Time
-	outstanding int  // calls not yet finished (incl. background and pending retries)
-	rootDone    bool // root call completed or dropped
-	dropped     bool
-	latency     sim.Time
-	onDone      func(Result)
-	finished    bool
+	app     *App
+	trace   *trace.Trace // pending until finish seals it; nil without a Coordinator
+	id      trace.TraceID
+	start   sim.Time
+	latency sim.Time // set, with dropped, when the root call reports
+	onDone  func(Result)
+	ep      int32 // position in Spec.Endpoints
+	dropped bool
 }
 
 // Deploy builds a cluster application: one replica set per service with the
@@ -171,13 +217,9 @@ type reqCtx struct {
 // deploy in sorted name order so container IDs and placement are
 // reproducible run to run.
 func Deploy(eng *sim.Engine, cl *cluster.Cluster, spec *topology.Spec, coord *trace.Coordinator) (*App, error) {
-	a := &App{Spec: spec, Coord: coord, eng: eng, cl: cl, SLO: spec.SLO, roots: make([]*node, len(spec.Endpoints))}
-	names := make([]string, 0, len(spec.Services))
-	for name := range spec.Services {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	a := &App{Spec: spec, Coord: coord, eng: eng, SLO: spec.SLO,
+		shards: []shard{{eng: eng, cl: cl}}, roots: make([]*node, len(spec.Endpoints))}
+	for _, name := range sortedServices(spec) {
 		svc := spec.Services[name]
 		if _, err := cl.DeployService(svc.Name, svc.Replicas, svc.Limits); err != nil {
 			return nil, fmt.Errorf("app %s: %w", spec.Name, err)
@@ -186,16 +228,81 @@ func Deploy(eng *sim.Engine, cl *cluster.Cluster, spec *topology.Spec, coord *tr
 	return a, nil
 }
 
-// Cluster returns the hosting cluster.
-func (a *App) Cluster() *cluster.Cluster { return a.cl }
+func sortedServices(spec *topology.Spec) []string {
+	names := make([]string, 0, len(spec.Services))
+	for name := range spec.Services {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
 
-// Engine returns the simulation engine.
+// maxCallIdx bounds a sharded deployment's workflow calls: the mail key
+// (frame.key) gives the call number 20 bits.
+const maxCallIdx = 1 << 20
+
+// DeploySharded builds an application over the shards of se. Every
+// service's replica set lives wholly on one shard: assign maps a service to
+// its shard, and clusters[i] is shard i's cluster, which must already hold
+// the replica sets of the services assigned to it (the harness deploys them
+// with DeployServiceOn to realise a globally computed placement). home is
+// the shard that admits requests and accounts for their results: Submit,
+// the workload generator and the result hooks run on its engine.
+//
+// Every call travels as a ShardedEngine mail, also between services that
+// share a shard, so a one-shard run performs exactly the sends of an
+// eight-shard run and every latency, drop and counter is byte-identical at
+// any shard count. A call is routed on the callee's shard, so a
+// no-ready-replica shed reaches the caller one hop later, not at once.
+func DeploySharded(se *sim.ShardedEngine, spec *topology.Spec, home int, assign map[string]int, clusters []*cluster.Cluster) (*App, error) {
+	if len(clusters) != se.Shards() {
+		return nil, fmt.Errorf("app %s: %d clusters for %d shards", spec.Name, len(clusters), se.Shards())
+	}
+	if home < 0 || home >= se.Shards() {
+		return nil, fmt.Errorf("app %s: home shard %d out of range", spec.Name, home)
+	}
+	if spec.BaseRPCDelay < se.Lookahead() {
+		return nil, fmt.Errorf("app %s: BaseRPCDelay %v below engine lookahead %v", spec.Name, spec.BaseRPCDelay, se.Lookahead())
+	}
+	for _, name := range sortedServices(spec) {
+		sh, ok := assign[name]
+		if !ok || sh < 0 || sh >= se.Shards() {
+			return nil, fmt.Errorf("app %s: service %s has no valid shard assignment", spec.Name, name)
+		}
+		if clusters[sh].ReplicaSet(name) == nil {
+			return nil, fmt.Errorf("app %s: service %s not deployed on shard %d", spec.Name, name, sh)
+		}
+	}
+	a := &App{Spec: spec, eng: se.Shard(home), se: se, home: int32(home), SLO: spec.SLO,
+		shards: make([]shard, se.Shards()), roots: make([]*node, len(spec.Endpoints))}
+	for i := range a.shards {
+		a.shards[i] = shard{eng: se.Shard(i), cl: clusters[i]}
+	}
+	// Resolved up front, not on first request: the DFS numbering runs across
+	// endpoints.
+	var calls uint32
+	for i := range spec.Endpoints {
+		a.roots[i] = a.resolve(spec.Endpoints[i].Root, assign, calls)
+		calls += uint32(a.roots[i].size)
+	}
+	if calls >= maxCallIdx {
+		return nil, fmt.Errorf("app %s: %d workflow calls exceed the %d mail-key limit", spec.Name, calls, maxCallIdx)
+	}
+	return a, nil
+}
+
+// Cluster returns the hosting cluster (the home shard's, when sharded).
+func (a *App) Cluster() *cluster.Cluster { return a.shards[a.home].cl }
+
+// Engine returns the engine requests are submitted on (the home shard's).
 func (a *App) Engine() *sim.Engine { return a.eng }
 
 // SetResultHook registers an observer invoked for every request outcome.
 func (a *App) SetResultHook(fn func(Result)) { a.onResult = fn }
 
 // Submit issues one request of the named endpoint type. onDone may be nil.
+// On a sharded deployment it must be called from the home shard (at setup
+// time or from an event executing on it).
 func (a *App) Submit(endpoint string, onDone func(Result)) error {
 	eps := a.Spec.Endpoints
 	i := 0
@@ -205,49 +312,57 @@ func (a *App) Submit(endpoint string, onDone func(Result)) error {
 	if i == len(eps) {
 		return fmt.Errorf("app %s: unknown endpoint %q", a.Spec.Name, endpoint)
 	}
-	if a.roots[i] == nil {
-		a.roots[i] = a.resolve(eps[i].Root)
-	}
-	ctx := &reqCtx{
-		app:    a,
-		trace:  a.Coord.StartTrace(endpoint, a.roots[i].size),
-		start:  a.eng.Now(),
-		onDone: onDone,
-	}
-	a.call(ctx, nil, 0, "client", a.roots[i], false)
+	a.submit(i, onDone)
 	return nil
 }
 
-// pickEndpoint draws an endpoint name from the spec's weighted mix with one
-// r.Float64() draw (the last endpoint absorbs rounding).
-func pickEndpoint(spec *topology.Spec, r *rand.Rand) string {
+// submit issues one request of the endpoint at position i of Spec.Endpoints.
+func (a *App) submit(i int, onDone func(Result)) {
+	if a.roots[i] == nil {
+		a.roots[i] = a.resolve(a.Spec.Endpoints[i].Root, nil, 0)
+	}
+	ctx := &reqCtx{app: a, ep: int32(i), start: a.eng.Now(), onDone: onDone}
+	if a.Coord != nil {
+		ctx.trace = a.Coord.StartTrace(a.Spec.Endpoints[i].Name, a.roots[i].size)
+		ctx.id = ctx.trace.ID
+	} else {
+		a.nextTrace++
+		ctx.id = a.nextTrace
+	}
+	a.call(ctx, nil, 0, "client", a.roots[i], false)
+}
+
+// pickEndpoint draws an endpoint — its position in spec.Endpoints — from the
+// spec's weighted mix with one r.Float64() draw (the last endpoint absorbs
+// rounding).
+func pickEndpoint(spec *topology.Spec, r *rand.Rand) int {
 	x := r.Float64() * spec.TotalWeight()
-	for _, ep := range spec.Endpoints {
-		x -= ep.Weight
+	for i := range spec.Endpoints {
+		x -= spec.Endpoints[i].Weight
 		if x <= 0 {
-			return ep.Name
+			return i
 		}
 	}
-	return spec.Endpoints[len(spec.Endpoints)-1].Name
+	return len(spec.Endpoints) - 1
 }
 
 // SubmitMix issues one request drawn from the endpoint mix using r,
 // returning the chosen endpoint name.
 func (a *App) SubmitMix(r *rand.Rand, onDone func(Result)) (string, error) {
-	name := pickEndpoint(a.Spec, r)
-	return name, a.Submit(name, onDone)
+	i := pickEndpoint(a.Spec, r)
+	a.submit(i, onDone)
+	return a.Spec.Endpoints[i].Name, nil
 }
 
-// maybeFinish seals the trace once the root has completed AND every span
-// (including background work) has been emitted, then reports the result.
-func (ctx *reqCtx) maybeFinish() {
-	if ctx.finished || !ctx.rootDone || ctx.outstanding != 0 {
-		return
-	}
-	ctx.finished = true
+// finish seals the trace and reports the result. The root frame calls it
+// once, when it has reported the outcome AND every call of the request —
+// background work and pending retries included — has drained.
+func (ctx *reqCtx) finish() {
 	a := ctx.app
-	a.Coord.Finish(ctx.trace, ctx.dropped)
-	res := Result{Trace: ctx.trace.ID, Type: ctx.trace.Type, Latency: ctx.latency, Dropped: ctx.dropped}
+	if ctx.trace != nil {
+		a.Coord.Finish(ctx.trace, ctx.dropped)
+	}
+	res := Result{Trace: ctx.id, Type: a.Spec.Endpoints[ctx.ep].Name, Latency: ctx.latency, Dropped: ctx.dropped}
 	if ctx.dropped {
 		a.Dropped++
 	} else {
@@ -268,6 +383,7 @@ func (ctx *reqCtx) maybeFinish() {
 // of each endpoint at low rate on an idle cluster and sets
 // SLO = P99 × margin, following the paper's setup where SLOs are defined
 // relative to normal-operation latency. It returns the measured P99 (ms).
+// It drives the engine itself, so it is for a single-engine deployment.
 func (a *App) Calibrate(n int, margin float64) float64 {
 	var lats []float64
 	interval := 5 * sim.Millisecond

@@ -139,12 +139,12 @@ func TestFramesRecycleWithoutLeak(t *testing.T) {
 		}
 		return a
 	}
-	if a := run(true); len(a.free) != 0 {
-		t.Fatalf("poisoned run recycled %d frames", len(a.free))
+	if a := run(true); len(a.shards[0].free) != 0 {
+		t.Fatalf("poisoned run recycled %d frames", len(a.shards[0].free))
 	}
 	a := run(false)
 	seen := map[*frame]bool{}
-	for _, f := range a.free {
+	for _, f := range a.shards[0].free {
 		if seen[f] {
 			t.Fatal("frame on the freelist twice")
 		}
@@ -153,8 +153,8 @@ func TestFramesRecycleWithoutLeak(t *testing.T) {
 			t.Fatalf("freelist frame not cleared: %+v", f)
 		}
 	}
-	if len(a.free) == 0 || len(a.free) >= 400 {
-		t.Fatalf("freelist holds %d frames; want the peak concurrency, far below one per request", len(a.free))
+	if len(a.shards[0].free) == 0 || len(a.shards[0].free) >= 400 {
+		t.Fatalf("freelist holds %d frames; want the peak concurrency, far below one per request", len(a.shards[0].free))
 	}
 }
 
@@ -178,7 +178,7 @@ func TestSteadyStateRequestAllocs(t *testing.T) {
 	small, large := "", ""
 	minCalls, maxCalls := 0, 0
 	for _, ep := range spec.Endpoints {
-		n := a.resolve(ep.Root).size
+		n := a.resolve(ep.Root, nil, 0).size
 		if small == "" || n < minCalls {
 			small, minCalls = ep.Name, n
 		}

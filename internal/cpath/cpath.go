@@ -105,9 +105,9 @@ func (e *Extractor) visit(si int32) {
 		return
 	}
 	// Chain happens-before predecessors: repeatedly take the latest-
-	// ending child that completes before the head of the chain starts.
-	// The chain is found back to front, so it is stacked and then visited
-	// from the top down; nested visits stack above it and unwind first.
+	// ending child that precedes the head of the chain. The chain is found
+	// back to front, so it is stacked and then visited from the top down;
+	// nested visits stack above it and unwind first.
 	base := len(e.stack)
 	e.stack = append(e.stack, lrc)
 	head := &spans[lrc]
@@ -115,7 +115,7 @@ func (e *Extractor) visit(si int32) {
 		best := int32(-1)
 		for _, ki := range kids {
 			k := &spans[ki]
-			if k.Background || k.ID == head.ID || !happensBefore(*k, *head) {
+			if k.Background || !precedes(k, head) {
 				continue
 			}
 			if best < 0 || k.End > spans[best].End ||
@@ -138,6 +138,16 @@ func (e *Extractor) visit(si int32) {
 // happensBefore reports the paper's sequential-workflow condition: i
 // completes and returns before j starts (§3.2: t(r,i→p) ≤ t(s,p→j)).
 func happensBefore(i, j trace.Span) bool { return i.End <= j.Start }
+
+// precedes reports whether k chains onto the CP ahead of head: it
+// happens-before it and comes strictly earlier in (End, ID) order. A span
+// that takes any time at all ends after everything that happens-before it,
+// so the order decides only between zero-length siblings at one instant —
+// each of which happens-before the other, and without it the chain would
+// alternate between them forever.
+func precedes(k, head *trace.Span) bool {
+	return happensBefore(*k, *head) && (k.End < head.End || (k.End == head.End && k.ID < head.ID))
+}
 
 // Group clusters traces by CP signature. It returns, per signature, the
 // end-to-end latencies (ms) of the traces whose CP matched it. Fig. 3 plots

@@ -58,7 +58,7 @@ func scanExtract(t *trace.Trace) Path {
 			var best trace.Span
 			found := false
 			for _, k := range kids {
-				if k.ID == head.ID || !happensBefore(k, head) {
+				if !precedes(&k, &head) {
 					continue
 				}
 				if !found || k.End > best.End || (k.End == best.End && k.ID > best.ID) {
@@ -83,10 +83,8 @@ func scanExtract(t *trace.Trace) Path {
 // randomised span trees — coarse clocks (ties everywhere), background
 // children, shuffled span order, a root-less trace now and then — and holds
 // every path to the per-span-scan oracle, and every ID-resolved signature to
-// one joined from the service-name strings the spans were drawn with. (Spans
-// last at least one tick: Alg. 1's happens-before chain does not terminate
-// on two zero-length siblings at the same instant, before or after this
-// change.)
+// one joined from the service-name strings the spans were drawn with. One
+// span in six is zero-length, so coincident zero-length siblings turn up.
 func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	var e Extractor
@@ -108,7 +106,7 @@ func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
 			// Children start after their parent does (ids grow down the
 			// tree), so chains are long enough to matter; time is coarse.
 			s.Start = sim.Time(i/3 + r.Intn(4))
-			s.End = s.Start + sim.Time(1+r.Intn(6))
+			s.End = s.Start + sim.Time(r.Intn(6))
 			tr.Spans = append(tr.Spans, s)
 		}
 		r.Shuffle(n, func(i, j int) { tr.Spans[i], tr.Spans[j] = tr.Spans[j], tr.Spans[i] })
@@ -127,6 +125,25 @@ func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
 		if got, want := got.Signature(), strings.Join(sig, "→"); got != want {
 			t.Fatalf("trial %d: signature %q, string-keyed oracle %q", trial, got, want)
 		}
+	}
+}
+
+// TestCoincidentZeroLengthSiblingsTerminate: two zero-length siblings at one
+// instant each happen-before the other; the chain must still end, with both
+// on the path in ID order. (Alg. 1 as first written looped here forever.)
+func TestCoincidentZeroLengthSiblingsTerminate(t *testing.T) {
+	tr := &trace.Trace{ID: 1, Names: testNames, Spans: []trace.Span{
+		sp(1, 0, "gw", 0, 10, false),
+		sp(2, 1, "auth", 4, 4, false),
+		sp(3, 1, "cart", 4, 4, false),
+		sp(4, 1, "db", 1, 3, false),
+	}}
+	var ids []trace.SpanID
+	for _, s := range Extract(tr).Spans {
+		ids = append(ids, s.ID)
+	}
+	if want := []trace.SpanID{1, 4, 2, 3}; !slices.Equal(ids, want) {
+		t.Fatalf("critical path %v, want %v", ids, want)
 	}
 }
 

@@ -21,15 +21,15 @@ type ShardedOptions struct {
 }
 
 // ShardedBench is a testbed whose cluster and application are partitioned
-// across engine shards. It is intentionally leaner than Bench: no tracing
-// pipeline, telemetry collector, or controller — those are single-engine
-// structures, and the sharded path exists to push raw scale (ROADMAP
-// item 1's 10,000-service cells). Latencies are observed through the app's
+// across engine shards: this file is the placement, the request path is
+// app.App's own (app.DeploySharded). It is leaner than Bench: no tracing
+// pipeline, telemetry collector, or controller — those are still
+// single-engine structures — so latencies are observed through the app's
 // result hook.
 type ShardedBench struct {
 	Opts     ShardedOptions
 	Eng      *sim.ShardedEngine
-	App      *app.ShardedApp
+	App      *app.App
 	Gen      *workload.Generator
 	Clusters []*cluster.Cluster
 	// NumNodes is the size of the virtual node fleet the placement opened.
@@ -57,8 +57,8 @@ func (b *ShardedBench) ShardOf(service string) int {
 // blocks of nodes, one block per shard. Both steps are pure functions of
 // the spec — the fleet and every container's host node are identical at
 // every shard count, only the block boundaries move — which is half of the
-// byte-identical-across-shard-counts contract (the other half is
-// ShardedApp routing everything through engine mails).
+// byte-identical-across-shard-counts contract (the other half is the app
+// sending every call through engine mails).
 func NewSharded(opts ShardedOptions) (*ShardedBench, error) {
 	if opts.Spec == nil {
 		return nil, fmt.Errorf("harness: Spec is required")

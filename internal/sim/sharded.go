@@ -24,10 +24,10 @@ import (
 // to share a shard — with a key that is unique among all mails sharing a
 // timestamp, (b) component placement onto shards is a pure function of the
 // model (never of shard-local state), and (c) no component draws from a
-// shard engine's Rand. internal/app's ShardedApp and internal/harness's
-// sharded placement are built to those rules.
+// shard engine's Rand. internal/app's sharded deployment (DeploySharded) and
+// internal/harness's sharded placement are built to those rules.
 
-// mail is one cross-shard message: fn runs on shard to at absolute time at.
+// mail is one cross-shard message: act fires on shard to at absolute time at.
 // Mails becoming due in the same delivery round are scheduled in (at, key)
 // order; key uniqueness per timestamp is what makes that order — and
 // therefore the destination shard's event sequence — independent of the
@@ -39,7 +39,7 @@ type mail struct {
 	key uint64
 	seq uint64
 	to  int32
-	fn  func()
+	act Action
 }
 
 // mailHeap is an inlined binary min-heap of mails ordered by (at, key, seq).
@@ -76,7 +76,7 @@ func (h *mailHeap) pop() mail {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n].fn = nil // do not pin the closure through the free tail
+	s[n].act = nil // do not pin the action through the free tail
 	s = s[:n]
 	*h = s
 	i := 0
@@ -202,17 +202,18 @@ func (se *ShardedEngine) Steps() uint64 {
 	return n
 }
 
-// Send schedules fn on shard to at the sender's now + delay. from must be
-// the shard the caller is executing on (shard 0 during setup); delay must
-// be at least the lookahead — that bound is exactly what lets windows run
+// Send fires act on shard to at the sender's now + delay. from must be the
+// shard the caller is executing on (shard 0 during setup); delay must be at
+// least the lookahead — that bound is exactly what lets windows run
 // concurrently, so a shorter delay is a model error and panics. key orders
-// mails that become deliverable in the same round (see mail); fn runs on
-// the destination shard's goroutine.
+// mails that become deliverable in the same round (see mail); act fires on
+// the destination shard's goroutine, and whatever it points to belongs to
+// that shard from then on: the sender must not touch it after Send.
 //
 //firmvet:noalloc
-func (se *ShardedEngine) Send(from, to int, delay Time, key uint64, fn func()) {
-	if fn == nil {
-		panic("sim: Send with nil callback")
+func (se *ShardedEngine) Send(from, to int, delay Time, key uint64, act Action) {
+	if act == nil {
+		panic("sim: Send with nil action")
 	}
 	if from < 0 || from >= len(se.shards) || to < 0 || to >= len(se.shards) {
 		panic(fmt.Sprintf("sim: Send %d→%d outside [0,%d)", from, to, len(se.shards)))
@@ -221,7 +222,7 @@ func (se *ShardedEngine) Send(from, to int, delay Time, key uint64, fn func()) {
 		panic(fmt.Sprintf("sim: Send delay %v below lookahead %v", delay, se.lookahead))
 	}
 	se.outbox[from] = append(se.outbox[from], mail{
-		at: se.shards[from].Now() + delay, key: key, to: int32(to), fn: fn,
+		at: se.shards[from].Now() + delay, key: key, to: int32(to), act: act,
 	})
 }
 
@@ -236,7 +237,7 @@ func (se *ShardedEngine) collect() {
 			m := ob[j]
 			m.seq = se.mailSeq
 			se.inbox.push(m)
-			ob[j].fn = nil // keep the reused buffer from pinning closures
+			ob[j].act = nil // keep the reused buffer from pinning actions
 		}
 		se.outbox[i] = ob[:0]
 	}
@@ -251,7 +252,7 @@ func (se *ShardedEngine) collect() {
 func (se *ShardedEngine) deliver(until Time) {
 	for len(se.inbox) > 0 && se.inbox[0].at < until {
 		m := se.inbox.pop()
-		se.shards[m.to].ScheduleAt(m.at, m.fn)
+		se.shards[m.to].ScheduleActionAt(m.at, m.act)
 	}
 }
 

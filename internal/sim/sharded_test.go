@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -36,7 +37,7 @@ func ringTrace(t *testing.T, actors, shards, workers int, rounds int) []string {
 				return
 			}
 			next := (a + 1) % actors
-			se.Send(home(a), home(next), L+jitter[a], uint64(a), hop(next, round+1))
+			se.Send(home(a), home(next), L+jitter[a], uint64(a), Func(hop(next, round+1)))
 		}
 	}
 	for a := 0; a < actors; a++ {
@@ -85,7 +86,7 @@ func TestShardedEqualTimestampMailOrder(t *testing.T) {
 			i := i
 			se.Shard(i).Schedule(5, func() {
 				k := keys[i-1]
-				se.Send(i, 0, L, k, func() { order = append(order, k) })
+				se.Send(i, 0, L, k, Func(func() { order = append(order, k) }))
 			})
 		}
 		se.RunUntil(1_000)
@@ -103,10 +104,10 @@ func TestShardedSameShardSendUsesSamePath(t *testing.T) {
 	se2 := NewShardedEngine(1, 2, L)
 	var at1, at2 Time
 	se1.Shard(0).Schedule(3, func() {
-		se1.Send(0, 0, L, 1, func() { at1 = se1.Shard(0).Now() })
+		se1.Send(0, 0, L, 1, Func(func() { at1 = se1.Shard(0).Now() }))
 	})
 	se2.Shard(0).Schedule(3, func() {
-		se2.Send(0, 1, L, 1, func() { at2 = se2.Shard(1).Now() })
+		se2.Send(0, 1, L, 1, Func(func() { at2 = se2.Shard(1).Now() }))
 	})
 	se1.RunUntil(100)
 	se2.RunUntil(100)
@@ -126,10 +127,10 @@ func TestShardedSendValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("short delay", func() { se.Send(0, 1, 99, 0, func() {}) })
-	mustPanic("nil fn", func() { se.Send(0, 1, 100, 0, nil) })
-	mustPanic("bad from", func() { se.Send(-1, 1, 100, 0, func() {}) })
-	mustPanic("bad to", func() { se.Send(0, 2, 100, 0, func() {}) })
+	mustPanic("short delay", func() { se.Send(0, 1, 99, 0, Func(func() {})) })
+	mustPanic("nil action", func() { se.Send(0, 1, 100, 0, nil) })
+	mustPanic("bad from", func() { se.Send(-1, 1, 100, 0, Func(func() {})) })
+	mustPanic("bad to", func() { se.Send(0, 2, 100, 0, Func(func() {})) })
 	mustPanic("zero shards", func() { NewShardedEngine(1, 0, 100) })
 	mustPanic("zero lookahead", func() { NewShardedEngine(1, 1, 0) })
 }
@@ -139,7 +140,7 @@ func TestShardedClockAndPending(t *testing.T) {
 	ran := false
 	se.Shard(1).Schedule(25, func() {
 		ran = true
-		se.Send(1, 0, 10, 0, func() {})
+		se.Send(1, 0, 10, 0, Func(func() {}))
 	})
 	if se.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", se.Pending())
@@ -197,5 +198,105 @@ func TestShardedWorkerClamping(t *testing.T) {
 	se.SetWorkers(0)
 	if se.Workers() != 1 {
 		t.Fatalf("Workers = %d, want clamp to 1", se.Workers())
+	}
+}
+
+// A random mail graph: actors that, on every message, log it and — from a
+// private stream keyed by actor id, so by nothing a shard count can move —
+// draw how many messages to send on, to whom and how late, and sometimes a
+// timer on their own shard. Messages are sim.Action payloads (the message
+// struct is the mail), the way internal/app mails its call frames.
+type mailActor struct {
+	id    int
+	shard int
+	se    *ShardedEngine
+	peers []*mailActor
+	rng   *rand.Rand
+	sent  uint64
+	log   []string
+}
+
+type mailMsg struct {
+	to   *mailActor
+	from int
+	ttl  int
+	val  uint64
+}
+
+func (m *mailMsg) Fire() { m.to.receive(m) }
+
+const mailGraphLookahead = 40
+
+func (a *mailActor) receive(m *mailMsg) {
+	now := a.se.Shard(a.shard).Now()
+	a.log = append(a.log, fmt.Sprintf("t=%d from=%d ttl=%d val=%d", now, m.from, m.ttl, m.val))
+	if m.ttl == 0 {
+		return
+	}
+	for n := []int{0, 1, 1, 2}[a.rng.Intn(4)]; n > 0; n-- {
+		to := a.peers[a.rng.Intn(len(a.peers))]
+		delay := Time(mailGraphLookahead + a.rng.Intn(3*mailGraphLookahead))
+		a.sent++
+		// (sender, per-sender counter) is unique among all mails, let alone
+		// those sharing a timestamp.
+		a.se.Send(a.shard, to.shard, delay, uint64(a.id)<<32|a.sent, &mailMsg{to: to, from: a.id, ttl: m.ttl - 1, val: m.val*31 + a.sent})
+	}
+	if a.rng.Intn(4) == 0 {
+		a.se.Shard(a.shard).ScheduleAction(Time(a.rng.Intn(2*mailGraphLookahead)), &mailMsg{to: a, from: a.id, ttl: m.ttl - 1, val: m.val + 1})
+	}
+}
+
+// runMailGraph plays graph seed on the given shard count and returns every
+// actor's log, in actor order, plus the total step count.
+func runMailGraph(seed int64, shards, workers int) ([]string, uint64) {
+	shape := Stream(seed, "mail-graph")
+	actors := make([]*mailActor, 5+shape.Intn(36))
+	se := NewShardedEngine(seed, shards, mailGraphLookahead)
+	se.SetWorkers(workers)
+	for i := range actors {
+		actors[i] = &mailActor{id: i, shard: i % shards, se: se, peers: actors, rng: Stream(seed, fmt.Sprintf("mail-actor/%d", i))}
+	}
+	for i := 0; i < 1+len(actors)/4; i++ {
+		a := actors[shape.Intn(len(actors))]
+		se.Shard(a.shard).ScheduleActionAt(Time(1+shape.Intn(200)), &mailMsg{to: a, from: -1, ttl: 14, val: uint64(i)})
+	}
+	se.RunUntil(1_000_000)
+	if se.Pending() != 0 {
+		panic("mail graph did not drain")
+	}
+	var out []string
+	for _, a := range actors {
+		out = append(out, fmt.Sprintf("actor %d:", a.id))
+		out = append(out, a.log...)
+	}
+	return out, se.Steps()
+}
+
+// TestShardedRandomMailGraphsMatchOneShard: on random mail graphs with
+// Action payloads, every actor sees the same messages at the same times in
+// the same order at N shards, on one worker or N, as on one shard.
+func TestShardedRandomMailGraphsMatchOneShard(t *testing.T) {
+	events := uint64(0)
+	for seed := int64(1); seed <= 24; seed++ {
+		want, steps := runMailGraph(seed, 1, 1)
+		events += steps
+		for _, shards := range []int{2, 3, 5, 8} {
+			for _, workers := range []int{1, shards} {
+				got, gotSteps := runMailGraph(seed, shards, workers)
+				if gotSteps != steps || len(got) != len(want) {
+					t.Fatalf("seed %d shards=%d workers=%d: %d steps and %d log lines, want %d and %d",
+						seed, shards, workers, gotSteps, len(got), steps, len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d shards=%d workers=%d: line %d = %q, want %q", seed, shards, workers, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d events over 24 graphs", events)
+	if events < 24*50 {
+		t.Fatalf("only %d events over 24 graphs: the comparison would be vacuous", events)
 	}
 }

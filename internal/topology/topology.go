@@ -357,16 +357,6 @@ func (s *Spec) Edges() [][2]string {
 // NumServices returns the number of distinct microservices.
 func (s *Spec) NumServices() int { return len(s.Services) }
 
-// EndpointByName returns the named endpoint, or nil.
-func (s *Spec) EndpointByName(name string) *Endpoint {
-	for i := range s.Endpoints {
-		if s.Endpoints[i].Name == name {
-			return &s.Endpoints[i]
-		}
-	}
-	return nil
-}
-
 // TotalWeight sums endpoint weights.
 func (s *Spec) TotalWeight() float64 {
 	var w float64

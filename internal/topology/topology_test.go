@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 
 	"firm/internal/sim"
@@ -77,10 +78,11 @@ func TestByNameAndRegistry(t *testing.T) {
 
 func TestComposePostMatchesFig2(t *testing.T) {
 	spec := SocialNetwork()
-	ep := spec.EndpointByName("compose-post")
-	if ep == nil {
+	i := slices.IndexFunc(spec.Endpoints, func(ep Endpoint) bool { return ep.Name == "compose-post" })
+	if i < 0 {
 		t.Fatal("compose-post endpoint missing")
 	}
+	ep := spec.Endpoints[i]
 	if ep.Root.Service != "nginx" {
 		t.Fatalf("root = %s, want nginx", ep.Root.Service)
 	}
@@ -176,12 +178,6 @@ func TestModeString(t *testing.T) {
 	}
 	if Mode(9).String() != "mode(9)" {
 		t.Fatal("unknown mode name")
-	}
-}
-
-func TestEndpointByNameMissing(t *testing.T) {
-	if SocialNetwork().EndpointByName("zzz") != nil {
-		t.Fatal("missing endpoint must be nil")
 	}
 }
 
