@@ -60,3 +60,42 @@ func TestShardedBenchCompletesRequests(t *testing.T) {
 		t.Fatalf("suspiciously little activity: %q", fp)
 	}
 }
+
+// shardedStats runs the s200 digest case for a second under load and returns
+// the engine's window counters.
+func shardedStats(t *testing.T, shards, workers int) sim.ShardStats {
+	t.Helper()
+	c := shardedDigestCases[3]
+	spec, err := topology.Generate(c.p, c.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSharded(ShardedOptions{Seed: c.seed, Spec: spec, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Eng.SetWorkers(workers)
+	b.AttachWorkload(workload.Constant{RPS: c.rps})
+	b.Eng.RunFor(sim.Second)
+	return b.Eng.Stats()
+}
+
+// TestShardedWindowStats pins the scoreboard of ROADMAP item 2 on one digest
+// case: the counters are count-type and exact, equal at any worker count, and
+// Events/Critical is the most that many shards can gain on this model.
+func TestShardedWindowStats(t *testing.T) {
+	want := map[int]sim.ShardStats{
+		1: {Windows: 3238, Parallel: 0, Mails: 52222, Events: 96745, Critical: 96745},
+		2: {Windows: 3238, Parallel: 3207, Mails: 52222, Events: 96745, Critical: 65349}, // bound 1.48
+		4: {Windows: 3238, Parallel: 3225, Mails: 52222, Events: 96745, Critical: 43000}, // bound 2.25
+	}
+	for _, shards := range []int{1, 2, 4} {
+		got := shardedStats(t, shards, 1)
+		if got != want[shards] {
+			t.Errorf("shards=%d: stats %+v, pinned %+v", shards, got, want[shards])
+		}
+		if many := shardedStats(t, shards, shards); many != got {
+			t.Errorf("shards=%d: stats %+v on %d workers, %+v on one", shards, many, shards, got)
+		}
+	}
+}

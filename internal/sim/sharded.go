@@ -27,18 +27,17 @@ import (
 // shard engine's Rand. internal/app's sharded deployment (DeploySharded) and
 // internal/harness's sharded placement are built to those rules.
 
-// mail is one cross-shard message: act fires on shard to at absolute time at.
-// Mails becoming due in the same delivery round are scheduled in (at, key)
-// order; key uniqueness per timestamp is what makes that order — and
-// therefore the destination shard's event sequence — independent of the
-// shard count. seq (assigned at collection, in deterministic shard order)
-// breaks residual ties so a fixed configuration is still reproducible even
-// if a model violates the uniqueness rule.
+// mail is one cross-shard message: act fires on its destination shard at
+// absolute time at. Mails becoming due in the same window are scheduled in
+// (at, key) order; key uniqueness per timestamp is what makes that order —
+// and therefore the destination shard's event sequence — independent of the
+// shard count. seq (assigned by the destination as it takes the mail in, in
+// sender-index then send order) breaks residual ties so a fixed configuration
+// is still reproducible even if a model violates the uniqueness rule.
 type mail struct {
 	at  Time
 	key uint64
 	seq uint64
-	to  int32
 	act Action
 }
 
@@ -98,24 +97,52 @@ func (h *mailHeap) pop() mail {
 	return top
 }
 
+// mailbox is one shard's end of the mail path; no two goroutines touch one
+// at the same time. While a window runs, the shard appends what it sends to
+// out[flip] (Send) and every destination empties its row of out[flip^1]
+// (takeMail); between windows the coordinator swaps the two sides.
+type mailbox struct {
+	out   [2][][]mail // out[side][to]: sent by this shard, not yet taken in
+	first [2]Time     // earliest at in out[side]; noMail when it is empty
+	inbox mailHeap    // taken in by this shard, not yet due
+	seq   uint64      // last tie-break seq this shard assigned
+	mails uint64      // mails this shard has taken in
+	ran   uint64      // events this shard executed in the current window
+	_     [16]byte    // 128 bytes: neighbouring shards stay off this cache line
+}
+
+const noMail = Time(1<<63 - 1)
+
+// ShardStats counts what the windows run so far cost. Every field is a pure
+// function of the model and the shard count — equal at any worker count and
+// on any machine — so Events/Critical, the critical-path bound on what
+// running shards in parallel can gain, can be gated where wall time cannot.
+type ShardStats struct {
+	Windows  uint64 // lookahead windows executed
+	Parallel uint64 // windows in which more than one shard executed events
+	Mails    uint64 // mails taken in by their destination shard
+	Events   uint64 // events executed
+	Critical uint64 // Σ over windows of the busiest shard's events
+}
+
 // ShardedEngine advances N shards in lockstep windows of one lookahead
-// each: at every round it picks the globally earliest pending timestamp T,
-// delivers all mails due before T+lookahead into their destination shards'
-// heaps (in (at, key) order, so delivery is reproducible), runs every shard
-// with work in [T, T+lookahead) — concurrently when workers > 1 — and
-// collects the mails those windows sent. Events therefore fire in global
-// (timestamp, delivery order) order even though shards execute in parallel.
+// each. Per round the coordinator picks the globally earliest pending
+// timestamp T and releases every shard with work in [T, T+lookahead) or mail
+// to take in — concurrently when workers > 1. A released shard first moves
+// what the previous window sent it into its own mail heap, schedules the
+// mails due in this window in (at, key) order, then runs its events. Events
+// therefore fire in global (timestamp, delivery order) order even though
+// shards execute in parallel, and no mail is handled by the coordinator.
 type ShardedEngine struct {
 	shards    []*Engine
+	box       []mailbox
+	flip      int // the side of mailbox.out Send appends to
 	lookahead Time
 	workers   int
 	now       Time
+	stats     ShardStats
 
-	inbox   mailHeap
-	outbox  [][]mail
-	mailSeq uint64
-
-	// Window-execution scratch. active lists the shard indices with work in
+	// Window-execution scratch. active lists the shard indices released in
 	// the current window; helpers claim indices through next. start/wg are
 	// the per-round rendezvous for the helper goroutines RunUntil spawns.
 	active  []int
@@ -141,12 +168,14 @@ func NewShardedEngine(seed int64, n int, lookahead Time) *ShardedEngine {
 	}
 	se := &ShardedEngine{
 		shards:    make([]*Engine, n),
+		box:       make([]mailbox, n),
 		lookahead: lookahead,
 		workers:   1,
-		outbox:    make([][]mail, n),
 	}
 	for i := range se.shards {
 		se.shards[i] = NewEngine(DeriveSeed(seed, fmt.Sprintf("shard/%d", i)))
+		se.box[i].out = [2][][]mail{make([][]mail, n), make([][]mail, n)}
+		se.box[i].first = [2]Time{noMail, noMail}
 	}
 	return se
 }
@@ -183,12 +212,12 @@ func (se *ShardedEngine) Workers() int { return se.workers }
 
 // Pending reports scheduled events plus undelivered mails across all shards.
 func (se *ShardedEngine) Pending() int {
-	n := len(se.inbox)
-	for _, sh := range se.shards {
-		n += sh.Pending()
-	}
-	for _, ob := range se.outbox {
-		n += len(ob)
+	n := 0
+	for i, sh := range se.shards {
+		n += sh.Pending() + len(se.box[i].inbox)
+		for to := range se.shards {
+			n += len(se.box[i].out[0][to]) + len(se.box[i].out[1][to])
+		}
 	}
 	return n
 }
@@ -200,6 +229,15 @@ func (se *ShardedEngine) Steps() uint64 {
 		n += sh.Steps()
 	}
 	return n
+}
+
+// Stats returns the window counters. Must not be called during a Run.
+func (se *ShardedEngine) Stats() ShardStats {
+	st := se.stats
+	for i := range se.box {
+		st.Mails += se.box[i].mails
+	}
+	return st
 }
 
 // Send fires act on shard to at the sender's now + delay. from must be the
@@ -221,59 +259,75 @@ func (se *ShardedEngine) Send(from, to int, delay Time, key uint64, act Action) 
 	if delay < se.lookahead {
 		panic(fmt.Sprintf("sim: Send delay %v below lookahead %v", delay, se.lookahead))
 	}
-	se.outbox[from] = append(se.outbox[from], mail{
-		at: se.shards[from].Now() + delay, key: key, to: int32(to), act: act,
-	})
-}
-
-// collect drains every shard's outbox into the inbox heap. Shard-index
-// order (then append order) assigns the tie-break seq deterministically.
-//
-//firmvet:noalloc
-func (se *ShardedEngine) collect() {
-	for i, ob := range se.outbox {
-		for j := range ob {
-			se.mailSeq++
-			m := ob[j]
-			m.seq = se.mailSeq
-			se.inbox.push(m)
-			ob[j].act = nil // keep the reused buffer from pinning actions
-		}
-		se.outbox[i] = ob[:0]
+	b, side, at := &se.box[from], se.flip, se.shards[from].Now()+delay
+	b.out[side][to] = append(b.out[side][to], mail{at: at, key: key, act: act})
+	if at < b.first[side] {
+		b.first[side] = at
 	}
 }
 
-// deliver schedules every mail due before until into its destination
-// shard. Mails pop in (at, key) order, so equal-timestamp mails to one
-// destination get their seqs — and therefore their execution order — from
-// their keys, not from which shard sent them.
+// takeMail is the top of shard to's window. It empties the buffers the other
+// side of the last swap left for it into its own heap — senders in shard-index
+// order, each in send order, which is the order seqs have always been handed
+// out in — then schedules every mail due by until. Mails pop in (at, key)
+// order, so equal-timestamp mails get their engine seqs — and therefore their
+// execution order — from their keys, not from which shard sent them.
 //
 //firmvet:noalloc
-func (se *ShardedEngine) deliver(until Time) {
-	for len(se.inbox) > 0 && se.inbox[0].at < until {
-		m := se.inbox.pop()
-		se.shards[m.to].ScheduleActionAt(m.at, m.act)
+func (se *ShardedEngine) takeMail(to int, until Time) {
+	b, side := &se.box[to], se.flip^1
+	for from := range se.box {
+		in := se.box[from].out[side][to]
+		for j := range in {
+			b.seq++
+			in[j].seq = b.seq
+			b.inbox.push(in[j])
+			in[j].act = nil // keep the reused buffer from pinning actions
+		}
+		b.mails += uint64(len(in))
+		se.box[from].out[side][to] = in[:0]
+	}
+	for len(b.inbox) > 0 && b.inbox[0].at <= until {
+		m := b.inbox.pop()
+		se.shards[to].ScheduleActionAt(m.at, m.act)
+	}
+}
+
+// swap hands what the last window sent to its destinations: the side Send
+// filled becomes the side takeMail reads. The side it replaces is empty —
+// every shard with mail waiting is released in every window — and starts over.
+//
+//firmvet:noalloc
+func (se *ShardedEngine) swap() {
+	se.flip ^= 1
+	for i := range se.box {
+		se.box[i].first[se.flip] = noMail
 	}
 }
 
 // nextTime returns the earliest pending timestamp across all shard heaps
 // and undelivered mails; ok is false when the whole system is idle.
 func (se *ShardedEngine) nextTime() (t Time, ok bool) {
-	for _, sh := range se.shards {
-		if len(sh.events) > 0 && (!ok || sh.events[0].at < t) {
-			t, ok = sh.events[0].at, true
+	t = noMail
+	for i, sh := range se.shards {
+		b := &se.box[i]
+		if len(sh.events) > 0 && sh.events[0].at < t {
+			t = sh.events[0].at
+		}
+		if len(b.inbox) > 0 && b.inbox[0].at < t {
+			t = b.inbox[0].at
+		}
+		if b.first[se.flip^1] < t {
+			t = b.first[se.flip^1]
 		}
 	}
-	if len(se.inbox) > 0 && (!ok || se.inbox[0].at < t) {
-		t, ok = se.inbox[0].at, true
-	}
-	return t, ok
+	return t, t != noMail
 }
 
 // RunUntil advances the shared clock to t, executing all events and
 // delivering all mails with timestamps <= t.
 func (se *ShardedEngine) RunUntil(t Time) {
-	se.collect() // setup-time sends
+	se.swap() // setup-time sends
 	se.helpers = se.workers - 1
 	if se.helpers > len(se.shards)-1 {
 		se.helpers = len(se.shards) - 1
@@ -297,15 +351,17 @@ func (se *ShardedEngine) RunUntil(t Time) {
 		if until > t+1 || until < T { // clamp to the run end; < T guards overflow
 			until = t + 1
 		}
-		se.deliver(until)
 		se.runWindow(until - 1)
-		se.collect()
+		se.swap()
 	}
 	if se.start != nil {
 		close(se.start)
 		se.start = nil
 	}
-	for _, sh := range se.shards {
+	for i, sh := range se.shards {
+		// What the last window sent, none of it due by t, waits in its
+		// destination's heap: both buffer sides are empty between runs.
+		se.takeMail(i, t)
 		if sh.now < t {
 			sh.now = t
 		}
@@ -316,38 +372,54 @@ func (se *ShardedEngine) RunUntil(t Time) {
 // RunFor advances the shared clock by d.
 func (se *ShardedEngine) RunFor(d Time) { se.RunUntil(se.now + d) }
 
-// runWindow executes every shard with work at or before until (inclusive).
-// Helpers claim shard indices through an atomic cursor; each shard is
-// claimed exactly once, so shard state is only ever touched by one
-// goroutine per window and the claim order cannot affect results.
+// runWindow releases every shard with an event or a mail due by until
+// (inclusive), or with mail to take in. Helpers claim shard indices through
+// an atomic cursor; each shard is claimed exactly once, so shard state is
+// only ever touched by one goroutine per window and the claim order cannot
+// affect results.
 //
 //firmvet:noalloc
 func (se *ShardedEngine) runWindow(until Time) {
-	active := se.active[:0]
+	active, side := se.active[:0], se.flip^1
 	for i, sh := range se.shards {
-		if len(sh.events) > 0 && sh.events[0].at <= until {
+		due := len(sh.events) > 0 && sh.events[0].at <= until ||
+			len(se.box[i].inbox) > 0 && se.box[i].inbox[0].at <= until
+		for from := 0; !due && from < len(se.box); from++ {
+			due = len(se.box[from].out[side][i]) > 0
+		}
+		if due {
 			active = append(active, i)
 		}
 	}
-	se.active = active
+	se.active, se.until = active, until
 	h := len(active) - 1
 	if h > se.helpers {
 		h = se.helpers
 	}
-	if h <= 0 {
-		for _, i := range active {
-			se.shards[i].RunUntil(until)
-		}
-		return
-	}
-	se.until = until
 	se.next.Store(0)
-	se.wg.Add(h)
-	for k := 0; k < h; k++ {
-		se.start <- struct{}{}
+	if h > 0 {
+		se.wg.Add(h)
+		for k := 0; k < h; k++ {
+			se.start <- struct{}{}
+		}
 	}
 	se.chew()
 	se.wg.Wait()
+
+	var busy, most uint64
+	for _, i := range active {
+		n := se.box[i].ran
+		se.stats.Events += n
+		most = max(most, n)
+		if n > 0 {
+			busy++
+		}
+	}
+	se.stats.Windows++
+	se.stats.Critical += most
+	if busy > 1 {
+		se.stats.Parallel++
+	}
 }
 
 func (se *ShardedEngine) helper(start <-chan struct{}) {
@@ -360,10 +432,15 @@ func (se *ShardedEngine) helper(start <-chan struct{}) {
 //firmvet:noalloc
 func (se *ShardedEngine) chew() {
 	for {
-		i := int(se.next.Add(1)) - 1
-		if i >= len(se.active) {
+		k := int(se.next.Add(1)) - 1
+		if k >= len(se.active) {
 			return
 		}
-		se.shards[se.active[i]].RunUntil(se.until)
+		i := se.active[k]
+		sh := se.shards[i]
+		se.takeMail(i, se.until)
+		before := sh.nSteps
+		sh.RunUntil(se.until)
+		se.box[i].ran = sh.nSteps - before
 	}
 }
