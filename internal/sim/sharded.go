@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -142,15 +143,55 @@ type ShardedEngine struct {
 	now       Time
 	stats     ShardStats
 
-	// Window-execution scratch. active lists the shard indices released in
-	// the current window; helpers claim indices through next. start/wg are
-	// the per-round rendezvous for the helper goroutines RunUntil spawns.
+	// Window-execution scratch: the shard indices released in the current
+	// window, its last instant, and the rendezvous with the helper goroutines
+	// RunUntil spawns (nil outside a run, and on one worker).
 	active  []int
 	until   Time
-	next    atomic.Int64
 	helpers int
-	start   chan struct{}
-	wg      sync.WaitGroup
+	meet    *rendezvous
+}
+
+// rendezvous is how one RunUntil shares its windows with its helpers. The
+// coordinator opens a window by storing the number of released shards in
+// todo; coordinator and helpers claim shards by counting it down, and whoever
+// finishes the window's last shard raises idle. Nobody checks in: a helper
+// that gets no CPU claims nothing and delays nobody, so a busy host degrades
+// the run to the coordinator working alone, never to waiting. A window is tens
+// of microseconds, so whoever waits — a helper for todo, the coordinator for
+// idle — is usually microseconds early and spins that long before it parks.
+type rendezvous struct {
+	todo, left, idle atomic.Int32
+	stop             atomic.Bool
+	spin             int
+	mu               sync.Mutex
+	wake             sync.Cond
+}
+
+// spinRounds is how many loads await makes before it parks: some hundred
+// microseconds, several windows' worth — parking costs the waker a futex call
+// and the sleeper a wake-up, each longer than a typical window.
+const spinRounds = 1 << 17
+
+// await returns once v is positive or the run has stopped.
+func (r *rendezvous) await(v *atomic.Int32) {
+	for i := 0; i < r.spin; i++ {
+		if v.Load() > 0 || r.stop.Load() {
+			return
+		}
+	}
+	r.mu.Lock()
+	for v.Load() <= 0 && !r.stop.Load() {
+		r.wake.Wait()
+	}
+	r.mu.Unlock()
+}
+
+// post wakes whoever parked before the caller's last store.
+func (r *rendezvous) post() {
+	r.mu.Lock()
+	r.wake.Broadcast()
+	r.mu.Unlock()
 }
 
 // NewShardedEngine builds n shards. Each shard's private random stream is
@@ -278,6 +319,9 @@ func (se *ShardedEngine) takeMail(to int, until Time) {
 	b, side := &se.box[to], se.flip^1
 	for from := range se.box {
 		in := se.box[from].out[side][to]
+		if len(in) == 0 {
+			continue
+		}
 		for j := range in {
 			b.seq++
 			in[j].seq = b.seq
@@ -333,12 +377,18 @@ func (se *ShardedEngine) RunUntil(t Time) {
 		se.helpers = len(se.shards) - 1
 	}
 	if se.helpers > 0 {
-		se.start = make(chan struct{})
+		r := &rendezvous{}
+		r.wake.L = &r.mu
+		//firmvet:allow nondeterm -- decides only whether a waiter spins before it parks; no result depends on it
+		if se.workers <= runtime.GOMAXPROCS(0) {
+			r.spin = spinRounds // with a CPU per worker; spinning for a peer that has none only delays it
+		}
+		se.meet = r
 		for k := 0; k < se.helpers; k++ {
-			// The channel is passed in, not read from the field: the field is
-			// nilled at the end of this call, possibly before a late-scheduled
-			// helper goroutine gets its first timeslice.
-			go se.helper(se.start)
+			// Helpers get the rendezvous as an argument: the field is nilled at the
+			// end of this call, possibly before a late-scheduled helper goroutine
+			// gets its first timeslice.
+			go se.helper(r)
 		}
 	}
 	for {
@@ -354,9 +404,10 @@ func (se *ShardedEngine) RunUntil(t Time) {
 		se.runWindow(until - 1)
 		se.swap()
 	}
-	if se.start != nil {
-		close(se.start)
-		se.start = nil
+	if r := se.meet; r != nil {
+		se.meet = nil
+		r.stop.Store(true)
+		r.post()
 	}
 	for i, sh := range se.shards {
 		// What the last window sent, none of it due by t, waits in its
@@ -392,19 +443,18 @@ func (se *ShardedEngine) runWindow(until Time) {
 		}
 	}
 	se.active, se.until = active, until
-	h := len(active) - 1
-	if h > se.helpers {
-		h = se.helpers
-	}
-	se.next.Store(0)
-	if h > 0 {
-		se.wg.Add(h)
-		for k := 0; k < h; k++ {
-			se.start <- struct{}{}
+	if r := se.meet; r == nil || len(active) < 2 {
+		for _, i := range active {
+			se.runShard(i)
 		}
+	} else {
+		r.idle.Store(0)
+		r.left.Store(int32(len(active)))
+		r.todo.Store(int32(len(active)))
+		r.post()
+		se.chew(r)
+		r.await(&r.idle)
 	}
-	se.chew()
-	se.wg.Wait()
 
 	var busy, most uint64
 	for _, i := range active {
@@ -422,25 +472,33 @@ func (se *ShardedEngine) runWindow(until Time) {
 	}
 }
 
-func (se *ShardedEngine) helper(start <-chan struct{}) {
-	for range start {
-		se.chew()
-		se.wg.Done()
+func (se *ShardedEngine) helper(r *rendezvous) {
+	for r.await(&r.todo); !r.stop.Load(); r.await(&r.todo) {
+		se.chew(r)
 	}
 }
 
+// chew claims and runs shards of the open window until none is left. A claim
+// keeps the window open, so active and until are the claimed window's.
+//
 //firmvet:noalloc
-func (se *ShardedEngine) chew() {
-	for {
-		k := int(se.next.Add(1)) - 1
-		if k >= len(se.active) {
-			return
+func (se *ShardedEngine) chew(r *rendezvous) {
+	for k := r.todo.Add(-1); k >= 0; k = r.todo.Add(-1) {
+		se.runShard(se.active[k])
+		if r.left.Add(-1) == 0 {
+			r.idle.Store(1)
+			r.post()
 		}
-		i := se.active[k]
-		sh := se.shards[i]
-		se.takeMail(i, se.until)
-		before := sh.nSteps
-		sh.RunUntil(se.until)
-		se.box[i].ran = sh.nSteps - before
 	}
+}
+
+// runShard is one shard's window: its mail in, then its events.
+//
+//firmvet:noalloc
+func (se *ShardedEngine) runShard(i int) {
+	sh := se.shards[i]
+	se.takeMail(i, se.until)
+	before := sh.nSteps
+	sh.RunUntil(se.until)
+	se.box[i].ran = sh.nSteps - before
 }
