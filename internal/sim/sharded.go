@@ -98,17 +98,17 @@ func (h *mailHeap) pop() mail {
 	return top
 }
 
-// mailbox is one shard's end of the mail path; no two goroutines touch one
-// at the same time. While a window runs, the shard appends what it sends to
-// out[flip] (Send) and every destination empties its row of out[flip^1]
-// (takeMail); between windows the coordinator swaps the two sides.
+// mailbox is one shard's end of the mail path. While a window runs, the
+// shard appends what it sends to out[flip] (Send) and each destination
+// empties its own column of out[flip^1] (runShard); between windows the
+// coordinator swaps the sides. No word of it has two users at once.
 type mailbox struct {
 	out   [2][][]mail // out[side][to]: sent by this shard, not yet taken in
 	first [2]Time     // earliest at in out[side]; noMail when it is empty
 	inbox mailHeap    // taken in by this shard, not yet due
 	seq   uint64      // last tie-break seq this shard assigned
 	mails uint64      // mails this shard has taken in
-	ran   uint64      // events this shard executed in the current window
+	seen  uint64      // the shard's step count when the last window was tallied
 	_     [16]byte    // 128 bytes: neighbouring shards stay off this cache line
 }
 
@@ -146,10 +146,9 @@ type ShardedEngine struct {
 	// Window-execution scratch: the shard indices released in the current
 	// window, its last instant, and the rendezvous with the helper goroutines
 	// RunUntil spawns (nil outside a run, and on one worker).
-	active  []int
-	until   Time
-	helpers int
-	meet    *rendezvous
+	active []int
+	until  Time
+	meet   *rendezvous
 }
 
 // rendezvous is how one RunUntil shares its windows with its helpers. The
@@ -159,7 +158,9 @@ type ShardedEngine struct {
 // that gets no CPU claims nothing and delays nobody, so a busy host degrades
 // the run to the coordinator working alone, never to waiting. A window is tens
 // of microseconds, so whoever waits — a helper for todo, the coordinator for
-// idle — is usually microseconds early and spins that long before it parks.
+// idle — is usually microseconds early: it makes spin loads (some hundred
+// microseconds) before it parks, which costs the waker a futex call and the
+// sleeper a wake-up, each longer than a typical window.
 type rendezvous struct {
 	todo, left, idle atomic.Int32
 	stop             atomic.Bool
@@ -168,9 +169,6 @@ type rendezvous struct {
 	wake             sync.Cond
 }
 
-// spinRounds is how many loads await makes before it parks: some hundred
-// microseconds, several windows' worth — parking costs the waker a futex call
-// and the sleeper a wake-up, each longer than a typical window.
 const spinRounds = 1 << 17
 
 // await returns once v is positive or the run has stopped.
@@ -307,15 +305,15 @@ func (se *ShardedEngine) Send(from, to int, delay Time, key uint64, act Action) 
 	}
 }
 
-// takeMail is the top of shard to's window. It empties the buffers the other
-// side of the last swap left for it into its own heap — senders in shard-index
-// order, each in send order, which is the order seqs have always been handed
-// out in — then schedules every mail due by until. Mails pop in (at, key)
-// order, so equal-timestamp mails get their engine seqs — and therefore their
-// execution order — from their keys, not from which shard sent them.
+// runShard is shard to's window. It first empties the buffers the last swap
+// left for it into its own heap — senders in shard-index order, each in send
+// order, which is the order seqs have always been handed out in — and
+// schedules every mail due by until. Mails pop in (at, key) order, so
+// equal-timestamp mails get their engine seqs — and therefore their execution
+// order — from their keys, not from which shard sent them. Then its events run.
 //
 //firmvet:noalloc
-func (se *ShardedEngine) takeMail(to int, until Time) {
+func (se *ShardedEngine) runShard(to int, until Time) {
 	b, side := &se.box[to], se.flip^1
 	for from := range se.box {
 		in := se.box[from].out[side][to]
@@ -335,10 +333,11 @@ func (se *ShardedEngine) takeMail(to int, until Time) {
 		m := b.inbox.pop()
 		se.shards[to].ScheduleActionAt(m.at, m.act)
 	}
+	se.shards[to].RunUntil(until)
 }
 
 // swap hands what the last window sent to its destinations: the side Send
-// filled becomes the side takeMail reads. The side it replaces is empty —
+// filled becomes the side runShard reads. The side it replaces is empty —
 // every shard with mail waiting is released in every window — and starts over.
 //
 //firmvet:noalloc
@@ -372,19 +371,15 @@ func (se *ShardedEngine) nextTime() (t Time, ok bool) {
 // delivering all mails with timestamps <= t.
 func (se *ShardedEngine) RunUntil(t Time) {
 	se.swap() // setup-time sends
-	se.helpers = se.workers - 1
-	if se.helpers > len(se.shards)-1 {
-		se.helpers = len(se.shards) - 1
-	}
-	if se.helpers > 0 {
+	if se.workers > 1 {
 		r := &rendezvous{}
 		r.wake.L = &r.mu
 		//firmvet:allow nondeterm -- decides only whether a waiter spins before it parks; no result depends on it
 		if se.workers <= runtime.GOMAXPROCS(0) {
-			r.spin = spinRounds // with a CPU per worker; spinning for a peer that has none only delays it
+			r.spin = spinRounds // a CPU per worker; spinning for a peer that has none only delays it
 		}
 		se.meet = r
-		for k := 0; k < se.helpers; k++ {
+		for k := 1; k < se.workers; k++ {
 			// Helpers get the rendezvous as an argument: the field is nilled at the
 			// end of this call, possibly before a late-scheduled helper goroutine
 			// gets its first timeslice.
@@ -409,13 +404,11 @@ func (se *ShardedEngine) RunUntil(t Time) {
 		r.stop.Store(true)
 		r.post()
 	}
-	for i, sh := range se.shards {
-		// What the last window sent, none of it due by t, waits in its
-		// destination's heap: both buffer sides are empty between runs.
-		se.takeMail(i, t)
-		if sh.now < t {
-			sh.now = t
-		}
+	for i := range se.shards {
+		// Nothing is due by t any more: this moves what the last window sent
+		// into its destinations' heaps (both buffer sides are empty between
+		// runs) and brings every shard's clock to t.
+		se.runShard(i, t)
 	}
 	se.now = t
 }
@@ -424,10 +417,10 @@ func (se *ShardedEngine) RunUntil(t Time) {
 func (se *ShardedEngine) RunFor(d Time) { se.RunUntil(se.now + d) }
 
 // runWindow releases every shard with an event or a mail due by until
-// (inclusive), or with mail to take in. Helpers claim shard indices through
-// an atomic cursor; each shard is claimed exactly once, so shard state is
-// only ever touched by one goroutine per window and the claim order cannot
-// affect results.
+// (inclusive), or with mail to take in, then tallies the window. Each shard
+// is claimed exactly once (see rendezvous), so shard state is only ever
+// touched by one goroutine per window and the claim order cannot affect
+// results.
 //
 //firmvet:noalloc
 func (se *ShardedEngine) runWindow(until Time) {
@@ -445,7 +438,7 @@ func (se *ShardedEngine) runWindow(until Time) {
 	se.active, se.until = active, until
 	if r := se.meet; r == nil || len(active) < 2 {
 		for _, i := range active {
-			se.runShard(i)
+			se.runShard(i, until)
 		}
 	} else {
 		r.idle.Store(0)
@@ -458,12 +451,11 @@ func (se *ShardedEngine) runWindow(until Time) {
 
 	var busy, most uint64
 	for _, i := range active {
-		n := se.box[i].ran
+		n := se.shards[i].nSteps - se.box[i].seen
+		se.box[i].seen += n
 		se.stats.Events += n
 		most = max(most, n)
-		if n > 0 {
-			busy++
-		}
+		busy += min(n, 1)
 	}
 	se.stats.Windows++
 	se.stats.Critical += most
@@ -484,21 +476,10 @@ func (se *ShardedEngine) helper(r *rendezvous) {
 //firmvet:noalloc
 func (se *ShardedEngine) chew(r *rendezvous) {
 	for k := r.todo.Add(-1); k >= 0; k = r.todo.Add(-1) {
-		se.runShard(se.active[k])
+		se.runShard(se.active[k], se.until)
 		if r.left.Add(-1) == 0 {
 			r.idle.Store(1)
 			r.post()
 		}
 	}
-}
-
-// runShard is one shard's window: its mail in, then its events.
-//
-//firmvet:noalloc
-func (se *ShardedEngine) runShard(i int) {
-	sh := se.shards[i]
-	se.takeMail(i, se.until)
-	before := sh.nSteps
-	sh.RunUntil(se.until)
-	se.box[i].ran = sh.nSteps - before
 }
