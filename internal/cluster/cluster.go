@@ -62,6 +62,8 @@ type Cluster struct {
 	// table — see ServiceName and InstanceName.
 	byID   []*ReplicaSet
 	placed []*Container
+	// sampler draws every container's noise under Config.PerInstanceNoise.
+	sampler *sim.Sampler
 
 	// setsSorted caches the sorted ReplicaSets view; services are only
 	// ever added (DeployService rejects duplicates, nothing deletes), so a
@@ -77,7 +79,11 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	if cfg.SlowdownExp <= 0 {
 		cfg.SlowdownExp = 1
 	}
-	return &Cluster{eng: eng, cfg: cfg, sets: make(map[string]*ReplicaSet)}
+	cl := &Cluster{eng: eng, cfg: cfg, sets: make(map[string]*ReplicaSet)}
+	if cfg.PerInstanceNoise {
+		cl.sampler = sim.NewSampler()
+	}
+	return cl
 }
 
 // Engine returns the driving simulation engine.
@@ -184,6 +190,9 @@ type ReplicaSet struct {
 	// ID is the service's dense identity: its rank in deploy order, which
 	// for an app.Deploy'ed spec is its rank in sorted name order.
 	ID uint32
+	// placed counts the replicas ever placed, retired ones included: the
+	// next replica's ordinal, which no survivor can already hold.
+	placed uint32
 }
 
 // DeployService creates a replica set with `replicas` containers, each with
@@ -224,8 +233,10 @@ func (rs *ReplicaSet) AddReplica(limits Vector, cold, instant bool) (*Container,
 }
 
 // place attaches one container to the given node. Under PerInstanceNoise the
-// replica's noise stream is keyed by its ordinal within the set — not by the
-// cluster-global container ID, which depends on deployment interleaving.
+// replica's noise stream is keyed by its ordinal within the set (the count of
+// replicas placed before it, so a scale-out after a scale-in never repeats a
+// survivor's) — not by the cluster-global container ID, which depends on
+// deployment interleaving.
 func (rs *ReplicaSet) place(node *Node, limits Vector, cold, instant bool) (*Container, error) {
 	rs.cl.nextID++
 	c := &Container{
@@ -239,13 +250,10 @@ func (rs *ReplicaSet) place(node *Node, limits Vector, cold, instant bool) (*Con
 	}
 	rs.cl.placed = append(rs.cl.placed, c)
 	if rs.cl.cfg.PerInstanceNoise {
-		// Only the seed is derived here; the ~5KB rand source is built on
-		// first draw. A 10,000-service deployment places containers that may
-		// never serve work, and eager construction made math/rand.newSource
-		// a quarter of the whole cell's CPU profile.
-		c.hasNoise = true
-		c.noiseSeed = sim.DeriveSeed(rs.cl.cfg.NoiseSeed, fmt.Sprintf("noise/%s/%d", rs.Service, len(rs.containers)))
+		c.hasNoise, c.sampler = true, rs.cl.sampler
+		c.noise = sim.NewSplitMix64(sim.DeriveSeed(rs.cl.cfg.NoiseSeed, "noise/", rs.Service, "/", strconv.Itoa(int(rs.placed))))
 	}
+	rs.placed++
 	if err := node.attach(c); err != nil {
 		return nil, err
 	}

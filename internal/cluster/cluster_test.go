@@ -636,3 +636,73 @@ func TestQueueHeadIndexFIFO(t *testing.T) {
 		t.Fatalf("in-flight item must complete after retirement: done %d completed %d", len(done), c.Completed)
 	}
 }
+
+// noiseCluster is a one-node cluster under PerInstanceNoise.
+func noiseCluster(seed int64) (*sim.Engine, *Cluster) {
+	eng := sim.NewEngine(seed)
+	cfg := DefaultConfig()
+	cfg.PerInstanceNoise, cfg.NoiseSeed = true, seed
+	cl := New(eng, cfg)
+	cl.AddNode(XeonProfile)
+	return eng, cl
+}
+
+// A replica added after a scale-in must not repeat a surviving replica's
+// noise stream: ordinals count replicas ever placed, not replicas alive.
+func TestScaleOutAfterScaleInGetsFreshNoiseStream(t *testing.T) {
+	_, cl := noiseCluster(7)
+	limits := V(1, 1000, 4, 100, 100)
+	rs, err := cl.DeployService("svc", 3, limits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.RemoveReplica(rs.Containers()[0])
+	if _, err := rs.AddReplica(limits, false, true); err != nil {
+		t.Fatal(err)
+	}
+	draws := func(c *Container) (out [64]uint64) {
+		s := c.noise // a copy: the container's own stream stays where it is
+		for i := range out {
+			out[i] = s.Uint64()
+		}
+		return out
+	}
+	live := rs.Containers()
+	newcomer := draws(live[2])
+	for _, survivor := range live[:2] {
+		if draws(survivor) == newcomer {
+			t.Fatalf("replica %s draws the same 64 values as surviving replica %s", live[2].Name, survivor.Name)
+		}
+	}
+}
+
+// The first Submit to a container nothing has touched costs its queue, its
+// in-flight record and its freelist — three allocations, so none is a
+// generator: the noise stream is eight bytes the container already holds.
+func TestFirstSubmitAllocatesNoGenerator(t *testing.T) {
+	const runs = 50
+	eng, cl := noiseCluster(3)
+	for i := 0; i < 8; i++ {
+		cl.AddNode(XeonProfile)
+	}
+	rs, err := cl.DeployService("svc", runs+2, V(1, 1000, 4, 100, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := Work{Base: sim.Millisecond, Demand: V(1, 0, 0, 0, 0)}
+	// Warm the engine (event record, heap) on a container of its own.
+	rs.Containers()[runs+1].Submit(work)
+	eng.RunFor(sim.Second)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		rs.Containers()[next].Submit(work)
+		eng.RunFor(sim.Second)
+		next++
+	})
+	if allocs > 3 {
+		t.Fatalf("first Submit allocated %v times, want at most 3", allocs)
+	}
+	if rs.Containers()[0].Completed != 1 {
+		t.Fatal("the submitted work did not complete")
+	}
+}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"math/rand"
 
 	"firm/internal/sim"
 )
@@ -80,12 +79,13 @@ type Container struct {
 	cfg  Config
 	node *Node
 	// Under Config.PerInstanceNoise the container draws service-time noise
-	// from its own stream instead of the engine's. Only noiseSeed is set at
-	// placement; the rand source is built lazily on the first draw, so the
-	// many replicas a large deployment never routes work to cost nothing.
-	hasNoise  bool
-	noiseSeed int64
-	noise     *rand.Rand
+	// from its own stream instead of the engine's: eight bytes of generator
+	// state held here, drawn through the cluster's one Sampler, so the many
+	// replicas a large deployment never routes work to cost nothing and the
+	// ones it does cost no allocation.
+	hasNoise bool
+	noise    sim.SplitMix64
+	sampler  *sim.Sampler
 
 	limits  Vector
 	ready   bool
@@ -317,14 +317,9 @@ func (c *Container) start(qw queuedWork) {
 	}
 	noise := 1.0
 	if c.cfg.NoiseSD > 0 {
-		rng := c.noise
-		if rng == nil {
-			if c.hasNoise {
-				c.noise = rand.New(rand.NewSource(c.noiseSeed))
-				rng = c.noise
-			} else {
-				rng = c.eng.Rand()
-			}
+		rng := c.eng.Rand()
+		if c.hasNoise {
+			rng = c.sampler.On(&c.noise)
 		}
 		noise = sim.NormalClamped(rng, 1, c.cfg.NoiseSD, 0.5, 2.0)
 	}

@@ -17,11 +17,15 @@ import (
 	"firm/internal/workload"
 )
 
-// The digests in testdata/sharded_digests.txt were recorded through the
+// The digests in testdata/sharded_digests.txt were first recorded through the
 // closure-per-call executor the sharded path ran on before calls became
-// mailed frames (internal/app/sharded.go at the commit before that rewrite). The
-// frame path must reproduce every one at every (shards, workers) pair: same
-// request outcomes in the same order, same engine step count.
+// mailed frames (internal/app/sharded.go at the commit before that rewrite);
+// the frame path and then the per-shard mailboxes reproduced every one. They
+// were re-recorded once, when per-instance noise moved from math/rand's
+// source to an 8-byte SplitMix64 stream — a deliberate change of sample path,
+// made only after every case agreed at every (shards, workers) pair below.
+// The request path must reproduce every one at every pair: same request
+// outcomes in the same order, same engine step count.
 var updateShardedDigests = flag.Bool("update-sharded-digests", false, "rewrite testdata/sharded_digests.txt")
 
 const shardedDigestFile = "testdata/sharded_digests.txt"
@@ -106,9 +110,11 @@ func TestShardedRequestDigests(t *testing.T) {
 	if *updateShardedDigests {
 		var out strings.Builder
 		out.WriteString("# FNV-64a digests of the sharded request path (see sharded_digest_test.go);\n")
-		out.WriteString("# recorded through the closure-per-call sharded executor, before calls became\n")
-		out.WriteString("# mailed frames. Do not repin to make a request-path change pass: a mismatch\n")
-		out.WriteString("# means simulated behaviour moved.\n")
+		out.WriteString("# re-recorded when per-instance noise became an 8-byte SplitMix64 stream (the\n")
+		out.WriteString("# one deliberate sample-path change since the closure-per-call executor they\n")
+		out.WriteString("# were first recorded through; mailed frames and per-shard mailboxes both\n")
+		out.WriteString("# reproduced the originals). Do not repin to make a request-path change pass:\n")
+		out.WriteString("# a mismatch means simulated behaviour moved.\n")
 		for _, c := range shardedDigestCases {
 			d, summary := shardedDigest(t, c, 1, 1)
 			fmt.Fprintf(&out, "%s %s # %s\n", c.name, d, summary)

@@ -3,8 +3,9 @@
 // controller tick, the sliding tail-latency window, trace-window
 // selection, telemetry sampling, the batched DDPG train step, a
 // behaviour-cloning call, the incremental localization features, a
-// double-buffered rollout round, the sharded engine's window and the request
-// path, traced on one engine and mailed across two shards. It is the micro
+// double-buffered rollout round, the sharded engine's window, the request
+// path, traced on one engine and mailed across two shards, and a container's
+// first work item. It is the micro
 // measurement surface: `go test -bench . ./internal/perf` runs the registry
 // as ordinary sub-benchmarks (benchstat-able), and benchmark/ — the macro
 // surface — takes its per-call probes from it through Run.
@@ -77,6 +78,7 @@ func Benchmarks() []Benchmark {
 		{"scenario-step", "one armed fault-scenario tick: recompute and apply every active site's pressure", ScenarioStep, 0},
 		{"app-request", "one traced request through a 63-call generated endpoint on a warm testbed", AppRequest, 3},
 		{"sharded-request", "one request through a warm 2-shard, 60-service generated app, run until drained", ShardedRequest, 2},
+		{"cluster-cold-submit", "the first Submit on each of 1,000 never-touched containers under per-instance noise, run to completion", ClusterColdSubmit, 3000},
 	}
 }
 
@@ -524,8 +526,9 @@ func TopologyGenerate10k(b *testing.B) {
 // ShardStep measures the sharded engine's hot loop at steady state: one op
 // advances an 8-shard system by one lookahead window, carrying eight mail
 // rings (every shard forwards one mail per window) plus one local
-// self-rescheduling event per shard. It covers outbox collection, inbox
-// heap routing, barrier bookkeeping, and the per-shard event loop — and
+// self-rescheduling event per shard. It covers the senders' buffers, each
+// destination's fill and drain of its own mail heap, the barrier's swap and
+// counters, and the per-shard event loop — and
 // must run at 0 allocs/op: event records come from the engine freelist and
 // every mail buffer is reused, so a regression here means a per-event
 // allocation crept into the window path. Workers are pinned to 1 (the
@@ -608,6 +611,58 @@ func ShardedRequest(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(tb.Eng.Steps()-before)/float64(b.N), "events/op")
+}
+
+// ClusterColdSubmit measures what a container's first work item costs: one
+// op is the first Submit on each of 1,000 never-touched containers under
+// PerInstanceNoise (the sharded deployment's configuration), run to
+// completion. The engine is warm and each op's cluster is built off the
+// clock, so allocs/op is 1,000 × (queue, in-flight record, freelist) and
+// nothing else — the noise stream is eight bytes of the container, not a
+// generator built at first draw (math/rand's was a 4.9 KB table and two more
+// allocations each).
+func ClusterColdSubmit(b *testing.B) {
+	const containers = 1000
+	names := make([]string, containers)
+	for i := range names {
+		names[i] = fmt.Sprintf("svc-%04d", i)
+	}
+	eng := sim.NewEngine(Seed)
+	cfg := cluster.DefaultConfig()
+	cfg.PerInstanceNoise, cfg.NoiseSeed = true, Seed
+	fresh := func() []*cluster.Container {
+		cl := cluster.New(eng, cfg)
+		for i := 0; i < containers/8; i++ {
+			cl.AddNode(cluster.XeonProfile)
+		}
+		cs := make([]*cluster.Container, 0, containers)
+		for _, name := range names {
+			rs, err := cl.DeployService(name, 1, cluster.V(2, 800, 3, 60, 150))
+			if err != nil {
+				panic(fmt.Sprintf("perf: deploy failed: %v", err))
+			}
+			cs = append(cs, rs.Containers()...)
+		}
+		return cs
+	}
+	work := cluster.Work{Base: sim.Millisecond, Demand: cluster.V(1, 100, 0, 0, 0)}
+	submit := func(cs []*cluster.Container) {
+		for _, c := range cs {
+			c.Submit(work)
+		}
+		eng.RunFor(sim.Second)
+	}
+	submit(fresh()) // warm the engine: 1,000 event records, the heap's capacity
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cs := fresh()
+		b.StartTimer()
+		submit(cs)
+	}
+	b.StopTimer()
+	b.ReportMetric(containers, "containers")
 }
 
 // ScenarioStep measures one fault-scenario player tick with every mode

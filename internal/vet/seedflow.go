@@ -8,9 +8,9 @@ import (
 )
 
 // seedflowAnalyzer checks that every RNG construction in the deterministic
-// packages — rand.NewSource (usually via rand.New(rand.NewSource(...))) and
-// sim.Stream — takes a seed that traces to sim.DeriveSeed. Accepted seed
-// expressions, recursively:
+// packages — rand.NewSource (usually via rand.New(rand.NewSource(...))),
+// sim.Stream, sim.NewSplitMix64 and (*sim.SplitMix64).Seed — takes a seed
+// that traces to sim.DeriveSeed. Accepted seed expressions, recursively:
 //
 //   - a call to DeriveSeed, or to a helper whose name contains "Seed"
 //     (derived-seed helpers like fig9bPairSeed);
@@ -74,8 +74,8 @@ func runSeedflow(pass *Pass) {
 }
 
 // rngConstruction reports whether call constructs an RNG stream whose first
-// argument is a seed: math/rand's NewSource, or sim's Stream (qualified or,
-// inside package sim, unqualified).
+// argument is a seed: math/rand's NewSource, or sim's Stream, NewSplitMix64
+// or SplitMix64.Seed (qualified or, inside package sim, unqualified).
 func rngConstruction(pass *Pass, call *ast.CallExpr) (what string, ok bool) {
 	var obj types.Object
 	switch fun := call.Fun.(type) {
@@ -93,8 +93,10 @@ func rngConstruction(pass *Pass, call *ast.CallExpr) (what string, ok bool) {
 	switch path := f.Pkg().Path(); {
 	case (path == "math/rand" || path == "math/rand/v2") && f.Name() == "NewSource":
 		return "rand.NewSource", true
-	case strings.HasSuffix(path, "/sim") && f.Name() == "Stream":
-		return "sim.Stream", true
+	case strings.HasSuffix(path, "/sim") && (f.Name() == "Stream" || f.Name() == "NewSplitMix64"):
+		return "sim." + f.Name(), true
+	case strings.HasSuffix(path, "/sim") && f.Name() == "Seed" && strings.HasSuffix(f.FullName(), "SplitMix64).Seed"):
+		return "sim.SplitMix64.Seed", true
 	}
 	return "", false
 }

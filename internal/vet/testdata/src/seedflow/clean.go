@@ -17,3 +17,12 @@ func goodSeeds(parentSeed int64, c genCfg) []*rand.Rand {
 	e := rand.New(rand.NewSource(local))
 	return []*rand.Rand{a, b, d, e}
 }
+
+// goodValueStreams seeds value-held streams from DeriveSeed, keyed in parts,
+// and reseeds one from a *Seed field.
+func goodValueStreams(parentSeed int64, c genCfg) [2]sim.SplitMix64 {
+	a := sim.NewSplitMix64(sim.DeriveSeed(parentSeed, "corpus/", "value", "/0"))
+	var b sim.SplitMix64
+	b.Seed(c.NoiseSeed)
+	return [2]sim.SplitMix64{a, b}
+}

@@ -23,3 +23,12 @@ func badSeeds(c genCfg) []*rand.Rand {
 	e := sim.Stream(1234, "corpus/bad")
 	return []*rand.Rand{a, b, d, e}
 }
+
+// badValueStreams seeds two value-held streams the analyzer must reject: a
+// constant at construction and arithmetic at reseed.
+func badValueStreams(c genCfg) [2]sim.SplitMix64 {
+	a := sim.NewSplitMix64(7)
+	var b sim.SplitMix64
+	b.Seed(c.NoiseSeed ^ 1)
+	return [2]sim.SplitMix64{a, b}
+}
