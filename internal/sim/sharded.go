@@ -122,7 +122,7 @@ type ShardStats struct {
 	Windows  uint64 // lookahead windows executed
 	Parallel uint64 // windows in which more than one shard executed events
 	Mails    uint64 // mails taken in by their destination shard
-	Events   uint64 // events executed
+	Events   uint64 // events executed (Steps)
 	Critical uint64 // Σ over windows of the busiest shard's events
 }
 
@@ -153,20 +153,21 @@ type ShardedEngine struct {
 
 // rendezvous is how one RunUntil shares its windows with its helpers. The
 // coordinator opens a window by storing the number of released shards in
-// todo; coordinator and helpers claim shards by counting it down, and whoever
-// finishes the window's last shard raises idle. Nobody checks in: a helper
+// todo and one minus that number in done; coordinator and helpers claim
+// shards by counting todo down, and each finished shard counts done up, so
+// done turns positive with the window's last shard. Nobody checks in: a helper
 // that gets no CPU claims nothing and delays nobody, so a busy host degrades
 // the run to the coordinator working alone, never to waiting. A window is tens
 // of microseconds, so whoever waits — a helper for todo, the coordinator for
-// idle — is usually microseconds early: it makes spin loads (some hundred
+// done — is usually microseconds early: it makes spin loads (some hundred
 // microseconds) before it parks, which costs the waker a futex call and the
 // sleeper a wake-up, each longer than a typical window.
 type rendezvous struct {
-	todo, left, idle atomic.Int32
-	stop             atomic.Bool
-	spin             int
-	mu               sync.Mutex
-	wake             sync.Cond
+	todo, done atomic.Int32
+	stop       atomic.Bool
+	spin       int
+	mu         sync.Mutex
+	wake       sync.Cond
 }
 
 const spinRounds = 1 << 17
@@ -273,6 +274,7 @@ func (se *ShardedEngine) Steps() uint64 {
 // Stats returns the window counters. Must not be called during a Run.
 func (se *ShardedEngine) Stats() ShardStats {
 	st := se.stats
+	st.Events = se.Steps()
 	for i := range se.box {
 		st.Mails += se.box[i].mails
 	}
@@ -441,19 +443,17 @@ func (se *ShardedEngine) runWindow(until Time) {
 			se.runShard(i, until)
 		}
 	} else {
-		r.idle.Store(0)
-		r.left.Store(int32(len(active)))
+		r.done.Store(1 - int32(len(active)))
 		r.todo.Store(int32(len(active)))
 		r.post()
 		se.chew(r)
-		r.await(&r.idle)
+		r.await(&r.done)
 	}
 
 	var busy, most uint64
 	for _, i := range active {
 		n := se.shards[i].nSteps - se.box[i].seen
 		se.box[i].seen += n
-		se.stats.Events += n
 		most = max(most, n)
 		busy += min(n, 1)
 	}
@@ -477,8 +477,7 @@ func (se *ShardedEngine) helper(r *rendezvous) {
 func (se *ShardedEngine) chew(r *rendezvous) {
 	for k := r.todo.Add(-1); k >= 0; k = r.todo.Add(-1) {
 		se.runShard(se.active[k], se.until)
-		if r.left.Add(-1) == 0 {
-			r.idle.Store(1)
+		if r.done.Add(1) > 0 {
 			r.post()
 		}
 	}
