@@ -397,11 +397,12 @@ type Controller struct {
 
 	// mon mirrors the trace store's current window incrementally (fed by
 	// tracedb's observer stream), so the per-tick violation check and P99
-	// measurement are O(log W) and allocation-free instead of re-selecting
-	// and re-sorting the window. loc does the same for the violated path's
-	// localization features: per-instance (RI, CI) state is maintained as
-	// traces arrive and expire, so a violated tick scores candidates
-	// without re-selecting the window or re-extracting critical paths.
+	// measurement are an index into a sorted slice, allocation-free, instead
+	// of re-selecting and re-sorting the window. loc does the same for the
+	// violated path's localization features: per-instance (RI, CI) state is
+	// maintained as traces arrive and expire, so a violated tick scores
+	// candidates without re-selecting the window or re-extracting critical
+	// paths.
 	mon *detect.Monitor
 	loc *detect.Localizer
 

@@ -27,6 +27,12 @@ import (
 // stats.Percentile), and Pearson replicates stats.Pearson's summation order
 // over the same sequences.
 //
+// Per-instance state is one sorted slice (stats.Window) and three fifo
+// rings: the same durations, and the pair series, in arrival order. Each
+// holds one instance's spans of the last window — at most 997 on the
+// benchmark's firm-loop, 417 on rl-train — which is what stats.Window's
+// sorted slice is sized for; its comment has the crossover table.
+//
 // Critical-path extraction is lazy: stored traces enter a cheap pending
 // ring and are folded into per-instance state only when Candidates needs
 // them, each exactly once. Calm stretches (no violated ticks) pay nothing
@@ -41,11 +47,10 @@ type Localizer struct {
 	cfg    Config
 	scorer *svm.Scorer
 
-	// entries is a growable ring of in-window non-dropped traces in consume
-	// order (= End order). The first proc entries (from head) have been
-	// folded into per-instance state; the rest are pending.
-	entries []locEntry
-	head, n int
+	// entries holds the in-window non-dropped traces in consume order
+	// (= End order). The oldest proc entries have been folded into
+	// per-instance state; the rest are pending.
+	entries fifo[locEntry]
 	proc    int
 
 	// insts is indexed by instance ID (cluster.Container.ID); nil where the
@@ -89,8 +94,8 @@ type locInst struct {
 	nonBg    int    // non-background span appearances in window
 
 	durWin  *stats.Window // span self-durations, order statistics
-	durVals floatRing     // same values in arrival order (for eviction)
-	px, py  floatRing     // (perTrace, cpLats) pairs in arrival order
+	durVals fifo[float64] // same values in arrival order (for eviction)
+	px, py  fifo[float64] // (perTrace, cpLats) pairs in arrival order
 
 	// Per-trace scratch owned by the processing loop.
 	touchSeq                     uint64
@@ -102,13 +107,10 @@ type locInst struct {
 // NewLocalizer builds an incremental localizer sharing e's configuration
 // and (read-only) SVM. The capacity hint presizes the trace ring.
 func NewLocalizer(e *Extractor, capHint int) *Localizer {
-	if capHint < 16 {
-		capHint = 16
-	}
 	return &Localizer{
 		cfg:     e.cfg,
 		scorer:  e.svm.NewScorer(),
-		entries: make([]locEntry, capHint),
+		entries: newFIFO[locEntry](capHint),
 	}
 }
 
@@ -118,14 +120,16 @@ func (l *Localizer) TraceStored(t *trace.Trace) {
 	if t.Dropped {
 		return
 	}
-	l.push(t)
+	e := l.entries.push()
+	e.t, e.end, e.done = t, t.End, false
+	e.contribs = e.contribs[:0] // keep capacity from the slot's last tenant
 }
 
 // TraceEvicted implements tracedb.Observer: the store's ring dropped its
 // oldest trace. Evictions arrive in consume order, so the only candidate is
 // our front entry (dropped traces were never tracked and simply miss).
 func (l *Localizer) TraceEvicted(t *trace.Trace) {
-	if l.n > 0 && l.entries[l.head].t == t {
+	if l.entries.len() > 0 && l.entries.at(0).t == t {
 		l.pop()
 	}
 }
@@ -134,38 +138,21 @@ func (l *Localizer) TraceEvicted(t *trace.Trace) {
 // equivalent of re-selecting Query{Since: since}. Call it every tick (not
 // only violated ones) so pending state stays bounded by the window.
 func (l *Localizer) Advance(since sim.Time) {
-	for l.n > 0 && l.entries[l.head].end < since {
+	for l.entries.len() > 0 && l.entries.at(0).end < since {
 		l.pop()
 	}
 }
 
 // Len returns the number of in-window (non-dropped) traces.
-func (l *Localizer) Len() int { return l.n }
-
-func (l *Localizer) push(t *trace.Trace) {
-	if l.n == len(l.entries) {
-		grown := make([]locEntry, 2*len(l.entries))
-		for i := 0; i < l.n; i++ {
-			grown[i] = l.entries[(l.head+i)%len(l.entries)]
-		}
-		l.entries = grown
-		l.head = 0
-	}
-	e := &l.entries[(l.head+l.n)%len(l.entries)]
-	e.t = t
-	e.end = t.End
-	e.contribs = e.contribs[:0] // keep capacity from the slot's last tenant
-	e.done = false
-	l.n++
-}
+func (l *Localizer) Len() int { return l.entries.len() }
 
 func (l *Localizer) pop() {
-	e := &l.entries[l.head]
+	e := l.entries.pop()
 	if e.done {
 		for _, c := range e.contribs {
 			st := c.st
 			for k := int32(0); k < c.durs; k++ {
-				st.durWin.Remove(st.durVals.pop())
+				st.durWin.Remove(*st.durVals.pop())
 			}
 			for k := int32(0); k < c.pairs; k++ {
 				st.px.pop()
@@ -176,9 +163,6 @@ func (l *Localizer) pop() {
 		l.proc--
 	}
 	e.t = nil // release the trace for GC
-	e.contribs = e.contribs[:0]
-	l.head = (l.head + 1) % len(l.entries)
-	l.n--
 }
 
 // inst returns the state of an instance seen in a span of t, creating it
@@ -222,7 +206,7 @@ func (l *Localizer) process(e *locEntry) {
 	for _, s := range t.Spans {
 		st := l.touch(l.inst(t, s.Instance, s.Service))
 		d := l.cp.Kids.SelfDuration(s).Millis()
-		st.durVals.push(d)
+		*st.durVals.push() = d
 		st.durWin.Add(d)
 		st.pendDur++
 		if !s.Background {
@@ -240,15 +224,15 @@ func (l *Localizer) process(e *locEntry) {
 		st.cpSelf += l.cp.Kids.SelfDuration(s)
 	}
 	for _, st := range l.onCP {
-		st.px.push(st.cpSelf.Millis())
-		st.py.push(e2e)
+		*st.px.push() = st.cpSelf.Millis()
+		*st.py.push() = e2e
 		st.pendPair++
 	}
 	for _, s := range t.Spans {
 		if s.Background {
 			st := l.insts[s.Instance]
-			st.px.push(l.cp.Kids.SelfDuration(s).Millis())
-			st.py.push(e2e)
+			*st.px.push() = l.cp.Kids.SelfDuration(s).Millis()
+			*st.py.push() = e2e
 			st.pendPair++
 		}
 	}
@@ -265,8 +249,8 @@ func (l *Localizer) process(e *locEntry) {
 // Extractor.Candidates(Select(window)). The returned slice is reused across
 // calls; copy if retained.
 func (l *Localizer) Candidates() []Candidate {
-	for l.proc < l.n {
-		l.process(&l.entries[(l.head+l.proc)%len(l.entries)])
+	for l.proc < l.entries.len() {
+		l.process(l.entries.at(l.proc))
 		l.proc++
 	}
 
@@ -320,19 +304,19 @@ func (l *Localizer) Candidates() []Candidate {
 // over ring-ordered pair series. Series are non-empty (MinSamples gates
 // callers) and equal-length by construction, so only the constant-input
 // zero case survives from the batch path's error handling.
-func pearsonRings(xs, ys *floatRing) float64 {
+func pearsonRings(xs, ys *fifo[float64]) float64 {
 	n := xs.len()
 	var sx, sy float64
 	for i := 0; i < n; i++ {
-		sx += xs.at(i)
+		sx += *xs.at(i)
 	}
 	for i := 0; i < n; i++ {
-		sy += ys.at(i)
+		sy += *ys.at(i)
 	}
 	mx, my := sx/float64(n), sy/float64(n)
 	var sxy, sxx, syy float64
 	for i := 0; i < n; i++ {
-		dx, dy := xs.at(i)-mx, ys.at(i)-my
+		dx, dy := *xs.at(i)-mx, *ys.at(i)-my
 		sxy += dx * dy
 		sxx += dx * dx
 		syy += dy * dy
@@ -341,36 +325,4 @@ func pearsonRings(xs, ys *floatRing) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// floatRing is a growable FIFO of float64 observations with indexed access
-// in arrival order.
-type floatRing struct {
-	buf  []float64
-	head int
-	n    int
-}
-
-func (r *floatRing) len() int { return r.n }
-
-func (r *floatRing) at(i int) float64 { return r.buf[(r.head+i)%len(r.buf)] }
-
-func (r *floatRing) push(v float64) {
-	if r.n == len(r.buf) {
-		grown := make([]float64, 2*len(r.buf)+16)
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.at(i)
-		}
-		r.buf = grown
-		r.head = 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = v
-	r.n++
-}
-
-func (r *floatRing) pop() float64 {
-	v := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return v
 }

@@ -177,50 +177,82 @@ func sameCand(a, b Candidate) bool {
 }
 
 // TestLocalizerMatchesBatchCandidates streams randomized span-bearing
-// traces through a small tracedb ring (forcing ring evictions as well as
-// time expiry) and pins the incremental Candidates against the batch
-// Extractor.Candidates over a fresh Select at every step — field-for-field,
-// bit-for-bit. This is the invariant that lets the controller's violated
-// tick run incrementally without changing a byte of campaign output.
+// traces through a tracedb ring — a small one, forcing ring evictions as
+// well as time expiry, and one the window never fills — and pins the
+// incremental Candidates against the batch Extractor.Candidates over a fresh
+// Select at every step — field-for-field, bit-for-bit. This is the
+// invariant that lets the controller's violated tick run incrementally
+// without changing a byte of campaign output. Arrivals alternate between a
+// trickle and a burst, so the trace queue and every instance's series drain
+// to a few entries and then outgrow their rings from wherever the heads
+// stand: the queue's wrap and grow paths are held to the same oracle.
 func TestLocalizerMatchesBatchCandidates(t *testing.T) {
-	const (
-		ringCap = 48
-		window  = 2 * sim.Second
-	)
+	const window = 2 * sim.Second
 	e := newExtractor(t)
-	db := tracedb.New(ringCap)
-	loc := NewLocalizer(e, 4)
-	db.Observe(loc)
+	type ringState struct{ head, size int }
+	wrappedGrowths, wrappedSeriesGrowths := 0, 0
+	for seed := int64(17); seed < 23; seed++ {
+		ringCap := []int{500, 48}[seed%2]
+		db := tracedb.New(ringCap)
+		loc := NewLocalizer(e, 4)
+		db.Observe(loc)
 
-	r := rand.New(rand.NewSource(17))
-	now := sim.Time(0)
-	checked := 0
-	for i := 0; i < 1200; i++ {
-		now += sim.Time(5+r.Intn(40)) * sim.Millisecond
-		db.Consume(streamTrace(i, now, r))
+		r := rand.New(rand.NewSource(seed))
+		now := sim.Time(0)
+		checked := 0
+		for i := 0; i < 1200; i++ {
+			gap := 5 + r.Intn(40)
+			if i/120%2 == 0 {
+				gap = 150 + r.Intn(300)
+			}
+			now += sim.Time(gap) * sim.Millisecond
+			head, size := loc.entries.head, len(loc.entries.buf)
+			db.Consume(streamTrace(i, now, r))
+			if len(loc.entries.buf) != size && head != 0 {
+				wrappedGrowths++
+			}
 
-		since := now - window
-		loc.Advance(since)
-		// Check every few steps (and always late in the stream) so both
-		// the freshly-pending and the deep steady state are covered.
-		if i%7 != 0 && i < 1100 {
-			continue
-		}
-		checked++
-		batch := db.Select(tracedb.Query{Since: since, IncludeDrop: true})
-		want := e.Candidates(batch)
-		got := loc.Candidates()
-		if len(got) != len(want) {
-			t.Fatalf("step %d: %d candidates, batch %d\n got: %+v\nwant: %+v", i, len(got), len(want), got, want)
-		}
-		for j := range got {
-			if !sameCand(got[j], want[j]) {
-				t.Fatalf("step %d candidate %d:\n got: %+v\nwant: %+v", i, j, got[j], want[j])
+			since := now - window
+			loc.Advance(since)
+			// Check every few steps (and always late in the stream) so both
+			// the freshly-pending and the deep steady state are covered.
+			if i%7 != 0 && i < 1100 {
+				continue
+			}
+			checked++
+			batch := db.Select(tracedb.Query{Since: since, IncludeDrop: true})
+			want := e.Candidates(batch)
+			// The series only grow inside Candidates, where pending traces are
+			// folded in, and only shrink outside it.
+			series := map[*fifo[float64]]ringState{}
+			for _, st := range loc.insts {
+				if st != nil {
+					for _, q := range []*fifo[float64]{&st.durVals, &st.px, &st.py} {
+						series[q] = ringState{q.head, len(q.buf)}
+					}
+				}
+			}
+			got := loc.Candidates()
+			for q, was := range series {
+				if len(q.buf) != was.size && was.head != 0 {
+					wrappedSeriesGrowths++
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d: %d candidates, batch %d\n got: %+v\nwant: %+v", seed, i, len(got), len(want), got, want)
+			}
+			for j := range got {
+				if !sameCand(got[j], want[j]) {
+					t.Fatalf("seed %d step %d candidate %d:\n got: %+v\nwant: %+v", seed, i, j, got[j], want[j])
+				}
 			}
 		}
+		if checked == 0 || loc.Len() == 0 {
+			t.Fatalf("seed %d: stream never exercised the comparison", seed)
+		}
 	}
-	if checked == 0 || loc.Len() == 0 {
-		t.Fatal("stream never exercised the comparison")
+	if wrappedGrowths == 0 || wrappedSeriesGrowths == 0 {
+		t.Fatalf("%d trace-queue and %d series growths happened on a wrapped ring; want both above zero", wrappedGrowths, wrappedSeriesGrowths)
 	}
 }
 

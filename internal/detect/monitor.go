@@ -9,9 +9,9 @@ import (
 // Monitor is an incremental SLO-violation detector: it mirrors the trace
 // store's current time window — end-to-end latencies of completed requests
 // plus the count of dropped ones — and answers the control loop's per-tick
-// questions (violated? effective P99?) in O(log W) without re-selecting or
-// re-sorting the window. Feed it as a tracedb.Observer; the owner advances
-// the window bound each tick with Advance.
+// questions (violated? effective P99?) without re-selecting or re-sorting
+// the window. Feed it as a tracedb.Observer; the owner advances the window
+// bound each tick with Advance.
 //
 // Results are bit-identical to the batch path it replaces (Violated /
 // stats.Percentile over a fresh tracedb.Select): the latency multiset is
@@ -24,10 +24,9 @@ import (
 type Monitor struct {
 	win *stats.Window
 
-	// entries is a growable ring of in-window traces in consume order,
-	// which is End order (traces complete on the engine's monotonic clock).
-	entries []monEntry
-	head, n int
+	// entries holds the in-window traces in consume order, which is End
+	// order (traces complete on the engine's monotonic clock).
+	entries fifo[monEntry]
 
 	drops int
 }
@@ -45,10 +44,7 @@ type monEntry struct {
 // NewMonitor returns an empty monitor. The capacity hint presizes for the
 // expected number of in-window traces.
 func NewMonitor(capHint int) *Monitor {
-	if capHint < 16 {
-		capHint = 16
-	}
-	return &Monitor{win: stats.NewWindow(capHint), entries: make([]monEntry, capHint)}
+	return &Monitor{win: stats.NewWindow(capHint), entries: newFIFO[monEntry](capHint)}
 }
 
 // TraceStored implements tracedb.Observer.
@@ -60,14 +56,14 @@ func (m *Monitor) TraceStored(t *trace.Trace) {
 		e.lat = t.Latency().Millis()
 		m.win.Add(e.lat)
 	}
-	m.push(e)
+	*m.entries.push() = e
 }
 
 // TraceEvicted implements tracedb.Observer: the store's ring dropped its
 // oldest trace. The ring evicts in consume order, so the only candidate is
 // our front entry; anything older was already expired by Advance.
 func (m *Monitor) TraceEvicted(t *trace.Trace) {
-	if m.n > 0 && m.entries[m.head].t == t {
+	if m.entries.len() > 0 && m.entries.at(0).t == t {
 		m.pop()
 	}
 }
@@ -75,44 +71,29 @@ func (m *Monitor) TraceEvicted(t *trace.Trace) {
 // Advance expires entries whose trace ended before since — the incremental
 // equivalent of re-selecting Query{Since: since}.
 func (m *Monitor) Advance(since sim.Time) {
-	for m.n > 0 && m.entries[m.head].end < since {
+	for m.entries.len() > 0 && m.entries.at(0).end < since {
 		m.pop()
 	}
 }
 
-func (m *Monitor) push(e monEntry) {
-	if m.n == len(m.entries) {
-		grown := make([]monEntry, 2*len(m.entries))
-		for i := 0; i < m.n; i++ {
-			grown[i] = m.entries[(m.head+i)%len(m.entries)]
-		}
-		m.entries = grown
-		m.head = 0
-	}
-	m.entries[(m.head+m.n)%len(m.entries)] = e
-	m.n++
-}
-
 func (m *Monitor) pop() {
-	e := &m.entries[m.head]
+	e := m.entries.pop()
 	if e.dropped {
 		m.drops--
 	} else {
 		m.win.Remove(e.lat)
 	}
 	e.t = nil // release the trace for GC
-	m.head = (m.head + 1) % len(m.entries)
-	m.n--
 }
 
 // Len returns the number of in-window traces, dropped ones included.
-func (m *Monitor) Len() int { return m.n }
+func (m *Monitor) Len() int { return m.entries.len() }
 
 // Drops returns the number of dropped requests in the window.
 func (m *Monitor) Drops() int { return m.drops }
 
 // Completed returns the number of non-dropped requests in the window.
-func (m *Monitor) Completed() int { return m.n - m.drops }
+func (m *Monitor) Completed() int { return m.entries.len() - m.drops }
 
 // P99 returns the 99th-percentile end-to-end latency (ms) of the window's
 // completed requests — NaN when there are none, like the batch Percentile.
@@ -127,7 +108,3 @@ func (m *Monitor) Violated(slo sim.Time) bool {
 	}
 	return m.win.Percentile(99) > slo.Millis()
 }
-
-// Comparisons exposes the underlying window's cumulative key-comparison
-// count (exact, machine-independent perf accounting).
-func (m *Monitor) Comparisons() uint64 { return m.win.Comparisons() }

@@ -11,61 +11,79 @@ import (
 	"firm/internal/tracedb"
 )
 
-// TestMonitorMatchesBatchWindow feeds a randomized trace stream through a
-// small tracedb ring (so ring evictions fire, not just time expiry) and
-// checks at every step that the Monitor's violated/P99 answers are
-// bit-identical to the batch path over a fresh Select — the invariant the
-// controller's byte-identical-output guarantee rests on.
+// TestMonitorMatchesBatchWindow feeds randomized trace streams through a
+// tracedb ring — a small one, so ring evictions fire and not just time
+// expiry, and one the window never fills — and checks at every step that
+// the Monitor's violated/P99 answers are bit-identical to the batch path
+// over a fresh Select — the invariant the controller's
+// byte-identical-output guarantee rests on. Arrivals alternate between a
+// trickle and a burst, so the monitor's queue drains to a few entries, its
+// head moving round the ring, and then outgrows the ring from wherever the
+// head stands: the queue's wrap and grow paths are held to the same oracle.
 func TestMonitorMatchesBatchWindow(t *testing.T) {
 	const (
-		ringCap = 64 // small: forces evictions long before time expiry
-		window  = 2 * sim.Second
-		slo     = 40 * sim.Millisecond
+		window = 2 * sim.Second
+		slo    = 40 * sim.Millisecond
 	)
-	r := rand.New(rand.NewSource(11))
-	db := tracedb.New(ringCap)
-	m := NewMonitor(4)
-	db.Observe(m)
+	wrappedGrowths := 0
+	for seed := int64(11); seed < 17; seed++ {
+		ringCap := []int{64, 500}[seed%2]
+		r := rand.New(rand.NewSource(seed))
+		db := tracedb.New(ringCap)
+		m := NewMonitor(4)
+		db.Observe(m)
 
-	now := sim.Time(0)
-	for i := 0; i < 2000; i++ {
-		now += sim.Time(r.Intn(30)) * sim.Millisecond
-		lat := sim.Time(1+r.Intn(80)) * sim.Millisecond
-		tr := &trace.Trace{
-			ID:      trace.TraceID(i + 1),
-			Type:    "t",
-			Start:   now - lat,
-			End:     now,
-			Dropped: r.Intn(12) == 0,
-		}
-		db.Consume(tr)
+		now := sim.Time(0)
+		for i := 0; i < 2000; i++ {
+			gap := r.Intn(30)
+			if i/150%2 == 0 {
+				gap = 100 + r.Intn(300)
+			}
+			now += sim.Time(gap) * sim.Millisecond
+			lat := sim.Time(1+r.Intn(80)) * sim.Millisecond
+			tr := &trace.Trace{
+				ID:      trace.TraceID(i + 1),
+				Type:    "t",
+				Start:   now - lat,
+				End:     now,
+				Dropped: r.Intn(12) == 0,
+			}
+			head, size := m.entries.head, len(m.entries.buf)
+			db.Consume(tr)
+			if len(m.entries.buf) != size && head != 0 {
+				wrappedGrowths++
+			}
 
-		since := now - window
-		m.Advance(since)
-		batch := db.Select(tracedb.Query{Since: since, IncludeDrop: true})
-		if got, want := m.Violated(slo), Violated(batch, slo); got != want {
-			t.Fatalf("step %d: Violated=%v, batch %v", i, got, want)
-		}
-		var lats []float64
-		drops := 0
-		for _, bt := range batch {
-			if bt.Dropped {
-				drops++
-			} else {
-				lats = append(lats, bt.Latency().Millis())
+			since := now - window
+			m.Advance(since)
+			batch := db.Select(tracedb.Query{Since: since, IncludeDrop: true})
+			if got, want := m.Violated(slo), Violated(batch, slo); got != want {
+				t.Fatalf("seed %d step %d: Violated=%v, batch %v", seed, i, got, want)
+			}
+			var lats []float64
+			drops := 0
+			for _, bt := range batch {
+				if bt.Dropped {
+					drops++
+				} else {
+					lats = append(lats, bt.Latency().Millis())
+				}
+			}
+			if m.Len() != len(batch) || m.Drops() != drops || m.Completed() != len(lats) {
+				t.Fatalf("seed %d step %d: Len/Drops/Completed = %d/%d/%d, batch %d/%d/%d",
+					seed, i, m.Len(), m.Drops(), m.Completed(), len(batch), drops, len(lats))
+			}
+			got, want := m.P99(), stats.Percentile(lats, 99)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("seed %d step %d: P99=%v, batch %v", seed, i, got, want)
 			}
 		}
-		if m.Len() != len(batch) || m.Drops() != drops || m.Completed() != len(lats) {
-			t.Fatalf("step %d: Len/Drops/Completed = %d/%d/%d, batch %d/%d/%d",
-				i, m.Len(), m.Drops(), m.Completed(), len(batch), drops, len(lats))
-		}
-		got, want := m.P99(), stats.Percentile(lats, 99)
-		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("step %d: P99=%v, batch %v", i, got, want)
+		if m.Len() == 0 {
+			t.Fatalf("seed %d: stream never populated the window", seed)
 		}
 	}
-	if m.Len() == 0 {
-		t.Fatal("stream never populated the window")
+	if wrappedGrowths == 0 {
+		t.Fatal("no stream grew the queue while it was wrapped")
 	}
 }
 
@@ -93,7 +111,7 @@ func TestMonitorObserveReplaysExistingTraces(t *testing.T) {
 }
 
 // TestMonitorSteadyStateAllocFree: the per-tick sequence — advance, check,
-// measure — must not allocate once the ring and node pool reach their
+// measure — must not allocate once the queue and the window reach their
 // working-set size.
 func TestMonitorSteadyStateAllocFree(t *testing.T) {
 	db := tracedb.New(256)

@@ -163,21 +163,17 @@ func newTickBed() tickBed {
 
 // CoreTick measures the per-tick control-loop cost on the incremental
 // window: violation check, effective P99, reward bookkeeping. The extra
-// cmp/op metric is the exact number of key comparisons per tick inside the
-// order-statistics window; window is its size.
+// window metric is the number of traces the window holds.
 func CoreTick(b *testing.B) {
 	bed := newTickBed()
 	bed.ctl.TickNow() // reach steady state (first tick advances the window)
-	mon := bed.ctl.Monitor()
-	cmp0 := mon.Comparisons()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bed.ctl.TickNow()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(mon.Comparisons()-cmp0)/float64(b.N), "cmp/op")
-	b.ReportMetric(float64(mon.Len()), "window")
+	b.ReportMetric(float64(bed.ctl.Monitor().Len()), "window")
 }
 
 // StatsWindow measures one evict+insert+P99 cycle on a 1024-observation
@@ -190,7 +186,6 @@ func StatsWindow(b *testing.B) {
 		xs[i] = r.Float64() * 100
 		w.Add(xs[i])
 	}
-	cmp0 := w.Comparisons()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -199,8 +194,6 @@ func StatsWindow(b *testing.B) {
 		w.Add(x)
 		w.Percentile(99)
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(w.Comparisons()-cmp0)/float64(b.N), "cmp/op")
 }
 
 // TracedbSelect measures selecting a 2-second suffix window out of a full
