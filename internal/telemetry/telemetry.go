@@ -224,7 +224,8 @@ func (c *Collector) NodeWindow(nodeID string, since sim.Time) []NodeSample {
 type Meter struct {
 	eng      *sim.Engine
 	window   sim.Time
-	arrivals []arrival
+	arrivals []arrival // in time order; arrivals[:head] have expired
+	head     int
 	types    []string
 	index    map[string]int
 }
@@ -258,13 +259,21 @@ func (m *Meter) Record(reqType string) {
 	m.gc()
 }
 
+// gc expires arrivals older than two windows. Re-slicing them off the front
+// is what ring's comment describes: the backing array keeps its dead prefix
+// and append re-allocates every time capacity runs out, forever. Instead the
+// live arrivals are copied down over the expired ones, once those are at
+// least half the slice — so a copy moves no more than it frees and the
+// backing array stops growing at twice the live set.
 func (m *Meter) gc() {
 	cutoff := m.eng.Now() - 2*m.window
-	i := 0
-	for i < len(m.arrivals) && m.arrivals[i].at < cutoff {
-		i++
+	for m.head < len(m.arrivals) && m.arrivals[m.head].at < cutoff {
+		m.head++
 	}
-	m.arrivals = m.arrivals[i:]
+	if m.head > 0 && 2*m.head >= len(m.arrivals) {
+		m.arrivals = m.arrivals[:copy(m.arrivals, m.arrivals[m.head:])]
+		m.head = 0
+	}
 }
 
 // Rate returns arrivals per second over the most recent window.
@@ -273,7 +282,7 @@ func (m *Meter) Rate() float64 {
 	now := m.eng.Now()
 	cutoff := now - m.window
 	n := 0
-	for _, a := range m.arrivals {
+	for _, a := range m.arrivals[m.head:] {
 		if a.at >= cutoff {
 			n++
 		}
@@ -288,7 +297,7 @@ func (m *Meter) PrevRate() float64 {
 	now := m.eng.Now()
 	lo, hi := now-2*m.window, now-m.window
 	n := 0
-	for _, a := range m.arrivals {
+	for _, a := range m.arrivals[m.head:] {
 		if a.at >= lo && a.at < hi {
 			n++
 		}
@@ -314,7 +323,7 @@ func (m *Meter) Composition() []float64 {
 	cutoff := now - m.window
 	counts := make([]float64, len(m.types))
 	total := 0.0
-	for _, a := range m.arrivals {
+	for _, a := range m.arrivals[m.head:] {
 		if a.at >= cutoff && a.typ >= 0 {
 			counts[a.typ]++
 			total++

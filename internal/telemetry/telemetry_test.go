@@ -107,6 +107,36 @@ func TestMeterRateAndChange(t *testing.T) {
 	}
 }
 
+// TestMeterSteadyStateAllocFree: under a steady arrival stream the meter's
+// backing array stops growing — expired arrivals are compacted away in place,
+// not re-sliced off the front with append re-allocating behind them — and
+// the rates read through the compactions stay exact.
+func TestMeterSteadyStateAllocFree(t *testing.T) {
+	eng := sim.NewEngine(1)
+	m := NewMeter(eng, sim.Second, []string{"a"})
+	step := func() {
+		eng.RunFor(10 * sim.Millisecond)
+		m.Record("a")
+	}
+	for i := 0; i < 1000; i++ { // ten seconds: five times the retention
+		step()
+	}
+	capBefore := cap(m.arrivals)
+	allocs := testing.AllocsPerRun(2000, func() {
+		step()
+		// The current window is closed at both ends, the previous half-open.
+		if r, p := m.Rate(), m.PrevRate(); r != 101 || p != 100 {
+			t.Fatalf("rate = %v, prev rate = %v, want 101 and 100", r, p)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state allocs/op = %v, want 0", allocs)
+	}
+	if cap(m.arrivals) != capBefore || capBefore > 4*200 {
+		t.Fatalf("backing array holds %d arrivals, was %d; 200 are live", cap(m.arrivals), capBefore)
+	}
+}
+
 func TestMeterWorkloadChangeNoHistory(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := NewMeter(eng, sim.Second, []string{"a"})

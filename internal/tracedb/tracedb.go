@@ -27,12 +27,14 @@ type Observer interface {
 }
 
 // Store is a bounded ring of completed traces with per-request-type indexes.
+// The ring grows by append until it holds cap traces and overwrites in place
+// from then on: a testbed that never stores cap traces (every training
+// episode, most experiment cells) never pays for cap pointers.
 type Store struct {
-	cap    int
-	buf    []*trace.Trace
-	head   int
-	filled bool
-	obs    []Observer
+	cap  int
+	buf  []*trace.Trace
+	head int // index of the oldest trace; moves only once the ring is full
+	obs  []Observer
 
 	total uint64
 }
@@ -42,20 +44,19 @@ func New(cap int) *Store {
 	if cap <= 0 {
 		panic("tracedb: capacity must be positive")
 	}
-	return &Store{cap: cap, buf: make([]*trace.Trace, cap)}
+	return &Store{cap: cap}
 }
 
 // Consume implements trace.Sink.
 func (s *Store) Consume(t *trace.Trace) {
-	if old := s.buf[s.head]; old != nil {
+	if len(s.buf) < s.cap {
+		s.buf = append(s.buf, t)
+	} else {
 		for _, o := range s.obs {
-			o.TraceEvicted(old)
+			o.TraceEvicted(s.buf[s.head])
 		}
-	}
-	s.buf[s.head] = t
-	s.head = (s.head + 1) % s.cap
-	if s.head == 0 {
-		s.filled = true
+		s.buf[s.head] = t
+		s.head = (s.head + 1) % s.cap
 	}
 	s.total++
 	for _, o := range s.obs {
@@ -74,20 +75,15 @@ func (s *Store) Observe(o Observer) {
 }
 
 // Len returns the number of traces currently stored.
-func (s *Store) Len() int {
-	if s.filled {
-		return s.cap
-	}
-	return s.head
-}
+func (s *Store) Len() int { return len(s.buf) }
 
 // Total returns the number of traces ever consumed.
 func (s *Store) Total() uint64 { return s.total }
 
 // at returns the i-th stored trace oldest-first, 0 <= i < Len().
 func (s *Store) at(i int) *trace.Trace {
-	if s.filled {
-		return s.buf[(s.head+i)%s.cap]
+	if i += s.head; i >= len(s.buf) {
+		i -= len(s.buf)
 	}
 	return s.buf[i]
 }

@@ -21,10 +21,7 @@ func tr(id uint64, typ string, end sim.Time, dropped bool) *trace.Trace {
 
 // all returns stored traces oldest-first, read straight off the ring.
 func (s *Store) all() []*trace.Trace {
-	out := make([]*trace.Trace, 0, s.Len())
-	if s.filled {
-		out = append(out, s.buf[s.head:]...)
-	}
+	out := append(make([]*trace.Trace, 0, s.Len()), s.buf[s.head:]...)
 	return append(out, s.buf[:s.head]...)
 }
 
