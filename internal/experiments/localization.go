@@ -23,52 +23,6 @@ type labelledSample struct {
 	culprit bool
 }
 
-// collectLocalizationSamples runs an injection campaign restricted to the
-// given kinds and harvests per-window candidate features with ground-truth
-// labels (instance was under injection during the window).
-func collectLocalizationSamples(spec *topology.Spec, seed int64, kinds []injector.Kind,
-	dur sim.Time, nodes []cluster.HardwareProfile, train bool, ext *detect.Extractor) ([]labelledSample, error) {
-
-	b, err := harness.New(harness.Options{
-		Seed: seed, Spec: spec, SLOMargin: 1.6, Nodes: nodes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ext == nil {
-		ext = b.NewExtractor()
-	}
-	b.AttachWorkload(workload.Constant{RPS: 150})
-	camp := injector.DefaultCampaign(b.Injector, b.Containers())
-	camp.Kinds = kinds
-	camp.MeanInterarrival = 2 * sim.Second
-	camp.Start()
-
-	var samples []labelledSample
-	window := 2 * sim.Second
-	tick := sim.NewTicker(b.Eng, window, func() {
-		now := b.Eng.Now()
-		traces := b.DB.Select(tracedb.Query{Since: now - window})
-		truth := b.Injector.ActiveDuringOverlap(now-window, now, window*4/10)
-		for _, c := range ext.Features(traces) {
-			_, culprit := truth[c.Instance]
-			samples = append(samples, labelledSample{
-				feat:    []float64{c.RI, c.CI / 5},
-				culprit: culprit,
-			})
-			if train {
-				if err := ext.Train(c, culprit); err != nil {
-					panic(err)
-				}
-			}
-		}
-	})
-	tick.Start()
-	b.Eng.RunFor(dur)
-	camp.Stop()
-	return samples, nil
-}
-
 // Fig9aResult is the per-anomaly-type ROC study (paper: avg AUC = 0.978,
 // near-100% TPR at FPR 0.12-0.15).
 type Fig9aResult struct {

@@ -1,8 +1,8 @@
 // Package stats provides the statistical primitives used throughout the
-// FIRM reproduction: percentiles and tail-latency summaries, empirical CDFs,
-// Pearson correlation (the paper's "relative importance" metric, Alg. 2),
-// moving averages for RL reward curves, histograms, and bootstrap confidence
-// intervals for the Fig. 5 error bars.
+// FIRM reproduction: percentiles, batch and over a sliding window, Pearson
+// correlation (the paper's "relative importance" metric, Alg. 2), moving
+// averages for RL reward curves, and bootstrap confidence intervals for the
+// Fig. 5 error bars.
 package stats
 
 import (
@@ -117,90 +117,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-// Summary is a latency distribution digest used across the experiment
-// harness (Fig. 3, Fig. 10, Table 1).
-type Summary struct {
-	N             int
-	Mean, Std     float64
-	Min, Max      float64
-	P50, P90, P95 float64
-	P99, P999     float64
-}
-
-// Summarize computes a Summary of xs. A sample containing NaN yields a
-// Summary whose statistics are all NaN (with N still the sample size):
-// sorting NaNs leaves them at unspecified positions, which would otherwise
-// corrupt the order statistics (Min/Max/P99/P999) silently.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	if hasNaN(xs) {
-		nan := math.NaN()
-		return Summary{
-			N: len(xs), Mean: nan, Std: nan, Min: nan, Max: nan,
-			P50: nan, P90: nan, P95: nan, P99: nan, P999: nan,
-		}, nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return Summary{
-		N:    len(s),
-		Mean: Mean(s),
-		Std:  StdDev(s),
-		Min:  s[0],
-		Max:  s[len(s)-1],
-		P50:  percentileSorted(s, 50),
-		P90:  percentileSorted(s, 90),
-		P95:  percentileSorted(s, 95),
-		P99:  percentileSorted(s, 99),
-		P999: percentileSorted(s, 99.9),
-	}, nil
-}
-
-// CDF is an empirical cumulative distribution function.
-type CDF struct {
-	xs []float64 // sorted
-}
-
-// NewCDF builds an empirical CDF from xs.
-func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &CDF{xs: s}
-}
-
-// N returns the number of observations.
-func (c *CDF) N() int { return len(c.xs) }
-
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.xs) == 0 {
-		return math.NaN()
-	}
-	idx := sort.SearchFloat64s(c.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.xs))
-}
-
-// Quantile returns the q-th quantile, q in [0,1].
-func (c *CDF) Quantile(q float64) float64 { return percentileSorted(c.xs, q*100) }
-
-// Points returns up to n evenly spaced (x, F(x)) pairs for plotting/printing.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.xs) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.xs) {
-		n = len(c.xs)
-	}
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.xs) - 1) / max(n-1, 1)
-		out = append(out, [2]float64{c.xs[idx], float64(idx+1) / float64(len(c.xs))})
-	}
-	return out
-}
-
 // MovingAvg is a windowed moving average, used to smooth RL reward curves
 // (Fig. 11a plots the moving average of episode rewards).
 type MovingAvg struct {
@@ -245,43 +161,6 @@ func (m *MovingAvg) Value() float64 {
 	}
 	return m.sum / float64(n)
 }
-
-// Histogram is a fixed-width-bin histogram.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []uint64
-	width  float64
-	under  uint64
-	over   uint64
-	total  uint64
-}
-
-// NewHistogram creates a histogram over [lo, hi) with n bins.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, n), width: (hi - lo) / float64(n)}
-}
-
-// Observe records x.
-func (h *Histogram) Observe(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		h.Counts[int((x-h.Lo)/h.width)]++
-	}
-}
-
-// Total returns the number of observations (including out-of-range).
-func (h *Histogram) Total() uint64 { return h.total }
-
-// OutOfRange returns counts below Lo and at-or-above Hi.
-func (h *Histogram) OutOfRange() (under, over uint64) { return h.under, h.over }
 
 // BootstrapCI returns a percentile bootstrap confidence interval for the
 // median of xs at the given confidence level (e.g. 0.95), using iters
@@ -332,11 +211,4 @@ func AUC(fpr, tpr []float64) (float64, error) {
 		area += (pts[i].x - pts[i-1].x) * (pts[i].y + pts[i-1].y) / 2
 	}
 	return area, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

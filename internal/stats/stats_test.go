@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -104,84 +103,6 @@ func TestPearsonRange(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i + 1)
-	}
-	s, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 1000 || s.Min != 1 || s.Max != 1000 {
-		t.Fatalf("summary bounds: %+v", s)
-	}
-	if !almost(s.P50, 500.5, 1e-9) {
-		t.Fatalf("P50 = %v", s.P50)
-	}
-	if s.P99 <= s.P95 || s.P95 <= s.P90 || s.P90 <= s.P50 {
-		t.Fatalf("percentiles not monotone: %+v", s)
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Fatal("empty summarize must error")
-	}
-}
-
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	if c.N() != 4 {
-		t.Fatalf("N = %d", c.N())
-	}
-	if got := c.At(2); !almost(got, 0.5, 1e-12) {
-		t.Fatalf("At(2) = %v", got)
-	}
-	if got := c.At(0.5); got != 0 {
-		t.Fatalf("At(0.5) = %v", got)
-	}
-	if got := c.At(10); got != 1 {
-		t.Fatalf("At(10) = %v", got)
-	}
-	if q := c.Quantile(1); q != 4 {
-		t.Fatalf("Quantile(1) = %v", q)
-	}
-	pts := c.Points(4)
-	if len(pts) != 4 || pts[0][0] != 1 || pts[3][0] != 4 || pts[3][1] != 1 {
-		t.Fatalf("Points = %v", pts)
-	}
-	if NewCDF(nil).Points(5) != nil {
-		t.Fatal("empty CDF points must be nil")
-	}
-}
-
-func TestCDFMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) < 2 {
-			return true
-		}
-		c := NewCDF(xs)
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		prev := 0.0
-		for _, x := range sorted {
-			f := c.At(x)
-			if f < prev || f < 0 || f > 1 {
-				return false
-			}
-			prev = f
-		}
-		return prev == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMovingAvg(t *testing.T) {
 	m := NewMovingAvg(3)
 	if !math.IsNaN(m.Value()) {
@@ -206,24 +127,6 @@ func TestMovingAvgPanicsOnBadWindow(t *testing.T) {
 		}
 	}()
 	NewMovingAvg(0)
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	h.Observe(-1)
-	h.Observe(11)
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Fatalf("bin %d count %d", i, c)
-		}
-	}
-	u, o := h.OutOfRange()
-	if u != 1 || o != 1 || h.Total() != 12 {
-		t.Fatalf("out of range u=%d o=%d total=%d", u, o, h.Total())
-	}
 }
 
 func TestBootstrapCI(t *testing.T) {
@@ -305,23 +208,5 @@ func TestPercentileNaNPropagates(t *testing.T) {
 	// Clean samples are unaffected.
 	if got := Percentile([]float64{1, 2, 3}, 50); got != 2 {
 		t.Fatalf("clean median = %v", got)
-	}
-}
-
-func TestSummarizeNaNPropagates(t *testing.T) {
-	s, err := Summarize([]float64{3, math.NaN(), 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 3 {
-		t.Fatalf("N = %d, want 3", s.N)
-	}
-	for name, v := range map[string]float64{
-		"Mean": s.Mean, "Std": s.Std, "Min": s.Min, "Max": s.Max,
-		"P50": s.P50, "P90": s.P90, "P95": s.P95, "P99": s.P99, "P999": s.P999,
-	} {
-		if !math.IsNaN(v) {
-			t.Fatalf("Summary.%s = %v, want NaN", name, v)
-		}
 	}
 }
