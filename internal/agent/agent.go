@@ -129,10 +129,10 @@ func (b *StateBuilder) State(instance uint32, currentP99 sim.Time, culprit bool)
 	}
 	s[1] = wc
 	s[2] = b.Meter.CompositionCode(8)
-	util, ok := b.Col.Latest(instance)
-	if ok {
+	if latest, ok := b.Col.Latest(instance); ok {
+		util := latest.Util()
 		for r := 0; r < int(cluster.NumResources); r++ {
-			u := util.Util[r]
+			u := util[r]
 			if u > 2 {
 				u = 2
 			}

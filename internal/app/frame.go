@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"math"
 
 	"firm/internal/cluster"
 	"firm/internal/sim"
@@ -287,13 +288,18 @@ func (f *frame) WorkDropped() {
 	f.fail()
 }
 
-// emit seals the current attempt's span, ending now.
+// emit seals the current attempt's span, ending now. Span.Queued is 32
+// bits of µs, so a queueing delay past ≈ 71.6 min panics instead of
+// truncating.
 //
 //firmvet:noalloc
 func (f *frame) emit(queued sim.Time) {
 	a := f.ctx.app
 	if a.Coord == nil {
 		return
+	}
+	if queued > math.MaxUint32 {
+		panic("app: queueing delay exceeds Span.Queued (2^32-1 µs)")
 	}
 	a.Coord.Emit(f.ctx.trace, trace.Span{
 		ID:         f.span,
@@ -302,7 +308,7 @@ func (f *frame) emit(queued sim.Time) {
 		Instance:   f.target.ID,
 		Start:      f.dispatch,
 		End:        a.eng.Now(),
-		Queued:     queued,
+		Queued:     uint32(queued),
 		Background: f.background,
 	})
 }

@@ -1,6 +1,7 @@
 package app
 
 import (
+	"math"
 	"testing"
 
 	"firm/internal/cluster"
@@ -207,4 +208,26 @@ func TestSteadyStateRequestAllocs(t *testing.T) {
 		t.Fatalf("allocs/request: %v at %d calls, %v at %d calls; want equal and <= 3",
 			aSmall, minCalls, aLarge, maxCalls)
 	}
+}
+
+// TestEmitQueuedBound: Span.Queued holds 32 bits of µs. A delay at the bound
+// is recorded exactly; one past it panics instead of truncating.
+func TestEmitQueuedBound(t *testing.T) {
+	_, a, _ := harness(t, fanSpec(topology.Seq), 1)
+	n := a.resolve(a.Spec.Endpoints[0].Root, nil, 0)
+	f := &frame{
+		ctx:    &reqCtx{app: a, trace: a.Coord.StartTrace("get", 1)},
+		node:   n,
+		target: n.rs.Containers()[0],
+	}
+	f.emit(math.MaxUint32)
+	if got := f.ctx.trace.Spans[0].Queued; got != math.MaxUint32 {
+		t.Fatalf("Queued = %d, want %d", got, uint32(math.MaxUint32))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("emit truncated a queueing delay past 2^32-1 µs without panicking")
+		}
+	}()
+	f.emit(math.MaxUint32 + 1)
 }

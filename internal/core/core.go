@@ -532,7 +532,7 @@ func (c *Controller) flushPendingAt(done bool, p99 sim.Time) {
 		sv := c.sb.SV(p99, culprit)
 		var util cluster.Vector
 		if s, ok := c.col.Latest(p.instance); ok {
-			util = s.Util
+			util = s.Util()
 		}
 		r := agent.Reward(sv, util, c.cfg.Alpha)
 		c.RewardObserved++

@@ -1,7 +1,7 @@
 // Package nn is a minimal, dependency-free neural-network library built for
 // the reproduction's DDPG agents (the paper used PyTorch, §3.4): fully
-// connected layers with ReLU/Tanh/linear activations, manual backprop, Adam
-// and SGD optimizers, soft (Polyak) target-network updates, and gob
+// connected layers with ReLU/Tanh/linear activations, manual backprop, the
+// Adam optimizer, soft (Polyak) target-network updates, and gob
 // serialization for checkpoints and transfer learning.
 //
 // # The batch path

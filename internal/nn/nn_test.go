@@ -144,29 +144,6 @@ func TestRegressionLearning(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumLearns(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	n := New(r, []int{2, 16, 1}, []Activation{Tanh, Linear})
-	opt := NewSGD(n, 0.05, 0.9)
-	// Learn XOR-ish: y = x0*x1.
-	var lastMSE float64
-	for epoch := 0; epoch < 2000; epoch++ {
-		n.ZeroGrad()
-		var mse float64
-		for _, s := range [][3]float64{{1, 1, 1}, {1, -1, -1}, {-1, 1, -1}, {-1, -1, 1}} {
-			y := n.Forward([]float64{s[0], s[1]})[0]
-			d := y - s[2]
-			mse += d * d
-			n.Backward([]float64{2 * d / 4})
-		}
-		opt.Step()
-		lastMSE = mse / 4
-	}
-	if lastMSE > 0.05 {
-		t.Fatalf("SGD failed to learn product: MSE %v", lastMSE)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	a := New(r, []int{2, 4, 1}, []Activation{ReLU, Linear})

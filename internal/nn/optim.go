@@ -2,47 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates network parameters from accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and leaves gradients untouched (callers
-	// ZeroGrad explicitly, matching the usual training-loop shape).
-	Step()
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	net      *Net
-	lr       float64
-	momentum float64
-	vel      [][]float64
-	// params/grads are cached Params views: layer storage is never
-	// reallocated, so capturing them once keeps Step allocation-free.
-	params, grads [][]float64
-}
-
-// NewSGD creates an SGD optimizer for net.
-func NewSGD(net *Net, lr, momentum float64) *SGD {
-	s := &SGD{net: net, lr: lr, momentum: momentum}
-	s.params, s.grads = net.Params()
-	for _, p := range s.params {
-		s.vel = append(s.vel, make([]float64, len(p)))
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	params, grads := s.params, s.grads
-	for i, p := range params {
-		g := grads[i]
-		v := s.vel[i]
-		for j := range p {
-			v[j] = s.momentum*v[j] - s.lr*g[j]
-			p[j] += v[j]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba) — the default for the
 // DDPG actor/critic updates.
 type Adam struct {
@@ -54,7 +13,8 @@ type Adam struct {
 	t        int
 	m, v     [][]float64
 	gradClip float64 // max L2 norm of the full gradient (0 = off)
-	// params/grads are cached Params views (see SGD).
+	// params/grads are cached Params views: layer storage is never
+	// reallocated, so capturing them once keeps Step allocation-free.
 	params, grads [][]float64
 }
 
@@ -73,7 +33,8 @@ func NewAdam(net *Net, lr float64) *Adam {
 // training when critic targets are noisy).
 func (a *Adam) SetGradClip(maxNorm float64) { a.gradClip = maxNorm }
 
-// Step implements Optimizer.
+// Step applies one update and leaves gradients untouched (callers ZeroGrad
+// explicitly, matching the usual training-loop shape).
 func (a *Adam) Step() {
 	params, grads := a.params, a.grads
 	scale := 1.0

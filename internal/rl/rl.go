@@ -26,45 +26,51 @@ type Transition struct {
 	Done bool
 }
 
-// ReplayBuffer is the finite-sized transition cache R of Alg. 3.
+// ReplayBuffer is the finite-sized transition cache R of Alg. 3. It holds
+// only what has been added: the backing array grows toward capacity (never
+// past it) and, once full, the oldest slot is overwritten in place. An agent
+// that only runs inference never grows it at all.
 type ReplayBuffer struct {
-	buf  []Transition
-	cap  int
-	pos  int
-	full bool
+	buf []Transition // len(buf) == Len(); full once len(buf) == cap
+	cap int
+	pos int // next slot to overwrite once full
 }
 
-// NewReplayBuffer creates a buffer with the given capacity.
+// NewReplayBuffer creates an empty buffer with the given capacity.
 func NewReplayBuffer(capacity int) *ReplayBuffer {
 	if capacity <= 0 {
 		panic("rl: replay capacity must be positive")
 	}
-	return &ReplayBuffer{buf: make([]Transition, capacity), cap: capacity}
+	return &ReplayBuffer{cap: capacity}
 }
 
 // Add inserts a transition, evicting the oldest when full.
 func (b *ReplayBuffer) Add(t Transition) {
-	b.buf[b.pos] = t
-	b.pos = (b.pos + 1) % b.cap
-	if b.pos == 0 {
-		b.full = true
+	if len(b.buf) < b.cap {
+		if len(b.buf) == cap(b.buf) {
+			// Grow manually toward the bound: append's growth policy may
+			// overshoot it, and a full buffer would keep the overshoot.
+			next := min(max(2*cap(b.buf), 8), b.cap)
+			grown := make([]Transition, len(b.buf), next)
+			copy(grown, b.buf)
+			b.buf = grown
+		}
+		b.buf = append(b.buf, t)
+	} else {
+		b.buf[b.pos] = t
 	}
+	b.pos = (b.pos + 1) % b.cap
 }
 
 // Len returns the number of stored transitions.
-func (b *ReplayBuffer) Len() int {
-	if b.full {
-		return b.cap
-	}
-	return b.pos
-}
+func (b *ReplayBuffer) Len() int { return len(b.buf) }
 
 // At returns the i-th oldest stored transition, i in [0, Len()).
 func (b *ReplayBuffer) At(i int) Transition {
-	if i < 0 || i >= b.Len() {
+	if i < 0 || i >= len(b.buf) {
 		panic("rl: replay index out of range")
 	}
-	if !b.full {
+	if len(b.buf) < b.cap {
 		return b.buf[i]
 	}
 	return b.buf[(b.pos+i)%b.cap]

@@ -383,6 +383,112 @@ func TestReplayBufferSampleDeterministic(t *testing.T) {
 	}
 }
 
+// refReplay is the replay buffer as it was before it grew on demand: every
+// slot allocated up front, a write cursor and a full flag. It is the oracle
+// the growing buffer is pinned against.
+type refReplay struct {
+	buf  []Transition
+	pos  int
+	full bool
+}
+
+func (b *refReplay) add(t Transition) {
+	b.buf[b.pos] = t
+	b.pos = (b.pos + 1) % len(b.buf)
+	if b.pos == 0 {
+		b.full = true
+	}
+}
+
+func (b *refReplay) len() int {
+	if b.full {
+		return len(b.buf)
+	}
+	return b.pos
+}
+
+func (b *refReplay) at(i int) Transition {
+	if !b.full {
+		return b.buf[i]
+	}
+	return b.buf[(b.pos+i)%len(b.buf)]
+}
+
+func (b *refReplay) sampleInto(r *rand.Rand, n int, dst []Transition) []Transition {
+	ln := b.len()
+	if ln == 0 || n <= 0 {
+		return dst
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, b.buf[r.Intn(ln)])
+	}
+	return dst
+}
+
+// TestReplayBufferGrowthMatchesPreallocated replays one random Add / At /
+// Len / SampleInto sequence, through several wraps, on the growing buffer
+// and on a preallocated reference: every answer and every RNG draw must
+// agree, and the backing array must never exceed the capacity.
+func TestReplayBufferGrowthMatchesPreallocated(t *testing.T) {
+	eq := func(a, b Transition) bool {
+		return math.Float64bits(a.R) == math.Float64bits(b.R) && &a.S[0] == &b.S[0] && a.Done == b.Done
+	}
+	for _, capacity := range []int{1, 7, 128, 1000} {
+		ops := rand.New(rand.NewSource(int64(capacity)))
+		rg, rr := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+		got, want := NewReplayBuffer(capacity), &refReplay{buf: make([]Transition, capacity)}
+		var dg, dr []Transition
+		added := 0
+		for added < 4*capacity+3 {
+			switch ops.Intn(4) {
+			case 0, 1:
+				tr := Transition{S: []float64{float64(added)}, R: ops.NormFloat64(), Done: ops.Intn(2) == 0}
+				got.Add(tr)
+				want.add(tr)
+				added++
+			case 2:
+				if got.Len() != want.len() {
+					t.Fatalf("cap %d after %d adds: Len %d, want %d", capacity, added, got.Len(), want.len())
+				}
+				for i := 0; i < want.len(); i++ {
+					if !eq(got.At(i), want.at(i)) {
+						t.Fatalf("cap %d after %d adds: At(%d) = %+v, want %+v", capacity, added, i, got.At(i), want.at(i))
+					}
+				}
+			case 3:
+				n := ops.Intn(70)
+				dg, dr = got.SampleInto(rg, n, dg[:0]), want.sampleInto(rr, n, dr[:0])
+				if len(dg) != len(dr) {
+					t.Fatalf("cap %d: SampleInto drew %d, want %d", capacity, len(dg), len(dr))
+				}
+				for i := range dr {
+					if !eq(dg[i], dr[i]) {
+						t.Fatalf("cap %d after %d adds: draw %d = %+v, want %+v", capacity, added, i, dg[i], dr[i])
+					}
+				}
+			}
+			if c := cap(got.buf); c > capacity {
+				t.Fatalf("cap %d after %d adds: backing array holds %d slots", capacity, added, c)
+			}
+		}
+		if got.Len() != capacity || cap(got.buf) != capacity {
+			t.Fatalf("cap %d: full buffer has Len %d, backing capacity %d", capacity, got.Len(), cap(got.buf))
+		}
+		if rg.Int63() != rr.Int63() {
+			t.Fatalf("cap %d: RNG streams diverged", capacity)
+		}
+	}
+}
+
+// TestInferenceAgentHoldsNoReplay: an agent that never observes a
+// transition keeps no replay storage, whatever its configured capacity.
+func TestInferenceAgentHoldsNoReplay(t *testing.T) {
+	a := New(DefaultConfig())
+	if a.Buffer().Len() != 0 || cap(a.Buffer().buf) != 0 {
+		t.Fatalf("fresh agent holds %d transitions in %d slots", a.Buffer().Len(), cap(a.Buffer().buf))
+	}
+}
+
 func TestOUNoiseResetRestartsProcess(t *testing.T) {
 	o := NewOUNoise(3, 0.15, 0.2)
 	first := append([]float64(nil), o.Sample(rand.New(rand.NewSource(31)))...)

@@ -12,15 +12,19 @@ import (
 	"firm/internal/sim"
 )
 
-// Sample is one per-container observation.
+// Sample is one per-container observation, 104 bytes: it keeps the two
+// vectors utilization is derived from, not the ratio itself.
 type Sample struct {
 	At       sim.Time
-	Util     cluster.Vector // Usage/Limits per resource (RU of Table 3)
 	Usage    cluster.Vector // absolute demand rates
 	Limits   cluster.Vector // current RLT
 	QueueLen int
 	Busy     int
 }
+
+// Util returns Usage/Limits per resource (RU of Table 3), bit-identical to
+// the container's Utilization at sampling time.
+func (s Sample) Util() cluster.Vector { return s.Usage.Div(s.Limits) }
 
 // NodeSample is one per-node observation (Fig. 1's lower panels).
 type NodeSample struct {
@@ -125,7 +129,6 @@ func (c *Collector) sample() {
 		for _, ct := range rs.Containers() {
 			c.series(ct.ID).add(Sample{
 				At:       now,
-				Util:     ct.Utilization(),
 				Usage:    ct.Usage(),
 				Limits:   ct.Limits(),
 				QueueLen: ct.QueueLen(),

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"firm/internal/cluster"
@@ -32,8 +33,8 @@ func TestCollectorSamples(t *testing.T) {
 	if !ok {
 		t.Fatal("no sample")
 	}
-	if math.Abs(s.Util[cluster.CPU]-0.5) > 1e-9 {
-		t.Fatalf("cpu util %v, want 0.5", s.Util[cluster.CPU])
+	if math.Abs(s.Util()[cluster.CPU]-0.5) > 1e-9 {
+		t.Fatalf("cpu util %v, want 0.5", s.Util()[cluster.CPU])
 	}
 	if s.Busy != 1 {
 		t.Fatalf("busy = %d", s.Busy)
@@ -259,5 +260,90 @@ func TestCollectorWindowAcrossWrap(t *testing.T) {
 	}
 	if got := col.Window(c.ID, w[4].At+1); len(got) != 0 {
 		t.Fatalf("window past the newest sample = %v, want no data", got)
+	}
+}
+
+// TestSampleUtilMatchesContainer: Sample keeps Usage and Limits, not their
+// ratio, so Util() must equal what Container.Utilization() returned at
+// sampling time bit for bit — over random work, limits (zero limits
+// included, so Div's o[i] > 0 branch is taken both ways), injected demand,
+// and a replica set scaled to zero and back.
+func TestSampleUtilMatchesContainer(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	eng := sim.NewEngine(1)
+	cfg := cluster.DefaultConfig()
+	cfg.MinLimit = cluster.Vector{} // let limits reach 0
+	cl := cluster.New(eng, cfg)
+	cl.AddNode(cluster.XeonProfile)
+	rs, err := cl.DeployService("svc", 2, cluster.V(2, 1000, 4, 100, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := NewCollector(eng, cl, sim.Second, 8)
+	vec := func(scale cluster.Vector) cluster.Vector {
+		var v cluster.Vector
+		for i := range v {
+			if r.Intn(4) != 0 {
+				v[i] = r.Float64() * scale[i]
+			}
+		}
+		return v
+	}
+	scale := cluster.V(4, 2000, 8, 200, 200)
+	retired := map[*cluster.Container]cluster.Vector{} // last sampled Utilization
+	zeroLimits, sampled := 0, 0
+	same := func(a, b cluster.Vector) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for step := 0; step < 2000; step++ {
+		cts := rs.Containers()
+		switch op := r.Intn(10); {
+		case op < 4 && len(cts) > 0:
+			cts[r.Intn(len(cts))].Submit(cluster.Work{
+				Base: sim.Time(1+r.Intn(500)) * sim.Millisecond, Demand: vec(scale)})
+		case op < 6 && len(cts) > 0:
+			cts[r.Intn(len(cts))].SetLimits(vec(scale))
+		case op < 8 && len(cts) > 0:
+			cts[r.Intn(len(cts))].SetInjectedLoad(vec(scale))
+		case op == 8 && len(cts) > 0: // scale to zero
+			for _, c := range append([]*cluster.Container(nil), cts...) {
+				retired[c] = c.Utilization()
+				rs.RemoveReplica(c)
+			}
+		case len(cts) < 4:
+			if _, err := rs.AddReplica(vec(scale), false, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.RunUntil(eng.Now() + sim.Time(r.Intn(50))*sim.Millisecond)
+		col.SampleNow()
+		for _, c := range rs.Containers() {
+			s, ok := col.Latest(c.ID)
+			if !ok {
+				t.Fatalf("step %d: container %d not sampled", step, c.ID)
+			}
+			if want := c.Utilization(); !same(s.Util(), want) {
+				t.Fatalf("step %d: Sample.Util() = %v, Container.Utilization() = %v", step, s.Util(), want)
+			}
+			for _, l := range s.Limits {
+				if l == 0 {
+					zeroLimits++
+				}
+			}
+			sampled++
+		}
+	}
+	for c, want := range retired {
+		if s, ok := col.Latest(c.ID); !ok || !same(s.Util(), want) {
+			t.Fatalf("retired container %d: Sample.Util() = %v, last Utilization() = %v", c.ID, s.Util(), want)
+		}
+	}
+	if zeroLimits == 0 || len(retired) == 0 || sampled < 1000 {
+		t.Fatalf("coverage: %d zero limits, %d retired containers, %d samples", zeroLimits, len(retired), sampled)
 	}
 }

@@ -43,9 +43,13 @@ func (c *Coordinator) StartTrace(reqType string, spanHint int) *Trace {
 	return t
 }
 
-// NewSpanID allocates a process-wide unique span id.
+// NewSpanID allocates a process-wide unique span id. It panics once the
+// 32-bit counter is exhausted rather than wrap to 0, the root's Parent.
 func (c *Coordinator) NewSpanID() SpanID {
 	c.nextSpan++
+	if c.nextSpan == 0 {
+		panic("trace: span IDs exhausted (2^32-1 spans)")
+	}
 	return c.nextSpan
 }
 

@@ -30,12 +30,15 @@ type Names interface {
 // TraceID identifies one end-to-end user request.
 type TraceID uint64
 
-// SpanID identifies one span within a trace.
-type SpanID uint64
+// SpanID identifies one span within a trace. It is the coordinator's
+// process-wide counter, 32 bits wide: NewSpanID panics rather than wrap.
+type SpanID uint32
 
 // Span records the work done by a single microservice instance for one
 // request: arrival (Start, includes queueing), response (End), queueing
-// delay, and the identity of the serving container.
+// delay, and the identity of the serving container. It is 40 pointer-free
+// bytes; the two 32-bit fields bound a run to 2^32-1 spans and a single
+// queueing delay to 2^32-1 µs (≈ 71.6 min).
 type Span struct {
 	ID       SpanID
 	Parent   SpanID // 0 for the root span
@@ -43,7 +46,7 @@ type Span struct {
 	Instance uint32 // container ID
 	Start    sim.Time
 	End      sim.Time
-	Queued   sim.Time // time spent waiting in the container queue
+	Queued   uint32 // µs spent waiting in the container queue
 	// Background marks spans that do not return a value to their parent
 	// (§3.2: background workflows, e.g. writeTimeline). They are excluded
 	// from critical paths but considered during culprit localization.

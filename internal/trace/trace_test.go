@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -67,12 +68,12 @@ func TestTraceAccessors(t *testing.T) {
 	}
 }
 
-// TestSpanLayout pins what makes retained traces cheap: a Span is at most 56
-// bytes and holds nothing the garbage collector has to follow, so span
-// arrays are allocated noscan.
+// TestSpanLayout pins what makes retained traces cheap: a Span is exactly 40
+// bytes — a new field is a visible decision — and holds nothing the garbage
+// collector has to follow, so span arrays are allocated noscan.
 func TestSpanLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(Span{}); sz > 56 {
-		t.Fatalf("Span is %d bytes, want <= 56", sz)
+	if sz := unsafe.Sizeof(Span{}); sz != 40 {
+		t.Fatalf("Span is %d bytes, want 40", sz)
 	}
 	var walk func(ty reflect.Type, path string)
 	walk = func(ty reflect.Type, path string) {
@@ -213,6 +214,22 @@ func TestCoordinator(t *testing.T) {
 	if c.PendingCount() != 0 || c.Collected != 1 || c.SpansSeen != 1 {
 		t.Fatal("counters")
 	}
+}
+
+// TestNewSpanIDPanicsOnWrap: the 32-bit span counter must not wrap to 0, the
+// value a root span carries as its Parent.
+func TestNewSpanIDPanicsOnWrap(t *testing.T) {
+	c := NewCoordinator(sim.NewEngine(1), nil, testNames)
+	c.nextSpan = math.MaxUint32 - 1
+	if id := c.NewSpanID(); id != math.MaxUint32 {
+		t.Fatalf("last span id = %d, want %d", id, uint32(math.MaxUint32))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewSpanID wrapped to 0 without panicking")
+		}
+	}()
+	c.NewSpanID()
 }
 
 // TestChildrenOrder: children sort by (Start, ID) whatever order the spans
