@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 
+	"firm/internal/ring"
 	"firm/internal/sim"
 )
 
@@ -96,11 +97,7 @@ type Container struct {
 	// the fields the request path touches keep their offsets.)
 	ID uint32
 
-	// queue[head:] is the FIFO of waiting work. Popping advances head
-	// instead of reslicing from the front, which would shed capacity and
-	// reallocate on almost every Submit.
-	queue []queuedWork
-	head  int
+	queue ring.Ring[queuedWork] // waiting work; Submit enforces QueueCap
 	// free recycles in-flight records; a container at steady state admits
 	// and completes work without allocating.
 	free    []*running
@@ -137,7 +134,7 @@ func (c *Container) Node() *Node { return c.node }
 func (c *Container) Ready() bool { return c.ready }
 
 // QueueLen returns the number of queued (not yet executing) work items.
-func (c *Container) QueueLen() int { return len(c.queue) - c.head }
+func (c *Container) QueueLen() int { return c.queue.Len() }
 
 // Busy returns the number of in-flight work items.
 func (c *Container) Busy() int { return c.busy }
@@ -225,26 +222,16 @@ func (c *Container) Submit(w Work) {
 		c.drop(w)
 		return
 	}
-	// Out of room behind a consumed prefix at least as long as the live
-	// tail: slide the tail down instead of growing (amortized O(1)).
-	if c.head > 0 && len(c.queue) == cap(c.queue) && 2*c.head >= len(c.queue) {
-		n := copy(c.queue, c.queue[c.head:])
-		clear(c.queue[n:])
-		c.queue, c.head = c.queue[:n], 0
-	}
-	c.queue = append(c.queue, queuedWork{w: w, enqueued: c.eng.Now()})
+	*c.queue.Push() = queuedWork{w: w, enqueued: c.eng.Now()}
 	c.dispatch()
 }
 
 //firmvet:noalloc
 func (c *Container) dispatch() {
-	for c.busy < c.workers() && c.head < len(c.queue) {
-		qw := c.queue[c.head]
-		c.queue[c.head] = queuedWork{} // drop the handler reference
-		c.head++
-		if c.head == len(c.queue) {
-			c.queue, c.head = c.queue[:0], 0
-		}
+	for c.busy < c.workers() && c.queue.Len() > 0 {
+		s := c.queue.Pop()
+		qw := *s
+		*s = queuedWork{} // drop the handler reference
 		c.start(qw)
 	}
 }
@@ -259,10 +246,11 @@ func (c *Container) drop(w Work) {
 
 // dropQueued sheds every waiting work item (the container is being retired).
 func (c *Container) dropQueued() {
-	for _, qw := range c.queue[c.head:] {
-		c.drop(qw.w)
+	q := c.queue
+	c.queue = ring.Ring[queuedWork]{}
+	for q.Len() > 0 {
+		c.drop(q.Pop().w)
 	}
-	c.queue, c.head = nil, 0
 }
 
 // factors computes the service-time inflation at admission: total is the

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"firm/internal/cpath"
+	"firm/internal/ring"
 	"firm/internal/sim"
 	"firm/internal/stats"
 	"firm/internal/svm"
@@ -27,11 +28,11 @@ import (
 // stats.Percentile), and Pearson replicates stats.Pearson's summation order
 // over the same sequences.
 //
-// Per-instance state is one sorted slice (stats.Window) and three fifo
-// rings: the same durations, and the pair series, in arrival order. Each
-// holds one instance's spans of the last window — at most 997 on the
-// benchmark's firm-loop, 417 on rl-train — which is what stats.Window's
-// sorted slice is sized for; its comment has the crossover table.
+// Per-instance state is one sorted slice (stats.Window) and three rings: the
+// same durations, and the pair series, in arrival order. Each holds one
+// instance's spans of the last window — at most 997 on the benchmark's
+// firm-loop, 417 on rl-train — which is what stats.Window's sorted slice is
+// sized for; its comment has the crossover table.
 //
 // Critical-path extraction is lazy: stored traces enter a cheap pending
 // ring and are folded into per-instance state only when Candidates needs
@@ -50,7 +51,7 @@ type Localizer struct {
 	// entries holds the in-window non-dropped traces in consume order
 	// (= End order). The oldest proc entries have been folded into
 	// per-instance state; the rest are pending.
-	entries fifo[locEntry]
+	entries ring.Ring[locEntry]
 	proc    int
 
 	// insts is indexed by instance ID (cluster.Container.ID); nil where the
@@ -93,9 +94,9 @@ type locInst struct {
 	name     string // instance name: Candidates' sort key
 	nonBg    int    // non-background span appearances in window
 
-	durWin  *stats.Window // span self-durations, order statistics
-	durVals fifo[float64] // same values in arrival order (for eviction)
-	px, py  fifo[float64] // (perTrace, cpLats) pairs in arrival order
+	durWin  *stats.Window      // span self-durations, order statistics
+	durVals ring.Ring[float64] // same values in arrival order (for eviction)
+	px, py  ring.Ring[float64] // (perTrace, cpLats) pairs in arrival order
 
 	// Per-trace scratch owned by the processing loop.
 	touchSeq                     uint64
@@ -110,7 +111,7 @@ func NewLocalizer(e *Extractor, capHint int) *Localizer {
 	return &Localizer{
 		cfg:     e.cfg,
 		scorer:  e.svm.NewScorer(),
-		entries: newFIFO[locEntry](capHint),
+		entries: ring.New[locEntry](0, max(capHint, 16)),
 	}
 }
 
@@ -120,7 +121,7 @@ func (l *Localizer) TraceStored(t *trace.Trace) {
 	if t.Dropped {
 		return
 	}
-	e := l.entries.push()
+	e := l.entries.Push()
 	e.t, e.end, e.done = t, t.End, false
 	e.contribs = e.contribs[:0] // keep capacity from the slot's last tenant
 }
@@ -129,7 +130,7 @@ func (l *Localizer) TraceStored(t *trace.Trace) {
 // oldest trace. Evictions arrive in consume order, so the only candidate is
 // our front entry (dropped traces were never tracked and simply miss).
 func (l *Localizer) TraceEvicted(t *trace.Trace) {
-	if l.entries.len() > 0 && l.entries.at(0).t == t {
+	if l.entries.Len() > 0 && l.entries.At(0).t == t {
 		l.pop()
 	}
 }
@@ -138,25 +139,25 @@ func (l *Localizer) TraceEvicted(t *trace.Trace) {
 // equivalent of re-selecting Query{Since: since}. Call it every tick (not
 // only violated ones) so pending state stays bounded by the window.
 func (l *Localizer) Advance(since sim.Time) {
-	for l.entries.len() > 0 && l.entries.at(0).end < since {
+	for l.entries.Len() > 0 && l.entries.At(0).end < since {
 		l.pop()
 	}
 }
 
 // Len returns the number of in-window (non-dropped) traces.
-func (l *Localizer) Len() int { return l.entries.len() }
+func (l *Localizer) Len() int { return l.entries.Len() }
 
 func (l *Localizer) pop() {
-	e := l.entries.pop()
+	e := l.entries.Pop()
 	if e.done {
 		for _, c := range e.contribs {
 			st := c.st
 			for k := int32(0); k < c.durs; k++ {
-				st.durWin.Remove(*st.durVals.pop())
+				st.durWin.Remove(*st.durVals.Pop())
 			}
 			for k := int32(0); k < c.pairs; k++ {
-				st.px.pop()
-				st.py.pop()
+				st.px.Pop()
+				st.py.Pop()
 			}
 			st.nonBg -= int(c.nonBg)
 		}
@@ -206,7 +207,7 @@ func (l *Localizer) process(e *locEntry) {
 	for _, s := range t.Spans {
 		st := l.touch(l.inst(t, s.Instance, s.Service))
 		d := l.cp.Kids.SelfDuration(s).Millis()
-		*st.durVals.push() = d
+		*st.durVals.Push() = d
 		st.durWin.Add(d)
 		st.pendDur++
 		if !s.Background {
@@ -224,15 +225,15 @@ func (l *Localizer) process(e *locEntry) {
 		st.cpSelf += l.cp.Kids.SelfDuration(s)
 	}
 	for _, st := range l.onCP {
-		*st.px.push() = st.cpSelf.Millis()
-		*st.py.push() = e2e
+		*st.px.Push() = st.cpSelf.Millis()
+		*st.py.Push() = e2e
 		st.pendPair++
 	}
 	for _, s := range t.Spans {
 		if s.Background {
 			st := l.insts[s.Instance]
-			*st.px.push() = l.cp.Kids.SelfDuration(s).Millis()
-			*st.py.push() = e2e
+			*st.px.Push() = l.cp.Kids.SelfDuration(s).Millis()
+			*st.py.Push() = e2e
 			st.pendPair++
 		}
 	}
@@ -249,14 +250,14 @@ func (l *Localizer) process(e *locEntry) {
 // Extractor.Candidates(Select(window)). The returned slice is reused across
 // calls; copy if retained.
 func (l *Localizer) Candidates() []Candidate {
-	for l.proc < l.entries.len() {
-		l.process(l.entries.at(l.proc))
+	for l.proc < l.entries.Len() {
+		l.process(l.entries.At(l.proc))
 		l.proc++
 	}
 
 	l.out = l.out[:0]
 	for _, st := range l.insts {
-		if st == nil || st.durVals.len() < l.cfg.MinSamples || st.px.len() < l.cfg.MinSamples {
+		if st == nil || st.durVals.Len() < l.cfg.MinSamples || st.px.Len() < l.cfg.MinSamples {
 			continue
 		}
 		if st.nonBg == 0 && !l.cfg.IncludeBackground {
@@ -304,19 +305,19 @@ func (l *Localizer) Candidates() []Candidate {
 // over ring-ordered pair series. Series are non-empty (MinSamples gates
 // callers) and equal-length by construction, so only the constant-input
 // zero case survives from the batch path's error handling.
-func pearsonRings(xs, ys *fifo[float64]) float64 {
-	n := xs.len()
+func pearsonRings(xs, ys *ring.Ring[float64]) float64 {
+	n := xs.Len()
 	var sx, sy float64
 	for i := 0; i < n; i++ {
-		sx += *xs.at(i)
+		sx += *xs.At(i)
 	}
 	for i := 0; i < n; i++ {
-		sy += *ys.at(i)
+		sy += *ys.At(i)
 	}
 	mx, my := sx/float64(n), sy/float64(n)
 	var sxy, sxx, syy float64
 	for i := 0; i < n; i++ {
-		dx, dy := *xs.at(i)-mx, *ys.at(i)-my
+		dx, dy := *xs.At(i)-mx, *ys.At(i)-my
 		sxy += dx * dy
 		sxx += dx * dx
 		syy += dy * dy

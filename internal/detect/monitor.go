@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"firm/internal/ring"
 	"firm/internal/sim"
 	"firm/internal/stats"
 	"firm/internal/trace"
@@ -26,7 +27,7 @@ type Monitor struct {
 
 	// entries holds the in-window traces in consume order, which is End
 	// order (traces complete on the engine's monotonic clock).
-	entries fifo[monEntry]
+	entries ring.Ring[monEntry]
 
 	drops int
 }
@@ -44,7 +45,7 @@ type monEntry struct {
 // NewMonitor returns an empty monitor. The capacity hint presizes for the
 // expected number of in-window traces.
 func NewMonitor(capHint int) *Monitor {
-	return &Monitor{win: stats.NewWindow(capHint), entries: newFIFO[monEntry](capHint)}
+	return &Monitor{win: stats.NewWindow(capHint), entries: ring.New[monEntry](0, max(capHint, 16))}
 }
 
 // TraceStored implements tracedb.Observer.
@@ -56,14 +57,14 @@ func (m *Monitor) TraceStored(t *trace.Trace) {
 		e.lat = t.Latency().Millis()
 		m.win.Add(e.lat)
 	}
-	*m.entries.push() = e
+	*m.entries.Push() = e
 }
 
 // TraceEvicted implements tracedb.Observer: the store's ring dropped its
 // oldest trace. The ring evicts in consume order, so the only candidate is
 // our front entry; anything older was already expired by Advance.
 func (m *Monitor) TraceEvicted(t *trace.Trace) {
-	if m.entries.len() > 0 && m.entries.at(0).t == t {
+	if m.entries.Len() > 0 && m.entries.At(0).t == t {
 		m.pop()
 	}
 }
@@ -71,13 +72,13 @@ func (m *Monitor) TraceEvicted(t *trace.Trace) {
 // Advance expires entries whose trace ended before since — the incremental
 // equivalent of re-selecting Query{Since: since}.
 func (m *Monitor) Advance(since sim.Time) {
-	for m.entries.len() > 0 && m.entries.at(0).end < since {
+	for m.entries.Len() > 0 && m.entries.At(0).end < since {
 		m.pop()
 	}
 }
 
 func (m *Monitor) pop() {
-	e := m.entries.pop()
+	e := m.entries.Pop()
 	if e.dropped {
 		m.drops--
 	} else {
@@ -87,13 +88,13 @@ func (m *Monitor) pop() {
 }
 
 // Len returns the number of in-window traces, dropped ones included.
-func (m *Monitor) Len() int { return m.entries.len() }
+func (m *Monitor) Len() int { return m.entries.Len() }
 
 // Drops returns the number of dropped requests in the window.
 func (m *Monitor) Drops() int { return m.drops }
 
 // Completed returns the number of non-dropped requests in the window.
-func (m *Monitor) Completed() int { return m.entries.len() - m.drops }
+func (m *Monitor) Completed() int { return m.entries.Len() - m.drops }
 
 // P99 returns the 99th-percentile end-to-end latency (ms) of the window's
 // completed requests — NaN when there are none, like the batch Percentile.

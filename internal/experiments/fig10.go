@@ -47,13 +47,14 @@ func Fig10(x Exec, sc Scale, seed int64) (*Fig10Result, error) {
 	}
 	base := trained.Provider.Agents()[0]
 
-	multi, err := Train(TrainOpts{
-		Pool: x.Pool, Seed: seed + 1, Spec: topology.TrainTicket(),
-		Episodes: sc.EpisodeCount / 2, Variant: Transferred, Base: base,
-	})
-	if err != nil {
-		return nil, err
-	}
+	// Multi-RL: per-service agents transferred from the single-RL base.
+	// Train-Ticket and Social Network share no service name, so every agent
+	// the controller asks for on Social Network would be a fresh transfer
+	// whatever the provider had learned on Train-Ticket: there is nothing
+	// to train here.
+	mcfg := rl.DefaultConfig()
+	mcfg.Seed = seed + 1
+	multi := &core.PerServiceAgents{Cfg: mcfg, Base: base}
 
 	// Phase 2: validate on Social Network — one job per policy. Each job
 	// owns its agent state: the single-RL arm clones the trained base
@@ -72,7 +73,7 @@ func Fig10(x Exec, sc Scale, seed int64) (*Fig10Result, error) {
 		{PolicyFIRMSingle, func(jobSeed int64) core.AgentProvider {
 			return core.SharedAgent{A: cloneAgent(base, jobSeed)}
 		}},
-		{PolicyFIRMMulti, func(int64) core.AgentProvider { return multi.Provider }},
+		{PolicyFIRMMulti, func(int64) core.AgentProvider { return multi }},
 		{PolicyAIMD, nil},
 		{PolicyHPA, nil},
 	}

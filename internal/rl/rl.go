@@ -15,6 +15,7 @@ import (
 	"math/rand"
 
 	"firm/internal/nn"
+	"firm/internal/ring"
 )
 
 // Transition is one (s_t, a_t, r_t, s_{t+1}) tuple (§3.4 RL primer).
@@ -27,13 +28,11 @@ type Transition struct {
 }
 
 // ReplayBuffer is the finite-sized transition cache R of Alg. 3. It holds
-// only what has been added: the backing array grows toward capacity (never
-// past it) and, once full, the oldest slot is overwritten in place. An agent
-// that only runs inference never grows it at all.
+// only what has been added: storage grows toward capacity (never past it)
+// and, once full, the oldest transition is overwritten in place. An agent
+// that only runs inference never allocates a slot.
 type ReplayBuffer struct {
-	buf []Transition // len(buf) == Len(); full once len(buf) == cap
-	cap int
-	pos int // next slot to overwrite once full
+	buf ring.Ring[Transition]
 }
 
 // NewReplayBuffer creates an empty buffer with the given capacity.
@@ -41,40 +40,17 @@ func NewReplayBuffer(capacity int) *ReplayBuffer {
 	if capacity <= 0 {
 		panic("rl: replay capacity must be positive")
 	}
-	return &ReplayBuffer{cap: capacity}
+	return &ReplayBuffer{buf: ring.New[Transition](capacity, 0)}
 }
 
 // Add inserts a transition, evicting the oldest when full.
-func (b *ReplayBuffer) Add(t Transition) {
-	if len(b.buf) < b.cap {
-		if len(b.buf) == cap(b.buf) {
-			// Grow manually toward the bound: append's growth policy may
-			// overshoot it, and a full buffer would keep the overshoot.
-			next := min(max(2*cap(b.buf), 8), b.cap)
-			grown := make([]Transition, len(b.buf), next)
-			copy(grown, b.buf)
-			b.buf = grown
-		}
-		b.buf = append(b.buf, t)
-	} else {
-		b.buf[b.pos] = t
-	}
-	b.pos = (b.pos + 1) % b.cap
-}
+func (b *ReplayBuffer) Add(t Transition) { *b.buf.Push() = t }
 
 // Len returns the number of stored transitions.
-func (b *ReplayBuffer) Len() int { return len(b.buf) }
+func (b *ReplayBuffer) Len() int { return b.buf.Len() }
 
 // At returns the i-th oldest stored transition, i in [0, Len()).
-func (b *ReplayBuffer) At(i int) Transition {
-	if i < 0 || i >= len(b.buf) {
-		panic("rl: replay index out of range")
-	}
-	if len(b.buf) < b.cap {
-		return b.buf[i]
-	}
-	return b.buf[(b.pos+i)%b.cap]
-}
+func (b *ReplayBuffer) At(i int) Transition { return *b.buf.At(i) }
 
 // Sample draws exactly n transitions uniformly with replacement (n may
 // exceed Len; duplicates are then guaranteed, which is the standard
@@ -90,14 +66,16 @@ func (b *ReplayBuffer) Sample(r *rand.Rand, n int) []Transition {
 
 // SampleInto is Sample appending into dst, so a per-step training loop can
 // reuse one minibatch buffer across its entire run (TrainStep does). The
-// random stream is consumed exactly as Sample consumes it.
+// random stream is consumed exactly as Sample consumes it. Draws index
+// storage, not age: the buffer never pops, so its storage holds exactly the
+// stored transitions.
 func (b *ReplayBuffer) SampleInto(r *rand.Rand, n int, dst []Transition) []Transition {
 	ln := b.Len()
 	if ln == 0 || n <= 0 {
 		return dst
 	}
 	for i := 0; i < n; i++ {
-		dst = append(dst, b.buf[r.Intn(ln)])
+		dst = append(dst, *b.buf.Slot(r.Intn(ln)))
 	}
 	return dst
 }

@@ -220,7 +220,7 @@ func TestSampleIntoDstReuseDoesNotAlias(t *testing.T) {
 	other := b.SampleInto(r3, 8, reused[:0])
 	manual := rand.New(rand.NewSource(4))
 	for i := range other {
-		if want := b.buf[manual.Intn(b.Len())].R; other[i].R != want {
+		if want := b.buf.Slot(manual.Intn(b.Len())).R; other[i].R != want {
 			t.Fatalf("resample %d: %v, want %v", i, other[i].R, want)
 		}
 	}
@@ -277,16 +277,20 @@ func TestSampleIntoWraparoundStableAcrossRounds(t *testing.T) {
 			}
 		}
 	}
-	// Raw-index semantics after wraparound: draws map through the ring
-	// arithmetic to age order (raw index i is age (i-pos+cap)%cap).
+	// Raw-index semantics after wraparound: raw slot i holds the newest
+	// transition added at an index congruent to i, so slots 0..4 hold
+	// 8..12 and slots 5..7 hold 5..7.
 	manual := rand.New(rand.NewSource(11))
 	b := mk()
 	got := b.SampleInto(manual, 6, nil)
 	check := rand.New(rand.NewSource(11))
 	for i, tr := range got {
-		ri := check.Intn(b.Len())
-		if want := b.At((ri - b.pos + b.cap) % b.cap); tr.R != want.R {
-			t.Fatalf("wraparound draw %d: R=%v, want %v", i, tr.R, want.R)
+		want := float64(check.Intn(b.Len()))
+		if want < 5 {
+			want += 8
+		}
+		if tr.R != want {
+			t.Fatalf("wraparound draw %d: R=%v, want %v", i, tr.R, want)
 		}
 	}
 }

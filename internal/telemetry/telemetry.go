@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"firm/internal/cluster"
+	"firm/internal/ring"
 	"firm/internal/sim"
 )
 
@@ -34,50 +35,6 @@ type NodeSample struct {
 	CPUAllocated float64
 }
 
-// ring is a fixed-capacity circular buffer in time order. The previous
-// implementation appended and re-sliced on overflow, which both pinned the
-// evicted prefix in the backing array (the re-slice keeps the allocation
-// alive) and re-allocated on append growth forever; the ring's backing
-// array is bounded by max and, once grown, every add is in place.
-type ring[T any] struct {
-	buf  []T
-	head int // index of the oldest element once full
-	max  int
-}
-
-func (r *ring[T]) add(x T) {
-	if len(r.buf) < r.max {
-		if len(r.buf) == cap(r.buf) {
-			// Grow manually toward the bound: append's growth policy may
-			// overshoot max, and the backing array must stay bounded.
-			next := 2 * cap(r.buf)
-			if next < 8 {
-				next = 8
-			}
-			if next > r.max {
-				next = r.max
-			}
-			grown := make([]T, len(r.buf), next)
-			copy(grown, r.buf)
-			r.buf = grown
-		}
-		r.buf = append(r.buf, x)
-		return
-	}
-	r.buf[r.head] = x
-	r.head = (r.head + 1) % r.max
-}
-
-func (r *ring[T]) len() int { return len(r.buf) }
-
-// at returns the i-th oldest element, 0 <= i < len().
-func (r *ring[T]) at(i int) T {
-	if len(r.buf) < r.max {
-		return r.buf[i]
-	}
-	return r.buf[(r.head+i)%r.max]
-}
-
 // Collector samples container and node telemetry on a fixed interval.
 type Collector struct {
 	eng      *sim.Engine
@@ -87,8 +44,8 @@ type Collector struct {
 
 	// containers is indexed by cluster.Container.ID; a ring is built the
 	// first time its container is sampled.
-	containers []*ring[Sample]
-	nodes      map[string]*ring[NodeSample]
+	containers []*ring.Ring[Sample]
+	nodes      map[string]*ring.Ring[NodeSample]
 	ticker     *sim.Ticker
 }
 
@@ -103,7 +60,7 @@ func NewCollector(eng *sim.Engine, cl *cluster.Cluster, interval sim.Time, keep 
 	}
 	c := &Collector{
 		eng: eng, cl: cl, interval: interval, capPer: keep,
-		nodes: make(map[string]*ring[NodeSample]),
+		nodes: make(map[string]*ring.Ring[NodeSample]),
 	}
 	c.ticker = sim.NewTicker(eng, interval, c.sample)
 	return c
@@ -127,27 +84,27 @@ func (c *Collector) sample() {
 	now := c.eng.Now()
 	for _, rs := range c.cl.ReplicaSets() {
 		for _, ct := range rs.Containers() {
-			c.series(ct.ID).add(Sample{
+			*c.series(ct.ID).Push() = Sample{
 				At:       now,
 				Usage:    ct.Usage(),
 				Limits:   ct.Limits(),
 				QueueLen: ct.QueueLen(),
 				Busy:     ct.Busy(),
-			})
+			}
 		}
 	}
 	for _, n := range c.cl.Nodes() {
 		ns, ok := c.nodes[n.ID]
 		if !ok {
-			ns = &ring[NodeSample]{max: c.capPer}
+			ns = newSeries[NodeSample](c.capPer)
 			c.nodes[n.ID] = ns
 		}
-		ns.add(NodeSample{
+		*ns.Push() = NodeSample{
 			At:           now,
 			Util:         n.Utilization(),
 			PerCoreDRAM:  n.PerCoreDRAMAccess(),
 			CPUAllocated: n.CPUAllocated(),
-		})
+		}
 	}
 }
 
@@ -155,7 +112,7 @@ func (c *Collector) sample() {
 // has never been sampled.
 //
 //firmvet:noalloc
-func (c *Collector) sampled(id uint32) *ring[Sample] {
+func (c *Collector) sampled(id uint32) *ring.Ring[Sample] {
 	if int(id) < len(c.containers) {
 		return c.containers[id]
 	}
@@ -163,15 +120,22 @@ func (c *Collector) sampled(id uint32) *ring[Sample] {
 }
 
 // series is sampled, building the ring on the container's first sample.
-func (c *Collector) series(id uint32) *ring[Sample] {
+func (c *Collector) series(id uint32) *ring.Ring[Sample] {
 	if s := c.sampled(id); s != nil {
 		return s
 	}
 	for int(id) >= len(c.containers) {
 		c.containers = append(c.containers, nil)
 	}
-	c.containers[id] = &ring[Sample]{max: c.capPer}
+	c.containers[id] = newSeries[Sample](c.capPer)
 	return c.containers[id]
+}
+
+// newSeries returns an empty series retaining keep samples, with room for
+// the first eight.
+func newSeries[T any](keep int) *ring.Ring[T] {
+	r := ring.New[T](keep, 8)
+	return &r
 }
 
 // Latest returns the most recent sample for a container instance.
@@ -182,13 +146,19 @@ func (c *Collector) Latest(instance uint32) (Sample, bool) {
 	if s == nil {
 		return Sample{}, false
 	}
-	return s.at(s.len() - 1), true
+	return *s.At(s.Len() - 1), true
 }
 
-// sinceIdx binary-searches a time-ordered ring for the first index with
-// At >= since, given an accessor for the i-th element's timestamp.
-func sinceIdx(n int, at func(int) sim.Time, since sim.Time) int {
-	return sort.Search(n, func(i int) bool { return at(i) >= since })
+// copySince returns a copy of a time-ordered series' elements stamped at or
+// after since, found by binary search.
+func copySince[T any](r *ring.Ring[T], since sim.Time, stamp func(*T) sim.Time) []T {
+	n := r.Len()
+	idx := sort.Search(n, func(i int) bool { return stamp(r.At(i)) >= since })
+	out := make([]T, 0, n-idx)
+	for i := idx; i < n; i++ {
+		out = append(out, *r.At(i))
+	}
+	return out
 }
 
 // Window returns a copy of the samples for instance with At >= since.
@@ -197,13 +167,7 @@ func (c *Collector) Window(instance uint32, since sim.Time) []Sample {
 	if s == nil {
 		return nil
 	}
-	n := s.len()
-	idx := sinceIdx(n, func(i int) sim.Time { return s.at(i).At }, since)
-	out := make([]Sample, 0, n-idx)
-	for i := idx; i < n; i++ {
-		out = append(out, s.at(i))
-	}
-	return out
+	return copySince(s, since, func(x *Sample) sim.Time { return x.At })
 }
 
 // NodeWindow returns a copy of the node samples with At >= since.
@@ -212,13 +176,7 @@ func (c *Collector) NodeWindow(nodeID string, since sim.Time) []NodeSample {
 	if !ok {
 		return nil
 	}
-	n := ns.len()
-	idx := sinceIdx(n, func(i int) sim.Time { return ns.at(i).At }, since)
-	out := make([]NodeSample, 0, n-idx)
-	for i := idx; i < n; i++ {
-		out = append(out, ns.at(i))
-	}
-	return out
+	return copySince(ns, since, func(x *NodeSample) sim.Time { return x.At })
 }
 
 // Meter tracks request arrivals: rate (req/s) and composition per type.
@@ -227,8 +185,7 @@ func (c *Collector) NodeWindow(nodeID string, since sim.Time) []NodeSample {
 type Meter struct {
 	eng      *sim.Engine
 	window   sim.Time
-	arrivals []arrival // in time order; arrivals[:head] have expired
-	head     int
+	arrivals ring.Ring[arrival] // in time order
 	types    []string
 	index    map[string]int
 }
@@ -258,24 +215,15 @@ func (m *Meter) Record(reqType string) {
 	if !ok {
 		idx = -1
 	}
-	m.arrivals = append(m.arrivals, arrival{at: m.eng.Now(), typ: idx})
+	*m.arrivals.Push() = arrival{at: m.eng.Now(), typ: idx}
 	m.gc()
 }
 
-// gc expires arrivals older than two windows. Re-slicing them off the front
-// is what ring's comment describes: the backing array keeps its dead prefix
-// and append re-allocates every time capacity runs out, forever. Instead the
-// live arrivals are copied down over the expired ones, once those are at
-// least half the slice — so a copy moves no more than it frees and the
-// backing array stops growing at twice the live set.
+// gc expires arrivals older than two windows.
 func (m *Meter) gc() {
 	cutoff := m.eng.Now() - 2*m.window
-	for m.head < len(m.arrivals) && m.arrivals[m.head].at < cutoff {
-		m.head++
-	}
-	if m.head > 0 && 2*m.head >= len(m.arrivals) {
-		m.arrivals = m.arrivals[:copy(m.arrivals, m.arrivals[m.head:])]
-		m.head = 0
+	for m.arrivals.Len() > 0 && m.arrivals.At(0).at < cutoff {
+		m.arrivals.Pop()
 	}
 }
 
@@ -285,8 +233,8 @@ func (m *Meter) Rate() float64 {
 	now := m.eng.Now()
 	cutoff := now - m.window
 	n := 0
-	for _, a := range m.arrivals[m.head:] {
-		if a.at >= cutoff {
+	for i := 0; i < m.arrivals.Len(); i++ {
+		if m.arrivals.At(i).at >= cutoff {
 			n++
 		}
 	}
@@ -300,8 +248,8 @@ func (m *Meter) PrevRate() float64 {
 	now := m.eng.Now()
 	lo, hi := now-2*m.window, now-m.window
 	n := 0
-	for _, a := range m.arrivals[m.head:] {
-		if a.at >= lo && a.at < hi {
+	for i := 0; i < m.arrivals.Len(); i++ {
+		if a := m.arrivals.At(i); a.at >= lo && a.at < hi {
 			n++
 		}
 	}
@@ -326,8 +274,8 @@ func (m *Meter) Composition() []float64 {
 	cutoff := now - m.window
 	counts := make([]float64, len(m.types))
 	total := 0.0
-	for _, a := range m.arrivals[m.head:] {
-		if a.at >= cutoff && a.typ >= 0 {
+	for i := 0; i < m.arrivals.Len(); i++ {
+		if a := m.arrivals.At(i); a.at >= cutoff && a.typ >= 0 {
 			counts[a.typ]++
 			total++
 		}

@@ -8,6 +8,7 @@ package tracedb
 import (
 	"sort"
 
+	"firm/internal/ring"
 	"firm/internal/sim"
 	"firm/internal/trace"
 )
@@ -27,14 +28,12 @@ type Observer interface {
 }
 
 // Store is a bounded ring of completed traces with per-request-type indexes.
-// The ring grows by append until it holds cap traces and overwrites in place
-// from then on: a testbed that never stores cap traces (every training
-// episode, most experiment cells) never pays for cap pointers.
+// The ring grows toward cap traces and overwrites in place from then on: a
+// testbed that never stores cap traces (every training episode, most
+// experiment cells) never pays for cap pointers.
 type Store struct {
-	cap  int
-	buf  []*trace.Trace
-	head int // index of the oldest trace; moves only once the ring is full
-	obs  []Observer
+	traces ring.Ring[*trace.Trace]
+	obs    []Observer
 
 	total uint64
 }
@@ -44,20 +43,17 @@ func New(cap int) *Store {
 	if cap <= 0 {
 		panic("tracedb: capacity must be positive")
 	}
-	return &Store{cap: cap}
+	return &Store{traces: ring.New[*trace.Trace](cap, 0)}
 }
 
 // Consume implements trace.Sink.
 func (s *Store) Consume(t *trace.Trace) {
-	if len(s.buf) < s.cap {
-		s.buf = append(s.buf, t)
-	} else {
+	if s.traces.Full() {
 		for _, o := range s.obs {
-			o.TraceEvicted(s.buf[s.head])
+			o.TraceEvicted(*s.traces.At(0))
 		}
-		s.buf[s.head] = t
-		s.head = (s.head + 1) % s.cap
 	}
+	*s.traces.Push() = t
 	s.total++
 	for _, o := range s.obs {
 		o.TraceStored(t)
@@ -75,18 +71,13 @@ func (s *Store) Observe(o Observer) {
 }
 
 // Len returns the number of traces currently stored.
-func (s *Store) Len() int { return len(s.buf) }
+func (s *Store) Len() int { return s.traces.Len() }
 
 // Total returns the number of traces ever consumed.
 func (s *Store) Total() uint64 { return s.total }
 
 // at returns the i-th stored trace oldest-first, 0 <= i < Len().
-func (s *Store) at(i int) *trace.Trace {
-	if i += s.head; i >= len(s.buf) {
-		i -= len(s.buf)
-	}
-	return s.buf[i]
-}
+func (s *Store) at(i int) *trace.Trace { return *s.traces.At(i) }
 
 // Query selects traces matching the filter. Zero-valued filter fields match
 // everything.

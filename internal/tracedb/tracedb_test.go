@@ -21,8 +21,11 @@ func tr(id uint64, typ string, end sim.Time, dropped bool) *trace.Trace {
 
 // all returns stored traces oldest-first, read straight off the ring.
 func (s *Store) all() []*trace.Trace {
-	out := append(make([]*trace.Trace, 0, s.Len()), s.buf[s.head:]...)
-	return append(out, s.buf[:s.head]...)
+	out := make([]*trace.Trace, s.Len())
+	for i := range out {
+		out[i] = s.at(i)
+	}
+	return out
 }
 
 func TestRingEviction(t *testing.T) {
