@@ -36,7 +36,7 @@ func harness(t *testing.T, spec *topology.Spec, seed int64) (*sim.Engine, *App, 
 }
 
 // service names the service a span of tr ran on.
-func service(tr *trace.Trace, sp trace.Span) string { return tr.Names.ServiceName(sp.Service) }
+func service(tr *trace.Trace, sp trace.Span) string { return tr.Names.ServiceName(uint32(sp.Service)) }
 
 func TestDeployCreatesAllServices(t *testing.T) {
 	_, a, _ := harness(t, topology.SocialNetwork(), 1)
@@ -126,7 +126,7 @@ func TestParallelChildrenOverlap(t *testing.T) {
 	}
 	v, u, txt := spanOf("video"), spanOf("user-tag"), spanOf("text")
 	// Parallel spans must overlap pairwise (paper's definition in §3.2).
-	overlap := func(a, b trace.Span) bool { return a.Start < b.End && b.Start < a.End }
+	overlap := func(a, b trace.Span) bool { return a.Start < b.End() && b.Start < a.End() }
 	if !overlap(v, u) || !overlap(v, txt) || !overlap(u, txt) {
 		t.Fatalf("parallel spans do not overlap: V=%v U=%v T=%v", v, u, txt)
 	}
@@ -138,7 +138,7 @@ func TestParallelChildrenOverlap(t *testing.T) {
 	}
 	c := spanOf("compose-post")
 	for _, sp := range []trace.Span{v, u, txt} {
-		if c.Start < sp.End {
+		if c.Start < sp.End() {
 			t.Fatalf("compose-post started before parallel child ended")
 		}
 	}
@@ -161,7 +161,7 @@ func TestSequentialHappensBefore(t *testing.T) {
 	if travel.ID == 0 || seat.ID == 0 {
 		t.Fatal("expected ts-travel and ts-seat spans")
 	}
-	if seat.Start < travel.End {
+	if seat.Start < travel.End() {
 		t.Fatal("ts-seat must start after ts-travel completes (sequential)")
 	}
 }
@@ -418,8 +418,8 @@ func TestRetriedRootKeepsOneRoot(t *testing.T) {
 			t.Errorf("retried trace: %v", err)
 		}
 		root := tr.Root()
-		if root.End != tr.End { // the served root's response hop is the request's last event
-			t.Errorf("root span ends at %v, trace at %v: root is not the served attempt", root.End, tr.End)
+		if root.End() != tr.End { // the served root's response hop is the request's last event
+			t.Errorf("root span ends at %v, trace at %v: root is not the served attempt", root.End(), tr.End)
 		}
 		if p := cpath.Extract(tr); p.Signature() != "svc-a→svc-b" || p.Latency != root.Duration() {
 			t.Errorf("critical path %q (%v), want svc-a→svc-b (%v)", p.Signature(), p.Latency, root.Duration())
@@ -456,7 +456,7 @@ func TestDeploySharedSpecConcurrently(t *testing.T) {
 			sink := trace.SinkFunc(func(tr *trace.Trace) {
 				fmt.Fprint(h, tr.ID, tr.Start, tr.End, tr.Dropped)
 				for _, s := range tr.Spans {
-					fmt.Fprint(h, s.ID, s.Parent, tr.Names.ServiceName(s.Service), tr.Names.InstanceName(s.Instance), s.Start, s.End, s.Queued, s.Background)
+					fmt.Fprint(h, s.ID, s.Parent, tr.Names.ServiceName(uint32(s.Service)), tr.Names.InstanceName(s.Instance), s.Start, s.End(), s.Queued, s.Background)
 				}
 			})
 			a, err := Deploy(eng, cl, spec, trace.NewCoordinator(eng, sink, cl))

@@ -82,10 +82,10 @@ func requestDigest(t *testing.T, specName, variant string, seed int64) (digest u
 			put(uint64(tr.ID))
 			put(uint64(s.ID))
 			put(uint64(s.Parent))
-			h.Write([]byte(tr.Names.ServiceName(s.Service)))
+			h.Write([]byte(tr.Names.ServiceName(uint32(s.Service))))
 			h.Write([]byte(tr.Names.InstanceName(s.Instance)))
 			put(uint64(s.Start))
-			put(uint64(s.End))
+			put(uint64(s.End()))
 			put(uint64(s.Queued))
 			put(bit(s.Background))
 		}

@@ -288,9 +288,10 @@ func (f *frame) WorkDropped() {
 	f.fail()
 }
 
-// emit seals the current attempt's span, ending now. Span.Queued is 32
-// bits of µs, so a queueing delay past ≈ 71.6 min panics instead of
-// truncating.
+// emit seals the current attempt's span, ending now. Span.Dur and
+// Span.Queued are 32 bits of µs, so a span or a queueing delay past
+// ≈ 71.6 min panics instead of truncating. Service fits its 16 bits: the
+// cluster mints no larger ReplicaSet.ID.
 //
 //firmvet:noalloc
 func (f *frame) emit(queued sim.Time) {
@@ -298,18 +299,22 @@ func (f *frame) emit(queued sim.Time) {
 	if a.Coord == nil {
 		return
 	}
+	dur := a.eng.Now() - f.dispatch
+	if dur > math.MaxUint32 {
+		panic("app: span duration exceeds Span.Dur (2^32-1 µs)")
+	}
 	if queued > math.MaxUint32 {
 		panic("app: queueing delay exceeds Span.Queued (2^32-1 µs)")
 	}
 	a.Coord.Emit(f.ctx.trace, trace.Span{
 		ID:         f.span,
 		Parent:     f.parent,
-		Service:    f.node.rs.ID,
 		Instance:   f.target.ID,
-		Start:      f.dispatch,
-		End:        a.eng.Now(),
-		Queued:     uint32(queued),
+		Service:    uint16(f.node.rs.ID),
 		Background: f.background,
+		Start:      f.dispatch,
+		Dur:        uint32(dur),
+		Queued:     uint32(queued),
 	})
 }
 

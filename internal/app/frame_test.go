@@ -98,9 +98,9 @@ func TestParGroupShedReentrancy(t *testing.T) {
 		if want := 5 - len(tc.shed); len(spans) != want {
 			t.Fatalf("%s: %d services served, want %d: %v", tc.name, len(spans), want, spans)
 		}
-		if live, ok := spans["leaf-2"]; ok && spans["tail"].Start < live.End {
+		if live, ok := spans["leaf-2"]; ok && spans["tail"].Start < live.End() {
 			t.Fatalf("%s: barrier started at %v, before the group's live child responded at %v",
-				tc.name, spans["tail"].Start, live.End)
+				tc.name, spans["tail"].Start, live.End())
 		}
 	}
 }
@@ -230,4 +230,29 @@ func TestEmitQueuedBound(t *testing.T) {
 		}
 	}()
 	f.emit(math.MaxUint32 + 1)
+}
+
+// TestEmitDurBound: Span.Dur holds 32 bits of µs. A span lasting exactly the
+// bound is recorded exactly; one µs longer panics instead of truncating.
+func TestEmitDurBound(t *testing.T) {
+	eng, a, _ := harness(t, fanSpec(topology.Seq), 1)
+	n := a.resolve(a.Spec.Endpoints[0].Root, nil, 0)
+	f := &frame{
+		ctx:      &reqCtx{app: a, trace: a.Coord.StartTrace("get", 1)},
+		node:     n,
+		target:   n.rs.Containers()[0],
+		dispatch: 1,
+	}
+	eng.RunUntil(math.MaxUint32 + 1)
+	f.emit(0)
+	if s := f.ctx.trace.Spans[0]; s.Dur != math.MaxUint32 || s.End() != eng.Now() {
+		t.Fatalf("Dur = %d, End = %v; want %d, %v", s.Dur, s.End(), uint32(math.MaxUint32), eng.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("emit truncated a span longer than 2^32-1 µs without panicking")
+		}
+	}()
+	f.dispatch = 0
+	f.emit(0)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -211,10 +212,15 @@ func (cl *Cluster) DeployService(service string, replicas int, limits Vector) (*
 	return rs, nil
 }
 
-// newSet registers an empty replica set under the next service ID.
+// newSet registers an empty replica set under the next service ID. Spans
+// carry that ID in 16 bits (trace.Span.Service), so a cluster holds at most
+// 65,536 replica sets and panics rather than mint an ID that would truncate.
 func (cl *Cluster) newSet(service string) (*ReplicaSet, error) {
 	if _, dup := cl.sets[service]; dup {
 		return nil, fmt.Errorf("cluster: service %s already deployed", service)
+	}
+	if len(cl.byID) > math.MaxUint16 {
+		panic("cluster: service IDs exhausted (65,536 replica sets, the bound of trace.Span.Service)")
 	}
 	rs := &ReplicaSet{Service: service, ID: uint32(len(cl.byID)), cl: cl}
 	cl.sets[service] = rs

@@ -444,6 +444,27 @@ func TestDuplicateServiceRejected(t *testing.T) {
 	}
 }
 
+// TestReplicaSetIDBound: spans carry the service ID in 16 bits, so the
+// 65,536th replica set (ID 65535) is the last a cluster mints; the next one
+// panics instead of truncating.
+func TestReplicaSetIDBound(t *testing.T) {
+	_, cl := testCluster(t, 1)
+	cl.byID = make([]*ReplicaSet, math.MaxUint16) // IDs 0..65534 taken
+	rs, err := cl.DeployService("last", 0, Vector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.ID != math.MaxUint16 {
+		t.Fatalf("65,536th replica set has ID %d, want %d", rs.ID, math.MaxUint16)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 65,537th replica set was minted without panicking")
+		}
+	}()
+	cl.DeployService("one-too-many", 0, Vector{})
+}
+
 func TestFractionalCPUInflatesServiceTime(t *testing.T) {
 	eng, cl := testCluster(t, 1)
 	rs, _ := cl.DeployService("svc", 1, V(0.5, 10000, 38, 1000, 1000))

@@ -31,7 +31,7 @@ type Path struct {
 func (p Path) Services() []string {
 	out := make([]string, len(p.Spans))
 	for i, s := range p.Spans {
-		out[i] = p.names.ServiceName(s.Service)
+		out[i] = p.names.ServiceName(uint32(s.Service))
 	}
 	return out
 }
@@ -71,7 +71,7 @@ type Extractor struct {
 func (e *Extractor) Extract(t *trace.Trace) Path {
 	e.Kids.Reset(t)
 	root := t.RootIndex()
-	if root < 0 || (t.Spans[root].ID == 0 && t.Spans[root].End == 0) {
+	if root < 0 || (t.Spans[root].ID == 0 && t.Spans[root].End() == 0) {
 		return Path{}
 	}
 	e.spans = e.spans[:0]
@@ -96,8 +96,8 @@ func (e *Extractor) visit(si int32) {
 			continue
 		}
 		l := &spans[lrc]
-		if k.End > l.End || (k.End == l.End && k.Start > l.Start) ||
-			(k.End == l.End && k.Start == l.Start && k.ID > l.ID) {
+		if k.End() > l.End() || (k.End() == l.End() && k.Start > l.Start) ||
+			(k.End() == l.End() && k.Start == l.Start && k.ID > l.ID) {
 			lrc = ki
 		}
 	}
@@ -118,8 +118,8 @@ func (e *Extractor) visit(si int32) {
 			if k.Background || !precedes(k, head) {
 				continue
 			}
-			if best < 0 || k.End > spans[best].End ||
-				(k.End == spans[best].End && k.ID > spans[best].ID) {
+			if best < 0 || k.End() > spans[best].End() ||
+				(k.End() == spans[best].End() && k.ID > spans[best].ID) {
 				best = ki
 			}
 		}
@@ -137,7 +137,7 @@ func (e *Extractor) visit(si int32) {
 
 // happensBefore reports the paper's sequential-workflow condition: i
 // completes and returns before j starts (§3.2: t(r,i→p) ≤ t(s,p→j)).
-func happensBefore(i, j trace.Span) bool { return i.End <= j.Start }
+func happensBefore(i, j trace.Span) bool { return i.End() <= j.Start }
 
 // precedes reports whether k chains onto the CP ahead of head: it
 // happens-before it and comes strictly earlier in (End, ID) order. A span
@@ -146,7 +146,7 @@ func happensBefore(i, j trace.Span) bool { return i.End <= j.Start }
 // each of which happens-before the other, and without it the chain would
 // alternate between them forever.
 func precedes(k, head *trace.Span) bool {
-	return happensBefore(*k, *head) && (k.End < head.End || (k.End == head.End && k.ID < head.ID))
+	return happensBefore(*k, *head) && (k.End() < head.End() || (k.End() == head.End() && k.ID < head.ID))
 }
 
 // Group clusters traces by CP signature. It returns, per signature, the

@@ -24,7 +24,7 @@ func mkTrace(spans ...trace.Span) *trace.Trace {
 	t.Spans = spans
 	if len(spans) > 0 {
 		t.Start = spans[0].Start
-		t.End = spans[0].End
+		t.End = spans[0].End()
 	}
 	return t
 }
@@ -35,8 +35,8 @@ func sp(id, parent trace.SpanID, svc string, start, end sim.Time, bg bool) trace
 		i = len(*testNames)
 		*testNames = append(*testNames, svc)
 	}
-	return trace.Span{ID: id, Parent: parent, Service: uint32(i), Instance: uint32(i),
-		Start: start, End: end, Background: bg}
+	return trace.Span{ID: id, Parent: parent, Service: uint16(i), Instance: uint32(i),
+		Start: start, Dur: uint32(end - start), Background: bg}
 }
 
 // Fig. 2(b)-shaped trace: N with parallel V,U,T; I sequential after U; C
@@ -250,7 +250,7 @@ func TestMinMaxCP(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr := fig2Trace(200, 600, 300)
 		// Inflate end-to-end latency for group B.
-		tr.Spans[0].End = 2000
+		tr.Spans[0].Dur = uint32(2000 - tr.Spans[0].Start)
 		tr.End = 2000
 		traces = append(traces, tr)
 	}

@@ -29,7 +29,7 @@ func scanChildren(t *trace.Trace, parent trace.SpanID) []trace.Span {
 // children scan and two fresh slices per span. Kept as the oracle.
 func scanExtract(t *trace.Trace) Path {
 	root := t.Root()
-	if root.ID == 0 && root.End == 0 {
+	if root.ID == 0 && root.End() == 0 {
 		return Path{}
 	}
 	var spans []trace.Span
@@ -47,8 +47,8 @@ func scanExtract(t *trace.Trace) Path {
 		}
 		lrc := kids[0]
 		for _, k := range kids[1:] {
-			if k.End > lrc.End || (k.End == lrc.End && k.Start > lrc.Start) ||
-				(k.End == lrc.End && k.Start == lrc.Start && k.ID > lrc.ID) {
+			if k.End() > lrc.End() || (k.End() == lrc.End() && k.Start > lrc.Start) ||
+				(k.End() == lrc.End() && k.Start == lrc.Start && k.ID > lrc.ID) {
 				lrc = k
 			}
 		}
@@ -61,7 +61,7 @@ func scanExtract(t *trace.Trace) Path {
 				if !precedes(&k, &head) {
 					continue
 				}
-				if !found || k.End > best.End || (k.End == best.End && k.ID > best.ID) {
+				if !found || k.End() > best.End() || (k.End() == best.End() && k.ID > best.ID) {
 					best, found = k, true
 				}
 			}
@@ -106,7 +106,7 @@ func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
 			// Children start after their parent does (ids grow down the
 			// tree), so chains are long enough to matter; time is coarse.
 			s.Start = sim.Time(i/3 + r.Intn(4))
-			s.End = s.Start + sim.Time(r.Intn(6))
+			s.Dur = uint32(r.Intn(6))
 			tr.Spans = append(tr.Spans, s)
 		}
 		r.Shuffle(n, func(i, j int) { tr.Spans[i], tr.Spans[j] = tr.Spans[j], tr.Spans[i] })

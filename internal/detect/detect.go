@@ -136,7 +136,7 @@ func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
 		}
 		e2e := t.Latency().Millis()
 		for _, s := range t.Spans {
-			st := get(s.Instance, s.Service, s.Background)
+			st := get(s.Instance, uint32(s.Service), s.Background)
 			st.durations = append(st.durations, cp.Kids.SelfDuration(s).Millis())
 		}
 		for inst, d := range onCP {

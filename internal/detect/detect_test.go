@@ -27,8 +27,8 @@ var testNames = nameTable{
 
 // on returns a span's identity fields: the service's ID and the ID of its
 // instance "<service>-<replica>".
-func on(service string, replica int) (svc, inst uint32) {
-	return uint32(slices.Index(testNames.svc, service)),
+func on(service string, replica int) (svc uint16, inst uint32) {
+	return uint16(slices.Index(testNames.svc, service)),
 		uint32(slices.Index(testNames.inst, fmt.Sprintf("%s-%d", service, replica)))
 }
 
@@ -54,9 +54,9 @@ func window(n int, congested bool, r *rand.Rand) []*trace.Trace {
 			ID: trace.TraceID(i + 1), Type: "req", Names: testNames,
 			Start: 0, End: rootEnd,
 			Spans: []trace.Span{
-				{ID: 1, Parent: 0, Start: 0, End: rootEnd},
-				{ID: 2, Parent: 1, Start: aStart, End: aEnd},
-				{ID: 3, Parent: 1, Start: bStart, End: bEnd},
+				{ID: 1, Parent: 0, Start: 0, Dur: uint32(rootEnd)},
+				{ID: 2, Parent: 1, Start: aStart, Dur: uint32(aDur)},
+				{ID: 3, Parent: 1, Start: bStart, Dur: uint32(bDur)},
 			},
 		}
 		tr.Spans[0].Service, tr.Spans[0].Instance = on("root", 1)
@@ -197,7 +197,7 @@ func TestBackgroundInstancesScored(t *testing.T) {
 		if r.Float64() < 0.25 {
 			dur = sim.FromMillis(100)
 		}
-		w := trace.Span{ID: 4, Parent: 1, Start: sim.FromMillis(2), End: sim.FromMillis(2) + dur, Background: true}
+		w := trace.Span{ID: 4, Parent: 1, Start: sim.FromMillis(2), Dur: uint32(dur), Background: true}
 		w.Service, w.Instance = on("W", 1)
 		tr.Spans = append(tr.Spans, w)
 		_ = i

@@ -205,7 +205,7 @@ func (l *Localizer) process(e *locEntry) {
 	p := l.cp.Extract(t)
 	e2e := t.Latency().Millis()
 	for _, s := range t.Spans {
-		st := l.touch(l.inst(t, s.Instance, s.Service))
+		st := l.touch(l.inst(t, s.Instance, uint32(s.Service)))
 		d := l.cp.Kids.SelfDuration(s).Millis()
 		*st.durVals.Push() = d
 		st.durWin.Add(d)

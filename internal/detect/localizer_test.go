@@ -27,7 +27,6 @@ func streamTrace(i int, now sim.Time, r *rand.Rand) *trace.Trace {
 	aStart := start + sim.FromMillis(1)
 	aEnd := aStart + aDur
 	bStart := aEnd + sim.FromMillis(0.2)
-	bEnd := bStart + bDur
 	aReplica := 1
 	if r.Intn(3) == 0 {
 		aReplica = 2
@@ -37,9 +36,9 @@ func streamTrace(i int, now sim.Time, r *rand.Rand) *trace.Trace {
 		Start: start, End: now,
 		Dropped: r.Intn(15) == 0,
 		Spans: []trace.Span{
-			{ID: 1, Parent: 0, Start: start, End: now},
-			{ID: 2, Parent: 1, Start: aStart, End: aEnd},
-			{ID: 3, Parent: 1, Start: bStart, End: bEnd},
+			{ID: 1, Parent: 0, Start: start, Dur: uint32(now - start)},
+			{ID: 2, Parent: 1, Start: aStart, Dur: uint32(aDur)},
+			{ID: 3, Parent: 1, Start: bStart, Dur: uint32(bDur)},
 		},
 	}
 	tr.Spans[0].Service, tr.Spans[0].Instance = on("root", 1)
@@ -48,7 +47,7 @@ func streamTrace(i int, now sim.Time, r *rand.Rand) *trace.Trace {
 	if r.Intn(4) == 0 {
 		gc := trace.Span{
 			ID: 4, Parent: 1,
-			Start: aStart, End: aStart + sim.FromMillis(3+r.Float64()*aDur.Millis()),
+			Start: aStart, Dur: uint32(sim.FromMillis(3 + r.Float64()*aDur.Millis())),
 			Background: true,
 		}
 		gc.Service, gc.Instance = on("gc", 1)
@@ -89,7 +88,7 @@ func stringKeyedFeatures(cfg Config, traces []*trace.Trace) []namedCand {
 		for _, s := range t.Spans {
 			st, ok := table[inst(s)]
 			if !ok {
-				st = &instanceStats{service: t.Names.ServiceName(s.Service), bgOnly: true}
+				st = &instanceStats{service: t.Names.ServiceName(uint32(s.Service)), bgOnly: true}
 				table[inst(s)] = st
 			}
 			if !s.Background {

@@ -255,7 +255,7 @@ func table1Run(victim string, seed int64, dur sim.Time) (table1Row, error) {
 		totals = append(totals, tr.Latency().Millis())
 		sigCount[cp.Extract(tr).Signature()]++
 		for _, sp := range tr.Spans {
-			if col, ok := table1Cols[tr.Names.ServiceName(sp.Service)]; ok {
+			if col, ok := table1Cols[tr.Names.ServiceName(uint32(sp.Service))]; ok {
 				perSvc[col] = append(perSvc[col], cp.Kids.SelfDuration(sp).Millis())
 			}
 		}

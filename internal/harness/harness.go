@@ -40,11 +40,16 @@ type Options struct {
 }
 
 // Fixed testbed parameters: the trace store's capacity, the telemetry
-// collector's sampling interval and the workload meter's window.
+// collector's sampling interval and retention, and the workload meter's
+// window.
 const (
 	traceCap          = 200000
 	telemetryInterval = 250 * sim.Millisecond
-	meterWindow       = sim.Second
+	// telemetryKeep is one sample per container and node: the testbed's only
+	// readers — the controller's flush and the RL state builder — read
+	// Collector.Latest. Tests that need history build their own collector.
+	telemetryKeep = 1
+	meterWindow   = sim.Second
 )
 
 // PaperNodes returns the §4.1 testbed: 15 two-socket servers, nine x86 and
@@ -110,7 +115,7 @@ func New(opts Options) (*Bench, error) {
 		DB:       db,
 		Coord:    coord,
 		App:      a,
-		Col:      telemetry.NewCollector(eng, cl, telemetryInterval, 2000),
+		Col:      telemetry.NewCollector(eng, cl, telemetryInterval, telemetryKeep),
 		Meter:    telemetry.NewMeter(eng, meterWindow, types),
 		Deploy:   deploy.New(eng, cl),
 		Injector: injector.New(eng, opts.Seed),

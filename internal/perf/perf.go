@@ -219,16 +219,15 @@ func TracedbSelect(b *testing.B) {
 }
 
 // TelemetryAdd measures one full sampling pass (every container and node)
-// with all retention rings at capacity — the steady state every collector
-// interval pays. In-place ring overwrites make this allocation-free; the
-// replaced slice-reslicing implementation allocated on every growth and
-// pinned evicted prefixes.
+// of the harness collector with all retention rings at capacity — the
+// steady state every collector interval pays. In-place ring overwrites make
+// this allocation-free.
 func TelemetryAdd(b *testing.B) {
 	bed := newTickBed()
 	col := bed.tb.Col
-	// The harness retains 2000 samples per series; fill every ring so each
-	// measured pass overwrites in place.
-	for i := 0; i < 2001; i++ {
+	// Fill every ring past the harness's retention so each measured pass
+	// overwrites in place.
+	for i := 0; i <= col.Keep(); i++ {
 		col.SampleNow()
 	}
 	b.ReportAllocs()

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -116,6 +118,53 @@ func TestCanonicalJSONRoundTrip(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatalf("decode → re-encode not byte-stable:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
+}
+
+// FuzzCanonicalRoundTrip: whatever Decode accepts, its canonical encoding
+// is a fixpoint — Marshal → Decode → Marshal reproduces the bytes, NaN and
+// ±Inf included. The corpus is seeded with the experiment goldens' JSON and
+// the sample campaign.
+func FuzzCanonicalRoundTrip(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("..", "experiments", "testdata", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(goldens) == 0 {
+		f.Fatal("no golden JSON to seed the corpus")
+	}
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	sample, err := Marshal(sampleCampaign())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sample)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		first, err := Marshal(c)
+		if err != nil {
+			t.Fatalf("Marshal of a decoded campaign: %v", err)
+		}
+		back, err := Decode(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("Decode rejects canonical output: %v\n%s", err, first)
+		}
+		second, err := Marshal(back)
+		if err != nil {
+			t.Fatalf("Marshal after round trip: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("Marshal → Decode → Marshal is not a fixpoint:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+		}
+	})
 }
 
 func TestCanonicalJSONStable(t *testing.T) {

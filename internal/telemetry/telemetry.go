@@ -50,13 +50,14 @@ type Collector struct {
 }
 
 // NewCollector creates a collector sampling every interval, retaining up to
-// keep samples per container/node.
+// keep samples per container/node. Latest reads only the newest, so keep 1
+// serves it; Window and NodeWindow see everything kept.
 func NewCollector(eng *sim.Engine, cl *cluster.Cluster, interval sim.Time, keep int) *Collector {
 	if interval <= 0 {
 		panic("telemetry: non-positive interval")
 	}
 	if keep <= 0 {
-		keep = 600
+		panic("telemetry: non-positive retention")
 	}
 	c := &Collector{
 		eng: eng, cl: cl, interval: interval, capPer: keep,
@@ -74,6 +75,9 @@ func (c *Collector) Stop() { c.ticker.Stop() }
 
 // Interval returns the sampling period.
 func (c *Collector) Interval() sim.Time { return c.interval }
+
+// Keep returns how many samples each container and node series retains.
+func (c *Collector) Keep() int { return c.capPer }
 
 // SampleNow takes one sampling pass at the current simulated time, outside
 // the ticker schedule. It exists for the telemetry microbenchmarks

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -201,6 +202,7 @@ func TestPanicsOnBadParams(t *testing.T) {
 		fn()
 	}
 	mustPanic(func() { NewCollector(eng, nil, 0, 10) })
+	mustPanic(func() { NewCollector(eng, nil, sim.Second, 0) })
 	mustPanic(func() { NewMeter(eng, 0, nil) })
 }
 
@@ -228,6 +230,16 @@ func TestCollectorWindowAcrossWrap(t *testing.T) {
 	if got := col.Window(c.ID, w[4].At+1); len(got) != 0 {
 		t.Fatalf("window past the newest sample = %v, want no data", got)
 	}
+}
+
+// sameBits reports whether two vectors are equal bit for bit.
+func sameBits(a, b cluster.Vector) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestSampleUtilMatchesContainer: Sample keeps Usage and Limits, not their
@@ -259,14 +271,6 @@ func TestSampleUtilMatchesContainer(t *testing.T) {
 	scale := cluster.V(4, 2000, 8, 200, 200)
 	retired := map[*cluster.Container]cluster.Vector{} // last sampled Utilization
 	zeroLimits, sampled := 0, 0
-	same := func(a, b cluster.Vector) bool {
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				return false
-			}
-		}
-		return true
-	}
 	for step := 0; step < 2000; step++ {
 		cts := rs.Containers()
 		switch op := r.Intn(10); {
@@ -294,7 +298,7 @@ func TestSampleUtilMatchesContainer(t *testing.T) {
 			if !ok {
 				t.Fatalf("step %d: container %d not sampled", step, c.ID)
 			}
-			if want := c.Utilization(); !same(s.Util(), want) {
+			if want := c.Utilization(); !sameBits(s.Util(), want) {
 				t.Fatalf("step %d: Sample.Util() = %v, Container.Utilization() = %v", step, s.Util(), want)
 			}
 			for _, l := range s.Limits {
@@ -306,11 +310,101 @@ func TestSampleUtilMatchesContainer(t *testing.T) {
 		}
 	}
 	for c, want := range retired {
-		if s, ok := col.Latest(c.ID); !ok || !same(s.Util(), want) {
+		if s, ok := col.Latest(c.ID); !ok || !sameBits(s.Util(), want) {
 			t.Fatalf("retired container %d: Sample.Util() = %v, last Utilization() = %v", c.ID, s.Util(), want)
 		}
 	}
 	if zeroLimits == 0 || len(retired) == 0 || sampled < 1000 {
 		t.Fatalf("coverage: %d zero limits, %d retired containers, %d samples", zeroLimits, len(retired), sampled)
+	}
+}
+
+// TestRetentionInvisibleToLatest: Latest reads only the newest sample, so a
+// collector retaining one sample answers it bit for bit as one retaining
+// 2000 does — the reason the harness keeps one. The cluster sees random
+// work, limit changes, injected demand, scale-out and scale-in; every
+// container ever placed, retired ones included, is compared after every
+// tick.
+func TestRetentionInvisibleToLatest(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	eng := sim.NewEngine(1)
+	cl := cluster.New(eng, cluster.DefaultConfig())
+	cl.AddNode(cluster.XeonProfile)
+	cl.AddNode(cluster.PowerProfile)
+	var (
+		sets []*cluster.ReplicaSet
+		seen []*cluster.Container // every container ever placed
+	)
+	for i := 0; i < 3; i++ {
+		rs, err := cl.DeployService(fmt.Sprintf("svc-%d", i), 1+i, cluster.V(1, 500, 2, 50, 50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, rs)
+		seen = append(seen, rs.Containers()...)
+	}
+	const interval, ticks = 100 * sim.Millisecond, 3000
+	short := NewCollector(eng, cl, interval, 1)
+	long := NewCollector(eng, cl, interval, 2000)
+	short.Start()
+	long.Start()
+	vec := func() cluster.Vector {
+		var v cluster.Vector
+		for i := range v {
+			v[i] = r.Float64() * 2 * cluster.V(2, 1000, 4, 100, 100)[i]
+		}
+		return v
+	}
+	same := func(a, b Sample) bool {
+		return a.At == b.At && a.QueueLen == b.QueueLen && a.Busy == b.Busy &&
+			sameBits(a.Usage, b.Usage) && sameBits(a.Limits, b.Limits)
+	}
+	scaledOut, scaledIn := 0, 0
+	for tick := 1; tick <= ticks; tick++ {
+		for k := r.Intn(4); k > 0; k-- {
+			rs := sets[r.Intn(len(sets))]
+			cts := rs.Containers()
+			switch op := r.Intn(6); {
+			case op < 2 && len(cts) > 0:
+				cts[r.Intn(len(cts))].Submit(cluster.Work{
+					Base: sim.Time(1+r.Intn(300)) * sim.Millisecond, Demand: vec()})
+			case op == 2 && len(cts) > 0:
+				cts[r.Intn(len(cts))].SetLimits(vec())
+			case op == 3 && len(cts) > 0:
+				cts[r.Intn(len(cts))].SetInjectedLoad(vec())
+			case op == 4 && len(cts) > 0:
+				rs.RemoveReplica(cts[r.Intn(len(cts))])
+				scaledIn++
+			case len(cts) < 4:
+				c, err := rs.AddReplica(cluster.V(1, 500, 2, 50, 50), r.Intn(2) == 0, false)
+				if err != nil {
+					continue // no node has room
+				}
+				seen = append(seen, c)
+				scaledOut++
+			}
+		}
+		eng.RunUntil(sim.Time(tick) * interval)
+		for _, c := range seen {
+			a, okA := short.Latest(c.ID)
+			b, okB := long.Latest(c.ID)
+			if okA != okB || !same(a, b) {
+				t.Fatalf("tick %d, container %d: keep 1 Latest = %+v (%v), keep 2000 Latest = %+v (%v)",
+					tick, c.ID, a, okA, b, okB)
+			}
+		}
+	}
+	if scaledOut == 0 || scaledIn == 0 {
+		t.Fatalf("coverage: %d scale-outs, %d scale-ins", scaledOut, scaledIn)
+	}
+	longest := 0 // the comparison means something only if long kept history
+	for _, c := range seen {
+		if n := len(short.Window(c.ID, 0)); n > 1 {
+			t.Fatalf("container %d: keep 1 retained %d samples", c.ID, n)
+		}
+		longest = max(longest, len(long.Window(c.ID, 0)))
+	}
+	if longest < 100 {
+		t.Fatalf("keep 2000 retained at most %d samples for any container", longest)
 	}
 }

@@ -41,12 +41,12 @@ func scanSelfDuration(t *Trace, s Span) sim.Time {
 		if k.Background {
 			continue
 		}
-		lo, hi := k.Start, k.End
+		lo, hi := k.Start, k.End()
 		if lo < s.Start {
 			lo = s.Start
 		}
-		if hi > s.End {
-			hi = s.End
+		if hi > s.End() {
+			hi = s.End()
 		}
 		if hi <= lo {
 			continue
@@ -88,7 +88,7 @@ func randomTrace(r *rand.Rand, selfParentedRoot bool) *Trace {
 			s.Parent = s.ID
 		}
 		s.Start = sim.Time(r.Intn(12))
-		s.End = s.Start + sim.Time(r.Intn(10))
+		s.Dur = uint32(r.Intn(10))
 		t.Spans = append(t.Spans, s)
 	}
 	r.Shuffle(len(t.Spans), func(i, j int) { t.Spans[i], t.Spans[j] = t.Spans[j], t.Spans[i] })

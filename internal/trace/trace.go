@@ -35,26 +35,31 @@ type TraceID uint64
 type SpanID uint32
 
 // Span records the work done by a single microservice instance for one
-// request: arrival (Start, includes queueing), response (End), queueing
-// delay, and the identity of the serving container. It is 40 pointer-free
-// bytes; the two 32-bit fields bound a run to 2^32-1 spans and a single
-// queueing delay to 2^32-1 µs (≈ 71.6 min).
+// request: arrival (Start, includes queueing), duration to the response,
+// queueing delay, and the identity of the serving container. It is 32
+// pointer-free bytes, and its narrow fields are bounds, each guarded by a
+// panic where it is filled: 2^32-1 spans per run (NewSpanID), 65,536
+// services per cluster (cluster.Cluster), and 2^32-1 µs (≈ 71.6 min) for
+// one span's duration or queueing delay (the app's frame).
 type Span struct {
 	ID       SpanID
 	Parent   SpanID // 0 for the root span
-	Service  uint32 // service ID
 	Instance uint32 // container ID
-	Start    sim.Time
-	End      sim.Time
-	Queued   uint32 // µs spent waiting in the container queue
+	Service  uint16 // service ID
 	// Background marks spans that do not return a value to their parent
 	// (§3.2: background workflows, e.g. writeTimeline). They are excluded
 	// from critical paths but considered during culprit localization.
 	Background bool
+	Start      sim.Time
+	Dur        uint32 // µs from Start to the response
+	Queued     uint32 // µs spent waiting in the container queue
 }
 
+// End returns when the span's response was sent: Start + Dur.
+func (s Span) End() sim.Time { return s.Start + sim.Time(s.Dur) }
+
 // Duration returns the span's wall-clock duration.
-func (s Span) Duration() sim.Time { return s.End - s.Start }
+func (s Span) Duration() sim.Time { return sim.Time(s.Dur) }
 
 // Trace is a completed execution history graph: all spans of one request.
 type Trace struct {
@@ -84,7 +89,7 @@ func (t *Trace) RootIndex() int {
 			continue
 		}
 		if root >= 0 {
-			if r := &t.Spans[root]; s.End < r.End || (s.End == r.End && s.ID < r.ID) {
+			if r := &t.Spans[root]; s.End() < r.End() || (s.End() == r.End() && s.ID < r.ID) {
 				continue
 			}
 		}
@@ -174,7 +179,7 @@ func (x *ChildIndex) SelfDuration(s Span) sim.Time {
 		if k.Background {
 			continue
 		}
-		lo, hi := max(k.Start, s.Start), min(k.End, s.End)
+		lo, hi := max(k.Start, s.Start), min(k.End(), s.End())
 		if hi <= lo {
 			continue
 		}
@@ -204,9 +209,6 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace %d: duplicate span id %d", t.ID, s.ID)
 		}
 		ids[s.ID] = s
-		if s.End < s.Start {
-			return fmt.Errorf("trace %d: span %d ends before it starts", t.ID, s.ID)
-		}
 	}
 	ri := t.RootIndex()
 	if ri < 0 {
@@ -215,7 +217,7 @@ func (t *Trace) Validate() error {
 	root := t.Spans[ri]
 	for _, s := range t.Spans {
 		if s.Parent == 0 {
-			if s.ID != root.ID && s.End > root.Start {
+			if s.ID != root.ID && s.End() > root.Start {
 				return fmt.Errorf("trace %d: second root %d overlaps root %d", t.ID, s.ID, root.ID)
 			}
 			continue
@@ -230,7 +232,7 @@ func (t *Trace) Validate() error {
 		if s.Start < p.Start {
 			return fmt.Errorf("trace %d: span %d starts before parent", t.ID, s.ID)
 		}
-		if !s.Background && s.End > p.End {
+		if !s.Background && s.End() > p.End() {
 			return fmt.Errorf("trace %d: non-background span %d ends after parent", t.ID, s.ID)
 		}
 	}

@@ -142,7 +142,7 @@ func (s *Store) ServiceLatencies(q Query) map[string][]float64 {
 	out := map[string][]float64{}
 	for _, t := range s.Select(q) {
 		for _, sp := range t.Spans {
-			name := t.Names.ServiceName(sp.Service)
+			name := t.Names.ServiceName(uint32(sp.Service))
 			out[name] = append(out[name], sp.Duration().Millis())
 		}
 	}
