@@ -38,6 +38,15 @@ func harness(t *testing.T, spec *topology.Spec, seed int64) (*sim.Engine, *App, 
 // service names the service a span of tr ran on.
 func service(tr *trace.Trace, sp trace.Span) string { return tr.Names.ServiceName(uint32(sp.Service)) }
 
+// rootSpan returns tr's root span, or a zero Span if it has none.
+func rootSpan(tr *trace.Trace) trace.Span {
+	spans := tr.AppendSpans(nil)
+	if i := trace.RootIndex(spans); i >= 0 {
+		return spans[i]
+	}
+	return trace.Span{}
+}
+
 func TestDeployCreatesAllServices(t *testing.T) {
 	_, a, _ := harness(t, topology.SocialNetwork(), 1)
 	for name := range a.Spec.Services {
@@ -78,7 +87,7 @@ func TestSubmitCompletesWithTrace(t *testing.T) {
 	want := []string{"nginx", "video", "user-tag", "unique-id", "text",
 		"compose-post", "write-timeline"}
 	seen := map[string]bool{}
-	for _, sp := range tr.Spans {
+	for _, sp := range tr.AppendSpans(nil) {
 		seen[service(tr, sp)] = true
 	}
 	for _, s := range want {
@@ -94,7 +103,7 @@ func TestBackgroundSpansMarked(t *testing.T) {
 	eng.RunUntil(10 * sim.Second)
 	tr := db.Select(tracedb.Query{})[0]
 	foundBg := false
-	for _, sp := range tr.Spans {
+	for _, sp := range tr.AppendSpans(nil) {
 		if service(tr, sp) == "write-timeline" {
 			if !sp.Background {
 				t.Fatal("write-timeline span must be background")
@@ -116,7 +125,7 @@ func TestParallelChildrenOverlap(t *testing.T) {
 	eng.RunUntil(10 * sim.Second)
 	tr := db.Select(tracedb.Query{})[0]
 	spanOf := func(svc string) trace.Span {
-		for _, sp := range tr.Spans {
+		for _, sp := range tr.AppendSpans(nil) {
 			if service(tr, sp) == svc {
 				return sp
 			}
@@ -150,7 +159,7 @@ func TestSequentialHappensBefore(t *testing.T) {
 	eng.RunUntil(10 * sim.Second)
 	tr := db.Select(tracedb.Query{})[0]
 	var travel, seat trace.Span
-	for _, sp := range tr.Spans {
+	for _, sp := range tr.AppendSpans(nil) {
 		switch service(tr, sp) {
 		case "ts-travel":
 			travel = sp
@@ -267,7 +276,7 @@ func TestTraceLatencyMatchesResult(t *testing.T) {
 	a.Submit("read-page", func(r Result) { res = r })
 	eng.RunUntil(10 * sim.Second)
 	tr := db.Select(tracedb.Query{})[0]
-	root := tr.Root()
+	root := rootSpan(tr)
 	if service(tr, root) != "nginx" {
 		t.Fatalf("root service %s", service(tr, root))
 	}
@@ -405,7 +414,7 @@ func TestRetriedRootKeepsOneRoot(t *testing.T) {
 	retried := 0
 	for _, tr := range db.Select(tracedb.Query{}) {
 		roots := 0
-		for _, sp := range tr.Spans {
+		for _, sp := range tr.AppendSpans(nil) {
 			if sp.Parent == 0 {
 				roots++
 			}
@@ -417,7 +426,7 @@ func TestRetriedRootKeepsOneRoot(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Errorf("retried trace: %v", err)
 		}
-		root := tr.Root()
+		root := rootSpan(tr)
 		if root.End() != tr.End { // the served root's response hop is the request's last event
 			t.Errorf("root span ends at %v, trace at %v: root is not the served attempt", root.End(), tr.End)
 		}
@@ -455,7 +464,7 @@ func TestDeploySharedSpecConcurrently(t *testing.T) {
 			h := fnv.New64a()
 			sink := trace.SinkFunc(func(tr *trace.Trace) {
 				fmt.Fprint(h, tr.ID, tr.Start, tr.End, tr.Dropped)
-				for _, s := range tr.Spans {
+				for _, s := range tr.AppendSpans(nil) {
 					fmt.Fprint(h, s.ID, s.Parent, tr.Names.ServiceName(uint32(s.Service)), tr.Names.InstanceName(s.Instance), s.Start, s.End(), s.Queued, s.Background)
 				}
 			})
@@ -524,7 +533,7 @@ func TestEdgeFaultDropLosesRPC(t *testing.T) {
 		t.Fatalf("certain drop on the only child edge must drop the request: %+v", res)
 	}
 	for _, tr := range db.Select(tracedb.Query{}) {
-		for _, sp := range tr.Spans {
+		for _, sp := range tr.AppendSpans(nil) {
 			if service(tr, sp) == "svc-b" {
 				t.Fatal("dropped RPC must not reach svc-b")
 			}

@@ -69,16 +69,18 @@ func requestDigest(t *testing.T, specName, variant string, seed int64) (digest u
 		return 0
 	}
 	spans := 0
+	var decoded []trace.Span
 	sink := trace.SinkFunc(func(tr *trace.Trace) {
 		put(uint64(tr.ID))
 		put(uint64(tr.Start))
 		put(uint64(tr.End))
 		put(bit(tr.Dropped))
-		put(uint64(len(tr.Spans)))
-		spans += len(tr.Spans)
+		decoded = tr.AppendSpans(decoded[:0])
+		put(uint64(len(decoded)))
+		spans += len(decoded)
 		// The digests were recorded while every span repeated its trace's ID
 		// and carried its service and instance as strings; hash the same bytes.
-		for _, s := range tr.Spans {
+		for _, s := range decoded {
 			put(uint64(tr.ID))
 			put(uint64(s.ID))
 			put(uint64(s.Parent))

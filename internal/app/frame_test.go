@@ -88,7 +88,7 @@ func TestParGroupShedReentrancy(t *testing.T) {
 		}
 		spans := map[string]trace.Span{}
 		for _, tr := range db.Select(tracedb.Query{IncludeDrop: true}) {
-			for _, sp := range tr.Spans {
+			for _, sp := range tr.AppendSpans(nil) {
 				if _, dup := spans[service(tr, sp)]; dup {
 					t.Fatalf("%s: %s served twice", tc.name, service(tr, sp))
 				}
@@ -160,8 +160,8 @@ func TestFramesRecycleWithoutLeak(t *testing.T) {
 }
 
 // TestSteadyStateRequestAllocs: on a warm App a request allocates its
-// context, its Trace and the Trace's Spans — the same count for the spec's
-// smallest endpoint as for one several times its size.
+// context, its Trace and the trace's packed spans — the same count for the
+// spec's smallest endpoint as for one several times its size.
 func TestSteadyStateRequestAllocs(t *testing.T) {
 	spec, err := topology.Generate(topology.Params{Services: 100, Endpoints: 4, MaxFanout: 3, Depth: 5}, 42)
 	if err != nil {
@@ -221,7 +221,8 @@ func TestEmitQueuedBound(t *testing.T) {
 		target: n.rs.Containers()[0],
 	}
 	f.emit(math.MaxUint32)
-	if got := f.ctx.trace.Spans[0].Queued; got != math.MaxUint32 {
+	a.Coord.Finish(f.ctx.trace, false)
+	if got := f.ctx.trace.AppendSpans(nil)[0].Queued; got != math.MaxUint32 {
 		t.Fatalf("Queued = %d, want %d", got, uint32(math.MaxUint32))
 	}
 	defer func() {
@@ -245,7 +246,8 @@ func TestEmitDurBound(t *testing.T) {
 	}
 	eng.RunUntil(math.MaxUint32 + 1)
 	f.emit(0)
-	if s := f.ctx.trace.Spans[0]; s.Dur != math.MaxUint32 || s.End() != eng.Now() {
+	a.Coord.Finish(f.ctx.trace, false)
+	if s := f.ctx.trace.AppendSpans(nil)[0]; s.Dur != math.MaxUint32 || s.End() != eng.Now() {
 		t.Fatalf("Dur = %d, End = %v; want %d, %v", s.Dur, s.End(), uint32(math.MaxUint32), eng.Now())
 	}
 	defer func() {

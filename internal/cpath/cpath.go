@@ -59,8 +59,9 @@ func Extract(t *trace.Trace) Path {
 // a consumer walking a window of traces indexes each one once and allocates
 // nothing once warm. The zero value is ready to use.
 type Extractor struct {
-	// Kids is the child index of the trace last extracted, for the
-	// per-span questions (SelfDuration) callers ask about that same trace.
+	// Kids is the child index of the trace last extracted — its decoded
+	// spans (Kids.Spans) and the per-span questions (SelfDuration) callers
+	// ask about that same trace.
 	Kids  trace.ChildIndex
 	spans []trace.Span
 	stack []int32 // pending happens-before chains, one run per open visit
@@ -70,17 +71,18 @@ type Extractor struct {
 // extractor's buffer and are valid until its next Extract.
 func (e *Extractor) Extract(t *trace.Trace) Path {
 	e.Kids.Reset(t)
-	root := t.RootIndex()
-	if root < 0 || (t.Spans[root].ID == 0 && t.Spans[root].End() == 0) {
+	spans := e.Kids.Spans()
+	root := trace.RootIndex(spans)
+	if root < 0 || (spans[root].ID == 0 && spans[root].End() == 0) {
 		return Path{}
 	}
 	e.spans = e.spans[:0]
 	e.visit(int32(root))
-	return Path{Spans: e.spans, Latency: t.Spans[root].Duration(), names: t.Names}
+	return Path{Spans: e.spans, Latency: spans[root].Duration(), names: t.Names}
 }
 
 func (e *Extractor) visit(si int32) {
-	spans := e.Kids.Trace().Spans
+	spans := e.Kids.Spans()
 	e.spans = append(e.spans, spans[si])
 	kids := e.Kids.Of(spans[si].ID) // background children are skipped below
 	// lastReturnedChild: maximal End (ties broken by later start, then

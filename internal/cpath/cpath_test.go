@@ -21,7 +21,7 @@ var testNames = &nameList{}
 // mkTrace builds a trace from (id, parent, service, start, end, background).
 func mkTrace(spans ...trace.Span) *trace.Trace {
 	t := &trace.Trace{ID: 1, Type: "t", Names: testNames}
-	t.Spans = spans
+	t.Seal(spans)
 	if len(spans) > 0 {
 		t.Start = spans[0].Start
 		t.End = spans[0].End()
@@ -42,8 +42,12 @@ func sp(id, parent trace.SpanID, svc string, start, end sim.Time, bg bool) trace
 // Fig. 2(b)-shaped trace: N with parallel V,U,T; I sequential after U; C
 // after the parallel group; W background under C.
 func fig2Trace(vEnd, uEnd, tEnd sim.Time) *trace.Trace {
+	return mkTrace(fig2Spans(vEnd, uEnd, tEnd)...)
+}
+
+func fig2Spans(vEnd, uEnd, tEnd sim.Time) []trace.Span {
 	iStart := uEnd - 10 // unique-id nested near the end of user-tag
-	return mkTrace(
+	return []trace.Span{
 		sp(1, 0, "N", 0, 1000, false),
 		sp(2, 1, "V", 10, vEnd, false),
 		sp(3, 1, "U", 10, uEnd, false),
@@ -51,7 +55,7 @@ func fig2Trace(vEnd, uEnd, tEnd sim.Time) *trace.Trace {
 		sp(5, 1, "T", 10, tEnd, false),
 		sp(6, 1, "C", maxT(vEnd, uEnd, tEnd)+5, 900, false),
 		sp(7, 6, "W", maxT(vEnd, uEnd, tEnd)+10, 990, true),
-	)
+	}
 }
 
 func maxT(ts ...sim.Time) sim.Time {
@@ -248,11 +252,10 @@ func TestMinMaxCP(t *testing.T) {
 		traces = append(traces, fig2Trace(600, 300, 200))
 	}
 	for i := 0; i < 5; i++ {
-		tr := fig2Trace(200, 600, 300)
+		spans := fig2Spans(200, 600, 300)
 		// Inflate end-to-end latency for group B.
-		tr.Spans[0].Dur = uint32(2000 - tr.Spans[0].Start)
-		tr.End = 2000
-		traces = append(traces, tr)
+		spans[0].Dur = uint32(2000 - spans[0].Start)
+		traces = append(traces, mkTrace(spans...))
 	}
 	minSig, minLat, maxSig, maxLat, ok := MinMaxCP(traces, 3)
 	if !ok {
@@ -276,7 +279,7 @@ func TestMinMaxCP(t *testing.T) {
 func TestCPLatencyEqualsRootDuration(t *testing.T) {
 	tr := fig2Trace(600, 300, 200)
 	p := Extract(tr)
-	if p.Latency != tr.Root().Duration() {
-		t.Fatalf("CP latency %v != root duration %v", p.Latency, tr.Root().Duration())
+	if root := rootSpan(tr); p.Latency != root.Duration() {
+		t.Fatalf("CP latency %v != root duration %v", p.Latency, root.Duration())
 	}
 }

@@ -11,10 +11,19 @@ import (
 	"firm/internal/trace"
 )
 
+// rootSpan returns t's root span, or a zero Span if it has none.
+func rootSpan(t *trace.Trace) trace.Span {
+	spans := t.AppendSpans(nil)
+	if i := trace.RootIndex(spans); i >= 0 {
+		return spans[i]
+	}
+	return trace.Span{}
+}
+
 // scanChildren is parent's children by a scan, a copy and a sort.
-func scanChildren(t *trace.Trace, parent trace.SpanID) []trace.Span {
+func scanChildren(spans []trace.Span, parent trace.SpanID) []trace.Span {
 	var out []trace.Span
-	for _, s := range t.Spans {
+	for _, s := range spans {
 		if s.Parent == parent && s.ID != parent {
 			out = append(out, s)
 		}
@@ -28,7 +37,8 @@ func scanChildren(t *trace.Trace, parent trace.SpanID) []trace.Span {
 // scanExtract is Alg. 1 as it was written before the Extractor: a fresh
 // children scan and two fresh slices per span. Kept as the oracle.
 func scanExtract(t *trace.Trace) Path {
-	root := t.Root()
+	all := t.AppendSpans(nil)
+	root := rootSpan(t)
 	if root.ID == 0 && root.End() == 0 {
 		return Path{}
 	}
@@ -37,7 +47,7 @@ func scanExtract(t *trace.Trace) Path {
 	visit = func(s trace.Span) {
 		spans = append(spans, s)
 		var kids []trace.Span
-		for _, k := range scanChildren(t, s.ID) {
+		for _, k := range scanChildren(all, s.ID) {
 			if !k.Background {
 				kids = append(kids, k)
 			}
@@ -91,7 +101,7 @@ func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
 	services := []string{"gw", "auth", "cart", "db", "cache"}
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + r.Intn(30)
-		tr := &trace.Trace{ID: 1, Names: testNames}
+		var spans []trace.Span
 		service := map[trace.SpanID]string{} // the string-keyed side
 		for i := 0; i < n; i++ {
 			name := services[r.Intn(len(services))]
@@ -107,9 +117,11 @@ func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
 			// tree), so chains are long enough to matter; time is coarse.
 			s.Start = sim.Time(i/3 + r.Intn(4))
 			s.Dur = uint32(r.Intn(6))
-			tr.Spans = append(tr.Spans, s)
+			spans = append(spans, s)
 		}
-		r.Shuffle(n, func(i, j int) { tr.Spans[i], tr.Spans[j] = tr.Spans[j], tr.Spans[i] })
+		r.Shuffle(n, func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
+		tr := &trace.Trace{ID: 1, Names: testNames}
+		tr.Seal(spans)
 		want := scanExtract(tr)
 		got := e.Extract(tr)
 		if got.Latency != want.Latency || !slices.Equal(got.Spans, want.Spans) {
@@ -132,12 +144,12 @@ func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
 // instant each happen-before the other; the chain must still end, with both
 // on the path in ID order. (Alg. 1 as first written looped here forever.)
 func TestCoincidentZeroLengthSiblingsTerminate(t *testing.T) {
-	tr := &trace.Trace{ID: 1, Names: testNames, Spans: []trace.Span{
+	tr := mkTrace(
 		sp(1, 0, "gw", 0, 10, false),
 		sp(2, 1, "auth", 4, 4, false),
 		sp(3, 1, "cart", 4, 4, false),
 		sp(4, 1, "db", 1, 3, false),
-	}}
+	)
 	var ids []trace.SpanID
 	for _, s := range Extract(tr).Spans {
 		ids = append(ids, s.ID)

@@ -135,7 +135,7 @@ func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
 			onCP[s.Instance] += cp.Kids.SelfDuration(s)
 		}
 		e2e := t.Latency().Millis()
-		for _, s := range t.Spans {
+		for _, s := range cp.Kids.Spans() {
 			st := get(s.Instance, uint32(s.Service), s.Background)
 			st.durations = append(st.durations, cp.Kids.SelfDuration(s).Millis())
 		}
@@ -145,7 +145,7 @@ func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
 			st.cpLats = append(st.cpLats, e2e)
 		}
 		// Background spans correlate against the same trace's e2e latency.
-		for _, s := range t.Spans {
+		for _, s := range cp.Kids.Spans() {
 			if s.Background {
 				st := table[s.Instance]
 				st.perTrace = append(st.perTrace, cp.Kids.SelfDuration(s).Millis())

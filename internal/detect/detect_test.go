@@ -50,18 +50,19 @@ func window(n int, congested bool, r *rand.Rand) []*trace.Trace {
 		bStart := aEnd + sim.FromMillis(0.2)
 		bEnd := bStart + bDur
 		rootEnd := bEnd + sim.FromMillis(1)
+		spans := []trace.Span{
+			{ID: 1, Parent: 0, Start: 0, Dur: uint32(rootEnd)},
+			{ID: 2, Parent: 1, Start: aStart, Dur: uint32(aDur)},
+			{ID: 3, Parent: 1, Start: bStart, Dur: uint32(bDur)},
+		}
+		spans[0].Service, spans[0].Instance = on("root", 1)
+		spans[1].Service, spans[1].Instance = on("A", 1)
+		spans[2].Service, spans[2].Instance = on("B", 1)
 		tr := &trace.Trace{
 			ID: trace.TraceID(i + 1), Type: "req", Names: testNames,
 			Start: 0, End: rootEnd,
-			Spans: []trace.Span{
-				{ID: 1, Parent: 0, Start: 0, Dur: uint32(rootEnd)},
-				{ID: 2, Parent: 1, Start: aStart, Dur: uint32(aDur)},
-				{ID: 3, Parent: 1, Start: bStart, Dur: uint32(bDur)},
-			},
 		}
-		tr.Spans[0].Service, tr.Spans[0].Instance = on("root", 1)
-		tr.Spans[1].Service, tr.Spans[1].Instance = on("A", 1)
-		tr.Spans[2].Service, tr.Spans[2].Instance = on("B", 1)
+		tr.Seal(spans)
 		out = append(out, tr)
 	}
 	return out
@@ -199,7 +200,7 @@ func TestBackgroundInstancesScored(t *testing.T) {
 		}
 		w := trace.Span{ID: 4, Parent: 1, Start: sim.FromMillis(2), Dur: uint32(dur), Background: true}
 		w.Service, w.Instance = on("W", 1)
-		tr.Spans = append(tr.Spans, w)
+		tr.Seal(append(tr.AppendSpans(nil), w))
 		_ = i
 	}
 	e := newExtractor(t)

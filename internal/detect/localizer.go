@@ -53,6 +53,10 @@ type Localizer struct {
 	// per-instance state; the rest are pending.
 	entries ring.Ring[locEntry]
 	proc    int
+	// contribs holds the processed entries' contributions, pushed in
+	// processing order — consume order — so the front entry's are always
+	// at the front.
+	contribs ring.Ring[locContrib]
 
 	// insts is indexed by instance ID (cluster.Container.ID); nil where the
 	// instance has not appeared in a trace.
@@ -70,12 +74,13 @@ type Localizer struct {
 	scores []float64
 }
 
-// locEntry is one in-window trace with the per-instance contributions its
-// processing appended, so eviction removes exactly the same observations.
+// locEntry is one in-window trace and how many per-instance contributions
+// its processing pushed onto Localizer.contribs, so eviction removes exactly
+// the same observations.
 type locEntry struct {
 	t        *trace.Trace
 	end      sim.Time
-	contribs []locContrib
+	contribs int32
 	done     bool
 }
 
@@ -121,9 +126,7 @@ func (l *Localizer) TraceStored(t *trace.Trace) {
 	if t.Dropped {
 		return
 	}
-	e := l.entries.Push()
-	e.t, e.end, e.done = t, t.End, false
-	e.contribs = e.contribs[:0] // keep capacity from the slot's last tenant
+	*l.entries.Push() = locEntry{t: t, end: t.End}
 }
 
 // TraceEvicted implements tracedb.Observer: the store's ring dropped its
@@ -149,8 +152,10 @@ func (l *Localizer) Len() int { return l.entries.Len() }
 
 func (l *Localizer) pop() {
 	e := l.entries.Pop()
+	// An entry evicted before it was processed contributed nothing.
 	if e.done {
-		for _, c := range e.contribs {
+		for range e.contribs {
+			c := l.contribs.Pop()
 			st := c.st
 			for k := int32(0); k < c.durs; k++ {
 				st.durWin.Remove(*st.durVals.Pop())
@@ -203,8 +208,9 @@ func (l *Localizer) process(e *locEntry) {
 	l.touched = l.touched[:0]
 
 	p := l.cp.Extract(t)
+	spans := l.cp.Kids.Spans()
 	e2e := t.Latency().Millis()
-	for _, s := range t.Spans {
+	for _, s := range spans {
 		st := l.touch(l.inst(t, s.Instance, uint32(s.Service)))
 		d := l.cp.Kids.SelfDuration(s).Millis()
 		*st.durVals.Push() = d
@@ -229,7 +235,7 @@ func (l *Localizer) process(e *locEntry) {
 		*st.py.Push() = e2e
 		st.pendPair++
 	}
-	for _, s := range t.Spans {
+	for _, s := range spans {
 		if s.Background {
 			st := l.insts[s.Instance]
 			*st.px.Push() = l.cp.Kids.SelfDuration(s).Millis()
@@ -238,11 +244,11 @@ func (l *Localizer) process(e *locEntry) {
 		}
 	}
 	for _, st := range l.touched {
-		e.contribs = append(e.contribs, locContrib{
+		*l.contribs.Push() = locContrib{
 			st: st, durs: st.pendDur, pairs: st.pendPair, nonBg: st.pendNonBg,
-		})
+		}
 	}
-	e.done = true
+	e.contribs, e.done = int32(len(l.touched)), true
 }
 
 // Candidates folds any pending traces into per-instance state, then scores

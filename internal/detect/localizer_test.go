@@ -31,19 +31,19 @@ func streamTrace(i int, now sim.Time, r *rand.Rand) *trace.Trace {
 	if r.Intn(3) == 0 {
 		aReplica = 2
 	}
+	spans := []trace.Span{
+		{ID: 1, Parent: 0, Start: start, Dur: uint32(now - start)},
+		{ID: 2, Parent: 1, Start: aStart, Dur: uint32(aDur)},
+		{ID: 3, Parent: 1, Start: bStart, Dur: uint32(bDur)},
+	}
+	spans[0].Service, spans[0].Instance = on("root", 1)
+	spans[1].Service, spans[1].Instance = on("A", aReplica)
+	spans[2].Service, spans[2].Instance = on("B", 1)
 	tr := &trace.Trace{
 		ID: id, Type: "req", Names: testNames,
 		Start: start, End: now,
 		Dropped: r.Intn(15) == 0,
-		Spans: []trace.Span{
-			{ID: 1, Parent: 0, Start: start, Dur: uint32(now - start)},
-			{ID: 2, Parent: 1, Start: aStart, Dur: uint32(aDur)},
-			{ID: 3, Parent: 1, Start: bStart, Dur: uint32(bDur)},
-		},
 	}
-	tr.Spans[0].Service, tr.Spans[0].Instance = on("root", 1)
-	tr.Spans[1].Service, tr.Spans[1].Instance = on("A", aReplica)
-	tr.Spans[2].Service, tr.Spans[2].Instance = on("B", 1)
 	if r.Intn(4) == 0 {
 		gc := trace.Span{
 			ID: 4, Parent: 1,
@@ -51,8 +51,9 @@ func streamTrace(i int, now sim.Time, r *rand.Rand) *trace.Trace {
 			Background: true,
 		}
 		gc.Service, gc.Instance = on("gc", 1)
-		tr.Spans = append(tr.Spans, gc)
+		spans = append(spans, gc)
 	}
+	tr.Seal(spans)
 	return tr
 }
 
@@ -85,7 +86,8 @@ func stringKeyedFeatures(cfg Config, traces []*trace.Trace) []namedCand {
 			onCP[inst(s)] += cp.Kids.SelfDuration(s)
 		}
 		e2e := t.Latency().Millis()
-		for _, s := range t.Spans {
+		spans := t.AppendSpans(nil)
+		for _, s := range spans {
 			st, ok := table[inst(s)]
 			if !ok {
 				st = &instanceStats{service: t.Names.ServiceName(uint32(s.Service)), bgOnly: true}
@@ -101,7 +103,7 @@ func stringKeyedFeatures(cfg Config, traces []*trace.Trace) []namedCand {
 			st.perTrace = append(st.perTrace, d.Millis())
 			st.cpLats = append(st.cpLats, e2e)
 		}
-		for _, s := range t.Spans {
+		for _, s := range spans {
 			if s.Background {
 				st := table[inst(s)]
 				st.perTrace = append(st.perTrace, cp.Kids.SelfDuration(s).Millis())
@@ -284,5 +286,95 @@ func TestLocalizerSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state allocs/op = %v, want 0", allocs)
+	}
+}
+
+// evictTally is a Localizer as a tracedb observer that also counts the ring
+// evictions that reach it, by whether the evicted entry had been processed.
+type evictTally struct {
+	*Localizer
+	processed, unprocessed int
+}
+
+func (w *evictTally) TraceEvicted(t *trace.Trace) {
+	if w.entries.Len() > 0 && w.entries.At(0).t == t {
+		if w.entries.At(0).done {
+			w.processed++
+		} else {
+			w.unprocessed++
+		}
+	}
+	w.Localizer.TraceEvicted(t)
+}
+
+// TestLocalizerEpisodesMatchBatch builds a fresh localizer per episode, the
+// way every training episode does, on a randomised stream: store size,
+// window and how often Candidates runs vary by episode, so entries leave
+// the window processed and unprocessed, by expiry (Advance) and by the
+// store's ring (TraceEvicted), while the shared contribution ring grows
+// from empty. After every Advance the localizer holds exactly the window's
+// traces; after every Candidates it matches the batch path bit for bit, and
+// the contribution ring holds exactly the processed entries' contributions.
+func TestLocalizerEpisodesMatchBatch(t *testing.T) {
+	e := newExtractor(t)
+	r := rand.New(rand.NewSource(31))
+	var ringProcessed, ringUnprocessed, expiredProcessed, expiredUnprocessed int
+	for ep := 0; ep < 40; ep++ {
+		db := tracedb.New([]int{12, 40, 400}[r.Intn(3)])
+		loc := &evictTally{Localizer: NewLocalizer(e, 1)}
+		db.Observe(loc)
+		window := sim.Time(300+r.Intn(2500)) * sim.Millisecond
+		every := 1 + r.Intn(12)
+		now := sim.Time(0)
+		for i := 0; i < 150+r.Intn(150); i++ {
+			now += sim.Time(2+r.Intn(60)) * sim.Millisecond
+			db.Consume(streamTrace(i, now, r))
+
+			since := now - window
+			for k := 0; k < loc.entries.Len() && loc.entries.At(k).end < since; k++ {
+				if loc.entries.At(k).done {
+					expiredProcessed++
+				} else {
+					expiredUnprocessed++
+				}
+			}
+			loc.Advance(since)
+			batch := db.Select(tracedb.Query{Since: since, IncludeDrop: true})
+			inWindow := 0
+			for _, tr := range batch {
+				if !tr.Dropped {
+					inWindow++
+				}
+			}
+			if loc.Len() != inWindow {
+				t.Fatalf("episode %d step %d: localizer holds %d traces, window %d", ep, i, loc.Len(), inWindow)
+			}
+			if r.Intn(every) != 0 {
+				continue
+			}
+			want := e.Candidates(batch)
+			got := loc.Candidates()
+			if len(got) != len(want) {
+				t.Fatalf("episode %d step %d: %d candidates, batch %d", ep, i, len(got), len(want))
+			}
+			for j := range got {
+				if !sameCand(got[j], want[j]) {
+					t.Fatalf("episode %d step %d candidate %d:\n got: %+v\nwant: %+v", ep, i, j, got[j], want[j])
+				}
+			}
+			pushed := 0
+			for k := 0; k < loc.entries.Len(); k++ {
+				pushed += int(loc.entries.At(k).contribs)
+			}
+			if loc.contribs.Len() != pushed {
+				t.Fatalf("episode %d step %d: contribution ring holds %d, entries account for %d", ep, i, loc.contribs.Len(), pushed)
+			}
+		}
+		ringProcessed += loc.processed
+		ringUnprocessed += loc.unprocessed
+	}
+	if ringProcessed == 0 || ringUnprocessed == 0 || expiredProcessed == 0 || expiredUnprocessed == 0 {
+		t.Fatalf("stream missed a case: ring evictions %d processed / %d unprocessed, expiries %d / %d",
+			ringProcessed, ringUnprocessed, expiredProcessed, expiredUnprocessed)
 	}
 }

@@ -254,7 +254,7 @@ func table1Run(victim string, seed int64, dur sim.Time) (table1Row, error) {
 	for _, tr := range b.DB.Select(tracedb.Query{Type: "compose-post", Since: t0}) {
 		totals = append(totals, tr.Latency().Millis())
 		sigCount[cp.Extract(tr).Signature()]++
-		for _, sp := range tr.Spans {
+		for _, sp := range cp.Kids.Spans() {
 			if col, ok := table1Cols[tr.Names.ServiceName(uint32(sp.Service))]; ok {
 				perSvc[col] = append(perSvc[col], cp.Kids.SelfDuration(sp).Millis())
 			}

@@ -4,8 +4,8 @@
 // selection, telemetry sampling, the batched DDPG train step, a
 // behaviour-cloning call, the incremental localization features, a
 // double-buffered rollout round, the sharded engine's window, the request
-// path, traced on one engine and mailed across two shards, and a container's
-// first work item. It is the micro
+// path, traced on one engine and mailed across two shards, sealing and
+// decoding a trace, and a container's first work item. It is the micro
 // measurement surface: `go test -bench . ./internal/perf` runs the registry
 // as ordinary sub-benchmarks (benchstat-able), and benchmark/ — the macro
 // surface — takes its per-call probes from it through Run.
@@ -77,6 +77,7 @@ func Benchmarks() []Benchmark {
 		{"shard-step", "one lookahead window of an 8-shard ring at steady state (mail routing + window barrier)", ShardStep, 0},
 		{"scenario-step", "one armed fault-scenario tick: recompute and apply every active site's pressure", ScenarioStep, 0},
 		{"app-request", "one traced request through a 63-call generated endpoint on a warm testbed", AppRequest, 3},
+		{"trace-seal", "seal the 63-span app-request trace, then decode and index it (ChildIndex.Reset)", TraceSeal, 0},
 		{"sharded-request", "one request through a warm 2-shard, 60-service generated app, run until drained", ShardedRequest, 2},
 		{"cluster-cold-submit", "the first Submit on each of 1,000 never-touched containers under per-instance noise, run to completion", ClusterColdSubmit, 3000},
 	}
@@ -695,13 +696,52 @@ func ScenarioStep(b *testing.B) {
 // AppRequest measures the traced request path end to end: one op submits a
 // request of a 63-call generated endpoint and runs the engine until its
 // trace is stored — routing, both hops, container queueing and compute, the
-// child walk and span emission for every call. The testbed is bare (engine,
-// cluster, trace store, app; no telemetry or generator tickers) and warm, so
-// allocs/op is exactly what a request costs: its context, its Trace and the
-// Trace's Spans, whatever the endpoint's size — call frames, engine events
+// child walk, span emission for every call, and sealing the trace. The
+// testbed is bare (engine, cluster, trace store, app; no telemetry or
+// generator tickers) and warm, so allocs/op is exactly what a request
+// costs: its context, its Trace and the trace's packed spans, whatever the
+// endpoint's size — the span emission buffer, call frames, engine events
 // and container in-flight records all come from freelists. spans/op is the
 // endpoint's call count.
 func AppRequest(b *testing.B) {
+	a, _, request := appRequestBed()
+	spans0 := a.Coord.SpansSeen
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(a.Coord.SpansSeen-spans0)/float64(b.N), "spans/op")
+}
+
+// TraceSeal measures what packing costs a trace over its life: one op seals
+// the spans of a stored app-request trace (the 63-call endpoint) the way
+// Finish does, then decodes and indexes them the way every structured reader
+// does (ChildIndex.Reset). Resealing reuses the trace's packed storage, so a
+// warm op allocates nothing; ns/span is the round trip per span.
+func TraceSeal(b *testing.B) {
+	_, db, _ := appRequestBed()
+	stored := db.Select(tracedb.Query{})
+	spans := stored[len(stored)-1].AppendSpans(nil)
+	var tr trace.Trace
+	var x trace.ChildIndex
+	tr.Seal(spans)
+	x.Reset(&tr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Seal(spans)
+		x.Reset(&tr)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(spans)), "ns/span")
+}
+
+// appRequestBed deploys AppRequest's bare, warm testbed and returns its app,
+// its trace store and one request: submit the generated spec's largest
+// endpoint (63 calls) and run the engine until its trace is stored.
+func appRequestBed() (*app.App, *tracedb.Store, func()) {
 	spec, err := topology.Generate(topology.Params{Services: 100, Endpoints: 4, MaxFanout: 3, Depth: 5}, Seed)
 	if err != nil {
 		panic(fmt.Sprintf("perf: generate failed: %v", err))
@@ -729,12 +769,5 @@ func AppRequest(b *testing.B) {
 	if a.Dropped != 0 {
 		panic(fmt.Sprintf("perf: %d warm-up requests dropped", a.Dropped))
 	}
-	spans0 := a.Coord.SpansSeen
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		request()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(a.Coord.SpansSeen-spans0)/float64(b.N), "spans/op")
+	return a, db, request
 }

@@ -12,9 +12,9 @@ import (
 // scanChildren and scanSelfDuration are the per-call implementations
 // ChildIndex replaced — a scan, a copy and a sort per question — kept here as
 // the oracle the index is pinned against.
-func scanChildren(t *Trace, parent SpanID) []Span {
+func scanChildren(spans []Span, parent SpanID) []Span {
 	var out []Span
-	for _, s := range t.Spans {
+	for _, s := range spans {
 		if s.Parent == parent && s.ID != parent {
 			out = append(out, s)
 		}
@@ -28,7 +28,7 @@ func scanChildren(t *Trace, parent SpanID) []Span {
 	return out
 }
 
-func scanSelfDuration(t *Trace, s Span) sim.Time {
+func scanSelfDuration(spans []Span, s Span) sim.Time {
 	var covered sim.Time
 	curLo, curHi := sim.Time(0), sim.Time(0)
 	started := false
@@ -37,7 +37,7 @@ func scanSelfDuration(t *Trace, s Span) sim.Time {
 			covered += curHi - curLo
 		}
 	}
-	for _, k := range scanChildren(t, s.ID) {
+	for _, k := range scanChildren(spans, s.ID) {
 		if k.Background {
 			continue
 		}
@@ -78,7 +78,7 @@ func scanSelfDuration(t *Trace, s Span) sim.Time {
 // trace — a root that names itself as its parent.
 func randomTrace(r *rand.Rand, selfParentedRoot bool) *Trace {
 	n := 1 + r.Intn(40)
-	t := &Trace{ID: 1}
+	var spans []Span
 	for i := 0; i < n; i++ {
 		s := Span{ID: SpanID(i + 1)}
 		if i > 0 {
@@ -89,10 +89,10 @@ func randomTrace(r *rand.Rand, selfParentedRoot bool) *Trace {
 		}
 		s.Start = sim.Time(r.Intn(12))
 		s.Dur = uint32(r.Intn(10))
-		t.Spans = append(t.Spans, s)
+		spans = append(spans, s)
 	}
-	r.Shuffle(len(t.Spans), func(i, j int) { t.Spans[i], t.Spans[j] = t.Spans[j], t.Spans[i] })
-	return t
+	r.Shuffle(len(spans), func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
+	return build(1, spans...)
 }
 
 // TestChildIndexMatchesScan pins the index — and the Trace methods now built
@@ -104,22 +104,26 @@ func TestChildIndexMatchesScan(t *testing.T) {
 	for trial := 0; trial < 400; trial++ {
 		tr := randomTrace(r, trial%2 == 1)
 		x.Reset(tr)
-		parents := []SpanID{0, SpanID(len(tr.Spans) + 5)} // the root's parent; nobody's
-		for _, s := range tr.Spans {
+		spans := tr.AppendSpans(nil)
+		if !slices.Equal(x.Spans(), spans) {
+			t.Fatalf("trial %d: index decoded %v, trace holds %v", trial, x.Spans(), spans)
+		}
+		parents := []SpanID{0, SpanID(len(spans) + 5)} // the root's parent; nobody's
+		for _, s := range spans {
 			parents = append(parents, s.ID)
 		}
 		for _, p := range parents {
-			want := scanChildren(tr, p)
+			want := scanChildren(spans, p)
 			var got []Span
 			for _, i := range x.Of(p) {
-				got = append(got, tr.Spans[i])
+				got = append(got, spans[i])
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d: children of %d:\nindex %v\nscan  %v", trial, p, got, want)
 			}
 		}
-		for _, s := range tr.Spans {
-			want := scanSelfDuration(tr, s)
+		for _, s := range spans {
+			want := scanSelfDuration(spans, s)
 			if got := x.SelfDuration(s); got != want {
 				t.Fatalf("trial %d: self time of span %d: index %v, scan %v", trial, s.ID, got, want)
 			}
@@ -138,7 +142,7 @@ func TestChildIndexReuseAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, tr := range []*Trace{a, b} {
 			x.Reset(tr)
-			for _, s := range tr.Spans {
+			for _, s := range x.Spans() {
 				x.SelfDuration(s)
 			}
 		}

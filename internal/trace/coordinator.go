@@ -16,6 +16,9 @@ type Coordinator struct {
 	pending  int
 	nextID   TraceID
 	nextSpan SpanID
+	// free holds the emission buffers of sealed traces for StartTrace to
+	// lend again: at most as many as were ever pending at once.
+	free []*[]Span
 
 	// Collected counts finished traces; SpansSeen counts raw spans.
 	Collected uint64
@@ -31,14 +34,20 @@ func NewCoordinator(eng *sim.Engine, sink Sink, names Names) *Coordinator {
 // StartTrace allocates a trace for a new user request of the given type;
 // the caller holds it until Finish and emits the request's spans into it.
 // spanHint is the number of spans the request is expected to emit (its
-// endpoint's call-tree size); Spans is allocated once at that capacity
-// instead of doubling its way there. A request that retries may exceed it.
+// endpoint's call-tree size): the trace's emission buffer, taken from the
+// coordinator's free list, holds at least that many before it has to grow.
+// A request that retries may exceed it.
 func (c *Coordinator) StartTrace(reqType string, spanHint int) *Trace {
 	c.nextID++
 	c.pending++
 	t := &Trace{ID: c.nextID, Type: reqType, Names: c.names, Start: c.eng.Now()}
-	if spanHint > 0 {
-		t.Spans = make([]Span, 0, spanHint)
+	if n := len(c.free); n > 0 {
+		t.pending, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		t.pending = new([]Span)
+	}
+	if cap(*t.pending) < spanHint {
+		*t.pending = make([]Span, 0, spanHint)
 	}
 	return t
 }
@@ -58,16 +67,22 @@ func (c *Coordinator) NewSpanID() SpanID {
 //firmvet:noalloc
 func (c *Coordinator) Emit(t *Trace, s Span) {
 	c.SpansSeen++
-	t.Spans = append(t.Spans, s)
+	*t.pending = append(*t.pending, s)
 }
 
 // Finish seals the trace: the request completed (or was dropped) and every
-// agent has reported. The assembled execution history graph is pushed to the
-// sink and the trace stops counting as pending. Each trace is finished once.
+// agent has reported. Its spans are packed (Seal), its emission buffer goes
+// back to the free list, and the assembled execution history graph is
+// pushed to the sink; the trace stops counting as pending. Each trace is
+// finished once.
 func (c *Coordinator) Finish(t *Trace, dropped bool) {
 	c.pending--
 	t.End = c.eng.Now()
 	t.Dropped = dropped
+	buf := t.pending
+	t.Seal(*buf)
+	*buf = (*buf)[:0]
+	c.free = append(c.free, buf)
 	c.Collected++
 	if c.sink != nil {
 		c.sink.Consume(t)

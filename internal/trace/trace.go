@@ -6,10 +6,10 @@
 // caller/callee edges.
 //
 // Spans name their service and instance by dense integer ID — the cluster's
-// ReplicaSet.ID and Container.ID — so a Span holds no pointer and a trace's
-// span array is never scanned by the collector. Every Trace carries its
-// testbed's Names; a name is resolved only where a string leaves the system
-// (a CP signature, a candidate ordering, a report row).
+// ReplicaSet.ID and Container.ID — so a Span holds no pointer and a sealed
+// trace's packed spans are never scanned by the collector. Every Trace
+// carries its testbed's Names; a name is resolved only where a string leaves
+// the system (a CP signature, a candidate ordering, a report row).
 package trace
 
 import (
@@ -61,35 +61,41 @@ func (s Span) End() sim.Time { return s.Start + sim.Time(s.Dur) }
 // Duration returns the span's wall-clock duration.
 func (s Span) Duration() sim.Time { return sim.Time(s.Dur) }
 
-// Trace is a completed execution history graph: all spans of one request.
+// Trace is one request's execution history graph. While pending, its spans
+// are appended to an emission buffer lent by the Coordinator; Finish seals
+// them into one packed byte stream (pack.go) and takes the buffer back. A
+// sealed trace is read through AppendSpans, or decoded once per visit by a
+// ChildIndex. The header stays within the 96-byte size class.
 type Trace struct {
 	ID      TraceID
 	Type    string // request type, e.g. "compose-post"
 	Names   Names  // resolves the spans' Service and Instance IDs
-	Spans   []Span
 	Start   sim.Time
 	End     sim.Time
-	Dropped bool // the request was shed by some container queue
+	packed  []byte  // the sealed spans; nil while pending
+	pending *[]Span // the emission buffer; nil once sealed
+	n       uint32  // sealed span count
+	Dropped bool    // the request was shed by some container queue
 }
 
 // Latency returns the end-to-end latency of the request.
 func (t *Trace) Latency() sim.Time { return t.End - t.Start }
 
-// RootIndex returns the position in Spans of the root span, or -1 if there
-// is none. A retried endpoint root leaves one Parent == 0 span per attempt
-// that reached a container — the shed ones, then the served one; the root
-// is the attempt that ended last (ties: the larger ID).
+// RootIndex returns the position in spans of a trace's root span, or -1 if
+// there is none. A retried endpoint root leaves one Parent == 0 span per
+// attempt that reached a container — the shed ones, then the served one;
+// the root is the attempt that ended last (ties: the larger ID).
 //
 //firmvet:noalloc
-func (t *Trace) RootIndex() int {
+func RootIndex(spans []Span) int {
 	root := -1
-	for i := range t.Spans {
-		s := &t.Spans[i]
+	for i := range spans {
+		s := &spans[i]
 		if s.Parent != 0 {
 			continue
 		}
 		if root >= 0 {
-			if r := &t.Spans[root]; s.End() < r.End() || (s.End() == r.End() && s.ID < r.ID) {
+			if r := &spans[root]; s.End() < r.End() || (s.End() == r.End() && s.ID < r.ID) {
 				continue
 			}
 		}
@@ -98,40 +104,35 @@ func (t *Trace) RootIndex() int {
 	return root
 }
 
-// Root returns the root span, or a zero Span if absent.
-func (t *Trace) Root() Span {
-	if i := t.RootIndex(); i >= 0 {
-		return t.Spans[i]
-	}
-	return Span{}
-}
-
-// ChildIndex is a trace's parent→children adjacency, built once per trace
-// into storage its owner reuses from trace to trace: consumers that ask for
-// every span's children (the critical-path extractor, per-span self times)
-// pay one sort per trace instead of a scan, a copy and a sort per span.
-// Nothing is stored on the Trace, so retained traces stay as small as they
-// were. The zero value is ready for Reset.
+// ChildIndex is where a sealed trace is decoded for structured reading: its
+// spans, and their parent→children adjacency, built once per trace into
+// storage the owner reuses from trace to trace. Consumers that ask for every
+// span's children (the critical-path extractor, per-span self times) pay one
+// decode and one sort per trace instead of a scan, a copy and a sort per
+// span. Nothing is stored on the Trace. The zero value is ready for Reset.
 type ChildIndex struct {
-	t *Trace
-	// order holds the index (into t.Spans) of every span that is somebody's
+	spans []Span // the trace's spans, decoded by Reset
+	// order holds the index (into spans) of every span that is somebody's
 	// child, sorted by (Parent, Start, ID): each parent's children are one
 	// contiguous run, already in the order Children returns them.
 	order []int32
 }
 
-// Reset points the index at t and rebuilds it in place.
+// Reset decodes t's spans and rebuilds the adjacency in place.
+//
+//firmvet:noalloc
 func (x *ChildIndex) Reset(t *Trace) {
-	x.t = t
+	x.spans = t.AppendSpans(x.spans[:0])
 	x.order = x.order[:0]
-	for i := range t.Spans {
-		if s := &t.Spans[i]; s.Parent != s.ID { // a self-parented span is nobody's child
+	for i := range x.spans {
+		if s := &x.spans[i]; s.Parent != s.ID { // a self-parented span is nobody's child
 			x.order = append(x.order, int32(i))
 		}
 	}
-	spans := t.Spans
+	spans := x.spans
 	// (Parent, Start, ID) is a total order within a trace — span IDs are
 	// unique — so the unstable sort has one possible output.
+	//firmvet:allow noalloc -- the comparator does not escape SortFunc, so it lives on the stack
 	slices.SortFunc(x.order, func(a, b int32) int {
 		sa, sb := &spans[a], &spans[b]
 		if c := cmp.Compare(sa.Parent, sb.Parent); c != 0 {
@@ -144,14 +145,16 @@ func (x *ChildIndex) Reset(t *Trace) {
 	})
 }
 
-// Trace returns the trace the index was last Reset to.
-func (x *ChildIndex) Trace() *Trace { return x.t }
+// Spans returns the decoded spans of the trace last Reset to, in emission
+// order. The slice aliases index storage: valid until the next Reset, and
+// not to be modified.
+func (x *ChildIndex) Spans() []Span { return x.spans }
 
-// Of returns the positions in Trace().Spans of parent's children, ordered
-// by (Start, ID). The slice aliases index storage: valid until the next
-// Reset, and not to be modified.
+// Of returns the positions in Spans() of parent's children, ordered by
+// (Start, ID). The slice aliases index storage: valid until the next Reset,
+// and not to be modified.
 func (x *ChildIndex) Of(parent SpanID) []int32 {
-	spans := x.t.Spans
+	spans := x.spans
 	lo, _ := slices.BinarySearchFunc(x.order, parent, func(i int32, p SpanID) int {
 		if spans[i].Parent < p {
 			return -1
@@ -175,7 +178,7 @@ func (x *ChildIndex) SelfDuration(s Span) sim.Time {
 	curLo, curHi := sim.Time(0), sim.Time(0)
 	started := false
 	for _, ki := range x.Of(s.ID) { // sorted by start time
-		k := &x.t.Spans[ki]
+		k := &x.spans[ki]
 		if k.Background {
 			continue
 		}
@@ -203,19 +206,20 @@ func (x *ChildIndex) SelfDuration(s Span) sim.Time {
 // starts), all parents exist, child intervals inside parent intervals (up to
 // RPC delays children may end after the parent for background work only).
 func (t *Trace) Validate() error {
+	spans := t.AppendSpans(nil)
 	ids := map[SpanID]Span{}
-	for _, s := range t.Spans {
+	for _, s := range spans {
 		if _, dup := ids[s.ID]; dup {
 			return fmt.Errorf("trace %d: duplicate span id %d", t.ID, s.ID)
 		}
 		ids[s.ID] = s
 	}
-	ri := t.RootIndex()
+	ri := RootIndex(spans)
 	if ri < 0 {
 		return fmt.Errorf("trace %d: no root span", t.ID)
 	}
-	root := t.Spans[ri]
-	for _, s := range t.Spans {
+	root := spans[ri]
+	for _, s := range spans {
 		if s.Parent == 0 {
 			if s.ID != root.ID && s.End() > root.Start {
 				return fmt.Errorf("trace %d: second root %d overlaps root %d", t.ID, s.ID, root.ID)

@@ -24,13 +24,29 @@ func span(id, parent SpanID, svc string, start, end sim.Time, bg bool) Span {
 	return Span{ID: id, Parent: parent, Service: uint16(sid), Instance: uint32(sid), Start: start, Dur: uint32(end - start), Background: bg}
 }
 
+// build seals spans into a trace through the coordinator's packer.
+func build(id TraceID, spans ...Span) *Trace {
+	t := &Trace{ID: id, Names: testNames}
+	t.Seal(spans)
+	return t
+}
+
+// root returns t's root span, or a zero Span if it has none.
+func root(t *Trace) Span {
+	spans := t.AppendSpans(nil)
+	if i := RootIndex(spans); i >= 0 {
+		return spans[i]
+	}
+	return Span{}
+}
+
 // children returns parent's child spans in index order.
 func children(t *Trace, parent SpanID) []Span {
 	var x ChildIndex
 	x.Reset(t)
 	var out []Span
 	for _, i := range x.Of(parent) {
-		out = append(out, t.Spans[i])
+		out = append(out, x.Spans()[i])
 	}
 	return out
 }
@@ -41,13 +57,19 @@ func selfDuration(t *Trace, s Span) sim.Time {
 	return x.SelfDuration(s)
 }
 
-func testTrace() *Trace {
-	return &Trace{ID: 1, Type: "t", Names: testNames, Start: 0, End: 100, Spans: []Span{
+func testSpans() []Span {
+	return []Span{
 		span(1, 0, "root", 0, 100, false),
 		span(2, 1, "a", 10, 40, false),
 		span(3, 1, "b", 30, 70, false),
 		span(4, 1, "w", 50, 120, true),
-	}}
+	}
+}
+
+func testTrace() *Trace {
+	t := build(1, testSpans()...)
+	t.Type, t.Start, t.End = "t", 0, 100
+	return t
 }
 
 func TestTraceAccessors(t *testing.T) {
@@ -56,15 +78,18 @@ func TestTraceAccessors(t *testing.T) {
 		t.Fatalf("latency %v", tr.Latency())
 	}
 	name := func(s Span) string { return tr.Names.ServiceName(uint32(s.Service)) }
-	if name(tr.Root()) != "root" || tr.Names.InstanceName(tr.Root().Instance) != "root-1" {
+	if name(root(tr)) != "root" || tr.Names.InstanceName(root(tr).Instance) != "root-1" {
 		t.Fatal("root")
 	}
 	kids := children(tr, 1)
 	if len(kids) != 3 || name(kids[0]) != "a" || name(kids[2]) != "w" {
 		t.Fatalf("children order: %v", kids)
 	}
-	if (&Trace{}).Root() != (Span{}) || (&Trace{}).RootIndex() != -1 {
+	if root(&Trace{}) != (Span{}) || RootIndex(nil) != -1 || (&Trace{}).Len() != 0 {
 		t.Fatal("empty root")
+	}
+	if tr.Len() != 4 || !slices.Equal(tr.AppendSpans(nil), testSpans()) {
+		t.Fatalf("sealed spans: %d, %v", tr.Len(), tr.AppendSpans(nil))
 	}
 }
 
@@ -99,29 +124,29 @@ func TestSpanLayout(t *testing.T) {
 // larger ID on a tie), and Validate accepts the shed attempts before it —
 // but not a second root that overlaps the served one or has children.
 func TestRootOfRetriedTrace(t *testing.T) {
-	tr := &Trace{ID: 1, Names: testNames, Spans: []Span{
+	tr := build(1,
 		span(1, 0, "root", 0, 5, false),  // shed
 		span(2, 0, "root", 8, 13, false), // shed
 		span(3, 0, "root", 16, 100, false),
 		span(4, 3, "a", 20, 60, false),
-	}}
-	if got := tr.Root().ID; got != 3 {
+	)
+	if got := root(tr).ID; got != 3 {
 		t.Fatalf("root is span %d, want the served attempt 3", got)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("shed root attempts must validate: %v", err)
 	}
-	tie := &Trace{ID: 2, Spans: []Span{span(7, 0, "root", 0, 10, false), span(9, 0, "root", 10, 10, false), span(8, 0, "root", 5, 10, false)}}
-	if got := tie.Root().ID; got != 9 {
+	tie := build(2, span(7, 0, "root", 0, 10, false), span(9, 0, "root", 10, 10, false), span(8, 0, "root", 5, 10, false))
+	if got := root(tie).ID; got != 9 {
 		t.Fatalf("tie on End: root is span %d, want the larger ID 9", got)
 	}
-	overlap := &Trace{ID: 3, Spans: []Span{span(1, 0, "root", 0, 20, false), span(2, 0, "root", 16, 100, false)}}
+	overlap := build(3, span(1, 0, "root", 0, 20, false), span(2, 0, "root", 16, 100, false))
 	if overlap.Validate() == nil {
 		t.Fatal("a second root overlapping the root must fail")
 	}
-	parented := &Trace{ID: 4, Spans: []Span{
+	parented := build(4,
 		span(1, 0, "root", 0, 5, false), span(2, 0, "root", 8, 100, false), span(3, 1, "a", 1, 4, false),
-	}}
+	)
 	if parented.Validate() == nil {
 		t.Fatal("a child of a shed root attempt must fail")
 	}
@@ -131,55 +156,53 @@ func TestValidate(t *testing.T) {
 	if err := testTrace().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := testTrace()
-	bad.Spans[1].Parent = 99
-	if bad.Validate() == nil {
+	bad := testSpans()
+	bad[1].Parent = 99
+	if build(1, bad...).Validate() == nil {
 		t.Fatal("unknown parent must fail")
 	}
-	bad = testTrace()
-	bad.Spans = append(bad.Spans, span(5, 0, "root", 0, 10, false))
-	if bad.Validate() == nil {
+	bad = append(testSpans(), span(5, 0, "root", 0, 10, false))
+	if build(1, bad...).Validate() == nil {
 		t.Fatal("two roots must fail")
 	}
-	bad = testTrace()
-	bad.Spans[2].Dur = 120 // non-background beyond parent
-	if bad.Validate() == nil {
+	bad = testSpans()
+	bad[2].Dur = 120 // non-background beyond parent
+	if build(1, bad...).Validate() == nil {
 		t.Fatal("child past parent must fail")
 	}
-	bad = testTrace()
-	bad.Spans[1].ID = 3
-	if bad.Validate() == nil {
+	bad = testSpans()
+	bad[1].ID = 3
+	if build(1, bad...).Validate() == nil {
 		t.Fatal("duplicate span id must fail")
 	}
 }
 
 func TestSelfDuration(t *testing.T) {
 	tr := testTrace()
-	root := tr.Root()
 	// Children a[10,40] and b[30,70] overlap → union [10,70] = 60; the
 	// background child w is excluded. Self = 100 - 60 = 40.
-	if got := selfDuration(tr, root); got != 40 {
+	if got := selfDuration(tr, root(tr)); got != 40 {
 		t.Fatalf("self = %v, want 40", got)
 	}
 	// Leaf span: self = full duration.
-	if got := selfDuration(tr, tr.Spans[1]); got != 30 { // span 2, "a"
+	if got := selfDuration(tr, testSpans()[1]); got != 30 { // span 2, "a"
 		t.Fatalf("leaf self = %v", got)
 	}
 	// Disjoint children.
-	tr2 := &Trace{ID: 2, Spans: []Span{
+	tr2 := build(2,
 		span(1, 0, "root", 0, 100, false),
 		span(2, 1, "a", 10, 20, false),
 		span(3, 1, "b", 50, 80, false),
-	}}
-	if got := selfDuration(tr2, tr2.Root()); got != 60 {
+	)
+	if got := selfDuration(tr2, root(tr2)); got != 60 {
 		t.Fatalf("disjoint self = %v, want 60", got)
 	}
 	// Child clipped to parent interval.
-	tr3 := &Trace{ID: 3, Spans: []Span{
+	tr3 := build(3,
 		span(1, 0, "root", 0, 100, false),
 		span(2, 1, "a", 90, 100, false),
-	}}
-	if got := selfDuration(tr3, tr3.Root()); got != 90 {
+	)
+	if got := selfDuration(tr3, root(tr3)); got != 90 {
 		t.Fatalf("clipped self = %v", got)
 	}
 }
@@ -197,10 +220,10 @@ func TestCoordinator(t *testing.T) {
 	if s1 == s2 {
 		t.Fatal("span ids must be unique")
 	}
-	c.Emit(tr, Span{ID: s1})
+	c.Emit(tr, Span{ID: s1, Queued: 3})
 	eng.Schedule(50, func() { c.Finish(tr, false) })
 	eng.RunUntil(100)
-	if got != tr || got.Type != "compose" || len(got.Spans) != 1 {
+	if got != tr || got.Type != "compose" || got.Len() != 1 || got.AppendSpans(nil)[0] != (Span{ID: s1, Queued: 3}) {
 		t.Fatalf("finished trace: %+v", got)
 	}
 	if got.End != 50 {
@@ -208,6 +231,16 @@ func TestCoordinator(t *testing.T) {
 	}
 	if c.PendingCount() != 0 || c.Collected != 1 || c.SpansSeen != 1 {
 		t.Fatal("counters")
+	}
+	// The sealed trace gave its emission buffer back; the next trace
+	// borrows it, emptied.
+	if tr.pending != nil || len(c.free) != 1 {
+		t.Fatalf("after Finish: pending %v, %d free buffers", tr.pending, len(c.free))
+	}
+	next := c.StartTrace("compose", 0)
+	if len(c.free) != 0 || len(*next.pending) != 0 || cap(*next.pending) == 0 {
+		t.Fatalf("StartTrace did not reuse the freed buffer: %d free, len %d cap %d",
+			len(c.free), len(*next.pending), cap(*next.pending))
 	}
 }
 
@@ -230,13 +263,13 @@ func TestNewSpanIDPanicsOnWrap(t *testing.T) {
 // TestChildrenOrder: children sort by (Start, ID) whatever order the spans
 // were emitted in — Par siblings dispatched at one instant tie on Start.
 func TestChildrenOrder(t *testing.T) {
-	tr := &Trace{ID: 1, Spans: []Span{
+	tr := build(1,
 		span(5, 1, "e", 20, 30, false),
 		span(4, 1, "d", 10, 90, false),
 		span(1, 0, "root", 0, 100, false),
 		span(3, 1, "c", 10, 20, false),
 		span(2, 1, "b", 10, 50, true),
-	}}
+	)
 	var got []SpanID
 	for _, k := range children(tr, 1) {
 		got = append(got, k.ID)

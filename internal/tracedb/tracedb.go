@@ -140,8 +140,10 @@ func (s *Store) Latencies(q Query) []float64 {
 // congestion intensity.
 func (s *Store) ServiceLatencies(q Query) map[string][]float64 {
 	out := map[string][]float64{}
+	var spans []trace.Span
 	for _, t := range s.Select(q) {
-		for _, sp := range t.Spans {
+		spans = t.AppendSpans(spans[:0])
+		for _, sp := range spans {
 			name := t.Names.ServiceName(uint32(sp.Service))
 			out[name] = append(out[name], sp.Duration().Millis())
 		}
