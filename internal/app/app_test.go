@@ -38,15 +38,6 @@ func harness(t *testing.T, spec *topology.Spec, seed int64) (*sim.Engine, *App, 
 // service names the service a span of tr ran on.
 func service(tr *trace.Trace, sp trace.Span) string { return tr.Names.ServiceName(uint32(sp.Service)) }
 
-// rootSpan returns tr's root span, or a zero Span if it has none.
-func rootSpan(tr *trace.Trace) trace.Span {
-	spans := tr.AppendSpans(nil)
-	if i := trace.RootIndex(spans); i >= 0 {
-		return spans[i]
-	}
-	return trace.Span{}
-}
-
 func TestDeployCreatesAllServices(t *testing.T) {
 	_, a, _ := harness(t, topology.SocialNetwork(), 1)
 	for name := range a.Spec.Services {
@@ -276,7 +267,7 @@ func TestTraceLatencyMatchesResult(t *testing.T) {
 	a.Submit("read-page", func(r Result) { res = r })
 	eng.RunUntil(10 * sim.Second)
 	tr := db.Select(tracedb.Query{})[0]
-	root := rootSpan(tr)
+	root := tr.Root()
 	if service(tr, root) != "nginx" {
 		t.Fatalf("root service %s", service(tr, root))
 	}
@@ -426,7 +417,7 @@ func TestRetriedRootKeepsOneRoot(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Errorf("retried trace: %v", err)
 		}
-		root := rootSpan(tr)
+		root := tr.Root()
 		if root.End() != tr.End { // the served root's response hop is the request's last event
 			t.Errorf("root span ends at %v, trace at %v: root is not the served attempt", root.End(), tr.End)
 		}

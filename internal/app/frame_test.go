@@ -225,9 +225,10 @@ func TestEmitQueuedBound(t *testing.T) {
 	if got := f.ctx.trace.AppendSpans(nil)[0].Queued; got != math.MaxUint32 {
 		t.Fatalf("Queued = %d, want %d", got, uint32(math.MaxUint32))
 	}
+	f.ctx.trace = a.Coord.StartTrace("get", 1) // the over-bound emit needs a live trace
 	defer func() {
-		if recover() == nil {
-			t.Fatal("emit truncated a queueing delay past 2^32-1 µs without panicking")
+		if r := recover(); r != "app: queueing delay exceeds Span.Queued (2^32-1 µs)" {
+			t.Fatalf("emit of a queueing delay past 2^32-1 µs: recovered %v, want the Queued guard's panic", r)
 		}
 	}()
 	f.emit(math.MaxUint32 + 1)
@@ -250,9 +251,10 @@ func TestEmitDurBound(t *testing.T) {
 	if s := f.ctx.trace.AppendSpans(nil)[0]; s.Dur != math.MaxUint32 || s.End() != eng.Now() {
 		t.Fatalf("Dur = %d, End = %v; want %d, %v", s.Dur, s.End(), uint32(math.MaxUint32), eng.Now())
 	}
+	f.ctx.trace = a.Coord.StartTrace("get", 1) // the over-bound emit needs a live trace
 	defer func() {
-		if recover() == nil {
-			t.Fatal("emit truncated a span longer than 2^32-1 µs without panicking")
+		if r := recover(); r != "app: span duration exceeds Span.Dur (2^32-1 µs)" {
+			t.Fatalf("emit of a span longer than 2^32-1 µs: recovered %v, want the Dur guard's panic", r)
 		}
 	}()
 	f.dispatch = 0

@@ -21,7 +21,7 @@ var testNames = &nameList{}
 // mkTrace builds a trace from (id, parent, service, start, end, background).
 func mkTrace(spans ...trace.Span) *trace.Trace {
 	t := &trace.Trace{ID: 1, Type: "t", Names: testNames}
-	t.Seal(spans)
+	t.Seal(spans, nil)
 	if len(spans) > 0 {
 		t.Start = spans[0].Start
 		t.End = spans[0].End()
@@ -279,7 +279,7 @@ func TestMinMaxCP(t *testing.T) {
 func TestCPLatencyEqualsRootDuration(t *testing.T) {
 	tr := fig2Trace(600, 300, 200)
 	p := Extract(tr)
-	if root := rootSpan(tr); p.Latency != root.Duration() {
+	if root := tr.Root(); p.Latency != root.Duration() {
 		t.Fatalf("CP latency %v != root duration %v", p.Latency, root.Duration())
 	}
 }

@@ -11,15 +11,6 @@ import (
 	"firm/internal/trace"
 )
 
-// rootSpan returns t's root span, or a zero Span if it has none.
-func rootSpan(t *trace.Trace) trace.Span {
-	spans := t.AppendSpans(nil)
-	if i := trace.RootIndex(spans); i >= 0 {
-		return spans[i]
-	}
-	return trace.Span{}
-}
-
 // scanChildren is parent's children by a scan, a copy and a sort.
 func scanChildren(spans []trace.Span, parent trace.SpanID) []trace.Span {
 	var out []trace.Span
@@ -38,7 +29,7 @@ func scanChildren(spans []trace.Span, parent trace.SpanID) []trace.Span {
 // children scan and two fresh slices per span. Kept as the oracle.
 func scanExtract(t *trace.Trace) Path {
 	all := t.AppendSpans(nil)
-	root := rootSpan(t)
+	root := t.Root()
 	if root.ID == 0 && root.End() == 0 {
 		return Path{}
 	}
@@ -121,7 +112,7 @@ func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
 		}
 		r.Shuffle(n, func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
 		tr := &trace.Trace{ID: 1, Names: testNames}
-		tr.Seal(spans)
+		tr.Seal(spans, nil)
 		want := scanExtract(tr)
 		got := e.Extract(tr)
 		if got.Latency != want.Latency || !slices.Equal(got.Spans, want.Spans) {

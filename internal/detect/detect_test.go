@@ -62,7 +62,7 @@ func window(n int, congested bool, r *rand.Rand) []*trace.Trace {
 			ID: trace.TraceID(i + 1), Type: "req", Names: testNames,
 			Start: 0, End: rootEnd,
 		}
-		tr.Seal(spans)
+		tr.Seal(spans, nil)
 		out = append(out, tr)
 	}
 	return out
@@ -200,7 +200,7 @@ func TestBackgroundInstancesScored(t *testing.T) {
 		}
 		w := trace.Span{ID: 4, Parent: 1, Start: sim.FromMillis(2), Dur: uint32(dur), Background: true}
 		w.Service, w.Instance = on("W", 1)
-		tr.Seal(append(tr.AppendSpans(nil), w))
+		tr.Seal(append(tr.AppendSpans(nil), w), nil)
 		_ = i
 	}
 	e := newExtractor(t)

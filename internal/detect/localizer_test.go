@@ -53,7 +53,7 @@ func streamTrace(i int, now sim.Time, r *rand.Rand) *trace.Trace {
 		gc.Service, gc.Instance = on("gc", 1)
 		spans = append(spans, gc)
 	}
-	tr.Seal(spans)
+	tr.Seal(spans, nil)
 	return tr
 }
 

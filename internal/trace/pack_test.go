@@ -51,8 +51,9 @@ func bytesToSpans(b []byte) []Span {
 }
 
 // FuzzSpanPack: any span sequence survives Seal → AppendSpans bit for bit,
-// in order, in exactly the bytes Seal sized for it — and a trace resealed
-// with other spans in its reused storage decodes to those.
+// in order, in exactly the bytes its stream takes — and a trace resealed
+// with other spans, through the same scratch into its reused storage,
+// decodes to those.
 func FuzzSpanPack(f *testing.F) {
 	const max32 = math.MaxUint32
 	f.Add([]byte{}) // the empty trace
@@ -78,7 +79,7 @@ func FuzzSpanPack(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spans := bytesToSpans(data)
 		tr := &Trace{}
-		tr.Seal(spans)
+		scratch := tr.Seal(spans, nil)
 		if len(tr.packed) != cap(tr.packed) {
 			t.Fatalf("packed %d bytes into a %d-byte buffer", len(tr.packed), cap(tr.packed))
 		}
@@ -92,7 +93,7 @@ func FuzzSpanPack(f *testing.F) {
 		}
 		// Reseal with the spans reversed, into the storage just used.
 		slices.Reverse(spans)
-		tr.Seal(spans)
+		tr.Seal(spans, scratch)
 		if got := tr.AppendSpans(nil); !slices.Equal(got, spans) {
 			t.Fatalf("resealed round trip:\nsealed  %v\ndecoded %v", spans, got)
 		}
@@ -108,15 +109,17 @@ func TestTraceLayout(t *testing.T) {
 	}
 }
 
-// TestSealAllocs: sealing allocates the packed bytes once, and resealing a
-// trace with no more bytes than its storage holds allocates nothing.
+// TestSealAllocs: with a warm scratch, sealing allocates the packed bytes
+// once, and resealing a trace with no more bytes than its storage holds
+// allocates nothing.
 func TestSealAllocs(t *testing.T) {
 	spans := testSpans()
 	tr := &Trace{}
-	if n := testing.AllocsPerRun(20, func() { tr.packed = nil; tr.Seal(spans) }); n != 1 {
+	scratch := tr.Seal(spans, nil)
+	if n := testing.AllocsPerRun(20, func() { tr.packed = nil; scratch = tr.Seal(spans, scratch) }); n != 1 {
 		t.Fatalf("Seal of an unsealed trace: %v allocs, want 1", n)
 	}
-	if n := testing.AllocsPerRun(20, func() { tr.Seal(spans[:2]) }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { scratch = tr.Seal(spans[:2], scratch) }); n != 0 {
 		t.Fatalf("reseal into reused storage: %v allocs, want 0", n)
 	}
 }

@@ -27,17 +27,8 @@ func span(id, parent SpanID, svc string, start, end sim.Time, bg bool) Span {
 // build seals spans into a trace through the coordinator's packer.
 func build(id TraceID, spans ...Span) *Trace {
 	t := &Trace{ID: id, Names: testNames}
-	t.Seal(spans)
+	t.Seal(spans, nil)
 	return t
-}
-
-// root returns t's root span, or a zero Span if it has none.
-func root(t *Trace) Span {
-	spans := t.AppendSpans(nil)
-	if i := RootIndex(spans); i >= 0 {
-		return spans[i]
-	}
-	return Span{}
 }
 
 // children returns parent's child spans in index order.
@@ -78,14 +69,14 @@ func TestTraceAccessors(t *testing.T) {
 		t.Fatalf("latency %v", tr.Latency())
 	}
 	name := func(s Span) string { return tr.Names.ServiceName(uint32(s.Service)) }
-	if name(root(tr)) != "root" || tr.Names.InstanceName(root(tr).Instance) != "root-1" {
+	if name(tr.Root()) != "root" || tr.Names.InstanceName(tr.Root().Instance) != "root-1" {
 		t.Fatal("root")
 	}
 	kids := children(tr, 1)
 	if len(kids) != 3 || name(kids[0]) != "a" || name(kids[2]) != "w" {
 		t.Fatalf("children order: %v", kids)
 	}
-	if root(&Trace{}) != (Span{}) || RootIndex(nil) != -1 || (&Trace{}).Len() != 0 {
+	if (&Trace{}).Root() != (Span{}) || RootIndex(nil) != -1 || (&Trace{}).Len() != 0 {
 		t.Fatal("empty root")
 	}
 	if tr.Len() != 4 || !slices.Equal(tr.AppendSpans(nil), testSpans()) {
@@ -130,14 +121,14 @@ func TestRootOfRetriedTrace(t *testing.T) {
 		span(3, 0, "root", 16, 100, false),
 		span(4, 3, "a", 20, 60, false),
 	)
-	if got := root(tr).ID; got != 3 {
+	if got := tr.Root().ID; got != 3 {
 		t.Fatalf("root is span %d, want the served attempt 3", got)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("shed root attempts must validate: %v", err)
 	}
 	tie := build(2, span(7, 0, "root", 0, 10, false), span(9, 0, "root", 10, 10, false), span(8, 0, "root", 5, 10, false))
-	if got := root(tie).ID; got != 9 {
+	if got := tie.Root().ID; got != 9 {
 		t.Fatalf("tie on End: root is span %d, want the larger ID 9", got)
 	}
 	overlap := build(3, span(1, 0, "root", 0, 20, false), span(2, 0, "root", 16, 100, false))
@@ -181,7 +172,7 @@ func TestSelfDuration(t *testing.T) {
 	tr := testTrace()
 	// Children a[10,40] and b[30,70] overlap → union [10,70] = 60; the
 	// background child w is excluded. Self = 100 - 60 = 40.
-	if got := selfDuration(tr, root(tr)); got != 40 {
+	if got := selfDuration(tr, tr.Root()); got != 40 {
 		t.Fatalf("self = %v, want 40", got)
 	}
 	// Leaf span: self = full duration.
@@ -194,7 +185,7 @@ func TestSelfDuration(t *testing.T) {
 		span(2, 1, "a", 10, 20, false),
 		span(3, 1, "b", 50, 80, false),
 	)
-	if got := selfDuration(tr2, root(tr2)); got != 60 {
+	if got := selfDuration(tr2, tr2.Root()); got != 60 {
 		t.Fatalf("disjoint self = %v, want 60", got)
 	}
 	// Child clipped to parent interval.
@@ -202,7 +193,7 @@ func TestSelfDuration(t *testing.T) {
 		span(1, 0, "root", 0, 100, false),
 		span(2, 1, "a", 90, 100, false),
 	)
-	if got := selfDuration(tr3, root(tr3)); got != 90 {
+	if got := selfDuration(tr3, tr3.Root()); got != 90 {
 		t.Fatalf("clipped self = %v", got)
 	}
 }

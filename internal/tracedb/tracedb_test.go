@@ -15,7 +15,7 @@ func (oneName) InstanceName(uint32) string { return "svc-1" }
 
 func tr(id uint64, typ string, end sim.Time, dropped bool) *trace.Trace {
 	t := &trace.Trace{ID: trace.TraceID(id), Type: typ, Names: oneName{}, Start: end - 10, End: end, Dropped: dropped}
-	t.Seal([]trace.Span{{ID: 1, Start: t.Start, Dur: uint32(t.End - t.Start)}})
+	t.Seal([]trace.Span{{ID: 1, Start: t.Start, Dur: uint32(t.End - t.Start)}}, nil)
 	return t
 }
 
