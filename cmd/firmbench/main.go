@@ -45,11 +45,11 @@
 //
 // -serve and -dist split one campaign across machines (internal/dist):
 // `firmbench -serve :port` runs a worker, `firmbench -dist host1,host2 -run
-// ...` runs the coordinator. Job seeds derive from the campaign seed and
-// stable job keys on whichever machine executes them, so stdout stays
-// byte-identical to a local run and the -json file diffs clean at tolerance
-// 0 (per-report worker provenance is recorded, which -diff reports as a
-// note). See the README's "Distributed campaigns" section.
+// ...` runs the coordinator. The coordinator runs the campaign as a local
+// run does and sends every experiment's cells to the workers. Job seeds
+// derive from the campaign seed and stable job keys on whichever machine
+// executes them, so stdout and the -json file are byte-identical to a
+// local run. See the README's "Distributed campaigns" section.
 package main
 
 import (
@@ -344,11 +344,13 @@ func runCampaign(x experiments.Exec, selected []string, sc experiments.Scale, se
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			return 1
 		}
-		var rep *report.Report
 		if jsonOut != "" {
-			rep = res.Report()
+			rep := res.Report()
+			rep.Scale = sc.Name
+			rep.Seed = seed
+			campaign.Merge(rep)
 		}
-		emitReport(textOut, campaign, id, sc.Name, seed, res.String(), rep, 0)
+		fmt.Fprintf(textOut, "=== %s (scale=%s seed=%d) ===\n%s\n", id, sc.Name, seed, res.String())
 		// Wall-clock goes to stderr with the progress feed: stdout carries
 		// only the experiment artifact, byte-identical at any -parallel.
 		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", id, time.Since(start).Seconds())
@@ -361,23 +363,6 @@ func runCampaign(x experiments.Exec, selected []string, sc experiments.Scale, se
 		}
 	}
 	return 0
-}
-
-// emitReport renders one experiment artifact and, when rep is non-nil,
-// stamps and merges its record into the campaign. Every campaign path —
-// the local loop, the coarse distributed merge, and the fine-grained
-// single-experiment mode — goes through this one function: the "-dist
-// stdout is byte-identical to a local run" invariant is precisely the
-// claim that no path renders differently, so keep this the only renderer.
-func emitReport(w io.Writer, campaign *report.Campaign, id, scale string, seed int64, text string, rep *report.Report, worker int) {
-	fmt.Fprintf(w, "=== %s (scale=%s seed=%d) ===\n", id, scale, seed)
-	fmt.Fprint(w, text)
-	fmt.Fprintln(w)
-	if rep != nil {
-		rep.Scale = scale
-		rep.Seed = seed
-		campaign.Merge(rep, worker)
-	}
 }
 
 func writeCampaign(path string, c *report.Campaign) error {

@@ -14,22 +14,14 @@ import (
 	"time"
 )
 
-// Result is one job's outcome with its provenance: Worker is the 1-based
-// position of the producing host in the pool's host list, or 0 when the
-// coordinator executed the job itself (the local-execution fallback).
-type Result struct {
-	Data   []byte
-	Worker int
-}
-
 // Pool is a campaign-scoped coordinator over a fixed set of worker hosts.
 // A host that fails a transport round-trip is dead for the rest of the
 // campaign (workers do not rejoin: campaigns are short-lived and a flapping
 // worker re-running jobs could not change results anyway, only waste them).
-// Pool is safe for concurrent Run calls — nested dispatch reuses one pool.
+// Pool is safe for concurrent RunJobs calls.
 type Pool struct {
-	// Hosts are worker addresses ("host:port", or full http:// URLs), in
-	// the order provenance reports them.
+	// Hosts are worker addresses ("host:port", or full http:// URLs); logs
+	// number them from 1 in this order.
 	Hosts []string
 	// Timeout bounds one job's HTTP round-trip; 0 means no limit (training
 	// experiments legitimately run for a long time). A worker that exceeds
@@ -172,11 +164,17 @@ func (p *Pool) aliveHosts() []int {
 
 // call runs one job on one host. jobErr is an application failure reported
 // by the worker (aborts the campaign); transportErr is a worker failure
-// (requeue). Exactly one of data/jobErr/transportErr is meaningful.
+// (requeue). Exactly one of data/jobErr/transportErr is meaningful. A
+// request over the worker's body bound is a job error, checked before
+// sending: every worker would refuse it, so treating the refusal as a
+// worker failure would drop the whole pool one worker at a time.
 func (p *Pool) call(host int, req JobRequest) (data []byte, jobErr, transportErr error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, err, nil // cannot happen for these types; treat as job error
+		return nil, err, nil // an input that is not JSON: no worker could take it
+	}
+	if len(body) > maxRequestBytes {
+		return nil, fmt.Errorf("request is %d bytes, over the %d-byte bound", len(body), maxRequestBytes), nil
 	}
 	// The per-job deadline lives on the request context; the client itself
 	// is shared pool-wide so completed calls keep their connections alive.
@@ -223,17 +221,19 @@ func (p *Pool) progress(format string, args ...any) {
 	}
 }
 
-// Run executes the named job set's listed keys across the pool and returns
-// one result per key, in key order. Scheduling is pull-shaped: one job is
-// outstanding per worker, so an idle worker takes the next job the moment
-// it finishes. A transport failure drops the worker and requeues its job;
-// when no workers remain, the coordinator runs what is left itself, in key
-// order. A job error (the job ran and failed) aborts the campaign like a
+// RunJobs implements internal/experiments.Dispatcher: it executes the
+// named job set's listed keys across the pool, every request carrying
+// input, and returns one result per key, in key order. Scheduling is
+// pull-shaped: one job is outstanding per worker, so an idle worker takes
+// the next job the moment it finishes. A transport failure drops the
+// worker and requeues its job; when no workers remain, the coordinator
+// runs what is left itself, in key order. A job error (the job ran and
+// failed, or its request is over the bound) aborts the campaign like a
 // local failure would; the error reported is the first in key order among
 // the jobs that failed.
-func (p *Pool) Run(set, scale string, seed int64, keys []string) ([]Result, error) {
+func (p *Pool) RunJobs(set, scale string, seed int64, input []byte, keys []string) ([][]byte, error) {
 	n := len(keys)
-	results := make([]Result, n)
+	results := make([][]byte, n)
 	if n == 0 {
 		return results, nil
 	}
@@ -275,7 +275,7 @@ func (p *Pool) Run(set, scale string, seed int64, keys []string) ([]Result, erro
 				queue = queue[1:]
 				mu.Unlock()
 
-				data, jobErr, terr := p.call(hi, JobRequest{Set: set, Key: keys[idx], Scale: scale, Seed: seed})
+				data, jobErr, terr := p.call(hi, JobRequest{Set: set, Key: keys[idx], Scale: scale, Seed: seed, Input: input})
 				mu.Lock()
 				switch {
 				case terr != nil:
@@ -290,7 +290,7 @@ func (p *Pool) Run(set, scale string, seed int64, keys []string) ([]Result, erro
 					mu.Unlock()
 					return
 				default:
-					results[idx] = Result{Data: data, Worker: hi + 1}
+					results[idx] = data
 					done++
 					d := done
 					if done == n {
@@ -314,33 +314,18 @@ func (p *Pool) Run(set, scale string, seed int64, keys []string) ([]Result, erro
 			log.Printf("dist: no workers left, running %d remaining job(s) locally", len(rest))
 		}
 		for _, idx := range rest {
-			data, err := p.Local(set, scale, seed, keys[idx])
+			data, err := p.Local(set, scale, seed, input, keys[idx])
 			if err != nil {
 				fail(idx, err)
 				break
 			}
-			results[idx] = Result{Data: data, Worker: 0}
+			results[idx] = data
 			done++
 			p.progress("[%d/%d] %s/%s done locally (fallback)", done, n, set, keys[idx])
 		}
 	}
 	if failErr != nil {
-		return results, fmt.Errorf("dist: job %s/%s: %w", set, keys[failIdx], failErr)
+		return nil, fmt.Errorf("dist: job %s/%s: %w", set, keys[failIdx], failErr)
 	}
 	return results, nil
-}
-
-// RunJobs implements internal/experiments.Dispatcher: it is Run with the
-// provenance stripped, for fine-grained job sets whose merge happens inside
-// the experiment that declared them.
-func (p *Pool) RunJobs(set, scale string, seed int64, keys []string) ([][]byte, error) {
-	rs, err := p.Run(set, scale, seed, keys)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(rs))
-	for i, r := range rs {
-		out[i] = r.Data
-	}
-	return out, nil
 }

@@ -1,19 +1,23 @@
-// Package dist fans a firmbench campaign's job pool across machines.
+// Package dist fans a firmbench campaign's cells across machines.
 //
-// FIRM's evaluation is a pool of independent, bit-reproducible jobs —
-// internal/runner's named job sets, from whole experiments down to single
-// sweep cells — so distribution needs no result coordination at all: a job
-// is a (set, key) reference, any machine rebuilds the identical job from
-// the registered set and the campaign's (scale, seed), and the seed each
-// job runs under derives from the campaign seed and the job key, never
-// from placement. Where a job runs, how late it runs, and how many times
-// it was retried are therefore invisible in the results; only wall-clock
-// changes. The coordinator merges results in declaration order, so a
-// distributed campaign's stdout is byte-identical to a single-machine run.
+// FIRM's evaluation is a pool of independent, bit-reproducible jobs: every
+// experiment's fan-out is a named job set of cells
+// (internal/experiments' jobSets), and the cell is the one unit that
+// crosses the wire. Distribution therefore needs no result coordination
+// at all: a job is a (set, key) reference plus the set's input, any
+// machine rebuilds the identical job from the registered set, the
+// campaign's (scale, seed) and that input, and the seed each job runs
+// under derives from the campaign seed and the job key, never from
+// placement. Where a job runs, how late it runs, and how many times it was
+// retried are therefore invisible in the results; only wall-clock changes.
+// The coordinator runs the campaign exactly as a local run does — training
+// and merging happen there — and results come back in declaration order,
+// so a distributed campaign's stdout and JSON are byte-identical to a
+// single-machine run.
 //
 // The protocol is deliberately small: HTTP+JSON, one POST per job.
 //
-//	POST /run   {"set":..,"key":..,"scale":..,"seed":..}
+//	POST /run   {"set":..,"key":..,"scale":..,"seed":..,"input":..}
 //	  -> 200 {"key":..,"result":<JSON>}   job executed
 //	  -> 200 {"key":..,"error":"..."}     job executed and failed (aborts
 //	                                      the campaign, like a local failure)
@@ -21,6 +25,11 @@
 //	                                      oversized (> 1 MiB) request body
 //	  transport error / non-200           worker failure (job is requeued)
 //	GET /healthz -> {"ok":true,"sets":[..]}
+//
+// input is the set's job input in wire form (a trained agent's weights for
+// the sets that evaluate one) and is omitted for sets that take none. The
+// coordinator never sends a body over the bound: such a job fails as a job
+// error naming its set, key and size.
 //
 // Dispatch is pull-shaped in the spirit of distributed join-the-idle-queue:
 // the coordinator keeps one outstanding job per worker, so each worker
@@ -43,23 +52,28 @@ import (
 
 // RunFunc executes one job on this machine: it resolves the (set, key)
 // reference against the process's job-set registry, rebuilds the job from
-// (scale, seed) and runs it under the process's own execution settings
-// (experiments.Exec.RunJob, in firmbench). A worker serves it over HTTP;
-// a coordinator falls back to it when no worker is left.
-type RunFunc func(set, scale string, seed int64, key string) ([]byte, error)
+// (scale, seed, input) and runs it under the process's own execution
+// settings (experiments.Exec.RunJob, in firmbench). A worker serves it over
+// HTTP; a coordinator falls back to it when no worker is left.
+type RunFunc func(set, scale string, seed int64, input []byte, key string) ([]byte, error)
 
-// maxRequestBytes bounds a /run body. A JobRequest is four short fields;
-// anything near the limit is a confused or hostile peer.
+// maxRequestBytes bounds a /run body. A JobRequest is four short fields
+// plus its set's input; the largest input any set sends is fig11b's
+// checkpoints at full scale, ten agent snapshots of ≈ 52 KB each on the
+// wire. Anything over the bound is a confused or hostile peer.
 const maxRequestBytes = 1 << 20
 
 // JobRequest identifies one job of a campaign: a (set, key) reference into
 // the executing process's job-set registry plus the campaign configuration
-// it rebuilds the job list from.
+// and set input it rebuilds the job list from. Input is a JSON value (the
+// set's wire encoding, like JobResponse.Result) and reaches the RunFunc
+// byte for byte.
 type JobRequest struct {
-	Set   string `json:"set"`
-	Key   string `json:"key"`
-	Scale string `json:"scale"`
-	Seed  int64  `json:"seed"`
+	Set   string          `json:"set"`
+	Key   string          `json:"key"`
+	Scale string          `json:"scale"`
+	Seed  int64           `json:"seed"`
+	Input json.RawMessage `json:"input,omitempty"`
 }
 
 // JobResponse carries one executed job's outcome. Exactly one of Result and
@@ -115,7 +129,7 @@ func Handler(sets []string, run RunFunc) http.Handler {
 // cannot fix.
 func runJob(run RunFunc, req JobRequest) JobResponse {
 	start := time.Now()
-	data, err := run(req.Set, req.Scale, req.Seed, req.Key)
+	data, err := run(req.Set, req.Scale, req.Seed, req.Input, req.Key)
 	if err != nil {
 		log.Printf("dist: job %s/%s failed after %.1fs: %v", req.Set, req.Key, time.Since(start).Seconds(), err)
 		return JobResponse{Key: req.Key, Error: err.Error()}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -18,11 +19,11 @@ import (
 const arithSet = "dist-test/arith"
 
 // arithRun returns a synthetic executor whose results are a pure function
-// of (scale, seed, key) — the same contract real sets get from DeriveSeed —
-// with a touch of latency so loopback workers interleave. The job keyed
-// badKey fails.
+// of (scale, seed, input, key) — the same contract real sets get from
+// DeriveSeed — with a touch of latency so loopback workers interleave. The
+// job keyed badKey fails.
 func arithRun(badKey string) RunFunc {
-	return func(set, scale string, seed int64, key string) ([]byte, error) {
+	return func(set, scale string, seed int64, input []byte, key string) ([]byte, error) {
 		if set != arithSet {
 			return nil, fmt.Errorf("unknown job set %q", set)
 		}
@@ -30,8 +31,18 @@ func arithRun(badKey string) RunFunc {
 			return nil, fmt.Errorf("synthetic job failure at %s", key)
 		}
 		time.Sleep(2 * time.Millisecond)
-		return json.Marshal(fmt.Sprintf("%s/%s@%d", scale, key, sim.DeriveSeed(seed, key)))
+		return json.Marshal(fmt.Sprintf("%s/%s@%d<%s>", scale, key, sim.DeriveSeed(seed, key), input))
 	}
+}
+
+// countingRun wraps run with a call counter: as a pool's Local it counts
+// the jobs the coordinator ran itself.
+func countingRun(run RunFunc) (RunFunc, *atomic.Int32) {
+	var n atomic.Int32
+	return func(set, scale string, seed int64, input []byte, key string) ([]byte, error) {
+		n.Add(1)
+		return run(set, scale, seed, input, key)
+	}, &n
 }
 
 func keysN(prefix string, n int) []string {
@@ -43,13 +54,13 @@ func keysN(prefix string, n int) []string {
 }
 
 // localResults computes the reference results the way a single machine
-// would, straight from the executor.
+// would, straight from the executor, for jobs without input.
 func localResults(t *testing.T, scale string, seed int64, keys []string) [][]byte {
 	t.Helper()
 	run := arithRun("")
 	out := make([][]byte, len(keys))
 	for i, k := range keys {
-		data, err := run(arithSet, scale, seed, k)
+		data, err := run(arithSet, scale, seed, nil, k)
 		if err != nil {
 			t.Fatalf("local %s: %v", k, err)
 		}
@@ -58,14 +69,14 @@ func localResults(t *testing.T, scale string, seed int64, keys []string) [][]byt
 	return out
 }
 
-func assertSameBytes(t *testing.T, got []Result, want [][]byte) {
+func assertSameBytes(t *testing.T, got, want [][]byte) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if string(got[i].Data) != string(want[i]) {
-			t.Fatalf("result %d differs: %s vs local %s", i, got[i].Data, want[i])
+		if string(got[i]) != string(want[i]) {
+			t.Fatalf("result %d differs: %s vs local %s", i, got[i], want[i])
 		}
 	}
 }
@@ -92,29 +103,50 @@ func handler() http.Handler { return Handler([]string{arithSet}, arithRun("")) }
 
 func newWorker(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(handler())
-	t.Cleanup(srv.Close)
+	srv, _ := newCountingWorker(t)
 	return srv
+}
+
+// newCountingWorker is newWorker with a count of the jobs it served.
+func newCountingWorker(t *testing.T) (*httptest.Server, *atomic.Int32) {
+	t.Helper()
+	run, n := countingRun(arithRun(""))
+	srv := httptest.NewServer(Handler([]string{arithSet}, run))
+	t.Cleanup(srv.Close)
+	return srv, n
 }
 
 func TestLoopbackByteIdenticalToLocal(t *testing.T) {
 	keys := keysN("k", 12)
-	w1, w2 := newWorker(t), newWorker(t)
-	p := NewPool([]string{w1.URL, w2.URL}, arithRun(""))
-	got, err := p.Run(arithSet, "tiny", 42, keys)
+	w1, n1 := newCountingWorker(t)
+	w2, n2 := newCountingWorker(t)
+	local, nLocal := countingRun(arithRun(""))
+	p := NewPool([]string{w1.URL, w2.URL}, local)
+	got, err := p.RunJobs(arithSet, "tiny", 42, nil, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameBytes(t, got, localResults(t, "tiny", 42, keys))
-	seen := map[int]bool{}
-	for _, r := range got {
-		if r.Worker < 1 || r.Worker > 2 {
-			t.Fatalf("provenance slot %d out of range", r.Worker)
-		}
-		seen[r.Worker] = true
+	if n1.Load() == 0 || n2.Load() == 0 || nLocal.Load() != 0 {
+		t.Fatalf("jobs served: worker 1 %d, worker 2 %d, local %d; want both workers and no local", n1.Load(), n2.Load(), nLocal.Load())
 	}
-	if len(seen) != 2 {
-		t.Fatalf("both workers should have produced results, got slots %v", seen)
+}
+
+// TestInputReachesEveryJob: the set's input rides every request and
+// reaches each job byte for byte, on a worker and in the local fallback.
+func TestInputReachesEveryJob(t *testing.T) {
+	keys := keysN("k", 6)
+	input := []byte(`"c25hcHNob3Q="`)
+	want := make([][]byte, len(keys))
+	for i, k := range keys {
+		want[i], _ = arithRun("")(arithSet, "tiny", 4, input, k)
+	}
+	for _, hosts := range [][]string{{newWorker(t).URL}, nil} {
+		got, err := NewPool(hosts, arithRun("")).RunJobs(arithSet, "tiny", 4, input, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameBytes(t, got, want)
 	}
 }
 
@@ -134,8 +166,9 @@ func TestWorkerDeathRequeues(t *testing.T) {
 	defer dying.Close()
 	healthy := newWorker(t)
 
-	p := NewPool([]string{dying.URL, healthy.URL}, arithRun(""))
-	got, err := p.Run(arithSet, "tiny", 7, keys)
+	local, nLocal := countingRun(arithRun(""))
+	p := NewPool([]string{dying.URL, healthy.URL}, local)
+	got, err := p.RunJobs(arithSet, "tiny", 7, nil, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +176,8 @@ func TestWorkerDeathRequeues(t *testing.T) {
 	if alive(p) != 1 {
 		t.Fatalf("dying worker should be dropped: alive=%d", alive(p))
 	}
-	for i, r := range got {
-		if r.Worker == 0 {
-			t.Fatalf("result %d fell back locally with a healthy worker up", i)
-		}
+	if n := nLocal.Load(); n != 0 {
+		t.Fatalf("%d job(s) fell back locally with a healthy worker up", n)
 	}
 }
 
@@ -164,16 +195,15 @@ func TestAllWorkersDeadFallsBackLocally(t *testing.T) {
 	w1, w2 := httptest.NewServer(abort), httptest.NewServer(abort)
 	defer w1.Close()
 	defer w2.Close()
-	p := NewPool([]string{w1.URL, w2.URL}, arithRun(""))
-	got, err := p.Run(arithSet, "tiny", 3, keys)
+	local, nLocal := countingRun(arithRun(""))
+	p := NewPool([]string{w1.URL, w2.URL}, local)
+	got, err := p.RunJobs(arithSet, "tiny", 3, nil, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameBytes(t, got, localResults(t, "tiny", 3, keys))
-	for i, r := range got {
-		if r.Worker != 0 {
-			t.Fatalf("result %d claims worker %d after total pool death", i, r.Worker)
-		}
+	if n := nLocal.Load(); n != int32(len(keys)) {
+		t.Fatalf("%d job(s) ran locally after total pool death, want %d", n, len(keys))
 	}
 	if alive(p) != 0 {
 		t.Fatalf("alive=%d after both workers died", alive(p))
@@ -183,7 +213,7 @@ func TestAllWorkersDeadFallsBackLocally(t *testing.T) {
 func TestNoHostsRunsEverythingLocally(t *testing.T) {
 	keys := keysN("k", 4)
 	p := NewPool(nil, arithRun(""))
-	got, err := p.Run(arithSet, "quick", 9, keys)
+	got, err := p.RunJobs(arithSet, "quick", 9, nil, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,18 +222,16 @@ func TestNoHostsRunsEverythingLocally(t *testing.T) {
 
 func TestUnreachableHostIsDroppedNotFatal(t *testing.T) {
 	keys := keysN("k", 4)
-	healthy := newWorker(t)
+	healthy, served := newCountingWorker(t)
 	p := NewPool([]string{"127.0.0.1:1", healthy.URL}, arithRun("")) // port 1: nothing listens
 	p.ReadyTimeout = 50 * time.Millisecond
-	got, err := p.Run(arithSet, "tiny", 5, keys)
+	got, err := p.RunJobs(arithSet, "tiny", 5, nil, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameBytes(t, got, localResults(t, "tiny", 5, keys))
-	for i, r := range got {
-		if r.Worker != 2 {
-			t.Fatalf("result %d produced by slot %d, want the healthy worker (2)", i, r.Worker)
-		}
+	if n := served.Load(); n != int32(len(keys)) {
+		t.Fatalf("healthy worker served %d job(s), want all %d", n, len(keys))
 	}
 }
 
@@ -215,7 +243,7 @@ func TestJobErrorAbortsCampaign(t *testing.T) {
 	w := httptest.NewServer(Handler([]string{arithSet}, arithRun("k3")))
 	defer w.Close()
 	p := NewPool([]string{w.URL}, arithRun(""))
-	_, err := p.Run(arithSet, "tiny", 1, keys)
+	_, err := p.RunJobs(arithSet, "tiny", 1, nil, keys)
 	if err == nil || !strings.Contains(err.Error(), "synthetic job failure at k3") {
 		t.Fatalf("want the job's own error, got %v", err)
 	}
@@ -236,7 +264,7 @@ func TestTimeoutTreatedAsWorkerFailure(t *testing.T) {
 	defer slow.Close()
 	p := NewPool([]string{slow.URL}, arithRun(""))
 	p.Timeout = 50 * time.Millisecond
-	got, err := p.Run(arithSet, "tiny", 2, keys)
+	got, err := p.RunJobs(arithSet, "tiny", 2, nil, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +291,7 @@ func TestPoolReusesConnections(t *testing.T) {
 	srv.Start()
 	t.Cleanup(srv.Close)
 	p := NewPool([]string{srv.URL}, arithRun(""))
-	got, err := p.Run(arithSet, "tiny", 42, keys)
+	got, err := p.RunJobs(arithSet, "tiny", 42, nil, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,10 +325,11 @@ func TestReadyTimeoutNotOvershotByProbe(t *testing.T) {
 			defer c.Close() // hold silently until the listener closes
 		}
 	}()
-	p := NewPool([]string{ln.Addr().String()}, arithRun(""))
+	local, nLocal := countingRun(arithRun(""))
+	p := NewPool([]string{ln.Addr().String()}, local)
 	p.ReadyTimeout = 300 * time.Millisecond
 	start := time.Now()
-	got, err := p.Run(arithSet, "tiny", 9, keysN("k", 2))
+	_, err = p.RunJobs(arithSet, "tiny", 9, nil, keysN("k", 2))
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -308,10 +337,8 @@ func TestReadyTimeoutNotOvershotByProbe(t *testing.T) {
 	if alive(p) != 0 {
 		t.Fatalf("silent host still alive after ready check")
 	}
-	for i, r := range got {
-		if r.Worker != 0 {
-			t.Fatalf("result %d from slot %d, want local fallback (0)", i, r.Worker)
-		}
+	if n := nLocal.Load(); n != 2 {
+		t.Fatalf("%d job(s) ran locally, want both", n)
 	}
 	// 300ms deadline + scheduling slack; the old behaviour waited the full
 	// 2s probe.
@@ -325,9 +352,9 @@ func TestReadyTimeoutNotOvershotByProbe(t *testing.T) {
 // runs, with a status the coordinator treats as a worker failure.
 func TestRunRejectsMalformedRequests(t *testing.T) {
 	var ran atomic.Int32
-	srv := httptest.NewServer(Handler([]string{arithSet}, func(set, scale string, seed int64, key string) ([]byte, error) {
+	srv := httptest.NewServer(Handler([]string{arithSet}, func(set, scale string, seed int64, input []byte, key string) ([]byte, error) {
 		ran.Add(1)
-		return arithRun("")(set, scale, seed, key)
+		return arithRun("")(set, scale, seed, input, key)
 	}))
 	defer srv.Close()
 	valid := `{"set":"` + arithSet + `","key":"k0","scale":"tiny","seed":1}`
@@ -359,4 +386,108 @@ func TestRunRejectsMalformedRequests(t *testing.T) {
 			t.Errorf("%s: %d job(s) ran, want %d", tc.name, got, wantRuns)
 		}
 	}
+}
+
+// TestOverBoundRequestIsJobError: a request whose body is over the worker's
+// bound fails as a job error naming its set, key and size, before it is
+// sent. Were the worker's 413 a worker failure, every worker would be
+// dropped in turn and the job would quietly run locally.
+func TestOverBoundRequestIsJobError(t *testing.T) {
+	w, served := newCountingWorker(t)
+	local, nLocal := countingRun(arithRun(""))
+	p := NewPool([]string{w.URL}, local)
+	input, err := json.Marshal(make([]byte, maxRequestBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(JobRequest{Set: arithSet, Key: "k0", Scale: "tiny", Seed: 1, Input: input})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.RunJobs(arithSet, "tiny", 1, input, keysN("k", 3))
+	if err == nil {
+		t.Fatal("over-bound request succeeded")
+	}
+	for _, want := range []string{arithSet, "k0", fmt.Sprint(len(body))} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if alive(p) != 1 || served.Load() != 0 || nLocal.Load() != 0 {
+		t.Fatalf("alive %d, served %d, local %d; want the worker kept and nothing run", alive(p), served.Load(), nLocal.Load())
+	}
+}
+
+// FuzzRunRequest sends arbitrary /run bodies, and well-formed requests
+// built from arbitrary fields, to the worker handler. It must never panic
+// and answer 200, 400 or 413 only; a 200 carries a JobResponse with
+// exactly one of Result and Error; and a well-formed request's input
+// reaches the RunFunc byte for byte.
+func FuzzRunRequest(f *testing.F) {
+	f.Add([]byte(`{"set":"s","key":"k","scale":"tiny","seed":1}`), "s", "k", int64(1), []byte("weights"))
+	f.Add([]byte(`{"set":"fail","key":"k","scale":"tiny","seed":1,"input":"AAE="}`), "fail", "k", int64(-3), []byte{})
+	f.Add([]byte(`{"set":"s","input":null}`), "", "", int64(0), []byte{0, 1, 2})
+	f.Add([]byte(`{"set":"s","shards":4}`), "s", "\xff", int64(7), []byte(nil))
+	f.Add([]byte(`{"set":"s"`), "s", "k", int64(1), []byte("x"))
+	f.Fuzz(func(t *testing.T, body []byte, set, key string, seed int64, input []byte) {
+		var got []byte
+		run := func(set, scale string, seed int64, in []byte, key string) ([]byte, error) {
+			got = append([]byte(nil), in...)
+			if set == "fail" {
+				return nil, fmt.Errorf("job %q failed", key)
+			}
+			return json.Marshal(key)
+		}
+		h := Handler([]string{"s"}, run)
+		post := func(body []byte) int {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
+			switch rec.Code {
+			case http.StatusOK:
+				var resp JobResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatalf("200 body %q does not decode: %v", rec.Body.Bytes(), err)
+				}
+				if (resp.Result == nil) == (resp.Error == "") {
+					t.Fatalf("200 body %q must carry exactly one of result and error", rec.Body.Bytes())
+				}
+			case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			default:
+				t.Fatalf("status %d for body %q", rec.Code, body)
+			}
+			return rec.Code
+		}
+
+		got = nil
+		if post(body) == http.StatusOK {
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			var req JobRequest
+			if err := dec.Decode(&req); err != nil {
+				t.Fatalf("handler accepted %q, which does not decode: %v", body, err)
+			}
+			if !bytes.Equal(got, req.Input) {
+				t.Fatalf("input %q reached the job as %q", req.Input, got)
+			}
+		}
+
+		wire, err := json.Marshal(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := json.Marshal(JobRequest{Set: set, Key: key, Scale: "tiny", Seed: seed, Input: wire})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(req) > maxRequestBytes {
+			return
+		}
+		got = nil
+		if code := post(req); code != http.StatusOK {
+			t.Fatalf("well-formed request %q answered %d", req, code)
+		}
+		if !bytes.Equal(got, wire) {
+			t.Fatalf("input %q reached the job as %q", wire, got)
+		}
+	})
 }

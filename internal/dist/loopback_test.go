@@ -26,7 +26,7 @@ func newExperimentWorker(t *testing.T, x experiments.Exec) *httptest.Server {
 func TestWorkerRejectsUnknownSetAsJobError(t *testing.T) {
 	w := newExperimentWorker(t, experiments.Exec{})
 	p := NewPool([]string{w.URL}, experiments.Exec{}.RunJob)
-	_, err := p.Run("dist-test/never-registered", "tiny", 1, []string{"x"})
+	_, err := p.RunJobs("dist-test/never-registered", "tiny", 1, nil, []string{"x"})
 	if err == nil || !strings.Contains(err.Error(), "unknown job set") {
 		t.Fatalf("want unknown-set job error, got %v", err)
 	}
@@ -35,64 +35,50 @@ func TestWorkerRejectsUnknownSetAsJobError(t *testing.T) {
 	}
 }
 
-// TestExperimentSetLoopback runs a whole experiment (fig9c: cheap, no
-// simulation) through a loopback worker and checks the payload is
-// byte-identical to computing it in-process — the unit-level version of the
-// CI smoke's full-campaign comparison.
-func TestExperimentSetLoopback(t *testing.T) {
-	w := newExperimentWorker(t, experiments.Exec{})
-	p := NewPool([]string{w.URL}, experiments.Exec{}.RunJob)
-	rs, err := p.Run(experiments.ExperimentSet, "tiny", 42, []string{"fig9c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payload experiments.ExperimentPayload
-	if err := json.Unmarshal(rs[0].Data, &payload); err != nil {
-		t.Fatal(err)
-	}
-	res, err := experiments.Fig9c(experiments.Exec{}, experiments.TinyScale(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if payload.Text != res.String() {
-		t.Fatalf("remote text differs from local:\n%s\nvs\n%s", payload.Text, res.String())
-	}
-	rep := res.Report()
-	rep.Scale = "tiny"
-	rep.Seed = 42
-	want, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(payload.Report, want) {
-		t.Fatalf("remote report record differs from local:\n%s\nvs\n%s", payload.Report, want)
-	}
-	if rs[0].Worker != 1 {
-		t.Fatalf("provenance slot = %d, want 1", rs[0].Worker)
-	}
-}
-
-// TestFineGrainedDispatchByteIdentical hands the pool to a real fan-out
-// experiment as its Exec.Remote: the job-level remote
-// path (builder re-enumeration on the worker, JSON round-trip of results)
-// must reproduce the local artifact byte for byte.
+// TestFineGrainedDispatchByteIdentical hands the pool to real experiments
+// as their Exec.Remote, the way `firmbench -dist` does: every cell runs on
+// one of two loopback workers (builder re-enumeration there, input and
+// result round-trips through the wire), and the artifact and its record
+// must reproduce the local run byte for byte. The table covers a set
+// without input (table1), the sets whose input is a trained agent (fig1,
+// fig10) or its checkpoints (fig11b), and training cells (fig11a).
 func TestFineGrainedDispatchByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
 	sc := experiments.TinyScale()
-	local, err := experiments.Table1(experiments.Exec{}, sc, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
 	workerExec := experiments.Exec{Pool: runner.NewPool(2)}
 	w1, w2 := newExperimentWorker(t, workerExec), newExperimentWorker(t, workerExec)
-	p := NewPool([]string{w1.URL, w2.URL}, experiments.Exec{}.RunJob)
-	remote, err := experiments.Table1(experiments.Exec{Remote: p}, sc, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if local.String() != remote.String() {
-		t.Fatalf("dispatched Table1 differs from local:\n%s\nvs\n%s", remote, local)
+	for _, id := range []string{"table1", "fig1", "fig10", "fig11a", "fig11b"} {
+		run, _ := experiments.Get(id)
+		t.Run(id, func(t *testing.T) {
+			local, err := run(experiments.Exec{}, sc, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served, count := countingRun(workerExec.RunJob)
+			p := NewPool([]string{w1.URL, w2.URL}, served)
+			remote, err := run(experiments.Exec{Remote: p}, sc, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := count.Load(); n != 0 {
+				t.Fatalf("%d cell(s) fell back to the coordinator", n)
+			}
+			if local.String() != remote.String() {
+				t.Fatalf("dispatched %s differs from local:\n%s\nvs\n%s", id, remote, local)
+			}
+			lj, err := json.Marshal(local.Report())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rj, err := json.Marshal(remote.Report())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(lj, rj) {
+				t.Fatalf("dispatched %s record differs from local:\n%s\nvs\n%s", id, rj, lj)
+			}
+		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"firm/internal/harness"
 	"firm/internal/injector"
 	"firm/internal/report"
+	"firm/internal/rl"
 	"firm/internal/runner"
 	"firm/internal/sim"
 	"firm/internal/stats"
@@ -34,31 +35,36 @@ type Fig1Result struct {
 	PeakNoFIRM, PeakFIRM float64
 }
 
-// Fig1 runs Social Network under constant load with a mem-BW anomaly
-// injected mid-run, once unmanaged and once under a trained FIRM agent.
-func Fig1(x Exec, sc Scale, seed int64) (*Fig1Result, error) {
-	trained, err := Train(TrainOpts{Pool: x.Pool, Seed: seed, Spec: topology.TrainTicket(),
-		Episodes: sc.EpisodeCount / 2, Variant: OneForAll})
-	if err != nil {
-		return nil, err
-	}
-	base := trained.Provider.Agents()[0]
+// fig1Window is Fig. 1's run length and anomaly window at scale sc.
+func fig1Window(sc Scale) (dur, start, length sim.Time) {
+	dur = sc.dur(300 * sim.Second)
+	return dur, dur / 5, 2 * dur / 5
+}
 
-	dur := sc.dur(300 * sim.Second)
-	anomalyStart := dur / 5
-	anomalyDur := 2 * dur / 5
+// fig1Arm is one policy arm's per-second series (fields exported for the
+// job set's wire form).
+type fig1Arm struct{ P99s, CPU, DRAM []float64 }
 
-	run := func(seed int64, withFIRM bool) (p99s, cpu, dram []float64, err error) {
+// fig1Jobs declares Fig. 1's two policy arms. They are paired on seed+1
+// (identical workload and anomaly realization; only the controller
+// differs). base is the trained agent the FIRM arm loads; it evaluates with
+// Training off, so only the actor weights matter.
+func fig1Jobs(_ Exec, sc Scale, seed int64, base rl.Snapshot) ([]runner.Job[fig1Arm], error) {
+	dur, anomalyStart, anomalyDur := fig1Window(sc)
+	run := func(seed int64, withFIRM bool) (arm fig1Arm, err error) {
 		b, err := harness.New(harness.Options{
 			Seed: seed, Spec: topology.SocialNetwork(), SLOMargin: 1.6,
 		})
 		if err != nil {
-			return nil, nil, nil, err
+			return arm, err
 		}
 		b.AttachWorkload(workload.Constant{RPS: 250})
 		if withFIRM {
-			cfg := core.DefaultConfig()
-			b.AttachFIRM(cfg, core.SharedAgent{A: cloneAgent(base, seed)}, nil)
+			a, err := loadAgent(base, seed)
+			if err != nil {
+				return arm, err
+			}
+			b.AttachFIRM(core.DefaultConfig(), core.SharedAgent{A: a}, nil)
 		}
 		victim := b.Cluster.ReplicaSet("post-storage-mongodb").Containers()[0]
 		b.Eng.Schedule(anomalyStart, func() {
@@ -75,35 +81,40 @@ func Fig1(x Exec, sc Scale, seed int64) (*Fig1Result, error) {
 		tick := sim.NewTicker(b.Eng, sim.Second, func() {
 			lats := b.DB.Latencies(tracedb.Query{Since: b.Eng.Now() - 2*sim.Second})
 			if len(lats) > 0 {
-				p99s = append(p99s, stats.Percentile(lats, 99))
+				arm.P99s = append(arm.P99s, stats.Percentile(lats, 99))
 			} else {
-				p99s = append(p99s, 0)
+				arm.P99s = append(arm.P99s, 0)
 			}
-			cpu = append(cpu, 100*node.Utilization()[cluster.CPU])
-			dram = append(dram, node.PerCoreDRAMAccess())
+			arm.CPU = append(arm.CPU, 100*node.Utilization()[cluster.CPU])
+			arm.DRAM = append(arm.DRAM, node.PerCoreDRAMAccess())
 		})
 		tick.Start()
 		b.Eng.RunFor(dur)
-		return p99s, cpu, dram, nil
+		return arm, nil
 	}
+	return []runner.Job[fig1Arm]{
+		{Key: "fig1/no-firm", Run: func(int64) (fig1Arm, error) { return run(seed+1, false) }},
+		{Key: "fig1/firm", Run: func(int64) (fig1Arm, error) { return run(seed+1, true) }},
+	}, nil
+}
 
-	// The two policy arms are paired on seed+1 (identical workload and
-	// anomaly realization; only the controller differs) and run as jobs.
-	type arm struct{ p99s, cpu, dram []float64 }
-	arms, err := runner.Map(x.Pool, seed, []runner.Job[arm]{
-		{Key: "fig1/no-firm", Run: func(int64) (arm, error) {
-			p, c, d, err := run(seed+1, false)
-			return arm{p, c, d}, err
-		}},
-		{Key: "fig1/firm", Run: func(int64) (arm, error) {
-			p, c, d, err := run(seed+1, true)
-			return arm{p, c, d}, err
-		}},
-	})
+// Fig1 runs Social Network under constant load with a mem-BW anomaly
+// injected mid-run, once unmanaged and once under a trained FIRM agent.
+func Fig1(x Exec, sc Scale, seed int64) (*Fig1Result, error) {
+	base, err := trainBase(x, seed, sc.EpisodeCount/2)
 	if err != nil {
 		return nil, err
 	}
-	noP99, cpu, dram, yesP99 := arms[0].p99s, arms[0].cpu, arms[0].dram, arms[1].p99s
+	jobs, err := fig1Jobs(x, sc, seed, base)
+	if err != nil {
+		return nil, err
+	}
+	arms, err := mapJobs(x, "fig1", sc, seed, base, jobs)
+	if err != nil {
+		return nil, err
+	}
+	_, anomalyStart, anomalyDur := fig1Window(sc)
+	noP99, cpu, dram, yesP99 := arms[0].P99s, arms[0].CPU, arms[0].DRAM, arms[1].P99s
 	res := &Fig1Result{
 		P99NoFIRM: noP99, P99FIRM: yesP99, CPUUtilPct: cpu, PerCoreDRAM: dram,
 		AnomalyStart: anomalyStart.Seconds(),
@@ -211,7 +222,7 @@ func Table1(x Exec, sc Scale, seed int64) (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := mapJobs(x, "table1", sc, seed, jobs)
+	rows, err := mapJobs(x, "table1", sc, seed, noInput{}, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +388,7 @@ func Fig3(x Exec, sc Scale, seed int64) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := mapJobs(x, "fig3", sc, seed, jobs)
+	rows, err := mapJobs(x, "fig3", sc, seed, noInput{}, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +568,7 @@ func Fig4(x Exec, sc Scale, seed int64) (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	arms, err := mapJobs(x, "fig4", sc, seed, jobs)
+	arms, err := mapJobs(x, "fig4", sc, seed, noInput{}, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -708,7 +719,7 @@ func Fig5(x Exec, sc Scale, seed int64) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	lats, err := mapJobs(x, "fig5", sc, seed, jobs)
+	lats, err := mapJobs(x, "fig5", sc, seed, noInput{}, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -468,7 +468,7 @@ func FaultSweep(x Exec, sc Scale, seed int64) (*FaultSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := mapJobs(x, "faultsweep", sc, seed, jobs)
+	rows, err := mapJobs(x, "faultsweep", sc, seed, noInput{}, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -32,74 +32,75 @@ type Fig10Result struct {
 	DropsVsHPA        float64
 }
 
+// fig10Policies are Fig. 10's arms, in job order.
+var fig10Policies = []Policy{PolicyFIRMSingle, PolicyFIRMMulti, PolicyAIMD, PolicyHPA}
+
+// fig10Jobs declares Fig. 10's validation runs on Social Network: one job
+// per policy, each under the randomized anomaly-injection campaign. base is
+// the single-RL agent trained on Train-Ticket. Each FIRM job rebuilds its
+// own agents from it, so no mutable state crosses workers: the single-RL
+// arm loads base on the job's seed, and the multi-RL arm transfers it into
+// per-service agents. Train-Ticket and Social Network share no service
+// name, so every agent the controller asks for on Social Network is a
+// fresh transfer: there is nothing to train here. The runs evaluate with
+// Training off, which reads the actor alone, so base's target networks
+// (which a snapshot does not carry) cannot matter.
+func fig10Jobs(_ Exec, sc Scale, seed int64, base rl.Snapshot) ([]runner.Job[RunStats], error) {
+	spec := topology.SocialNetwork()
+	dur := sc.dur(120 * sim.Second)
+	var jobs []runner.Job[RunStats]
+	for _, policy := range fig10Policies {
+		jobs = append(jobs, runner.Job[RunStats]{
+			Key: runner.Key("fig10", policy),
+			Run: func(jobSeed int64) (RunStats, error) {
+				var prov core.AgentProvider
+				switch policy {
+				case PolicyFIRMSingle:
+					a, err := loadAgent(base, jobSeed)
+					if err != nil {
+						return RunStats{}, err
+					}
+					prov = core.SharedAgent{A: a}
+				case PolicyFIRMMulti:
+					a, err := loadAgent(base, 0)
+					if err != nil {
+						return RunStats{}, err
+					}
+					mcfg := rl.DefaultConfig()
+					mcfg.Seed = seed + 1
+					prov = &core.PerServiceAgents{Cfg: mcfg, Base: a}
+				}
+				return Run(RunOpts{
+					Seed: jobSeed, Spec: spec,
+					Pattern:  workload.Constant{RPS: 250},
+					Duration: dur, Policy: policy, Agents: prov, Campaign: true,
+				})
+			},
+		})
+	}
+	return jobs, nil
+}
+
 // Fig10 trains a single-RL agent on Train-Ticket (the paper's §4.3
 // protocol), then evaluates all four policies on a DeathStarBench
 // application (validation benchmark, §4.4) under the randomized
 // anomaly-injection campaign.
 func Fig10(x Exec, sc Scale, seed int64) (*Fig10Result, error) {
-	// Phase 1: train on Train-Ticket.
-	trained, err := Train(TrainOpts{
-		Pool: x.Pool, Seed: seed, Spec: topology.TrainTicket(),
-		Episodes: sc.EpisodeCount, Variant: OneForAll,
-	})
+	base, err := trainBase(x, seed, sc.EpisodeCount)
 	if err != nil {
 		return nil, err
 	}
-	base := trained.Provider.Agents()[0]
-
-	// Multi-RL: per-service agents transferred from the single-RL base.
-	// Train-Ticket and Social Network share no service name, so every agent
-	// the controller asks for on Social Network would be a fresh transfer
-	// whatever the provider had learned on Train-Ticket: there is nothing
-	// to train here.
-	mcfg := rl.DefaultConfig()
-	mcfg.Seed = seed + 1
-	multi := &core.PerServiceAgents{Cfg: mcfg, Base: base}
-
-	// Phase 2: validate on Social Network — one job per policy. Each job
-	// owns its agent state: the single-RL arm clones the trained base
-	// inside the job, and the multi-RL provider is touched by its job
-	// alone (the other arms are rule-based), so no mutable state crosses
-	// workers. `base` is only read concurrently (weight transfer), which
-	// is safe.
-	spec := topology.SocialNetwork()
-	dur := sc.dur(120 * sim.Second)
-	res := &Fig10Result{Benchmark: spec.Name, Stats: map[string]RunStats{}}
-
-	runs := []struct {
-		policy Policy
-		prov   func(jobSeed int64) core.AgentProvider
-	}{
-		{PolicyFIRMSingle, func(jobSeed int64) core.AgentProvider {
-			return core.SharedAgent{A: cloneAgent(base, jobSeed)}
-		}},
-		{PolicyFIRMMulti, func(int64) core.AgentProvider { return multi }},
-		{PolicyAIMD, nil},
-		{PolicyHPA, nil},
-	}
-	var jobs []runner.Job[RunStats]
-	for _, r := range runs {
-		jobs = append(jobs, runner.Job[RunStats]{
-			Key: runner.Key("fig10", r.policy),
-			Run: func(jobSeed int64) (RunStats, error) {
-				var prov core.AgentProvider
-				if r.prov != nil {
-					prov = r.prov(jobSeed)
-				}
-				return Run(RunOpts{
-					Seed: jobSeed, Spec: spec,
-					Pattern:  workload.Constant{RPS: 250},
-					Duration: dur, Policy: r.policy, Agents: prov, Campaign: true,
-				})
-			},
-		})
-	}
-	sts, err := runner.Map(x.Pool, seed, jobs)
+	jobs, err := fig10Jobs(x, sc, seed, base)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range runs {
-		res.Stats[r.policy.String()] = sts[i]
+	sts, err := mapJobs(x, "fig10", sc, seed, base, jobs)
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig10Result{Benchmark: topology.SocialNetwork().Name, Stats: map[string]RunStats{}}
+	for i, policy := range fig10Policies {
+		res.Stats[policy.String()] = sts[i]
 		if res.SLOms == 0 {
 			res.SLOms = sts[i].SLOms
 		}
@@ -117,6 +118,19 @@ func Fig10(x Exec, sc Scale, seed int64) (*Fig10Result, error) {
 	return res, nil
 }
 
+// trainBase trains a One-for-All agent on Train-Ticket for episodes
+// episodes and returns its weights.
+func trainBase(x Exec, seed int64, episodes int) (rl.Snapshot, error) {
+	trained, err := Train(TrainOpts{
+		Pool: x.Pool, Seed: seed, Spec: topology.TrainTicket(),
+		Episodes: episodes, Variant: OneForAll,
+	})
+	if err != nil {
+		return rl.Snapshot{}, err
+	}
+	return trained.Provider.Agents()[0].Save()
+}
+
 func ratio(a, b float64) float64 {
 	if b == 0 {
 		if a == 0 {
@@ -127,16 +141,16 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
-// cloneAgent copies a trained agent so evaluation runs do not share mutable
-// state with training.
-func cloneAgent(src *rl.Agent, seed int64) *rl.Agent {
+// loadAgent builds a fresh agent on seed and loads snap into it. The
+// snapshot sets all four networks, targets from the online ones.
+func loadAgent(snap rl.Snapshot, seed int64) (*rl.Agent, error) {
 	cfg := rl.DefaultConfig()
 	cfg.Seed = seed
 	a := rl.New(cfg)
-	if err := a.TransferFrom(src); err != nil {
-		panic(err)
+	if err := a.Load(snap); err != nil {
+		return nil, err
 	}
-	return a
+	return a, nil
 }
 
 // String renders the Fig. 10 report.

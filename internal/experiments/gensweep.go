@@ -209,7 +209,7 @@ func GenSweep(x Exec, sc Scale, seed int64) (*GenSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := mapJobs(x, "gensweep", sc, seed, jobs)
+	rows, err := mapJobs(x, "gensweep", sc, seed, noInput{}, jobs)
 	if err != nil {
 		return nil, err
 	}

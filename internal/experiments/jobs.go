@@ -11,16 +11,14 @@ import (
 	"firm/internal/sim"
 )
 
-// This file turns the experiments' fan-out job lists from closure-only
-// values into named, serializable job sets. Each self-contained sweep — one
-// whose job list is a pure, cheap function of (scale, seed) — enters its
-// builder in the jobSets table; the builder is the single source of truth
-// for the list, so the machine that schedules a job and the machine that
-// executes it reconstruct identical jobs from nothing but (set, scale,
-// seed, key). Experiments whose jobs capture expensive setup (trained
-// agents, checkpoint snapshots: fig1, fig10, fig11a, fig11b) keep their
-// closures local and distribute at whole-experiment granularity instead
-// (registry.go's ExperimentSet).
+// This file turns every fan-out in the package into a named, serializable
+// job set. An experiment's fan-out enters its builder in the jobSets table;
+// the builder is the single source of truth for the list, so the machine
+// that schedules a job and the machine that executes it reconstruct
+// identical jobs from nothing but (set, scale, seed, input, key). Most sets
+// take no input. The ones whose cells evaluate a trained agent (fig1,
+// fig10, fig11b) take the agent's rl.Snapshot as input: training runs once
+// on the coordinator, and every request of the set carries the weights.
 
 // Exec says how a campaign executes — never what it computes: every field
 // may differ between two runs, or between the machines of one run, without
@@ -50,33 +48,34 @@ func (x Exec) shards() int {
 
 // Dispatcher executes a named job set's jobs somewhere else. RunJobs
 // must return one JSON result per key, in key order, each produced by the
-// set's jobFunc (same seed derivation as the local path), so using
-// one never changes results — only where the work happens.
+// set's jobFunc on the given input (same seed derivation as the local
+// path), so using one never changes results — only where the work happens.
 type Dispatcher interface {
-	RunJobs(set, scale string, seed int64, keys []string) ([][]byte, error)
+	RunJobs(set, scale string, seed int64, input []byte, keys []string) ([][]byte, error)
 }
 
 // A jobFunc executes one job of a named job set under x and returns its
-// result in wire form: it rebuilds the set's job list from (scale, seed),
-// finds key, and runs it on the seed the local path would derive — so where
-// a job runs can never change its result.
-type jobFunc func(x Exec, scale string, seed int64, key string) ([]byte, error)
+// result in wire form: it rebuilds the set's job list from (scale, seed,
+// input), finds key, and runs it on the seed the local path would derive —
+// so where a job runs can never change its result.
+type jobFunc func(x Exec, scale string, seed int64, input []byte, key string) ([]byte, error)
 
-// jobSets is the one table of named job sets: registry.go's
-// whole-experiment set, and one fine-grained set per self-contained sweep,
-// named after the owning experiment's id (which is what lets the
-// coordinator pick cell-level dispatch for a single-experiment campaign).
-// It is a literal, so a duplicate name does not compile.
+// jobSets is the one table of named job sets, one per experiment fan-out,
+// named after the owning experiment's id. It is a literal, so a duplicate
+// name does not compile.
 var jobSets = map[string]jobFunc{
-	ExperimentSet: runExperiment,
-	"table1":      fineJobs("table1", table1Jobs),
-	"fig3":        fineJobs("fig3", fig3Jobs),
-	"fig4":        fineJobs("fig4", fig4Jobs),
-	"fig5":        fineJobs("fig5", fig5Jobs),
-	"fig9a":       fineJobs("fig9a", fig9aJobs),
-	"fig9b":       fineJobs("fig9b", fig9bJobs),
-	"gensweep":    fineJobs("gensweep", gensweepJobs),
-	"faultsweep":  fineJobs("faultsweep", faultsweepJobs),
+	"table1":     fineJobs("table1", plain(table1Jobs)),
+	"fig1":       fineJobs("fig1", fig1Jobs),
+	"fig3":       fineJobs("fig3", plain(fig3Jobs)),
+	"fig4":       fineJobs("fig4", plain(fig4Jobs)),
+	"fig5":       fineJobs("fig5", plain(fig5Jobs)),
+	"fig9a":      fineJobs("fig9a", plain(fig9aJobs)),
+	"fig9b":      fineJobs("fig9b", plain(fig9bJobs)),
+	"fig10":      fineJobs("fig10", fig10Jobs),
+	"fig11a":     fineJobs("fig11a", plain(fig11aJobs)),
+	"fig11b":     fineJobs("fig11b", fig11bJobs),
+	"gensweep":   fineJobs("gensweep", plain(gensweepJobs)),
+	"faultsweep": fineJobs("faultsweep", plain(faultsweepJobs)),
 }
 
 // JobSets returns the names of the job sets, sorted.
@@ -93,20 +92,15 @@ func JobSets() []string {
 // worker serves, and what the coordinator falls back to when no worker is
 // left. An unknown set means the two processes disagree about the campaign
 // (mismatched binaries, say).
-func (x Exec) RunJob(set, scale string, seed int64, key string) ([]byte, error) {
+func (x Exec) RunJob(set, scale string, seed int64, input []byte, key string) ([]byte, error) {
 	run, ok := jobSets[set]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown job set %q (binaries out of sync?)", set)
 	}
-	return run(x, scale, seed, key)
+	return run(x, scale, seed, input, key)
 }
 
-// HasJobSet reports whether the experiment id has a fine-grained job set,
-// i.e. whether its fan-out can be dispatched cell by cell rather than as
-// one whole-experiment job.
-func HasJobSet(id string) bool { return id != ExperimentSet && jobSets[id] != nil }
-
-// wireEncode serializes a fine-grained job result for the wire: gob for
+// wireEncode serializes a job's input or result for the wire: gob for
 // the value — bit-exact float64s including NaN and ±Inf, which plain
 // encoding/json rejects, so a job whose statistics legitimately come out
 // NaN behaves identically locally and remotely — wrapped in a JSON string
@@ -128,16 +122,46 @@ func wireDecode[T any](raw []byte, out *T) error {
 	return gob.NewDecoder(bytes.NewReader(blob)).Decode(out)
 }
 
-// fineJobs adapts a fan-out job-list builder to a jobFunc. T must survive
-// a gob round-trip (exported fields), which keeps remote results
-// byte-identical to local ones.
-func fineJobs[T any](name string, build func(Exec, Scale, int64) ([]runner.Job[T], error)) jobFunc {
-	return func(x Exec, scale string, seed int64, key string) ([]byte, error) {
+// noInput is the input type of a job set whose list is a function of
+// (scale, seed) alone; it travels as no bytes at all.
+type noInput struct{}
+
+// plain adapts a builder that takes no input to fineJobs' shape.
+func plain[T any](build func(Exec, Scale, int64) ([]runner.Job[T], error)) func(Exec, Scale, int64, noInput) ([]runner.Job[T], error) {
+	return func(x Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[T], error) { return build(x, sc, seed) }
+}
+
+// encodeInput is a job set's input in wire form (nil for noInput).
+func encodeInput[I any](in I) ([]byte, error) {
+	if _, none := any(in).(noInput); none {
+		return nil, nil
+	}
+	return wireEncode(in)
+}
+
+// decodeInput reverses encodeInput.
+func decodeInput[I any](raw []byte, in *I) error {
+	if _, none := any(*in).(noInput); none {
+		return nil
+	}
+	return wireDecode(raw, in)
+}
+
+// fineJobs adapts a fan-out job-list builder to a jobFunc. Locally the
+// builder receives its input as a value; a worker decodes it from the
+// request first. I and T must survive a gob round-trip (exported fields),
+// which keeps remote jobs and results byte-identical to local ones.
+func fineJobs[I, T any](name string, build func(Exec, Scale, int64, I) ([]runner.Job[T], error)) jobFunc {
+	return func(x Exec, scale string, seed int64, input []byte, key string) ([]byte, error) {
 		sc, err := ScaleByName(scale)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: job set %q: %w", name, err)
 		}
-		jobs, err := build(x, sc, seed)
+		var in I
+		if err := decodeInput(input, &in); err != nil {
+			return nil, fmt.Errorf("experiments: job set %q: decode input: %w", name, err)
+		}
+		jobs, err := build(x, sc, seed, in)
 		if err != nil {
 			return nil, err
 		}
@@ -157,20 +181,24 @@ func fineJobs[T any](name string, build func(Exec, Scale, int64) ([]runner.Job[T
 // mapJobs runs a named set's job list: remotely when x names a
 // dispatcher (and the scale is a named one a remote machine can rebuild),
 // on x's pool otherwise. jobs must be the set's own builder output for
-// (x, sc, seed) — callers that also need plan metadata build once
-// and pass the list through, rather than having mapJobs re-enumerate it.
-// Results come back in declaration order either way, and are byte-identical
-// either way.
-func mapJobs[T any](x Exec, name string, sc Scale, seed int64, jobs []runner.Job[T]) ([]T, error) {
+// (x, sc, seed, in) — callers that also need plan metadata build once
+// and pass the list through, rather than having mapJobs re-enumerate it;
+// in travels with every remote request. Results come back in declaration
+// order either way, and are byte-identical either way.
+func mapJobs[I, T any](x Exec, name string, sc Scale, seed int64, in I, jobs []runner.Job[T]) ([]T, error) {
 	if d := x.Remote; d != nil {
 		// Remote dispatch requires a scale a remote process can expand from
 		// its name; ad-hoc Scale values (tests) always run locally.
 		if _, err := ScaleByName(sc.Name); err == nil {
+			input, err := encodeInput(in)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: dispatch %s: encode input: %w", name, err)
+			}
 			keys := make([]string, len(jobs))
 			for i, j := range jobs {
 				keys[i] = j.Key
 			}
-			raws, err := d.RunJobs(name, sc.Name, seed, keys)
+			raws, err := d.RunJobs(name, sc.Name, seed, input, keys)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: dispatch %s: %w", name, err)
 			}

@@ -6,6 +6,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"firm/internal/dist"
+	"firm/internal/rl"
+	"firm/internal/runner"
 )
 
 // TestWireCodecRoundTripsNonFinite pins the fine-grained job wire format:
@@ -75,35 +79,80 @@ func TestWireCodecRoundTripsNonFinite(t *testing.T) {
 	}
 }
 
-func TestHasJobSet(t *testing.T) {
-	for _, id := range []string{"table1", "fig3", "fig4", "fig5", "fig9a", "fig9b"} {
-		if !HasJobSet(id) {
-			t.Errorf("HasJobSet(%q) = false", id)
+// TestEveryFanOutIsAJobSet: every job set is named after the experiment
+// that owns its fan-out, and the only experiments without one are those
+// with no fan-out of their own (fig9c, table6) and headline, which runs
+// fig10's and fig11b's sets.
+func TestEveryFanOutIsAJobSet(t *testing.T) {
+	sets := map[string]bool{}
+	for _, set := range JobSets() {
+		sets[set] = true
+		if _, ok := Get(set); !ok {
+			t.Errorf("job set %q names no experiment", set)
 		}
 	}
-	for _, id := range []string{"fig1", "fig10", "fig11a", "fig11b", "experiment", "nope"} {
-		if HasJobSet(id) {
-			t.Errorf("HasJobSet(%q) = true", id)
+	var without []string
+	for _, id := range IDs() {
+		if !sets[id] {
+			without = append(without, id)
 		}
+	}
+	if got := fmt.Sprint(without); got != "[fig9c headline table6]" {
+		t.Fatalf("experiments without a job set: %s", got)
 	}
 }
 
-// TestJobSetTable pins the one job-set table: every fine-grained set plus
-// the whole-experiment set, listed sorted; an unknown set is an error
+// TestLargestInputFitsRequestBound: the largest input any set sends is
+// fig11b's at full scale, one agent snapshot per checkpoint (400 / 40 =
+// 10). Its /run request must stay under the worker's 1 MiB body bound.
+func TestLargestInputFitsRequestBound(t *testing.T) {
+	sc := FullScale()
+	ag := rl.New(rl.DefaultConfig())
+	var cp checkpoints
+	for ep := sc.CheckpointEvery; ep <= sc.EpisodeCount; ep += sc.CheckpointEvery {
+		snap, err := ag.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.Episodes = append(cp.Episodes, ep)
+		cp.Snapshots = append(cp.Snapshots, snap)
+	}
+	if len(cp.Snapshots) != 10 {
+		t.Fatalf("%d checkpoints at full scale, want 10", len(cp.Snapshots))
+	}
+	input, err := encodeInput(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(dist.JobRequest{
+		Set: "fig11b", Key: runner.Key("fig11b", "checkpoint", sc.EpisodeCount),
+		Scale: sc.Name, Seed: math.MinInt64, Input: input,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) >= 1<<20 {
+		t.Fatalf("fig11b full-scale request is %d bytes, not under 1 MiB", len(body))
+	}
+	t.Logf("fig11b full-scale request: %d bytes (%d per snapshot)", len(body), len(body)/len(cp.Snapshots))
+}
+
+// TestJobSetTable pins the one job-set table, listed sorted; an unknown set
+// is an error
 // (mismatched binaries), not a panic. Duplicate names cannot be tested —
 // the table is a map literal, so they do not compile.
 func TestJobSetTable(t *testing.T) {
-	want := "[experiment faultsweep fig3 fig4 fig5 fig9a fig9b gensweep table1]"
+	want := "[faultsweep fig1 fig10 fig11a fig11b fig3 fig4 fig5 fig9a fig9b gensweep table1]"
 	if got := fmt.Sprint(JobSets()); got != want {
 		t.Fatalf("JobSets() = %s, want %s", got, want)
 	}
-	if _, err := (Exec{}).RunJob("no-such-set", "tiny", 42, "k"); err == nil || !strings.Contains(err.Error(), "unknown job set") {
+	if _, err := (Exec{}).RunJob("no-such-set", "tiny", 42, nil, "k"); err == nil || !strings.Contains(err.Error(), "unknown job set") {
 		t.Fatalf("unknown set: err = %v", err)
 	}
-	if _, err := (Exec{}).RunJob("table1", "tiny", 42, "no-such-key"); err == nil || !strings.Contains(err.Error(), "has no job") {
+	if _, err := (Exec{}).RunJob("table1", "tiny", 42, nil, "no-such-key"); err == nil || !strings.Contains(err.Error(), "has no job") {
 		t.Fatalf("unknown key: err = %v", err)
 	}
-	if _, err := (Exec{}).RunJob("table1", "no-such-scale", 42, "k"); err == nil {
+	if _, err := (Exec{}).RunJob("table1", "no-such-scale", 42, nil, "k"); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
 }

@@ -126,7 +126,7 @@ func Fig9a(x Exec, sc Scale, seed int64) (*Fig9aResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	studies, err := mapJobs(x, "fig9a", sc, seed, jobs)
+	studies, err := mapJobs(x, "fig9a", sc, seed, noInput{}, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +314,7 @@ func Fig9b(x Exec, sc Scale, seed int64) (*Fig9bResult, error) {
 		"x86": {}, "ppc64": {},
 	}}
 	jobs, slots := fig9bPlan(sc, seed)
-	accs, err := mapJobs(x, "fig9b", sc, seed, jobs)
+	accs, err := mapJobs(x, "fig9b", sc, seed, noInput{}, jobs)
 	if err != nil {
 		return nil, err
 	}

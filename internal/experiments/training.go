@@ -103,12 +103,13 @@ func Train(opts TrainOpts) (*TrainResult, error) {
 	// before DDPG refinement: the paper's from-scratch exploration spans
 	// ~15000 episodes, which this reproduction compresses (see the
 	// "Scales and determinism" section of the README). The clone runs on
-	// the campaign's own worker budget: the rollout pin, else whatever the
-	// pool has spare for the length of the call.
+	// the campaign's own worker budget: the rollout pin, else the calling
+	// goroutine plus whatever the pool has spare for the length of the
+	// call — the rule rollout rounds follow too.
 	bc := func(ag *rl.Agent) {
 		width := opts.RolloutWorkers
 		if width <= 0 {
-			spare := opts.Pool.AcquireUpTo(opts.Pool.Workers() - 1)
+			spare := opts.Pool.AcquireUpTo(opts.Pool.Workers())
 			defer opts.Pool.ReleaseSlots(spare)
 			width = 1 + spare
 		}
@@ -250,29 +251,55 @@ type Fig11aResult struct {
 	ConvergedEpisode map[string]int
 }
 
-// Fig11a runs the three training campaigns. The variants are independent:
-// One-for-All and One-for-Each run as parallel jobs; Transferred must wait
-// for One-for-All's trained base. Within a variant, episode rollouts
-// parallelize on internal/rollout's actor-learner engine, drawing workers
-// from the same pool as the jobs. All variants share the
+// fig11aCurve is one trained variant's smoothed reward curve (fields
+// exported for the job set's wire form).
+type fig11aCurve struct {
+	Variant  Variant
+	Smoothed []float64
+}
+
+// fig11aJobs declares Fig. 11(a)'s two training cells. One-for-Each is one
+// cell. One-for-All is the other, and it goes on to train Transferred from
+// its live base inside the same cell, because that training starts from
+// the base's trained target networks too. All variants share the
 // experiment seed on purpose — §4.3 trains every model "subjected to the
 // same sequence of performance anomaly injections".
-func Fig11a(x Exec, sc Scale, seed int64) (*Fig11aResult, error) {
+func fig11aJobs(x Exec, sc Scale, seed int64) ([]runner.Job[[]fig11aCurve], error) {
 	spec := topology.TrainTicket()
-	firstTwo, err := runner.Map(x.Pool, seed, []runner.Job[*TrainResult]{
-		{Key: "fig11a/one-for-all", Run: func(int64) (*TrainResult, error) {
-			return Train(TrainOpts{Pool: x.Pool, Seed: seed, Spec: spec, Episodes: sc.EpisodeCount, Variant: OneForAll})
+	train := func(v Variant, base *rl.Agent) (*TrainResult, error) {
+		return Train(TrainOpts{Pool: x.Pool, Seed: seed, Spec: spec, Episodes: sc.EpisodeCount, Variant: v, Base: base})
+	}
+	return []runner.Job[[]fig11aCurve]{
+		{Key: "fig11a/one-for-all", Run: func(int64) ([]fig11aCurve, error) {
+			all, err := train(OneForAll, nil)
+			if err != nil {
+				return nil, err
+			}
+			trans, err := train(Transferred, all.Provider.Agents()[0])
+			if err != nil {
+				return nil, err
+			}
+			return []fig11aCurve{{OneForAll, all.Smoothed}, {Transferred, trans.Smoothed}}, nil
 		}},
-		{Key: "fig11a/one-for-each", Run: func(int64) (*TrainResult, error) {
-			return Train(TrainOpts{Pool: x.Pool, Seed: seed, Spec: spec, Episodes: sc.EpisodeCount, Variant: OneForEach})
+		{Key: "fig11a/one-for-each", Run: func(int64) ([]fig11aCurve, error) {
+			each, err := train(OneForEach, nil)
+			if err != nil {
+				return nil, err
+			}
+			return []fig11aCurve{{OneForEach, each.Smoothed}}, nil
 		}},
-	})
+	}, nil
+}
+
+// Fig11a runs the three training campaigns. Within a variant, episode
+// rollouts parallelize on internal/rollout's actor-learner engine, drawing
+// workers from the same pool as the jobs.
+func Fig11a(x Exec, sc Scale, seed int64) (*Fig11aResult, error) {
+	jobs, err := fig11aJobs(x, sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	all, each := firstTwo[0], firstTwo[1]
-	base := all.Provider.Agents()[0]
-	trans, err := Train(TrainOpts{Pool: x.Pool, Seed: seed, Spec: spec, Episodes: sc.EpisodeCount, Variant: Transferred, Base: base})
+	cells, err := mapJobs(x, "fig11a", sc, seed, noInput{}, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -284,12 +311,14 @@ func Fig11a(x Exec, sc Scale, seed int64) (*Fig11aResult, error) {
 	for i := 0; i < sc.EpisodeCount; i++ {
 		res.Episodes = append(res.Episodes, i+1)
 	}
-	for _, tr := range []*TrainResult{all, each, trans} {
-		name := tr.Variant.String()
-		res.Series[name] = tr.Smoothed
-		tail := tr.Smoothed[len(tr.Smoothed)*3/4:]
-		res.FinalReward[name] = stats.Mean(tail)
-		res.ConvergedEpisode[name] = convergedAt(tr.Smoothed, 0.9)
+	for _, cell := range cells {
+		for _, c := range cell {
+			name := c.Variant.String()
+			res.Series[name] = c.Smoothed
+			tail := c.Smoothed[len(c.Smoothed)*3/4:]
+			res.FinalReward[name] = stats.Mean(tail)
+			res.ConvergedEpisode[name] = convergedAt(c.Smoothed, 0.9)
+		}
 	}
 	return res, nil
 }
@@ -357,58 +386,46 @@ type Fig11bResult struct {
 	FinalSingleRL float64
 }
 
-// Fig11b evaluates checkpointed agents: every checkpoint is loaded into a
-// fresh controller and subjected to a one-minute continuous injection
-// campaign; mitigation time is measured as in §4.3.
-func Fig11b(x Exec, sc Scale, seed int64) (*Fig11bResult, error) {
-	spec := topology.TrainTicket()
-	single, err := Train(TrainOpts{
-		Pool: x.Pool, Seed: seed, Spec: spec, Episodes: sc.EpisodeCount,
-		Variant: OneForAll, CheckpointEvery: sc.CheckpointEvery,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig11bResult{}
+// checkpoints is fig11b's job input: the single-RL training run's
+// snapshots and the episodes they were taken after.
+type checkpoints struct {
+	Episodes  []int
+	Snapshots []rl.Snapshot
+}
 
+// fig11bJobs declares Fig. 11(b)'s evaluations: one job per checkpoint,
+// one for the fine-tuned multi-RL pipeline, one per rule-based baseline.
+// Every evaluation runs the identical seed+500 event protocol — the figure
+// compares policies on the same anomaly sequence — and each job builds its
+// own agent from a read-only snapshot, so nothing mutable crosses workers.
+func fig11bJobs(x Exec, sc Scale, seed int64, cp checkpoints) ([]runner.Job[float64], error) {
+	spec := topology.TrainTicket()
 	events := 10
 	if sc.DurationMul >= 1 {
 		events = 20
 	}
-	// Checkpoints are snapshots of one evolving learner — the rollout
-	// engine applies gradients in fixed episode order even when episode
-	// rollouts run in parallel — and everything downstream is an
-	// independent evaluation: one
-	// job per checkpoint, one for the fine-tuned multi-RL pipeline, one per
-	// rule-based baseline. Every evaluation runs the identical seed+500
-	// event protocol — the figure compares policies on the same anomaly
-	// sequence — and each job builds its own agent from a read-only
-	// snapshot, so nothing mutable crosses workers.
 	var jobs []runner.Job[float64]
-	for i, snap := range single.Checkpoints {
+	for i, snap := range cp.Snapshots {
 		jobs = append(jobs, runner.Job[float64]{
-			Key: runner.Key("fig11b", "checkpoint", single.CheckpointEp[i]),
+			Key: runner.Key("fig11b", "checkpoint", cp.Episodes[i]),
 			Run: func(int64) (float64, error) {
-				cfg := rl.DefaultConfig()
-				cfg.Seed = seed + 100
-				ag := rl.New(cfg)
-				if err := ag.Load(snap); err != nil {
+				ag, err := loadAgent(snap, seed+100)
+				if err != nil {
 					return 0, err
 				}
 				return evalMitigation(spec, seed+500, core.SharedAgent{A: ag}, events)
 			},
 		})
 	}
-	nCheckpoints := len(jobs)
-	jobs = append(jobs, runner.Job[float64]{
+	return append(jobs, runner.Job[float64]{
 		// Multi-RL: per-service agents transferred from the trained
 		// single-RL base and fine-tuned (§3.4's deployment path for
 		// tailored agents).
 		Key: "fig11b/multi-rl",
 		Run: func(int64) (float64, error) {
 			base := rl.New(rl.DefaultConfig())
-			if len(single.Checkpoints) > 0 {
-				if err := base.Load(single.Checkpoints[len(single.Checkpoints)-1]); err != nil {
+			if n := len(cp.Snapshots); n > 0 {
+				if err := base.Load(cp.Snapshots[n-1]); err != nil {
 					return 0, err
 				}
 			}
@@ -429,23 +446,44 @@ func Fig11b(x Exec, sc Scale, seed int64) (*Fig11bResult, error) {
 		Run: func(int64) (float64, error) {
 			return evalBaselineMitigation(spec, seed+500, PolicyAIMD, events)
 		},
+	}), nil
+}
+
+// Fig11b evaluates checkpointed agents: every checkpoint is loaded into a
+// fresh controller and subjected to a one-minute continuous injection
+// campaign; mitigation time is measured as in §4.3. Checkpoints are
+// snapshots of one evolving learner — the rollout engine applies gradients
+// in fixed episode order even when episode rollouts run in parallel — so
+// training runs here and only the evaluations fan out.
+func Fig11b(x Exec, sc Scale, seed int64) (*Fig11bResult, error) {
+	single, err := Train(TrainOpts{
+		Pool: x.Pool, Seed: seed, Spec: topology.TrainTicket(), Episodes: sc.EpisodeCount,
+		Variant: OneForAll, CheckpointEvery: sc.CheckpointEvery,
 	})
-	mts, err := runner.Map(x.Pool, seed, jobs)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < nCheckpoints; i++ {
-		res.Episodes = append(res.Episodes, single.CheckpointEp[i])
-		res.SingleRL = append(res.SingleRL, mts[i])
+	cp := checkpoints{Episodes: single.CheckpointEp, Snapshots: single.Checkpoints}
+	jobs, err := fig11bJobs(x, sc, seed, cp)
+	if err != nil {
+		return nil, err
 	}
-	if n := len(res.SingleRL); n > 0 {
+	mts, err := mapJobs(x, "fig11b", sc, seed, cp, jobs)
+	if err != nil {
+		return nil, err
+	}
+	res := &Fig11bResult{}
+	n := len(cp.Snapshots)
+	res.Episodes = cp.Episodes
+	res.SingleRL = append([]float64(nil), mts[:n]...)
+	if n > 0 {
 		res.FinalSingleRL = res.SingleRL[n-1]
 	}
 	for range res.Episodes {
-		res.MultiRL = append(res.MultiRL, mts[nCheckpoints]) // final-policy reference line
+		res.MultiRL = append(res.MultiRL, mts[n]) // final-policy reference line
 	}
-	res.HPABaseline = mts[nCheckpoints+1]
-	res.AIMDBaseline = mts[nCheckpoints+2]
+	res.HPABaseline = mts[n+1]
+	res.AIMDBaseline = mts[n+2]
 	return res, nil
 }
 

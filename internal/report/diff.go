@@ -129,7 +129,6 @@ func (d *DiffResult) diffReport(a, b *Report, tol Tolerances, ca, cb *Campaign) 
 	if a.Seed != ca.Seed || b.Seed != cb.Seed {
 		note("seed", a.Seed, b.Seed)
 	}
-	note("workers", a.Workers, b.Workers)
 
 	bRows := map[string]*Row{}
 	for _, w := range b.Rows {

@@ -206,15 +206,25 @@ func TestDiffDuplicateKeys(t *testing.T) {
 	}
 }
 
-func TestDiffReportWorkersNote(t *testing.T) {
-	b := diffCampaign()
-	b.Reports[0].Workers = 3
-	d := Diff(diffCampaign(), b, Tolerances{})
-	if len(d.Mismatches) != 0 {
-		t.Fatalf("workers provenance is a note, not a mismatch: %+v", d.Mismatches)
+// TestDiffIgnoresLegacyWorkersField: campaign files written before the
+// schema dropped per-report worker provenance still decode, and diff clean
+// at tolerance 0 against a file without it.
+func TestDiffIgnoresLegacyWorkersField(t *testing.T) {
+	data, err := Marshal(diffCampaign())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(d.Notes) != 1 || !strings.Contains(d.Notes[0], "workers") {
-		t.Fatalf("want a workers note, got %v", d.Notes)
+	legacy := strings.Replace(string(data), `"id": "fig-test"`, `"id": "fig-test", "workers": 3`, 1)
+	if legacy == string(data) {
+		t.Fatal("fixture has no report to stamp")
+	}
+	old, err := Decode(strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Diff(old, diffCampaign(), Tolerances{})
+	if len(d.Mismatches) != 0 || len(d.Notes) != 0 {
+		t.Fatalf("legacy workers field must be invisible: %s", d.Format())
 	}
 }
 

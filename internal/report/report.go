@@ -58,15 +58,11 @@ type Report struct {
 	// record; the campaign runner stamps them.
 	Scale string `json:"scale,omitempty"`
 	Seed  int64  `json:"seed,omitempty"`
-	// Workers is provenance for distributed campaigns: the logical worker
-	// slot that produced this report when a campaign is split across
-	// machines. Local runs leave it 0 — results are independent of
-	// `-parallel`/`-shards` settings by construction, so no machine-local
-	// worker configuration belongs in the record (JSON output must stay
-	// byte-identical across worker counts).
-	Workers int      `json:"workers,omitempty"`
-	Rows    []*Row   `json:"rows,omitempty"`
-	Series  []Series `json:"series,omitempty"`
+	// No field records where the report was computed: the schema holds
+	// results alone, so a file is byte-identical across worker counts,
+	// shard counts and machine splits.
+	Rows   []*Row   `json:"rows,omitempty"`
+	Series []Series `json:"series,omitempty"`
 }
 
 // New starts an empty report for the given experiment id.
@@ -109,19 +105,9 @@ type Campaign struct {
 	Reports []*Report `json:"reports"`
 }
 
-// Merge appends a report to the campaign, recording which distributed
-// worker slot produced it. worker is 1-based; 0 means the report was
-// computed in-process (a local run, or the coordinator's local-execution
-// fallback) and keeps the field out of the encoding entirely. Workers is
-// the only machine-dependent field in the schema — it makes a merged file's
-// provenance auditable while Diff downgrades it to a note, so a distributed
-// campaign still diffs clean at tolerance 0 against a single-machine run.
-// Callers merge in declaration order: report order is part of the canonical
-// encoding, so the merge order, not completion order, fixes the bytes.
-func (c *Campaign) Merge(rep *Report, worker int) {
-	if worker < 0 {
-		worker = 0
-	}
-	rep.Workers = worker
+// Merge appends a report to the campaign. Callers merge in declaration
+// order: report order is part of the canonical encoding, so the merge
+// order, not completion order, fixes the bytes.
+func (c *Campaign) Merge(rep *Report) {
 	c.Reports = append(c.Reports, rep)
 }
