@@ -36,8 +36,8 @@
 // so the tables on stdout are byte-identical at any worker count; per-job
 // progress goes to stderr.
 //
-// -parallel is the one execution budget. RL training campaigns (fig10,
-// fig11a, fig11b, headline) parallelize their episode rollouts on
+// -parallel is the one execution budget. RL training campaigns (fig1,
+// fig10, fig11a, fig11b, headline) parallelize their episode rollouts on
 // internal/rollout's actor-learner engine, and sharded cells (-shards)
 // run their shard windows on worker goroutines; both borrow whatever the
 // job pool leaves spare and hand it back, so inner and outer parallelism

@@ -1,9 +1,8 @@
 // Package dist fans a firmbench campaign's cells across machines.
 //
 // FIRM's evaluation is a pool of independent, bit-reproducible jobs: every
-// experiment's fan-out is a named job set of cells
-// (internal/experiments' jobSets), and the cell is the one unit that
-// crosses the wire. Distribution therefore needs no result coordination
+// experiment's fan-out is a named job set of cells (internal/experiments'
+// declared table), and the cell is the one unit that crosses the wire. Distribution therefore needs no result coordination
 // at all: a job is a (set, key) reference plus the set's input, any
 // machine rebuilds the identical job from the registered set, the
 // campaign's (scale, seed) and that input, and the seed each job runs

@@ -98,21 +98,10 @@ func fig1Jobs(_ Exec, sc Scale, seed int64, base rl.Snapshot) ([]runner.Job[fig1
 	}, nil
 }
 
-// Fig1 runs Social Network under constant load with a mem-BW anomaly
-// injected mid-run, once unmanaged and once under a trained FIRM agent.
-func Fig1(x Exec, sc Scale, seed int64) (*Fig1Result, error) {
-	base, err := trainBase(x, seed, sc.EpisodeCount/2)
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := fig1Jobs(x, sc, seed, base)
-	if err != nil {
-		return nil, err
-	}
-	arms, err := mapJobs(x, "fig1", sc, seed, base, jobs)
-	if err != nil {
-		return nil, err
-	}
+// fig1Reduce merges Fig. 1's arms: Social Network under constant load with
+// a mem-BW anomaly injected mid-run, once unmanaged and once under a
+// trained FIRM agent.
+func fig1Reduce(sc Scale, _ int64, _ rl.Snapshot, arms []fig1Arm) (*Fig1Result, error) {
 	_, anomalyStart, anomalyDur := fig1Window(sc)
 	noP99, cpu, dram, yesP99 := arms[0].P99s, arms[0].CPU, arms[0].DRAM, arms[1].P99s
 	res := &Fig1Result{
@@ -202,11 +191,10 @@ type table1Row struct {
 // injected victim. Every victim keeps the experiment seed so the rows stay
 // paired on the same workload realization (the table compares cells across
 // rows).
-func table1Jobs(_ Exec, sc Scale, seed int64) ([]runner.Job[table1Row], error) {
+func table1Jobs(_ Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[table1Row], error) {
 	dur := sc.dur(40 * sim.Second)
 	var jobs []runner.Job[table1Row]
 	for _, victim := range table1Victims {
-		victim := victim
 		jobs = append(jobs, runner.Job[table1Row]{
 			Key: runner.Key("table1", victim),
 			Run: func(int64) (table1Row, error) { return table1Run(victim, seed, dur) },
@@ -215,17 +203,10 @@ func table1Jobs(_ Exec, sc Scale, seed int64) ([]runner.Job[table1Row], error) {
 	return jobs, nil
 }
 
-// Table1 injects a CPU anomaly at video (V), user-tag (U) and text (T) in
-// turn and measures per-service and total latency of compose-post requests.
-func Table1(x Exec, sc Scale, seed int64) (*Table1Result, error) {
-	jobs, err := table1Jobs(x, sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := mapJobs(x, "table1", sc, seed, noInput{}, jobs)
-	if err != nil {
-		return nil, err
-	}
+// table1Reduce merges Table 1's rows: a CPU anomaly injected at video (V),
+// user-tag (U) and text (T) in turn, with per-service and total latency of
+// compose-post requests.
+func table1Reduce(_ Scale, _ int64, _ noInput, rows []table1Row) (*Table1Result, error) {
 	res := &Table1Result{
 		Services:     []string{"N", "V", "U", "I", "T", "C"},
 		Rows:         map[string]map[string]float64{},
@@ -367,11 +348,10 @@ type Fig3Row struct {
 
 // fig3Jobs declares the Fig. 3 job list: one run per benchmark, each
 // grouping its traces by critical-path signature.
-func fig3Jobs(_ Exec, sc Scale, seed int64) ([]runner.Job[Fig3Row], error) {
+func fig3Jobs(_ Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[Fig3Row], error) {
 	dur := sc.dur(60 * sim.Second)
 	var jobs []runner.Job[Fig3Row]
 	for i, spec := range topology.All() {
-		i, spec := i, spec
 		jobs = append(jobs, runner.Job[Fig3Row]{
 			Key: runner.Key("fig3", spec.Name),
 			Run: func(int64) (Fig3Row, error) { return fig3Run(spec, seed+int64(i), dur) },
@@ -380,18 +360,10 @@ func fig3Jobs(_ Exec, sc Scale, seed int64) ([]runner.Job[Fig3Row], error) {
 	return jobs, nil
 }
 
-// Fig3 drives each benchmark with its request mix under the randomized
-// anomaly campaign and groups traces by critical-path signature — one job
-// per benchmark, fanned across the worker pool.
-func Fig3(x Exec, sc Scale, seed int64) (*Fig3Result, error) {
-	jobs, err := fig3Jobs(x, sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := mapJobs(x, "fig3", sc, seed, noInput{}, jobs)
-	if err != nil {
-		return nil, err
-	}
+// fig3Reduce collects Fig. 3's rows: each benchmark driven with its
+// request mix under the randomized anomaly campaign, its traces grouped by
+// critical-path signature.
+func fig3Reduce(_ Scale, _ int64, _ noInput, rows []Fig3Row) (*Fig3Result, error) {
 	return &Fig3Result{Rows: rows}, nil
 }
 
@@ -517,7 +489,6 @@ func fig4Arm(seed int64, dur sim.Time, scale string) (fig4ArmStats, error) {
 	// composePost never contends).
 	victim := b.Cluster.ReplicaSet("text").Containers()[0]
 	for at := 2 * sim.Second; at < dur; at += 5 * sim.Second {
-		at := at
 		b.Eng.Schedule(at, func() {
 			b.Injector.Inject(injector.Injection{
 				Kind: injector.CPUStress, Target: victim, Intensity: 0.5,
@@ -543,7 +514,7 @@ func fig4Arm(seed int64, dur sim.Time, scale string) (fig4ArmStats, error) {
 
 // fig4Jobs declares the Fig. 4 job list: the three arms are independent
 // simulations on the same seed (a paired comparison).
-func fig4Jobs(_ Exec, sc Scale, seed int64) ([]runner.Job[fig4ArmStats], error) {
+func fig4Jobs(_ Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[fig4ArmStats], error) {
 	dur := sc.dur(40 * sim.Second)
 	arms := []struct{ key, scale string }{
 		{"fig4/before", ""},
@@ -552,7 +523,6 @@ func fig4Jobs(_ Exec, sc Scale, seed int64) ([]runner.Job[fig4ArmStats], error) 
 	}
 	var jobs []runner.Job[fig4ArmStats]
 	for _, a := range arms {
-		a := a
 		jobs = append(jobs, runner.Job[fig4ArmStats]{
 			Key: a.key,
 			Run: func(int64) (fig4ArmStats, error) { return fig4Arm(seed, dur, a.scale) },
@@ -561,17 +531,10 @@ func fig4Jobs(_ Exec, sc Scale, seed int64) ([]runner.Job[fig4ArmStats], error) 
 	return jobs, nil
 }
 
-// Fig4 measures compose-post latency before scaling, after scaling text
-// (high variance), and after scaling composePost (high median).
-func Fig4(x Exec, sc Scale, seed int64) (*Fig4Result, error) {
-	jobs, err := fig4Jobs(x, sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	arms, err := mapJobs(x, "fig4", sc, seed, noInput{}, jobs)
-	if err != nil {
-		return nil, err
-	}
+// fig4Reduce merges Fig. 4's arms: compose-post latency before scaling,
+// after scaling text (high variance), and after scaling composePost (high
+// median).
+func fig4Reduce(_ Scale, _ int64, _ noInput, arms []fig4ArmStats) (*Fig4Result, error) {
 	return &Fig4Result{
 		TextMedian: arms[0].TextMedian, TextStd: arms[0].TextStd,
 		ComposeMedian: arms[0].ComposeMedian, ComposeStd: arms[0].ComposeStd,
@@ -645,12 +608,6 @@ func fig5Loads(sc Scale) []float64 {
 	return []float64{250, 750, 1250, 1750, 2250}
 }
 
-// fig5Slot locates one job's merge position in the sweep.
-type fig5Slot struct {
-	row     int
-	scaleUp bool
-}
-
 // fig5Rows enumerates the sweep's (benchmark, resource, load) rows once, so
 // the job declaration and the merge are driven by the same table rather
 // than replayed loops.
@@ -666,27 +623,25 @@ func fig5Rows(sc Scale) []Fig5Row {
 	return rows
 }
 
-// fig5Plan declares the Fig. 5 job list — one job per (row, strategy,
-// repetition) cell — plus each job's merge slot. The two strategy arms of
-// one repetition share a seed (the comparison is paired on the same
-// workload realization) while repetitions differ, which is what the CI
-// bars measure.
-func fig5Plan(sc Scale, seed int64) ([]runner.Job[[]float64], []fig5Slot, []Fig5Row, error) {
-	dur := sc.dur(30 * sim.Second)
-	reps := sc.Reps
-	if reps < 1 {
-		reps = 1
-	}
+// fig5Reps is the number of repetitions per (row, strategy) at the scale.
+func fig5Reps(sc Scale) int {
+	return max(sc.Reps, 1)
+}
+
+// fig5Jobs declares the Fig. 5 job list: one job per (row, strategy,
+// repetition) cell, in that nesting order, which is the layout fig5Reduce
+// reads back. The two strategy arms of one repetition share a seed (the
+// comparison is paired on the same workload realization) while repetitions
+// differ, which is what the CI bars measure.
+func fig5Jobs(_ Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[[]float64], error) {
+	dur, reps := sc.dur(30*sim.Second), fig5Reps(sc)
 	for _, benchName := range fig5Benches {
 		if _, err := topology.ByName(benchName); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
-	rows := fig5Rows(sc)
 	var jobs []runner.Job[[]float64]
-	var slots []fig5Slot
-	for ri, row := range rows {
-		row := row
+	for _, row := range fig5Rows(sc) {
 		for _, arm := range fig5Arms {
 			for rep := 0; rep < reps; rep++ {
 				pairKey := runner.Key("fig5", row.Benchmark, row.Resource, row.LoadRPS, "rep", rep)
@@ -697,49 +652,33 @@ func fig5Plan(sc Scale, seed int64) ([]runner.Job[[]float64], []fig5Slot, []Fig5
 						return fig5Arm(row.Benchmark, row.Resource, row.LoadRPS, dur, sim.DeriveSeed(seed, pairKey), scaleUp)
 					},
 				})
-				slots = append(slots, fig5Slot{row: ri, scaleUp: scaleUp})
 			}
 		}
 	}
-	return jobs, slots, rows, nil
+	return jobs, nil
 }
 
-// fig5Jobs is fig5Plan's job list alone (the registered job-set builder).
-func fig5Jobs(_ Exec, sc Scale, seed int64) ([]runner.Job[[]float64], error) {
-	jobs, _, _, err := fig5Plan(sc, seed)
-	return jobs, err
-}
-
-// Fig5 sweeps load and compares scale-up (double the bottleneck's limits)
-// with scale-out (add one replica) under a matching resource anomaly. Each
-// (benchmark, resource, load, strategy, repetition) cell is an independent
-// simulation fanned across the worker pool.
-func Fig5(x Exec, sc Scale, seed int64) (*Fig5Result, error) {
-	jobs, slots, rows, err := fig5Plan(sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	lats, err := mapJobs(x, "fig5", sc, seed, noInput{}, jobs)
-	if err != nil {
-		return nil, err
-	}
-
-	upPool := make([][]float64, len(rows))
-	outPool := make([][]float64, len(rows))
-	for k, lat := range lats {
-		if slots[k].scaleUp {
-			upPool[slots[k].row] = append(upPool[slots[k].row], lat...)
-		} else {
-			outPool[slots[k].row] = append(outPool[slots[k].row], lat...)
+// fig5Reduce pools each row's repetitions per strategy and compares
+// scale-up (double the bottleneck's limits) with scale-out (add one
+// replica) under a matching resource anomaly.
+func fig5Reduce(sc Scale, seed int64, _ noInput, lats [][]float64) (*Fig5Result, error) {
+	reps := fig5Reps(sc)
+	pool := func(cells [][]float64) []float64 {
+		var out []float64
+		for _, lat := range cells {
+			out = append(out, lat...)
 		}
+		return out
 	}
 	res := &Fig5Result{}
-	for ri, row := range rows {
+	for ri, row := range fig5Rows(sc) {
+		cells := lats[ri*len(fig5Arms)*reps:]
+		up, out := pool(cells[:reps]), pool(cells[reps:2*reps])
 		r := sim.Stream(seed, runner.Key("fig5-ci", row.Benchmark, row.Resource, row.LoadRPS))
-		row.UpMedian = stats.Median(upPool[ri])
-		row.UpLo, row.UpHi, _ = stats.BootstrapCI(upPool[ri], 0.95, 200, r)
-		row.OutMedian = stats.Median(outPool[ri])
-		row.OutLo, row.OutHi, _ = stats.BootstrapCI(outPool[ri], 0.95, 200, r)
+		row.UpMedian = stats.Median(up)
+		row.UpLo, row.UpHi, _ = stats.BootstrapCI(up, 0.95, 200, r)
+		row.OutMedian = stats.Median(out)
+		row.OutLo, row.OutHi, _ = stats.BootstrapCI(out, 0.95, 200, r)
 		if row.UpMedian <= row.OutMedian {
 			row.Winner = "scale-up"
 		} else {

@@ -207,10 +207,6 @@ func Run(opts RunOpts) (RunStats, error) {
 	if err != nil {
 		return RunStats{}, err
 	}
-	return runOnBench(b, opts)
-}
-
-func runOnBench(b *harness.Bench, opts RunOpts) (RunStats, error) {
 	st := RunStats{Policy: opts.Policy, SLOms: b.App.SLO.Millis()}
 	b.App.SetResultHook(func(r app.Result) {
 		if !r.Dropped {

@@ -14,10 +14,7 @@ import (
 // exercised by CI's `firmbench -run all -scale quick` smoke.
 
 func TestTable6Shape(t *testing.T) {
-	r, err := Table6(Exec{}, QuickScale(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAs[*Table6Result](t, "table6", Exec{}, QuickScale(), 1)
 	for _, op := range []string{"cpu", "mem", "llc", "io", "net", "warm-start", "cold-start"} {
 		if r.Mean[op] <= 0 {
 			t.Fatalf("op %s not measured", op)
@@ -37,10 +34,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	r, err := Table1(Exec{}, QuickScale(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAs[*Table1Result](t, "table1", Exec{}, QuickScale(), 42)
 	// The injected service's individual latency must inflate relative to
 	// its unstressed rows, and the CP signature must route through it
 	// (Insight 1; Table 1's diagonal dominance is per column, not per row —
@@ -64,10 +58,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	r, err := Fig3(Exec{}, QuickScale(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAs[*Fig3Result](t, "fig3", Exec{}, QuickScale(), 1)
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows: %d", len(r.Rows))
 	}
@@ -82,14 +73,8 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig9cDeterministic(t *testing.T) {
-	a, err := Fig9c(Exec{}, TinyScale(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Fig9c(Exec{}, TinyScale(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runAs[*Fig9cResult](t, "fig9c", Exec{}, TinyScale(), 5)
+	b := runAs[*Fig9cResult](t, "fig9c", Exec{}, TinyScale(), 5)
 	for _, k := range a.Kinds {
 		for i := range a.Intensity[k] {
 			if a.Intensity[k][i] != b.Intensity[k][i] {

@@ -19,7 +19,7 @@ import (
 	"firm/internal/workload"
 )
 
-// FaultSweep runs the composable fault-scenario library (ROADMAP item 4)
+// faultsweep runs the composable fault-scenario library (ROADMAP item 4)
 // against a generated topology and characterizes the detection stack per
 // scenario family: how fast the tail-latency monitor notices each mode,
 // how accurately the SVM localizer pins the victim, and how much a simple
@@ -418,12 +418,11 @@ func faultsweepShardedCell(x Exec, p topology.Params, dur sim.Time, seed int64) 
 // seed, key), so cells are placement-independent; the sharded cell shards
 // as the executing machine's x says because its row is shard-count-
 // invariant.
-func faultsweepJobs(x Exec, sc Scale, seed int64) ([]runner.Job[FaultSweepRow], error) {
+func faultsweepJobs(x Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[FaultSweepRow], error) {
 	dur := sc.dur(30 * sim.Second)
 	p := faultsweepTopology
 	var jobs []runner.Job[FaultSweepRow]
 	for _, e := range scenario.Catalog() {
-		e := e
 		jobs = append(jobs, runner.Job[FaultSweepRow]{
 			Key: runner.Key("faultsweep", e.Name, p.Key()),
 			Run: func(jobSeed int64) (FaultSweepRow, error) {
@@ -461,17 +460,9 @@ type FaultSweepResult struct {
 	Inertia  float64
 }
 
-// FaultSweep runs the fault-scenario library sweep and clusters the
-// resulting violation feature vectors.
-func FaultSweep(x Exec, sc Scale, seed int64) (*FaultSweepResult, error) {
-	jobs, err := faultsweepJobs(x, sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := mapJobs(x, "faultsweep", sc, seed, noInput{}, jobs)
-	if err != nil {
-		return nil, err
-	}
+// faultsweepReduce clusters the fault-scenario library sweep's violation
+// feature vectors.
+func faultsweepReduce(_ Scale, seed int64, _ noInput, rows []FaultSweepRow) (*FaultSweepResult, error) {
 	res := &FaultSweepResult{Rows: rows}
 	res.characterize(seed)
 	return res, nil

@@ -81,23 +81,11 @@ func fig10Jobs(_ Exec, sc Scale, seed int64, base rl.Snapshot) ([]runner.Job[Run
 	return jobs, nil
 }
 
-// Fig10 trains a single-RL agent on Train-Ticket (the paper's §4.3
-// protocol), then evaluates all four policies on a DeathStarBench
-// application (validation benchmark, §4.4) under the randomized
-// anomaly-injection campaign.
-func Fig10(x Exec, sc Scale, seed int64) (*Fig10Result, error) {
-	base, err := trainBase(x, seed, sc.EpisodeCount)
-	if err != nil {
-		return nil, err
-	}
-	jobs, err := fig10Jobs(x, sc, seed, base)
-	if err != nil {
-		return nil, err
-	}
-	sts, err := mapJobs(x, "fig10", sc, seed, base, jobs)
-	if err != nil {
-		return nil, err
-	}
+// fig10Reduce derives the headline ratios from Fig. 10's four policies,
+// evaluated on a DeathStarBench application (validation benchmark, §4.4)
+// under the randomized anomaly-injection campaign with the single-RL agent
+// trained on Train-Ticket (the paper's §4.3 protocol).
+func fig10Reduce(_ Scale, _ int64, _ rl.Snapshot, sts []RunStats) (*Fig10Result, error) {
 	res := &Fig10Result{Benchmark: topology.SocialNetwork().Name, Stats: map[string]RunStats{}}
 	for i, policy := range fig10Policies {
 		res.Stats[policy.String()] = sts[i]
@@ -118,17 +106,20 @@ func Fig10(x Exec, sc Scale, seed int64) (*Fig10Result, error) {
 	return res, nil
 }
 
-// trainBase trains a One-for-All agent on Train-Ticket for episodes
-// episodes and returns its weights.
-func trainBase(x Exec, seed int64, episodes int) (rl.Snapshot, error) {
-	trained, err := Train(TrainOpts{
-		Pool: x.Pool, Seed: seed, Spec: topology.TrainTicket(),
-		Episodes: episodes, Variant: OneForAll,
-	})
-	if err != nil {
-		return rl.Snapshot{}, err
+// trainBase is fig1's and fig10's prepare step: it trains a One-for-All
+// agent on Train-Ticket for 1/div of the scale's episodes and returns its
+// weights.
+func trainBase(div int) func(Exec, Scale, int64) (rl.Snapshot, error) {
+	return func(x Exec, sc Scale, seed int64) (rl.Snapshot, error) {
+		trained, err := Train(TrainOpts{
+			Pool: x.Pool, Seed: seed, Spec: topology.TrainTicket(),
+			Episodes: sc.EpisodeCount / div, Variant: OneForAll,
+		})
+		if err != nil {
+			return rl.Snapshot{}, err
+		}
+		return trained.Provider.Agents()[0].Save()
 	}
-	return trained.Provider.Agents()[0].Save()
 }
 
 func ratio(a, b float64) float64 {

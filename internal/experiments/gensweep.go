@@ -15,7 +15,7 @@ import (
 	"firm/internal/workload"
 )
 
-// GenSweep is the web-scale sweep (ROADMAP item 1): procedurally generated
+// gensweep is the web-scale sweep (ROADMAP item 1): procedurally generated
 // topologies from 10 to 1,000 services, each driven by a composite
 // heavy-traffic pattern (diurnal base + flash crowd + per-user session
 // streams) realized by the thinning arrival sampler. Every cell is an
@@ -176,11 +176,10 @@ func gensweepShardedCell(x Exec, p topology.Params, dur sim.Time, seed int64) (G
 // engine under the executing machine's x, so a dist worker applies its own
 // -shards setting — legal because the row is byte-identical at any shard
 // count.
-func gensweepJobs(x Exec, sc Scale, seed int64) ([]runner.Job[GenSweepRow], error) {
+func gensweepJobs(x Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[GenSweepRow], error) {
 	dur := sc.dur(30 * sim.Second)
 	var jobs []runner.Job[GenSweepRow]
 	for _, p := range gensweepSizes {
-		p := p
 		jobs = append(jobs, runner.Job[GenSweepRow]{
 			Key: runner.Key("gensweep", p.Key()),
 			Run: func(jobSeed int64) (GenSweepRow, error) {
@@ -203,16 +202,8 @@ type GenSweepResult struct {
 	Rows []GenSweepRow
 }
 
-// GenSweep runs the generated-topology scale sweep.
-func GenSweep(x Exec, sc Scale, seed int64) (*GenSweepResult, error) {
-	jobs, err := gensweepJobs(x, sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := mapJobs(x, "gensweep", sc, seed, noInput{}, jobs)
-	if err != nil {
-		return nil, err
-	}
+// gensweepReduce collects the generated-topology scale sweep's rows.
+func gensweepReduce(_ Scale, _ int64, _ noInput, rows []GenSweepRow) (*GenSweepResult, error) {
 	return &GenSweepResult{Rows: rows}, nil
 }
 

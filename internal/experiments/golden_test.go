@@ -26,6 +26,26 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // cannot slip in as "both runs changed the same way".
 var goldenConfigs = []int{1, 2, 8}
 
+// mustGet returns the declared experiment id's runner.
+func mustGet(t *testing.T, id string) Runner {
+	t.Helper()
+	run, ok := Get(id)
+	if !ok {
+		t.Fatalf("no experiment %q", id)
+	}
+	return run
+}
+
+// runAs runs the declared experiment id and returns its result as R.
+func runAs[R Reportable](t *testing.T, id string, x Exec, sc Scale, seed int64) R {
+	t.Helper()
+	r, err := mustGet(t, id)(x, sc, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.(R)
+}
+
 // render renders an experiment artifact — the stdout text and the canonical
 // campaign JSON — executed as x says.
 func render(t *testing.T, x Exec, fn Runner) (text string, jsonOut []byte) {
@@ -96,21 +116,21 @@ func TestFig11bGoldenAcrossRolloutWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains RL agents; run without -short")
 	}
-	goldenCheck(t, "fig11b_tiny", wrap(Fig11b))
+	goldenCheck(t, "fig11b_tiny", mustGet(t, "fig11b"))
 }
 
 func TestFig11aGoldenAcrossRolloutWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains RL agents; run without -short")
 	}
-	goldenCheck(t, "fig11a_tiny", wrap(Fig11a))
+	goldenCheck(t, "fig11a_tiny", mustGet(t, "fig11a"))
 }
 
 func TestFig10GoldenAcrossRolloutWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains RL agents; run without -short")
 	}
-	goldenCheck(t, "fig10_tiny", wrap(Fig10))
+	goldenCheck(t, "fig10_tiny", mustGet(t, "fig10"))
 }
 
 // Fig10's Multi-RL arm transfers the single-RL base to each Social Network
@@ -219,7 +239,7 @@ func TestGenSweepGoldenAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 1,000-service topologies; run without -short")
 	}
-	goldenCheck(t, "gensweep_tiny", wrap(GenSweep))
+	goldenCheck(t, "gensweep_tiny", mustGet(t, "gensweep"))
 }
 
 // TestGenSweepGoldenAcrossShards pins the sharded engine's contract against
@@ -232,7 +252,7 @@ func TestGenSweepGoldenAcrossShards(t *testing.T) {
 		t.Skip("simulates 10,000-service topologies; run without -short")
 	}
 	for _, shards := range []int{1, 2} {
-		assertGolden(t, "gensweep_tiny", Exec{Pool: runner.NewPool(2), Shards: shards}, wrap(GenSweep))
+		assertGolden(t, "gensweep_tiny", Exec{Pool: runner.NewPool(2), Shards: shards}, mustGet(t, "gensweep"))
 	}
 }
 
@@ -245,7 +265,7 @@ func TestFaultSweepGoldenAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the full scenario catalog; run without -short")
 	}
-	goldenCheck(t, "faultsweep_tiny", wrap(FaultSweep))
+	goldenCheck(t, "faultsweep_tiny", mustGet(t, "faultsweep"))
 }
 
 // TestFaultSweepGoldenAcrossShards pins the sharded scenario contract
@@ -258,7 +278,7 @@ func TestFaultSweepGoldenAcrossShards(t *testing.T) {
 		t.Skip("simulates the full scenario catalog; run without -short")
 	}
 	for _, shards := range []int{1, 4} {
-		assertGolden(t, "faultsweep_tiny", Exec{Pool: runner.NewPool(2), Shards: shards}, wrap(FaultSweep))
+		assertGolden(t, "faultsweep_tiny", Exec{Pool: runner.NewPool(2), Shards: shards}, mustGet(t, "faultsweep"))
 	}
 }
 
@@ -278,7 +298,7 @@ func TestConcurrentCampaignsUnderDifferentExec(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("parallel%d-shards%d", x.Pool.Workers(), x.Shards), func(t *testing.T) {
 			t.Parallel()
-			assertGolden(t, "gensweep_tiny", x, wrap(GenSweep))
+			assertGolden(t, "gensweep_tiny", x, mustGet(t, "gensweep"))
 		})
 	}
 }

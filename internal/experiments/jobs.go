@@ -11,14 +11,18 @@ import (
 	"firm/internal/sim"
 )
 
-// This file turns every fan-out in the package into a named, serializable
-// job set. An experiment's fan-out enters its builder in the jobSets table;
-// the builder is the single source of truth for the list, so the machine
-// that schedules a job and the machine that executes it reconstruct
-// identical jobs from nothing but (set, scale, seed, input, key). Most sets
-// take no input. The ones whose cells evaluate a trained agent (fig1,
-// fig10, fig11b) take the agent's rl.Snapshot as input: training runs once
-// on the coordinator, and every request of the set carries the weights.
+// This file declares every experiment once, in the declared table. An
+// experiment whose runs fan out is a campaign of three parts: prepare
+// (optional) runs on the coordinator — the agent training of fig1, fig10
+// and fig11b — cells builds the job list from (scale, seed, prepared
+// input), and reduce folds the results, in cell order, into the artifact.
+// One adaptor turns that declaration into both the experiment Get returns
+// and the named job set RunJob serves: the coordinator builds the list once
+// and hands the same value to dispatch and to reduce, and a worker rebuilds
+// it from nothing but (set, scale, seed, input, key), so where a cell runs
+// can never change the list or its result. Most sets take no input; fig1's
+// and fig10's cells take the trained agent's rl.Snapshot and fig11b's its
+// checkpoints, and every request of the set carries them.
 
 // Exec says how a campaign executes — never what it computes: every field
 // may differ between two runs, or between the machines of one run, without
@@ -47,57 +51,141 @@ func (x Exec) shards() int {
 }
 
 // Dispatcher executes a named job set's jobs somewhere else. RunJobs
-// must return one JSON result per key, in key order, each produced by the
-// set's jobFunc on the given input (same seed derivation as the local
-// path), so using one never changes results — only where the work happens.
+// must return one JSON result per key, in key order, each produced by
+// Exec.RunJob on the given input (same seed derivation as the local path),
+// so using one never changes results — only where the work happens.
 type Dispatcher interface {
 	RunJobs(set, scale string, seed int64, input []byte, keys []string) ([][]byte, error)
 }
 
-// A jobFunc executes one job of a named job set under x and returns its
-// result in wire form: it rebuilds the set's job list from (scale, seed,
-// input), finds key, and runs it on the seed the local path would derive —
-// so where a job runs can never change its result.
-type jobFunc func(x Exec, scale string, seed int64, input []byte, key string) ([]byte, error)
+// A Runner regenerates one paper artifact at the given scale and seed,
+// executing as x says.
+type Runner func(x Exec, sc Scale, seed int64) (Reportable, error)
 
-// jobSets is the one table of named job sets, one per experiment fan-out,
-// named after the owning experiment's id. It is a literal, so a duplicate
-// name does not compile.
-var jobSets = map[string]jobFunc{
-	"table1":     fineJobs("table1", plain(table1Jobs)),
-	"fig1":       fineJobs("fig1", fig1Jobs),
-	"fig3":       fineJobs("fig3", plain(fig3Jobs)),
-	"fig4":       fineJobs("fig4", plain(fig4Jobs)),
-	"fig5":       fineJobs("fig5", plain(fig5Jobs)),
-	"fig9a":      fineJobs("fig9a", plain(fig9aJobs)),
-	"fig9b":      fineJobs("fig9b", plain(fig9bJobs)),
-	"fig10":      fineJobs("fig10", fig10Jobs),
-	"fig11a":     fineJobs("fig11a", plain(fig11aJobs)),
-	"fig11b":     fineJobs("fig11b", fig11bJobs),
-	"gensweep":   fineJobs("gensweep", plain(gensweepJobs)),
-	"faultsweep": fineJobs("faultsweep", plain(faultsweepJobs)),
+// An experiment is one entry of the declared table. run regenerates the
+// artifact under its table id. jobs, nil for an experiment without cells,
+// rebuilds the cell list from wire form, each cell returning its result
+// wire-encoded: what RunJob serves.
+type experiment struct {
+	run  func(id string, x Exec, sc Scale, seed int64) (Reportable, error)
+	jobs func(x Exec, sc Scale, seed int64, input []byte) ([]runner.Job[[]byte], error)
 }
 
-// JobSets returns the names of the job sets, sorted.
-func JobSets() []string {
-	out := make([]string, 0, len(jobSets))
-	for name := range jobSets {
-		out = append(out, name)
+// declared is the one table of experiments: the CLI's -run/-list, the
+// campaign loop and the distributed worker all read it, and every
+// experiment with cells is also the job set of the same name. It is a
+// literal, so a duplicate id does not compile; init assigns it because
+// headline reaches fig10 and fig11b through it.
+var declared map[string]experiment
+
+func init() {
+	declared = map[string]experiment{
+		"fig1":       campaign(trainBase(2), fig1Jobs, fig1Reduce),
+		"table1":     campaign(nil, table1Jobs, table1Reduce),
+		"fig3":       campaign(nil, fig3Jobs, fig3Reduce),
+		"fig4":       campaign(nil, fig4Jobs, fig4Reduce),
+		"fig5":       campaign(nil, fig5Jobs, fig5Reduce),
+		"fig9a":      campaign(nil, fig9aJobs, fig9aReduce),
+		"fig9b":      campaign(nil, fig9bJobs, fig9bReduce),
+		"fig9c":      {run: fig9c},
+		"gensweep":   campaign(nil, gensweepJobs, gensweepReduce),
+		"faultsweep": campaign(nil, faultsweepJobs, faultsweepReduce),
+		"fig10":      campaign(trainBase(1), fig10Jobs, fig10Reduce),
+		"fig11a":     campaign(nil, fig11aJobs, fig11aReduce),
+		"fig11b":     campaign(fig11bCheckpoints, fig11bJobs, fig11bReduce),
+		"table6":     {run: table6},
+		"headline":   {run: headline},
+	}
+}
+
+// campaign declares an experiment whose runs are cells. prepare, when
+// non-nil, runs once on the coordinator and its result goes to every cell
+// (with every remote request) and to reduce. I and T must survive a gob
+// round-trip (exported fields), which keeps remote cells and results
+// byte-identical to local ones.
+func campaign[I, T any, R Reportable](
+	prepare func(Exec, Scale, int64) (I, error),
+	cells func(Exec, Scale, int64, I) ([]runner.Job[T], error),
+	reduce func(Scale, int64, I, []T) (R, error),
+) experiment {
+	run := func(id string, x Exec, sc Scale, seed int64) (Reportable, error) {
+		var in I
+		if prepare != nil {
+			var err error
+			if in, err = prepare(x, sc, seed); err != nil {
+				return nil, err
+			}
+		}
+		jobs, err := cells(x, sc, seed, in)
+		if err != nil {
+			return nil, err
+		}
+		results, err := mapJobs(x, id, sc, seed, in, jobs)
+		if err != nil {
+			return nil, err
+		}
+		return reduce(sc, seed, in, results)
+	}
+	return experiment{run: run, jobs: fineJobs(cells)}
+}
+
+// Get returns the experiment runner for id.
+func Get(id string) (Runner, bool) {
+	e, ok := declared[id]
+	if !ok {
+		return nil, false
+	}
+	return func(x Exec, sc Scale, seed int64) (Reportable, error) { return e.run(id, x, sc, seed) }, true
+}
+
+// IDs returns every experiment id, sorted — the campaign declaration order
+// of `-run all`.
+func IDs() []string {
+	out := make([]string, 0, len(declared))
+	for id := range declared {
+		out = append(out, id)
 	}
 	sort.Strings(out)
 	return out
 }
 
+// JobSets returns the names of the job sets — the experiments with cells —
+// sorted.
+func JobSets() []string {
+	var out []string
+	for _, id := range IDs() {
+		if declared[id].jobs != nil {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // RunJob executes one job of a named set under x — what a distributed
 // worker serves, and what the coordinator falls back to when no worker is
-// left. An unknown set means the two processes disagree about the campaign
-// (mismatched binaries, say).
+// left. It rebuilds the set's list from (scale, seed, input), finds key,
+// and runs it on the seed the local path would derive. An unknown set
+// means the two processes disagree about the campaign (mismatched
+// binaries, say).
 func (x Exec) RunJob(set, scale string, seed int64, input []byte, key string) ([]byte, error) {
-	run, ok := jobSets[set]
-	if !ok {
+	e := declared[set]
+	if e.jobs == nil {
 		return nil, fmt.Errorf("experiments: unknown job set %q (binaries out of sync?)", set)
 	}
-	return run(x, scale, seed, input, key)
+	sc, err := ScaleByName(scale)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: job set %q: %w", set, err)
+	}
+	jobs, err := e.jobs(x, sc, seed, input)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: job set %q: %w", set, err)
+	}
+	for _, j := range jobs {
+		if j.Key == key {
+			return j.Run(sim.DeriveSeed(seed, key))
+		}
+	}
+	return nil, fmt.Errorf("experiments: job set %q has no job %q", set, key)
 }
 
 // wireEncode serializes a job's input or result for the wire: gob for
@@ -126,11 +214,6 @@ func wireDecode[T any](raw []byte, out *T) error {
 // (scale, seed) alone; it travels as no bytes at all.
 type noInput struct{}
 
-// plain adapts a builder that takes no input to fineJobs' shape.
-func plain[T any](build func(Exec, Scale, int64) ([]runner.Job[T], error)) func(Exec, Scale, int64, noInput) ([]runner.Job[T], error) {
-	return func(x Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[T], error) { return build(x, sc, seed) }
-}
-
 // encodeInput is a job set's input in wire form (nil for noInput).
 func encodeInput[I any](in I) ([]byte, error) {
 	if _, none := any(in).(noInput); none {
@@ -147,45 +230,47 @@ func decodeInput[I any](raw []byte, in *I) error {
 	return wireDecode(raw, in)
 }
 
-// fineJobs adapts a fan-out job-list builder to a jobFunc. Locally the
-// builder receives its input as a value; a worker decodes it from the
-// request first. I and T must survive a gob round-trip (exported fields),
-// which keeps remote jobs and results byte-identical to local ones.
-func fineJobs[I, T any](name string, build func(Exec, Scale, int64, I) ([]runner.Job[T], error)) jobFunc {
-	return func(x Exec, scale string, seed int64, input []byte, key string) ([]byte, error) {
-		sc, err := ScaleByName(scale)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: job set %q: %w", name, err)
-		}
+// fineJobs is the worker side of a campaign's cells: it decodes the input,
+// builds the list, checks it as mapJobs does, and wraps every cell to
+// return its result wire-encoded.
+func fineJobs[I, T any](cells func(Exec, Scale, int64, I) ([]runner.Job[T], error)) func(Exec, Scale, int64, []byte) ([]runner.Job[[]byte], error) {
+	return func(x Exec, sc Scale, seed int64, input []byte) ([]runner.Job[[]byte], error) {
 		var in I
 		if err := decodeInput(input, &in); err != nil {
-			return nil, fmt.Errorf("experiments: job set %q: decode input: %w", name, err)
+			return nil, fmt.Errorf("decode input: %w", err)
 		}
-		jobs, err := build(x, sc, seed, in)
+		jobs, err := cells(x, sc, seed, in)
 		if err != nil {
 			return nil, err
 		}
-		for _, j := range jobs {
-			if j.Key == key {
-				res, err := j.Run(sim.DeriveSeed(seed, key))
+		if err := runner.Check(jobs); err != nil {
+			return nil, err
+		}
+		wire := make([]runner.Job[[]byte], len(jobs))
+		for i, j := range jobs {
+			wire[i] = runner.Job[[]byte]{Key: j.Key, Run: func(seed int64) ([]byte, error) {
+				res, err := j.Run(seed)
 				if err != nil {
 					return nil, err
 				}
 				return wireEncode(res)
-			}
+			}}
 		}
-		return nil, fmt.Errorf("experiments: job set %q has no job %q", name, key)
+		return wire, nil
 	}
 }
 
 // mapJobs runs a named set's job list: remotely when x names a
 // dispatcher (and the scale is a named one a remote machine can rebuild),
-// on x's pool otherwise. jobs must be the set's own builder output for
-// (x, sc, seed, in) — callers that also need plan metadata build once
-// and pass the list through, rather than having mapJobs re-enumerate it;
-// in travels with every remote request. Results come back in declaration
-// order either way, and are byte-identical either way.
+// on x's pool otherwise. campaign passes the list its cells built for
+// (x, sc, seed, in); in travels with every remote request. The list is
+// checked once, before either branch, so a list the local path would
+// refuse is never dispatched. Results come back in declaration order
+// either way, and are byte-identical either way.
 func mapJobs[I, T any](x Exec, name string, sc Scale, seed int64, in I, jobs []runner.Job[T]) ([]T, error) {
+	if err := runner.Check(jobs); err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", name, err)
+	}
 	if d := x.Remote; d != nil {
 		// Remote dispatch requires a scale a remote process can expand from
 		// its name; ad-hoc Scale values (tests) always run locally.

@@ -107,16 +107,7 @@ func TestEveryFanOutIsAJobSet(t *testing.T) {
 // 10). Its /run request must stay under the worker's 1 MiB body bound.
 func TestLargestInputFitsRequestBound(t *testing.T) {
 	sc := FullScale()
-	ag := rl.New(rl.DefaultConfig())
-	var cp checkpoints
-	for ep := sc.CheckpointEvery; ep <= sc.EpisodeCount; ep += sc.CheckpointEvery {
-		snap, err := ag.Save()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp.Episodes = append(cp.Episodes, ep)
-		cp.Snapshots = append(cp.Snapshots, snap)
-	}
+	cp := testCheckpoints(t, sc)
 	if len(cp.Snapshots) != 10 {
 		t.Fatalf("%d checkpoints at full scale, want 10", len(cp.Snapshots))
 	}
@@ -137,10 +128,10 @@ func TestLargestInputFitsRequestBound(t *testing.T) {
 	t.Logf("fig11b full-scale request: %d bytes (%d per snapshot)", len(body), len(body)/len(cp.Snapshots))
 }
 
-// TestJobSetTable pins the one job-set table, listed sorted; an unknown set
-// is an error
-// (mismatched binaries), not a panic. Duplicate names cannot be tested —
-// the table is a map literal, so they do not compile.
+// TestJobSetTable pins the job sets of the declared table, listed sorted;
+// an unknown set is an error (mismatched binaries), not a panic. Duplicate
+// names cannot be tested — the table is a map literal, so they do not
+// compile.
 func TestJobSetTable(t *testing.T) {
 	want := "[faultsweep fig1 fig10 fig11a fig11b fig3 fig4 fig5 fig9a fig9b gensweep table1]"
 	if got := fmt.Sprint(JobSets()); got != want {
@@ -154,5 +145,110 @@ func TestJobSetTable(t *testing.T) {
 	}
 	if _, err := (Exec{}).RunJob("table1", "no-such-scale", 42, nil, "k"); err == nil {
 		t.Fatal("unknown scale accepted")
+	}
+}
+
+// testCheckpoints is a fig11b input of the shape sc produces: one fresh
+// agent snapshot per checkpoint episode.
+func testCheckpoints(t *testing.T, sc Scale) checkpoints {
+	t.Helper()
+	snap, err := rl.New(rl.DefaultConfig()).Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp checkpoints
+	for ep := sc.CheckpointEvery; ep <= sc.EpisodeCount; ep += sc.CheckpointEvery {
+		cp.Episodes = append(cp.Episodes, ep)
+		cp.Snapshots = append(cp.Snapshots, snap)
+	}
+	return cp
+}
+
+// TestCellKeysUniqueAndOwned builds every declared experiment's cell list,
+// at tiny and at quick scale, without running a cell. Seeds derive from
+// keys, so every key must be unique within its set, and it must start with
+// "<id>/" so no two sets can share one.
+func TestCellKeysUniqueAndOwned(t *testing.T) {
+	for _, sc := range []Scale{TinyScale(), QuickScale()} {
+		cp := testCheckpoints(t, sc)
+		inputs := map[string]any{"fig1": cp.Snapshots[0], "fig10": cp.Snapshots[0], "fig11b": cp}
+		for _, id := range JobSets() {
+			var input []byte
+			if in, ok := inputs[id]; ok {
+				var err error
+				if input, err = wireEncode(in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			jobs, err := declared[id].jobs(Exec{}, sc, 42, input)
+			if err != nil {
+				t.Fatalf("%s at %s: %v", id, sc.Name, err)
+			}
+			if len(jobs) == 0 {
+				t.Errorf("%s at %s: no cells", id, sc.Name)
+			}
+			seen := map[string]bool{}
+			for _, j := range jobs {
+				if !strings.HasPrefix(j.Key, id+"/") {
+					t.Errorf("%s at %s: key %q does not start with %q", id, sc.Name, j.Key, id+"/")
+				}
+				if seen[j.Key] {
+					t.Errorf("%s at %s: duplicate key %q", id, sc.Name, j.Key)
+				}
+				seen[j.Key] = true
+			}
+		}
+	}
+}
+
+// stubDispatcher counts the sets it is asked to run and answers every key
+// with a zero result.
+type stubDispatcher struct{ calls int }
+
+func (d *stubDispatcher) RunJobs(_, _ string, _ int64, _ []byte, keys []string) ([][]byte, error) {
+	d.calls++
+	out := make([][]byte, len(keys))
+	for i := range out {
+		var err error
+		if out[i], err = wireEncode(0); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// TestBothDispatchPathsCheckJobLists: a list with a duplicate key or a nil
+// Run is refused the same way whether it would run locally or remotely (a
+// dispatcher finds jobs by key, so it would run the first of two twice and
+// succeed), and it is never dispatched. A worker rebuilding such a list
+// refuses it too.
+func TestBothDispatchPathsCheckJobLists(t *testing.T) {
+	run := func(int64) (int, error) { return 1, nil }
+	for _, tc := range []struct {
+		name string
+		jobs []runner.Job[int]
+		want string
+	}{
+		{"duplicate key", []runner.Job[int]{{Key: "t/a", Run: run}, {Key: "t/a", Run: run}}, "duplicate job key"},
+		{"nil Run", []runner.Job[int]{{Key: "t/a", Run: run}, {Key: "t/b"}}, "nil Run"},
+	} {
+		for _, remote := range []bool{false, true} {
+			d := &stubDispatcher{}
+			x := Exec{}
+			if remote {
+				x.Remote = d
+			}
+			_, err := mapJobs(x, "t", TinyScale(), 42, noInput{}, tc.jobs)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, remote=%v: err = %v, want %q", tc.name, remote, err, tc.want)
+			}
+			if d.calls != 0 {
+				t.Errorf("%s: dispatched a list the local path refuses", tc.name)
+			}
+		}
+		cells := func(Exec, Scale, int64, noInput) ([]runner.Job[int], error) { return tc.jobs, nil }
+		if _, err := fineJobs(cells)(Exec{}, TinyScale(), 42, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: worker rebuild err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

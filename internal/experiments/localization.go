@@ -85,29 +85,25 @@ type fig9aKind struct {
 	TPR15 float64      `json:"tpr15"`
 }
 
-// fig9aAnomalies are the per-type studies of Fig. 9(a), in figure order.
-var fig9aAnomalies = []injector.Kind{
+// fig9Anomalies are Fig. 9's anomaly types in figure order: the per-type
+// studies of 9(a) and the rows of the 9(b)/(c) injection schedule.
+var fig9Anomalies = []injector.Kind{
 	injector.NetworkDelay, injector.CPUStress, injector.LLCStress,
 	injector.MemBWStress, injector.IOStress, injector.NetBWStress,
-}
-
-func fig9aEvents(sc Scale) int {
-	if sc.DurationMul >= 1 {
-		return 50
-	}
-	return 20
 }
 
 // fig9aJobs declares the Fig. 9(a) job list: the per-type studies are
 // independent (each trains its own extractor on its own campaigns) and fan
 // out as one job per anomaly kind, seeded from the campaign seed and the
 // kind's name.
-func fig9aJobs(_ Exec, sc Scale, seed int64) ([]runner.Job[fig9aKind], error) {
+func fig9aJobs(_ Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[fig9aKind], error) {
 	spec := topology.SocialNetwork()
-	events := fig9aEvents(sc)
+	events := 20
+	if sc.DurationMul >= 1 {
+		events = 50
+	}
 	var jobs []runner.Job[fig9aKind]
-	for _, kind := range fig9aAnomalies {
-		kind := kind
+	for _, kind := range fig9Anomalies {
 		jobs = append(jobs, runner.Job[fig9aKind]{
 			Key: runner.Key("fig9a", kind),
 			Run: func(jobSeed int64) (fig9aKind, error) {
@@ -118,24 +114,16 @@ func fig9aJobs(_ Exec, sc Scale, seed int64) ([]runner.Job[fig9aKind], error) {
 	return jobs, nil
 }
 
-// Fig9a runs the single-anomaly localization study per anomaly type
-// (network delay, CPU, LLC, memory bandwidth, I/O, network bandwidth) and
-// sweeps the SVM decision threshold to trace each ROC curve.
-func Fig9a(x Exec, sc Scale, seed int64) (*Fig9aResult, error) {
-	jobs, err := fig9aJobs(x, sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	studies, err := mapJobs(x, "fig9a", sc, seed, noInput{}, jobs)
-	if err != nil {
-		return nil, err
-	}
+// fig9aReduce merges the single-anomaly localization study per anomaly
+// type (network delay, CPU, LLC, memory bandwidth, I/O, network bandwidth),
+// each with the SVM decision threshold swept to trace its ROC curve.
+func fig9aReduce(_ Scale, _ int64, _ noInput, studies []fig9aKind) (*Fig9aResult, error) {
 	res := &Fig9aResult{
 		AUC: map[string]float64{}, Curves: map[string][][2]float64{},
 		TPRAtFPR15: map[string]float64{},
 	}
 	var aucs []float64
-	for i, kind := range fig9aAnomalies {
+	for i, kind := range fig9Anomalies {
 		name := kind.String()
 		res.AUC[name] = studies[i].AUC
 		res.Curves[name] = studies[i].Curve
@@ -259,8 +247,12 @@ type Fig9bResult struct {
 	Overall  float64
 }
 
-// fig9bSlot locates one job's merge position in the (ISA, benchmark) grid.
-type fig9bSlot struct{ arch, bench string }
+// fig9bArchs are Fig. 9(b)'s processor ISAs, in job order, and the node
+// profile each one's 15-node cluster is built from.
+var fig9bArchs = []struct {
+	name    string
+	profile cluster.HardwareProfile
+}{{"x86", cluster.XeonProfile}, {"ppc64", cluster.PowerProfile}}
 
 // fig9bWindows is the number of 10s injection windows per run at the scale.
 func fig9bWindows(sc Scale) int {
@@ -270,65 +262,46 @@ func fig9bWindows(sc Scale) int {
 	return 12
 }
 
-// fig9bPlan declares the Fig. 9(b) job list — one job per (ISA, benchmark)
-// run — plus each job's merge slot. The two ISA arms of a benchmark share a
-// seed derived from the benchmark's name, so both architectures face the
-// same Fig. 9(c) injection schedule — the comparison the figure makes —
-// while benchmarks stay decorrelated.
-func fig9bPlan(sc Scale, seed int64) ([]runner.Job[float64], []fig9bSlot) {
-	archNodes := map[string][]cluster.HardwareProfile{
-		"x86":   repeatProfile(cluster.XeonProfile, 15),
-		"ppc64": repeatProfile(cluster.PowerProfile, 15),
-	}
+// fig9bJobs declares the Fig. 9(b) job list: one job per (ISA, benchmark)
+// run, ISA-major, which is the layout fig9bReduce reads back. The two ISA
+// arms of a benchmark share a seed derived from the benchmark's name, so
+// both architectures face the same Fig. 9(c) injection schedule — the
+// comparison the figure makes — while benchmarks stay decorrelated.
+func fig9bJobs(_ Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[float64], error) {
 	windows := fig9bWindows(sc)
 	var jobs []runner.Job[float64]
-	var slots []fig9bSlot
-	for _, arch := range []string{"x86", "ppc64"} {
+	for _, arch := range fig9bArchs {
+		nodes := repeatProfile(arch.profile, 15)
 		for _, spec := range topology.All() {
-			spec := spec
-			nodes := archNodes[arch]
 			pairSeed := fig9bPairSeed(seed, spec.Name)
 			jobs = append(jobs, runner.Job[float64]{
-				Key: runner.Key("fig9b", arch, spec.Name),
+				Key: runner.Key("fig9b", arch.name, spec.Name),
 				Run: func(int64) (float64, error) {
 					return fig9bRun(spec, pairSeed, nodes, windows)
 				},
 			})
-			slots = append(slots, fig9bSlot{arch: arch, bench: spec.Name})
 		}
 	}
-	return jobs, slots
-}
-
-// fig9bJobs is fig9bPlan's job list alone (the registered job-set builder).
-func fig9bJobs(_ Exec, sc Scale, seed int64) ([]runner.Job[float64], error) {
-	jobs, _ := fig9bPlan(sc, seed)
 	return jobs, nil
 }
 
-// Fig9b runs the Fig. 9(c) campaign — consecutive 10s windows with per-type
-// random intensities — on x86-only and ppc64-only clusters and scores
-// instance-level localization accuracy.
-func Fig9b(x Exec, sc Scale, seed int64) (*Fig9bResult, error) {
-	res := &Fig9bResult{Accuracy: map[string]map[string]float64{
-		"x86": {}, "ppc64": {},
-	}}
-	jobs, slots := fig9bPlan(sc, seed)
-	accs, err := mapJobs(x, "fig9b", sc, seed, noInput{}, jobs)
-	if err != nil {
-		return nil, err
+// fig9bReduce scores instance-level localization accuracy per ISA and
+// benchmark: the Fig. 9(c) campaign — consecutive 10s windows with
+// per-type random intensities — on x86-only and ppc64-only clusters.
+func fig9bReduce(_ Scale, _ int64, _ noInput, accs []float64) (*Fig9bResult, error) {
+	res := &Fig9bResult{Accuracy: map[string]map[string]float64{}, Overall: stats.Mean(accs)}
+	benches := topology.All()
+	for ai, arch := range fig9bArchs {
+		res.Accuracy[arch.name] = map[string]float64{}
+		for bi, spec := range benches {
+			res.Accuracy[arch.name][spec.Name] = accs[ai*len(benches)+bi]
+		}
 	}
-	var all []float64
-	for k, acc := range accs {
-		res.Accuracy[slots[k].arch][slots[k].bench] = acc
-		all = append(all, acc)
-	}
-	res.Overall = stats.Mean(all)
 	return res, nil
 }
 
 // fig9bPairSeed derives the seed the two ISA arms of one benchmark share;
-// Fig9c replays the first benchmark's schedule from the same derivation, so
+// fig9c replays the first benchmark's schedule from the same derivation, so
 // the two stay in lockstep by construction.
 func fig9bPairSeed(seed int64, bench string) int64 {
 	return sim.DeriveSeed(seed, runner.Key("fig9b", bench))
@@ -336,7 +309,7 @@ func fig9bPairSeed(seed int64, bench string) int64 {
 
 // fig9bTargetCount mirrors len(b.Containers()) for a fresh bench of spec.
 // fig9bRun never scales, so the injection-target pool stays at the spec's
-// initial replica count; Fig9c's schedule replay must draw targets with the
+// initial replica count; fig9c's schedule replay must draw targets with the
 // same modulus or math/rand's rejection resampling could consume a
 // different number of underlying values and desynchronize the streams.
 func fig9bTargetCount(spec *topology.Spec) int {
@@ -367,10 +340,6 @@ func fig9bRun(spec *topology.Spec, seed int64, nodes []cluster.HardwareProfile, 
 	b.AttachWorkload(workload.Constant{RPS: 150})
 	targets := b.Containers()
 	r := sim.Stream(seed, "fig9b")
-	kinds := []injector.Kind{
-		injector.NetworkDelay, injector.CPUStress, injector.LLCStress,
-		injector.MemBWStress, injector.IOStress, injector.NetBWStress,
-	}
 
 	// Warm-up + training phase: labelled windows are harvested, then the
 	// incremental SVM is fitted over them before the scored phase.
@@ -380,7 +349,7 @@ func fig9bRun(spec *topology.Spec, seed int64, nodes []cluster.HardwareProfile, 
 	runWindow := func(train bool) {
 		// Schedule this window's anomalies: each type at random intensity
 		// on a random target (Fig. 9(c): intensity ∈ [0,1] per type).
-		for _, k := range kinds {
+		for _, k := range fig9Anomalies {
 			intensity := r.Float64()
 			if intensity < 0.35 {
 				continue // type idle this window (below visible intensity)
@@ -462,27 +431,23 @@ type Fig9cResult struct {
 	Intensity map[string][]float64 // kind → per-window intensity
 }
 
-// Fig9c materializes the schedule used by Fig9b (first benchmark's pair
-// seed) for inspection. It takes the common (Scale, seed) experiment
+// fig9c materializes the schedule fig9b runs (first benchmark's pair seed)
+// for inspection. It has no cells, but takes the common experiment
 // signature so it participates in Reportable, `-run all`, and the golden
 // tests like every other experiment; the schedule itself is
 // scale-independent (it mirrors fig9bRun's drawing protocol over a fixed
 // 12-window horizon, Fig. 9(c)'s x-axis).
-func Fig9c(_ Exec, _ Scale, seed int64) (*Fig9cResult, error) {
+func fig9c(_ string, _ Exec, _ Scale, seed int64) (Reportable, error) {
 	spec := topology.All()[0]
 	targets := fig9bTargetCount(spec)
 	r := sim.Stream(fig9bPairSeed(seed, spec.Name), "fig9b")
-	kinds := []injector.Kind{
-		injector.NetworkDelay, injector.CPUStress, injector.LLCStress,
-		injector.MemBWStress, injector.IOStress, injector.NetBWStress,
-	}
 	res := &Fig9cResult{Intensity: map[string][]float64{}}
-	for _, k := range kinds {
+	for _, k := range fig9Anomalies {
 		res.Kinds = append(res.Kinds, k.String())
 	}
 	for w := 0; w < 12; w++ {
 		res.Windows = append(res.Windows, w+1)
-		for _, k := range kinds {
+		for _, k := range fig9Anomalies {
 			intensity := r.Float64()
 			if intensity < 0.35 {
 				intensity = 0

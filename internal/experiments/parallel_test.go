@@ -39,8 +39,8 @@ func TestFig5ParallelDeterminism(t *testing.T) {
 		t.Skip("fig5 sweep is expensive; run without -short")
 	}
 	sc := Scale{Name: "tiny", DurationMul: 0.05, EpisodeCount: 1, CheckpointEvery: 1, Reps: 1}
-	seq := renderWithWorkers(t, 1, wrap(Fig5), sc, 42)
-	par := renderWithWorkers(t, parallelWorkers(), wrap(Fig5), sc, 42)
+	seq := renderWithWorkers(t, 1, mustGet(t, "fig5"), sc, 42)
+	par := renderWithWorkers(t, parallelWorkers(), mustGet(t, "fig5"), sc, 42)
 	if seq != par {
 		t.Fatalf("fig5 output depends on worker count:\n--- 1 worker ---\n%s\n--- %d workers ---\n%s",
 			seq, parallelWorkers(), par)
@@ -48,8 +48,8 @@ func TestFig5ParallelDeterminism(t *testing.T) {
 }
 
 func TestTable1ParallelDeterminism(t *testing.T) {
-	seq := renderWithWorkers(t, 1, wrap(Table1), QuickScale(), 42)
-	par := renderWithWorkers(t, parallelWorkers(), wrap(Table1), QuickScale(), 42)
+	seq := renderWithWorkers(t, 1, mustGet(t, "table1"), QuickScale(), 42)
+	par := renderWithWorkers(t, parallelWorkers(), mustGet(t, "table1"), QuickScale(), 42)
 	if seq != par {
 		t.Fatalf("table1 output depends on worker count:\n--- 1 worker ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
@@ -67,8 +67,8 @@ func TestFig10TinyParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains RL agents; run without -short")
 	}
-	seq := renderWithWorkers(t, 1, wrap(Fig10), tinyScale(), 7)
-	par := renderWithWorkers(t, parallelWorkers(), wrap(Fig10), tinyScale(), 7)
+	seq := renderWithWorkers(t, 1, mustGet(t, "fig10"), tinyScale(), 7)
+	par := renderWithWorkers(t, parallelWorkers(), mustGet(t, "fig10"), tinyScale(), 7)
 	if seq != par {
 		t.Fatalf("fig10 output depends on worker count:\n%s\nvs\n%s", seq, par)
 	}
@@ -78,24 +78,21 @@ func TestFig11aTinyParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains RL agents; run without -short")
 	}
-	seq := renderWithWorkers(t, 1, wrap(Fig11a), tinyScale(), 7)
-	par := renderWithWorkers(t, parallelWorkers(), wrap(Fig11a), tinyScale(), 7)
+	seq := renderWithWorkers(t, 1, mustGet(t, "fig11a"), tinyScale(), 7)
+	par := renderWithWorkers(t, parallelWorkers(), mustGet(t, "fig11a"), tinyScale(), 7)
 	if seq != par {
 		t.Fatalf("fig11a output depends on worker count:\n%s\nvs\n%s", seq, par)
 	}
 }
 
 func TestFig9cReplaysFig9bSchedule(t *testing.T) {
-	// Fig9c documents the schedule fig9bRun runs for the first benchmark.
+	// fig9c documents the schedule fig9bRun runs for the first benchmark.
 	// The seed is shared by construction (fig9bPairSeed); this replays the
-	// drawing protocol against Fig9c's output so drift in either copy of
-	// the protocol (Fig9c's loop vs fig9bRun's runWindow) is caught.
+	// drawing protocol against fig9c's output so drift in either copy of
+	// the protocol (fig9c's loop vs fig9bRun's runWindow) is caught.
 	seed := int64(9)
 	spec := topology.All()[0]
-	res, err := Fig9c(Exec{}, TinyScale(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*Fig9cResult](t, "fig9c", Exec{}, TinyScale(), seed)
 	if len(res.Kinds) == 0 || len(res.Windows) == 0 {
 		t.Fatal("empty schedule")
 	}
@@ -107,7 +104,7 @@ func TestFig9cReplaysFig9bSchedule(t *testing.T) {
 				intensity = 0
 			}
 			if got := res.Intensity[k][w]; got != intensity {
-				t.Fatalf("window %d kind %s: Fig9c says %.3f, schedule replay says %.3f", w, k, got, intensity)
+				t.Fatalf("window %d kind %s: fig9c says %.3f, schedule replay says %.3f", w, k, got, intensity)
 			}
 			if intensity > 0 {
 				r.Intn(fig9bTargetCount(spec)) // target draw, as fig9bRun consumes
@@ -117,7 +114,7 @@ func TestFig9cReplaysFig9bSchedule(t *testing.T) {
 }
 
 func TestFig9bTargetCountMatchesBench(t *testing.T) {
-	// Fig9c's schedule replay assumes the spec's initial replica count
+	// fig9c's schedule replay assumes the spec's initial replica count
 	// equals the bench's injection-target pool; if harness deployment ever
 	// changes that (sidecars, calibration replicas), the replay desyncs.
 	for _, spec := range topology.All() {

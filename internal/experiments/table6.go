@@ -29,9 +29,9 @@ type Table6Result struct {
 	N    int
 }
 
-// Table6 exercises the deployment module: repeated partition changes per
-// resource plus warm and cold container starts.
-func Table6(_ Exec, sc Scale, seed int64) (*Table6Result, error) {
+// table6 exercises the deployment module: repeated partition changes per
+// resource plus warm and cold container starts. It has no cells.
+func table6(_ string, _ Exec, sc Scale, seed int64) (Reportable, error) {
 	b, err := harness.New(harness.Options{
 		Seed: seed, Spec: topology.HotelReservation(),
 	})
@@ -128,20 +128,23 @@ type HeadlineResult struct {
 	MitigationVsAIMD float64
 }
 
-// Headline runs Fig. 10 and Fig. 11(b) and derives the abstract's ratios.
-func Headline(x Exec, sc Scale, seed int64) (*HeadlineResult, error) {
-	f10, err := Fig10(x, sc, seed)
+// headline runs fig10 and fig11b from the declared table and derives the
+// abstract's ratios. It has no cells of its own.
+func headline(_ string, x Exec, sc Scale, seed int64) (Reportable, error) {
+	fig10, _ := Get("fig10")
+	f10, err := fig10(x, sc, seed)
 	if err != nil {
 		return nil, err
 	}
-	f11b, err := Fig11b(x, sc, seed+1000)
+	fig11b, _ := Get("fig11b")
+	f11b, err := fig11b(x, sc, seed+1000)
 	if err != nil {
 		return nil, err
 	}
-	res := &HeadlineResult{Fig10: f10, Fig11b: f11b}
-	if f11b.FinalSingleRL > 0 {
-		res.MitigationVsHPA = f11b.HPABaseline / f11b.FinalSingleRL
-		res.MitigationVsAIMD = f11b.AIMDBaseline / f11b.FinalSingleRL
+	res := &HeadlineResult{Fig10: f10.(*Fig10Result), Fig11b: f11b.(*Fig11bResult)}
+	if fin := res.Fig11b.FinalSingleRL; fin > 0 {
+		res.MitigationVsHPA = res.Fig11b.HPABaseline / fin
+		res.MitigationVsAIMD = res.Fig11b.AIMDBaseline / fin
 	}
 	return res, nil
 }

@@ -264,7 +264,7 @@ type fig11aCurve struct {
 // the base's trained target networks too. All variants share the
 // experiment seed on purpose — §4.3 trains every model "subjected to the
 // same sequence of performance anomaly injections".
-func fig11aJobs(x Exec, sc Scale, seed int64) ([]runner.Job[[]fig11aCurve], error) {
+func fig11aJobs(x Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[[]fig11aCurve], error) {
 	spec := topology.TrainTicket()
 	train := func(v Variant, base *rl.Agent) (*TrainResult, error) {
 		return Train(TrainOpts{Pool: x.Pool, Seed: seed, Spec: spec, Episodes: sc.EpisodeCount, Variant: v, Base: base})
@@ -291,18 +291,10 @@ func fig11aJobs(x Exec, sc Scale, seed int64) ([]runner.Job[[]fig11aCurve], erro
 	}, nil
 }
 
-// Fig11a runs the three training campaigns. Within a variant, episode
-// rollouts parallelize on internal/rollout's actor-learner engine, drawing
-// workers from the same pool as the jobs.
-func Fig11a(x Exec, sc Scale, seed int64) (*Fig11aResult, error) {
-	jobs, err := fig11aJobs(x, sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	cells, err := mapJobs(x, "fig11a", sc, seed, noInput{}, jobs)
-	if err != nil {
-		return nil, err
-	}
+// fig11aReduce merges the three training campaigns' curves. Within a
+// variant, episode rollouts parallelize on internal/rollout's actor-learner
+// engine, drawing workers from the same pool as the jobs.
+func fig11aReduce(sc Scale, _ int64, _ noInput, cells [][]fig11aCurve) (*Fig11aResult, error) {
 	res := &Fig11aResult{
 		Series:           map[string][]float64{},
 		FinalReward:      map[string]float64{},
@@ -449,41 +441,37 @@ func fig11bJobs(x Exec, sc Scale, seed int64, cp checkpoints) ([]runner.Job[floa
 	}), nil
 }
 
-// Fig11b evaluates checkpointed agents: every checkpoint is loaded into a
-// fresh controller and subjected to a one-minute continuous injection
-// campaign; mitigation time is measured as in §4.3. Checkpoints are
-// snapshots of one evolving learner — the rollout engine applies gradients
-// in fixed episode order even when episode rollouts run in parallel — so
-// training runs here and only the evaluations fan out.
-func Fig11b(x Exec, sc Scale, seed int64) (*Fig11bResult, error) {
+// fig11bCheckpoints trains Fig. 11(b)'s single-RL agent on the coordinator.
+// Checkpoints are snapshots of one evolving learner — the rollout engine
+// applies gradients in fixed episode order even when episode rollouts run
+// in parallel — so training runs here and only the evaluations fan out.
+func fig11bCheckpoints(x Exec, sc Scale, seed int64) (checkpoints, error) {
 	single, err := Train(TrainOpts{
 		Pool: x.Pool, Seed: seed, Spec: topology.TrainTicket(), Episodes: sc.EpisodeCount,
 		Variant: OneForAll, CheckpointEvery: sc.CheckpointEvery,
 	})
 	if err != nil {
-		return nil, err
+		return checkpoints{}, err
 	}
-	cp := checkpoints{Episodes: single.CheckpointEp, Snapshots: single.Checkpoints}
-	jobs, err := fig11bJobs(x, sc, seed, cp)
-	if err != nil {
-		return nil, err
-	}
-	mts, err := mapJobs(x, "fig11b", sc, seed, cp, jobs)
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig11bResult{}
+	return checkpoints{Episodes: single.CheckpointEp, Snapshots: single.Checkpoints}, nil
+}
+
+// fig11bReduce merges the evaluations of the checkpointed agents: every
+// checkpoint is loaded into a fresh controller and subjected to a
+// one-minute continuous injection campaign; mitigation time is measured as
+// in §4.3.
+func fig11bReduce(_ Scale, _ int64, cp checkpoints, mts []float64) (*Fig11bResult, error) {
 	n := len(cp.Snapshots)
-	res.Episodes = cp.Episodes
-	res.SingleRL = append([]float64(nil), mts[:n]...)
+	res := &Fig11bResult{
+		Episodes: cp.Episodes, SingleRL: append([]float64(nil), mts[:n]...),
+		HPABaseline: mts[n+1], AIMDBaseline: mts[n+2],
+	}
 	if n > 0 {
 		res.FinalSingleRL = res.SingleRL[n-1]
 	}
 	for range res.Episodes {
 		res.MultiRL = append(res.MultiRL, mts[n]) // final-policy reference line
 	}
-	res.HPABaseline = mts[n+1]
-	res.AIMDBaseline = mts[n+2]
 	return res, nil
 }
 

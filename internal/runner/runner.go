@@ -153,15 +153,8 @@ func Map[T any](p *Pool, campaignSeed int64, jobs []Job[T]) ([]T, error) {
 	if nWorkers > len(jobs) {
 		nWorkers = len(jobs)
 	}
-	seen := make(map[string]struct{}, len(jobs))
-	for _, j := range jobs {
-		if j.Run == nil {
-			return nil, fmt.Errorf("runner: job %q has nil Run", j.Key)
-		}
-		if _, dup := seen[j.Key]; dup {
-			return nil, fmt.Errorf("runner: duplicate job key %q", j.Key)
-		}
-		seen[j.Key] = struct{}{}
+	if err := Check(jobs); err != nil {
+		return nil, err
 	}
 	results := make([]T, len(jobs))
 	errs := make([]error, len(jobs))
@@ -226,6 +219,23 @@ func firstErr(errs []error) error {
 		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// Check rejects a job list Map could not run as declared: a job without a
+// Run, or two jobs with one key (they would share a seed, and a dispatcher
+// that finds jobs by key would run the first twice).
+func Check[T any](jobs []Job[T]) error {
+	seen := make(map[string]struct{}, len(jobs))
+	for _, j := range jobs {
+		if j.Run == nil {
+			return fmt.Errorf("runner: job %q has nil Run", j.Key)
+		}
+		if _, dup := seen[j.Key]; dup {
+			return fmt.Errorf("runner: duplicate job key %q", j.Key)
+		}
+		seen[j.Key] = struct{}{}
 	}
 	return nil
 }

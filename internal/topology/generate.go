@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"firm/internal/sim"
@@ -91,16 +92,19 @@ func (p Params) normalized() (Params, error) {
 	return p, nil
 }
 
+// checkMix rejects a mix drawIndex cannot draw from: a weight that is
+// negative, NaN or +Inf, or a sum that is zero or overflows (with an
+// infinite sum every draw would fall through to the last index).
 func checkMix(mix []float64, name string) error {
 	var sum float64
 	for i, w := range mix {
-		if !(w >= 0) { // negative or NaN
-			return fmt.Errorf("topology: Generate %s[%d] = %v, must be >= 0", name, i, w)
+		if !(w >= 0) || math.IsInf(w, 1) { // negative, NaN or +Inf
+			return fmt.Errorf("topology: Generate %s[%d] = %v, must be finite and >= 0", name, i, w)
 		}
 		sum += w
 	}
-	if !(sum > 0) {
-		return fmt.Errorf("topology: Generate %s sums to %v, must be positive", name, sum)
+	if !(sum > 0) || math.IsInf(sum, 1) {
+		return fmt.Errorf("topology: Generate %s sums to %v, must be positive and finite", name, sum)
 	}
 	return nil
 }

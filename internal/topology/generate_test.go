@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"firm/internal/sim"
@@ -100,6 +102,11 @@ func TestGenerateRejectsBadParams(t *testing.T) {
 		{"depth exceeds services", Params{Services: 3, Endpoints: 1, MaxFanout: 1, Depth: 4}},
 		{"negative class weight", Params{Services: 10, Endpoints: 1, MaxFanout: 1, Depth: 2, ClassMix: [5]float64{-1, 1, 1, 1, 1}}},
 		{"negative mode weight", Params{Services: 10, Endpoints: 1, MaxFanout: 1, Depth: 2, ModeMix: [3]float64{1, -1, 1}}},
+		// With an infinite weight every draw falls through to the last
+		// class: 29 of these 30 services would be Media, whose weight is 0.
+		{"infinite class weight", Params{Services: 30, Endpoints: 2, MaxFanout: 3, Depth: 3, ClassMix: [5]float64{math.Inf(1), 0, 0, 0, 0}}},
+		{"NaN mode weight", Params{Services: 10, Endpoints: 1, MaxFanout: 1, Depth: 2, ModeMix: [3]float64{1, math.NaN(), 1}}},
+		{"overflowing class sum", Params{Services: 10, Endpoints: 1, MaxFanout: 1, Depth: 2, ClassMix: [5]float64{math.MaxFloat64, math.MaxFloat64, 0, 0, 0}}},
 	}
 	for _, tc := range cases {
 		if _, err := Generate(tc.p, 1); err == nil {
@@ -235,6 +242,70 @@ func TestValidateRejections(t *testing.T) {
 		s.Services["orphan"] = &Service{Name: "orphan", Replicas: 1}
 		if err := s.Validate(); err == nil {
 			t.Fatal("unreachable service must be rejected")
+		}
+	})
+}
+
+// validMix is checkMix's contract restated: finite non-negative weights
+// with a positive, finite sum; the zero mix means the default.
+func validMix(mix []float64) bool {
+	var sum float64
+	for _, w := range mix {
+		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+			return false
+		}
+		sum += w
+	}
+	return sum > 0 && !math.IsInf(sum, 0)
+}
+
+// FuzzGenerate draws bounded Params (at most 300 services and 64
+// endpoints, negatives included), arbitrary mixes and seed. Generate must
+// fail exactly when the params are invalid; otherwise the spec validates,
+// has the asked-for shape, regenerates to identical edges, and its
+// Params.Key has no "/" (a generated-topology job key embeds it).
+func FuzzGenerate(f *testing.F) {
+	f.Add(30, 2, 3, 3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, int64(1))
+	f.Add(300, 64, 8, 12, 1.0, 2.0, 0.5, 0.5, 0.1, 5.0, 2.0, 0.2, int64(-7))
+	f.Add(30, 2, 3, 3, math.Inf(1), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, int64(1))
+	f.Add(10, 1, 1, 2, math.MaxFloat64, math.MaxFloat64, 0.0, 0.0, 0.0, 1.0, math.NaN(), 1.0, int64(3))
+	f.Add(2, 1, 1, 2, 0.0, 0.0, 0.0, 0.0, 1e-300, 0.0, 0.0, 1.0, int64(0))
+	f.Fuzz(func(t *testing.T, services, endpoints, fanout, depth int,
+		c0, c1, c2, c3, c4, m0, m1, m2 float64, seed int64) {
+		p := Params{
+			Services:  services % 301,
+			Endpoints: endpoints % 65,
+			MaxFanout: fanout,
+			Depth:     depth,
+			ClassMix:  [5]float64{c0, c1, c2, c3, c4},
+			ModeMix:   [3]float64{m0, m1, m2},
+		}
+		valid := p.Services >= 2 && p.Endpoints >= 1 && p.MaxFanout >= 1 &&
+			p.Depth >= 2 && p.Services >= p.Depth &&
+			(p.ClassMix == [5]float64{} || validMix(p.ClassMix[:])) &&
+			(p.ModeMix == [3]float64{} || validMix(p.ModeMix[:]))
+		if strings.Contains(p.Key(), "/") {
+			t.Fatalf("Key %q contains a /", p.Key())
+		}
+		spec, err := Generate(p, seed)
+		if (err == nil) != valid {
+			t.Fatalf("%+v: valid=%v but Generate err = %v", p, valid, err)
+		}
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%+v: generated spec invalid: %v", p, err)
+		}
+		if spec.NumServices() != p.Services || len(spec.Endpoints) != p.Endpoints {
+			t.Fatalf("%+v: %d services, %d endpoints", p, spec.NumServices(), len(spec.Endpoints))
+		}
+		again, err := Generate(p, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(spec.Edges(), again.Edges()) {
+			t.Fatalf("%+v seed %d: edges differ between two calls", p, seed)
 		}
 	})
 }
