@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -28,6 +29,17 @@ func main() {
 		seed     = flag.Int64("seed", 42, "random seed")
 	)
 	flag.Parse()
+
+	// A NaN or infinite rate would make every arrival gap zero; a NaN or
+	// infinite duration has no simulated end.
+	if math.IsNaN(*rps) || math.IsInf(*rps, 0) || *rps < 0 {
+		fmt.Fprintf(os.Stderr, "-rps must be a finite, non-negative rate, got %v\n", *rps)
+		os.Exit(2)
+	}
+	if math.IsNaN(*duration) || math.IsInf(*duration, 0) || *duration <= 0 {
+		fmt.Fprintf(os.Stderr, "-duration must be a finite, positive number of seconds, got %v\n", *duration)
+		os.Exit(2)
+	}
 
 	spec, err := topology.ByName(*appName)
 	if err != nil {

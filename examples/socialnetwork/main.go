@@ -88,7 +88,7 @@ func main() {
 		b.AttachFIRM(cfg, harness.PerServiceAgents(7, agent), nil)
 	})
 	hpa := run("K8S autoscaling", 7, func(b *harness.Bench) {
-		b.AttachHPA(0.8, 5*sim.Second)
+		b.AttachHPA()
 	})
 
 	fmt.Printf("%-16s %8s %8s %10s %8s %10s\n",

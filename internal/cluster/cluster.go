@@ -23,10 +23,6 @@ type Config struct {
 	// MinLimit is the per-resource floor for container limits (the paper's
 	// lower limit Ř: e.g. CPU time cannot be set to 0).
 	MinLimit Vector
-	// WarmStartDelay and ColdStartDelay are container start latencies
-	// (Table 6: warm 45.7±6.9 ms, cold 2050.8±291.4 ms).
-	WarmStartDelay sim.Time
-	ColdStartDelay sim.Time
 	// PerInstanceNoise gives every container its own service-time noise
 	// stream keyed by (NoiseSeed, service, replica ordinal) instead of the
 	// engine's shared stream. Sharded runs require it: the noise a replica
@@ -36,15 +32,20 @@ type Config struct {
 	NoiseSeed        int64
 }
 
+// warmStartDelay and coldStartDelay are container start latencies (Table 6:
+// warm 45.7±6.9 ms, cold 2050.8±291.4 ms).
+const (
+	warmStartDelay = 45_700 * sim.Microsecond
+	coldStartDelay = 2_050_800 * sim.Microsecond
+)
+
 // DefaultConfig returns the configuration used across experiments.
 func DefaultConfig() Config {
 	return Config{
-		QueueCap:       512,
-		SlowdownExp:    1.6,
-		NoiseSD:        0.06,
-		MinLimit:       V(0.1, 50, 0.5, 10, 10),
-		WarmStartDelay: sim.FromMillis(45.7),
-		ColdStartDelay: sim.FromMillis(2050.8),
+		QueueCap:    512,
+		SlowdownExp: 1.6,
+		NoiseSD:     0.06,
+		MinLimit:    V(0.1, 50, 0.5, 10, 10),
 	}
 }
 
@@ -268,9 +269,9 @@ func (rs *ReplicaSet) place(node *Node, limits Vector, cold, instant bool) (*Con
 		c.ready = true
 		return c, nil
 	}
-	delay := rs.cl.cfg.WarmStartDelay
+	delay := warmStartDelay
 	if cold {
-		delay = rs.cl.cfg.ColdStartDelay
+		delay = coldStartDelay
 	}
 	rs.cl.eng.Schedule(delay, func() { c.ready = true })
 	return c, nil

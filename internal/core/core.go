@@ -319,29 +319,33 @@ func (r *perServiceReplica) BeginEpisode(episodeSeed int64) {
 	}
 }
 
-// Config tunes the FIRM controller.
-type Config struct {
+// The control loop's fixed parameters.
+const (
 	// Interval is the control-loop period (time step t of §3.4).
-	Interval sim.Time
+	Interval = sim.Second
 	// Window is how far back traces are considered per tick.
-	Window sim.Time
-	// Alpha weighs SLO compliance vs utilization in the reward.
-	Alpha float64
-	// Headroom scales the action-space ceiling relative to each service's
+	Window = 2 * Interval
+	// alpha weighs SLO compliance vs utilization in the reward.
+	alpha = 0.8
+	// headroom scales the action-space ceiling relative to each service's
 	// reference (initial) limits.
-	Headroom float64
-	// TopK caps how many culprit instances are actuated per tick.
-	TopK int
-	// Training enables exploration noise, replay-buffer writes, and
-	// gradient updates.
-	Training bool
-	// GuidedEps is the probability, during training, of substituting the
+	headroom = 4
+	// topK caps how many culprit instances are actuated per tick.
+	topK = 3
+	// guidedEps is the probability, during training, of substituting the
 	// actor's exploration with a guided action that maxes the limits of
 	// resources the state reports as oversubscribed (util ≥ 1.2). Seeding
 	// the replay buffer with successful mitigations is the continuous-
 	// control analogue of demonstration data and substantially shortens
 	// the exploration phase the paper spends its first ~1000 episodes on.
-	GuidedEps float64
+	guidedEps = 0.35
+)
+
+// Config tunes the FIRM controller.
+type Config struct {
+	// Training enables exploration noise, replay-buffer writes, and
+	// gradient updates.
+	Training bool
 	// Sink, when non-nil, diverts every finalized transition (in emission
 	// order) away from the replay-buffer write and gradient step. Rollout
 	// actor workers set it to collect experience for a central learner;
@@ -358,16 +362,7 @@ type Config struct {
 
 // DefaultConfig returns the controller configuration used in experiments.
 func DefaultConfig() Config {
-	return Config{
-		Interval:      sim.Second,
-		Window:        2 * sim.Second,
-		Alpha:         0.8,
-		Headroom:      4,
-		TopK:          3,
-		GuidedEps:     0.35,
-		IdleReclaim:   5,
-		ReclaimFactor: 0.93,
-	}
+	return Config{IdleReclaim: 5, ReclaimFactor: 0.93}
 }
 
 // pendingAction is a state-action pair awaiting its next-tick reward.
@@ -427,18 +422,6 @@ type Controller struct {
 func New(cfg Config, a *app.App, db *tracedb.Store, col *telemetry.Collector,
 	meter *telemetry.Meter, dep *deploy.Module, ext *detect.Extractor,
 	prov AgentProvider) *Controller {
-	if cfg.Interval <= 0 {
-		cfg.Interval = sim.Second
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 2 * cfg.Interval
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 3
-	}
-	if cfg.Headroom < 1 {
-		cfg.Headroom = 4
-	}
 	c := &Controller{
 		cfg: cfg, eng: a.Engine(), app: a, db: db, col: col, meter: meter,
 		dep: dep, ext: ext, prov: prov,
@@ -450,7 +433,7 @@ func New(cfg Config, a *app.App, db *tracedb.Store, col *telemetry.Collector,
 	// mid-workload sees the same window a fresh Select would.
 	db.Observe(c.mon)
 	db.Observe(c.loc)
-	c.ticker = sim.NewTicker(c.eng, cfg.Interval, c.tick)
+	c.ticker = sim.NewTicker(c.eng, Interval, c.tick)
 	return c
 }
 
@@ -484,7 +467,7 @@ func (c *Controller) ResetEpisode() {
 // returns its effective P99; used where no tick is in progress (episode
 // resets between ticks).
 func (c *Controller) windowP99() sim.Time {
-	c.mon.Advance(c.eng.Now() - c.cfg.Window)
+	c.mon.Advance(c.eng.Now() - Window)
 	return c.monitorP99()
 }
 
@@ -534,7 +517,7 @@ func (c *Controller) flushPendingAt(done bool, p99 sim.Time) {
 		if s, ok := c.col.Latest(p.instance); ok {
 			util = s.Util()
 		}
-		r := agent.Reward(sv, util, c.cfg.Alpha)
+		r := agent.Reward(sv, util, alpha)
 		c.RewardObserved++
 		s2 := c.sb.State(p.instance, p99, culprit)
 		tr := rl.Transition{S: p.state, A: p.action, R: r, S2: s2, Done: done}
@@ -564,10 +547,10 @@ func (c *Controller) tick() {
 	// effective P99? — without selecting or sorting anything: traces were
 	// added as they completed, and expire here. Bit-identical to the batch
 	// path (detect.Violated + stats.Percentile over a fresh Select).
-	c.mon.Advance(now - c.cfg.Window)
+	c.mon.Advance(now - Window)
 	// Advance the localizer every tick too (cheap ring pops): its pending
 	// state must stay bounded by the window even across calm stretches.
-	c.loc.Advance(now - c.cfg.Window)
+	c.loc.Advance(now - Window)
 	violated := c.mon.Violated(c.app.SLO)
 	// One P99 measurement per tick: reward bookkeeping, pending-transition
 	// flush, and the actuation loop below all reuse it (the window cannot
@@ -592,7 +575,7 @@ func (c *Controller) tick() {
 	if nc > 0 {
 		utilSum = utilSum.Scale(1 / float64(nc))
 	}
-	c.EpisodeReward += agent.Reward(globalSV, utilSum, c.cfg.Alpha)
+	c.EpisodeReward += agent.Reward(globalSV, utilSum, alpha)
 
 	// Close the loop on last tick's actions first (reward observation).
 	c.flushPendingAt(false, p99)
@@ -645,7 +628,7 @@ func (c *Controller) tick() {
 	}
 	acted := 0
 	for _, cand := range cands {
-		if acted >= c.cfg.TopK {
+		if acted >= topK {
 			break
 		}
 		if !cand.Critical {
@@ -663,14 +646,14 @@ func (c *Controller) tick() {
 		st := c.sb.State(cand.Instance, p99, true)
 		var act []float64
 		switch {
-		case c.cfg.Training && c.eng.Rand().Float64() < c.cfg.GuidedEps:
+		case c.cfg.Training && c.eng.Rand().Float64() < guidedEps:
 			act = guidedAction(st)
 		case c.cfg.Training:
 			act = ag.ActExplore(st)
 		default:
 			act = ag.Act(st)
 		}
-		space := agent.SpaceFor(ct, svc.Limits, c.app.Cluster().Config().MinLimit, c.cfg.Headroom)
+		space := agent.SpaceFor(ct, svc.Limits, c.app.Cluster().Config().MinLimit, headroom)
 		limits := space.Decode(act)
 		c.dep.ApplyLimits(ct, limits, nil)
 		c.Actions++

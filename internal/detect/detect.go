@@ -25,14 +25,17 @@ import (
 	"firm/internal/trace"
 )
 
-// Config tunes the extractor.
-type Config struct {
-	// MinSamples is the minimum number of spans an instance needs in the
+const (
+	// minSamples is the minimum number of spans an instance needs in the
 	// window before it can be scored (percentiles are meaningless below it).
-	MinSamples int
+	minSamples = 8
 	// CIScale divides CI before it reaches the SVM so both features are
 	// O(1); the same scaling must be used in training and inference.
-	CIScale float64
+	CIScale = 5
+)
+
+// Config tunes the extractor.
+type Config struct {
 	// IncludeBackground scores instances that appear only in background
 	// spans (§3.2: background workflows may still be culprits).
 	IncludeBackground bool
@@ -40,7 +43,7 @@ type Config struct {
 
 // DefaultConfig returns the extractor configuration used in experiments.
 func DefaultConfig() Config {
-	return Config{MinSamples: 8, CIScale: 5, IncludeBackground: true}
+	return Config{IncludeBackground: true}
 }
 
 // Candidate is one scored microservice instance, named by the IDs its spans
@@ -63,12 +66,6 @@ type Extractor struct {
 
 // New creates an extractor around a (possibly pre-trained) SVM.
 func New(cfg Config, model *svm.SVM) *Extractor {
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 8
-	}
-	if cfg.CIScale <= 0 {
-		cfg.CIScale = 5
-	}
 	return &Extractor{cfg: cfg, svm: model}
 }
 
@@ -156,7 +153,7 @@ func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
 
 	var out []Candidate
 	for inst, st := range table {
-		if len(st.durations) < e.cfg.MinSamples || len(st.perTrace) < e.cfg.MinSamples {
+		if len(st.durations) < minSamples || len(st.perTrace) < minSamples {
 			continue
 		}
 		if st.bgOnly && !e.cfg.IncludeBackground {
@@ -182,7 +179,7 @@ func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
 
 // featVec maps a candidate to the SVM input space.
 func (e *Extractor) featVec(c Candidate) []float64 {
-	return []float64{c.RI, c.CI / e.cfg.CIScale}
+	return []float64{c.RI, c.CI / CIScale}
 }
 
 // Candidates runs Alg. 2: score every instance in the window and mark those

@@ -182,7 +182,7 @@ func TestThresholdSweepMonotone(t *testing.T) {
 
 func TestMinSamplesFilters(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	traces := window(3, true, r) // below MinSamples=8
+	traces := window(3, true, r) // below minSamples=8
 	e := newExtractor(t)
 	if cands := e.Features(traces); len(cands) != 0 {
 		t.Fatalf("under-sampled instances scored: %+v", cands)

@@ -263,7 +263,7 @@ func (l *Localizer) Candidates() []Candidate {
 
 	l.out = l.out[:0]
 	for _, st := range l.insts {
-		if st == nil || st.durVals.Len() < l.cfg.MinSamples || st.px.Len() < l.cfg.MinSamples {
+		if st == nil || st.durVals.Len() < minSamples || st.px.Len() < minSamples {
 			continue
 		}
 		if st.nonBg == 0 && !l.cfg.IncludeBackground {
@@ -293,7 +293,7 @@ func (l *Localizer) Candidates() []Candidate {
 	featB, scores := l.featB[:2*nb], l.scores[:nb]
 	for i := range l.out {
 		featB[2*i] = l.out[i].RI
-		featB[2*i+1] = l.out[i].CI / l.cfg.CIScale
+		featB[2*i+1] = l.out[i].CI / CIScale
 	}
 	// A dimension mismatch leaves every score zero — exactly the batch
 	// path's per-candidate skip (the shared featVec shape fails for all
@@ -308,7 +308,7 @@ func (l *Localizer) Candidates() []Candidate {
 }
 
 // pearsonRings replicates stats.Pearson — same two-pass summation order —
-// over ring-ordered pair series. Series are non-empty (MinSamples gates
+// over ring-ordered pair series. Series are non-empty (minSamples gates
 // callers) and equal-length by construction, so only the constant-input
 // zero case survives from the batch path's error handling.
 func pearsonRings(xs, ys *ring.Ring[float64]) float64 {

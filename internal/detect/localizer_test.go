@@ -113,7 +113,7 @@ func stringKeyedFeatures(cfg Config, traces []*trace.Trace) []namedCand {
 	}
 	var out []namedCand
 	for name, st := range table {
-		if len(st.durations) < cfg.MinSamples || len(st.perTrace) < cfg.MinSamples || (st.bgOnly && !cfg.IncludeBackground) {
+		if len(st.durations) < minSamples || len(st.perTrace) < minSamples || (st.bgOnly && !cfg.IncludeBackground) {
 			continue
 		}
 		ri, err := stats.Pearson(st.perTrace, st.cpLats)

@@ -180,11 +180,11 @@ var table1Cols = map[string]string{
 var table1Victims = []string{"video", "user-tag", "text"}
 
 // table1Row is one victim's measurements (fields exported for the job
-// set's JSON wire form).
+// set's gob wire form, wireEncode).
 type table1Row struct {
-	Row   map[string]float64 `json:"row"`
-	Total float64            `json:"total"`
-	Sig   string             `json:"sig"`
+	Row   map[string]float64
+	Total float64
+	Sig   string
 }
 
 // table1Jobs declares the Table 1 job list: one independent simulation per

@@ -169,23 +169,22 @@ func (r RunStats) P99() float64 { return stats.Percentile(r.Latencies, 99) }
 type violationMonitor struct {
 	b           *harness.Bench
 	mon         *detect.Monitor
-	window      sim.Time
 	inViolation bool
 	since       sim.Time
 	times       []float64
 }
 
 func attachViolationMonitor(b *harness.Bench) *violationMonitor {
-	m := &violationMonitor{b: b, mon: detect.NewMonitor(256), window: 2 * sim.Second}
+	m := &violationMonitor{b: b, mon: detect.NewMonitor(256)}
 	b.DB.Observe(m.mon)
-	t := sim.NewTicker(b.Eng, sim.Second, m.tick)
+	t := sim.NewTicker(b.Eng, core.Interval, m.tick)
 	t.Start()
 	return m
 }
 
 func (m *violationMonitor) tick() {
 	now := m.b.Eng.Now()
-	m.mon.Advance(now - m.window)
+	m.mon.Advance(now - core.Window)
 	violated := m.mon.Completed() > 0 && m.mon.P99() > m.b.App.SLO.Millis()
 	switch {
 	case violated && !m.inViolation:
@@ -233,10 +232,10 @@ func Run(opts RunOpts) (RunStats, error) {
 		}
 		ctl = b.AttachFIRM(cfg, prov, nil)
 	case PolicyHPA:
-		b.AttachHPA(0.8, 5*sim.Second)
+		b.AttachHPA()
 		mon = attachViolationMonitor(b)
 	case PolicyAIMD:
-		b.AttachAIMD(2 * sim.Second)
+		b.AttachAIMD()
 		mon = attachViolationMonitor(b)
 	case PolicyNone:
 		mon = attachViolationMonitor(b)

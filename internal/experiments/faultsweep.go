@@ -79,8 +79,8 @@ type FaultSweepRow struct {
 	P99Ms      float64
 
 	// Samples holds one violation feature vector per violated window
-	// [maxRI, maxCI/5, p99/SLO, dropFrac, criticalFrac] — the observations
-	// the characterization clusters.
+	// [maxRI, maxCI/detect.CIScale, p99/SLO, dropFrac, criticalFrac] — the
+	// observations the characterization clusters.
 	Samples [][]float64
 }
 
@@ -312,7 +312,7 @@ func violationFeatures(traces []*trace.Trace, cands []detect.Candidate, slo sim.
 	if len(cands) > 0 {
 		critFrac = float64(critical) / float64(len(cands))
 	}
-	return []float64{maxRI, maxCI / 5, p99Ratio, dropFrac, critFrac}
+	return []float64{maxRI, maxCI / detect.CIScale, p99Ratio, dropFrac, critFrac}
 }
 
 // faultsweepCell runs both arms of one scenario and combines them.

@@ -69,7 +69,7 @@ func collectAnomalyEvents(spec *topology.Spec, seed int64, kind injector.Kind,
 		}
 		for _, c := range ext.Features(window) {
 			samples = append(samples, labelledSample{
-				feat:    []float64{c.RI, c.CI / 5},
+				feat:    []float64{c.RI, c.CI / detect.CIScale},
 				culprit: c.Instance == tgt.ID,
 			})
 		}
@@ -78,11 +78,11 @@ func collectAnomalyEvents(spec *topology.Spec, seed int64, kind injector.Kind,
 }
 
 // fig9aKind is one anomaly type's ROC study (fields exported for the job
-// set's JSON wire form).
+// set's gob wire form, wireEncode).
 type fig9aKind struct {
-	AUC   float64      `json:"auc"`
-	Curve [][2]float64 `json:"curve"`
-	TPR15 float64      `json:"tpr15"`
+	AUC   float64
+	Curve [][2]float64
+	TPR15 float64
 }
 
 // fig9Anomalies are Fig. 9's anomaly types in figure order: the per-type
@@ -368,7 +368,7 @@ func fig9bRun(spec *topology.Spec, seed int64, nodes []cluster.HardwareProfile, 
 			for _, c := range ext.Features(traces) {
 				_, culprit := truth[c.Instance]
 				trainSamples = append(trainSamples, labelledSample{
-					feat: []float64{c.RI, c.CI / 5}, culprit: culprit,
+					feat: []float64{c.RI, c.CI / detect.CIScale}, culprit: culprit,
 				})
 			}
 			return

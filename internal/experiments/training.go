@@ -605,9 +605,9 @@ func evalBaselineMitigation(spec *topology.Spec, seed int64, p Policy, events in
 	return measureMitigation(spec, seed, events, func(b *harness.Bench) {
 		switch p {
 		case PolicyHPA:
-			b.AttachHPA(0.8, 5*sim.Second)
+			b.AttachHPA()
 		case PolicyAIMD:
-			b.AttachAIMD(2 * sim.Second)
+			b.AttachAIMD()
 		}
 	})
 }

@@ -170,16 +170,25 @@ func (b *Bench) AttachFIRM(cfg core.Config, prov core.AgentProvider, ext *detect
 	return b.FIRM
 }
 
+// The baselines' fixed parameters: the Kubernetes autoscaler's CPU
+// utilization target (the K8s default 0.8 of the paper's §4.1 setup) and
+// sync period, and the AIMD controller's control interval.
+const (
+	hpaTarget  = 0.8
+	hpaSync    = 5 * sim.Second
+	aimdPeriod = 2 * sim.Second
+)
+
 // AttachHPA wires and starts the Kubernetes-autoscaler baseline.
-func (b *Bench) AttachHPA(target float64, sync sim.Time) *autoscale.HPA {
-	b.HPA = autoscale.NewHPA(b.Cluster, b.Deploy, target, sync)
+func (b *Bench) AttachHPA() *autoscale.HPA {
+	b.HPA = autoscale.NewHPA(b.Cluster, b.Deploy, hpaTarget, hpaSync)
 	b.HPA.Start()
 	return b.HPA
 }
 
 // AttachAIMD wires and starts the AIMD baseline.
-func (b *Bench) AttachAIMD(period sim.Time) *autoscale.AIMD {
-	b.AIMD = autoscale.NewAIMD(b.Cluster, b.Deploy, period)
+func (b *Bench) AttachAIMD() *autoscale.AIMD {
+	b.AIMD = autoscale.NewAIMD(b.Cluster, b.Deploy, aimdPeriod)
 	b.AIMD.Start()
 	return b.AIMD
 }

@@ -50,15 +50,6 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// Kinds lists all anomaly kinds.
-func Kinds() []Kind {
-	out := make([]Kind, NumKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // Injection describes one anomaly instance.
 type Injection struct {
 	Kind      Kind
@@ -106,17 +97,20 @@ type Record struct {
 	End sim.Time
 }
 
+const (
+	// MaxNetDelay is the delay injected at intensity 1 (tc netem scale).
+	MaxNetDelay = 80 * sim.Millisecond
+	// LoadScale is the injected load at intensity 1, as a multiple of the
+	// target container's per-resource limit (iBench saturates and exceeds
+	// the victim's share).
+	LoadScale = 2.5
+)
+
 // Injector applies anomalies to the simulated cluster.
 type Injector struct {
 	eng *sim.Engine
 	rng *rand.Rand
 
-	// MaxNetDelay is the delay injected at intensity 1 (tc netem scale).
-	MaxNetDelay sim.Time
-	// LoadScale is the injected load at intensity 1, as a multiple of the
-	// target container's per-resource limit (iBench saturates and exceeds
-	// the victim's share).
-	LoadScale float64
 	// SpikeHook, when set, receives workload-variation anomalies: the
 	// workload generator multiplies its rate by (1 + SpikeFactor*intensity)
 	// for the duration.
@@ -134,11 +128,9 @@ type activeInj struct {
 // New creates an injector with its own random stream.
 func New(eng *sim.Engine, seed int64) *Injector {
 	return &Injector{
-		eng:         eng,
-		rng:         sim.Stream(seed, "injector"),
-		MaxNetDelay: 80 * sim.Millisecond,
-		LoadScale:   2.5,
-		active:      make(map[*activeInj]struct{}),
+		eng:    eng,
+		rng:    sim.Stream(seed, "injector"),
+		active: make(map[*activeInj]struct{}),
 	}
 }
 
@@ -216,7 +208,7 @@ func (in *Injector) apply(inj Injection) func() {
 			return nil
 		}
 		prev := t.NetDelay()
-		t.SetNetDelay(prev + sim.Time(float64(in.MaxNetDelay)*inj.Intensity))
+		t.SetNetDelay(prev + sim.Time(float64(MaxNetDelay)*inj.Intensity))
 		return func() { t.SetNetDelay(prev) }
 	default:
 		if t == nil {
@@ -236,7 +228,7 @@ func (in *Injector) apply(inj Injection) func() {
 			r = cluster.NetBW
 		}
 		var load cluster.Vector
-		load[r] = inj.Intensity * in.LoadScale * t.Limits()[r]
+		load[r] = inj.Intensity * LoadScale * t.Limits()[r]
 		prev := t.InjectedLoad()
 		t.SetInjectedLoad(prev.Add(load))
 		return func() { t.SetInjectedLoad(t.InjectedLoad().Sub(load)) }
@@ -270,42 +262,38 @@ func (in *Injector) ActiveDuringOverlap(lo, hi, minOverlap sim.Time) map[uint32]
 // History returns all injection records so far.
 func (in *Injector) History() []Record { return append([]Record(nil), in.history...) }
 
+// maxIntensity is the campaign's intensity ceiling: Table 5's intensities
+// are fractions of full scale.
+const maxIntensity = 1.0
+
 // Campaign drives randomized injections: the §4.1 setup uses exponential
 // inter-arrival (λ=0.33 s⁻¹ → mean 3.03 s) with anomaly type and intensity
-// chosen uniformly at random over cluster containers.
+// chosen uniformly at random over cluster containers. The type is any
+// Table 5 kind but Workload, which the campaign never fires.
 type Campaign struct {
 	Injector *Injector
 	// Targets are the candidate victim containers.
 	Targets []*cluster.Container
-	// Kinds restricts anomaly types (default: all but Workload).
-	Kinds []Kind
 	// MeanInterarrival between injection starts (default 3.03s ≈ λ=0.33).
 	MeanInterarrival sim.Time
 	// Duration bounds for each injection.
 	MinDuration, MaxDuration sim.Time
-	// MinIntensity/MaxIntensity bound each injection's intensity.
-	MinIntensity, MaxIntensity float64
+	// MinIntensity is each injection's intensity floor (the ceiling is
+	// maxIntensity).
+	MinIntensity float64
 
 	stopped bool
 }
 
 // DefaultCampaign builds the §4.1 randomized campaign over targets.
 func DefaultCampaign(in *Injector, targets []*cluster.Container) *Campaign {
-	ks := make([]Kind, 0, NumKinds-1)
-	for _, k := range Kinds() {
-		if k != Workload {
-			ks = append(ks, k)
-		}
-	}
 	return &Campaign{
 		Injector:         in,
 		Targets:          targets,
-		Kinds:            ks,
 		MeanInterarrival: sim.FromSeconds(1 / 0.33),
 		MinDuration:      2 * sim.Second,
 		MaxDuration:      8 * sim.Second,
 		MinIntensity:     0.4,
-		MaxIntensity:     1.0,
 	}
 }
 
@@ -334,9 +322,9 @@ func (c *Campaign) scheduleNext() {
 
 func (c *Campaign) fire() {
 	in := c.Injector
-	k := c.Kinds[in.rng.Intn(len(c.Kinds))]
+	k := Workload + 1 + Kind(in.rng.Intn(int(NumKinds-1)))
 	t := c.Targets[in.rng.Intn(len(c.Targets))]
 	dur := c.MinDuration + sim.Time(in.rng.Float64()*float64(c.MaxDuration-c.MinDuration))
-	intensity := c.MinIntensity + in.rng.Float64()*(c.MaxIntensity-c.MinIntensity)
+	intensity := c.MinIntensity + in.rng.Float64()*(maxIntensity-c.MinIntensity)
 	in.Inject(Injection{Kind: k, Target: t, Intensity: intensity, Duration: dur})
 }

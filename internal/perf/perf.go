@@ -377,7 +377,7 @@ func DetectFeatures(b *testing.B) {
 	bed := newTickBed()
 	loc := detect.NewLocalizer(harness.NewExtractor(Seed), 256)
 	bed.tb.DB.Observe(loc) // replays the populated ring
-	since := bed.tb.Eng.Now() - core.DefaultConfig().Window
+	since := bed.tb.Eng.Now() - core.Window
 	loc.Advance(since)
 	if len(loc.Candidates()) == 0 {
 		panic("perf: detect-features testbed produced no candidates")
@@ -661,7 +661,7 @@ func ClusterColdSubmit(b *testing.B) {
 // ScenarioStep measures one fault-scenario player tick with every mode
 // family active at once: per-site pressure recomputation (leak ramp,
 // plateau saturation, metastable feedback) and the injected-load delta
-// application. The campaign loop pays this every TickPeriod for each
+// application. The campaign loop pays this every player tick for each
 // armed scenario, so it must run at 0 allocs/op — sites are preallocated
 // at NewPlayer and advance only mutates them.
 func ScenarioStep(b *testing.B) {

@@ -80,18 +80,30 @@ func (b *ReplayBuffer) SampleInto(r *rand.Rand, n int, dst []Transition) []Trans
 	return dst
 }
 
+// The Ornstein-Uhlenbeck exploration process's parameters: mean reversion
+// rate, volatility, and long-run mean (DDPG's standard choice).
+const (
+	noiseTheta = 0.15
+	noiseSigma = 0.2
+	noiseMu    = 0.0
+)
+
+// Table 4's learning rates and the target networks' soft-update rate.
+const (
+	actorLR  = 3e-4
+	criticLR = 3e-3
+	tau      = 0.01
+)
+
 // OUNoise is an Ornstein-Uhlenbeck process, the standard exploration noise
 // for DDPG's continuous action space (Alg. 3 line 5's "random process N").
 type OUNoise struct {
-	Theta float64
-	Sigma float64
-	Mu    float64
-	x     []float64
+	x []float64
 }
 
 // NewOUNoise creates a process over dim action dimensions.
-func NewOUNoise(dim int, theta, sigma float64) *OUNoise {
-	return &OUNoise{Theta: theta, Sigma: sigma, x: make([]float64, dim)}
+func NewOUNoise(dim int) *OUNoise {
+	return &OUNoise{x: make([]float64, dim)}
 }
 
 // Reset re-centres the process (start of an episode).
@@ -105,24 +117,19 @@ func (o *OUNoise) Reset() {
 // returned slice aliases internal state; copy if retained.
 func (o *OUNoise) Sample(r *rand.Rand) []float64 {
 	for i := range o.x {
-		o.x[i] += o.Theta*(o.Mu-o.x[i]) + o.Sigma*r.NormFloat64()
+		o.x[i] += noiseTheta*(noiseMu-o.x[i]) + noiseSigma*r.NormFloat64()
 	}
 	return o.x
 }
 
 // Config holds the DDPG hyperparameters; defaults mirror Table 4.
 type Config struct {
-	StateDim   int
-	ActionDim  int
-	Hidden     int     // hidden units per layer (paper: 40)
-	ActorLR    float64 // paper: 3e-4
-	CriticLR   float64 // paper: 3e-3
-	Gamma      float64 // discount factor (paper: 0.9)
-	Tau        float64 // target soft-update rate
-	BatchSize  int     // minibatch size (paper: 64)
-	BufferCap  int     // replay buffer size (paper: 1e5)
-	NoiseTheta float64
-	NoiseSigma float64
+	StateDim  int
+	ActionDim int
+	Hidden    int     // hidden units per layer (paper: 40)
+	Gamma     float64 // discount factor (paper: 0.9)
+	BatchSize int     // minibatch size (paper: 64)
+	BufferCap int     // replay buffer size (paper: 1e5)
 	// ActorDelay postpones actor (policy) updates for the first N train
 	// steps so the critic stabilizes before it steers the policy — the
 	// delayed-policy-update idea from TD3, which protects warm-started
@@ -136,10 +143,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		StateDim: 8, ActionDim: 5, Hidden: 40,
-		ActorLR: 3e-4, CriticLR: 3e-3,
-		Gamma: 0.9, Tau: 0.01,
-		BatchSize: 64, BufferCap: 100000,
-		NoiseTheta: 0.15, NoiseSigma: 0.2,
+		Gamma: 0.9, BatchSize: 64, BufferCap: 100000,
 		ActorDelay: 400,
 		Seed:       1,
 	}
@@ -226,13 +230,13 @@ func New(cfg Config) *Agent {
 		critic: nn.New(r, []int{cfg.StateDim + cfg.ActionDim, cfg.Hidden, cfg.Hidden, 1},
 			[]nn.Activation{nn.ReLU, nn.ReLU, nn.Linear}),
 		buf:   NewReplayBuffer(cfg.BufferCap),
-		noise: NewOUNoise(cfg.ActionDim, cfg.NoiseTheta, cfg.NoiseSigma),
+		noise: NewOUNoise(cfg.ActionDim),
 		rng:   r,
 	}
 	a.actorT = a.actor.Clone()
 	a.criticT = a.critic.Clone()
-	a.optA = nn.NewAdam(a.actor, cfg.ActorLR)
-	a.optC = nn.NewAdam(a.critic, cfg.CriticLR)
+	a.optA = nn.NewAdam(a.actor, actorLR)
+	a.optC = nn.NewAdam(a.critic, criticLR)
 	a.optA.SetGradClip(5)
 	a.optC.SetGradClip(5)
 	return a
@@ -356,7 +360,7 @@ func (a *Agent) TrainStep() (criticLoss float64, ok bool) {
 	// Policy updates are delayed until the critic has seen enough batches.
 	if a.Updates < a.cfg.ActorDelay {
 		a.Updates++
-		if err := a.criticT.SoftUpdate(a.critic, a.cfg.Tau); err != nil {
+		if err := a.criticT.SoftUpdate(a.critic, tau); err != nil {
 			panic(err)
 		}
 		return criticLoss, true
@@ -389,10 +393,10 @@ func (a *Agent) TrainStep() (criticLoss float64, ok bool) {
 	a.optA.Step()
 
 	// Soft target updates.
-	if err := a.actorT.SoftUpdate(a.actor, a.cfg.Tau); err != nil {
+	if err := a.actorT.SoftUpdate(a.actor, tau); err != nil {
 		panic(err)
 	}
-	if err := a.criticT.SoftUpdate(a.critic, a.cfg.Tau); err != nil {
+	if err := a.criticT.SoftUpdate(a.critic, tau); err != nil {
 		panic(err)
 	}
 	a.Updates++
@@ -443,7 +447,7 @@ func (a *Agent) TrainStepSequential() (criticLoss float64, ok bool) {
 	// Policy updates are delayed until the critic has seen enough batches.
 	if a.Updates < a.cfg.ActorDelay {
 		a.Updates++
-		if err := a.criticT.SoftUpdate(a.critic, a.cfg.Tau); err != nil {
+		if err := a.criticT.SoftUpdate(a.critic, tau); err != nil {
 			panic(err)
 		}
 		return criticLoss, true
@@ -472,10 +476,10 @@ func (a *Agent) TrainStepSequential() (criticLoss float64, ok bool) {
 	a.optA.Step()
 
 	// Soft target updates.
-	if err := a.actorT.SoftUpdate(a.actor, a.cfg.Tau); err != nil {
+	if err := a.actorT.SoftUpdate(a.actor, tau); err != nil {
 		panic(err)
 	}
-	if err := a.criticT.SoftUpdate(a.critic, a.cfg.Tau); err != nil {
+	if err := a.criticT.SoftUpdate(a.critic, tau); err != nil {
 		panic(err)
 	}
 	a.Updates++

@@ -54,7 +54,7 @@ func TestReplayBufferPanicsOnBadCap(t *testing.T) {
 
 func TestOUNoiseMeanReverting(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	o := NewOUNoise(1, 0.15, 0.2)
+	o := NewOUNoise(1)
 	var sum, n float64
 	for i := 0; i < 50000; i++ {
 		sum += o.Sample(r)[0]
@@ -288,8 +288,8 @@ func TestConfigDefaultsMatchTable4(t *testing.T) {
 	if cfg.Gamma != 0.9 {
 		t.Fatalf("discount %v, Table 4 says 0.9", cfg.Gamma)
 	}
-	if cfg.ActorLR != 3e-4 || cfg.CriticLR != 3e-3 {
-		t.Fatalf("lr %v/%v, Table 4 says 3e-4/3e-3", cfg.ActorLR, cfg.CriticLR)
+	if actorLR != 3e-4 || criticLR != 3e-3 {
+		t.Fatalf("lr %v/%v, Table 4 says 3e-4/3e-3", actorLR, criticLR)
 	}
 	if cfg.BufferCap != 100000 {
 		t.Fatalf("buffer %d, Table 4 says 1e5", cfg.BufferCap)
@@ -492,7 +492,7 @@ func TestInferenceAgentHoldsNoReplay(t *testing.T) {
 }
 
 func TestOUNoiseResetRestartsProcess(t *testing.T) {
-	o := NewOUNoise(3, 0.15, 0.2)
+	o := NewOUNoise(3)
 	first := append([]float64(nil), o.Sample(rand.New(rand.NewSource(31)))...)
 	for i := 0; i < 100; i++ {
 		o.Sample(rand.New(rand.NewSource(int64(i))))

@@ -78,9 +78,6 @@ type Player struct {
 	spec *Spec
 	seed int64
 
-	// TickPeriod is the advance cadence (default 250ms). Set before Arm.
-	TickPeriod sim.Time
-
 	// OOMKills counts leak-driven container recycles.
 	OOMKills int
 	// Infections counts cascade propagations beyond the initial victim.
@@ -97,6 +94,9 @@ type Player struct {
 
 	armed bool
 }
+
+// tickPeriod is the player's advance cadence.
+const tickPeriod = 250 * sim.Millisecond
 
 // leakLLCWeight is the LLC pressure a leak applies relative to its MemBW
 // pressure (a growing heap pollutes cache as it churns).
@@ -128,6 +128,14 @@ const leakCycles = 3
 // partitionDropScale converts intensity to per-edge loss probability.
 const partitionDropScale = 0.4
 
+// partitionDelay is the per-edge delay a partition adds at intensity, on
+// the injector's network-delay scale. It is (intensity × 80) × 1 ms, not the
+// injector's 80 ms × intensity: the two round differently, and the goldens
+// pin this order.
+func partitionDelay(intensity float64) sim.Time {
+	return sim.Time(intensity * float64(injector.MaxNetDelay/sim.Millisecond) * float64(sim.Millisecond))
+}
+
 // NewPlayer validates the spec against the deployed topology, flattens it
 // to absolutely-timed atoms, and resolves victims — picking unpinned ones
 // deterministically from (seed, Spec.Key()). It touches no engine state
@@ -141,13 +149,12 @@ func NewPlayer(env Env, sc *Spec, seed int64) (*Player, error) {
 	}
 	key := sc.Key()
 	p := &Player{
-		env:        env,
-		spec:       sc,
-		seed:       seed,
-		TickPeriod: 250 * sim.Millisecond,
-		rng:        sim.Stream(sim.DeriveSeed(seed, "scenario-"+key), "scenario"),
-		appRng:     sim.Stream(sim.DeriveSeed(seed, "scenario-net-"+key), "scenario"),
-		faults:     make(map[app.Edge]app.EdgeFault),
+		env:    env,
+		spec:   sc,
+		seed:   seed,
+		rng:    sim.Stream(sim.DeriveSeed(seed, "scenario-"+key), "scenario"),
+		appRng: sim.Stream(sim.DeriveSeed(seed, "scenario-net-"+key), "scenario"),
+		faults: make(map[app.Edge]app.EdgeFault),
 	}
 	// Unpinned victims draw from the on-path pool: services that some
 	// endpoint workflow actually calls. A fault on an off-path service is
@@ -238,9 +245,9 @@ func (p *Player) Arm() {
 			}
 		}
 	}
-	p.tick = sim.NewTicker(p.env.Eng, p.TickPeriod, p.advance)
+	p.tick = sim.NewTicker(p.env.Eng, tickPeriod, p.advance)
 	p.tick.Start()
-	p.env.Eng.ScheduleAt(base+p.Horizon()+p.TickPeriod, func() {
+	p.env.Eng.ScheduleAt(base+p.Horizon()+tickPeriod, func() {
 		p.advance() // final settle so ramps end exactly at zero
 		p.tick.Stop()
 	})
@@ -312,7 +319,7 @@ func (p *Player) activate(ai int) {
 	case Partition:
 		stop := p.record(injector.NetworkDelay, c, sc.Intensity, d)
 		p.addSite(ai, c, 0, false, stop) // no load; site carries the record
-		delay := sim.Time(sc.Intensity * 80 * float64(sim.Millisecond))
+		delay := partitionDelay(sc.Intensity)
 		if p.env.App != nil {
 			for _, e := range p.env.Spec.Edges() {
 				if e[1] != a.victim {
@@ -365,7 +372,7 @@ func (p *Player) deactivate(ai int) {
 				p.env.App.SetEdgeFaults(p.faults, p.appRng)
 			}
 		} else if c := p.sites[a.sites[0]].c; c != nil {
-			delay := sim.Time(a.spec.Intensity * 80 * float64(sim.Millisecond))
+			delay := partitionDelay(a.spec.Intensity)
 			c.SetNetDelay(c.NetDelay() - delay)
 		}
 	}
@@ -453,24 +460,16 @@ func (p *Player) applySite(s *site) {
 	var load cluster.Vector
 	if s.level > 0 {
 		limits := s.c.Limits()
-		scale := injectorLoadScale
-		if p.env.Injector != nil {
-			scale = p.env.Injector.LoadScale
-		}
 		if s.membw {
-			load[cluster.MemBW] = s.level * scale * limits[cluster.MemBW]
-			load[cluster.LLC] = s.level * scale * limits[cluster.LLC] * leakLLCWeight
+			load[cluster.MemBW] = s.level * injector.LoadScale * limits[cluster.MemBW]
+			load[cluster.LLC] = s.level * injector.LoadScale * limits[cluster.LLC] * leakLLCWeight
 		} else {
-			load[cluster.CPU] = s.level * scale * limits[cluster.CPU]
+			load[cluster.CPU] = s.level * injector.LoadScale * limits[cluster.CPU]
 		}
 	}
 	s.c.SetInjectedLoad(s.c.InjectedLoad().Sub(s.applied).Add(load))
 	s.applied = load
 }
-
-// injectorLoadScale mirrors injector.New's default LoadScale for players
-// running without a shared injector.
-const injectorLoadScale = 2.5
 
 // StepNow runs one advance immediately (benchmark entry point; the armed
 // ticker normally drives this).

@@ -14,7 +14,7 @@ import (
 // complete and expire.
 //
 // It is sized for the window the controller actually holds: one instance's
-// span rate × core.Config.Window (2 s). The largest ever held is 997
+// span rate × core.Window (2 s). The largest ever held is 997
 // observations on the benchmark's firm-loop (mean 186 over 0.60 M inserts a
 // repetition) and 417 on rl-train (mean 104 over 0.65 M). At those sizes
 // shifting a few KB beats walking a tree. One evict + insert + P99 cycle at

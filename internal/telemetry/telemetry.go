@@ -1,8 +1,8 @@
 // Package telemetry reproduces FIRM's monitoring plane (§3.1, Table 2):
 // per-container resource-utilization counters (the cAdvisor/Prometheus
-// metrics), node-level hardware counters (the perf offcore DRAM-access
-// proxies), and workload meters (request arrival rate and composition) that
-// feed the RL agent's state vector.
+// metrics) and workload meters (request arrival rate and composition) that
+// feed the RL agent's state vector. Node-level hardware counters (the perf
+// offcore DRAM-access proxies) are read from cluster.Node directly.
 package telemetry
 
 import (
@@ -27,15 +27,7 @@ type Sample struct {
 // the container's Utilization at sampling time.
 func (s Sample) Util() cluster.Vector { return s.Usage.Div(s.Limits) }
 
-// NodeSample is one per-node observation (Fig. 1's lower panels).
-type NodeSample struct {
-	At           sim.Time
-	Util         cluster.Vector
-	PerCoreDRAM  float64 // offcore_response..local_DRAM proxy
-	CPUAllocated float64
-}
-
-// Collector samples container and node telemetry on a fixed interval.
+// Collector samples container telemetry on a fixed interval.
 type Collector struct {
 	eng      *sim.Engine
 	cl       *cluster.Cluster
@@ -45,13 +37,12 @@ type Collector struct {
 	// containers is indexed by cluster.Container.ID; a ring is built the
 	// first time its container is sampled.
 	containers []*ring.Ring[Sample]
-	nodes      map[string]*ring.Ring[NodeSample]
 	ticker     *sim.Ticker
 }
 
 // NewCollector creates a collector sampling every interval, retaining up to
-// keep samples per container/node. Latest reads only the newest, so keep 1
-// serves it; Window and NodeWindow see everything kept.
+// keep samples per container. Latest reads only the newest, so keep 1
+// serves it; Window sees everything kept.
 func NewCollector(eng *sim.Engine, cl *cluster.Cluster, interval sim.Time, keep int) *Collector {
 	if interval <= 0 {
 		panic("telemetry: non-positive interval")
@@ -59,10 +50,7 @@ func NewCollector(eng *sim.Engine, cl *cluster.Cluster, interval sim.Time, keep 
 	if keep <= 0 {
 		panic("telemetry: non-positive retention")
 	}
-	c := &Collector{
-		eng: eng, cl: cl, interval: interval, capPer: keep,
-		nodes: make(map[string]*ring.Ring[NodeSample]),
-	}
+	c := &Collector{eng: eng, cl: cl, interval: interval, capPer: keep}
 	c.ticker = sim.NewTicker(eng, interval, c.sample)
 	return c
 }
@@ -76,7 +64,7 @@ func (c *Collector) Stop() { c.ticker.Stop() }
 // Interval returns the sampling period.
 func (c *Collector) Interval() sim.Time { return c.interval }
 
-// Keep returns how many samples each container and node series retains.
+// Keep returns how many samples each container series retains.
 func (c *Collector) Keep() int { return c.capPer }
 
 // SampleNow takes one sampling pass at the current simulated time, outside
@@ -95,19 +83,6 @@ func (c *Collector) sample() {
 				QueueLen: ct.QueueLen(),
 				Busy:     ct.Busy(),
 			}
-		}
-	}
-	for _, n := range c.cl.Nodes() {
-		ns, ok := c.nodes[n.ID]
-		if !ok {
-			ns = newSeries[NodeSample](c.capPer)
-			c.nodes[n.ID] = ns
-		}
-		*ns.Push() = NodeSample{
-			At:           now,
-			Util:         n.Utilization(),
-			PerCoreDRAM:  n.PerCoreDRAMAccess(),
-			CPUAllocated: n.CPUAllocated(),
 		}
 	}
 }
@@ -131,14 +106,9 @@ func (c *Collector) series(id uint32) *ring.Ring[Sample] {
 	for int(id) >= len(c.containers) {
 		c.containers = append(c.containers, nil)
 	}
-	c.containers[id] = newSeries[Sample](c.capPer)
-	return c.containers[id]
-}
-
-// newSeries returns an empty series retaining keep samples, with room for
-// the first eight.
-func newSeries[T any](keep int) *ring.Ring[T] {
-	r := ring.New[T](keep, 8)
+	// Room for the first eight samples; the ring grows up to keep.
+	r := ring.New[Sample](c.capPer, 8)
+	c.containers[id] = &r
 	return &r
 }
 
@@ -153,34 +123,20 @@ func (c *Collector) Latest(instance uint32) (Sample, bool) {
 	return *s.At(s.Len() - 1), true
 }
 
-// copySince returns a copy of a time-ordered series' elements stamped at or
-// after since, found by binary search.
-func copySince[T any](r *ring.Ring[T], since sim.Time, stamp func(*T) sim.Time) []T {
-	n := r.Len()
-	idx := sort.Search(n, func(i int) bool { return stamp(r.At(i)) >= since })
-	out := make([]T, 0, n-idx)
-	for i := idx; i < n; i++ {
-		out = append(out, *r.At(i))
-	}
-	return out
-}
-
-// Window returns a copy of the samples for instance with At >= since.
+// Window returns a copy of the samples for instance with At >= since,
+// found by binary search over the time-ordered series.
 func (c *Collector) Window(instance uint32, since sim.Time) []Sample {
 	s := c.sampled(instance)
 	if s == nil {
 		return nil
 	}
-	return copySince(s, since, func(x *Sample) sim.Time { return x.At })
-}
-
-// NodeWindow returns a copy of the node samples with At >= since.
-func (c *Collector) NodeWindow(nodeID string, since sim.Time) []NodeSample {
-	ns, ok := c.nodes[nodeID]
-	if !ok {
-		return nil
+	n := s.Len()
+	idx := sort.Search(n, func(i int) bool { return s.At(i).At >= since })
+	out := make([]Sample, 0, n-idx)
+	for i := idx; i < n; i++ {
+		out = append(out, *s.At(i))
 	}
-	return copySince(ns, since, func(x *NodeSample) sim.Time { return x.At })
+	return out
 }
 
 // Meter tracks request arrivals: rate (req/s) and composition per type.

@@ -56,24 +56,6 @@ func TestCollectorSamples(t *testing.T) {
 	}
 }
 
-func TestNodeSamples(t *testing.T) {
-	eng, cl, c := setup(t)
-	col := NewCollector(eng, cl, 100*sim.Millisecond, 100)
-	col.Start()
-	c.Submit(cluster.Work{Base: sim.Second, Demand: cluster.V(1, 800, 0, 0, 0)})
-	eng.RunUntil(sim.FromMillis(350))
-	ns := col.NodeWindow(cl.Nodes()[0].ID, 0)
-	if len(ns) == 0 {
-		t.Fatal("no node samples")
-	}
-	if ns[len(ns)-1].PerCoreDRAM <= 0 {
-		t.Fatal("per-core DRAM proxy should be positive under load")
-	}
-	if ns[len(ns)-1].CPUAllocated != 2 {
-		t.Fatalf("cpu allocated = %v", ns[len(ns)-1].CPUAllocated)
-	}
-}
-
 func TestSeriesBounded(t *testing.T) {
 	eng, cl, c := setup(t)
 	col := NewCollector(eng, cl, 10*sim.Millisecond, 5)

@@ -46,11 +46,16 @@ type Pattern interface {
 // Constant is a fixed-rate pattern.
 type Constant struct{ RPS float64 }
 
-// Rate implements Pattern. Negative RPS clamps to zero.
-func (c Constant) Rate(sim.Time) float64 { return math.Max(c.RPS, 0) }
+// Rate implements Pattern. A negative or non-finite RPS clamps to zero.
+func (c Constant) Rate(sim.Time) float64 { return c.MaxRate() }
 
 // MaxRate implements Pattern.
-func (c Constant) MaxRate() float64 { return math.Max(c.RPS, 0) }
+func (c Constant) MaxRate() float64 {
+	if !(c.RPS > 0) || math.IsInf(c.RPS, 1) { // NaN fails the comparison
+		return 0
+	}
+	return c.RPS
+}
 
 // Diurnal models a day/night cycle: Base + Amplitude*sin(2πt/Period),
 // clamped at zero. The paper compresses diurnal patterns into experiment
@@ -271,7 +276,7 @@ func (g *Generator) scheduleNext() {
 	}
 	epoch := g.epoch
 	bound := g.Pattern.MaxRate() * g.spikeMul
-	if !(bound > 0) { // zero, negative, or NaN: idle until the pattern wakes
+	if !(bound > 0) || math.IsInf(bound, 1) { // zero, negative, NaN, or +Inf: idle until the pattern wakes
 		g.eng.Schedule(idlePoll, func() {
 			if !g.stopped && epoch == g.epoch {
 				g.scheduleNext()

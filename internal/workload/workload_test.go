@@ -421,37 +421,45 @@ func TestGeneratorSpikeOnThinnedPattern(t *testing.T) {
 	}
 }
 
+// TestGeneratorZeroRateIdles: a Constant whose rate is zero, NaN, or +Inf
+// submits nothing and polls instead of spinning (a NaN or infinite rate
+// used to make the exponential gap 0, so an arrival fired every
+// microsecond), and wakes when the pattern is swapped for a live one.
 func TestGeneratorZeroRateIdles(t *testing.T) {
-	eng, a := newApp(t)
-	g := NewGenerator(a, Constant{RPS: 0}, nil, 7)
-	g.Start()
-	eng.RunUntil(5 * sim.Second)
-	if g.Submitted != 0 {
-		t.Fatal("zero rate must not submit")
-	}
-	// Pattern coming alive later must resume arrivals.
-	g.Pattern = Constant{RPS: 50}
-	eng.RunUntil(10 * sim.Second)
-	if g.Submitted == 0 {
-		t.Fatal("generator did not wake up from idle polling")
+	for _, rps := range []float64{0, math.NaN(), math.Inf(1)} {
+		eng, a := newApp(t)
+		g := NewGenerator(a, Constant{RPS: rps}, nil, 7)
+		g.Start()
+		eng.RunUntil(5 * sim.Second)
+		if g.Submitted != 0 || eng.Steps() > 100 {
+			t.Fatalf("rps %v: submitted %d in %d engine steps, want 0 submitted while polling", rps, g.Submitted, eng.Steps())
+		}
+		// Pattern coming alive later must resume arrivals.
+		g.Pattern = Constant{RPS: 50}
+		eng.RunUntil(10 * sim.Second)
+		if g.Submitted == 0 {
+			t.Fatalf("rps %v: generator did not wake up from idle polling", rps)
+		}
 	}
 }
 
 // TestGeneratorZeroBoundIdles is the thinning-path analogue: a pattern
-// whose bound is zero idles without spinning, and wakes when the pattern
-// is swapped for a live one.
+// whose bound is zero or +Inf idles without spinning, and wakes when the
+// pattern is swapped for a live one.
 func TestGeneratorZeroBoundIdles(t *testing.T) {
-	eng, a := newApp(t)
-	g := NewGenerator(a, Ramp{From: 0, To: 0, Duration: sim.Second}, nil, 7)
-	g.Start()
-	eng.RunUntil(5 * sim.Second)
-	if g.Submitted != 0 {
-		t.Fatal("zero-bound pattern must not submit")
-	}
-	g.Pattern = Ramp{From: 50, To: 50, Duration: sim.Second}
-	eng.RunUntil(10 * sim.Second)
-	if g.Submitted == 0 {
-		t.Fatal("generator did not wake up from idle polling")
+	for _, to := range []float64{0, math.Inf(1)} {
+		eng, a := newApp(t)
+		g := NewGenerator(a, Ramp{From: 0, To: to, Duration: sim.Second}, nil, 7)
+		g.Start()
+		eng.RunUntil(5 * sim.Second)
+		if g.Submitted != 0 || eng.Steps() > 100 {
+			t.Fatalf("ramp to %v: submitted %d in %d engine steps, want 0 submitted while polling", to, g.Submitted, eng.Steps())
+		}
+		g.Pattern = Ramp{From: 50, To: 50, Duration: sim.Second}
+		eng.RunUntil(10 * sim.Second)
+		if g.Submitted == 0 {
+			t.Fatalf("ramp to %v: generator did not wake up from idle polling", to)
+		}
 	}
 }
 
