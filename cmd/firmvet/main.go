@@ -6,9 +6,11 @@
 //	firmvet [-json] [packages]
 //
 // Packages are directories or go-tool-style `dir/...` wildcards; the
-// default is ./... from the working directory. firmvet loads every matched
-// package (plus module-internal dependencies) with the standard library's
-// parser and type checker — no external tooling — and runs four analyzers:
+// default is ./... from the working directory. The go tool lists the
+// matched packages, their module-internal dependencies and the files each
+// builds for the current GOOS/GOARCH (`go list -deps`); firmvet parses and
+// type-checks them with the standard library's parser and type checker —
+// no other tooling — and runs four analyzers:
 //
 //	nondeterm  wall-clock / global-RNG / machine-state reads in the
 //	           deterministic packages

@@ -29,6 +29,7 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"missing-dir", []string{"no/such/dir"}},
 		{"file-not-dir", []string{"main.go"}},
 		{"bad-wildcard-base", []string{"no/such/dir/..."}},
+		{"no-go-files", []string{corpusDir("../golden")}},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {

@@ -142,6 +142,20 @@ func (b *StateBuilder) State(instance uint32, currentP99 sim.Time, culprit bool)
 	return s
 }
 
+// GuidedAction is the guided mitigation rule: raise to maximum (+1) every
+// resource whose utilization feature st[3+r] reports oversubscription
+// (≥ 1.2) and hold the rest at the reference (0). The training controller
+// substitutes it for exploration, and the actor is behaviour-cloned from it.
+func GuidedAction(st []float64) []float64 {
+	act := make([]float64, ActionDim)
+	for r := range act {
+		if st[3+r] >= 1.2 {
+			act[r] = 1
+		}
+	}
+	return act
+}
+
 // Reward computes r_t = α·SV·|R| + (1-α)·Σ_i score(RU_i/RLT_i). The paper's
 // second term is the raw utilization ratio; here the per-resource score is
 // hump-shaped — rising to 1 at full utilization, then falling back to 0 at

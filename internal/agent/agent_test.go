@@ -216,3 +216,20 @@ func TestReward(t *testing.T) {
 		t.Fatal("alpha weighting broken")
 	}
 }
+
+// TestGuidedAction pins the guided rule's threshold: a utilization feature
+// at or above 1.2 maxes its resource out, anything below holds the
+// reference, and the SV/WC/RC features are ignored.
+func TestGuidedAction(t *testing.T) {
+	st := []float64{0.3, 2, 0.9, 1.2, 1.19, 2, 0, 1.5}
+	want := []float64{1, 0, 1, 0, 1}
+	got := GuidedAction(st)
+	if len(got) != ActionDim {
+		t.Fatalf("len = %d, want %d", len(got), ActionDim)
+	}
+	for r := range want {
+		if got[r] != want[r] {
+			t.Errorf("action[%d] = %v for utilization %v, want %v", r, got[r], st[3+r], want[r])
+		}
+	}
+}

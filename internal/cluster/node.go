@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Node is a physical machine hosting containers. It tracks instantaneous
 // resource usage (the sum of demand rates of all in-flight requests on its
@@ -49,16 +46,6 @@ func (n *Node) CPUAllocated() float64 { return n.cpuAlloc }
 
 // FreeCPU returns unallocated CPU capacity.
 func (n *Node) FreeCPU() float64 { return n.Prof.Capacity[CPU] - n.cpuAlloc }
-
-// Containers returns the hosted containers sorted by name (deterministic).
-func (n *Node) Containers() []*Container {
-	out := make([]*Container, 0, len(n.containers))
-	for _, c := range n.containers {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
 
 // contentionFactor returns how oversubscribed the node's most-contended
 // resource is (≥1 means saturated). CPU is excluded at node level because

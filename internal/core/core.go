@@ -383,7 +383,6 @@ type Controller struct {
 	col   *telemetry.Collector
 	meter *telemetry.Meter
 	dep   *deploy.Module
-	ext   *detect.Extractor
 	prov  AgentProvider
 	sb    *agent.StateBuilder
 
@@ -424,7 +423,7 @@ func New(cfg Config, a *app.App, db *tracedb.Store, col *telemetry.Collector,
 	prov AgentProvider) *Controller {
 	c := &Controller{
 		cfg: cfg, eng: a.Engine(), app: a, db: db, col: col, meter: meter,
-		dep: dep, ext: ext, prov: prov,
+		dep: dep, prov: prov,
 		sb:  &agent.StateBuilder{Col: col, Meter: meter, SLO: a.SLO},
 		mon: detect.NewMonitor(256),
 	}
@@ -439,12 +438,6 @@ func New(cfg Config, a *app.App, db *tracedb.Store, col *telemetry.Collector,
 
 // Start begins the control loop.
 func (c *Controller) Start() { c.ticker.Start() }
-
-// Stop halts the control loop.
-func (c *Controller) Stop() { c.ticker.Stop() }
-
-// Extractor returns the detection model (for online SVM training).
-func (c *Controller) Extractor() *detect.Extractor { return c.ext }
 
 // Monitor returns the controller's incremental tail-latency window
 // (read-only: perf accounting and tests).
@@ -647,7 +640,7 @@ func (c *Controller) tick() {
 		var act []float64
 		switch {
 		case c.cfg.Training && c.eng.Rand().Float64() < guidedEps:
-			act = guidedAction(st)
+			act = agent.GuidedAction(st)
 		case c.cfg.Training:
 			act = ag.ActExplore(st)
 		default:
@@ -662,19 +655,6 @@ func (c *Controller) tick() {
 			service: ct.Service, instance: cand.Instance, state: st, action: act,
 		})
 	}
-}
-
-// guidedAction derives a mitigation action directly from the state's
-// utilization features: max out every resource reported oversubscribed,
-// hold the rest at the reference configuration.
-func guidedAction(st []float64) []float64 {
-	act := make([]float64, agent.ActionDim)
-	for r := 0; r < agent.ActionDim; r++ {
-		if st[3+r] >= 1.2 {
-			act[r] = 1
-		}
-	}
-	return act
 }
 
 // maybeReclaim decays limits of strongly underutilized containers during

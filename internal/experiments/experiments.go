@@ -141,9 +141,6 @@ type RunStats struct {
 	// CPULimitSamples holds per-container CPU limits (% of a core) sampled
 	// once per second across the run — the Fig. 10(b) distribution.
 	CPULimitSamples []float64
-	// DropsPerWindow holds dropped-request counts per 10s window — the
-	// Fig. 10(c) distribution.
-	DropsPerWindow []float64
 	// MitigationTimes holds seconds from violation onset to clearance.
 	MitigationTimes []float64
 }
@@ -247,20 +244,13 @@ func Run(opts RunOpts) (RunStats, error) {
 		camp.Start()
 	}
 
-	// Per-second CPU-limit sampling; per-10s drop windows.
-	var lastDropped uint64
+	// Per-second CPU-limit sampling.
 	cpuTicker := sim.NewTicker(b.Eng, sim.Second, func() {
 		for _, c := range b.Containers() {
 			st.CPULimitSamples = append(st.CPULimitSamples, c.Limits()[0]*100)
 		}
 	})
 	cpuTicker.Start()
-	dropTicker := sim.NewTicker(b.Eng, 10*sim.Second, func() {
-		cur := b.App.Dropped
-		st.DropsPerWindow = append(st.DropsPerWindow, float64(cur-lastDropped))
-		lastDropped = cur
-	})
-	dropTicker.Start()
 
 	b.Eng.RunFor(opts.Duration)
 

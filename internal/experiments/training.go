@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"firm/internal/agent"
 	"firm/internal/cluster"
-
 	"firm/internal/core"
 	"firm/internal/detect"
 	"firm/internal/harness"
@@ -209,30 +209,24 @@ func Train(opts TrainOpts) (*TrainResult, error) {
 	return res, nil
 }
 
-// pretrainGuided behaviour-clones the guided mitigation rule into the
-// actor: raise to maximum every resource whose utilization feature reports
-// oversubscription (≥1.2), hold everything else at the reference. width is
-// the worker count of the clone; it never changes the weights.
+// pretrainGuided behaviour-clones the guided mitigation rule
+// (agent.GuidedAction) into the actor over synthetic states. width is the
+// worker count of the clone; it never changes the weights.
 func pretrainGuided(ag *rl.Agent, seed int64, width int) {
 	r := sim.Stream(seed, "bc-pretrain")
 	const n = 3000
 	states := make([][]float64, n)
 	actions := make([][]float64, n)
 	for i := 0; i < n; i++ {
-		st := make([]float64, 8)
+		st := make([]float64, agent.StateDim)
 		st[0] = r.Float64()           // SV
 		st[1] = 0.5 + r.Float64()*1.5 // WC
 		st[2] = r.Float64()           // RC
-		act := make([]float64, 5)
-		for rr := 0; rr < 5; rr++ {
-			u := r.Float64() * 2
-			st[3+rr] = u
-			if u >= 1.2 {
-				act[rr] = 1
-			}
+		for j := 3; j < agent.StateDim; j++ {
+			st[j] = r.Float64() * 2 // RU per resource
 		}
 		states[i] = st
-		actions[i] = act
+		actions[i] = agent.GuidedAction(st)
 	}
 	if err := ag.PretrainActor(states, actions, 200, 3e-3, width); err != nil {
 		panic(err) // synthetic data cannot mismatch

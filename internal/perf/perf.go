@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"testing"
 
+	"firm/internal/agent"
 	"firm/internal/app"
 	"firm/internal/cluster"
 	"firm/internal/core"
@@ -327,12 +328,7 @@ func RLPretrain(b *testing.B) {
 		for j := range states[i] {
 			states[i][j] = 2 * r.Float64()
 		}
-		actions[i] = make([]float64, cfg.ActionDim)
-		for j := range actions[i] {
-			if states[i][3+j] >= 1.2 {
-				actions[i][j] = 1
-			}
-		}
+		actions[i] = agent.GuidedAction(states[i])
 	}
 	width := min(runtime.GOMAXPROCS(0), 2)
 	b.ReportAllocs()

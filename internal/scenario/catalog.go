@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 
 	"firm/internal/sim"
 )
@@ -106,17 +105,6 @@ func ByName(name string) (Entry, bool) {
 		}
 	}
 	return Entry{}, false
-}
-
-// Names lists catalog scenario names in sorted order.
-func Names() []string {
-	es := Catalog()
-	out := make([]string, len(es))
-	for i, e := range es {
-		out[i] = e.Name
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Describe renders the catalog as "name: desc [key at 30s]" lines for CLI

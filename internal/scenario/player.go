@@ -212,9 +212,6 @@ func NewPlayer(env Env, sc *Spec, seed int64) (*Player, error) {
 // size their measurement window from it.
 func (p *Player) Horizon() sim.Time { return p.spec.Span() }
 
-// Key returns the armed spec's key.
-func (p *Player) Key() string { return p.spec.Key() }
-
 // Arm schedules every atom's activation, deactivation, and structural
 // events (OOM kills, cascade propagation rounds) on the engine, relative
 // to now, and starts the advance ticker. Call once.

@@ -10,7 +10,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"time"
 )
 
 // Time is simulated time measured in microseconds since the start of the
@@ -33,9 +32,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Millis converts t to floating-point milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
-// Duration converts t to a time.Duration (1 sim µs = 1 real µs).
-func (t Time) Duration() time.Duration { return time.Duration(t) * time.Microsecond }
 
 // String renders the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }

@@ -29,10 +29,9 @@ func (s Sample) Util() cluster.Vector { return s.Usage.Div(s.Limits) }
 
 // Collector samples container telemetry on a fixed interval.
 type Collector struct {
-	eng      *sim.Engine
-	cl       *cluster.Cluster
-	interval sim.Time
-	capPer   int
+	eng    *sim.Engine
+	cl     *cluster.Cluster
+	capPer int
 
 	// containers is indexed by cluster.Container.ID; a ring is built the
 	// first time its container is sampled.
@@ -50,7 +49,7 @@ func NewCollector(eng *sim.Engine, cl *cluster.Cluster, interval sim.Time, keep 
 	if keep <= 0 {
 		panic("telemetry: non-positive retention")
 	}
-	c := &Collector{eng: eng, cl: cl, interval: interval, capPer: keep}
+	c := &Collector{eng: eng, cl: cl, capPer: keep}
 	c.ticker = sim.NewTicker(eng, interval, c.sample)
 	return c
 }
@@ -60,9 +59,6 @@ func (c *Collector) Start() { c.ticker.Start() }
 
 // Stop halts sampling.
 func (c *Collector) Stop() { c.ticker.Stop() }
-
-// Interval returns the sampling period.
-func (c *Collector) Interval() sim.Time { return c.interval }
 
 // Keep returns how many samples each container series retains.
 func (c *Collector) Keep() int { return c.capPer }

@@ -1,6 +1,8 @@
 package vet
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -9,107 +11,119 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // pkg is one parsed, type-checked package of the module.
 type pkg struct {
 	Path   string // import path
-	Dir    string
 	Files  []*ast.File
 	Types  *types.Package
 	Info   *types.Info
 	Target bool // matched a pattern (dependencies are loaded but not analyzed)
-
-	imports []string // module-internal imports, for the topological sort
 }
 
-// load expands patterns into package directories, parses every matched
-// package plus the closure of its module-internal dependencies, and
-// type-checks them in dependency order. Standard-library imports are
-// type-checked from GOROOT source (go/importer's "source" compiler), so the
-// loader works with nothing but the stdlib — no export data, no x/tools.
+// listed is the part of one `go list -json` record the loader reads.
+type listed struct {
+	ImportPath, Dir   string
+	GoFiles, Match    []string
+	DepOnly, Standard bool
+	Error             *struct{ Err string }
+}
+
+// load lets one `go list -deps` call decide the packages, their files for
+// this GOOS/GOARCH and the order (each package after its dependencies) in
+// which it parses and type-checks them. The standard library is checked from
+// GOROOT source (go/importer's "source" compiler): no export data, no x/tools.
 func load(patterns []string) (*token.FileSet, []*pkg, error) {
-	root, module, err := findModule()
+	dec, err := goList(patterns)
 	if err != nil {
 		return nil, nil, err
 	}
-	dirs, err := expandPatterns(patterns)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(dirs) == 0 {
-		return nil, nil, fmt.Errorf("no packages match %v", patterns)
-	}
-
 	fset := token.NewFileSet()
-	byPath := make(map[string]*pkg)
-	var order []*pkg
-
-	var loadDir func(dir string, target bool) (*pkg, error)
-	loadDir = func(dir string, target bool) (*pkg, error) {
-		dir = relDir(dir)
-		path, err := importPath(root, module, dir)
-		if err != nil {
-			return nil, err
-		}
-		if p, ok := byPath[path]; ok {
-			p.Target = p.Target || target
-			return p, nil
-		}
-		p, err := parseDir(fset, dir, path, module)
-		if err != nil {
-			return nil, err
-		}
-		p.Target = target
-		byPath[path] = p
-		// Depth-first over module-internal imports: dependencies enter
-		// `order` before their importers, which is exactly type-check order.
-		for _, imp := range p.imports {
-			depDir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(imp, module+"/")))
-			if _, err := loadDir(depDir, false); err != nil {
-				return nil, fmt.Errorf("loading %s (imported by %s): %w", imp, path, err)
-			}
-		}
-		order = append(order, p)
-		return p, nil
-	}
-	for _, dir := range dirs {
-		if _, err := loadDir(dir, true); err != nil {
-			return nil, nil, err
-		}
-	}
-
 	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	imp := &moduleImporter{std: std, module: module, pkgs: byPath}
-	for _, p := range order {
-		info := &types.Info{
+	imp := &moduleImporter{std: std, pkgs: make(map[string]*pkg)}
+	conf := types.Config{Importer: imp}
+	var pkgs []*pkg
+	for dec.More() {
+		var l listed
+		if err := dec.Decode(&l); err != nil {
+			return nil, nil, fmt.Errorf("go list: %w", err)
+		}
+		if l.Standard {
+			continue
+		}
+		if l.Error != nil {
+			return nil, nil, fmt.Errorf("%s", l.Error.Err)
+		}
+		dir := displayDir(l)
+		if len(l.GoFiles) == 0 {
+			// A test-only directory lists error-free; only a named one must build.
+			if slices.ContainsFunc(l.Match, func(m string) bool { return !strings.Contains(m, "...") }) {
+				return nil, nil, fmt.Errorf("no buildable Go files in %s", dir)
+			}
+			continue
+		}
+		p := &pkg{Path: l.ImportPath, Target: !l.DepOnly, Info: &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),
 			Uses:       make(map[*ast.Ident]types.Object),
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		}}
+		for _, name := range l.GoFiles {
+			file, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+			if err != nil {
+				return nil, nil, err
+			}
+			p.Files = append(p.Files, file)
 		}
-		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(p.Path, fset, p.Files, info)
-		if err != nil {
+		if p.Types, err = conf.Check(p.Path, fset, p.Files, p.Info); err != nil {
 			return nil, nil, fmt.Errorf("type-checking %s: %w", p.Path, err)
 		}
-		p.Types, p.Info = tpkg, info
+		imp.pkgs[p.Path] = p
+		pkgs = append(pkgs, p)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].Path < order[j].Path })
-	return fset, order, nil
+	if len(pkgs) == 0 { // a target with no files has no dependencies either
+		return nil, nil, fmt.Errorf("no packages match %v", patterns)
+	}
+	return fset, pkgs, nil
+}
+
+// goList runs `go list -e -deps` over the patterns, each a directory or
+// `dir/...` (go list would wrap a file in a command-line-arguments package);
+// a bare relative directory gets a `./` so it is not read as an import path.
+func goList(patterns []string) (*json.Decoder, error) {
+	args := []string{"list", "-e", "-deps", "-json=ImportPath,Dir,GoFiles,DepOnly,Standard,Error,Match", "--"}
+	for _, pat := range patterns {
+		info, err := os.Stat(strings.TrimSuffix(pat, "/..."))
+		if err != nil || !info.IsDir() {
+			return nil, fmt.Errorf("package pattern %q is not a directory (use dir or dir/...)", pat)
+		}
+		if !filepath.IsAbs(pat) && !build.IsLocalImport(pat) {
+			pat = "./" + pat
+		}
+		args = append(args, pat)
+	}
+	var stderr strings.Builder
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v\n%s", err, strings.TrimSpace(stderr.String()))
+	}
+	return json.NewDecoder(bytes.NewReader(out)), nil
 }
 
 // moduleImporter resolves module-internal imports to the packages this run
 // already type-checked and everything else (the standard library) through
-// the source importer. The depth-first load order guarantees internal
-// dependencies are checked before their importers.
+// the source importer. The go list order checks internal dependencies
+// before their importers.
 type moduleImporter struct {
-	std    types.ImporterFrom
-	module string
-	pkgs   map[string]*pkg
+	std  types.ImporterFrom
+	pkgs map[string]*pkg
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -118,37 +132,22 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 
 func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if p, ok := m.pkgs[path]; ok {
-		if p.Types == nil {
-			return nil, fmt.Errorf("import cycle through %s", path)
-		}
 		return p.Types, nil
 	}
 	return m.std.ImportFrom(path, dir, mode)
 }
 
-// findModule walks up from the working directory to go.mod and returns the
-// module root directory and module path.
-func findModule() (root, module string, err error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", "", err
+// displayDir is where a package's files are parsed and printed from: a target
+// under the pattern that matched it (so `../x/...` gives `../x/y`), then relDir.
+func displayDir(l listed) string {
+	dir := l.Dir
+	if len(l.Match) > 0 {
+		base := strings.TrimSuffix(l.Match[0], "/...")
+		abs, _ := filepath.Abs(base) // l.Dir lies under it, so Rel cannot fail
+		rel, _ := filepath.Rel(abs, l.Dir)
+		dir = filepath.Join(base, rel)
 	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return dir, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("%s/go.mod has no module line", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("no go.mod found above the working directory")
-		}
-		dir = parent
-	}
+	return relDir(dir)
 }
 
 // relDir normalizes dir to a working-directory-relative path when it lies
@@ -168,139 +167,4 @@ func relDir(dir string) string {
 		return dir
 	}
 	return rel
-}
-
-// importPath maps a directory to its import path within the module.
-func importPath(root, module, dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	rel, err := filepath.Rel(root, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("%s is outside module %s", dir, module)
-	}
-	if rel == "." {
-		return module, nil
-	}
-	return module + "/" + filepath.ToSlash(rel), nil
-}
-
-// expandPatterns turns go-tool-style patterns (a directory, or `dir/...`)
-// into the list of package directories: directories containing at least one
-// buildable non-test .go file. testdata and hidden directories are skipped
-// by wildcard walks, matching the go tool.
-func expandPatterns(patterns []string) ([]string, error) {
-	seen := make(map[string]bool)
-	var dirs []string
-	add := func(dir string) {
-		dir = filepath.Clean(dir)
-		if !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-	}
-	for _, pat := range patterns {
-		if base, ok := strings.CutSuffix(pat, "/..."); ok {
-			if base == "" {
-				base = "."
-			}
-			info, err := os.Stat(base)
-			if err != nil || !info.IsDir() {
-				return nil, fmt.Errorf("pattern %q: %s is not a directory", pat, base)
-			}
-			err = filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != base && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-					return filepath.SkipDir
-				}
-				if hasBuildableGo(path) {
-					add(path)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		info, err := os.Stat(pat)
-		if err != nil || !info.IsDir() {
-			return nil, fmt.Errorf("package pattern %q is not a directory (use dir or dir/...)", pat)
-		}
-		if !hasBuildableGo(pat) {
-			return nil, fmt.Errorf("no buildable Go files in %s", pat)
-		}
-		add(pat)
-	}
-	return dirs, nil
-}
-
-// hasBuildableGo reports whether dir contains at least one non-test .go file
-// satisfying the current build constraints.
-func hasBuildableGo(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if includeFile(dir, e.Name()) {
-			return true
-		}
-	}
-	return false
-}
-
-// includeFile applies the go tool's file-selection rules (suffix and build
-// constraints for the host GOOS/GOARCH) and excludes test files: firmvet
-// analyzes the shipped tree, under the build configuration it is run on.
-func includeFile(dir, name string) bool {
-	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-		return false
-	}
-	match, err := build.Default.MatchFile(dir, name)
-	return err == nil && match
-}
-
-// parseDir parses the buildable files of one package directory.
-func parseDir(fset *token.FileSet, dir, path, module string) (*pkg, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	p := &pkg{Path: path, Dir: dir}
-	impSeen := make(map[string]bool)
-	for _, e := range entries {
-		if e.IsDir() || !includeFile(dir, e.Name()) {
-			continue
-		}
-		file, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		p.Files = append(p.Files, file)
-		for _, imp := range file.Imports {
-			ip := strings.Trim(imp.Path.Value, `"`)
-			if ip != path && !impSeen[ip] && isModulePath(ip, module) {
-				impSeen[ip] = true
-				p.imports = append(p.imports, ip)
-			}
-		}
-	}
-	if len(p.Files) == 0 {
-		return nil, fmt.Errorf("no buildable Go files in %s", dir)
-	}
-	sort.Strings(p.imports)
-	return p, nil
-}
-
-// isModulePath reports whether ip is inside the module.
-func isModulePath(ip, module string) bool {
-	return ip == module || strings.HasPrefix(ip, module+"/")
 }

@@ -43,26 +43,7 @@ var printFuncs = map[string]bool{
 
 func runMaporder(pass *Pass) {
 	for _, file := range pass.Files {
-		// Innermost-enclosing-function lookup, for the sort-later exemption.
-		var funcs []ast.Node
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n.(type) {
-			case *ast.FuncDecl, *ast.FuncLit:
-				funcs = append(funcs, n)
-			}
-			return true
-		})
-		enclosing := func(pos token.Pos) ast.Node {
-			var best ast.Node
-			for _, fn := range funcs {
-				if fn.Pos() <= pos && pos <= fn.End() {
-					if best == nil || fn.Pos() > best.Pos() {
-						best = fn
-					}
-				}
-			}
-			return best
-		}
+		enclosing := innermostFunc(file) // for the sort-later exemption
 
 		ast.Inspect(file, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)

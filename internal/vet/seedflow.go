@@ -2,7 +2,6 @@ package vet
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -36,25 +35,7 @@ func runSeedflow(pass *Pass) {
 		return
 	}
 	for _, file := range pass.Files {
-		var funcs []ast.Node
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n.(type) {
-			case *ast.FuncDecl, *ast.FuncLit:
-				funcs = append(funcs, n)
-			}
-			return true
-		})
-		innermost := func(pos token.Pos) ast.Node {
-			var best ast.Node
-			for _, fn := range funcs {
-				if fn.Pos() <= pos && pos <= fn.End() {
-					if best == nil || fn.Pos() > best.Pos() {
-						best = fn
-					}
-				}
-			}
-			return best
-		}
+		innermost := innermostFunc(file)
 
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)

@@ -30,9 +30,12 @@
 //
 //	//firmvet:allow <analyzer> -- <reason>
 //
-// on the flagged line or the line above; the reason is mandatory. The suite
-// uses only the standard library (go/parser, go/ast, go/types with the
-// source importer) — no x/tools dependency.
+// on the flagged line or the line above; the reason is mandatory. The go
+// tool lists the packages and their files (one `go list -deps` call decides
+// what the patterns match, which files build for GOOS/GOARCH and the
+// type-check order); beyond that the suite uses only the standard library
+// (go/parser, go/ast, go/types with the source importer) — no x/tools
+// dependency.
 package vet
 
 import (
@@ -124,6 +127,28 @@ func (p *Pass) deterministic() bool {
 		}
 	}
 	return false
+}
+
+// innermostFunc indexes file's functions (declarations and literals) and
+// returns a lookup of the innermost one enclosing pos, or nil.
+func innermostFunc(file *ast.File) func(pos token.Pos) ast.Node {
+	var funcs []ast.Node
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.FuncDecl, *ast.FuncLit:
+			funcs = append(funcs, n)
+		}
+		return true
+	})
+	return func(pos token.Pos) ast.Node {
+		var best ast.Node
+		for _, fn := range funcs {
+			if fn.Pos() <= pos && pos <= fn.End() && (best == nil || fn.Pos() > best.Pos()) {
+				best = fn
+			}
+		}
+		return best
+	}
 }
 
 // Reportf records a finding unless an allow directive waives it.

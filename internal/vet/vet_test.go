@@ -3,6 +3,7 @@ package vet
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,64 @@ func TestCorpusWaiversHeld(t *testing.T) {
 	}
 	if !foundNondeterm {
 		t.Errorf("a reason-less allow directive must not waive the time.Now finding; diagnostics:\n%s", joinDiags(diags))
+	}
+}
+
+// TestPatternForms checks that a corpus directory gives identical
+// diagnostics whether it is named bare, with a ./ prefix or by absolute
+// path: go list reads a bare relative directory as an import path, so the
+// loader prefixes it, and findings print relative to the working directory
+// either way.
+func TestPatternForms(t *testing.T) {
+	bare := filepath.Join("testdata", "src", "maporder")
+	abs, err := filepath.Abs(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Check([]string{bare}, corpusConfig())
+	if err != nil {
+		t.Fatalf("Check(%s): %v", bare, err)
+	}
+	if len(want) == 0 {
+		t.Fatalf("Check(%s): no diagnostics; the comparison needs some", bare)
+	}
+	for _, pat := range []string{"." + string(filepath.Separator) + bare, abs} {
+		got, err := Check([]string{pat}, corpusConfig())
+		if err != nil {
+			t.Fatalf("Check(%s): %v", pat, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Check(%s) diverges from Check(%s)\n--- got ---\n%s--- want ---\n%s",
+				pat, bare, joinDiags(got), joinDiags(want))
+		}
+	}
+}
+
+// TestTestOnlyDirectory pins how a directory holding only test files is
+// treated (go list reports no error for one): named by a pattern it fails
+// to load, matched by a wildcard it is skipped. The module is a scratch one,
+// since the corpus must not gain such a directory.
+func TestTestOnlyDirectory(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":              "module scratch\n\ngo 1.24\n",
+		"a/a.go":              "package a\n",
+		"tonly/tonly_test.go": "package tonly\n",
+	} {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Chdir(dir)
+	if _, err := Check([]string{"a", "tonly"}, corpusConfig()); err == nil {
+		t.Error("Check(a, tonly) succeeded; a named directory without buildable files must fail")
+	}
+	if diags, err := Check([]string{"./..."}, corpusConfig()); err != nil || len(diags) != 0 {
+		t.Errorf("Check(./...) = %v, %v; want the test-only directory skipped and no findings", diags, err)
 	}
 }
 
