@@ -217,6 +217,12 @@ func parseArgs(args []string) (*invocation, error) {
 		return nil, fmt.Errorf("%s takes %d positional argument(s), got %q", m.name, m.args, inv.args)
 	}
 
+	if inv.parallel < 0 {
+		return nil, fmt.Errorf("-parallel must be >= 0, got %d (0 = GOMAXPROCS)", inv.parallel)
+	}
+	if inv.shards < 0 {
+		return nil, fmt.Errorf("-shards must be >= 0, got %d (0 = default 8)", inv.shards)
+	}
 	if inv.tol < 0 || inv.tol != inv.tol { // tol != tol: NaN
 		return nil, fmt.Errorf("-tol must be >= 0, got %g", inv.tol)
 	}

@@ -46,6 +46,9 @@ func TestValidateRejectsContradictoryInvocations(t *testing.T) {
 		"scenarios-with-run":  "-scenarios -run fig3",
 		"scenarios-with-diff": "-scenarios -diff a b",
 		"false-selector":      "-diff=false",
+		"negative-parallel":   "-run table6 -scale tiny -parallel -3",
+		"negative-shards":     "-run table6 -scale tiny -shards -2",
+		"negative-serve-pool": "-serve :8701 -parallel -1",
 	}
 	for name, line := range bad {
 		if inv, err := parseArgs(strings.Fields(line)); err == nil {

@@ -12,16 +12,9 @@ import (
 	"sort"
 	"strings"
 
-	"firm/internal/app"
-	"firm/internal/core"
-	"firm/internal/detect"
-	"firm/internal/harness"
-	"firm/internal/injector"
 	"firm/internal/report"
 	"firm/internal/sim"
 	"firm/internal/stats"
-	"firm/internal/topology"
-	"firm/internal/workload"
 )
 
 // Reportable is implemented by every experiment result: String renders the
@@ -91,8 +84,7 @@ type Policy int
 
 // The policies compared in Fig. 10 and Fig. 11(b).
 const (
-	PolicyNone Policy = iota
-	PolicyFIRMSingle
+	PolicyFIRMSingle Policy = iota
 	PolicyFIRMMulti
 	PolicyHPA
 	PolicyAIMD
@@ -101,8 +93,6 @@ const (
 // String names the policy as in the paper's legends.
 func (p Policy) String() string {
 	switch p {
-	case PolicyNone:
-		return "none"
 	case PolicyFIRMSingle:
 		return "FIRM (Single-RL)"
 	case PolicyFIRMMulti:
@@ -113,159 +103,6 @@ func (p Policy) String() string {
 		return "AIMD"
 	}
 	return "policy(?)"
-}
-
-// RunOpts configures one end-to-end run.
-type RunOpts struct {
-	Seed     int64
-	Spec     *topology.Spec
-	Pattern  workload.Pattern
-	Duration sim.Time
-	Policy   Policy
-	// Agents supplies trained agents for the FIRM policies (nil = fresh).
-	Agents core.AgentProvider
-	// Training enables RL exploration/updates during the run.
-	Training bool
-	// Campaign enables the §4.1 randomized anomaly-injection campaign.
-	Campaign bool
-}
-
-// RunStats aggregates one run's observations.
-type RunStats struct {
-	Policy     Policy
-	SLOms      float64
-	Latencies  []float64 // end-to-end latency per request (ms)
-	Completed  uint64
-	Dropped    uint64
-	Violations uint64
-	// CPULimitSamples holds per-container CPU limits (% of a core) sampled
-	// once per second across the run — the Fig. 10(b) distribution.
-	CPULimitSamples []float64
-	// MitigationTimes holds seconds from violation onset to clearance.
-	MitigationTimes []float64
-}
-
-// ViolationRate returns the fraction of completed requests over SLO.
-func (r RunStats) ViolationRate() float64 {
-	if r.Completed == 0 {
-		return 0
-	}
-	return float64(r.Violations) / float64(r.Completed)
-}
-
-// P99 returns the run's 99th-percentile latency (ms).
-func (r RunStats) P99() float64 { return stats.Percentile(r.Latencies, 99) }
-
-// violationMonitor replicates the FIRM controller's mitigation-time
-// bookkeeping for policy runs that have no FIRM controller attached, so
-// baselines are measured identically. Like the controller, it keeps the
-// tail-latency window incrementally (detect.Monitor fed by the trace
-// store's observer stream) instead of re-selecting and re-sorting every
-// tick; note this monitor deliberately ignores drops (its P99 is over
-// completed requests only), matching the batch computation it replaced.
-type violationMonitor struct {
-	b           *harness.Bench
-	mon         *detect.Monitor
-	inViolation bool
-	since       sim.Time
-	times       []float64
-}
-
-func attachViolationMonitor(b *harness.Bench) *violationMonitor {
-	m := &violationMonitor{b: b, mon: detect.NewMonitor(256)}
-	b.DB.Observe(m.mon)
-	t := sim.NewTicker(b.Eng, core.Interval, m.tick)
-	t.Start()
-	return m
-}
-
-func (m *violationMonitor) tick() {
-	now := m.b.Eng.Now()
-	m.mon.Advance(now - core.Window)
-	violated := m.mon.Completed() > 0 && m.mon.P99() > m.b.App.SLO.Millis()
-	switch {
-	case violated && !m.inViolation:
-		m.inViolation = true
-		m.since = now
-	case !violated && m.inViolation:
-		m.inViolation = false
-		m.times = append(m.times, (now - m.since).Seconds())
-	}
-}
-
-// Run executes one configured run and collects its statistics.
-func Run(opts RunOpts) (RunStats, error) {
-	b, err := harness.New(harness.Options{
-		Seed:      opts.Seed,
-		Spec:      opts.Spec,
-		SLOMargin: 1.6,
-	})
-	if err != nil {
-		return RunStats{}, err
-	}
-	st := RunStats{Policy: opts.Policy, SLOms: b.App.SLO.Millis()}
-	b.App.SetResultHook(func(r app.Result) {
-		if !r.Dropped {
-			st.Latencies = append(st.Latencies, r.Latency.Millis())
-		}
-	})
-	b.AttachWorkload(opts.Pattern)
-
-	var ctl *core.Controller
-	var mon *violationMonitor
-	switch opts.Policy {
-	case PolicyFIRMSingle, PolicyFIRMMulti:
-		cfg := core.DefaultConfig()
-		cfg.Training = opts.Training
-		cfg.IdleReclaim = 3
-		cfg.ReclaimFactor = 0.9
-		prov := opts.Agents
-		if prov == nil {
-			if opts.Policy == PolicyFIRMSingle {
-				prov = harness.SharedAgent(opts.Seed)
-			} else {
-				prov = harness.PerServiceAgents(opts.Seed, nil)
-			}
-		}
-		ctl = b.AttachFIRM(cfg, prov, nil)
-	case PolicyHPA:
-		b.AttachHPA()
-		mon = attachViolationMonitor(b)
-	case PolicyAIMD:
-		b.AttachAIMD()
-		mon = attachViolationMonitor(b)
-	case PolicyNone:
-		mon = attachViolationMonitor(b)
-	}
-
-	var camp *injector.Campaign
-	if opts.Campaign {
-		camp = injector.DefaultCampaign(b.Injector, b.Containers())
-		camp.Start()
-	}
-
-	// Per-second CPU-limit sampling.
-	cpuTicker := sim.NewTicker(b.Eng, sim.Second, func() {
-		for _, c := range b.Containers() {
-			st.CPULimitSamples = append(st.CPULimitSamples, c.Limits()[0]*100)
-		}
-	})
-	cpuTicker.Start()
-
-	b.Eng.RunFor(opts.Duration)
-
-	if camp != nil {
-		camp.Stop()
-	}
-	st.Completed = b.App.Completed
-	st.Dropped = b.App.Dropped
-	st.Violations = b.App.Violations
-	if ctl != nil {
-		st.MitigationTimes = ctl.Mitigations
-	} else if mon != nil {
-		st.MitigationTimes = mon.times
-	}
-	return st, nil
 }
 
 func f2(x float64) string  { return fmt.Sprintf("%.2f", x) }

@@ -4,10 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"firm/internal/core"
+	"firm/internal/harness"
 	"firm/internal/report"
 	"firm/internal/sim"
-	"firm/internal/topology"
-	"firm/internal/workload"
 )
 
 // The fast experiments run end-to-end in tests; the RL-heavy ones are
@@ -87,14 +87,17 @@ func TestFig9cDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunPolicies(t *testing.T) {
-	// Every policy arm must run end-to-end and collect statistics.
-	for _, p := range []Policy{PolicyNone, PolicyHPA, PolicyAIMD} {
-		st, err := Run(RunOpts{
-			Seed: 2, Spec: topology.HotelReservation(),
-			Pattern:  workload.Constant{RPS: 100},
-			Duration: 10 * sim.Second, Policy: p,
-		})
+func TestFig10Run(t *testing.T) {
+	// Every Fig. 10 arm must run end-to-end and collect statistics.
+	for _, p := range fig10Policies {
+		var prov core.AgentProvider
+		switch p {
+		case PolicyFIRMSingle:
+			prov = harness.SharedAgent(2)
+		case PolicyFIRMMulti:
+			prov = harness.PerServiceAgents(2, nil)
+		}
+		st, err := fig10Run(2, 10*sim.Second, p, prov)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}

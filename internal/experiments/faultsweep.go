@@ -84,21 +84,6 @@ type FaultSweepRow struct {
 	Samples [][]float64
 }
 
-// armStats is one arm's raw outcome.
-type armStats struct {
-	detectMs   float64
-	locAcc     float64
-	windows    int
-	violRate   float64
-	scaleOuts  int
-	oomKills   int
-	infections int
-	completed  uint64
-	dropped    uint64
-	p99Ms      float64
-	samples    [][]float64
-}
-
 // faultsweepVictim picks the service with the largest total compute
 // across every endpoint workflow — pressure there moves end-to-end tail
 // latency, where a low-compute gateway would shrug it off. avoidRoot
@@ -151,13 +136,15 @@ func faultsweepScenario(entry scenario.Entry, spec *topology.Spec, dur sim.Time)
 	return sc.On(faultsweepVictim(spec, avoidRoot))
 }
 
-// faultsweepArm runs one (scenario, topology, seed) simulation. mitigate
-// arms the detector-driven response: when a window is violated, the
-// top-scoring critical candidate's service gets one warm replica (with a
-// per-service cooldown) — deliberately simpler than the RL controller, so
-// the measured effect isolates what localization alone buys.
-func faultsweepArm(entry scenario.Entry, p topology.Params, dur sim.Time, seed int64, mitigate bool) (armStats, error) {
-	st := armStats{detectMs: -1, locAcc: -1}
+// faultsweepArm runs one (scenario, topology, seed) simulation and fills
+// the row's single-arm fields: BaseViol holds this arm's violation rate,
+// MitViol and MitEffect stay zero. mitigate arms the detector-driven
+// response: when a window is violated, the top-scoring critical
+// candidate's service gets one warm replica (with a per-service cooldown)
+// — deliberately simpler than the RL controller, so the measured effect
+// isolates what localization alone buys.
+func faultsweepArm(entry scenario.Entry, p topology.Params, dur sim.Time, seed int64, mitigate bool) (FaultSweepRow, error) {
+	st := FaultSweepRow{Name: entry.Name, Family: entry.FamilyLabel, Services: p.Services, DetectMs: -1, LocAcc: -1}
 	spec, err := topology.Generate(p, seed)
 	if err != nil {
 		return st, err
@@ -170,6 +157,7 @@ func faultsweepArm(entry scenario.Entry, p topology.Params, dur sim.Time, seed i
 	b.AttachWorkload(workload.Constant{RPS: 120})
 
 	sc := faultsweepScenario(entry, spec, dur)
+	st.Key = sc.Key()
 	player, err := scenario.NewPlayer(scenario.Env{
 		Eng: b.Eng, Cluster: b.Cluster, Spec: spec,
 		Injector: b.Injector, App: b.App,
@@ -210,12 +198,12 @@ func faultsweepArm(entry scenario.Entry, p topology.Params, dur sim.Time, seed i
 		if !violated {
 			return
 		}
-		if st.detectMs < 0 {
-			st.detectMs = (now - start).Millis()
+		if st.DetectMs < 0 {
+			st.DetectMs = (now - start).Millis()
 		}
 		if now <= end+faultsweepWindow {
-			st.windows++
-			st.samples = append(st.samples, violationFeatures(traces, cands, b.App.SLO))
+			st.Windows++
+			st.Samples = append(st.Samples, violationFeatures(traces, cands, b.App.SLO))
 		}
 		if !mitigate {
 			return
@@ -239,7 +227,7 @@ func faultsweepArm(entry scenario.Entry, p topology.Params, dur sim.Time, seed i
 			return
 		}
 		if _, err := rs.AddReplica(svc.Limits, false, false); err == nil {
-			st.scaleOuts++
+			st.ScaleOuts++
 			cooldown[svcName] = now + 4*sim.Second
 		}
 	})
@@ -256,17 +244,17 @@ func faultsweepArm(entry scenario.Entry, p topology.Params, dur sim.Time, seed i
 	completed := b.App.Completed - baseCompleted
 	violations := b.App.Violations - baseViolations
 	if completed > 0 {
-		st.violRate = float64(violations) / float64(completed)
+		st.BaseViol = float64(violations) / float64(completed)
 	}
 	if truthWindows > 0 {
-		st.locAcc = float64(locHits) / float64(truthWindows)
+		st.LocAcc = float64(locHits) / float64(truthWindows)
 	}
-	st.oomKills = player.OOMKills
-	st.infections = player.Infections
-	st.completed = b.App.Completed
-	st.dropped = b.App.Dropped
+	st.OOMKills = player.OOMKills
+	st.Infections = player.Infections
+	st.Completed = b.App.Completed
+	st.Dropped = b.App.Dropped
 	if len(lats) > 0 {
-		st.p99Ms = stats.Percentile(lats, 99)
+		st.P99Ms = stats.Percentile(lats, 99)
 	}
 	return st, nil
 }
@@ -315,9 +303,10 @@ func violationFeatures(traces []*trace.Trace, cands []detect.Candidate, slo sim.
 	return []float64{maxRI, maxCI / detect.CIScale, p99Ratio, dropFrac, critFrac}
 }
 
-// faultsweepCell runs both arms of one scenario and combines them.
+// faultsweepCell runs both arms of one scenario: the row is the base
+// arm's, plus the mitigated arm's violation rate and scale-outs.
 func faultsweepCell(entry scenario.Entry, p topology.Params, dur sim.Time, seed int64) (FaultSweepRow, error) {
-	base, err := faultsweepArm(entry, p, dur, seed, false)
+	row, err := faultsweepArm(entry, p, dur, seed, false)
 	if err != nil {
 		return FaultSweepRow{}, err
 	}
@@ -325,28 +314,7 @@ func faultsweepCell(entry scenario.Entry, p topology.Params, dur sim.Time, seed 
 	if err != nil {
 		return FaultSweepRow{}, err
 	}
-	spec, err := topology.Generate(p, seed)
-	if err != nil {
-		return FaultSweepRow{}, err
-	}
-	row := FaultSweepRow{
-		Name:       entry.Name,
-		Family:     entry.FamilyLabel,
-		Key:        faultsweepScenario(entry, spec, dur).Key(),
-		Services:   p.Services,
-		DetectMs:   base.detectMs,
-		LocAcc:     base.locAcc,
-		Windows:    base.windows,
-		BaseViol:   base.violRate,
-		MitViol:    mit.violRate,
-		ScaleOuts:  mit.scaleOuts,
-		OOMKills:   base.oomKills,
-		Infections: base.infections,
-		Completed:  base.completed,
-		Dropped:    base.dropped,
-		P99Ms:      base.p99Ms,
-		Samples:    base.samples,
-	}
+	row.MitViol, row.ScaleOuts = mit.BaseViol, mit.ScaleOuts
 	if row.BaseViol > 0 {
 		row.MitEffect = 1 - row.MitViol/row.BaseViol
 	}

@@ -3,7 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"firm/internal/app"
 	"firm/internal/core"
+	"firm/internal/harness"
+	"firm/internal/injector"
 	"firm/internal/report"
 	"firm/internal/rl"
 	"firm/internal/runner"
@@ -46,7 +49,6 @@ var fig10Policies = []Policy{PolicyFIRMSingle, PolicyFIRMMulti, PolicyAIMD, Poli
 // Training off, which reads the actor alone, so base's target networks
 // (which a snapshot does not carry) cannot matter.
 func fig10Jobs(_ Exec, sc Scale, seed int64, base rl.Snapshot) ([]runner.Job[RunStats], error) {
-	spec := topology.SocialNetwork()
 	dur := sc.dur(120 * sim.Second)
 	var jobs []runner.Job[RunStats]
 	for _, policy := range fig10Policies {
@@ -70,15 +72,88 @@ func fig10Jobs(_ Exec, sc Scale, seed int64, base rl.Snapshot) ([]runner.Job[Run
 					mcfg.Seed = seed + 1
 					prov = &core.PerServiceAgents{Cfg: mcfg, Base: a}
 				}
-				return Run(RunOpts{
-					Seed: jobSeed, Spec: spec,
-					Pattern:  workload.Constant{RPS: 250},
-					Duration: dur, Policy: policy, Agents: prov, Campaign: true,
-				})
+				return fig10Run(jobSeed, dur, policy, prov)
 			},
 		})
 	}
 	return jobs, nil
+}
+
+// RunStats aggregates one Fig. 10 run's observations.
+type RunStats struct {
+	SLOms      float64
+	Latencies  []float64 // end-to-end latency per request (ms)
+	Completed  uint64
+	Dropped    uint64
+	Violations uint64
+	// CPULimitSamples holds per-container CPU limits (% of a core) sampled
+	// once per second across the run — the Fig. 10(b) distribution.
+	CPULimitSamples []float64
+}
+
+// ViolationRate returns the fraction of completed requests over SLO.
+func (r RunStats) ViolationRate() float64 {
+	if r.Completed == 0 {
+		return 0
+	}
+	return float64(r.Violations) / float64(r.Completed)
+}
+
+// P99 returns the run's 99th-percentile latency (ms).
+func (r RunStats) P99() float64 { return stats.Percentile(r.Latencies, 99) }
+
+// fig10Run is one Fig. 10 cell: Social Network at a constant 250 req/s
+// under the randomized anomaly-injection campaign for dur, managed by
+// policy. prov supplies the FIRM policies' agents and is ignored by the
+// baselines. The order in which the pieces are wired fixes the engine's
+// event order, so it is part of the output.
+func fig10Run(seed int64, dur sim.Time, policy Policy, prov core.AgentProvider) (RunStats, error) {
+	b, err := harness.New(harness.Options{
+		Seed:      seed,
+		Spec:      topology.SocialNetwork(),
+		SLOMargin: 1.6,
+	})
+	if err != nil {
+		return RunStats{}, err
+	}
+	st := RunStats{SLOms: b.App.SLO.Millis()}
+	b.App.SetResultHook(func(r app.Result) {
+		if !r.Dropped {
+			st.Latencies = append(st.Latencies, r.Latency.Millis())
+		}
+	})
+	b.AttachWorkload(workload.Constant{RPS: 250})
+
+	switch policy {
+	case PolicyFIRMSingle, PolicyFIRMMulti:
+		cfg := core.DefaultConfig()
+		cfg.IdleReclaim = 3
+		cfg.ReclaimFactor = 0.9
+		b.AttachFIRM(cfg, prov, nil)
+	case PolicyHPA:
+		b.AttachHPA()
+	case PolicyAIMD:
+		b.AttachAIMD()
+	}
+
+	camp := injector.DefaultCampaign(b.Injector, b.Containers())
+	camp.Start()
+
+	// Per-second CPU-limit sampling.
+	cpuTicker := sim.NewTicker(b.Eng, sim.Second, func() {
+		for _, c := range b.Containers() {
+			st.CPULimitSamples = append(st.CPULimitSamples, c.Limits()[0]*100)
+		}
+	})
+	cpuTicker.Start()
+
+	b.Eng.RunFor(dur)
+
+	camp.Stop()
+	st.Completed = b.App.Completed
+	st.Dropped = b.App.Dropped
+	st.Violations = b.App.Violations
+	return st, nil
 }
 
 // fig10Reduce derives the headline ratios from Fig. 10's four policies,

@@ -78,11 +78,6 @@ type Bench struct {
 	Deploy   *deploy.Module
 	Injector *injector.Injector
 	Gen      *workload.Generator
-
-	// Attached policies (nil unless attached).
-	FIRM *core.Controller
-	HPA  *autoscale.HPA
-	AIMD *autoscale.AIMD
 }
 
 // New builds a testbed. The workload generator is created by AttachWorkload.
@@ -165,9 +160,9 @@ func (b *Bench) AttachFIRM(cfg core.Config, prov core.AgentProvider, ext *detect
 	if ext == nil {
 		ext = b.NewExtractor()
 	}
-	b.FIRM = core.New(cfg, b.App, b.DB, b.Col, b.Meter, b.Deploy, ext, prov)
-	b.FIRM.Start()
-	return b.FIRM
+	ctl := core.New(cfg, b.App, b.DB, b.Col, b.Meter, b.Deploy, ext, prov)
+	ctl.Start()
+	return ctl
 }
 
 // The baselines' fixed parameters: the Kubernetes autoscaler's CPU
@@ -181,16 +176,16 @@ const (
 
 // AttachHPA wires and starts the Kubernetes-autoscaler baseline.
 func (b *Bench) AttachHPA() *autoscale.HPA {
-	b.HPA = autoscale.NewHPA(b.Cluster, b.Deploy, hpaTarget, hpaSync)
-	b.HPA.Start()
-	return b.HPA
+	h := autoscale.NewHPA(b.Cluster, b.Deploy, hpaTarget, hpaSync)
+	h.Start()
+	return h
 }
 
 // AttachAIMD wires and starts the AIMD baseline.
 func (b *Bench) AttachAIMD() *autoscale.AIMD {
-	b.AIMD = autoscale.NewAIMD(b.Cluster, b.Deploy, aimdPeriod)
-	b.AIMD.Start()
-	return b.AIMD
+	a := autoscale.NewAIMD(b.Cluster, b.Deploy, aimdPeriod)
+	a.Start()
+	return a
 }
 
 // Containers returns all application containers (injection targets).
