@@ -22,6 +22,10 @@ import (
 type Path struct {
 	// Spans lists the CP spans in execution order starting at the root.
 	Spans []trace.Span
+	// Index holds each CP span's position in the extracting Extractor's
+	// Kids.Spans(), so per-span results computed over those (one
+	// SelfDurations pass) are read without a lookup.
+	Index []int32
 	// Latency is the end-to-end duration bounded by the CP (root span).
 	Latency sim.Time
 	names   trace.Names // the extracted trace's, for Services
@@ -64,11 +68,12 @@ type Extractor struct {
 	// ask about that same trace.
 	Kids  trace.ChildIndex
 	spans []trace.Span
+	index []int32
 	stack []int32 // pending happens-before chains, one run per open visit
 }
 
-// Extract is the package-level Extract; the returned Path's Spans alias the
-// extractor's buffer and are valid until its next Extract.
+// Extract is the package-level Extract; the returned Path's Spans and Index
+// alias the extractor's buffers and are valid until its next Extract.
 func (e *Extractor) Extract(t *trace.Trace) Path {
 	e.Kids.Reset(t)
 	spans := e.Kids.Spans()
@@ -76,14 +81,15 @@ func (e *Extractor) Extract(t *trace.Trace) Path {
 	if root < 0 || (spans[root].ID == 0 && spans[root].End() == 0) {
 		return Path{}
 	}
-	e.spans = e.spans[:0]
+	e.spans, e.index = e.spans[:0], e.index[:0]
 	e.visit(int32(root))
-	return Path{Spans: e.spans, Latency: spans[root].Duration(), names: t.Names}
+	return Path{Spans: e.spans, Index: e.index, Latency: spans[root].Duration(), names: t.Names}
 }
 
 func (e *Extractor) visit(si int32) {
 	spans := e.Kids.Spans()
 	e.spans = append(e.spans, spans[si])
+	e.index = append(e.index, si)
 	kids := e.Kids.Of(spans[si].ID) // background children are skipped below
 	// lastReturnedChild: maximal End (ties broken by later start, then
 	// id, for determinism).

@@ -89,34 +89,17 @@ func scanExtract(t *trace.Trace) Path {
 func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	var e Extractor
-	services := []string{"gw", "auth", "cart", "db", "cache"}
 	for trial := 0; trial < 500; trial++ {
-		n := 1 + r.Intn(30)
-		var spans []trace.Span
-		service := map[trace.SpanID]string{} // the string-keyed side
-		for i := 0; i < n; i++ {
-			name := services[r.Intn(len(services))]
-			s := sp(trace.SpanID(i+1), 0, name, 0, 0, false)
-			service[s.ID] = name
-			if i > 0 {
-				s.Parent = trace.SpanID(1 + r.Intn(i))
-				s.Background = r.Intn(5) == 0
-			} else if trial%25 == 24 {
-				s.Parent = 99 // no root at all
-			}
-			// Children start after their parent does (ids grow down the
-			// tree), so chains are long enough to matter; time is coarse.
-			s.Start = sim.Time(i/3 + r.Intn(4))
-			s.Dur = uint32(r.Intn(6))
-			spans = append(spans, s)
-		}
-		r.Shuffle(n, func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
-		tr := &trace.Trace{ID: 1, Names: testNames}
-		tr.Seal(spans, nil)
+		tr, service := randomTrace(r, trial)
 		want := scanExtract(tr)
 		got := e.Extract(tr)
 		if got.Latency != want.Latency || !slices.Equal(got.Spans, want.Spans) {
 			t.Fatalf("trial %d: extractor path %v (%v), scan path %v (%v)", trial, got.Spans, got.Latency, want.Spans, want.Latency)
+		}
+		for i, si := range got.Index {
+			if e.Kids.Spans()[si] != got.Spans[i] {
+				t.Fatalf("trial %d: CP span %d indexed at %d, which holds %v", trial, i, si, e.Kids.Spans()[si])
+			}
 		}
 		if pkg := Extract(tr); !slices.Equal(pkg.Spans, want.Spans) {
 			t.Fatalf("trial %d: package-level Extract diverges from the scan", trial)
@@ -127,6 +110,58 @@ func TestExtractorMatchesScanOnRandomTraces(t *testing.T) {
 		}
 		if got, want := got.Signature(), strings.Join(sig, "→"); got != want {
 			t.Fatalf("trial %d: signature %q, string-keyed oracle %q", trial, got, want)
+		}
+	}
+}
+
+// randomTrace draws the trial-th random trace of the tests above, and the
+// service name each span was drawn with.
+func randomTrace(r *rand.Rand, trial int) (*trace.Trace, map[trace.SpanID]string) {
+	services := []string{"gw", "auth", "cart", "db", "cache"}
+	n := 1 + r.Intn(30)
+	var spans []trace.Span
+	service := map[trace.SpanID]string{} // the string-keyed side
+	for i := 0; i < n; i++ {
+		name := services[r.Intn(len(services))]
+		s := sp(trace.SpanID(i+1), 0, name, 0, 0, false)
+		service[s.ID] = name
+		if i > 0 {
+			s.Parent = trace.SpanID(1 + r.Intn(i))
+			s.Background = r.Intn(5) == 0
+		} else if trial%25 == 24 {
+			s.Parent = 99 // no root at all
+		}
+		// Children start after their parent does (ids grow down the
+		// tree), so chains are long enough to matter; time is coarse.
+		s.Start = sim.Time(i/3 + r.Intn(4))
+		s.Dur = uint32(r.Intn(6))
+		spans = append(spans, s)
+	}
+	r.Shuffle(n, func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
+	tr := &trace.Trace{ID: 1, Names: testNames}
+	tr.Seal(spans, nil)
+	return tr, service
+}
+
+// TestSelfDurationsMatchPerSpan: on the same random traces, the index's
+// one-pass self-durations equal its per-span SelfDuration, span for span,
+// with one result buffer reused across traces.
+func TestSelfDurationsMatchPerSpan(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	var e Extractor
+	var self []sim.Time
+	for trial := 0; trial < 500; trial++ {
+		tr, _ := randomTrace(r, trial)
+		e.Extract(tr)
+		self = e.Kids.SelfDurations(self)
+		spans := e.Kids.Spans()
+		if len(self) != len(spans) {
+			t.Fatalf("trial %d: %d self-durations for %d spans", trial, len(self), len(spans))
+		}
+		for i, s := range spans {
+			if want := e.Kids.SelfDuration(s); self[i] != want {
+				t.Fatalf("trial %d: span %d self-duration %v, per-span %v", trial, s.ID, self[i], want)
+			}
 		}
 	}
 }

@@ -118,23 +118,26 @@ func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
 	}
 
 	var cp cpath.Extractor // one child index per trace, storage reused across the window
+	var self []sim.Time
 	for _, t := range traces {
 		if t.Dropped {
 			continue
 		}
 		names = t.Names
 		p := cp.Extract(t)
+		spans := cp.Kids.Spans()
 		// Per-instance latencies are exclusive (self) times: a parent span
 		// waiting on a slow child must not inherit the child's anomaly
 		// signature (cf. Table 1's per-service "individual latency").
+		self = cp.Kids.SelfDurations(self)
 		onCP := map[uint32]sim.Time{}
-		for _, s := range p.Spans {
-			onCP[s.Instance] += cp.Kids.SelfDuration(s)
+		for _, i := range p.Index {
+			onCP[spans[i].Instance] += self[i]
 		}
 		e2e := t.Latency().Millis()
-		for _, s := range cp.Kids.Spans() {
+		for i, s := range spans {
 			st := get(s.Instance, uint32(s.Service), s.Background)
-			st.durations = append(st.durations, cp.Kids.SelfDuration(s).Millis())
+			st.durations = append(st.durations, self[i].Millis())
 		}
 		for inst, d := range onCP {
 			st := table[inst]
@@ -142,10 +145,10 @@ func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
 			st.cpLats = append(st.cpLats, e2e)
 		}
 		// Background spans correlate against the same trace's e2e latency.
-		for _, s := range cp.Kids.Spans() {
+		for i, s := range spans {
 			if s.Background {
 				st := table[s.Instance]
-				st.perTrace = append(st.perTrace, cp.Kids.SelfDuration(s).Millis())
+				st.perTrace = append(st.perTrace, self[i].Millis())
 				st.cpLats = append(st.cpLats, e2e)
 			}
 		}

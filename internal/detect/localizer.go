@@ -14,31 +14,36 @@ import (
 )
 
 // Localizer is the incremental counterpart of Extractor.Features/Candidates:
-// it mirrors the trace store's current window as per-instance feature state
-// — span-duration order statistics in a stats.Window, CP-correlation pairs
-// in arrival-order rings — so the control loop's violated tick no longer
-// re-selects the window, re-extracts every critical path, and rebuilds
-// per-instance maps from scratch. Feed it as a tracedb.Observer; the owner
+// it mirrors the trace store's current window as one observation log, so
+// the control loop's violated tick no longer re-selects the window or
+// re-extracts every critical path. Feed it as a tracedb.Observer; the owner
 // advances the window bound each tick with Advance.
 //
 // Candidates is bit-identical to the batch path it replaces
 // (Extractor.Candidates over a fresh Query{Since, IncludeDrop: true}
-// selection): per-instance appends happen in the same trace/span order the
-// batch loop used, percentiles come from stats.Window (bit-equal to
-// stats.Percentile), and Pearson replicates stats.Pearson's summation order
-// over the same sequences.
+// selection): every instance's series is read in the same trace/span order
+// the batch loop appends it, percentiles come from stats.PercentileSelect
+// (the selection stats.Percentile runs), and Pearson replicates
+// stats.Pearson's summation order.
 //
-// Per-instance state is one sorted slice (stats.Window) and three rings: the
-// same durations, and the pair series, in arrival order. Each holds one
-// instance's spans of the last window — at most 997 on the benchmark's
-// firm-loop, 417 on rl-train — which is what stats.Window's sorted slice is
-// sized for; its comment has the crossover table.
+// The log is one ring shared by all instances, in consume order: every
+// processed trace's span self-durations, each tagged with its instance and
+// whether the span is background or on the trace's critical path; the
+// trace's end-to-end latency is kept once, on its entry. That is all a
+// CP-correlation pair is made of — an instance's summed self time on the CP,
+// or one background span's, against the trace's latency — so the pairs are
+// rebuilt from the log rather than stored. Each entry records how many
+// observations its trace pushed, so expiry pops a count off the ring's
+// front. Candidates reads the log in passes: counts, pair sums and the
+// qualifying instances' durations (one stable scatter into reused scratch,
+// where selection reorders them), then the Pearson deviations. Per-span work
+// happens once per trace; a rescore rescans the window.
 //
 // Critical-path extraction is lazy: stored traces enter a cheap pending
-// ring and are folded into per-instance state only when Candidates needs
-// them, each exactly once. Calm stretches (no violated ticks) pay nothing
-// beyond ring pushes/pops; a burst of consecutive violated ticks extracts
-// each trace's CP once instead of once per tick.
+// ring and are folded into the log only when Candidates needs them, each
+// exactly once. Calm stretches (no violated ticks) pay nothing beyond ring
+// pushes/pops; a burst of consecutive violated ticks extracts each trace's
+// CP once instead of once per tick.
 //
 // Like Monitor, a Localizer is single-goroutine state owned by one
 // controller. It must NOT hang off a shared Extractor: extractors are
@@ -49,65 +54,71 @@ type Localizer struct {
 	scorer *svm.Scorer
 
 	// entries holds the in-window non-dropped traces in consume order
-	// (= End order). The oldest proc entries have been folded into
-	// per-instance state; the rest are pending.
+	// (= End order). The oldest proc entries have been folded into the
+	// log; the rest are pending.
 	entries ring.Ring[locEntry]
 	proc    int
-	// contribs holds the processed entries' contributions, pushed in
-	// processing order — consume order — so the front entry's are always
-	// at the front.
-	contribs ring.Ring[locContrib]
+	// obs is the processed entries' observations, pushed in processing
+	// order — consume order — so the front entry's are always at the front.
+	obs ring.Ring[locObs]
 
-	// insts is indexed by instance ID (cluster.Container.ID); nil where the
-	// instance has not appeared in a trace.
-	insts []*locInst
+	// insts is indexed by instance ID (cluster.Container.ID); seen is false
+	// where the instance has not appeared in a trace.
+	insts []locInst
 
-	// Per-trace processing scratch, reused across traces.
-	onCP    []*locInst      // instances on the current trace's CP, first-seen order
-	cp      cpath.Extractor // per-trace child index and path scratch
-	touched []*locInst
+	// process scratch, reused across traces.
+	cp   cpath.Extractor // per-trace child index and path scratch
+	self []sim.Time      // the trace's span self-durations, by span
+	onCP []bool          // whether each span is on the trace's CP
+
+	// Candidates scratch, reused across calls: the qualifying instances'
+	// durations, each one contiguous segment; the instances on a logged
+	// trace's CP, first-seen order, and that trace's stamp (locInst.cpSeq).
+	durVals []float64
+	touched []uint32
 	seq     uint64
-
-	// Candidates scratch, reused across calls.
-	out    []Candidate
-	featB  []float64
-	scores []float64
+	out     []Candidate
+	featB   []float64
+	scores  []float64
 }
 
-// locEntry is one in-window trace and how many per-instance contributions
-// its processing pushed onto Localizer.contribs, so eviction removes exactly
-// the same observations.
+// locEntry is one in-window trace: its end-to-end latency (ms), the y of
+// every pair it contributes, and how many observations its processing
+// pushed onto Localizer.obs — one per span, bg of them background — so
+// eviction removes exactly those.
 type locEntry struct {
-	t        *trace.Trace
-	end      sim.Time
-	contribs int32
-	done     bool
+	t     *trace.Trace
+	e2e   float64
+	n, bg int32
 }
 
-// locContrib records one trace's appends to one instance's series.
-type locContrib struct {
-	st    *locInst
-	durs  int32 // span self-durations appended
-	pairs int32 // (perTrace, cpLats) pairs appended
-	nonBg int32 // non-background span appearances
+// locObs is one span's self-duration (µs: at most the span's Dur) and what
+// it counts toward.
+type locObs struct {
+	inst   uint32
+	us     uint32
+	bg, cp bool
 }
 
-// locInst is one instance's windowed feature state.
+// locInst is what the localizer knows of one instance, and its scratch.
 type locInst struct {
-	instance uint32
-	service  uint32
-	name     string // instance name: Candidates' sort key
-	nonBg    int    // non-background span appearances in window
+	seen    bool
+	service uint32
+	name    string // instance name: Candidates' sort key
 
-	durWin  *stats.Window      // span self-durations, order statistics
-	durVals ring.Ring[float64] // same values in arrival order (for eviction)
-	px, py  ring.Ring[float64] // (perTrace, cpLats) pairs in arrival order
+	// Candidates: the instance's observations in the window and the
+	// running sums of stats.Pearson over its pairs (sx and sy become the
+	// means once counted); at for a qualifying instance is its write
+	// cursor into durVals, -1 otherwise.
+	nDur, nonBg, nPair int32
+	at                 int32
+	sx, sy             float64
+	sxy, sxx, syy      float64
 
-	// Per-trace scratch owned by the processing loop.
-	touchSeq                     uint64
-	pendDur, pendPair, pendNonBg int32
-	cpSeq                        uint64   // == Localizer.seq once on the current trace's CP
-	cpSelf                       sim.Time // summed self time on that CP
+	// The pair rebuild: == Localizer.seq once on the current trace's CP,
+	// and the summed self time there.
+	cpSeq uint64
+	cpSum sim.Time
 }
 
 // NewLocalizer builds an incremental localizer sharing e's configuration
@@ -126,7 +137,7 @@ func (l *Localizer) TraceStored(t *trace.Trace) {
 	if t.Dropped {
 		return
 	}
-	*l.entries.Push() = locEntry{t: t, end: t.End}
+	*l.entries.Push() = locEntry{t: t}
 }
 
 // TraceEvicted implements tracedb.Observer: the store's ring dropped its
@@ -142,7 +153,7 @@ func (l *Localizer) TraceEvicted(t *trace.Trace) {
 // equivalent of re-selecting Query{Since: since}. Call it every tick (not
 // only violated ones) so pending state stays bounded by the window.
 func (l *Localizer) Advance(since sim.Time) {
-	for l.entries.Len() > 0 && l.entries.At(0).end < since {
+	for l.entries.Len() > 0 && l.entries.At(0).t.End < since {
 		l.pop()
 	}
 }
@@ -152,107 +163,46 @@ func (l *Localizer) Len() int { return l.entries.Len() }
 
 func (l *Localizer) pop() {
 	e := l.entries.Pop()
-	// An entry evicted before it was processed contributed nothing.
-	if e.done {
-		for range e.contribs {
-			c := l.contribs.Pop()
-			st := c.st
-			for k := int32(0); k < c.durs; k++ {
-				st.durWin.Remove(*st.durVals.Pop())
-			}
-			for k := int32(0); k < c.pairs; k++ {
-				st.px.Pop()
-				st.py.Pop()
-			}
-			st.nonBg -= int(c.nonBg)
+	// The front entry is processed exactly when any is; one evicted before
+	// it was processed pushed nothing.
+	if l.proc > 0 {
+		for range e.n {
+			l.obs.Pop()
 		}
 		l.proc--
 	}
 	e.t = nil // release the trace for GC
 }
 
-// inst returns the state of an instance seen in a span of t, creating it
-// (and resolving its name, once) on first sight.
-func (l *Localizer) inst(t *trace.Trace, instance, service uint32) *locInst {
-	for int(instance) >= len(l.insts) {
-		l.insts = append(l.insts, nil)
-	}
-	st := l.insts[instance]
-	if st == nil {
-		st = &locInst{instance: instance, service: service,
-			name: t.Names.InstanceName(instance), durWin: stats.NewWindow(64)}
-		l.insts[instance] = st
-	}
-	return st
-}
-
-// touch marks st as contributing to the trace being processed.
-func (l *Localizer) touch(st *locInst) *locInst {
-	if st.touchSeq != l.seq {
-		st.touchSeq = l.seq
-		st.pendDur, st.pendPair, st.pendNonBg = 0, 0, 0
-		l.touched = append(l.touched, st)
-	}
-	return st
-}
-
-// process folds one trace into per-instance state, appending to each series
-// in exactly the order Extractor.Features would have: self-durations per
-// span in span order, then the instance's aggregated on-CP pair, then one
-// pair per background span in span order. Per-series order is all that
-// matters for bitwise equality — different instances' series are disjoint
-// accumulators.
+// process folds one trace into the log: one observation per span, in span
+// order.
 func (l *Localizer) process(e *locEntry) {
 	t := e.t
-	l.seq++
-	l.touched = l.touched[:0]
-
 	p := l.cp.Extract(t)
 	spans := l.cp.Kids.Spans()
-	e2e := t.Latency().Millis()
-	for _, s := range spans {
-		st := l.touch(l.inst(t, s.Instance, uint32(s.Service)))
-		d := l.cp.Kids.SelfDuration(s).Millis()
-		*st.durVals.Push() = d
-		st.durWin.Add(d)
-		st.pendDur++
-		if !s.Background {
-			st.nonBg++
-			st.pendNonBg++
+	l.self = l.cp.Kids.SelfDurations(l.self)
+	l.onCP = slices.Grow(l.onCP[:0], len(spans))[:len(spans)]
+	clear(l.onCP)
+	for _, i := range p.Index {
+		l.onCP[i] = true
+	}
+	for i, s := range spans {
+		for int(s.Instance) >= len(l.insts) {
+			l.insts = append(l.insts, locInst{})
 		}
-	}
-	l.onCP = l.onCP[:0]
-	for _, s := range p.Spans {
-		st := l.insts[s.Instance]
-		if st.cpSeq != l.seq {
-			st.cpSeq, st.cpSelf = l.seq, 0
-			l.onCP = append(l.onCP, st)
+		if st := &l.insts[s.Instance]; !st.seen {
+			st.seen, st.service, st.name = true, uint32(s.Service), t.Names.InstanceName(s.Instance)
 		}
-		st.cpSelf += l.cp.Kids.SelfDuration(s)
-	}
-	for _, st := range l.onCP {
-		*st.px.Push() = st.cpSelf.Millis()
-		*st.py.Push() = e2e
-		st.pendPair++
-	}
-	for _, s := range spans {
+		*l.obs.Push() = locObs{inst: s.Instance, us: uint32(l.self[i]), bg: s.Background, cp: l.onCP[i]}
 		if s.Background {
-			st := l.insts[s.Instance]
-			*st.px.Push() = l.cp.Kids.SelfDuration(s).Millis()
-			*st.py.Push() = e2e
-			st.pendPair++
+			e.bg++
 		}
 	}
-	for _, st := range l.touched {
-		*l.contribs.Push() = locContrib{
-			st: st, durs: st.pendDur, pairs: st.pendPair, nonBg: st.pendNonBg,
-		}
-	}
-	e.contribs, e.done = int32(len(l.touched)), true
+	e.e2e, e.n = t.Latency().Millis(), int32(len(spans))
 }
 
-// Candidates folds any pending traces into per-instance state, then scores
-// every qualifying instance — output identical to
+// Candidates folds any pending traces into the log, then scores every
+// qualifying instance — output identical to
 // Extractor.Candidates(Select(window)). The returned slice is reused across
 // calls; copy if retained.
 func (l *Localizer) Candidates() []Candidate {
@@ -260,27 +210,49 @@ func (l *Localizer) Candidates() []Candidate {
 		l.process(l.entries.At(l.proc))
 		l.proc++
 	}
+	insts := l.insts
+	for i := range insts {
+		st := &insts[i]
+		st.nDur, st.nonBg, st.nPair = 0, 0, 0
+		st.sx, st.sy, st.sxy, st.sxx, st.syy = 0, 0, 0, 0, 0
+		st.at = -1
+	}
+	l.readLog(false)
 
+	// Give each qualifying instance its segment of durVals.
 	l.out = l.out[:0]
-	for _, st := range l.insts {
-		if st == nil || st.durVals.Len() < minSamples || st.px.Len() < minSamples {
+	nd := 0
+	for id := range insts {
+		st := &insts[id]
+		if st.nDur < minSamples || st.nPair < minSamples || (st.nonBg == 0 && !l.cfg.IncludeBackground) {
 			continue
 		}
-		if st.nonBg == 0 && !l.cfg.IncludeBackground {
-			continue
+		st.at = int32(nd)
+		nd += int(st.nDur)
+		st.sx /= float64(st.nPair) // the sums become the means
+		st.sy /= float64(st.nPair)
+		l.out = append(l.out, Candidate{Instance: uint32(id), Service: st.service})
+	}
+	l.durVals = slices.Grow(l.durVals[:0], nd)[:nd]
+	l.readLog(true)
+
+	for i := range l.out {
+		c := &l.out[i]
+		st := &insts[c.Instance]
+		if st.sxx != 0 && st.syy != 0 {
+			c.RI = st.sxy / math.Sqrt(st.sxx*st.syy)
 		}
-		ri := pearsonRings(&st.px, &st.py)
-		t50 := st.durWin.Percentile(50)
-		t99 := st.durWin.Percentile(99)
-		ci := 1.0
+		// The cursor now stands at the end of the segment.
+		durs := l.durVals[st.at-st.nDur : st.at]
+		t50 := stats.PercentileSelect(durs, 50)
+		t99 := stats.PercentileSelect(durs, 99)
+		c.CI = 1.0
 		if t50 > 0 {
-			ci = t99 / t50
+			c.CI = t99 / t50
 		}
-		l.out = append(l.out, Candidate{Instance: st.instance, Service: st.service, RI: ri, CI: ci})
 	}
 	// Instance names are unique, so the unstable sort is total — same order
 	// as the batch path's sort.
-	insts := l.insts
 	slices.SortFunc(l.out, func(a, b Candidate) int {
 		return strings.Compare(insts[a.Instance].name, insts[b.Instance].name)
 	})
@@ -307,29 +279,75 @@ func (l *Localizer) Candidates() []Candidate {
 	return l.out
 }
 
-// pearsonRings replicates stats.Pearson — same two-pass summation order —
-// over ring-ordered pair series. Series are non-empty (minSamples gates
-// callers) and equal-length by construction, so only the constant-input
-// zero case survives from the batch path's error handling.
-func pearsonRings(xs, ys *ring.Ring[float64]) float64 {
-	n := xs.Len()
-	var sx, sy float64
-	for i := 0; i < n; i++ {
-		sx += *xs.At(i)
+// readLog reads the log entry by entry, rebuilding each trace's
+// CP-correlation pairs in the order Extractor.Features appends them: per
+// trace, each instance's summed self time on the CP, then one pair per
+// background span in span order. Self times are summed in µs, where
+// addition is exact, so a CP sum does not depend on the order its spans are
+// visited in. It is stats.Pearson's two passes, in its summation order: the
+// first counts every instance's observations and sums its pairs' x and y;
+// the second, for qualifying instances, scatters their durations into
+// their durVals segments — stably, in the log's order, which is the batch
+// loop's append order — and sums the products of their pairs' deviations
+// from the means.
+func (l *Localizer) readLog(deviations bool) {
+	insts := l.insts
+	j := 0
+	for i := 0; i < l.proc; i++ {
+		e := l.entries.At(i)
+		end := j + int(e.n)
+		l.seq++
+		l.touched = l.touched[:0]
+		for k := j; k < end; k++ {
+			o := l.obs.At(k)
+			st := &insts[o.inst]
+			if !deviations {
+				st.nDur++
+				if !o.bg {
+					st.nonBg++
+				}
+			} else if st.at >= 0 {
+				l.durVals[st.at] = sim.Time(o.us).Millis()
+				st.at++
+			}
+			if o.cp {
+				if st.cpSeq != l.seq {
+					st.cpSeq, st.cpSum = l.seq, 0
+					l.touched = append(l.touched, o.inst)
+				}
+				st.cpSum += sim.Time(o.us)
+			}
+		}
+		for _, id := range l.touched {
+			st := &insts[id]
+			st.pair(deviations, st.cpSum.Millis(), e.e2e)
+		}
+		if e.bg > 0 {
+			for k := j; k < end; k++ {
+				if o := l.obs.At(k); o.bg {
+					insts[o.inst].pair(deviations, sim.Time(o.us).Millis(), e.e2e)
+				}
+			}
+		}
+		j = end
 	}
-	for i := 0; i < n; i++ {
-		sy += *ys.At(i)
+}
+
+// pair adds one (x, y) pair to the instance's Pearson sums: on the first
+// pass to the count and the sums of x and y, on the second — a qualifying
+// instance only — to the sums of the deviations' products.
+func (st *locInst) pair(deviations bool, x, y float64) {
+	if !deviations {
+		st.nPair++
+		st.sx += x
+		st.sy += y
+		return
 	}
-	mx, my := sx/float64(n), sy/float64(n)
-	var sxy, sxx, syy float64
-	for i := 0; i < n; i++ {
-		dx, dy := *xs.At(i)-mx, *ys.At(i)-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+	if st.at < 0 {
+		return
 	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
+	dx, dy := x-st.sx, y-st.sy
+	st.sxy += dx * dy
+	st.sxx += dx * dx
+	st.syy += dy * dy
 }

@@ -1,8 +1,10 @@
 package detect
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,8 +16,9 @@ import (
 )
 
 // streamTrace synthesizes one multi-span trace ending at now: root → A → B
-// with a second A instance sometimes, an occasional background span, and
-// occasional drops — every structural case Features handles.
+// with a second A instance sometimes, an occasional background span on an
+// instance of its own or on B's, and occasional drops — every structural
+// case Features handles.
 func streamTrace(i int, now sim.Time, r *rand.Rand) *trace.Trace {
 	id := trace.TraceID(i + 1)
 	aDur := sim.FromMillis(10 + r.Float64()*2)
@@ -52,6 +55,17 @@ func streamTrace(i int, now sim.Time, r *rand.Rand) *trace.Trace {
 		}
 		gc.Service, gc.Instance = on("gc", 1)
 		spans = append(spans, gc)
+	}
+	if r.Intn(5) == 0 {
+		// A background child of B on B's own instance: that instance has
+		// an on-CP pair and a background pair in one trace, in that order.
+		flush := trace.Span{
+			ID: 5, Parent: 3,
+			Start: bStart, Dur: uint32(sim.FromMillis(1 + r.Float64()*30)),
+			Background: true,
+		}
+		flush.Service, flush.Instance = on("B", 1)
+		spans = append(spans, flush)
 	}
 	tr.Seal(spans, nil)
 	return tr
@@ -184,9 +198,8 @@ func sameCand(a, b Candidate) bool {
 // Select at every step — field-for-field, bit-for-bit. This is the
 // invariant that lets the controller's violated tick run incrementally
 // without changing a byte of campaign output. Arrivals alternate between a
-// trickle and a burst, so the trace queue and every instance's series drain
-// to a few entries and then outgrow their rings from wherever the heads
-// stand.
+// trickle and a burst, so the trace queue and the observation log drain to
+// a few entries and then outgrow their rings from wherever the heads stand.
 func TestLocalizerMatchesBatchCandidates(t *testing.T) {
 	const window = 2 * sim.Second
 	e := newExtractor(t)
@@ -298,7 +311,7 @@ type evictTally struct {
 
 func (w *evictTally) TraceEvicted(t *trace.Trace) {
 	if w.entries.Len() > 0 && w.entries.At(0).t == t {
-		if w.entries.At(0).done {
+		if w.proc > 0 {
 			w.processed++
 		} else {
 			w.unprocessed++
@@ -307,14 +320,51 @@ func (w *evictTally) TraceEvicted(t *trace.Trace) {
 	w.Localizer.TraceEvicted(t)
 }
 
+// checkLog asserts that the observation ring holds exactly the processed
+// entries' observations: read front to back, the oldest proc entries' spans
+// in order — each with its instance, its self-duration, and whether it is
+// background and on the trace's CP — and the pending entries none.
+func checkLog(t *testing.T, l *Localizer, where string) {
+	t.Helper()
+	var cp cpath.Extractor
+	j := 0
+	for k := 0; k < l.proc; k++ {
+		e := l.entries.At(k)
+		p := cp.Extract(e.t)
+		spans := cp.Kids.Spans()
+		if int(e.n) != len(spans) || e.e2e != e.t.Latency().Millis() {
+			t.Fatalf("%s: entry %d accounts for %d observations and e2e %v; its trace has %d spans and latency %v",
+				where, k, e.n, e.e2e, len(spans), e.t.Latency().Millis())
+		}
+		for i, s := range spans {
+			if j >= l.obs.Len() {
+				t.Fatalf("%s: ring holds %d observations, processed entries account for more", where, l.obs.Len())
+			}
+			want := locObs{inst: s.Instance, us: uint32(cp.Kids.SelfDuration(s)), bg: s.Background, cp: slices.Contains(p.Index, int32(i))}
+			if got := *l.obs.At(j); got != want {
+				t.Fatalf("%s: observation %d is %+v, entry %d's span %d is %+v", where, j, got, k, i, want)
+			}
+			j++
+		}
+	}
+	if l.obs.Len() != j {
+		t.Fatalf("%s: ring holds %d observations, processed entries account for %d", where, l.obs.Len(), j)
+	}
+	for k := l.proc; k < l.entries.Len(); k++ {
+		if e := l.entries.At(k); e.n != 0 {
+			t.Fatalf("%s: pending entry %d accounts for %d observations", where, k, e.n)
+		}
+	}
+}
+
 // TestLocalizerEpisodesMatchBatch builds a fresh localizer per episode, the
 // way every training episode does, on a randomised stream: store size,
 // window and how often Candidates runs vary by episode, so entries leave
 // the window processed and unprocessed, by expiry (Advance) and by the
-// store's ring (TraceEvicted), while the shared contribution ring grows
-// from empty. After every Advance the localizer holds exactly the window's
+// store's ring (TraceEvicted), while the shared observation ring grows from
+// empty. After every Advance the localizer holds exactly the window's
 // traces; after every Candidates it matches the batch path bit for bit, and
-// the contribution ring holds exactly the processed entries' contributions.
+// the observation ring holds exactly the processed entries' observations.
 func TestLocalizerEpisodesMatchBatch(t *testing.T) {
 	e := newExtractor(t)
 	r := rand.New(rand.NewSource(31))
@@ -331,8 +381,8 @@ func TestLocalizerEpisodesMatchBatch(t *testing.T) {
 			db.Consume(streamTrace(i, now, r))
 
 			since := now - window
-			for k := 0; k < loc.entries.Len() && loc.entries.At(k).end < since; k++ {
-				if loc.entries.At(k).done {
+			for k := 0; k < loc.entries.Len() && loc.entries.At(k).t.End < since; k++ {
+				if k < loc.proc {
 					expiredProcessed++
 				} else {
 					expiredUnprocessed++
@@ -362,13 +412,7 @@ func TestLocalizerEpisodesMatchBatch(t *testing.T) {
 					t.Fatalf("episode %d step %d candidate %d:\n got: %+v\nwant: %+v", ep, i, j, got[j], want[j])
 				}
 			}
-			pushed := 0
-			for k := 0; k < loc.entries.Len(); k++ {
-				pushed += int(loc.entries.At(k).contribs)
-			}
-			if loc.contribs.Len() != pushed {
-				t.Fatalf("episode %d step %d: contribution ring holds %d, entries account for %d", ep, i, loc.contribs.Len(), pushed)
-			}
+			checkLog(t, loc.Localizer, fmt.Sprintf("episode %d step %d", ep, i))
 		}
 		ringProcessed += loc.processed
 		ringUnprocessed += loc.unprocessed

@@ -2,10 +2,11 @@
 // benchmarks of the hot paths the campaign loop multiplies — the
 // controller tick, the sliding tail-latency window, trace-window
 // selection, telemetry sampling, the batched DDPG train step, a
-// behaviour-cloning call, the incremental localization features, a
-// double-buffered rollout round, the sharded engine's window, the request
-// path, traced on one engine and mailed across two shards, sealing and
-// decoding a trace, and a container's first work item. It is the micro
+// behaviour-cloning call, the incremental localization features and a
+// violated tick's whole localization, a double-buffered rollout round, the
+// sharded engine's window, the request path, traced on one engine and
+// mailed across two shards, sealing and decoding a trace, and a
+// container's first work item. It is the micro
 // measurement surface: `go test -bench . ./internal/perf` runs the registry
 // as ordinary sub-benchmarks (benchstat-able), and benchmark/ — the macro
 // surface — takes its per-call probes from it through Run.
@@ -70,7 +71,8 @@ func Benchmarks() []Benchmark {
 		{"nn-forward-batch", "one batched actor forward (batch 64, Table 4 shape)", NNForwardBatch, 2},
 		{"rl-train-step-batched", "one DDPG TrainStep on the matrix minibatch path (batch 64, Table 4 nets)", RLTrainStepBatched, 2},
 		{"rl-pretrain", "one behaviour-cloning call: 3,000 demonstrations × 4 epochs through the Table 4 actor, min(GOMAXPROCS, 2) workers", RLPretrain, 74},
-		{"detect-features", "incremental localizer rescore at steady state (the violated-tick path)", DetectFeatures, 2},
+		{"detect-features", "incremental localizer rescore of a quiescent window (no trace arrives or leaves)", DetectFeatures, 2},
+		{"detect-tick", "one violated tick's localization: fold 1 s of fresh traces, evict what left the window, rescore", DetectTick, 0},
 		{"rollout-round-overlap", "one double-buffered rollout campaign: 2 actors + streaming learner", RolloutRoundOverlap, 3024},
 		{"topology-generate", "procedural generation + validation of a 1,000-service spec", TopologyGenerate, 4810},
 		{"topology-generate-10k", "procedural generation + validation of a 10,000-service spec (the sharded sweep's top cell)", TopologyGenerate10k, 48100},
@@ -364,11 +366,14 @@ func NNForwardBatch(b *testing.B) {
 	b.ReportMetric(batch, "rows/op")
 }
 
-// DetectFeatures measures a violated tick's localization cost on the
-// incremental path: with the window mirrored and folded, one op is
-// Advance (no-op pops) plus a full Candidates rescore — per-instance
-// Pearson over the pair rings, windowed percentiles, and SVM scoring.
-// Steady state is allocation-free.
+// DetectFeatures measures a rescore of a quiescent window: with the window
+// mirrored and folded, one op is Advance (no-op pops) plus a full
+// Candidates rescore — a counting pass over the localizer's observation
+// log, a scatter of the scored instances' durations, per-instance
+// percentiles by selection, Pearson over the pairs rebuilt from the log, and
+// SVM scoring. Per-span maintenance happens when a trace is folded, not
+// here; DetectTick measures the whole tick. Steady state is
+// allocation-free.
 func DetectFeatures(b *testing.B) {
 	bed := newTickBed()
 	loc := detect.NewLocalizer(harness.NewExtractor(Seed), 256)
@@ -383,6 +388,57 @@ func DetectFeatures(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		loc.Advance(since)
 		loc.Candidates()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(loc.Len()), "window")
+}
+
+// DetectTick measures what localization costs the controller on a violated
+// tick: one second of fresh traces stored, the traces that left the
+// 2-second window evicted, and a Candidates call that folds the fresh ones
+// (critical path, self-durations, one log entry per span) and rescores.
+// The traces are a recorded 20 s of the tick bed's stream, replayed in a
+// loop with their timestamps shifted one stream length per lap; a lap is
+// run before timing, so the localizer's storage has reached its working
+// size and a tick allocates nothing.
+func DetectTick(b *testing.B) {
+	const lap = 20 * sim.Second
+	bed := newTickBed()
+	bed.tb.Eng.RunFor(lap)
+	stream := bed.tb.DB.Select(tracedb.Query{Since: bed.tb.Eng.Now() - lap, IncludeDrop: true})
+	starts, ends := make([]sim.Time, len(stream)), make([]sim.Time, len(stream))
+	for i, t := range stream {
+		starts[i], ends[i] = t.Start, t.End
+	}
+	loc := detect.NewLocalizer(harness.NewExtractor(Seed), 256)
+	now, next, shift := ends[0], 0, sim.Time(0)
+	tick := func() {
+		now += core.Interval
+		for {
+			if next == len(stream) {
+				next, shift = 0, shift+lap
+			}
+			if ends[next]+shift >= now {
+				break
+			}
+			t := stream[next]
+			t.Start, t.End = starts[next]+shift, ends[next]+shift
+			loc.TraceStored(t)
+			next++
+		}
+		loc.Advance(now - core.Window)
+		loc.Candidates()
+	}
+	for range lap / core.Interval {
+		tick()
+	}
+	if len(loc.Candidates()) == 0 {
+		panic("perf: detect-tick stream produced no candidates")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(loc.Len()), "window")

@@ -6,8 +6,11 @@
 package stats
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -16,17 +19,42 @@ var ErrEmpty = errors.New("stats: empty sample")
 
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
 // interpolation between closest ranks, matching numpy.percentile's default.
-// xs is not modified. A sample containing NaN yields NaN: sort.Float64s
-// places NaNs at unspecified positions, so any rank statistic over a
-// NaN-polluted sample would silently report a corrupted value (a P99 could
-// come back as whatever landed at the rank) — NaN in, NaN out instead.
+// xs is not modified: PercentileSelect runs on a copy. NaN in, NaN out — a
+// NaN p, or a sample containing NaN: a NaN has no place in an order, so any
+// rank statistic over a NaN-polluted sample would silently report a
+// corrupted value (a P99 could come back as whatever landed at the rank).
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 || hasNaN(xs) {
+	if len(xs) == 0 || math.IsNaN(p) || hasNaN(xs) {
 		return math.NaN()
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return percentileSorted(s, p)
+	return PercentileSelect(append([]float64(nil), xs...), p)
+}
+
+// PercentileSelect is Percentile without the copy: it reorders xs in place
+// (a partial sort around the interpolation ranks) instead of sorting a copy
+// of it, in expected linear time. The ranks follow one total order, numeric
+// with -0 before +0, so the result is a function of the multiset alone and
+// bit-identical to indexing a slice sorted in that order.
+//
+//firmvet:noalloc
+func PercentileSelect(xs []float64, p float64) float64 {
+	if len(xs) == 0 || math.IsNaN(p) || hasNaN(xs) {
+		return math.NaN()
+	}
+	lo, hi, frac := percentileRank(len(xs), p)
+	selectRank(xs, lo)
+	if lo == hi {
+		return xs[lo]
+	}
+	// hi == lo+1, and everything right of lo ranks at or after it: the
+	// next order statistic is their minimum.
+	next := xs[hi]
+	for _, x := range xs[hi+1:] {
+		if orderKey(x) < orderKey(next) {
+			next = x
+		}
+	}
+	return xs[lo]*(1-frac) + next*frac
 }
 
 // hasNaN reports whether xs contains a NaN (rank statistics are undefined
@@ -40,25 +68,98 @@ func hasNaN(xs []float64) bool {
 	return false
 }
 
+// percentileSorted is the p-th percentile of an ascending, NaN-free slice.
 func percentileSorted(s []float64, p float64) float64 {
-	if len(s) == 0 {
+	if len(s) == 0 || math.IsNaN(p) {
 		return math.NaN()
 	}
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
+	lo, hi, frac := percentileRank(len(s), p)
 	if lo == hi {
 		return s[lo]
 	}
-	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
 }
+
+// percentileRank maps a non-NaN p to the closest ranks lo <= hi of a sample
+// of n and the weight frac that linear interpolation gives rank hi.
+func percentileRank(n int, p float64) (lo, hi int, frac float64) {
+	if p <= 0 {
+		return 0, 0, 0
+	}
+	if p >= 100 {
+		return n - 1, n - 1, 0
+	}
+	rank := p / 100 * float64(n-1)
+	lo, hi = int(math.Floor(rank)), int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// orderKey maps a NaN-free float to an integer whose order is the total
+// order selection ranks by: numeric, with -0 before +0. A negative float's
+// magnitude bits are flipped, so larger magnitudes sort lower, and -0 lands
+// just below +0; two floats with equal keys have the same bits.
+func orderKey(x float64) int64 {
+	b := int64(math.Float64bits(x))
+	return b ^ int64(uint64(b>>63)>>1)
+}
+
+// selectRank reorders xs so that xs[k] holds the value of rank k in the
+// orderKey order, everything left of k ranks at or before it and everything
+// right of it at or after it. It is quickselect with a median-of-three
+// pivot and a three-way partition, so runs of ties cost one pass; a range
+// that has not shrunk within 2·log2(n) partitions is sorted instead, which
+// bounds the worst case at O(n log n).
+//
+//firmvet:noalloc
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs) // the rank-k value lies in xs[lo:hi]
+	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > 12; budget-- {
+		if budget == 0 {
+			slices.SortFunc(xs[lo:hi], compareTotal)
+			return
+		}
+		// The pivot is the median of three keys.
+		a, pivot, c := orderKey(xs[lo]), orderKey(xs[lo+(hi-lo)/2]), orderKey(xs[hi-1])
+		if pivot < a {
+			a, pivot = pivot, a
+		}
+		pivot = max(a, min(pivot, c))
+		// Dijkstra's three-way partition: [lo,lt) before the pivot,
+		// [lt,i) equal to it, (gt,hi) after it.
+		lt, i, gt := lo, lo, hi-1
+		for i <= gt {
+			x := xs[i]
+			switch key := orderKey(x); {
+			case key < pivot:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case key > pivot:
+				xs[gt], xs[i] = x, xs[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k > gt:
+			lo = gt + 1
+		default:
+			return
+		}
+	}
+	// Insertion sort finishes a short range.
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && orderKey(xs[j]) < orderKey(xs[j-1]); j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+}
+
+// compareTotal is the orderKey order as a three-way comparison.
+func compareTotal(a, b float64) int { return cmp.Compare(orderKey(a), orderKey(b)) }
 
 // Mean returns the arithmetic mean of xs (NaN for empty input).
 func Mean(xs []float64) float64 {

@@ -8,30 +8,31 @@ import (
 // Window is a sliding-window multiset of float64 observations kept as one
 // sorted slice: Add and Remove are a binary search plus a copy that shifts
 // the tail by one, Percentile indexes the slice. It exists for the
-// controller's per-tick tail-latency measurement (detect.Monitor, and one
-// per instance in detect.Localizer): the batch path re-copies and re-sorts
-// the whole window every tick, while a Window is maintained as traces
-// complete and expire.
+// controller's per-tick tail-latency measurement (detect.Monitor, its only
+// user): the batch path re-copies and re-sorts the whole window every tick,
+// while a Window is maintained as traces complete and expire.
 //
-// It is sized for the window the controller actually holds: one instance's
-// span rate × core.Window (2 s). The largest ever held is 997
-// observations on the benchmark's firm-loop (mean 186 over 0.60 M inserts a
-// repetition) and 417 on rl-train (mean 104 over 0.65 M). At those sizes
-// shifting a few KB beats walking a tree. One evict + insert + P99 cycle at
-// steady state, this slice against the pooled treap it replaced, ns:
+// It is sized for the window the controller holds, the end-to-end latency
+// of every non-dropped trace of the last core.Window (2 s): at most 674
+// observations on the benchmark's firm-loop (250 requests/s). At those
+// sizes shifting a few KB beats walking a tree. One evict + insert + P99
+// cycle at steady state, this slice against the pooled treap it replaced,
+// ns:
 //
 //	W         64    256   1024   4096   16384
 //	slice     98    140    288    730    2800
 //	treap    233    292    364    479     655
 //
-// The O(W) shift loses to the tree past W ≈ 2–3 k, which takes an instance
-// serving over 1,000 spans/s. No workload is on that side of the crossover,
-// so there is one path and no size switch.
+// The O(W) shift loses to the tree past W ≈ 2–3 k, over 1,000 traces a
+// second. No workload is on that side of the crossover, so there is one
+// path and no size switch. (detect.Localizer's per-instance span windows
+// used to be Windows too; it now keeps one observation log and selects its
+// percentiles at query time, see stats.PercentileSelect.)
 //
 // Percentile reproduces the batch Percentile bit for bit for the same
-// multiset, NaN semantics included: a window holding any NaN yields NaN.
-// NaNs have no place in an order, so they are only counted. Once the slice
-// has grown to the working-set size no operation allocates.
+// multiset, NaN semantics included: a window holding any NaN, or a NaN p,
+// yields NaN. NaNs have no place in an order, so they are only counted.
+// Once the slice has grown to the working-set size no operation allocates.
 type Window struct {
 	xs  []float64 // ascending, NaN-free
 	nan int       // NaN observations
@@ -85,7 +86,7 @@ func (w *Window) Remove(x float64) bool {
 // Percentile returns the p-th percentile (p in [0,100]) of the windowed
 // multiset with linear interpolation between closest ranks — bit-identical
 // to Percentile over a slice holding the same observations: an empty or
-// NaN-containing window yields NaN.
+// NaN-containing window, or a NaN p, yields NaN.
 //
 //firmvet:noalloc
 func (w *Window) Percentile(p float64) float64 {

@@ -90,6 +90,10 @@ type SVM struct {
 	w    []float64
 	b    float64
 	seen uint64
+	// fz is Fit's RFF projection buffer. Fit mutates the model anyway;
+	// Decision stays read-only (shareable) and projects into fresh memory,
+	// or into a Scorer's buffer.
+	fz []float64
 }
 
 // New creates an SVM per cfg.
@@ -101,6 +105,7 @@ func New(cfg Config) *SVM {
 	dim := cfg.InputDim
 	if cfg.Features > 0 {
 		s.rff = NewRFF(rand.New(rand.NewSource(cfg.Seed)), cfg.InputDim, cfg.Features, cfg.Gamma)
+		s.fz = make([]float64, cfg.Features)
 		dim = cfg.Features
 	}
 	s.w = make([]float64, dim)
@@ -194,7 +199,8 @@ func (s *SVM) Classify(x []float64) (bool, error) {
 
 // Fit applies one SGD step on the hinge loss for example (x, y), y ∈ {-1,+1}.
 // This is the "incremental" learning path: the Extractor keeps fitting as
-// labelled data arrives from anomaly-injection campaigns.
+// labelled data arrives from anomaly-injection campaigns. It projects into
+// the model's own buffer, so a warm Fit allocates nothing.
 func (s *SVM) Fit(x []float64, y float64) error {
 	if len(x) != s.cfg.InputDim {
 		return ErrBadInput
@@ -205,7 +211,10 @@ func (s *SVM) Fit(x []float64, y float64) error {
 	s.seen++
 	// Decaying learning rate stabilizes the incremental estimate.
 	lr := s.cfg.LR / (1 + s.cfg.Reg*s.cfg.LR*float64(s.seen))
-	z := s.features(x)
+	z := x
+	if s.rff != nil {
+		z = s.rff.MapInto(s.fz, x)
+	}
 	margin := s.b
 	for i, zi := range z {
 		margin += s.w[i] * zi

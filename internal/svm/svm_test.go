@@ -218,3 +218,53 @@ func TestNewRFFPanicsOnBadParams(t *testing.T) {
 	}()
 	NewRFF(rand.New(rand.NewSource(1)), 2, 0, 1)
 }
+
+// TestFitWarmAllocFree: Fit projects into the model's own buffer, so a warm
+// Fit allocates nothing — Pretrain's thousands of samples cost no garbage —
+// and trains the same model, bit for bit, as projecting each sample into
+// fresh memory with Map.
+func TestFitWarmAllocFree(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	xs, ys := ringSet(r, 300)
+	got, ref := New(DefaultConfig()), New(DefaultConfig())
+	for i := range xs {
+		if err := got.Fit(xs[i], ys[i]); err != nil {
+			t.Fatal(err)
+		}
+		mapFit(ref, xs[i], ys[i])
+	}
+	if math.Float64bits(got.b) != math.Float64bits(ref.b) {
+		t.Fatalf("bias %v, Map-projected fit %v", got.b, ref.b)
+	}
+	for i := range got.w {
+		if math.Float64bits(got.w[i]) != math.Float64bits(ref.w[i]) {
+			t.Fatalf("weight %d: %v, Map-projected fit %v", i, got.w[i], ref.w[i])
+		}
+	}
+	x := xs[0]
+	if allocs := testing.AllocsPerRun(100, func() { got.Fit(x, 1) }); allocs != 0 {
+		t.Fatalf("warm Fit allocates %v per call, want 0", allocs)
+	}
+}
+
+// mapFit is Fit with the sample projected by Map: the reference Fit's
+// buffer must not change a bit of.
+func mapFit(s *SVM, x []float64, y float64) {
+	s.seen++
+	lr := s.cfg.LR / (1 + s.cfg.Reg*s.cfg.LR*float64(s.seen))
+	z := s.rff.Map(x)
+	margin := s.b
+	for i, zi := range z {
+		margin += s.w[i] * zi
+	}
+	margin *= y
+	for i := range s.w {
+		s.w[i] -= lr * s.cfg.Reg * s.w[i]
+	}
+	if margin < 1 {
+		for i, zi := range z {
+			s.w[i] += lr * y * zi
+		}
+		s.b += lr * y
+	}
+}

@@ -101,6 +101,7 @@ func randomTrace(r *rand.Rand, selfParentedRoot bool) *Trace {
 func TestChildIndexMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	var x ChildIndex
+	var self []sim.Time
 	for trial := 0; trial < 400; trial++ {
 		tr := randomTrace(r, trial%2 == 1)
 		x.Reset(tr)
@@ -122,10 +123,14 @@ func TestChildIndexMatchesScan(t *testing.T) {
 				t.Fatalf("trial %d: children of %d:\nindex %v\nscan  %v", trial, p, got, want)
 			}
 		}
-		for _, s := range spans {
+		self = x.SelfDurations(self)
+		for i, s := range spans {
 			want := scanSelfDuration(spans, s)
 			if got := x.SelfDuration(s); got != want {
 				t.Fatalf("trial %d: self time of span %d: index %v, scan %v", trial, s.ID, got, want)
+			}
+			if self[i] != want {
+				t.Fatalf("trial %d: one-pass self time of span %d: %v, scan %v", trial, s.ID, self[i], want)
 			}
 		}
 	}
@@ -137,14 +142,18 @@ func TestChildIndexReuseAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	a, b := randomTrace(r, false), randomTrace(r, true)
 	var x ChildIndex
-	x.Reset(a)
-	x.Reset(b)
+	var self []sim.Time
+	for _, tr := range []*Trace{a, b} {
+		x.Reset(tr)
+		self = x.SelfDurations(self)
+	}
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, tr := range []*Trace{a, b} {
 			x.Reset(tr)
 			for _, s := range x.Spans() {
 				x.SelfDuration(s)
 			}
+			self = x.SelfDurations(self)
 		}
 	})
 	if allocs != 0 {
