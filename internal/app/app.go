@@ -83,8 +83,9 @@ type App struct {
 	edgeFaults map[Edge]EdgeFault
 	faultRng   *rand.Rand
 
-	// poison is set by tests only: released frames are then never reused,
-	// so any touch of a released frame trips its state check.
+	// poison is set by tests only: released frames and request contexts are
+	// then never reused, so any touch of a released frame trips its state
+	// check and any of a released context finds it cleared.
 	poison bool
 	// roots holds each endpoint's resolved call tree, by position in
 	// Spec.Endpoints; nil until the endpoint's first request.
@@ -93,13 +94,15 @@ type App struct {
 
 // shard is one engine shard as the request path sees it: the clock its
 // calls schedule on, the cluster serving them, and the freelist their frames
-// cycle through. The pool belongs to the App and dies with it: nothing is
-// shared between simulations.
+// cycle through — plus, on the shard that admits requests, the one their
+// contexts cycle through. The pools belong to the App and die with it:
+// nothing is shared between simulations. A shard is one cache line: shards
+// push and pop concurrently.
 type shard struct {
 	eng  *sim.Engine
 	cl   *cluster.Cluster
 	free []*frame
-	_    [24]byte // shards push and pop concurrently: one cache line each
+	reqs []*reqCtx // request contexts; only the home shard's is used
 }
 
 // node is one topology.Call resolved against this App's cluster: what route
@@ -200,7 +203,9 @@ func (a *App) SetEdgeFaults(faults map[Edge]EdgeFault, rng *rand.Rand) {
 
 // reqCtx is one in-flight request. It is written only where the request was
 // admitted: its root frame reports the outcome there, and finishes it once
-// the whole call tree has drained.
+// the whole call tree has drained. Contexts cycle through the freelist of
+// that shard (takeReq, finish), so a request allocates only what the trace
+// store keeps: its Trace and the trace's packed spans.
 type reqCtx struct {
 	app     *App
 	trace   *trace.Trace // pending until finish seals it; nil without a Coordinator
@@ -321,7 +326,8 @@ func (a *App) submit(i int, onDone func(Result)) {
 	if a.roots[i] == nil {
 		a.roots[i] = a.resolve(a.Spec.Endpoints[i].Root, nil, 0)
 	}
-	ctx := &reqCtx{app: a, ep: int32(i), start: a.eng.Now(), onDone: onDone}
+	ctx := a.takeReq()
+	ctx.app, ctx.ep, ctx.start, ctx.onDone = a, int32(i), a.eng.Now(), onDone
 	if a.Coord != nil {
 		ctx.trace = a.Coord.StartTrace(a.Spec.Endpoints[i].Name, a.roots[i].size)
 		ctx.id = ctx.trace.ID
@@ -354,11 +360,35 @@ func (a *App) SubmitMix(r *rand.Rand, onDone func(Result)) (string, error) {
 	return a.Spec.Endpoints[i].Name, nil
 }
 
+// takeReq pops a request context off the home shard's freelist.
+//
+//firmvet:noalloc
+func (a *App) takeReq() *reqCtx {
+	sh := &a.shards[a.home]
+	if n := len(sh.reqs); n > 0 {
+		ctx := sh.reqs[n-1]
+		sh.reqs[n-1] = nil
+		sh.reqs = sh.reqs[:n-1]
+		return ctx
+	}
+	//firmvet:allow noalloc -- freelist warm-up miss; the home shard allocates one context per concurrently in-flight request, then recycles them
+	return &reqCtx{}
+}
+
 // finish seals the trace and reports the result. The root frame calls it
 // once, when it has reported the outcome AND every call of the request —
-// background work and pending retries included — has drained.
+// background work and pending retries included — has drained; on a sharded
+// deployment it runs on the home shard (finishedMail). The context goes
+// back to the freelist only after both callbacks have run, since either may
+// submit a new request. Clearing it leaves app nil, which finish rejects,
+// so a released context cannot finish twice.
+//
+//firmvet:noalloc
 func (ctx *reqCtx) finish() {
 	a := ctx.app
+	if a == nil {
+		panic("app: request context finished after release")
+	}
 	if ctx.trace != nil {
 		a.Coord.Finish(ctx.trace, ctx.dropped)
 	}
@@ -376,6 +406,11 @@ func (ctx *reqCtx) finish() {
 	}
 	if ctx.onDone != nil {
 		ctx.onDone(res)
+	}
+	sh := &a.shards[a.home]
+	*ctx = reqCtx{}
+	if !a.poison {
+		sh.reqs = append(sh.reqs, ctx)
 	}
 }
 

@@ -107,9 +107,9 @@ func TestParGroupShedReentrancy(t *testing.T) {
 
 // TestFramesRecycleWithoutLeak drives the digest scenarios' worst mix —
 // queue drops, retries, a replica set scaled to zero mid-burst — once with
-// released frames poisoned (any touch after release or double release
-// panics) and once pooled, where every frame must be back on the freelist,
-// each exactly once, when the engine drains.
+// released frames and request contexts poisoned (any touch after release or
+// double release panics) and once pooled, where every frame and context must
+// be back on its freelist, each exactly once, when the engine drains.
 func TestFramesRecycleWithoutLeak(t *testing.T) {
 	run := func(poison bool) *App {
 		spec := topology.SocialNetwork()
@@ -140,8 +140,8 @@ func TestFramesRecycleWithoutLeak(t *testing.T) {
 		}
 		return a
 	}
-	if a := run(true); len(a.shards[0].free) != 0 {
-		t.Fatalf("poisoned run recycled %d frames", len(a.shards[0].free))
+	if a := run(true); len(a.shards[0].free) != 0 || len(a.shards[0].reqs) != 0 {
+		t.Fatalf("poisoned run recycled %d frames, %d contexts", len(a.shards[0].free), len(a.shards[0].reqs))
 	}
 	a := run(false)
 	seen := map[*frame]bool{}
@@ -157,56 +157,147 @@ func TestFramesRecycleWithoutLeak(t *testing.T) {
 	if len(a.shards[0].free) == 0 || len(a.shards[0].free) >= 400 {
 		t.Fatalf("freelist holds %d frames; want the peak concurrency, far below one per request", len(a.shards[0].free))
 	}
+	checkReqPool(t, a, 400)
 }
 
-// TestSteadyStateRequestAllocs: on a warm App a request allocates its
-// context, its Trace and the trace's packed spans — the same count for the
-// spec's smallest endpoint as for one several times its size.
+// checkReqPool checks the home shard's drained context freelist: each
+// context on it once and cleared, fewer than one per request (the peak of
+// requests in flight, not their count) — and no context on any other shard.
+func checkReqPool(t *testing.T, a *App, requests int) {
+	t.Helper()
+	seen := map[*reqCtx]bool{}
+	for _, ctx := range a.shards[a.home].reqs {
+		if seen[ctx] {
+			t.Fatal("request context on the freelist twice")
+		}
+		seen[ctx] = true
+		if ctx.app != nil || ctx.trace != nil || ctx.onDone != nil || ctx.id != 0 || ctx.latency != 0 || ctx.dropped {
+			t.Fatalf("freelist context not cleared: %+v", ctx)
+		}
+	}
+	if n := len(seen); n == 0 || n >= requests {
+		t.Fatalf("context freelist holds %d for %d requests; want the peak in flight", n, requests)
+	}
+	for i := range a.shards {
+		if i != int(a.home) && len(a.shards[i].reqs) != 0 {
+			t.Fatalf("shard %d, not home, pooled %d request contexts", i, len(a.shards[i].reqs))
+		}
+	}
+}
+
+// TestRequestContextLifetime: finish hands the context back only after the
+// result hook and onDone have run — each of which may submit a request, and
+// here onDone chains the next one. So the chain cycles through the two
+// contexts of a finishing request and its successor, plus a third when the
+// hook also submits (poisoned, a fresh one each time), and a context that
+// has finished cannot finish again.
+func TestRequestContextLifetime(t *testing.T) {
+	for _, poison := range []bool{false, true} {
+		eng, a, _ := harness(t, fanSpec(topology.Par, topology.Seq), 1)
+		a.poison = poison
+		hooked := 0
+		a.SetResultHook(func(r Result) {
+			hooked++
+			if hooked == 5 { // a hook may submit too: a second, parallel chain
+				if err := a.Submit("get", nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		var ids []trace.TraceID
+		var next func(Result)
+		next = func(r Result) {
+			ids = append(ids, r.Trace)
+			if len(ids) < 20 {
+				if err := a.Submit("get", next); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := a.Submit("get", next); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(10 * sim.Second)
+		if len(ids) != 20 || hooked != 21 || a.Completed != 21 {
+			t.Fatalf("poison=%v: chain of %d, %d hooked, %d completed; want 20, 21, 21", poison, len(ids), hooked, a.Completed)
+		}
+		for i := 1; i < len(ids); i++ {
+			if ids[i] <= ids[i-1] {
+				t.Fatalf("poison=%v: trace IDs %v not increasing: a context reused before its result was read", poison, ids)
+			}
+		}
+		if want := map[bool]int{false: 3, true: 0}[poison]; len(a.shards[0].reqs) != want {
+			t.Fatalf("poison=%v: %d contexts pooled, want %d", poison, len(a.shards[0].reqs), want)
+		}
+	}
+	_, a, _ := harness(t, fanSpec(topology.Seq), 1)
+	ctx := a.takeReq()
+	ctx.app = a
+	ctx.finish()
+	defer func() {
+		if r := recover(); r != "app: request context finished after release" {
+			t.Fatalf("finishing a released context: recovered %v, want the release guard's panic", r)
+		}
+	}()
+	ctx.finish()
+}
+
+// TestSteadyStateRequestAllocs: on a warm App a request allocates only what
+// the trace store keeps — its Trace and the trace's packed spans — and
+// nothing at all untraced; the same count for the spec's smallest endpoint
+// as for one several times its size.
 func TestSteadyStateRequestAllocs(t *testing.T) {
 	spec, err := topology.Generate(topology.Params{Services: 100, Endpoints: 4, MaxFanout: 3, Depth: 5}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine(1)
-	cl := cluster.New(eng, cluster.DefaultConfig())
-	for i := 0; i < 1+len(spec.Services)/8; i++ {
-		cl.AddNode(cluster.XeonProfile)
-	}
-	a, err := Deploy(eng, cl, spec, trace.NewCoordinator(eng, tracedb.New(1000), cl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, large := "", ""
-	minCalls, maxCalls := 0, 0
-	for _, ep := range spec.Endpoints {
-		n := a.resolve(ep.Root, nil, 0).size
-		if small == "" || n < minCalls {
-			small, minCalls = ep.Name, n
+	for _, traced := range []bool{true, false} {
+		eng := sim.NewEngine(1)
+		cl := cluster.New(eng, cluster.DefaultConfig())
+		for i := 0; i < 1+len(spec.Services)/8; i++ {
+			cl.AddNode(cluster.XeonProfile)
 		}
-		if n > maxCalls {
-			large, maxCalls = ep.Name, n
+		var coord *trace.Coordinator
+		if traced {
+			coord = trace.NewCoordinator(eng, tracedb.New(1000), cl)
 		}
-	}
-	if maxCalls < 4*minCalls {
-		t.Fatalf("endpoints span %d..%d calls; the comparison would be vacuous", minCalls, maxCalls)
-	}
-	allocs := func(endpoint string) float64 {
-		request := func() {
-			if err := a.Submit(endpoint, nil); err != nil {
-				t.Fatal(err)
+		a, err := Deploy(eng, cl, spec, coord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		small, large := "", ""
+		minCalls, maxCalls := 0, 0
+		for _, ep := range spec.Endpoints {
+			n := a.resolve(ep.Root, nil, 0).size
+			if small == "" || n < minCalls {
+				small, minCalls = ep.Name, n
 			}
-			eng.Drain(1 << 20)
+			if n > maxCalls {
+				large, maxCalls = ep.Name, n
+			}
 		}
-		request() // warm: frames, engine events, container records, queues
-		return testing.AllocsPerRun(20, request)
-	}
-	aSmall, aLarge := allocs(small), allocs(large)
-	if a.Dropped != 0 {
-		t.Fatalf("%d requests dropped", a.Dropped)
-	}
-	if aSmall != aLarge || aLarge > 3 {
-		t.Fatalf("allocs/request: %v at %d calls, %v at %d calls; want equal and <= 3",
-			aSmall, minCalls, aLarge, maxCalls)
+		if maxCalls < 4*minCalls {
+			t.Fatalf("endpoints span %d..%d calls; the comparison would be vacuous", minCalls, maxCalls)
+		}
+		allocs := func(endpoint string) float64 {
+			request := func() {
+				if err := a.Submit(endpoint, nil); err != nil {
+					t.Fatal(err)
+				}
+				eng.Drain(1 << 20)
+			}
+			request() // warm: frames, contexts, engine events, container records, queues
+			return testing.AllocsPerRun(20, request)
+		}
+		aSmall, aLarge := allocs(small), allocs(large)
+		if a.Dropped != 0 {
+			t.Fatalf("traced=%v: %d requests dropped", traced, a.Dropped)
+		}
+		want := map[bool]float64{true: 2, false: 0}[traced]
+		if aSmall != want || aLarge != want {
+			t.Fatalf("traced=%v: allocs/request: %v at %d calls, %v at %d calls; want %v",
+				traced, aSmall, minCalls, aLarge, maxCalls, want)
+		}
 	}
 }
 

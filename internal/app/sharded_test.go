@@ -94,17 +94,20 @@ func shardedStorm(t *testing.T, shards, workers, bursts int, poison bool) (strin
 	return out + fmt.Sprintf("steps=%d c=%d d=%d v=%d", se.Steps(), a.Completed, a.Dropped, a.Violations), a
 }
 
-// TestShardedFrameLifetime: with released frames poisoned instead of reused,
-// no frame of a sharded deployment is fired, reported to, drained into or
-// released after its release (any of those panics) — on one shard and on
+// TestShardedFrameLifetime: with released frames and request contexts
+// poisoned instead of reused, no frame of a sharded deployment is fired,
+// reported to, drained into or released after its release, and no context
+// is touched after it finished (any of those panics) — on one shard and on
 // four run by four workers, where a frame touched by two shards in one window
 // is also a data race. Pooled, every shard's freelist ends holding each frame
 // once, cleared — and four bursts leave no more frames behind than one did: a
 // pool gets back what it hands out (result frames included), so the frames
-// are the peak concurrency, not a count of calls.
+// are the peak concurrency, not a count of calls. Contexts, taken and
+// finished on the home shard, pool there only.
 func TestShardedFrameLifetime(t *testing.T) {
 	pooled := func(shards, bursts int) int {
 		_, a := shardedStorm(t, shards, shards, bursts, false)
+		checkReqPool(t, a, 600*bursts)
 		seen := map[*frame]bool{}
 		for i := range a.shards {
 			for _, f := range a.shards[i].free {
@@ -122,8 +125,8 @@ func TestShardedFrameLifetime(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		_, a := shardedStorm(t, shards, shards, 1, true)
 		for i := range a.shards {
-			if n := len(a.shards[i].free); n != 0 {
-				t.Fatalf("shards=%d: poisoned run recycled %d frames on shard %d", shards, n, i)
+			if n, m := len(a.shards[i].free), len(a.shards[i].reqs); n != 0 || m != 0 {
+				t.Fatalf("shards=%d: poisoned run recycled %d frames, %d contexts on shard %d", shards, n, m, i)
 			}
 		}
 		one, four := pooled(shards, 1), pooled(shards, 4)

@@ -273,7 +273,13 @@ func (rs *ReplicaSet) place(node *Node, limits Vector, cold, instant bool) (*Con
 	if cold {
 		delay = coldStartDelay
 	}
-	rs.cl.eng.Schedule(delay, func() { c.ready = true })
+	rs.cl.eng.Schedule(delay, func() {
+		// A replica retired during its start delay stays down: RemoveReplica
+		// has detached it from its node.
+		if !c.retired {
+			c.ready = true
+		}
+	})
 	return c, nil
 }
 

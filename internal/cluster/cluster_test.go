@@ -188,6 +188,33 @@ func TestNotReadyDrops(t *testing.T) {
 	}
 }
 
+// TestReplicaRetiredDuringStartStaysDown: a replica removed before its start
+// delay has passed must not come back when the delay ends — it stays not
+// ready, sheds what is submitted to it, and charges nothing to the node it
+// was detached from.
+func TestReplicaRetiredDuringStartStaysDown(t *testing.T) {
+	eng, cl := testCluster(t, 1)
+	rs, _ := cl.DeployService("svc", 1, V(1, 1000, 4, 100, 100))
+	c, err := rs.AddReplica(V(1, 1000, 4, 100, 100), false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := c.Node()
+	rs.RemoveReplica(c)
+	eng.RunUntil(sim.Second) // well past the warm-start delay
+	if c.Ready() {
+		t.Fatal("replica retired during its start delay came back ready")
+	}
+	dropped := false
+	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 0, 0, 0, 0), Handler: WorkFuncs{Drop: func() { dropped = true }}})
+	if !dropped || c.Busy() != 0 {
+		t.Fatalf("submit to a retired replica: dropped=%v busy=%d, want shed", dropped, c.Busy())
+	}
+	if got := node.Usage()[CPU]; got != 0 {
+		t.Fatalf("detached node charged %v CPU for the retired replica's work", got)
+	}
+}
+
 func TestColdStartSlower(t *testing.T) {
 	eng, cl := testCluster(t, 1)
 	rs, _ := cl.DeployService("svc", 1, V(1, 1000, 4, 100, 100))

@@ -127,11 +127,14 @@ func New(opts Options) (*Bench, error) {
 }
 
 // AttachWorkload creates and starts the open-loop generator, and wires the
-// injector's workload-variation anomaly to it.
+// injector's workload-variation anomaly to it. The injector validates
+// intensities to [0,1], so a rejected spike factor is a bug and panics.
 func (b *Bench) AttachWorkload(p workload.Pattern) *workload.Generator {
 	b.Gen = workload.NewGenerator(b.App, p, b.Meter, b.Opts.Seed)
 	b.Injector.SpikeHook = func(intensity float64, d sim.Time) {
-		b.Gen.Spike(intensity*3, d) // intensity 1 → 4× rate
+		if err := b.Gen.Spike(intensity*3, d); err != nil { // intensity 1 → 4× rate
+			panic(err)
+		}
 	}
 	b.Gen.Start()
 	return b.Gen

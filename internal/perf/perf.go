@@ -52,7 +52,7 @@ type Benchmark struct {
 	// MaxAllocs is the entry's allocs/op ceiling — the committed
 	// perf-regression budget TestAllocBudgets enforces. The steady-state
 	// entries are budgeted at (near) zero; the five that allocate by design
-	// sit 1% above their best recorded run (73 / 2,994 / 4,762 / 47,623 / 60),
+	// sit 1% above their best recorded run (73 / 2,994 / 4,762 / 47,623 / 22),
 	// rounded up, which absorbs first-iteration growth amortised over a short
 	// run. Budgets are counted on one P (TestAllocBudgets pins GOMAXPROCS to
 	// 1): how many goroutine records and stacks a fan-out allocates depends on
@@ -76,12 +76,12 @@ func Benchmarks() []Benchmark {
 		{"rollout-round-overlap", "one double-buffered rollout campaign: 2 actors + streaming learner", RolloutRoundOverlap, 3024},
 		{"topology-generate", "procedural generation + validation of a 1,000-service spec", TopologyGenerate, 4810},
 		{"topology-generate-10k", "procedural generation + validation of a 10,000-service spec (the sharded sweep's top cell)", TopologyGenerate10k, 48100},
-		{"workload-arrivals", "thinned arrival sampling: 10ms of a 2,600 rps spiked-diurnal bound", WorkloadArrivals, 61},
+		{"workload-arrivals", "thinned arrival sampling: 10ms of a 2,600 rps spiked-diurnal bound", WorkloadArrivals, 23},
 		{"shard-step", "one lookahead window of an 8-shard ring at steady state (mail routing + window barrier)", ShardStep, 0},
 		{"scenario-step", "one armed fault-scenario tick: recompute and apply every active site's pressure", ScenarioStep, 0},
-		{"app-request", "one traced request through a 63-call generated endpoint on a warm testbed", AppRequest, 3},
+		{"app-request", "one traced request through a 63-call generated endpoint on a warm testbed", AppRequest, 2},
 		{"trace-seal", "seal the 63-span app-request trace, then decode and index it (ChildIndex.Reset)", TraceSeal, 0},
-		{"sharded-request", "one request through a warm 2-shard, 60-service generated app, run until drained", ShardedRequest, 2},
+		{"sharded-request", "one request through a warm 2-shard, 60-service generated app, run until drained", ShardedRequest, 0},
 		{"cluster-cold-submit", "the first Submit on each of 1,000 never-touched containers under per-instance noise, run to completion", ClusterColdSubmit, 3000},
 	}
 }
@@ -522,7 +522,9 @@ func TopologyGenerate(b *testing.B) {
 // with stochastic spikes), accept/reject thinning, and the accepted
 // arrivals' submission into a minimal 2-service generated app. Each
 // iteration advances the simulation 10ms (~26 proposals at the composite's
-// 2,600 rps bound).
+// 2,600 rps bound, ~11 accepted). Proposals are pooled generator events, so
+// allocs/op is ≈ 2 per accepted arrival: the Trace its request leaves in the
+// store and the trace's packed spans.
 func WorkloadArrivals(b *testing.B) {
 	spec, err := topology.Generate(topology.Params{Services: 2, Endpoints: 1, MaxFanout: 1, Depth: 2}, Seed)
 	if err != nil {
@@ -622,8 +624,8 @@ func ShardStep(b *testing.B) {
 // submits a request of a 60-service generated spec's largest endpoint on a
 // warm 2-shard testbed and runs the windows until it has drained — every
 // call mailed to its callee's shard, routed and served there, result and
-// drained mailed back. Workers are pinned to 1 as in ShardStep. A request
-// allocates its context and nothing else: frames (result frames included),
+// drained mailed back. Workers are pinned to 1 as in ShardStep. An untraced
+// request allocates nothing: its context, frames (result frames included),
 // mail buffers, engine events and container records are all recycled.
 func ShardedRequest(b *testing.B) {
 	spec, err := topology.Generate(topology.Params{Services: 60, Endpoints: 4, MaxFanout: 3, Depth: 4}, Seed)
@@ -751,9 +753,10 @@ func ScenarioStep(b *testing.B) {
 // child walk, span emission for every call, and sealing the trace. The
 // testbed is bare (engine, cluster, trace store, app; no telemetry or
 // generator tickers) and warm, so allocs/op is exactly what a request
-// costs: its context, its Trace and the trace's packed spans, whatever the
-// endpoint's size — the span emission buffer, call frames, engine events
-// and container in-flight records all come from freelists. spans/op is the
+// costs: what the trace store keeps — its Trace and the trace's packed
+// spans — whatever the endpoint's size; the request context, the span
+// emission buffer, call frames, engine events and container in-flight
+// records all come from freelists. spans/op is the
 // endpoint's call count.
 func AppRequest(b *testing.B) {
 	a, _, request := appRequestBed()

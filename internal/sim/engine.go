@@ -263,14 +263,24 @@ func (e *Engine) Drain(maxEvents uint64) uint64 {
 // Ticker repeatedly invokes fn every period until Stop is called. The first
 // invocation happens one period after Start. Stop/Start cycles are
 // supported: each Start opens a new tick generation, so a restarted ticker
-// resumes ticking and a closure left over from before the Stop can never
-// fire again (it carries the old generation).
+// resumes ticking and a tick left over from before the Stop can never fire
+// again (it carries the old generation). Each tick is a pooled,
+// generation-stamped record, not a closure: a warm ticker allocates nothing.
 type Ticker struct {
 	eng     *Engine
 	period  Time
 	fn      func()
 	stopped bool
 	gen     uint64
+	// free recycles fired ticks: one record per tick pending at once — the
+	// live chain's, plus one for each retired chain still in the heap.
+	free []*tick
+}
+
+// tick is one scheduled tick of a Ticker's generation gen.
+type tick struct {
+	t   *Ticker
+	gen uint64
 }
 
 // NewTicker creates (but does not start) a ticker.
@@ -291,19 +301,41 @@ func (t *Ticker) Start() {
 }
 
 // Stop prevents any future ticks. Safe to call multiple times; bumping the
-// generation invalidates the pending closure immediately instead of letting
-// it linger in the heap for up to one period.
+// generation retires the pending tick immediately instead of letting it
+// fire up to one period later.
 func (t *Ticker) Stop() {
 	t.stopped = true
 	t.gen++
 }
 
+// schedule queues the next tick of generation gen, one period from now.
+//
+//firmvet:noalloc
 func (t *Ticker) schedule(gen uint64) {
-	t.eng.Schedule(t.period, func() {
-		if t.stopped || gen != t.gen {
-			return
-		}
-		t.fn()
-		t.schedule(gen)
-	})
+	var k *tick
+	if n := len(t.free); n > 0 {
+		k = t.free[n-1]
+		t.free[n-1] = nil
+		t.free = t.free[:n-1]
+	} else {
+		//firmvet:allow noalloc -- freelist warm-up miss; a ticker allocates one record per tick pending at once, then recycles them
+		k = &tick{t: t}
+	}
+	k.gen = gen
+	t.eng.ScheduleAction(t.period, k)
+}
+
+// Fire implements Action: a retired tick is a no-op; a live one runs fn and
+// queues the chain's next tick. The record goes back to the pool first, so
+// the next tick reuses it.
+//
+//firmvet:noalloc
+func (k *tick) Fire() {
+	t, gen := k.t, k.gen
+	t.free = append(t.free, k)
+	if t.stopped || gen != t.gen {
+		return
+	}
+	t.fn()
+	t.schedule(gen)
 }

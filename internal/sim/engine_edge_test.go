@@ -149,3 +149,82 @@ func TestTickerStartWhileRunningRestartsChain(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyTickerMatchesModel drives a ticker through random Stop/Start
+// sequences — several at one instant, and restarts at the very instant a
+// tick is due — and checks every tick time against a reference model: a
+// Start at T ticks at T+P, T+2P, … until the next Stop or Start, and an
+// operation scheduled before a tick due at the same instant retires it. So
+// a retired chain never fires, and the live one ticks once per period.
+func TestPropertyTickerMatchesModel(t *testing.T) {
+	const period, horizon = 10, 600
+	for seed := int64(1); seed <= 300; seed++ {
+		r := Stream(seed, "ticker-model")
+		e := NewEngine(seed)
+		var got []Time
+		tk := NewTicker(e, period, func() { got = append(got, e.Now()) })
+		// The model advances with the generated operations, so an operation
+		// can be placed exactly on the live chain's next due tick.
+		var want []Time
+		running, next, at := false, Time(0), Time(0)
+		for at < horizon-3*period {
+			switch k := r.Intn(4); {
+			case k == 0 && running:
+				at = next // exactly when a tick is due
+			case k == 1: // same instant as the previous operation
+			default:
+				at += Time(1 + r.Intn(3*period))
+			}
+			for running && next < at {
+				want = append(want, next)
+				next += period
+			}
+			if r.Intn(3) == 0 {
+				e.ScheduleAt(at, tk.Stop)
+				running = false
+			} else {
+				e.ScheduleAt(at, tk.Start)
+				running, next = true, at+period
+			}
+		}
+		for running && next <= horizon {
+			want = append(want, next)
+			next += period
+		}
+		e.RunUntil(horizon)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d ticks, want %d:\n got %v\nwant %v", seed, len(got), len(want), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: tick %d at %v, want %v:\n got %v\nwant %v", seed, i, got[i], want[i], got, want)
+			}
+		}
+	}
+}
+
+// TestTickerWarmTickAllocatesNothing: a tick is a pooled record, not a
+// closure, so a warm ticker — restarts included — allocates nothing, and its
+// pool holds only the ticks ever pending at once.
+func TestTickerWarmTickAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	n := 0
+	tk := NewTicker(e, 10, func() { n++ })
+	tk.Start()
+	cycle := func() {
+		e.RunFor(35)
+		tk.Stop()
+		tk.Start() // the retired tick is still in the heap
+		e.RunFor(35)
+	}
+	cycle() // warm: the pool and the engine's event records
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("%v allocs per cycle, want 0", allocs)
+	}
+	if n < 51*6 {
+		t.Fatalf("%d ticks in 51 cycles, want at least %d", n, 51*6)
+	}
+	if pooled := len(tk.free) + e.Pending(); pooled > 2 {
+		t.Fatalf("%d tick records pooled or pending, want at most 2", pooled)
+	}
+}

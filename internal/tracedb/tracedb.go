@@ -6,6 +6,7 @@
 package tracedb
 
 import (
+	"slices"
 	"sort"
 
 	"firm/internal/ring"
@@ -97,26 +98,29 @@ func (s *Store) Select(q Query) []*trace.Trace {
 	return s.SelectAppend(nil, q)
 }
 
+// first returns the ring position of the oldest trace the Since bound admits.
+func (s *Store) first(q Query) int {
+	if q.Since <= 0 {
+		return 0
+	}
+	return sort.Search(s.Len(), func(i int) bool { return s.at(i).End >= q.Since })
+}
+
+// match reports whether t passes the query's type and drop filters.
+func (q Query) match(t *trace.Trace) bool {
+	return (q.Type == "" || t.Type == q.Type) && (!t.Dropped || q.IncludeDrop)
+}
+
 // SelectAppend appends the traces Select would return to dst and returns
 // the extended slice. Per-tick callers (the control loop's violated path)
 // pass a retained buffer re-sliced to length zero, so the selection reuses
 // one allocation for the life of the controller.
 func (s *Store) SelectAppend(dst []*trace.Trace, q Query) []*trace.Trace {
-	n := s.Len()
-	start := 0
-	if q.Since > 0 {
-		start = sort.Search(n, func(i int) bool { return s.at(i).End >= q.Since })
-	}
 	base := len(dst)
-	for i := start; i < n; i++ {
-		t := s.at(i)
-		if q.Type != "" && t.Type != q.Type {
-			continue
+	for i, n := s.first(q), s.Len(); i < n; i++ {
+		if t := s.at(i); q.match(t) {
+			dst = append(dst, t)
 		}
-		if t.Dropped && !q.IncludeDrop {
-			continue
-		}
-		dst = append(dst, t)
 	}
 	if matched := dst[base:]; q.Limit > 0 && len(matched) > q.Limit {
 		kept := copy(matched, matched[len(matched)-q.Limit:])
@@ -125,13 +129,23 @@ func (s *Store) SelectAppend(dst []*trace.Trace, q Query) []*trace.Trace {
 	return dst
 }
 
-// Latencies returns end-to-end latencies (ms) of matching traces.
+// Latencies returns end-to-end latencies (ms) of the traces Select would
+// return, in the same order. It reads them straight off the ring in one
+// pass, newest first — so a Limit ends the walk once it has matched — and
+// allocates only its result.
 func (s *Store) Latencies(q Query) []float64 {
-	ts := s.Select(q)
-	out := make([]float64, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, t.Latency().Millis())
+	lo, n := s.first(q), s.Len()
+	size := n - lo
+	if q.Limit > 0 && q.Limit < size {
+		size = q.Limit
 	}
+	out := make([]float64, 0, size)
+	for i := n - 1; i >= lo && len(out) < size; i-- {
+		if t := s.at(i); q.match(t) {
+			out = append(out, t.Latency().Millis())
+		}
+	}
+	slices.Reverse(out)
 	return out
 }
 

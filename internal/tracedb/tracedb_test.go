@@ -1,6 +1,7 @@
 package tracedb
 
 import (
+	"math"
 	"testing"
 
 	"firm/internal/sim"
@@ -147,4 +148,73 @@ func TestNewPanicsOnBadCap(t *testing.T) {
 		}
 	}()
 	New(0)
+}
+
+// TestLatenciesMatchSelect: Latencies reads the ring directly, with Select's
+// Since search, filters and Limit-keeps-newest rule — over wrapped rings,
+// duplicate End timestamps and limits below, at and above the match count —
+// and allocates only its result.
+func TestLatenciesMatchSelect(t *testing.T) {
+	s := New(16)
+	for i := 1; i <= 40; i++ {
+		typ := []string{"a", "b", "c"}[i%3]
+		s.Consume(&trace.Trace{ID: trace.TraceID(i), Type: typ, Start: sim.Time(i * 37 % 101), End: sim.Time(200 + (i/2)*100), Dropped: i%5 == 0})
+	}
+	for _, since := range []sim.Time{0, 1300, 1400, 1450, 5000} {
+		for _, typ := range []string{"", "a", "z"} {
+			for _, limit := range []int{0, 1, 3, 16, 40} {
+				for _, drop := range []bool{false, true} {
+					q := Query{Since: since, Type: typ, IncludeDrop: drop, Limit: limit}
+					checkLatencies(t, s, q)
+					if allocs := testing.AllocsPerRun(5, func() { s.Latencies(q) }); allocs > 1 {
+						t.Fatalf("%+v: %v allocs, want at most the result's", q, allocs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkLatencies fails unless Latencies(q) is the latencies of Select(q),
+// bit for bit and in order.
+func checkLatencies(t *testing.T, s *Store, q Query) {
+	t.Helper()
+	sel, got := s.Select(q), s.Latencies(q)
+	if len(got) != len(sel) {
+		t.Fatalf("%+v: %d latencies, Select has %d traces", q, len(got), len(sel))
+	}
+	for i, tr := range sel {
+		if want := tr.Latency().Millis(); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("%+v: latency %d = %v, Select's trace %d has %v", q, i, got[i], tr.ID, want)
+		}
+	}
+}
+
+// FuzzStoreQuery stores a mutated stream of traces — non-decreasing End, a
+// few types, some dropped, latencies of every size — in a small ring and
+// checks a mutated Query: Latencies must equal the latencies of Select, bit
+// for bit and in order.
+func FuzzStoreQuery(f *testing.F) {
+	f.Add(uint8(4), []byte{0, 9, 18, 0x20, 1, 0xc3, 7}, int16(0), uint8(0), false, int8(0))
+	f.Add(uint8(8), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, int16(3), uint8(1), true, int8(2))
+	f.Add(uint8(1), []byte{0xff, 0, 0x2a}, int16(-5), uint8(3), false, int8(-1))
+	f.Fuzz(func(t *testing.T, capacity uint8, stream []byte, since int16, typ uint8, includeDrop bool, limit int8) {
+		s := New(1 + int(capacity%32))
+		end := sim.Time(0)
+		for i, b := range stream {
+			end += sim.Time(b & 3) // 0 repeats the previous End
+			s.Consume(&trace.Trace{
+				ID:      trace.TraceID(i + 1),
+				Type:    string(rune('a' + b>>2&3)),
+				Start:   end - sim.Time(b>>5)*sim.Time(b)*977,
+				End:     end,
+				Dropped: b&0x10 != 0,
+			})
+		}
+		q := Query{Since: sim.Time(since), IncludeDrop: includeDrop, Limit: int(limit)}
+		if typ%6 < 5 {
+			q.Type = string(rune('a' + typ%6)) // "a".."e"; "e" matches nothing
+		}
+		checkLatencies(t, s, q)
+	})
 }

@@ -188,6 +188,11 @@ func (s *Spikes) MaxRate() float64 {
 // queues. Time-varying patterns are realized by Lewis–Shedler thinning
 // against Pattern.MaxRate; Constant patterns use the direct exponential
 // sampler (identical process, historical byte-exact arrival sequence).
+//
+// Everything the generator schedules — a Constant arrival, a thinned
+// candidate, an idle poll, a spike's expiry — is a genEvent: a pooled record
+// that is its own engine event and carries the epoch it was scheduled in, so
+// an arrival costs no closure and, once the pool is warm, no allocation.
 type Generator struct {
 	App     Target
 	Pattern Pattern
@@ -207,6 +212,9 @@ type Generator struct {
 	epoch     uint64
 	stopped   bool
 	Submitted uint64
+	// free recycles fired events; it holds at most the most events ever
+	// pending at once (the live one plus stale ones and spike expiries).
+	free []*genEvent
 }
 
 // Target is the submission surface a generator drives: the single-engine
@@ -238,15 +246,18 @@ func (g *Generator) Start() {
 func (g *Generator) Stop() { g.stopped = true }
 
 // Spike multiplies the arrival rate by (1+factor) for d — the Table 5
-// "workload variation" anomaly. Spikes stack multiplicatively.
-func (g *Generator) Spike(factor float64, d sim.Time) {
+// "workload variation" anomaly. Spikes stack multiplicatively. A factor of
+// -1 or below, NaN or ±Inf would zero or poison the multiplier (and a
+// zero's expiry divides by it): Spike rejects it and changes nothing.
+func (g *Generator) Spike(factor float64, d sim.Time) error {
+	if !(factor > -1) || math.IsInf(factor, 1) { // NaN fails the comparison
+		return fmt.Errorf("workload: spike factor must be finite and > -1, got %g", factor)
+	}
 	mul := 1 + factor
 	g.spikeMul *= mul
 	g.rearm()
-	g.eng.Schedule(d, func() {
-		g.spikeMul /= mul
-		g.rearm()
-	})
+	g.schedule(d, spikeEnd, 0, mul)
+	return nil
 }
 
 // rearm re-anchors the thinning envelope after the rate multiplier changes.
@@ -269,38 +280,90 @@ func (g *Generator) rearm() {
 // its pattern for the rate coming back.
 const idlePoll = 100 * sim.Millisecond
 
+// genKind is what a genEvent does when it fires.
+type genKind uint8
+
+const (
+	arrival   genKind = iota // a Constant pattern's next request
+	candidate                // a thinning proposal, accepted with p = rate/bound
+	idle                     // a zero-bound generator re-checking its pattern
+	spikeEnd                 // a Spike's expiry: divide its multiplier back out
+)
+
+// genEvent is one scheduled generator event. The first three kinds are
+// no-ops once stale — the generator stopped or its epoch moved on since they
+// were scheduled; a spike's expiry always runs.
+type genEvent struct {
+	g     *Generator
+	epoch uint64
+	bound float64 // candidate: the envelope it was drawn at
+	mul   float64 // spikeEnd: the multiplier to divide out
+	kind  genKind
+}
+
+// schedule fires a pooled event of the given kind after delay, stamped with
+// the current epoch.
+//
+//firmvet:noalloc
+func (g *Generator) schedule(delay sim.Time, kind genKind, bound, mul float64) {
+	var e *genEvent
+	if n := len(g.free); n > 0 {
+		e = g.free[n-1]
+		g.free[n-1] = nil
+		g.free = g.free[:n-1]
+	} else {
+		//firmvet:allow noalloc -- freelist warm-up miss; a generator allocates one record per event it has pending at once, then recycles them
+		e = &genEvent{g: g}
+	}
+	e.epoch, e.kind, e.bound, e.mul = g.epoch, kind, bound, mul
+	g.eng.ScheduleAction(delay, e)
+}
+
+// Fire implements sim.Action. The record goes back to the pool before it
+// acts: acting schedules the generator's next event, which reuses it.
+//
+//firmvet:noalloc
+func (e *genEvent) Fire() {
+	g, ev := e.g, *e
+	g.free = append(g.free, e)
+	if ev.kind == spikeEnd {
+		g.spikeMul /= ev.mul
+		g.rearm()
+		return
+	}
+	if g.stopped || ev.epoch != g.epoch {
+		return
+	}
+	switch ev.kind {
+	case arrival:
+		g.fire()
+	case candidate:
+		// Thinning: accept the candidate with probability rate/bound. The
+		// uniform draw is consumed unconditionally so the RNG stream stays
+		// aligned regardless of the accept/reject outcome.
+		rate := g.Pattern.Rate(g.eng.Now()) * g.spikeMul
+		if u := g.rng.Float64(); u*ev.bound < rate {
+			g.fire()
+		}
+	}
+	g.scheduleNext()
+}
+
 func (g *Generator) scheduleNext() {
 	if c, ok := g.Pattern.(Constant); ok {
 		g.scheduleConstant(c)
 		return
 	}
-	epoch := g.epoch
 	bound := g.Pattern.MaxRate() * g.spikeMul
 	if !(bound > 0) || math.IsInf(bound, 1) { // zero, negative, NaN, or +Inf: idle until the pattern wakes
-		g.eng.Schedule(idlePoll, func() {
-			if !g.stopped && epoch == g.epoch {
-				g.scheduleNext()
-			}
-		})
+		g.schedule(idlePoll, idle, 0, 0)
 		return
 	}
 	gap := sim.Exponential(g.rng, sim.FromSeconds(1/bound))
 	if gap < 1 {
 		gap = 1
 	}
-	g.eng.Schedule(gap, func() {
-		if g.stopped || epoch != g.epoch {
-			return
-		}
-		// Thinning: accept the candidate with probability rate/bound. The
-		// uniform draw is consumed unconditionally so the RNG stream stays
-		// aligned regardless of the accept/reject outcome.
-		rate := g.Pattern.Rate(g.eng.Now()) * g.spikeMul
-		if u := g.rng.Float64(); u*bound < rate {
-			g.fire()
-		}
-		g.scheduleNext()
-	})
+	g.schedule(gap, candidate, bound, 0)
 }
 
 // scheduleConstant is the pre-thinning sampler, exact for a fixed rate: the
@@ -308,32 +371,21 @@ func (g *Generator) scheduleNext() {
 // rate once per gap, which for the constant patterns it is restricted to
 // only matters across Spike boundaries — where it reproduces the historical
 // (golden-pinned) behavior of applying the new multiplier one arrival late.
+// The arrival carries the epoch, so a Stop/Start (or second Start) before it
+// fires does not leave it running next to the new chain; rearm never bumps
+// the epoch for a Constant, so Spike keeps the scheduled arrival as before.
 func (g *Generator) scheduleConstant(c Constant) {
-	// A Stop/Start (or second Start) before the pending arrival fires must
-	// not leave it running next to the new chain; rearm never bumps the
-	// epoch for a Constant, so Spike keeps the scheduled arrival as before.
-	epoch := g.epoch
 	rate := c.Rate(g.eng.Now()) * g.spikeMul
 	if rate <= 0 {
 		// Idle: poll again shortly for the pattern to come back.
-		g.eng.Schedule(idlePoll, func() {
-			if !g.stopped && epoch == g.epoch {
-				g.scheduleNext()
-			}
-		})
+		g.schedule(idlePoll, idle, 0, 0)
 		return
 	}
 	gap := sim.Exponential(g.rng, sim.FromSeconds(1/rate))
 	if gap < 1 {
 		gap = 1
 	}
-	g.eng.Schedule(gap, func() {
-		if g.stopped || epoch != g.epoch {
-			return
-		}
-		g.fire()
-		g.scheduleNext()
-	})
+	g.schedule(gap, arrival, 0, 0)
 }
 
 func (g *Generator) fire() {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"firm/internal/app"
@@ -392,13 +393,90 @@ func TestGeneratorSpike(t *testing.T) {
 	g.Start()
 	eng.RunUntil(10 * sim.Second)
 	base := g.Submitted
-	g.Spike(3, 10*sim.Second) // 4x rate for 10s
+	if err := g.Spike(3, 10*sim.Second); err != nil { // 4x rate for 10s
+		t.Fatal(err)
+	}
 	eng.RunUntil(20 * sim.Second)
 	spiked := g.Submitted - base
 	eng.RunUntil(30 * sim.Second)
 	recovered := g.Submitted - base - spiked
 	if float64(spiked) < 2.5*float64(recovered) {
 		t.Fatalf("spike window %d vs recovered %d: spike not applied", spiked, recovered)
+	}
+}
+
+// TestGeneratorSpikeRejectsDegenerateFactor: a factor of -1 or below, NaN or
+// ±Inf would zero or poison the rate multiplier — at -1 the Constant path
+// used to draw 1 µs gaps (≈ a million submissions in the next second at
+// 100 rps) and the thinned path to idle forever. Spike rejects such a factor
+// and changes nothing, on both paths; -0.5 still halves the rate and then
+// restores it.
+func TestGeneratorSpikeRejectsDegenerateFactor(t *testing.T) {
+	for _, p := range []Pattern{Constant{RPS: 100}, Ramp{From: 100, To: 100, Duration: sim.Second}} {
+		for _, tc := range []struct {
+			factor float64
+			ok     bool
+			during float64 // multiplier while the spike lasts
+		}{
+			{-1, false, 1}, {-2, false, 1}, {math.NaN(), false, 1}, {math.Inf(1), false, 1}, {math.Inf(-1), false, 1},
+			{-0.5, true, 0.5},
+		} {
+			eng, a := newApp(t)
+			g := NewGenerator(a, p, nil, 6)
+			g.Start()
+			eng.RunUntil(10 * sim.Second)
+			before := g.Submitted
+			err := g.Spike(tc.factor, 10*sim.Second)
+			if (err == nil) != tc.ok || g.spikeMul != tc.during {
+				t.Fatalf("%T: Spike(%v): err=%v multiplier %v; want ok=%v multiplier %v", p, tc.factor, err, g.spikeMul, tc.ok, tc.during)
+			}
+			eng.RunUntil(20 * sim.Second)
+			if got, want := float64(g.Submitted-before)/10, 100*tc.during; math.Abs(got-want) > 0.2*want {
+				t.Fatalf("%T: Spike(%v): %v req/s during the spike, want ≈%v", p, tc.factor, got, want)
+			}
+			if g.spikeMul != 1 {
+				t.Fatalf("%T: Spike(%v): multiplier %v after the spike, want 1", p, tc.factor, g.spikeMul)
+			}
+		}
+	}
+}
+
+// countingTarget admits every request and does nothing else: what a
+// generator allocates against it is its own.
+type countingTarget struct{ eng *sim.Engine }
+
+func (c countingTarget) Engine() *sim.Engine { return c.eng }
+func (c countingTarget) SubmitMix(r *rand.Rand, _ func(app.Result)) (string, error) {
+	r.Float64() // the endpoint draw a real app makes
+	return "get", nil
+}
+
+// TestGeneratorWarmEventsAllocateNothing: every generator event — Constant
+// arrivals, thinned candidates, a spike's expiry — is a pooled record, so a
+// warm generator allocates nothing per event, and the pool holds only the
+// most events ever pending at once.
+func TestGeneratorWarmEventsAllocateNothing(t *testing.T) {
+	for _, p := range []Pattern{Constant{RPS: 1000}, Diurnal{Base: 800, Amplitude: 400, Period: sim.Second}} {
+		eng := sim.NewEngine(1)
+		g := NewGenerator(countingTarget{eng}, p, nil, 3)
+		g.Start()
+		spike := func() {
+			if err := g.Spike(1, 50*sim.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			eng.RunFor(100 * sim.Millisecond)
+		}
+		spike() // warm: the event pool and the engine's event records
+		before := g.Submitted
+		if allocs := testing.AllocsPerRun(20, spike); allocs != 0 {
+			t.Fatalf("%T: %v allocs per 100 ms of arrivals, want 0", p, allocs)
+		}
+		if g.Submitted-before < 20*100 {
+			t.Fatalf("%T: %d arrivals in 2.1 s, want ≥ 2000", p, g.Submitted-before)
+		}
+		if n := len(g.free) + eng.Pending(); n > 4 {
+			t.Fatalf("%T: %d generator events pooled or pending, want at most a few", p, n)
+		}
 	}
 }
 
@@ -411,7 +489,9 @@ func TestGeneratorSpikeOnThinnedPattern(t *testing.T) {
 	g.Start()
 	eng.RunUntil(10 * sim.Second)
 	base := g.Submitted
-	g.Spike(3, 10*sim.Second) // 4x rate for 10s
+	if err := g.Spike(3, 10*sim.Second); err != nil { // 4x rate for 10s
+		t.Fatal(err)
+	}
 	eng.RunUntil(20 * sim.Second)
 	spiked := g.Submitted - base
 	eng.RunUntil(30 * sim.Second)
