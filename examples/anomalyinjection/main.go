@@ -23,6 +23,8 @@ func main() {
 		Seed:      3,
 		Spec:      topology.MediaService(),
 		SLOMargin: 1.6,
+		// Each anomaly is localized over 2 s before it and the 7 s it runs.
+		TraceWindow: 9 * sim.Second,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -26,7 +26,7 @@ func harness(t *testing.T, spec *topology.Spec, seed int64) (*sim.Engine, *App, 
 	for i := 0; i < 4; i++ {
 		cl.AddNode(cluster.XeonProfile)
 	}
-	db := tracedb.New(10000)
+	db := tracedb.New(tracedb.Forever, 0)
 	coord := trace.NewCoordinator(eng, db, cl)
 	a, err := Deploy(eng, cl, spec, coord)
 	if err != nil {
@@ -387,7 +387,7 @@ func TestRetriedRootKeepsOneRoot(t *testing.T) {
 	cfg.QueueCap = 1 // svc-a: two workers and one queue slot, so a burst of six sheds three
 	cl := cluster.New(eng, cfg)
 	cl.AddNode(cluster.XeonProfile)
-	db := tracedb.New(100)
+	db := tracedb.New(tracedb.Forever, 0)
 	a, err := Deploy(eng, cl, twoTierSpec(), trace.NewCoordinator(eng, db, cl))
 	if err != nil {
 		t.Fatal(err)

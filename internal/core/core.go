@@ -417,10 +417,16 @@ type Controller struct {
 	RewardObserved uint64
 }
 
-// New wires a FIRM controller.
+// New wires a FIRM controller. It panics unless db keeps full traces for
+// Window + Interval: the monitor and localizer hold Window of them, and the
+// store moves on for up to an Interval before they advance, so a shorter
+// store would evict traces they still hold.
 func New(cfg Config, a *app.App, db *tracedb.Store, col *telemetry.Collector,
 	meter *telemetry.Meter, dep *deploy.Module, ext *detect.Extractor,
 	prov AgentProvider) *Controller {
+	if need := Window + Interval; db.Window() < need {
+		panic(fmt.Sprintf("core: the trace store keeps %v of traces, the controller reads %v", db.Window(), need))
+	}
 	c := &Controller{
 		cfg: cfg, eng: a.Engine(), app: a, db: db, col: col, meter: meter,
 		dep: dep, prov: prov,
@@ -442,6 +448,10 @@ func (c *Controller) Start() { c.ticker.Start() }
 // Monitor returns the controller's incremental tail-latency window
 // (read-only: perf accounting and tests).
 func (c *Controller) Monitor() *detect.Monitor { return c.mon }
+
+// Localizer returns the controller's incremental localizer, for tests that
+// compare its Candidates.
+func (c *Controller) Localizer() *detect.Localizer { return c.loc }
 
 // ResetEpisode clears per-episode accumulators and flushes pending
 // transitions as terminal (used between RL training episodes).

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"firm/internal/rl"
 	"firm/internal/sim"
 	"firm/internal/topology"
+	"firm/internal/tracedb"
 	"firm/internal/workload"
 )
 
@@ -396,4 +398,81 @@ func TestFreshPolicyServicesInitConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestNewPanicsOnShortTraceWindow: the controller's monitor and localizer
+// hold Window of traces and advance once per Interval, so a trace store
+// that keeps less than Window + Interval would evict traces they still
+// hold; core.New refuses one.
+func TestNewPanicsOnShortTraceWindow(t *testing.T) {
+	b, err := harness.New(harness.Options{
+		Seed: 1, Spec: topology.HotelReservation(),
+		TraceWindow: core.Window + core.Interval - sim.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("core.New accepted a trace store shorter than Window + Interval")
+		}
+	}()
+	core.New(core.DefaultConfig(), b.App, b.DB, b.Col, b.Meter, b.Deploy, nil, harness.SharedAgent(1))
+}
+
+// TestTraceWindowInvisibleToController runs one anomaly campaign with the
+// controller attached twice: on the default trace store, which keeps
+// Window + Interval of full traces above a floor, and on one that keeps
+// every trace. Every second, the controller's monitor (P99, drops) and
+// localizer (Candidates) must be bit-identical across the two. At 800 rps
+// the controller's window holds more traces than harness's 1,024-trace
+// floor, so the window, not the floor, decides what the store keeps.
+func TestTraceWindowInvisibleToController(t *testing.T) {
+	ext := harness.NewExtractor(6)
+	run := func(window sim.Time) (*harness.Bench, *core.Controller) {
+		b, err := harness.New(harness.Options{Seed: 6, Spec: topology.HotelReservation(), SLOMargin: 1.6, TraceWindow: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.AttachWorkload(workload.Constant{RPS: 800})
+		ctl := b.AttachFIRM(core.DefaultConfig(), harness.SharedAgent(6), ext)
+		injector.DefaultCampaign(b.Injector, b.Containers()).Start()
+		return b, ctl
+	}
+	wb, wc := run(0)
+	ub, uc := run(tracedb.Forever)
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+	}
+	candidates, held := 0, 0
+	for sec := 1; sec <= 40; sec++ {
+		wb.Eng.RunFor(sim.Second)
+		ub.Eng.RunFor(sim.Second)
+		wm, um := wc.Monitor(), uc.Monitor()
+		if !same(wm.P99(), um.P99()) || wm.Drops() != um.Drops() || wm.Len() != um.Len() {
+			t.Fatalf("second %d: monitor P99/drops/len %v/%d/%d, unbounded store %v/%d/%d",
+				sec, wm.P99(), wm.Drops(), wm.Len(), um.P99(), um.Drops(), um.Len())
+		}
+		wl, ul := wc.Localizer().Candidates(), uc.Localizer().Candidates()
+		if len(wl) != len(ul) {
+			t.Fatalf("second %d: %d candidates, unbounded store %d", sec, len(wl), len(ul))
+		}
+		for i := range wl {
+			w, u := wl[i], ul[i]
+			if w.Instance != u.Instance || w.Service != u.Service || w.Critical != u.Critical ||
+				!same(w.RI, u.RI) || !same(w.CI, u.CI) || !same(w.Score, u.Score) {
+				t.Fatalf("second %d candidate %d: %+v, unbounded store %+v", sec, i, w, u)
+			}
+		}
+		candidates += len(wl)
+		held = max(held, wm.Len())
+	}
+	if wb.DB.Len() >= ub.DB.Len() || held <= 1024 || candidates == 0 || wc.Actions == 0 {
+		t.Fatalf("vacuous: kept %d of %d traces, the monitor at most %d, %d candidates, %d actions",
+			wb.DB.Len(), ub.DB.Len(), held, candidates, wc.Actions)
+	}
+	if wc.Actions != uc.Actions || wb.App.Completed != ub.App.Completed || wb.Eng.Steps() != ub.Eng.Steps() {
+		t.Fatalf("runs diverged: actions %d/%d, completed %d/%d, steps %d/%d",
+			wc.Actions, uc.Actions, wb.App.Completed, ub.App.Completed, wb.Eng.Steps(), ub.Eng.Steps())
+	}
 }

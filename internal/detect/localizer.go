@@ -140,8 +140,8 @@ func (l *Localizer) TraceStored(t *trace.Trace) {
 	*l.entries.Push() = locEntry{t: t}
 }
 
-// TraceEvicted implements tracedb.Observer: the store's ring dropped its
-// oldest trace. Evictions arrive in consume order, so the only candidate is
+// TraceEvicted implements tracedb.Observer: the store evicted its oldest
+// trace. Evictions arrive in consume order, so the only candidate is
 // our front entry (dropped traces were never tracked and simply miss).
 func (l *Localizer) TraceEvicted(t *trace.Trace) {
 	if l.entries.Len() > 0 && l.entries.At(0).t == t {

@@ -152,19 +152,19 @@ func TestIDKeyedCandidatesMatchStringKeyedOracle(t *testing.T) {
 	e := newExtractor(t)
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		db := tracedb.New(64)
+		store := newStorePair(0, 64)
 		loc := NewLocalizer(e, 4)
-		db.Observe(loc)
+		store.db.Observe(loc)
 		now := sim.Time(0)
 		for i := 0; i < 150; i++ {
 			now += sim.Time(5+r.Intn(40)) * sim.Millisecond
-			db.Consume(streamTrace(i, now, r))
+			store.Consume(streamTrace(i, now, r))
 			if i%10 != 9 {
 				continue
 			}
 			since := now - 2*sim.Second
 			loc.Advance(since)
-			window := db.Select(tracedb.Query{Since: since, IncludeDrop: true})
+			window := store.held(since)
 			want := stringKeyedFeatures(e.cfg, window)
 			for which, got := range [][]Candidate{loc.Candidates(), e.Features(window)} {
 				if len(got) != len(want) {
@@ -192,10 +192,11 @@ func sameCand(a, b Candidate) bool {
 }
 
 // TestLocalizerMatchesBatchCandidates streams randomized span-bearing
-// traces through a tracedb ring — a small one, forcing ring evictions as
-// well as time expiry, and one the window never fills — and pins the
-// incremental Candidates against the batch Extractor.Candidates over a fresh
-// Select at every step — field-for-field, bit-for-bit. This is the
+// traces through a trace store — one that keeps only the newest 48,
+// evicting traces the localizer holds as well as time expiry, and one that
+// keeps the localizer's window and a tick more — and pins the incremental
+// Candidates against the batch Extractor.Candidates over the traces it
+// should hold at every step — field-for-field, bit-for-bit. This is the
 // invariant that lets the controller's violated tick run incrementally
 // without changing a byte of campaign output. Arrivals alternate between a
 // trickle and a burst, so the trace queue and the observation log drain to
@@ -204,10 +205,9 @@ func TestLocalizerMatchesBatchCandidates(t *testing.T) {
 	const window = 2 * sim.Second
 	e := newExtractor(t)
 	for seed := int64(17); seed < 23; seed++ {
-		ringCap := []int{500, 48}[seed%2]
-		db := tracedb.New(ringCap)
+		store := []storePair{newStorePair(window+sim.Second, 0), newStorePair(0, 48)}[seed%2]
 		loc := NewLocalizer(e, 4)
-		db.Observe(loc)
+		store.db.Observe(loc)
 
 		r := rand.New(rand.NewSource(seed))
 		now := sim.Time(0)
@@ -218,7 +218,7 @@ func TestLocalizerMatchesBatchCandidates(t *testing.T) {
 				gap = 150 + r.Intn(300)
 			}
 			now += sim.Time(gap) * sim.Millisecond
-			db.Consume(streamTrace(i, now, r))
+			store.Consume(streamTrace(i, now, r))
 
 			since := now - window
 			loc.Advance(since)
@@ -228,7 +228,7 @@ func TestLocalizerMatchesBatchCandidates(t *testing.T) {
 				continue
 			}
 			checked++
-			batch := db.Select(tracedb.Query{Since: since, IncludeDrop: true})
+			batch := store.held(since)
 			want := e.Candidates(batch)
 			got := loc.Candidates()
 			if len(got) != len(want) {
@@ -250,18 +250,18 @@ func TestLocalizerMatchesBatchCandidates(t *testing.T) {
 // started must converge to the same state as a fresh Select.
 func TestLocalizerObserveReplaysExistingTraces(t *testing.T) {
 	e := newExtractor(t)
-	db := tracedb.New(64)
+	store := newStorePair(0, 64)
 	r := rand.New(rand.NewSource(23))
 	now := sim.Time(0)
 	for i := 0; i < 100; i++ {
 		now += sim.Time(10+r.Intn(20)) * sim.Millisecond
-		db.Consume(streamTrace(i, now, r))
+		store.Consume(streamTrace(i, now, r))
 	}
 	loc := NewLocalizer(e, 4)
-	db.Observe(loc)
+	store.db.Observe(loc)
 	since := now - 2*sim.Second
 	loc.Advance(since)
-	batch := db.Select(tracedb.Query{Since: since, IncludeDrop: true})
+	batch := store.held(since)
 	want := e.Candidates(batch)
 	got := loc.Candidates()
 	if len(got) != len(want) {
@@ -279,7 +279,7 @@ func TestLocalizerObserveReplaysExistingTraces(t *testing.T) {
 // advance + Candidates tick allocates nothing.
 func TestLocalizerSteadyStateAllocFree(t *testing.T) {
 	e := newExtractor(t)
-	db := tracedb.New(256)
+	db := tracedb.New(0, 256)
 	loc := NewLocalizer(e, 4)
 	db.Observe(loc)
 	r := rand.New(rand.NewSource(29))
@@ -302,7 +302,7 @@ func TestLocalizerSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// evictTally is a Localizer as a tracedb observer that also counts the ring
+// evictTally is a Localizer as a tracedb observer that also counts the store
 // evictions that reach it, by whether the evicted entry had been processed.
 type evictTally struct {
 	*Localizer
@@ -361,7 +361,7 @@ func checkLog(t *testing.T, l *Localizer, where string) {
 // way every training episode does, on a randomised stream: store size,
 // window and how often Candidates runs vary by episode, so entries leave
 // the window processed and unprocessed, by expiry (Advance) and by the
-// store's ring (TraceEvicted), while the shared observation ring grows from
+// store (TraceEvicted), while the shared observation ring grows from
 // empty. After every Advance the localizer holds exactly the window's
 // traces; after every Candidates it matches the batch path bit for bit, and
 // the observation ring holds exactly the processed entries' observations.
@@ -370,15 +370,15 @@ func TestLocalizerEpisodesMatchBatch(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	var ringProcessed, ringUnprocessed, expiredProcessed, expiredUnprocessed int
 	for ep := 0; ep < 40; ep++ {
-		db := tracedb.New([]int{12, 40, 400}[r.Intn(3)])
+		store := newStorePair(0, []int{12, 40, 400}[r.Intn(3)])
 		loc := &evictTally{Localizer: NewLocalizer(e, 1)}
-		db.Observe(loc)
+		store.db.Observe(loc)
 		window := sim.Time(300+r.Intn(2500)) * sim.Millisecond
 		every := 1 + r.Intn(12)
 		now := sim.Time(0)
 		for i := 0; i < 150+r.Intn(150); i++ {
 			now += sim.Time(2+r.Intn(60)) * sim.Millisecond
-			db.Consume(streamTrace(i, now, r))
+			store.Consume(streamTrace(i, now, r))
 
 			since := now - window
 			for k := 0; k < loc.entries.Len() && loc.entries.At(k).t.End < since; k++ {
@@ -389,7 +389,7 @@ func TestLocalizerEpisodesMatchBatch(t *testing.T) {
 				}
 			}
 			loc.Advance(since)
-			batch := db.Select(tracedb.Query{Since: since, IncludeDrop: true})
+			batch := store.held(since)
 			inWindow := 0
 			for _, tr := range batch {
 				if !tr.Dropped {

@@ -33,7 +33,7 @@ type Monitor struct {
 }
 
 // monEntry remembers what was added for one trace, so eviction removes
-// exactly the same observation. The trace pointer is identity for ring
+// exactly the same observation. The trace pointer is identity for store
 // evictions.
 type monEntry struct {
 	t       *trace.Trace
@@ -60,9 +60,10 @@ func (m *Monitor) TraceStored(t *trace.Trace) {
 	*m.entries.Push() = e
 }
 
-// TraceEvicted implements tracedb.Observer: the store's ring dropped its
-// oldest trace. The ring evicts in consume order, so the only candidate is
-// our front entry; anything older was already expired by Advance.
+// TraceEvicted implements tracedb.Observer: the store evicted its oldest
+// trace. The store evicts in consume order, so the only candidate is our
+// front entry; anything older was already expired by Advance. Popping it
+// drops our reference before the store recycles the trace.
 func (m *Monitor) TraceEvicted(t *trace.Trace) {
 	if m.entries.Len() > 0 && m.entries.At(0).t == t {
 		m.pop()

@@ -11,11 +11,32 @@ import (
 	"firm/internal/tracedb"
 )
 
+// storePair feeds one stream to db, a store under test, and to ref, an
+// unbounded one. held is the batch oracle for db's observers: what one
+// holds after Advance(since) — the traces db still keeps that ended at or
+// after since — read from ref, which db may have evicted from.
+type storePair struct{ db, ref *tracedb.Store }
+
+func newStorePair(window sim.Time, floor int) storePair {
+	return storePair{tracedb.New(window, floor), tracedb.New(tracedb.Forever, 0)}
+}
+
+func (p storePair) Consume(t *trace.Trace) {
+	p.db.Consume(t)
+	p.ref.Consume(t)
+}
+
+func (p storePair) held(since sim.Time) []*trace.Trace {
+	all := p.ref.Select(tracedb.Query{Since: since, IncludeDrop: true})
+	return all[len(all)-min(len(all), p.db.Len()):]
+}
+
 // TestMonitorMatchesBatchWindow feeds randomized trace streams through a
-// tracedb ring — a small one, so ring evictions fire and not just time
-// expiry, and one the window never fills — and checks at every step that
-// the Monitor's violated/P99 answers are bit-identical to the batch path
-// over a fresh Select — the invariant the controller's
+// trace store — one that keeps only the newest 64, so evictions reach
+// traces the monitor holds and not just time expiry, and one that keeps
+// the monitor's window and a tick more — and checks at every step that the
+// Monitor's violated/P99 answers are bit-identical to the batch path over
+// the traces it should hold — the invariant the controller's
 // byte-identical-output guarantee rests on. Arrivals alternate between a
 // trickle and a burst, so the monitor's queue drains to a few entries, its
 // head moving round the ring, and then outgrows the ring from wherever the
@@ -26,9 +47,9 @@ func TestMonitorMatchesBatchWindow(t *testing.T) {
 		slo    = 40 * sim.Millisecond
 	)
 	for seed := int64(11); seed < 17; seed++ {
-		ringCap := []int{64, 500}[seed%2]
+		store := []storePair{newStorePair(0, 64), newStorePair(window+sim.Second, 0)}[seed%2]
+		db := store.db
 		r := rand.New(rand.NewSource(seed))
-		db := tracedb.New(ringCap)
 		m := NewMonitor(4)
 		db.Observe(m)
 
@@ -47,11 +68,11 @@ func TestMonitorMatchesBatchWindow(t *testing.T) {
 				End:     now,
 				Dropped: r.Intn(12) == 0,
 			}
-			db.Consume(tr)
+			store.Consume(tr)
 
 			since := now - window
 			m.Advance(since)
-			batch := db.Select(tracedb.Query{Since: since, IncludeDrop: true})
+			batch := store.held(since)
 			if got, want := m.Violated(slo), Violated(batch, slo); got != want {
 				t.Fatalf("seed %d step %d: Violated=%v, batch %v", seed, i, got, want)
 			}
@@ -83,8 +104,8 @@ func TestMonitorMatchesBatchWindow(t *testing.T) {
 // started must see the same window as a fresh Select (controllers can
 // attach mid-run).
 func TestMonitorObserveReplaysExistingTraces(t *testing.T) {
-	db := tracedb.New(8)
-	for i := 1; i <= 12; i++ { // wraps the ring: only the last 8 remain
+	db := tracedb.New(0, 8)
+	for i := 1; i <= 12; i++ { // only the last 8 remain
 		db.Consume(&trace.Trace{
 			ID:    trace.TraceID(i),
 			Start: sim.Time(i) * sim.Second,
@@ -106,7 +127,7 @@ func TestMonitorObserveReplaysExistingTraces(t *testing.T) {
 // measure — must not allocate once the queue and the window reach their
 // working-set size.
 func TestMonitorSteadyStateAllocFree(t *testing.T) {
-	db := tracedb.New(256)
+	db := tracedb.New(0, 256)
 	m := NewMonitor(4)
 	db.Observe(m)
 	traces := make([]trace.Trace, 512)

@@ -224,6 +224,7 @@ func table1Reduce(_ Scale, _ int64, _ noInput, rows []table1Row) (*Table1Result,
 func table1Run(victim string, seed int64, dur sim.Time) (table1Row, error) {
 	b, err := harness.New(harness.Options{
 		Seed: seed, Spec: topology.SocialNetwork(), SLOMargin: 1.6,
+		TraceWindow: dur, // every trace of the run is read at its end
 	})
 	if err != nil {
 		return table1Row{}, err
@@ -370,6 +371,7 @@ func fig3Reduce(_ Scale, _ int64, _ noInput, rows []Fig3Row) (*Fig3Result, error
 func fig3Run(spec *topology.Spec, seed int64, dur sim.Time) (Fig3Row, error) {
 	b, err := harness.New(harness.Options{
 		Seed: seed, Spec: spec, SLOMargin: 1.6,
+		TraceWindow: dur, // every trace of the run is read at its end
 	})
 	if err != nil {
 		return Fig3Row{}, err
@@ -471,6 +473,7 @@ type fig4ArmStats struct {
 func fig4Arm(seed int64, dur sim.Time, scale string) (fig4ArmStats, error) {
 	b, err := harness.New(harness.Options{
 		Seed: seed, Spec: topology.SocialNetwork(), SLOMargin: 1.6,
+		TraceWindow: dur, // every trace of the run is read at its end
 	})
 	if err != nil {
 		return fig4ArmStats{}, err

@@ -45,7 +45,10 @@ type Fig9aResult struct {
 func collectAnomalyEvents(spec *topology.Spec, seed int64, kind injector.Kind,
 	events int, ext *detect.Extractor) ([]labelledSample, error) {
 
-	b, err := harness.New(harness.Options{Seed: seed, Spec: spec, SLOMargin: 1.6})
+	// Each event is scored over a 2 s pre-injection baseline, the
+	// injection and the second after it.
+	injDur := 6 * sim.Second
+	b, err := harness.New(harness.Options{Seed: seed, Spec: spec, SLOMargin: 1.6, TraceWindow: 2*sim.Second + injDur + sim.Second})
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +56,6 @@ func collectAnomalyEvents(spec *topology.Spec, seed int64, kind injector.Kind,
 	targets := b.Containers()
 	r := sim.Stream(seed, "fig9a-events")
 	var samples []labelledSample
-	injDur := 6 * sim.Second
 	for ev := 0; ev < events; ev++ {
 		b.Eng.RunFor(3 * sim.Second) // calm period between events
 		t0 := b.Eng.Now()
@@ -332,7 +334,9 @@ func repeatProfile(p cluster.HardwareProfile, n int) []cluster.HardwareProfile {
 // window, every anomaly type is active with a random intensity on a random
 // target; accuracy is the fraction of correct per-instance binary decisions.
 func fig9bRun(spec *topology.Spec, seed int64, nodes []cluster.HardwareProfile, windows int) (float64, error) {
-	b, err := harness.New(harness.Options{Seed: seed, Spec: spec, SLOMargin: 1.6, Nodes: nodes})
+	// Each window's traces are read at its end.
+	windowLen := 10 * sim.Second
+	b, err := harness.New(harness.Options{Seed: seed, Spec: spec, SLOMargin: 1.6, Nodes: nodes, TraceWindow: windowLen})
 	if err != nil {
 		return 0, err
 	}
@@ -343,7 +347,6 @@ func fig9bRun(spec *topology.Spec, seed int64, nodes []cluster.HardwareProfile, 
 
 	// Warm-up + training phase: labelled windows are harvested, then the
 	// incremental SVM is fitted over them before the scored phase.
-	windowLen := 10 * sim.Second
 	var trainSamples []labelledSample
 	var correct, total int
 	runWindow := func(train bool) {

@@ -473,6 +473,13 @@ func fig11bReduce(_ Scale, _ int64, cp checkpoints, mts []float64) (*Fig11bResul
 // policy that never mitigates scores the full duration.
 const mitigationMaxDur = 25 * sim.Second
 
+// The mitigation protocol samples for violations every mitigationSample,
+// over the traces of the last mitigationWindow.
+const (
+	mitigationWindow = 2 * sim.Second
+	mitigationSample = 500 * sim.Millisecond
+)
+
 // measureMitigation runs the §4.3 evaluation protocol: sustained anomalies
 // are injected one at a time and the time from SLO-violation onset to
 // clearance is measured per event. attach installs the policy under test on
@@ -507,9 +514,14 @@ func measureMitigation(spec *topology.Spec, seed int64, events int,
 		return out
 	}
 	var times []float64
-	// The 500ms violation sampler below reuses one incremental window per
-	// bench instead of re-selecting and sorting 2s of traces each sample;
-	// Monitor.Violated is bit-identical to the batch detect.Violated.
+	// The violation sampler below reuses one incremental window per bench
+	// instead of re-selecting and sorting mitigationWindow of traces each
+	// sample; Monitor.Violated is bit-identical to the batch
+	// detect.Violated. The store must keep what the monitor holds until its
+	// next advance.
+	if need := mitigationWindow + mitigationSample; b.DB.Window() < need {
+		panic(fmt.Sprintf("experiments: the trace store keeps %v of traces, the mitigation monitor reads %v", b.DB.Window(), need))
+	}
 	mon := detect.NewMonitor(256)
 	b.DB.Observe(mon)
 	for ev := 0; ev < events; ev++ {
@@ -532,8 +544,8 @@ func measureMitigation(spec *topology.Spec, seed int64, events int,
 		violStreak := 0
 		firstViol := sim.Time(-1)
 		for b.Eng.Now() < deadline {
-			b.Eng.RunFor(500 * sim.Millisecond)
-			mon.Advance(b.Eng.Now() - 2*sim.Second)
+			b.Eng.RunFor(mitigationSample)
+			mon.Advance(b.Eng.Now() - mitigationWindow)
 			v := mon.Violated(b.App.SLO)
 			if violStart < 0 {
 				// Confirmed onset: two consecutive violated samples (a

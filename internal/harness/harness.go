@@ -37,13 +37,25 @@ type Options struct {
 	SLOMargin float64
 	// CalibrationN requests per endpoint during SLO calibration.
 	CalibrationN int
+	// TraceWindow is how far back from the newest completed request the
+	// trace store keeps full traces (latencies it keeps for the whole run).
+	// Zero selects DefaultTraceWindow. A reader that selects traces further
+	// back than that declares its look-back here; the store panics on a
+	// query that reaches past what it kept.
+	TraceWindow sim.Time
 }
 
-// Fixed testbed parameters: the trace store's capacity, the telemetry
+// DefaultTraceWindow is what the FIRM controller reads: its monitor and
+// localizer look back core.Window, and advance once every core.Interval.
+const DefaultTraceWindow = core.Window + core.Interval
+
+// Fixed testbed parameters: the trace store's floor, the telemetry
 // collector's sampling interval and retention, and the workload meter's
 // window.
 const (
-	traceCap          = 200000
+	// traceFloor is how many of the newest traces the store keeps however
+	// long ago they ended, so a Limit <= traceFloor query is always exact.
+	traceFloor        = 1024
 	telemetryInterval = 250 * sim.Millisecond
 	// telemetryKeep is one sample per container and node: the testbed's only
 	// readers — the controller's flush and the RL state builder — read
@@ -88,12 +100,18 @@ func New(opts Options) (*Bench, error) {
 	if opts.Nodes == nil {
 		opts.Nodes = PaperNodes()
 	}
+	if opts.TraceWindow < 0 {
+		return nil, fmt.Errorf("harness: negative TraceWindow %v", opts.TraceWindow)
+	}
+	if opts.TraceWindow == 0 {
+		opts.TraceWindow = DefaultTraceWindow
+	}
 	eng := sim.NewEngine(opts.Seed)
 	cl := cluster.New(eng, cluster.DefaultConfig())
 	for _, prof := range opts.Nodes {
 		cl.AddNode(prof)
 	}
-	db := tracedb.New(traceCap)
+	db := tracedb.New(opts.TraceWindow, traceFloor)
 	coord := trace.NewCoordinator(eng, db, cl)
 	a, err := app.Deploy(eng, cl, opts.Spec, coord)
 	if err != nil {

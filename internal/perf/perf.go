@@ -51,8 +51,8 @@ type Benchmark struct {
 	Fn   func(b *testing.B)
 	// MaxAllocs is the entry's allocs/op ceiling — the committed
 	// perf-regression budget TestAllocBudgets enforces. The steady-state
-	// entries are budgeted at (near) zero; the five that allocate by design
-	// sit 1% above their best recorded run (73 / 2,994 / 4,762 / 47,623 / 22),
+	// entries are budgeted at (near) zero; the four that allocate by design
+	// sit 1% above their best recorded run (73 / 2,994 / 4,762 / 47,623),
 	// rounded up, which absorbs first-iteration growth amortised over a short
 	// run. Budgets are counted on one P (TestAllocBudgets pins GOMAXPROCS to
 	// 1): how many goroutine records and stacks a fan-out allocates depends on
@@ -65,7 +65,7 @@ func Benchmarks() []Benchmark {
 	return []Benchmark{
 		{"core-tick", "controller tick, incremental window (steady non-violated state)", CoreTick, 2},
 		{"stats-window", "stats.Window insert+evict+P99 at W=1024", StatsWindow, 2},
-		{"tracedb-select", "tracedb.SelectAppend of a 2s window from a 200k-capacity ring", TracedbSelect, 2},
+		{"tracedb-select", "tracedb.SelectAppend of a 2s window from a store that has consumed 200 s of traces and keeps 3 s", TracedbSelect, 2},
 		{"telemetry-add", "telemetry ring add at full retention", TelemetryAdd, 2},
 		{"telemetry-sample", "one sampling pass over a warm 1,000-container cluster", TelemetrySample, 0},
 		{"nn-forward-batch", "one batched actor forward (batch 64, Table 4 shape)", NNForwardBatch, 2},
@@ -76,10 +76,10 @@ func Benchmarks() []Benchmark {
 		{"rollout-round-overlap", "one double-buffered rollout campaign: 2 actors + streaming learner", RolloutRoundOverlap, 3024},
 		{"topology-generate", "procedural generation + validation of a 1,000-service spec", TopologyGenerate, 4810},
 		{"topology-generate-10k", "procedural generation + validation of a 10,000-service spec (the sharded sweep's top cell)", TopologyGenerate10k, 48100},
-		{"workload-arrivals", "thinned arrival sampling: 10ms of a 2,600 rps spiked-diurnal bound", WorkloadArrivals, 23},
+		{"workload-arrivals", "thinned arrival sampling: 10ms of a 2,600 rps spiked-diurnal bound", WorkloadArrivals, 0},
 		{"shard-step", "one lookahead window of an 8-shard ring at steady state (mail routing + window barrier)", ShardStep, 0},
 		{"scenario-step", "one armed fault-scenario tick: recompute and apply every active site's pressure", ScenarioStep, 0},
-		{"app-request", "one traced request through a 63-call generated endpoint on a warm testbed", AppRequest, 2},
+		{"app-request", "one traced request through a 63-call generated endpoint on a warm testbed", AppRequest, 0},
 		{"trace-seal", "seal the 63-span app-request trace, then decode and index it (ChildIndex.Reset)", TraceSeal, 0},
 		{"sharded-request", "one request through a warm 2-shard, 60-service generated app, run until drained", ShardedRequest, 0},
 		{"cluster-cold-submit", "the first Submit on each of 1,000 never-touched containers under per-instance noise, run to completion", ClusterColdSubmit, 3000},
@@ -145,13 +145,15 @@ type tickBed struct {
 // b.Fatal: Run drives these functions through a bare testing.Benchmark
 // (benchmark/ is a main package), where b.Fatal crashes inside the testing
 // package with an unreadable nil-pointer panic. A descriptive panic is the
-// only clean failure channel outside the test framework.
-func newTickBed() tickBed {
+// only clean failure channel outside the test framework. traceWindow is
+// the trace store's (harness.Options.TraceWindow; 0 = the controller's).
+func newTickBed(traceWindow sim.Time) tickBed {
 	tb, err := harness.New(harness.Options{
 		Seed:         Seed,
 		Spec:         topology.HotelReservation(),
 		SLOMargin:    1.6,
 		CalibrationN: 6,
+		TraceWindow:  traceWindow,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("perf: tick testbed setup failed: %v", err))
@@ -169,7 +171,7 @@ func newTickBed() tickBed {
 // window: violation check, effective P99, reward bookkeeping. The extra
 // window metric is the number of traces the window holds.
 func CoreTick(b *testing.B) {
-	bed := newTickBed()
+	bed := newTickBed(0)
 	bed.ctl.TickNow() // reach steady state (first tick advances the window)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -200,18 +202,19 @@ func StatsWindow(b *testing.B) {
 	}
 }
 
-// TracedbSelect measures selecting a 2-second suffix window out of a full
-// 200k-trace ring into a reused buffer — the violated-tick path.
+// TracedbSelect measures selecting a 2-second suffix window into a reused
+// buffer — the violated-tick path — out of a store that has consumed 200 s
+// of traces at 1,000 per second and keeps the controller's 3 s of them.
 func TracedbSelect(b *testing.B) {
-	const cap = 200000
-	db := tracedb.New(cap)
-	traces := make([]trace.Trace, cap)
+	const n = 200000
+	db := tracedb.New(harness.DefaultTraceWindow, 1024)
+	traces := make([]trace.Trace, n)
 	for i := range traces {
 		end := sim.Time(i) * sim.Millisecond
 		traces[i] = trace.Trace{ID: trace.TraceID(i + 1), Start: end - 10*sim.Millisecond, End: end}
 		db.Consume(&traces[i])
 	}
-	since := traces[cap-1].End - 2*sim.Second
+	since := traces[n-1].End - 2*sim.Second
 	var buf []*trace.Trace
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -227,7 +230,7 @@ func TracedbSelect(b *testing.B) {
 // steady state every collector interval pays. In-place ring overwrites make
 // this allocation-free.
 func TelemetryAdd(b *testing.B) {
-	bed := newTickBed()
+	bed := newTickBed(0)
 	col := bed.tb.Col
 	// Fill every ring past the harness's retention so each measured pass
 	// overwrites in place.
@@ -375,9 +378,9 @@ func NNForwardBatch(b *testing.B) {
 // here; DetectTick measures the whole tick. Steady state is
 // allocation-free.
 func DetectFeatures(b *testing.B) {
-	bed := newTickBed()
+	bed := newTickBed(0)
 	loc := detect.NewLocalizer(harness.NewExtractor(Seed), 256)
-	bed.tb.DB.Observe(loc) // replays the populated ring
+	bed.tb.DB.Observe(loc) // replays the retained traces
 	since := bed.tb.Eng.Now() - core.Window
 	loc.Advance(since)
 	if len(loc.Candidates()) == 0 {
@@ -403,7 +406,7 @@ func DetectFeatures(b *testing.B) {
 // size and a tick allocates nothing.
 func DetectTick(b *testing.B) {
 	const lap = 20 * sim.Second
-	bed := newTickBed()
+	bed := newTickBed(lap)
 	bed.tb.Eng.RunFor(lap)
 	stream := bed.tb.DB.Select(tracedb.Query{Since: bed.tb.Eng.Now() - lap, IncludeDrop: true})
 	starts, ends := make([]sim.Time, len(stream)), make([]sim.Time, len(stream))
@@ -522,9 +525,9 @@ func TopologyGenerate(b *testing.B) {
 // with stochastic spikes), accept/reject thinning, and the accepted
 // arrivals' submission into a minimal 2-service generated app. Each
 // iteration advances the simulation 10ms (~26 proposals at the composite's
-// 2,600 rps bound, ~11 accepted). Proposals are pooled generator events, so
-// allocs/op is ≈ 2 per accepted arrival: the Trace its request leaves in the
-// store and the trace's packed spans.
+// 2,600 rps bound, ~11 accepted). The bed first runs past the trace store's
+// window, so each accepted request reuses a trace the store evicted; with
+// proposals pooled generator events, a warm op allocates nothing.
 func WorkloadArrivals(b *testing.B) {
 	spec, err := topology.Generate(topology.Params{Services: 2, Endpoints: 1, MaxFanout: 1, Depth: 2}, Seed)
 	if err != nil {
@@ -541,6 +544,7 @@ func WorkloadArrivals(b *testing.B) {
 		panic(fmt.Sprintf("perf: spikes failed: %v", err))
 	}
 	gen := tb.AttachWorkload(workload.Sum{workload.Constant{RPS: 200}, spikes})
+	tb.Eng.RunFor(harness.DefaultTraceWindow + sim.Second)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -753,11 +757,11 @@ func ScenarioStep(b *testing.B) {
 // child walk, span emission for every call, and sealing the trace. The
 // testbed is bare (engine, cluster, trace store, app; no telemetry or
 // generator tickers) and warm, so allocs/op is exactly what a request
-// costs: what the trace store keeps — its Trace and the trace's packed
-// spans — whatever the endpoint's size; the request context, the span
-// emission buffer, call frames, engine events and container in-flight
-// records all come from freelists. spans/op is the
-// endpoint's call count.
+// costs: nothing, whatever the endpoint's size. The Trace and its packed
+// storage are the one the store evicted last, and the request context, the
+// span emission buffer, call frames, engine events and container in-flight
+// records all come from freelists; the store's latency column grows by one
+// block per 4,096 requests. spans/op is the endpoint's call count.
 func AppRequest(b *testing.B) {
 	a, _, request := appRequestBed()
 	spans0 := a.Coord.SpansSeen
@@ -777,8 +781,7 @@ func AppRequest(b *testing.B) {
 // storage, so a warm op allocates nothing; ns/span is the round trip per span.
 func TraceSeal(b *testing.B) {
 	_, db, _ := appRequestBed()
-	stored := db.Select(tracedb.Query{})
-	spans := stored[len(stored)-1].AppendSpans(nil)
+	spans := db.Select(tracedb.Query{Limit: 1})[0].AppendSpans(nil)
 	var tr trace.Trace
 	var x trace.ChildIndex
 	scratch := tr.Seal(spans, nil)
@@ -806,7 +809,7 @@ func appRequestBed() (*app.App, *tracedb.Store, func()) {
 	for i := 0; i < 1+len(spec.Services)/8; i++ {
 		cl.AddNode(cluster.XeonProfile)
 	}
-	db := tracedb.New(64)
+	db := tracedb.New(0, 64) // the newest 64 traces: every request recycles one
 	a, err := app.Deploy(eng, cl, spec, trace.NewCoordinator(eng, db, cl))
 	if err != nil {
 		panic(fmt.Sprintf("perf: deploy failed: %v", err))
@@ -818,7 +821,7 @@ func appRequestBed() (*app.App, *tracedb.Store, func()) {
 		}
 		eng.Drain(1 << 20)
 	}
-	for i := 0; i < 2*64; i++ { // fill the freelists and wrap the trace ring
+	for i := 0; i < 2*64; i++ { // fill the freelists and start recycling traces
 		request()
 	}
 	if a.Dropped != 0 {

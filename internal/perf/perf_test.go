@@ -106,7 +106,7 @@ func TestCoreTickAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("testbed setup is seconds-long")
 	}
-	bed := newTickBed()
+	bed := newTickBed(0)
 	bed.ctl.TickNow()
 	if n := bed.ctl.Monitor().Len(); n < 50 {
 		t.Fatalf("benchmark window holds %d traces; the measurement would be vacuous", n)

@@ -39,9 +39,9 @@ func New[T any](bound, size int) Ring[T] {
 // Len returns the number of elements held.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Full reports whether a bounded ring holds bound elements, so the next Push
+// full reports whether a bounded ring holds bound elements, so the next Push
 // overwrites the oldest.
-func (r *Ring[T]) Full() bool { return r.bound > 0 && r.n == r.bound }
+func (r *Ring[T]) full() bool { return r.bound > 0 && r.n == r.bound }
 
 // At returns the slot of the i-th oldest element, 0 <= i < Len().
 //
@@ -72,7 +72,7 @@ func (r *Ring[T]) Slot(k int) *T {
 //
 //firmvet:noalloc
 func (r *Ring[T]) Push() *T {
-	if r.Full() {
+	if r.full() {
 		r.Pop() // the oldest's slot is where the newest goes
 	} else if r.n == len(r.buf) {
 		r.grow()

@@ -24,7 +24,7 @@ func newModel(t testing.TB, bound, size int) *model {
 }
 
 func (m *model) push() {
-	full := m.r.Full()
+	full := m.r.full()
 	if m.r.Len() == len(m.r.buf) && !full && m.r.head != 0 {
 		m.grows++
 	}
@@ -66,15 +66,15 @@ func (m *model) at(i int) {
 	}
 }
 
-// verify checks Len, Full and the storage bounds after every operation:
+// verify checks Len, full and the storage bounds after every operation:
 // storage never exceeds the bound, and never exceeds what the peak length
 // needed from the eager size by doubling.
 func (m *model) verify() {
 	if m.r.Len() != len(m.ref) {
 		m.t.Fatalf("Len = %d, want %d", m.r.Len(), len(m.ref))
 	}
-	if want := m.r.bound > 0 && len(m.ref) == m.r.bound; m.r.Full() != want {
-		m.t.Fatalf("Full = %v at Len %d, bound %d", m.r.Full(), len(m.ref), m.r.bound)
+	if want := m.r.bound > 0 && len(m.ref) == m.r.bound; m.r.full() != want {
+		m.t.Fatalf("full = %v at Len %d, bound %d", m.r.full(), len(m.ref), m.r.bound)
 	}
 	if b := m.r.bound; b > 0 && len(m.r.buf) > b {
 		m.t.Fatalf("storage %d slots, bound %d", len(m.r.buf), b)

@@ -47,7 +47,7 @@ func testEnv(t *testing.T, spec *topology.Spec, seed int64) Env {
 	for i := 0; i < 4; i++ {
 		cl.AddNode(cluster.XeonProfile)
 	}
-	db := tracedb.New(10000)
+	db := tracedb.New(tracedb.Forever, 0)
 	coord := trace.NewCoordinator(eng, db, cl)
 	a, err := app.Deploy(eng, cl, spec, coord)
 	if err != nil {

@@ -12,6 +12,7 @@ import "firm/internal/sim"
 type Coordinator struct {
 	eng      *sim.Engine
 	sink     Sink
+	recycle  Recycler // sink, when it gives released traces back
 	names    Names
 	pending  int
 	nextID   TraceID
@@ -30,11 +31,14 @@ type Coordinator struct {
 // NewCoordinator creates a coordinator forwarding completed traces to sink.
 // names — the testbed's cluster — is stamped on every trace.
 func NewCoordinator(eng *sim.Engine, sink Sink, names Names) *Coordinator {
-	return &Coordinator{eng: eng, sink: sink, names: names}
+	r, _ := sink.(Recycler)
+	return &Coordinator{eng: eng, sink: sink, recycle: r, names: names}
 }
 
-// StartTrace allocates a trace for a new user request of the given type;
-// the caller holds it until Finish and emits the request's spans into it.
+// StartTrace starts the trace of a new user request of the given type; the
+// caller holds it until Finish and emits the request's spans into it. The
+// trace is one the sink released (Recycler), its packed storage kept for
+// Finish to seal into, when the sink has one; a new one otherwise.
 // spanHint is the number of spans the request is expected to emit (its
 // endpoint's call-tree size): the trace's emission buffer, taken from the
 // coordinator's free list, holds at least that many before it has to grow.
@@ -42,7 +46,14 @@ func NewCoordinator(eng *sim.Engine, sink Sink, names Names) *Coordinator {
 func (c *Coordinator) StartTrace(reqType string, spanHint int) *Trace {
 	c.nextID++
 	c.pending++
-	t := &Trace{ID: c.nextID, Type: reqType, Names: c.names, Start: c.eng.Now()}
+	var t *Trace
+	if c.recycle != nil {
+		t = c.recycle.Reclaim()
+	}
+	if t == nil {
+		t = new(Trace)
+	}
+	*t = Trace{ID: c.nextID, Type: reqType, Names: c.names, Start: c.eng.Now(), packed: t.packed[:0]}
 	if n := len(c.free); n > 0 {
 		t.pending, c.free = c.free[n-1], c.free[:n-1]
 	} else {

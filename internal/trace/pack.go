@@ -9,7 +9,7 @@ import (
 
 // A sealed trace keeps its spans as one byte stream instead of 32 fixed
 // bytes each: a trace is read at most a few times after it is sealed, and
-// the trace store retains every one of them for the whole run.
+// the trace store retains every trace of its look-back window.
 //
 // The stream is the spans in emission order, seven unsigned varints
 // (encoding/binary's format) per span. Each value is the zigzag-coded
@@ -122,6 +122,7 @@ func (t *Trace) Len() int { return int(t.n) }
 //
 //firmvet:noalloc
 func (t *Trace) AppendSpans(dst []Span) []Span {
+	t.check()
 	dst = slices.Grow(dst, int(t.n))
 	b := t.packed
 	var s Span

@@ -66,6 +66,10 @@ func (s Span) Duration() sim.Time { return sim.Time(s.Dur) }
 // them into one packed byte stream (pack.go) and takes the buffer back. A
 // sealed trace is read through AppendSpans, or decoded once per visit by a
 // ChildIndex. The header stays within the 96-byte size class.
+//
+// A sink that releases a trace may hand it back to the Coordinator
+// (Recycler), which reuses the header and the packed storage for a later
+// request: nothing may read a trace after its sink has released it.
 type Trace struct {
 	ID      TraceID
 	Type    string // request type, e.g. "compose-post"
@@ -76,10 +80,29 @@ type Trace struct {
 	pending *[]Span // the emission buffer; nil once sealed
 	n       uint32  // sealed span count
 	Dropped bool    // the request was shed by some container queue
+	// poisoned marks a released trace that Poison cleared: every read of
+	// its latency or spans panics.
+	poisoned bool
 }
 
 // Latency returns the end-to-end latency of the request.
-func (t *Trace) Latency() sim.Time { return t.End - t.Start }
+func (t *Trace) Latency() sim.Time {
+	t.check()
+	return t.End - t.Start
+}
+
+// Poison clears a released trace for good instead of letting it be reused:
+// any later read of its latency or spans panics, and its End reads as 0.
+// Tests set their sink's poison mode to catch a reader that keeps a trace
+// past its release.
+func (t *Trace) Poison() { *t = Trace{poisoned: true} }
+
+// check panics on a poisoned trace.
+func (t *Trace) check() {
+	if t.poisoned {
+		panic("trace: read of a released trace")
+	}
+}
 
 // Root decodes the trace and returns its root span (RootIndex), or a zero
 // Span if there is none. A reader that decodes the trace anyway finds the
@@ -298,6 +321,15 @@ func (t *Trace) Validate() error {
 // implement it.
 type Sink interface {
 	Consume(*Trace)
+}
+
+// Recycler is a Sink that gives back the traces it has released, for the
+// Coordinator to reuse: a trace it reclaims is no longer referenced by the
+// sink or by anything the sink fed.
+type Recycler interface {
+	Sink
+	// Reclaim returns a released trace, or nil when none is free.
+	Reclaim() *Trace
 }
 
 // SinkFunc adapts a function to the Sink interface.

@@ -23,7 +23,7 @@ func newApp(t *testing.T) (*sim.Engine, *app.App) {
 	for i := 0; i < 3; i++ {
 		cl.AddNode(cluster.XeonProfile)
 	}
-	db := tracedb.New(50000)
+	db := tracedb.New(tracedb.Forever, 0)
 	coord := trace.NewCoordinator(eng, db, cl)
 	a, err := app.Deploy(eng, cl, topology.HotelReservation(), coord)
 	if err != nil {
