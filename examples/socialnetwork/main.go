@@ -83,9 +83,9 @@ func main() {
 	firm := run("FIRM", 7, func(b *harness.Bench) {
 		cfg := core.DefaultConfig()
 		cfg.IdleReclaim = 0 // compare SLO behaviour at equal provisioning
-		// Deploy per-service agents transferred from the trained base —
-		// the multi-RL configuration of §4.4.
-		b.AttachFIRM(cfg, harness.PerServiceAgents(7, agent), nil)
+		// Every service shares the trained base — the single-RL
+		// configuration of §4.4.
+		b.AttachFIRM(cfg, core.SharedAgent{A: agent}, nil)
 	})
 	hpa := run("K8S autoscaling", 7, func(b *harness.Bench) {
 		b.AttachHPA()

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -44,7 +45,9 @@ func TestSharedAgentProvider(t *testing.T) {
 
 func TestPerServiceAgentsDistinctAndTransferred(t *testing.T) {
 	base := rl.New(rl.DefaultConfig())
-	p := harness.PerServiceAgents(2, base)
+	cfg := rl.DefaultConfig()
+	cfg.Seed = 2
+	p := &core.PerServiceAgents{Cfg: cfg, Base: base}
 	ax := p.AgentFor("svc-x")
 	ay := p.AgentFor("svc-y")
 	if ax == ay {
@@ -63,6 +66,35 @@ func TestPerServiceAgentsDistinctAndTransferred(t *testing.T) {
 	}
 	if len(p.Agents()) != 2 {
 		t.Fatal("agents list")
+	}
+}
+
+// An untrained transfer acts exactly as its base: with Training off, per-
+// service agents warm-started from one base and the shared base itself are
+// the same policy on every service of an application, bit for bit.
+func TestTransferredAgentsActAsSharedBase(t *testing.T) {
+	bcfg := rl.DefaultConfig()
+	bcfg.Seed = 9
+	base := rl.New(bcfg)
+	cfg := rl.DefaultConfig()
+	cfg.Seed = 4
+	per := &core.PerServiceAgents{Cfg: cfg, Base: base}
+	shared := core.SharedAgent{A: base}
+	r := rand.New(rand.NewSource(5))
+	state := make([]float64, bcfg.StateDim)
+	for svc := range topology.SocialNetwork().Services {
+		for k := 0; k < 16; k++ {
+			for i := range state {
+				state[i] = 4*r.Float64() - 2
+			}
+			want := shared.AgentFor(svc).Act(state)
+			got := per.AgentFor(svc).Act(state)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: action %v, shared base acts %v", svc, got, want)
+				}
+			}
+		}
 	}
 }
 

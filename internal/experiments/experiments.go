@@ -85,7 +85,6 @@ type Policy int
 // The policies compared in Fig. 10 and Fig. 11(b).
 const (
 	PolicyFIRMSingle Policy = iota
-	PolicyFIRMMulti
 	PolicyHPA
 	PolicyAIMD
 )
@@ -95,8 +94,6 @@ func (p Policy) String() string {
 	switch p {
 	case PolicyFIRMSingle:
 		return "FIRM (Single-RL)"
-	case PolicyFIRMMulti:
-		return "FIRM (Multi-RL)"
 	case PolicyHPA:
 		return "K8S Auto-scaling"
 	case PolicyAIMD:

@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
-	"firm/internal/core"
 	"firm/internal/harness"
+	"firm/internal/injector"
 	"firm/internal/report"
 	"firm/internal/sim"
 )
@@ -90,14 +91,7 @@ func TestFig9cDeterministic(t *testing.T) {
 func TestFig10Run(t *testing.T) {
 	// Every Fig. 10 arm must run end-to-end and collect statistics.
 	for _, p := range fig10Policies {
-		var prov core.AgentProvider
-		switch p {
-		case PolicyFIRMSingle:
-			prov = harness.SharedAgent(2)
-		case PolicyFIRMMulti:
-			prov = harness.PerServiceAgents(2, nil)
-		}
-		st, err := fig10Run(2, 10*sim.Second, p, prov)
+		st, err := fig10Run(2, 10*sim.Second, p, harness.SharedAgent(2))
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -106,6 +100,60 @@ func TestFig10Run(t *testing.T) {
 		}
 		if len(st.CPULimitSamples) == 0 {
 			t.Fatalf("%v: no CPU samples", p)
+		}
+	}
+}
+
+// TestFig10ArmsSeeOneCampaign runs every arm of one Fig. 10 cell on the
+// cell's world seed, derived as fig10Jobs derives it, and requires the same
+// anomaly campaign in each: what the arms are compared on must not depend
+// on the policy under test.
+func TestFig10ArmsSeeOneCampaign(t *testing.T) {
+	type activation struct {
+		kind      injector.Kind
+		target    uint32
+		intensity float64
+		start     sim.Time
+		end       sim.Time
+	}
+	world := sim.DeriveSeed(42, "fig10-world")
+	var ref []activation
+	for i, p := range fig10Policies {
+		b, _, err := fig10Bench(world, p, harness.SharedAgent(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Eng.RunFor(30 * sim.Second)
+		var got []activation
+		for _, r := range b.Injector.History() {
+			got = append(got, activation{r.Kind, r.Target.ID, r.Intensity, r.Start, r.End})
+		}
+		if i == 0 {
+			if len(got) < 3 {
+				t.Fatalf("%v: %d activations in 30 s, want a campaign", p, len(got))
+			}
+			ref = got
+			continue
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("%v saw a different campaign than %v:\n%v\nvs\n%v", p, fig10Policies[0], got, ref)
+		}
+	}
+}
+
+// The summary line gives FIRM's CPU change against K8s one explicit sign,
+// whichever side requests more.
+func TestFig10SummaryCPUSign(t *testing.T) {
+	for _, tc := range []struct {
+		reduction float64
+		want      string
+	}{
+		{0.094, "CPU -9.4%,"},
+		{-0.046, "CPU +4.6%,"},
+	} {
+		r := &Fig10Result{Stats: map[string]RunStats{}, CPUReductionVsHPA: tc.reduction}
+		if out := r.String(); !strings.Contains(out, tc.want) {
+			t.Errorf("reduction %v: want %q in\n%s", tc.reduction, tc.want, out)
 		}
 	}
 }

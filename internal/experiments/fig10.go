@@ -17,9 +17,9 @@ import (
 )
 
 // Fig10Result holds the end-to-end comparison of §4.4: CDF summaries of
-// end-to-end latency, requested CPU limit, and dropped requests for FIRM
-// (single- and multi-RL), AIMD, and Kubernetes autoscaling, plus the
-// headline ratios the paper reports.
+// end-to-end latency, requested CPU limit, and dropped requests for FIRM,
+// AIMD, and Kubernetes autoscaling, plus the headline ratios the paper
+// reports.
 type Fig10Result struct {
 	Benchmark string
 	SLOms     float64
@@ -36,43 +36,34 @@ type Fig10Result struct {
 }
 
 // fig10Policies are Fig. 10's arms, in job order.
-var fig10Policies = []Policy{PolicyFIRMSingle, PolicyFIRMMulti, PolicyAIMD, PolicyHPA}
+var fig10Policies = []Policy{PolicyFIRMSingle, PolicyAIMD, PolicyHPA}
 
 // fig10Jobs declares Fig. 10's validation runs on Social Network: one job
-// per policy, each under the randomized anomaly-injection campaign. base is
-// the single-RL agent trained on Train-Ticket. Each FIRM job rebuilds its
-// own agents from it, so no mutable state crosses workers: the single-RL
-// arm loads base on the job's seed, and the multi-RL arm transfers it into
-// per-service agents. Train-Ticket and Social Network share no service
-// name, so every agent the controller asks for on Social Network is a
-// fresh transfer: there is nothing to train here. The runs evaluate with
-// Training off, which reads the actor alone, so base's target networks
-// (which a snapshot does not carry) cannot matter.
+// per policy, each under the randomized anomaly-injection campaign. Every
+// arm builds its world on one seed derived from (experiment, repetition),
+// never from the policy, so workload, campaign and cluster noise are common
+// random numbers and the arms differ only by controller. base is the agent
+// trained on Train-Ticket; the FIRM arm loads it on the job's own seed, so
+// no mutable state crosses workers. The run evaluates with Training off,
+// which reads the actor alone, so base's target networks (which a snapshot
+// does not carry) cannot matter.
 func fig10Jobs(_ Exec, sc Scale, seed int64, base rl.Snapshot) ([]runner.Job[RunStats], error) {
 	dur := sc.dur(120 * sim.Second)
+	world := sim.DeriveSeed(seed, "fig10-world")
 	var jobs []runner.Job[RunStats]
 	for _, policy := range fig10Policies {
 		jobs = append(jobs, runner.Job[RunStats]{
 			Key: runner.Key("fig10", policy),
 			Run: func(jobSeed int64) (RunStats, error) {
 				var prov core.AgentProvider
-				switch policy {
-				case PolicyFIRMSingle:
+				if policy == PolicyFIRMSingle {
 					a, err := loadAgent(base, jobSeed)
 					if err != nil {
 						return RunStats{}, err
 					}
 					prov = core.SharedAgent{A: a}
-				case PolicyFIRMMulti:
-					a, err := loadAgent(base, 0)
-					if err != nil {
-						return RunStats{}, err
-					}
-					mcfg := rl.DefaultConfig()
-					mcfg.Seed = seed + 1
-					prov = &core.PerServiceAgents{Cfg: mcfg, Base: a}
 				}
-				return fig10Run(jobSeed, dur, policy, prov)
+				return fig10Run(world, dur, policy, prov)
 			},
 		})
 	}
@@ -102,21 +93,35 @@ func (r RunStats) ViolationRate() float64 {
 // P99 returns the run's 99th-percentile latency (ms).
 func (r RunStats) P99() float64 { return stats.Percentile(r.Latencies, 99) }
 
-// fig10Run is one Fig. 10 cell: Social Network at a constant 250 req/s
-// under the randomized anomaly-injection campaign for dur, managed by
-// policy. prov supplies the FIRM policies' agents and is ignored by the
-// baselines. The order in which the pieces are wired fixes the engine's
-// event order, so it is part of the output.
+// fig10Run is one Fig. 10 arm: fig10Bench's testbed run for dur.
 func fig10Run(seed int64, dur sim.Time, policy Policy, prov core.AgentProvider) (RunStats, error) {
+	b, st, err := fig10Bench(seed, policy, prov)
+	if err != nil {
+		return RunStats{}, err
+	}
+	b.Eng.RunFor(dur)
+	st.Completed = b.App.Completed
+	st.Dropped = b.App.Dropped
+	st.Violations = b.App.Violations
+	return *st, nil
+}
+
+// fig10Bench wires one Fig. 10 arm: Social Network at a constant 250 req/s
+// under the randomized anomaly-injection campaign, managed by policy, with
+// hooks that fill the returned RunStats' latencies and CPU-limit samples as
+// the engine runs. prov supplies the FIRM policy's agent and is ignored by
+// the baselines. The order in which the pieces are wired fixes the engine's
+// event order, so it is part of the output.
+func fig10Bench(seed int64, policy Policy, prov core.AgentProvider) (*harness.Bench, *RunStats, error) {
 	b, err := harness.New(harness.Options{
 		Seed:      seed,
 		Spec:      topology.SocialNetwork(),
 		SLOMargin: 1.6,
 	})
 	if err != nil {
-		return RunStats{}, err
+		return nil, nil, err
 	}
-	st := RunStats{SLOms: b.App.SLO.Millis()}
+	st := &RunStats{SLOms: b.App.SLO.Millis()}
 	b.App.SetResultHook(func(r app.Result) {
 		if !r.Dropped {
 			st.Latencies = append(st.Latencies, r.Latency.Millis())
@@ -125,7 +130,7 @@ func fig10Run(seed int64, dur sim.Time, policy Policy, prov core.AgentProvider) 
 	b.AttachWorkload(workload.Constant{RPS: 250})
 
 	switch policy {
-	case PolicyFIRMSingle, PolicyFIRMMulti:
+	case PolicyFIRMSingle:
 		cfg := core.DefaultConfig()
 		cfg.IdleReclaim = 3
 		cfg.ReclaimFactor = 0.9
@@ -136,8 +141,7 @@ func fig10Run(seed int64, dur sim.Time, policy Policy, prov core.AgentProvider) 
 		b.AttachAIMD()
 	}
 
-	camp := injector.DefaultCampaign(b.Injector, b.Containers())
-	camp.Start()
+	injector.DefaultCampaign(b.Injector, b.Containers()).Start()
 
 	// Per-second CPU-limit sampling.
 	cpuTicker := sim.NewTicker(b.Eng, sim.Second, func() {
@@ -146,17 +150,10 @@ func fig10Run(seed int64, dur sim.Time, policy Policy, prov core.AgentProvider) 
 		}
 	})
 	cpuTicker.Start()
-
-	b.Eng.RunFor(dur)
-
-	camp.Stop()
-	st.Completed = b.App.Completed
-	st.Dropped = b.App.Dropped
-	st.Violations = b.App.Violations
-	return st, nil
+	return b, st, nil
 }
 
-// fig10Reduce derives the headline ratios from Fig. 10's four policies,
+// fig10Reduce derives the headline ratios from Fig. 10's three policies,
 // evaluated on a DeathStarBench application (validation benchmark, §4.4)
 // under the randomized anomaly-injection campaign with the single-RL agent
 // trained on Train-Ticket (the paper's §4.3 protocol).
@@ -240,8 +237,8 @@ func (r *Fig10Result) String() string {
 	for _, name := range sortedKeys(r.Stats) {
 		s += fmt.Sprintf("  %-18s %s\n", name, cdfRow(r.Stats[name].Latencies))
 	}
-	s += fmt.Sprintf("FIRM vs K8S: tail %.1fx, violations %.1fx, CPU -%.1f%%, drops %.1fx\n",
-		r.TailLatencyVsHPA, r.ViolationsVsHPA, 100*r.CPUReductionVsHPA, r.DropsVsHPA)
+	s += fmt.Sprintf("FIRM vs K8S: tail %.1fx, violations %.1fx, CPU %+.1f%%, drops %.1fx\n",
+		r.TailLatencyVsHPA, r.ViolationsVsHPA, -100*r.CPUReductionVsHPA, r.DropsVsHPA)
 	s += fmt.Sprintf("FIRM vs AIMD: tail %.1fx, violations %.1fx\n",
 		r.TailLatencyVsAIMD, r.ViolationsVsAIMD)
 	return s

@@ -9,7 +9,6 @@ import (
 
 	"firm/internal/report"
 	"firm/internal/runner"
-	"firm/internal/topology"
 )
 
 // Regenerate golden files after an intentional behavior change with:
@@ -131,22 +130,6 @@ func TestFig10GoldenAcrossRolloutWorkers(t *testing.T) {
 		t.Skip("trains RL agents; run without -short")
 	}
 	goldenCheck(t, "fig10_tiny", mustGet(t, "fig10"))
-}
-
-// Fig10's Multi-RL arm transfers the single-RL base to each Social Network
-// service on first use and trains nothing on Train-Ticket. That equals
-// training per-service agents there only because the two applications share
-// no service, so every agent the evaluation asks for is a fresh transfer.
-func TestFig10AppsShareNoService(t *testing.T) {
-	tt, sn := topology.TrainTicket(), topology.SocialNetwork()
-	if len(tt.Services) == 0 || len(sn.Services) == 0 {
-		t.Fatal("empty topology")
-	}
-	for name := range sn.Services {
-		if _, ok := tt.Services[name]; ok {
-			t.Errorf("Train-Ticket and Social Network both have service %q", name)
-		}
-	}
 }
 
 // TestGoldenJSONRoundTrips pins the canonicalization contract on real

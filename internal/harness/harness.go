@@ -224,11 +224,3 @@ func SharedAgent(seed int64) core.AgentProvider {
 	cfg.Seed = seed
 	return core.SharedAgent{A: rl.New(cfg)}
 }
-
-// PerServiceAgents builds a one-for-each provider; base non-nil enables
-// transfer learning.
-func PerServiceAgents(seed int64, base *rl.Agent) core.AgentProvider {
-	cfg := rl.DefaultConfig()
-	cfg.Seed = seed
-	return &core.PerServiceAgents{Cfg: cfg, Base: base}
-}

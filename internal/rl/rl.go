@@ -166,15 +166,11 @@ type Agent struct {
 	Updates uint64
 
 	// TrainStep scratch, reused across steps: the RL training loops
-	// dominate campaign wall-clock, so the per-step minibatch, target,
-	// input-concatenation, and gradient buffers must not be reallocated
-	// tens of thousands of times per episode.
+	// dominate campaign wall-clock, so the per-step minibatch and target
+	// buffers must not be reallocated tens of thousands of times per
+	// episode.
 	batch   []Transition
 	targets []float64
-	in      []float64
-	gact    []float64
-	ginSeq  []float64
-	gout    [1]float64
 
 	// Batched-path scratch: row-major [batch×dim] matrices fed to the nn
 	// batch path. Grown once, then reused for the life of the agent.
@@ -300,9 +296,9 @@ func (a *Agent) Q(state, action []float64) float64 {
 // minibatch critic loss and false when the buffer has too few samples.
 //
 // The minibatch runs through nn's matrix-at-a-time batch path. Results are
-// bit-identical to TrainStepSequential, the retained per-sample reference:
-// both consume the same RNG stream (one SampleInto draw) and accumulate
-// every float sum in the same sample-major order.
+// bit-identical to TrainStepSequential, the per-sample reference in
+// rl_batch_test.go: both consume the same RNG stream (one SampleInto draw)
+// and accumulate every float sum in the same sample-major order.
 func (a *Agent) TrainStep() (criticLoss float64, ok bool) {
 	if a.buf.Len() < a.cfg.BatchSize {
 		return 0, false
@@ -390,89 +386,6 @@ func (a *Agent) TrainStep() (criticLoss float64, ok bool) {
 	}
 	a.actor.ZeroGrad()
 	a.actor.BackwardBatchParams(a.gactB, nb)
-	a.optA.Step()
-
-	// Soft target updates.
-	if err := a.actorT.SoftUpdate(a.actor, tau); err != nil {
-		panic(err)
-	}
-	if err := a.criticT.SoftUpdate(a.critic, tau); err != nil {
-		panic(err)
-	}
-	a.Updates++
-	return criticLoss, true
-}
-
-// TrainStepSequential is the pre-batching per-sample reference update,
-// retained verbatim so equivalence tests can pin the batched path against
-// it bit for bit. It consumes the identical RNG stream as TrainStep and
-// must produce identical weights.
-func (a *Agent) TrainStepSequential() (criticLoss float64, ok bool) {
-	if a.buf.Len() < a.cfg.BatchSize {
-		return 0, false
-	}
-	a.batch = a.buf.SampleInto(a.rng, a.cfg.BatchSize, a.batch[:0])
-	batch := a.batch
-	n := float64(len(batch))
-
-	// Critic update: minimize (y_i - Q(s_i, a_i))^2.
-	if cap(a.targets) < len(batch) {
-		a.targets = make([]float64, len(batch))
-	}
-	targets := a.targets[:len(batch)]
-	for i, tr := range batch {
-		y := tr.R
-		if !tr.Done {
-			a2 := a.actorT.Forward(tr.S2)
-			a.in = append(a.in[:0], tr.S2...)
-			a.in = append(a.in, a2...)
-			y += a.cfg.Gamma * a.criticT.Forward(a.in)[0]
-		}
-		targets[i] = y
-	}
-	a.critic.ZeroGrad()
-	for i, tr := range batch {
-		a.in = append(a.in[:0], tr.S...)
-		a.in = append(a.in, tr.A...)
-		q := a.critic.Forward(a.in)[0]
-		d := q - targets[i]
-		criticLoss += d * d / n
-		a.gout[0] = 2 * d / n
-		a.critic.Backward(a.gout[:])
-	}
-	a.optC.Step()
-
-	// Actor update: maximize Q(s, π(s)) → gradient ascent via chain rule
-	// through a frozen critic (its grads are discarded after extraction).
-	// Policy updates are delayed until the critic has seen enough batches.
-	if a.Updates < a.cfg.ActorDelay {
-		a.Updates++
-		if err := a.criticT.SoftUpdate(a.critic, tau); err != nil {
-			panic(err)
-		}
-		return criticLoss, true
-	}
-	a.actor.ZeroGrad()
-	for _, tr := range batch {
-		act := a.actor.Forward(tr.S)
-		a.in = append(a.in[:0], tr.S...)
-		a.in = append(a.in, act...)
-		a.critic.ZeroGrad()
-		a.critic.Forward(a.in)
-		a.gout[0] = 1
-		gin := a.critic.BackwardInto(a.gout[:], a.ginSeq)
-		a.ginSeq = gin
-		dqda := gin[len(tr.S):]
-		if cap(a.gact) < len(dqda) {
-			a.gact = make([]float64, len(dqda))
-		}
-		gact := a.gact[:len(dqda)]
-		for i := range dqda {
-			gact[i] = -dqda[i] / n // minimize -Q
-		}
-		a.actor.Backward(gact)
-	}
-	a.critic.ZeroGrad() // drop contamination from dQ/da extraction
 	a.optA.Step()
 
 	// Soft target updates.

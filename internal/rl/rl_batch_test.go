@@ -52,6 +52,86 @@ func mustSave(t *testing.T, a *Agent) Snapshot {
 	return s
 }
 
+// TrainStepSequential is the pre-batching per-sample reference update, the
+// oracle the equivalence tests pin the batched TrainStep against bit for
+// bit. It consumes the identical RNG stream as TrainStep and must produce
+// identical weights.
+func (a *Agent) TrainStepSequential() (criticLoss float64, ok bool) {
+	var in, gact, ginSeq []float64
+	var gout [1]float64
+	if a.buf.Len() < a.cfg.BatchSize {
+		return 0, false
+	}
+	a.batch = a.buf.SampleInto(a.rng, a.cfg.BatchSize, a.batch[:0])
+	batch := a.batch
+	n := float64(len(batch))
+
+	// Critic update: minimize (y_i - Q(s_i, a_i))^2.
+	if cap(a.targets) < len(batch) {
+		a.targets = make([]float64, len(batch))
+	}
+	targets := a.targets[:len(batch)]
+	for i, tr := range batch {
+		y := tr.R
+		if !tr.Done {
+			a2 := a.actorT.Forward(tr.S2)
+			in = append(in[:0], tr.S2...)
+			in = append(in, a2...)
+			y += a.cfg.Gamma * a.criticT.Forward(in)[0]
+		}
+		targets[i] = y
+	}
+	a.critic.ZeroGrad()
+	for i, tr := range batch {
+		in = append(in[:0], tr.S...)
+		in = append(in, tr.A...)
+		q := a.critic.Forward(in)[0]
+		d := q - targets[i]
+		criticLoss += d * d / n
+		gout[0] = 2 * d / n
+		a.critic.Backward(gout[:])
+	}
+	a.optC.Step()
+
+	// Actor update: maximize Q(s, π(s)) → gradient ascent via chain rule
+	// through a frozen critic (its grads are discarded after extraction).
+	// Policy updates are delayed until the critic has seen enough batches.
+	if a.Updates < a.cfg.ActorDelay {
+		a.Updates++
+		if err := a.criticT.SoftUpdate(a.critic, tau); err != nil {
+			panic(err)
+		}
+		return criticLoss, true
+	}
+	a.actor.ZeroGrad()
+	for _, tr := range batch {
+		act := a.actor.Forward(tr.S)
+		in = append(in[:0], tr.S...)
+		in = append(in, act...)
+		a.critic.ZeroGrad()
+		a.critic.Forward(in)
+		gout[0] = 1
+		ginSeq = a.critic.BackwardInto(gout[:], ginSeq)
+		gact = gact[:0]
+		for _, g := range ginSeq[len(tr.S):] {
+			gact = append(gact, -g/n) // minimize -Q
+		}
+		a.actor.Backward(gact)
+	}
+	a.critic.ZeroGrad() // drop contamination from dQ/da extraction
+	a.optA.Step()
+
+	// Soft target updates.
+	if err := a.actorT.SoftUpdate(a.actor, tau); err != nil {
+		panic(err)
+	}
+	if err := a.criticT.SoftUpdate(a.critic, tau); err != nil {
+		panic(err)
+	}
+	a.Updates++
+	return criticLoss, true
+}
+
 // TestTrainStepBatchedMatchesSequentialBitwise is the core minibatch
 // equivalence pin: the batched TrainStep and the retained per-sample
 // reference must consume the same RNG stream and land on byte-identical
