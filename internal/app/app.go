@@ -224,13 +224,37 @@ type reqCtx struct {
 func Deploy(eng *sim.Engine, cl *cluster.Cluster, spec *topology.Spec, coord *trace.Coordinator) (*App, error) {
 	a := &App{Spec: spec, Coord: coord, eng: eng, SLO: spec.SLO,
 		shards: []shard{{eng: eng, cl: cl}}, roots: make([]*node, len(spec.Endpoints))}
+	if err := deployServices(spec, cl); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// deployServices deploys spec's services onto cl in sorted name order.
+func deployServices(spec *topology.Spec, cl *cluster.Cluster) error {
 	for _, name := range sortedServices(spec) {
 		svc := spec.Services[name]
 		if _, err := cl.DeployService(svc.Name, svc.Replicas, svc.Limits); err != nil {
-			return nil, fmt.Errorf("app %s: %w", spec.Name, err)
+			return fmt.Errorf("app %s: %w", spec.Name, err)
 		}
 	}
-	return a, nil
+	return nil
+}
+
+// Reset deploys the application again, onto its cluster, which must have
+// been Reset with the engine. The App is then what Deploy built — the spec's
+// SLO, zero counters, no result hook, retry policy or edge faults, call trees
+// resolved afresh — except that its frame and request-context pools keep
+// what they hold. Requests still in flight are abandoned. It is for a
+// single-engine deployment.
+func (a *App) Reset() error {
+	if a.se != nil {
+		panic("app: Reset of a sharded deployment")
+	}
+	clear(a.roots)
+	*a = App{Spec: a.Spec, Coord: a.Coord, eng: a.eng, SLO: a.Spec.SLO,
+		shards: a.shards, roots: a.roots, poison: a.poison}
+	return deployServices(a.Spec, a.Cluster())
 }
 
 func sortedServices(spec *topology.Spec) []string {

@@ -59,17 +59,21 @@ type Cluster struct {
 	sets   map[string]*ReplicaSet
 	nextID uint32
 	// byID holds every replica set in deploy order (index = ReplicaSet.ID);
-	// placed holds every container ever placed, retired ones included
-	// (index = Container.ID - 1). Together they are the testbed's name
+	// placed holds every container placed since New or Reset, retired ones
+	// included (index = Container.ID - 1). Together they are the testbed's name
 	// table — see ServiceName and InstanceName.
 	byID   []*ReplicaSet
 	placed []*Container
 	// sampler draws every container's noise under Config.PerInstanceNoise.
 	sampler *sim.Sampler
+	// spareSets and spare hold the replica sets and containers of the
+	// deployment before the last Reset, for newSet and place to recycle.
+	spareSets []*ReplicaSet
+	spare     []*Container
 
-	// setsSorted caches the sorted ReplicaSets view; services are only
-	// ever added (DeployService rejects duplicates, nothing deletes), so a
-	// length check detects staleness.
+	// setsSorted caches the sorted ReplicaSets view; between Resets, which
+	// drop it, services are only ever added (DeployService rejects
+	// duplicates, nothing deletes), so a length check detects staleness.
 	setsSorted []*ReplicaSet
 }
 
@@ -86,6 +90,28 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 		cl.sampler = sim.NewSampler()
 	}
 	return cl
+}
+
+// Reset empties the cluster: its nodes stay, hosting nothing, and it holds
+// no replica set, so it is what New and the same AddNode calls build — the
+// next container placed is ID 1 again. The replica sets and containers of
+// the old deployment are recycled for the next one, keeping their queue
+// storage and in-flight records, so nothing may use one from before the
+// Reset. Work still in flight is abandoned: the engine's events must have
+// been discarded with it (sim.Engine.Reset).
+func (cl *Cluster) Reset() {
+	for _, n := range cl.nodes {
+		n.reset()
+	}
+	clear(cl.sets)
+	cl.setsSorted = nil
+	cl.nextID = 0
+	cl.spareSets = append(cl.spareSets, cl.byID...)
+	clear(cl.byID)
+	cl.byID = cl.byID[:0]
+	cl.spare = append(cl.spare, cl.placed...)
+	clear(cl.placed)
+	cl.placed = cl.placed[:0]
 }
 
 // Engine returns the driving simulation engine.
@@ -223,7 +249,15 @@ func (cl *Cluster) newSet(service string) (*ReplicaSet, error) {
 	if len(cl.byID) > math.MaxUint16 {
 		panic("cluster: service IDs exhausted (65,536 replica sets, the bound of trace.Span.Service)")
 	}
-	rs := &ReplicaSet{Service: service, ID: uint32(len(cl.byID)), cl: cl}
+	var rs *ReplicaSet
+	if n := len(cl.spareSets); n > 0 {
+		rs, cl.spareSets = cl.spareSets[n-1], cl.spareSets[:n-1]
+		clear(rs.containers)
+		*rs = ReplicaSet{containers: rs.containers[:0]}
+	} else {
+		rs = new(ReplicaSet)
+	}
+	rs.Service, rs.ID, rs.cl = service, uint32(len(cl.byID)), cl
 	cl.sets[service] = rs
 	cl.byID = append(cl.byID, rs)
 	return rs, nil
@@ -246,15 +280,11 @@ func (rs *ReplicaSet) AddReplica(limits Vector, cold, instant bool) (*Container,
 // deployment interleaving.
 func (rs *ReplicaSet) place(node *Node, limits Vector, cold, instant bool) (*Container, error) {
 	rs.cl.nextID++
-	c := &Container{
-		ID:      rs.cl.nextID,
-		Name:    rs.Service + "-" + strconv.FormatUint(uint64(rs.cl.nextID), 10),
-		Service: rs.Service,
-		eng:     rs.cl.eng,
-		cfg:     rs.cl.cfg,
-		node:    node,
-		limits:  limits.Min(node.Prof.Capacity),
-	}
+	c := rs.cl.recycle()
+	c.ID = rs.cl.nextID
+	c.Name = rs.Service + "-" + strconv.FormatUint(uint64(rs.cl.nextID), 10)
+	c.Service, c.eng, c.cfg, c.node = rs.Service, rs.cl.eng, rs.cl.cfg, node
+	c.limits = limits.Min(node.Prof.Capacity)
 	rs.cl.placed = append(rs.cl.placed, c)
 	if rs.cl.cfg.PerInstanceNoise {
 		c.hasNoise, c.sampler = true, rs.cl.sampler
@@ -281,6 +311,21 @@ func (rs *ReplicaSet) place(node *Node, limits Vector, cold, instant bool) (*Con
 		}
 	})
 	return c, nil
+}
+
+// recycle returns a zeroed container for place: a spare from before the last
+// Reset, keeping its queue storage and in-flight records, or a new one.
+func (cl *Cluster) recycle() *Container {
+	n := len(cl.spare)
+	if n == 0 {
+		return new(Container)
+	}
+	c := cl.spare[n-1]
+	cl.spare[n-1] = nil
+	cl.spare = cl.spare[:n-1]
+	c.queue.Reset()
+	*c = Container{queue: c.queue, free: c.free}
+	return c
 }
 
 // DeployServiceOn creates a replica set with all containers pinned to node,

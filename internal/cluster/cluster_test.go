@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -749,5 +750,83 @@ func TestFirstSubmitAllocatesNoGenerator(t *testing.T) {
 	}
 	if rs.Containers()[0].Completed != 1 {
 		t.Fatal("the submitted work did not complete")
+	}
+}
+
+// TestClusterReset: a cluster Reset in the middle of a run — queued and
+// in-flight work, a scaled-out replica, a retired one, injected node load —
+// deploys and serves exactly as a new cluster with the same nodes does: same
+// IDs, names, placements, node accounting and service times. Its containers
+// are the old ones recycled, their queues empty.
+func TestClusterReset(t *testing.T) {
+	build := func(eng *sim.Engine, cl *Cluster) []*Container {
+		var out []*Container
+		for _, svc := range []string{"b", "a", "c"} {
+			rs, err := cl.DeployService(svc, 2, V(2, 1000, 4, 100, 100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rs.Containers()...)
+		}
+		return out
+	}
+	serve := func(eng *sim.Engine, cl *Cluster) string {
+		out := ""
+		for i, c := range build(eng, cl) {
+			for k := 0; k < 5; k++ {
+				c.Submit(Work{Base: sim.Time(1+i) * sim.Millisecond, Demand: V(1, 300, 0, 0, 0), Handler: WorkFuncs{Done: func(q, p sim.Time) {
+					out += fmt.Sprintf("%s %v %v; ", c.Name, q, p)
+				}}})
+			}
+		}
+		eng.RunUntil(sim.Second)
+		for _, rs := range cl.ReplicaSets() {
+			for _, c := range rs.Containers() {
+				out += fmt.Sprintf("\n%d %s on %s %v", c.ID, c.Name, c.Node().ID, c.Limits())
+			}
+		}
+		for _, n := range cl.Nodes() {
+			out += fmt.Sprintf("\n%s %v %v", n.ID, n.CPUAllocated(), n.Usage())
+		}
+		return out
+	}
+	eng, cl := testCluster(t, 1)
+	cl.AddNode(PowerProfile)
+	old := build(eng, cl)
+	for _, c := range old {
+		for k := 0; k < 20; k++ {
+			c.Submit(Work{Base: 50 * sim.Millisecond, Demand: V(1, 500, 0, 0, 0)})
+		}
+	}
+	rs := cl.ReplicaSet("a")
+	added, err := rs.AddReplica(V(1, 500, 2, 50, 50), true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old = append(old, added)
+	rs.RemoveReplica(rs.Containers()[0])
+	cl.Nodes()[0].AddInjectedLoad(V(0, 4000, 0, 0, 0))
+	eng.RunUntil(30 * sim.Millisecond)
+	if cl.TotalRequestedCPU() == 0 { // also caches the sorted replica sets
+		t.Fatal("nothing deployed before the Reset")
+	}
+	eng.Reset(2)
+	cl.Reset()
+
+	freshEng, fresh := testCluster(t, 2)
+	fresh.AddNode(PowerProfile)
+	if got, want := serve(eng, cl), serve(freshEng, fresh); got != want {
+		t.Fatalf("after Reset:\n%s\na new cluster:\n%s", got, want)
+	}
+	recycled := map[*Container]bool{}
+	for _, c := range old {
+		recycled[c] = true
+	}
+	for _, rs := range cl.ReplicaSets() {
+		for _, c := range rs.Containers() {
+			if !recycled[c] {
+				t.Fatalf("container %s is new; Reset had %d to recycle", c.Name, len(old))
+			}
+		}
 	}
 }

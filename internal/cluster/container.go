@@ -92,7 +92,7 @@ type Container struct {
 	ready   bool
 	retired bool // removed from its replica set; never comes back
 	// ID is the instance's dense identity — the cluster's container ordinal,
-	// starting at 1 and never reused — and what spans, telemetry series and
+	// starting at 1 and never reused before a Reset — and what spans, telemetry series and
 	// localizer state are keyed by. (It sits here, in what was padding, so
 	// the fields the request path touches keep their offsets.)
 	ID uint32

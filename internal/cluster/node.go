@@ -21,6 +21,12 @@ func NewNode(id string, prof HardwareProfile) *Node {
 	return &Node{ID: id, Prof: prof, containers: make(map[uint32]*Container)}
 }
 
+// reset empties the node (Cluster.Reset).
+func (n *Node) reset() {
+	n.usage, n.inject, n.cpuAlloc = Vector{}, Vector{}, 0
+	clear(n.containers)
+}
+
 // Capacity returns the node's total resource capacities.
 func (n *Node) Capacity() Vector { return n.Prof.Capacity }
 

@@ -424,16 +424,32 @@ type Controller struct {
 func New(cfg Config, a *app.App, db *tracedb.Store, col *telemetry.Collector,
 	meter *telemetry.Meter, dep *deploy.Module, ext *detect.Extractor,
 	prov AgentProvider) *Controller {
+	return NewReusing(nil, cfg, a, db, col, meter, dep, ext, prov)
+}
+
+// NewReusing is New, except that a non-nil prev hands the new controller its
+// monitor and localizer, reset, so their storage outlives one episode. prev
+// must be dead — its engine reset and its store's observers forgotten — and
+// is not used again.
+func NewReusing(prev *Controller, cfg Config, a *app.App, db *tracedb.Store, col *telemetry.Collector,
+	meter *telemetry.Meter, dep *deploy.Module, ext *detect.Extractor,
+	prov AgentProvider) *Controller {
 	if need := Window + Interval; db.Window() < need {
 		panic(fmt.Sprintf("core: the trace store keeps %v of traces, the controller reads %v", db.Window(), need))
 	}
 	c := &Controller{
 		cfg: cfg, eng: a.Engine(), app: a, db: db, col: col, meter: meter,
 		dep: dep, prov: prov,
-		sb:  &agent.StateBuilder{Col: col, Meter: meter, SLO: a.SLO},
-		mon: detect.NewMonitor(256),
+		sb: &agent.StateBuilder{Col: col, Meter: meter, SLO: a.SLO},
 	}
-	c.loc = detect.NewLocalizer(ext, 256)
+	if prev != nil {
+		c.mon, c.loc = prev.mon, prev.loc
+		prev.mon, prev.loc = nil, nil
+		c.mon.Reset()
+		c.loc.Reset(ext)
+	} else {
+		c.mon, c.loc = detect.NewMonitor(256), detect.NewLocalizer(ext, 256)
+	}
 	// Observe replays traces already stored, so attaching a controller
 	// mid-workload sees the same window a fresh Select would.
 	db.Observe(c.mon)

@@ -131,6 +131,16 @@ func NewLocalizer(e *Extractor, capHint int) *Localizer {
 	}
 }
 
+// Reset empties the localizer and binds it to e, keeping its rings and
+// scratch: it is then what NewLocalizer(e, ·) builds.
+func (l *Localizer) Reset(e *Extractor) {
+	l.cfg, l.scorer = e.cfg, e.svm.NewScorer()
+	l.entries.Reset()
+	l.obs.Reset()
+	l.proc, l.seq = 0, 0
+	l.insts = l.insts[:0]
+}
+
 // TraceStored implements tracedb.Observer. Dropped traces never contribute
 // features (the batch loop skips them), so they are not tracked at all.
 func (l *Localizer) TraceStored(t *trace.Trace) {

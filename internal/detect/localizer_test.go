@@ -357,21 +357,24 @@ func checkLog(t *testing.T, l *Localizer, where string) {
 	}
 }
 
-// TestLocalizerEpisodesMatchBatch builds a fresh localizer per episode, the
-// way every training episode does, on a randomised stream: store size,
-// window and how often Candidates runs vary by episode, so entries leave
-// the window processed and unprocessed, by expiry (Advance) and by the
-// store (TraceEvicted), while the shared observation ring grows from
-// empty. After every Advance the localizer holds exactly the window's
-// traces; after every Candidates it matches the batch path bit for bit, and
-// the observation ring holds exactly the processed entries' observations.
+// TestLocalizerEpisodesMatchBatch runs one localizer through many
+// episodes, Reset between them the way a rollout worker's testbed resets
+// its controller's, on a randomised stream: store size, window and how often
+// Candidates runs vary by episode, so entries leave the window processed and
+// unprocessed, by expiry (Advance) and by the store (TraceEvicted), while
+// the shared observation ring grows from empty in the first episode and
+// wraps over what earlier ones left in the rest. After every Advance the
+// localizer holds exactly the window's traces; after every Candidates it
+// matches the batch path bit for bit, and the observation ring holds exactly
+// the processed entries' observations.
 func TestLocalizerEpisodesMatchBatch(t *testing.T) {
 	e := newExtractor(t)
 	r := rand.New(rand.NewSource(31))
-	var ringProcessed, ringUnprocessed, expiredProcessed, expiredUnprocessed int
+	var expiredProcessed, expiredUnprocessed int
+	loc := &evictTally{Localizer: NewLocalizer(e, 1)}
 	for ep := 0; ep < 40; ep++ {
 		store := newStorePair(0, []int{12, 40, 400}[r.Intn(3)])
-		loc := &evictTally{Localizer: NewLocalizer(e, 1)}
+		loc.Reset(e)
 		store.db.Observe(loc)
 		window := sim.Time(300+r.Intn(2500)) * sim.Millisecond
 		every := 1 + r.Intn(12)
@@ -414,11 +417,65 @@ func TestLocalizerEpisodesMatchBatch(t *testing.T) {
 			}
 			checkLog(t, loc.Localizer, fmt.Sprintf("episode %d step %d", ep, i))
 		}
-		ringProcessed += loc.processed
-		ringUnprocessed += loc.unprocessed
 	}
-	if ringProcessed == 0 || ringUnprocessed == 0 || expiredProcessed == 0 || expiredUnprocessed == 0 {
+	if loc.processed == 0 || loc.unprocessed == 0 || expiredProcessed == 0 || expiredUnprocessed == 0 {
 		t.Fatalf("stream missed a case: ring evictions %d processed / %d unprocessed, expiries %d / %d",
-			ringProcessed, ringUnprocessed, expiredProcessed, expiredUnprocessed)
+			loc.processed, loc.unprocessed, expiredProcessed, expiredUnprocessed)
+	}
+}
+
+// TestLocalizerResetMatchesNew: a localizer Reset after a stream of its own,
+// and bound to an extractor of another configuration, holds and scores the
+// next stream exactly as a new one on that extractor does, its observation
+// log entry by entry.
+func TestLocalizerResetMatchesNew(t *testing.T) {
+	e := newExtractor(t)
+	cfg := e.cfg
+	cfg.IncludeBackground = !cfg.IncludeBackground
+	other := New(cfg, e.svm)
+	r := rand.New(rand.NewSource(37))
+	loc := NewLocalizer(e, 4)
+	old := tracedb.New(0, 64)
+	old.Observe(loc)
+	now := sim.Time(0)
+	for i := 0; i < 200; i++ {
+		now += sim.Time(2+r.Intn(20)) * sim.Millisecond
+		old.Consume(streamTrace(i, now, r))
+		if loc.Advance(now - sim.Second); i%9 == 0 {
+			loc.Candidates()
+		}
+	}
+	loc.Reset(other)
+	fresh := NewLocalizer(other, 4)
+	db := tracedb.New(0, 64)
+	db.Observe(loc)
+	db.Observe(fresh)
+	now = 0
+	scored := 0
+	for i := 0; i < 150; i++ {
+		now += sim.Time(2+r.Intn(20)) * sim.Millisecond
+		db.Consume(streamTrace(i, now, r))
+		loc.Advance(now - sim.Second)
+		fresh.Advance(now - sim.Second)
+		if loc.Len() != fresh.Len() {
+			t.Fatalf("step %d: Reset localizer holds %d traces, a new one %d", i, loc.Len(), fresh.Len())
+		}
+		if i%5 != 0 {
+			continue
+		}
+		got, want := loc.Candidates(), fresh.Candidates()
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %d candidates, a new localizer's %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if !sameCand(got[j], want[j]) {
+				t.Fatalf("step %d candidate %d: %+v, a new localizer's %+v", i, j, got[j], want[j])
+			}
+		}
+		checkLog(t, loc, fmt.Sprintf("step %d", i))
+		scored += len(got)
+	}
+	if scored == 0 {
+		t.Fatal("no step scored a candidate; the stream tests nothing")
 	}
 }

@@ -48,6 +48,14 @@ func NewMonitor(capHint int) *Monitor {
 	return &Monitor{win: stats.NewWindow(capHint), entries: ring.New[monEntry](0, max(capHint, 16))}
 }
 
+// Reset empties the monitor, keeping its storage: it is then what
+// NewMonitor builds.
+func (m *Monitor) Reset() {
+	m.win.Reset()
+	m.entries.Reset()
+	m.drops = 0
+}
+
 // TraceStored implements tracedb.Observer.
 func (m *Monitor) TraceStored(t *trace.Trace) {
 	e := monEntry{t: t, end: t.End, dropped: t.Dropped}

@@ -149,3 +149,33 @@ func TestMonitorSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state allocs/op = %v, want 0", allocs)
 	}
 }
+
+// TestMonitorResetMatchesNew: a monitor Reset after a stream of its own holds
+// and answers for the next stream exactly what a new one does.
+func TestMonitorResetMatchesNew(t *testing.T) {
+	stream := func(db *tracedb.Store, n int, step func(now sim.Time)) {
+		for i := 1; i <= n; i++ {
+			now := sim.Time(i) * 7 * sim.Millisecond
+			db.Consume(&trace.Trace{ID: trace.TraceID(i), Start: now - sim.Time(3+i%29)*sim.Millisecond, End: now, Dropped: i%13 == 0})
+			step(now)
+		}
+	}
+	m := NewMonitor(4)
+	old := tracedb.New(0, 64)
+	old.Observe(m)
+	stream(old, 300, func(now sim.Time) { m.Advance(now - 500*sim.Millisecond) })
+	m.Reset()
+	fresh := NewMonitor(4)
+	db := tracedb.New(0, 64)
+	db.Observe(m)
+	db.Observe(fresh)
+	stream(db, 200, func(now sim.Time) {
+		m.Advance(now - 300*sim.Millisecond)
+		fresh.Advance(now - 300*sim.Millisecond)
+		if m.Len() != fresh.Len() || m.Drops() != fresh.Drops() || math.Float64bits(m.P99()) != math.Float64bits(fresh.P99()) ||
+			m.Violated(40*sim.Millisecond) != fresh.Violated(40*sim.Millisecond) {
+			t.Fatalf("at %v: Reset monitor holds %d (%d dropped, P99 %v), a new one %d (%d, %v)",
+				now, m.Len(), m.Drops(), m.P99(), fresh.Len(), fresh.Drops(), fresh.P99())
+		}
+	})
+}

@@ -1,14 +1,21 @@
 package experiments
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
+	"firm/internal/core"
 	"firm/internal/harness"
 	"firm/internal/injector"
 	"firm/internal/report"
+	"firm/internal/rl"
+	"firm/internal/runner"
 	"firm/internal/sim"
+	"firm/internal/topology"
 )
 
 // The fast experiments run end-to-end in tests; the RL-heavy ones are
@@ -171,5 +178,79 @@ func TestTableRender(t *testing.T) {
 	out := tb.String()
 	if !strings.Contains(out, "T\n") || !strings.Contains(out, "bb") {
 		t.Fatalf("render: %q", out)
+	}
+}
+
+// TestTrainEpisodeOnResetBedMatchesNew: a training episode on a rollout
+// slot's testbed, Reset after the slot's earlier episodes, emits the same
+// transitions and reward as the episode on a new testbed — for each episode
+// of a short campaign, acting through one policy replica reseeded per
+// episode as rollout does.
+func TestTrainEpisodeOnResetBedMatchesNew(t *testing.T) {
+	opts := TrainOpts{Seed: 11, Spec: topology.TrainTicket()}
+	ext := harness.NewExtractor(opts.Seed)
+	cfg := rl.DefaultConfig()
+	cfg.Seed = opts.Seed
+	learner := core.SharedAgent{A: rl.New(cfg)}
+	rep := learner.NewReplica()
+	snaps, err := learner.SnapshotPolicies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.SyncPolicies(snaps); err != nil {
+		t.Fatal(err)
+	}
+	episode := func(b *harness.Bench, ep int) (string, int) {
+		rep.BeginEpisode(sim.DeriveSeed(opts.Seed, "ep", strconv.Itoa(ep)))
+		h, n := fnv.New64a(), 0
+		reward := trainEpisode(b, ext, rep, func(service string, tr rl.Transition) {
+			fmt.Fprintf(h, "%s %v %v %v %v %v\n", service, tr.S, tr.A, tr.R, tr.S2, tr.Done)
+			n++
+		})
+		return fmt.Sprintf("reward %v, %d transitions digesting to %x", reward, n, h.Sum64()), n
+	}
+	slot, err := harness.New(trainBedOptions(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ep := 0; ep < 3; ep++ {
+		if ep > 0 {
+			slot.Reset(opts.Seed)
+		}
+		got, _ := episode(slot, ep)
+		b, err := harness.New(trainBedOptions(opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, n := episode(b, ep)
+		if n == 0 {
+			t.Fatalf("episode %d emitted no transitions; it tests nothing", ep)
+		}
+		if got != want {
+			t.Fatalf("episode %d on the slot's Reset testbed: %s; on a new one: %s", ep, got, want)
+		}
+	}
+}
+
+// TestTrainResetBedsAcrossBudgetSlots: a campaign whose rounds borrow their
+// actors from a pool — so a slot's testbed may pass between goroutines from
+// one round to the next, and is Reset each time — trains the same weights
+// as one actor resetting one testbed for every episode. Under the race
+// detector it is also the check that no two goroutines reach one slot's
+// testbed.
+func TestTrainResetBedsAcrossBudgetSlots(t *testing.T) {
+	train := func(workers int, pool *runner.Pool) string {
+		res, err := Train(TrainOpts{Seed: 5, Episodes: 6, Variant: OneForAll, RolloutWorkers: workers, Pool: pool, SyncEvery: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := res.Provider.Agents()[0].Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%v\nactor %x", res.Rewards, snap.Actor)
+	}
+	if got, want := train(0, runner.NewPool(3)), train(1, nil); got != want {
+		t.Fatalf("pool-borrowed slots trained\n%.200s\none slot trained\n%.200s", got, want)
 	}
 }

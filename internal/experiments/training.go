@@ -84,9 +84,12 @@ type TrainOpts struct {
 }
 
 // Train runs an RL training campaign on the given benchmark (the paper
-// trains on Train-Ticket, §4.3): each episode deploys a fresh cluster,
-// drives it with load plus the randomized anomaly campaign, and the FIRM
-// controller's experience feeds a central DDPG learner.
+// trains on Train-Ticket, §4.3): each episode runs on a freshly deployed
+// cluster, driven by load plus the randomized anomaly campaign, and the FIRM
+// controller's experience feeds a central DDPG learner. Each rollout worker
+// slot keeps one testbed for the length of the call and Resets it between
+// its episodes (harness.Bench.Reset), which is the testbed harness.New would
+// build, so an episode does not depend on the slot that runs it.
 //
 // Episodes execute on internal/rollout's deterministic actor-learner
 // engine: workers act with policy replicas synced every SyncEvery episodes
@@ -142,40 +145,27 @@ func Train(opts TrainOpts) (*TrainResult, error) {
 	// cost.
 	ext := harness.NewExtractor(opts.Seed)
 
-	runEpisode := func(ep int, rp core.AgentProvider, sink core.TransitionSink) (float64, error) {
+	// beds[w] is worker slot w's testbed, built on the slot's first episode;
+	// a slot runs one episode at a time, so only its goroutine touches it.
+	syncEvery := opts.SyncEvery
+	if syncEvery <= 0 {
+		syncEvery = rollout.DefaultSyncEvery
+	}
+	beds := make([]*harness.Bench, syncEvery)
+	runEpisode := func(ep, w int, rp core.AgentProvider, sink core.TransitionSink) (float64, error) {
 		// The environment seed is fixed across episodes: §4.3 trains all
 		// models "subjected to the same sequence of performance anomaly
 		// injections", so only the agent's exploration varies per episode.
-		b, err := harness.New(harness.Options{
-			Seed:         opts.Seed,
-			Spec:         opts.Spec,
-			SLOMargin:    1.6,
-			CalibrationN: 6,
-		})
-		if err != nil {
-			return 0, err
+		if beds[w] != nil {
+			beds[w].Reset(opts.Seed)
+		} else {
+			b, err := harness.New(trainBedOptions(opts))
+			if err != nil {
+				return 0, err
+			}
+			beds[w] = b
 		}
-		b.AttachWorkload(workload.Constant{RPS: 120})
-		cfg := core.DefaultConfig()
-		cfg.Training = true
-		cfg.IdleReclaim = 0 // hold provisioning constant while learning mitigation
-		cfg.Sink = sink     // divert experience to the central learner
-		ctl := b.AttachFIRM(cfg, rp, ext)
-		camp := injector.DefaultCampaign(b.Injector, b.Containers())
-		// Denser, longer injections than steady state accelerate
-		// exploration (§3.6: the injector exists to span the trade-off
-		// space quickly); sustained anomalies force the agent to mitigate
-		// rather than wait out transient contention.
-		camp.MeanInterarrival = 3 * sim.Second
-		camp.MinDuration = 8 * sim.Second
-		camp.MaxDuration = 16 * sim.Second
-		camp.MinIntensity = 0.6
-		camp.Start()
-		b.Eng.RunFor(episodeDuration)
-		camp.Stop()
-		reward := ctl.EpisodeReward
-		ctl.ResetEpisode() // terminal-flush outstanding transitions into sink
-		return reward, nil
+		return trainEpisode(beds[w], ext, rp, sink), nil
 	}
 
 	_, err := rollout.Run(rollout.Options{
@@ -207,6 +197,38 @@ func Train(opts TrainOpts) (*TrainResult, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// trainBedOptions is the testbed every training episode runs on.
+func trainBedOptions(opts TrainOpts) harness.Options {
+	return harness.Options{Seed: opts.Seed, Spec: opts.Spec, SLOMargin: 1.6, CalibrationN: 6}
+}
+
+// trainEpisode runs one training episode on b, which New or Reset has just
+// built: load, the anomaly campaign and a training FIRM controller acting
+// through rp, whose transitions go to sink. It returns the episode reward.
+func trainEpisode(b *harness.Bench, ext *detect.Extractor, rp core.AgentProvider, sink core.TransitionSink) float64 {
+	b.AttachWorkload(workload.Constant{RPS: 120})
+	cfg := core.DefaultConfig()
+	cfg.Training = true
+	cfg.IdleReclaim = 0 // hold provisioning constant while learning mitigation
+	cfg.Sink = sink     // divert experience to the central learner
+	ctl := b.AttachFIRM(cfg, rp, ext)
+	camp := injector.DefaultCampaign(b.Injector, b.Containers())
+	// Denser, longer injections than steady state accelerate exploration
+	// (§3.6: the injector exists to span the trade-off space quickly);
+	// sustained anomalies force the agent to mitigate rather than wait out
+	// transient contention.
+	camp.MeanInterarrival = 3 * sim.Second
+	camp.MinDuration = 8 * sim.Second
+	camp.MaxDuration = 16 * sim.Second
+	camp.MinIntensity = 0.6
+	camp.Start()
+	b.Eng.RunFor(episodeDuration)
+	camp.Stop()
+	reward := ctl.EpisodeReward
+	ctl.ResetEpisode() // terminal-flush outstanding transitions into sink
+	return reward
 }
 
 // pretrainGuided behaviour-clones the guided mitigation rule

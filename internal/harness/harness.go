@@ -4,6 +4,12 @@
 // optionally — a resource-management policy (FIRM, the Kubernetes-HPA
 // baseline, or the AIMD baseline). Experiments, examples, and integration
 // tests all build on it.
+//
+// A testbed's life is New, then a run; a caller that runs many episodes of
+// one world — RL training's rollout workers — calls Reset(seed) between
+// them instead of New: the testbed is then the one New builds with that
+// seed, but the trace store, the engine's heap, the app's pools and the
+// controller's detector state keep the storage the last episode grew.
 package harness
 
 import (
@@ -90,6 +96,13 @@ type Bench struct {
 	Deploy   *deploy.Module
 	Injector *injector.Injector
 	Gen      *workload.Generator
+
+	// ctl is the FIRM controller attached since the last New or Reset. Reset
+	// parks it and Gen as spares, whose storage the next AttachFIRM and
+	// AttachWorkload take over.
+	ctl      *core.Controller
+	spareCtl *core.Controller
+	spareGen *workload.Generator
 }
 
 // New builds a testbed. The workload generator is created by AttachWorkload.
@@ -133,22 +146,68 @@ func New(opts Options) (*Bench, error) {
 		Deploy:   deploy.New(eng, cl),
 		Injector: injector.New(eng, opts.Seed),
 	}
+	b.start()
+	return b, nil
+}
+
+// start starts telemetry and calibrates the SLO: the last step of New and of
+// Reset, on a testbed whose clock reads zero.
+func (b *Bench) start() {
 	b.Col.Start()
-	if opts.SLOMargin > 0 {
-		n := opts.CalibrationN
+	if b.Opts.SLOMargin > 0 {
+		n := b.Opts.CalibrationN
 		if n <= 0 {
 			n = 20
 		}
-		a.Calibrate(n, opts.SLOMargin)
+		b.App.Calibrate(n, b.Opts.SLOMargin)
 	}
-	return b, nil
+}
+
+// Reset makes the testbed the one New builds from b.Opts with Opts.Seed =
+// seed: same calibrated SLO, clock, trace, span and container IDs, and random
+// streams, with no workload or controller attached. Everything the last run
+// left — requests in flight, injections, scaled-out replicas, pending
+// controller actions — is abandoned. What the run grew keeps its storage:
+// the engine's heap, the cluster's containers and their queues, the trace
+// store (its retained traces go back to its free list), the coordinator's
+// and the app's pools, the telemetry series, and the last generator and FIRM
+// controller, which the next AttachWorkload and AttachFIRM take over. Only
+// the deployment module is rebuilt. Nothing built on the testbed before the
+// Reset may be used after it: a controller, a generator, a container or
+// replica set, an injection's stop function.
+func (b *Bench) Reset(seed int64) {
+	b.Opts.Seed = seed
+	b.Eng.Reset(seed)
+	b.Cluster.Reset()
+	b.DB.Reset()
+	b.Coord.Reset()
+	if err := b.App.Reset(); err != nil {
+		panic(err) // New deployed this spec on these nodes
+	}
+	b.Col.Reset()
+	b.Meter.Reset()
+	b.Deploy = deploy.New(b.Eng, b.Cluster)
+	b.Injector.Reset(seed)
+	if b.Gen != nil {
+		b.spareGen, b.Gen = b.Gen, nil
+	}
+	if b.ctl != nil {
+		b.spareCtl, b.ctl = b.ctl, nil
+	}
+	b.start()
 }
 
 // AttachWorkload creates and starts the open-loop generator, and wires the
 // injector's workload-variation anomaly to it. The injector validates
 // intensities to [0,1], so a rejected spike factor is a bug and panics.
 func (b *Bench) AttachWorkload(p workload.Pattern) *workload.Generator {
-	b.Gen = workload.NewGenerator(b.App, p, b.Meter, b.Opts.Seed)
+	if g := b.spareGen; g != nil {
+		b.spareGen = nil
+		g.Reset(p, b.Opts.Seed)
+		b.Gen = g
+	} else {
+		b.Gen = workload.NewGenerator(b.App, p, b.Meter, b.Opts.Seed)
+	}
 	b.Injector.SpikeHook = func(intensity float64, d sim.Time) {
 		if err := b.Gen.Spike(intensity*3, d); err != nil { // intensity 1 → 4× rate
 			panic(err)
@@ -176,12 +235,15 @@ func (b *Bench) NewExtractor() *detect.Extractor {
 	return NewExtractor(b.Opts.Seed)
 }
 
-// AttachFIRM wires and starts a FIRM controller with the given agents.
+// AttachFIRM wires and starts a FIRM controller with the given agents. On a
+// Reset testbed the first one takes over the last run's controller's detector
+// storage.
 func (b *Bench) AttachFIRM(cfg core.Config, prov core.AgentProvider, ext *detect.Extractor) *core.Controller {
 	if ext == nil {
 		ext = b.NewExtractor()
 	}
-	ctl := core.New(cfg, b.App, b.DB, b.Col, b.Meter, b.Deploy, ext, prov)
+	ctl := core.NewReusing(b.spareCtl, cfg, b.App, b.DB, b.Col, b.Meter, b.Deploy, ext, prov)
+	b.spareCtl, b.ctl = nil, ctl
 	ctl.Start()
 	return ctl
 }

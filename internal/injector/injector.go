@@ -117,21 +117,21 @@ type Injector struct {
 	SpikeHook func(intensity float64, d sim.Time)
 
 	history []Record
-	active  map[*activeInj]struct{}
-}
-
-type activeInj struct {
-	rec     *Record
-	cleanup func()
 }
 
 // New creates an injector with its own random stream.
 func New(eng *sim.Engine, seed int64) *Injector {
-	return &Injector{
-		eng:    eng,
-		rng:    sim.Stream(seed, "injector"),
-		active: make(map[*activeInj]struct{}),
-	}
+	return &Injector{eng: eng, rng: sim.Stream(seed, "injector")}
+}
+
+// Reset returns the injector to what New(eng, seed) builds on its engine,
+// which must have been reset: no history, no spike hook, its stream reseeded
+// in place. A stop function Inject or Record returned before the Reset must
+// not be called after it.
+func (in *Injector) Reset(seed int64) {
+	sim.Reseed(in.rng, seed, "injector")
+	in.history = in.history[:0]
+	in.SpikeHook = nil
 }
 
 // Inject starts an anomaly after validating it (a rejected injection
@@ -142,21 +142,16 @@ func (in *Injector) Inject(inj Injection) (func(), error) {
 		return nil, err
 	}
 	inj.Start = in.eng.Now()
-	rec := &Record{Injection: inj, End: inj.Start + inj.Duration}
-	in.history = append(in.history, *rec)
+	in.history = append(in.history, Record{Injection: inj, End: inj.Start + inj.Duration})
 	histIdx := len(in.history) - 1
 
 	cleanup := in.apply(inj)
-	a := &activeInj{rec: rec, cleanup: cleanup}
-	in.active[a] = struct{}{}
-
 	stopped := false
 	stop := func() {
 		if stopped {
 			return
 		}
 		stopped = true
-		delete(in.active, a)
 		if cleanup != nil {
 			cleanup()
 		}
@@ -298,7 +293,21 @@ func DefaultCampaign(in *Injector, targets []*cluster.Container) *Campaign {
 }
 
 // Start schedules the first injection; the campaign continues until Stop.
+// It panics, naming the field, on a campaign that would livelock the engine
+// (a non-positive MeanInterarrival draws every gap as 0) or draw injections
+// Inject rejects: a non-positive MinDuration, a MaxDuration below it, or a
+// MinIntensity outside [0, 1].
 func (c *Campaign) Start() {
+	switch {
+	case c.MeanInterarrival <= 0:
+		panic(fmt.Sprintf("injector: Campaign.MeanInterarrival %v is not positive", c.MeanInterarrival))
+	case c.MinDuration <= 0:
+		panic(fmt.Sprintf("injector: Campaign.MinDuration %v is not positive", c.MinDuration))
+	case c.MaxDuration < c.MinDuration:
+		panic(fmt.Sprintf("injector: Campaign.MaxDuration %v is below MinDuration %v", c.MaxDuration, c.MinDuration))
+	case !(c.MinIntensity >= 0 && c.MinIntensity <= maxIntensity): // NaN fails both comparisons
+		panic(fmt.Sprintf("injector: Campaign.MinIntensity %v outside [0,1]", c.MinIntensity))
+	}
 	if len(c.Targets) == 0 {
 		return
 	}
@@ -326,5 +335,8 @@ func (c *Campaign) fire() {
 	t := c.Targets[in.rng.Intn(len(c.Targets))]
 	dur := c.MinDuration + sim.Time(in.rng.Float64()*float64(c.MaxDuration-c.MinDuration))
 	intensity := c.MinIntensity + in.rng.Float64()*(maxIntensity-c.MinIntensity)
-	in.Inject(Injection{Kind: k, Target: t, Intensity: intensity, Duration: dur})
+	// Start validated what the draws are made from, so a rejection is a bug.
+	if _, err := in.Inject(Injection{Kind: k, Target: t, Intensity: intensity, Duration: dur}); err != nil {
+		panic(err)
+	}
 }

@@ -3,6 +3,7 @@ package injector
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"firm/internal/cluster"
@@ -45,15 +46,15 @@ func TestResourceStressAppliesAndExpires(t *testing.T) {
 	if got := c.InjectedLoad()[cluster.MemBW]; got != 2.5*1000 {
 		t.Fatalf("injected membw = %v, want 2500 (2.5x limit)", got)
 	}
-	if len(in.active) != 1 {
-		t.Fatal("injection not active")
+	if h := in.History(); len(h) != 1 || h[0].End != sim.Second {
+		t.Fatalf("history %+v, want one record ending at 1s", h)
 	}
 	eng.RunUntil(2 * sim.Second)
 	if got := c.InjectedLoad()[cluster.MemBW]; got != 0 {
 		t.Fatalf("injection did not expire: %v", got)
 	}
-	if len(in.active) != 0 {
-		t.Fatal("active count not cleared")
+	if h := in.History(); len(h) != 1 || h[0].End != sim.Second {
+		t.Fatalf("history after expiry %+v, want one record ending at 1s", h)
 	}
 }
 
@@ -302,6 +303,56 @@ func TestCampaignEmptyTargets(t *testing.T) {
 	if len(in.History()) != 0 {
 		t.Fatal("no targets must mean no injections")
 	}
+}
+
+// A campaign that would livelock the engine or draw injections Inject
+// rejects panics at Start, naming the field — before it schedules anything,
+// so no engine ever runs it.
+func TestCampaignStartRejectsBadFields(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Campaign)
+	}{
+		{"MeanInterarrival", func(c *Campaign) { c.MeanInterarrival = 0 }},
+		{"MeanInterarrival", func(c *Campaign) { c.MeanInterarrival = -sim.Second }},
+		{"MinDuration", func(c *Campaign) { c.MinDuration = 0 }},
+		{"MinDuration", func(c *Campaign) { c.MinDuration, c.MaxDuration = -sim.Second, sim.Second }},
+		{"MaxDuration", func(c *Campaign) { c.MaxDuration = c.MinDuration - 1 }},
+		{"MinIntensity", func(c *Campaign) { c.MinIntensity = -0.1 }},
+		{"MinIntensity", func(c *Campaign) { c.MinIntensity = 1.5 }},
+		{"MinIntensity", func(c *Campaign) { c.MinIntensity = math.NaN() }},
+	} {
+		eng, _, c, in := setup(t)
+		camp := DefaultCampaign(in, []*cluster.Container{c})
+		tc.set(camp)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.field) {
+					t.Errorf("%s: Start panicked with %q, want a panic naming the field", tc.field, msg)
+				}
+			}()
+			camp.Start()
+		}()
+		if eng.Pending() != 0 {
+			t.Errorf("%s: a rejected campaign scheduled %d events", tc.field, eng.Pending())
+		}
+	}
+}
+
+// An injection Inject rejects that a campaign still drew — here a nil
+// target — panics where it is drawn instead of vanishing from the history.
+func TestCampaignFirePanicsOnRejectedInjection(t *testing.T) {
+	eng, _, _, in := setup(t)
+	DefaultCampaign(in, []*cluster.Container{nil}).Start()
+	defer func() {
+		var verr *ValidationError
+		if err, _ := recover().(error); !errors.As(err, &verr) || verr.Field != "Target" {
+			t.Fatalf("fire panicked with %v, want the Target validation error", err)
+		}
+	}()
+	eng.RunUntil(sim.Minute)
+	t.Fatal("a campaign drawing rejected injections ran on")
 }
 
 func TestInjectionSlowsVictim(t *testing.T) {

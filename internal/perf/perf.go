@@ -5,8 +5,8 @@
 // behaviour-cloning call, the incremental localization features and a
 // violated tick's whole localization, a double-buffered rollout round, the
 // sharded engine's window, the request path, traced on one engine and
-// mailed across two shards, sealing and decoding a trace, and a
-// container's first work item. It is the micro
+// mailed across two shards, sealing and decoding a trace, a container's
+// first work item, and a training episode on a Reset testbed. It is the micro
 // measurement surface: `go test -bench . ./internal/perf` runs the registry
 // as ordinary sub-benchmarks (benchstat-able), and benchmark/ — the macro
 // surface — takes its per-call probes from it through Run.
@@ -28,6 +28,7 @@ import (
 	"firm/internal/core"
 	"firm/internal/detect"
 	"firm/internal/harness"
+	"firm/internal/injector"
 	"firm/internal/nn"
 	"firm/internal/rl"
 	"firm/internal/rollout"
@@ -54,9 +55,12 @@ type Benchmark struct {
 	// entries are budgeted at (near) zero; the four that allocate by design
 	// sit 1% above their best recorded run (73 / 2,994 / 4,762 / 47,623),
 	// rounded up, which absorbs first-iteration growth amortised over a short
-	// run. Budgets are counted on one P (TestAllocBudgets pins GOMAXPROCS to
-	// 1): how many goroutine records and stacks a fan-out allocates depends on
-	// how its workers happen to be scheduled, which is not the entry's doing.
+	// run. episode-reset's 230 is its 212 at -benchtime 200ms (≈145 ops, 2
+	// vCPUs, go1.24.0) plus room for a run as short as 10 ops (225): its
+	// first ops still grow the testbed's pools. Budgets are counted on one P
+	// (TestAllocBudgets pins GOMAXPROCS to 1): how many goroutine records and
+	// stacks a fan-out allocates depends on how its workers happen to be
+	// scheduled, which is not the entry's doing.
 	MaxAllocs int64
 }
 
@@ -83,6 +87,7 @@ func Benchmarks() []Benchmark {
 		{"trace-seal", "seal the 63-span app-request trace, then decode and index it (ChildIndex.Reset)", TraceSeal, 0},
 		{"sharded-request", "one request through a warm 2-shard, 60-service generated app, run until drained", ShardedRequest, 0},
 		{"cluster-cold-submit", "the first Submit on each of 1,000 never-touched containers under per-instance noise, run to completion", ClusterColdSubmit, 3000},
+		{"episode-reset", "one warm rollout-slot episode: Reset (with calibration) + 1 sim-s of Train-Ticket at 120 rps with a training FIRM controller", EpisodeReset, 230},
 	}
 }
 
@@ -456,7 +461,7 @@ func RolloutRoundOverlap(b *testing.B) {
 	cfg := rl.DefaultConfig()
 	cfg.Seed = Seed
 	learner := core.SharedAgent{A: rl.New(cfg)}
-	runEp := func(ep int, prov core.AgentProvider, sink core.TransitionSink) (float64, error) {
+	runEp := func(ep, _ int, prov core.AgentProvider, sink core.TransitionSink) (float64, error) {
 		r := sim.Stream(Seed, fmt.Sprintf("perf-rollout/ep%d", ep))
 		state := make([]float64, cfg.StateDim)
 		for i := range state {
@@ -828,4 +833,49 @@ func appRequestBed() (*app.App, *tracedb.Store, func()) {
 		panic(fmt.Sprintf("perf: %d warm-up requests dropped", a.Dropped))
 	}
 	return a, db, request
+}
+
+// EpisodeReset measures one training episode on a warm rollout-slot testbed,
+// the way experiments.Train runs every episode after a slot's first: Reset
+// (whose calibration runs 6 requests per endpoint on the engine), then 1
+// sim-s of the Train-Ticket episode — 120 rps, the training campaign, a
+// training FIRM controller acting through a policy replica and sending its
+// transitions to a sink. The testbed has run two such episodes, one on New
+// and one on Reset, before the clock starts. What an op allocates is what a reset world still builds —
+// the cluster, the deployment module, the controller and its ticker — plus
+// whatever the episode outgrows of the last one's buffers.
+func EpisodeReset(b *testing.B) {
+	ext := harness.NewExtractor(Seed)
+	cfg := rl.DefaultConfig()
+	cfg.Seed = Seed
+	rep := core.SharedAgent{A: rl.New(cfg)}.NewReplica()
+	tb, err := harness.New(harness.Options{Seed: Seed, Spec: topology.TrainTicket(), SLOMargin: 1.6, CalibrationN: 6})
+	if err != nil {
+		panic(fmt.Sprintf("perf: testbed setup failed: %v", err))
+	}
+	episode := func() {
+		rep.BeginEpisode(Seed)
+		tb.AttachWorkload(workload.Constant{RPS: 120})
+		ccfg := core.DefaultConfig()
+		ccfg.Training, ccfg.IdleReclaim = true, 0
+		ccfg.Sink = func(string, rl.Transition) {}
+		ctl := tb.AttachFIRM(ccfg, rep, ext)
+		camp := injector.DefaultCampaign(tb.Injector, tb.Containers())
+		camp.MeanInterarrival, camp.MinDuration, camp.MaxDuration, camp.MinIntensity = 3*sim.Second, 8*sim.Second, 16*sim.Second, 0.6
+		camp.Start()
+		tb.Eng.RunFor(sim.Second)
+		camp.Stop()
+		ctl.ResetEpisode()
+	}
+	episode()
+	tb.Reset(Seed) // the first Reset takes over the first episode's buffers
+	episode()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb.Reset(Seed)
+		episode()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(tb.Eng.Steps()), "events/op")
 }

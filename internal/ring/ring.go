@@ -96,6 +96,14 @@ func (r *Ring[T]) Pop() *T {
 	return s
 }
 
+// Reset empties the ring, keeping its storage and bound: it is then the ring
+// New(bound, len(storage)) returns, and storage order starts again at slot 0.
+// Every slot is zeroed, so the collector sees nothing through past tenants.
+func (r *Ring[T]) Reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
+
 // grow doubles full storage, clamped to the bound, unrolling it to start at
 // index zero.
 func (r *Ring[T]) grow() {

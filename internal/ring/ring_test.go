@@ -226,6 +226,44 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// A Reset ring — wrapped, full and bounded, or grown and unbounded — holds
+// nothing, keeps its storage and bound, has zeroed every slot, and then
+// behaves as a fresh one: pushes land in storage order from slot 0 and
+// allocate nothing until they outgrow what the ring kept.
+func TestReset(t *testing.T) {
+	for _, bound := range []int{0, 6} {
+		r := New[int](bound, 0)
+		for i := 1; i <= 9; i++ {
+			*r.Push() = i
+		}
+		r.Pop()
+		slots := len(r.buf)
+		r.Reset()
+		if r.Len() != 0 || len(r.buf) != slots || r.bound != bound {
+			t.Fatalf("bound %d: after Reset Len %d, %d slots (had %d), bound %d", bound, r.Len(), len(r.buf), slots, r.bound)
+		}
+		for k, v := range r.buf {
+			if v != 0 {
+				t.Fatalf("bound %d: slot %d still holds %d", bound, k, v)
+			}
+		}
+		next := 0
+		if a := testing.AllocsPerRun(1, func() { // runs twice: four pushes
+			for i := 0; i < 2; i++ {
+				next++
+				*r.Push() = next
+			}
+		}); a != 0 {
+			t.Fatalf("bound %d: pushes into kept storage allocate %v", bound, a)
+		}
+		for k := 0; k < r.Len(); k++ {
+			if *r.Slot(k) != *r.At(k) || *r.At(k) != k+1 {
+				t.Fatalf("bound %d: slot %d = %d, element %d = %d, want %d for both", bound, k, *r.Slot(k), k, *r.At(k), k+1)
+			}
+		}
+	}
+}
+
 // FuzzRingOps runs a mutated operation sequence through the same model:
 // each byte is one operation, its low two bits the kind.
 func FuzzRingOps(f *testing.F) {

@@ -270,12 +270,13 @@ func (a *Agent) ActExplore(state []float64) []float64 {
 // ResetNoise re-centres exploration noise (start of episode).
 func (a *Agent) ResetNoise() { a.noise.Reset() }
 
-// Reseed replaces the agent's private RNG and re-centres exploration noise.
-// Rollout replicas (internal/rollout) call it at every episode boundary so
-// an episode's exploration stream is a pure function of its episode seed —
-// independent of which worker runs the episode or what it ran before.
+// Reseed restarts the agent's private RNG, in place, at seed and re-centres
+// exploration noise. Rollout replicas (internal/rollout) call it at every
+// episode boundary so an episode's exploration stream is a pure function of
+// its episode seed — independent of which worker runs the episode or what it
+// ran before.
 func (a *Agent) Reseed(seed int64) {
-	a.rng = rand.New(rand.NewSource(seed))
+	a.rng.Seed(seed)
 	a.noise.Reset()
 }
 

@@ -77,12 +77,16 @@ type Options struct {
 	// Learner owns the canonical weights: snapshotted at round boundaries,
 	// trained in episode order behind the barrier.
 	Learner core.ReplicableProvider
-	// RunEpisode executes environment episode ep, acting through prov and
-	// emitting every finalized transition to sink in order (wire sink into
-	// core.Config.Sink). It runs on a worker goroutine: it must not touch
-	// state shared with other episodes except read-only inputs. The
-	// returned reward is the episode's training reward.
-	RunEpisode func(ep int, prov core.AgentProvider, sink core.TransitionSink) (float64, error)
+	// RunEpisode executes environment episode ep on worker slot w, acting
+	// through prov and emitting every finalized transition to sink in order
+	// (wire sink into core.Config.Sink). It runs on a worker goroutine: it
+	// must not touch state shared with other episodes except read-only
+	// inputs and what slot w owns. Slot w is the one whose policy replica
+	// prov is, 0 <= w < the round width; one goroutine at a time runs on a
+	// slot, and a slot's episodes run one after another — so an episode may
+	// reuse what the slot's previous episode built. The returned reward is
+	// the episode's training reward.
+	RunEpisode func(ep, w int, prov core.AgentProvider, sink core.TransitionSink) (float64, error)
 	// AfterEpisode, when non-nil, runs on the learner goroutine after
 	// episode ep's transitions have been applied — strictly in episode
 	// order (checkpointing, reward bookkeeping).
@@ -160,14 +164,17 @@ func Run(opts Options) ([]float64, error) {
 			}
 		}
 
-		runOne := func(rep core.ReplicaProvider, i int) {
+		runOne := func(w, i int) {
 			ep := r0 + i
+			rep := replicas[w]
 			rep.BeginEpisode(sim.DeriveSeed(opts.Seed, fmt.Sprintf("%s/ep%d", opts.Key, ep)))
-			var collected []obs
+			// Round slot i's buffer from the last round: applied before this
+			// round began, so its storage is free to take the new stream.
+			collected := outs[i].obs[:0]
 			sink := func(service string, t rl.Transition) {
 				collected = append(collected, obs{service: service, t: t})
 			}
-			reward, err := opts.RunEpisode(ep, rep, sink)
+			reward, err := opts.RunEpisode(ep, w, rep, sink)
 			outs[i] = epOut{reward: reward, obs: collected, err: err}
 		}
 
@@ -205,13 +212,13 @@ func Run(opts Options) ([]float64, error) {
 		var wg sync.WaitGroup
 		for w := 0; w < nw; w++ {
 			wg.Add(1)
-			go func(rep core.ReplicaProvider) {
+			go func() {
 				defer wg.Done()
 				for i := range idx {
-					runOne(rep, i)
+					runOne(w, i)
 					completed <- i
 				}
-			}(replicas[w])
+			}()
 		}
 		go func() {
 			for i := 0; i < n; i++ {

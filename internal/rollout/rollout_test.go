@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"firm/internal/core"
@@ -27,8 +29,8 @@ func smallCfg(seed int64) rl.Config {
 // syntheticEpisode is a cheap deterministic environment: state drifts under
 // the action, reward prefers small actions. Everything derives from the
 // episode index, so a trajectory is a pure function of (weights, episode).
-func syntheticEpisode(services func(ep, step int) string) func(int, core.AgentProvider, core.TransitionSink) (float64, error) {
-	return func(ep int, prov core.AgentProvider, sink core.TransitionSink) (float64, error) {
+func syntheticEpisode(services func(ep, step int) string) func(int, int, core.AgentProvider, core.TransitionSink) (float64, error) {
+	return func(ep, _ int, prov core.AgentProvider, sink core.TransitionSink) (float64, error) {
 		r := rand.New(rand.NewSource(sim.DeriveSeed(555, fmt.Sprintf("env/ep%d", ep))))
 		state := make([]float64, 8)
 		for i := range state {
@@ -185,11 +187,11 @@ func TestEpisodeErrorIsDeterministic(t *testing.T) {
 		_, err := Run(Options{
 			Episodes: 8, Workers: w, SyncEvery: 4, Seed: 1, Key: "err",
 			Learner: core.SharedAgent{A: rl.New(smallCfg(7))},
-			RunEpisode: func(ep int, prov core.AgentProvider, sink core.TransitionSink) (float64, error) {
+			RunEpisode: func(ep, w int, prov core.AgentProvider, sink core.TransitionSink) (float64, error) {
 				if ep >= 5 {
 					return 0, fmt.Errorf("boom-%d", ep)
 				}
-				return syntheticEpisode(func(int, int) string { return "svc" })(ep, prov, sink)
+				return syntheticEpisode(func(int, int) string { return "svc" })(ep, w, prov, sink)
 			},
 		})
 		// Episodes 5, 6, 7 all fail; the reported failure must be the first
@@ -218,6 +220,59 @@ func TestBudgetSharingWithRunner(t *testing.T) {
 	}
 	if got := pool.AcquireUpTo(5); got != 2 {
 		t.Fatalf("rollout leaked budget slots: %d spare, want 2", got)
+	}
+}
+
+// RunEpisode's slot index names what one goroutine at a time owns: it is
+// below the round width, always comes with that slot's policy replica, and
+// no two episodes run on one slot at once — pinned or borrowing from a pool.
+// The plain per-slot counter lets the race detector see a shared slot too.
+func TestSlotOwnedByOneGoroutine(t *testing.T) {
+	const syncEvery = 4
+	for _, tc := range []struct {
+		workers int
+		pool    *runner.Pool
+	}{{1, nil}, {3, nil}, {8, nil}, {0, runner.NewPool(8)}} {
+		var (
+			mu    sync.Mutex
+			owner = map[int]core.AgentProvider{}
+			busy  [syncEvery]atomic.Bool
+			runs  [syncEvery]int
+		)
+		_, err := Run(Options{
+			Episodes: 10, Workers: tc.workers, Pool: tc.pool, SyncEvery: syncEvery, Seed: 4, Key: "slots",
+			Learner: core.SharedAgent{A: rl.New(smallCfg(10))},
+			RunEpisode: func(ep, w int, prov core.AgentProvider, sink core.TransitionSink) (float64, error) {
+				if w < 0 || w >= syncEvery {
+					return 0, fmt.Errorf("slot %d outside the round width %d", w, syncEvery)
+				}
+				if !busy[w].CompareAndSwap(false, true) {
+					return 0, fmt.Errorf("episode %d entered slot %d while another ran on it", ep, w)
+				}
+				defer busy[w].Store(false)
+				runs[w]++
+				mu.Lock()
+				for v, p := range owner {
+					if (v == w) != (p == prov) {
+						mu.Unlock()
+						return 0, fmt.Errorf("slot %d got slot %d's replica, or a new one", w, v)
+					}
+				}
+				owner[w] = prov
+				mu.Unlock()
+				return syntheticEpisode(func(int, int) string { return "svc" })(ep, w, prov, sink)
+			},
+		})
+		if err != nil {
+			t.Fatalf("workers %d: %v", tc.workers, err)
+		}
+		total := 0
+		for _, n := range runs {
+			total += n
+		}
+		if total != 10 {
+			t.Fatalf("workers %d: slots ran %d episodes, want 10", tc.workers, total)
+		}
 	}
 }
 

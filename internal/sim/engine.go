@@ -145,6 +145,22 @@ func NewEngine(seed int64) *Engine {
 	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
+// Reset returns the engine to what NewEngine(seed) builds: clock and
+// counters at zero, no events, its stream reseeded in place (Rand keeps
+// returning the same *rand.Rand). Pending events are discarded unfired; their
+// records join the free list, so the heap and the free list keep their
+// storage.
+func (e *Engine) Reset(seed int64) {
+	for i, ev := range e.events {
+		ev.act = nil
+		e.free = append(e.free, ev)
+		e.events[i] = nil
+	}
+	e.events = e.events[:0]
+	e.now, e.seq, e.nSteps = 0, 0, 0
+	e.rng.Seed(seed)
+}
+
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 

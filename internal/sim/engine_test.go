@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -262,5 +263,44 @@ func TestPropertyClockLandsOnTarget(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineReset: a Reset engine discards its pending events unfired and is
+// then the engine NewEngine(seed) builds — clock, counters, FIFO order among
+// equal times and random stream — scheduling into the event records it kept.
+func TestEngineReset(t *testing.T) {
+	e := NewEngine(1)
+	fired := false
+	for i := 0; i < 40; i++ {
+		e.Schedule(Time(i%7)*Second, func() { e.Rand().Int63() })
+	}
+	e.RunUntil(3 * Second)
+	e.Schedule(Hour, func() { fired = true })
+	rng := e.Rand()
+	e.Reset(9)
+	fresh := NewEngine(9)
+	if e.Now() != 0 || e.Pending() != 0 || e.Steps() != 0 || e.Rand() != rng {
+		t.Fatalf("after Reset: now %v, %d pending, %d steps, stream replaced %v", e.Now(), e.Pending(), e.Steps(), e.Rand() != rng)
+	}
+	var got, want []int64
+	run := func(x *Engine, out *[]int64) {
+		for i := 0; i < 30; i++ {
+			x.Schedule(Time(i%3)*Millisecond, func() { *out = append(*out, int64(i), int64(x.Now()), x.Rand().Int63()) })
+		}
+		x.RunUntil(Hour + Second)
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 30; i++ {
+			e.ScheduleAction(Time(i), Func(func() {}))
+		}
+		e.Reset(9)
+	}); allocs != 0 {
+		t.Fatalf("scheduling into a Reset engine's kept records allocates %v", allocs)
+	}
+	run(e, &got)
+	run(fresh, &want)
+	if fired || !slices.Equal(got, want) || e.Steps() != fresh.Steps() {
+		t.Fatalf("discarded event fired %v; Reset engine ran %v in %d steps, a new one %v in %d", fired, got, e.Steps(), want, fresh.Steps())
 	}
 }

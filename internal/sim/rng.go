@@ -15,6 +15,12 @@ func Stream(seed int64, label string) *rand.Rand {
 	return rand.New(rand.NewSource(DeriveSeed(seed, label)))
 }
 
+// Reseed restarts r, in place, as the stream Stream(seed, label) returns —
+// for a component that is reset rather than rebuilt and keeps its *rand.Rand.
+func Reseed(r *rand.Rand, seed int64, label string) {
+	r.Seed(DeriveSeed(seed, label))
+}
+
 // DeriveSeed deterministically derives an independent seed from a campaign
 // seed and a stable key, given whole or in parts (the parts fold as their
 // concatenation, so a caller on a hot path need not build it). The key bytes

@@ -44,6 +44,11 @@ func NewWindow(capHint int) *Window {
 	return &Window{xs: make([]float64, 0, max(capHint, 0))}
 }
 
+// Reset empties the window, keeping its storage.
+func (w *Window) Reset() {
+	w.xs, w.nan = w.xs[:0], 0
+}
+
 // Len returns the number of observations currently in the window,
 // including NaNs.
 func (w *Window) Len() int { return len(w.xs) + w.nan }

@@ -83,29 +83,41 @@ func (c *Collector) sample() {
 	}
 }
 
+// Reset forgets every sample, keeping the series' storage, and stops the
+// collector: it is then what NewCollector built, on an engine and cluster
+// that must have been reset too.
+func (c *Collector) Reset() {
+	c.ticker.Stop()
+	for _, r := range c.containers {
+		if r != nil {
+			r.Reset()
+		}
+	}
+}
+
 // sampled returns the ring of the container with the given ID, or nil if it
-// has never been sampled.
+// has no sample: none since New or Reset.
 //
 //firmvet:noalloc
 func (c *Collector) sampled(id uint32) *ring.Ring[Sample] {
-	if int(id) < len(c.containers) {
+	if int(id) < len(c.containers) && c.containers[id] != nil && c.containers[id].Len() > 0 {
 		return c.containers[id]
 	}
 	return nil
 }
 
-// series is sampled, building the ring on the container's first sample.
+// series returns the container's ring, building it on the container's first
+// sample.
 func (c *Collector) series(id uint32) *ring.Ring[Sample] {
-	if s := c.sampled(id); s != nil {
-		return s
-	}
 	for int(id) >= len(c.containers) {
 		c.containers = append(c.containers, nil)
 	}
-	// Room for the first eight samples; the ring grows up to keep.
-	r := ring.New[Sample](c.capPer, 8)
-	c.containers[id] = &r
-	return &r
+	if c.containers[id] == nil {
+		// Room for the first eight samples; the ring grows up to keep.
+		r := ring.New[Sample](c.capPer, 8)
+		c.containers[id] = &r
+	}
+	return c.containers[id]
 }
 
 // Latest returns the most recent sample for a container instance.
@@ -164,6 +176,10 @@ func NewMeter(eng *sim.Engine, window sim.Time, types []string) *Meter {
 	}
 	return m
 }
+
+// Reset forgets every arrival, keeping the storage: the meter is then what
+// NewMeter builds on its (reset) engine.
+func (m *Meter) Reset() { m.arrivals.Reset() }
 
 // Record notes one arrival of the given request type.
 func (m *Meter) Record(reqType string) {

@@ -35,6 +35,14 @@ func NewCoordinator(eng *sim.Engine, sink Sink, names Names) *Coordinator {
 	return &Coordinator{eng: eng, sink: sink, recycle: r, names: names}
 }
 
+// Reset returns the coordinator to what NewCoordinator built: trace and span
+// IDs start again at 1, and no trace is pending or counted. Traces still
+// pending are abandoned; the emission buffers and the encode scratch it
+// holds are kept.
+func (c *Coordinator) Reset() {
+	*c = Coordinator{eng: c.eng, sink: c.sink, recycle: c.recycle, names: c.names, free: c.free, scratch: c.scratch}
+}
+
 // StartTrace starts the trace of a new user request of the given type; the
 // caller holds it until Finish and emits the request's spans into it. The
 // trace is one the sink released (Recycler), its packed storage kept for

@@ -114,6 +114,29 @@ func (s *Store) evict() {
 	for _, o := range s.obs {
 		o.TraceEvicted(t)
 	}
+	s.release(t)
+}
+
+// Reset empties the store and forgets its observers, keeping its window and
+// floor: it is then what New builds, but for its storage. Retained traces are
+// released for reuse, as at eviction, without telling the observers; the
+// latency column's blocks and the trace ring keep their storage.
+func (s *Store) Reset() {
+	for s.traces.Len() > 0 {
+		slot := s.traces.Pop()
+		s.release(*slot)
+		*slot = nil
+	}
+	s.traces.Reset()
+	clear(s.obs)
+	s.obs = s.obs[:0]
+	s.n = 0
+	clear(s.typeIdx)
+}
+
+// release hands an evicted trace to the free list (or, under poison, clears
+// it for good).
+func (s *Store) release(t *trace.Trace) {
 	if s.poison {
 		t.Poison()
 	} else {

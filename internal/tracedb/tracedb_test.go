@@ -374,6 +374,60 @@ func TestEvictedTracesAreReleased(t *testing.T) {
 	}
 }
 
+// TestStoreResetMatchesNew: a Reset store forgets its observers, releases
+// every trace it kept to Reclaim, keeps its column's blocks, and from then on
+// keeps and answers exactly what a new store fed the same traces does.
+func TestStoreResetMatchesNew(t *testing.T) {
+	s := New(1000, 2)
+	log := &evictLog{}
+	s.Observe(log)
+	old := map[*trace.Trace]bool{}
+	for i := 1; i <= blockLen+5; i++ {
+		x := tr(uint64(i), "old", sim.Time(10*i), i%7 == 0)
+		s.Consume(x)
+		old[x] = true
+	}
+	blocks, heard := len(s.col), len(log.events)
+	s.Reset()
+	if s.Len() != 0 || s.Total() != 0 || len(s.col) != blocks {
+		t.Fatalf("after Reset: %d kept, %d consumed, %d column blocks (had %d)", s.Len(), s.Total(), len(s.col), blocks)
+	}
+	released := 0
+	for x := s.Reclaim(); x != nil; x = s.Reclaim() {
+		if !old[x] {
+			t.Fatalf("Reclaim returned trace %d, which the store never held", x.ID)
+		}
+		released++
+	}
+	if released != len(old) {
+		t.Fatalf("%d of the %d consumed traces released, want all: evicted and kept", released, len(old))
+	}
+
+	ref := New(1000, 2)
+	for i := 1; i <= 12; i++ {
+		typ := []string{"b", "a"}[i%2]
+		s.Consume(tr(uint64(i), typ, sim.Time(20*i), i%5 == 0))
+		ref.Consume(tr(uint64(i), typ, sim.Time(20*i), i%5 == 0))
+	}
+	if len(log.events) != heard {
+		t.Fatalf("the observer registered before Reset heard %v", log.events[heard:])
+	}
+	if got, want := ids(s.all()), ids(ref.all()); !slices.Equal(got, want) {
+		t.Fatalf("kept %v, a new store keeps %v", got, want)
+	}
+	for _, q := range []Query{{}, {IncludeDrop: true}, {Type: "a"}, {Type: "old", IncludeDrop: true}, {Since: 150, Limit: 2}} {
+		if got, want := s.Latencies(q), ref.Latencies(q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Latencies(%+v) = %v, a new store's %v", q, got, want)
+		}
+		if got, want := ids(s.Select(q)), ids(ref.Select(q)); !slices.Equal(got, want) {
+			t.Fatalf("Select(%+v) = %v, a new store's %v", q, got, want)
+		}
+	}
+	if len(s.col) != blocks {
+		t.Fatalf("the column grew from %d to %d blocks", blocks, len(s.col))
+	}
+}
+
 // TestCoordinatorReusesEvictedTraces: a coordinator whose sink is a store
 // starts each trace in one the store evicted — same header, same packed
 // storage — so a warm request's trace allocates nothing.

@@ -235,6 +235,14 @@ func NewGenerator(a Target, p Pattern, meter *telemetry.Meter, seed int64) *Gene
 	}
 }
 
+// Reset returns the generator to what NewGenerator(App, p, Meter, seed)
+// builds on its engine, which must have been reset: its stream is reseeded in
+// place and its event pool kept.
+func (g *Generator) Reset(p Pattern, seed int64) {
+	sim.Reseed(g.rng, seed, "workload")
+	*g = Generator{App: g.App, Pattern: p, Meter: g.Meter, eng: g.eng, rng: g.rng, spikeMul: 1, free: g.free}
+}
+
 // Start begins issuing requests.
 func (g *Generator) Start() {
 	g.stopped = false
