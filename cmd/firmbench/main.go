@@ -13,7 +13,9 @@
 //	firmbench -dist host1:8701,host2:8701 -run all -scale full
 //
 // Each experiment prints the rows/series of the corresponding paper
-// artifact; the README's layout table maps packages to paper sections.
+// artifact, rendered from its record (internal/report's Text) under a
+// header naming the experiment; the README's layout table maps packages
+// to paper sections.
 //
 // -json <path|-> additionally emits the campaign's results as one
 // canonical-JSON file (internal/report's record schema): every experiment
@@ -301,7 +303,7 @@ func main() {
 	if inv.mode == modeList {
 		fmt.Println("experiments:")
 		for _, id := range ids {
-			fmt.Println("  " + id)
+			fmt.Printf("  %-10s  %s\n", id, experiments.Title(id))
 		}
 		fmt.Println("\nrun with: firmbench -run <id> [-scale quick|full] [-seed N]")
 		return
@@ -350,13 +352,11 @@ func runCampaign(x experiments.Exec, selected []string, sc experiments.Scale, se
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			return 1
 		}
-		if jsonOut != "" {
-			rep := res.Report()
-			rep.Scale = sc.Name
-			rep.Seed = seed
-			campaign.Merge(rep)
-		}
-		fmt.Fprintf(textOut, "=== %s (scale=%s seed=%d) ===\n%s\n", id, sc.Name, seed, res.String())
+		rep := res.Report()
+		rep.Scale = sc.Name
+		rep.Seed = seed
+		campaign.Merge(rep)
+		fmt.Fprintf(textOut, "=== %s (scale=%s seed=%d): %s ===\n%s\n", id, sc.Name, seed, experiments.Title(id), rep.Text())
 		// Wall-clock goes to stderr with the progress feed: stdout carries
 		// only the experiment artifact, byte-identical at any -parallel.
 		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", id, time.Since(start).Seconds())

@@ -444,41 +444,48 @@ func (ctx *reqCtx) finish() {
 // relative to normal-operation latency. It returns the measured P99 (ms).
 // It drives the engine itself, so it is for a single-engine deployment.
 func (a *App) Calibrate(n int, margin float64) float64 {
-	var lats []float64
+	eps := len(a.Spec.Endpoints)
+	c := &calibration{a: a, reqs: make([]calRequest, n*eps), lats: make([]float64, 0, n*eps)}
+	c.hook = c.record
 	interval := 5 * sim.Millisecond
 	t := sim.Time(0)
-	for i := 0; i < n; i++ {
-		for _, ep := range a.Spec.Endpoints {
-			name := ep.Name
-			a.eng.Schedule(t, func() {
-				_ = a.Submit(name, func(r Result) {
-					if !r.Dropped {
-						lats = append(lats, r.Latency.Millis())
-					}
-				})
-			})
-			t += interval
-		}
+	for i := range c.reqs { // n rounds of every endpoint in spec order
+		c.reqs[i] = calRequest{c: c, ep: i % eps}
+		a.eng.ScheduleAction(t, &c.reqs[i])
+		t += interval
 	}
 	a.eng.RunUntil(a.eng.Now() + t + 30*sim.Second)
-	if len(lats) == 0 {
+	if len(c.lats) == 0 {
 		return 0
 	}
-	p99 := percentile(lats, 99)
+	sort.Float64s(c.lats)
+	p99 := c.lats[int(0.99*float64(len(c.lats)-1))]
 	a.SLO = sim.FromMillis(p99 * margin)
 	return p99
 }
 
-func percentile(xs []float64, p float64) float64 {
-	s := append([]float64(nil), xs...)
-	for i := 1; i < len(s); i++ { // insertion sort; calibration sets are small
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// calibration is one Calibrate run: its requests, scheduled as events, and
+// the latencies their one shared result hook collects.
+type calibration struct {
+	a    *App
+	reqs []calRequest
+	hook func(Result)
+	lats []float64
+}
+
+// calRequest is one calibration request: the endpoint it submits, by
+// position in Spec.Endpoints.
+type calRequest struct {
+	c  *calibration
+	ep int
+}
+
+// Fire implements sim.Action.
+func (r *calRequest) Fire() { r.c.a.submit(r.ep, r.c.hook) }
+
+// record collects a completed request's latency.
+func (c *calibration) record(r Result) {
+	if !r.Dropped {
+		c.lats = append(c.lats, r.Latency.Millis())
 	}
-	if len(s) == 0 {
-		return 0
-	}
-	idx := int(p / 100 * float64(len(s)-1))
-	return s[idx]
 }

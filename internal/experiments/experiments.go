@@ -10,19 +10,15 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"firm/internal/report"
 	"firm/internal/sim"
-	"firm/internal/stats"
 )
 
-// Reportable is implemented by every experiment result: String renders the
-// human-readable stdout artifact (pinned by the golden files) and Report
-// converts the result into internal/report's typed record for `-json`
-// output, machine diffing, and cross-machine campaign merges.
+// Reportable is implemented by every experiment result: Report converts it
+// into internal/report's typed record, which firmbench prints as text
+// (report.Text), writes with `-json`, and diffs and merges across machines.
 type Reportable interface {
-	fmt.Stringer
 	Report() *report.Report
 }
 
@@ -100,23 +96,6 @@ func (p Policy) String() string {
 		return "AIMD"
 	}
 	return "policy(?)"
-}
-
-func f2(x float64) string  { return fmt.Sprintf("%.2f", x) }
-func f1(x float64) string  { return fmt.Sprintf("%.1f", x) }
-func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
-
-// cdfRow renders quantiles of a sample for compact CDF reporting.
-func cdfRow(xs []float64) string {
-	if len(xs) == 0 {
-		return "(no data)"
-	}
-	qs := []float64{10, 25, 50, 75, 90, 99}
-	parts := make([]string, 0, len(qs))
-	for _, q := range qs {
-		parts = append(parts, fmt.Sprintf("p%.0f=%.1f", q, stats.Percentile(xs, q)))
-	}
-	return strings.Join(parts, " ")
 }
 
 // sortedKeys returns map keys in deterministic order.

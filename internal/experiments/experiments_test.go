@@ -11,7 +11,6 @@ import (
 	"firm/internal/core"
 	"firm/internal/harness"
 	"firm/internal/injector"
-	"firm/internal/report"
 	"firm/internal/rl"
 	"firm/internal/runner"
 	"firm/internal/sim"
@@ -36,32 +35,51 @@ func TestTable6Shape(t *testing.T) {
 	if r.Mean["mem"] < 5*r.Mean["cpu"] {
 		t.Fatal("mem partition must be far slower than cpu")
 	}
-	if !strings.Contains(r.String(), "cold-start") {
+	if !strings.Contains(r.Report().Text(), "cold-start") {
 		t.Fatal("render")
 	}
 }
 
 func TestTable1Shape(t *testing.T) {
 	r := runAs[*Table1Result](t, "table1", Exec{}, QuickScale(), 42)
+	rows := map[string]table1Row{}
+	for i, victim := range table1Victims {
+		rows[victim] = r.Rows[i]
+	}
 	// The injected service's individual latency must inflate relative to
 	// its unstressed rows, and the CP signature must route through it
 	// (Insight 1; Table 1's diagonal dominance is per column, not per row —
 	// e.g. video's base latency exceeds a stressed user-tag's).
 	cols := map[string]string{"video": "V", "user-tag": "U", "text": "T"}
 	for victim, col := range cols {
-		stressed := r.Rows[victim][col]
+		stressed := rows[victim].Row[col]
 		for other := range cols {
 			if other == victim {
 				continue
 			}
-			if base := r.Rows[other][col]; stressed <= base {
+			if base := rows[other].Row[col]; stressed <= base {
 				t.Fatalf("%s injection: %s stressed (%.1f) must exceed its base (%.1f)",
 					victim, col, stressed, base)
 			}
 		}
-		if !strings.Contains(r.CPSignatures[victim], victim) {
-			t.Fatalf("CP under %s injection misses it: %s", victim, r.CPSignatures[victim])
+		if !strings.Contains(rows[victim].Sig, victim) {
+			t.Fatalf("CP under %s injection misses it: %s", victim, rows[victim].Sig)
 		}
+	}
+}
+
+// TestDominantSigBreaksTiesBySignature: Table 1's critical path is the
+// most frequent signature, and a tie goes to the smallest one whatever
+// order the counts map ranges in.
+func TestDominantSigBreaksTiesBySignature(t *testing.T) {
+	count := map[string]int{"n→v→c": 4, "n→u→c": 7, "n→t→c": 7, "n→a→c": 2}
+	for i := 0; i < 50; i++ { // map order differs run to run, and within one
+		if got := dominantSig(count); got != "n→t→c" {
+			t.Fatalf("dominantSig = %q, want the smaller of the two most frequent, n→t→c", got)
+		}
+	}
+	if got := dominantSig(map[string]int{}); got != "" {
+		t.Fatalf("dominantSig of no traces = %q, want empty", got)
 	}
 }
 
@@ -148,36 +166,10 @@ func TestFig10ArmsSeeOneCampaign(t *testing.T) {
 	}
 }
 
-// The summary line gives FIRM's CPU change against K8s one explicit sign,
-// whichever side requests more.
-func TestFig10SummaryCPUSign(t *testing.T) {
-	for _, tc := range []struct {
-		reduction float64
-		want      string
-	}{
-		{0.094, "CPU -9.4%,"},
-		{-0.046, "CPU +4.6%,"},
-	} {
-		r := &Fig10Result{Stats: map[string]RunStats{}, CPUReductionVsHPA: tc.reduction}
-		if out := r.String(); !strings.Contains(out, tc.want) {
-			t.Errorf("reduction %v: want %q in\n%s", tc.reduction, tc.want, out)
-		}
-	}
-}
-
 func TestPolicyNames(t *testing.T) {
 	if PolicyFIRMSingle.String() != "FIRM (Single-RL)" ||
 		PolicyHPA.String() != "K8S Auto-scaling" || PolicyAIMD.String() != "AIMD" {
 		t.Fatal("policy names must match the paper's legends")
-	}
-}
-
-func TestTableRender(t *testing.T) {
-	tb := &report.Table{Title: "T", Header: []string{"a", "bb"}}
-	tb.Add("1", "2")
-	out := tb.String()
-	if !strings.Contains(out, "T\n") || !strings.Contains(out, "bb") {
-		t.Fatalf("render: %q", out)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"firm/internal/app"
@@ -505,59 +504,6 @@ func (r *FaultSweepResult) characterize(seed int64) {
 	sort.Slice(r.Clusters, func(i, j int) bool { return r.Clusters[i].Family < r.Clusters[j].Family })
 }
 
-func fsMs(x float64) string {
-	if x < 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.0f", x)
-}
-
-func fsPct(x float64) string {
-	if x < 0 || math.IsNaN(x) {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", 100*x)
-}
-
-// String renders the sweep and characterization tables.
-func (r *FaultSweepResult) String() string {
-	tb := &report.Table{Header: []string{"scenario", "family", "detect ms", "loc acc", "windows", "viol base", "viol mit", "effect", "oom", "infect", "p99 ms"}}
-	for _, row := range r.Rows {
-		tb.Add(
-			row.Name,
-			row.Family,
-			fsMs(row.DetectMs),
-			fsPct(row.LocAcc),
-			fmt.Sprintf("%d", row.Windows),
-			fsPct(row.BaseViol),
-			fsPct(row.MitViol),
-			fsPct(row.MitEffect),
-			fmt.Sprintf("%d", row.OOMKills),
-			fmt.Sprintf("%d", row.Infections),
-			fmt.Sprintf("%.2f", row.P99Ms),
-		)
-	}
-	out := "FaultSweep: scenario library vs detection/localization/mitigation\n" + tb.String()
-
-	ct := &report.Table{Header: []string{"family", "samples", "cluster", "purity", "confused with"}}
-	for _, fc := range r.Clusters {
-		confused := "-"
-		if len(fc.ConfusedWith) > 0 {
-			confused = fmt.Sprintf("%v", fc.ConfusedWith)
-		}
-		ct.Add(
-			fc.Family,
-			fmt.Sprintf("%d", fc.Samples),
-			fmt.Sprintf("c%d", fc.Dominant),
-			fsPct(fc.Purity),
-			confused,
-		)
-	}
-	out += fmt.Sprintf("\nFault-family characterization: k-means over violation features (k=%d, inertia=%.2f)\n", r.K, r.Inertia)
-	out += ct.String()
-	return out
-}
-
 // Report converts the sweep into its typed record.
 func (r *FaultSweepResult) Report() *report.Report {
 	rep := report.New("faultsweep")
@@ -579,6 +525,9 @@ func (r *FaultSweepResult) Report() *report.Report {
 			Val("dropped", "req", float64(row.Dropped)).
 			Val("p99", "ms", row.P99Ms)
 	}
+	rep.Row("kmeans").
+		Val("k", "", float64(r.K)).
+		Val("inertia", "", r.Inertia)
 	for _, fc := range r.Clusters {
 		row := rep.Row("family-"+fc.Family).
 			Dim("family", fc.Family).

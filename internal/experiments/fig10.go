@@ -216,34 +216,6 @@ func loadAgent(snap rl.Snapshot, seed int64) (*rl.Agent, error) {
 	return a, nil
 }
 
-// String renders the Fig. 10 report.
-func (r *Fig10Result) String() string {
-	t := &report.Table{
-		Title:  fmt.Sprintf("Fig 10: end-to-end comparison on %s (SLO %.1fms)", r.Benchmark, r.SLOms),
-		Header: []string{"policy", "p50 (ms)", "p99 (ms)", "SLO viol.", "drops", "mean CPU lim (%)"},
-	}
-	for _, name := range sortedKeys(r.Stats) {
-		s := r.Stats[name]
-		t.Add(name,
-			f1(stats.Percentile(s.Latencies, 50)),
-			f1(s.P99()),
-			pct(s.ViolationRate()),
-			fmt.Sprintf("%d", s.Dropped),
-			f1(stats.Mean(s.CPULimitSamples)),
-		)
-	}
-	s := t.String()
-	s += fmt.Sprintf("latency CDFs:\n")
-	for _, name := range sortedKeys(r.Stats) {
-		s += fmt.Sprintf("  %-18s %s\n", name, cdfRow(r.Stats[name].Latencies))
-	}
-	s += fmt.Sprintf("FIRM vs K8S: tail %.1fx, violations %.1fx, CPU %+.1f%%, drops %.1fx\n",
-		r.TailLatencyVsHPA, r.ViolationsVsHPA, -100*r.CPUReductionVsHPA, r.DropsVsHPA)
-	s += fmt.Sprintf("FIRM vs AIMD: tail %.1fx, violations %.1fx\n",
-		r.TailLatencyVsAIMD, r.ViolationsVsAIMD)
-	return s
-}
-
 // Report converts the Fig. 10 result into its typed record: one row per
 // policy with the table's metrics plus the CDF quantiles, and rows for the
 // headline ratios.

@@ -46,12 +46,7 @@ var gensweep10k = topology.Params{Services: 10000, Endpoints: 12, MaxFanout: 2, 
 // spare node keeps headroom for replica scale-out.
 func gensweepNodes(services int) []cluster.HardwareProfile {
 	perNode := int(cluster.XeonProfile.Capacity[cluster.CPU]) / 2
-	n := (services+perNode-1)/perNode + 1
-	nodes := make([]cluster.HardwareProfile, n)
-	for i := range nodes {
-		nodes[i] = cluster.XeonProfile
-	}
-	return nodes
+	return repeatProfile(cluster.XeonProfile, (services+perNode-1)/perNode+1)
 }
 
 // gensweepPattern composes the heavy-traffic model for one cell: a diurnal
@@ -205,24 +200,6 @@ type GenSweepResult struct {
 // gensweepReduce collects the generated-topology scale sweep's rows.
 func gensweepReduce(_ Scale, _ int64, _ noInput, rows []GenSweepRow) (*GenSweepResult, error) {
 	return &GenSweepResult{Rows: rows}, nil
-}
-
-// String renders the sweep table.
-func (r *GenSweepResult) String() string {
-	tb := &report.Table{Header: []string{"services", "calls", "nodes", "target", "submitted", "completed", "p50 ms", "p99 ms"}}
-	for _, row := range r.Rows {
-		tb.Add(
-			fmt.Sprintf("%d", row.Services),
-			fmt.Sprintf("%d", row.Calls),
-			fmt.Sprintf("%d", row.Nodes),
-			fmt.Sprintf("%.0f", row.Target),
-			fmt.Sprintf("%d", row.Submitted),
-			fmt.Sprintf("%d", row.Completed),
-			fmt.Sprintf("%.2f", row.P50Ms),
-			fmt.Sprintf("%.2f", row.P99Ms),
-		)
-	}
-	return "GenSweep: generated topologies under diurnal + flash-crowd + session traffic\n" + tb.String()
 }
 
 // Report converts the sweep into its typed record.

@@ -11,18 +11,22 @@ import (
 	"firm/internal/runner"
 )
 
-// Regenerate golden files after an intentional behavior change with:
+// Regenerate the golden records (testdata/<name>.json) after an
+// intentional behavior change with:
 //
 //	go test ./internal/experiments -run Golden -update
+//
+// There are no text goldens: firmbench's text is report.Text of the same
+// record, so the JSON pins every number it prints.
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenConfigs is the pool-size matrix every golden experiment renders
 // under: one worker (everything inline, one rollout actor), two, and eight
 // (more workers than jobs, so rollouts and shard windows borrow the spare
-// slots). Both artifacts (stdout text and canonical JSON) must be
-// byte-identical across all of them — the determinism contract of
-// internal/runner and internal/rollout, pinned to disk so a regression
-// cannot slip in as "both runs changed the same way".
+// slots). The canonical JSON must be byte-identical across all of them —
+// the determinism contract of internal/runner and internal/rollout, pinned
+// to disk so a regression cannot slip in as "both runs changed the same
+// way".
 var goldenConfigs = []int{1, 2, 8}
 
 // mustGet returns the declared experiment id's runner.
@@ -45,64 +49,51 @@ func runAs[R Reportable](t *testing.T, id string, x Exec, sc Scale, seed int64) 
 	return r.(R)
 }
 
-// render renders an experiment artifact — the stdout text and the canonical
-// campaign JSON — executed as x says.
-func render(t *testing.T, x Exec, fn Runner) (text string, jsonOut []byte) {
+// record runs an experiment executed as x says and returns its canonical
+// campaign JSON, as `firmbench -json` writes it.
+func record(t *testing.T, x Exec, fn Runner, sc Scale, seed int64) []byte {
 	t.Helper()
-	r, err := fn(x, TinyScale(), 42)
+	r, err := fn(x, sc, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := r.Report()
-	rep.Scale = "tiny"
-	rep.Seed = 42
+	rep.Scale = sc.Name
+	rep.Seed = seed
 	out, err := report.Marshal(&report.Campaign{
-		Tool: "firmbench", Scale: "tiny", Seed: 42,
+		Tool: "firmbench", Scale: sc.Name, Seed: seed,
 		Reports: []*report.Report{rep},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.String(), out
+	return out
 }
 
-// assertGolden renders the experiment under x and compares both artifacts
-// with the committed ones (<name>.golden for stdout, <name>.json for the
-// campaign record).
+// assertGolden runs the experiment under x and compares its record with
+// the committed testdata/<name>.json.
 func assertGolden(t *testing.T, name string, x Exec, fn Runner) {
 	t.Helper()
-	wantText, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	wantJSON, err := os.ReadFile(filepath.Join("testdata", name+".json"))
+	want, err := os.ReadFile(filepath.Join("testdata", name+".json"))
 	if err != nil {
 		t.Fatalf("missing golden JSON file (regenerate with -update): %v", err)
 	}
-	text, jsonOut := render(t, x, fn)
-	if text != string(wantText) {
-		t.Errorf("%s at parallel=%d shards=%d differs from golden:\n--- got ---\n%s\n--- want ---\n%s",
-			name, x.Pool.Workers(), x.shards(), text, wantText)
-	}
-	if string(jsonOut) != string(wantJSON) {
+	if got := record(t, x, fn, TinyScale(), 42); string(got) != string(want) {
 		t.Errorf("%s JSON at parallel=%d shards=%d differs from golden:\n--- got ---\n%s\n--- want ---\n%s",
-			name, x.Pool.Workers(), x.shards(), jsonOut, wantJSON)
+			name, x.Pool.Workers(), x.shards(), got, want)
 	}
 }
 
-// goldenCheck asserts both artifacts are byte-identical to the committed
-// golden files at every goldenConfigs pool size.
+// goldenCheck asserts the record is byte-identical to the committed golden
+// at every goldenConfigs pool size.
 func goldenCheck(t *testing.T, name string, fn Runner) {
 	t.Helper()
 	if *updateGolden {
-		text, jsonOut := render(t, Exec{Pool: runner.NewPool(goldenConfigs[0])}, fn)
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join("testdata", name+".golden"), []byte(text), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join("testdata", name+".json"), jsonOut, 0o644); err != nil {
+		out := record(t, Exec{Pool: runner.NewPool(goldenConfigs[0])}, fn, TinyScale(), 42)
+		if err := os.WriteFile(filepath.Join("testdata", name+".json"), out, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +206,7 @@ func TestTrainRewardsIndependentOfWorkers(t *testing.T) {
 }
 
 // TestGenSweepGoldenAcrossWorkers pins the generated-topology scale sweep:
-// stdout and canonical JSON must be byte-identical at every worker
+// its canonical JSON must be byte-identical at every worker
 // configuration — the sweep's cells (generated spec + thinned heavy-traffic
 // arrivals) are placement-independent by construction.
 func TestGenSweepGoldenAcrossWorkers(t *testing.T) {
@@ -226,7 +217,7 @@ func TestGenSweepGoldenAcrossWorkers(t *testing.T) {
 }
 
 // TestGenSweepGoldenAcrossShards pins the sharded engine's contract against
-// the same goldens: the 10,000-service cell must render byte-identically at
+// the same goldens: the 10,000-service cell's record must be byte-identical at
 // shards 1 and 2 (the pool matrix above already covers the default 8).
 // Shard count, like worker count, is an execution setting — never a result
 // setting.
@@ -241,7 +232,7 @@ func TestGenSweepGoldenAcrossShards(t *testing.T) {
 
 // TestFaultSweepGoldenAcrossWorkers pins the fault-scenario library sweep:
 // every catalog scenario's detection/localization/mitigation row and the
-// k-means fault-family characterization must render byte-identically at
+// k-means fault-family characterization must be byte-identical at
 // every worker configuration — scenario players derive all randomness from
 // (campaign seed, scenario key), so cells are placement-independent.
 func TestFaultSweepGoldenAcrossWorkers(t *testing.T) {
@@ -253,7 +244,7 @@ func TestFaultSweepGoldenAcrossWorkers(t *testing.T) {
 
 // TestFaultSweepGoldenAcrossShards pins the sharded scenario contract
 // against the same goldens: the sharded cell arms its player on the shard
-// owning the victim service, and its row must render byte-identically at
+// owning the victim service, and its row must be byte-identical at
 // shards 1 and 4 (the sweep's structural families are excluded from that
 // cell precisely because replica churn is not shard-invariant).
 func TestFaultSweepGoldenAcrossShards(t *testing.T) {

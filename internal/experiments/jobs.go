@@ -62,13 +62,15 @@ type Dispatcher interface {
 // executing as x says.
 type Runner func(x Exec, sc Scale, seed int64) (Reportable, error)
 
-// An experiment is one entry of the declared table. run regenerates the
-// artifact under its table id. jobs, nil for an experiment without cells,
-// rebuilds the cell list from wire form, each cell returning its result
-// wire-encoded: what RunJob serves.
+// An experiment is one entry of the declared table. title is the paper
+// artifact's one-line caption. run regenerates the artifact under its table
+// id. jobs, nil for an experiment without cells, rebuilds the cell list
+// from wire form, each cell returning its result wire-encoded: what RunJob
+// serves.
 type experiment struct {
-	run  func(id string, x Exec, sc Scale, seed int64) (Reportable, error)
-	jobs func(x Exec, sc Scale, seed int64, input []byte) ([]runner.Job[[]byte], error)
+	title string
+	run   func(id string, x Exec, sc Scale, seed int64) (Reportable, error)
+	jobs  func(x Exec, sc Scale, seed int64, input []byte) ([]runner.Job[[]byte], error)
 }
 
 // declared is the one table of experiments: the CLI's -run/-list, the
@@ -80,21 +82,21 @@ var declared map[string]experiment
 
 func init() {
 	declared = map[string]experiment{
-		"fig1":       campaign(trainBase(2), fig1Jobs, fig1Reduce),
-		"table1":     campaign(nil, table1Jobs, table1Reduce),
-		"fig3":       campaign(nil, fig3Jobs, fig3Reduce),
-		"fig4":       campaign(nil, fig4Jobs, fig4Reduce),
-		"fig5":       campaign(nil, fig5Jobs, fig5Reduce),
-		"fig9a":      campaign(nil, fig9aJobs, fig9aReduce),
-		"fig9b":      campaign(nil, fig9bJobs, fig9bReduce),
-		"fig9c":      {run: fig9c},
-		"gensweep":   campaign(nil, gensweepJobs, gensweepReduce),
-		"faultsweep": campaign(nil, faultsweepJobs, faultsweepReduce),
-		"fig10":      campaign(trainBase(1), fig10Jobs, fig10Reduce),
-		"fig11a":     campaign(nil, fig11aJobs, fig11aReduce),
-		"fig11b":     campaign(fig11bCheckpoints, fig11bJobs, fig11bReduce),
-		"table6":     {run: table6},
-		"headline":   {run: headline},
+		"fig1":       campaign("Fig 1: mem-BW contention on Social Network, with and without FIRM", trainBase(2), fig1Jobs, fig1Reduce),
+		"table1":     campaign("Table 1: CP changes under anomaly injection (mean latency, ms)", nil, table1Jobs, table1Reduce),
+		"fig3":       campaign("Fig 3: min/max critical-path latency distributions", nil, fig3Jobs, fig3Reduce),
+		"fig4":       campaign("Fig 4: scaling highest-variance vs highest-median service (compose-post)", nil, fig4Jobs, fig4Reduce),
+		"fig5":       campaign("Fig 5: scale-up vs scale-out (median e2e ms, 95% CI)", nil, fig5Jobs, fig5Reduce),
+		"fig9a":      campaign("Fig 9(a): single-anomaly localization ROC", nil, fig9aJobs, fig9aReduce),
+		"fig9b":      campaign("Fig 9(b): multi-anomaly localization accuracy", nil, fig9bJobs, fig9bReduce),
+		"fig9c":      {title: "Fig 9(c): multi-anomaly injection schedule (intensity per 10s window)", run: fig9c},
+		"gensweep":   campaign("GenSweep: generated topologies under diurnal + flash-crowd + session traffic", nil, gensweepJobs, gensweepReduce),
+		"faultsweep": campaign("FaultSweep: scenario library vs detection/localization/mitigation, k-means fault families", nil, faultsweepJobs, faultsweepReduce),
+		"fig10":      campaign("Fig 10: end-to-end comparison of FIRM, AIMD and K8s autoscaling on Social Network", trainBase(1), fig10Jobs, fig10Reduce),
+		"fig11a":     campaign("Fig 11(a): RL training reward (Train-Ticket)", nil, fig11aJobs, fig11aReduce),
+		"fig11b":     campaign("Fig 11(b): SLO mitigation time vs training (seconds)", fig11bCheckpoints, fig11bJobs, fig11bReduce),
+		"table6":     {title: "Table 6: resource-management operation latency (ms)", run: table6},
+		"headline":   {title: "Headline results vs paper claims", run: headline},
 	}
 }
 
@@ -104,6 +106,7 @@ func init() {
 // round-trip (exported fields), which keeps remote cells and results
 // byte-identical to local ones.
 func campaign[I, T any, R Reportable](
+	title string,
 	prepare func(Exec, Scale, int64) (I, error),
 	cells func(Exec, Scale, int64, I) ([]runner.Job[T], error),
 	reduce func(Scale, int64, I, []T) (R, error),
@@ -126,7 +129,7 @@ func campaign[I, T any, R Reportable](
 		}
 		return reduce(sc, seed, in, results)
 	}
-	return experiment{run: run, jobs: fineJobs(cells)}
+	return experiment{title: title, run: run, jobs: fineJobs(cells)}
 }
 
 // Get returns the experiment runner for id.
@@ -137,6 +140,9 @@ func Get(id string) (Runner, bool) {
 	}
 	return func(x Exec, sc Scale, seed int64) (Reportable, error) { return e.run(id, x, sc, seed) }, true
 }
+
+// Title returns the experiment's one-line caption ("" for an unknown id).
+func Title(id string) string { return declared[id].title }
 
 // IDs returns every experiment id, sorted — the campaign declaration order
 // of `-run all`.

@@ -137,6 +137,11 @@ func TestJobSetTable(t *testing.T) {
 	if got := fmt.Sprint(JobSets()); got != want {
 		t.Fatalf("JobSets() = %s, want %s", got, want)
 	}
+	for _, id := range IDs() {
+		if Title(id) == "" {
+			t.Errorf("experiment %s has no title for firmbench's header", id)
+		}
+	}
 	if _, err := (Exec{}).RunJob("no-such-set", "tiny", 42, nil, "k"); err == nil || !strings.Contains(err.Error(), "unknown job set") {
 		t.Fatalf("unknown set: err = %v", err)
 	}

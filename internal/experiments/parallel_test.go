@@ -10,15 +10,11 @@ import (
 	"firm/internal/topology"
 )
 
-// renderWithWorkers runs fn on a pool of the given size and returns the
-// rendered artifact.
+// renderWithWorkers runs fn on a pool of the given size and returns its
+// record, from which firmbench's text is drawn.
 func renderWithWorkers(t *testing.T, workers int, fn Runner, sc Scale, seed int64) string {
 	t.Helper()
-	r, err := fn(Exec{Pool: runner.NewPool(workers)}, sc, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r.String()
+	return string(record(t, Exec{Pool: runner.NewPool(workers)}, fn, sc, seed))
 }
 
 // parallelWorkers picks a many-worker pool even on single-core CI machines

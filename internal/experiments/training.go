@@ -344,28 +344,6 @@ func convergedAt(smoothed []float64, frac float64) int {
 	return len(smoothed)
 }
 
-// String renders the Fig. 11(a) report.
-func (r *Fig11aResult) String() string {
-	t := &report.Table{
-		Title:  "Fig 11(a): RL training reward (Train-Ticket)",
-		Header: []string{"variant", "final reward (avg)", "converged @ episode", "reward curve (every 1/8)"},
-	}
-	for _, name := range sortedKeys(r.Series) {
-		s := r.Series[name]
-		var pts []string
-		step := len(s) / 8
-		if step < 1 {
-			step = 1
-		}
-		for i := 0; i < len(s); i += step {
-			pts = append(pts, f1(s[i]))
-		}
-		t.Add(name, f1(r.FinalReward[name]), fmt.Sprintf("%d", r.ConvergedEpisode[name]),
-			fmt.Sprint(pts))
-	}
-	return t.String()
-}
-
 // Report converts the Fig. 11(a) result into its typed record: one row and
 // one smoothed-reward curve per training variant.
 func (r *Fig11aResult) Report() *report.Report {
@@ -638,20 +616,6 @@ func evalBaselineMitigation(spec *topology.Spec, seed int64, p Policy, events in
 			b.AttachAIMD()
 		}
 	})
-}
-
-// String renders the Fig. 11(b) report.
-func (r *Fig11bResult) String() string {
-	t := &report.Table{
-		Title:  "Fig 11(b): SLO mitigation time vs training (seconds)",
-		Header: []string{"episode", "FIRM (Single-RL)", "FIRM (Multi-RL, final)"},
-	}
-	for i, ep := range r.Episodes {
-		t.Add(fmt.Sprintf("%d", ep), f2(r.SingleRL[i]), f2(r.MultiRL[i]))
-	}
-	s := t.String()
-	s += fmt.Sprintf("baselines: K8S autoscaling=%.2fs AIMD=%.2fs\n", r.HPABaseline, r.AIMDBaseline)
-	return s
 }
 
 // Report converts the Fig. 11(b) result into its typed record: mitigation

@@ -55,8 +55,8 @@ type Benchmark struct {
 	// entries are budgeted at (near) zero; the four that allocate by design
 	// sit 1% above their best recorded run (73 / 2,994 / 4,762 / 47,623),
 	// rounded up, which absorbs first-iteration growth amortised over a short
-	// run. episode-reset's 230 is its 212 at -benchtime 200ms (≈145 ops, 2
-	// vCPUs, go1.24.0) plus room for a run as short as 10 ops (225): its
+	// run. episode-reset's 155 is its 135 at -benchtime 200ms (≈100 ops,
+	// 2 vCPUs, go1.24.0) plus room for a run as short as 10 ops (148): its
 	// first ops still grow the testbed's pools. Budgets are counted on one P
 	// (TestAllocBudgets pins GOMAXPROCS to 1): how many goroutine records and
 	// stacks a fan-out allocates depends on how its workers happen to be
@@ -87,7 +87,7 @@ func Benchmarks() []Benchmark {
 		{"trace-seal", "seal the 63-span app-request trace, then decode and index it (ChildIndex.Reset)", TraceSeal, 0},
 		{"sharded-request", "one request through a warm 2-shard, 60-service generated app, run until drained", ShardedRequest, 0},
 		{"cluster-cold-submit", "the first Submit on each of 1,000 never-touched containers under per-instance noise, run to completion", ClusterColdSubmit, 3000},
-		{"episode-reset", "one warm rollout-slot episode: Reset (with calibration) + 1 sim-s of Train-Ticket at 120 rps with a training FIRM controller", EpisodeReset, 230},
+		{"episode-reset", "one warm rollout-slot episode: Reset (with calibration) + 1 sim-s of Train-Ticket at 120 rps with a training FIRM controller", EpisodeReset, 155},
 	}
 }
 

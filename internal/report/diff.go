@@ -79,34 +79,46 @@ func Diff(a, b *Campaign, tol Tolerances) DiffResult {
 	note("scale", a.Scale, b.Scale)
 	note("seed", a.Seed, b.Seed)
 
-	bByID := map[string]*Report{}
-	for _, r := range b.Reports {
-		if _, dup := bByID[r.ID]; dup {
-			d.add(r.ID, "duplicate report id in second file")
+	match(&d, a.Reports, b.Reports, "report id", "report",
+		func(r *Report) string { return r.ID },
+		func(id string) string { return id },
+		func(_ string, ra, rb *Report) { d.diffReport(ra, rb, tol, a, b) })
+	return d
+}
+
+// match pairs a's items with b's by key, in a's order, and compares each
+// pair with both. A key twice in one file, or in one file only, is a
+// mismatch at path(key): "duplicate <dup> in … file", "<noun> missing
+// from … file".
+func match[T any](d *DiffResult, a, b []T, dup, noun string, key func(T) string, path func(string) string, both func(path string, x, y T)) {
+	bByKey := map[string]T{}
+	for _, y := range b {
+		if _, ok := bByKey[key(y)]; ok {
+			d.add(path(key(y)), "duplicate %s in second file", dup)
 			continue
 		}
-		bByID[r.ID] = r
+		bByKey[key(y)] = y
 	}
 	seen := map[string]bool{}
-	for _, ra := range a.Reports {
-		if seen[ra.ID] {
-			d.add(ra.ID, "duplicate report id in first file")
+	for _, x := range a {
+		k := key(x)
+		if seen[k] {
+			d.add(path(k), "duplicate %s in first file", dup)
 			continue
 		}
-		seen[ra.ID] = true
-		rb, ok := bByID[ra.ID]
+		seen[k] = true
+		y, ok := bByKey[k]
 		if !ok {
-			d.add(ra.ID, "report missing from second file")
+			d.add(path(k), "%s missing from second file", noun)
 			continue
 		}
-		d.diffReport(ra, rb, tol, a, b)
+		both(path(k), x, y)
 	}
-	for _, rb := range b.Reports {
-		if !seen[rb.ID] {
-			d.add(rb.ID, "report missing from first file")
+	for _, y := range b {
+		if !seen[key(y)] {
+			d.add(path(key(y)), "%s missing from first file", noun)
 		}
 	}
-	return d
 }
 
 func (d *DiffResult) add(path, format string, args ...any) {
@@ -130,65 +142,14 @@ func (d *DiffResult) diffReport(a, b *Report, tol Tolerances, ca, cb *Campaign) 
 		note("seed", a.Seed, b.Seed)
 	}
 
-	bRows := map[string]*Row{}
-	for _, w := range b.Rows {
-		if _, dup := bRows[w.Label]; dup {
-			d.add(fmt.Sprintf("%s/rows[%s]", a.ID, w.Label), "duplicate row label in second file")
-			continue
-		}
-		bRows[w.Label] = w
-	}
-	seen := map[string]bool{}
-	for _, ra := range a.Rows {
-		path := fmt.Sprintf("%s/rows[%s]", a.ID, ra.Label)
-		if seen[ra.Label] {
-			d.add(path, "duplicate row label in first file")
-			continue
-		}
-		seen[ra.Label] = true
-		rb, ok := bRows[ra.Label]
-		if !ok {
-			d.add(path, "row missing from second file")
-			continue
-		}
-		d.diffRow(path, ra, rb, tol)
-	}
-	for _, rb := range b.Rows {
-		if !seen[rb.Label] {
-			d.add(fmt.Sprintf("%s/rows[%s]", a.ID, rb.Label), "row missing from first file")
-		}
-	}
-
-	bSeries := map[string]*Series{}
-	for i := range b.Series {
-		s := &b.Series[i]
-		if _, dup := bSeries[s.Name]; dup {
-			d.add(fmt.Sprintf("%s/series[%s]", a.ID, s.Name), "duplicate series name in second file")
-			continue
-		}
-		bSeries[s.Name] = s
-	}
-	seenS := map[string]bool{}
-	for i := range a.Series {
-		sa := &a.Series[i]
-		path := fmt.Sprintf("%s/series[%s]", a.ID, sa.Name)
-		if seenS[sa.Name] {
-			d.add(path, "duplicate series name in first file")
-			continue
-		}
-		seenS[sa.Name] = true
-		sb, ok := bSeries[sa.Name]
-		if !ok {
-			d.add(path, "series missing from second file")
-			continue
-		}
-		d.diffSeries(path, sa, sb, tol)
-	}
-	for i := range b.Series {
-		if !seenS[b.Series[i].Name] {
-			d.add(fmt.Sprintf("%s/series[%s]", a.ID, b.Series[i].Name), "series missing from first file")
-		}
-	}
+	match(d, a.Rows, b.Rows, "row label", "row",
+		func(w *Row) string { return w.Label },
+		func(label string) string { return fmt.Sprintf("%s/rows[%s]", a.ID, label) },
+		func(path string, ra, rb *Row) { d.diffRow(path, ra, rb, tol) })
+	match(d, a.Series, b.Series, "series name", "series",
+		func(s Series) string { return s.Name },
+		func(name string) string { return fmt.Sprintf("%s/series[%s]", a.ID, name) },
+		func(path string, sa, sb Series) { d.diffSeries(path, &sa, &sb, tol) })
 }
 
 func (d *DiffResult) diffRow(path string, a, b *Row, tol Tolerances) {
@@ -204,38 +165,16 @@ func (d *DiffResult) diffRow(path string, a, b *Row, tol Tolerances) {
 			d.add(path+"/dims["+k+"]", "%q vs %q", av, bv)
 		}
 	}
-	bVals := map[string]Value{}
-	for _, v := range b.Values {
-		if _, dup := bVals[v.Metric]; dup {
-			d.add(path+"/"+v.Metric, "duplicate metric in second file")
-			continue
-		}
-		bVals[v.Metric] = v
-	}
-	seen := map[string]bool{}
-	for _, va := range a.Values {
-		vpath := path + "/" + va.Metric
-		if seen[va.Metric] {
-			d.add(vpath, "duplicate metric in first file")
-			continue
-		}
-		seen[va.Metric] = true
-		vb, ok := bVals[va.Metric]
-		if !ok {
-			d.add(vpath, "metric missing from second file")
-			continue
-		}
-		if va.Unit != vb.Unit {
-			d.add(vpath, "unit differs: %q vs %q", va.Unit, vb.Unit)
-			continue
-		}
-		d.diffValue(vpath, va.Metric, float64(va.Value), float64(vb.Value), tol)
-	}
-	for _, vb := range b.Values {
-		if !seen[vb.Metric] {
-			d.add(path+"/"+vb.Metric, "metric missing from first file")
-		}
-	}
+	match(d, a.Values, b.Values, "metric", "metric",
+		func(v Value) string { return v.Metric },
+		func(metric string) string { return path + "/" + metric },
+		func(vpath string, va, vb Value) {
+			if va.Unit != vb.Unit {
+				d.add(vpath, "unit differs: %q vs %q", va.Unit, vb.Unit)
+				return
+			}
+			d.diffValue(vpath, va.Metric, float64(va.Value), float64(vb.Value), tol)
+		})
 }
 
 func (d *DiffResult) diffSeries(path string, a, b *Series, tol Tolerances) {
@@ -279,14 +218,13 @@ func relDiff(a, b float64) (float64, bool) {
 	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b)), true
 }
 
-// dimKeys merges and sorts the key sets of two dim maps.
-func dimKeys(a, b map[string]string) []string {
+// dimKeys merges and sorts the key sets of dim maps.
+func dimKeys(ms ...map[string]string) []string {
 	set := map[string]bool{}
-	for k := range a {
-		set[k] = true
-	}
-	for k := range b {
-		set[k] = true
+	for _, m := range ms {
+		for k := range m {
+			set[k] = true
+		}
 	}
 	out := make([]string, 0, len(set))
 	for k := range set {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 )
 
@@ -79,12 +80,21 @@ func Encode(w io.Writer, c *Campaign) error {
 }
 
 // Decode reads a campaign file produced by Encode (or any JSON matching the
-// schema).
+// schema). A null report or row is refused: Encode never writes one, and
+// Diff and Text read every entry.
 func Decode(r io.Reader) (*Campaign, error) {
 	var c Campaign
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("report: decode campaign: %w", err)
+	}
+	for i, rep := range c.Reports {
+		if rep == nil {
+			return nil, fmt.Errorf("report: decode campaign: report %d is null", i)
+		}
+		if slices.Contains(rep.Rows, nil) {
+			return nil, fmt.Errorf("report: decode campaign: report %q has a null row", rep.ID)
+		}
 	}
 	return &c, nil
 }

@@ -1,12 +1,13 @@
 // Package report defines the structured result schema shared by every
 // firmbench experiment artifact. An experiment converts its result into a
 // Report — labelled rows of named metric values plus named series — which
-// then renders two ways: the human-readable ASCII tables on stdout (Table,
-// formerly internal/experiments.Table) and a canonical JSON encoding
-// (json.go) that is byte-stable across machines and worker counts. Diff
-// (diff.go) compares two campaign files metric-by-metric with per-metric
-// tolerances, which is what `firmbench -diff` and the CI determinism step
-// run.
+// then renders two ways: as ASCII tables (Text, text.go), which is what
+// firmbench prints, and as a canonical JSON encoding (json.go) that is
+// byte-stable across machines and worker counts. Both are functions of the
+// record alone, so a number the text shows is a number the JSON carries.
+// Diff (diff.go) compares two campaign files metric-by-metric with
+// per-metric tolerances, which is what `firmbench -diff` and the CI
+// determinism step run.
 package report
 
 // Value is one named metric measurement.

@@ -12,17 +12,17 @@ import (
 )
 
 func TestTableAlignment(t *testing.T) {
-	tb := &Table{
-		Title:  "title",
-		Header: []string{"name", "v"},
-		Rows:   [][]string{{"a", "1.00"}, {"longer-name", "2"}},
+	tb := &table{
+		title:  "title",
+		header: []string{"name", "v"},
+		rows:   [][]string{{"a", "1.00"}, {"longer-name", "2"}},
 	}
 	got := tb.String()
 	want := "title\n" +
-		"name         v   \n" +
+		"name         v\n" +
 		"-------------------\n" +
 		"a            1.00\n" +
-		"longer-name  2   \n"
+		"longer-name  2\n"
 	if got != want {
 		t.Fatalf("table misaligned:\n--- got ---\n%q\n--- want ---\n%q", got, want)
 	}
@@ -40,7 +40,7 @@ func TestTableAlignment(t *testing.T) {
 }
 
 func TestTableEmpty(t *testing.T) {
-	tb := &Table{Header: []string{"a", "bb"}}
+	tb := &table{header: []string{"a", "bb"}}
 	got := tb.String()
 	// Header and separator only; no title line, no data rows.
 	want := "a  bb\n-------\n"
@@ -50,8 +50,8 @@ func TestTableEmpty(t *testing.T) {
 }
 
 func TestTableOversizedRowDropsExtraCells(t *testing.T) {
-	tb := &Table{Header: []string{"k", "v"}}
-	tb.Add("x", "y", "extra")
+	tb := &table{header: []string{"k", "v"}}
+	tb.add("x", "y", "extra")
 	got := tb.String() // must not panic
 	if strings.Contains(got, "extra") {
 		t.Fatalf("cells beyond the header must be dropped: %q", got)
@@ -71,8 +71,8 @@ func TestRowHandleSurvivesLaterRows(t *testing.T) {
 }
 
 func TestTableSingleRow(t *testing.T) {
-	tb := &Table{Header: []string{"k", "v"}}
-	tb.Add("x", "y")
+	tb := &table{header: []string{"k", "v"}}
+	tb.add("x", "y")
 	got := tb.String()
 	want := "k  v\n------\nx  y\n"
 	if got != want {
@@ -122,8 +122,9 @@ func TestCanonicalJSONRoundTrip(t *testing.T) {
 
 // FuzzCanonicalRoundTrip: whatever Decode accepts, its canonical encoding
 // is a fixpoint — Marshal → Decode → Marshal reproduces the bytes, NaN and
-// ±Inf included. The corpus is seeded with the experiment goldens' JSON and
-// the sample campaign.
+// ±Inf included — and it renders as text, to the same text after the round
+// trip. The corpus is seeded with the experiment goldens' JSON and the
+// sample campaign.
 func FuzzCanonicalRoundTrip(f *testing.F) {
 	goldens, err := filepath.Glob(filepath.Join("..", "experiments", "testdata", "*.json"))
 	if err != nil {
@@ -164,7 +165,23 @@ func FuzzCanonicalRoundTrip(f *testing.F) {
 		if !bytes.Equal(first, second) {
 			t.Fatalf("Marshal → Decode → Marshal is not a fixpoint:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 		}
+		if a, b := campaignText(c), campaignText(back); a != b {
+			t.Fatalf("the round trip changed the text:\n--- decoded ---\n%s\n--- re-encoded ---\n%s", a, b)
+		}
 	})
+}
+
+// TestDecodeRejectsNullEntries: a null report or row decodes to a nil
+// pointer that Diff and Text would dereference; Decode refuses the file.
+func TestDecodeRejectsNullEntries(t *testing.T) {
+	for _, doc := range []string{
+		`{"tool":"t","reports":[null]}`,
+		`{"tool":"t","reports":[{"id":"a","rows":[{"label":"x"},null]}]}`,
+	} {
+		if c, err := Decode(strings.NewReader(doc)); err == nil {
+			t.Errorf("Decode(%s) = %+v, want an error", doc, c)
+		}
+	}
 }
 
 func TestCanonicalJSONStable(t *testing.T) {

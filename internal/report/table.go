@@ -1,64 +1,60 @@
 package report
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
-// Table is the ASCII table renderer behind every experiment's stdout
-// report. It lives here so text rendering and the JSON records share one
-// package; the format is pinned by the stdout golden files, so changes to
-// String are behavior changes.
-type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
+// table is one ASCII table of Text's rendering: a header, a rule, and
+// rows whose cells are left-aligned to the widest cell of their column
+// (widths count runes; no line ends in padding).
+type table struct {
+	title  string
+	header []string
+	rows   [][]string
 }
 
-// Add appends a row of cells.
-func (t *Table) Add(cells ...string) { t.Rows = append(t.Rows, cells) }
+// add appends a row of cells.
+func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
 
 // String renders the table.
-func (t *Table) String() string {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
+func (t *table) String() string {
+	widths := make([]int, len(t.header))
+	for i, h := range t.header {
+		widths[i] = utf8.RuneCountInString(h)
 	}
-	for _, r := range t.Rows {
+	for _, r := range t.rows {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}
 	var sb strings.Builder
-	if t.Title != "" {
-		sb.WriteString(t.Title + "\n")
+	if t.title != "" {
+		sb.WriteString(t.title + "\n")
 	}
 	line := func(cells []string) {
+		cells = cells[:min(len(cells), len(widths))] // cells beyond the header are dropped
 		for i, c := range cells {
-			if i >= len(widths) {
-				break // cells beyond the header are dropped, not rendered
-			}
 			if i > 0 {
 				sb.WriteString("  ")
 			}
-			sb.WriteString(pad(c, widths[i]))
+			sb.WriteString(c)
+			if i < len(cells)-1 {
+				sb.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
+			}
 		}
 		sb.WriteString("\n")
 	}
-	line(t.Header)
+	line(t.header)
 	total := 0
 	for _, w := range widths {
 		total += w + 2
 	}
 	sb.WriteString(strings.Repeat("-", total) + "\n")
-	for _, r := range t.Rows {
+	for _, r := range t.rows {
 		line(r)
 	}
 	return sb.String()
-}
-
-func pad(s string, w int) string {
-	for len(s) < w {
-		s += " "
-	}
-	return s
 }

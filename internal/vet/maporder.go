@@ -10,8 +10,11 @@ import (
 // order-sensitive operation. Go randomizes map iteration order per run, so
 // any such loop is a nondeterminism leak: appends build differently-ordered
 // slices, writer/print calls emit differently-ordered bytes, float (and
-// string) accumulation rounds (concatenates) in a different sequence, and
-// channel sends interleave differently.
+// string) accumulation rounds (concatenates) in a different sequence,
+// channel sends interleave differently, and a conditional assignment of the
+// range key or value to a variable that outlives the loop — arg-max,
+// arg-min, first match wins — picks whichever tied or matching entry the
+// order reaches first.
 //
 // Two idioms are recognized and exempt:
 //
@@ -72,6 +75,7 @@ func runMaporder(pass *Pass) {
 // checkMapRangeBody scans one map-range body for order-sensitive operations.
 func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, fn ast.Node) {
 	perKey := keyDerivedObjects(pass, rng)
+	conditional := conditionalAssigns(rng.Body)
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:
@@ -81,9 +85,65 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, fn ast.Node) {
 			checkMapRangeCall(pass, n)
 		case *ast.AssignStmt:
 			checkMapRangeAssign(pass, rng, fn, perKey, n)
+			if conditional[n] {
+				checkMapRangeSelect(pass, rng, perKey, n)
+			}
 		}
 		return true
 	})
+}
+
+// conditionalAssigns collects the assignments of a loop body that run only
+// when a condition holds: those nested in an if, switch or select.
+func conditionalAssigns(body *ast.BlockStmt) map[*ast.AssignStmt]bool {
+	out := make(map[*ast.AssignStmt]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.IfStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			ast.Inspect(n, func(m ast.Node) bool {
+				if as, ok := m.(*ast.AssignStmt); ok {
+					out[as] = true
+				}
+				return true
+			})
+			return false
+		}
+		return true
+	})
+	return out
+}
+
+// checkMapRangeSelect flags a conditional assignment that stores the range
+// key or value (or anything derived from them) into state that outlives
+// the iteration: an arg-max, arg-min or first-match selection, whose winner
+// among tied or equally matching entries is the one map order reaches
+// first (or last). Per-key state is exempt, as for appends; appends
+// themselves are checkMapRangeAssign's.
+func checkMapRangeSelect(pass *Pass, rng *ast.RangeStmt, perKey map[types.Object]bool, as *ast.AssignStmt) {
+	if as.Tok != token.ASSIGN {
+		return
+	}
+	for i, lhs := range as.Lhs {
+		rhs := as.Rhs[0] // a, b = f(k): every target takes from the one call
+		if len(as.Rhs) == len(as.Lhs) {
+			rhs = as.Rhs[i]
+		}
+		if call, ok := rhs.(*ast.CallExpr); ok && isBuiltin(pass, call.Fun, "append") {
+			continue // an append: checkMapRangeAssign's rule, collect-then-sort included
+		}
+		if !referencesAny(pass, rhs, perKey) || referencesAny(pass, lhs, perKey) {
+			continue
+		}
+		if id, ok := lhs.(*ast.Ident); ok {
+			obj := pass.Info.ObjectOf(id)
+			if obj == nil || (rng.Body.Pos() <= obj.Pos() && obj.Pos() <= rng.Body.End()) {
+				continue // blank, or a per-iteration local
+			}
+		}
+		pass.Reportf(as.Pos(), "maporder",
+			"conditional assignment of the range key or value inside map iteration: which entry wins (arg-max/arg-min ties, first match) follows map order; iterate sorted keys")
+		return
+	}
 }
 
 // keyDerivedObjects collects the objects that hold per-key state: the range

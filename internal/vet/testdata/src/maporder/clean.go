@@ -36,3 +36,42 @@ func waivedSum(m map[string]float64) float64 {
 	}
 	return sum
 }
+
+// goodArgMaxSorted ranges over sorted keys: ties go to the smallest key.
+func goodArgMaxSorted(count map[string]int) string {
+	best, bestN := "", 0
+	for _, k := range sortedKeys(count) {
+		if n := count[k]; n > bestN {
+			best, bestN = k, n
+		}
+	}
+	return best
+}
+
+type perKeyBest struct {
+	vals []float64
+	max  float64
+}
+
+// goodPerKeySelect selects within one key's state: no entry competes with
+// another key's.
+func goodPerKeySelect(m map[string]*perKeyBest) {
+	for _, st := range m {
+		for _, v := range st.vals {
+			if v > st.max {
+				st.max = v
+			}
+		}
+	}
+}
+
+// goodAnyMatch records only that some entry matched, never which.
+func goodAnyMatch(m map[string]bool) bool {
+	found := false
+	for _, ok := range m {
+		if ok {
+			found = true
+		}
+	}
+	return found
+}

@@ -33,3 +33,42 @@ func badEmit(m map[string]int, ch chan string, sb *strings.Builder) {
 		ch <- k
 	}
 }
+
+// badArgMax keeps the first key map order reaches among tied counts.
+func badArgMax(count map[string]int) string {
+	best, bestN := "", 0
+	for k, n := range count {
+		if n > bestN {
+			best, bestN = k, n
+		}
+	}
+	return best
+}
+
+// badArgMin selects through a value derived from the range value.
+func badArgMin(lat map[string][]float64) string {
+	var pick string
+	lo := -1.0
+	for name, xs := range lat {
+		m := xs[0]
+		if lo < 0 || m < lo {
+			lo = m
+			pick = name
+		}
+	}
+	return pick
+}
+
+// badFirstMatch returns whichever matching key map order reaches first.
+func badFirstMatch(m map[string]bool) (hit string) {
+	for k, ok := range m {
+		switch {
+		case ok:
+			hit = k
+		}
+		if hit != "" {
+			break
+		}
+	}
+	return hit
+}
