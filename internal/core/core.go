@@ -48,8 +48,12 @@ type TransitionSink func(service string, t rl.Transition)
 // agent uses one fixed key; per-service providers key by service name).
 type ReplicableProvider interface {
 	AgentProvider
-	// SnapshotPolicies serializes every distinct agent under its stable key.
-	SnapshotPolicies() (map[string]rl.Snapshot, error)
+	// SnapshotPolicies freezes every distinct agent's weights under its
+	// stable key into the caller's set — overwriting the policies it holds in
+	// place, adding one for an agent it lacks (nil is an empty set) — and
+	// returns the set. The frozen weights stay put while the agents train
+	// on; a warm set is refrozen without allocating.
+	SnapshotPolicies(into map[string]*rl.Policy) map[string]*rl.Policy
 	// NewReplica creates a provider mirroring this provider's service→agent
 	// mapping with private acting copies (small replay buffers, private
 	// RNGs). The replica's weights are undefined until SyncPolicies.
@@ -61,10 +65,12 @@ type ReplicableProvider interface {
 // the learner); they are never trained in place.
 type ReplicaProvider interface {
 	AgentProvider
-	// SyncPolicies loads learner snapshots (keyed as SnapshotPolicies keys
-	// them) into the replica's agents. Agents the replica has not
-	// materialized yet pick their snapshot up lazily on first AgentFor.
-	SyncPolicies(map[string]rl.Snapshot) error
+	// SyncPolicies loads the learner's frozen policies (a SnapshotPolicies
+	// set) into the replica's agents, as rl.Agent.Load would load the
+	// learner's Snapshots. Agents the replica has not materialized yet pick
+	// their policy up lazily on first AgentFor, so the replica reads the set
+	// until the next SyncPolicies.
+	SyncPolicies(map[string]*rl.Policy) error
 	// BeginEpisode re-derives every replica agent's exploration stream from
 	// the episode seed — including agents materialized later in the episode
 	// — so an episode's randomness is independent of worker identity and of
@@ -85,12 +91,23 @@ func (s SharedAgent) AgentFor(string) *rl.Agent { return s.A }
 func (s SharedAgent) Agents() []*rl.Agent { return []*rl.Agent{s.A} }
 
 // SnapshotPolicies implements ReplicableProvider.
-func (s SharedAgent) SnapshotPolicies() (map[string]rl.Snapshot, error) {
-	snap, err := s.A.Save()
-	if err != nil {
-		return nil, err
+func (s SharedAgent) SnapshotPolicies(into map[string]*rl.Policy) map[string]*rl.Policy {
+	return freeze(into, sharedPolicyKey, s.A)
+}
+
+// freeze saves a into set's policy under key, adding the policy (and the
+// set) when missing, and returns the set.
+func freeze(set map[string]*rl.Policy, key string, a *rl.Agent) map[string]*rl.Policy {
+	if set == nil {
+		set = make(map[string]*rl.Policy)
 	}
-	return map[string]rl.Snapshot{sharedPolicyKey: snap}, nil
+	p := set[key]
+	if p == nil {
+		p = &rl.Policy{}
+		set[key] = p
+	}
+	a.SavePolicy(p)
+	return set
 }
 
 // NewReplica implements ReplicableProvider.
@@ -106,12 +123,12 @@ type sharedReplica struct{ a *rl.Agent }
 func (s *sharedReplica) AgentFor(string) *rl.Agent { return s.a }
 func (s *sharedReplica) Agents() []*rl.Agent       { return []*rl.Agent{s.a} }
 
-func (s *sharedReplica) SyncPolicies(m map[string]rl.Snapshot) error {
-	snap, ok := m[sharedPolicyKey]
+func (s *sharedReplica) SyncPolicies(m map[string]*rl.Policy) error {
+	p, ok := m[sharedPolicyKey]
 	if !ok {
-		return fmt.Errorf("core: snapshot set lacks %q policy", sharedPolicyKey)
+		return fmt.Errorf("core: policy set lacks %q policy", sharedPolicyKey)
 	}
-	return s.a.Load(snap)
+	return s.a.LoadPolicy(p)
 }
 
 func (s *sharedReplica) BeginEpisode(episodeSeed int64) {
@@ -141,7 +158,7 @@ type PerServiceAgents struct {
 // on it alone — never on another service's Init.
 type freshEntry struct {
 	once sync.Once
-	snap rl.Snapshot
+	pol  rl.Policy
 }
 
 // freshPolicy returns the deterministic post-Init weights for service —
@@ -151,12 +168,12 @@ type freshEntry struct {
 // rollout replica share this memo instead of re-deriving the same weights;
 // the mutex covers only the map lookup, so Init (caller-supplied code) runs
 // outside it and different services initialize concurrently.
-// The Save/Load round-trip is exact here: Init leaves targets equal to the
-// online nets (New clones them; PretrainActor re-syncs the actor target),
-// which is precisely what Load reconstructs. Base transfer is NOT memoized
-// — TransferFrom is a cheap weight copy, and going through a Snapshot
-// would silently drop Base's target networks.
-func (p *PerServiceAgents) freshPolicy(service string, cfg rl.Config) rl.Snapshot {
+// The SavePolicy/LoadPolicy round-trip is exact here: Init leaves targets
+// equal to the online nets (New clones them; PretrainActor re-syncs the
+// actor target), which is precisely what LoadPolicy reconstructs. Base
+// transfer is NOT memoized — TransferFrom is a cheap weight copy, and going
+// through a Policy would silently drop Base's target networks.
+func (p *PerServiceAgents) freshPolicy(service string, cfg rl.Config) *rl.Policy {
 	p.freshMu.Lock()
 	e := p.fresh[service]
 	if e == nil {
@@ -171,13 +188,9 @@ func (p *PerServiceAgents) freshPolicy(service string, cfg rl.Config) rl.Snapsho
 		cfg.BufferCap = 1 // scratch agent: only its weights survive
 		a := rl.New(cfg)
 		p.Init(a)
-		snap, err := a.Save()
-		if err != nil {
-			panic(err) // in-memory marshal of a well-formed net cannot fail
-		}
-		e.snap = snap
+		a.SavePolicy(&e.pol)
 	})
-	return e.snap
+	return &e.pol
 }
 
 // warmStart applies the provider's deterministic fresh-construction rule to
@@ -190,15 +203,15 @@ func (p *PerServiceAgents) warmStart(a *rl.Agent, service string, cfg rl.Config)
 	switch {
 	case p.Base != nil:
 		// Direct transfer preserves Base's (soft-updated) target networks,
-		// which a Snapshot round-trip would replace with Base's online
+		// which a Policy round-trip would replace with Base's online
 		// nets. Init before a transfer would be overwritten, so skip it.
 		// Base is only ever read here, so concurrent replicas are safe.
 		if err := a.TransferFrom(p.Base); err != nil {
 			panic(err) // dims are fixed by construction
 		}
 	case p.Init != nil:
-		if err := a.Load(p.freshPolicy(service, cfg)); err != nil {
-			panic(err) // snapshot shape is fixed by construction
+		if err := a.LoadPolicy(p.freshPolicy(service, cfg)); err != nil {
+			panic(err) // policy shape is fixed by construction
 		}
 	}
 }
@@ -238,17 +251,13 @@ func agentsSorted(m map[string]*rl.Agent) []*rl.Agent {
 	return out
 }
 
-// SnapshotPolicies implements ReplicableProvider (keyed by service).
-func (p *PerServiceAgents) SnapshotPolicies() (map[string]rl.Snapshot, error) {
-	out := make(map[string]rl.Snapshot, len(p.m))
+// SnapshotPolicies implements ReplicableProvider (keyed by service). A
+// service joins the set once the learner has materialized its agent.
+func (p *PerServiceAgents) SnapshotPolicies(into map[string]*rl.Policy) map[string]*rl.Policy {
 	for svc, a := range p.m {
-		snap, err := a.Save()
-		if err != nil {
-			return nil, err
-		}
-		out[svc] = snap
+		into = freeze(into, svc, a)
 	}
-	return out, nil
+	return into
 }
 
 // NewReplica implements ReplicableProvider.
@@ -257,14 +266,14 @@ func (p *PerServiceAgents) NewReplica() ReplicaProvider {
 }
 
 // perServiceReplica mirrors a PerServiceAgents provider inside a rollout
-// worker. Services already snapshotted by the learner load those weights;
+// worker. Services already frozen by the learner load those weights;
 // services the learner has not materialized yet are constructed through the
 // learner's exact creation path (per-service seed, Init, transfer), which
 // is deterministic — so a replica's weights never depend on which worker it
 // is or which episodes it happened to run.
 type perServiceReplica struct {
 	src    *PerServiceAgents
-	snaps  map[string]rl.Snapshot
+	pols   map[string]*rl.Policy // the learner's frozen set, read while it trains
 	epSeed int64
 	m      map[string]*rl.Agent
 }
@@ -277,15 +286,15 @@ func (r *perServiceReplica) AgentFor(service string) *rl.Agent {
 	cfg.Seed = sim.DeriveSeed(cfg.Seed, service)
 	cfg.BufferCap = 1 // acting replica: experience flows to the learner
 	a := rl.New(cfg)
-	// Prefer the learner's trained weights from the round snapshot; a
+	// Prefer the learner's trained weights from the round's frozen set; a
 	// service the learner has not materialized yet warm-starts through the
 	// learner's own warmStart rule, so the replica's acting policy is
 	// bit-identical to what the learner will construct when this service's
 	// first transition reaches it. (Replicas only act, so of the four
 	// networks only the actor matters.)
-	if snap, ok := r.snaps[service]; ok {
-		if err := a.Load(snap); err != nil {
-			panic(err) // snapshots come from agents of identical shape
+	if pol, ok := r.pols[service]; ok {
+		if err := a.LoadPolicy(pol); err != nil {
+			panic(err) // policies come from agents of identical shape
 		}
 	} else {
 		r.src.warmStart(a, service, cfg)
@@ -300,11 +309,11 @@ func (r *perServiceReplica) AgentFor(service string) *rl.Agent {
 
 func (r *perServiceReplica) Agents() []*rl.Agent { return agentsSorted(r.m) }
 
-func (r *perServiceReplica) SyncPolicies(m map[string]rl.Snapshot) error {
-	r.snaps = m
+func (r *perServiceReplica) SyncPolicies(m map[string]*rl.Policy) error {
+	r.pols = m
 	for svc, a := range r.m {
-		if snap, ok := m[svc]; ok {
-			if err := a.Load(snap); err != nil {
+		if pol, ok := m[svc]; ok {
+			if err := a.LoadPolicy(pol); err != nil {
 				return err
 			}
 		}

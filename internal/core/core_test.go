@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -227,10 +228,7 @@ func TestSharedAgentReplicaMirrorsPolicy(t *testing.T) {
 	cfg := rl.DefaultConfig()
 	cfg.Seed = 11
 	learner := core.SharedAgent{A: rl.New(cfg)}
-	snaps, err := learner.SnapshotPolicies()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snaps := learner.SnapshotPolicies(nil)
 	rep := learner.NewReplica()
 	if err := rep.SyncPolicies(snaps); err != nil {
 		t.Fatal(err)
@@ -264,10 +262,7 @@ func TestPerServiceReplicaLazyConstructionIsDeterministic(t *testing.T) {
 	}
 	learner := mk()
 	learner.AgentFor("svc-a") // materialized before the snapshot
-	snaps, err := learner.SnapshotPolicies()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snaps := learner.SnapshotPolicies(nil)
 	if _, ok := snaps["svc-a"]; !ok || len(snaps) != 1 {
 		t.Fatalf("snapshot keys: %v", snaps)
 	}
@@ -506,5 +501,151 @@ func TestTraceWindowInvisibleToController(t *testing.T) {
 	if wc.Actions != uc.Actions || wb.App.Completed != ub.App.Completed || wb.Eng.Steps() != ub.Eng.Steps() {
 		t.Fatalf("runs diverged: actions %d/%d, completed %d/%d, steps %d/%d",
 			wc.Actions, uc.Actions, wb.App.Completed, ub.App.Completed, wb.Eng.Steps(), ub.Eng.Steps())
+	}
+}
+
+// trainSteps moves a's weights: n transitions of a fixed stream, one
+// TrainStep after each.
+func trainSteps(a *rl.Agent, n int, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	cfg := a.Config()
+	for i := 0; i < n; i++ {
+		s, s2 := make([]float64, cfg.StateDim), make([]float64, cfg.StateDim)
+		for j := range s {
+			s[j], s2[j] = r.Float64(), r.Float64()
+		}
+		a.Observe(rl.Transition{S: s, A: a.ActExplore(s), R: r.Float64(), S2: s2})
+		a.TrainStep()
+	}
+}
+
+func mustSave(t *testing.T, a *rl.Agent) rl.Snapshot {
+	t.Helper()
+	snap, err := a.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// sameNets fails t unless a and b hold bit-identical networks, all four: the
+// online pair through Save, the target pair through what it feeds. A copy
+// of each (TransferFrom takes all four nets) trains on one fixed stream;
+// every critic loss reads the target nets' outputs, and their soft updates
+// carry them into the weights saved at the end.
+func sameNets(t *testing.T, what string, a, b *rl.Agent) {
+	t.Helper()
+	sa, sb := mustSave(t, a), mustSave(t, b)
+	if !bytes.Equal(sa.Actor, sb.Actor) || !bytes.Equal(sa.Critic, sb.Critic) {
+		t.Fatalf("%s: actor or critic differs", what)
+	}
+	cfg := rl.DefaultConfig()
+	cfg.Seed = 61
+	x, y := rl.New(cfg), rl.New(cfg)
+	if err := x.TransferFrom(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := y.TransferFrom(b); err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(62))
+	for i := 0; i < 2*cfg.BatchSize; i++ {
+		tr := rl.Transition{S: make([]float64, cfg.StateDim), A: make([]float64, cfg.ActionDim), R: r.Float64(),
+			S2: make([]float64, cfg.StateDim)}
+		for j := range tr.S {
+			tr.S[j], tr.S2[j] = r.Float64(), r.Float64()
+		}
+		for j := range tr.A {
+			tr.A[j] = 2*r.Float64() - 1
+		}
+		x.Observe(tr)
+		y.Observe(tr)
+	}
+	for i := 0; i < 4; i++ {
+		lx, _ := x.TrainStep()
+		ly, _ := y.TrainStep()
+		if math.Float64bits(lx) != math.Float64bits(ly) {
+			t.Fatalf("%s: target nets differ (critic loss %v vs %v at step %d)", what, lx, ly, i)
+		}
+	}
+	sx, sy := mustSave(t, x), mustSave(t, y)
+	if !bytes.Equal(sx.Actor, sy.Actor) || !bytes.Equal(sx.Critic, sy.Critic) {
+		t.Fatalf("%s: target nets differ (trained copies diverge)", what)
+	}
+}
+
+// TestPolicySyncMatchesSaveLoad: a replica synced from its learner's frozen
+// policies holds, in all four nets, what rl.Agent.Load of the learner's
+// Save at the round boundary puts there — for the shared agent, per-service
+// agents and transferred ones; for a service the replica materializes
+// lazily during the round, after the learner has trained on (round 0), and
+// for one it already holds at the sync (round 1, refrozen into round 0's
+// set).
+func TestPolicySyncMatchesSaveLoad(t *testing.T) {
+	cfg := rl.DefaultConfig()
+	cfg.Seed = 63
+	base := rl.New(cfg)
+	trainSteps(base, 80, 64)
+	services := []string{"svc-a", "svc-b"}
+	for _, c := range []struct {
+		name string
+		mk   func() core.ReplicableProvider
+	}{
+		{"shared", func() core.ReplicableProvider { return core.SharedAgent{A: rl.New(cfg)} }},
+		{"per-service", func() core.ReplicableProvider { return &core.PerServiceAgents{Cfg: cfg} }},
+		{"transferred", func() core.ReplicableProvider { return &core.PerServiceAgents{Cfg: cfg, Base: base} }},
+	} {
+		learner := c.mk()
+		for _, svc := range services {
+			learner.AgentFor(svc)
+		}
+		rep := learner.NewReplica()
+		var frozen map[string]*rl.Policy
+		for round := 0; round < 2; round++ {
+			for i, a := range learner.Agents() {
+				trainSteps(a, 70, int64(10*round+i))
+			}
+			want := make(map[string]rl.Snapshot)
+			for _, svc := range services {
+				want[svc] = mustSave(t, learner.AgentFor(svc))
+			}
+			frozen = learner.SnapshotPolicies(frozen)
+			if err := rep.SyncPolicies(frozen); err != nil {
+				t.Fatal(err)
+			}
+			rep.AgentFor(services[0])
+			for i, a := range learner.Agents() {
+				trainSteps(a, 20, int64(10*round+i+5)) // the learner trains on; the frozen set must not move
+			}
+			for _, svc := range services {
+				ref := rl.New(cfg)
+				if err := ref.Load(want[svc]); err != nil {
+					t.Fatal(err)
+				}
+				sameNets(t, fmt.Sprintf("%s round %d %s", c.name, round, svc), rep.AgentFor(svc), ref)
+			}
+		}
+	}
+}
+
+// TestPolicySyncWarmRoundAllocFree: a warm round boundary — the shared
+// learner frozen, two replicas synced from it — allocates nothing.
+func TestPolicySyncWarmRoundAllocFree(t *testing.T) {
+	cfg := rl.DefaultConfig()
+	cfg.Seed = 65
+	learner := core.SharedAgent{A: rl.New(cfg)}
+	reps := []core.ReplicaProvider{learner.NewReplica(), learner.NewReplica()}
+	var frozen map[string]*rl.Policy
+	round := func() {
+		frozen = learner.SnapshotPolicies(frozen)
+		for _, rep := range reps {
+			if err := rep.SyncPolicies(frozen); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Fatalf("warm snapshot + sync of two replicas allocates %v per round, want 0", n)
 	}
 }

@@ -185,10 +185,7 @@ func TestTrainEpisodeOnResetBedMatchesNew(t *testing.T) {
 	cfg.Seed = opts.Seed
 	learner := core.SharedAgent{A: rl.New(cfg)}
 	rep := learner.NewReplica()
-	snaps, err := learner.SnapshotPolicies()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snaps := learner.SnapshotPolicies(nil)
 	if err := rep.SyncPolicies(snaps); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -15,8 +16,8 @@ const blockRows = 64
 // pass is the batch path's working set for one net over `rows` rows: what a
 // forward sweep leaves behind for the backward sweep, and what the backward
 // sweep leaves behind for gradient accumulation. Net owns one for
-// ForwardBatch/BackwardBatch; an Epoch owns a dataset-sized one for the
-// length of a call.
+// ForwardBatch/BackwardBatch; an Epoch owns one chunk-sized set of matrices
+// and views it as one pass per chunk.
 type pass struct {
 	rows int         // rows of the pending forward; 0 = none
 	x    []float64   // layer-0 input, rows×in — the caller's matrix, by reference
@@ -251,31 +252,93 @@ func (n *Net) backwardBatchImpl(gradOut []float64, nb int, params, input bool) [
 	return p.gx0
 }
 
+// chunkRows is how many dataset rows an Epoch carries through its sweeps at
+// a time. A chunk's forward outputs and output-major gradients are the
+// Epoch's whole working set besides the input matrix: for the Table 4 actor
+// (85 outputs a row) that is 512 × 85 × 2 doubles, 0.7 MB, where the
+// 3,000-row behaviour-cloning set used to hold 4.1 MB for the call — small
+// enough to stay in one core's 2 MB L2 while the next phase reads it back.
+// Measured on the clone experiments.Train runs (200 epochs × 3,000 rows,
+// medians of 8 alternating runs on a 2-vCPU Xeon), unchunked → 512 rows:
+// one worker 290 → 277 ms, two workers 186 → 188 ms. 256-row chunks took
+// 271 and 201 ms (twice the barriers), 1,024-row ones 279 and 185 ms for
+// twice the bytes.
+const chunkRows = 8 * blockRows
+
 // Epoch accumulates one loss's parameter gradients over a whole dataset,
-// split across workers by ownership rather than reduction: the forward and
-// backward sweeps are owned by sample row (a block of rows at a time),
-// gradient accumulation by output row — each owner walking every sample in
-// dataset order — so no two workers ever add into the same float and GW/GB
-// are byte-identical at any width, with no locks or atomics on the data.
-// Which worker owns which block is decided as they go (one claim counter):
-// every unit is computed by exactly one worker in a fixed internal order, so
-// the assignment cannot reach the result, and a worker that loses its core
-// for a while costs one unit rather than stalling half the epoch. The
-// dataset-sized matrices belong to the Epoch, not the net, and go when it
-// does.
+// chunkRows rows at a time, split across workers by ownership rather than
+// reduction. Each chunk is two phases: the forward and backward sweeps,
+// owned by sample row (a block of rows at a time), then gradient
+// accumulation over the chunk, owned by output row. No two workers ever add
+// into the same float, and every GW/GB chain takes the chunks in dataset
+// order on top of what the last one left (seed from the destination), so
+// GW/GB are byte-identical at any width and to one pass over all rows, with
+// no locks or atomics on the data. Within a phase, which worker owns which
+// unit is decided as they go (one claim counter a phase): every unit is
+// computed by exactly one worker in a fixed internal order, so the
+// assignment cannot reach the result, and a worker that loses its core for
+// a while costs one unit rather than stalling half the phase. Only the
+// input matrix is dataset-sized; the chunk matrices are reused chunk after
+// chunk, and all of it belongs to the Epoch, not the net.
 type Epoch struct {
-	n     *Net
-	p     pass
-	width int
-	bs    []blockScratch // per worker
-	gy    [][]float64    // per worker: one block of loss gradients
-	units []gradUnit     // the accumulation sweep's work list
-	next  atomic.Int64   // claim counter of the sweep in progress
+	n      *Net
+	x      []float64 // the dataset input, rows×InputDim
+	chunks []pass    // per chunk: its rows of x over the shared chunk matrices
+	width  int
+	bs     []blockScratch                    // per worker
+	gy     [][]float64                       // per worker: one block of loss gradients
+	units  []gradUnit                        // an accumulation phase's work list
+	loss   func(lo, hi int, y, gy []float64) // Accumulate's, for the call
+	team   team
 }
 
-// gradUnit is one claim of the accumulation sweep: output rows [lo,hi) of
+// gradUnit is one claim of an accumulation phase: output rows [lo,hi) of
 // one layer.
 type gradUnit struct{ layer, lo, hi int }
+
+// team is how the workers of one Accumulate move through its phases
+// together: phase ph's units are claimed by counting claim[ph] up, a worker
+// that finds none left adds the units it ran to done[ph], and a worker
+// leaves phase ph only once done[ph] is full — the barrier that keeps a
+// chunk's accumulation off rows still being swept and the next chunk's
+// sweep off matrices still being read. Nobody checks in: a worker that gets
+// no CPU claims nothing and delays no one. A phase's last unit is tens of
+// microseconds, so a waiter spins about that long before it parks, as sim's
+// sharded rendezvous does.
+type team struct {
+	claim, done []atomic.Int32 // per phase
+	spin        int
+	mu          sync.Mutex
+	wake        sync.Cond
+}
+
+// spinLoads is how many times a waiting worker polls before it parks:
+// ≈ 24 µs on a 2-vCPU Xeon, about one 64-row block of the Table 4 actor —
+// the longest a peer with a CPU of its own keeps a phase open. At 1 << 14
+// (≈ 6 µs) waiters parked, and perf's rl-pretrain at two workers took
+// 4.8 ms against 4.3; 1 << 17 and 1 << 18 left chunkRows' clone as it was.
+const spinLoads = 1 << 16
+
+// await returns once v reaches n.
+func (t *team) await(v *atomic.Int32, n int32) {
+	for i := 0; i < t.spin; i++ {
+		if v.Load() >= n {
+			return
+		}
+	}
+	t.mu.Lock()
+	for v.Load() < n {
+		t.wake.Wait()
+	}
+	t.mu.Unlock()
+}
+
+// post wakes whoever parked before the caller's last count.
+func (t *team) post() {
+	t.mu.Lock()
+	t.wake.Broadcast()
+	t.mu.Unlock()
+}
 
 // NewEpoch sizes an epoch over rows samples for width workers (clamped to
 // [1, number of row blocks]).
@@ -284,25 +347,43 @@ func (n *Net) NewEpoch(rows, width int) *Epoch {
 		panic("nn: epoch needs at least one row")
 	}
 	width = max(1, min(width, (rows+blockRows-1)/blockRows))
-	e := &Epoch{n: n, width: width, bs: make([]blockScratch, width), gy: make([][]float64, width)}
-	e.p.size(n, rows)
-	e.p.rows = rows
-	e.p.x = make([]float64, rows*n.InputDim())
-	e.p.sizeBackward(n, rows, false)
+	in := n.InputDim()
+	e := &Epoch{n: n, x: make([]float64, rows*in), width: width,
+		bs: make([]blockScratch, width), gy: make([][]float64, width)}
+	var p pass
+	p.size(n, min(rows, chunkRows))
+	p.sizeBackward(n, min(rows, chunkRows), false)
+	for lo := 0; lo < rows; lo += chunkRows {
+		c := p
+		c.rows = min(chunkRows, rows-lo)
+		c.x = e.x[lo*in : (lo+c.rows)*in]
+		e.chunks = append(e.chunks, c)
+	}
+	e.team.claim = make([]atomic.Int32, 2*len(e.chunks))
+	e.team.done = make([]atomic.Int32, 2*len(e.chunks))
+	e.team.wake.L = &e.team.mu
+	//firmvet:allow nondeterm -- decides only whether a waiter spins before it parks; no result depends on it
+	if width <= runtime.GOMAXPROCS(0) {
+		e.team.spin = spinLoads // a CPU per worker; spinning for a peer that has none only delays it
+	}
 	for w := range e.bs {
 		e.bs[w].size(n)
 		e.gy[w] = make([]float64, blockRows*n.OutputDim())
 	}
-	// Four output rows a claim (the narrow tile's depth), widest layers
-	// first so the small claims are the ones left to even out the finish.
+	// Eight output rows a claim, widest layers first so the small claims
+	// are the ones left to even out the finish. Each claim is an atomic
+	// add both workers contend for, and a chunk's accumulation is short:
+	// at four rows a claim (the narrow tile's depth; 132 claims an epoch
+	// instead of 66) the clone above took 196 ms at two workers where
+	// eight took 191 and the unchunked epoch 190; sixteen was no faster.
 	claims := 0
 	for _, l := range n.layers {
-		claims += (l.Out + 3) / 4
+		claims += (l.Out + 7) / 8
 	}
 	e.units = make([]gradUnit, 0, claims)
 	for li := len(n.layers) - 1; li >= 0; li-- {
-		for o := 0; o < n.layers[li].Out; o += 4 {
-			e.units = append(e.units, gradUnit{li, o, min(o+4, n.layers[li].Out)})
+		for o := 0; o < n.layers[li].Out; o += 8 {
+			e.units = append(e.units, gradUnit{li, o, min(o+8, n.layers[li].Out)})
 		}
 	}
 	return e
@@ -310,52 +391,81 @@ func (n *Net) NewEpoch(rows, width int) *Epoch {
 
 // Input returns the rows×InputDim row-major dataset matrix; fill it (in the
 // order gradients should accumulate) before Accumulate.
-func (e *Epoch) Input() []float64 { return e.p.x }
+func (e *Epoch) Input() []float64 { return e.x }
 
 // Accumulate adds dLoss/dθ over all rows to the net's gradients (on top of
 // what is there: ZeroGrad first for a fresh epoch) — bit-identical to
 // interleaved Forward/Backward calls over the rows in order. loss receives
 // the outputs y of rows [lo,hi) and fills their output gradients gy (both
 // dense, hi-lo rows × OutputDim); it runs on the worker that owns those
-// rows, concurrently with other row ranges.
+// rows, concurrently with other row ranges of the same chunk.
+//
+// One team of width workers — the caller and width-1 goroutines — runs
+// every phase of the call.
 func (e *Epoch) Accumulate(loss func(lo, hi int, y, gy []float64)) {
-	n, p := e.n, &e.p
-	od := n.OutputDim()
-	out := p.y[len(n.layers)-1]
-	n.loadWeights(p)
-	blocks := (p.rows + blockRows - 1) / blockRows
-	e.sweep(blocks, func(w, blk int) {
-		lo := blk * blockRows
-		hi := min(lo+blockRows, p.rows)
-		n.forwardRows(p, lo, hi)
-		gy := e.gy[w][:(hi-lo)*od]
-		loss(lo, hi, out[lo*od:hi*od], gy)
-		n.backwardRows(p, &e.bs[w], gy, lo, hi, false)
-	})
-	e.sweep(len(e.units), func(_, i int) {
-		u := e.units[i]
-		n.accumulate(p, u.layer, u.lo, u.hi)
-	})
-}
-
-// sweep runs do(w, i) exactly once for every i in [0,n), on width workers —
-// worker 0 is the caller — each claiming the next unclaimed i until none are
-// left, and returns when all are done.
-func (e *Epoch) sweep(n int, do func(w, i int)) {
-	e.next.Store(0)
-	work := func(w int) {
-		for i := int(e.next.Add(1)) - 1; i < n; i = int(e.next.Add(1)) - 1 {
-			do(w, i)
-		}
+	e.n.loadWeights(&e.chunks[0])
+	e.loss = loss
+	t := &e.team
+	for ph := range t.claim {
+		t.claim[ph].Store(0)
+		t.done[ph].Store(0)
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < e.width; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work(w)
+			e.work(w)
 		}()
 	}
-	work(0)
+	e.work(0)
 	wg.Wait()
+	e.loss = nil
+}
+
+// work is worker w's walk through the phases: claim and run units of each
+// until none is left, count them in, then wait for the phase's last unit to
+// finish.
+//
+//firmvet:noalloc
+func (e *Epoch) work(w int) {
+	t := &e.team
+	for ph := range t.claim {
+		n := int32(len(e.units))
+		if ph%2 == 0 {
+			n = int32((e.chunks[ph/2].rows + blockRows - 1) / blockRows)
+		}
+		mine := int32(0)
+		for i := t.claim[ph].Add(1) - 1; i < n; i = t.claim[ph].Add(1) - 1 {
+			e.unit(w, ph, int(i))
+			mine++
+		}
+		if mine > 0 && t.done[ph].Add(mine) == n && e.width > 1 {
+			t.post()
+		}
+		t.await(&t.done[ph], n)
+	}
+}
+
+// unit runs unit i of phase ph on worker w: in an even phase row block i of
+// the chunk — forward, loss, backward — and in an odd phase accumulation
+// claim i over the chunk's rows.
+//
+//firmvet:noalloc
+func (e *Epoch) unit(w, ph, i int) {
+	n, c := e.n, ph/2
+	p := &e.chunks[c]
+	if ph%2 == 1 {
+		u := e.units[i]
+		n.accumulate(p, u.layer, u.lo, u.hi)
+		return
+	}
+	od := n.OutputDim()
+	lo := i * blockRows
+	hi := min(lo+blockRows, p.rows)
+	n.forwardRows(p, lo, hi)
+	gy := e.gy[w][:(hi-lo)*od]
+	base := c * chunkRows
+	e.loss(base+lo, base+hi, p.y[len(n.layers)-1][lo*od:hi*od], gy)
+	n.backwardRows(p, &e.bs[w], gy, lo, hi, false)
 }

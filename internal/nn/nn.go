@@ -7,9 +7,10 @@
 // # The batch path
 //
 // Forward/Backward run one sample at a time and are the reference.
-// ForwardBatch/BackwardBatch (a minibatch) and Epoch (a whole dataset,
-// optionally on several cores) compute the same floats, bit for bit, out of
-// three kernels (kernels.go; AVX in kernels_amd64.s, pure Go elsewhere):
+// ForwardBatch/BackwardBatch (a minibatch) and Epoch (a whole dataset, a
+// cache-sized chunk of rows at a time, optionally on several cores) compute
+// the same floats, bit for bit, out of three kernels (kernels.go; AVX in
+// kernels_amd64.s, pure Go elsewhere):
 //
 //   - chain — dst[r][c] = act(seed[r][c] + Σ_j a[r][j]·m[j][c]): the forward
 //     product, the input-gradient product and the weight-gradient product
@@ -27,16 +28,17 @@
 //     Blocking and vector lanes choose how many chains run side by side,
 //     never the order within one.
 //   - Seed from the destination: an accumulating chain starts from what is
-//     already in GW/GB, so gradients summed over several calls (or blocks)
-//     equal one pass over the concatenated rows.
+//     already in GW/GB, so gradients summed over several calls (or blocks,
+//     or an Epoch's chunks) equal one pass over the concatenated rows.
 //   - Multiply, then add, two roundings — never a fused multiply-add.
 //   - ReLU turns only z < 0 into +0: -0 and NaN pass through. Its
 //     derivative is a 0/1 factor multiplied into the gradient, not a select,
 //     so signs of zero and NaNs come out as the per-sample code makes them.
 //   - Ownership, not reduction: when an Epoch runs on several workers, rows
 //     are owned for the forward/backward sweeps and output rows for gradient
-//     accumulation; no float is ever the sum of two workers' partial sums,
-//     so the result is the same at any width.
+//     accumulation, one chunk's phases after the other; no float is ever the
+//     sum of two workers' partial sums, so the result is the same at any
+//     width.
 package nn
 
 import (
@@ -226,7 +228,7 @@ func (n *Net) Forward(x []float64) []float64 {
 // Backward propagates dL/dOutput through the net, accumulating parameter
 // gradients, and returns dL/dInput. Must follow a Forward call. gradOut is
 // only read; the returned slice is workspace reused across calls — copy if
-// retained (or use BackwardInto to write a caller-owned buffer).
+// retained.
 func (n *Net) Backward(gradOut []float64) []float64 {
 	if len(gradOut) != n.OutputDim() {
 		panic("nn: gradient size mismatch")
@@ -236,19 +238,6 @@ func (n *Net) Backward(gradOut []float64) []float64 {
 		g = n.layers[i].backward(g)
 	}
 	return g
-}
-
-// BackwardInto is Backward writing dL/dInput into dst (grown as needed and
-// returned), so callers that retain the gradient cannot alias the net's
-// internal workspace by accident.
-func (n *Net) BackwardInto(gradOut, dst []float64) []float64 {
-	g := n.Backward(gradOut)
-	if cap(dst) < len(g) {
-		dst = make([]float64, len(g))
-	}
-	dst = dst[:len(g)]
-	copy(dst, g)
-	return dst
 }
 
 // ZeroGrad clears accumulated gradients.

@@ -3,13 +3,14 @@
 // controller tick, the sliding tail-latency window, trace-window
 // selection, telemetry sampling, the batched DDPG train step, a
 // behaviour-cloning call, the incremental localization features and a
-// violated tick's whole localization, a double-buffered rollout round, the
-// sharded engine's window, the request path, traced on one engine and
-// mailed across two shards, sealing and decoding a trace, a container's
-// first work item, and a training episode on a Reset testbed. It is the micro
-// measurement surface: `go test -bench . ./internal/perf` runs the registry
-// as ordinary sub-benchmarks (benchstat-able), and benchmark/ — the macro
-// surface — takes its per-call probes from it through Run.
+// violated tick's whole localization, a double-buffered rollout round and
+// the policy sync at its start, the sharded engine's window, the request
+// path, traced on one engine and mailed across two shards, sealing and
+// decoding a trace, a container's first work item, and a training episode
+// on a Reset testbed. It is the micro measurement surface:
+// `go test -bench . ./internal/perf` runs the registry as ordinary
+// sub-benchmarks (benchstat-able), and benchmark/ — the macro surface —
+// takes its per-call probes from it through Run.
 //
 // Wall-clock (ns/op) varies by machine, but allocs/op is exact and
 // deterministic, so that is what is gated: every entry carries its
@@ -53,7 +54,7 @@ type Benchmark struct {
 	// MaxAllocs is the entry's allocs/op ceiling — the committed
 	// perf-regression budget TestAllocBudgets enforces. The steady-state
 	// entries are budgeted at (near) zero; the four that allocate by design
-	// sit 1% above their best recorded run (73 / 2,994 / 4,762 / 47,623),
+	// sit 1% above their best recorded run (59 / 821 / 4,762 / 47,623),
 	// rounded up, which absorbs first-iteration growth amortised over a short
 	// run. episode-reset's 155 is its 135 at -benchtime 200ms (≈100 ops,
 	// 2 vCPUs, go1.24.0) plus room for a run as short as 10 ops (148): its
@@ -74,10 +75,11 @@ func Benchmarks() []Benchmark {
 		{"telemetry-sample", "one sampling pass over a warm 1,000-container cluster", TelemetrySample, 0},
 		{"nn-forward-batch", "one batched actor forward (batch 64, Table 4 shape)", NNForwardBatch, 2},
 		{"rl-train-step-batched", "one DDPG TrainStep on the matrix minibatch path (batch 64, Table 4 nets)", RLTrainStepBatched, 2},
-		{"rl-pretrain", "one behaviour-cloning call: 3,000 demonstrations × 4 epochs through the Table 4 actor, min(GOMAXPROCS, 2) workers", RLPretrain, 74},
+		{"rl-pretrain", "one behaviour-cloning call: 3,000 demonstrations × 4 epochs through the Table 4 actor, min(GOMAXPROCS, 2) workers", RLPretrain, 60},
 		{"detect-features", "incremental localizer rescore of a quiescent window (no trace arrives or leaves)", DetectFeatures, 2},
 		{"detect-tick", "one violated tick's localization: fold 1 s of fresh traces, evict what left the window, rescore", DetectTick, 0},
-		{"rollout-round-overlap", "one double-buffered rollout campaign: 2 actors + streaming learner", RolloutRoundOverlap, 3024},
+		{"rollout-round-overlap", "one double-buffered rollout campaign: 2 actors + streaming learner", RolloutRoundOverlap, 830},
+		{"policy-sync", "one warm rollout round boundary: freeze the learner's Table 4 nets, sync two replicas", PolicySync, 0},
 		{"topology-generate", "procedural generation + validation of a 1,000-service spec", TopologyGenerate, 4810},
 		{"topology-generate-10k", "procedural generation + validation of a 10,000-service spec (the sharded sweep's top cell)", TopologyGenerate10k, 48100},
 		{"workload-arrivals", "thinned arrival sampling: 10ms of a 2,600 rps spiked-diurnal bound", WorkloadArrivals, 0},
@@ -322,7 +324,8 @@ func RLTrainStepBatched(b *testing.B) {
 // rule through the Table 4 actor — at 4 epochs instead of 200, on
 // min(GOMAXPROCS, 2) workers: `-cpu 1,2` separates the kernels from the
 // ownership split, and 2 is what benchmark/'s rl-train pins. It allocates
-// by design: the epoch's dataset-sized matrices live for the call, not the
+// by design: the epoch — the dataset's input matrix, one chunk's forward and
+// gradient matrices — and the optimizer's moments live for the call, not the
 // agent.
 func RLPretrain(b *testing.B) {
 	const rows, epochs = 3000, 4
@@ -503,6 +506,33 @@ func RolloutRoundOverlap(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(8, "episodes/op")
+}
+
+// PolicySync measures one warm rollout round boundary: the learner's Table 4
+// actor and critic frozen into last round's policy set (SnapshotPolicies),
+// then copied into two acting replicas (SyncPolicies) — what rollout.Run
+// does before every round after a campaign's first. It allocates nothing:
+// the frozen set and the replicas' nets are reused.
+func PolicySync(b *testing.B) {
+	cfg := rl.DefaultConfig()
+	cfg.Seed = Seed
+	learner := core.SharedAgent{A: rl.New(cfg)}
+	replicas := []core.ReplicaProvider{learner.NewReplica(), learner.NewReplica()}
+	var frozen map[string]*rl.Policy
+	round := func() {
+		frozen = learner.SnapshotPolicies(frozen)
+		for _, rep := range replicas {
+			if err := rep.SyncPolicies(frozen); err != nil {
+				panic(fmt.Sprintf("perf: policy sync failed: %v", err))
+			}
+		}
+	}
+	round() // the first round builds the frozen set
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
 }
 
 // TopologyGenerate measures procedural generation (plus the hardened

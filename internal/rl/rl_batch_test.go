@@ -111,7 +111,7 @@ func (a *Agent) TrainStepSequential() (criticLoss float64, ok bool) {
 		a.critic.ZeroGrad()
 		a.critic.Forward(in)
 		gout[0] = 1
-		ginSeq = a.critic.BackwardInto(gout[:], ginSeq)
+		ginSeq = append(ginSeq[:0], a.critic.Backward(gout[:])...)
 		gact = gact[:0]
 		for _, g := range ginSeq[len(tr.S):] {
 			gact = append(gact, -g/n) // minimize -Q
@@ -198,15 +198,20 @@ func TestTrainStepSteadyStateAllocFree(t *testing.T) {
 
 // TestPretrainActorChunkedMatchesPerSample pins the epoch-driven behaviour
 // cloning against an inline per-sample replica of the pre-batching loop at
-// every worker width — more workers than the 600 rows have blocks included:
-// same RNG consumption, same epoch gradient, byte-identical weights and
-// post-call RNG state. Run under -race it is also the data-race check of the
-// ownership split.
+// every worker width — more workers than the 600 rows have blocks included —
+// and over a set of 1,100 rows, which nn.Epoch carries as two full 512-row
+// chunks and a ragged tail: same RNG consumption, same epoch gradient,
+// byte-identical weights and post-call RNG state. Run under -race it is also
+// the data-race check of the ownership split and of the chunk barrier.
 func TestPretrainActorChunkedMatchesPerSample(t *testing.T) {
-	const samples, epochs, lr = 600, 4, 1e-2
+	const epochs, lr = 4, 1e-2
 	paper := DefaultConfig()
 	paper.Seed = 31
-	for _, cfg := range []Config{tinyCfg(31), paper} {
+	for _, c := range []struct {
+		cfg     Config
+		samples int
+	}{{tinyCfg(31), 600}, {paper, 600}, {paper, 1100}} {
+		cfg, samples := c.cfg, c.samples
 		mk := func() (*Agent, [][]float64, [][]float64) {
 			ag := New(cfg)
 			r := rand.New(rand.NewSource(77))
@@ -258,14 +263,14 @@ func TestPretrainActorChunkedMatchesPerSample(t *testing.T) {
 				t.Fatal(err)
 			}
 			if sg := mustSave(t, ag); !bytes.Equal(sg.Actor, sr.Actor) {
-				t.Fatalf("hidden %d width %d: PretrainActor diverges from per-sample reference", cfg.Hidden, width)
+				t.Fatalf("hidden %d rows %d width %d: PretrainActor diverges from per-sample reference", cfg.Hidden, samples, width)
 			}
 			if got := ag.rng.Int63(); got != rngNext {
-				t.Fatalf("hidden %d width %d: RNG state after PretrainActor diverges from per-sample reference", cfg.Hidden, width)
+				t.Fatalf("hidden %d rows %d width %d: RNG state after PretrainActor diverges from per-sample reference", cfg.Hidden, samples, width)
 			}
 			probe := make([]float64, cfg.StateDim)
 			if a, b := ag.actorT.Forward(probe), ag.actor.Forward(probe); a[0] != b[0] {
-				t.Fatalf("hidden %d width %d: target actor not synchronized", cfg.Hidden, width)
+				t.Fatalf("hidden %d rows %d width %d: target actor not synchronized", cfg.Hidden, samples, width)
 			}
 		}
 	}

@@ -1,11 +1,13 @@
 package rl
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"firm/internal/nn"
 	"firm/internal/ring"
 )
 
@@ -248,12 +250,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// q evaluates a's critic for a state-action pair.
+func q(a *Agent, state, action []float64) float64 {
+	in := make([]float64, 0, len(state)+len(action))
+	in = append(in, state...)
+	in = append(in, action...)
+	return a.critic.Forward(in)[0]
+}
+
 func TestQEvaluation(t *testing.T) {
 	a := New(DefaultConfig())
 	s := make([]float64, 8)
 	act := make([]float64, 5)
-	q1 := a.Q(s, act)
-	q2 := a.Q(s, act)
+	q1 := q(a, s, act)
+	q2 := q(a, s, act)
 	if q1 != q2 {
 		t.Fatal("Q must be deterministic")
 	}
@@ -557,7 +567,7 @@ func trainEquivalent(t *testing.T, a, b *Agent) {
 	if !same(a.Act(probe), b.Act(probe)) {
 		t.Fatal("policies diverged after identical training")
 	}
-	if a.Q(probe, a.Act(probe)) != b.Q(probe, b.Act(probe)) {
+	if q(a, probe, a.Act(probe)) != q(b, probe, b.Act(probe)) {
 		t.Fatal("critics diverged after identical training")
 	}
 }
@@ -581,7 +591,7 @@ func TestSnapshotMutateLoadRestoresBitEqual(t *testing.T) {
 	}
 	probe := []float64{0.7, -0.2, 0.4, 0.9, -0.5, 0.1, 0.3, -0.8}
 	wantAct := a.Act(probe)
-	wantQ := a.Q(probe, wantAct)
+	wantQ := q(a, probe, wantAct)
 
 	// Mutate: keep training past the snapshot.
 	for i := 0; i < 60; i++ {
@@ -598,7 +608,7 @@ func TestSnapshotMutateLoadRestoresBitEqual(t *testing.T) {
 	if !same(wantAct, a.Act(probe)) {
 		t.Fatal("Load must restore the actor bit-for-bit")
 	}
-	if got := a.Q(probe, wantAct); got != wantQ {
+	if got := q(a, probe, wantAct); got != wantQ {
 		t.Fatalf("Load must restore the critic bit-for-bit (%v != %v)", got, wantQ)
 	}
 	// Targets are hard-copied on Load: two fresh agents loaded from the same
@@ -666,4 +676,55 @@ func same(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestLoadPolicyMatchesLoad: LoadPolicy from a SavePolicy copy puts in all
+// four networks exactly what Load of a Save taken at the same moment puts
+// there — also when the Policy is reused after the agent trained on, and
+// while the source keeps training after the copy (the copy is frozen).
+func TestLoadPolicyMatchesLoad(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 51
+	src := New(cfg)
+	r := rand.New(rand.NewSource(52))
+	train := func(steps int) {
+		for i := 0; i < steps; i++ {
+			s := []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64(),
+				r.Float64(), r.Float64(), r.Float64(), r.Float64()}
+			src.Observe(Transition{S: s, A: src.ActExplore(s), R: r.Float64(), S2: s, Done: true})
+			src.TrainStep()
+		}
+	}
+	nets := func(a *Agent) []byte {
+		var all []byte
+		for _, n := range []*nn.Net{a.actor, a.critic, a.actorT, a.criticT} {
+			b, err := n.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, b...)
+		}
+		return all
+	}
+	var pol Policy
+	if err := New(cfg).LoadPolicy(&pol); err == nil {
+		t.Fatal("LoadPolicy of an empty Policy must error")
+	}
+	for round := 0; round < 2; round++ {
+		train(80)
+		snap := mustSave(t, src)
+		src.SavePolicy(&pol)
+		train(20) // the learner moves on; the frozen copy must not
+		cfg.Seed = 53
+		want, got := New(cfg), New(cfg)
+		if err := want.Load(snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.LoadPolicy(&pol); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(nets(got), nets(want)) {
+			t.Fatalf("round %d: LoadPolicy's four nets differ from Load's", round)
+		}
+	}
 }

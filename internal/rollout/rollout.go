@@ -2,13 +2,15 @@
 // bit-reproducibility — the A3C/Gorila actor-learner decomposition applied
 // to FIRM's DDPG training campaigns.
 //
-// K actor workers each hold a cheap policy replica (weight snapshots loaded
-// via rl.Agent.Save/Load through core.ReplicaProvider). Episodes are
-// processed in rounds of SyncEvery: at a round boundary the learner's
-// current weights are snapshotted, the round's episodes run concurrently on
-// the workers — each seeded by sim.DeriveSeed(campaignSeed, episodeKey), so
-// an episode's trajectory is a pure function of the round snapshot and its
-// episode key — and their transition streams are buffered. A single learner
+// K actor workers each hold a cheap policy replica (the learner's weights,
+// frozen in memory with rl.Agent.SavePolicy and copied in with LoadPolicy
+// through core.ReplicaProvider). Episodes are processed in rounds of
+// SyncEvery: at a round boundary the learner's current weights are frozen
+// into buffers the campaign reuses from round to round (the round
+// snapshot), the round's episodes run concurrently on the workers — each
+// seeded by sim.DeriveSeed(campaignSeed, episodeKey), so an episode's
+// trajectory is a pure function of the round snapshot and its episode key
+// — and their transition streams are buffered. A single learner
 // (the calling goroutine) replays the streams in episode order, applying
 // replay-buffer writes and TrainStep gradients exactly as the online
 // controller would have. Trained weights — and therefore firmbench stdout —
@@ -126,8 +128,11 @@ func Run(opts Options) ([]float64, error) {
 	}
 
 	// Persistent replicas, one per worker slot, grown to the widest round
-	// and synced at round boundaries.
+	// and synced at round boundaries from the learner's weights, frozen
+	// into one set that every round refreezes in place. Both go with the
+	// campaign.
 	var replicas []core.ReplicaProvider
+	var frozen map[string]*rl.Policy
 
 	rewards := make([]float64, 0, opts.Episodes)
 	outs := make([]epOut, syncEvery)
@@ -152,13 +157,9 @@ func Run(opts Options) ([]float64, error) {
 		for len(replicas) < nw {
 			replicas = append(replicas, opts.Learner.NewReplica())
 		}
-		snaps, err := opts.Learner.SnapshotPolicies()
-		if err != nil {
-			opts.Pool.ReleaseSlots(borrowed)
-			return nil, fmt.Errorf("rollout: snapshot before episode %d: %w", r0, err)
-		}
+		frozen = opts.Learner.SnapshotPolicies(frozen)
 		for i := 0; i < nw; i++ {
-			if err := replicas[i].SyncPolicies(snaps); err != nil {
+			if err := replicas[i].SyncPolicies(frozen); err != nil {
 				opts.Pool.ReleaseSlots(borrowed)
 				return nil, fmt.Errorf("rollout: sync before episode %d: %w", r0, err)
 			}

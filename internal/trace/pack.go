@@ -58,9 +58,9 @@ const maxSpanBytes = 7 * binary.MaxVarintLen64
 // seen is immutable: only the trace's owner seals it (the coordinator, or a
 // test building one).
 //
-// The stream is encoded once, into scratch, then copied into exactly the
-// bytes it needs: t's packed storage when it is large enough, else one new
-// slice. scratch grows to fit the worst case and is returned for the next
+// The stream is encoded once, into scratch, then copied into t's packed
+// storage when it is large enough, else into one new slice of the
+// allocator's size class for its length. scratch grows to fit the worst case and is returned for the next
 // Seal to reuse; nil is a valid scratch. Sizing the stream in a pass of its
 // own and then writing it in place cost ≈ 1.4× as much: 32 against 22 ns
 // per span, sealing the 63-span app-request trace on a 2-core Xeon.
@@ -85,10 +85,14 @@ func (t *Trace) Seal(spans []Span, scratch []byte) []byte {
 		prev = s
 	}
 	if cap(t.packed) < i {
-		t.packed = make([]byte, i)
+		// append rounds the new buffer up to its size class, as make does
+		// not: the bytes are paid for either way, and the spare ones spare
+		// the regrowth a slightly longer later tenant would cost.
+		t.packed = append([]byte(nil), b[:i]...)
+	} else {
+		t.packed = t.packed[:i]
+		copy(t.packed, b[:i])
 	}
-	t.packed = t.packed[:i]
-	copy(t.packed, b[:i])
 	t.n, t.pending = uint32(len(spans)), nil
 	return scratch
 }

@@ -51,7 +51,8 @@ func bytesToSpans(b []byte) []Span {
 }
 
 // FuzzSpanPack: any span sequence survives Seal → AppendSpans bit for bit,
-// in order, in exactly the bytes its stream takes — and a trace resealed
+// in order, in the bytes its stream takes rounded up to the allocator's size
+// class (never the scratch's worst case) — and a trace resealed
 // with other spans, through the same scratch into its reused storage,
 // decodes to those.
 func FuzzSpanPack(f *testing.F) {
@@ -80,8 +81,8 @@ func FuzzSpanPack(f *testing.F) {
 		spans := bytesToSpans(data)
 		tr := &Trace{}
 		scratch := tr.Seal(spans, nil)
-		if len(tr.packed) != cap(tr.packed) {
-			t.Fatalf("packed %d bytes into a %d-byte buffer", len(tr.packed), cap(tr.packed))
+		if want := cap(append([]byte(nil), make([]byte, len(tr.packed))...)); cap(tr.packed) != want {
+			t.Fatalf("packed %d bytes into a %d-byte buffer, want the %d bytes of its size class", len(tr.packed), cap(tr.packed), want)
 		}
 		if tr.Len() != len(spans) {
 			t.Fatalf("Len = %d, sealed %d spans", tr.Len(), len(spans))
