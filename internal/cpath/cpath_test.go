@@ -21,7 +21,7 @@ var testNames = &nameList{}
 // mkTrace builds a trace from (id, parent, service, start, end, background).
 func mkTrace(spans ...trace.Span) *trace.Trace {
 	t := &trace.Trace{ID: 1, Type: "t", Names: testNames}
-	t.Seal(spans, nil)
+	t.Seal(spans)
 	if len(spans) > 0 {
 		t.Start = spans[0].Start
 		t.End = spans[0].End()

@@ -139,7 +139,7 @@ func randomTrace(r *rand.Rand, trial int) (*trace.Trace, map[trace.SpanID]string
 	}
 	r.Shuffle(n, func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
 	tr := &trace.Trace{ID: 1, Names: testNames}
-	tr.Seal(spans, nil)
+	tr.Seal(spans)
 	return tr, service
 }
 

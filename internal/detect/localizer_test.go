@@ -67,7 +67,7 @@ func streamTrace(i int, now sim.Time, r *rand.Rand) *trace.Trace {
 		flush.Service, flush.Instance = on("B", 1)
 		spans = append(spans, flush)
 	}
-	tr.Seal(spans, nil)
+	tr.Seal(spans)
 	return tr
 }
 

@@ -86,7 +86,7 @@ func Benchmarks() []Benchmark {
 		{"shard-step", "one lookahead window of an 8-shard ring at steady state (mail routing + window barrier)", ShardStep, 0},
 		{"scenario-step", "one armed fault-scenario tick: recompute and apply every active site's pressure", ScenarioStep, 0},
 		{"app-request", "one traced request through a 63-call generated endpoint on a warm testbed", AppRequest, 0},
-		{"trace-seal", "seal the 63-span app-request trace, then decode and index it (ChildIndex.Reset)", TraceSeal, 0},
+		{"trace-seal", "start a recycled trace, emit the 63 spans of the app-request trace into it, finish it, then decode and index it (ChildIndex.Reset)", TraceSeal, 0},
 		{"sharded-request", "one request through a warm 2-shard, 60-service generated app, run until drained", ShardedRequest, 0},
 		{"cluster-cold-submit", "the first Submit on each of 1,000 never-touched containers under per-instance noise, run to completion", ClusterColdSubmit, 3000},
 		{"episode-reset", "one warm rollout-slot episode: Reset (with calibration) + 1 sim-s of Train-Ticket at 120 rps with a training FIRM controller", EpisodeReset, 155},
@@ -792,9 +792,9 @@ func ScenarioStep(b *testing.B) {
 // child walk, span emission for every call, and sealing the trace. The
 // testbed is bare (engine, cluster, trace store, app; no telemetry or
 // generator tickers) and warm, so allocs/op is exactly what a request
-// costs: nothing, whatever the endpoint's size. The Trace and its packed
-// storage are the one the store evicted last, and the request context, the
-// span emission buffer, call frames, engine events and container in-flight
+// costs: nothing, whatever the endpoint's size. The Trace is the one the
+// store evicted last, and its packed buffer, the span it encodes against,
+// the request context, call frames, engine events and container in-flight
 // records all come from freelists; the store's latency column grows by one
 // block per 4,096 requests. spans/op is the endpoint's call count.
 func AppRequest(b *testing.B) {
@@ -809,26 +809,47 @@ func AppRequest(b *testing.B) {
 	b.ReportMetric(float64(a.Coord.SpansSeen-spans0)/float64(b.N), "spans/op")
 }
 
-// TraceSeal measures what packing costs a trace over its life: one op seals
-// the spans of a stored app-request trace (the 63-call endpoint) the way
-// Finish does, then decodes and indexes them the way every structured reader
-// does (ChildIndex.Reset). Resealing reuses the scratch and the trace's packed
-// storage, so a warm op allocates nothing; ns/span is the round trip per span.
+// TraceSeal measures what packing costs a trace over its life, the way the
+// coordinator packs it: one op starts a trace (StartTrace, reclaiming the
+// last op's), emits the spans of a stored app-request trace (the 63-call
+// endpoint) into it, finishes it, then decodes and indexes it the way every
+// structured reader does (ChildIndex.Reset). The trace and its buffer come
+// back every op, so a warm op allocates nothing; ns/span is the round trip
+// per span.
 func TraceSeal(b *testing.B) {
 	_, db, _ := appRequestBed()
 	spans := db.Select(tracedb.Query{Limit: 1})[0].AppendSpans(nil)
-	var tr trace.Trace
+	var sink lastTrace
+	c := trace.NewCoordinator(sim.NewEngine(Seed), &sink, nil)
 	var x trace.ChildIndex
-	scratch := tr.Seal(spans, nil)
-	x.Reset(&tr)
+	op := func() {
+		t := c.StartTrace("request", len(spans))
+		for _, s := range spans {
+			c.Emit(t, s)
+		}
+		c.Finish(t, false)
+		x.Reset(t)
+	}
+	op()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scratch = tr.Seal(spans, scratch)
-		x.Reset(&tr)
+		op()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(spans)), "ns/span")
+}
+
+// lastTrace is a trace.Recycler holding the one trace it consumed last,
+// which it hands back.
+type lastTrace struct{ t *trace.Trace }
+
+func (l *lastTrace) Consume(t *trace.Trace) { l.t = t }
+
+func (l *lastTrace) Reclaim() *trace.Trace {
+	t := l.t
+	l.t = nil
+	return t
 }
 
 // appRequestBed deploys AppRequest's bare, warm testbed and returns its app,

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -51,10 +52,10 @@ func bytesToSpans(b []byte) []Span {
 }
 
 // FuzzSpanPack: any span sequence survives Seal → AppendSpans bit for bit,
-// in order, in the bytes its stream takes rounded up to the allocator's size
-// class (never the scratch's worst case) — and a trace resealed
-// with other spans, through the same scratch into its reused storage,
-// decodes to those.
+// in order; emitting it through a coordinator, into a recycled trace whose
+// storage the sequence also picks, packs the very bytes Seal packs; and a
+// trace resealed with other spans, into its reused storage, decodes to
+// those.
 func FuzzSpanPack(f *testing.F) {
 	const max32 = math.MaxUint32
 	f.Add([]byte{}) // the empty trace
@@ -80,10 +81,7 @@ func FuzzSpanPack(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spans := bytesToSpans(data)
 		tr := &Trace{}
-		scratch := tr.Seal(spans, nil)
-		if want := cap(append([]byte(nil), make([]byte, len(tr.packed))...)); cap(tr.packed) != want {
-			t.Fatalf("packed %d bytes into a %d-byte buffer, want the %d bytes of its size class", len(tr.packed), cap(tr.packed), want)
-		}
+		tr.Seal(spans)
 		if tr.Len() != len(spans) {
 			t.Fatalf("Len = %d, sealed %d spans", tr.Len(), len(spans))
 		}
@@ -92,9 +90,21 @@ func FuzzSpanPack(f *testing.F) {
 		if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], spans) {
 			t.Fatalf("round trip:\nsealed  %v\ndecoded %v", spans, got[1:])
 		}
+		// The leftover bytes pick the recycled storage and the span hint.
+		var hint int
+		recycled := &Trace{}
+		if tail := data[len(spans)*spanRecord:]; len(tail) > 0 {
+			hint = int(tail[0]) % (len(spans) + 2)
+			recycled.packed = make([]byte, 0, int(tail[0])<<(len(tail)%8))
+		}
+		emitted := emitAll(NewCoordinator(sim.NewEngine(1), &stack{recycled}, testNames), hint, spans)
+		if emitted != recycled || !bytes.Equal(emitted.packed, tr.packed) || emitted.Len() != len(spans) {
+			t.Fatalf("emitted %d spans into %d bytes, sealed %d into %d: streams differ",
+				emitted.Len(), len(emitted.packed), tr.Len(), len(tr.packed))
+		}
 		// Reseal with the spans reversed, into the storage just used.
 		slices.Reverse(spans)
-		tr.Seal(spans, scratch)
+		tr.Seal(spans)
 		if got := tr.AppendSpans(nil); !slices.Equal(got, spans) {
 			t.Fatalf("resealed round trip:\nsealed  %v\ndecoded %v", spans, got)
 		}
@@ -110,17 +120,13 @@ func TestTraceLayout(t *testing.T) {
 	}
 }
 
-// TestSealAllocs: with a warm scratch, sealing allocates the packed bytes
-// once, and resealing a trace with no more bytes than its storage holds
-// allocates nothing.
+// TestSealAllocs: resealing a trace with no more bytes than its storage
+// holds allocates nothing.
 func TestSealAllocs(t *testing.T) {
 	spans := testSpans()
 	tr := &Trace{}
-	scratch := tr.Seal(spans, nil)
-	if n := testing.AllocsPerRun(20, func() { tr.packed = nil; scratch = tr.Seal(spans, scratch) }); n != 1 {
-		t.Fatalf("Seal of an unsealed trace: %v allocs, want 1", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { scratch = tr.Seal(spans[:2], scratch) }); n != 0 {
+	tr.Seal(spans)
+	if n := testing.AllocsPerRun(20, func() { tr.Seal(spans[:2]); tr.Seal(spans) }); n != 0 {
 		t.Fatalf("reseal into reused storage: %v allocs, want 0", n)
 	}
 }

@@ -61,25 +61,26 @@ func (s Span) End() sim.Time { return s.Start + sim.Time(s.Dur) }
 // Duration returns the span's wall-clock duration.
 func (s Span) Duration() sim.Time { return sim.Time(s.Dur) }
 
-// Trace is one request's execution history graph. While pending, its spans
-// are appended to an emission buffer lent by the Coordinator; Finish seals
-// them into one packed byte stream (pack.go) and takes the buffer back. A
-// sealed trace is read through AppendSpans, or decoded once per visit by a
+// Trace is one request's execution history graph. Its spans are one packed
+// byte stream (pack.go), which the Coordinator's Emit extends span by span
+// while the trace is pending, in a buffer the coordinator lends. A sealed
+// trace is read through AppendSpans, or decoded once per visit by a
 // ChildIndex. The header stays within the 96-byte size class.
 //
 // A sink that releases a trace may hand it back to the Coordinator
-// (Recycler), which reuses the header and the packed storage for a later
-// request: nothing may read a trace after its sink has released it.
+// (Recycler), which reuses the header, and returns its buffer to the free
+// lists, for a later request: nothing may read a trace after its sink has
+// released it.
 type Trace struct {
 	ID      TraceID
 	Type    string // request type, e.g. "compose-post"
 	Names   Names  // resolves the spans' Service and Instance IDs
 	Start   sim.Time
 	End     sim.Time
-	packed  []byte  // the sealed spans; nil while pending
-	pending *[]Span // the emission buffer; nil once sealed
-	n       uint32  // sealed span count
-	Dropped bool    // the request was shed by some container queue
+	packed  []byte // the packed spans
+	last    *Span  // while pending, the span the next is encoded against
+	n       uint32 // packed span count
+	Dropped bool   // the request was shed by some container queue
 	// poisoned marks a released trace that Poison cleared: every read of
 	// its latency or spans panics.
 	poisoned bool

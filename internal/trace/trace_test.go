@@ -27,7 +27,7 @@ func span(id, parent SpanID, svc string, start, end sim.Time, bg bool) Span {
 // build seals spans into a trace through the coordinator's packer.
 func build(id TraceID, spans ...Span) *Trace {
 	t := &Trace{ID: id, Names: testNames}
-	t.Seal(spans, nil)
+	t.Seal(spans)
 	return t
 }
 
@@ -211,6 +211,7 @@ func TestCoordinator(t *testing.T) {
 	if s1 == s2 {
 		t.Fatal("span ids must be unique")
 	}
+	last := tr.last
 	c.Emit(tr, Span{ID: s1, Queued: 3})
 	eng.Schedule(50, func() { c.Finish(tr, false) })
 	eng.RunUntil(100)
@@ -223,15 +224,15 @@ func TestCoordinator(t *testing.T) {
 	if c.PendingCount() != 0 || c.Collected != 1 || c.SpansSeen != 1 {
 		t.Fatal("counters")
 	}
-	// The sealed trace gave its emission buffer back; the next trace
-	// borrows it, emptied.
-	if tr.pending != nil || len(c.free) != 1 {
-		t.Fatalf("after Finish: pending %v, %d free buffers", tr.pending, len(c.free))
+	// Finish took back the span the trace encoded against; the next trace
+	// borrows it, zeroed.
+	if tr.last != nil || len(c.lasts) != 1 {
+		t.Fatalf("after Finish: last %v, %d free spans", tr.last, len(c.lasts))
 	}
 	next := c.StartTrace("compose", 0)
-	if len(c.free) != 0 || len(*next.pending) != 0 || cap(*next.pending) == 0 {
-		t.Fatalf("StartTrace did not reuse the freed buffer: %d free, len %d cap %d",
-			len(c.free), len(*next.pending), cap(*next.pending))
+	if len(c.lasts) != 0 || next.last != last || *next.last != (Span{}) {
+		t.Fatalf("StartTrace did not reuse the freed span: %d free, last %p (freed %p) = %+v",
+			len(c.lasts), next.last, last, *next.last)
 	}
 }
 

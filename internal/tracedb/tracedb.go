@@ -2,8 +2,9 @@
 // (Neo4j in the paper, §3.1) that stores execution history graphs. It keeps
 // what its readers read:
 //
-//   - a latency column for the whole run, one compact entry per consumed
-//     trace (End, latency, request type, dropped), which Latencies reads;
+//   - a latency column for the whole run, one 16-byte entry per consumed
+//     trace (End, latency in µs, request type, dropped; a latency too long
+//     for 32 bits sits in a side table), which Latencies reads;
 //   - full traces only for a declared look-back window: every trace whose End
 //     is within the window of the newest End, and never fewer than the newest
 //     floor. Select, SelectAppend and ServiceLatencies read these, and panic
@@ -50,13 +51,18 @@ const (
 	blockLen  = 1 << blockBits
 )
 
-// entry is one consumed trace in the latency column.
+// entry is one consumed trace in the latency column: 16 bytes.
 type entry struct {
-	end     sim.Time
-	lat     sim.Time // End - Start
-	typ     uint16   // the request type, by Store.typeIdx
+	end sim.Time
+	// lat is End - Start in µs; longLat when Store.long holds it, as it
+	// does every latency below 0 or from 2^32-1 µs (≈ 71.6 min) up.
+	lat     uint32
+	typ     uint16 // the request type, by Store.typeIdx
 	dropped bool
 }
+
+// longLat marks an entry whose latency is in Store.long.
+const longLat = math.MaxUint32
 
 // Store keeps the run's latency column and its window of full traces, with
 // the traces it has released for reuse.
@@ -69,6 +75,7 @@ type Store struct {
 	col     []*[blockLen]entry // the latency column, in consume order
 	n       int                // entries in col: traces ever consumed
 	typeIdx map[string]uint16  // each request type's column index
+	long    map[int]sim.Time   // the latencies entries mark longLat, by column index
 
 	// free holds evicted traces, released once every observer has seen the
 	// eviction, for the coordinator to reuse (Reclaim).
@@ -132,6 +139,7 @@ func (s *Store) Reset() {
 	s.obs = s.obs[:0]
 	s.n = 0
 	clear(s.typeIdx)
+	clear(s.long)
 }
 
 // release hands an evicted trace to the free list (or, under poison, clears
@@ -169,12 +177,30 @@ func (s *Store) record(t *trace.Trace) {
 	if s.n == len(s.col)<<blockBits {
 		s.col = append(s.col, new([blockLen]entry))
 	}
-	*s.entry(s.n) = entry{end: t.End, lat: t.Latency(), typ: typ, dropped: t.Dropped}
+	e := entry{end: t.End, lat: longLat, typ: typ, dropped: t.Dropped}
+	if lat := t.Latency(); lat >= 0 && lat < longLat {
+		e.lat = uint32(lat)
+	} else {
+		if s.long == nil {
+			s.long = map[int]sim.Time{}
+		}
+		s.long[s.n] = lat
+	}
+	*s.entry(s.n) = e
 	s.n++
 }
 
 // entry returns the column entry of the i-th consumed trace.
 func (s *Store) entry(i int) *entry { return &s.col[i>>blockBits][i&(blockLen-1)] }
+
+// latency returns the latency of e, the column entry of the i-th consumed
+// trace.
+func (s *Store) latency(i int, e *entry) sim.Time {
+	if e.lat == longLat {
+		return s.long[i]
+	}
+	return sim.Time(e.lat)
+}
 
 // Observe registers an observer, first replaying the store's retained
 // traces (oldest-first) as TraceStored calls so registration order
@@ -282,7 +308,7 @@ func (s *Store) Latencies(q Query) []float64 {
 	out := make([]float64, 0, size)
 	for i := s.n - 1; i >= lo && len(out) < size; i-- {
 		if e := s.entry(i); (typ < 0 || int(e.typ) == typ) && (!e.dropped || q.IncludeDrop) {
-			out = append(out, e.lat.Millis())
+			out = append(out, s.latency(i, e).Millis())
 		}
 	}
 	slices.Reverse(out)

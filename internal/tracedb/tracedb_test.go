@@ -2,9 +2,11 @@ package tracedb
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"firm/internal/sim"
 	"firm/internal/trace"
@@ -18,7 +20,7 @@ func (oneName) InstanceName(uint32) string { return "svc-1" }
 
 func tr(id uint64, typ string, end sim.Time, dropped bool) *trace.Trace {
 	t := &trace.Trace{ID: trace.TraceID(id), Type: typ, Names: oneName{}, Start: end - 10, End: end, Dropped: dropped}
-	t.Seal([]trace.Span{{ID: 1, Start: t.Start, Dur: uint32(t.End - t.Start)}}, nil)
+	t.Seal([]trace.Span{{ID: 1, Start: t.Start, Dur: uint32(t.End - t.Start)}})
 	return t
 }
 
@@ -428,42 +430,120 @@ func TestStoreResetMatchesNew(t *testing.T) {
 	}
 }
 
-// TestCoordinatorReusesEvictedTraces: a coordinator whose sink is a store
-// starts each trace in one the store evicted — same header, same packed
-// storage — so a warm request's trace allocates nothing.
-func TestCoordinatorReusesEvictedTraces(t *testing.T) {
-	eng := sim.NewEngine(1)
-	s := New(0, 2)
-	c := trace.NewCoordinator(eng, s, oneName{})
-	seen := map[*trace.Trace]bool{}
-	request := func() {
-		x := c.StartTrace("a", 4)
-		seen[x] = true
-		for i := range 4 {
-			c.Emit(x, trace.Span{ID: c.NewSpanID(), Start: eng.Now(), Dur: uint32(i + 1)})
+// TestLongLatencies: the column holds a latency in 32 bits of µs, and one
+// that does not fit — from 2^32-1 µs, or negative — in its side table, so
+// Latencies reads every one exact, before and after Reset; an entry stays
+// 16 bytes.
+func TestLongLatencies(t *testing.T) {
+	if sz := unsafe.Sizeof(entry{}); sz != 16 {
+		t.Fatalf("a column entry is %d bytes, want 16", sz)
+	}
+	const long = sim.Time(1<<32 + 1)
+	lats := []sim.Time{long, 10, math.MaxUint32 - 1, math.MaxUint32, -3, 0}
+	s := New(Forever, 0)
+	end := sim.Time(0)
+	consume := func(lats ...sim.Time) {
+		for _, l := range lats {
+			end += 100
+			s.Consume(&trace.Trace{ID: trace.TraceID(s.Total() + 1), Type: "a", Start: end - l, End: end})
 		}
-		eng.RunFor(sim.Millisecond)
-		c.Finish(x, false)
 	}
-	for range 4 {
-		request()
+	check := func(when string, want ...sim.Time) {
+		t.Helper()
+		got := s.Latencies(Query{})
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d latencies, want %d", when, len(got), len(want))
+		}
+		for i, w := range want {
+			if got[i] != w.Millis() {
+				t.Fatalf("%s: latency %d = %v ms, want %v", when, i, got[i], w.Millis())
+			}
+		}
 	}
-	if allocs := testing.AllocsPerRun(50, request); allocs != 0 {
-		t.Fatalf("a warm traced request allocates %v, want 0", allocs)
+	consume(lats...)
+	check("before Reset", lats...)
+	s.Reset()
+	consume(10, 20, long)
+	check("after Reset", 10, 20, long)
+}
+
+// TestCoordinatorReusesEvictedTraces: a coordinator whose sink is a store
+// starts each trace in one the store evicted — same header, and a packed
+// buffer from the coordinator's free lists — so a warm request's trace
+// allocates nothing, at 4 spans or 63: StartTrace, the emits, Finish, the
+// store's eviction and Reclaim.
+func TestCoordinatorReusesEvictedTraces(t *testing.T) {
+	for _, spans := range []int{4, 63} {
+		eng := sim.NewEngine(1)
+		s := New(0, 2)
+		c := trace.NewCoordinator(eng, s, oneName{})
+		seen := map[*trace.Trace]bool{}
+		request := func() {
+			x := c.StartTrace("a", spans)
+			seen[x] = true
+			for i := range spans {
+				c.Emit(x, trace.Span{ID: c.NewSpanID(), Start: eng.Now(), Dur: uint32(i + 1)})
+			}
+			eng.RunFor(sim.Millisecond)
+			c.Finish(x, false)
+		}
+		for range 4 {
+			request()
+		}
+		if allocs := testing.AllocsPerRun(50, request); allocs != 0 {
+			t.Fatalf("%d spans: a warm traced request allocates %v, want 0", spans, allocs)
+		}
+		if len(seen) != 3 || s.Total() != 55 {
+			t.Fatalf("%d spans: %d distinct traces over %d requests, want the floor's 2 and one evicted", spans, len(seen), s.Total())
+		}
+		got := s.Select(Query{Limit: 1})[0]
+		if got.ID != 55 || got.Len() != spans || got.Latency() != sim.Millisecond || got.End != eng.Now() {
+			t.Fatalf("the newest trace is %d with %d spans over %v to %v; want 55, %d, 1ms to %v",
+				got.ID, got.Len(), got.Latency(), got.End, spans, eng.Now())
+		}
 	}
-	if len(seen) != 3 || s.Total() != 55 {
-		t.Fatalf("%d distinct traces over %d requests, want the floor's 2 and one evicted", len(seen), s.Total())
-	}
-	got := s.Select(Query{Limit: 1})[0]
-	if got.ID != 55 || got.Len() != 4 || got.Latency() != sim.Millisecond || got.End != eng.Now() {
-		t.Fatalf("the newest trace is %d with %d spans over %v to %v; want 55, 4, 1ms to %v", got.ID, got.Len(), got.Latency(), got.End, eng.Now())
+}
+
+// TestRetainedStreamsIntact: requests that outgrow their span hint make
+// Emit move their streams and list the buffers they leave, and pooled,
+// reclaimed traces' buffers are listed too. Pooled and in poison mode —
+// where the only listed buffers are the ones Emit left — every trace the
+// store retains decodes to the spans emitted into it after every later
+// request: no buffer lent again is one a retained trace still holds.
+func TestRetainedStreamsIntact(t *testing.T) {
+	for _, poison := range []bool{false, true} {
+		eng := sim.NewEngine(1)
+		s := New(0, 8)
+		s.poison = poison
+		c := trace.NewCoordinator(eng, s, oneName{})
+		rng := rand.New(rand.NewSource(3))
+		emitted := map[*trace.Trace][]trace.Span{}
+		for range 300 {
+			n := 1 + rng.Intn(200)
+			x := c.StartTrace("a", rng.Intn(n))
+			spans := make([]trace.Span, n)
+			for i := range spans {
+				spans[i] = trace.Span{ID: c.NewSpanID(), Instance: rng.Uint32(), Start: eng.Now(), Dur: rng.Uint32()}
+				c.Emit(x, spans[i])
+			}
+			eng.RunFor(sim.Millisecond)
+			c.Finish(x, false)
+			emitted[x] = spans
+			for _, r := range s.all() {
+				if got := r.AppendSpans(nil); !slices.Equal(got, emitted[r]) {
+					t.Fatalf("poison %v: retained trace %d decodes to %d spans, not the %d emitted into it",
+						poison, r.ID, len(got), len(emitted[r]))
+				}
+			}
+		}
 	}
 }
 
 // FuzzStoreQuery drives a windowed store — a mutated window and floor, in
 // poison mode, so an evicted trace is unreadable — and an unbounded
 // reference with one mutated stream of traces: non-decreasing End, a few
-// types, some dropped, latencies of every size. After every trace the
+// types, some dropped, latencies of every size (a byte from 0xe0 up makes
+// one past 2^32 µs, which the column keeps in its side table). After every trace the
 // windowed store has kept exactly what its window and floor say; at the
 // end, for a mutated Query, Latencies matches the reference bit for bit,
 // and Select, SelectAppend and ServiceLatencies match it whenever the query
@@ -473,6 +553,7 @@ func FuzzStoreQuery(f *testing.F) {
 	f.Add(uint8(8), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, int16(3), uint8(1), true, int8(2))
 	f.Add(uint8(1), uint8(1), []byte{0xff, 0, 0x2a}, int16(-5), uint8(3), false, int8(-1))
 	f.Add(uint8(0), uint8(2), []byte{3, 3, 3, 3, 3, 3, 3, 3, 3}, int16(12), uint8(5), true, int8(1))
+	f.Add(uint8(2), uint8(1), []byte{0xe1, 5, 0xf2, 0xe0, 9, 0xff}, int16(0), uint8(0), true, int8(0))
 	f.Fuzz(func(t *testing.T, window, floor uint8, stream []byte, since int16, typ uint8, includeDrop bool, limit int8) {
 		s, ref := New(sim.Time(window%32), int(floor%8)), New(Forever, 0)
 		s.poison = true
@@ -480,15 +561,19 @@ func FuzzStoreQuery(f *testing.F) {
 		end := sim.Time(0)
 		for i, b := range stream {
 			end += sim.Time(b & 3) // 0 repeats the previous End
+			lat := sim.Time(b>>5) * sim.Time(b) * 977
+			if b >= 0xe0 {
+				lat <<= 12
+			}
 			x := &trace.Trace{
 				ID:      trace.TraceID(i + 1),
 				Type:    string(rune('a' + b>>2&3)),
 				Names:   oneName{},
-				Start:   end - sim.Time(b>>5)*sim.Time(b)*977,
+				Start:   end - lat,
 				End:     end,
 				Dropped: b&0x10 != 0,
 			}
-			x.Seal([]trace.Span{{ID: 1, Start: x.Start, Dur: uint32(x.End - x.Start)}}, nil)
+			x.Seal([]trace.Span{{ID: 1, Start: x.Start, Dur: uint32(x.End - x.Start)}})
 			cp := *x
 			s.Consume(&cp)
 			ref.Consume(x)
