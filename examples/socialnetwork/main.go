@@ -85,7 +85,7 @@ func main() {
 		cfg.IdleReclaim = 0 // compare SLO behaviour at equal provisioning
 		// Every service shares the trained base — the single-RL
 		// configuration of §4.4.
-		b.AttachFIRM(cfg, core.SharedAgent{A: agent}, nil)
+		b.AttachFIRM(cfg, core.Shared(agent), nil)
 	})
 	hpa := run("K8S autoscaling", 7, func(b *harness.Bench) {
 		b.AttachHPA()

@@ -10,6 +10,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -25,16 +27,6 @@ import (
 	"firm/internal/tracedb"
 )
 
-// AgentProvider supplies the RL agent to use for a given microservice,
-// covering the paper's three variants: one-for-all (a single shared agent),
-// one-for-each (tailored per service), and transferred (per service,
-// warm-started from a general agent).
-type AgentProvider interface {
-	AgentFor(service string) *rl.Agent
-	// Agents returns all distinct agents (for snapshotting/training stats).
-	Agents() []*rl.Agent
-}
-
 // TransitionSink receives finalized transitions in emission order. When
 // Config.Sink is set, the controller diverts transitions here instead of
 // writing the replay buffer and stepping gradients: rollout actor workers
@@ -42,289 +34,179 @@ type AgentProvider interface {
 // replays it in a fixed episode order.
 type TransitionSink func(service string, t rl.Transition)
 
-// ReplicableProvider is an AgentProvider whose policies can be mirrored
-// into per-worker acting replicas — the actor half of internal/rollout's
-// actor-learner split. Snapshot keys are stable identifiers (the shared
-// agent uses one fixed key; per-service providers key by service name).
-type ReplicableProvider interface {
-	AgentProvider
-	// SnapshotPolicies freezes every distinct agent's weights under its
-	// stable key into the caller's set — overwriting the policies it holds in
-	// place, adding one for an agent it lacks (nil is an empty set) — and
-	// returns the set. The frozen weights stay put while the agents train
-	// on; a warm set is refrozen without allocating.
-	SnapshotPolicies(into map[string]*rl.Policy) map[string]*rl.Policy
-	// NewReplica creates a provider mirroring this provider's service→agent
-	// mapping with private acting copies (small replay buffers, private
-	// RNGs). The replica's weights are undefined until SyncPolicies.
-	NewReplica() ReplicaProvider
-}
+// Policies maps each microservice to the RL agent that provisions it,
+// covering the paper's three variants (§3.4): one-for-all (Shared, one
+// agent for every service), one-for-each (PerService, an agent tailored to
+// each service) and transferred (PerService from a base, each agent
+// warm-started from a general one). A rollout learner's table also hands
+// its workers acting replicas (Replica) and copies its actors into them at
+// round boundaries (Sync).
+type Policies struct {
+	shared *rl.Agent // the one agent of a Shared table; nil for PerService
 
-// ReplicaProvider is a worker-local mirror of a learner's AgentProvider.
-// Its agents only act (the controller's Sink carries their experience to
-// the learner); they are never trained in place.
-type ReplicaProvider interface {
-	AgentProvider
-	// SyncPolicies loads the learner's frozen policies (a SnapshotPolicies
-	// set) into the replica's agents, as rl.Agent.Load would load the
-	// learner's Snapshots. Agents the replica has not materialized yet pick
-	// their policy up lazily on first AgentFor, so the replica reads the set
-	// until the next SyncPolicies.
-	SyncPolicies(map[string]*rl.Policy) error
-	// BeginEpisode re-derives every replica agent's exploration stream from
-	// the episode seed — including agents materialized later in the episode
-	// — so an episode's randomness is independent of worker identity and of
-	// whatever the replica ran before.
-	BeginEpisode(episodeSeed int64)
-}
-
-// sharedPolicyKey is the snapshot key used by SharedAgent providers.
-const sharedPolicyKey = "shared"
-
-// SharedAgent is the one-for-all provider.
-type SharedAgent struct{ A *rl.Agent }
-
-// AgentFor implements AgentProvider.
-func (s SharedAgent) AgentFor(string) *rl.Agent { return s.A }
-
-// Agents implements AgentProvider.
-func (s SharedAgent) Agents() []*rl.Agent { return []*rl.Agent{s.A} }
-
-// SnapshotPolicies implements ReplicableProvider.
-func (s SharedAgent) SnapshotPolicies(into map[string]*rl.Policy) map[string]*rl.Policy {
-	return freeze(into, sharedPolicyKey, s.A)
-}
-
-// freeze saves a into set's policy under key, adding the policy (and the
-// set) when missing, and returns the set.
-func freeze(set map[string]*rl.Policy, key string, a *rl.Agent) map[string]*rl.Policy {
-	if set == nil {
-		set = make(map[string]*rl.Policy)
-	}
-	p := set[key]
-	if p == nil {
-		p = &rl.Policy{}
-		set[key] = p
-	}
-	a.SavePolicy(p)
-	return set
-}
-
-// NewReplica implements ReplicableProvider.
-func (s SharedAgent) NewReplica() ReplicaProvider {
-	cfg := s.A.Config()
-	cfg.BufferCap = 1 // replicas act; experience flows to the learner's buffer
-	return &sharedReplica{a: rl.New(cfg)}
-}
-
-// sharedReplica is a worker-local mirror of a SharedAgent.
-type sharedReplica struct{ a *rl.Agent }
-
-func (s *sharedReplica) AgentFor(string) *rl.Agent { return s.a }
-func (s *sharedReplica) Agents() []*rl.Agent       { return []*rl.Agent{s.a} }
-
-func (s *sharedReplica) SyncPolicies(m map[string]*rl.Policy) error {
-	p, ok := m[sharedPolicyKey]
-	if !ok {
-		return fmt.Errorf("core: policy set lacks %q policy", sharedPolicyKey)
-	}
-	return s.a.LoadPolicy(p)
-}
-
-func (s *sharedReplica) BeginEpisode(episodeSeed int64) {
-	s.a.Reseed(sim.DeriveSeed(episodeSeed, sharedPolicyKey))
-}
-
-// PerServiceAgents is the one-for-each provider; when Base is non-nil each
-// new agent warm-starts from it (transfer learning, §3.4). Init, when set,
-// runs once on each freshly created agent (e.g. behaviour-cloning
-// pretraining) before any transfer.
-type PerServiceAgents struct {
-	Cfg  rl.Config
-	Base *rl.Agent
-	Init func(*rl.Agent)
+	cfg  rl.Config
+	base *rl.Agent
+	init func(*rl.Agent)
 	m    map[string]*rl.Agent
+	// fresh memoizes each service's post-init agent; a table and its
+	// replicas share it.
+	fresh *freshMemo
 
-	// freshMu guards the fresh map — not the weights in it: rollout workers
-	// race the learner for the first touch of a service. Everything else in
-	// the struct stays single-goroutine (the learner side of a rollout, or a
-	// lone controller).
-	freshMu sync.Mutex
-	fresh   map[string]*freshEntry
+	// After a BeginEpisode, agents AgentFor creates explore from its seed.
+	epSeed   int64
+	episodic bool
 }
 
-// freshEntry memoizes one service's post-Init weights. once makes the
-// first toucher compute them while later touchers of the same service wait
-// on it alone — never on another service's Init.
-type freshEntry struct {
-	once sync.Once
-	pol  rl.Policy
+// sharedKey names the shared agent where a per-service table would name a
+// service: its episode seeds derive from it.
+const sharedKey = "shared"
+
+// Shared is the one-for-all table: every service gets a.
+func Shared(a *rl.Agent) *Policies { return &Policies{shared: a} }
+
+// PerService is the one-for-each table. AgentFor creates a service's agent
+// on its first call, seeded from sim.DeriveSeed(cfg.Seed, service). A
+// non-nil base warm-starts every new agent from it (transfer learning,
+// §3.4); otherwise a non-nil init (e.g. behaviour-cloning pretraining) runs
+// once per service on a fresh agent, which every new agent for that
+// service then copies.
+func PerService(cfg rl.Config, base *rl.Agent, init func(*rl.Agent)) *Policies {
+	return &Policies{cfg: cfg, base: base, init: init, fresh: &freshMemo{m: make(map[string]*freshEntry)}}
 }
 
-// freshPolicy returns the deterministic post-Init weights for service —
-// weight init from the service-derived seed, then Init (e.g. behaviour
-// cloning) — computing them exactly once per service. Init can be orders
-// of magnitude more expensive than a weight copy, so the learner and every
-// rollout replica share this memo instead of re-deriving the same weights;
-// the mutex covers only the map lookup, so Init (caller-supplied code) runs
-// outside it and different services initialize concurrently.
-// The SavePolicy/LoadPolicy round-trip is exact here: Init leaves targets
-// equal to the online nets (New clones them; PretrainActor re-syncs the
-// actor target), which is precisely what LoadPolicy reconstructs. Base
-// transfer is NOT memoized — TransferFrom is a cheap weight copy, and going
-// through a Policy would silently drop Base's target networks.
-func (p *PerServiceAgents) freshPolicy(service string, cfg rl.Config) *rl.Policy {
-	p.freshMu.Lock()
-	e := p.fresh[service]
-	if e == nil {
-		if p.fresh == nil {
-			p.fresh = make(map[string]*freshEntry)
-		}
-		e = &freshEntry{}
-		p.fresh[service] = e
-	}
-	p.freshMu.Unlock()
-	e.once.Do(func() {
-		cfg.BufferCap = 1 // scratch agent: only its weights survive
-		a := rl.New(cfg)
-		p.Init(a)
-		a.SavePolicy(&e.pol)
-	})
-	return &e.pol
-}
-
-// warmStart applies the provider's deterministic fresh-construction rule to
-// a newly allocated agent: transfer from Base, else load the memoized Init
-// product, else keep the seed-derived init weights. The learner and every
-// worker replica share this one implementation — the rollout engine's
-// byte-equality guarantee depends on fresh construction being bit-identical
-// on both sides, so the rule must never be duplicated.
-func (p *PerServiceAgents) warmStart(a *rl.Agent, service string, cfg rl.Config) {
-	switch {
-	case p.Base != nil:
-		// Direct transfer preserves Base's (soft-updated) target networks,
-		// which a Policy round-trip would replace with Base's online
-		// nets. Init before a transfer would be overwritten, so skip it.
-		// Base is only ever read here, so concurrent replicas are safe.
-		if err := a.TransferFrom(p.Base); err != nil {
-			panic(err) // dims are fixed by construction
-		}
-	case p.Init != nil:
-		if err := a.LoadPolicy(p.freshPolicy(service, cfg)); err != nil {
-			panic(err) // policy shape is fixed by construction
-		}
-	}
-}
-
-// AgentFor implements AgentProvider, creating agents lazily.
-func (p *PerServiceAgents) AgentFor(service string) *rl.Agent {
-	if p.m == nil {
-		p.m = make(map[string]*rl.Agent)
+// AgentFor returns service's agent, creating a per-service one on first
+// use. The learner and every replica create an agent by this one rule, so
+// a service first met by a replica acts exactly as the learner will build
+// it — the rollout engine's byte-equality guarantee rests on that.
+func (p *Policies) AgentFor(service string) *rl.Agent {
+	if p.shared != nil {
+		return p.shared
 	}
 	if a, ok := p.m[service]; ok {
 		return a
 	}
-	cfg := p.Cfg
-	// Derive a per-service seed so tailored agents differ deterministically.
+	cfg := p.cfg
 	cfg.Seed = sim.DeriveSeed(cfg.Seed, service)
 	a := rl.New(cfg)
-	p.warmStart(a, service, cfg)
+	switch {
+	case p.base != nil:
+		// Init before a transfer would be overwritten, so it is skipped.
+		// base is only ever read, so concurrent replicas are safe.
+		must(a.TransferFrom(p.base))
+	case p.init != nil:
+		must(a.TransferFrom(p.fresh.agent(service, cfg, p.init)))
+	}
+	if p.episodic {
+		a.Reseed(sim.DeriveSeed(p.epSeed, service))
+	}
+	if p.m == nil {
+		p.m = make(map[string]*rl.Agent)
+	}
 	p.m[service] = a
 	return a
 }
 
-// Agents implements AgentProvider (deterministic order).
-func (p *PerServiceAgents) Agents() []*rl.Agent {
-	return agentsSorted(p.m)
-}
-
-func agentsSorted(m map[string]*rl.Agent) []*rl.Agent {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// Agents returns every agent of the table, per-service ones in service-name
+// order (snapshotting, training stats).
+func (p *Policies) Agents() []*rl.Agent {
+	if p.shared != nil {
+		return []*rl.Agent{p.shared}
 	}
-	sort.Strings(keys)
-	out := make([]*rl.Agent, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, m[k])
+	out := make([]*rl.Agent, 0, len(p.m))
+	for _, svc := range slices.Sorted(maps.Keys(p.m)) {
+		out = append(out, p.m[svc])
 	}
 	return out
 }
 
-// SnapshotPolicies implements ReplicableProvider (keyed by service). A
-// service joins the set once the learner has materialized its agent.
-func (p *PerServiceAgents) SnapshotPolicies(into map[string]*rl.Policy) map[string]*rl.Policy {
+// Replica returns an empty table of p's kind for one rollout worker to act
+// through. Its agents keep a one-transition replay buffer (the worker's
+// experience goes to the learner through a Sink) and its shared agent's
+// actor is undefined until Sync. A per-service replica shares p's init
+// memo.
+func (p *Policies) Replica() *Policies {
+	if p.shared != nil {
+		cfg := p.shared.Config()
+		cfg.BufferCap = 1
+		return Shared(rl.New(cfg))
+	}
+	r := &Policies{cfg: p.cfg, base: p.base, init: p.init, fresh: p.fresh}
+	r.cfg.BufferCap = 1
+	return r
+}
+
+// Sync copies p's actors into replicas, each made by p.Replica: the shared
+// agent's actor, or every per-service agent's, creating the replica's
+// agent for a service it lacks. Replicas only act, so the actor is all
+// they carry over; they keep no reference to p's agents, so p trains on
+// after Sync without moving them. Sync runs at a round barrier, while
+// neither side trains or acts. A warm Sync allocates nothing.
+func (p *Policies) Sync(replicas []*Policies) {
+	for _, r := range replicas {
+		if p.shared != nil {
+			must(r.shared.CopyActor(p.shared))
+		}
+		for svc, a := range p.m {
+			must(r.AgentFor(svc).CopyActor(a))
+		}
+	}
+}
+
+// BeginEpisode re-derives every agent's exploration stream from the episode
+// seed, and makes AgentFor do so for agents it creates later in the
+// episode, so an episode's randomness depends neither on which worker runs
+// it nor on what that worker ran before.
+func (p *Policies) BeginEpisode(episodeSeed int64) {
+	p.epSeed, p.episodic = episodeSeed, true
+	if p.shared != nil {
+		p.shared.Reseed(sim.DeriveSeed(episodeSeed, sharedKey))
+	}
 	for svc, a := range p.m {
-		into = freeze(into, svc, a)
-	}
-	return into
-}
-
-// NewReplica implements ReplicableProvider.
-func (p *PerServiceAgents) NewReplica() ReplicaProvider {
-	return &perServiceReplica{src: p}
-}
-
-// perServiceReplica mirrors a PerServiceAgents provider inside a rollout
-// worker. Services already frozen by the learner load those weights;
-// services the learner has not materialized yet are constructed through the
-// learner's exact creation path (per-service seed, Init, transfer), which
-// is deterministic — so a replica's weights never depend on which worker it
-// is or which episodes it happened to run.
-type perServiceReplica struct {
-	src    *PerServiceAgents
-	pols   map[string]*rl.Policy // the learner's frozen set, read while it trains
-	epSeed int64
-	m      map[string]*rl.Agent
-}
-
-func (r *perServiceReplica) AgentFor(service string) *rl.Agent {
-	if a, ok := r.m[service]; ok {
-		return a
-	}
-	cfg := r.src.Cfg
-	cfg.Seed = sim.DeriveSeed(cfg.Seed, service)
-	cfg.BufferCap = 1 // acting replica: experience flows to the learner
-	a := rl.New(cfg)
-	// Prefer the learner's trained weights from the round's frozen set; a
-	// service the learner has not materialized yet warm-starts through the
-	// learner's own warmStart rule, so the replica's acting policy is
-	// bit-identical to what the learner will construct when this service's
-	// first transition reaches it. (Replicas only act, so of the four
-	// networks only the actor matters.)
-	if pol, ok := r.pols[service]; ok {
-		if err := a.LoadPolicy(pol); err != nil {
-			panic(err) // policies come from agents of identical shape
-		}
-	} else {
-		r.src.warmStart(a, service, cfg)
-	}
-	a.Reseed(sim.DeriveSeed(r.epSeed, service))
-	if r.m == nil {
-		r.m = make(map[string]*rl.Agent)
-	}
-	r.m[service] = a
-	return a
-}
-
-func (r *perServiceReplica) Agents() []*rl.Agent { return agentsSorted(r.m) }
-
-func (r *perServiceReplica) SyncPolicies(m map[string]*rl.Policy) error {
-	r.pols = m
-	for svc, a := range r.m {
-		if pol, ok := m[svc]; ok {
-			if err := a.LoadPolicy(pol); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (r *perServiceReplica) BeginEpisode(episodeSeed int64) {
-	r.epSeed = episodeSeed
-	for svc, a := range r.m {
 		a.Reseed(sim.DeriveSeed(episodeSeed, svc))
+	}
+}
+
+// freshMemo holds each service's post-init agent.
+type freshMemo struct {
+	mu sync.Mutex // guards m, not the agents in it
+	m  map[string]*freshEntry
+}
+
+// freshEntry memoizes one service's post-init agent. once makes the first
+// caller build it while later callers for the same service wait on it
+// alone, never on another service's init.
+type freshEntry struct {
+	once sync.Once
+	a    *rl.Agent
+}
+
+// agent returns service's post-init agent — weight init from cfg (the
+// service-derived seed), then init — building it once. Every new agent for
+// the service copies its four nets (TransferFrom), a copy orders of
+// magnitude cheaper than init, so the learner and its replicas share this
+// memo. The lock covers only the map lookup: init, caller code, runs
+// outside it, and different services initialize concurrently.
+func (m *freshMemo) agent(service string, cfg rl.Config, init func(*rl.Agent)) *rl.Agent {
+	m.mu.Lock()
+	e := m.m[service]
+	if e == nil {
+		e = &freshEntry{}
+		m.m[service] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() {
+		cfg.BufferCap = 1 // scratch agent: only its nets are read
+		e.a = rl.New(cfg)
+		init(e.a)
+	})
+	return e.a
+}
+
+// must panics on a weight copy between agents of different shapes, which
+// the tables never build.
+func must(err error) {
+	if err != nil {
+		panic(err)
 	}
 }
 
@@ -392,7 +274,7 @@ type Controller struct {
 	col   *telemetry.Collector
 	meter *telemetry.Meter
 	dep   *deploy.Module
-	prov  AgentProvider
+	prov  *Policies
 	sb    *agent.StateBuilder
 
 	ticker  *sim.Ticker
@@ -432,7 +314,7 @@ type Controller struct {
 // store would evict traces they still hold.
 func New(cfg Config, a *app.App, db *tracedb.Store, col *telemetry.Collector,
 	meter *telemetry.Meter, dep *deploy.Module, ext *detect.Extractor,
-	prov AgentProvider) *Controller {
+	prov *Policies) *Controller {
 	return NewReusing(nil, cfg, a, db, col, meter, dep, ext, prov)
 }
 
@@ -442,7 +324,7 @@ func New(cfg Config, a *app.App, db *tracedb.Store, col *telemetry.Collector,
 // is not used again.
 func NewReusing(prev *Controller, cfg Config, a *app.App, db *tracedb.Store, col *telemetry.Collector,
 	meter *telemetry.Meter, dep *deploy.Module, ext *detect.Extractor,
-	prov AgentProvider) *Controller {
+	prov *Policies) *Controller {
 	if need := Window + Interval; db.Window() < need {
 		panic(fmt.Sprintf("core: the trace store keeps %v of traces, the controller reads %v", db.Window(), need))
 	}
@@ -473,10 +355,6 @@ func (c *Controller) Start() { c.ticker.Start() }
 // Monitor returns the controller's incremental tail-latency window
 // (read-only: perf accounting and tests).
 func (c *Controller) Monitor() *detect.Monitor { return c.mon }
-
-// Localizer returns the controller's incremental localizer, for tests that
-// compare its Candidates.
-func (c *Controller) Localizer() *detect.Localizer { return c.loc }
 
 // ResetEpisode clears per-episode accumulators and flushes pending
 // transitions as terminal (used between RL training episodes).

@@ -48,7 +48,7 @@ func TestPerServiceAgentsDistinctAndTransferred(t *testing.T) {
 	base := rl.New(rl.DefaultConfig())
 	cfg := rl.DefaultConfig()
 	cfg.Seed = 2
-	p := &core.PerServiceAgents{Cfg: cfg, Base: base}
+	p := core.PerService(cfg, base, nil)
 	ax := p.AgentFor("svc-x")
 	ay := p.AgentFor("svc-y")
 	if ax == ay {
@@ -79,8 +79,8 @@ func TestTransferredAgentsActAsSharedBase(t *testing.T) {
 	base := rl.New(bcfg)
 	cfg := rl.DefaultConfig()
 	cfg.Seed = 4
-	per := &core.PerServiceAgents{Cfg: cfg, Base: base}
-	shared := core.SharedAgent{A: base}
+	per := core.PerService(cfg, base, nil)
+	shared := core.Shared(base)
 	r := rand.New(rand.NewSource(5))
 	state := make([]float64, bcfg.StateDim)
 	for svc := range topology.SocialNetwork().Services {
@@ -224,77 +224,6 @@ func sameVec(a, b []float64) bool {
 	return true
 }
 
-func TestSharedAgentReplicaMirrorsPolicy(t *testing.T) {
-	cfg := rl.DefaultConfig()
-	cfg.Seed = 11
-	learner := core.SharedAgent{A: rl.New(cfg)}
-	snaps := learner.SnapshotPolicies(nil)
-	rep := learner.NewReplica()
-	if err := rep.SyncPolicies(snaps); err != nil {
-		t.Fatal(err)
-	}
-	probe := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
-	if !sameVec(learner.AgentFor("any").Act(probe), rep.AgentFor("any").Act(probe)) {
-		t.Fatal("synced replica must mirror the learner policy bit-for-bit")
-	}
-	// Exploration is a pure function of the episode seed, regardless of
-	// what the replica ran before.
-	rep.BeginEpisode(99)
-	first := rep.AgentFor("any").ActExplore(probe)
-	for i := 0; i < 25; i++ {
-		rep.AgentFor("any").ActExplore(probe)
-	}
-	rep.BeginEpisode(99)
-	if !sameVec(first, rep.AgentFor("any").ActExplore(probe)) {
-		t.Fatal("BeginEpisode must reset the exploration stream")
-	}
-	rep.BeginEpisode(100)
-	if sameVec(first, rep.AgentFor("any").ActExplore(probe)) {
-		t.Fatal("different episode seeds must explore differently")
-	}
-}
-
-func TestPerServiceReplicaLazyConstructionIsDeterministic(t *testing.T) {
-	mk := func() *core.PerServiceAgents {
-		cfg := rl.DefaultConfig()
-		cfg.Seed = 12
-		return &core.PerServiceAgents{Cfg: cfg}
-	}
-	learner := mk()
-	learner.AgentFor("svc-a") // materialized before the snapshot
-	snaps := learner.SnapshotPolicies(nil)
-	if _, ok := snaps["svc-a"]; !ok || len(snaps) != 1 {
-		t.Fatalf("snapshot keys: %v", snaps)
-	}
-	r1 := learner.NewReplica()
-	r2 := learner.NewReplica()
-	for _, r := range []core.ReplicaProvider{r1, r2} {
-		if err := r.SyncPolicies(snaps); err != nil {
-			t.Fatal(err)
-		}
-		r.BeginEpisode(7)
-	}
-	probe := []float64{0.4, -0.1, 0.9, 0.2, -0.7, 0.5, 0.3, 0.8}
-	if !sameVec(learner.AgentFor("svc-a").Act(probe), r1.AgentFor("svc-a").Act(probe)) {
-		t.Fatal("snapshotted service must load learner weights")
-	}
-	// svc-b is unknown to the learner: both replicas must construct it
-	// through the learner's creation path and agree bit-for-bit with each
-	// other AND with the learner's own later lazy construction.
-	b1 := r1.AgentFor("svc-b").Act(probe)
-	if !sameVec(b1, r2.AgentFor("svc-b").Act(probe)) {
-		t.Fatal("fresh construction must not depend on the replica instance")
-	}
-	if !sameVec(b1, learner.AgentFor("svc-b").Act(probe)) {
-		t.Fatal("replica fresh construction must match the learner's")
-	}
-	// Same episode seed → same exploration on both replicas for svc-b even
-	// though it was materialized mid-episode.
-	if !sameVec(r1.AgentFor("svc-b").ActExplore(probe), r2.AgentFor("svc-b").ActExplore(probe)) {
-		t.Fatal("mid-episode construction must reseed from the episode seed")
-	}
-}
-
 func TestSinkDivertsTransitionsFromLearner(t *testing.T) {
 	b := bench(t, 4)
 	b.AttachWorkload(workload.Constant{RPS: 150})
@@ -346,15 +275,12 @@ func TestFreshPolicyOncePerService(t *testing.T) {
 	cfg.Seed = 12
 	var mu sync.Mutex
 	inits := map[int64]int{} // by the agent's service-derived seed
-	learner := &core.PerServiceAgents{Cfg: cfg, Init: func(a *rl.Agent) {
+	learner := core.PerService(cfg, nil, func(a *rl.Agent) {
 		mu.Lock()
 		inits[a.Config().Seed]++
 		mu.Unlock()
-		s := [][]float64{{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}, {0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1}}
-		if err := a.PretrainActor(s, [][]float64{{1, 0, 0, 0, 1}, {0, 1, 1, 0, 0}}, 3, 1e-2, 1); err != nil {
-			t.Error(err)
-		}
-	}}
+		pretrain(t, a)
+	})
 	probe := []float64{0.4, -0.1, 0.9, 0.2, -0.7, 0.5, 0.3, 0.8}
 	acts := make([][][]float64, replicas)
 	var wg sync.WaitGroup
@@ -362,7 +288,7 @@ func TestFreshPolicyOncePerService(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep := learner.NewReplica()
+			rep := learner.Replica()
 			rep.BeginEpisode(7)
 			acts[r] = make([][]float64, services)
 			for s := 0; s < services; s++ {
@@ -408,20 +334,20 @@ func TestFreshPolicyServicesInitConcurrently(t *testing.T) {
 		<-started
 		close(both)
 	}()
-	learner := &core.PerServiceAgents{Cfg: cfg, Init: func(*rl.Agent) {
+	learner := core.PerService(cfg, nil, func(*rl.Agent) {
 		started <- struct{}{}
 		select {
 		case <-both:
 		case <-time.After(10 * time.Second):
 			t.Error("a second service's Init never started while the first was running")
 		}
-	}}
+	})
 	var wg sync.WaitGroup
 	for _, svc := range []string{"svc-a", "svc-b"} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			learner.NewReplica().AgentFor(svc)
+			learner.Replica().AgentFor(svc)
 		}()
 	}
 	wg.Wait()
@@ -574,78 +500,179 @@ func sameNets(t *testing.T, what string, a, b *rl.Agent) {
 	}
 }
 
-// TestPolicySyncMatchesSaveLoad: a replica synced from its learner's frozen
-// policies holds, in all four nets, what rl.Agent.Load of the learner's
-// Save at the round boundary puts there — for the shared agent, per-service
-// agents and transferred ones; for a service the replica materializes
-// lazily during the round, after the learner has trained on (round 0), and
-// for one it already holds at the sync (round 1, refrozen into round 0's
-// set).
-func TestPolicySyncMatchesSaveLoad(t *testing.T) {
+// pretrain behaviour-clones two demonstrations into a: an Init that moves
+// the actor.
+func pretrain(t *testing.T, a *rl.Agent) {
+	s := [][]float64{{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}, {0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1}}
+	if err := a.PretrainActor(s, [][]float64{{1, 0, 0, 0, 1}, {0, 1, 1, 0, 0}}, 3, 1e-2, 1); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFreshPolicyMatchesDirectInit: an agent a per-service table builds
+// through its init memo holds, in all four nets, what init leaves on a new
+// agent with the service's seed — on the learner and on a replica.
+func TestFreshPolicyMatchesDirectInit(t *testing.T) {
+	cfg := rl.DefaultConfig()
+	cfg.Seed = 12
+	learner := core.PerService(cfg, nil, func(a *rl.Agent) { pretrain(t, a) })
+	rcfg := cfg
+	rcfg.Seed = sim.DeriveSeed(cfg.Seed, "svc-a")
+	ref := rl.New(rcfg)
+	pretrain(t, ref)
+	sameNets(t, "replica", learner.Replica().AgentFor("svc-a"), ref)
+	sameNets(t, "learner", learner.AgentFor("svc-a"), ref)
+}
+
+// policyTables builds a learner table of each §3.4 variant over cfg — and
+// a per-service one whose agents an init clones — with the transferred one
+// warm-starting from base.
+func policyTables(t *testing.T, cfg rl.Config, base *rl.Agent) []struct {
+	name string
+	mk   func() *core.Policies
+} {
+	return []struct {
+		name string
+		mk   func() *core.Policies
+	}{
+		{"shared", func() *core.Policies { return core.Shared(rl.New(cfg)) }},
+		{"per-service", func() *core.Policies { return core.PerService(cfg, nil, nil) }},
+		{"transferred", func() *core.Policies { return core.PerService(cfg, base, nil) }},
+		{"cloned", func() *core.Policies { return core.PerService(cfg, nil, func(a *rl.Agent) { pretrain(t, a) }) }},
+	}
+}
+
+// actor returns a's serialized actor.
+func actor(t *testing.T, a *rl.Agent) []byte {
+	t.Helper()
+	return mustSave(t, a).Actor
+}
+
+// TestPolicySyncCopiesActors: after Sync, every replica's actor for every
+// service the learner holds is bit-equal to the learner's at the Sync, and
+// the learner training on does not move it — on new replicas (round 0) and
+// on warm ones that lack a service the learner gained since (round 1).
+func TestPolicySyncCopiesActors(t *testing.T) {
 	cfg := rl.DefaultConfig()
 	cfg.Seed = 63
+	cfg.ActorDelay = 0 // so training moves the actor
 	base := rl.New(cfg)
 	trainSteps(base, 80, 64)
-	services := []string{"svc-a", "svc-b"}
-	for _, c := range []struct {
-		name string
-		mk   func() core.ReplicableProvider
-	}{
-		{"shared", func() core.ReplicableProvider { return core.SharedAgent{A: rl.New(cfg)} }},
-		{"per-service", func() core.ReplicableProvider { return &core.PerServiceAgents{Cfg: cfg} }},
-		{"transferred", func() core.ReplicableProvider { return &core.PerServiceAgents{Cfg: cfg, Base: base} }},
-	} {
-		learner := c.mk()
-		for _, svc := range services {
-			learner.AgentFor(svc)
-		}
-		rep := learner.NewReplica()
-		var frozen map[string]*rl.Policy
+	for _, c := range policyTables(t, cfg, base) {
+		learner, untrained := c.mk(), c.mk()
+		reps := []*core.Policies{learner.Replica(), learner.Replica()}
+		services := []string{"svc-a", "svc-b"}
 		for round := 0; round < 2; round++ {
+			for _, svc := range services {
+				learner.AgentFor(svc)
+			}
 			for i, a := range learner.Agents() {
 				trainSteps(a, 70, int64(10*round+i))
 			}
-			want := make(map[string]rl.Snapshot)
+			want := make(map[string][]byte)
 			for _, svc := range services {
-				want[svc] = mustSave(t, learner.AgentFor(svc))
-			}
-			frozen = learner.SnapshotPolicies(frozen)
-			if err := rep.SyncPolicies(frozen); err != nil {
-				t.Fatal(err)
-			}
-			rep.AgentFor(services[0])
-			for i, a := range learner.Agents() {
-				trainSteps(a, 20, int64(10*round+i+5)) // the learner trains on; the frozen set must not move
-			}
-			for _, svc := range services {
-				ref := rl.New(cfg)
-				if err := ref.Load(want[svc]); err != nil {
-					t.Fatal(err)
+				want[svc] = actor(t, learner.AgentFor(svc))
+				if bytes.Equal(want[svc], actor(t, untrained.AgentFor(svc))) {
+					t.Fatalf("%s round %d %s: vacuous, training left the actor as built", c.name, round, svc)
 				}
-				sameNets(t, fmt.Sprintf("%s round %d %s", c.name, round, svc), rep.AgentFor(svc), ref)
 			}
+			learner.Sync(reps)
+			for i, a := range learner.Agents() {
+				trainSteps(a, 20, int64(10*round+i+5)) // the learner trains on; the replicas must not move
+			}
+			for r, rep := range reps {
+				for _, svc := range services {
+					if !bytes.Equal(actor(t, rep.AgentFor(svc)), want[svc]) {
+						t.Fatalf("%s round %d replica %d %s: actor differs from the learner's at Sync", c.name, round, r, svc)
+					}
+				}
+			}
+			services = append(services, "svc-c")
 		}
 	}
 }
 
-// TestPolicySyncWarmRoundAllocFree: a warm round boundary — the shared
-// learner frozen, two replicas synced from it — allocates nothing.
+// TestPolicySyncNewServiceBuiltAlike: a service the learner has not met
+// when it syncs is built mid-round by two replicas, and later by the
+// learner, with bit-identical actors — whichever replica, whatever episode.
+func TestPolicySyncNewServiceBuiltAlike(t *testing.T) {
+	cfg := rl.DefaultConfig()
+	cfg.Seed = 12
+	cfg.ActorDelay = 0 // so training moves the actor
+	base := rl.New(cfg)
+	trainSteps(base, 80, 13)
+	for _, c := range policyTables(t, cfg, base) {
+		learner := c.mk()
+		trainSteps(learner.AgentFor("svc-a"), 70, 14)
+		r1, r2 := learner.Replica(), learner.Replica()
+		learner.Sync([]*core.Policies{r1, r2})
+		r1.BeginEpisode(7)
+		r2.BeginEpisode(8)
+		got := actor(t, r1.AgentFor("svc-b"))
+		if !bytes.Equal(got, actor(t, r2.AgentFor("svc-b"))) {
+			t.Fatalf("%s: a new service's actor depends on the replica that builds it", c.name)
+		}
+		if !bytes.Equal(got, actor(t, learner.AgentFor("svc-b"))) {
+			t.Fatalf("%s: a replica builds a new service's actor unlike the learner", c.name)
+		}
+	}
+}
+
+// TestPolicySyncBeginEpisode: BeginEpisode makes exploration a pure
+// function of the episode seed, whatever the replica ran before — also for
+// an agent created mid-episode, which explores as it does when it already
+// exists at BeginEpisode.
+func TestPolicySyncBeginEpisode(t *testing.T) {
+	cfg := rl.DefaultConfig()
+	cfg.Seed = 11
+	base := rl.New(cfg)
+	probe := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}
+	for _, c := range policyTables(t, cfg, base) {
+		learner := c.mk()
+		learner.AgentFor("svc-a")
+		r1, r2 := learner.Replica(), learner.Replica()
+		learner.Sync([]*core.Policies{r1, r2})
+		explore := func(r *core.Policies, svc string) []float64 { return r.AgentFor(svc).ActExplore(probe) }
+		r1.BeginEpisode(99)
+		first := explore(r1, "svc-a")
+		for i := 0; i < 25; i++ {
+			explore(r1, "svc-a")
+		}
+		r1.BeginEpisode(99)
+		if !sameVec(first, explore(r1, "svc-a")) {
+			t.Fatalf("%s: BeginEpisode must reset the exploration stream", c.name)
+		}
+		r1.BeginEpisode(100)
+		if sameVec(first, explore(r1, "svc-a")) {
+			t.Fatalf("%s: different episode seeds must explore differently", c.name)
+		}
+		r1.BeginEpisode(7)
+		r2.BeginEpisode(7)
+		mid := explore(r1, "svc-b") // created mid-episode on both replicas
+		if !sameVec(mid, explore(r2, "svc-b")) {
+			t.Fatalf("%s: an agent created mid-episode must explore from the episode seed", c.name)
+		}
+		r1.BeginEpisode(7)
+		if !sameVec(mid, explore(r1, "svc-b")) {
+			t.Fatalf("%s: an agent created mid-episode explores unlike one BeginEpisode reseeds", c.name)
+		}
+	}
+}
+
+// TestPolicySyncWarmRoundAllocFree: a warm round boundary — the learner's
+// actors copied into two replicas that already hold every service —
+// allocates nothing.
 func TestPolicySyncWarmRoundAllocFree(t *testing.T) {
 	cfg := rl.DefaultConfig()
 	cfg.Seed = 65
-	learner := core.SharedAgent{A: rl.New(cfg)}
-	reps := []core.ReplicaProvider{learner.NewReplica(), learner.NewReplica()}
-	var frozen map[string]*rl.Policy
-	round := func() {
-		frozen = learner.SnapshotPolicies(frozen)
-		for _, rep := range reps {
-			if err := rep.SyncPolicies(frozen); err != nil {
-				t.Fatal(err)
-			}
+	for _, c := range policyTables(t, cfg, rl.New(cfg)) {
+		learner := c.mk()
+		learner.AgentFor("svc-a")
+		learner.AgentFor("svc-b")
+		reps := []*core.Policies{learner.Replica(), learner.Replica()}
+		learner.Sync(reps) // builds the replicas' agents
+		if n := testing.AllocsPerRun(20, func() { learner.Sync(reps) }); n != 0 {
+			t.Fatalf("%s: a warm Sync of two replicas allocates %v, want 0", c.name, n)
 		}
-	}
-	round()
-	if n := testing.AllocsPerRun(20, round); n != 0 {
-		t.Fatalf("warm snapshot + sync of two replicas allocates %v per round, want 0", n)
 	}
 }

@@ -64,7 +64,7 @@ func fig1Jobs(_ Exec, sc Scale, seed int64, base rl.Snapshot) ([]runner.Job[fig1
 			if err != nil {
 				return arm, err
 			}
-			b.AttachFIRM(core.DefaultConfig(), core.SharedAgent{A: a}, nil)
+			b.AttachFIRM(core.DefaultConfig(), core.Shared(a), nil)
 		}
 		victim := b.Cluster.ReplicaSet("post-storage-mongodb").Containers()[0]
 		b.Eng.Schedule(anomalyStart, func() {

@@ -183,12 +183,9 @@ func TestTrainEpisodeOnResetBedMatchesNew(t *testing.T) {
 	ext := harness.NewExtractor(opts.Seed)
 	cfg := rl.DefaultConfig()
 	cfg.Seed = opts.Seed
-	learner := core.SharedAgent{A: rl.New(cfg)}
-	rep := learner.NewReplica()
-	snaps := learner.SnapshotPolicies(nil)
-	if err := rep.SyncPolicies(snaps); err != nil {
-		t.Fatal(err)
-	}
+	learner := core.Shared(rl.New(cfg))
+	rep := learner.Replica()
+	learner.Sync([]*core.Policies{rep})
 	episode := func(b *harness.Bench, ep int) (string, int) {
 		rep.BeginEpisode(sim.DeriveSeed(opts.Seed, "ep", strconv.Itoa(ep)))
 		h, n := fnv.New64a(), 0

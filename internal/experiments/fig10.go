@@ -55,13 +55,13 @@ func fig10Jobs(_ Exec, sc Scale, seed int64, base rl.Snapshot) ([]runner.Job[Run
 		jobs = append(jobs, runner.Job[RunStats]{
 			Key: runner.Key("fig10", policy),
 			Run: func(jobSeed int64) (RunStats, error) {
-				var prov core.AgentProvider
+				var prov *core.Policies
 				if policy == PolicyFIRMSingle {
 					a, err := loadAgent(base, jobSeed)
 					if err != nil {
 						return RunStats{}, err
 					}
-					prov = core.SharedAgent{A: a}
+					prov = core.Shared(a)
 				}
 				return fig10Run(world, dur, policy, prov)
 			},
@@ -94,7 +94,7 @@ func (r RunStats) ViolationRate() float64 {
 func (r RunStats) P99() float64 { return stats.Percentile(r.Latencies, 99) }
 
 // fig10Run is one Fig. 10 arm: fig10Bench's testbed run for dur.
-func fig10Run(seed int64, dur sim.Time, policy Policy, prov core.AgentProvider) (RunStats, error) {
+func fig10Run(seed int64, dur sim.Time, policy Policy, prov *core.Policies) (RunStats, error) {
 	b, st, err := fig10Bench(seed, policy, prov)
 	if err != nil {
 		return RunStats{}, err
@@ -112,7 +112,7 @@ func fig10Run(seed int64, dur sim.Time, policy Policy, prov core.AgentProvider) 
 // the engine runs. prov supplies the FIRM policy's agent and is ignored by
 // the baselines. The order in which the pieces are wired fixes the engine's
 // event order, so it is part of the output.
-func fig10Bench(seed int64, policy Policy, prov core.AgentProvider) (*harness.Bench, *RunStats, error) {
+func fig10Bench(seed int64, policy Policy, prov *core.Policies) (*harness.Bench, *RunStats, error) {
 	b, err := harness.New(harness.Options{
 		Seed:      seed,
 		Spec:      topology.SocialNetwork(),

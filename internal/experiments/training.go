@@ -47,7 +47,7 @@ type TrainResult struct {
 	Variant  Variant
 	Rewards  []float64 // total episode reward per episode
 	Smoothed []float64 // moving average (window 8), the Fig. 11(a) curves
-	Provider core.AgentProvider
+	Provider *core.Policies
 	// Checkpoints holds snapshots of the shared/base agent taken every
 	// CheckpointEvery episodes (empty for per-service variants).
 	Checkpoints  []rl.Snapshot
@@ -118,22 +118,18 @@ func Train(opts TrainOpts) (*TrainResult, error) {
 		}
 		pretrainGuided(ag, opts.Seed, width)
 	}
-	var prov core.ReplicableProvider
+	cfg := rl.DefaultConfig()
+	cfg.Seed = opts.Seed
+	var prov *core.Policies
 	switch opts.Variant {
 	case OneForAll:
-		cfg := rl.DefaultConfig()
-		cfg.Seed = opts.Seed
 		ag := rl.New(cfg)
 		bc(ag)
-		prov = core.SharedAgent{A: ag}
+		prov = core.Shared(ag)
 	case OneForEach:
-		cfg := rl.DefaultConfig()
-		cfg.Seed = opts.Seed
-		prov = &core.PerServiceAgents{Cfg: cfg, Init: bc}
+		prov = core.PerService(cfg, nil, bc)
 	case Transferred:
-		cfg := rl.DefaultConfig()
-		cfg.Seed = opts.Seed
-		prov = &core.PerServiceAgents{Cfg: cfg, Base: opts.Base}
+		prov = core.PerService(cfg, opts.Base, nil)
 	}
 	res := &TrainResult{Variant: opts.Variant, Provider: prov}
 	ma := stats.NewMovingAvg(8)
@@ -152,7 +148,7 @@ func Train(opts TrainOpts) (*TrainResult, error) {
 		syncEvery = rollout.DefaultSyncEvery
 	}
 	beds := make([]*harness.Bench, syncEvery)
-	runEpisode := func(ep, w int, rp core.AgentProvider, sink core.TransitionSink) (float64, error) {
+	runEpisode := func(ep, w int, rp *core.Policies, sink core.TransitionSink) (float64, error) {
 		// The environment seed is fixed across episodes: §4.3 trains all
 		// models "subjected to the same sequence of performance anomaly
 		// injections", so only the agent's exploration varies per episode.
@@ -207,7 +203,7 @@ func trainBedOptions(opts TrainOpts) harness.Options {
 // trainEpisode runs one training episode on b, which New or Reset has just
 // built: load, the anomaly campaign and a training FIRM controller acting
 // through rp, whose transitions go to sink. It returns the episode reward.
-func trainEpisode(b *harness.Bench, ext *detect.Extractor, rp core.AgentProvider, sink core.TransitionSink) float64 {
+func trainEpisode(b *harness.Bench, ext *detect.Extractor, rp *core.Policies, sink core.TransitionSink) float64 {
 	b.AttachWorkload(workload.Constant{RPS: 120})
 	cfg := core.DefaultConfig()
 	cfg.Training = true
@@ -399,7 +395,7 @@ func fig11bJobs(x Exec, sc Scale, seed int64, cp checkpoints) ([]runner.Job[floa
 				if err != nil {
 					return 0, err
 				}
-				return evalMitigation(spec, seed+500, core.SharedAgent{A: ag}, events)
+				return evalMitigation(spec, seed+500, core.Shared(ag), events)
 			},
 		})
 	}
@@ -596,7 +592,7 @@ func measureMitigation(spec *topology.Spec, seed int64, events int,
 }
 
 // evalMitigation measures mean mitigation time for a FIRM policy.
-func evalMitigation(spec *topology.Spec, seed int64, prov core.AgentProvider, events int) (float64, error) {
+func evalMitigation(spec *topology.Spec, seed int64, prov *core.Policies, events int) (float64, error) {
 	return measureMitigation(spec, seed, events, func(b *harness.Bench) {
 		cfg := core.DefaultConfig()
 		// Mitigation time is compared at equal provisioning: the reclaim

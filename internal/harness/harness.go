@@ -238,7 +238,7 @@ func (b *Bench) NewExtractor() *detect.Extractor {
 // AttachFIRM wires and starts a FIRM controller with the given agents. On a
 // Reset testbed the first one takes over the last run's controller's detector
 // storage.
-func (b *Bench) AttachFIRM(cfg core.Config, prov core.AgentProvider, ext *detect.Extractor) *core.Controller {
+func (b *Bench) AttachFIRM(cfg core.Config, prov *core.Policies, ext *detect.Extractor) *core.Controller {
 	if ext == nil {
 		ext = b.NewExtractor()
 	}
@@ -280,9 +280,9 @@ func (b *Bench) Containers() []*cluster.Container {
 	return out
 }
 
-// SharedAgent builds a one-for-all provider with Table 4 hyperparameters.
-func SharedAgent(seed int64) core.AgentProvider {
+// SharedAgent builds a one-for-all table with Table 4 hyperparameters.
+func SharedAgent(seed int64) *core.Policies {
 	cfg := rl.DefaultConfig()
 	cfg.Seed = seed
-	return core.SharedAgent{A: rl.New(cfg)}
+	return core.Shared(rl.New(cfg))
 }

@@ -54,7 +54,7 @@ type Benchmark struct {
 	// MaxAllocs is the entry's allocs/op ceiling — the committed
 	// perf-regression budget TestAllocBudgets enforces. The steady-state
 	// entries are budgeted at (near) zero; the four that allocate by design
-	// sit 1% above their best recorded run (59 / 821 / 4,762 / 47,623),
+	// sit 1% above their best recorded run (59 / 781 / 4,762 / 47,623),
 	// rounded up, which absorbs first-iteration growth amortised over a short
 	// run. episode-reset's 155 is its 135 at -benchtime 200ms (≈100 ops,
 	// 2 vCPUs, go1.24.0) plus room for a run as short as 10 ops (148): its
@@ -78,8 +78,8 @@ func Benchmarks() []Benchmark {
 		{"rl-pretrain", "one behaviour-cloning call: 3,000 demonstrations × 4 epochs through the Table 4 actor, min(GOMAXPROCS, 2) workers", RLPretrain, 60},
 		{"detect-features", "incremental localizer rescore of a quiescent window (no trace arrives or leaves)", DetectFeatures, 2},
 		{"detect-tick", "one violated tick's localization: fold 1 s of fresh traces, evict what left the window, rescore", DetectTick, 0},
-		{"rollout-round-overlap", "one double-buffered rollout campaign: 2 actors + streaming learner", RolloutRoundOverlap, 830},
-		{"policy-sync", "one warm rollout round boundary: freeze the learner's Table 4 nets, sync two replicas", PolicySync, 0},
+		{"rollout-round-overlap", "one double-buffered rollout campaign: 2 actors + streaming learner", RolloutRoundOverlap, 789},
+		{"policy-sync", "one warm rollout round boundary: copy the learner's Table 4 actor into two replicas", PolicySync, 0},
 		{"topology-generate", "procedural generation + validation of a 1,000-service spec", TopologyGenerate, 4810},
 		{"topology-generate-10k", "procedural generation + validation of a 10,000-service spec (the sharded sweep's top cell)", TopologyGenerate10k, 48100},
 		{"workload-arrivals", "thinned arrival sampling: 10ms of a 2,600 rps spiked-diurnal bound", WorkloadArrivals, 0},
@@ -457,14 +457,14 @@ func DetectTick(b *testing.B) {
 
 // RolloutRoundOverlap measures one double-buffered rollout campaign — two
 // rounds of four synthetic episodes on two actor replicas with the learner
-// replaying completed episodes concurrently. It
-// exercises snapshot publication, replica sync, streaming replay, and the
-// batched TrainStep together: the end-to-end training inner loop.
+// replaying completed episodes concurrently. It exercises replica creation,
+// the round sync, streaming replay, and the batched TrainStep together: the
+// end-to-end training inner loop.
 func RolloutRoundOverlap(b *testing.B) {
 	cfg := rl.DefaultConfig()
 	cfg.Seed = Seed
-	learner := core.SharedAgent{A: rl.New(cfg)}
-	runEp := func(ep, _ int, prov core.AgentProvider, sink core.TransitionSink) (float64, error) {
+	learner := core.Shared(rl.New(cfg))
+	runEp := func(ep, _ int, prov *core.Policies, sink core.TransitionSink) (float64, error) {
 		r := sim.Stream(Seed, fmt.Sprintf("perf-rollout/ep%d", ep))
 		state := make([]float64, cfg.StateDim)
 		for i := range state {
@@ -509,29 +509,18 @@ func RolloutRoundOverlap(b *testing.B) {
 }
 
 // PolicySync measures one warm rollout round boundary: the learner's Table 4
-// actor and critic frozen into last round's policy set (SnapshotPolicies),
-// then copied into two acting replicas (SyncPolicies) — what rollout.Run
-// does before every round after a campaign's first. It allocates nothing:
-// the frozen set and the replicas' nets are reused.
+// actor copied into two acting replicas (core.Policies.Sync) — what
+// rollout.Run does before every round. It allocates nothing: the replicas'
+// actors are overwritten in place.
 func PolicySync(b *testing.B) {
 	cfg := rl.DefaultConfig()
 	cfg.Seed = Seed
-	learner := core.SharedAgent{A: rl.New(cfg)}
-	replicas := []core.ReplicaProvider{learner.NewReplica(), learner.NewReplica()}
-	var frozen map[string]*rl.Policy
-	round := func() {
-		frozen = learner.SnapshotPolicies(frozen)
-		for _, rep := range replicas {
-			if err := rep.SyncPolicies(frozen); err != nil {
-				panic(fmt.Sprintf("perf: policy sync failed: %v", err))
-			}
-		}
-	}
-	round() // the first round builds the frozen set
+	learner := core.Shared(rl.New(cfg))
+	replicas := []*core.Policies{learner.Replica(), learner.Replica()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		round()
+		learner.Sync(replicas)
 	}
 }
 
@@ -890,7 +879,8 @@ func appRequestBed() (*app.App, *tracedb.Store, func()) {
 // the way experiments.Train runs every episode after a slot's first: Reset
 // (whose calibration runs 6 requests per endpoint on the engine), then 1
 // sim-s of the Train-Ticket episode — 120 rps, the training campaign, a
-// training FIRM controller acting through a policy replica and sending its
+// training FIRM controller acting through a shared table's replica
+// (core.Policies.Replica, reseeded by BeginEpisode) and sending its
 // transitions to a sink. The testbed has run two such episodes, one on New
 // and one on Reset, before the clock starts. What an op allocates is what a reset world still builds —
 // the cluster, the deployment module, the controller and its ticker — plus
@@ -899,7 +889,7 @@ func EpisodeReset(b *testing.B) {
 	ext := harness.NewExtractor(Seed)
 	cfg := rl.DefaultConfig()
 	cfg.Seed = Seed
-	rep := core.SharedAgent{A: rl.New(cfg)}.NewReplica()
+	rep := core.Shared(rl.New(cfg)).Replica()
 	tb, err := harness.New(harness.Options{Seed: Seed, Spec: topology.TrainTicket(), SLOMargin: 1.6, CalibrationN: 6})
 	if err != nil {
 		panic(fmt.Sprintf("perf: testbed setup failed: %v", err))

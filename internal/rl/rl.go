@@ -496,47 +496,11 @@ func (a *Agent) Load(s Snapshot) error {
 	return a.criticT.CopyFrom(critic)
 }
 
-// Policy is an in-memory copy of the networks Save serializes, without the
-// encoding: a rollout's round-boundary sync freezes each learner agent into
-// a Policy it keeps from round to round, and replicas LoadPolicy from it.
-// The zero Policy is empty; SavePolicy sizes it on first use.
-type Policy struct{ actor, critic *nn.Net }
-
-// SavePolicy copies the learned networks into p, reusing its storage.
+// CopyActor copies src's actor into a's, in place: the round-boundary sync
+// of rollout replicas, which only act, so their critic and target nets are
+// never read. Save and Load are the checkpoint and wire form.
 //
 //firmvet:noalloc
-func (a *Agent) SavePolicy(p *Policy) {
-	if p.actor == nil {
-		p.actor, p.critic = a.actor.Clone(), a.critic.Clone()
-		return
-	}
-	if err := p.actor.CopyFrom(a.actor); err != nil {
-		panic(err) // a Policy holds one agent shape: the first it saved
-	}
-	if err := p.critic.CopyFrom(a.critic); err != nil {
-		panic(err)
-	}
-}
-
-// LoadPolicy is Load from an in-memory copy: every weight lands bit for bit
-// where Load of the Snapshot Save would have taken at the same moment puts
-// it — the actor into actor and target actor, the critic into critic and
-// target critic.
-//
-//firmvet:noalloc
-func (a *Agent) LoadPolicy(p *Policy) error {
-	if p.actor == nil {
-		return errors.New("rl: load of an empty policy")
-	}
-	for _, dst := range [...]*nn.Net{a.actor, a.actorT} {
-		if err := dst.CopyFrom(p.actor); err != nil {
-			return err
-		}
-	}
-	for _, dst := range [...]*nn.Net{a.critic, a.criticT} {
-		if err := dst.CopyFrom(p.critic); err != nil {
-			return err
-		}
-	}
-	return nil
+func (a *Agent) CopyActor(src *Agent) error {
+	return a.actor.CopyFrom(src.actor)
 }

@@ -678,11 +678,11 @@ func same(a, b []float64) bool {
 	return true
 }
 
-// TestLoadPolicyMatchesLoad: LoadPolicy from a SavePolicy copy puts in all
-// four networks exactly what Load of a Save taken at the same moment puts
-// there — also when the Policy is reused after the agent trained on, and
-// while the source keeps training after the copy (the copy is frozen).
-func TestLoadPolicyMatchesLoad(t *testing.T) {
+// TestCopyActor: CopyActor puts src's actor, bit for bit, into a's actor
+// and nowhere else — a's critic and target nets keep their weights — the
+// copy stays put while src trains on, a warm copy allocates nothing, and
+// a copy between shapes errors.
+func TestCopyActor(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 51
 	src := New(cfg)
@@ -695,36 +695,38 @@ func TestLoadPolicyMatchesLoad(t *testing.T) {
 			src.TrainStep()
 		}
 	}
-	nets := func(a *Agent) []byte {
-		var all []byte
-		for _, n := range []*nn.Net{a.actor, a.critic, a.actorT, a.criticT} {
-			b, err := n.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, b...)
+	marshal := func(n *nn.Net) []byte {
+		b, err := n.Marshal()
+		if err != nil {
+			t.Fatal(err)
 		}
-		return all
+		return b
 	}
-	var pol Policy
-	if err := New(cfg).LoadPolicy(&pol); err == nil {
-		t.Fatal("LoadPolicy of an empty Policy must error")
+	cfg.Seed = 53
+	dst := New(cfg)
+	others := func() []byte {
+		return append(append(marshal(dst.critic), marshal(dst.actorT)...), marshal(dst.criticT)...)
 	}
+	rest := others()
 	for round := 0; round < 2; round++ {
 		train(80)
-		snap := mustSave(t, src)
-		src.SavePolicy(&pol)
-		train(20) // the learner moves on; the frozen copy must not
-		cfg.Seed = 53
-		want, got := New(cfg), New(cfg)
-		if err := want.Load(snap); err != nil {
+		want := marshal(src.actor)
+		if err := dst.CopyActor(src); err != nil {
 			t.Fatal(err)
 		}
-		if err := got.LoadPolicy(&pol); err != nil {
-			t.Fatal(err)
+		train(20) // src moves on; the copy must not
+		if !bytes.Equal(marshal(dst.actor), want) {
+			t.Fatalf("round %d: the copied actor differs from src's at the copy", round)
 		}
-		if !bytes.Equal(nets(got), nets(want)) {
-			t.Fatalf("round %d: LoadPolicy's four nets differ from Load's", round)
+		if !bytes.Equal(others(), rest) {
+			t.Fatalf("round %d: CopyActor moved a critic or target net", round)
 		}
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = dst.CopyActor(src) }); n != 0 {
+		t.Fatalf("CopyActor allocates %v per call, want 0", n)
+	}
+	cfg.Hidden = 7
+	if err := New(cfg).CopyActor(src); err == nil {
+		t.Fatal("CopyActor between actor shapes must error")
 	}
 }

@@ -2,28 +2,27 @@
 // bit-reproducibility — the A3C/Gorila actor-learner decomposition applied
 // to FIRM's DDPG training campaigns.
 //
-// K actor workers each hold a cheap policy replica (the learner's weights,
-// frozen in memory with rl.Agent.SavePolicy and copied in with LoadPolicy
-// through core.ReplicaProvider). Episodes are processed in rounds of
-// SyncEvery: at a round boundary the learner's current weights are frozen
-// into buffers the campaign reuses from round to round (the round
-// snapshot), the round's episodes run concurrently on the workers — each
-// seeded by sim.DeriveSeed(campaignSeed, episodeKey), so an episode's
-// trajectory is a pure function of the round snapshot and its episode key
-// — and their transition streams are buffered. A single learner
-// (the calling goroutine) replays the streams in episode order, applying
-// replay-buffer writes and TrainStep gradients exactly as the online
-// controller would have. Trained weights — and therefore firmbench stdout —
-// are byte-identical at any worker count; only wall-clock changes.
+// K actor workers each hold a cheap policy replica (core.Policies.Replica:
+// agents that only act). Episodes are processed in rounds of SyncEvery: at
+// a round boundary the learner copies its current actors into the replicas
+// (core.Policies.Sync), the round's episodes run concurrently on the
+// workers — each seeded by sim.DeriveSeed(campaignSeed, episodeKey), so an
+// episode's trajectory is a pure function of the synced actors and its
+// episode key — and their transition streams are buffered. A single
+// learner (the calling goroutine) replays the streams in episode order,
+// applying replay-buffer writes and TrainStep gradients exactly as the
+// online controller would have. Trained weights — and therefore firmbench
+// stdout — are byte-identical at any worker count; only wall-clock changes.
 //
 // Rounds are double-buffered: the learner replays episode i as soon as it
 // completes, concurrently with actors still rolling out later episodes of
-// the same round. This is sound because actors act on private replicas of
-// the round snapshot — learner weight updates cannot leak into in-flight
-// trajectories — and the replay itself stays strictly sequential in
-// episode order. The only barrier is snapshot publication: round r+1's
-// snapshot is not taken until every episode of round r has been replayed,
-// so policy staleness (and every trained byte) is what a strict
+// the same round. This is sound because learner and replicas share no
+// weights during a round — the sync copied the actors, so learner updates
+// cannot leak into in-flight trajectories, and a service a replica meets
+// first is built by the learner's own creation rule — and the replay itself
+// stays strictly sequential in episode order. The only barrier is the
+// sync: round r+1's is not made until every episode of round r has been
+// replayed, so policy staleness (and every trained byte) is what a strict
 // end-of-round barrier would produce.
 //
 // The semantic difference from fully-online training is the classic A3C
@@ -66,7 +65,7 @@ type Options struct {
 	// nil pool (and no pin) the campaign runs one actor.
 	Pool *runner.Pool
 	// SyncEvery is the round width: how many episodes run against one
-	// learner snapshot before the gradient barrier. <= 0 uses
+	// sync of the learner's actors before the gradient barrier. <= 0 uses
 	// DefaultSyncEvery. Unlike Workers, SyncEvery DOES shape the trained
 	// weights (it sets policy staleness), so it must be configuration,
 	// never inferred from the machine.
@@ -76,9 +75,9 @@ type Options struct {
 	// Key is the stable campaign key prefix; episode ep's seed is
 	// sim.DeriveSeed(Seed, Key+"/ep<ep>").
 	Key string
-	// Learner owns the canonical weights: snapshotted at round boundaries,
-	// trained in episode order behind the barrier.
-	Learner core.ReplicableProvider
+	// Learner owns the canonical weights: synced into the replicas at round
+	// boundaries, trained in episode order behind the barrier.
+	Learner *core.Policies
 	// RunEpisode executes environment episode ep on worker slot w, acting
 	// through prov and emitting every finalized transition to sink in order
 	// (wire sink into core.Config.Sink). It runs on a worker goroutine: it
@@ -88,7 +87,7 @@ type Options struct {
 	// slot, and a slot's episodes run one after another — so an episode may
 	// reuse what the slot's previous episode built. The returned reward is
 	// the episode's training reward.
-	RunEpisode func(ep, w int, prov core.AgentProvider, sink core.TransitionSink) (float64, error)
+	RunEpisode func(ep, w int, prov *core.Policies, sink core.TransitionSink) (float64, error)
 	// AfterEpisode, when non-nil, runs on the learner goroutine after
 	// episode ep's transitions have been applied — strictly in episode
 	// order (checkpointing, reward bookkeeping).
@@ -128,11 +127,9 @@ func Run(opts Options) ([]float64, error) {
 	}
 
 	// Persistent replicas, one per worker slot, grown to the widest round
-	// and synced at round boundaries from the learner's weights, frozen
-	// into one set that every round refreezes in place. Both go with the
+	// and synced from the learner at round boundaries. They go with the
 	// campaign.
-	var replicas []core.ReplicaProvider
-	var frozen map[string]*rl.Policy
+	var replicas []*core.Policies
 
 	rewards := make([]float64, 0, opts.Episodes)
 	outs := make([]epOut, syncEvery)
@@ -155,15 +152,9 @@ func Run(opts Options) ([]float64, error) {
 			nw = n // extra workers would idle within this round
 		}
 		for len(replicas) < nw {
-			replicas = append(replicas, opts.Learner.NewReplica())
+			replicas = append(replicas, opts.Learner.Replica())
 		}
-		frozen = opts.Learner.SnapshotPolicies(frozen)
-		for i := 0; i < nw; i++ {
-			if err := replicas[i].SyncPolicies(frozen); err != nil {
-				opts.Pool.ReleaseSlots(borrowed)
-				return nil, fmt.Errorf("rollout: sync before episode %d: %w", r0, err)
-			}
-		}
+		opts.Learner.Sync(replicas[:nw])
 
 		runOne := func(w, i int) {
 			ep := r0 + i
@@ -251,9 +242,9 @@ func Run(opts Options) ([]float64, error) {
 		if firstErr != nil {
 			return nil, firstErr
 		}
-		// Falling through to the next iteration publishes the next snapshot
-		// — the one remaining barrier: it happens only after every episode
-		// above has been replayed.
+		// Falling through to the next iteration makes the next sync — the
+		// one remaining barrier: it happens only after every episode above
+		// has been replayed.
 	}
 	return rewards, nil
 }

@@ -29,8 +29,8 @@ func smallCfg(seed int64) rl.Config {
 // syntheticEpisode is a cheap deterministic environment: state drifts under
 // the action, reward prefers small actions. Everything derives from the
 // episode index, so a trajectory is a pure function of (weights, episode).
-func syntheticEpisode(services func(ep, step int) string) func(int, int, core.AgentProvider, core.TransitionSink) (float64, error) {
-	return func(ep, _ int, prov core.AgentProvider, sink core.TransitionSink) (float64, error) {
+func syntheticEpisode(services func(ep, step int) string) func(int, int, *core.Policies, core.TransitionSink) (float64, error) {
+	return func(ep, _ int, prov *core.Policies, sink core.TransitionSink) (float64, error) {
 		r := rand.New(rand.NewSource(sim.DeriveSeed(555, fmt.Sprintf("env/ep%d", ep))))
 		state := make([]float64, 8)
 		for i := range state {
@@ -59,7 +59,7 @@ func syntheticEpisode(services func(ep, step int) string) func(int, int, core.Ag
 }
 
 // trainOnce runs a full campaign and returns (rewards, final policy probe).
-func trainOnce(t *testing.T, workers int, mkLearner func() core.ReplicableProvider,
+func trainOnce(t *testing.T, workers int, mkLearner func() *core.Policies,
 	services func(ep, step int) string) ([]float64, map[string][]float64) {
 	t.Helper()
 	learner := mkLearner()
@@ -95,7 +95,7 @@ func sameVec(a, b []float64) bool {
 	return true
 }
 
-func assertIdenticalAcrossWorkers(t *testing.T, mkLearner func() core.ReplicableProvider,
+func assertIdenticalAcrossWorkers(t *testing.T, mkLearner func() *core.Policies,
 	services func(ep, step int) string) {
 	t.Helper()
 	refRewards, refActs := trainOnce(t, 1, mkLearner, services)
@@ -117,7 +117,7 @@ func assertIdenticalAcrossWorkers(t *testing.T, mkLearner func() core.Replicable
 
 func TestSharedLearnerByteIdenticalAcrossWorkers(t *testing.T) {
 	assertIdenticalAcrossWorkers(t,
-		func() core.ReplicableProvider { return core.SharedAgent{A: rl.New(smallCfg(1))} },
+		func() *core.Policies { return core.Shared(rl.New(smallCfg(1))) },
 		func(ep, step int) string { return "svc-a" })
 }
 
@@ -125,7 +125,7 @@ func TestPerServiceLearnerByteIdenticalAcrossWorkers(t *testing.T) {
 	// svc-b first appears mid-campaign (episode 3), exercising lazy replica
 	// construction inside a round.
 	assertIdenticalAcrossWorkers(t,
-		func() core.ReplicableProvider { return &core.PerServiceAgents{Cfg: smallCfg(2)} },
+		func() *core.Policies { return core.PerService(smallCfg(2), nil, nil) },
 		func(ep, step int) string {
 			if ep >= 3 && step%2 == 1 {
 				return "svc-b"
@@ -137,12 +137,13 @@ func TestPerServiceLearnerByteIdenticalAcrossWorkers(t *testing.T) {
 func TestTransferredLearnerByteIdenticalAcrossWorkers(t *testing.T) {
 	base := rl.New(smallCfg(3))
 	assertIdenticalAcrossWorkers(t,
-		func() core.ReplicableProvider { return &core.PerServiceAgents{Cfg: smallCfg(4), Base: base} },
+		func() *core.Policies { return core.PerService(smallCfg(4), base, nil) },
 		func(ep, step int) string { return fmt.Sprintf("svc-%c", 'a'+byte(ep%2)) })
 }
 
 func TestLearnerActuallyTrains(t *testing.T) {
-	learner := core.SharedAgent{A: rl.New(smallCfg(5))}
+	a := rl.New(smallCfg(5))
+	learner := core.Shared(a)
 	if _, err := Run(Options{
 		Episodes: 6, Workers: 2, SyncEvery: 2, Seed: 9, Key: "train-check",
 		Learner:    learner,
@@ -150,10 +151,10 @@ func TestLearnerActuallyTrains(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if learner.A.Updates == 0 {
+	if a.Updates == 0 {
 		t.Fatal("learner never stepped gradients")
 	}
-	if learner.A.Buffer().Len() == 0 {
+	if a.Buffer().Len() == 0 {
 		t.Fatal("learner buffer never filled")
 	}
 }
@@ -162,7 +163,7 @@ func TestAfterEpisodeRunsInOrder(t *testing.T) {
 	var seen []int
 	_, err := Run(Options{
 		Episodes: 7, Workers: 4, SyncEvery: 3, Seed: 1, Key: "order",
-		Learner:    core.SharedAgent{A: rl.New(smallCfg(6))},
+		Learner:    core.Shared(rl.New(smallCfg(6))),
 		RunEpisode: syntheticEpisode(func(int, int) string { return "svc" }),
 		AfterEpisode: func(ep int, reward float64) error {
 			seen = append(seen, ep)
@@ -186,8 +187,8 @@ func TestEpisodeErrorIsDeterministic(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		_, err := Run(Options{
 			Episodes: 8, Workers: w, SyncEvery: 4, Seed: 1, Key: "err",
-			Learner: core.SharedAgent{A: rl.New(smallCfg(7))},
-			RunEpisode: func(ep, w int, prov core.AgentProvider, sink core.TransitionSink) (float64, error) {
+			Learner: core.Shared(rl.New(smallCfg(7))),
+			RunEpisode: func(ep, w int, prov *core.Policies, sink core.TransitionSink) (float64, error) {
 				if ep >= 5 {
 					return 0, fmt.Errorf("boom-%d", ep)
 				}
@@ -212,7 +213,7 @@ func TestBudgetSharingWithRunner(t *testing.T) {
 	// must release them afterwards).
 	_, err := Run(Options{
 		Episodes: 4, SyncEvery: 4, Seed: 3, Key: "budget", Pool: pool,
-		Learner:    core.SharedAgent{A: rl.New(smallCfg(8))},
+		Learner:    core.Shared(rl.New(smallCfg(8))),
 		RunEpisode: syntheticEpisode(func(int, int) string { return "svc" }),
 	})
 	if err != nil {
@@ -235,14 +236,14 @@ func TestSlotOwnedByOneGoroutine(t *testing.T) {
 	}{{1, nil}, {3, nil}, {8, nil}, {0, runner.NewPool(8)}} {
 		var (
 			mu    sync.Mutex
-			owner = map[int]core.AgentProvider{}
+			owner = map[int]*core.Policies{}
 			busy  [syncEvery]atomic.Bool
 			runs  [syncEvery]int
 		)
 		_, err := Run(Options{
 			Episodes: 10, Workers: tc.workers, Pool: tc.pool, SyncEvery: syncEvery, Seed: 4, Key: "slots",
-			Learner: core.SharedAgent{A: rl.New(smallCfg(10))},
-			RunEpisode: func(ep, w int, prov core.AgentProvider, sink core.TransitionSink) (float64, error) {
+			Learner: core.Shared(rl.New(smallCfg(10))),
+			RunEpisode: func(ep, w int, prov *core.Policies, sink core.TransitionSink) (float64, error) {
 				if w < 0 || w >= syncEvery {
 					return 0, fmt.Errorf("slot %d outside the round width %d", w, syncEvery)
 				}
@@ -281,7 +282,7 @@ func TestExplicitWorkersAreCappedAtRoundWidth(t *testing.T) {
 	// idle); this simply asserts Run tolerates absurd values.
 	rewards, err := Run(Options{
 		Episodes: 2, Workers: 64, SyncEvery: 4, Seed: 2, Key: "cap",
-		Learner:    core.SharedAgent{A: rl.New(smallCfg(9))},
+		Learner:    core.Shared(rl.New(smallCfg(9))),
 		RunEpisode: syntheticEpisode(func(int, int) string { return "svc" }),
 	})
 	if err != nil {
@@ -300,7 +301,7 @@ func TestSyncEveryShapesTraining(t *testing.T) {
 	train := func(syncEvery int) []float64 {
 		rewards, err := Run(Options{
 			Episodes: 8, Workers: 1, SyncEvery: syncEvery, Seed: 5, Key: "stale",
-			Learner:    core.SharedAgent{A: rl.New(smallCfg(12))},
+			Learner:    core.Shared(rl.New(smallCfg(12))),
 			RunEpisode: syntheticEpisode(func(int, int) string { return "svc" }),
 		})
 		if err != nil {
@@ -315,7 +316,7 @@ func TestSyncEveryShapesTraining(t *testing.T) {
 
 func TestRunValidatesOptions(t *testing.T) {
 	if _, err := Run(Options{Episodes: 1, RunEpisode: nil,
-		Learner: core.SharedAgent{A: rl.New(smallCfg(10))}}); err == nil {
+		Learner: core.Shared(rl.New(smallCfg(10)))}); err == nil {
 		t.Fatal("nil RunEpisode must error")
 	}
 	if _, err := Run(Options{Episodes: 1,
@@ -323,7 +324,7 @@ func TestRunValidatesOptions(t *testing.T) {
 		t.Fatal("nil Learner must error")
 	}
 	rewards, err := Run(Options{Episodes: 0,
-		Learner:    core.SharedAgent{A: rl.New(smallCfg(11))},
+		Learner:    core.Shared(rl.New(smallCfg(11))),
 		RunEpisode: syntheticEpisode(func(int, int) string { return "s" })})
 	if err != nil || rewards != nil {
 		t.Fatalf("zero episodes: %v, %v", rewards, err)

@@ -28,7 +28,7 @@ func Reseed(r *rand.Rand, seed int64, label string) {
 // finalizer, so near-identical keys ("rep-1"/"rep-2", per-service names
 // differing in one rune) still yield uncorrelated seeds. internal/runner uses
 // it to give every job of a campaign its own private seed, and
-// core.PerServiceAgents to give every tailored agent its own weight-init
+// core.PerService to give every tailored agent its own weight-init
 // stream.
 func DeriveSeed(seed int64, key ...string) int64 {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
