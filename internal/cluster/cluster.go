@@ -66,6 +66,10 @@ type Cluster struct {
 	placed []*Container
 	// sampler draws every container's noise under Config.PerInstanceNoise.
 	sampler *sim.Sampler
+	// free recycles in-flight records across all of the cluster's
+	// containers: at steady state work is admitted and completed without
+	// allocating, and a warm container reuses a recently freed record.
+	free []*running
 	// spareSets and spare hold the replica sets and containers of the
 	// deployment before the last Reset, for newSet and place to recycle.
 	spareSets []*ReplicaSet
@@ -96,9 +100,9 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 // no replica set, so it is what New and the same AddNode calls build — the
 // next container placed is ID 1 again. The replica sets and containers of
 // the old deployment are recycled for the next one, keeping their queue
-// storage and in-flight records, so nothing may use one from before the
-// Reset. Work still in flight is abandoned: the engine's events must have
-// been discarded with it (sim.Engine.Reset).
+// storage, so nothing may use one from before the Reset; the in-flight
+// freelist is kept. Work still in flight is abandoned: the engine's events
+// must have been discarded with it (sim.Engine.Reset).
 func (cl *Cluster) Reset() {
 	for _, n := range cl.nodes {
 		n.reset()
@@ -283,17 +287,15 @@ func (rs *ReplicaSet) place(node *Node, limits Vector, cold, instant bool) (*Con
 	c := rs.cl.recycle()
 	c.ID = rs.cl.nextID
 	c.Name = rs.Service + "-" + strconv.FormatUint(uint64(rs.cl.nextID), 10)
-	c.Service, c.eng, c.cfg, c.node = rs.Service, rs.cl.eng, rs.cl.cfg, node
+	c.Service, c.cl, c.node = rs.Service, rs.cl, node
 	c.limits = limits.Min(node.Prof.Capacity)
 	rs.cl.placed = append(rs.cl.placed, c)
 	if rs.cl.cfg.PerInstanceNoise {
-		c.hasNoise, c.sampler = true, rs.cl.sampler
+		c.hasNoise = true
 		c.noise = sim.NewSplitMix64(sim.DeriveSeed(rs.cl.cfg.NoiseSeed, "noise/", rs.Service, "/", strconv.Itoa(int(rs.placed))))
 	}
 	rs.placed++
-	if err := node.attach(c); err != nil {
-		return nil, err
-	}
+	node.attach(c)
 	rs.containers = append(rs.containers, c)
 	if instant {
 		c.ready = true
@@ -314,7 +316,7 @@ func (rs *ReplicaSet) place(node *Node, limits Vector, cold, instant bool) (*Con
 }
 
 // recycle returns a zeroed container for place: a spare from before the last
-// Reset, keeping its queue storage and in-flight records, or a new one.
+// Reset, keeping its queue storage, or a new one.
 func (cl *Cluster) recycle() *Container {
 	n := len(cl.spare)
 	if n == 0 {
@@ -324,7 +326,7 @@ func (cl *Cluster) recycle() *Container {
 	cl.spare[n-1] = nil
 	cl.spare = cl.spare[:n-1]
 	c.queue.Reset()
-	*c = Container{queue: c.queue, free: c.free}
+	*c = Container{queue: c.queue}
 	return c
 }
 

@@ -55,8 +55,8 @@ type queuedWork struct {
 
 // running is one in-flight work item: what its completion must give back to
 // the container and node, and the completion event itself (it is the
-// sim.Action scheduled at admission). Records cycle through the owning
-// container's freelist.
+// sim.Action scheduled at admission). Records cycle through the cluster's
+// one freelist and are given their container when taken.
 type running struct {
 	c          *Container
 	w          Work
@@ -72,48 +72,23 @@ type running struct {
 // resource, either at container scope (limit pressure, targeted anomaly) or
 // node scope (shared-resource interference) — the mechanism behind the
 // paper's Fig. 1 latency spikes.
+//
+// What every container shares — the engine, the Config, the noise Sampler
+// and the in-flight freelist — lives once on its cluster. The fields the
+// request path touches (Pick, Submit, start, running.Fire) come first.
 type Container struct {
-	Name    string // "<service>-<ID>", for output
-	Service string
-
-	eng  *sim.Engine
-	cfg  Config
+	cl   *Cluster
 	node *Node
-	// Under Config.PerInstanceNoise the container draws service-time noise
-	// from its own stream instead of the engine's: eight bytes of generator
-	// state held here, drawn through the cluster's one Sampler, so the many
-	// replicas a large deployment never routes work to cost nothing and the
-	// ones it does cost no allocation.
-	hasNoise bool
-	noise    sim.SplitMix64
-	sampler  *sim.Sampler
 
-	limits  Vector
-	ready   bool
-	retired bool // removed from its replica set; never comes back
+	ready    bool
+	retired  bool // removed from its replica set; never comes back
+	hasNoise bool
 	// ID is the instance's dense identity — the cluster's container ordinal,
 	// starting at 1 and never reused before a Reset — and what spans, telemetry series and
-	// localizer state are keyed by. (It sits here, in what was padding, so
-	// the fields the request path touches keep their offsets.)
+	// localizer state are keyed by.
 	ID uint32
 
-	queue ring.Ring[queuedWork] // waiting work; Submit enforces QueueCap
-	// free recycles in-flight records; a container at steady state admits
-	// and completes work without allocating.
-	free    []*running
-	busy    int
-	busyCPU float64 // usage accounted to node/container for in-flight work
-
-	inject         Vector   // targeted anomaly load (e.g. CPU stressor in the pod)
-	nodeInjContrib Vector   // the portion of inject charged to the node
-	netDelay       sim.Time // injected network delay on this instance's RPCs
-
-	// Cumulative counters (reset-free; samplers diff them).
-	Completed uint64
-	Dropped   uint64
-	busySince sim.Time
-	busyInt   float64 // integral of busy workers over time (µs·workers)
-	curDemand Vector  // sum of demand vectors of in-flight work
+	busy int
 	// cpuActive tracks effective CPU consumption of in-flight work: a
 	// request stalled on memory/LLC/IO/network occupies a worker without
 	// burning proportionally more cycles, so its CPU charge is scaled by
@@ -121,6 +96,29 @@ type Container struct {
 	// autoscaler blind to non-CPU contention (Fig. 1: CPU utilization is
 	// flat through a memory-bandwidth latency spike).
 	cpuActive float64
+	netDelay  sim.Time // injected network delay on this instance's RPCs
+
+	queue ring.Ring[queuedWork] // waiting work; Submit enforces QueueCap
+	// Under Config.PerInstanceNoise the container draws service-time noise
+	// from its own stream instead of the engine's: eight bytes of generator
+	// state held here, drawn through the cluster's one Sampler, so the many
+	// replicas a large deployment never routes work to cost nothing and the
+	// ones it does cost no allocation.
+	noise sim.SplitMix64
+
+	// Completed and Dropped are cumulative counters (reset-free; samplers
+	// diff them).
+	Completed uint64
+
+	limits    Vector
+	curDemand Vector // sum of demand vectors of in-flight work
+	inject    Vector // targeted anomaly load (e.g. CPU stressor in the pod)
+
+	Name    string // "<service>-<ID>", for output
+	Service string
+
+	nodeInjContrib Vector // the portion of inject charged to the node
+	Dropped        uint64
 }
 
 // Limits returns the container's current resource limits (the RLT vector of
@@ -182,8 +180,8 @@ func (c *Container) workers() int {
 func (c *Container) SetLimits(v Vector) {
 	v = v.Min(c.node.Prof.Capacity)
 	for r := range v {
-		if v[r] < c.cfg.MinLimit[r] {
-			v[r] = c.cfg.MinLimit[r]
+		if v[r] < c.cl.cfg.MinLimit[r] {
+			v[r] = c.cl.cfg.MinLimit[r]
 		}
 	}
 	c.node.adjustCPUAlloc(v[CPU] - c.limits[CPU])
@@ -218,11 +216,11 @@ func (c *Container) Utilization() Vector { return c.Usage().Div(c.limits) }
 //
 //firmvet:noalloc
 func (c *Container) Submit(w Work) {
-	if !c.ready || c.QueueLen() >= c.cfg.QueueCap {
+	if !c.ready || c.QueueLen() >= c.cl.cfg.QueueCap {
 		c.drop(w)
 		return
 	}
-	*c.queue.Push() = queuedWork{w: w, enqueued: c.eng.Now()}
+	*c.queue.Push() = queuedWork{w: w, enqueued: c.cl.eng.Now()}
 	c.dispatch()
 }
 
@@ -276,12 +274,14 @@ func (c *Container) factors(extra Vector) (total, cpuOnly float64) {
 	if nf := c.node.contentionFactor(); nf > total {
 		total = nf
 	}
-	return math.Pow(total, c.cfg.SlowdownExp), math.Pow(cpuOnly, c.cfg.SlowdownExp)
+	exp := c.cl.cfg.SlowdownExp
+	return math.Pow(total, exp), math.Pow(cpuOnly, exp)
 }
 
 //firmvet:noalloc
 func (c *Container) start(qw queuedWork) {
-	now := c.eng.Now()
+	cl := c.cl
+	now := cl.eng.Now()
 	// Admission factors include this request's own demand (with a full
 	// provisional CPU charge for its worker).
 	extra := qw.w.Demand
@@ -304,29 +304,29 @@ func (c *Container) start(qw queuedWork) {
 		base /= c.limits[CPU]
 	}
 	noise := 1.0
-	if c.cfg.NoiseSD > 0 {
-		rng := c.eng.Rand()
+	if sd := cl.cfg.NoiseSD; sd > 0 {
+		rng := cl.eng.Rand()
 		if c.hasNoise {
-			rng = c.sampler.On(&c.noise)
+			rng = cl.sampler.On(&c.noise)
 		}
-		noise = sim.NormalClamped(rng, 1, c.cfg.NoiseSD, 0.5, 2.0)
+		noise = sim.NormalClamped(rng, 1, sd, 0.5, 2.0)
 	}
 	dur := sim.Time(base * total * noise)
 	if dur < 1 {
 		dur = 1
 	}
 	var r *running
-	if n := len(c.free); n > 0 {
-		r = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
+	if n := len(cl.free); n > 0 {
+		r = cl.free[n-1]
+		cl.free[n-1] = nil
+		cl.free = cl.free[:n-1]
 	} else {
-		//firmvet:allow noalloc -- freelist warm-up miss; a container allocates one record per concurrently busy worker, then recycles them
-		r = &running{c: c}
+		//firmvet:allow noalloc -- freelist warm-up miss; a cluster allocates one record per concurrently busy worker across its containers, then recycles them
+		r = new(running)
 	}
-	r.w, r.queued, r.dur = qw.w, now-qw.enqueued, dur
+	r.c, r.w, r.queued, r.dur = c, qw.w, now-qw.enqueued, dur
 	r.cpuCharge, r.nodeDemand = cpuCharge, nodeDemand
-	c.eng.ScheduleAction(dur, r)
+	cl.eng.ScheduleAction(dur, r)
 }
 
 // Fire completes the work item: the worker, its demand and its CPU charge
@@ -337,7 +337,6 @@ func (c *Container) start(qw queuedWork) {
 func (r *running) Fire() {
 	c := r.c
 	c.busy--
-	c.busyInt += float64(r.dur)
 	c.cpuActive -= r.cpuCharge
 	if c.cpuActive < 0 {
 		c.cpuActive = 0
@@ -348,7 +347,7 @@ func (r *running) Fire() {
 	// Recycle before notifying: the handler may submit more work here.
 	h, queued, dur := r.w.Handler, r.queued, r.dur
 	r.w.Handler = nil
-	c.free = append(c.free, r)
+	c.cl.free = append(c.cl.free, r)
 	if h != nil {
 		h.WorkDone(queued, dur)
 	}

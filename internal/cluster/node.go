@@ -1,30 +1,26 @@
 package cluster
 
-import "fmt"
-
 // Node is a physical machine hosting containers. It tracks instantaneous
 // resource usage (the sum of demand rates of all in-flight requests on its
 // containers), anomaly-injected background load, and the total CPU allocated
 // to container limits (used for placement and the "requested CPU" metric of
 // Fig. 10(b)).
 type Node struct {
-	ID         string
-	Prof       HardwareProfile
-	usage      Vector // demand from in-flight container work
-	inject     Vector // injector-generated background contention
-	cpuAlloc   float64
-	containers map[uint32]*Container
+	ID       string
+	Prof     HardwareProfile
+	usage    Vector // demand from in-flight container work
+	inject   Vector // injector-generated background contention
+	cpuAlloc float64
 }
 
 // NewNode creates a node with the given hardware profile.
 func NewNode(id string, prof HardwareProfile) *Node {
-	return &Node{ID: id, Prof: prof, containers: make(map[uint32]*Container)}
+	return &Node{ID: id, Prof: prof}
 }
 
 // reset empties the node (Cluster.Reset).
 func (n *Node) reset() {
 	n.usage, n.inject, n.cpuAlloc = Vector{}, Vector{}, 0
-	clear(n.containers)
 }
 
 // Capacity returns the node's total resource capacities.
@@ -46,9 +42,6 @@ func (n *Node) SetInjectedLoad(v Vector) { n.inject = v.ClampNonNeg() }
 
 // AddInjectedLoad accumulates anomaly load (multiple concurrent anomalies).
 func (n *Node) AddInjectedLoad(v Vector) { n.inject = n.inject.Add(v).ClampNonNeg() }
-
-// CPUAllocated returns the sum of CPU limits across hosted containers.
-func (n *Node) CPUAllocated() float64 { return n.cpuAlloc }
 
 // FreeCPU returns unallocated CPU capacity.
 func (n *Node) FreeCPU() float64 { return n.Prof.Capacity[CPU] - n.cpuAlloc }
@@ -82,24 +75,12 @@ func (n *Node) PerCoreDRAMAccess() float64 {
 	return n.Usage()[MemBW] / cores
 }
 
-func (n *Node) attach(c *Container) error {
-	if _, dup := n.containers[c.ID]; dup {
-		return fmt.Errorf("cluster: container %s already on node %s", c.Name, n.ID)
-	}
-	n.containers[c.ID] = c
-	n.cpuAlloc += c.limits[CPU]
-	return nil
-}
+// attach and detach count a container's CPU limit in and out of the
+// node's allocation. Each container is attached once, when place mints it,
+// and detached once, when RemoveReplica takes it out of its set.
+func (n *Node) attach(c *Container) { n.cpuAlloc += c.limits[CPU] }
 
-func (n *Node) detach(c *Container) {
-	if _, ok := n.containers[c.ID]; ok {
-		delete(n.containers, c.ID)
-		n.cpuAlloc -= c.limits[CPU]
-		if n.cpuAlloc < 0 {
-			n.cpuAlloc = 0
-		}
-	}
-}
+func (n *Node) detach(c *Container) { n.adjustCPUAlloc(-c.limits[CPU]) }
 
 func (n *Node) adjustCPUAlloc(delta float64) {
 	n.cpuAlloc += delta

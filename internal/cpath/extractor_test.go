@@ -29,7 +29,7 @@ func scanChildren(spans []trace.Span, parent trace.SpanID) []trace.Span {
 // children scan and two fresh slices per span. Kept as the oracle.
 func scanExtract(t *trace.Trace) Path {
 	all := t.AppendSpans(nil)
-	root := t.Root()
+	root := rootSpan(t)
 	if root.ID == 0 && root.End() == 0 {
 		return Path{}
 	}

@@ -54,9 +54,11 @@ type Benchmark struct {
 	// MaxAllocs is the entry's allocs/op ceiling — the committed
 	// perf-regression budget TestAllocBudgets enforces. The steady-state
 	// entries are budgeted at (near) zero; the four that allocate by design
-	// sit 1% above their best recorded run (59 / 781 / 4,762 / 47,623),
+	// sit 1% above their best recorded run (59 / 781 / 4,576 / 47,166),
 	// rounded up, which absorbs first-iteration growth amortised over a short
-	// run. episode-reset's 155 is its 135 at -benchtime 200ms (≈100 ops,
+	// run. cluster-cold-submit's 2,011 is exact: 1,000 × (queue, in-flight
+	// record) plus the eleven times the cluster freelist grows to hold 1,000.
+	// episode-reset's 155 is its 135 at -benchtime 200ms (≈100 ops,
 	// 2 vCPUs, go1.24.0) plus room for a run as short as 10 ops (148): its
 	// first ops still grow the testbed's pools. Budgets are counted on one P
 	// (TestAllocBudgets pins GOMAXPROCS to 1): how many goroutine records and
@@ -80,15 +82,15 @@ func Benchmarks() []Benchmark {
 		{"detect-tick", "one violated tick's localization: fold 1 s of fresh traces, evict what left the window, rescore", DetectTick, 0},
 		{"rollout-round-overlap", "one double-buffered rollout campaign: 2 actors + streaming learner", RolloutRoundOverlap, 789},
 		{"policy-sync", "one warm rollout round boundary: copy the learner's Table 4 actor into two replicas", PolicySync, 0},
-		{"topology-generate", "procedural generation + validation of a 1,000-service spec", TopologyGenerate, 4810},
-		{"topology-generate-10k", "procedural generation + validation of a 10,000-service spec (the sharded sweep's top cell)", TopologyGenerate10k, 48100},
+		{"topology-generate", "procedural generation + validation of a 1,000-service spec", TopologyGenerate, 4622},
+		{"topology-generate-10k", "procedural generation + validation of a 10,000-service spec (the sharded sweep's top cell)", TopologyGenerate10k, 47638},
 		{"workload-arrivals", "thinned arrival sampling: 10ms of a 2,600 rps spiked-diurnal bound", WorkloadArrivals, 0},
 		{"shard-step", "one lookahead window of an 8-shard ring at steady state (mail routing + window barrier)", ShardStep, 0},
 		{"scenario-step", "one armed fault-scenario tick: recompute and apply every active site's pressure", ScenarioStep, 0},
 		{"app-request", "one traced request through a 63-call generated endpoint on a warm testbed", AppRequest, 0},
 		{"trace-seal", "start a recycled trace, emit the 63 spans of the app-request trace into it, finish it, then decode and index it (ChildIndex.Reset)", TraceSeal, 0},
 		{"sharded-request", "one request through a warm 2-shard, 60-service generated app, run until drained", ShardedRequest, 0},
-		{"cluster-cold-submit", "the first Submit on each of 1,000 never-touched containers under per-instance noise, run to completion", ClusterColdSubmit, 3000},
+		{"cluster-cold-submit", "the first Submit on each of 1,000 never-touched containers under per-instance noise, run to completion", ClusterColdSubmit, 2011},
 		{"episode-reset", "one warm rollout-slot episode: Reset (with calibration) + 1 sim-s of Train-Ticket at 120 rps with a training FIRM controller", EpisodeReset, 155},
 	}
 }
@@ -692,10 +694,10 @@ func ShardedRequest(b *testing.B) {
 // op is the first Submit on each of 1,000 never-touched containers under
 // PerInstanceNoise (the sharded deployment's configuration), run to
 // completion. The engine is warm and each op's cluster is built off the
-// clock, so allocs/op is 1,000 × (queue, in-flight record, freelist) and
-// nothing else — the noise stream is eight bytes of the container, not a
-// generator built at first draw (math/rand's was a 4.9 KB table and two more
-// allocations each).
+// clock, so allocs/op is 1,000 × (queue, in-flight record), the growth of
+// the cluster's one in-flight freelist, and nothing else — the noise stream
+// is eight bytes of the container, not a generator built at first draw
+// (math/rand's was a 4.9 KB table and two more allocations each).
 func ClusterColdSubmit(b *testing.B) {
 	const containers = 1000
 	names := make([]string, containers)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"firm/internal/sim"
 )
@@ -172,10 +173,12 @@ func Generate(p Params, seed int64) (*Spec, error) {
 	}
 
 	// Services, in a fixed creation order (never iterate spec.Services: map
-	// order would break (Params, seed) determinism). The gateway is layer 0;
-	// the next Depth-1 services populate layers 1..Depth-1 so no layer is
-	// empty; the rest draw a random layer.
-	addSvc := func(name string, class ServiceClass, layer int) genService {
+	// order would break (Params, seed) determinism); a service's index is
+	// its ordinal. The gateway is layer 0; the next Depth-1 services
+	// populate layers 1..Depth-1 so no layer is empty; the rest draw a
+	// random layer.
+	services := make([]genService, p.Services)
+	addSvc := func(i int, name string, class ServiceClass, layer int) {
 		spec.Services[name] = &Service{
 			Name:     name,
 			Class:    class,
@@ -183,27 +186,35 @@ func Generate(p Params, seed int64) (*Spec, error) {
 			Demand:   class.demand(),
 			Limits:   class.limits(),
 		}
-		return genService{name: name, layer: layer, compute: serviceTime(rng, class)}
+		services[i] = genService{name: name, layer: layer, compute: serviceTime(rng, class)}
 	}
-	services := make([]genService, 0, p.Services)
-	byLayer := make([][]genService, p.Depth)
-	services = append(services, addSvc("gateway", Web, 0))
-	byLayer[0] = append(byLayer[0], services[0])
+	addSvc(0, "gateway", Web, 0)
+	// first[l+1] counts layer l's services; below it becomes where layer
+	// l+1 starts in byLayer.
+	first := make([]int, p.Depth+1)
+	first[1] = 1
 	for i := 1; i < p.Services; i++ {
 		layer := i
 		if i >= p.Depth {
 			layer = 1 + rng.Intn(p.Depth-1)
 		}
 		class := ServiceClass(drawIndex(rng, p.ClassMix[:]))
-		s := addSvc(fmt.Sprintf("svc-%04d", i), class, layer)
-		services = append(services, s)
-		byLayer[layer] = append(byLayer[layer], s)
+		addSvc(i, fmt.Sprintf("svc-%04d", i), class, layer)
+		first[layer+1]++
 	}
-	// deeper[L] lists every service strictly below layer L — the candidate
-	// pool for a vertex at layer L drawing children.
-	deeper := make([][]genService, p.Depth)
-	for l := p.Depth - 2; l >= 0; l-- {
-		deeper[l] = append(append([]genService{}, byLayer[l+1]...), deeper[l+1]...)
+	// byLayer holds every service index ordered by layer, creation order
+	// within a layer (a stable counting sort), so the candidate pool of a
+	// vertex at layer l drawing children — every service strictly below l,
+	// shallowest layer first — is its suffix byLayer[first[l+1]:].
+	for l := 1; l <= p.Depth; l++ {
+		first[l] += first[l-1]
+	}
+	byLayer := make([]int32, p.Services)
+	next := append([]int(nil), first[:p.Depth]...)
+	for i := range services {
+		l := services[i].layer
+		byLayer[next[l]] = int32(i)
+		next[l]++
 	}
 
 	// Endpoint workflow trees. Each endpoint gets a vertex budget so huge
@@ -214,18 +225,22 @@ func Generate(p Params, seed int64) (*Spec, error) {
 		budget0 = 16
 	}
 	// vertices[L] records every call vertex created at layer L, the
-	// attachment points for the coverage pass.
+	// attachment points for the coverage pass; reached marks every service
+	// some vertex calls.
 	vertices := make([][]*Call, p.Depth)
-	var build func(s genService, budget *int) *Call
-	build = func(s genService, budget *int) *Call {
+	reached := make([]bool, p.Services)
+	var build func(i int32, budget *int) *Call
+	build = func(i int32, budget *int) *Call {
+		s := &services[i]
 		c := &Call{Service: s.name, Compute: s.compute}
 		vertices[s.layer] = append(vertices[s.layer], c)
-		pool := deeper[s.layer]
+		reached[i] = true
+		pool := byLayer[first[s.layer+1]:]
 		if len(pool) == 0 {
 			return c
 		}
 		fan := 1 + rng.Intn(p.MaxFanout)
-		for i := 0; i < fan && *budget > 0; i++ {
+		for j := 0; j < fan && *budget > 0; j++ {
 			pick := pool[rng.Intn(len(pool))]
 			*budget--
 			mode := Mode(drawIndex(rng, p.ModeMix[:]))
@@ -233,10 +248,10 @@ func Generate(p Params, seed int64) (*Spec, error) {
 		}
 		return c
 	}
-	gateway := services[0]
+	spec.Endpoints = make([]Endpoint, 0, p.Endpoints)
 	for e := 0; e < p.Endpoints; e++ {
 		budget := budget0
-		root := build(gateway, &budget)
+		root := build(0, &budget)
 		weight := 0.5 + 1.5*rng.Float64()
 		spec.Endpoints = append(spec.Endpoints, Endpoint{
 			Name:   fmt.Sprintf("ep-%02d", e),
@@ -250,15 +265,22 @@ func Generate(p Params, seed int64) (*Spec, error) {
 	// every tree). Attachments are leaf calls recorded as future attachment
 	// points themselves, so late unreached services can chain under earlier
 	// ones. This may push a vertex past MaxFanout — the knob bounds the
-	// random draw, not the repair.
-	reached := map[string]bool{}
-	for _, ep := range spec.Endpoints {
-		Walk(ep.Root, func(c *Call) { reached[c.Service] = true })
+	// random draw, not the repair. Each layer's vertex list grows once, by
+	// the leaves the pass will add to it.
+	missed := make([]int, p.Depth)
+	for i := range services {
+		if !reached[i] {
+			missed[services[i].layer]++
+		}
 	}
-	for _, s := range services {
-		if reached[s.name] {
+	for l, n := range missed {
+		vertices[l] = slices.Grow(vertices[l], n)
+	}
+	for i := range services {
+		if reached[i] {
 			continue
 		}
+		s := &services[i]
 		// Draw over the shallower layers' vertices as if concatenated, then
 		// index into the owning layer: concatenating them per unreached
 		// service is quadratic at 10,000 services.
@@ -277,7 +299,6 @@ func Generate(p Params, seed int64) (*Spec, error) {
 		leaf := &Call{Service: s.name, Compute: s.compute}
 		vertices[s.layer] = append(vertices[s.layer], leaf)
 		parent.Children = append(parent.Children, Child{Mode: mode, Call: leaf})
-		reached[s.name] = true
 	}
 
 	if err := spec.Validate(); err != nil {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -262,18 +263,28 @@ func validMix(mix []float64) bool {
 // FuzzGenerate draws bounded Params (at most 300 services and 64
 // endpoints, negatives included), arbitrary mixes and seed. Generate must
 // fail exactly when the params are invalid; otherwise the spec validates,
-// has the asked-for shape, regenerates to identical edges, and its
-// Params.Key has no "/" (a generated-topology job key embeds it).
+// has the asked-for shape, regenerates to identical edges, is deep-equal to
+// generateReference's, and its Params.Key has no "/" (a generated-topology
+// job key embeds it). The service bound keeps the mutator on many small
+// shapes; the benchmark shapes in the seed corpus (1,000 and 10,000
+// services) pass through unbounded.
 func FuzzGenerate(f *testing.F) {
 	f.Add(30, 2, 3, 3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, int64(1))
+	f.Add(1000, 6, 3, 6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, int64(42))   // mesh-1k
+	f.Add(10000, 12, 2, 8, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, int64(42)) // mesh-10k-sharded
+	f.Add(40, 4, 3, 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, int64(5))      // Depth 1: rejected
+	f.Add(40, 4, 3, 2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, int64(5))      // Depth 2: one pool, layer 1
 	f.Add(300, 64, 8, 12, 1.0, 2.0, 0.5, 0.5, 0.1, 5.0, 2.0, 0.2, int64(-7))
 	f.Add(30, 2, 3, 3, math.Inf(1), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, int64(1))
 	f.Add(10, 1, 1, 2, math.MaxFloat64, math.MaxFloat64, 0.0, 0.0, 0.0, 1.0, math.NaN(), 1.0, int64(3))
 	f.Add(2, 1, 1, 2, 0.0, 0.0, 0.0, 0.0, 1e-300, 0.0, 0.0, 1.0, int64(0))
 	f.Fuzz(func(t *testing.T, services, endpoints, fanout, depth int,
 		c0, c1, c2, c3, c4, m0, m1, m2 float64, seed int64) {
+		if services != 1000 && services != 10000 {
+			services %= 301
+		}
 		p := Params{
-			Services:  services % 301,
+			Services:  services,
 			Endpoints: endpoints % 65,
 			MaxFanout: fanout,
 			Depth:     depth,
@@ -307,5 +318,146 @@ func FuzzGenerate(f *testing.F) {
 		if !reflect.DeepEqual(spec.Edges(), again.Edges()) {
 			t.Fatalf("%+v seed %d: edges differ between two calls", p, seed)
 		}
+		ref, err := generateReference(p, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(spec, ref) {
+			t.Fatalf("%+v seed %d: spec differs from generateReference's", p, seed)
+		}
 	})
+}
+
+// generateReference is Generate as it stood before its layer pools became
+// suffixes of one index slice and its reached set a []bool: per-layer
+// genService copies, deeper[l] rebuilt by copying, reached a map filled by
+// walking the finished trees. FuzzGenerate holds Generate deep-equal to it
+// on every valid (Params, seed), so the cheaper bookkeeping can never pick
+// a different service.
+func generateReference(p Params, seed int64) (*Spec, error) {
+	p, err := p.normalized()
+	if err != nil {
+		return nil, err
+	}
+	rng := sim.Stream(seed, "topology-generate")
+	spec := &Spec{
+		Name:         fmt.Sprintf("gen-%s-%d", p.Key(), seed),
+		Services:     make(map[string]*Service, p.Services),
+		SLO:          500 * sim.Millisecond,
+		BaseRPCDelay: 300 * sim.Microsecond,
+	}
+
+	// Services, in a fixed creation order (never iterate spec.Services: map
+	// order would break (Params, seed) determinism). The gateway is layer 0;
+	// the next Depth-1 services populate layers 1..Depth-1 so no layer is
+	// empty; the rest draw a random layer.
+	addSvc := func(name string, class ServiceClass, layer int) genService {
+		spec.Services[name] = &Service{
+			Name:     name,
+			Class:    class,
+			Replicas: 1,
+			Demand:   class.demand(),
+			Limits:   class.limits(),
+		}
+		return genService{name: name, layer: layer, compute: serviceTime(rng, class)}
+	}
+	services := make([]genService, 0, p.Services)
+	byLayer := make([][]genService, p.Depth)
+	services = append(services, addSvc("gateway", Web, 0))
+	byLayer[0] = append(byLayer[0], services[0])
+	for i := 1; i < p.Services; i++ {
+		layer := i
+		if i >= p.Depth {
+			layer = 1 + rng.Intn(p.Depth-1)
+		}
+		class := ServiceClass(drawIndex(rng, p.ClassMix[:]))
+		s := addSvc(fmt.Sprintf("svc-%04d", i), class, layer)
+		services = append(services, s)
+		byLayer[layer] = append(byLayer[layer], s)
+	}
+	// deeper[L] lists every service strictly below layer L — the candidate
+	// pool for a vertex at layer L drawing children.
+	deeper := make([][]genService, p.Depth)
+	for l := p.Depth - 2; l >= 0; l-- {
+		deeper[l] = append(append([]genService{}, byLayer[l+1]...), deeper[l+1]...)
+	}
+
+	// Endpoint workflow trees. Each endpoint gets a vertex budget so huge
+	// fanout×depth combinations can't explode the tree; the coverage pass
+	// below guarantees reachability regardless of where the budget cuts.
+	budget0 := 2 * p.Services / p.Endpoints
+	if budget0 < 16 {
+		budget0 = 16
+	}
+	// vertices[L] records every call vertex created at layer L, the
+	// attachment points for the coverage pass.
+	vertices := make([][]*Call, p.Depth)
+	var build func(s genService, budget *int) *Call
+	build = func(s genService, budget *int) *Call {
+		c := &Call{Service: s.name, Compute: s.compute}
+		vertices[s.layer] = append(vertices[s.layer], c)
+		pool := deeper[s.layer]
+		if len(pool) == 0 {
+			return c
+		}
+		fan := 1 + rng.Intn(p.MaxFanout)
+		for i := 0; i < fan && *budget > 0; i++ {
+			pick := pool[rng.Intn(len(pool))]
+			*budget--
+			mode := Mode(drawIndex(rng, p.ModeMix[:]))
+			c.Children = append(c.Children, Child{Mode: mode, Call: build(pick, budget)})
+		}
+		return c
+	}
+	gateway := services[0]
+	for e := 0; e < p.Endpoints; e++ {
+		budget := budget0
+		root := build(gateway, &budget)
+		weight := 0.5 + 1.5*rng.Float64()
+		spec.Endpoints = append(spec.Endpoints, Endpoint{
+			Name:   fmt.Sprintf("ep-%02d", e),
+			Weight: weight,
+			Root:   root,
+		})
+	}
+
+	// Coverage pass: attach every service the endpoint trees missed under
+	// an existing shallower vertex (one always exists: the gateway roots
+	// every tree). Attachments are leaf calls recorded as future attachment
+	// points themselves, so late unreached services can chain under earlier
+	// ones. This may push a vertex past MaxFanout — the knob bounds the
+	// random draw, not the repair.
+	reached := map[string]bool{}
+	for _, ep := range spec.Endpoints {
+		Walk(ep.Root, func(c *Call) { reached[c.Service] = true })
+	}
+	for _, s := range services {
+		if reached[s.name] {
+			continue
+		}
+		// Draw over the shallower layers' vertices as if concatenated, then
+		// index into the owning layer: concatenating them per unreached
+		// service is quadratic at 10,000 services.
+		total := 0
+		for l := 0; l < s.layer; l++ {
+			total += len(vertices[l])
+		}
+		k := rng.Intn(total)
+		l := 0
+		for k >= len(vertices[l]) {
+			k -= len(vertices[l])
+			l++
+		}
+		parent := vertices[l][k]
+		mode := Mode(drawIndex(rng, p.ModeMix[:]))
+		leaf := &Call{Service: s.name, Compute: s.compute}
+		vertices[s.layer] = append(vertices[s.layer], leaf)
+		parent.Children = append(parent.Children, Child{Mode: mode, Call: leaf})
+		reached[s.name] = true
+	}
+
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("topology: generated spec failed validation: %w", err)
+	}
+	return spec, nil
 }

@@ -232,7 +232,8 @@ func (s *Spec) Validate() error {
 	if len(s.Endpoints) == 0 {
 		return fmt.Errorf("topology %s: no endpoints", s.Name)
 	}
-	for _, name := range s.serviceNames() {
+	names := s.serviceNames()
+	for _, name := range names {
 		svc := s.Services[name]
 		if svc == nil {
 			return fmt.Errorf("topology %s: service %s is nil", s.Name, name)
@@ -251,7 +252,12 @@ func (s *Spec) Validate() error {
 			}
 		}
 	}
-	reached := map[string]bool{}
+	// One DFS state map serves every endpoint: a call another endpoint's
+	// DFS finished checking is as checked as one of this endpoint's, and a
+	// call still on the stack is only ever on this endpoint's. Every service
+	// needs a call, so a valid spec has at least as many calls as services.
+	state := make(map[*Call]int, len(s.Services))
+	reached := make(map[string]bool, len(s.Services))
 	epNames := map[string]bool{}
 	for _, ep := range s.Endpoints {
 		if epNames[ep.Name] {
@@ -264,11 +270,11 @@ func (s *Spec) Validate() error {
 		if ep.Root == nil {
 			return fmt.Errorf("topology %s: endpoint %s has no workflow", s.Name, ep.Name)
 		}
-		if err := s.checkCall(ep.Root, map[*Call]int{}, reached, ep.Name); err != nil {
+		if err := s.checkCall(ep.Root, state, reached, ep.Name); err != nil {
 			return err
 		}
 	}
-	for _, name := range s.serviceNames() {
+	for _, name := range names {
 		if !reached[name] {
 			return fmt.Errorf("topology %s: service %s unreachable from endpoints", s.Name, name)
 		}

@@ -105,17 +105,6 @@ func (t *Trace) check() {
 	}
 }
 
-// Root decodes the trace and returns its root span (RootIndex), or a zero
-// Span if there is none. A reader that decodes the trace anyway finds the
-// root in its own spans instead.
-func (t *Trace) Root() Span {
-	spans := t.AppendSpans(nil)
-	if i := RootIndex(spans); i >= 0 {
-		return spans[i]
-	}
-	return Span{}
-}
-
 // RootIndex returns the position in spans of a trace's root span, or -1 if
 // there is none. A retried endpoint root leaves one Parent == 0 span per
 // attempt that reached a container — the shed ones, then the served one;
