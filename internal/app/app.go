@@ -353,7 +353,7 @@ func (a *App) submit(i int, onDone func(Result)) {
 	ctx := a.takeReq()
 	ctx.app, ctx.ep, ctx.start, ctx.onDone = a, int32(i), a.eng.Now(), onDone
 	if a.Coord != nil {
-		ctx.trace = a.Coord.StartTrace(a.Spec.Endpoints[i].Name, a.roots[i].size)
+		ctx.trace = a.Coord.StartTrace(a.Spec.Endpoints[i].Name)
 		ctx.id = ctx.trace.ID
 	} else {
 		a.nextTrace++

@@ -310,7 +310,7 @@ func TestEmitQueuedBound(t *testing.T) {
 	_, a, _ := harness(t, fanSpec(topology.Seq), 1)
 	n := a.resolve(a.Spec.Endpoints[0].Root, nil, 0)
 	f := &frame{
-		ctx:    &reqCtx{app: a, trace: a.Coord.StartTrace("get", 1)},
+		ctx:    &reqCtx{app: a, trace: a.Coord.StartTrace("get")},
 		node:   n,
 		target: n.rs.Containers()[0],
 	}
@@ -319,7 +319,7 @@ func TestEmitQueuedBound(t *testing.T) {
 	if got := f.ctx.trace.AppendSpans(nil)[0].Queued; got != math.MaxUint32 {
 		t.Fatalf("Queued = %d, want %d", got, uint32(math.MaxUint32))
 	}
-	f.ctx.trace = a.Coord.StartTrace("get", 1) // the over-bound emit needs a live trace
+	f.ctx.trace = a.Coord.StartTrace("get") // the over-bound emit needs a live trace
 	defer func() {
 		if r := recover(); r != "app: queueing delay exceeds Span.Queued (2^32-1 µs)" {
 			t.Fatalf("emit of a queueing delay past 2^32-1 µs: recovered %v, want the Queued guard's panic", r)
@@ -334,7 +334,7 @@ func TestEmitDurBound(t *testing.T) {
 	eng, a, _ := harness(t, fanSpec(topology.Seq), 1)
 	n := a.resolve(a.Spec.Endpoints[0].Root, nil, 0)
 	f := &frame{
-		ctx:      &reqCtx{app: a, trace: a.Coord.StartTrace("get", 1)},
+		ctx:      &reqCtx{app: a, trace: a.Coord.StartTrace("get")},
 		node:     n,
 		target:   n.rs.Containers()[0],
 		dispatch: 1,
@@ -345,7 +345,7 @@ func TestEmitDurBound(t *testing.T) {
 	if s := f.ctx.trace.AppendSpans(nil)[0]; s.Dur != math.MaxUint32 || s.End() != eng.Now() {
 		t.Fatalf("Dur = %d, End = %v; want %d, %v", s.Dur, s.End(), uint32(math.MaxUint32), eng.Now())
 	}
-	f.ctx.trace = a.Coord.StartTrace("get", 1) // the over-bound emit needs a live trace
+	f.ctx.trace = a.Coord.StartTrace("get") // the over-bound emit needs a live trace
 	defer func() {
 		if r := recover(); r != "app: span duration exceeds Span.Dur (2^32-1 µs)" {
 			t.Fatalf("emit of a span longer than 2^32-1 µs: recovered %v, want the Dur guard's panic", r)

@@ -54,7 +54,7 @@ type Benchmark struct {
 	// MaxAllocs is the entry's allocs/op ceiling — the committed
 	// perf-regression budget TestAllocBudgets enforces. The steady-state
 	// entries are budgeted at (near) zero; the four that allocate by design
-	// sit 1% above their best recorded run (59 / 781 / 4,576 / 47,166),
+	// sit 1% above their best recorded run (59 / 781 / 2,834 / 27,421),
 	// rounded up, which absorbs first-iteration growth amortised over a short
 	// run. cluster-cold-submit's 2,011 is exact: 1,000 × (queue, in-flight
 	// record) plus the eleven times the cluster freelist grows to hold 1,000.
@@ -82,8 +82,8 @@ func Benchmarks() []Benchmark {
 		{"detect-tick", "one violated tick's localization: fold 1 s of fresh traces, evict what left the window, rescore", DetectTick, 0},
 		{"rollout-round-overlap", "one double-buffered rollout campaign: 2 actors + streaming learner", RolloutRoundOverlap, 789},
 		{"policy-sync", "one warm rollout round boundary: copy the learner's Table 4 actor into two replicas", PolicySync, 0},
-		{"topology-generate", "procedural generation + validation of a 1,000-service spec", TopologyGenerate, 4622},
-		{"topology-generate-10k", "procedural generation + validation of a 10,000-service spec (the sharded sweep's top cell)", TopologyGenerate10k, 47638},
+		{"topology-generate", "procedural generation + validation of a 1,000-service spec", TopologyGenerate, 2863},
+		{"topology-generate-10k", "procedural generation + validation of a 10,000-service spec (the sharded sweep's top cell)", TopologyGenerate10k, 27696},
 		{"workload-arrivals", "thinned arrival sampling: 10ms of a 2,600 rps spiked-diurnal bound", WorkloadArrivals, 0},
 		{"shard-step", "one lookahead window of an 8-shard ring at steady state (mail routing + window barrier)", ShardStep, 0},
 		{"scenario-step", "one armed fault-scenario tick: recompute and apply every active site's pressure", ScenarioStep, 0},
@@ -814,7 +814,7 @@ func TraceSeal(b *testing.B) {
 	c := trace.NewCoordinator(sim.NewEngine(Seed), &sink, nil)
 	var x trace.ChildIndex
 	op := func() {
-		t := c.StartTrace("request", len(spans))
+		t := c.StartTrace("request")
 		for _, s := range spans {
 			c.Emit(t, s)
 		}

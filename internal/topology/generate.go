@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 
 	"firm/internal/sim"
 )
@@ -127,6 +129,22 @@ func drawIndex(rng *rand.Rand, mix []float64) int {
 	return len(mix) - 1 // float residue
 }
 
+// appendName writes generated service i's name, fmt's "svc-%04d" (four
+// digits at least), to b and returns it: a substring of b's string, which
+// stays valid as b grows, so a spec's names share one allocation instead of
+// costing one or two each.
+func appendName(b *strings.Builder, i int) string {
+	from := b.Len()
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(i), 10)
+	b.WriteString("svc-")
+	for range 4 - len(digits) {
+		b.WriteByte('0')
+	}
+	b.Write(digits)
+	return b.String()[from:]
+}
+
 // serviceTime draws a per-service base compute time from the class's range
 // (matched to the hand-built benchmarks' per-call times).
 func serviceTime(rng *rand.Rand, class ServiceClass) sim.Time {
@@ -193,13 +211,15 @@ func Generate(p Params, seed int64) (*Spec, error) {
 	// l+1 starts in byLayer.
 	first := make([]int, p.Depth+1)
 	first[1] = 1
+	var names strings.Builder
+	names.Grow(p.Services * len("svc-0000"))
 	for i := 1; i < p.Services; i++ {
 		layer := i
 		if i >= p.Depth {
 			layer = 1 + rng.Intn(p.Depth-1)
 		}
 		class := ServiceClass(drawIndex(rng, p.ClassMix[:]))
-		addSvc(i, fmt.Sprintf("svc-%04d", i), class, layer)
+		addSvc(i, appendName(&names, i), class, layer)
 		first[layer+1]++
 	}
 	// byLayer holds every service index ordered by layer, creation order

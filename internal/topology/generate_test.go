@@ -260,6 +260,22 @@ func validMix(mix []float64) bool {
 	return sum > 0 && !math.IsInf(sum, 0)
 }
 
+// TestServiceNames: the generated names are fmt's "svc-%04d", with five
+// digits and more from 10,000 up, and each stays intact as the builder they
+// are cut from grows.
+func TestServiceNames(t *testing.T) {
+	var b strings.Builder
+	names := make([]string, 100_001)
+	for i := 1; i < len(names); i++ {
+		names[i] = appendName(&b, i)
+	}
+	for i := 1; i < len(names); i++ {
+		if want := fmt.Sprintf("svc-%04d", i); names[i] != want {
+			t.Fatalf("names[%d] = %q, want %q", i, names[i], want)
+		}
+	}
+}
+
 // FuzzGenerate draws bounded Params (at most 300 services and 64
 // endpoints, negatives included), arbitrary mixes and seed. Generate must
 // fail exactly when the params are invalid; otherwise the spec validates,

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"math/bits"
 
 	"firm/internal/sim"
@@ -13,10 +14,19 @@ import (
 //
 // The paper measures <0.2% throughput and <0.11% latency overhead for
 // tracing; in the simulation tracing is free, so no overhead is modelled.
-// What it costs the simulator is kept to one pass: Emit encodes each span
-// straight into its trace's packed stream (pack.go), in a buffer the
-// coordinator lends from free lists by size class, and a warm request
+// What it costs the simulator is kept to one pass and to the bytes a trace
+// needs: Emit encodes each span straight into its pending trace's packed
+// stream (pack.go), in a scratch buffer the coordinator lends from free
+// lists by size class, and Finish copies the stream into an arena of
+// fixed-size chunks, packed back to back, and takes the scratch back. A
+// retained trace then holds exactly its stream's bytes, and a warm request
 // allocates nothing.
+//
+// A chunk is reused only once every trace copied into it has come back
+// (Recycler), so how fast chunks recycle follows the order the sink gives
+// traces back: a sink that hands back its oldest released trace first frees
+// the oldest chunks first, while one that hands back its newest first
+// leaves old traces unclaimed, each pinning a chunk that is otherwise empty.
 type Coordinator struct {
 	eng      *sim.Engine
 	sink     Sink
@@ -25,23 +35,40 @@ type Coordinator struct {
 	pending  int
 	nextID   TraceID
 	nextSpan SpanID
-	// bufs holds the packed buffers no trace owns, for StartTrace and Emit
-	// to lend again: bufs[k] those of capacity in [2^k, 2^(k+1)).
+	// bufs holds the scratch buffers no trace owns, for Emit to lend again:
+	// bufs[k] those of capacity in [2^k, 2^(k+1)).
 	bufs [][][]byte
 	// lasts holds the spans pending traces encode against (Trace.last),
 	// free to lend again: at most as many as were ever pending at once.
 	lasts []*Span
+	// arena holds every chunk Finish has copied streams into; Trace.chunk
+	// and cur name one by index + 1. cur is the chunk being filled, and
+	// spare holds the chunks every trace has come back from.
+	arena []chunk
+	cur   uint16
+	spare []uint16
 
 	// Collected counts finished traces; SpansSeen counts raw spans.
 	Collected uint64
 	SpansSeen uint64
 }
 
-// bytesPerSpan is the packed size StartTrace budgets per expected span
-// when it picks a trace's buffer. A sweep measured benchmark alloc_mb
-// (mesh-1k / firm-loop, seed 42) at 6.59 / 6.75 MB for 8 B, 6.57 / 6.66
-// for 10 B, 6.55 / 7.07 for 12 B and 7.40 / 7.07 for 16 B.
-const bytesPerSpan = 10
+// chunk is one of the arena's fixed-size byte chunks.
+type chunk struct {
+	buf  []byte // the streams copied into it, back to back
+	live int    // the traces in buf that have not come back
+}
+
+// Arena sizing: chunkBytes per chunk, scratchBytes for a pending trace's
+// first scratch buffer, and copyLimit the longest stream Finish copies into
+// the arena; a longer one keeps its scratch buffer, so no chunk ends more
+// than an eighth empty. At most 65,535 chunks (4 GiB of streams) are
+// retained at once.
+const (
+	chunkBytes   = 64 << 10
+	scratchBytes = 128
+	copyLimit    = chunkBytes / 8
+)
 
 // NewCoordinator creates a coordinator forwarding completed traces to sink.
 // names — the testbed's cluster — is stamped on every trace.
@@ -52,20 +79,21 @@ func NewCoordinator(eng *sim.Engine, sink Sink, names Names) *Coordinator {
 
 // Reset returns the coordinator to what NewCoordinator built: trace and span
 // IDs start again at 1, and no trace is pending or counted. Traces still
-// pending are abandoned; the free buffers and spans it holds are kept.
+// pending are abandoned; the free buffers, spans and arena chunks it holds
+// are kept, and so are the arena shares of finished traces its sink has not
+// given back yet.
 func (c *Coordinator) Reset() {
-	*c = Coordinator{eng: c.eng, sink: c.sink, recycle: c.recycle, names: c.names, bufs: c.bufs, lasts: c.lasts}
+	*c = Coordinator{eng: c.eng, sink: c.sink, recycle: c.recycle, names: c.names,
+		bufs: c.bufs, lasts: c.lasts, arena: c.arena, cur: c.cur, spare: c.spare}
 }
 
 // StartTrace starts the trace of a new user request of the given type; the
 // caller holds it until Finish and emits the request's spans into it. The
 // trace is one the sink released (Recycler) when the sink has one, a new
-// one otherwise; the released trace's buffer goes back to the free lists.
-// spanHint is the number of spans the request is expected to emit (its
-// endpoint's call-tree size): the trace's buffer holds that many at
-// bytesPerSpan each, and one more span, before Emit has to move it to a
-// larger one. A request that retries may exceed it.
-func (c *Coordinator) StartTrace(reqType string, spanHint int) *Trace {
+// one otherwise; the released trace's stream goes back to the arena, or its
+// own buffer to the free lists. The new trace has no buffer until its first
+// Emit.
+func (c *Coordinator) StartTrace(reqType string) *Trace {
 	c.nextID++
 	c.pending++
 	var t *Trace
@@ -74,11 +102,30 @@ func (c *Coordinator) StartTrace(reqType string, spanHint int) *Trace {
 	}
 	if t == nil {
 		t = new(Trace)
+	} else {
+		c.release(t)
 	}
-	c.putBuf(t.packed)
-	*t = Trace{ID: c.nextID, Type: reqType, Names: c.names, Start: c.eng.Now(),
-		packed: c.buf(spanHint*bytesPerSpan + maxSpanBytes), last: c.lastSpan()}
+	*t = Trace{ID: c.nextID, Type: reqType, Names: c.names, Start: c.eng.Now(), last: c.lastSpan()}
 	return t
+}
+
+// release takes back what a trace the sink gave back holds: its share of an
+// arena chunk, which is free to fill again from the start once no trace in
+// it is left, or else its own buffer.
+func (c *Coordinator) release(t *Trace) {
+	if t.chunk == 0 {
+		c.putBuf(t.packed)
+		return
+	}
+	ch := &c.arena[t.chunk-1]
+	if ch.live--; ch.live > 0 {
+		return
+	}
+	if t.chunk == c.cur {
+		ch.buf = ch.buf[:0]
+	} else {
+		c.spare = append(c.spare, t.chunk)
+	}
 }
 
 // NewSpanID allocates a process-wide unique span id. It panics once the
@@ -107,10 +154,10 @@ func (c *Coordinator) Emit(t *Trace, s Span) {
 	*t.last = s
 }
 
-// grow moves t's stream to a buffer of at least twice its capacity, from
-// the free lists, and gives the old buffer back.
+// grow moves t's stream to a scratch buffer of twice its capacity, or the
+// first scratch size, from the free lists, and gives the old buffer back.
 func (c *Coordinator) grow(t *Trace) {
-	b := append(c.buf(max(2*cap(t.packed), len(t.packed)+maxSpanBytes)), t.packed...)
+	b := append(c.buf(max(2*cap(t.packed), scratchBytes)), t.packed...)
 	c.putBuf(t.packed)
 	t.packed = b
 }
@@ -158,19 +205,53 @@ func (c *Coordinator) lastSpan() *Span {
 
 // Finish seals the trace: the request completed (or was dropped) and every
 // agent has reported. Its spans are already packed; Finish stamps its end,
-// takes back the span it encoded against, and pushes the assembled
-// execution history graph to the sink; the trace stops counting as pending.
-// Each trace is finished once.
+// takes back the span it encoded against, copies a stream of up to
+// copyLimit bytes into the arena and takes its scratch buffer back, and
+// pushes the assembled execution history graph to the sink; the trace
+// stops counting as pending. Each trace is finished once.
 func (c *Coordinator) Finish(t *Trace, dropped bool) {
 	c.pending--
 	t.End = c.eng.Now()
 	t.Dropped = dropped
 	c.lasts = append(c.lasts, t.last)
 	t.last = nil
+	if n := len(t.packed); n > 0 && n <= copyLimit {
+		t.chunk = c.chunkFor(n)
+		ch := &c.arena[t.chunk-1]
+		off := len(ch.buf)
+		ch.buf = append(ch.buf, t.packed...)
+		c.putBuf(t.packed)
+		t.packed = ch.buf[off:len(ch.buf):len(ch.buf)]
+		ch.live++
+	}
 	c.Collected++
 	if c.sink != nil {
 		c.sink.Consume(t)
 	}
+}
+
+// chunkFor returns the arena chunk with room for n more bytes: the current
+// one, else a spare one, else a new one. A current chunk without room still
+// holds traces (release empties one that holds none), and is spare once the
+// last of them comes back.
+func (c *Coordinator) chunkFor(n int) uint16 {
+	if c.cur != 0 {
+		if ch := &c.arena[c.cur-1]; cap(ch.buf)-len(ch.buf) >= n {
+			return c.cur
+		}
+	}
+	if k := len(c.spare); k > 0 {
+		c.cur = c.spare[k-1]
+		c.spare = c.spare[:k-1]
+		c.arena[c.cur-1].buf = c.arena[c.cur-1].buf[:0]
+		return c.cur
+	}
+	if len(c.arena) == math.MaxUint16 {
+		panic("trace: arena chunks exhausted (4 GiB of retained streams)")
+	}
+	c.arena = append(c.arena, chunk{buf: make([]byte, 0, chunkBytes)})
+	c.cur = uint16(len(c.arena))
+	return c.cur
 }
 
 // PendingCount reports how many traces are still being assembled.

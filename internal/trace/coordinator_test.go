@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -26,10 +27,10 @@ func (s *stack) Reclaim() *Trace {
 	return t
 }
 
-// emitAll runs one request through c: a trace started with the span hint,
-// spans emitted in order, finished.
-func emitAll(c *Coordinator, hint int, spans []Span) *Trace {
-	t := c.StartTrace("x", hint)
+// emitAll runs one request through c: a trace started, spans emitted in
+// order, finished.
+func emitAll(c *Coordinator, spans []Span) *Trace {
+	t := c.StartTrace("x")
 	for _, s := range spans {
 		c.Emit(t, s)
 	}
@@ -59,79 +60,113 @@ func randomSpans(rng *rand.Rand, n int) []Span {
 	return spans
 }
 
-// TestCoordinatorBufferClasses pins the free-list policy: StartTrace lends
-// the smallest power of two that holds spanHint × bytesPerSpan plus one
-// span; a released trace's buffer goes on the list of its size class when
-// its trace is reclaimed; Emit moves an outgrown stream to a buffer twice
-// the size and lists the old one; and a lookup takes its own class, else
-// the class above.
+// TestCoordinatorBufferClasses pins the scratch policy: a started trace
+// holds no buffer; its first Emit lends a 128-byte one; Emit moves an
+// outgrown stream to a buffer twice the size and lists the old one; Finish
+// copies the stream into the arena and lists the scratch at once, so
+// reclaiming the trace lists nothing; a lookup takes its own class, else
+// the class above; and a stream past the copy limit keeps its scratch
+// buffer, which goes on the free lists when its trace is reclaimed.
 func TestCoordinatorBufferClasses(t *testing.T) {
 	var free stack
 	c := NewCoordinator(sim.NewEngine(1), &free, testNames)
-	if a := c.StartTrace("x", 0); cap(a.packed) != 128 || len(a.packed) != 0 {
-		t.Fatalf("hint 0: len %d cap %d, want an empty 128-byte buffer", len(a.packed), cap(a.packed))
+	rng := rand.New(rand.NewSource(1))
+	g := c.StartTrace("x")
+	if g.packed != nil {
+		t.Fatalf("a started trace holds a %d-byte buffer, want none", cap(g.packed))
 	}
-	if b := c.StartTrace("x", 10); cap(b.packed) != 256 {
-		t.Fatalf("hint 10: cap %d, want 256 (170 bytes needed)", cap(b.packed))
+	c.Emit(g, Span{ID: 1})
+	small := g.packed
+	if cap(small) != scratchBytes {
+		t.Fatalf("first Emit lent %d bytes, want %d", cap(small), scratchBytes)
 	}
 	// Spans are emitted until the stream outgrows its 128 bytes and moves.
-	g := c.StartTrace("x", 0)
-	small := g.packed
-	var spans []Span
-	for _, s := range randomSpans(rand.New(rand.NewSource(1)), 100) {
+	spans := []Span{{ID: 1}}
+	for _, s := range randomSpans(rng, 100) {
 		if cap(g.packed) != cap(small) {
 			break
 		}
 		c.Emit(g, s)
 		spans = append(spans, s)
 	}
-	c.Finish(g, false)
-	if cap(g.packed) != 256 || len(c.bufs) <= 7 || len(c.bufs[7]) != 1 || !overlaps(c.bufs[7][0], small) {
-		t.Fatalf("after growth: cap %d, free lists %v; want a 256-byte stream and the 128-byte buffer listed", cap(g.packed), c.bufs)
+	scratch := g.packed
+	if cap(scratch) != 2*scratchBytes || len(c.bufs) <= 7 || len(c.bufs[7]) != 1 || !overlaps(c.bufs[7][0], small) {
+		t.Fatalf("after growth: cap %d, free lists %v; want a 256-byte stream and the 128-byte buffer listed", cap(scratch), c.bufs)
 	}
+	c.Finish(g, false)
 	var want Trace
 	want.Seal(spans)
-	if !bytes.Equal(g.packed, want.packed) {
-		t.Fatal("the moved stream differs from Seal's")
+	if !bytes.Equal(g.packed, want.packed) || cap(g.packed) != len(g.packed) || g.chunk == 0 || g.chunk != c.cur || !overlaps(g.packed, c.arena[g.chunk-1].buf) {
+		t.Fatalf("finished stream: %d bytes, cap %d, in chunk %d of %d; want Seal's %d bytes, copied exactly into the current chunk",
+			len(g.packed), cap(g.packed), g.chunk, len(c.arena), len(want.packed))
 	}
-	// Reclaiming g lists its buffer; hint 0 then takes the 128-byte one back,
-	// and, with class 7 empty, a second hint-0 trace takes g's from above.
-	grown := g.packed
+	if len(c.bufs) <= 8 || len(c.bufs[8]) != 1 || !overlaps(c.bufs[8][0], scratch) {
+		t.Fatalf("after Finish: free lists %v; want the 256-byte scratch listed", c.bufs)
+	}
+	// Reclaiming g lists nothing: its stream is in the arena. The next
+	// trace's first Emit takes the 128-byte buffer back, and, with class 7
+	// empty, a second pending trace's takes the 256-byte scratch from above.
 	free = append(free, g)
-	if h := c.StartTrace("x", 0); h != g || !overlaps(h.packed, small) {
-		t.Fatalf("reclaimed trace: %v, cap %d; want g in the 128-byte buffer", h == g, cap(h.packed))
+	h := c.StartTrace("x")
+	if h != g || len(c.bufs[7]) != 1 || len(c.bufs[8]) != 1 {
+		t.Fatalf("reclaimed trace: %v, free lists %v; want g, and nothing listed", h == g, c.bufs)
 	}
-	if k := c.StartTrace("x", 0); !overlaps(k.packed, grown) {
-		t.Fatalf("with class 7 empty, hint 0 got cap %d, not g's old %d-byte buffer", cap(k.packed), cap(grown))
+	c.Emit(h, Span{ID: 1})
+	k := c.StartTrace("x")
+	c.Emit(k, Span{ID: 1})
+	if !overlaps(h.packed, small) || !overlaps(k.packed, scratch) {
+		t.Fatalf("first Emits got caps %d and %d, not the listed 128- and 256-byte buffers", cap(h.packed), cap(k.packed))
+	}
+	// A stream past the copy limit keeps its scratch buffer.
+	for len(k.packed) <= copyLimit {
+		c.Emit(k, randomSpans(rng, 1)[0])
+	}
+	big := k.packed
+	c.Finish(k, false)
+	if k.chunk != 0 || !overlaps(k.packed, big) || cap(big) <= copyLimit {
+		t.Fatalf("a %d-byte stream went into arena chunk %d", len(big), k.chunk)
+	}
+	free = append(free, k)
+	c.StartTrace("x")
+	if class := c.bufs[bits.Len(uint(cap(big)))-1]; len(class) == 0 || !overlaps(class[len(class)-1], big) {
+		t.Fatalf("reclaiming the long trace did not list its %d-byte buffer", cap(big))
 	}
 }
 
 // TestEmitMatchesSeal: random span sequences emitted through a coordinator,
-// into recycled traces whose storage has a random capacity (none, and one
-// byte short of a size class among them), pack the bytes Seal packs and
-// decode back bit for bit. Throughout, no buffer on the coordinator's free
-// lists is one a trace still holds — a finished trace, or a released one
-// not yet reclaimed.
+// into recycled traces — new ones whose storage has a random capacity
+// (none, and one byte short of a size class among them), or ones it
+// finished before, given back in random order — pack the bytes Seal packs
+// and decode back bit for bit.
+// Throughout, no buffer on the coordinator's free lists, and no spare arena
+// chunk, is one a trace still holds — a finished trace, or a released one
+// not yet reclaimed — and every held trace still decodes to its spans.
 func TestEmitMatchesSeal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var free stack
 	c := NewCoordinator(sim.NewEngine(1), &free, testNames)
 	var held []*Trace
+	emitted := map[*Trace][]Span{}
 	for range 400 {
-		r := &Trace{}
-		switch rng.Intn(4) {
-		case 0: // no storage
-		case 1:
-			k := 6 + rng.Intn(9)
-			r.packed = make([]byte, rng.Intn(64), 1<<k-1)
-		case 2:
-			r.packed = make([]byte, 0, 1<<(6+rng.Intn(9)))
-		default:
-			r.packed = make([]byte, rng.Intn(8), 8+rng.Intn(5000))
+		if len(free) > 8 || rng.Intn(2) == 0 {
+			// Reclaim a trace released earlier, in random order.
+			rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+		} else {
+			r := &Trace{}
+			switch rng.Intn(4) {
+			case 0: // no storage
+			case 1:
+				k := 6 + rng.Intn(9)
+				r.packed = make([]byte, rng.Intn(64), 1<<k-1)
+			case 2:
+				r.packed = make([]byte, 0, 1<<(6+rng.Intn(9)))
+			default:
+				r.packed = make([]byte, rng.Intn(8), 8+rng.Intn(5000))
+			}
+			free = append(free, r)
 		}
-		free = append(free, r)
 		spans := randomSpans(rng, rng.Intn(300))
-		got := emitAll(c, rng.Intn(len(spans)+2), spans)
+		got := emitAll(c, spans)
 		var want Trace
 		want.Seal(spans)
 		if !bytes.Equal(got.packed, want.packed) || got.Len() != len(spans) {
@@ -141,18 +176,26 @@ func TestEmitMatchesSeal(t *testing.T) {
 			t.Fatalf("emitted round trip:\nemitted %v\ndecoded %v", spans, dec)
 		}
 		held = append(held, got)
-		for len(held) > 0 && rng.Intn(3) == 0 {
+		emitted[got] = spans
+		for len(held) > 0 && (len(held) > 16 || rng.Intn(3) == 0) {
 			i := rng.Intn(len(held))
 			free = append(free, held[i])
 			held = slices.Delete(held, i, i+1)
 		}
-		for _, class := range c.bufs {
-			for _, b := range class {
-				for _, x := range slices.Concat(held, free) {
-					if overlaps(b, x.packed) {
-						t.Fatalf("a listed %d-byte buffer belongs to trace %d", cap(b), x.ID)
-					}
+		listed := slices.Concat(c.bufs...)
+		for _, k := range c.spare {
+			listed = append(listed, c.arena[k-1].buf)
+		}
+		for _, b := range listed {
+			for _, x := range slices.Concat(held, free) {
+				if overlaps(b, x.packed) {
+					t.Fatalf("a listed %d-byte buffer holds trace %d's stream", cap(b), x.ID)
 				}
+			}
+		}
+		for _, x := range held {
+			if !slices.Equal(x.AppendSpans(nil), emitted[x]) {
+				t.Fatalf("held trace %d no longer decodes to its %d spans", x.ID, len(emitted[x]))
 			}
 		}
 	}

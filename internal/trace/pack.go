@@ -10,8 +10,12 @@ import (
 // A trace keeps its spans as one byte stream instead of 32 fixed bytes
 // each: a trace is read at most a few times after it is sealed, and the
 // trace store retains every trace of its look-back window. The Coordinator
-// encodes each span into the stream as it is emitted (Emit), in a buffer
-// from its size-classed free lists; Finish only stamps the trace.
+// encodes each span into the stream as it is emitted (Emit), in a scratch
+// buffer from its size-classed free lists that doubles as the stream grows;
+// Finish copies the stream into the coordinator's arena, back to back with
+// the streams finished before it, and takes the scratch back. A retained
+// trace thus holds its stream's bytes and no slack, where a power-of-two
+// buffer is up to half empty.
 //
 // The stream is the spans in emission order, seven unsigned varints
 // (encoding/binary's format) per span. Each value is the zigzag-coded

@@ -53,9 +53,10 @@ func bytesToSpans(b []byte) []Span {
 
 // FuzzSpanPack: any span sequence survives Seal → AppendSpans bit for bit,
 // in order; emitting it through a coordinator, into a recycled trace whose
-// storage the sequence also picks, packs the very bytes Seal packs; and a
-// trace resealed with other spans, into its reused storage, decodes to
-// those.
+// storage the sequence also picks, and finishing it — into the arena, when
+// the stream is within the copy limit — leaves the very bytes Seal packs;
+// and a trace resealed with other spans, into its reused storage, decodes
+// to those.
 func FuzzSpanPack(f *testing.F) {
 	const max32 = math.MaxUint32
 	f.Add([]byte{}) // the empty trace
@@ -90,17 +91,19 @@ func FuzzSpanPack(f *testing.F) {
 		if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], spans) {
 			t.Fatalf("round trip:\nsealed  %v\ndecoded %v", spans, got[1:])
 		}
-		// The leftover bytes pick the recycled storage and the span hint.
-		var hint int
+		// The leftover bytes pick the recycled storage.
 		recycled := &Trace{}
 		if tail := data[len(spans)*spanRecord:]; len(tail) > 0 {
-			hint = int(tail[0]) % (len(spans) + 2)
 			recycled.packed = make([]byte, 0, int(tail[0])<<(len(tail)%8))
 		}
-		emitted := emitAll(NewCoordinator(sim.NewEngine(1), &stack{recycled}, testNames), hint, spans)
+		c := NewCoordinator(sim.NewEngine(1), &stack{recycled}, testNames)
+		emitted := emitAll(c, spans)
 		if emitted != recycled || !bytes.Equal(emitted.packed, tr.packed) || emitted.Len() != len(spans) {
 			t.Fatalf("emitted %d spans into %d bytes, sealed %d into %d: streams differ",
 				emitted.Len(), len(emitted.packed), tr.Len(), len(tr.packed))
+		}
+		if n := len(emitted.packed); n > 0 && n <= copyLimit && (emitted.chunk != 1 || !overlaps(emitted.packed, c.arena[0].buf)) {
+			t.Fatalf("a %d-byte stream was not finished into the arena", n)
 		}
 		// Reseal with the spans reversed, into the storage just used.
 		slices.Reverse(spans)

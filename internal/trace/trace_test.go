@@ -198,11 +198,15 @@ func TestSelfDuration(t *testing.T) {
 	}
 }
 
+// TestCoordinator: a trace runs from StartTrace through Emit to Finish and
+// the sink. After Finish its stream sits in the current arena chunk, sized
+// exactly, and the span it encoded against is back on the free list; the
+// next trace borrows that span, zeroed.
 func TestCoordinator(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var got *Trace
 	c := NewCoordinator(eng, SinkFunc(func(tr *Trace) { got = tr }), testNames)
-	tr := c.StartTrace("compose", 0)
+	tr := c.StartTrace("compose")
 	if c.PendingCount() != 1 || tr.Names == nil {
 		t.Fatal("pending")
 	}
@@ -224,12 +228,17 @@ func TestCoordinator(t *testing.T) {
 	if c.PendingCount() != 0 || c.Collected != 1 || c.SpansSeen != 1 {
 		t.Fatal("counters")
 	}
-	// Finish took back the span the trace encoded against; the next trace
-	// borrows it, zeroed.
-	if tr.last != nil || len(c.lasts) != 1 {
-		t.Fatalf("after Finish: last %v, %d free spans", tr.last, len(c.lasts))
+	if tr.chunk != 1 || c.cur != 1 || len(c.arena) != 1 {
+		t.Fatalf("after Finish: trace in chunk %d, filling %d of %d; want the one chunk", tr.chunk, c.cur, len(c.arena))
 	}
-	next := c.StartTrace("compose", 0)
+	if ch := c.arena[0]; ch.live != 1 || len(ch.buf) != len(tr.packed) || cap(tr.packed) != len(tr.packed) || !overlaps(tr.packed, ch.buf) {
+		t.Fatalf("after Finish: %d live, %d of %d chunk bytes used; want the %d-byte stream alone in it",
+			ch.live, len(ch.buf), cap(ch.buf), len(tr.packed))
+	}
+	if tr.last != nil || len(c.lasts) != 1 || c.lasts[0] != last {
+		t.Fatalf("after Finish: last %v, %d free spans; want the trace's back", tr.last, len(c.lasts))
+	}
+	next := c.StartTrace("compose")
 	if len(c.lasts) != 0 || next.last != last || *next.last != (Span{}) {
 		t.Fatalf("StartTrace did not reuse the freed span: %d free, last %p (freed %p) = %+v",
 			len(c.lasts), next.last, last, *next.last)

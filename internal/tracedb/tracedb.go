@@ -78,8 +78,12 @@ type Store struct {
 	long    map[int]sim.Time   // the latencies entries mark longLat, by column index
 
 	// free holds evicted traces, released once every observer has seen the
-	// eviction, for the coordinator to reuse (Reclaim).
-	free []*trace.Trace
+	// eviction, for the coordinator to reuse (Reclaim) oldest first: the
+	// coordinator packs finished streams into shared arena chunks, and a
+	// chunk is reused only once every trace in it has come back, so
+	// reclaiming in eviction order frees the oldest chunks first instead of
+	// leaving old traces at the bottom of a stack, each pinning a chunk.
+	free ring.Ring[*trace.Trace]
 	// poison is set by tests only: evicted traces are then cleared
 	// (trace.Poison) and never reused, so a read after eviction panics.
 	poison bool
@@ -148,19 +152,19 @@ func (s *Store) release(t *trace.Trace) {
 	if s.poison {
 		t.Poison()
 	} else {
-		s.free = append(s.free, t)
+		*s.free.Push() = t
 	}
 }
 
-// Reclaim implements trace.Recycler: it returns an evicted trace, or nil.
+// Reclaim implements trace.Recycler: it returns the trace released longest
+// ago, or nil.
 func (s *Store) Reclaim() *trace.Trace {
-	n := len(s.free)
-	if n == 0 {
+	if s.free.Len() == 0 {
 		return nil
 	}
-	t := s.free[n-1]
-	s.free[n-1] = nil
-	s.free = s.free[:n-1]
+	slot := s.free.Pop()
+	t := *slot
+	*slot = nil
 	return t
 }
 

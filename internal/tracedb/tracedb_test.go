@@ -338,7 +338,8 @@ func (l *evictLog) TraceEvicted(t *trace.Trace) {
 
 // TestEvictedTracesAreReleased: an observer sees each eviction, oldest
 // first, before the TraceStored that displaced it; the evicted traces are
-// then Reclaim's to hand out, and in poison mode they are cleared instead,
+// then Reclaim's to hand out, oldest first — so the coordinator frees its
+// oldest arena chunks first — and in poison mode they are cleared instead,
 // so a read trips.
 func TestEvictedTracesAreReleased(t *testing.T) {
 	s := New(0, 2)
@@ -353,7 +354,7 @@ func TestEvictedTracesAreReleased(t *testing.T) {
 	if !slices.Equal(log.events, want) {
 		t.Fatalf("observer saw %v, want %v", log.events, want)
 	}
-	for _, w := range []*trace.Trace{in[2], in[1], in[0], nil} {
+	for _, w := range []*trace.Trace{in[0], in[1], in[2], nil} {
 		if got := s.Reclaim(); got != w {
 			t.Fatalf("Reclaim = %v, want %v", got, w)
 		}
@@ -468,18 +469,19 @@ func TestLongLatencies(t *testing.T) {
 }
 
 // TestCoordinatorReusesEvictedTraces: a coordinator whose sink is a store
-// starts each trace in one the store evicted — same header, and a packed
-// buffer from the coordinator's free lists — so a warm request's trace
-// allocates nothing, at 4 spans or 63: StartTrace, the emits, Finish, the
-// store's eviction and Reclaim.
+// starts each trace in one the store evicted — same header, a scratch
+// buffer from the coordinator's free lists and a share of an arena chunk it
+// reuses — so a warm request's trace allocates nothing, at 4 spans, 63, or
+// 2,000 (≈ 14 KB, a stream that keeps its own buffer): StartTrace, the
+// emits, Finish, the store's eviction and Reclaim.
 func TestCoordinatorReusesEvictedTraces(t *testing.T) {
-	for _, spans := range []int{4, 63} {
+	for _, spans := range []int{4, 63, 2000} {
 		eng := sim.NewEngine(1)
 		s := New(0, 2)
 		c := trace.NewCoordinator(eng, s, oneName{})
 		seen := map[*trace.Trace]bool{}
 		request := func() {
-			x := c.StartTrace("a", spans)
+			x := c.StartTrace("a")
 			seen[x] = true
 			for i := range spans {
 				c.Emit(x, trace.Span{ID: c.NewSpanID(), Start: eng.Now(), Dur: uint32(i + 1)})
@@ -504,37 +506,73 @@ func TestCoordinatorReusesEvictedTraces(t *testing.T) {
 	}
 }
 
-// TestRetainedStreamsIntact: requests that outgrow their span hint make
-// Emit move their streams and list the buffers they leave, and pooled,
-// reclaimed traces' buffers are listed too. Pooled and in poison mode —
-// where the only listed buffers are the ones Emit left — every trace the
-// store retains decodes to the spans emitted into it after every later
-// request: no buffer lent again is one a retained trace still holds.
+// TestRetainedStreamsIntact: traced requests, up to four pending at once,
+// emit into scratch buffers that Emit moves as they outgrow them, and
+// Finish copies their streams into the coordinator's arena chunks. The
+// traffic is steady, then fast enough that the store's time window keeps
+// ten times as many traces, then slow enough that it shrinks to its floor,
+// so the arena grows and then reuses its chunks mid-run; one request's
+// stream is too long to copy, and keeps its scratch buffer. Pooled and in
+// poison mode — where no trace comes back, so no chunk is reused — every
+// trace the store retains decodes to the spans emitted into it after every
+// request: no buffer or chunk lent again is one a retained trace still
+// holds.
 func TestRetainedStreamsIntact(t *testing.T) {
+	type request struct {
+		x     *trace.Trace
+		spans []trace.Span
+		left  int // spans still to emit
+	}
 	for _, poison := range []bool{false, true} {
 		eng := sim.NewEngine(1)
-		s := New(0, 8)
+		s := New(20*sim.Millisecond, 8)
 		s.poison = poison
 		c := trace.NewCoordinator(eng, s, oneName{})
 		rng := rand.New(rand.NewSource(3))
 		emitted := map[*trace.Trace][]trace.Span{}
-		for range 300 {
-			n := 1 + rng.Intn(200)
-			x := c.StartTrace("a", rng.Intn(n))
-			spans := make([]trace.Span, n)
-			for i := range spans {
-				spans[i] = trace.Span{ID: c.NewSpanID(), Instance: rng.Uint32(), Start: eng.Now(), Dur: rng.Uint32()}
-				c.Emit(x, spans[i])
-			}
-			eng.RunFor(sim.Millisecond)
-			c.Finish(x, false)
-			emitted[x] = spans
-			for _, r := range s.all() {
-				if got := r.AppendSpans(nil); !slices.Equal(got, emitted[r]) {
-					t.Fatalf("poison %v: retained trace %d decodes to %d spans, not the %d emitted into it",
-						poison, r.ID, len(got), len(emitted[r]))
+		var pending []*request
+		most, k := 0, 0
+		for _, gap := range []sim.Time{sim.Millisecond, 100 * sim.Microsecond, 4 * sim.Millisecond} {
+			for range 300 {
+				// A span's random Instance and Dur take ≈ 10 packed bytes, so
+				// the 1,000-span request's stream is past the copy limit.
+				n := 1 + rng.Intn(200)
+				if k++; k == 400 {
+					n = 1000
+				}
+				pending = append(pending, &request{x: c.StartTrace("a"), spans: make([]trace.Span, 0, n), left: n})
+				for len(pending) > 0 {
+					i := rng.Intn(len(pending))
+					r := pending[i]
+					for m := 1 + rng.Intn(r.left); m > 0; m-- {
+						sp := trace.Span{ID: c.NewSpanID(), Instance: rng.Uint32(), Start: eng.Now(), Dur: rng.Uint32()}
+						c.Emit(r.x, sp)
+						r.spans = append(r.spans, sp)
+						r.left--
+					}
+					if r.left > 0 {
+						if len(pending) < 4 {
+							break
+						}
+						continue
+					}
+					eng.RunFor(gap)
+					c.Finish(r.x, false)
+					emitted[r.x] = r.spans
+					pending = slices.Delete(pending, i, i+1)
+					for _, kept := range s.all() {
+						if got := kept.AppendSpans(nil); !slices.Equal(got, emitted[kept]) {
+							t.Fatalf("poison %v: retained trace %d decodes to %d spans, not the %d emitted into it",
+								poison, kept.ID, len(got), len(emitted[kept]))
+						}
+					}
+					most = max(most, s.Len())
 				}
 			}
+		}
+		if most < 10*8 || s.Len() != 8 {
+			t.Fatalf("poison %v: the store kept at most %d traces and %d at the end; want the window to grow past 80 and shrink to the floor of 8",
+				poison, most, s.Len())
 		}
 	}
 }
