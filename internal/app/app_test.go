@@ -48,49 +48,6 @@ func rootSpan(tr *trace.Trace) trace.Span {
 	return trace.Span{}
 }
 
-// validateTrace performs structural checks on a trace the app built: a root
-// exists, any other Parent == 0 span is a shed attempt of a retried root
-// (childless, over before the root starts), all parents exist, child
-// intervals inside parent intervals (up to RPC delays children may end after
-// the parent for background work only).
-func validateTrace(t *trace.Trace) error {
-	spans := t.AppendSpans(nil)
-	ids := map[trace.SpanID]trace.Span{}
-	for _, s := range spans {
-		if _, dup := ids[s.ID]; dup {
-			return fmt.Errorf("trace %d: duplicate span id %d", t.ID, s.ID)
-		}
-		ids[s.ID] = s
-	}
-	ri := trace.RootIndex(spans)
-	if ri < 0 {
-		return fmt.Errorf("trace %d: no root span", t.ID)
-	}
-	root := spans[ri]
-	for _, s := range spans {
-		if s.Parent == 0 {
-			if s.ID != root.ID && s.End() > root.Start {
-				return fmt.Errorf("trace %d: second root %d overlaps root %d", t.ID, s.ID, root.ID)
-			}
-			continue
-		}
-		p, ok := ids[s.Parent]
-		if !ok {
-			return fmt.Errorf("trace %d: span %d has unknown parent %d", t.ID, s.ID, s.Parent)
-		}
-		if p.Parent == 0 && p.ID != root.ID {
-			return fmt.Errorf("trace %d: span %d is a child of shed root attempt %d", t.ID, s.ID, p.ID)
-		}
-		if s.Start < p.Start {
-			return fmt.Errorf("trace %d: span %d starts before parent", t.ID, s.ID)
-		}
-		if !s.Background && s.End() > p.End() {
-			return fmt.Errorf("trace %d: non-background span %d ends after parent", t.ID, s.ID)
-		}
-	}
-	return nil
-}
-
 func TestDeployCreatesAllServices(t *testing.T) {
 	_, a, _ := harness(t, topology.SocialNetwork(), 1)
 	for name := range a.Spec.Services {
@@ -120,7 +77,7 @@ func TestSubmitCompletesWithTrace(t *testing.T) {
 		t.Fatalf("stored %d traces, want 1", len(traces))
 	}
 	tr := traces[0]
-	if err := validateTrace(tr); err != nil {
+	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace invalid: %v", err)
 	}
 	if tr.Type != "compose-post" {
@@ -350,7 +307,7 @@ func TestAllBenchmarksExecuteAllEndpoints(t *testing.T) {
 					a.Completed, len(spec.Endpoints), a.Dropped)
 			}
 			for _, tr := range db.Select(tracedb.Query{}) {
-				if err := validateTrace(tr); err != nil {
+				if err := tr.Validate(); err != nil {
 					t.Errorf("%s: %v", tr.Type, err)
 				}
 			}
@@ -467,7 +424,7 @@ func TestRetriedRootKeepsOneRoot(t *testing.T) {
 			continue
 		}
 		retried++
-		if err := validateTrace(tr); err != nil {
+		if err := tr.Validate(); err != nil {
 			t.Errorf("retried trace: %v", err)
 		}
 		root := rootSpan(tr)

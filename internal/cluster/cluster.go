@@ -377,17 +377,8 @@ func (rs *ReplicaSet) ReadyCount() int {
 }
 
 // Pick selects the next ready container round-robin; nil if none is ready.
-// A single replica skips the modulo but still advances the round-robin
-// cursor, so a later scale-out picks what it would have picked.
 func (rs *ReplicaSet) Pick() *Container {
 	n := len(rs.containers)
-	if n == 1 {
-		rs.rr++
-		if c := rs.containers[0]; c.ready {
-			return c
-		}
-		return nil
-	}
 	for i := 0; i < n; i++ {
 		c := rs.containers[rs.rr%n]
 		rs.rr++

@@ -17,16 +17,19 @@ import (
 // What it costs the simulator is kept to one pass and to the bytes a trace
 // needs: Emit encodes each span straight into its pending trace's packed
 // stream (pack.go), in a scratch buffer the coordinator lends from free
-// lists by size class, and Finish copies the stream into an arena of
-// fixed-size chunks, packed back to back, and takes the scratch back. A
-// retained trace then holds exactly its stream's bytes, and a warm request
-// allocates nothing.
+// lists by size class, and, when the sink gives traces back (Recycler),
+// Finish copies the stream into an arena of fixed-size chunks, packed back
+// to back, and takes the scratch back. A retained trace then holds exactly
+// its stream's bytes, and a warm request allocates nothing. A sink that
+// gives nothing back keeps each trace's scratch buffer, which the garbage
+// collector frees once the sink drops the trace: the arena would hold it
+// for the coordinator's life.
 //
-// A chunk is reused only once every trace copied into it has come back
-// (Recycler), so how fast chunks recycle follows the order the sink gives
-// traces back: a sink that hands back its oldest released trace first frees
-// the oldest chunks first, while one that hands back its newest first
-// leaves old traces unclaimed, each pinning a chunk that is otherwise empty.
+// A chunk is reused only once every trace copied into it has come back, so
+// how fast chunks recycle follows the order the sink gives traces back: a
+// sink that hands back its oldest released trace first frees the oldest
+// chunks first, while one that hands back its newest first leaves old
+// traces unclaimed, each pinning a chunk that is otherwise empty.
 type Coordinator struct {
 	eng      *sim.Engine
 	sink     Sink
@@ -206,16 +209,17 @@ func (c *Coordinator) lastSpan() *Span {
 // Finish seals the trace: the request completed (or was dropped) and every
 // agent has reported. Its spans are already packed; Finish stamps its end,
 // takes back the span it encoded against, copies a stream of up to
-// copyLimit bytes into the arena and takes its scratch buffer back, and
-// pushes the assembled execution history graph to the sink; the trace
-// stops counting as pending. Each trace is finished once.
+// copyLimit bytes into the arena and takes its scratch buffer back if the
+// sink is a Recycler, and pushes the assembled execution history graph to
+// the sink; the trace stops counting as pending. Each trace is finished
+// once.
 func (c *Coordinator) Finish(t *Trace, dropped bool) {
 	c.pending--
 	t.End = c.eng.Now()
 	t.Dropped = dropped
 	c.lasts = append(c.lasts, t.last)
 	t.last = nil
-	if n := len(t.packed); n > 0 && n <= copyLimit {
+	if n := len(t.packed); c.recycle != nil && n > 0 && n <= copyLimit {
 		t.chunk = c.chunkFor(n)
 		ch := &c.arena[t.chunk-1]
 		off := len(ch.buf)

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -199,6 +200,36 @@ func TestEmitMatchesSeal(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCoordinatorsInParallel: coordinators share no state, arena chunks
+// and free lists included, so each testbed's tracer can run on its own
+// goroutine. Two run side by side, each recycling its traces through its
+// own chunks; under the race detector a shared chunk or list would show.
+func TestCoordinatorsInParallel(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var free stack
+			c := NewCoordinator(sim.NewEngine(1), &free, testNames)
+			var held []*Trace
+			for range 300 {
+				spans := randomSpans(rng, rng.Intn(200))
+				tr := emitAll(c, spans)
+				if !slices.Equal(tr.AppendSpans(nil), spans) {
+					t.Errorf("coordinator %d: trace %d does not decode to its %d spans", g, tr.ID, len(spans))
+					return
+				}
+				if held = append(held, tr); len(held) > 8 {
+					free, held = append(free, held[0]), held[1:]
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // overlaps reports whether a's and b's storage (to their capacities) share

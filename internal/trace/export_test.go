@@ -1,7 +1,5 @@
 package trace
 
-import "fmt"
-
 // Root decodes the trace and returns its root span (RootIndex), or a zero
 // Span if there is none.
 func (t *Trace) Root() Span {
@@ -10,46 +8,4 @@ func (t *Trace) Root() Span {
 		return spans[i]
 	}
 	return Span{}
-}
-
-// Validate performs structural checks: a root exists, any other Parent == 0
-// span is a shed attempt of a retried root (childless, over before the root
-// starts), all parents exist, child intervals inside parent intervals (up to
-// RPC delays children may end after the parent for background work only).
-func (t *Trace) Validate() error {
-	spans := t.AppendSpans(nil)
-	ids := map[SpanID]Span{}
-	for _, s := range spans {
-		if _, dup := ids[s.ID]; dup {
-			return fmt.Errorf("trace %d: duplicate span id %d", t.ID, s.ID)
-		}
-		ids[s.ID] = s
-	}
-	ri := RootIndex(spans)
-	if ri < 0 {
-		return fmt.Errorf("trace %d: no root span", t.ID)
-	}
-	root := spans[ri]
-	for _, s := range spans {
-		if s.Parent == 0 {
-			if s.ID != root.ID && s.End() > root.Start {
-				return fmt.Errorf("trace %d: second root %d overlaps root %d", t.ID, s.ID, root.ID)
-			}
-			continue
-		}
-		p, ok := ids[s.Parent]
-		if !ok {
-			return fmt.Errorf("trace %d: span %d has unknown parent %d", t.ID, s.ID, s.Parent)
-		}
-		if p.Parent == 0 && p.ID != root.ID {
-			return fmt.Errorf("trace %d: span %d is a child of shed root attempt %d", t.ID, s.ID, p.ID)
-		}
-		if s.Start < p.Start {
-			return fmt.Errorf("trace %d: span %d starts before parent", t.ID, s.ID)
-		}
-		if !s.Background && s.End() > p.End() {
-			return fmt.Errorf("trace %d: non-background span %d ends after parent", t.ID, s.ID)
-		}
-	}
-	return nil
 }

@@ -13,7 +13,8 @@ import (
 // encodes each span into the stream as it is emitted (Emit), in a scratch
 // buffer from its size-classed free lists that doubles as the stream grows;
 // Finish copies the stream into the coordinator's arena, back to back with
-// the streams finished before it, and takes the scratch back. A retained
+// the streams finished before it, and takes the scratch back, when the sink
+// gives traces back (Recycler). A retained
 // trace thus holds its stream's bytes and no slack, where a power-of-two
 // buffer is up to half empty.
 //

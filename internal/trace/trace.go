@@ -14,6 +14,7 @@ package trace
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"firm/internal/sim"
@@ -63,9 +64,9 @@ func (s Span) Duration() sim.Time { return sim.Time(s.Dur) }
 // Trace is one request's execution history graph. Its spans are one packed
 // byte stream (pack.go), which the Coordinator's Emit extends span by span
 // while the trace is pending, in a scratch buffer the coordinator lends, and
-// which Finish moves into the coordinator's arena. A sealed trace is read
-// through AppendSpans, or decoded once per visit by a ChildIndex. The header
-// stays within the 96-byte size class.
+// which Finish moves into the coordinator's arena when the sink recycles. A
+// sealed trace is read through AppendSpans, or decoded once per visit by a
+// ChildIndex. The header stays within the 96-byte size class.
 //
 // A sink that releases a trace may hand it back to the Coordinator
 // (Recycler), which reuses the header, and takes back its share of the
@@ -86,7 +87,8 @@ type Trace struct {
 	poisoned bool
 	// chunk is the arena chunk packed was copied into, by Coordinator.arena
 	// index + 1; 0 while pending, and for a stream that keeps its own
-	// buffer. It fits in what would be the header's padding.
+	// buffer (one past the copy limit, or sent to a sink that is not a
+	// Recycler). It fits in what would be the header's padding.
 	chunk uint16
 }
 
@@ -269,8 +271,51 @@ func (x *ChildIndex) selfOver(s Span, kids []int32) sim.Time {
 	return max(s.Duration()-covered, 0)
 }
 
+// Validate performs structural checks: a root exists, any other Parent == 0
+// span is a shed attempt of a retried root (childless, over before the root
+// starts), all parents exist, child intervals inside parent intervals (up to
+// RPC delays children may end after the parent for background work only).
+func (t *Trace) Validate() error {
+	spans := t.AppendSpans(nil)
+	ids := map[SpanID]Span{}
+	for _, s := range spans {
+		if _, dup := ids[s.ID]; dup {
+			return fmt.Errorf("trace %d: duplicate span id %d", t.ID, s.ID)
+		}
+		ids[s.ID] = s
+	}
+	ri := RootIndex(spans)
+	if ri < 0 {
+		return fmt.Errorf("trace %d: no root span", t.ID)
+	}
+	root := spans[ri]
+	for _, s := range spans {
+		if s.Parent == 0 {
+			if s.ID != root.ID && s.End() > root.Start {
+				return fmt.Errorf("trace %d: second root %d overlaps root %d", t.ID, s.ID, root.ID)
+			}
+			continue
+		}
+		p, ok := ids[s.Parent]
+		if !ok {
+			return fmt.Errorf("trace %d: span %d has unknown parent %d", t.ID, s.ID, s.Parent)
+		}
+		if p.Parent == 0 && p.ID != root.ID {
+			return fmt.Errorf("trace %d: span %d is a child of shed root attempt %d", t.ID, s.ID, p.ID)
+		}
+		if s.Start < p.Start {
+			return fmt.Errorf("trace %d: span %d starts before parent", t.ID, s.ID)
+		}
+		if !s.Background && s.End() > p.End() {
+			return fmt.Errorf("trace %d: non-background span %d ends after parent", t.ID, s.ID)
+		}
+	}
+	return nil
+}
+
 // Sink receives completed traces. The tracedb store and experiment probes
-// implement it.
+// implement it. A sink that is not a Recycler owns each trace it gets: the
+// coordinator keeps no share of it.
 type Sink interface {
 	Consume(*Trace)
 }

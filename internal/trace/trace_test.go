@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -198,14 +199,23 @@ func TestSelfDuration(t *testing.T) {
 	}
 }
 
+// lastSink is a Recycler that keeps the trace it consumed last and hands
+// back the traces put on its stack.
+type lastSink struct {
+	stack
+	got *Trace
+}
+
+func (s *lastSink) Consume(t *Trace) { s.got = t }
+
 // TestCoordinator: a trace runs from StartTrace through Emit to Finish and
 // the sink. After Finish its stream sits in the current arena chunk, sized
 // exactly, and the span it encoded against is back on the free list; the
 // next trace borrows that span, zeroed.
 func TestCoordinator(t *testing.T) {
 	eng := sim.NewEngine(1)
-	var got *Trace
-	c := NewCoordinator(eng, SinkFunc(func(tr *Trace) { got = tr }), testNames)
+	var sink lastSink
+	c := NewCoordinator(eng, &sink, testNames)
 	tr := c.StartTrace("compose")
 	if c.PendingCount() != 1 || tr.Names == nil {
 		t.Fatal("pending")
@@ -219,6 +229,7 @@ func TestCoordinator(t *testing.T) {
 	c.Emit(tr, Span{ID: s1, Queued: 3})
 	eng.Schedule(50, func() { c.Finish(tr, false) })
 	eng.RunUntil(100)
+	got := sink.got
 	if got != tr || got.Type != "compose" || got.Len() != 1 || got.AppendSpans(nil)[0] != (Span{ID: s1, Queued: 3}) {
 		t.Fatalf("finished trace: %+v", got)
 	}
@@ -242,6 +253,31 @@ func TestCoordinator(t *testing.T) {
 	if len(c.lasts) != 0 || next.last != last || *next.last != (Span{}) {
 		t.Fatalf("StartTrace did not reuse the freed span: %d free, last %p (freed %p) = %+v",
 			len(c.lasts), next.last, last, *next.last)
+	}
+}
+
+// TestPlainSinkOwnsStreams: a sink that gives no trace back gets each
+// trace with its own scratch buffer. The coordinator copies nothing into
+// its arena and lists nothing, so it keeps no share of a trace the sink
+// may hold or drop.
+func TestPlainSinkOwnsStreams(t *testing.T) {
+	for _, sink := range []Sink{nil, SinkFunc(func(*Trace) {})} {
+		c := NewCoordinator(sim.NewEngine(1), sink, testNames)
+		spans := randomSpans(rand.New(rand.NewSource(1)), 20)
+		tr := emitAll(c, spans)
+		if tr.chunk != 0 || len(c.arena) != 0 || len(tr.packed) == 0 {
+			t.Fatalf("sink %T: trace in chunk %d, %d chunks; want its own buffer", sink, tr.chunk, len(c.arena))
+		}
+		for k, class := range c.bufs {
+			for _, b := range class {
+				if overlaps(b, tr.packed) {
+					t.Fatalf("sink %T: the trace's stream is listed in class %d", sink, k)
+				}
+			}
+		}
+		if !slices.Equal(tr.AppendSpans(nil), spans) {
+			t.Fatalf("sink %T: stream does not decode to its spans", sink)
+		}
 	}
 }
 
