@@ -93,16 +93,33 @@ type App struct {
 }
 
 // shard is one engine shard as the request path sees it: the clock its
-// calls schedule on, the cluster serving them, and the freelist their frames
-// cycle through — plus, on the shard that admits requests, the one their
-// contexts cycle through. The pools belong to the App and die with it:
-// nothing is shared between simulations. A shard is one cache line: shards
-// push and pop concurrently.
+// calls schedule on and its lane for a plain network hop, the cluster
+// serving them, and the freelist their frames cycle through — plus, on the
+// shard that admits requests, the one their contexts cycle through. The
+// pools belong to the App and die with it: nothing is shared between
+// simulations. A shard is padded to two cache lines: shards push and pop
+// concurrently.
 type shard struct {
 	eng  *sim.Engine
+	hop  *sim.Lane
 	cl   *cluster.Cluster
 	free []*frame
 	reqs []*reqCtx // request contexts; only the home shard's is used
+	_    [56]byte
+}
+
+// after fires f d from now on the shard's engine: through the hop lane when
+// d is its delay — a hop no net-delay anomaly or edge fault lengthened —
+// and through the engine's heap otherwise. Either way it is the event
+// ScheduleAction(d, f) makes.
+//
+//firmvet:noalloc
+func (sh *shard) after(d sim.Time, f *frame) {
+	if d == sh.hop.Delay() {
+		sh.hop.Schedule(f)
+		return
+	}
+	sh.eng.ScheduleAction(d, f)
 }
 
 // node is one topology.Call resolved against this App's cluster: what route
@@ -223,7 +240,7 @@ type reqCtx struct {
 // reproducible run to run.
 func Deploy(eng *sim.Engine, cl *cluster.Cluster, spec *topology.Spec, coord *trace.Coordinator) (*App, error) {
 	a := &App{Spec: spec, Coord: coord, eng: eng, SLO: spec.SLO,
-		shards: []shard{{eng: eng, cl: cl}}, roots: make([]*node, len(spec.Endpoints))}
+		shards: []shard{{eng: eng, hop: eng.Lane(spec.BaseRPCDelay), cl: cl}}, roots: make([]*node, len(spec.Endpoints))}
 	if err := deployServices(spec, cl); err != nil {
 		return nil, err
 	}
@@ -305,7 +322,9 @@ func DeploySharded(se *sim.ShardedEngine, spec *topology.Spec, home int, assign 
 	a := &App{Spec: spec, eng: se.Shard(home), se: se, home: int32(home), SLO: spec.SLO,
 		shards: make([]shard, se.Shards()), roots: make([]*node, len(spec.Endpoints))}
 	for i := range a.shards {
-		a.shards[i] = shard{eng: se.Shard(i), cl: clusters[i]}
+		// A call's arrival hop on its callee's shard is what its mail did not
+		// already pay: nothing, unless an anomaly or edge fault adds to it.
+		a.shards[i] = shard{eng: se.Shard(i), hop: se.Shard(i).Lane(0), cl: clusters[i]}
 	}
 	// Resolved up front, not on first request: the DFS numbering runs across
 	// endpoints.

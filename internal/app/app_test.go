@@ -541,3 +541,32 @@ func TestEdgeFaultDropLosesRPC(t *testing.T) {
 		}
 	}
 }
+
+// TestHopLanes: a single-engine deployment puts its plain hops on the
+// engine's BaseRPCDelay lane and keeps it across Reset; a sharded one puts
+// them on each shard's zero-delay lane, since the call mail paid the base
+// delay.
+func TestHopLanes(t *testing.T) {
+	eng, a, _ := harness(t, topology.SocialNetwork(), 1)
+	lane := eng.Lane(a.Spec.BaseRPCDelay)
+	if a.shards[0].hop != lane {
+		t.Fatal("Deploy did not take the engine's BaseRPCDelay lane")
+	}
+	if err := a.Submit(a.Spec.Endpoints[0].Name, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Reset(2)
+	a.Cluster().Reset()
+	if err := a.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if a.shards[0].hop != lane || eng.Lane(a.Spec.BaseRPCDelay) != lane {
+		t.Fatal("Reset replaced the hop lane")
+	}
+	se, sa, _, _ := shardedBed(t, topology.SocialNetwork(), 1, 3, 0)
+	for i := range sa.shards {
+		if sa.shards[i].hop != se.Shard(i).Lane(0) {
+			t.Fatalf("shard %d's hop lane is not its zero-delay lane", i)
+		}
+	}
+}

@@ -201,8 +201,8 @@ func (f *frame) route() {
 	// boundary including both network hops, so a tc-delay anomaly on the
 	// callee shows up in the callee's span — which is what the paper's
 	// localization relies on.
-	eng := a.shards[f.node.shard].eng
-	f.dispatch = eng.Now()
+	sh := &a.shards[f.node.shard]
+	f.dispatch = sh.eng.Now()
 	f.hop += target.NetDelay()
 	if len(a.edgeFaults) > 0 {
 		if ef, ok := a.edgeFaults[Edge{From: f.caller, To: f.node.call.Service}]; ok {
@@ -218,7 +218,7 @@ func (f *frame) route() {
 	if a.se != nil {
 		arrive -= a.Spec.BaseRPCDelay // paid by the call mail
 	}
-	eng.ScheduleAction(arrive, f)
+	sh.after(arrive, f)
 }
 
 // Fire is the frame's engine event: the call reaching the callee's shard,
@@ -363,7 +363,7 @@ func (f *frame) respond() {
 	switch {
 	case a.se == nil:
 		f.state = frameResponding
-		a.eng.ScheduleAction(f.hop, f)
+		a.shards[f.node.shard].after(f.hop, f)
 	case f.drain == 0:
 		f.state = frameResponding
 		f.reply(dirResult, f)

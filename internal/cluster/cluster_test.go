@@ -738,7 +738,7 @@ func TestFirstSubmitAllocatesNoGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	work := Work{Base: sim.Millisecond, Demand: V(1, 0, 0, 0, 0)}
-	// Warm the engine (event record, heap) on a container of its own.
+	// Warm the engine (its heap) on a container of its own.
 	rs.Containers()[runs+1].Submit(work)
 	eng.RunFor(sim.Second)
 	next := 0

@@ -4,7 +4,8 @@
 // selection, telemetry sampling, the batched DDPG train step, a
 // behaviour-cloning call, the incremental localization features and a
 // violated tick's whole localization, a double-buffered rollout round and
-// the policy sync at its start, the sharded engine's window, the request
+// the policy sync at its start, one event of a warm engine (heap and
+// lane), the sharded engine's window, the request
 // path, traced on one engine and mailed across two shards, sealing and
 // decoding a trace, a container's first work item, and a training episode
 // on a Reset testbed. It is the micro measurement surface:
@@ -85,6 +86,7 @@ func Benchmarks() []Benchmark {
 		{"topology-generate", "procedural generation + validation of a 1,000-service spec", TopologyGenerate, 2863},
 		{"topology-generate-10k", "procedural generation + validation of a 10,000-service spec (the sharded sweep's top cell)", TopologyGenerate10k, 27696},
 		{"workload-arrivals", "thinned arrival sampling: 10ms of a 2,600 rps spiked-diurnal bound", WorkloadArrivals, 0},
+		{"engine-step", "one Step of a warm engine holding 92 events, two in three on a 300 µs lane and the rest in the heap at seeded random delays", EngineStep, 0},
 		{"shard-step", "one lookahead window of an 8-shard ring at steady state (mail routing + window barrier)", ShardStep, 0},
 		{"scenario-step", "one armed fault-scenario tick: recompute and apply every active site's pressure", ScenarioStep, 0},
 		{"app-request", "one traced request through a 63-call generated endpoint on a warm testbed", AppRequest, 0},
@@ -600,14 +602,69 @@ func TopologyGenerate10k(b *testing.B) {
 	b.ReportMetric(float64(spec.NumServices()), "services")
 }
 
+// EngineStep measures the engine's per-event constant: one op is one Step
+// of a warm engine holding 92 events (mesh-1k's sim.pending_max), two in
+// three waiting on a 300 µs lane (a generated spec's BaseRPCDelay, the
+// request path's hop lane) and the rest in the heap at seeded random
+// delays of 1–1,000 µs. Every fired event schedules its successor where it
+// waited, so the depth and the split hold and a warm Step allocates nothing.
+func EngineStep(b *testing.B) {
+	const pending = 92 // mesh-1k's sim.pending_max
+	eng := sim.NewEngine(Seed)
+	lane := eng.Lane(300 * sim.Microsecond)
+	r := sim.Stream(Seed, "perf-engine-step")
+	var delays [1024]sim.Time
+	for i := range delays {
+		delays[i] = 1 + sim.Time(r.Intn(1000))
+	}
+	steps := make([]engineStep, pending)
+	for i := range steps {
+		steps[i] = engineStep{eng: eng, delays: &delays, next: i}
+		if i%3 != 2 {
+			steps[i].lane = lane
+		}
+		steps[i].Fire()
+	}
+	for i := 0; i < 100*pending; i++ { // warm: the heap and the lane's ring at full depth
+		eng.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+	b.StopTimer()
+	if eng.Pending() != pending {
+		panic(fmt.Sprintf("perf: engine-step holds %d events, want %d", eng.Pending(), pending))
+	}
+}
+
+// engineStep is one of EngineStep's self-rescheduling events: on its lane,
+// or in the heap at the next delay of the table when lane is nil.
+type engineStep struct {
+	eng    *sim.Engine
+	lane   *sim.Lane
+	delays *[1024]sim.Time
+	next   int
+}
+
+func (s *engineStep) Fire() {
+	if s.lane != nil {
+		s.lane.Schedule(s)
+		return
+	}
+	s.next = (s.next + 1) % len(s.delays)
+	s.eng.ScheduleAction(s.delays[s.next], s)
+}
+
 // ShardStep measures the sharded engine's hot loop at steady state: one op
 // advances an 8-shard system by one lookahead window, carrying eight mail
 // rings (every shard forwards one mail per window) plus one local
 // self-rescheduling event per shard. It covers the senders' buffers, each
 // destination's fill and drain of its own mail heap, the barrier's swap and
 // counters, and the per-shard event loop — and
-// must run at 0 allocs/op: event records come from the engine freelist and
-// every mail buffer is reused, so a regression here means a per-event
+// must run at 0 allocs/op: the engine heaps hold event values and every
+// mail buffer is reused, so a regression here means a per-event
 // allocation crept into the window path. Workers are pinned to 1 (the
 // inline path): goroutine handoff is measured by wall-clock elsewhere, and
 // allocation accounting must not depend on scheduler timing.
@@ -656,7 +713,8 @@ func ShardStep(b *testing.B) {
 // call mailed to its callee's shard, routed and served there, result and
 // drained mailed back. Workers are pinned to 1 as in ShardStep. An untraced
 // request allocates nothing: its context, frames (result frames included),
-// mail buffers, engine events and container records are all recycled.
+// mail buffers, engine heap and lane slots and container records are all
+// recycled.
 func ShardedRequest(b *testing.B) {
 	spec, err := topology.Generate(topology.Params{Services: 60, Endpoints: 4, MaxFanout: 3, Depth: 4}, Seed)
 	if err != nil {
@@ -729,7 +787,7 @@ func ClusterColdSubmit(b *testing.B) {
 		}
 		eng.RunFor(sim.Second)
 	}
-	submit(fresh()) // warm the engine: 1,000 event records, the heap's capacity
+	submit(fresh()) // warm the engine: its heap grows to hold 1,000 events
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -785,9 +843,10 @@ func ScenarioStep(b *testing.B) {
 // generator tickers) and warm, so allocs/op is exactly what a request
 // costs: nothing, whatever the endpoint's size. The Trace is the one the
 // store evicted last, and its packed buffer, the span it encodes against,
-// the request context, call frames, engine events and container in-flight
-// records all come from freelists; the store's latency column grows by one
-// block per 4,096 requests. spans/op is the endpoint's call count.
+// the request context, call frames and container in-flight records all
+// come from freelists, and engine events are values in the heap's and the
+// hop lane's kept storage; the store's latency column grows by one block
+// per 4,096 requests. spans/op is the endpoint's call count.
 func AppRequest(b *testing.B) {
 	a, _, request := appRequestBed()
 	spans0 := a.Coord.SpansSeen

@@ -3,13 +3,18 @@
 // The engine is the substrate on which the FIRM reproduction runs: cluster
 // nodes, containers, workload generators, the anomaly injector, and the FIRM
 // control loop are all scheduled as events on a single logical clock. Using
-// a single-threaded event heap (rather than goroutines) keeps every
-// experiment bit-for-bit reproducible under a fixed seed.
+// one thread per engine (rather than goroutines) keeps every experiment
+// bit-for-bit reproducible under a fixed seed. An engine's events wait in a
+// heap, or — those that fire one fixed delay after they are scheduled, like
+// the request path's network hops — in a FIFO lane for that delay; either
+// way they fire in one (time, scheduling order) sequence.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
+
+	"firm/internal/ring"
 )
 
 // Time is simulated time measured in microseconds since the start of the
@@ -61,81 +66,125 @@ type Func func()
 // Fire calls f.
 func (f Func) Fire() { f() }
 
-// Event is a scheduled Action. Events with equal timestamps fire in
+// event is a scheduled Action. Events with equal timestamps fire in
 // scheduling order (FIFO), which the seq field enforces. (at, seq) is a
-// strict total order — seq is unique per engine — so the pop sequence is
-// the same for any heap arrangement.
+// strict total order — seq is unique per engine — so the fire sequence is
+// the same for any heap arrangement and any split between heap and lanes.
 type event struct {
 	at  Time
 	seq uint64
 	act Action
 }
 
-// eventHeap is an inlined binary min-heap ordered by (at, seq). It replaces
-// container/heap: the interface indirection and interface{} boxing cost one
-// allocation plus several dynamic dispatches per event, which at 10,000
-// services is the dominant per-event constant factor (see internal/perf's
-// shard-step benchmark).
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before reports whether ev fires before o.
+func (ev *event) before(o *event) bool {
+	return ev.at < o.at || ev.at == o.at && ev.seq < o.seq
 }
 
+// eventHeap is an inlined binary min-heap of event values ordered by
+// (at, seq) — not container/heap, whose interface boxing costs an
+// allocation and dynamic dispatches per event. Values, not pointers: a
+// comparison reads the slice itself rather than two records of a pool, and
+// a push or pop moves a hole up or down the path and writes the sifted
+// event once, at the end.
+type eventHeap []event
+
 //firmvet:noalloc
-func (h *eventHeap) push(e *event) {
-	*h = append(*h, e)
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !ev.before(&s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
 }
 
+// pop removes the top event.
+//
 //firmvet:noalloc
-func (h *eventHeap) pop() *event {
+func (h *eventHeap) pop() {
 	s := *h
-	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = nil
+	last := s[n]
+	s[n].act = nil // do not pin the action through the free tail
 	s = s[:n]
 	*h = s
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.less(l, min) {
-			min = l
-		}
-		if r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
-		i = min
+		if c+1 < n && s[c+1].before(&s[c]) {
+			c++
+		}
+		if !s[c].before(&last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
 	}
-	return top
+	if n > 0 {
+		s[i] = last
+	}
 }
 
-// Engine is a discrete-event simulator with a deterministic RNG.
+// Lane is a FIFO of events that all fire one fixed delay after they are
+// scheduled. The clock never goes back and seq only grows, so a lane's
+// events come out of it already in (at, seq) order: scheduling one costs an
+// append and firing one a pop, with no sifting. The engine fires the
+// earliest of its heap's top and its lanes' heads, so an event fires at the
+// same point whether it waited in a lane or in the heap.
+type Lane struct {
+	eng   *Engine
+	delay Time
+	q     ring.Ring[event]
+}
+
+// Lane returns the engine's lane for delay, creating it on first use; a
+// negative delay is treated as zero, as in Schedule. A lane lives as long as
+// its engine: Reset empties it and keeps it.
+func (e *Engine) Lane(delay Time) *Lane {
+	delay = max(delay, 0)
+	for _, l := range e.lanes {
+		if l.delay == delay {
+			return l
+		}
+	}
+	l := &Lane{eng: e, delay: delay}
+	e.lanes = append(e.lanes, l)
+	return l
+}
+
+// Delay returns the lane's fixed delay.
+func (l *Lane) Delay() Time { return l.delay }
+
+// Schedule fires act one lane delay from now: the same event as
+// ScheduleAction(l.Delay(), act).
+//
+//firmvet:noalloc
+func (l *Lane) Schedule(act Action) {
+	if act == nil {
+		panic("sim: Lane.Schedule with nil action")
+	}
+	e := l.eng
+	e.seq++
+	*l.q.Push() = event{at: e.now + l.delay, seq: e.seq, act: act}
+}
+
+// Engine is a discrete-event simulator with a deterministic RNG. Its events
+// wait in a heap or in one of its lanes.
 type Engine struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	// free recycles executed event records; at steady state the hot loop
-	// (pop → run → push) allocates nothing.
-	free   []*event
+	lanes  []*Lane
 	rng    *rand.Rand
 	nSteps uint64
 }
@@ -147,16 +196,15 @@ func NewEngine(seed int64) *Engine {
 
 // Reset returns the engine to what NewEngine(seed) builds: clock and
 // counters at zero, no events, its stream reseeded in place (Rand keeps
-// returning the same *rand.Rand). Pending events are discarded unfired; their
-// records join the free list, so the heap and the free list keep their
-// storage.
+// returning the same *rand.Rand). Pending events are discarded unfired. The
+// heap and the lanes keep their storage, and the lanes stay the engine's:
+// Lane returns them as before.
 func (e *Engine) Reset(seed int64) {
-	for i, ev := range e.events {
-		ev.act = nil
-		e.free = append(e.free, ev)
-		e.events[i] = nil
-	}
+	clear(e.events)
 	e.events = e.events[:0]
+	for _, l := range e.lanes {
+		l.q.Reset()
+	}
 	e.now, e.seq, e.nSteps = 0, 0, 0
 	e.rng.Seed(seed)
 }
@@ -174,7 +222,13 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Steps() uint64 { return e.nSteps }
 
 // Pending reports how many events are currently scheduled.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int {
+	n := len(e.events)
+	for _, l := range e.lanes {
+		n += l.q.Len()
+	}
+	return n
+}
 
 // Schedule runs fn after delay. A negative delay is treated as zero (fire as
 // soon as possible, after already-queued events at the current instant).
@@ -206,8 +260,8 @@ func (e *Engine) ScheduleAction(delay Time, act Action) {
 }
 
 // ScheduleActionAt fires act at the absolute simulated time at, clamped to
-// "now". It is the one place events are created: Schedule and ScheduleAt
-// wrap their callback in Func and land here.
+// "now". Every event but a lane's is created here: Schedule and ScheduleAt
+// wrap their callback in Func and land here too.
 //
 //firmvet:noalloc
 func (e *Engine) ScheduleActionAt(at Time, act Action) {
@@ -218,17 +272,45 @@ func (e *Engine) ScheduleActionAt(at Time, act Action) {
 		at = e.now
 	}
 	e.seq++
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		//firmvet:allow noalloc -- freelist warm-up miss; at steady state every pop feeds the freelist and this branch never runs
-		ev = &event{}
+	e.events.push(event{at: at, seq: e.seq, act: act})
+}
+
+// peek returns the next event to fire — the earliest under (at, seq) of the
+// heap's top and the lanes' heads — and the lane it waits in, nil for the
+// heap. It returns a nil event when nothing is pending.
+//
+//firmvet:noalloc
+func (e *Engine) peek() (*event, *Lane) {
+	var next *event
+	if len(e.events) > 0 {
+		next = &e.events[0]
 	}
-	ev.at, ev.seq, ev.act = at, e.seq, act
-	e.events.push(ev)
+	var from *Lane
+	for _, l := range e.lanes {
+		if l.q.Len() > 0 {
+			if h := l.q.At(0); next == nil || h.before(next) {
+				next, from = h, l
+			}
+		}
+	}
+	return next, from
+}
+
+// fire removes ev, which peek returned with from, advances the clock to it
+// and runs it.
+//
+//firmvet:noalloc
+func (e *Engine) fire(ev *event, from *Lane) {
+	at, act := ev.at, ev.act
+	if from != nil {
+		ev.act = nil // the ring slot keeps its tenant; do not pin the action
+		from.q.Pop()
+	} else {
+		e.events.pop()
+	}
+	e.now = at
+	e.nSteps++
+	act.Fire()
 }
 
 // Step executes the next pending event, advancing the clock to its
@@ -236,27 +318,26 @@ func (e *Engine) ScheduleActionAt(at Time, act Action) {
 //
 //firmvet:noalloc
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	ev, from := e.peek()
+	if ev == nil {
 		return false
 	}
-	ev := e.events.pop()
-	e.now = ev.at
-	e.nSteps++
-	act := ev.act
-	// Recycle before firing: the action may reschedule, and clearing the
-	// reference now keeps the freelist from pinning dead captures.
-	ev.act = nil
-	e.free = append(e.free, ev)
-	act.Fire()
+	e.fire(ev, from)
 	return true
 }
 
 // RunUntil executes events until the clock reaches t (inclusive of events at
 // exactly t) or the event queue drains. The clock is left at t if it was
 // reached, otherwise at the last event time.
+//
+//firmvet:noalloc
 func (e *Engine) RunUntil(t Time) {
-	for len(e.events) > 0 && e.events[0].at <= t {
-		e.Step()
+	for {
+		ev, from := e.peek()
+		if ev == nil || ev.at > t {
+			break
+		}
+		e.fire(ev, from)
 	}
 	if e.now < t {
 		e.now = t

@@ -1,9 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // Edge semantics the sharded loop relies on: past-time clamping, conversion
-// truncation, freelist recycling, and Ticker restart behaviour.
+// truncation, heap slot reuse, lanes, and Ticker restart behaviour.
 
 func TestFromSecondsTruncatesTowardZero(t *testing.T) {
 	cases := []struct {
@@ -64,8 +67,9 @@ func TestScheduleAtClampPreservesFIFO(t *testing.T) {
 	}
 }
 
-// Recycled event records must not leak ordering state: a hot pop→push loop
-// reuses the same records, and FIFO at equal timestamps must survive that.
+// Reused heap slots must not leak ordering state: a hot pop→push loop
+// writes events into the slots earlier ones left, and FIFO at equal
+// timestamps must survive that.
 func TestFreelistReusePreservesFIFO(t *testing.T) {
 	e := NewEngine(1)
 	// Prime the freelist.
@@ -217,7 +221,7 @@ func TestTickerWarmTickAllocatesNothing(t *testing.T) {
 		tk.Start() // the retired tick is still in the heap
 		e.RunFor(35)
 	}
-	cycle() // warm: the pool and the engine's event records
+	cycle() // warm: the pool and the engine's heap
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
 		t.Fatalf("%v allocs per cycle, want 0", allocs)
 	}
@@ -226,5 +230,116 @@ func TestTickerWarmTickAllocatesNothing(t *testing.T) {
 	}
 	if pooled := len(tk.free) + e.Pending(); pooled > 2 {
 		t.Fatalf("%d tick records pooled or pending, want at most 2", pooled)
+	}
+}
+
+// TestResetDiscardsLaneEvents: Reset drops lane events unfired, as it does
+// heap events, and keeps the lanes — Lane returns the same ones — with their
+// storage: refilling them allocates nothing.
+func TestResetDiscardsLaneEvents(t *testing.T) {
+	e := NewEngine(1)
+	a, b := e.Lane(5), e.Lane(300)
+	fired := false
+	act := Func(func() { fired = true })
+	fill := func() {
+		for i := 0; i < 64; i++ {
+			a.Schedule(act)
+			b.Schedule(act)
+		}
+		e.ScheduleAction(7, act)
+	}
+	e.RunUntil(2)
+	fill()
+	e.Reset(1)
+	if e.Pending() != 0 || e.Now() != 0 {
+		t.Fatalf("after Reset: %d pending, clock at %v", e.Pending(), e.Now())
+	}
+	if e.Lane(5) != a || e.Lane(300) != b {
+		t.Fatal("Reset replaced a lane")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { fill(); e.Reset(1) }); allocs != 0 {
+		t.Fatalf("refilling the lanes of a Reset engine allocates %v", allocs)
+	}
+	e.RunUntil(Hour)
+	if fired || e.Steps() != 0 {
+		t.Fatalf("a discarded event fired (%v, %d steps)", fired, e.Steps())
+	}
+}
+
+// TestHeapAndLaneEventsAtOneInstantFireInSeqOrder: events due at the same
+// instant fire in the order they were scheduled, whether they wait in the
+// heap or in a lane — also those scheduled from a Fire at that instant.
+func TestHeapAndLaneEventsAtOneInstantFireInSeqOrder(t *testing.T) {
+	e := NewEngine(1)
+	ten, zero := e.Lane(10), e.Lane(0)
+	var order []int
+	rec := func(i int) Action { return Func(func() { order = append(order, i) }) }
+	e.ScheduleAction(10, rec(0))
+	ten.Schedule(rec(1))
+	e.ScheduleAt(10, func() {
+		order = append(order, 2)
+		zero.Schedule(rec(5))
+		e.ScheduleAction(0, rec(6))
+		zero.Schedule(rec(7))
+	})
+	ten.Schedule(rec(3))
+	e.ScheduleActionAt(10, rec(4))
+	e.RunUntil(9)
+	if len(order) != 0 {
+		t.Fatalf("fired %v before their time", order)
+	}
+	e.RunUntil(10)
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !slices.Equal(order, want) || e.Now() != 10 {
+		t.Fatalf("fired %v by %v, want %v by 10", order, e.Now(), want)
+	}
+
+	// Two lanes, each holding one event due at 18: the one scheduled first
+	// fires first, although its lane comes later in the engine's list.
+	order = order[:0]
+	four, eight := e.Lane(4), e.Lane(8)
+	eight.Schedule(rec(0))
+	four.Schedule(Func(func() { four.Schedule(rec(1)) }))
+	e.RunUntil(18)
+	if want := []int{0, 1}; !slices.Equal(order, want) {
+		t.Fatalf("two lanes fired %v, want %v", order, want)
+	}
+}
+
+// TestLaneFindsOrCreates: an engine has one lane per delay — a negative
+// delay is zero's — and engines share none.
+func TestLaneFindsOrCreates(t *testing.T) {
+	e := NewEngine(1)
+	l := e.Lane(7)
+	if e.Lane(7) != l || l.Delay() != 7 {
+		t.Fatalf("Lane(7) gave a second lane, or delay %v", l.Delay())
+	}
+	if e.Lane(8) == l || e.Lane(-3) != e.Lane(0) || e.Lane(0).Delay() != 0 {
+		t.Fatal("lanes for 7, 8, -3 and 0 are not three lanes")
+	}
+	if NewEngine(1).Lane(7) == l {
+		t.Fatal("two engines share a lane")
+	}
+}
+
+// TestShardedHopLanesMatchOneShard: with every message taking an arrival
+// hop on its destination shard's zero-delay lane — as internal/app's sharded
+// calls do — and every timer set on a fixed-delay lane, each actor of a
+// random mail graph sees the same messages at the same times in the same
+// order at 1, 2 and 4 shards, on one worker or two.
+func TestShardedHopLanesMatchOneShard(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		want, steps := runMailGraph(seed, 1, 1, true)
+		if _, heapSteps := runMailGraph(seed, 1, 1, false); steps <= heapSteps {
+			t.Fatalf("seed %d: %d steps with lanes, %d without: no message took a hop", seed, steps, heapSteps)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			for _, workers := range []int{1, 2} {
+				got, gotSteps := runMailGraph(seed, shards, workers, true)
+				if gotSteps != steps || !slices.Equal(got, want) {
+					t.Fatalf("seed %d shards=%d workers=%d: %d steps and %d log lines differ from one shard's %d and %d",
+						seed, shards, workers, gotSteps, len(got), steps, len(want))
+				}
+			}
+		}
 	}
 }

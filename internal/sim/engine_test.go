@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -268,7 +269,7 @@ func TestPropertyClockLandsOnTarget(t *testing.T) {
 
 // TestEngineReset: a Reset engine discards its pending events unfired and is
 // then the engine NewEngine(seed) builds — clock, counters, FIFO order among
-// equal times and random stream — scheduling into the event records it kept.
+// equal times and random stream — scheduling into the heap storage it kept.
 func TestEngineReset(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
@@ -303,4 +304,154 @@ func TestEngineReset(t *testing.T) {
 	if fired || !slices.Equal(got, want) || e.Steps() != fresh.Steps() {
 		t.Fatalf("discarded event fired %v; Reset engine ran %v in %d steps, a new one %v in %d", fired, got, e.Steps(), want, fresh.Steps())
 	}
+}
+
+// orderModel is FuzzEngineOrder's reference engine: the events pending, as
+// (at, seq) in the epoch (Resets so far) that scheduled them, and the clock.
+// Whatever heap or lane an event waits in, the engine must fire the pending
+// event that sorts first under (at, seq) — the head of a stable sort of the
+// schedule by at — at its at.
+type orderModel struct {
+	t       *testing.T
+	e       *Engine
+	lanes   []*Lane
+	now     Time
+	seq     uint64
+	epoch   int
+	steps   uint64
+	pending []orderEvent
+}
+
+type orderEvent struct {
+	at    Time
+	seq   uint64
+	epoch int
+}
+
+// orderAction is one scheduled event. Firing checks it against the model;
+// with nest set it then schedules three events from inside Fire: on a lane,
+// on the heap after a delay (negative ones too) and at a past time.
+type orderAction struct {
+	m    *orderModel
+	ev   orderEvent
+	nest byte
+}
+
+func (a *orderAction) Fire() {
+	m := a.m
+	i := m.first()
+	if i < 0 || m.pending[i] != a.ev {
+		m.t.Fatalf("fired %+v; the model's pending events are %+v, the first at %d", a.ev, m.pending, i)
+	}
+	if m.e.Now() != a.ev.at {
+		m.t.Fatalf("fired %+v with the clock at %v", a.ev, m.e.Now())
+	}
+	m.pending = slices.Delete(m.pending, i, i+1)
+	m.now = a.ev.at
+	m.steps++
+	if n := a.nest; n != 0 {
+		m.onLane(int(n), 0)
+		m.after(Time(n>>2)-2, 0)
+		m.at(m.now-Time(n&3), 0)
+	}
+}
+
+// first returns the index of the pending event first under (at, seq), or -1.
+func (m *orderModel) first() int {
+	best := -1
+	for i, ev := range m.pending {
+		if best < 0 || ev.at < m.pending[best].at || ev.at == m.pending[best].at && ev.seq < m.pending[best].seq {
+			best = i
+		}
+	}
+	return best
+}
+
+func (m *orderModel) add(at Time, nest byte) *orderAction {
+	m.seq++
+	a := &orderAction{m: m, ev: orderEvent{at: at, seq: m.seq, epoch: m.epoch}, nest: nest}
+	m.pending = append(m.pending, a.ev)
+	return a
+}
+
+func (m *orderModel) after(d Time, nest byte) { m.e.ScheduleAction(d, m.add(m.now+max(d, 0), nest)) }
+
+func (m *orderModel) at(at Time, nest byte) { m.e.ScheduleActionAt(at, m.add(max(at, m.now), nest)) }
+
+func (m *orderModel) onLane(k int, nest byte) {
+	l := m.lanes[k%len(m.lanes)]
+	l.Schedule(m.add(m.now+l.Delay(), nest))
+}
+
+func (m *orderModel) check(op string) {
+	if m.e.Pending() != len(m.pending) || m.e.Now() != m.now || m.e.Steps() != m.steps {
+		m.t.Fatalf("after %s: engine at %v with %d pending after %d steps, model at %v with %d after %d",
+			op, m.e.Now(), m.e.Pending(), m.e.Steps(), m.now, len(m.pending), m.steps)
+	}
+}
+
+// FuzzEngineOrder drives mutated sequences of heap schedules (negative
+// delays and past times among them), lane schedules on one to three lanes
+// (two may share a delay, and so a lane), events that schedule more from
+// Fire, Step, RunUntil and Reset, and checks every fire against orderModel
+// and Pending, Now and Steps after every operation.
+func FuzzEngineOrder(f *testing.F) {
+	f.Add(uint8(3), uint8(5), uint8(0), uint8(1), []byte{2, 0, 10, 18, 5, 5, 5, 5})
+	f.Add(uint8(4), uint8(4), uint8(9), uint8(2), []byte{3, 4, 11, 20, 2, 10, 1, 6, 59, 84, 7, 2, 12, 5, 134, 255})
+	f.Add(uint8(0), uint8(1), uint8(2), uint8(0), []byte{33, 41, 2, 10, 7, 2, 5, 0, 8, 61, 46, 151})
+	f.Fuzz(func(t *testing.T, d0, d1, d2, nLanes uint8, ops []byte) {
+		e := NewEngine(1)
+		m := &orderModel{t: t, e: e}
+		for _, d := range []uint8{d0, d1, d2}[:1+nLanes%3] {
+			m.lanes = append(m.lanes, e.Lane(Time(d%16)-2)) // -2 and -1 clamp to 0
+		}
+		for _, op := range ops {
+			arg := int(op >> 3)
+			switch op & 7 {
+			case 0:
+				m.after(Time(arg)-4, 0)
+			case 1:
+				m.at(m.now+Time(arg)-8, 0)
+			case 2:
+				m.onLane(arg, 0)
+			case 3:
+				m.after(Time(arg&7), byte(arg)|1)
+			case 4:
+				m.onLane(arg, byte(arg)|1)
+			case 5:
+				if n := len(m.pending); e.Step() != (n > 0) {
+					t.Fatalf("Step with %d events pending reported the opposite", n)
+				}
+			case 6:
+				until := m.now + Time(arg)
+				e.RunUntil(until)
+				for _, ev := range m.pending {
+					if ev.at <= until {
+						t.Fatalf("RunUntil(%v) left %+v pending", until, ev)
+					}
+				}
+				m.now = max(m.now, until)
+			case 7:
+				if arg&3 != 0 {
+					e.Step()
+					break
+				}
+				e.Reset(int64(arg))
+				m.pending, m.now, m.seq, m.steps = m.pending[:0], 0, 0, 0
+				m.epoch++
+				for _, l := range m.lanes {
+					if e.Lane(l.Delay()) != l {
+						t.Fatalf("Reset replaced the lane for %v", l.Delay())
+					}
+				}
+			}
+			m.check(fmt.Sprintf("op %d (%d, %d)", op&7, op, arg))
+		}
+		for e.Step() {
+		}
+		m.check("drain")
+		if len(m.pending) != 0 {
+			t.Fatalf("drained engine; the model still holds %+v", m.pending)
+		}
+	})
 }

@@ -356,8 +356,8 @@ func (se *ShardedEngine) nextTime() (t Time, ok bool) {
 	t = noMail
 	for i, sh := range se.shards {
 		b := &se.box[i]
-		if len(sh.events) > 0 && sh.events[0].at < t {
-			t = sh.events[0].at
+		if ev, _ := sh.peek(); ev != nil && ev.at < t {
+			t = ev.at
 		}
 		if len(b.inbox) > 0 && b.inbox[0].at < t {
 			t = b.inbox[0].at
@@ -428,7 +428,8 @@ func (se *ShardedEngine) RunFor(d Time) { se.RunUntil(se.now + d) }
 func (se *ShardedEngine) runWindow(until Time) {
 	active, side := se.active[:0], se.flip^1
 	for i, sh := range se.shards {
-		due := len(sh.events) > 0 && sh.events[0].at <= until ||
+		ev, _ := sh.peek()
+		due := ev != nil && ev.at <= until ||
 			len(se.box[i].inbox) > 0 && se.box[i].inbox[0].at <= until
 		for from := 0; !due && from < len(se.box); from++ {
 			due = len(se.box[from].out[side][i]) > 0

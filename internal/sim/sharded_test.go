@@ -214,16 +214,28 @@ type mailActor struct {
 	rng   *rand.Rand
 	sent  uint64
 	log   []string
+	// lanes routes a message through its shard's zero-delay lane on arrival
+	// (the hop internal/app's sharded calls take) and sets timers on a
+	// fixed-delay lane instead of the heap.
+	lanes bool
 }
 
 type mailMsg struct {
-	to   *mailActor
-	from int
-	ttl  int
-	val  uint64
+	to     *mailActor
+	from   int
+	ttl    int
+	val    uint64
+	hopped bool
 }
 
-func (m *mailMsg) Fire() { m.to.receive(m) }
+func (m *mailMsg) Fire() {
+	if a := m.to; a.lanes && !m.hopped {
+		m.hopped = true
+		a.se.Shard(a.shard).Lane(0).Schedule(m)
+		return
+	}
+	m.to.receive(m)
+}
 
 const mailGraphLookahead = 40
 
@@ -245,19 +257,24 @@ func (a *mailActor) receive(m *mailMsg) {
 		a.se.Send(a.shard, to.shard, delay, uint64(a.id)<<32|a.sent, &mailMsg{to: to, from: a.id, ttl: m.ttl - 1, val: m.val*31 + a.sent})
 	}
 	if a.rng.Intn(4) == 0 {
-		a.se.Shard(a.shard).ScheduleAction(Time(a.rng.Intn(2*mailGraphLookahead)), &mailMsg{to: a, from: a.id, ttl: m.ttl - 1, val: m.val + 1})
+		timer, sh := &mailMsg{to: a, from: a.id, ttl: m.ttl - 1, val: m.val + 1}, a.se.Shard(a.shard)
+		if d := Time(a.rng.Intn(2 * mailGraphLookahead)); a.lanes {
+			sh.Lane(Time(a.id%3) * 7).Schedule(timer)
+		} else {
+			sh.ScheduleAction(d, timer)
+		}
 	}
 }
 
 // runMailGraph plays graph seed on the given shard count until it drains and
 // returns every actor's log, in actor order, plus the total step count.
-func runMailGraph(seed int64, shards, workers int) ([]string, uint64) {
+func runMailGraph(seed int64, shards, workers int, lanes bool) ([]string, uint64) {
 	shape := Stream(seed, "mail-graph")
 	actors := make([]*mailActor, 5+shape.Intn(36))
 	se := NewShardedEngine(seed, shards, mailGraphLookahead)
 	se.SetWorkers(workers)
 	for i := range actors {
-		actors[i] = &mailActor{id: i, shard: i % shards, se: se, peers: actors, rng: Stream(seed, fmt.Sprintf("mail-actor/%d", i))}
+		actors[i] = &mailActor{id: i, shard: i % shards, se: se, peers: actors, rng: Stream(seed, fmt.Sprintf("mail-actor/%d", i)), lanes: lanes}
 	}
 	for i := 0; i < 1+len(actors)/4; i++ {
 		a := actors[shape.Intn(len(actors))]
@@ -281,11 +298,11 @@ func runMailGraph(seed int64, shards, workers int) ([]string, uint64) {
 func TestShardedRandomMailGraphsMatchOneShard(t *testing.T) {
 	events := uint64(0)
 	for seed := int64(1); seed <= 24; seed++ {
-		want, steps := runMailGraph(seed, 1, 1)
+		want, steps := runMailGraph(seed, 1, 1, false)
 		events += steps
 		for _, shards := range []int{2, 3, 5, 8} {
 			for _, workers := range []int{1, shards} {
-				got, gotSteps := runMailGraph(seed, shards, workers)
+				got, gotSteps := runMailGraph(seed, shards, workers, false)
 				if gotSteps != steps || len(got) != len(want) {
 					t.Fatalf("seed %d shards=%d workers=%d: %d steps and %d log lines, want %d and %d",
 						seed, shards, workers, gotSteps, len(got), steps, len(want))

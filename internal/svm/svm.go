@@ -255,24 +255,6 @@ func (s *SVM) FitBatch(xs [][]float64, ys []float64, epochs int, seed int64) err
 	return nil
 }
 
-// Accuracy evaluates classification accuracy on a labelled set.
-func (s *SVM) Accuracy(xs [][]float64, ys []float64) (float64, error) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0, errors.New("svm: bad evaluation set")
-	}
-	correct := 0
-	for i := range xs {
-		c, err := s.Classify(xs[i])
-		if err != nil {
-			return 0, err
-		}
-		if (c && ys[i] > 0) || (!c && ys[i] < 0) {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(xs)), nil
-}
-
 // ROC computes (FPR, TPR) pairs by sweeping the decision threshold over the
 // scored dataset. Points are ordered by increasing threshold and bracketed
 // with the (1,1) and (0,0) endpoints, ready for stats.AUC.

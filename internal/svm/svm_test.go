@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -267,4 +268,22 @@ func mapFit(s *SVM, x []float64, y float64) {
 		}
 		s.b += lr * y
 	}
+}
+
+// Accuracy evaluates classification accuracy on a labelled set.
+func (s *SVM) Accuracy(xs [][]float64, ys []float64) (float64, error) {
+	if len(xs) != len(ys) || len(xs) == 0 {
+		return 0, errors.New("svm: bad evaluation set")
+	}
+	correct := 0
+	for i := range xs {
+		c, err := s.Classify(xs[i])
+		if err != nil {
+			return 0, err
+		}
+		if (c && ys[i] > 0) || (!c && ys[i] < 0) {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(xs)), nil
 }

@@ -466,7 +466,7 @@ func TestGeneratorWarmEventsAllocateNothing(t *testing.T) {
 			}
 			eng.RunFor(100 * sim.Millisecond)
 		}
-		spike() // warm: the event pool and the engine's event records
+		spike() // warm: the event pool and the engine's heap
 		before := g.Submitted
 		if allocs := testing.AllocsPerRun(20, spike); allocs != 0 {
 			t.Fatalf("%T: %v allocs per 100 ms of arrivals, want 0", p, allocs)
