@@ -3,6 +3,7 @@ package app
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"firm/internal/cluster"
 	"firm/internal/sim"
@@ -92,6 +93,15 @@ func shardedStorm(t *testing.T, shards, workers, bursts int, poison bool) (strin
 		t.Fatalf("shards=%d: %d events or mails still pending", shards, se.Pending())
 	}
 	return out + fmt.Sprintf("steps=%d c=%d d=%d v=%d", se.Steps(), a.Completed, a.Dropped, a.Violations), a
+}
+
+// TestShardLayout pins the hand-computed padding: a shard fills exactly two
+// cache lines, so shards that push and pop frames concurrently never share
+// one.
+func TestShardLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(shard{}); sz != 128 {
+		t.Fatalf("shard is %d bytes, want 128", sz)
+	}
 }
 
 // TestShardedFrameLifetime: with released frames and request contexts

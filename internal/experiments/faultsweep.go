@@ -18,7 +18,7 @@ import (
 	"firm/internal/workload"
 )
 
-// faultsweep runs the composable fault-scenario library (ROADMAP item 4)
+// faultsweep runs the composable fault-scenario library (internal/scenario)
 // against a generated topology and characterizes the detection stack per
 // scenario family: how fast the tail-latency monitor notices each mode,
 // how accurately the SVM localizer pins the victim, and how much a simple

@@ -15,8 +15,8 @@ import (
 	"firm/internal/workload"
 )
 
-// gensweep is the web-scale sweep (ROADMAP item 1): procedurally generated
-// topologies from 10 to 1,000 services, each driven by a composite
+// gensweep is the web-scale sweep: procedurally generated topologies
+// from 10 to 1,000 services, each driven by a composite
 // heavy-traffic pattern (diurnal base + flash crowd + per-user session
 // streams) realized by the thinning arrival sampler. Every cell is an
 // independent simulation keyed by its generator parameters, so the sweep

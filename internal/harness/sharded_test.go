@@ -80,9 +80,10 @@ func shardedStats(t *testing.T, shards, workers int) sim.ShardStats {
 	return b.Eng.Stats()
 }
 
-// TestShardedWindowStats pins the scoreboard of ROADMAP item 2 on one digest
-// case: the counters are count-type and exact, equal at any worker count, and
-// Events/Critical is the most that many shards can gain on this model.
+// TestShardedWindowStats pins the sharded engine's window counters
+// (sim.ShardStats) on one digest case: the counters are count-type and
+// exact, equal at any worker count, and Events/Critical is the most that
+// many shards can gain on this model.
 func TestShardedWindowStats(t *testing.T) {
 	want := map[int]sim.ShardStats{
 		1: {Windows: 3235, Parallel: 0, Mails: 52213, Events: 96734, Critical: 96734},

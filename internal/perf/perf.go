@@ -661,7 +661,7 @@ func (s *engineStep) Fire() {
 // advances an 8-shard system by one lookahead window, carrying eight mail
 // rings (every shard forwards one mail per window) plus one local
 // self-rescheduling event per shard. It covers the senders' buffers, each
-// destination's fill and drain of its own mail heap, the barrier's swap and
+// destination's fill and drain of its own inbox, the barrier's swap and
 // counters, and the per-shard event loop — and
 // must run at 0 allocs/op: the engine heaps hold event values and every
 // mail buffer is reused, so a regression here means a per-event

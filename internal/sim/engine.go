@@ -70,13 +70,16 @@ func (f Func) Fire() { f() }
 // scheduling order (FIFO), which the seq field enforces. (at, seq) is a
 // strict total order — seq is unique per engine — so the fire sequence is
 // the same for any heap arrangement and any split between heap and lanes.
+// A mail is an event too: inside a ShardedEngine shard's inbox, seq holds
+// the sender's key, and Send's contract makes it unique per timestamp.
 type event struct {
 	at  Time
 	seq uint64
 	act Action
 }
 
-// before reports whether ev fires before o.
+// before reports whether ev sorts before o under (at, seq): whether it fires
+// first, or, in a shard's inbox, is scheduled first.
 func (ev *event) before(o *event) bool {
 	return ev.at < o.at || ev.at == o.at && ev.seq < o.seq
 }

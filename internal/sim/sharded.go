@@ -7,9 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the sharded event engine (ROADMAP item 1): N Engine
-// shards, each owning a partition of the model, advanced in lockstep behind
-// a shared clock. It is a conservative parallel discrete-event simulator
+// This file implements the sharded event engine: N Engine shards, each
+// owning a partition of the model, advanced in lockstep behind a shared
+// clock. It is a conservative parallel discrete-event simulator
 // with lookahead: the shards' partitions may only interact through Send,
 // whose delay is bounded below by the lookahead, so all events inside one
 // lookahead window are causally independent across shards and the shards
@@ -28,88 +28,18 @@ import (
 // shard engine's Rand. internal/app's sharded deployment (DeploySharded) and
 // internal/harness's sharded placement are built to those rules.
 
-// mail is one cross-shard message: act fires on its destination shard at
-// absolute time at. Mails becoming due in the same window are scheduled in
-// (at, key) order; key uniqueness per timestamp is what makes that order —
-// and therefore the destination shard's event sequence — independent of the
-// shard count. seq (assigned by the destination as it takes the mail in, in
-// sender-index then send order) breaks residual ties so a fixed configuration
-// is still reproducible even if a model violates the uniqueness rule.
-type mail struct {
-	at  Time
-	key uint64
-	seq uint64
-	act Action
-}
-
-// mailHeap is an inlined binary min-heap of mails ordered by (at, key, seq).
-type mailHeap []mail
-
-func (h mailHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
-	}
-	return h[i].seq < h[j].seq
-}
-
-//firmvet:noalloc
-func (h *mailHeap) push(m mail) {
-	*h = append(*h, m)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-//firmvet:noalloc
-func (h *mailHeap) pop() mail {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n].act = nil // do not pin the action through the free tail
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.less(l, min) {
-			min = l
-		}
-		if r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
-// mailbox is one shard's end of the mail path. While a window runs, the
-// shard appends what it sends to out[flip] (Send) and each destination
-// empties its own column of out[flip^1] (runShard); between windows the
-// coordinator swaps the sides. No word of it has two users at once.
+// mailbox is one shard's end of the mail path. A mail is an event whose seq
+// holds the sender's key. While a window runs, the shard appends what it
+// sends to out[flip] (Send) and each destination empties its own column of
+// out[flip^1] into its inbox (runShard); between windows the coordinator
+// swaps the sides. No word of it has two users at once.
 type mailbox struct {
-	out   [2][][]mail // out[side][to]: sent by this shard, not yet taken in
-	first [2]Time     // earliest at in out[side]; noMail when it is empty
-	inbox mailHeap    // taken in by this shard, not yet due
-	seq   uint64      // last tie-break seq this shard assigned
-	mails uint64      // mails this shard has taken in
-	seen  uint64      // the shard's step count when the last window was tallied
-	_     [16]byte    // 128 bytes: neighbouring shards stay off this cache line
+	out   [2][][]event // out[side][to]: sent by this shard, not yet taken in
+	first [2]Time      // earliest at in out[side]; noMail when it is empty
+	inbox eventHeap    // taken in by this shard, not yet due, in (at, key) order
+	mails uint64       // mails this shard has taken in
+	seen  uint64       // the shard's step count when the last window was tallied
+	_     [24]byte     // 128 bytes: neighbouring shards stay off this cache line
 }
 
 const noMail = Time(1<<63 - 1)
@@ -130,10 +60,11 @@ type ShardStats struct {
 // each. Per round the coordinator picks the globally earliest pending
 // timestamp T and releases every shard with work in [T, T+lookahead) or mail
 // to take in — concurrently when workers > 1. A released shard first moves
-// what the previous window sent it into its own mail heap, schedules the
-// mails due in this window in (at, key) order, then runs its events. Events
-// therefore fire in global (timestamp, delivery order) order even though
-// shards execute in parallel, and no mail is handled by the coordinator.
+// what the previous window sent it into its inbox — an eventHeap whose seqs
+// are the senders' keys — schedules the mails due in this window in
+// (at, key) order, then runs its events. Events therefore fire in global
+// (timestamp, delivery order) order even though shards execute in parallel,
+// and no mail is handled by the coordinator.
 type ShardedEngine struct {
 	shards    []*Engine
 	box       []mailbox
@@ -214,7 +145,7 @@ func NewShardedEngine(seed int64, n int, lookahead Time) *ShardedEngine {
 	}
 	for i := range se.shards {
 		se.shards[i] = NewEngine(DeriveSeed(seed, fmt.Sprintf("shard/%d", i)))
-		se.box[i].out = [2][][]mail{make([][]mail, n), make([][]mail, n)}
+		se.box[i].out = [2][][]event{make([][]event, n), make([][]event, n)}
 		se.box[i].first = [2]Time{noMail, noMail}
 	}
 	return se
@@ -284,10 +215,15 @@ func (se *ShardedEngine) Stats() ShardStats {
 // Send fires act on shard to at the sender's now + delay. from must be the
 // shard the caller is executing on (shard 0 during setup); delay must be at
 // least the lookahead — that bound is exactly what lets windows run
-// concurrently, so a shorter delay is a model error and panics. key orders
-// mails that become deliverable in the same round (see mail); act fires on
-// the destination shard's goroutine, and whatever it points to belongs to
-// that shard from then on: the sender must not touch it after Send.
+// concurrently, so a shorter delay is a model error and panics. The mail is
+// the event {at, key, act}: key takes the place of seq, so the destination
+// fires mails sharing a timestamp in key order, whichever shard sent them.
+// key must be unique among all mails sharing a timestamp; that is what makes
+// the order independent of the shard count. A model that breaks the rule
+// still reproduces at a fixed configuration: the inbox receives the same
+// pushes in the same order on every run. act fires on the destination
+// shard's goroutine, and whatever it points to belongs to that shard from
+// then on: the sender must not touch it after Send.
 //
 //firmvet:noalloc
 func (se *ShardedEngine) Send(from, to int, delay Time, key uint64, act Action) {
@@ -301,18 +237,18 @@ func (se *ShardedEngine) Send(from, to int, delay Time, key uint64, act Action) 
 		panic(fmt.Sprintf("sim: Send delay %v below lookahead %v", delay, se.lookahead))
 	}
 	b, side, at := &se.box[from], se.flip, se.shards[from].Now()+delay
-	b.out[side][to] = append(b.out[side][to], mail{at: at, key: key, act: act})
+	b.out[side][to] = append(b.out[side][to], event{at: at, seq: key, act: act})
 	if at < b.first[side] {
 		b.first[side] = at
 	}
 }
 
 // runShard is shard to's window. It first empties the buffers the last swap
-// left for it into its own heap — senders in shard-index order, each in send
-// order, which is the order seqs have always been handed out in — and
-// schedules every mail due by until. Mails pop in (at, key) order, so
-// equal-timestamp mails get their engine seqs — and therefore their execution
-// order — from their keys, not from which shard sent them. Then its events run.
+// left for it into its inbox — senders in shard-index order, each in send
+// order — and schedules every mail due by until. Mails pop in (at, key)
+// order, so equal-timestamp mails get their engine seqs — and therefore their
+// execution order — from their keys, not from which shard sent them. Then
+// its events run.
 //
 //firmvet:noalloc
 func (se *ShardedEngine) runShard(to int, until Time) {
@@ -323,8 +259,6 @@ func (se *ShardedEngine) runShard(to int, until Time) {
 			continue
 		}
 		for j := range in {
-			b.seq++
-			in[j].seq = b.seq
 			b.inbox.push(in[j])
 			in[j].act = nil // keep the reused buffer from pinning actions
 		}
@@ -332,7 +266,8 @@ func (se *ShardedEngine) runShard(to int, until Time) {
 		se.box[from].out[side][to] = in[:0]
 	}
 	for len(b.inbox) > 0 && b.inbox[0].at <= until {
-		m := b.inbox.pop()
+		m := b.inbox[0]
+		b.inbox.pop()
 		se.shards[to].ScheduleActionAt(m.at, m.act)
 	}
 	se.shards[to].RunUntil(until)
@@ -350,7 +285,7 @@ func (se *ShardedEngine) swap() {
 	}
 }
 
-// nextTime returns the earliest pending timestamp across all shard heaps
+// nextTime returns the earliest pending timestamp across all shard events
 // and undelivered mails; ok is false when the whole system is idle.
 func (se *ShardedEngine) nextTime() (t Time, ok bool) {
 	t = noMail
@@ -408,7 +343,7 @@ func (se *ShardedEngine) RunUntil(t Time) {
 	}
 	for i := range se.shards {
 		// Nothing is due by t any more: this moves what the last window sent
-		// into its destinations' heaps (both buffer sides are empty between
+		// into its destinations' inboxes (both buffer sides are empty between
 		// runs) and brings every shard's clock to t.
 		se.runShard(i, t)
 	}

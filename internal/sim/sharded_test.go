@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // ringTrace runs a deterministic multi-actor model on S shards with W
@@ -93,6 +94,106 @@ func TestShardedEqualTimestampMailOrder(t *testing.T) {
 		if len(order) != 3 || order[0] != 10 || order[1] != 20 || order[2] != 30 {
 			t.Fatalf("workers=%d: delivery order %v, want [10 20 30]", workers, order)
 		}
+	}
+}
+
+// mailOrder is FuzzShardedMailOrder's run: the engine and, per destination
+// shard, the (at, key) of every mail it fired, in fire order. Only the
+// destination's goroutine appends to its log.
+type mailOrder struct {
+	se    *ShardedEngine
+	fired [][]mailStamp
+	t     *testing.T
+}
+
+type mailStamp struct {
+	at  Time
+	key uint64
+}
+
+// orderMail is one mail of a chain: it fires on shard to at at, logs itself
+// and, while hops are left, sends the next mail of its chain.
+type orderMail struct {
+	m         *mailOrder
+	to        int
+	at        Time
+	key       uint64
+	hops      int
+	delay, nx byte // the next mail's delay and destination, drawn from the fuzz input
+}
+
+func (om *orderMail) Fire() {
+	m := om.m
+	if now := m.se.Shard(om.to).Now(); now != om.at {
+		m.t.Errorf("mail %#x due at %d fired at %d", om.key, om.at, now)
+	}
+	m.fired[om.to] = append(m.fired[om.to], mailStamp{om.at, om.key})
+	if om.hops > 0 {
+		m.send(om.to, int(om.nx), om.delay, om.key+1, om.hops-1)
+	}
+}
+
+const mailOrderLookahead = 16
+
+// send mails from shard from to shard to%shards with a delay of one to five
+// lookaheads, rounded up so at lands on a 4 µs grid: mails from different
+// senders routinely share an at.
+func (m *mailOrder) send(from, to int, d byte, key uint64, hops int) {
+	to %= m.se.Shards()
+	delay := mailOrderLookahead + Time(d)%(4*mailOrderLookahead)
+	delay += -(m.se.Shard(from).Now() + delay) & 3
+	om := &orderMail{m: m, to: to, at: m.se.Shard(from).Now() + delay, key: key, hops: hops, delay: d * 7, nx: d ^ byte(key)}
+	m.se.Send(from, to, delay, key, om)
+}
+
+// FuzzShardedMailOrder sends mail chains from random shards at random times,
+// with keys unique among all mails and unrelated to the send order, and
+// delays from the lookahead up to several windows, so an inbox holds mails
+// across windows and mails share an at. At one worker and at two, every mail
+// must fire exactly at its at, every destination must fire its mails in
+// (at, key) order, and nothing may be left pending.
+func FuzzShardedMailOrder(f *testing.F) {
+	f.Add(uint8(1), uint8(10), []byte{0, 0, 5, 1, 1, 3, 9, 2})
+	f.Add(uint8(3), uint8(37), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add(uint8(2), uint8(255), []byte{200, 17, 64, 3, 99, 17, 64, 7, 1, 17, 64, 2, 250, 17, 64, 0})
+	f.Fuzz(func(t *testing.T, shards, slice uint8, ops []byte) {
+		n := 1 + int(shards%4)
+		for _, workers := range []int{1, 2} {
+			se := NewShardedEngine(1, n, mailOrderLookahead)
+			se.SetWorkers(workers)
+			m := &mailOrder{se: se, fired: make([][]mailStamp, n), t: t}
+			sent := 0
+			for i := 0; i+3 < len(ops); i += 4 {
+				from, to, sendAt, d := int(ops[i])%n, int(ops[i+1]), Time(ops[i+2]%64), ops[i+3]
+				// The high bits scramble key order against send order; the
+				// op index keeps keys unique, the low bits count the hops.
+				key, hops := uint64(ops[i+3]^ops[i+2])<<32|uint64(i)<<8, int(ops[i]>>4)
+				sent += 1 + hops
+				se.Shard(from).ScheduleAt(sendAt, func() { m.send(from, to, d, key, hops) })
+			}
+			for se.RunFor(1 + Time(slice)); se.Pending() != 0; se.RunFor(1 + Time(slice)) {
+			}
+			got := 0
+			for to, log := range m.fired {
+				got += len(log)
+				for j := 1; j < len(log); j++ {
+					if p, q := log[j-1], log[j]; q.at < p.at || q.at == p.at && q.key <= p.key {
+						t.Fatalf("workers=%d: shard %d fired mail %#x@%d after %#x@%d", workers, to, q.key, q.at, p.key, p.at)
+					}
+				}
+			}
+			if got != sent || se.Pending() != 0 {
+				t.Fatalf("workers=%d: %d of %d mails fired, %d pending", workers, got, sent, se.Pending())
+			}
+		}
+	})
+}
+
+// TestMailboxLayout pins the hand-computed padding: a mailbox fills exactly
+// two cache lines, so shards that take in mail concurrently never share one.
+func TestMailboxLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(mailbox{}); sz != 128 {
+		t.Fatalf("mailbox is %d bytes, want 128", sz)
 	}
 }
 

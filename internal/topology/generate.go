@@ -11,8 +11,8 @@ import (
 	"firm/internal/sim"
 )
 
-// This file is the procedural topology generator (ROADMAP item 1): seeded,
-// parameterized service graphs so campaigns can sweep from 10 services to
+// This file is the procedural topology generator: seeded, parameterized
+// service graphs so campaigns can sweep from 10 services to
 // web scale instead of being limited to the four hand-coded benchmarks.
 // Generation is deterministic in (Params, seed) — the pair is a campaign
 // job key, and a generated topology travels over internal/dist as that
