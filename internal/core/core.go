@@ -503,10 +503,10 @@ func (c *Controller) tick() {
 	}
 
 	// Localize culprits (Alg. 2) and actuate RL decisions on the top-K.
-	// The incremental localizer already mirrors the window; it folds in any
-	// traces that arrived since the last violated tick (each extracted
-	// once) and rescores — bit-identical to the batch
-	// ext.Candidates(Select(window)) it replaces.
+	// The localizer already mirrors the window; it folds in any traces that
+	// arrived since the last violated tick (each extracted once) and
+	// rescores — the same candidates ext.Candidates folds from a fresh
+	// Select(window).
 	cands := c.loc.Candidates()
 	//firmvet:allow noalloc -- violated-tick path only; the sort.Slice closure and interface box are off the steady-state (calm-tick) budget
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Score > cands[j].Score })

@@ -13,12 +13,15 @@
 //
 // The (RI, CI) pair feeds an incremental SVM (internal/svm) whose positive
 // class means "reprovision this instance" (Alg. 2 line 10).
+//
+// Localizer is the one implementation of Alg. 2. The controller keeps one
+// attached to its trace store and rescores the mirrored window on each
+// violated tick; Extractor.Candidates folds a selected window through a
+// fresh one, which is how the localization experiments score the code the
+// controller acts on.
 package detect
 
 import (
-	"sort"
-
-	"firm/internal/cpath"
 	"firm/internal/sim"
 	"firm/internal/stats"
 	"firm/internal/svm"
@@ -89,115 +92,21 @@ func Violated(traces []*trace.Trace, slo sim.Time) bool {
 	return stats.Percentile(lats, 99) > slo.Millis()
 }
 
-// instanceStats accumulates per-instance observations across the window.
-type instanceStats struct {
-	service   uint32
-	durations []float64 // all span durations (ms) in the window
-	perTrace  []float64 // CP-aligned: duration in traces where on CP
-	cpLats    []float64 // matching end-to-end latencies
-	bgOnly    bool
-}
-
-// Features computes (RI, CI) per instance over the window. Instances enter
-// the table when they appear on some trace's critical path; with
-// IncludeBackground, instances observed only in background spans are scored
-// too (their RI uses end-to-end latency of their traces).
-func (e *Extractor) Features(traces []*trace.Trace) []Candidate {
-	table := map[uint32]*instanceStats{}
-	var names trace.Names
-	get := func(inst, svc uint32, bg bool) *instanceStats {
-		st, ok := table[inst]
-		if !ok {
-			st = &instanceStats{service: svc, bgOnly: true}
-			table[inst] = st
-		}
-		if !bg {
-			st.bgOnly = false
-		}
-		return st
-	}
-
-	var cp cpath.Extractor // one child index per trace, storage reused across the window
-	var self []sim.Time
-	for _, t := range traces {
-		if t.Dropped {
-			continue
-		}
-		names = t.Names
-		p := cp.Extract(t)
-		spans := cp.Kids.Spans()
-		// Per-instance latencies are exclusive (self) times: a parent span
-		// waiting on a slow child must not inherit the child's anomaly
-		// signature (cf. Table 1's per-service "individual latency").
-		self = cp.Kids.SelfDurations(self)
-		onCP := map[uint32]sim.Time{}
-		for _, i := range p.Index {
-			onCP[spans[i].Instance] += self[i]
-		}
-		e2e := t.Latency().Millis()
-		for i, s := range spans {
-			st := get(s.Instance, uint32(s.Service), s.Background)
-			st.durations = append(st.durations, self[i].Millis())
-		}
-		for inst, d := range onCP {
-			st := table[inst]
-			st.perTrace = append(st.perTrace, d.Millis())
-			st.cpLats = append(st.cpLats, e2e)
-		}
-		// Background spans correlate against the same trace's e2e latency.
-		for i, s := range spans {
-			if s.Background {
-				st := table[s.Instance]
-				st.perTrace = append(st.perTrace, self[i].Millis())
-				st.cpLats = append(st.cpLats, e2e)
-			}
-		}
-	}
-
-	var out []Candidate
-	for inst, st := range table {
-		if len(st.durations) < minSamples || len(st.perTrace) < minSamples {
-			continue
-		}
-		if st.bgOnly && !e.cfg.IncludeBackground {
-			continue
-		}
-		ri, err := stats.Pearson(st.perTrace, st.cpLats)
-		if err != nil {
-			continue
-		}
-		t50 := stats.Percentile(st.durations, 50)
-		t99 := stats.Percentile(st.durations, 99)
-		ci := 1.0
-		if t50 > 0 {
-			ci = t99 / t50
-		}
-		out = append(out, Candidate{Instance: inst, Service: st.service, RI: ri, CI: ci})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return names.InstanceName(out[i].Instance) < names.InstanceName(out[j].Instance)
-	})
-	return out
-}
-
 // featVec maps a candidate to the SVM input space.
 func (e *Extractor) featVec(c Candidate) []float64 {
 	return []float64{c.RI, c.CI / CIScale}
 }
 
-// Candidates runs Alg. 2: score every instance in the window and mark those
-// the SVM classifies as needing reprovisioning.
+// Candidates runs Alg. 2 over a window: score every instance and mark those
+// the SVM classifies as needing reprovisioning. It is a one-shot fold
+// through a fresh Localizer — the same code the controller runs
+// incrementally — so the returned slice is the caller's.
 func (e *Extractor) Candidates(traces []*trace.Trace) []Candidate {
-	cands := e.Features(traces)
-	for i := range cands {
-		score, err := e.svm.Decision(e.featVec(cands[i]))
-		if err != nil {
-			continue
-		}
-		cands[i].Score = score
-		cands[i].Critical = score > 0
+	l := NewLocalizer(e, len(traces))
+	for _, t := range traces {
+		l.TraceStored(t)
 	}
-	return cands
+	return l.Candidates()
 }
 
 // Train applies one online SVM update for a candidate with ground-truth

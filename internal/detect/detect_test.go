@@ -68,7 +68,7 @@ func window(n int, congested bool, r *rand.Rand) []*trace.Trace {
 	return out
 }
 
-func newExtractor(t *testing.T) *Extractor {
+func newExtractor(t testing.TB) *Extractor {
 	t.Helper()
 	model := svm.New(svm.DefaultConfig())
 	e := New(DefaultConfig(), model)
@@ -100,7 +100,7 @@ func TestFeaturesSeparateCulpritFromSteady(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	traces := window(300, true, r)
 	e := newExtractor(t)
-	cands := e.Features(traces)
+	cands := e.Candidates(traces)
 	var a, b *Candidate
 	for i := range cands {
 		switch serviceOf(cands[i]) {
@@ -184,7 +184,7 @@ func TestMinSamplesFilters(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	traces := window(3, true, r) // below minSamples=8
 	e := newExtractor(t)
-	if cands := e.Features(traces); len(cands) != 0 {
+	if cands := e.Candidates(traces); len(cands) != 0 {
 		t.Fatalf("under-sampled instances scored: %+v", cands)
 	}
 }
@@ -205,7 +205,7 @@ func TestBackgroundInstancesScored(t *testing.T) {
 	}
 	e := newExtractor(t)
 	found := false
-	for _, c := range e.Features(base) {
+	for _, c := range e.Candidates(base) {
 		if serviceOf(c) == "W" {
 			found = true
 			if c.CI < 3 {
@@ -220,7 +220,7 @@ func TestBackgroundInstancesScored(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.IncludeBackground = false
 	e2 := New(cfg, svm.New(svm.DefaultConfig()))
-	for _, c := range e2.Features(base) {
+	for _, c := range e2.Candidates(base) {
 		if serviceOf(c) == "W" {
 			t.Fatal("background scored despite IncludeBackground=false")
 		}
@@ -256,7 +256,7 @@ func TestDroppedTracesIgnoredInFeatures(t *testing.T) {
 		tr.Dropped = true
 	}
 	e := newExtractor(t)
-	if cands := e.Features(traces); len(cands) != 0 {
+	if cands := e.Candidates(traces); len(cands) != 0 {
 		t.Fatalf("dropped traces produced features: %+v", cands)
 	}
 }
@@ -265,8 +265,8 @@ func TestDeterministicCandidateOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	traces := window(100, true, r)
 	e := newExtractor(t)
-	a := e.Features(traces)
-	b := e.Features(traces)
+	a := e.Candidates(traces)
+	b := e.Candidates(traces)
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic feature count")
 	}

@@ -13,18 +13,19 @@ import (
 	"firm/internal/trace"
 )
 
-// Localizer is the incremental counterpart of Extractor.Features/Candidates:
-// it mirrors the trace store's current window as one observation log, so
-// the control loop's violated tick no longer re-selects the window or
-// re-extracts every critical path. Feed it as a tracedb.Observer; the owner
-// advances the window bound each tick with Advance.
+// Localizer is the one implementation of Alg. 2's feature extraction and
+// scoring. Used incrementally, it mirrors the trace store's current window
+// as one observation log, so the control loop's violated tick does not
+// re-select the window or re-extract every critical path: feed it as a
+// tracedb.Observer, and the owner advances the window bound each tick with
+// Advance. Used as a one-shot fold (Extractor.Candidates), it is fed a
+// selected window trace by trace and asked once for its Candidates.
 //
-// Candidates is bit-identical to the batch path it replaces
-// (Extractor.Candidates over a fresh Query{Since, IncludeDrop: true}
-// selection): every instance's series is read in the same trace/span order
-// the batch loop appends it, percentiles come from stats.PercentileSelect
-// (the selection stats.Percentile runs), and Pearson replicates
-// stats.Pearson's summation order.
+// Candidates' RI and CI are bit-identical to the string-keyed reference the
+// tests hold it to (stringKeyedFeatures): every instance's series is read
+// in trace/span order, percentiles come from stats.PercentileSelect (the
+// selection stats.Percentile runs), and Pearson replicates stats.Pearson's
+// summation order.
 //
 // The log is one ring shared by all instances, in consume order: every
 // processed trace's span self-durations, each tagged with its instance and
@@ -142,7 +143,7 @@ func (l *Localizer) Reset(e *Extractor) {
 }
 
 // TraceStored implements tracedb.Observer. Dropped traces never contribute
-// features (the batch loop skips them), so they are not tracked at all.
+// features, so they are not tracked at all.
 func (l *Localizer) TraceStored(t *trace.Trace) {
 	if t.Dropped {
 		return
@@ -185,7 +186,9 @@ func (l *Localizer) pop() {
 }
 
 // process folds one trace into the log: one observation per span, in span
-// order.
+// order. Per-instance latencies are exclusive (self) times: a parent span
+// waiting on a slow child must not inherit the child's anomaly signature
+// (cf. Table 1's per-service "individual latency").
 func (l *Localizer) process(e *locEntry) {
 	t := e.t
 	p := l.cp.Extract(t)
@@ -212,9 +215,8 @@ func (l *Localizer) process(e *locEntry) {
 }
 
 // Candidates folds any pending traces into the log, then scores every
-// qualifying instance — output identical to
-// Extractor.Candidates(Select(window)). The returned slice is reused across
-// calls; copy if retained.
+// qualifying instance. The returned slice is reused across calls; copy if
+// retained.
 func (l *Localizer) Candidates() []Candidate {
 	for l.proc < l.entries.Len() {
 		l.process(l.entries.At(l.proc))
@@ -261,8 +263,8 @@ func (l *Localizer) Candidates() []Candidate {
 			c.CI = t99 / t50
 		}
 	}
-	// Instance names are unique, so the unstable sort is total — same order
-	// as the batch path's sort.
+	// Instance names are unique, so the unstable sort is total: candidates
+	// come out in name order.
 	slices.SortFunc(l.out, func(a, b Candidate) int {
 		return strings.Compare(insts[a.Instance].name, insts[b.Instance].name)
 	})
@@ -277,9 +279,8 @@ func (l *Localizer) Candidates() []Candidate {
 		featB[2*i] = l.out[i].RI
 		featB[2*i+1] = l.out[i].CI / CIScale
 	}
-	// A dimension mismatch leaves every score zero — exactly the batch
-	// path's per-candidate skip (the shared featVec shape fails for all
-	// candidates or none).
+	// A dimension mismatch leaves every score zero (every row has
+	// featVec's shape, so it fails for all candidates or none).
 	if err := l.scorer.DecisionBatch(featB, nb, scores); err == nil {
 		for i := range l.out {
 			l.out[i].Score = scores[i]
@@ -290,16 +291,16 @@ func (l *Localizer) Candidates() []Candidate {
 }
 
 // readLog reads the log entry by entry, rebuilding each trace's
-// CP-correlation pairs in the order Extractor.Features appends them: per
-// trace, each instance's summed self time on the CP, then one pair per
-// background span in span order. Self times are summed in µs, where
-// addition is exact, so a CP sum does not depend on the order its spans are
-// visited in. It is stats.Pearson's two passes, in its summation order: the
-// first counts every instance's observations and sums its pairs' x and y;
-// the second, for qualifying instances, scatters their durations into
-// their durVals segments — stably, in the log's order, which is the batch
-// loop's append order — and sums the products of their pairs' deviations
-// from the means.
+// CP-correlation pairs in the order the tests' string-keyed reference
+// appends them: per trace, each instance's summed self time on the CP, then
+// one pair per background span in span order. Self times are summed in µs,
+// where addition is exact, so a CP sum does not depend on the order its
+// spans are visited in. It is stats.Pearson's two passes, in its summation
+// order: the first counts every instance's observations and sums its pairs'
+// x and y; the second, for qualifying instances, scatters their durations
+// into their durVals segments — stably, in the log's order, which is the
+// reference's append order — and sums the products of their pairs'
+// deviations from the means.
 func (l *Localizer) readLog(deviations bool) {
 	insts := l.insts
 	j := 0

@@ -18,7 +18,7 @@ import (
 // streamTrace synthesizes one multi-span trace ending at now: root → A → B
 // with a second A instance sometimes, an occasional background span on an
 // instance of its own or on B's, and occasional drops — every structural
-// case Features handles.
+// case feature extraction handles.
 func streamTrace(i int, now sim.Time, r *rand.Rand) *trace.Trace {
 	id := trace.TraceID(i + 1)
 	aDur := sim.FromMillis(10 + r.Float64()*2)
@@ -77,10 +77,12 @@ type namedCand struct {
 	ri, ci            float64
 }
 
-// stringKeyedFeatures is Extractor.Features as it stood while spans carried
-// their service and instance as strings — maps keyed by instance name, the
-// result sorted by that name. It is the oracle that ID-keyed state (slices
-// by instance ID, names resolved for the sort alone) is held to.
+// stringKeyedFeatures is Alg. 2's feature extraction written plainly, as it
+// stood while spans carried their service and instance as strings — a batch
+// pass over the window into maps keyed by instance name, the result sorted
+// by that name. It is the oracle that the Localizer's ID-keyed state
+// (slices by instance ID, names resolved for the sort alone) is held to,
+// used incrementally and as a one-shot fold.
 func stringKeyedFeatures(cfg Config, traces []*trace.Trace) []namedCand {
 	type instanceStats struct {
 		service                     string
@@ -145,9 +147,10 @@ func stringKeyedFeatures(cfg Config, traces []*trace.Trace) []namedCand {
 }
 
 // TestIDKeyedCandidatesMatchStringKeyedOracle: over seeded random windows,
-// the incremental localizer and the batch extractor — both keyed by instance
-// ID — name the same instances, in the same (name) order, with bit-equal
-// features, as the string-keyed oracle.
+// the Localizer — incrementally, attached to the store, and as the one-shot
+// fold Extractor.Candidates runs over the selected window — names the same
+// instances, in the same (name) order, with bit-equal features, as the
+// string-keyed oracle.
 func TestIDKeyedCandidatesMatchStringKeyedOracle(t *testing.T) {
 	e := newExtractor(t)
 	for seed := int64(1); seed <= 8; seed++ {
@@ -166,21 +169,74 @@ func TestIDKeyedCandidatesMatchStringKeyedOracle(t *testing.T) {
 			loc.Advance(since)
 			window := store.held(since)
 			want := stringKeyedFeatures(e.cfg, window)
-			for which, got := range [][]Candidate{loc.Candidates(), e.Features(window)} {
-				if len(got) != len(want) {
-					t.Fatalf("seed %d step %d path %d: %d candidates, oracle %d", seed, i, which, len(got), len(want))
-				}
-				for j, c := range got {
-					named := namedCand{testNames.InstanceName(c.Instance), testNames.ServiceName(c.Service), c.RI, c.CI}
-					if named.instance != want[j].instance || named.service != want[j].service ||
-						math.Float64bits(named.ri) != math.Float64bits(want[j].ri) ||
-						math.Float64bits(named.ci) != math.Float64bits(want[j].ci) {
-						t.Fatalf("seed %d step %d path %d candidate %d: %+v, oracle %+v", seed, i, which, j, named, want[j])
-					}
+			where := fmt.Sprintf("seed %d step %d", seed, i)
+			checkOracle(t, where+" incremental", loc.Candidates(), want)
+			checkOracle(t, where+" one-shot", e.Candidates(window), want)
+		}
+	}
+}
+
+// checkOracle asserts that got names the oracle's instances, in its order,
+// with bit-equal RI and CI.
+func checkOracle(t *testing.T, where string, got []Candidate, want []namedCand) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, oracle %d", where, len(got), len(want))
+	}
+	for j, c := range got {
+		named := namedCand{testNames.InstanceName(c.Instance), testNames.ServiceName(c.Service), c.RI, c.CI}
+		if named.instance != want[j].instance || named.service != want[j].service ||
+			math.Float64bits(named.ri) != math.Float64bits(want[j].ri) ||
+			math.Float64bits(named.ci) != math.Float64bits(want[j].ci) {
+			t.Fatalf("%s candidate %d: %+v, oracle %+v", where, j, named, want[j])
+		}
+	}
+}
+
+// FuzzCandidatesMatchOracle streams a mutated number of streamTrace traces,
+// seeded by the input, through a store that keeps the newest floor of them,
+// with a Localizer observing the store and advanced to a mutated window
+// every step. At checkpoints drawn from the stream (and after the last
+// trace) the incremental Candidates and the one-shot Extractor.Candidates
+// over the window's traces both equal the string-keyed oracle — the same
+// instances, in the same order, with bit-equal RI and CI — and agree with
+// each other on Score and Critical.
+func FuzzCandidatesMatchOracle(f *testing.F) {
+	e := newExtractor(f)
+	f.Add(int64(1), uint16(2000), uint8(56), uint16(150))
+	f.Add(int64(7), uint16(300), uint8(4), uint16(300))
+	f.Add(int64(-3), uint16(2900), uint8(200), uint16(399))
+	f.Add(int64(42), uint16(0), uint8(0), uint16(60))
+	f.Fuzz(func(t *testing.T, seed int64, windowMs uint16, floor uint8, n uint16) {
+		r := rand.New(rand.NewSource(seed))
+		window := sim.Time(100+int(windowMs)%3000) * sim.Millisecond
+		store := newStorePair(0, 8+int(floor))
+		loc := NewLocalizer(e, 4)
+		store.db.Observe(loc)
+		every := 1 + r.Intn(10)
+		steps := 1 + int(n)%400
+		now := sim.Time(0)
+		for i := 0; i < steps; i++ {
+			now += sim.Time(2+r.Intn(60)) * sim.Millisecond
+			store.Consume(streamTrace(i, now, r))
+			since := now - window
+			loc.Advance(since)
+			if r.Intn(every) != 0 && i < steps-1 {
+				continue
+			}
+			held := store.held(since)
+			want := stringKeyedFeatures(e.cfg, held)
+			where := fmt.Sprintf("step %d", i)
+			inc, one := loc.Candidates(), e.Candidates(held)
+			checkOracle(t, where+" incremental", inc, want)
+			checkOracle(t, where+" one-shot", one, want)
+			for j := range inc {
+				if !sameCand(inc[j], one[j]) {
+					t.Fatalf("%s candidate %d: incremental %+v, one-shot %+v", where, j, inc[j], one[j])
 				}
 			}
 		}
-	}
+	})
 }
 
 func sameCand(a, b Candidate) bool {
@@ -195,12 +251,14 @@ func sameCand(a, b Candidate) bool {
 // traces through a trace store — one that keeps only the newest 48,
 // evicting traces the localizer holds as well as time expiry, and one that
 // keeps the localizer's window and a tick more — and pins the incremental
-// Candidates against the batch Extractor.Candidates over the traces it
-// should hold at every step — field-for-field, bit-for-bit. This is the
-// invariant that lets the controller's violated tick run incrementally
-// without changing a byte of campaign output. Arrivals alternate between a
-// trickle and a burst, so the trace queue and the observation log drain to
-// a few entries and then outgrow their rings from wherever the heads stand.
+// Candidates against a fresh one-shot fold (Extractor.Candidates) over the
+// traces it should hold at every step — field-for-field, bit-for-bit. Both
+// run the same Localizer code, so what this checks is the incremental
+// bookkeeping: eviction and expiry must leave the log exactly as if the
+// surviving traces had been folded from scratch. Arrivals alternate between
+// a trickle and a burst, so the trace queue and the observation log drain
+// to a few entries and then outgrow their rings from wherever the heads
+// stand.
 func TestLocalizerMatchesBatchCandidates(t *testing.T) {
 	const window = 2 * sim.Second
 	e := newExtractor(t)
@@ -247,7 +305,9 @@ func TestLocalizerMatchesBatchCandidates(t *testing.T) {
 }
 
 // TestLocalizerObserveReplaysExistingTraces: attaching after the workload
-// started must converge to the same state as a fresh Select.
+// started must converge to the same state as a fresh one-shot fold over a
+// fresh Select — the store's replay must feed the localizer exactly the
+// window's traces.
 func TestLocalizerObserveReplaysExistingTraces(t *testing.T) {
 	e := newExtractor(t)
 	store := newStorePair(0, 64)
@@ -365,8 +425,9 @@ func checkLog(t *testing.T, l *Localizer, where string) {
 // the shared observation ring grows from empty in the first episode and
 // wraps over what earlier ones left in the rest. After every Advance the
 // localizer holds exactly the window's traces; after every Candidates it
-// matches the batch path bit for bit, and the observation ring holds exactly
-// the processed entries' observations.
+// matches a fresh one-shot fold (Extractor.Candidates) over the window bit
+// for bit — so a Reset leaves nothing of an earlier episode behind — and the
+// observation ring holds exactly the processed entries' observations.
 func TestLocalizerEpisodesMatchBatch(t *testing.T) {
 	e := newExtractor(t)
 	r := rand.New(rand.NewSource(31))

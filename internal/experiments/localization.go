@@ -69,7 +69,7 @@ func collectAnomalyEvents(spec *topology.Spec, seed int64, kind injector.Kind,
 		if !detect.Violated(window, b.App.SLO) {
 			continue // below the violation start-point: not a localization event
 		}
-		for _, c := range ext.Features(window) {
+		for _, c := range ext.Candidates(window) {
 			samples = append(samples, labelledSample{
 				feat:    []float64{c.RI, c.CI / detect.CIScale},
 				culprit: c.Instance == tgt.ID,
@@ -356,7 +356,7 @@ func fig9bRun(spec *topology.Spec, seed int64, nodes []cluster.HardwareProfile, 
 		traces := b.DB.Select(tracedb.Query{Since: start})
 		truth := b.Injector.ActiveDuringOverlap(start, now, (now-start)/2)
 		if train {
-			for _, c := range ext.Features(traces) {
+			for _, c := range ext.Candidates(traces) {
 				_, culprit := truth[c.Instance]
 				trainSamples = append(trainSamples, labelledSample{
 					feat: []float64{c.RI, c.CI / detect.CIScale}, culprit: culprit,

@@ -43,13 +43,9 @@ func NewRFF(r *rand.Rand, dim, d int, gamma float64) *RFF {
 // Dim returns the output feature dimension.
 func (rf *RFF) Dim() int { return len(rf.W) }
 
-// Map projects x into the randomized feature space.
-func (rf *RFF) Map(x []float64) []float64 {
-	return rf.MapInto(make([]float64, len(rf.W)), x)
-}
-
-// MapInto is Map writing into z (len must be Dim()), returning z. Scoring
-// loops reuse one projection buffer instead of allocating per candidate.
+// MapInto projects x into the randomized feature space, writing into z
+// (len must be Dim()) and returning z. Scoring loops reuse one projection
+// buffer instead of allocating per candidate.
 func (rf *RFF) MapInto(z, x []float64) []float64 {
 	d := len(rf.W)
 	if len(z) != d {
@@ -91,8 +87,8 @@ type SVM struct {
 	b    float64
 	seen uint64
 	// fz is Fit's RFF projection buffer. Fit mutates the model anyway;
-	// Decision stays read-only (shareable) and projects into fresh memory,
-	// or into a Scorer's buffer.
+	// Decision stays read-only (shareable) and projects into a Scorer's
+	// buffer.
 	fz []float64
 }
 
@@ -112,28 +108,25 @@ func New(cfg Config) *SVM {
 	return s
 }
 
-func (s *SVM) features(x []float64) []float64 {
-	if s.rff != nil {
-		return s.rff.Map(x)
-	}
-	return x
-}
-
 // ErrBadInput is returned for inputs whose dimension mismatches the model.
 var ErrBadInput = errors.New("svm: input dimension mismatch")
 
 // Decision returns the signed margin w·z(x)+b. Positive means "critical
-// component: reprovision".
+// component: reprovision". It scores through a fresh Scorer, so the SVM
+// stays read-only and shareable; loops that score many inputs keep a
+// Scorer instead.
 func (s *SVM) Decision(x []float64) (float64, error) {
-	if len(x) != s.cfg.InputDim {
-		return 0, ErrBadInput
-	}
-	z := s.features(x)
+	return s.NewScorer().Decision(x)
+}
+
+// margin is w·z+b for a projected input z, summed b first, then w[i]*z[i]
+// by index: the one summation every score and every Fit step uses.
+func (s *SVM) margin(z []float64) float64 {
 	d := s.b
 	for i, zi := range z {
 		d += s.w[i] * zi
 	}
-	return d, nil
+	return d
 }
 
 // Scorer is an allocation-free scoring view over an SVM: it owns a reusable
@@ -155,8 +148,8 @@ func (s *SVM) NewScorer() *Scorer {
 	return sc
 }
 
-// Decision is SVM.Decision through the reusable projection buffer —
-// bit-identical scores, no per-call allocation.
+// Decision returns the signed margin w·z(x)+b, projecting through the
+// reusable buffer: no per-call allocation.
 func (sc *Scorer) Decision(x []float64) (float64, error) {
 	s := sc.s
 	if len(x) != s.cfg.InputDim {
@@ -166,11 +159,7 @@ func (sc *Scorer) Decision(x []float64) (float64, error) {
 	if s.rff != nil {
 		z = s.rff.MapInto(sc.z, x)
 	}
-	d := s.b
-	for i, zi := range z {
-		d += s.w[i] * zi
-	}
-	return d, nil
+	return s.margin(z), nil
 }
 
 // DecisionBatch scores nb rows packed row-major in xb (len nb*InputDim)
@@ -191,12 +180,6 @@ func (sc *Scorer) DecisionBatch(xb []float64, nb int, out []float64) error {
 	return nil
 }
 
-// Classify returns the binary decision of Alg. 2 line 10.
-func (s *SVM) Classify(x []float64) (bool, error) {
-	d, err := s.Decision(x)
-	return d > 0, err
-}
-
 // Fit applies one SGD step on the hinge loss for example (x, y), y ∈ {-1,+1}.
 // This is the "incremental" learning path: the Extractor keeps fitting as
 // labelled data arrives from anomaly-injection campaigns. It projects into
@@ -215,11 +198,7 @@ func (s *SVM) Fit(x []float64, y float64) error {
 	if s.rff != nil {
 		z = s.rff.MapInto(s.fz, x)
 	}
-	margin := s.b
-	for i, zi := range z {
-		margin += s.w[i] * zi
-	}
-	margin *= y
+	margin := s.margin(z) * y
 	// L2 shrinkage.
 	for i := range s.w {
 		s.w[i] -= lr * s.cfg.Reg * s.w[i]
@@ -262,9 +241,10 @@ func (s *SVM) ROC(xs [][]float64, ys []float64, thresholds []float64) (fpr, tpr 
 	if len(xs) != len(ys) || len(xs) == 0 {
 		return nil, nil, errors.New("svm: bad evaluation set")
 	}
+	sc := s.NewScorer()
 	scores := make([]float64, len(xs))
 	for i := range xs {
-		scores[i], err = s.Decision(xs[i])
+		scores[i], err = sc.Decision(xs[i])
 		if err != nil {
 			return nil, nil, err
 		}

@@ -114,7 +114,8 @@ func TestRFFApproximatesRBFKernel(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		x := []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		y := []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
-		zx, zy := rf.Map(x), rf.Map(y)
+		zx := rf.MapInto(make([]float64, rf.Dim()), x)
+		zy := rf.MapInto(make([]float64, rf.Dim()), y)
 		var dot, d2 float64
 		for i := range zx {
 			dot += zx[i] * zy[i]
@@ -223,7 +224,7 @@ func TestNewRFFPanicsOnBadParams(t *testing.T) {
 // TestFitWarmAllocFree: Fit projects into the model's own buffer, so a warm
 // Fit allocates nothing — Pretrain's thousands of samples cost no garbage —
 // and trains the same model, bit for bit, as projecting each sample into
-// fresh memory with Map.
+// fresh memory.
 func TestFitWarmAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	xs, ys := ringSet(r, 300)
@@ -235,11 +236,11 @@ func TestFitWarmAllocFree(t *testing.T) {
 		mapFit(ref, xs[i], ys[i])
 	}
 	if math.Float64bits(got.b) != math.Float64bits(ref.b) {
-		t.Fatalf("bias %v, Map-projected fit %v", got.b, ref.b)
+		t.Fatalf("bias %v, fresh-projected fit %v", got.b, ref.b)
 	}
 	for i := range got.w {
 		if math.Float64bits(got.w[i]) != math.Float64bits(ref.w[i]) {
-			t.Fatalf("weight %d: %v, Map-projected fit %v", i, got.w[i], ref.w[i])
+			t.Fatalf("weight %d: %v, fresh-projected fit %v", i, got.w[i], ref.w[i])
 		}
 	}
 	x := xs[0]
@@ -248,12 +249,12 @@ func TestFitWarmAllocFree(t *testing.T) {
 	}
 }
 
-// mapFit is Fit with the sample projected by Map: the reference Fit's
-// buffer must not change a bit of.
+// mapFit is Fit with the sample projected into fresh memory: the reference
+// Fit's buffer must not change a bit of.
 func mapFit(s *SVM, x []float64, y float64) {
 	s.seen++
 	lr := s.cfg.LR / (1 + s.cfg.Reg*s.cfg.LR*float64(s.seen))
-	z := s.rff.Map(x)
+	z := s.rff.MapInto(make([]float64, s.rff.Dim()), x)
 	margin := s.b
 	for i, zi := range z {
 		margin += s.w[i] * zi
@@ -270,6 +271,59 @@ func mapFit(s *SVM, x []float64, y float64) {
 	}
 }
 
+// TestScorerMatchesDecision: on random inputs, with the RFF map on and off
+// and after a few Fit steps, SVM.Decision, Scorer.Decision and every row of
+// DecisionBatch return the same margin bit for bit, and all three reject a
+// wrong dimension with ErrBadInput.
+func TestScorerMatchesDecision(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	linear := DefaultConfig()
+	linear.Features = 0
+	for _, cfg := range []Config{DefaultConfig(), linear} {
+		s := New(cfg)
+		xs, ys := ringSet(r, 20)
+		for i := range xs {
+			if err := s.Fit(xs[i], ys[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sc := s.NewScorer()
+		const nb = 50
+		xb := make([]float64, nb*cfg.InputDim)
+		for i := range xb {
+			xb[i] = 4*r.Float64() - 2
+		}
+		out := make([]float64, nb)
+		if err := sc.DecisionBatch(xb, nb, out); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < nb; i++ {
+			x := xb[i*cfg.InputDim : (i+1)*cfg.InputDim]
+			d, err := s.Decision(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := sc.Decision(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(d) != math.Float64bits(ds) || math.Float64bits(d) != math.Float64bits(out[i]) {
+				t.Fatalf("features %d row %d: SVM.Decision %v, Scorer.Decision %v, DecisionBatch %v", cfg.Features, i, d, ds, out[i])
+			}
+		}
+		bad := make([]float64, cfg.InputDim+1)
+		if _, err := s.Decision(bad); err != ErrBadInput {
+			t.Fatalf("features %d: SVM.Decision on a wrong dimension: %v", cfg.Features, err)
+		}
+		if _, err := sc.Decision(bad); err != ErrBadInput {
+			t.Fatalf("features %d: Scorer.Decision on a wrong dimension: %v", cfg.Features, err)
+		}
+		if err := sc.DecisionBatch(bad, 1, out[:1]); err != ErrBadInput {
+			t.Fatalf("features %d: DecisionBatch on a wrong dimension: %v", cfg.Features, err)
+		}
+	}
+}
+
 // Accuracy evaluates classification accuracy on a labelled set.
 func (s *SVM) Accuracy(xs [][]float64, ys []float64) (float64, error) {
 	if len(xs) != len(ys) || len(xs) == 0 {
@@ -277,11 +331,11 @@ func (s *SVM) Accuracy(xs [][]float64, ys []float64) (float64, error) {
 	}
 	correct := 0
 	for i := range xs {
-		c, err := s.Classify(xs[i])
+		d, err := s.Decision(xs[i])
 		if err != nil {
 			return 0, err
 		}
-		if (c && ys[i] > 0) || (!c && ys[i] < 0) {
+		if c := d > 0; (c && ys[i] > 0) || (!c && ys[i] < 0) {
 			correct++
 		}
 	}
